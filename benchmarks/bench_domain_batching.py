@@ -23,6 +23,15 @@ counter and a tracemalloc trace of the pool's ``np.empty`` call sites.
 Per-shape-class FLOPs come from the ``ldc.batched_solve`` span attribution
 (``repro.observability.costattr``).  Wall times are ledgered only;
 speedup gates on decrease with a noise band.
+
+The speedup is a property of the host as much as of the code: run it with
+``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``, as ``benchmarks/e2e`` does.
+On the 2-core PR 13 host unpinned OpenBLAS makes both arms ~4x slower in
+CPU seconds and puts the ratio below 1 (0.89 at the parent commit, 0.96
+with PR 13); pinned it is 1.12 -> 1.13, against the 1.39 of the host the
+first baseline came from.  The baseline was re-taken pinned in PR 13,
+whose SCF memory (both arms replay a workspace trajectory) lowered the
+eigensolver-iteration counts of steps 1-2 from 317/298 to 311/291.
 """
 
 import inspect

@@ -22,6 +22,15 @@ shape-class-batched domain paths reproduce the serial ASPC arm's energies
 to ≤ 1e-10 with identical iteration counts (the predictor seeds flow
 through ``DomainState.psi`` identically on all three paths).  Iteration
 counts are deterministic; wall times are ledgered only.
+
+Both arms replay a workspace trajectory, so since PR 13 both carry the
+SCF quasi-Newton memory (DESIGN.md section 17).  It pays where the ASPC
+prediction puts the first residual inside the range the carried secant
+pairs were learned over: the aspc arm fell from 250 to 194 eigensolver
+iterations over steps 1-5 (4 -> 2 SCF passes on the steady steps), the
+warm arm, whose starting residual is ~100x larger, from 546 to 519; the
+gated further cut moved from 54.2 % to 62.6 % and the baseline was
+re-taken.
 """
 
 import time

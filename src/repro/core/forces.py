@@ -21,11 +21,20 @@ from repro.dft.forces import local_forces
 from repro.systems.configuration import Configuration
 
 
-def ldc_forces(config: Configuration, result) -> np.ndarray:
-    """Total forces for a converged :class:`~repro.core.ldc.LDCResult`."""
+def ldc_forces(
+    config: Configuration, result, f_ewald: np.ndarray | None = None
+) -> np.ndarray:
+    """Total forces for a converged :class:`~repro.core.ldc.LDCResult`.
+
+    ``f_ewald`` takes the ion-ion forces when the caller already has them
+    (``run_ldc`` evaluates Ewald once, for energy and forces).
+    """
     grid = result.grid
     forces = local_forces(grid, config, result.density)
-    _, f_ewald = ewald(config.wrapped_positions(), config.zvals, config.cell)
+    if f_ewald is None:
+        _, f_ewald = ewald(
+            config.wrapped_positions(), config.zvals, config.cell
+        )
     forces += f_ewald
     forces += nonlocal_forces_dc(config, result)
     return forces

@@ -48,7 +48,7 @@ from repro.dft.eigensolver import (
     solve_band_by_band,
     solve_direct,
 )
-from repro.dft.ewald import ewald_energy
+from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_potential
@@ -471,7 +471,12 @@ def run_ldc(
     partition of unity, per-domain bases, and Ewald structure come from its
     cache, domain ψ are warm-started from the previous call's converged
     orbitals, and the converged states are stored back for the next call.
-    Mutually exclusive with ``grid``.
+    With the Pulay mixer the workspace's mixer is used, so the secant
+    pairs of earlier calls seed this one's density mixing, and — once
+    every domain is warm — the final consistent pass runs at the mixer's
+    next iterate rather than at the raw output density; without a
+    workspace every call builds a fresh mixer.  Mutually exclusive with
+    ``grid``.
     """
     opts = options or LDCOptions()
     san = sanitize if sanitize is not None else ENV_SANITIZERS
@@ -564,19 +569,21 @@ def _run_ldc(
 
     n_electrons = config.n_electrons()
     v_loc_global = local_potential(grid, config)
-    e_ewald = ewald_energy(
+    # one Ewald evaluation per solve: the forces ride along for ldc_forces
+    e_ewald, f_ewald = ewald(
         config.wrapped_positions(), config.zvals, config.cell,
-        structure=ewald_structure,
+        compute_forces=compute_forces, structure=ewald_structure,
     )
 
     if rho0 is not None and rho0.shape != grid.shape:
         rho0 = None  # stale-shaped warm start (grid changed) → cold start
     rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    rho = renormalize(rho, n_electrons, grid.dv)
     if san is not None and san.numerics is not None:
+        # ahead of renormalize, which refuses a non-finite total by itself
         san.numerics.check(
             "rho0", rho, where="ldc.init", expect_dtype=np.float64
         )
+    rho = renormalize(rho, n_electrons, grid.dv)
 
     mg = (
         MultigridPoisson(grid, instrumentation=ins, sanitize=san)
@@ -586,7 +593,15 @@ def _run_ldc(
     vh_prev: np.ndarray | None = None
 
     mixer: PulayMixer | LinearMixer
-    if opts.mixer == "pulay":
+    #: the workspace's mixer, whose secant pairs outlive this solve
+    memory: PulayMixer | None = None
+    #: whether the solve continues a trajectory (every domain warm): its
+    #: converged state then feeds the next step's ASPC windows
+    continues = False
+    if opts.mixer == "pulay" and workspace is not None:
+        mixer = memory = workspace.scf_mixer(opts)
+        continues = workspace.cold_domains == 0
+    elif opts.mixer == "pulay":
         mixer = PulayMixer(alpha=opts.mix_alpha)
     elif opts.mixer == "linear":
         mixer = LinearMixer(alpha=opts.mix_alpha)
@@ -666,14 +681,25 @@ def _run_ldc(
                 hm.observe(
                     "scf.residual", engine="ldc", iteration=it, residual=resid
                 )
-            if resid < opts.tol:
+            converged = bool(resid < opts.tol)
+            if converged and not continues:
                 rho = rho_out
-                converged = True
                 break
+            # On a trajectory the final pass, too, runs at the mixer's next
+            # quasi-Newton iterate, not at the raw output density: on a
+            # metal rho_out carries the residual's long-wavelength part
+            # amplified, and the ASPC windows would extrapolate it into
+            # the next step's starting point.
             rho = renormalize(
                 np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons,
                 grid.dv,
             )
+            if ins is not None and memory is not None and it == 1:
+                ins.series("ldc.mixer_carried_pairs").append(
+                    memory.carried_pairs
+                )
+            if converged:
+                break
 
         # Final consistent evaluation at the converged density.
         mu, rho_final, components, bnd_err, _, eig_pass = _scf_pass(
@@ -684,6 +710,15 @@ def _run_ldc(
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
+    if memory is not None:
+        # report the drops of this solve (and of the reset / cold domain
+        # that preceded it) once, with the step they belong to
+        if ins is not None:
+            for reason, count in memory.dropped.items():
+                ins.counter(
+                    "ldc.mixer_memory_dropped", reason=reason
+                ).inc(count)
+        memory.dropped.clear()
     rho_final = renormalize(np.clip(rho_final, 0.0, None), n_electrons, grid.dv)
 
     predictor_residual: float | None = None
@@ -726,7 +761,7 @@ def _run_ldc(
     if compute_forces:
         from repro.core.forces import ldc_forces
 
-        result.forces = ldc_forces(config, result)
+        result.forces = ldc_forces(config, result, f_ewald)
     return result
 
 

@@ -32,6 +32,13 @@ step's converged subspace and typically needs a small fraction of the
 cold iteration count (cf. DGDFT, arXiv:2003.00407; Scheiber et al.,
 arXiv:1803.04536; Kolafa's ASPC).
 
+The workspace also owns the trajectory's **SCF quasi-Newton memory**: one
+:class:`~repro.dft.mixing.PulayMixer` whose (Δρ, ΔR) secant pairs carry
+from one MD step's density mixing into the next (:meth:`LDCWorkspace.scf_mixer`),
+so a warm step does not relearn the SCF Jacobian from an undamped linear
+step.  The pairs are dropped whenever the orbital warm start is — a reset
+(cell, option-signature or grid change) or any domain going cold.
+
 Thread it through :func:`repro.core.ldc.run_ldc` via ``workspace=``;
 :class:`repro.md.qmd.LDCEngine` creates one automatically so ``QMDDriver``
 trajectories get the reuse for free.
@@ -48,6 +55,7 @@ from repro.core.support import supports
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import EwaldStructure
 from repro.dft.grid import RealSpaceGrid
+from repro.dft.mixing import PulayMixer
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.systems.configuration import Configuration
 
@@ -172,6 +180,9 @@ class LDCWorkspace:
         #: been stored) — the ``ldc.predictor_residual`` series
         self.predictor_residual: float | None = None
         self._ewald: EwaldStructure | None = None
+        #: the trajectory's density mixer; its secant pairs are the SCF
+        #: memory carried across MD steps (:meth:`scf_mixer`)
+        self._mixer: PulayMixer | None = None
         #: per-domain reusable work buffers (gathered potentials, v_bc
         #: targets, band densities), attached to each ``DomainState`` by
         #: :meth:`prepare` so SCF passes stop re-allocating them
@@ -200,7 +211,9 @@ class LDCWorkspace:
         (:meth:`repro.sanitize.race.RaceSanitizer.guard_readonly`): the
         partition-of-unity windows and every history snapshot of converged
         ψ/v_bc/ρ_α are read concurrently by domain workers and must only
-        be written by the coordinating thread after the join.
+        be written by the coordinating thread after the join.  The SCF
+        memory (:meth:`scf_mixer`) is not listed: only the coordinating
+        thread mixes densities, between fan-outs, so no worker ever sees it.
         """
         buffers: dict[str, np.ndarray] = {}
         if self.pou is not None:
@@ -226,6 +239,8 @@ class LDCWorkspace:
         self._history.clear()
         self.predictor_residual = None
         self._ewald = None
+        if self._mixer is not None:
+            self._mixer.reset("reset")
         self._scratch.clear()
         self.batch_pool = DomainScratch()
         self.warm_domains = 0
@@ -272,6 +287,27 @@ class LDCWorkspace:
         ):
             self._ewald = EwaldStructure.build(config.cell, natoms)
         return self._ewald
+
+    # -- SCF quasi-Newton memory ---------------------------------------------
+
+    def scf_mixer(self, options: LDCOptions) -> PulayMixer:
+        """The trajectory's Pulay mixer, positioned at the start of a solve.
+
+        Call after :meth:`prepare`.  The secant pairs the previous solves
+        learned are kept (:meth:`~repro.dft.mixing.PulayMixer.begin_step`)
+        unless a domain went cold this step — then the electronic problem
+        is not the one they describe and the mixer starts fresh, exactly
+        as ``run_ldc`` without a workspace does.
+        """
+        if self._mixer is None:
+            self._mixer = PulayMixer()
+        # the pairs hold no α, so a changed mix_alpha keeps them
+        self._mixer.alpha = options.mix_alpha
+        if self.cold_domains:
+            self._mixer.reset("cold_domain")
+        else:
+            self._mixer.begin_step()
+        return self._mixer
 
     # -- per-step state ------------------------------------------------------
 

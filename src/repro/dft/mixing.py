@@ -5,7 +5,9 @@ Two schemes, sharing one interface (``mix(rho_in, rho_out) -> rho_next``):
 * :class:`LinearMixer` — simple damping, unconditionally convergent for
   small enough mixing parameter.
 * :class:`PulayMixer` — Pulay/DIIS extrapolation over a history of residuals;
-  the production choice (much faster near self-consistency).
+  the production choice (much faster near self-consistency).  Its secant
+  model of the SCF Jacobian can outlive one solve
+  (:meth:`PulayMixer.begin_step`).
 
 Both preserve the total electron number exactly (the residual integrates to
 zero up to solver error, and we renormalize defensively).
@@ -13,7 +15,13 @@ zero up to solver error, and we renormalize defensively).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
+
+
+class DensityError(ValueError):
+    """A density whose integral is not a finite positive number."""
 
 
 class LinearMixer:
@@ -32,66 +40,149 @@ class LinearMixer:
 
 
 class PulayMixer:
-    """Pulay (DIIS) mixing over a sliding history window.
+    """Pulay (DIIS) mixing over a sliding history window, in difference form.
 
-    Finds coefficients c minimizing |Σ c_i R_i|² with Σ c_i = 1, where
-    ``R_i = ρ_out,i - ρ_in,i``, then returns
-    ``Σ c_i (ρ_in,i + α R_i)``.
+    With ``R_i = ρ_out,i − ρ_in,i`` and the secant pairs
+    ``Δρ_j = ρ_in,j+1 − ρ_in,j``, ``ΔR_j = R_j+1 − R_j`` of the window, find
+    γ minimizing ``|R_k − Σ γ_j ΔR_j|²`` and return
+
+        ρ_next = ρ_in,k + α R_k − Σ γ_j (Δρ_j + α ΔR_j).
+
+    This is the multisecant (Anderson type-II) form of constrained DIIS —
+    the same iterate as ``Σ c_i (ρ_in,i + α R_i)`` with ``Σ c_i = 1``
+    minimizing ``|Σ c_i R_i|²`` (``c_0 = γ_0``, ``c_i = γ_i − γ_i−1``,
+    ``c_k = 1 − γ_k−1``); ``history`` iterates span ``history − 1`` pairs.
+
+    Unlike the iterates, the pairs do not depend on the offset of the
+    fixed-point map: for ``g(ρ) = Aρ + b`` they satisfy ``ΔR = (A − 1) Δρ``
+    whatever ``b`` is.  :meth:`begin_step` therefore keeps them across a
+    change of the map (the next MD step) as *carried* pairs and forgets
+    only the iterates, which belong to the old map.  Carried pairs are a
+    guess about a neighbouring problem, so ``mix`` drops them — back to
+    what a fresh mixer does — as soon as they stop describing the solve at
+    hand (:attr:`CARRIED_RANGE`, :attr:`CARRIED_RISE`); every drop is
+    counted by reason in :attr:`dropped`.
     """
+
+    #: Carried pairs are secant information about steps of size ``|ΔR_j|``,
+    #: taken at the end of a solve and so not far above the eigensolver's
+    #: noise.  A first residual more than this many times the largest of
+    #: them asks the pairs to extrapolate that noise (measured: H₄ chain,
+    #: ratio ~10³, 13 → 19 passes), so they are dropped
+    #: (``"out_of_range"``); on the ASPC-predicted LiAl drift the ratio is
+    #: 1–2.
+    CARRIED_RANGE = 10.0
+    #: A pass mixed with carried pairs may raise ``|R|`` by at most this
+    #: factor (``"residual_rose"``).  Doubling is what a fresh mixer's own
+    #: first, undamped linear step does on metallic LiAl; the milder
+    #: non-monotonicity DIIS always shows keeps the pairs.
+    CARRIED_RISE = 2.0
 
     def __init__(self, alpha: float = 0.3, history: int = 6) -> None:
         if history < 2:
             raise ValueError("history must be >= 2")
         self.alpha = alpha
         self.history = history
+        #: (ρ_in, R) of the current solve, oldest first
         self._inputs: list[np.ndarray] = []
         self._residuals: list[np.ndarray] = []
+        #: (Δρ, ΔR) pairs kept from earlier solves, oldest first
+        self._carried: list[tuple[np.ndarray, np.ndarray]] = []
+        #: reason -> how often secant pairs were thrown away for it
+        self.dropped: Counter[str] = Counter()
 
-    def reset(self) -> None:
+    @property
+    def pairs(self) -> int:
+        """Secant pairs in the window, carried and this solve's own."""
+        return len(self._carried) + max(len(self._inputs) - 1, 0)
+
+    @property
+    def carried_pairs(self) -> int:
+        """Secant pairs from earlier solves still in the window."""
+        return len(self._carried)
+
+    def reset(self, reason: str = "reset") -> None:
+        """Forget everything: the next ``mix`` is a plain linear step.
+        Counted under ``reason`` when there were pairs to forget."""
+        if self.pairs:
+            self.dropped[reason] += 1
+        self._inputs.clear()
+        self._residuals.clear()
+        self._carried.clear()
+
+    def begin_step(self) -> None:
+        """Start the solve of a nearby map: keep the secant pairs, forget
+        the iterates."""
+        self._carried = self._pairs()
         self._inputs.clear()
         self._residuals.clear()
 
+    def _pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The window's pairs, oldest first: carried ones, then this
+        solve's consecutive differences (``mix`` keeps their number at
+        ``history − 1`` or below)."""
+        return self._carried + [
+            (self._inputs[i + 1] - self._inputs[i],
+             self._residuals[i + 1] - self._residuals[i])
+            for i in range(len(self._inputs) - 1)
+        ]
+
+    def _carried_misfit(self, resid: np.ndarray) -> str | None:
+        """Why the carried pairs do not describe this solve, if they don't."""
+        if self._carried[0][1].shape != resid.shape:
+            return "grid_shape"
+        norm = np.linalg.norm(resid)
+        if not self._residuals:  # first pass: nothing mixed with them yet
+            learned = max(np.linalg.norm(d_r) for _, d_r in self._carried)
+            if norm > self.CARRIED_RANGE * learned:
+                return "out_of_range"
+        elif norm > self.CARRIED_RISE * np.linalg.norm(self._residuals[-1]):
+            return "residual_rose"
+        return None
+
     def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
         resid = rho_out - rho_in
+        if self._carried:
+            misfit = self._carried_misfit(resid)
+            if misfit is not None:
+                self.dropped[misfit] += 1
+                self._carried.clear()
         self._inputs.append(rho_in.copy())
         self._residuals.append(resid.copy())
         if len(self._inputs) > self.history:
             self._inputs.pop(0)
             self._residuals.pop(0)
-        m = len(self._residuals)
-        if m == 1:
-            return rho_in + self.alpha * resid
+        # carried pairs leave the window as this solve's own pairs fill it
+        del self._carried[: max(
+            0, len(self._carried) + len(self._inputs) - self.history
+        )]
+        rho_next = rho_in + self.alpha * resid
+        pairs = self._pairs()
+        if not pairs:
+            return rho_next
 
-        # Solve the DIIS normal equations with the Lagrange constraint.
-        b = np.empty((m + 1, m + 1))
-        for i in range(m):
-            for j in range(i, m):
-                b[i, j] = b[j, i] = float(
-                    np.vdot(self._residuals[i].ravel(), self._residuals[j].ravel()).real
-                )
-        b[m, :m] = 1.0
-        b[:m, m] = 1.0
-        b[m, m] = 0.0
-        rhs = np.zeros(m + 1)
-        rhs[m] = 1.0
-        try:
-            coeffs = np.linalg.solve(b, rhs)[:m]
-        except np.linalg.LinAlgError:
-            self.reset()
-            return rho_in + self.alpha * resid
-        if not np.all(np.isfinite(coeffs)):
-            self.reset()
-            return rho_in + self.alpha * resid
-
-        rho_next = np.zeros_like(rho_in)
-        for c, rin, r in zip(coeffs, self._inputs, self._residuals):
-            rho_next += c * (rin + self.alpha * r)
+        # Normal equations of min_γ |R_k − Σ γ_j ΔR_j|².
+        d_res = np.stack([d_r.ravel() for _, d_r in pairs])
+        gram = d_res @ d_res.T
+        if not (
+            np.isfinite(gram).all()
+            and np.linalg.cond(gram) < 1.0 / np.finfo(float).eps
+        ):
+            # (near-)dependent or non-finite ΔR: γ would have no correct
+            # digit.  Drop the model and take the linear step.
+            self.reset("ill_conditioned")
+            return rho_next
+        gamma = np.linalg.solve(gram, d_res @ resid.ravel())
+        for g, (d_rho, d_r) in zip(gamma, pairs):
+            rho_next -= g * (d_rho + self.alpha * d_r)
         return rho_next
 
 
 def renormalize(rho: np.ndarray, n_electrons: float, dv: float) -> np.ndarray:
     """Scale a density so it integrates exactly to ``n_electrons``."""
     total = float(np.sum(rho) * dv)
-    if total <= 0:
-        raise ValueError("density integrates to a non-positive number")
+    if not (np.isfinite(total) and total > 0):
+        raise DensityError(
+            f"density integrates to {total!r}; need a finite positive number"
+        )
     return rho * (n_electrons / total)

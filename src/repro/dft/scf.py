@@ -287,11 +287,12 @@ def _run_scf(
     if rho0 is not None and rho0.shape != grid.shape:
         rho0 = None  # stale-shaped warm start (grid changed) → cold start
     rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    rho = renormalize(rho, n_electrons, grid.dv)
     if san is not None and san.numerics is not None:
+        # ahead of renormalize, which refuses a non-finite total by itself
         san.numerics.check(
             "rho0", rho, where="scf.init", expect_dtype=np.float64
         )
+    rho = renormalize(rho, n_electrons, grid.dv)
     if psi0 is not None and psi0.shape == (basis.npw, nband):
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:

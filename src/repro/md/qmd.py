@@ -106,8 +106,11 @@ class LDCEngine:
     per cell, and each step's domain solves warm-start from the ASPC
     prediction over each domain's history window
     (``LDCOptions.history_depth``; depth 1 = the previous step's converged
-    ψ).  A cell change between ``forces()`` calls resets the workspace and
-    the cached density (cold start, never a stale-shape crash).
+    ψ), and the density mixer keeps its secant pairs from one step's SCF
+    to the next (the workspace's SCF memory).  A cell change between
+    ``forces()`` calls resets the workspace — orbital windows and SCF
+    memory with it — and the cached density (cold start, never a
+    stale-shape crash).
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
     accelerations on top: a history depth override
@@ -268,6 +271,8 @@ class LDCEngine:
             self._rho = None  # previous density lives on a stale grid
             self._rho_hist.clear()
             if self.workspace is not None:
+                # structures, orbital windows and the SCF memory all
+                # describe the old cell
                 self.workspace.reset()
         self._cell = cell.copy()
 

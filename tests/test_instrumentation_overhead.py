@@ -10,6 +10,7 @@ enter a function defined in ``repro/observability``.
 import sys
 
 
+from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
 from repro.observability import Instrumentation
 from repro.systems import dimer
@@ -40,6 +41,24 @@ def test_noop_path_never_enters_observability_code():
     counts, result = _count_observability_calls(lambda: run_scf(cfg, OPTS))
     assert counts["total"] > 0  # the profiler actually saw the run
     assert counts["observability"] == 0
+    assert result.iterations > 0
+
+
+def test_workspace_ldc_noop_path_never_enters_observability_code():
+    """Same pin over the sites the SCF memory added to ``run_ldc``: two
+    workspace solves (fresh mixer, then carried pairs, the quasi-Newton
+    final iterate and the drop bookkeeping) without instrumentation."""
+    cfg = dimer("H", "H", 1.5, 12.0)
+    opts = LDCOptions(ecut=4.0, domains=(2, 1, 1), tol=1e-3, max_iter=6)
+    ws = LDCWorkspace()
+
+    def two_steps():
+        first = run_ldc(cfg, opts, workspace=ws)
+        return run_ldc(cfg, opts, workspace=ws, rho0=first.density)
+
+    counts, result = _count_observability_calls(two_steps)
+    assert counts["total"] > 0 and counts["observability"] == 0
+    assert ws.warm_domains > 0 and ws._mixer.pairs > 0
     assert result.iterations > 0
 
 
