@@ -32,6 +32,15 @@ with PR 13); pinned it is 1.12 -> 1.13, against the 1.39 of the host the
 first baseline came from.  The baseline was re-taken pinned in PR 13,
 whose SCF memory (both arms replay a workspace trajectory) lowered the
 eigensolver-iteration counts of steps 1-2 from 317/298 to 311/291.
+
+PR 15 moved the two kernel families differently and the baseline was
+re-taken again (pinned, same host): with the staged, row-blocked
+transforms CPU seconds fell 4.73 -> 3.63 per-domain and 3.91 -> 2.59
+batched (the parent's stacked FFTs burned a second scipy worker thread
+for no wall-clock return), so the ratio reads 1.33-1.44 over four runs
+(1.40 committed; parent 1.21 the same day).  ``batched_solve_gflop`` fell
+6.02 -> 3.44 because the FLOP attribution now counts the staged
+transform's lines, not dense 3-D FFTs; iteration counts are unchanged.
 """
 
 import inspect

@@ -114,9 +114,7 @@ def get(name: str | None = None) -> Any:
     Resolution order: explicit ``name`` → :func:`set_default` →
     ``$REPRO_BACKEND`` → ``"auto"`` (the fastest CPU namespace available:
     NumPy with ``scipy.fft`` transforms when SciPy is importable — same
-    pocketfft algorithm, faster C++ build plus a ``workers=`` thread pool
-    that only large stacked transforms can amortize — plain NumPy
-    otherwise).
+    pocketfft algorithm, faster C++ build — plain NumPy otherwise).
     """
     key = (
         name
@@ -165,31 +163,15 @@ def _load_numpy() -> Any:
     return numpy
 
 
-class _ThreadedFFT:
-    """``fftn``/``ifftn`` through ``scipy.fft`` with a fixed worker count.
+class _ScipyFFTNamespace:
+    """NumPy namespace with the transforms swapped for ``scipy.fft``.
 
-    SciPy's pocketfft releases the GIL and splits the *batch* dimension
-    across threads — each individual transform is computed by the same
-    serial kernel, so values are independent of ``workers``.  The thread
-    pool only pays off on large stacked inputs, which is exactly what the
-    domain-batched kernels produce.
+    Single-threaded on purpose: the kernels transform cache-sized row
+    blocks one 1-D stage at a time (DESIGN.md §18), and a ``workers=``
+    fork-join per stage costs more than such a call returns.
     """
 
-    def __init__(self, scipy_fft: Any, workers: int) -> None:
-        self._fft = scipy_fft
-        self.workers = workers
-
-    def fftn(self, a: Any, axes: Any = None) -> Any:
-        return self._fft.fftn(a, axes=axes, workers=self.workers)
-
-    def ifftn(self, a: Any, axes: Any = None) -> Any:
-        return self._fft.ifftn(a, axes=axes, workers=self.workers)
-
-
-class _ScipyFFTNamespace:
-    """NumPy namespace with the transforms swapped for ``scipy.fft``."""
-
-    def __init__(self, numpy_mod: Any, fft: _ThreadedFFT) -> None:
+    def __init__(self, numpy_mod: Any, fft: Any) -> None:
         self._np = numpy_mod
         self.fft = fft
 
@@ -207,8 +189,7 @@ def _load_scipy() -> Any:
         ) from exc
     import numpy
 
-    workers = max(int(os.cpu_count() or 1), 1)
-    return _ScipyFFTNamespace(numpy, _ThreadedFFT(scipy.fft, workers))
+    return _ScipyFFTNamespace(numpy, scipy.fft)
 
 
 def _load_auto() -> Any:

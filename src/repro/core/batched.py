@@ -212,6 +212,7 @@ def batched_domain_pass(
                 "ldc.batched_solve", category="ldc", n_domains=nd,
                 npw=key.npw, nband=key.nband, nproj=key.nproj,
                 grid_points=basis.grid.npoints,
+                fft_stages=basis.stage_lines,
             ) as sp:
                 results = solve_all_band_batched(
                     bham, psi0, max_iter=opts.eig_max_iter, tol=opts.eig_tol,

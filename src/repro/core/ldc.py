@@ -886,6 +886,7 @@ def _scf_pass(
                     sp.attrs.update(
                         npw=state.basis.npw,
                         grid_points=int(np.prod(state.domain.grid.shape)),
+                        fft_stages=state.basis.stage_lines,
                         nproj=len(state.vnl.d), cg_iterations=res.iterations,
                     )
                 outcomes.append((res, err, None))
@@ -902,6 +903,7 @@ def _scf_pass(
                 natoms=len(state.atom_indices), nband=state.nband,
                 npw=state.basis.npw,
                 grid_points=int(np.prod(state.domain.grid.shape)),
+                fft_stages=state.basis.stage_lines,
                 nproj=len(state.vnl.d), cg_iterations=res.iterations,
             )
             record_solve(ins, opts.eigensolver, state.basis.npw, res)

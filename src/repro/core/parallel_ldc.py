@@ -136,6 +136,7 @@ def run_parallel_ldc(
             grid_points=s.basis.grid.npoints,
             nproj=s.vnl.nproj if s.vnl is not None else 0,
             cg_iterations=cg_per_scf,
+            fft_stages=s.basis.stage_lines,
         )
         domain_seconds.append(fc.total / (core_rate * ranks_per_group))
 

@@ -45,27 +45,35 @@ class Hamiltonian:
         """H Ψ for a block of orbitals ``(npw, nband)`` (or a single vector).
 
         The kinetic term seeds a fresh output block and the local/nonlocal
-        terms accumulate into it in place — no intermediate ``out + ...``
-        copies of the ``(npw, nband)`` block are made.
+        terms accumulate into it in place.  The local term walks the bands
+        in blocks of ``basis.block_rows``: to grid, ``*= v_eff`` in place,
+        back — so a block's full-grid field is consumed while it is still
+        cache-resident and no ``(nband, *grid.shape)`` temporary exists.
 
         ``fields_out``, when given, receives the real-space orbital fields
-        ``ψ_n(r)`` (appended as one ``(nband, *grid.shape)`` array, unscaled
-        by the potential) — the transform is computed here anyway, so
-        callers that need ``|ψ|²`` afterwards can reuse it instead of paying
-        a second batched FFT (see the LDC band-density assembly).
+        ``ψ_n(r)`` (appended as one freshly allocated ``(nband,
+        *grid.shape)`` array, unscaled by the potential) — the transform is
+        computed here anyway, so callers that need ``|ψ|²`` afterwards can
+        reuse it instead of paying a second batched FFT (see the LDC
+        band-density assembly).
         """
         single = psi.ndim == 1
         if single:
             psi = psi[:, None]
+        basis = self.basis
+        nband = psi.shape[1]
         out = self.kinetic[:, None] * psi
-        # local potential: to grid (batched FFT), multiply, back
-        fields = self.basis.to_grid(psi)
+        captured = None
         if fields_out is not None:
-            fields_out.append(fields)
-            fields = fields * self.v_eff[None, :, :, :]
-        else:
-            fields *= self.v_eff[None, :, :, :]
-        out += self.basis.from_grid(fields)
+            captured = np.empty((nband,) + basis.grid.shape, dtype=complex)
+            fields_out.append(captured)
+        step = basis.block_rows
+        for a in range(0, nband, step):
+            fields = basis.to_grid(psi[:, a:a + step])
+            if captured is not None:
+                captured[a:a + step] = fields
+            fields *= self.v_eff
+            out[:, a:a + step] += basis.from_grid(fields)
         if self.vnl is not None and self.vnl.nproj:
             out += self.vnl.apply(psi)
         return out[:, 0] if single else out
@@ -192,8 +200,11 @@ class BatchedHamiltonian:
     ) -> Any:
         """H Ψ for a stack of orbital blocks ``(len(domains), npw, nband)``.
 
-        Mirrors :meth:`Hamiltonian.apply` slice-for-slice, including the
-        ``fields_out`` capture of the unscaled real-space fields.
+        Mirrors :meth:`Hamiltonian.apply` row for row: the domain×band rows
+        of the stack are walked in the same cache-sized blocks (a block may
+        straddle two domains; each row is multiplied by its own domain's
+        potential), and ``fields_out`` receives one freshly allocated
+        ``(len(domains), nband, *grid.shape)`` array of unscaled fields.
 
         ``domains`` selects a subset of the class's Hamiltonians (stack
         indices, strictly increasing) — the batched eigensolver uses it to
@@ -201,17 +212,35 @@ class BatchedHamiltonian:
         retire from the lockstep iteration.
         """
         xp = self.xp
+        basis = self.basis
         if domains is not None and len(domains) == self.n_domains:
             domains = None  # a strictly-increasing subset of full size is all
         v_eff = self.v_eff if domains is None else self.v_eff[domains]
+        nd, npw, nband = psi.shape
+        nrows = nd * nband
         out = self.kinetic[None, :, None] * psi
-        fields = self.basis.to_grid_batch(psi, xp=xp)
+        rows = psi.transpose(0, 2, 1).reshape(nrows, npw)
+        local = xp.empty((nrows, npw), dtype=complex)
+        captured = None
         if fields_out is not None:
-            fields_out.append(fields)
-            fields = fields * v_eff[:, None]
-        else:
-            fields *= v_eff[:, None]
-        out += self.basis.from_grid_batch(fields, xp=xp)
+            captured = xp.empty((nrows,) + basis.grid.shape, dtype=complex)
+            fields_out.append(
+                captured.reshape((nd, nband) + basis.grid.shape)
+            )
+        step = basis.block_rows
+        for a in range(0, nrows, step):
+            stop = min(a + step, nrows)
+            # the block as the public stacked transform takes it: one
+            # stack slot of (stop - a) "bands"
+            fields = basis.to_grid_batch(rows[a:stop].T[None], xp=xp)
+            if captured is not None:
+                captured[a:stop] = fields[0]
+            for dom in range(a // nband, (stop - 1) // nband + 1):
+                lo = max(a, dom * nband) - a
+                hi = min(stop, (dom + 1) * nband) - a
+                fields[0, lo:hi] *= v_eff[dom]
+            local[a:stop] = basis.from_grid_batch(fields, xp=xp)[0].T
+        out += local.reshape(nd, nband, npw).transpose(0, 2, 1)
         if self.b is not None and self.nproj:
             b = self.b if domains is None else self.b[domains]
             d = self.d if domains is None else self.d[domains]

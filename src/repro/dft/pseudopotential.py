@@ -42,18 +42,21 @@ def local_potential_ft(g2: np.ndarray, zval: float, rc: float) -> np.ndarray:
 
 
 def structure_factors(grid: RealSpaceGrid, config: Configuration) -> dict[str, np.ndarray]:
-    """Per-species structure factors S_s(G) = Σ_{I∈s} e^{-iG·R_I} on the grid."""
-    gv = grid.g_vectors().reshape(-1, 3)
-    # Chunk atoms to bound the (ngrid × natoms) phase-matrix memory.
-    chunk = max(1, (1 << 22) // max(gv.shape[0], 1))
+    """Per-species structure factors S_s(G) = Σ_{I∈s} e^{-iG·R_I} on the grid.
+
+    ``e^{-iG·R}`` factorizes over the axes of the orthorhombic grid, so each
+    atom costs ``n0 + n1 + n2`` exponentials instead of ``n0·n1·n2``, and
+    nothing of size ``ngrid × natoms`` is ever built (the dense evaluation
+    had to chunk atoms to bound that matrix).
+    """
     out: dict[str, np.ndarray] = {}
     for symbol in config.species_set():
         idx = [i for i, s in enumerate(config.symbols) if s == symbol]
-        acc = np.zeros(gv.shape[0], dtype=complex)
-        for start in range(0, len(idx), chunk):
-            block = config.positions[idx[start : start + chunk]]
-            acc += np.exp(-1j * gv @ block.T).sum(axis=1)
-        out[symbol] = acc.reshape(grid.shape)
+        px, py, pz = (
+            np.exp(-1j * np.outer(config.positions[idx, axis], g))
+            for axis, g in enumerate(grid.g_components())
+        )
+        out[symbol] = np.einsum("ai,aj,ak->ijk", px, py, pz)
     return out
 
 

@@ -331,6 +331,7 @@ def _run_scf(
                 sp.attrs.update(
                     npw=basis.npw, nband=nband,
                     grid_points=int(np.prod(grid.shape)),
+                    fft_stages=basis.stage_lines,
                     nproj=len(nonlocal_.d), cg_iterations=eig.iterations,
                 )
         psi = eig.orbitals

@@ -1,8 +1,11 @@
 """Per-kernel FLOP cost attribution for tracer spans.
 
 The drivers stamp their solve spans with the *sizes* of the work they did
-(``npw``, ``nband``, ``grid_points``, ``nproj``, ``cg_iterations`` for
-eigensolves; ``grid_points``, ``cycles``, ``sweeps`` for multigrid solves).
+(``npw``, ``nband``, ``grid_points``, ``fft_stages``, ``nproj``,
+``cg_iterations`` for eigensolves — ``fft_stages`` being the basis's staged
+transform line counts, so pruned FFT lines are not credited; a span
+without it is counted as dense 3-D transforms; ``grid_points``, ``cycles``,
+``sweeps`` for multigrid solves).
 This module turns those sizes into FLOP estimates using the operation
 counts of :mod:`repro.perfmodel.flops` — the same model behind the paper's
 Tables 1-2 %-of-peak accounting — *at report time*, so the attribution
@@ -36,6 +39,7 @@ def _eigensolve_flops(args: dict[str, Any]) -> float | None:
         grid_points=int(grid_points),
         nproj=int(args.get("nproj") or 0),
         cg_iterations=max(int(args.get("cg_iterations") or 1), 1),
+        fft_stages=args.get("fft_stages"),
     ).total
 
 

@@ -18,6 +18,7 @@ from repro.perfmodel.flops import (
     gemm_flops,
     multigrid_vcycle_flops,
     qmd_step_flops,
+    staged_fft_flops,
 )
 from repro.perfmodel.threading import flops_table, rack_table
 from repro.perfmodel.scaling import StrongScalingModel, WeakScalingModel
@@ -34,6 +35,7 @@ from repro.perfmodel.metrics import (
 __all__ = [
     "FlopCounts",
     "fft_flops",
+    "staged_fft_flops",
     "gemm_flops",
     "domain_scf_flops",
     "multigrid_vcycle_flops",

@@ -21,6 +21,17 @@ def fft_flops(npoints: int) -> float:
     return 5.0 * npoints * np.log2(max(npoints, 2))
 
 
+def staged_fft_flops(stages) -> float:
+    """One band's staged (pruned) 3-D transform: Σ over the stages of
+    ``lines × 5 n log₂ n``.
+
+    ``stages`` is ``PlaneWaveBasis.stage_lines`` — ``(lines, length)`` of
+    the 1-D transforms the z, y and x stage actually run.  With no line
+    pruned the sum equals :func:`fft_flops` of the full grid.
+    """
+    return float(sum(5.0 * lines * n * np.log2(n) for lines, n in stages))
+
+
 def gemm_flops(m: int, n: int, k: int, complex_: bool = True) -> float:
     """Matrix-matrix multiply: 2mnk real / 8mnk complex FLOPs."""
     return (8.0 if complex_ else 2.0) * m * n * k
@@ -56,15 +67,21 @@ def domain_scf_flops(
     grid_points: int,
     nproj: int,
     cg_iterations: int = 3,
+    fft_stages=None,
 ) -> FlopCounts:
     """FLOPs for one SCF iteration of one DC domain.
 
     Per CG iteration: every band needs a forward+inverse FFT (local
     potential), the packed projector GEMMs (Eq. 5), and its share of the
     subspace Rayleigh–Ritz; orthonormalization adds the overlap build and
-    the Cholesky solve (Sec. 3.3).
+    the Cholesky solve (Sec. 3.3).  ``fft_stages`` (a basis's
+    ``stage_lines``) counts the staged transform the solve really ran;
+    without it the FFT term is the dense count over ``grid_points``.
     """
-    per_iter_fft = 2.0 * nband * fft_flops(grid_points)
+    per_band_fft = (
+        staged_fft_flops(fft_stages) if fft_stages else fft_flops(grid_points)
+    )
+    per_iter_fft = 2.0 * nband * per_band_fft
     per_iter_nl = 2.0 * gemm_flops(nproj, nband, npw) if nproj else 0.0
     per_iter_sub = 2.0 * gemm_flops(nband, nband, npw) + gemm_flops(
         npw, nband, nband

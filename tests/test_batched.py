@@ -271,3 +271,8 @@ def test_batched_span_flop_attribution():
         "ldc.domain_solve", dict(span.attrs, n_domains=1)
     )
     assert single is not None and single < flops < 2 * single
+    # the span names the staged transform's line counts; without them the
+    # estimator falls back to crediting dense 3-D transforms
+    dense = dict(span.attrs)
+    assert len(dense.pop("fft_stages")) == 3
+    assert estimate_event_flops("ldc.batched_solve", dense) > flops

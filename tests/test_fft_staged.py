@@ -1,0 +1,250 @@
+"""The staged (pruned) plane-wave transforms and the row-blocked ``H·ψ``.
+
+The dense 3-D ``np.fft.ifftn/fftn`` on the zero-padded sphere — the
+transform the staged code replaced — is the oracle here: pruning skips
+lines that are identically zero, so the two must agree to rounding on any
+grid.  Also pinned: adjointness, the memory footprint of one stacked
+apply, that captured ``fields`` never alias a pooled buffer, and that the
+per-basis pools keep the ``ldc_workers`` fan-out bit-identical to serial.
+"""
+
+import copy
+import pickle
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro import backend
+from repro.core import LDCOptions, run_ldc
+from repro.core.workspace import LDCWorkspace
+from repro.dft.basis import FIELD_BLOCK_BYTES, PlaneWaveBasis
+from repro.dft.grid import RealSpaceGrid
+from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
+from tests.test_workspace import OPTS as H4_OPTS
+from tests.test_workspace import h4_chain
+
+COMMON = dict(max_examples=40, deadline=None)
+TOL = 1e-13
+
+
+def make_basis(lengths, shape, grid_factor, block_rows=None):
+    """A basis whose sphere radius is ``1/grid_factor`` of the tightest
+    axis's Nyquist frequency: 2.0 is the exact-density grid the drivers
+    use, 1.0 puts plane waves on the (even-size) Nyquist line."""
+    grid = RealSpaceGrid(lengths, shape)
+    gmax = np.pi * min(n / l for n, l in zip(shape, lengths)) / grid_factor
+    basis = PlaneWaveBasis(grid, 0.5 * gmax * gmax * (1.0 + 1e-9))
+    if block_rows is not None:
+        basis.block_rows = block_rows  # before the first transform sizes the pool
+    return basis
+
+
+def dense_to_grid(basis, rows):
+    """Oracle: zero-pad ``(nrows, npw)`` rows to the grid, one dense ifftn."""
+    grid = basis.grid
+    spread = np.zeros((rows.shape[0], grid.npoints), dtype=complex)
+    spread[:, basis.indices] = rows
+    return np.fft.ifftn(
+        spread.reshape((-1,) + grid.shape), axes=(1, 2, 3)
+    ) * (grid.npoints / np.sqrt(grid.volume))
+
+
+def dense_from_grid(basis, fields):
+    grid = basis.grid
+    spectra = np.fft.fftn(fields, axes=(1, 2, 3)).reshape(fields.shape[0], -1)
+    return spectra[:, basis.indices] * (np.sqrt(grid.volume) / grid.npoints)
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1.0)
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(**COMMON)
+@given(
+    shape=st.tuples(*[st.integers(5, 12)] * 3),
+    lengths=st.tuples(*[st.floats(5.0, 9.0)] * 3),
+    grid_factor=st.sampled_from([1.0, 1.5, 2.0]),
+    nd=st.sampled_from([1, 2, 4]),
+    nband=st.integers(1, 10),
+    block_rows=st.sampled_from([1, 3, 4, 16]),
+    seed=st.integers(0, 10_000),
+)
+def test_staged_transforms_match_dense_oracle(
+    shape, lengths, grid_factor, nd, nband, block_rows, seed
+):
+    basis = make_basis(lengths, shape, grid_factor, block_rows)
+    grid = basis.grid
+    rng = np.random.default_rng(seed)
+    nrows = nd * nband  # 1..40 rows: one block, several, a ragged last one
+    xp = backend.get()
+
+    coeffs = complex_normal(rng, (nrows, basis.npw))
+    ref_fields = dense_to_grid(basis, coeffs)
+    assert rel_err(basis.to_grid(coeffs.T), ref_fields) <= TOL
+    assert rel_err(basis.to_grid(coeffs[0]), ref_fields[0]) <= TOL
+    stack = coeffs.reshape(nd, nband, basis.npw).transpose(0, 2, 1)
+    got = basis.to_grid_batch(stack, xp=xp)
+    assert got.shape == (nd, nband) + grid.shape
+    assert rel_err(got.reshape(ref_fields.shape), ref_fields) <= TOL
+
+    fields = complex_normal(rng, (nrows,) + grid.shape)
+    ref_coeffs = dense_from_grid(basis, fields)
+    assert rel_err(basis.from_grid(fields).T, ref_coeffs) <= TOL
+    assert rel_err(basis.from_grid(fields[0]), ref_coeffs[0]) <= TOL
+    got = basis.from_grid_batch(
+        fields.reshape((nd, nband) + grid.shape), xp=xp
+    )
+    assert got.shape == (nd, basis.npw, nband)
+    assert rel_err(
+        got.transpose(0, 2, 1).reshape(nrows, basis.npw), ref_coeffs
+    ) <= TOL
+
+    # adjointness: <from_grid f, c> = <f, to_grid c> dv, summed over rows
+    lhs = np.vdot(basis.from_grid(fields).T, coeffs)
+    rhs = np.vdot(fields, basis.to_grid(coeffs.T)) * grid.dv
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+def test_nyquist_and_odd_axes_are_really_covered():
+    """The matrix above is only as good as its corners: at grid_factor 1
+    the sphere holds the even axis's Nyquist index and every x-plane, at
+    grid_factor 2 only the planes m = -2..2 and a disc of columns remain."""
+    full = make_basis((8.0, 8.0, 8.0), (8, 9, 10), 1.0)
+    assert 4 in np.unravel_index(full.indices, full.grid.shape)[0]
+    assert np.any(full.miller[:, 0] == -4)
+    assert full.stage_lines[1][0] == 8 * 10  # no x-plane pruned
+
+    half = make_basis((8.0, 8.0, 8.0), (8, 9, 10), 2.0)
+    (zl, _), (yl, _), (xl, _) = half.stage_lines
+    assert zl < 8 * 9 / 4 and yl == 5 * 10 and xl == 9 * 10
+
+
+def test_block_rows_follow_the_grid():
+    small = make_basis((6.0, 5.0, 5.0), (10, 9, 9), 2.0)
+    assert small.block_rows == FIELD_BLOCK_BYTES // (16 * 10 * 9 * 9)
+    huge = make_basis((30.0, 30.0, 30.0), (48, 48, 48), 2.0)
+    assert huge.block_rows == 1
+
+
+# -- the row-blocked apply ----------------------------------------------------
+
+
+def lial_domain_problem(nd=4, nband=21, seed=3):
+    """The benchmark's LiAl domain shape: 22×22×28 at ecut=3."""
+    grid = RealSpaceGrid([12.0, 12.0, 16.0], (22, 22, 28))
+    basis = PlaneWaveBasis(grid, ecut=3.0)
+    rng = np.random.default_rng(seed)
+    v_eff = rng.standard_normal((nd,) + grid.shape)
+    psi = complex_normal(rng, (nd, basis.npw, nband))
+    return basis, v_eff, psi
+
+
+def dense_local_apply(basis, v_eff, psi):
+    """Kinetic + local term through the dense oracle transforms."""
+    fields = dense_to_grid(basis, psi.T)
+    return (
+        0.5 * basis.g2[:, None] * psi
+        + dense_from_grid(basis, fields * v_eff).T
+    ), fields
+
+
+def test_blocked_apply_matches_dense_oracle_serial_and_stacked():
+    basis, v_eff, psi = lial_domain_problem()
+    assert psi.shape[2] > basis.block_rows  # several blocks, ragged last
+    assert psi.shape[2] % basis.block_rows  # blocks straddle domains
+    cap: list = []
+    stacked = BatchedHamiltonian(basis, v_eff, None, None, xp=backend.get())
+    out = stacked.apply(psi, fields_out=cap)
+    for d in range(psi.shape[0]):
+        ref, ref_fields = dense_local_apply(basis, v_eff[d], psi[d])
+        scap: list = []
+        serial = Hamiltonian(basis, v_eff[d]).apply(psi[d], fields_out=scap)
+        assert rel_err(serial, ref) <= TOL
+        assert rel_err(out[d], ref) <= TOL
+        assert rel_err(scap[0], ref_fields) <= TOL
+        assert rel_err(cap[0][d], ref_fields) <= TOL
+    # a retired-domain subset uses the subset's potentials
+    sub = stacked.apply(psi[[1, 3]], domains=[1, 3])
+    assert rel_err(sub, out[[1, 3]]) <= TOL
+
+
+def test_stacked_apply_peaks_below_one_full_copy():
+    """Without ``fields_out`` one stacked apply on 4×21 rows never holds a
+    full ``(rows × grid)`` complex array (the dense path held three)."""
+    basis, v_eff, psi = lial_domain_problem()
+    bham = BatchedHamiltonian(basis, v_eff, None, None, xp=backend.get())
+    full_copy = psi.shape[0] * psi.shape[2] * basis.grid.npoints * 16
+    tracemalloc.start()
+    try:
+        bham.apply(psi)  # cold: includes the pool's own allocation
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_copy
+    assert peak < 0.5 * full_copy  # measured 0.31
+
+
+def test_captured_fields_never_alias_a_pool():
+    """``fields_out`` arrays survive later applies untouched, serial and
+    stacked, and share no memory with the basis's stage buffers."""
+    basis, v_eff, psi = lial_domain_problem(nd=2, nband=6)
+    xp = backend.get()
+    ham = Hamiltonian(basis, v_eff[0])
+    bham = BatchedHamiltonian(basis, v_eff, None, None, xp=xp)
+    cap: list = []
+    ham.apply(psi[0], fields_out=cap)
+    bham.apply(psi, fields_out=cap)
+    ham.apply(psi[0, :, :3], fields_out=cap)  # a single, unragged block
+    snapshots = [f.copy() for f in cap]
+    other = psi[:, ::-1, :] * 1.7
+    ham.apply(other[0], fields_out=[])
+    ham.apply(other[0])
+    bham.apply(other, fields_out=[])
+    bham.apply(other)
+    for fields, snap in zip(cap, snapshots):
+        assert np.array_equal(fields, snap)
+        assert not any(
+            np.shares_memory(fields, buf) for buf in basis._pool.values()
+        )
+
+
+def test_copied_basis_gets_its_own_empty_pool():
+    """Drivers' results are deep-copied (and could be pickled): the pool,
+    keyed by array module, must not travel."""
+    basis, _, psi = lial_domain_problem(nd=1, nband=3)
+    fields = basis.to_grid(psi[0])
+    basis.to_grid_batch(psi, xp=backend.get())
+    assert basis._pool
+    for clone in (copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert clone._pool == {}
+        assert np.array_equal(clone.to_grid(psi[0]), fields)
+        assert not any(
+            np.shares_memory(a, b)
+            for a in clone._pool.values() for b in basis._pool.values()
+        )
+
+
+def test_thread_fanout_is_bit_identical_with_pooled_block_buffers():
+    """One pool per basis, one basis per domain: two worker threads reuse
+    their pools across passes and MD steps and still reproduce the serial
+    run bit for bit."""
+    runs = {}
+    for workers in (1, 2):
+        ws = LDCWorkspace()
+        runs[workers] = [
+            run_ldc(h4_chain(shift), LDCOptions(**H4_OPTS, ldc_workers=workers),
+                    workspace=ws)
+            for shift in (0.0, 0.05)
+        ]
+    for serial, threaded in zip(runs[1], runs[2]):
+        assert threaded.energy == serial.energy
+        assert threaded.iterations == serial.iterations
+        assert threaded.eig_iterations == serial.eig_iterations
+        assert np.array_equal(threaded.density, serial.density)
+    bases = {id(s.basis) for s in runs[2][-1].states}
+    assert len(bases) == len(runs[2][-1].states)  # never shared across domains

@@ -1,7 +1,10 @@
 """Tests for machine specs and the Tables 1-2 FLOP-rate models."""
 
+import numpy as np
 import pytest
 
+from repro.dft.basis import PlaneWaveBasis
+from repro.dft.grid import RealSpaceGrid
 from repro.parallel.machine import (
     BLUE_GENE_Q,
     XEON_E5_2665,
@@ -15,6 +18,7 @@ from repro.perfmodel.flops import (
     multigrid_vcycle_flops,
     qmd_step_flops,
     sic_domain_parameters,
+    staged_fft_flops,
 )
 from repro.perfmodel.metrics import (
     PRIOR_ART,
@@ -72,6 +76,31 @@ def test_time_for_flops_invalid_cores():
 
 def test_fft_flops_formula():
     assert fft_flops(1024) == pytest.approx(5 * 1024 * 10)
+
+
+def test_staged_fft_flops_hand_count_lial_domain():
+    """The benchmark's LiAl domain: 22×22×28 points over 88/7 × 88/7 × 16
+    Bohr at ecut=3.  G_max = √6 reaches |m_x| ≤ 4 → 9 of 22 x-planes, and
+    m_x² + m_y² ≤ 24 → 69 lattice points of 484 (x, y) columns."""
+    basis = PlaneWaveBasis(
+        RealSpaceGrid([88 / 7, 88 / 7, 16.0], (22, 22, 28)), ecut=3.0
+    )
+    assert basis.stage_lines == ((69, 28), (9 * 28, 22), (22 * 28, 22))
+    by_hand = 5.0 * (
+        69 * 28 * np.log2(28) + 252 * 22 * np.log2(22) + 616 * 22 * np.log2(22)
+    )
+    staged = staged_fft_flops(basis.stage_lines)
+    assert staged == pytest.approx(by_hand)
+    dense = fft_flops(22 * 22 * 28)
+    assert staged == pytest.approx(0.508 * dense, rel=5e-3)
+    # with no line pruned the stage sum is the dense count
+    assert staged_fft_flops(
+        ((22 * 22, 28), (22 * 28, 22), (22 * 28, 22))
+    ) == pytest.approx(dense)
+    kw = dict(npw=basis.npw, nband=7, grid_points=22 * 22 * 28, nproj=4)
+    assert domain_scf_flops(**kw, fft_stages=basis.stage_lines).fft == (
+        pytest.approx(domain_scf_flops(**kw).fft * staged / dense)
+    )
 
 
 def test_gemm_flops():

@@ -77,6 +77,23 @@ def test_structure_factor_g0_counts_atoms(grid):
     assert sf["H"][0, 0, 0] == pytest.approx(2.0)
 
 
+def test_structure_factors_match_dense_evaluation(rng):
+    """Per-axis phase products vs e^{-iG·R} on every grid point (≤1e-12),
+    two species, non-cubic odd/even grid."""
+    grid = RealSpaceGrid([9.0, 11.0, 14.0], [9, 12, 14])
+    symbols = ["Li", "Al", "Li", "Al", "Al"]
+    cfg = Configuration(
+        symbols, rng.uniform(0.0, 1.0, size=(5, 3)) * grid.lengths, grid.lengths
+    )
+    sf = structure_factors(grid, cfg)
+    gv = grid.g_vectors().reshape(-1, 3)
+    assert set(sf) == {"Li", "Al"}
+    for symbol, got in sf.items():
+        pos = cfg.positions[[s == symbol for s in symbols]]
+        dense = np.exp(-1j * gv @ pos.T).sum(axis=1).reshape(grid.shape)
+        assert np.abs(got - dense).max() <= 1e-12
+
+
 def test_projectors_normalized(grid):
     cfg = Configuration(["Al"], [grid.lengths / 2], grid.lengths)
     basis = PlaneWaveBasis(grid, ecut=12.0)
