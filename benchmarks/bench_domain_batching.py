@@ -4,8 +4,7 @@ The paper's Sec. 3.4 converts band-by-band BLAS2 work into blocked BLAS3
 kernels; ``repro.core.batched`` lifts the same transformation across the
 LDC hierarchy, stacking same-shape domains into ``(n_domains, …)`` kernels
 (batched FFT applies, one batched nonlocal GEMM, stacked subspace
-``eigh``) routed through the ``repro.backend`` array-module shim.  This
-bench replays the deterministic LiAl QMD trajectory of the warm-start
+``eigh``).  This bench replays the deterministic LiAl QMD trajectory of the warm-start
 bench with a 4-domain decomposition, twice:
 
 * **per-domain** — PR 4's path: each active domain solved on its own
@@ -41,6 +40,17 @@ for no wall-clock return), so the ratio reads 1.33-1.44 over four runs
 (1.40 committed; parent 1.21 the same day).  ``batched_solve_gflop`` fell
 6.02 -> 3.44 because the FLOP attribution now counts the staged
 transform's lines, not dense 3-D FFTs; iteration counts are unchanged.
+
+PR 16 put both families on one transform library with pooled ``out=``
+stages, and the ratio left its band downwards with both arms faster: the
+per-domain arm was the one paying the page-fault churn of fresh stage
+outputs, so CPU seconds fell 3.86-3.96 -> 2.47-2.95 per-domain and
+2.70-2.81 -> 2.30-2.65 batched (parent the same day 1.39 / 1.43 / 1.45,
+change 1.06 / 1.07 / 1.12 / 1.12).  Baseline re-taken at 1.07 (pinned, same
+host); what is left of the stacked path's lead is its subspace algebra,
+and ``speedup > 1`` now holds by a few per cent only -- the number
+ROADMAP's ``ldc_workers`` vs ``batch_domains`` decision is waiting for
+(EXPERIMENTS.md EXP-HOTPATH-NUMPY).
 """
 
 import inspect

@@ -25,15 +25,10 @@ RP007     thread-shared-state       thread-pool workers writing closed-over
 RP008     spmd-nondeterminism       accumulation over unordered sets;
                                     unseeded / module-global RNG — ranks
                                     silently diverge
-RP009     backend-neutrality        direct numpy calls (or runtime
-                                    ``from numpy import``) in modules that
-                                    import ``repro.backend`` — breaks the
-                                    pluggable array-module seam
 ========  ========================  ==========================================
 """
 
 from repro.analysis.checkers import (  # noqa: F401  (import = registration)
-    backend,
     collectives,
     determinism,
     dtype,

@@ -11,11 +11,8 @@ the class runs one batched FFT, one batched nonlocal GEMM, and one
 ``(n, nband, nband)`` stacked ``eigh`` — few large kernels where the
 per-domain path (PR 4's ``ldc_workers``) issues many tiny ones.
 
-Every array operation here routes through the :mod:`repro.backend`
-array-module shim (``backend.get()``) — never ``numpy`` directly.  That is
-the GPU seam: a backend satisfying the array-module contract drops in
-without touching this file.  Analysis rule RP009 enforces the discipline
-statically.  The per-domain physics prework/postwork (potential
+The stacked kernels call the same NumPy transforms and BLAS as the
+per-domain ones.  The per-domain physics prework/postwork (potential
 restriction, v_bc updates, band-density staging) stays in
 :mod:`repro.core.ldc` — it is shared verbatim with the per-domain path,
 which is what makes the two paths agree to ≤1e-10.
@@ -37,7 +34,6 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro import backend
 from repro.dft.eigensolver import record_solve, solve_all_band_batched
 from repro.dft.hamiltonian import BatchedHamiltonian
 
@@ -167,7 +163,6 @@ def batched_domain_pass(
     from repro.core.ldc import _domain_effective_potential, _stage_band_data
     from repro.core.workspace import DomainScratch
 
-    xp = backend.get()
     if pool is None:
         pool = DomainScratch()
     states = [state for _, state in active]
@@ -201,7 +196,7 @@ def batched_domain_pass(
                 d[j] = vnl.d
         else:
             b = d = None
-        bham = BatchedHamiltonian(basis, v_eff, b, d, xp=xp)
+        bham = BatchedHamiltonian(basis, v_eff, b, d)
         if ins is None:
             results = solve_all_band_batched(
                 bham, psi0, max_iter=opts.eig_max_iter, tol=opts.eig_tol,

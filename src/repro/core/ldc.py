@@ -113,9 +113,8 @@ class LDCOptions:
     ldc_workers: int = 1
     #: batch same-shape domain solves into stacked shape-class kernels
     #: (:mod:`repro.core.batched`): domains sharing (grid shape, npw,
-    #: nband, nproj) solve as one stacked LOBPCG through the
-    #: :mod:`repro.backend` array namespace.  ``None`` (default) defers to
-    #: ``$REPRO_BATCH_DOMAINS``; requires ``eigensolver="all_band"``
+    #: nband, nproj) solve as one stacked LOBPCG.  ``None`` (default)
+    #: defers to ``$REPRO_BATCH_DOMAINS``; requires ``eigensolver="all_band"``
     #: (env-resolved requests fall back silently for other solvers, an
     #: explicit ``True`` raises).  Results match the per-domain path to
     #: ≤1e-10 (parity-tested); when batching is active ``ldc_workers`` is

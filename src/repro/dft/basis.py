@@ -17,7 +17,9 @@ drops, after each, the lines that cannot reach the sphere.  Skipping a zero
 line changes nothing, so the result equals the dense 3-D transform to
 rounding (DESIGN.md §18).  Rows are transformed in blocks of
 :attr:`PlaneWaveBasis.block_rows` so every stage's working set stays
-cache-sized.
+cache-sized, and every stage reads and writes pooled buffers through
+``np.fft.fft/ifft(axis=…, out=…)``: with ``out=`` a transform allocates
+nothing (DESIGN.md §19).
 """
 
 from __future__ import annotations
@@ -37,15 +39,18 @@ FIELD_BLOCK_BYTES = 1 << 20
 class PlaneWaveBasis:
     """The set of plane waves with kinetic energy ≤ ``ecut`` on a grid.
 
-    The staged transforms scatter into three pooled stage buffers of
-    :attr:`block_rows` rows each (z-columns, x-planes, full grid).  Only the
-    positions a stage scatters to are ever written, so the rest of each
-    buffer stays zero and never needs re-zeroing.  There is one pool per
+    The staged transforms work in a pool of :attr:`block_rows`-row buffers:
+    the zero-invariant *inputs* of the two pruned stages (z-columns,
+    x-planes — only the positions a stage scatters to are ever written, so
+    the rest stays zero and never needs re-zeroing), their two *outputs*,
+    a coefficient-row buffer, and the full-grid work block
+    :meth:`work_block` lends to ``H·ψ``.  There is one pool per
     ``PlaneWaveBasis`` and it is never shared: an instance must not be used
     by two threads at once.  The LDC driver gives every domain its own
     basis, so the ``ldc_workers`` fan-out stays safe, and the stacked
     (``batch_domains``) kernels run on the coordinating thread only.
-    Everything the transforms *return* is freshly allocated.
+    What a transform *returns* is the caller's ``out=`` or, without one,
+    freshly allocated — never a pooled buffer.
     """
 
     def __init__(self, grid: RealSpaceGrid, ecut: float) -> None:
@@ -78,13 +83,19 @@ class PlaneWaveBasis:
         # Staged-transform maps, from the sorted *occupied* grid indices
         # (not a ±M range: grid_factor < 2, odd sizes and the even-size
         # Nyquist line need no special case).
-        #: grid x index of every x-plane that holds a plane wave
+        #: grid x index of every x-plane that holds a plane wave, and of
+        #: every one that holds none
         self._planes = np.unique(ix)
-        columns, self._pw_column = np.unique(ix * n1 + iy, return_inverse=True)
-        #: per occupied (x, y) column: its slot in ``_planes`` and its y
-        self._column_plane = np.searchsorted(self._planes, columns // n1)
-        self._column_y = columns % n1
-        self._pw_z = iz
+        self._empty_planes = np.setdiff1d(np.arange(n0), self._planes)
+        columns, pw_column = np.unique(ix * n1 + iy, return_inverse=True)
+        #: per occupied (x, y) column: its flat (plane slot, y) position in
+        #: the plane block
+        self._column_slot = (
+            np.searchsorted(self._planes, columns // n1) * n1 + columns % n1
+        )
+        #: per plane wave: its flat (column slot, z) position in the
+        #: column block
+        self._pw_slot = pw_column * n2 + iz
         #: ``(lines, length)`` of the 1-D transforms each stage runs per
         #: band (z, y, x) — what the FLOP model counts
         self.stage_lines = (
@@ -95,11 +106,11 @@ class PlaneWaveBasis:
         #: rows per transform block: one block's full-grid field is about
         #: ``FIELD_BLOCK_BYTES``
         self.block_rows = max(1, FIELD_BLOCK_BYTES // (16 * grid.npoints))
-        self._pool: dict[tuple[str, Any], Any] = {}
+        self._pool: dict[str, np.ndarray] = {}
 
     def __getstate__(self) -> dict[str, Any]:
-        # the pool is scratch keyed by array module (not copyable, and not
-        # worth copying): a copied or unpickled basis starts with its own
+        # the pool is scratch (not worth copying, and a copy must not share
+        # it): a copied or unpickled basis starts with its own
         return {**self.__dict__, "_pool": {}}
 
     def structurally_equal(self, other: "PlaneWaveBasis") -> bool:
@@ -115,63 +126,106 @@ class PlaneWaveBasis:
 
     # -- staged transforms, one block -----------------------------------------
 
-    def _stage(self, name: str, shape: tuple[int, ...], nrows: int, xp: Any) -> Any:
-        """The first ``nrows`` rows of the pooled, zero-outside-its-scatter
-        input buffer of one stage (allocated on the backend ``xp``)."""
-        buf = self._pool.get((name, xp))
+    def _buf(self, name: str, nrows: int) -> np.ndarray:
+        """The first ``nrows`` rows of one pooled ``block_rows``-row buffer.
+        The two ``*_in`` buffers are the zero-outside-their-scatter inputs
+        of the pruned stages; the others are plain scratch."""
+        buf = self._pool.get(name)
         if buf is None:
-            buf = xp.zeros((self.block_rows,) + shape, dtype=complex)
-            self._pool[name, xp] = buf
+            n0, n1, n2 = self.grid.shape
+            shape = {
+                "rows": (self.npw,),
+                "columns": (self._column_slot.size, n2),
+                "planes": (self._planes.size, n1, n2),
+                "grid": (n0, n1, n2),
+            }[name.removesuffix("_in")]
+            buf = np.zeros((self.block_rows,) + shape, dtype=complex)
+            self._pool[name] = buf
         return buf[:nrows]
 
-    def _block_to_grid(self, rows: Any, xp: Any) -> Any:
-        """``(nrows ≤ block_rows, npw)`` coefficient rows → fresh
-        ``(nrows, *grid.shape)`` fields: z on the occupied columns, y on the
-        occupied planes, x on everything."""
+    def work_block(self, nrows: int) -> np.ndarray:
+        """A pooled ``(nrows ≤ block_rows, *grid.shape)`` complex block for
+        the caller's ``V·ψ`` product: contents undefined, valid until the
+        next call."""
+        return self._buf("grid", nrows)
+
+    def _block_to_grid(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``(nrows ≤ block_rows, npw)`` coefficient rows → ``out``
+        ``(nrows, *grid.shape)``: z on the occupied columns, y on the
+        occupied planes, x on everything.  A pruned stage scatters the
+        previous one's pooled output into its zero-invariant input; the x
+        pass has no buffer of its own — the planes go straight into ``out``,
+        the empty x-planes are zeroed, and it runs in place."""
         nrows = rows.shape[0]
-        n0, n1, n2 = self.grid.shape
-        columns = self._stage("columns", (self._column_y.size, n2), nrows, xp)
-        columns[:, self._pw_column, self._pw_z] = rows * self._norm_to_grid
-        planes = self._stage("planes", (self._planes.size, n1, n2), nrows, xp)
-        planes[:, self._column_plane, self._column_y] = xp.fft.ifftn(
-            columns, axes=(2,)
-        )
-        full = self._stage("grid", (n0, n1, n2), nrows, xp)
-        full[:, self._planes] = xp.fft.ifftn(planes, axes=(2,))
-        return xp.fft.ifftn(full, axes=(1,))
+        n2 = self.grid.shape[2]
+        scaled = self._buf("rows", nrows)
+        np.multiply(rows, self._norm_to_grid, out=scaled)
+        columns_in = self._buf("columns_in", nrows)
+        columns_in.reshape(nrows, -1)[:, self._pw_slot] = scaled
+        columns = self._buf("columns", nrows)
+        np.fft.ifft(columns_in, axis=2, out=columns)
+        planes_in = self._buf("planes_in", nrows)
+        planes_in.reshape(nrows, -1, n2)[:, self._column_slot] = columns
+        planes = self._buf("planes", nrows)
+        np.fft.ifft(planes_in, axis=2, out=planes)
+        out[:, self._planes] = planes
+        out[:, self._empty_planes] = 0.0
+        np.fft.ifft(out, axis=1, out=out)
 
-    def _block_from_grid(self, fields: Any, xp: Any) -> Any:
-        """Adjoint of :meth:`_block_to_grid`: after each stage keep only the
-        lines that reach the sphere."""
-        spectra = xp.fft.fftn(fields, axes=(1,))[:, self._planes]
-        spectra = xp.fft.fftn(spectra, axes=(2,))[
-            :, self._column_plane, self._column_y
-        ]
-        coeffs = xp.fft.fftn(spectra, axes=(2,))[:, self._pw_column, self._pw_z]
-        coeffs *= self._norm_from_grid
-        return coeffs
+    def _block_from_grid(
+        self, fields: np.ndarray, out: np.ndarray, overwrite: bool
+    ) -> None:
+        """Adjoint of :meth:`_block_to_grid` into ``out`` ``(nrows, npw)``:
+        after each stage keep only the lines that reach the sphere.  The x
+        pass runs in place on ``fields`` when the caller gives them up, the
+        pruned passes in place on the pooled gathers."""
+        nrows = fields.shape[0]
+        n2 = self.grid.shape[2]
+        spectra = np.fft.fft(fields, axis=1, out=fields if overwrite else None)
+        planes = self._buf("planes", nrows)
+        # mode="clip": the default "raise" buffers ``out`` in a fresh copy
+        np.take(spectra, self._planes, axis=1, out=planes, mode="clip")
+        np.fft.fft(planes, axis=2, out=planes)
+        columns = self._buf("columns", nrows)
+        np.take(planes.reshape(nrows, -1, n2), self._column_slot, axis=1,
+                out=columns, mode="clip")
+        np.fft.fft(columns, axis=2, out=columns)
+        coeffs = self._buf("rows", nrows)
+        np.take(columns.reshape(nrows, -1), self._pw_slot, axis=1,
+                out=coeffs, mode="clip")
+        np.multiply(coeffs, self._norm_from_grid, out=out)
 
-    def _blocked(self, kernel: Any, rows: Any, row_shape: tuple, xp: Any) -> Any:
-        """``kernel`` (one of the two block transforms) over any number of
-        rows, a block at a time; a single block is returned as the kernel
-        made it, without a copy."""
-        nrows, step = rows.shape[0], self.block_rows
-        if nrows <= step:
-            return kernel(rows, xp)
-        out = xp.empty((nrows,) + row_shape, dtype=complex)
-        for a in range(0, nrows, step):
-            out[a:a + step] = kernel(rows[a:a + step], xp)
+    def _rows_to_grid(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``(nrows, npw)`` coefficient rows → ``out`` ``(nrows,
+        *grid.shape)``, a block at a time."""
+        step = self.block_rows
+        for a in range(0, rows.shape[0], step):
+            self._block_to_grid(rows[a:a + step], out[a:a + step])
         return out
 
-    def _rows_to_grid(self, rows: Any, xp: Any) -> Any:
-        return self._blocked(self._block_to_grid, rows, self.grid.shape, xp)
-
-    def _rows_from_grid(self, fields: Any, xp: Any) -> Any:
-        return self._blocked(self._block_from_grid, fields, (self.npw,), xp)
+    def _rows_from_grid(
+        self, fields: np.ndarray, out: np.ndarray, overwrite: bool
+    ) -> np.ndarray:
+        """``(nrows, *grid.shape)`` fields → ``out`` ``(nrows, npw)``, a
+        block at a time."""
+        step = self.block_rows
+        for a in range(0, fields.shape[0], step):
+            self._block_from_grid(
+                fields[a:a + step], out[a:a + step], overwrite
+            )
+        return out
 
     # -- transforms ----------------------------------------------------------
+    #
+    # ``out=`` is the array the result is written to and returned as (any
+    # complex array of the result's shape; nothing is then allocated);
+    # without it the result is a fresh array.  ``overwrite_fields=True``
+    # gives up the contents of complex ``fields``: the x pass then runs in
+    # place on them instead of allocating its spectrum.
 
-    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_grid(
+        self, coeffs: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Coefficients → real-space orbital(s).
 
         ``coeffs`` is ``(npw,)`` or ``(npw, nband)``; returns an array of
@@ -179,39 +233,64 @@ class PlaneWaveBasis:
         """
         coeffs = np.asarray(coeffs)
         if coeffs.ndim == 1:
-            return self._rows_to_grid(coeffs[None], np)[0]
-        return self._rows_to_grid(coeffs.T, np)
+            out = _result(out, self.grid.shape)
+            return self._rows_to_grid(coeffs[None], out[None])[0]
+        out = _result(out, (coeffs.shape[1],) + self.grid.shape)
+        return self._rows_to_grid(coeffs.T, out)
 
-    def from_grid(self, fields: np.ndarray) -> np.ndarray:
-        """Real-space orbital(s) → coefficients (adjoint of :meth:`to_grid`)."""
+    def from_grid(
+        self,
+        fields: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+        overwrite_fields: bool = False,
+    ) -> np.ndarray:
+        """Real-space orbital(s) → coefficients (adjoint of :meth:`to_grid`):
+        ``grid.shape`` → ``(npw,)``, ``(nband, *grid.shape)`` → ``(npw,
+        nband)``."""
+        given = fields
         fields = np.asarray(fields, dtype=complex)
+        # a converted copy is ours to overwrite
+        overwrite = overwrite_fields or fields is not given
         if fields.ndim == 3:
-            return self._rows_from_grid(fields[None], np)[0]
-        return self._rows_from_grid(fields, np).T
+            out = _result(out, (self.npw,))
+            return self._rows_from_grid(fields[None], out[None], overwrite)[0]
+        # coefficient rows are what a block writes: a fresh result is laid
+        # out row-contiguous and returned transposed
+        rows = _result(None if out is None else out.T,
+                       (fields.shape[0], self.npw))
+        return self._rows_from_grid(fields, rows, overwrite).T
 
-    def to_grid_batch(self, coeffs: Any, xp: Any = np) -> Any:
+    def to_grid_batch(
+        self, coeffs: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Stacked :meth:`to_grid`: ``(nd, npw, nband)`` coefficients →
-        ``(nd, nband, *grid.shape)`` real-space fields.
-
-        Every band's field is transformed independently, so each
-        ``coeffs[d]`` slice comes out as ``to_grid`` would produce it.
-        ``xp`` is the array-module namespace from :func:`repro.backend.get`.
-        """
-        coeffs = xp.asarray(coeffs)
+        ``(nd, nband, *grid.shape)`` real-space fields, each ``coeffs[d]``
+        exactly as ``to_grid`` transforms it."""
+        coeffs = np.asarray(coeffs)
         nd, _, nband = coeffs.shape
-        rows = coeffs.transpose(0, 2, 1).reshape(nd * nband, self.npw)
-        return self._rows_to_grid(rows, xp).reshape(
-            (nd, nband) + self.grid.shape
-        )
+        out = _result(out, (nd, nband) + self.grid.shape)
+        for d in range(nd):
+            self._rows_to_grid(coeffs[d].T, out[d])
+        return out
 
-    def from_grid_batch(self, fields: Any, xp: Any = np) -> Any:
+    def from_grid_batch(
+        self,
+        fields: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+        overwrite_fields: bool = False,
+    ) -> np.ndarray:
         """Stacked :meth:`from_grid`: ``(nd, nband, *grid.shape)`` fields →
         ``(nd, npw, nband)`` coefficients (adjoint of :meth:`to_grid_batch`)."""
-        nd, nband = fields.shape[:2]
-        rows = self._rows_from_grid(
-            fields.reshape((nd * nband,) + self.grid.shape), xp
-        )
-        return rows.reshape(nd, nband, self.npw).transpose(0, 2, 1)
+        given = fields
+        fields = np.asarray(fields, dtype=complex)
+        overwrite = overwrite_fields or fields is not given
+        rows = _result(None if out is None else out.transpose(0, 2, 1),
+                       fields.shape[:2] + (self.npw,))
+        for d in range(fields.shape[0]):
+            self._rows_from_grid(fields[d], rows[d], overwrite)
+        return rows.transpose(0, 2, 1)
 
     # -- initial guesses -----------------------------------------------------
 
@@ -242,6 +321,18 @@ def density_from_orbitals(
     return density_from_fields(basis.to_grid(psi), occupations)
 
 
+def _result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The caller's ``out=`` after a shape/dtype check, or a fresh array."""
+    if out is None:
+        return np.empty(shape, dtype=complex)
+    if out.shape != shape or out.dtype != complex:
+        raise ValueError(
+            f"out must be a complex array matching the result {shape}, got "
+            f"{out.dtype} {out.shape}"
+        )
+    return out
+
+
 def density_from_fields(
     fields: np.ndarray, occupations: np.ndarray
 ) -> np.ndarray:
@@ -254,4 +345,14 @@ def density_from_fields(
     occupations = np.asarray(occupations, dtype=float)
     if fields.shape[0] != occupations.size:
         raise ValueError("one occupation per band required")
-    return np.einsum("n,nijk->ijk", occupations, np.abs(fields) ** 2)
+    # f·(re² + im²) one band at a time: no (nband, *grid) temporaries
+    rho = np.zeros(fields.shape[1:], dtype=float)
+    re2 = np.empty_like(rho)
+    im2 = np.empty_like(rho)
+    for f, field in zip(occupations, fields):
+        np.multiply(field.real, field.real, out=re2)
+        np.multiply(field.imag, field.imag, out=im2)
+        re2 += im2
+        re2 *= f
+        rho += re2
+    return rho

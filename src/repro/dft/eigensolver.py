@@ -264,10 +264,9 @@ def solve_all_band_batched(
     :func:`solve_all_band` and retires from the stack at its own
     convergence iteration.
     """
-    xp = bham.xp
     basis = bham.basis
     nd = bham.n_domains
-    psi0 = xp.asarray(psi0, dtype=complex)
+    psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape[:2] != (nd, basis.npw):
         raise ValueError(
             f"psi0 stack {psi0.shape} does not match {nd} domains over "
@@ -276,7 +275,7 @@ def solve_all_band_batched(
     nband = int(psi0.shape[2])
     results: list[EigenResult | None] = [None] * nd
 
-    x = xp.stack([cholesky_orthonormalize(psi0[i]) for i in range(nd)])
+    x = np.stack([cholesky_orthonormalize(psi0[i]) for i in range(nd)])
     active = list(range(nd))
     cap: list | None = [] if want_fields else None
     hx = bham.apply(x, fields_out=cap)
@@ -288,30 +287,29 @@ def solve_all_band_batched(
     it = 0
     for it in range(1, max_iter + 1):
         # Rayleigh–Ritz within each current block (batched).
-        hsub = xp.matmul(xp.conjugate(x).transpose(0, 2, 1), hx)
-        hsub = 0.5 * (hsub + xp.conjugate(hsub).transpose(0, 2, 1))
-        eps, u = xp.linalg.eigh(hsub)
-        x_rot = xp.matmul(x, u)
-        hx_rot = xp.matmul(hx, u)
+        hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
+        hsub = 0.5 * (hsub + hsub.conj().transpose(0, 2, 1))
+        eps, u = np.linalg.eigh(hsub)
+        x_rot = np.matmul(x, u)
+        hx_rot = np.matmul(hx, u)
         r = hx_rot - x_rot * eps[:, None, :]
         # Convergence is judged per domain with the serial expression so the
         # returned residual (and the decision itself) matches bit for bit.
         keep: list[int] = []
         for slot in range(len(active)):
-            resid = float(np.max(np.linalg.norm(np.asarray(r[slot]), axis=0)))
+            resid = float(np.max(np.linalg.norm(r[slot], axis=0)))
             last_resid[slot] = resid
             if resid < tol:
-                xr = np.asarray(x_rot[slot]).copy()
+                xr = x_rot[slot].copy()
                 fields = None
                 if want_fields:
                     fields = (
-                        np.tensordot(np.asarray(u[slot]), fx[slot],
-                                     axes=(0, 0))
+                        np.tensordot(u[slot], fx[slot], axes=(0, 0))
                         if fx[slot] is not None
                         else basis.to_grid(xr)
                     )
                 results[active[slot]] = EigenResult(
-                    np.asarray(eps[slot]).copy(), xr, it, resid, True,
+                    eps[slot].copy(), xr, it, resid, True,
                     fields=fields,
                 )
             else:
@@ -330,16 +328,16 @@ def solve_all_band_batched(
 
         w = bham.precondition(r, x)
         # Project W against X (batched) and orthonormalize per domain.
-        w = w - xp.matmul(x, xp.matmul(xp.conjugate(x).transpose(0, 2, 1), w))
+        w = w - np.matmul(x, np.matmul(x.conj().transpose(0, 2, 1), w))
         w_blocks: list = []
         p_blocks: list = []
         for slot in range(len(active)):
-            wi = _safe_orthonormalize(np.asarray(w[slot]))
+            wi = _safe_orthonormalize(w[slot])
             w_blocks.append(wi)
             pk = None
             pi = p[slot]
             if pi is not None:
-                xi = np.asarray(x[slot])
+                xi = x[slot]
                 p_proj = pi - xi @ (xi.conj().T @ pi) - wi @ (wi.conj().T @ pi)
                 norms = np.linalg.norm(p_proj, axis=0)
                 sel = norms > 1e-10
@@ -355,7 +353,7 @@ def solve_all_band_batched(
         wmax = max(wi.shape[1] for wi in w_blocks)
         pmax = max((pk.shape[1] for pk in p_blocks if pk is not None),
                    default=0)
-        pad = xp.zeros((len(active), basis.npw, wmax + pmax), dtype=complex)
+        pad = np.zeros((len(active), basis.npw, wmax + pmax), dtype=complex)
         for slot, (wi, pk) in enumerate(zip(w_blocks, p_blocks)):
             pad[slot, :, : wi.shape[1]] = wi
             if pk is not None:
@@ -365,17 +363,15 @@ def solve_all_band_batched(
         x_next: list = []
         hx_next: list = []
         for slot in range(len(active)):
-            xi = np.asarray(x[slot])
-            hxi = np.asarray(hx[slot])
+            xi = x[slot]
+            hxi = hx[slot]
             wi = w_blocks[slot]
             pk = p_blocks[slot]
             blocks = [xi, wi]
-            hblocks = [hxi, np.asarray(hpad[slot, :, : wi.shape[1]])]
+            hblocks = [hxi, hpad[slot, :, : wi.shape[1]]]
             if pk is not None:
                 blocks.append(pk)
-                hblocks.append(
-                    np.asarray(hpad[slot, :, wmax: wmax + pk.shape[1]])
-                )
+                hblocks.append(hpad[slot, :, wmax: wmax + pk.shape[1]])
             s = np.hstack(blocks)
             hs = np.hstack(hblocks)
             t = s.conj().T @ hs
@@ -397,7 +393,7 @@ def solve_all_band_batched(
             else:
                 reapply.append(slot)
                 hx_next.append(None)
-        x = xp.stack(x_next)
+        x = np.stack(x_next)
         if reapply:
             cap = [] if want_fields else None
             h_re = bham.apply(
@@ -407,26 +403,26 @@ def solve_all_band_batched(
             )
             fre = cap.pop() if cap else None
             for j, slot in enumerate(reapply):
-                hx_next[slot] = np.asarray(h_re[j])
-                fx[slot] = np.asarray(fre[j]) if fre is not None else None
-        hx = xp.stack(hx_next)
+                hx_next[slot] = h_re[j]
+                fx[slot] = fre[j] if fre is not None else None
+        hx = np.stack(hx_next)
     # Final clean Rayleigh–Ritz for the domains that ran out of iterations.
-    hsub = xp.matmul(xp.conjugate(x).transpose(0, 2, 1), hx)
-    hsub = 0.5 * (hsub + xp.conjugate(hsub).transpose(0, 2, 1))
-    eps, u = xp.linalg.eigh(hsub)
-    x_rot = xp.matmul(x, u)
+    hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
+    hsub = 0.5 * (hsub + hsub.conj().transpose(0, 2, 1))
+    eps, u = np.linalg.eigh(hsub)
+    x_rot = np.matmul(x, u)
     for slot in range(len(active)):
-        xr = np.asarray(x_rot[slot]).copy()
+        xr = x_rot[slot].copy()
         fields = None
         if want_fields:
             fields = (
-                np.tensordot(np.asarray(u[slot]), fx[slot], axes=(0, 0))
+                np.tensordot(u[slot], fx[slot], axes=(0, 0))
                 if fx[slot] is not None
                 else basis.to_grid(xr)
             )
         resid = last_resid[slot]
         results[active[slot]] = EigenResult(
-            np.asarray(eps[slot]).copy(), xr, it, resid, resid < tol,
+            eps[slot].copy(), xr, it, resid, resid < tol,
             fields=fields,
         )
     return results  # type: ignore[return-value]

@@ -17,10 +17,19 @@ that tolerance (tested).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function of a real array, from the standard
+    library (within 1e-14 of ``scipy.special.erfc`` over Ewald's range;
+    ~0.2 µs per element, so evaluate it once per use)."""
+    return _erfc(x).astype(float)
 
 
 def _choose_eta(cell: np.ndarray, natoms: int) -> float:
@@ -170,18 +179,18 @@ def ewald(
     for shift in shifts:
         d = diff + shift
         r2 = np.sum(d * d, axis=-1)
-        if np.allclose(shift, 0.0):
+        if not shift.any():
             np.fill_diagonal(r2, np.inf)  # exclude self-interaction in home cell
         mask = r2 <= rcut * rcut
         if not mask.any():
             continue
         r = np.sqrt(r2[mask])
-        e = erfc(eta * r) / r
-        energy += 0.5 * float(np.sum(qq[mask] * e))
+        erfc_r = erfc(eta * r)
+        energy += 0.5 * float(np.sum(qq[mask] * (erfc_r / r)))
         if compute_forces:
             # dE/dr of ½ q q erfc(ηr)/r, force on atom I from pair (I,J)
             coef = qq[mask] * (
-                erfc(eta * r) / r2[mask]
+                erfc_r / r2[mask]
                 + 2.0 * eta / np.sqrt(np.pi) * np.exp(-(eta * r) ** 2) / r
             ) / r
             fvec = d[mask] * coef[:, None]

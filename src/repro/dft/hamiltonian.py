@@ -11,12 +11,18 @@ paper's BLAS2→BLAS3 algebraic transformation.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.pseudopotential import NonlocalProjectors
+
+
+def _times_real(fields: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """``out = fields · v`` for complex fields and a real potential, one
+    real part at a time: the mixed-type complex multiply would stage ``v``
+    through a freshly allocated 128 KiB cast buffer on every call."""
+    np.multiply(fields.real, v, out=out.real)
+    np.multiply(fields.imag, v, out=out.imag)
 
 
 class Hamiltonian:
@@ -44,36 +50,42 @@ class Hamiltonian:
     ) -> np.ndarray:
         """H Ψ for a block of orbitals ``(npw, nband)`` (or a single vector).
 
-        The kinetic term seeds a fresh output block and the local/nonlocal
-        terms accumulate into it in place.  The local term walks the bands
-        in blocks of ``basis.block_rows``: to grid, ``*= v_eff`` in place,
-        back — so a block's full-grid field is consumed while it is still
-        cache-resident and no ``(nband, *grid.shape)`` temporary exists.
+        The local term walks the bands in blocks of ``basis.block_rows``:
+        to grid, times ``v_eff``, back — so a block's full-grid field is
+        consumed while it is still cache-resident.  Every transform writes
+        through ``out=`` into pooled or caller-owned memory, so a warm
+        apply allocates coefficient-side ``(npw, nband)`` arrays only; the
+        kinetic and nonlocal terms accumulate onto the local one in place.
 
         ``fields_out``, when given, receives the real-space orbital fields
         ``ψ_n(r)`` (appended as one freshly allocated ``(nband,
-        *grid.shape)`` array, unscaled by the potential) — the transform is
-        computed here anyway, so callers that need ``|ψ|²`` afterwards can
-        reuse it instead of paying a second batched FFT (see the LDC
-        band-density assembly).
+        *grid.shape)`` array, unscaled by the potential; each block is
+        transformed straight into its slice) — the transform is computed
+        here anyway, so callers that need ``|ψ|²`` afterwards can reuse it
+        instead of paying a second batched FFT (see the LDC band-density
+        assembly).
         """
         single = psi.ndim == 1
         if single:
             psi = psi[:, None]
         basis = self.basis
         nband = psi.shape[1]
-        out = self.kinetic[:, None] * psi
+        out = np.empty((basis.npw, nband), dtype=complex)
         captured = None
         if fields_out is not None:
             captured = np.empty((nband,) + basis.grid.shape, dtype=complex)
             fields_out.append(captured)
         step = basis.block_rows
         for a in range(0, nband, step):
-            fields = basis.to_grid(psi[:, a:a + step])
-            if captured is not None:
-                captured[a:a + step] = fields
-            fields *= self.v_eff
-            out[:, a:a + step] += basis.from_grid(fields)
+            stop = min(a + step, nband)
+            product = basis.work_block(stop - a)
+            fields = basis.to_grid(
+                psi[:, a:stop],
+                out=product if captured is None else captured[a:stop],
+            )
+            _times_real(fields, self.v_eff, product)
+            basis.from_grid(product, out=out[:, a:stop], overwrite_fields=True)
+        out += self.kinetic[:, None] * psi
         if self.vnl is not None and self.vnl.nproj:
             out += self.vnl.apply(psi)
         return out[:, 0] if single else out
@@ -146,10 +158,6 @@ class BatchedHamiltonian:
     one level up the LDC hierarchy — from bands-within-a-domain to
     domains-within-a-shape-class.
 
-    Every array operation routes through the ``xp`` namespace obtained from
-    :func:`repro.backend.get`, so the same kernels run on any backend that
-    satisfies the array-module contract.
-
     Each slice ``d`` applies exactly the arithmetic of the corresponding
     serial :class:`Hamiltonian` — stacked FFTs transform each band's field
     independently and batched GEMMs dispatch per slice — which is what lets
@@ -159,10 +167,9 @@ class BatchedHamiltonian:
     def __init__(
         self,
         basis: PlaneWaveBasis,
-        v_eff: Any,
-        b: Any,
-        d: Any,
-        xp: Any = np,
+        v_eff: np.ndarray,
+        b: np.ndarray | None,
+        d: np.ndarray | None,
     ) -> None:
         nd = int(v_eff.shape[0])
         if v_eff.shape[1:] != basis.grid.shape:
@@ -182,36 +189,35 @@ class BatchedHamiltonian:
                 f"{nd} domains over {basis.npw} plane waves"
             )
         self.basis = basis
-        self.xp = xp
         self.n_domains = nd
         #: (nd, *grid.shape) stacked effective potentials
-        self.v_eff = xp.asarray(v_eff)
+        self.v_eff = np.asarray(v_eff)
         #: (nd, npw, nproj) stacked projectors / (nd, nproj) couplings
-        self.b = None if b is None else xp.asarray(b)
-        self.d = None if d is None else xp.asarray(d)
+        self.b = None if b is None else np.asarray(b)
+        self.d = None if d is None else np.asarray(d)
         self.nproj = 0 if self.b is None else int(self.b.shape[2])
-        self.kinetic = xp.asarray(0.5 * basis.g2)  # (npw,)
+        self.kinetic = 0.5 * basis.g2  # (npw,)
 
     def apply(
         self,
-        psi: Any,
-        fields_out: list[Any] | None = None,
+        psi: np.ndarray,
+        fields_out: list[np.ndarray] | None = None,
         domains: list[int] | None = None,
-    ) -> Any:
+    ) -> np.ndarray:
         """H Ψ for a stack of orbital blocks ``(len(domains), npw, nband)``.
 
         Mirrors :meth:`Hamiltonian.apply` row for row: the domain×band rows
-        of the stack are walked in the same cache-sized blocks (a block may
-        straddle two domains; each row is multiplied by its own domain's
-        potential), and ``fields_out`` receives one freshly allocated
-        ``(len(domains), nband, *grid.shape)`` array of unscaled fields.
+        of the stack are walked in the same cache-sized blocks through the
+        same pooled ``out=`` transforms (a block may straddle two domains;
+        each row is multiplied by its own domain's potential), and
+        ``fields_out`` receives one freshly allocated ``(len(domains),
+        nband, *grid.shape)`` array of unscaled fields.
 
         ``domains`` selects a subset of the class's Hamiltonians (stack
         indices, strictly increasing) — the batched eigensolver uses it to
         keep applying only the not-yet-converged domains as the others
         retire from the lockstep iteration.
         """
-        xp = self.xp
         basis = self.basis
         if domains is not None and len(domains) == self.n_domains:
             domains = None  # a strictly-increasing subset of full size is all
@@ -220,45 +226,48 @@ class BatchedHamiltonian:
         nrows = nd * nband
         out = self.kinetic[None, :, None] * psi
         rows = psi.transpose(0, 2, 1).reshape(nrows, npw)
-        local = xp.empty((nrows, npw), dtype=complex)
+        local = np.empty((nrows, npw), dtype=complex)
         captured = None
         if fields_out is not None:
-            captured = xp.empty((nrows,) + basis.grid.shape, dtype=complex)
+            captured = np.empty((nrows,) + basis.grid.shape, dtype=complex)
             fields_out.append(
                 captured.reshape((nd, nband) + basis.grid.shape)
             )
         step = basis.block_rows
         for a in range(0, nrows, step):
             stop = min(a + step, nrows)
-            # the block as the public stacked transform takes it: one
+            product = basis.work_block(stop - a)
+            # the block as the public stacked transforms take it: one
             # stack slot of (stop - a) "bands"
-            fields = basis.to_grid_batch(rows[a:stop].T[None], xp=xp)
-            if captured is not None:
-                captured[a:stop] = fields[0]
+            fields = basis.to_grid_batch(
+                rows[a:stop].T[None],
+                out=(product if captured is None else captured[a:stop])[None],
+            )[0]
             for dom in range(a // nband, (stop - 1) // nband + 1):
                 lo = max(a, dom * nband) - a
                 hi = min(stop, (dom + 1) * nband) - a
-                fields[0, lo:hi] *= v_eff[dom]
-            local[a:stop] = basis.from_grid_batch(fields, xp=xp)[0].T
+                _times_real(fields[lo:hi], v_eff[dom], product[lo:hi])
+            basis.from_grid_batch(
+                product[None], out=local[a:stop].T[None], overwrite_fields=True
+            )
         out += local.reshape(nd, nband, npw).transpose(0, 2, 1)
         if self.b is not None and self.nproj:
             b = self.b if domains is None else self.b[domains]
             d = self.d if domains is None else self.d[domains]
-            overlaps = xp.matmul(xp.conjugate(b).transpose(0, 2, 1), psi)
-            out += xp.matmul(b, d[:, :, None] * overlaps)
+            overlaps = np.matmul(b.conj().transpose(0, 2, 1), psi)
+            out += np.matmul(b, d[:, :, None] * overlaps)
         return out
 
-    def precondition(self, resid: Any, psi: Any) -> Any:
+    def precondition(self, resid: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """Stacked Teter–Payne–Allan preconditioner (see
         :meth:`Hamiltonian.precondition`); operates on
         ``(n_domains, npw, nband)`` residual/orbital stacks."""
-        xp = self.xp
-        ekin = xp.einsum(
-            "dgn,g,dgn->dn", xp.conjugate(psi), self.kinetic, psi
-        ).real / xp.maximum(
-            xp.einsum("dgn,dgn->dn", xp.conjugate(psi), psi).real, 1e-30
+        ekin = np.einsum(
+            "dgn,g,dgn->dn", psi.conj(), self.kinetic, psi
+        ).real / np.maximum(
+            np.einsum("dgn,dgn->dn", psi.conj(), psi).real, 1e-30
         )
-        ekin = xp.maximum(ekin, 1e-6)
+        ekin = np.maximum(ekin, 1e-6)
         x = self.kinetic[None, :, None] / ekin[:, None, :]
         x2 = x * x
         x3 = x2 * x

@@ -10,7 +10,6 @@ potential search can use any of them.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.dft.occupations import fermi_occupations
 
@@ -20,6 +19,8 @@ def gaussian_occupations(eigenvalues, mu: float, kt: float) -> np.ndarray:
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if kt <= 0:
         return np.where(eigenvalues <= mu, 2.0, 0.0)
+    from scipy.special import erfc
+
     x = (eigenvalues - mu) / kt
     return erfc(x)  # erfc ∈ [0, 2]: full at -∞, empty at +∞
 
@@ -35,6 +36,8 @@ def methfessel_paxton_occupations(
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if kt <= 0:
         return np.where(eigenvalues <= mu, 2.0, 0.0)
+    from scipy.special import erfc
+
     x = (eigenvalues - mu) / kt
     f = erfc(x) + x * np.exp(-np.clip(x * x, 0, 700)) / np.sqrt(np.pi)
     return np.clip(f, 0.0, 2.0)

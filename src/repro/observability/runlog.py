@@ -8,7 +8,7 @@ module adds the longitudinal layer:
 * **Run ledger** — :class:`RunRecorder` gives every driver/bench invocation
   a run id and a directory ``<telemetry>/runs/<run_id>/`` holding the
   telemetry artifacts plus a schema'd ``manifest.json``: git SHA, options
-  hashes, backend name, environment flags, wall-clock, headline metrics,
+  hashes, environment flags, wall-clock, headline metrics,
   and a content hash of every artifact (so a ledger entry is verifiable
   long after the run).
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
@@ -76,7 +76,6 @@ ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
 TRACKED_ENV = (
     "REPRO_SANITIZE",
     "REPRO_BATCH_DOMAINS",
-    "REPRO_BACKEND",
     ENV_TELEMETRY_DIR,
 )
 
@@ -233,13 +232,10 @@ def _provenance() -> dict[str, Any]:
 
     import numpy
 
-    from repro import backend
-
     return {
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "backend": backend.resolved_name(),
     }
 
 

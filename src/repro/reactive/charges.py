@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from repro.constants import get_species
 from repro.systems.configuration import Configuration
@@ -62,6 +61,8 @@ def equilibrate_charges(
     O(N²) dense solve — adequate for the reproduction-scale systems; the
     production analogue would use the same tree codes as the Hartree solve.
     """
+    from scipy.special import erf
+
     n = config.natoms
     if n == 0:
         raise ValueError("empty configuration")

@@ -19,8 +19,7 @@ def rules_in(path) -> list[str]:
 
 
 @pytest.mark.parametrize("rule", ["RP001", "RP002", "RP003", "RP004",
-                                  "RP005", "RP006", "RP007", "RP008",
-                                  "RP009"])
+                                  "RP005", "RP006", "RP007", "RP008"])
 def test_each_rule_detects_its_bad_fixture(rule):
     found = rules_in(FIXTURES / f"bad_{rule.lower()}.py")
     assert rule in found, f"{rule} missed its own fixture (found: {found})"
@@ -336,31 +335,3 @@ def test_finding_anchor_carries_position():
     assert findings[0].line == 2
     assert findings[0].path == "x.py"
     assert ctx.noqa == {}
-
-
-def test_rp009_flags_calls_and_from_imports_but_not_attributes():
-    findings = [
-        f for f in unsuppressed(check_file(FIXTURES / "bad_rp009.py"))
-        if f.rule == "RP009"
-    ]
-    messages = " | ".join(f.message for f in findings)
-    assert "from numpy import" in messages
-    assert "'np.matmul(...)'" in messages
-    assert "'np.fft.fftn(...)'" in messages
-    # bare attribute reads (np.complex128, np.pi) and the TYPE_CHECKING
-    # import stay legal — only the from-import and the two direct calls hit
-    assert len(findings) == 3
-
-
-def test_rp009_ignores_modules_that_do_not_import_backend():
-    src = (
-        '"""Plain numpy module."""\n'
-        "import numpy as np\n\n\n"
-        "def f(x):\n"
-        "    return np.matmul(x, x)\n"
-    )
-    findings = [
-        f for f in unsuppressed(check_file("plain.py", source=src))
-        if f.rule == "RP009"
-    ]
-    assert findings == []

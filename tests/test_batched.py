@@ -1,12 +1,10 @@
-"""Tests for the domain-batched BLAS3 path: the ``repro.backend`` shim,
-shape-class grouping, stacked kernel parity against the per-domain path,
-telemetry/FLOP attribution of ``ldc.batched_solve`` spans, and the
-``batch_domains`` option plumbing."""
+"""Tests for the domain-batched BLAS3 path: shape-class grouping, stacked
+kernel parity against the per-domain path, telemetry/FLOP attribution of
+``ldc.batched_solve`` spans, and the ``batch_domains`` option plumbing."""
 
 import numpy as np
 import pytest
 
-from repro import backend
 from repro.core import LDCOptions, run_ldc
 from repro.core.batched import (
     ENV_FLAG,
@@ -39,74 +37,29 @@ def h4_chain(shift: float = 0.0) -> Configuration:
     )
 
 
-# -- backend shim -------------------------------------------------------------
-
-
-def test_backend_numpy_is_registered_and_default_satisfies_contract():
-    assert "numpy" in backend.available()
-    assert backend.get("numpy") is np
-    # the auto default resolves to a valid namespace (scipy-fft over numpy
-    # when scipy is importable, plain numpy otherwise)
-    xp = backend.get()
-    assert backend.validate_namespace(xp) == []
-    assert xp.matmul is np.matmul
+# -- one transform library ------------------------------------------------------
 
 
 def test_scipy_fft_namespace_matches_numpy_transforms():
-    pytest.importorskip("scipy")
-    xp = backend.get("scipy")
+    """The stacked kernels used to transform through ``scipy.fft``; they now
+    call the ``np.fft`` 1-D stage transforms the per-domain kernels use.
+    SciPy's build of pocketfft is the oracle: same result to rounding on
+    every stage axis, written through ``out=`` or in place."""
+    scipy_fft = pytest.importorskip("scipy.fft")
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 3, 6, 5, 4)) + 1j * rng.standard_normal(
-        (2, 3, 6, 5, 4)
+    a = rng.standard_normal((4, 6, 5, 7)) + 1j * rng.standard_normal(
+        (4, 6, 5, 7)
     )
-    ref = np.fft.ifftn(a, axes=(2, 3, 4))
-    alt = xp.fft.ifftn(a, axes=(2, 3, 4))
-    assert np.abs(alt - ref).max() <= 1e-13
-    assert np.abs(
-        xp.fft.fftn(a, axes=(2, 3, 4)) - np.fft.fftn(a, axes=(2, 3, 4))
-    ).max() <= 1e-13
-
-
-def test_backend_unknown_name_raises():
-    with pytest.raises(backend.BackendError, match="unknown backend"):
-        backend.get("no-such-backend")
-    with pytest.raises(backend.BackendError, match="unknown backend"):
-        backend.set_default("no-such-backend")
-
-
-def test_backend_env_var_resolution(monkeypatch):
-    monkeypatch.setenv(backend.ENV_VAR, "numpy")
-    assert backend.get() is np
-    monkeypatch.setenv(backend.ENV_VAR, "auto")
-    assert backend.validate_namespace(backend.get()) == []
-
-
-def test_backend_set_default_wins_over_env(monkeypatch):
-    monkeypatch.setenv(backend.ENV_VAR, "no-such-backend")
-    backend.set_default("numpy")
-    try:
-        assert backend.get() is np
-    finally:
-        backend.set_default(None)
-
-
-def test_backend_contract_validation():
-    assert backend.validate_namespace(np) == []
-
-    class Hollow:
-        pass
-
-    missing = backend.validate_namespace(Hollow())
-    assert "matmul" in missing and "fft.fftn" in missing
-
-    backend.register_backend("hollow", lambda: Hollow(), replace=True)
-    with pytest.raises(backend.BackendError, match="array-module contract"):
-        backend.get("hollow")
-
-
-def test_backend_reregistration_requires_replace():
-    with pytest.raises(backend.BackendError, match="already registered"):
-        backend.register_backend("numpy", lambda: np)
+    for axis in (1, 2, 3):
+        for ours, oracle in ((np.fft.ifft, scipy_fft.ifft),
+                             (np.fft.fft, scipy_fft.fft)):
+            ref = oracle(a, axis=axis)
+            out = np.empty_like(a)
+            assert ours(a, axis=axis, out=out) is out
+            assert np.abs(out - ref).max() <= 1e-13
+            inplace = a.copy()
+            ours(inplace, axis=axis, out=inplace)
+            assert np.abs(inplace - ref).max() <= 1e-13
 
 
 # -- option plumbing ----------------------------------------------------------

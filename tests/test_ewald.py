@@ -3,8 +3,12 @@ translation invariance, and force consistency."""
 
 import numpy as np
 import pytest
+import scipy.special
 
-from repro.dft.ewald import ewald, ewald_energy
+from repro.dft import ewald as ewald_module
+from repro.dft.ewald import erfc, ewald, ewald_energy
+from repro.systems.lialloy import lial_nanoparticle
+from repro.systems.water import water_molecule
 
 
 def _nacl(a=1.0):
@@ -119,3 +123,33 @@ def test_opposite_charges_attract():
 def test_charge_count_validation():
     with pytest.raises(ValueError):
         ewald(np.zeros((2, 3)), np.array([1.0]), np.array([5.0, 5.0, 5.0]))
+
+
+# -- the standard-library erfc (SciPy is the oracle, not a dependency) --------
+
+
+def test_erfc_matches_scipy_over_the_range_ewald_uses():
+    """``ewald()`` keeps pairs with ``η r ≤ x + 1``, ``x = √(-ln tol)``:
+    0 … 5.8 at the default tolerance, 0 … 7.1 at 1e-16."""
+    x = np.linspace(0.0, np.sqrt(-np.log(1e-16)) + 1.0, 20001)
+    ours, ref = erfc(x), scipy.special.erfc(x)
+    assert ours.dtype == float and ours.shape == x.shape
+    assert np.max(np.abs(ours - ref) / ref) <= 1e-14
+    assert erfc(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("config", [
+    lial_nanoparticle(4, cell=[16.0, 16.0, 16.0]),
+    water_molecule(center=(6.0, 6.0, 6.0), cell=[12.0, 12.0, 12.0]),
+], ids=["Li4Al4", "H2O"])
+def test_benchmark_geometries_match_the_scipy_erfc_evaluation(
+    config, monkeypatch
+):
+    """Energy and forces on the two e2e benchmark geometries, against the
+    same sum with ``scipy.special.erfc`` (what the code called before)."""
+    args = (config.positions, config.zvals, config.cell)
+    energy, forces = ewald(*args)
+    monkeypatch.setattr(ewald_module, "erfc", scipy.special.erfc)
+    ref_energy, ref_forces = ewald(*args)
+    assert abs(energy - ref_energy) <= 1e-13 * abs(ref_energy)
+    assert np.abs(forces - ref_forces).max() <= 1e-13 * np.abs(ref_forces).max()

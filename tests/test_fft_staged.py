@@ -3,9 +3,10 @@
 The dense 3-D ``np.fft.ifftn/fftn`` on the zero-padded sphere — the
 transform the staged code replaced — is the oracle here: pruning skips
 lines that are identically zero, so the two must agree to rounding on any
-grid.  Also pinned: adjointness, the memory footprint of one stacked
-apply, that captured ``fields`` never alias a pooled buffer, and that the
-per-basis pools keep the ``ldc_workers`` fan-out bit-identical to serial.
+grid.  Also pinned: adjointness, the ``out=`` forms, that a warm apply
+allocates nothing of grid size, that captured ``fields`` never alias a
+pooled buffer, and that the per-basis pools keep the ``ldc_workers``
+fan-out bit-identical to serial.
 """
 
 import copy
@@ -13,9 +14,9 @@ import pickle
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import backend
 from repro.core import LDCOptions, run_ldc
 from repro.core.workspace import LDCWorkspace
 from repro.dft.basis import FIELD_BLOCK_BYTES, PlaneWaveBasis
@@ -81,28 +82,72 @@ def test_staged_transforms_match_dense_oracle(
     grid = basis.grid
     rng = np.random.default_rng(seed)
     nrows = nd * nband  # 1..40 rows: one block, several, a ragged last one
-    xp = backend.get()
 
     coeffs = complex_normal(rng, (nrows, basis.npw))
     ref_fields = dense_to_grid(basis, coeffs)
     assert rel_err(basis.to_grid(coeffs.T), ref_fields) <= TOL
     assert rel_err(basis.to_grid(coeffs[0]), ref_fields[0]) <= TOL
     stack = coeffs.reshape(nd, nband, basis.npw).transpose(0, 2, 1)
-    got = basis.to_grid_batch(stack, xp=xp)
+    got = basis.to_grid_batch(stack)
     assert got.shape == (nd, nband) + grid.shape
     assert rel_err(got.reshape(ref_fields.shape), ref_fields) <= TOL
 
     fields = complex_normal(rng, (nrows,) + grid.shape)
+    kept = fields.copy()
     ref_coeffs = dense_from_grid(basis, fields)
     assert rel_err(basis.from_grid(fields).T, ref_coeffs) <= TOL
     assert rel_err(basis.from_grid(fields[0]), ref_coeffs[0]) <= TOL
-    got = basis.from_grid_batch(
-        fields.reshape((nd, nband) + grid.shape), xp=xp
-    )
+    stacked_fields = fields.reshape((nd, nband) + grid.shape)
+    got = basis.from_grid_batch(stacked_fields)
     assert got.shape == (nd, basis.npw, nband)
     assert rel_err(
         got.transpose(0, 2, 1).reshape(nrows, basis.npw), ref_coeffs
     ) <= TOL
+    assert np.array_equal(fields, kept)  # input kept unless given up
+
+    # the ``out=`` forms: a contiguous ``out``, a row-slice of a larger
+    # array, rows that end in a ragged block — same numbers, written where
+    # asked, nothing outside touched
+    out = np.empty_like(ref_fields)
+    assert basis.to_grid(coeffs.T, out=out) is out
+    assert rel_err(out, ref_fields) <= TOL
+    big = np.full((nrows + 3,) + grid.shape, 7.0 + 0j)
+    got = basis.to_grid(coeffs.T, out=big[2:-1])
+    assert np.shares_memory(got, big) and rel_err(got, ref_fields) <= TOL
+    assert np.all(big[:2] == 7.0) and np.all(big[-1] == 7.0)
+    one = np.empty(grid.shape, dtype=complex)
+    basis.to_grid(coeffs[0], out=one)
+    assert rel_err(one, ref_fields[0]) <= TOL
+    basis.to_grid_batch(
+        stack, out=big[1:-2].reshape((nd, nband) + grid.shape)
+    )
+    assert rel_err(big[1:-2], ref_fields) <= TOL
+
+    wide = np.full((basis.npw, nrows + 2), 7.0 + 0j)
+    got = basis.from_grid(fields, out=wide[:, 1:-1])  # strided columns
+    assert np.shares_memory(got, wide) and rel_err(got.T, ref_coeffs) <= TOL
+    assert np.all(wide[:, 0] == 7.0) and np.all(wide[:, -1] == 7.0)
+    vec = np.empty(basis.npw, dtype=complex)
+    basis.from_grid(fields[0], out=vec)
+    assert rel_err(vec, ref_coeffs[0]) <= TOL
+    stack_out = np.empty((nd, basis.npw, nband), dtype=complex)
+    basis.from_grid_batch(stacked_fields, out=stack_out)
+    assert rel_err(
+        stack_out.transpose(0, 2, 1).reshape(nrows, basis.npw), ref_coeffs
+    ) <= TOL
+    assert np.array_equal(fields, kept)
+    # given up, the fields are scratch: same coefficients, nothing allocated
+    # for the x pass
+    got = basis.from_grid(fields, overwrite_fields=True)
+    assert rel_err(got.T, ref_coeffs) <= TOL
+    assert not np.array_equal(fields, kept)
+    fields = kept
+    with pytest.raises(ValueError, match="out must be"):
+        basis.to_grid(
+            coeffs.T, out=np.empty((nrows + 1,) + grid.shape, dtype=complex)
+        )
+    with pytest.raises(ValueError, match="out must be"):
+        basis.from_grid(fields, out=np.empty((basis.npw, nrows)))
 
     # adjointness: <from_grid f, c> = <f, to_grid c> dv, summed over rows
     lhs = np.vdot(basis.from_grid(fields).T, coeffs)
@@ -158,7 +203,7 @@ def test_blocked_apply_matches_dense_oracle_serial_and_stacked():
     assert psi.shape[2] > basis.block_rows  # several blocks, ragged last
     assert psi.shape[2] % basis.block_rows  # blocks straddle domains
     cap: list = []
-    stacked = BatchedHamiltonian(basis, v_eff, None, None, xp=backend.get())
+    stacked = BatchedHamiltonian(basis, v_eff, None, None)
     out = stacked.apply(psi, fields_out=cap)
     for d in range(psi.shape[0]):
         ref, ref_fields = dense_local_apply(basis, v_eff[d], psi[d])
@@ -174,28 +219,36 @@ def test_blocked_apply_matches_dense_oracle_serial_and_stacked():
 
 
 def test_stacked_apply_peaks_below_one_full_copy():
-    """Without ``fields_out`` one stacked apply on 4×21 rows never holds a
-    full ``(rows × grid)`` complex array (the dense path held three)."""
-    basis, v_eff, psi = lial_domain_problem()
-    bham = BatchedHamiltonian(basis, v_eff, None, None, xp=backend.get())
-    full_copy = psi.shape[0] * psi.shape[2] * basis.grid.npoints * 16
-    tracemalloc.start()
-    try:
-        bham.apply(psi)  # cold: includes the pool's own allocation
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_copy
-    assert peak < 0.5 * full_copy  # measured 0.31
+    """A warm apply without ``fields_out`` allocates no array of grid size
+    at all, serial or stacked: every stage writes through ``out=`` into
+    the pool, so the traced peak is the coefficient-side results only —
+    below *one row's* field, where the dense path held three full
+    ``(rows × grid)`` copies and the staged one a block per stage."""
+    basis, v_eff, psi = lial_domain_problem(nd=2, nband=3)
+    nd, npw, nband = psi.shape
+    assert nd * nband > basis.block_rows  # two blocks, the last one ragged
+    assert nband % basis.block_rows  # the first straddles both domains
+    one_field = basis.grid.npoints * 16
+    ham = Hamiltonian(basis, v_eff[0])
+    bham = BatchedHamiltonian(basis, v_eff, None, None)
+    for apply, arg in ((ham.apply, psi[0]), (bham.apply, psi)):
+        apply(arg)  # warm: the pool is allocated once
+        tracemalloc.start()
+        try:
+            apply(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_field
+        assert peak <= 4.5 * arg.size * 16  # a few (npw, nband) blocks
 
 
 def test_captured_fields_never_alias_a_pool():
     """``fields_out`` arrays survive later applies untouched, serial and
     stacked, and share no memory with the basis's stage buffers."""
     basis, v_eff, psi = lial_domain_problem(nd=2, nband=6)
-    xp = backend.get()
     ham = Hamiltonian(basis, v_eff[0])
-    bham = BatchedHamiltonian(basis, v_eff, None, None, xp=xp)
+    bham = BatchedHamiltonian(basis, v_eff, None, None)
     cap: list = []
     ham.apply(psi[0], fields_out=cap)
     bham.apply(psi, fields_out=cap)
@@ -214,11 +267,11 @@ def test_captured_fields_never_alias_a_pool():
 
 
 def test_copied_basis_gets_its_own_empty_pool():
-    """Drivers' results are deep-copied (and could be pickled): the pool,
-    keyed by array module, must not travel."""
+    """Drivers' results are deep-copied (and could be pickled): the pool
+    must not travel."""
     basis, _, psi = lial_domain_problem(nd=1, nband=3)
     fields = basis.to_grid(psi[0])
-    basis.to_grid_batch(psi, xp=backend.get())
+    basis.to_grid_batch(psi)
     assert basis._pool
     for clone in (copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
         assert clone._pool == {}

@@ -139,6 +139,16 @@ def test_manifest_roundtrip_and_hash_verification(tmp_path):
     assert verify_run(rec.dir) == []
     # finish() is idempotent
     assert rec.finish() is manifest
+    # one array library: no backend field or REPRO_BACKEND flag any more,
+    # and a ledger written while they existed still reads as valid
+    assert "backend" not in manifest["provenance"]
+    assert "REPRO_BACKEND" not in manifest["env"]
+    old = {
+        **manifest,
+        "provenance": {**manifest["provenance"], "backend": "auto"},
+        "env": {**manifest["env"], "REPRO_BACKEND": None},
+    }
+    assert validate_manifest(old) == []
 
 
 def test_verify_detects_tampering(tmp_path):

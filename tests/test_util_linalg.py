@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.util.linalg import (
     apply_projectors_blas2,
@@ -64,7 +65,13 @@ def test_blocked_gram_with_weights(rng):
 def test_cholesky_orthonormalize(rng):
     psi = _random_complex(rng, 60, 8)
     q = cholesky_orthonormalize(psi)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(8), atol=1e-10)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(8), atol=1e-13)
+    # the NumPy form (inverse of the small factor, one GEMM) against the
+    # triangular solve it replaced — SciPy is the oracle, not a dependency
+    l = np.linalg.cholesky(psi.conj().T @ psi)
+    assert np.linalg.cond(l) < 10
+    ref = scipy.linalg.solve_triangular(l, psi.conj().T, lower=True).conj().T
+    np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_cholesky_preserves_span(rng):
@@ -86,6 +93,10 @@ def test_cholesky_falls_back_on_degenerate_input(rng):
     psi[:, 2] = psi[:, 0] + 1e-14 * psi[:, 1]  # numerically dependent columns
     q = cholesky_orthonormalize(psi)
     assert np.all(np.isfinite(q))
+    # the Cholesky factorization refuses this block: it is the Löwdin result
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(psi.conj().T @ psi)
+    assert np.array_equal(q, lowdin_orthonormalize(psi))
 
 
 def test_orthonormalize_already_orthonormal_is_identity(rng):
