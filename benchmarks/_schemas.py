@@ -314,12 +314,10 @@ SCHEMAS: dict[str, RecordSchema] = {
             # the headline claim: ASPC must keep beating the warm start
             "further_reduction_pct": {"direction": "higher", "rel_tol": 0.0,
                                       "abs_tol": 5.0},
-            # both arms solve the same physics, and every domain path
-            # reproduces the serial ASPC arm
+            # both arms solve the same physics, and the ASPC arm does not
+            # depend on the stack width its domains are solved at
             "max_energy_dev_ha": {"direction": "lower", "rel_tol": 0.25,
                                   "abs_tol": 1e-6},
-            "parity_threaded_dev_ha": {"direction": "lower", "rel_tol": 0.0,
-                                       "abs_tol": 1e-10},
             "parity_batched_dev_ha": {"direction": "lower", "rel_tol": 0.0,
                                       "abs_tol": 1e-10},
             "parity_eig_iters_dev": _EXACT,
@@ -333,11 +331,10 @@ SCHEMAS: dict[str, RecordSchema] = {
     "domain_batching": _metric_schema(
         "domain_batching",
         {
-            # the headline claim: shape-class batching must keep winning
-            # wall-clock; host noise gets a band, regressions below 1x gate
-            "speedup": {"direction": "higher", "rel_tol": 0.0,
-                        "abs_tol": 0.15},
-            # both arms solve the same physics ...
+            # CPU seconds at stack width 1 over width n: host-dependent,
+            # ledger only (one solver at two kernel sizes, no claim to gate)
+            "speedup": _TIMING,
+            # both widths solve the same physics (expected: exactly 0) ...
             "max_energy_dev_ha": {"direction": "lower", "rel_tol": 0.0,
                                   "abs_tol": 1e-10},
             # ... in the same (deterministic, seeded) iteration counts

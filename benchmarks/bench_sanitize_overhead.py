@@ -27,12 +27,10 @@ import repro.core.ldc as ldc_mod
 import repro.dft.scf as scf_mod
 from repro.core.ldc import LDCOptions, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
-from repro.sanitize import NumericsSanitizer, RaceSanitizer, Sanitizers
+from repro.sanitize import NumericsSanitizer, Sanitizers
 from repro.systems import dimer
 
-LDC_OPTS = LDCOptions(
-    ecut=4.0, tol=1e-4, max_iter=4, domains=(2, 1, 1), ldc_workers=2
-)
+LDC_OPTS = LDCOptions(ecut=4.0, tol=1e-4, max_iter=4, domains=(2, 1, 1))
 SCF_OPTS = SCFOptions(ecut=4.0, tol=1e-4, max_iter=4)
 
 _NEEDLE = os.sep + "sanitize" + os.sep
@@ -66,9 +64,7 @@ def test_sanitize_overhead():
     ldc_mod.ENV_SANITIZERS = scf_mod.ENV_SANITIZERS = None
     try:
         calls_disabled = count_sanitize_calls()
-        enabled = Sanitizers(
-            race=RaceSanitizer(), numerics=NumericsSanitizer()
-        )
+        enabled = Sanitizers(numerics=NumericsSanitizer())
         calls_enabled = count_sanitize_calls(enabled)
 
         # wall-clock without the profiling hook (ledger only)
@@ -76,9 +72,7 @@ def test_sanitize_overhead():
         solve_both()
         t_disabled = time.perf_counter() - t0
         t0 = time.perf_counter()
-        solve_both(
-            Sanitizers(race=RaceSanitizer(), numerics=NumericsSanitizer())
-        )
+        solve_both(Sanitizers(numerics=NumericsSanitizer()))
         t_enabled = time.perf_counter() - t0
     finally:
         ldc_mod.ENV_SANITIZERS, scf_mod.ENV_SANITIZERS = saved
@@ -109,7 +103,6 @@ def test_sanitize_overhead():
     assert calls_disabled == 0
     assert calls_enabled > 0
     assert enabled.numerics.checks > 0
-    assert enabled.race.guarded > 0  # the ldc_workers fan-out was guarded
 
 
 def main():

@@ -21,7 +21,7 @@ RP006     telemetry-hygiene         spans outside ``with``; instruments
                                     built off-registry
 RP007     thread-shared-state       thread-pool workers writing closed-over
                                     or module-level state — data races under
-                                    the ldc_workers fan-out
+                                    a thread fan-out
 RP008     spmd-nondeterminism       accumulation over unordered sets;
                                     unseeded / module-global RNG — ranks
                                     silently diverge

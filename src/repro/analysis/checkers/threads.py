@@ -1,10 +1,10 @@
 """RP007 — thread-shared mutable state written from worker fan-outs.
 
-The ``ldc_workers`` thread pool (DESIGN.md §11) keeps the per-domain KS
-solves bit-identical to serial execution by one discipline: a worker owns
-*only its fan-out item*; everything shared — engine attributes,
-:class:`~repro.core.workspace.LDCWorkspace` buffers, closed-over arrays,
-the instrumentation registry — is read-only until the coordinating thread
+A thread-pool fan-out (the linter's own ``--jobs`` file pool in
+:mod:`repro.analysis.engine` is the one in this repository) stays
+equivalent to serial execution by one discipline: a worker owns *only its
+fan-out item*; everything shared — object attributes, closed-over arrays,
+module-level registries — is read-only until the coordinating thread
 folds results **after the join**.  A single ``self.counter += 1`` or
 ``shared[idx] = ...`` inside a worker reintroduces the data race the
 design removed, and numpy's GIL-released kernels make it a *real* race,
@@ -20,8 +20,7 @@ does not own:
 * attribute and subscript stores through such names,
 * mutating method calls (``append``, ``update``, ``add``, ...) on them.
 
-Parameters are exempt: the fan-out item *is* the worker's unit of work
-(exactly how ``_domain_pass`` mutates only its own ``DomainState``).
+Parameters are exempt: the fan-out item *is* the worker's unit of work.
 """
 
 from __future__ import annotations
@@ -235,5 +234,5 @@ class ThreadSharedStateChecker(Checker):
             node, self.rule,
             f"worker {fn.name!r} writes shared {kind} through {name!r} "
             f"from a thread-pool fan-out without post-join discipline — "
-            f"a data race under ldc_workers-style parallelism",
+            f"a data race under thread fan-out parallelism",
         )

@@ -8,6 +8,9 @@
   ``v_bc = (ρ_α - ρ)/ξ`` (Eq. 2), the "lean" ingredient of LDC-DFT.
 * :mod:`repro.core.ldc` — the global-local SCF driver (Fig. 2) with
   ``mode="dc"`` (classic divide-and-conquer) and ``mode="ldc"`` switches.
+* :mod:`repro.core.batched` — the domain-solve seam: every SCF pass solves
+  its domains as stacks (of one or of a whole shape class) through one
+  lockstep eigensolver.
 * :mod:`repro.core.workspace` — persistent per-trajectory cache of the
   MD-step-invariant structures plus orbital warm starts (QMD hot path).
 * :mod:`repro.core.energy` — divide-and-conquer total-energy assembly.

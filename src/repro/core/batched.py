@@ -1,76 +1,57 @@
-"""Domain-batched shape-class kernels for the LDC SCF pass.
+"""The LDC domain-solve seam: the "Local" step of Fig. 2.
+
+Every SCF pass solves its domains through one function,
+:func:`batched_domain_pass`.  It cuts the active domains into **stacks**,
+and per stack restricts the global potentials and updates ``v_bc`` domain
+by domain, solves the stack with the one lockstep all-band LOBPCG over one
+:class:`~repro.dft.hamiltonian.BatchedHamiltonian`, and stages each
+domain's band densities and weights for the global μ search and density
+assembly.
 
 The paper's Sec. 3.4 BLAS2→BLAS3 transformation batches *bands within one
-domain* into matrix-matrix kernels.  This module lifts the same idea one
-level up the LDC hierarchy: DC domains whose eigenproblems have the same
-shape — identical ``(grid shape, plane-wave count, band count, projector
-count)`` — are grouped into **shape classes** and solved as one stacked
-``(n_domains, …)`` problem (cf. DGDFT's grouped subproblems,
-arXiv:2003.00407).  Instead of ``n`` small FFTs/GEMMs per inner iteration
-the class runs one batched FFT, one batched nonlocal GEMM, and one
-``(n, nband, nband)`` stacked ``eigh`` — few large kernels where the
-per-domain path (PR 4's ``ldc_workers``) issues many tiny ones.
+domain* into matrix-matrix kernels.  A stack lifts the same idea one level
+up the LDC hierarchy: domains whose eigenproblems have the same shape —
+identical ``(grid shape, plane-wave count, band count, projector count)``,
+a **shape class** — run as one ``(n_domains, …)`` problem (cf. DGDFT's
+grouped subproblems, arXiv:2003.00407): one stacked FFT, one batched
+nonlocal GEMM and one ``(n, nband, nband)`` stacked ``eigh`` per inner
+iteration instead of ``n`` small ones.
 
-The stacked kernels call the same NumPy transforms and BLAS as the
-per-domain ones.  The per-domain physics prework/postwork (potential
-restriction, v_bc updates, band-density staging) stays in
-:mod:`repro.core.ldc` — it is shared verbatim with the per-domain path,
-which is what makes the two paths agree to ≤1e-10.
-
-Enable via ``LDCOptions.batch_domains=True`` or ``REPRO_BATCH_DOMAINS=1``
-(all-band eigensolver only; env-resolved requests fall back silently for
-other solvers).
+``LDCOptions.batch_domains`` only chooses the stack width: ``True`` stacks
+whole shape classes, ``False`` makes every domain a stack of one.  The
+kernels are the same and act on each stack slice independently, so the two
+give bit-identical results (pinned by ``tests/test_batched.py``).  The
+reference eigensolvers (``direct``, ``band_by_band``) are per-domain by
+construction and always run as stacks of one on a plain
+:class:`~repro.dft.hamiltonian.Hamiltonian`.
 
 ASPC warm starts (``LDCOptions.history_depth``) need no special handling
-here: the batched pass seeds ``psi0[j]`` from each ``DomainState.psi``,
-which :meth:`repro.core.workspace.LDCWorkspace.prepare` has already filled
-with the extrapolated orbitals — predictor parity with the per-domain path
-holds by construction.
+here: the pass seeds ``psi0[j]`` from each ``DomainState.psi``, which
+:meth:`repro.core.workspace.LDCWorkspace.prepare` has already filled with
+the extrapolated orbitals.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.dft.eigensolver import record_solve, solve_all_band_batched
-from repro.dft.hamiltonian import BatchedHamiltonian
+import numpy as np
+
+from repro.core.boundary import boundary_error_norm, boundary_potential
+from repro.core.workspace import DomainScratch
+from repro.dft.eigensolver import (
+    EigenResult,
+    record_solve,
+    solve_all_band_batched,
+    solve_band_by_band,
+    solve_direct,
+)
+from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.core.ldc import DomainState, LDCOptions
-    from repro.core.workspace import DomainScratch
-    from repro.dft.eigensolver import EigenResult
     from repro.observability.instrumentation import Instrumentation
-
-#: Environment variable enabling domain batching when
-#: ``LDCOptions.batch_domains`` is left unset.
-ENV_FLAG = "REPRO_BATCH_DOMAINS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def batching_enabled(options: LDCOptions) -> bool:
-    """Whether this run's domain solves go through the batched path.
-
-    Resolution: an explicit ``options.batch_domains`` wins; ``None`` defers
-    to ``$REPRO_BATCH_DOMAINS``.  Batching requires the all-band solver —
-    an env-resolved request with another eigensolver falls back silently
-    (so a blanket ``REPRO_BATCH_DOMAINS=1`` test run keeps working), while
-    ``batch_domains=True`` with another solver already raised in
-    ``LDCOptions.__post_init__``.  An explicitly configured thread fan-out
-    (``ldc_workers > 1``) likewise beats the ambient env flag — only the
-    in-code ``batch_domains=True`` overrides it.
-    """
-    if options.eigensolver != "all_band":
-        return False
-    if options.batch_domains is not None:
-        return bool(options.batch_domains)
-    if options.ldc_workers > 1:
-        return False
-    return os.environ.get(ENV_FLAG, "").strip().lower() in _TRUTHY
 
 
 @dataclass(frozen=True)
@@ -79,7 +60,7 @@ class ShapeClassKey:
 
     ``nproj`` is part of the key deliberately: zero-padding projector
     stacks would change the GEMM contraction length and with it the BLAS
-    accumulation, breaking parity with the per-domain path.
+    accumulation, breaking bit-identity between stack widths.
     """
 
     grid_shape: tuple[int, int, int]
@@ -90,7 +71,7 @@ class ShapeClassKey:
 
 @dataclass
 class ShapeClass:
-    """One group of same-shape domains: the unit of batched solving.
+    """One group of same-shape domains: the widest stack they can form.
 
     ``members`` are positions into the active-domain list (ascending, so
     stacking order is deterministic and results fold back in domain-index
@@ -136,6 +117,148 @@ def group_shape_classes(states: list[DomainState]) -> list[ShapeClass]:
     return list(classes.values())
 
 
+def _domain_effective_potential(
+    state: DomainState,
+    rho: np.ndarray,
+    v_hxc_global: np.ndarray,
+    v_ks_global: np.ndarray,
+    xi: float | None,
+    opts: LDCOptions,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Restrict the global fields to the domain and update its v_bc.
+
+    Writes the effective potential the domain eigenproblem sees (including
+    the damped boundary potential) into ``out`` — the domain's slice of the
+    stacked potential block — and returns the restricted global density
+    (needed again for the boundary-error diagnostic).  ``state.vbc`` is
+    updated in place as a side effect.
+
+    With ``state.scratch`` attached (workspace runs) every intermediate —
+    the gathered density, the v_bc target, the buffer window — lives in
+    the domain's reusable pool, so a steady-state pass allocates nothing
+    here; the arithmetic (and hence the result, bit for bit) is the same as
+    the allocating path.
+    """
+    dom = state.domain
+    scratch = state.scratch
+    if scratch is not None:
+        shape = dom.grid.shape
+        flat = scratch.flat_indices(dom, rho.shape)
+        if state.v_ion_local is not None:
+            np.take(v_hxc_global.ravel(), flat, out=out)
+            out += state.v_ion_local
+        else:
+            np.take(v_ks_global.ravel(), flat, out=out)
+        rho_restricted = scratch.get("rho_restricted", shape)
+        np.take(rho.ravel(), flat, out=rho_restricted)
+        vbc_target = boundary_potential(
+            state.rho_local, rho_restricted, xi,
+            out=scratch.get("vbc_target", shape),
+        )
+        if opts.vbc_region == "buffer":
+            # act only near the artificial boundary, not inside the core
+            window = scratch.get("boundary_window", shape)
+            np.subtract(1.0, state.support, out=window)
+            vbc_target *= window
+        if state.vbc is None:
+            state.vbc = opts.vbc_damping * vbc_target  # owned, not scratch
+        else:
+            # same values as (1-d)·vbc + d·target, without the temporaries
+            state.vbc *= 1.0 - opts.vbc_damping
+            vbc_target *= opts.vbc_damping
+            state.vbc += vbc_target
+        out += state.vbc
+        return rho_restricted
+    if state.v_ion_local is not None:
+        v_dom = dom.extract(v_hxc_global) + state.v_ion_local
+    else:
+        v_dom = dom.extract(v_ks_global)
+    rho_restricted = dom.extract(rho)
+    vbc_target = boundary_potential(state.rho_local, rho_restricted, xi)
+    if opts.vbc_region == "buffer":
+        # act only near the artificial boundary, not inside the core
+        vbc_target = vbc_target * (1.0 - state.support)
+    if state.vbc is None:
+        state.vbc = opts.vbc_damping * vbc_target
+    else:
+        state.vbc = (
+            1.0 - opts.vbc_damping
+        ) * state.vbc + opts.vbc_damping * vbc_target
+    np.add(v_dom, state.vbc, out=out)
+    return rho_restricted
+
+
+def _stage_band_data(
+    state: DomainState, res: EigenResult, rho_restricted: np.ndarray
+) -> float | None:
+    """Stage band densities/weights on the state after a domain solve and
+    return the boundary-density error (None on the first pass)."""
+    dom = state.domain
+    assert res.fields is not None
+    if state.scratch is not None:
+        densities = state.scratch.get(
+            "band_densities", (state.nband,) + dom.grid.shape
+        )
+        # |ψ|² without the two per-pass temporaries of np.abs(...)**2;
+        # ndarray ** 2 is np.power, so the values are identical
+        np.absolute(res.fields, out=densities)
+        np.power(densities, 2, out=densities)
+    else:
+        densities = np.abs(res.fields) ** 2  # per-band |ψ|²(r), reused fields
+    # band weights w_αn = ∫ p_α |ψ_n|² dr
+    w = np.einsum("nijk,ijk->n", densities, state.support) * dom.grid.dv
+    state.band_weights = w
+    state.band_densities = densities  # stashed for the density step
+    err: float | None = None
+    if state.rho_local is not None:
+        err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
+    return err
+
+
+def _solve_stack(
+    states: list[DomainState],
+    key: ShapeClassKey,
+    v_eff: np.ndarray,
+    opts: LDCOptions,
+    pool: DomainScratch,
+) -> list[EigenResult]:
+    """Solve one stack's eigenproblems at the potentials ``v_eff``.
+
+    ``all_band`` stacks the starting blocks and projectors into ``pool``
+    and runs the lockstep LOBPCG; the reference solvers take their single
+    domain through a plain :class:`Hamiltonian`.
+    """
+    basis = states[0].basis
+    assert basis is not None
+    if opts.eigensolver != "all_band":
+        (state,) = states  # reference solvers never stack
+        ham = Hamiltonian(basis, v_eff[0], state.vnl)
+        if opts.eigensolver == "direct":
+            return [solve_direct(ham, state.nband, want_fields=True)]
+        return [
+            solve_band_by_band(
+                ham, state.psi, tol=opts.eig_tol, want_fields=True
+            )
+        ]
+    nd = len(states)
+    psi0 = pool.get(("psi0", key), (nd, key.npw, key.nband), complex)
+    b = d = None
+    if key.nproj:
+        b = pool.get(("b", key), (nd, key.npw, key.nproj), complex)
+        d = pool.get(("d", key), (nd, key.nproj), float)
+    for j, state in enumerate(states):
+        assert state.vnl is not None
+        psi0[j] = state.psi
+        if b is not None and d is not None:
+            b[j] = state.vnl.b
+            d[j] = state.vnl.d
+    return solve_all_band_batched(
+        BatchedHamiltonian(basis, v_eff, b, d), psi0,
+        max_iter=opts.eig_max_iter, tol=opts.eig_tol, want_fields=True,
+    )
+
+
 def batched_domain_pass(
     active: list[tuple[int, DomainState]],
     rho: np.ndarray,
@@ -145,87 +268,71 @@ def batched_domain_pass(
     opts: LDCOptions,
     ins: Instrumentation | None,
     pool: DomainScratch | None = None,
-) -> list[tuple[EigenResult, float | None, None]]:
-    """All active domain solves of one SCF pass, as stacked shape classes.
+) -> list[tuple[EigenResult, float | None]]:
+    """All active domain solves of one SCF pass, stack by stack.
 
-    Drop-in replacement for mapping ``_domain_pass`` over ``active``:
-    returns ``(EigenResult, boundary_error, None)`` per active domain in
-    input order (the ``None`` dt tells the caller's fold that telemetry was
-    already recorded here).  The per-domain prework (potential restriction
-    + v_bc update, writing straight into the stacked potential block) and
-    postwork (band densities/weights) are the exact helpers the per-domain
-    path runs, and the stacked eigensolver applies the same arithmetic per
-    slice, so energies agree with the per-domain path to ≤1e-10.
+    ``active`` lists ``(domain index, state)``; returns ``(EigenResult,
+    boundary_error)`` per entry, in input order, with ``psi`` /
+    ``eigenvalues`` / ``vbc`` / band data updated on each state.
 
-    ``pool`` holds the stacked class buffers between passes (the workspace
-    owns one across MD steps); passing ``None`` builds a throwaway pool.
+    Stacks are whole shape classes when ``opts.batch_domains`` is set and
+    the all-band solver runs, single domains otherwise.  With ``ins``, each
+    stack is one ``ldc.domain_solve`` span (``domain`` is its first
+    member's index, ``n_domains`` its width, ``cg_iterations`` the sum over
+    its members — the sizes :mod:`repro.observability.costattr` turns into
+    FLOPs) and each domain one :func:`record_solve`.
+
+    ``pool`` holds the stacked buffers between passes (the workspace owns
+    one across MD steps); passing ``None`` builds a throwaway pool.
     """
-    from repro.core.ldc import _domain_effective_potential, _stage_band_data
-    from repro.core.workspace import DomainScratch
-
     if pool is None:
         pool = DomainScratch()
     states = [state for _, state in active]
-    outcomes: list[tuple[EigenResult, float | None, None] | None]
+    if opts.batch_domains and opts.eigensolver == "all_band":
+        stacks = group_shape_classes(states)
+    else:
+        stacks = [
+            ShapeClass(_state_key(state), [pos])
+            for pos, state in enumerate(states)
+        ]
+    outcomes: list[tuple[EigenResult, float | None] | None]
     outcomes = [None] * len(states)
-    for cls in group_shape_classes(states):
-        key = cls.key
-        nd = len(cls.members)
-        first = states[cls.members[0]]
-        assert first.basis is not None
-        basis = first.basis
-        tag = (key.grid_shape, key.npw, key.nband, key.nproj)
-        v_eff = pool.get(("v_eff", tag), (nd,) + key.grid_shape, float)
-        psi0 = pool.get(("psi0", tag), (nd, key.npw, key.nband), complex)
-        rho_restricted: list[np.ndarray] = []
-        for j, pos in enumerate(cls.members):
-            state = states[pos]
-            _, restricted = _domain_effective_potential(
-                state, rho, v_hxc_global, v_ks_global, xi, opts,
-                out=v_eff[j],
+    for cls in stacks:
+        key, members = cls.key, cls.members
+        stack = [states[pos] for pos in members]
+        v_eff = pool.get(
+            ("v_eff", key), (len(stack),) + key.grid_shape, float
+        )
+        rho_restricted = [
+            _domain_effective_potential(
+                state, rho, v_hxc_global, v_ks_global, xi, opts, out=v_eff[j]
             )
-            rho_restricted.append(restricted)
-            psi0[j] = state.psi
-        if key.nproj:
-            b = pool.get(("b", tag), (nd, key.npw, key.nproj), complex)
-            d = pool.get(("d", tag), (nd, key.nproj), float)
-            for j, pos in enumerate(cls.members):
-                vnl = states[pos].vnl
-                assert vnl is not None
-                b[j] = vnl.b
-                d[j] = vnl.d
-        else:
-            b = d = None
-        bham = BatchedHamiltonian(basis, v_eff, b, d)
+            for j, state in enumerate(stack)
+        ]
         if ins is None:
-            results = solve_all_band_batched(
-                bham, psi0, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-                want_fields=True,
-            )
+            results = _solve_stack(stack, key, v_eff, opts, pool)
         else:
+            basis = stack[0].basis
+            assert basis is not None
             with ins.span(
-                "ldc.batched_solve", category="ldc", n_domains=nd,
+                "ldc.domain_solve", category="ldc",
+                domain=active[members[0]][0], n_domains=len(stack),
                 npw=key.npw, nband=key.nband, nproj=key.nproj,
                 grid_points=basis.grid.npoints,
                 fft_stages=basis.stage_lines,
             ) as sp:
-                results = solve_all_band_batched(
-                    bham, psi0, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-                    want_fields=True,
-                )
-                # total inner iterations across the class feed the
-                # per-shape-class FLOP attribution (costattr) at report time
+                results = _solve_stack(stack, key, v_eff, opts, pool)
                 sp.attrs.update(
                     cg_iterations=sum(res.iterations for res in results)
                 )
-        for j, pos in enumerate(cls.members):
-            state = states[pos]
-            res = results[j]
+        for pos, state, res, restricted in zip(
+            members, stack, results, rho_restricted
+        ):
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
-            err = _stage_band_data(state, res, rho_restricted[j])
+            err = _stage_band_data(state, res, restricted)
             if ins is not None:
                 record_solve(ins, opts.eigensolver, key.npw, res)
-            outcomes[pos] = (res, err, None)
+            outcomes[pos] = (res, err)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes  # type: ignore[return-value]

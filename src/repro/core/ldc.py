@@ -8,7 +8,9 @@ One SCF iteration:
 2. **Local**: each domain solves its Kohn–Sham eigenproblem on its own small
    plane-wave basis with periodic boundary conditions, the restricted global
    potential, its own nonlocal projectors, and — in ``mode="ldc"`` — the
-   density-adaptive boundary potential v_bc = (ρ_α − ρ)/ξ (Eq. 2-3).
+   density-adaptive boundary potential v_bc = (ρ_α − ρ)/ξ (Eq. 2-3).  This
+   step has one implementation, the domain-solve seam
+   :func:`repro.core.batched.batched_domain_pass`.
 3. **Global**: a single chemical potential μ is found by Newton–Raphson on
    the electron count over all domain eigenvalues weighted by the partition
    of unity (Eq. c in Fig. 2); the global density is reassembled as
@@ -25,14 +27,13 @@ nonlocal projectors use the atoms inside each domain (core + buffer).
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.boundary import PAPER_XI, boundary_error_norm, boundary_potential
+from repro.core.batched import batched_domain_pass
+from repro.core.boundary import PAPER_XI
 from repro.core.domains import Domain, DomainDecomposition
 from repro.core.energy import (
     boundary_energy_correction,
@@ -40,29 +41,22 @@ from repro.core.energy import (
     dc_total_energy,
 )
 from repro.core.support import supports
+from repro.core.workspace import DomainScratch
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.eigensolver import (
-    EigenResult,
-    record_solve,
-    solve_all_band,
-    solve_band_by_band,
-    solve_direct,
-)
 from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_potential
 from repro.dft.mixing import LinearMixer, PulayMixer, renormalize
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import initial_density
+from repro.dft.scf import check_solver_names, initial_density
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.sanitize import ENV_SANITIZERS, Sanitizers
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
-    from repro.core.workspace import DomainScratch, LDCWorkspace
+    from repro.core.workspace import LDCWorkspace
     from repro.observability.instrumentation import Instrumentation
 
 
@@ -83,9 +77,12 @@ class LDCOptions:
     #: SCF convergence threshold on ∫|Δρ|/N_e
     tol: float = 1e-5
     max_iter: int = 40
+    #: density mixer: "pulay" | "linear"
     mixer: str = "pulay"
     mix_alpha: float = 0.4
     extra_bands: int = 4
+    #: domain eigensolver: "all_band" (the lockstep LOBPCG, production) or
+    #: the per-domain references "direct" | "band_by_band"
     eigensolver: str = "all_band"
     eig_tol: float = 1e-6
     eig_max_iter: int = 30
@@ -106,20 +103,14 @@ class LDCOptions:
     #: under-relaxation of v_bc across SCF iterations (1.0 = no damping)
     vbc_damping: float = 0.5
     seed: int = 7
-    #: threads fanning the independent per-domain KS solves in each SCF
-    #: pass (NumPy's BLAS/FFT release the GIL); 1 = serial.  Physics is
-    #: identical either way — domains are independent and results are
-    #: folded in domain-index order (parity-tested).
-    ldc_workers: int = 1
-    #: batch same-shape domain solves into stacked shape-class kernels
-    #: (:mod:`repro.core.batched`): domains sharing (grid shape, npw,
-    #: nband, nproj) solve as one stacked LOBPCG.  ``None`` (default)
-    #: defers to ``$REPRO_BATCH_DOMAINS``; requires ``eigensolver="all_band"``
-    #: (env-resolved requests fall back silently for other solvers, an
-    #: explicit ``True`` raises).  Results match the per-domain path to
-    #: ≤1e-10 (parity-tested); when batching is active ``ldc_workers`` is
-    #: ignored for the solve stage.
-    batch_domains: bool | None = None
+    #: stack width of the all-band domain solves
+    #: (:mod:`repro.core.batched`): ``True`` solves every shape class —
+    #: the domains sharing (grid shape, npw, nband, nproj) — as one stacked
+    #: lockstep LOBPCG, ``False`` solves every domain as a stack of one
+    #: through the same kernels.  The results are bit-identical; only the
+    #: kernel sizes differ.  The reference eigensolvers always run per
+    #: domain.
+    batch_domains: bool = True
     #: ASPC history window per domain (workspace runs only): 1 keeps the
     #: plain last-state warm start, K >= 2 seeds each solve from the
     #: time-reversible K-point extrapolation of the converged ψ/v_bc/ρ_α
@@ -129,19 +120,12 @@ class LDCOptions:
     history_depth: int = 1
 
     def __post_init__(self) -> None:
-        if int(self.ldc_workers) != self.ldc_workers or self.ldc_workers < 1:
-            raise ValueError("ldc_workers must be an integer >= 1")
         if (
             int(self.history_depth) != self.history_depth
             or self.history_depth < 1
         ):
             raise ValueError("history_depth must be an integer >= 1")
-        if self.batch_domains and self.eigensolver != "all_band":
-            raise ValueError(
-                "batch_domains=True requires eigensolver='all_band' "
-                f"(got {self.eigensolver!r}); leave batch_domains unset to "
-                "fall back automatically"
-            )
+        check_solver_names(self.eigensolver, self.mixer)
         if self.mode not in ("ldc", "dc"):
             raise ValueError(f"mode must be 'ldc' or 'dc', got {self.mode!r}")
         if self.poisson not in ("fft", "multigrid"):
@@ -176,7 +160,7 @@ class DomainState:
     #: one SCF pass (cleared after assembly to release the memory)
     band_densities: np.ndarray | None = None
     #: reusable per-domain work buffers (attached by ``LDCWorkspace``;
-    #: ``None`` → the pass allocates as before)
+    #: ``None`` → every pass allocates its intermediates)
     scratch: DomainScratch | None = None
 
 
@@ -275,171 +259,6 @@ def _partition_residual(
     return float(np.abs(total - 1.0).max())
 
 
-def _solve_domain(
-    state: DomainState,
-    v_eff_domain: np.ndarray,
-    options: LDCOptions,
-    instrumentation: Instrumentation | None = None,
-) -> EigenResult:
-    """Solve the domain KS problem in place (updates psi, eigenvalues).
-
-    Returns the full :class:`EigenResult`; ``result.fields`` carries the
-    converged real-space orbitals so the caller's density assembly skips a
-    redundant ``to_grid`` re-transform.
-    """
-    ham = Hamiltonian(state.basis, v_eff_domain, state.vnl)
-    if options.eigensolver == "direct":
-        res = solve_direct(
-            ham, state.nband, instrumentation=instrumentation,
-            want_fields=True,
-        )
-    elif options.eigensolver == "all_band":
-        res = solve_all_band(
-            ham, state.psi, max_iter=options.eig_max_iter, tol=options.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
-        )
-    elif options.eigensolver == "band_by_band":
-        res = solve_band_by_band(
-            ham, state.psi, tol=options.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
-        )
-    else:
-        raise ValueError(f"unknown eigensolver {options.eigensolver!r}")
-    state.psi = res.orbitals
-    state.eigenvalues = res.eigenvalues
-    return res
-
-
-def _domain_effective_potential(
-    state: DomainState,
-    rho: np.ndarray,
-    v_hxc_global: np.ndarray,
-    v_ks_global: np.ndarray,
-    xi: float | None,
-    opts: LDCOptions,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict the global fields to the domain and update its v_bc.
-
-    Returns ``(v_eff_domain, rho_restricted)`` — the effective potential
-    the domain eigenproblem sees (including the damped boundary potential)
-    and the restricted global density (needed again for the boundary-error
-    diagnostic).  ``state.vbc`` is updated in place as a side effect.
-
-    With ``state.scratch`` attached (workspace runs) every intermediate —
-    the two gathered fields, the v_bc target, the buffer window — lives in
-    the domain's reusable pool, so a steady-state pass allocates nothing
-    here; the arithmetic (and hence the result, bit for bit) is the same as
-    the allocating path.  ``out``, when given, receives ``v_eff_domain``
-    in place — the batched coordinator passes a slice of its stacked
-    potential block.
-    """
-    dom = state.domain
-    scratch = state.scratch
-    if scratch is not None:
-        shape = dom.grid.shape
-        flat = scratch.flat_indices(dom, rho.shape)
-        v_dom = out if out is not None else scratch.get("v_dom", shape)
-        if state.v_ion_local is not None:
-            np.take(v_hxc_global.ravel(), flat, out=v_dom)
-            v_dom += state.v_ion_local
-        else:
-            np.take(v_ks_global.ravel(), flat, out=v_dom)
-        rho_restricted = scratch.get("rho_restricted", shape)
-        np.take(rho.ravel(), flat, out=rho_restricted)
-        vbc_target = boundary_potential(
-            state.rho_local, rho_restricted, xi,
-            out=scratch.get("vbc_target", shape),
-        )
-        if opts.vbc_region == "buffer":
-            # act only near the artificial boundary, not inside the core
-            window = scratch.get("boundary_window", shape)
-            np.subtract(1.0, state.support, out=window)
-            vbc_target *= window
-        if state.vbc is None:
-            state.vbc = opts.vbc_damping * vbc_target  # owned, not scratch
-        else:
-            # same values as (1-d)·vbc + d·target, without the temporaries
-            state.vbc *= 1.0 - opts.vbc_damping
-            vbc_target *= opts.vbc_damping
-            state.vbc += vbc_target
-        v_dom += state.vbc
-        return v_dom, rho_restricted
-    if state.v_ion_local is not None:
-        v_dom = dom.extract(v_hxc_global) + state.v_ion_local
-    else:
-        v_dom = dom.extract(v_ks_global)
-    rho_restricted = dom.extract(rho)
-    vbc_target = boundary_potential(state.rho_local, rho_restricted, xi)
-    if opts.vbc_region == "buffer":
-        # act only near the artificial boundary, not inside the core
-        vbc_target = vbc_target * (1.0 - state.support)
-    if state.vbc is None:
-        state.vbc = opts.vbc_damping * vbc_target
-    else:
-        state.vbc = (
-            1.0 - opts.vbc_damping
-        ) * state.vbc + opts.vbc_damping * vbc_target
-    if out is not None:
-        np.add(v_dom, state.vbc, out=out)
-        return out, rho_restricted
-    return v_dom + state.vbc, rho_restricted
-
-
-def _stage_band_data(
-    state: DomainState, res: EigenResult, rho_restricted: np.ndarray
-) -> float | None:
-    """Stage band densities/weights on the state after a domain solve and
-    return the boundary-density error (None on the first pass)."""
-    dom = state.domain
-    assert res.fields is not None
-    if state.scratch is not None:
-        densities = state.scratch.get(
-            "band_densities", (state.nband,) + dom.grid.shape
-        )
-        # |ψ|² without the two per-pass temporaries of np.abs(...)**2;
-        # ndarray ** 2 is np.power, so the values are identical
-        np.absolute(res.fields, out=densities)
-        np.power(densities, 2, out=densities)
-    else:
-        densities = np.abs(res.fields) ** 2  # per-band |ψ|²(r), reused fields
-    # band weights w_αn = ∫ p_α |ψ_n|² dr
-    w = np.einsum("nijk,ijk->n", densities, state.support) * dom.grid.dv
-    state.band_weights = w
-    state.band_densities = densities  # stashed for the density step
-    err: float | None = None
-    if state.rho_local is not None:
-        err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
-    return err
-
-
-def _domain_pass(
-    state: DomainState,
-    rho: np.ndarray,
-    v_hxc_global: np.ndarray,
-    v_ks_global: np.ndarray,
-    xi: float | None,
-    opts: LDCOptions,
-    ins: Instrumentation | None,
-) -> tuple[EigenResult, float | None]:
-    """The per-domain block of one SCF pass: restrict potentials, update
-    v_bc, solve, and stage band weights/densities on the state.
-
-    This is the unit of the ``ldc_workers`` fan-out.  When run on a worker
-    thread the caller passes ``ins=None`` — counters/series on the shared
-    instrumentation are not thread-safe, so the coordinating thread records
-    solve telemetry after the join (see ``record_solve``).  Each invocation
-    touches only its own ``state`` (including its private scratch pool)
-    plus read-only global fields.
-    """
-    v_eff, rho_restricted = _domain_effective_potential(
-        state, rho, v_hxc_global, v_ks_global, xi, opts
-    )
-    res = _solve_domain(state, v_eff, opts, ins)
-    err = _stage_band_data(state, res, rho_restricted)
-    return res, err
-
-
 def run_ldc(
     config: Configuration,
     options: LDCOptions | None = None,
@@ -452,18 +271,24 @@ def run_ldc(
 ) -> LDCResult:
     """Run the LDC-DFT (or classic DC-DFT) SCF loop to self-consistency.
 
+    Each SCF pass solves the Hartree/XC potentials globally, hands every
+    domain with atoms to the domain-solve seam
+    (:func:`repro.core.batched.batched_domain_pass` — stacks of same-shape
+    domains, or of one domain each with ``batch_domains=False``, through
+    one lockstep eigensolver), then finds the global μ and reassembles and
+    mixes the density.
+
     ``instrumentation`` optionally accepts an
-    :class:`~repro.observability.Instrumentation`: records per-domain solve
-    spans, per-iteration residual/energy/μ/boundary-error series, and
-    ``poisson.*`` telemetry when the multigrid solver is selected.  The
-    default ``None`` executes no telemetry code.
+    :class:`~repro.observability.Instrumentation`: records one
+    ``ldc.domain_solve`` span per stack, per-iteration
+    residual/energy/μ/boundary-error series, and ``poisson.*`` telemetry
+    when the multigrid solver is selected.  The default ``None`` executes
+    no telemetry code.
 
     ``sanitize`` optionally accepts a :class:`~repro.sanitize.Sanitizers`
-    bundle: numerics tripwires fire at the density/potential/eigenvalue
-    checkpoints and the race detector guards the shared buffers over the
-    ``ldc_workers`` fan-out.  ``None`` (the default) defers to
-    ``REPRO_SANITIZE`` and, when that is unset too, executes zero
-    sanitizer code on the hot path.
+    bundle: its numerics tripwires fire at the density/potential/eigenvalue
+    checkpoints.  ``None`` (the default) defers to ``REPRO_SANITIZE`` and,
+    when that is unset too, executes zero sanitizer code on the hot path.
 
     ``workspace`` optionally accepts a persistent
     :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
@@ -602,10 +427,8 @@ def _run_ldc(
         continues = workspace.cold_domains == 0
     elif opts.mixer == "pulay":
         mixer = PulayMixer(alpha=opts.mix_alpha)
-    elif opts.mixer == "linear":
-        mixer = LinearMixer(alpha=opts.mix_alpha)
     else:
-        raise ValueError(f"unknown mixer {opts.mixer!r}")
+        mixer = LinearMixer(alpha=opts.mix_alpha)
 
     history: list[float] = []
     residuals: list[float] = []
@@ -618,97 +441,81 @@ def _run_ldc(
 
     xi = opts.xi if opts.mode == "ldc" else None
 
-    # One pool serves every SCF pass of this run (workers idle between
-    # passes; thread reuse avoids per-iteration spawn cost).
-    executor = (
-        ThreadPoolExecutor(max_workers=opts.ldc_workers)
-        if opts.ldc_workers > 1
-        else None
-    )
-    # The batched coordinator's stack pool: persistent across MD steps with
-    # a workspace, per-run otherwise — either way no per-pass allocations.
-    if workspace is not None:
-        batch_pool = workspace.batch_pool
-    else:
-        from repro.core.workspace import DomainScratch as _DomainScratch
-
-        batch_pool = _DomainScratch()
-    try:
-        for it in range(1, opts.max_iter + 1):
-            if ins is not None:
-                t_iter = ins.tracer.now()
-            mu, rho_out, components, bnd_err, vh_prev, eig_pass = _scf_pass(
-                grid, states, rho, v_loc_global, e_ewald, n_electrons,
-                xi, mg, vh_prev, opts, ins, executor, san, batch_pool,
-            )  # vh_prev is reused as the next iteration's Poisson warm start
-            eig_total += eig_pass
-            if san is not None and san.numerics is not None:
-                san.numerics.check(
-                    "rho_new", rho_out, where=f"ldc.iteration[{it}]",
-                    expect_dtype=np.float64,
-                )
-            boundary_errors.append(bnd_err)
-            rho_out = renormalize(
-                np.clip(rho_out, 0.0, None), n_electrons, grid.dv
-            )
-            resid = grid.integrate(np.abs(rho_out - rho)) / max(
-                n_electrons, 1.0
-            )
-            residuals.append(resid)
-            history.append(components["total"])
-            if ins is not None:
-                ins.counter("scf.iterations", engine="ldc").inc()
-                ins.series("scf.residual", engine="ldc").append(resid)
-                ins.series("scf.energy", engine="ldc").append(
-                    components["total"]
-                )
-                ins.series("scf.mu", engine="ldc").append(mu)
-                ins.series("ldc.boundary_error").append(bnd_err)
-                ins.tracer.record_complete(
-                    "ldc.iteration", ins.tracer.now() - t_iter,
-                    category="ldc", iteration=it, residual=resid,
-                    boundary_error=bnd_err,
-                )
-                ins.log.debug(
-                    "ldc iteration",
-                    extra={"engine": "ldc", "iteration": it,
-                           "residual": resid,
-                           "energy": components["total"], "mu": mu,
-                           "boundary_error": bnd_err},
-                )
-            if hm is not None:
-                hm.observe(
-                    "scf.residual", engine="ldc", iteration=it, residual=resid
-                )
-            converged = bool(resid < opts.tol)
-            if converged and not continues:
-                rho = rho_out
-                break
-            # On a trajectory the final pass, too, runs at the mixer's next
-            # quasi-Newton iterate, not at the raw output density: on a
-            # metal rho_out carries the residual's long-wavelength part
-            # amplified, and the ASPC windows would extrapolate it into
-            # the next step's starting point.
-            rho = renormalize(
-                np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons,
-                grid.dv,
-            )
-            if ins is not None and memory is not None and it == 1:
-                ins.series("ldc.mixer_carried_pairs").append(
-                    memory.carried_pairs
-                )
-            if converged:
-                break
-
-        # Final consistent evaluation at the converged density.
-        mu, rho_final, components, bnd_err, _, eig_pass = _scf_pass(
+    # The seam's stack pool: persistent across MD steps with a workspace,
+    # per-run otherwise — either way no per-pass allocations.
+    pool = workspace.batch_pool if workspace is not None else DomainScratch()
+    for it in range(1, opts.max_iter + 1):
+        if ins is not None:
+            t_iter = ins.tracer.now()
+        mu, rho_out, components, bnd_err, vh_prev, eig_pass = _scf_pass(
             grid, states, rho, v_loc_global, e_ewald, n_electrons,
-            xi, mg, vh_prev, opts, ins, executor, san, batch_pool,
-        )
+            xi, mg, vh_prev, opts, ins, san, pool,
+        )  # vh_prev is reused as the next iteration's Poisson warm start
         eig_total += eig_pass
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if san is not None and san.numerics is not None:
+            san.numerics.check(
+                "rho_new", rho_out, where=f"ldc.iteration[{it}]",
+                expect_dtype=np.float64,
+            )
+        boundary_errors.append(bnd_err)
+        rho_out = renormalize(
+            np.clip(rho_out, 0.0, None), n_electrons, grid.dv
+        )
+        resid = grid.integrate(np.abs(rho_out - rho)) / max(
+            n_electrons, 1.0
+        )
+        residuals.append(resid)
+        history.append(components["total"])
+        if ins is not None:
+            ins.counter("scf.iterations", engine="ldc").inc()
+            ins.series("scf.residual", engine="ldc").append(resid)
+            ins.series("scf.energy", engine="ldc").append(
+                components["total"]
+            )
+            ins.series("scf.mu", engine="ldc").append(mu)
+            ins.series("ldc.boundary_error").append(bnd_err)
+            ins.tracer.record_complete(
+                "ldc.iteration", ins.tracer.now() - t_iter,
+                category="ldc", iteration=it, residual=resid,
+                boundary_error=bnd_err,
+            )
+            ins.log.debug(
+                "ldc iteration",
+                extra={"engine": "ldc", "iteration": it,
+                       "residual": resid,
+                       "energy": components["total"], "mu": mu,
+                       "boundary_error": bnd_err},
+            )
+        if hm is not None:
+            hm.observe(
+                "scf.residual", engine="ldc", iteration=it, residual=resid
+            )
+        converged = bool(resid < opts.tol)
+        if converged and not continues:
+            rho = rho_out
+            break
+        # On a trajectory the final pass, too, runs at the mixer's next
+        # quasi-Newton iterate, not at the raw output density: on a
+        # metal rho_out carries the residual's long-wavelength part
+        # amplified, and the ASPC windows would extrapolate it into
+        # the next step's starting point.
+        rho = renormalize(
+            np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons,
+            grid.dv,
+        )
+        if ins is not None and memory is not None and it == 1:
+            ins.series("ldc.mixer_carried_pairs").append(
+                memory.carried_pairs
+            )
+        if converged:
+            break
+
+    # Final consistent evaluation at the converged density.
+    mu, rho_final, components, bnd_err, _, eig_pass = _scf_pass(
+        grid, states, rho, v_loc_global, e_ewald, n_electrons,
+        xi, mg, vh_prev, opts, ins, san, pool,
+    )
+    eig_total += eig_pass
     if memory is not None:
         # report the drops of this solve (and of the reset / cold domain
         # that preceded it) once, with the step they belong to
@@ -776,23 +583,17 @@ def _scf_pass(
     vh_warm: np.ndarray | None,
     opts: LDCOptions,
     ins: Instrumentation | None = None,
-    executor: ThreadPoolExecutor | None = None,
     san: Sanitizers | None = None,
-    batch_pool: DomainScratch | None = None,
+    pool: DomainScratch | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float], float, np.ndarray, int]:
     """One global-local pass: potentials → domain solves → μ → density.
 
-    The per-domain solves are independent; with ``executor`` set they fan
-    out across threads and the results are folded back in domain-index
-    order, so the assembled physics is identical to the serial path.  When
-    domain batching is enabled (``opts.batch_domains`` /
-    ``$REPRO_BATCH_DOMAINS``, with the all-band solver) the solves instead
-    run as stacked shape-class kernels on the coordinating thread — see
-    :func:`repro.core.batched.batched_domain_pass` — again folded in
-    domain-index order with results matching the per-domain path.  With
-    ``san`` set, the race sanitizer freezes the shared input fields over
-    the fan-out (workers own only their domain) and the numerics sanitizer
-    checks the potential/eigenvalue checkpoints.
+    The global potentials are solved once, every domain with atoms goes
+    through the domain-solve seam
+    (:func:`repro.core.batched.batched_domain_pass`; ``pool`` is its stack
+    buffer pool), and the outcomes are folded in domain-index order into
+    the global μ search and the density assembly.  With ``san`` set, the
+    numerics sanitizer checks the potential/eigenvalue checkpoints.
 
     Returns (μ, assembled density, energy components, mean boundary-density
     error, Hartree potential field — the caller's Poisson warm start, and
@@ -815,97 +616,12 @@ def _scf_pass(
     n_active = 0
 
     active = [(idom, s) for idom, s in enumerate(states) if s.nband > 0]
-    outcomes: list[tuple[EigenResult, float | None, float | None]]
-    # Imported here, not at module top: repro.core.batched imports this
-    # module for the shared per-domain prework/postwork helpers.
-    from repro.core.batched import batched_domain_pass, batching_enabled
-
-    if active and batching_enabled(opts):
-        # Stacked shape-class solves on the coordinating thread; outcomes
-        # carry dt=None so the fold below does not double-record telemetry
-        # (the batched pass emits its own ldc.batched_solve spans and the
-        # per-domain eigensolver counters).
-        outcomes = batched_domain_pass(
-            active, rho, v_hxc_global, v_ks_global, xi, opts, ins,
-            pool=batch_pool,
-        )
-    elif executor is not None and len(active) > 1:
-
-        def _run_one(
-            item: tuple[int, DomainState],
-        ) -> tuple[EigenResult, float | None, float | None]:
-            # Workers never touch the shared instrumentation (its counters
-            # and series are not thread-safe); they only time themselves so
-            # the coordinating thread can emit the span after the join.
-            t0 = time.perf_counter() if ins is not None else 0.0
-            res, err = _domain_pass(
-                item[1], rho, v_hxc_global, v_ks_global, xi, opts, None
-            )
-            dt = (time.perf_counter() - t0) if ins is not None else None
-            return res, err, dt
-
-        # executor.map preserves input order → deterministic fold below
-        if san is not None and san.race is not None:
-            race = san.race
-
-            def _run_one_claimed(
-                item: tuple[int, DomainState],
-            ) -> tuple[EigenResult, float | None, float | None]:
-                # two workers claiming one domain is a scheduling bug the
-                # exclusive claim turns into an immediate RaceError
-                with race.exclusive(("ldc.domain", item[0]),
-                                    f"domain-{item[0]}"):
-                    return _run_one(item)
-
-            with race.guard_readonly(
-                {"rho": rho, "v_hxc_global": v_hxc_global,
-                 "v_ks_global": v_ks_global}
-            ):
-                outcomes = list(executor.map(_run_one_claimed, active))
-        else:
-            outcomes = list(executor.map(_run_one, active))
-    else:
-        outcomes = []
-        for idom, state in active:
-            if ins is None:
-                res, err = _domain_pass(
-                    state, rho, v_hxc_global, v_ks_global, xi, opts, None
-                )
-                outcomes.append((res, err, None))
-            else:
-                with ins.span(
-                    "ldc.domain_solve", category="ldc", domain=idom,
-                    natoms=len(state.atom_indices), nband=state.nband,
-                ) as sp:
-                    res, err = _domain_pass(
-                        state, rho, v_hxc_global, v_ks_global, xi, opts, ins
-                    )
-                    # solve sizes feed the per-kernel FLOP attribution
-                    # (repro.observability.costattr) at report time
-                    sp.attrs.update(
-                        npw=state.basis.npw,
-                        grid_points=int(np.prod(state.domain.grid.shape)),
-                        fft_stages=state.basis.stage_lines,
-                        nproj=len(state.vnl.d), cg_iterations=res.iterations,
-                    )
-                outcomes.append((res, err, None))
-
-    for (idom, state), (res, err, dt) in zip(active, outcomes):
-        assert state.basis is not None and state.eigenvalues is not None
-        if ins is not None and dt is not None:
-            # phase-safe telemetry for the parallel path: same span name and
-            # attrs as the serial path, recorded post-join with the worker's
-            # measured duration, plus the eigensolver counters the worker
-            # deliberately skipped
-            ins.tracer.record_complete(
-                "ldc.domain_solve", dt, category="ldc", domain=idom,
-                natoms=len(state.atom_indices), nband=state.nband,
-                npw=state.basis.npw,
-                grid_points=int(np.prod(state.domain.grid.shape)),
-                fft_stages=state.basis.stage_lines,
-                nproj=len(state.vnl.d), cg_iterations=res.iterations,
-            )
-            record_solve(ins, opts.eigensolver, state.basis.npw, res)
+    outcomes = batched_domain_pass(
+        active, rho, v_hxc_global, v_ks_global, xi, opts, ins, pool=pool
+    )
+    for (idom, state), (_, err) in zip(active, outcomes):
+        assert state.eigenvalues is not None
+        assert state.band_weights is not None
         all_eigs.append(state.eigenvalues)
         all_weights.append(state.band_weights)
         if err is not None:
@@ -962,5 +678,5 @@ def _scf_pass(
         grid, rho, vh, vxc, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt
     )
     mean_err = bnd_err_total / n_active if n_active else 0.0
-    eig_pass = sum(int(res.iterations) for res, _, _ in outcomes)
+    eig_pass = sum(int(res.iterations) for res, _ in outcomes)
     return mu, rho_new, components, mean_err, vh, eig_pass

@@ -89,7 +89,7 @@ def run_parallel_ldc(
         ``ngroups`` must match ``min(total_ranks, ndomains)``.
     sanitize:
         Optional :class:`~repro.sanitize.Sanitizers` bundle forwarded to
-        the LDC solve (numerics/race checkpoints).  ``None`` defers to
+        the LDC solve (numerics checkpoints).  ``None`` defers to
         ``REPRO_SANITIZE``.
     """
     if total_ranks < 1:

@@ -73,10 +73,9 @@ class DomainScratch:
     benchmark pins with its tracemalloc check).  :attr:`allocations` counts
     every real allocation for exactly that assertion.
 
-    One instance serves one single-threaded consumer: either one domain
-    (attached to its :class:`~repro.core.ldc.DomainState`, used only by
-    whichever worker owns that domain during a pass) or the batched
-    coordinator's stack pool.  Buffer contents are undefined between uses —
+    One instance serves one consumer: either one domain (attached to its
+    :class:`~repro.core.ldc.DomainState`) or the domain-solve seam's stack
+    pool.  Buffer contents are undefined between uses —
     every consumer overwrites before reading (``np.take(..., out=)`` /
     full-array ufunc ``out=`` writes), which is why ``np.empty`` suffices.
     """
@@ -187,8 +186,8 @@ class LDCWorkspace:
         #: targets, band densities), attached to each ``DomainState`` by
         #: :meth:`prepare` so SCF passes stop re-allocating them
         self._scratch: dict[int, DomainScratch] = {}
-        #: the batched coordinator's shape-class stack pool
-        #: (``repro.core.batched`` stacks v_eff/ψ/projectors into it)
+        #: the domain-solve seam's stack pool (``repro.core.batched``
+        #: stacks v_eff/ψ/projectors into it)
         self.batch_pool: DomainScratch = DomainScratch()
         #: per-``prepare`` stats: domains seeded from cached orbitals vs
         #: random (fresh build, or band count changed after atom migration)
@@ -203,30 +202,6 @@ class LDCWorkspace:
     def has_orbitals(self) -> bool:
         """Whether the next ``prepare`` can seed any domain from cached ψ."""
         return any(len(h) for h in self._history.values())
-
-    def shared_buffers(self) -> dict[str, np.ndarray]:
-        """Arrays shared across the ``ldc_workers`` fan-out, by name.
-
-        This is the race sanitizer's guard list
-        (:meth:`repro.sanitize.race.RaceSanitizer.guard_readonly`): the
-        partition-of-unity windows and every history snapshot of converged
-        ψ/v_bc/ρ_α are read concurrently by domain workers and must only
-        be written by the coordinating thread after the join.  The SCF
-        memory (:meth:`scf_mixer`) is not listed: only the coordinating
-        thread mixes densities, between fan-outs, so no worker ever sees it.
-        """
-        buffers: dict[str, np.ndarray] = {}
-        if self.pou is not None:
-            for idom, window in enumerate(self.pou):
-                buffers[f"pou[{idom}]"] = window
-        for idom, hist in self._history.items():
-            for depth, (psi, vbc, rho_a) in enumerate(hist._entries):
-                buffers[f"psi[{idom}]@{depth}"] = psi
-                if vbc is not None:
-                    buffers[f"vbc[{idom}]@{depth}"] = vbc
-                if rho_a is not None:
-                    buffers[f"rho_local[{idom}]@{depth}"] = rho_a
-        return buffers
 
     def reset(self) -> None:
         """Drop everything (structures, orbital cache, scratch pools)."""

@@ -47,8 +47,8 @@ class PlaneWaveBasis:
     :meth:`work_block` lends to ``H·ψ``.  There is one pool per
     ``PlaneWaveBasis`` and it is never shared: an instance must not be used
     by two threads at once.  The LDC driver gives every domain its own
-    basis, so the ``ldc_workers`` fan-out stays safe, and the stacked
-    (``batch_domains``) kernels run on the coordinating thread only.
+    basis and solves all of them on one thread; a stack of same-shape
+    domains transforms through its first member's basis.
     What a transform *returns* is the caller's ``out=`` or, without one,
     freshly allocated — never a pooled buffer.
     """

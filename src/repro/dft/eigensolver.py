@@ -1,7 +1,7 @@
 """Iterative eigensolvers for the domain Kohn–Sham problems.
 
-Three interchangeable solvers, all returning ``(eigenvalues, orbitals)``
-with orbitals column-orthonormal and eigenvalues ascending:
+Three interchangeable solvers, all returning eigenvalues ascending with
+column-orthonormal orbitals:
 
 * :func:`solve_direct` — dense diagonalization of the full plane-wave
   Hamiltonian.  Exact reference; viable for the small domain bases this
@@ -9,12 +9,15 @@ with orbitals column-orthonormal and eigenvalues ascending:
 * :func:`solve_band_by_band` — the *original* (pre-optimization) scheme the
   paper describes in Sec. 3.4: bands optimized one at a time by
   preconditioned conjugate gradients (matrix-vector / BLAS2 structure).
-* :func:`solve_all_band` — the paper's production scheme: all bands
+* :func:`solve_all_band_batched` — the paper's production scheme: all bands
   advanced together (locally optimal block preconditioned CG), so every
-  inner operation is a matrix-matrix product (BLAS3 structure).
+  inner operation is a matrix-matrix product (BLAS3 structure), over a
+  whole stack of same-shape domain problems in lockstep.
+  :func:`solve_all_band` is its stack-of-one form for a single
+  :class:`~repro.dft.hamiltonian.Hamiltonian`.
 
-Both iterative solvers use the Teter–Payne–Allan preconditioner provided by
-the :class:`~repro.dft.hamiltonian.Hamiltonian`.
+Both iterative solvers use the Teter–Payne–Allan preconditioner of
+:class:`~repro.dft.hamiltonian.BatchedHamiltonian`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class EigenResult:
 
     ``fields`` (present when a solver was called with ``want_fields=True``)
     holds the real-space orbitals ``ψ_n(r)`` of the returned block, shape
-    ``(nband, *grid.shape)`` — reused from the final ``Hamiltonian.apply``
+    ``(nband, *grid.shape)`` — reused from the solver's last ``H·ψ``
     (a cheap subspace rotation of already-computed fields) where possible,
     so downstream density assembly skips a redundant batched FFT.
     """
@@ -76,8 +79,8 @@ def record_solve(ins, solver: str, npw: int, result: EigenResult) -> None:
 
     Recorded once per solve — never inside the CG inner loop — so enabling
     instrumentation does not perturb the BLAS2/BLAS3 hot paths it measures.
-    Public so the LDC parallel fan-out can record a worker thread's solve
-    from the coordinating thread after the join (phase-safe telemetry).
+    Public so the LDC domain-solve seam can record each domain of a stack
+    after the one call that solved them all.
     """
     ins.counter("eigensolver.solves", solver=solver).inc()
     ins.counter("eigensolver.iterations", solver=solver).inc(result.iterations)
@@ -102,7 +105,7 @@ def record_solve(ins, solver: str, npw: int, result: EigenResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# All-band solver (BLAS3 path)
+# All-band solver (BLAS3 path): one lockstep LOBPCG over a stack of domains
 # ---------------------------------------------------------------------------
 
 def solve_all_band(
@@ -113,109 +116,13 @@ def solve_all_band(
     instrumentation=None,
     want_fields: bool = False,
 ) -> EigenResult:
-    """Locally optimal block preconditioned CG over all bands at once.
-
-    Subspace per iteration: current block X, preconditioned residuals W,
-    and the previous search directions P (classic LOBPCG three-term basis).
-    The Rayleigh–Ritz solves and orthonormalizations are the Cholesky-based
-    scheme of Sec. 3.3.
-    """
-    result = _solve_all_band(ham, psi0, max_iter, tol, want_fields)
+    """Locally optimal block preconditioned CG over all bands of one
+    Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one."""
+    psi0 = np.asarray(psi0, dtype=complex)[None]
+    (result,) = _lockstep_lobpcg(ham.stack, psi0, max_iter, tol, want_fields)
     if instrumentation is not None:
         record_solve(instrumentation, "all_band", ham.basis.npw, result)
     return result
-
-
-def _rotated_fields(
-    ham: Hamiltonian, x_rot: np.ndarray, fx: np.ndarray | None, u: np.ndarray
-) -> np.ndarray:
-    """Real-space fields of ``x_rot = x @ u``.
-
-    When ``fx`` (the fields of pre-rotation ``x``, captured from the final
-    ``ham.apply``) is available, a subspace rotation replaces the batched
-    FFT: ``to_grid(x @ u)[k] = Σ_m u[m, k] · fx[m]``.  Otherwise fall back
-    to one transform — never more than the old post-solve re-transform cost.
-    """
-    if fx is not None:
-        return np.tensordot(u, fx, axes=(0, 0))
-    return ham.basis.to_grid(x_rot)
-
-
-def _solve_all_band(
-    ham: Hamiltonian,
-    psi0: np.ndarray,
-    max_iter: int,
-    tol: float,
-    want_fields: bool = False,
-) -> EigenResult:
-    x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
-    nband = x.shape[1]
-    cap: list[np.ndarray] | None = [] if want_fields else None
-    hx = ham.apply(x, fields_out=cap)
-    fx = cap.pop() if cap else None  # fields of the current X block
-    p = None
-    resid_norm = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        # Rayleigh–Ritz within the current block.
-        hsub = x.conj().T @ hx
-        hsub = 0.5 * (hsub + hsub.conj().T)
-        eps, u = np.linalg.eigh(hsub)
-        x_rot = x @ u
-        hx_rot = hx @ u
-        r = hx_rot - x_rot * eps[None, :]
-        resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
-        if resid_norm < tol:
-            fields = (
-                _rotated_fields(ham, x_rot, fx, u) if want_fields else None
-            )
-            return EigenResult(eps.copy(), x_rot, it, resid_norm, True,
-                               fields=fields)
-        x, hx = x_rot, hx_rot
-
-        w = ham.precondition(r, x)
-        # Project W against X and orthonormalize internally.
-        w = w - x @ (x.conj().T @ w)
-        w = _safe_orthonormalize(w)
-        blocks = [x, w]
-        hblocks = [hx, ham.apply(w)]
-        if p is not None:
-            p_proj = p - x @ (x.conj().T @ p) - w @ (w.conj().T @ p)
-            norms = np.linalg.norm(p_proj, axis=0)
-            keep = norms > 1e-10
-            if np.any(keep):
-                p_keep = _safe_orthonormalize(p_proj[:, keep])
-                blocks.append(p_keep)
-                hblocks.append(ham.apply(p_keep))
-        s = np.hstack(blocks)
-        hs = np.hstack(hblocks)
-        t = s.conj().T @ hs
-        t = 0.5 * (t + t.conj().T)
-        evals, evecs = np.linalg.eigh(t)
-        c = evecs[:, :nband]
-        x_new = s @ c
-        hx_new = hs @ c
-        # New implicit search direction: the part of x_new outside old X.
-        c_tail = c[nband:, :]
-        s_tail = s[:, nband:]
-        p = s_tail @ c_tail
-        x = cholesky_orthonormalize(x_new)
-        # Re-apply H only if orthonormalization changed X materially.
-        if np.allclose(x, x_new, atol=1e-12):
-            hx = hx_new
-            fx = None  # fields of the new X were never computed
-        else:
-            cap = [] if want_fields else None
-            hx = ham.apply(x, fields_out=cap)
-            fx = cap.pop() if cap else None
-    # Final clean Rayleigh–Ritz to return well-ordered pairs.
-    hsub = x.conj().T @ hx
-    hsub = 0.5 * (hsub + hsub.conj().T)
-    eps, u = np.linalg.eigh(hsub)
-    x_rot = x @ u
-    fields = _rotated_fields(ham, x_rot, fx, u) if want_fields else None
-    return EigenResult(eps.copy(), x_rot, it, resid_norm, resid_norm < tol,
-                       fields=fields)
 
 
 def _safe_orthonormalize(block: np.ndarray) -> np.ndarray:
@@ -233,10 +140,6 @@ def _safe_orthonormalize(block: np.ndarray) -> np.ndarray:
     return q[:, good]
 
 
-# ---------------------------------------------------------------------------
-# Domain-batched all-band solver (shape-class stacks)
-# ---------------------------------------------------------------------------
-
 def solve_all_band_batched(
     bham: BatchedHamiltonian,
     psi0,
@@ -246,10 +149,33 @@ def solve_all_band_batched(
 ) -> list[EigenResult]:
     """Lockstep LOBPCG over a stack of same-shape domain KS problems.
 
-    ``bham`` holds one LDC shape-class (see
+    ``bham`` holds the stack (see
     :class:`~repro.dft.hamiltonian.BatchedHamiltonian`); ``psi0`` is the
     ``(n_domains, npw, nband)`` stack of starting blocks.  Returns one
     :class:`EigenResult` per domain, in stack order.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape[:2] != (bham.n_domains, bham.basis.npw):
+        raise ValueError(
+            f"psi0 stack {psi0.shape} does not match {bham.n_domains} "
+            f"domains over {bham.basis.npw} plane waves"
+        )
+    return _lockstep_lobpcg(bham, psi0, max_iter, tol, want_fields)
+
+
+def _lockstep_lobpcg(
+    bham: BatchedHamiltonian,
+    psi0: np.ndarray,
+    max_iter: int,
+    tol: float,
+    want_fields: bool,
+) -> list[EigenResult]:
+    """The one all-band LOBPCG body, behind both public entry points.
+
+    Subspace per iteration and domain: current block X, preconditioned
+    residuals W, and the previous search directions P (classic LOBPCG
+    three-term basis); the Rayleigh–Ritz solves and orthonormalizations are
+    the Cholesky-based scheme of Sec. 3.3.
 
     All unconverged domains advance together so the heavy kernels run as
     single batched array calls: the Rayleigh–Ritz subspace products and the
@@ -258,20 +184,13 @@ def solve_all_band_batched(
     nonlocal GEMM; the W and P blocks of an iteration share one padded
     apply).  The small variable-shape steps — column-dropping
     orthonormalization, the mixed-subspace ``t`` diagonalisation, the
-    re-apply decision — reuse the serial code per domain.  Zero-padded
-    columns pass through H as zeros and every batched kernel acts on stack
-    slices independently, so each domain sees exactly the arithmetic of
-    :func:`solve_all_band` and retires from the stack at its own
-    convergence iteration.
+    re-apply decision — run per domain.  Zero-padded columns pass through H
+    as zeros and every batched kernel acts on stack slices independently,
+    so a domain's iterates do not depend on the stack it is solved in, and
+    each domain retires from the stack at its own convergence iteration.
     """
     basis = bham.basis
     nd = bham.n_domains
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape[:2] != (nd, basis.npw):
-        raise ValueError(
-            f"psi0 stack {psi0.shape} does not match {nd} domains over "
-            f"{basis.npw} plane waves"
-        )
     nband = int(psi0.shape[2])
     results: list[EigenResult | None] = [None] * nd
 
@@ -285,6 +204,24 @@ def solve_all_band_batched(
     p: list = [None] * nd
     last_resid: list[float] = [float("inf")] * nd
     it = 0
+
+    def retire(slot: int, resid: float) -> None:
+        """File ``slot``'s Ritz pairs as its domain's result.  Its fields
+        are a subspace rotation of the fields captured with the last apply
+        of X — ``to_grid(x @ u)[k] = Σ_m u[m, k] · fx[m]`` — or one
+        transform when X changed without a re-apply."""
+        xr = x_rot[slot].copy()
+        fields = None
+        if want_fields:
+            fields = (
+                np.tensordot(u[slot], fx[slot], axes=(0, 0))
+                if fx[slot] is not None
+                else basis.to_grid(xr)
+            )
+        results[active[slot]] = EigenResult(
+            eps[slot].copy(), xr, it, resid, resid < tol, fields=fields
+        )
+
     for it in range(1, max_iter + 1):
         # Rayleigh–Ritz within each current block (batched).
         hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
@@ -293,25 +230,14 @@ def solve_all_band_batched(
         x_rot = np.matmul(x, u)
         hx_rot = np.matmul(hx, u)
         r = hx_rot - x_rot * eps[:, None, :]
-        # Convergence is judged per domain with the serial expression so the
-        # returned residual (and the decision itself) matches bit for bit.
+        # Convergence is judged per domain, on its own slice only, so the
+        # decision (and the returned residual) is independent of the stack.
         keep: list[int] = []
         for slot in range(len(active)):
             resid = float(np.max(np.linalg.norm(r[slot], axis=0)))
             last_resid[slot] = resid
             if resid < tol:
-                xr = x_rot[slot].copy()
-                fields = None
-                if want_fields:
-                    fields = (
-                        np.tensordot(u[slot], fx[slot], axes=(0, 0))
-                        if fx[slot] is not None
-                        else basis.to_grid(xr)
-                    )
-                results[active[slot]] = EigenResult(
-                    eps[slot].copy(), xr, it, resid, True,
-                    fields=fields,
-                )
+                retire(slot, resid)
             else:
                 keep.append(slot)
         if len(keep) != len(active):
@@ -412,19 +338,7 @@ def solve_all_band_batched(
     eps, u = np.linalg.eigh(hsub)
     x_rot = np.matmul(x, u)
     for slot in range(len(active)):
-        xr = x_rot[slot].copy()
-        fields = None
-        if want_fields:
-            fields = (
-                np.tensordot(u[slot], fx[slot], axes=(0, 0))
-                if fx[slot] is not None
-                else basis.to_grid(xr)
-            )
-        resid = last_resid[slot]
-        results[active[slot]] = EigenResult(
-            eps[slot].copy(), xr, it, resid, resid < tol,
-            fields=fields,
-        )
+        retire(slot, last_resid[slot])
     return results  # type: ignore[return-value]
 
 

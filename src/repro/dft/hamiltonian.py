@@ -1,12 +1,14 @@
-"""The Kohn–Sham Hamiltonian: batched (all-band, BLAS3) application and a
-dense matrix form for the direct reference eigensolver.
+"""The Kohn–Sham Hamiltonian: stacked (all-band, all-domain BLAS3)
+application and a dense matrix form for the direct reference eigensolver.
 
     H = -½∇² + V_loc + V_H + V_xc [+ v_bc]  + v_nl
 
 The local parts are collapsed into one real-space effective potential
 ``v_eff(r)``; the nonlocal part is the packed projector form of Sec. 3.4.
-``apply`` acts on the whole ``(npw, nband)`` orbital block at once — the
-paper's BLAS2→BLAS3 algebraic transformation.
+:class:`BatchedHamiltonian` holds a stack of same-shape Hamiltonians and
+owns the one row-blocked ``H·ψ`` loop and the one preconditioner formula;
+:class:`Hamiltonian` is a single operator whose ``apply``/``precondition``
+are the stack-of-one case of those.
 """
 
 from __future__ import annotations
@@ -41,53 +43,40 @@ class Hamiltonian:
         self.basis = basis
         self.v_eff = np.asarray(v_eff, dtype=float)
         self.vnl = vnl
-        self.kinetic = 0.5 * basis.g2  # (npw,)
+        nonlocal_ = vnl is not None and vnl.nproj > 0
+        #: this operator as a stack of one (views of ``v_eff`` and the
+        #: projectors, no copies) — what ``apply``/``precondition`` and
+        #: :func:`~repro.dft.eigensolver.solve_all_band` run on
+        self.stack = BatchedHamiltonian(
+            basis,
+            self.v_eff[None],
+            vnl.b[None] if nonlocal_ else None,
+            vnl.d[None] if nonlocal_ else None,
+        )
+        self.kinetic = self.stack.kinetic  # (npw,)
 
     # -- application ----------------------------------------------------------
 
     def apply(
         self, psi: np.ndarray, fields_out: list[np.ndarray] | None = None
     ) -> np.ndarray:
-        """H Ψ for a block of orbitals ``(npw, nband)`` (or a single vector).
-
-        The local term walks the bands in blocks of ``basis.block_rows``:
-        to grid, times ``v_eff``, back — so a block's full-grid field is
-        consumed while it is still cache-resident.  Every transform writes
-        through ``out=`` into pooled or caller-owned memory, so a warm
-        apply allocates coefficient-side ``(npw, nband)`` arrays only; the
-        kinetic and nonlocal terms accumulate onto the local one in place.
+        """H Ψ for a block of orbitals ``(npw, nband)`` (or a single vector):
+        :meth:`BatchedHamiltonian.apply` on a stack of one.
 
         ``fields_out``, when given, receives the real-space orbital fields
         ``ψ_n(r)`` (appended as one freshly allocated ``(nband,
-        *grid.shape)`` array, unscaled by the potential; each block is
-        transformed straight into its slice) — the transform is computed
-        here anyway, so callers that need ``|ψ|²`` afterwards can reuse it
-        instead of paying a second batched FFT (see the LDC band-density
-        assembly).
+        *grid.shape)`` array, unscaled by the potential) — the transform is
+        computed here anyway, so callers that need ``|ψ|²`` afterwards can
+        reuse it instead of paying a second batched FFT.
         """
         single = psi.ndim == 1
-        if single:
-            psi = psi[:, None]
-        basis = self.basis
-        nband = psi.shape[1]
-        out = np.empty((basis.npw, nband), dtype=complex)
-        captured = None
+        block = psi[:, None] if single else psi
+        cap: list[np.ndarray] = []
+        out = self.stack.apply(
+            block[None], fields_out=None if fields_out is None else cap
+        )[0]
         if fields_out is not None:
-            captured = np.empty((nband,) + basis.grid.shape, dtype=complex)
-            fields_out.append(captured)
-        step = basis.block_rows
-        for a in range(0, nband, step):
-            stop = min(a + step, nband)
-            product = basis.work_block(stop - a)
-            fields = basis.to_grid(
-                psi[:, a:stop],
-                out=product if captured is None else captured[a:stop],
-            )
-            _times_real(fields, self.v_eff, product)
-            basis.from_grid(product, out=out[:, a:stop], overwrite_fields=True)
-        out += self.kinetic[:, None] * psi
-        if self.vnl is not None and self.vnl.nproj:
-            out += self.vnl.apply(psi)
+            fields_out.append(cap[0][0])
         return out[:, 0] if single else out
 
     def expectation(self, psi: np.ndarray) -> np.ndarray:
@@ -124,44 +113,32 @@ class Hamiltonian:
     # -- preconditioning -------------------------------------------------------
 
     def precondition(self, resid: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Teter–Payne–Allan preconditioner applied band-wise to residuals.
-
-        The TPA kernel damps high-kinetic-energy components relative to each
-        band's own kinetic energy — the standard plane-wave CG preconditioner.
-        """
+        """Teter–Payne–Allan preconditioner applied band-wise to residuals
+        (:meth:`BatchedHamiltonian.precondition` on a stack of one)."""
         single = resid.ndim == 1
         if single:
-            resid = resid[:, None]
-            psi = psi[:, None]
-        ekin = np.real(
-            np.einsum("gn,g,gn->n", psi.conj(), self.kinetic, psi)
-        ) / np.maximum(np.real(np.einsum("gn,gn->n", psi.conj(), psi)), 1e-30)
-        ekin = np.maximum(ekin, 1e-6)
-        x = self.kinetic[:, None] / ekin[None, :]
-        x2 = x * x
-        x3 = x2 * x
-        num = 27.0 + 18.0 * x + 12.0 * x2 + 8.0 * x3
-        out = (num / (num + 16.0 * x3 * x)) * resid
+            resid, psi = resid[:, None], psi[:, None]
+        out = self.stack.precondition(resid[None], psi[None])[0]
         return out[:, 0] if single else out
 
 
 class BatchedHamiltonian:
-    """One LDC shape-class of KS Hamiltonians applied as stacked kernels.
+    """A stack of same-shape KS Hamiltonians applied as stacked kernels.
 
     Holds ``n_domains`` fixed-potential Hamiltonians that share the *same*
     plane-wave basis structure (grid shape, cutoff, G-sphere — asserted by
-    ``PlaneWaveBasis.structurally_equal`` when the class is built) and the
-    same projector count, so their hot operations fuse into single
+    ``PlaneWaveBasis.structurally_equal`` when an LDC stack is built) and
+    the same projector count, so their hot operations fuse into single
     ``(n_domains, …)`` array calls: stacked FFT transforms, one batched
     GEMM for the nonlocal projections, one batched GEMM per subspace
     product.  This lifts the paper's Sec. 3.4 BLAS2→BLAS3 transformation
     one level up the LDC hierarchy — from bands-within-a-domain to
     domains-within-a-shape-class.
 
-    Each slice ``d`` applies exactly the arithmetic of the corresponding
-    serial :class:`Hamiltonian` — stacked FFTs transform each band's field
-    independently and batched GEMMs dispatch per slice — which is what lets
-    the batched LDC path reproduce the per-domain path to ≤1e-10.
+    Every kernel acts on the stack's slices independently — the transforms
+    handle one band row at a time and batched GEMMs dispatch per slice —
+    so a domain's result does not depend on what else is stacked with it:
+    a stack of one and a stack of ``n`` give the same bits per domain.
     """
 
     def __init__(
@@ -206,17 +183,24 @@ class BatchedHamiltonian:
     ) -> np.ndarray:
         """H Ψ for a stack of orbital blocks ``(len(domains), npw, nband)``.
 
-        Mirrors :meth:`Hamiltonian.apply` row for row: the domain×band rows
-        of the stack are walked in the same cache-sized blocks through the
-        same pooled ``out=`` transforms (a block may straddle two domains;
-        each row is multiplied by its own domain's potential), and
-        ``fields_out`` receives one freshly allocated ``(len(domains),
-        nband, *grid.shape)`` array of unscaled fields.
+        The local term walks the domain×band rows of the stack in blocks of
+        ``basis.block_rows``: to grid, times ``v_eff``, back — so a block's
+        full-grid field is consumed while it is still cache-resident (a
+        block may straddle two domains; each row is multiplied by its own
+        domain's potential).  Every transform writes through ``out=`` into
+        pooled or caller-owned memory, so a warm apply allocates
+        coefficient-side ``(npw, nband)`` arrays only; the local and
+        nonlocal terms accumulate onto the kinetic one in place.
 
-        ``domains`` selects a subset of the class's Hamiltonians (stack
-        indices, strictly increasing) — the batched eigensolver uses it to
+        ``fields_out``, when given, receives the real-space orbital fields
+        ``ψ_n(r)`` (appended as one freshly allocated ``(len(domains),
+        nband, *grid.shape)`` array, unscaled by the potential; each block
+        is transformed straight into its slice).
+
+        ``domains`` selects a subset of the stack's Hamiltonians (stack
+        indices, strictly increasing) — the lockstep eigensolver uses it to
         keep applying only the not-yet-converged domains as the others
-        retire from the lockstep iteration.
+        retire from the iteration.
         """
         basis = self.basis
         if domains is not None and len(domains) == self.n_domains:
@@ -259,9 +243,12 @@ class BatchedHamiltonian:
         return out
 
     def precondition(self, resid: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Stacked Teter–Payne–Allan preconditioner (see
-        :meth:`Hamiltonian.precondition`); operates on
-        ``(n_domains, npw, nband)`` residual/orbital stacks."""
+        """Teter–Payne–Allan preconditioner applied band-wise to a
+        ``(n_domains, npw, nband)`` residual stack.
+
+        The TPA kernel damps high-kinetic-energy components relative to each
+        band's own kinetic energy — the standard plane-wave CG preconditioner.
+        """
         ekin = np.einsum(
             "dgn,g,dgn->dn", psi.conj(), self.kinetic, psi
         ).real / np.maximum(

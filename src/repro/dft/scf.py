@@ -44,6 +44,16 @@ if TYPE_CHECKING:
     from repro.observability.instrumentation import Instrumentation
 
 
+def check_solver_names(eigensolver: str, mixer: str) -> None:
+    """Reject an unknown eigensolver or mixer name when options are built —
+    before any structure build, Ewald sum or Poisson solve is spent on a
+    run that would fail at its first domain solve or density mix."""
+    if eigensolver not in ("direct", "all_band", "band_by_band"):
+        raise ValueError(f"unknown eigensolver {eigensolver!r}")
+    if mixer not in ("pulay", "linear"):
+        raise ValueError(f"unknown mixer {mixer!r}")
+
+
 @dataclass
 class SCFOptions:
     """Knobs for the SCF loop."""
@@ -67,6 +77,9 @@ class SCFOptions:
     #: occupation smearing scheme: "fermi" | "gaussian" | "methfessel-paxton"
     smearing: str = "fermi"
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        check_solver_names(self.eigensolver, self.mixer)
 
 
 @dataclass
@@ -160,12 +173,10 @@ def _solve(
             ham, psi, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
             instrumentation=instrumentation, want_fields=True,
         )
-    if opts.eigensolver == "band_by_band":
-        return solve_band_by_band(
-            ham, psi, tol=opts.eig_tol, instrumentation=instrumentation,
-            want_fields=True,
-        )
-    raise ValueError(f"unknown eigensolver {opts.eigensolver!r}")
+    return solve_band_by_band(
+        ham, psi, tol=opts.eig_tol, instrumentation=instrumentation,
+        want_fields=True,
+    )
 
 
 def run_scf(
@@ -301,10 +312,8 @@ def _run_scf(
     mixer: PulayMixer | LinearMixer
     if opts.mixer == "pulay":
         mixer = PulayMixer(alpha=opts.mix_alpha)
-    elif opts.mixer == "linear":
-        mixer = LinearMixer(alpha=opts.mix_alpha)
     else:
-        raise ValueError(f"unknown mixer {opts.mixer!r}")
+        mixer = LinearMixer(alpha=opts.mix_alpha)
 
     history: list[float] = []
     residuals: list[float] = []
@@ -353,7 +362,7 @@ def _run_scf(
         residuals.append(resid)
 
         energy = _total_energy(
-            grid, eigs, occs, rho_out, vh, vxc, e_ewald, mu, opts.kt, v_extra
+            grid, eigs, occs, rho_out, vh, vxc, e_ewald, mu, opts.kt
         )
         history.append(energy)
 
@@ -395,7 +404,7 @@ def _run_scf(
         density_from_fields(eig.fields, occs), n_electrons, grid.dv
     )
     energy = _total_energy(
-        grid, eigs, occs, rho_final, vh, vxc, e_ewald, mu, opts.kt, v_extra
+        grid, eigs, occs, rho_final, vh, vxc, e_ewald, mu, opts.kt
     )
 
     if hm is not None:
@@ -444,13 +453,13 @@ def _total_energy(
     e_ewald: float,
     mu: float,
     kt: float,
-    v_extra: np.ndarray | None,
 ) -> float:
     """Harris-style total energy from band energies and double counting.
 
     Note: ``vh``/``vxc`` correspond to the *input* density of the last solve;
     at self-consistency input and output coincide and the expression is the
-    standard KS total energy.
+    standard KS total energy.  An external ``v_extra`` needs no term of its
+    own: its interaction energy is already inside the band energy.
     """
     from repro.dft.xc import xc_energy
 
@@ -459,9 +468,4 @@ def _total_energy(
     e_h = hartree_energy(grid, rho, vh)
     e_xc = xc_energy(rho, grid.dv)
     entropy = -kt * smearing_entropy(eigs, mu, kt)
-    extra = 0.0
-    if v_extra is not None:
-        # v_extra is an external potential: keep its interaction energy but
-        # it is already inside the band energy; no double counting needed.
-        extra = 0.0
-    return e_band - double_count + e_h + e_xc + e_ewald + entropy + extra
+    return e_band - double_count + e_h + e_xc + e_ewald + entropy

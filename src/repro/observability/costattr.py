@@ -43,14 +43,14 @@ def _eigensolve_flops(args: dict[str, Any]) -> float | None:
     ).total
 
 
-def _batched_solve_flops(args: dict[str, Any]) -> float | None:
-    """One shape-class stacked solve (``ldc.batched_solve``).
+def _domain_solve_flops(args: dict[str, Any]) -> float | None:
+    """One stack of LDC domain solves (``ldc.domain_solve``).
 
-    The span's ``cg_iterations`` is the *sum* over the class's domains, so
-    the per-iteration FFT/nonlocal/subspace terms of
-    :func:`domain_scf_flops` already count the whole stack; only the
+    The span's ``cg_iterations`` is the *sum* over the stack's
+    ``n_domains`` members, so the per-iteration FFT/nonlocal/subspace terms
+    of :func:`domain_scf_flops` already count the whole stack; only the
     per-solve orthonormalization setup must be repeated ``n_domains``
-    times.
+    times.  A span without ``n_domains`` is one domain.
     """
     counts_total = _eigensolve_flops(args)
     if counts_total is None:
@@ -80,8 +80,10 @@ def _poisson_flops(args: dict[str, Any]) -> float | None:
 #: attribution contract or was recorded by other tooling).
 ESTIMATORS: dict[str, Callable[[dict[str, Any]], float | None]] = {
     "scf.eigensolve": _eigensolve_flops,
-    "ldc.domain_solve": _eigensolve_flops,
-    "ldc.batched_solve": _batched_solve_flops,
+    "ldc.domain_solve": _domain_solve_flops,
+    # the stacked solves' span name before the one seam; kept so that old
+    # traces still attribute
+    "ldc.batched_solve": _domain_solve_flops,
     "poisson.solve": _poisson_flops,
 }
 

@@ -75,7 +75,6 @@ ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
 #: environment flags recorded in every manifest (set or not)
 TRACKED_ENV = (
     "REPRO_SANITIZE",
-    "REPRO_BATCH_DOMAINS",
     ENV_TELEMETRY_DIR,
 )
 

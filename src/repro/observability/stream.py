@@ -18,7 +18,7 @@ Events are plain dicts::
   can filter by exact topic or by a ``"prefix.*"`` glob;
 * **:class:`JsonlSink`** appends one JSON line per event to a file — the
   durable form a service process can tail — and is safe under concurrent
-  publishing from ``ldc_workers`` threads.
+  publishing from several threads.
 
 Subscriber errors are contained: a raising subscriber is dropped after its
 first failure (recorded on :attr:`TelemetryBus.dropped`), so telemetry can
@@ -136,8 +136,8 @@ class TelemetryBus:
 class JsonlSink:
     """Append-only JSONL file subscriber (one event per line).
 
-    Thread-safe: concurrent publishers (the ``ldc_workers`` fan-out) write
-    whole lines under a lock, so the file is always a valid JSONL stream.
+    Thread-safe: concurrent publishers write whole lines under a lock, so
+    the file is always a valid JSONL stream.
     """
 
     def __init__(self, path) -> None:

@@ -1,6 +1,6 @@
-"""Runtime sanitizers: deadlock, race, and numerics tripwires.
+"""Runtime sanitizers: deadlock and numerics tripwires.
 
-Three sanitizers behind one facade (DESIGN.md §13), with the same
+Two sanitizers behind one facade (DESIGN.md §13), with the same
 zero-overhead contract as :class:`repro.observability.Instrumentation`:
 ``None`` means *off*, and off costs nothing — drivers hold the handle in
 a local and guard every checkpoint with an ``is not None`` test, so the
@@ -12,8 +12,6 @@ benchmark pins ``sys.setprofile`` to prove it).
   VirtualComm` plus true SPMD emulation (:func:`~repro.sanitize.
   collective.run_spmd`) that converts rank-divergent collectives from
   silent hangs into diagnostics naming ranks and call sites.
-* :class:`~repro.sanitize.race.RaceSanitizer` — write-versioning guards
-  and exclusive-ownership claims over the ``ldc_workers`` fan-out.
 * :class:`~repro.sanitize.numerics.NumericsSanitizer` — NaN/Inf and
   silent-dtype-demotion tripwires at SCF/LDC/multigrid checkpoints.
 
@@ -40,9 +38,8 @@ from repro.sanitize.collective import (  # noqa: F401  (public surface)
     run_spmd,
 )
 from repro.sanitize.numerics import NumericsError, NumericsSanitizer  # noqa: F401
-from repro.sanitize.race import RaceError, RaceSanitizer  # noqa: F401
 
-_NAMES = ("collective", "race", "numerics")
+_NAMES = ("collective", "numerics")
 
 
 @dataclass
@@ -50,18 +47,16 @@ class Sanitizers:
     """The bundle a driver threads through its call tree.
 
     Any slot may be ``None`` — each checkpoint guards on its own slot, so
-    e.g. a numerics-only run pays nothing for the race machinery.
+    e.g. a numerics-only run pays nothing for the collective ledger.
     """
 
     collective: CollectiveScheduleSanitizer | None = None
-    race: RaceSanitizer | None = None
     numerics: NumericsSanitizer | None = None
 
     @classmethod
     def all(cls, numerics_mode: str = "raise") -> "Sanitizers":
         return cls(
             collective=CollectiveScheduleSanitizer(),
-            race=RaceSanitizer(),
             numerics=NumericsSanitizer(mode=numerics_mode),
         )
 
@@ -85,7 +80,6 @@ class Sanitizers:
                 CollectiveScheduleSanitizer() if "collective" in chosen
                 else None
             ),
-            race=RaceSanitizer() if "race" in chosen else None,
             numerics=NumericsSanitizer() if "numerics" in chosen else None,
         )
 

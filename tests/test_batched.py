@@ -1,23 +1,27 @@
-"""Tests for the domain-batched BLAS3 path: shape-class grouping, stacked
-kernel parity against the per-domain path, telemetry/FLOP attribution of
-``ldc.batched_solve`` spans, and the ``batch_domains`` option plumbing."""
+"""Tests for the domain-solve seam: shape-class grouping, the lockstep
+solver against the dense oracle, bit-identity between stack widths,
+telemetry/FLOP attribution of ``ldc.domain_solve`` spans, and the
+``batch_domains`` option plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.core import LDCOptions, run_ldc
-from repro.core.batched import (
-    ENV_FLAG,
-    batching_enabled,
-    group_shape_classes,
-)
+from repro.core import LDCOptions, LDCWorkspace, run_ldc
+from repro.core.batched import group_shape_classes
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.eigensolver import solve_all_band, solve_all_band_batched
+from repro.dft.eigensolver import (
+    solve_all_band,
+    solve_all_band_batched,
+    solve_direct,
+)
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.observability import Instrumentation
 from repro.observability.costattr import estimate_event_flops
+from repro.dft.pseudopotential import NonlocalProjectors, local_potential
+from repro.systems import dimer
 from repro.systems.configuration import Configuration
+from repro.systems.lialloy import lial_nanoparticle
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
 
@@ -65,27 +69,18 @@ def test_scipy_fft_namespace_matches_numpy_transforms():
 # -- option plumbing ----------------------------------------------------------
 
 
-def test_batch_domains_requires_all_band_solver():
-    with pytest.raises(ValueError, match="all_band"):
-        LDCOptions(**OPTS, eigensolver="direct", batch_domains=True)
-
-
-def test_batching_enabled_resolution(monkeypatch):
-    monkeypatch.delenv(ENV_FLAG, raising=False)
-    assert not batching_enabled(LDCOptions(**OPTS))
-    assert batching_enabled(LDCOptions(**OPTS, batch_domains=True))
-    monkeypatch.setenv(ENV_FLAG, "1")
-    assert batching_enabled(LDCOptions(**OPTS))
-    # explicit False beats the environment
-    assert not batching_enabled(LDCOptions(**OPTS, batch_domains=False))
-    # env-resolved requests fall back silently for non-all_band solvers
-    assert not batching_enabled(LDCOptions(**OPTS, eigensolver="direct"))
-    # ... and for an explicitly configured thread fan-out; in-code
-    # batch_domains=True still wins over ldc_workers
-    assert not batching_enabled(LDCOptions(**OPTS, ldc_workers=4))
-    assert batching_enabled(
-        LDCOptions(**OPTS, ldc_workers=4, batch_domains=True)
-    )
+def test_batch_domains_with_reference_solver_runs_per_domain():
+    """``batch_domains`` only sets the all-band stack width; the reference
+    solvers run per domain whatever it says (no option conflict to raise)."""
+    opts = dict(OPTS, eigensolver="direct", max_iter=4)
+    ins = Instrumentation()
+    wide = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=True),
+                   instrumentation=ins)
+    one = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=False))
+    assert wide.energy == one.energy
+    spans = [s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"]
+    assert spans and all(s.attrs["n_domains"] == 1 for s in spans)
+    assert {s.attrs["domain"] for s in spans} == {0, 1}
 
 
 # -- shape-class grouping -----------------------------------------------------
@@ -142,34 +137,125 @@ def test_batched_apply_matches_per_domain_apply():
         assert np.abs(out[i] - ref).max() <= 1e-12
 
 
-def test_batched_solver_matches_serial_solver():
-    basis, v_eff, b, d, psi = _toy_problem(nd=3)
-    # make the potentials tamer so both solvers converge quickly
-    v_eff = 0.1 * v_eff
-    bham = BatchedHamiltonian(basis, v_eff, b, d)
-    batched = solve_all_band_batched(bham, psi, max_iter=40, tol=1e-8)
-    for i in range(3):
-        ham = Hamiltonian(basis, v_eff[i])
-        ham_b, ham_d = b[i], d[i]
+def _well_problem(nband: int = 4):
+    """Three Gaussian wells of growing depth on one basis: the deeper the
+    well, the more LOBPCG iterations its slot needs."""
+    grid = RealSpaceGrid([6.0, 5.0, 5.0], (10, 9, 9))
+    basis = PlaneWaveBasis(grid, ecut=4.0)
+    r2 = grid.min_image_distance(np.array([3.0, 2.5, 2.5])) ** 2
+    v_eff = np.stack([-depth * np.exp(-r2 / 1.5) for depth in (0.2, 1.5, 6.0)])
+    psi = np.stack([basis.random_orbitals(nband, seed=11 + i)
+                    for i in range(3)])
+    return basis, v_eff, psi
 
-        class _VNL:
-            nproj = ham_b.shape[1]
 
-            @staticmethod
-            def apply(block):
-                return ham_b @ (ham_d[:, None] * (ham_b.conj().T @ block))
+@pytest.mark.parametrize("width", [1, 3])
+def test_lockstep_solver_matches_direct_eigenvalues(width):
+    """The one all-band solver against the dense oracle, at both stack
+    widths, with slots that retire at different iterations."""
+    basis, v_eff, psi = _well_problem()
+    nband = psi.shape[2]
+    results = []
+    for lo in range(0, 3, width):
+        bham = BatchedHamiltonian(basis, v_eff[lo:lo + width], None, None)
+        results += solve_all_band_batched(
+            bham, psi[lo:lo + width], max_iter=200, tol=1e-9
+        )
+    assert len({res.iterations for res in results}) == 3
+    for res, v in zip(results, v_eff):
+        ref = solve_direct(Hamiltonian(basis, v), nband)
+        assert res.converged and res.residual_norm < 1e-9
+        assert np.abs(res.eigenvalues - ref.eigenvalues).max() <= 1e-10
 
-        ham.vnl = _VNL()
-        serial = solve_all_band(ham, psi[i], max_iter=40, tol=1e-8)
-        assert batched[i].iterations == serial.iterations
-        assert np.abs(
-            batched[i].eigenvalues - serial.eigenvalues
-        ).max() <= 1e-10
+
+def test_lockstep_solver_reports_a_slot_that_ran_out_of_iterations():
+    basis, v_eff, psi = _well_problem()
+    bham = BatchedHamiltonian(basis, v_eff, None, None)
+    full = solve_all_band_batched(bham, psi, max_iter=200, tol=1e-9)
+    cap = sorted(res.iterations for res in full)[1]
+    capped = solve_all_band_batched(bham, psi, max_iter=cap, tol=1e-9)
+    for res, ref in zip(capped, full):
+        if ref.iterations <= cap:  # retired in time: the very same result
+            assert res.converged and res.iterations == ref.iterations
+            assert np.array_equal(res.eigenvalues, ref.eigenvalues)
+        else:
+            assert not res.converged and res.iterations == cap
+            assert np.isfinite(res.residual_norm)
+            assert res.residual_norm >= 1e-9
+            assert np.all(np.isfinite(res.eigenvalues))
+    assert sum(not res.converged for res in capped) == 1
+
+
+def test_solve_all_band_is_the_width_one_lockstep_solve():
+    """``solve_all_band(Hamiltonian)`` and a stack-of-one
+    ``solve_all_band_batched`` call return the identical ``EigenResult``."""
+    cfg = dimer("Si", "C", 3.3, 8.0)
+    grid = RealSpaceGrid(cfg.cell, (12, 12, 12))
+    basis = PlaneWaveBasis(grid, ecut=4.0)
+    vnl = NonlocalProjectors(basis, cfg)
+    assert vnl.nproj > 0
+    v = local_potential(grid, cfg)
+    psi0 = basis.random_orbitals(6, seed=3)
+    one = solve_all_band(
+        Hamiltonian(basis, v, vnl), psi0, max_iter=40, tol=1e-8,
+        want_fields=True,
+    )
+    (stacked,) = solve_all_band_batched(
+        BatchedHamiltonian(basis, v[None], vnl.b[None], vnl.d[None]),
+        psi0[None], max_iter=40, tol=1e-8, want_fields=True,
+    )
+    assert one.iterations == stacked.iterations
+    assert one.converged == stacked.converged
+    assert one.residual_norm == stacked.residual_norm
+    assert np.array_equal(one.eigenvalues, stacked.eigenvalues)
+    assert np.array_equal(one.orbitals, stacked.orbitals)
+    assert np.array_equal(one.fields, stacked.fields)
+
+
+LIAL_OPTS = dict(
+    ecut=3.0, domains=(2, 2, 1), buffer=2.0, tol=1e-5, max_iter=40,
+    kt=0.02, extra_bands=4,
+)
+
+
+def _lial_frames():
+    frames = []
+    for shift in (0.0, 0.02):
+        cfg = lial_nanoparticle(4, cell=[13.0, 13.0, 9.0])
+        cfg.positions[:, 0] += shift * np.arange(len(cfg.symbols))
+        frames.append(cfg)
+    return frames
+
+
+@pytest.mark.parametrize(
+    "opts, frames",
+    [(OPTS, [h4_chain(), h4_chain(0.05)]), (LIAL_OPTS, _lial_frames())],
+    ids=["h4_chain", "li4al4_2x2x1"],
+)
+def test_stack_width_one_and_n_are_bit_identical(opts, frames):
+    """Parity by construction: ``batch_domains`` only changes how many
+    domains share a kernel call, never a bit of the result — over a cold
+    and a warm workspace step, forces included."""
+    runs = {}
+    for wide in (False, True):
+        ws = LDCWorkspace()
+        runs[wide] = [
+            run_ldc(cfg, LDCOptions(**opts, batch_domains=wide),
+                    workspace=ws, compute_forces=True)
+            for cfg in frames
+        ]
+        assert ws.warm_domains > 0
+    for one, stacked in zip(runs[False], runs[True]):
+        assert stacked.energy == one.energy
+        assert stacked.iterations == one.iterations
+        assert stacked.eig_iterations == one.eig_iterations
+        assert np.array_equal(stacked.forces, one.forces)
+        assert np.array_equal(stacked.density, one.density)
 
 
 def test_batched_run_matches_serial_run():
     cfg = h4_chain()
-    serial = run_ldc(cfg, LDCOptions(**OPTS))
+    serial = run_ldc(cfg, LDCOptions(**OPTS, batch_domains=False))
     batched = run_ldc(cfg, LDCOptions(**OPTS, batch_domains=True))
     assert serial.converged and batched.converged
     assert abs(batched.energy - serial.energy) <= 1e-10
@@ -179,7 +265,7 @@ def test_batched_run_matches_serial_run():
 
 def test_mixed_shape_classes_still_match_serial():
     cfg = h4_chain(shift=1.2)  # two classes: nband differs across domains
-    serial = run_ldc(cfg, LDCOptions(**OPTS))
+    serial = run_ldc(cfg, LDCOptions(**OPTS, batch_domains=False))
     batched = run_ldc(cfg, LDCOptions(**OPTS, batch_domains=True))
     assert serial.converged and batched.converged
     assert abs(batched.energy - serial.energy) <= 1e-10
@@ -195,11 +281,11 @@ def test_batched_pass_emits_spans_and_counters():
         h4_chain(), LDCOptions(**OPTS, batch_domains=True),
         instrumentation=ins,
     )
-    assert ins.tracer.count("ldc.batched_solve") > 0
+    assert ins.tracer.count("ldc.domain_solve") > 0
     solves = ins.metrics.get("eigensolver.solves", solver="all_band")
     assert solves is not None and solves.value > 0
     span = next(
-        s for s in ins.tracer.spans() if s.name == "ldc.batched_solve"
+        s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"
     )
     for key in ("n_domains", "npw", "nband", "nproj", "grid_points",
                 "cg_iterations"):
@@ -214,9 +300,9 @@ def test_batched_span_flop_attribution():
         instrumentation=ins,
     )
     span = next(
-        s for s in ins.tracer.spans() if s.name == "ldc.batched_solve"
+        s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"
     )
-    flops = estimate_event_flops("ldc.batched_solve", span.attrs)
+    flops = estimate_event_flops("ldc.domain_solve", span.attrs)
     assert flops is not None and flops > 0
     # a 2-domain class must cost more than one domain's worth of the same
     # iterations but less than naively double-counting the iteration terms
@@ -224,8 +310,10 @@ def test_batched_span_flop_attribution():
         "ldc.domain_solve", dict(span.attrs, n_domains=1)
     )
     assert single is not None and single < flops < 2 * single
+    # traces written before the one seam named the stacked span differently
+    assert estimate_event_flops("ldc.batched_solve", span.attrs) == flops
     # the span names the staged transform's line counts; without them the
     # estimator falls back to crediting dense 3-D transforms
     dense = dict(span.attrs)
     assert len(dense.pop("fft_stages")) == 3
-    assert estimate_event_flops("ldc.batched_solve", dense) > flops
+    assert estimate_event_flops("ldc.domain_solve", dense) > flops

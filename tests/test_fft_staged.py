@@ -4,9 +4,8 @@ The dense 3-D ``np.fft.ifftn/fftn`` on the zero-padded sphere — the
 transform the staged code replaced — is the oracle here: pruning skips
 lines that are identically zero, so the two must agree to rounding on any
 grid.  Also pinned: adjointness, the ``out=`` forms, that a warm apply
-allocates nothing of grid size, that captured ``fields`` never alias a
-pooled buffer, and that the per-basis pools keep the ``ldc_workers``
-fan-out bit-identical to serial.
+allocates nothing of grid size, and that captured ``fields`` never alias
+a pooled buffer.
 """
 
 import copy
@@ -17,13 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import LDCOptions, run_ldc
-from repro.core.workspace import LDCWorkspace
 from repro.dft.basis import FIELD_BLOCK_BYTES, PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
-from tests.test_workspace import OPTS as H4_OPTS
-from tests.test_workspace import h4_chain
 
 COMMON = dict(max_examples=40, deadline=None)
 TOL = 1e-13
@@ -280,24 +275,3 @@ def test_copied_basis_gets_its_own_empty_pool():
             np.shares_memory(a, b)
             for a in clone._pool.values() for b in basis._pool.values()
         )
-
-
-def test_thread_fanout_is_bit_identical_with_pooled_block_buffers():
-    """One pool per basis, one basis per domain: two worker threads reuse
-    their pools across passes and MD steps and still reproduce the serial
-    run bit for bit."""
-    runs = {}
-    for workers in (1, 2):
-        ws = LDCWorkspace()
-        runs[workers] = [
-            run_ldc(h4_chain(shift), LDCOptions(**H4_OPTS, ldc_workers=workers),
-                    workspace=ws)
-            for shift in (0.0, 0.05)
-        ]
-    for serial, threaded in zip(runs[1], runs[2]):
-        assert threaded.energy == serial.energy
-        assert threaded.iterations == serial.iterations
-        assert threaded.eig_iterations == serial.eig_iterations
-        assert np.array_equal(threaded.density, serial.density)
-    bases = {id(s.basis) for s in runs[2][-1].states}
-    assert len(bases) == len(runs[2][-1].states)  # never shared across domains

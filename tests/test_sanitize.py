@@ -1,7 +1,6 @@
 """The runtime sanitizer layer: SPMD emulation diagnostics, the
-VirtualComm schedule observer, the race detector over the workspace's
-shared buffers, the numerics tripwires in the real drivers, and the
-zero-overhead contract of the disabled path.
+VirtualComm schedule observer, the numerics tripwires in the real drivers,
+and the zero-overhead contract of the disabled path.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.ldc import LDCOptions, make_global_grid, run_ldc
-from repro.core.workspace import LDCWorkspace
 from repro.dft.scf import SCFOptions, run_scf
 from repro.parallel.comm import VirtualComm
 from repro.sanitize import (
@@ -22,8 +20,6 @@ from repro.sanitize import (
     DeadlockError,
     NumericsError,
     NumericsSanitizer,
-    RaceError,
-    RaceSanitizer,
     Sanitizers,
     run_spmd,
 )
@@ -156,74 +152,20 @@ def test_virtualcomm_observer_propagates_through_split():
     assert [e.kind for e in san.ledger] == ["split", "barrier"]
 
 
-# -- race detector ------------------------------------------------------------
-
-
-def test_guard_readonly_raises_at_the_write_site():
-    race = RaceSanitizer()
-    rho = np.ones(8)
-    with race.guard_readonly({"rho": rho}):
-        with pytest.raises(ValueError):
-            rho[0] = 2.0  # the best diagnostic: the write itself fails
-    rho[0] = 2.0  # writeability restored after the guard
-
-
-def test_guard_readonly_fingerprints_catch_view_writes():
-    race = RaceSanitizer()
-    rho = np.ones(64)
-    view = rho[:8]  # created before the guard: bypasses the flag flip
-    with pytest.raises(RaceError) as exc:
-        with race.guard_readonly({"rho": rho}):
-            view[...] = 7.0
-    assert "'rho'" in str(exc.value)
-    assert "fold results on the coordinating thread" in str(exc.value)
-
-
-def test_exclusive_claims_diagnose_double_ownership():
-    race = RaceSanitizer()
-    with race.exclusive(("ldc.domain", 3), "domain-3"):
-        with pytest.raises(RaceError) as exc:
-            with race.exclusive(("ldc.domain", 3), "domain-3-dup"):
-                pass  # pragma: no cover - never reached
-    msg = str(exc.value)
-    assert "'domain-3'" in msg and "'domain-3-dup'" in msg
-    # claim released on exit: re-claiming is fine
-    with race.exclusive(("ldc.domain", 3), "domain-3-again"):
-        pass
-
-
-def test_workspace_shared_buffers_are_guardable():
-    """The integration the sanitizer exists for: a worker writing an
-    LDCWorkspace buffer during a guarded fan-out region is caught."""
-    ws = LDCWorkspace()
-    cfg = h2()
-    run_ldc(cfg, LDC_OPTS, workspace=ws)
-    buffers = ws.shared_buffers()
-    assert any(name.startswith("pou[") for name in buffers)
-    assert any(name.startswith("psi[") for name in buffers)
-    race = RaceSanitizer()
-    psi_name = next(n for n in buffers if n.startswith("psi["))
-    with race.guard_readonly(buffers):
-        with pytest.raises(ValueError):
-            buffers[psi_name][0, 0] = 99.0
-    assert race.guarded == len(buffers)
+# -- a clean run under every sanitizer ------------------------------------------
 
 
 def test_parallel_ldc_run_passes_under_full_sanitizers():
-    """ldc_workers fan-out with every sanitizer armed: a clean run stays
-    clean (no false positives from the guards) and the checkpoints fire."""
+    """A two-domain LDC solve with every sanitizer armed: a clean run
+    stays clean (no false positives) and the checkpoints fire."""
     san = Sanitizers.all()
     result = run_ldc(
         h2(),
-        LDCOptions(
-            ecut=4.0, tol=1e-3, max_iter=3, domains=(2, 1, 1),
-            ldc_workers=2,
-        ),
+        LDCOptions(ecut=4.0, tol=1e-3, max_iter=3, domains=(2, 1, 1)),
         sanitize=san,
     )
     assert np.isfinite(result.energy)
     assert san.numerics.checks > 0
-    assert san.race.checks > 0
 
 
 # -- numerics tripwires in the real drivers ----------------------------------
@@ -280,13 +222,16 @@ def test_from_spec_off_values_return_none():
 
 def test_from_spec_all_and_subsets():
     full = Sanitizers.from_spec("1")
-    assert full.collective and full.race and full.numerics
-    subset = Sanitizers.from_spec("collective,numerics")
-    assert subset.collective is not None
-    assert subset.race is None
+    assert full.collective and full.numerics
+    subset = Sanitizers.from_spec("numerics")
+    assert subset.collective is None
     assert subset.numerics is not None
     with pytest.raises(ValueError):
         Sanitizers.from_spec("collective,typo")
+    # the race sanitizer went with the thread fan-out it guarded
+    with pytest.raises(ValueError, match="unknown sanitizer.*race"):
+        Sanitizers.from_spec("race")
+    assert not hasattr(full, "race")
 
 
 # -- the zero-overhead contract ----------------------------------------------

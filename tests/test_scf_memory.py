@@ -362,7 +362,7 @@ def lial_drift():
     done once for every arm below) and the frames that follow."""
     frames = lial_frames()
     engine = LDCEngine(
-        LDCOptions(**LIAL_OPTS),
+        LDCOptions(**LIAL_OPTS, batch_domains=False),
         qmd_options=QMDOptions(history_depth=3, adaptive_buffer=False),
     )
     for cfg in frames[:2]:
@@ -405,10 +405,7 @@ def test_memory_reaches_the_tight_energies_in_fewer_passes(
     assert sum(p for _, p in rows) < sum(p for _, p in fresh)
 
 
-@pytest.mark.parametrize(
-    "path", [dict(ldc_workers=2), dict(batch_domains=True)],
-    ids=["threads", "batched"],
-)
+@pytest.mark.parametrize("path", [dict(batch_domains=True)], ids=["batched"])
 def test_memory_parity_across_execution_paths(lial_drift, lial_serial, path):
     engine, frames = lial_drift
     rows, _ = lial_serial

@@ -107,7 +107,7 @@ def test_jsonl_sink_numpy_payloads_serialize(tmp_path):
 
 
 def test_concurrent_publishing_keeps_jsonl_valid(tmp_path):
-    """Concurrent ldc_workers-style publishers: every line parses, nothing
+    """Concurrent publishers on several threads: every line parses, nothing
     is torn or lost, and sequence numbers are unique."""
     path = tmp_path / "concurrent.jsonl"
     bus = TelemetryBus()

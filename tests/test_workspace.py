@@ -1,6 +1,5 @@
 """Tests for the QMD hot path: LDCWorkspace reuse, orbital warm starts,
-parallel domain solves (``ldc_workers``), and the stale-shape warm-start
-guards on both MD engines."""
+and the stale-shape warm-start guards on both MD engines."""
 
 import numpy as np
 import pytest
@@ -29,41 +28,6 @@ def h4_chain(shift: float = 0.0) -> Configuration:
         ),
         cell=np.array([10.0, 5.0, 5.0]),
     )
-
-
-def test_ldc_workers_validation():
-    with pytest.raises(ValueError):
-        LDCOptions(ldc_workers=0)
-    with pytest.raises(ValueError):
-        LDCOptions(ldc_workers=-2)
-
-
-def test_serial_parallel_parity():
-    """ldc_workers=4 must reproduce the serial physics to ≤1e-10 (the fold
-    is deterministic and the domains are independent, so in practice the
-    match is bit-for-bit)."""
-    cfg = h4_chain()
-    serial = run_ldc(cfg, LDCOptions(**OPTS, ldc_workers=1))
-    parallel = run_ldc(cfg, LDCOptions(**OPTS, ldc_workers=4))
-    assert serial.converged and parallel.converged
-    assert abs(parallel.energy - serial.energy) <= 1e-10
-    assert abs(parallel.mu - serial.mu) <= 1e-10
-    assert np.abs(parallel.density - serial.density).max() <= 1e-10
-
-
-def test_serial_threaded_batched_three_way_parity():
-    """All three domain-solve paths — serial map, ldc_workers thread
-    fan-out, and shape-class batching — are the same calculation to
-    ≤1e-10."""
-    cfg = h4_chain()
-    serial = run_ldc(cfg, LDCOptions(**OPTS))
-    threaded = run_ldc(cfg, LDCOptions(**OPTS, ldc_workers=4))
-    batched = run_ldc(cfg, LDCOptions(**OPTS, batch_domains=True))
-    assert serial.converged and threaded.converged and batched.converged
-    for other in (threaded, batched):
-        assert abs(other.energy - serial.energy) <= 1e-10
-        assert abs(other.mu - serial.mu) <= 1e-10
-        assert np.abs(other.density - serial.density).max() <= 1e-10
 
 
 def test_batched_workspace_migration_band_count_change():
@@ -102,23 +66,6 @@ def test_batched_warm_pass_reuses_scratch_buffers():
     assert after_cold > 0
     run_ldc(h4_chain(), opts, workspace=ws, rho0=r1.density)
     assert ws.scratch_allocations() == after_cold
-
-
-def test_parallel_path_keeps_domain_solve_spans():
-    """Phase-safe telemetry: the per-domain solve spans and eigensolver
-    counters survive the thread fan-out (recorded post-join)."""
-    cfg = h4_chain()
-    ins = Instrumentation()
-    run_ldc(cfg, LDCOptions(**OPTS, ldc_workers=4), instrumentation=ins)
-    assert ins.tracer.count("ldc.domain_solve") > 0
-    solves = ins.metrics.get("eigensolver.solves", solver="all_band")
-    assert solves is not None and solves.value > 0
-    # the span attrs still carry the solve sizes for FLOP attribution
-    span = next(
-        s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"
-    )
-    for key in ("npw", "grid_points", "nproj", "cg_iterations"):
-        assert key in span.attrs
 
 
 def test_workspace_first_call_matches_fresh_run():
