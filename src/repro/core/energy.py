@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.hartree import hartree_energy
 from repro.dft.occupations import smearing_entropy
-from repro.dft.xc import xc_energy
+from repro.dft.scf import harris_foulkes_energy
 
 
 def dc_band_energy(
@@ -62,27 +61,13 @@ def dc_total_energy(
     mu: float,
     kt: float,
 ) -> dict[str, float]:
-    """Assemble the total energy; returns all components for diagnostics."""
-    double_count = grid.integrate(rho * (vh + vxc))
-    e_h = hartree_energy(grid, rho, vh)
-    e_xc = xc_energy(rho, grid.dv)
+    """The LDC inputs of the one total-energy expression
+    (:func:`repro.dft.scf.harris_foulkes_energy`, everything at the pass's
+    input density ``rho``): the band energy less the ``v_bc`` correction,
+    and the partition-weighted entropy.  Returns every component."""
     entropy = smearing_entropy(all_eigs, mu, kt, weights=all_weights)
-    total = (
-        band_energy
-        - vbc_correction
-        - double_count
-        + e_h
-        + e_xc
-        + e_ewald
-        - kt * entropy
+    parts = harris_foulkes_energy(
+        grid, rho, vh, vxc, band_energy - vbc_correction, e_ewald,
+        -kt * entropy,
     )
-    return {
-        "total": total,
-        "band": band_energy,
-        "vbc_correction": vbc_correction,
-        "double_count": double_count,
-        "hartree": e_h,
-        "xc": e_xc,
-        "ewald": e_ewald,
-        "entropy_term": -kt * entropy,
-    }
+    return {**parts, "band": band_energy, "vbc_correction": vbc_correction}

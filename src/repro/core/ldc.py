@@ -46,10 +46,9 @@ from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hartree import hartree_potential
-from repro.dft.mixing import LinearMixer, PulayMixer, renormalize
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import check_solver_names, initial_density
+from repro.dft.scf import check_solver_names, scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.sanitize import ENV_SANITIZERS, Sanitizers
@@ -57,6 +56,7 @@ from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
     from repro.core.workspace import LDCWorkspace
+    from repro.dft.mixing import PulayMixer
     from repro.observability.instrumentation import Instrumentation
 
 
@@ -269,14 +269,13 @@ def run_ldc(
     workspace: LDCWorkspace | None = None,
     sanitize: Sanitizers | None = None,
 ) -> LDCResult:
-    """Run the LDC-DFT (or classic DC-DFT) SCF loop to self-consistency.
+    """Solve LDC-DFT (or classic DC-DFT) to self-consistency.
 
-    Each SCF pass solves the Hartree/XC potentials globally, hands every
-    domain with atoms to the domain-solve seam
-    (:func:`repro.core.batched.batched_domain_pass` — stacks of same-shape
-    domains, or of one domain each with ``batch_domains=False``, through
-    one lockstep eigensolver), then finds the global μ and reassembles and
-    mixes the density.
+    The loop is :func:`repro.dft.scf.scf_fixed_point`; this function
+    supplies the global-local density map (:func:`_scf_pass`: Hartree/XC
+    potentials solved globally, every domain with atoms through the
+    domain-solve seam :func:`repro.core.batched.batched_domain_pass`, then
+    the global μ and the reassembled density) and packages the final pass.
 
     ``instrumentation`` optionally accepts an
     :class:`~repro.observability.Instrumentation`: records one
@@ -295,48 +294,29 @@ def run_ldc(
     partition of unity, per-domain bases, and Ewald structure come from its
     cache, domain ψ are warm-started from the previous call's converged
     orbitals, and the converged states are stored back for the next call.
-    With the Pulay mixer the workspace's mixer is used, so the secant
-    pairs of earlier calls seed this one's density mixing, and — once
-    every domain is warm — the final consistent pass runs at the mixer's
-    next iterate rather than at the raw output density; without a
-    workspace every call builds a fresh mixer.  Mutually exclusive with
-    ``grid``.
+    With the Pulay mixer the workspace's mixer is handed to the loop, so
+    the secant pairs of earlier calls seed this one's density mixing, and —
+    once every domain is warm — the final consistent pass runs at the
+    mixer's next iterate rather than at the raw output density; without a
+    workspace the loop builds a fresh mixer and the final pass runs at the
+    converged output density.  Mutually exclusive with ``grid``.
     """
     opts = options or LDCOptions()
     san = sanitize if sanitize is not None else ENV_SANITIZERS
     if instrumentation is None:
         return _run_ldc(config, opts, compute_forces, rho0, grid, None,
                         workspace, san)
-    if instrumentation.recorder is not None:
-        instrumentation.recorder.record_invocation(
-            "ldc.run", opts, natoms=len(config.symbols)
-        )
-    with instrumentation.span(
-        "ldc.run", category="ldc", natoms=len(config.symbols),
+    with instrumentation.invocation(
+        "ldc.run", opts, category="ldc", natoms=len(config.symbols),
         mode=opts.mode, domains=str(opts.domains), buffer=opts.buffer,
     ) as span:
-        try:
-            result = _run_ldc(
-                config, opts, compute_forces, rho0, grid, instrumentation,
-                workspace, san,
-            )
-        except Exception as exc:
-            if instrumentation.recorder is not None:
-                instrumentation.recorder.record_failure(exc)
-            raise
+        result = _run_ldc(
+            config, opts, compute_forces, rho0, grid, instrumentation,
+            workspace, san,
+        )
         span.attrs.update(
             converged=result.converged, iterations=result.iterations,
             ndomains=result.n_domains,
-        )
-        instrumentation.log.info(
-            "ldc finished",
-            extra={
-                "engine": "ldc",
-                "mode": opts.mode,
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "energy": result.energy,
-            },
         )
     return result
 
@@ -351,41 +331,37 @@ def _run_ldc(
     workspace: LDCWorkspace | None = None,
     san: Sanitizers | None = None,
 ) -> LDCResult:
-    """LDC implementation; ``ins``/``san`` are the facades or None."""
-    hm = None if ins is None else ins.health
+    """Set-up, the global-local density map, result packaging;
+    ``ins``/``san`` are the facades or None."""
     ewald_structure = None
+    if ins is not None:
+        t_setup = ins.tracer.now()
     if workspace is not None:
         if grid is not None:
             raise ValueError("pass either grid= or workspace=, not both")
-        if ins is not None:
-            t_setup = ins.tracer.now()
         grid, decomp, states = workspace.prepare(config, opts)
         ewald_structure = workspace.ewald_structure(config)
-        if ins is not None:
-            ins.tracer.record_complete(
-                "ldc.workspace_prepare", ins.tracer.now() - t_setup,
-                category="ldc", ndomains=decomp.ndomains,
-                warm_domains=workspace.warm_domains,
-                cold_domains=workspace.cold_domains,
-            )
-            ins.gauge("ldc.domains").set(decomp.ndomains)
-            ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
     else:
         if grid is None:
             grid = make_global_grid(config, opts)
         decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
-        if ins is not None:
-            t_setup = ins.tracer.now()
         pou = supports(decomp, opts.support)
         states = _prepare_states(config, decomp, pou, opts)
-        if ins is not None:
-            ins.tracer.record_complete(
-                "ldc.partition_of_unity", ins.tracer.now() - t_setup,
-                category="ldc", ndomains=decomp.ndomains, support=opts.support,
-            )
-            ins.gauge("ldc.domains").set(decomp.ndomains)
-    if hm is not None:
-        hm.observe(
+    if ins is not None:
+        if workspace is not None:
+            name = "ldc.workspace_prepare"
+            attrs = {"warm_domains": workspace.warm_domains,
+                     "cold_domains": workspace.cold_domains}
+            ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
+        else:
+            name, attrs = "ldc.partition_of_unity", {"support": opts.support}
+        ins.tracer.record_complete(
+            name, ins.tracer.now() - t_setup, category="ldc",
+            ndomains=decomp.ndomains, **attrs,
+        )
+        ins.gauge("ldc.domains").set(decomp.ndomains)
+    if ins is not None and ins.health is not None:
+        ins.health.observe(
             "ldc.partition",
             max_residual=_partition_residual(grid, states),
             ndomains=decomp.ndomains, support=opts.support,
@@ -398,124 +374,49 @@ def _run_ldc(
         config.wrapped_positions(), config.zvals, config.cell,
         compute_forces=compute_forces, structure=ewald_structure,
     )
-
-    if rho0 is not None and rho0.shape != grid.shape:
-        rho0 = None  # stale-shaped warm start (grid changed) → cold start
-    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    if san is not None and san.numerics is not None:
-        # ahead of renormalize, which refuses a non-finite total by itself
-        san.numerics.check(
-            "rho0", rho, where="ldc.init", expect_dtype=np.float64
-        )
-    rho = renormalize(rho, n_electrons, grid.dv)
-
     mg = (
         MultigridPoisson(grid, instrumentation=ins, sanitize=san)
         if opts.poisson == "multigrid"
         else None
     )
-    vh_prev: np.ndarray | None = None
-
-    mixer: PulayMixer | LinearMixer
+    xi = opts.xi if opts.mode == "ldc" else None
+    # The seam's stack pool: persistent across MD steps with a workspace,
+    # per-run otherwise — either way no per-pass allocations.
+    pool = workspace.batch_pool if workspace is not None else DomainScratch()
     #: the workspace's mixer, whose secant pairs outlive this solve
     memory: PulayMixer | None = None
     #: whether the solve continues a trajectory (every domain warm): its
     #: converged state then feeds the next step's ASPC windows
     continues = False
-    if opts.mixer == "pulay" and workspace is not None:
-        mixer = memory = workspace.scf_mixer(opts)
+    if workspace is not None and opts.mixer == "pulay":
+        memory = workspace.scf_mixer(opts)
         continues = workspace.cold_domains == 0
-    elif opts.mixer == "pulay":
-        mixer = PulayMixer(alpha=opts.mix_alpha)
-    else:
-        mixer = LinearMixer(alpha=opts.mix_alpha)
-
-    history: list[float] = []
-    residuals: list[float] = []
-    boundary_errors: list[float] = []
-    converged = False
-    it = 0
-    mu = 0.0
-    eig_total = 0
+    # what the last pass left behind (the map hands the loop scalars)
+    vh_warm: np.ndarray | None = None
     components: dict[str, float] = {}
+    boundary_errors: list[float] = []
+    eig_total = 0
 
-    xi = opts.xi if opts.mode == "ldc" else None
-
-    # The seam's stack pool: persistent across MD steps with a workspace,
-    # per-run otherwise — either way no per-pass allocations.
-    pool = workspace.batch_pool if workspace is not None else DomainScratch()
-    for it in range(1, opts.max_iter + 1):
-        if ins is not None:
-            t_iter = ins.tracer.now()
-        mu, rho_out, components, bnd_err, vh_prev, eig_pass = _scf_pass(
-            grid, states, rho, v_loc_global, e_ewald, n_electrons,
-            xi, mg, vh_prev, opts, ins, san, pool,
-        )  # vh_prev is reused as the next iteration's Poisson warm start
+    def density_map(
+        rho_in: np.ndarray, iteration: int | None
+    ) -> tuple[np.ndarray, float, float, dict[str, float]]:
+        nonlocal vh_warm, components, eig_total
+        # each pass's V_H is the next one's Poisson warm start
+        mu, rho_out, components, bnd_err, vh_warm, eig_pass = _scf_pass(
+            grid, states, rho_in, v_loc_global, e_ewald, n_electrons,
+            xi, mg, vh_warm, opts, ins, san, pool,
+        )
         eig_total += eig_pass
-        if san is not None and san.numerics is not None:
-            san.numerics.check(
-                "rho_new", rho_out, where=f"ldc.iteration[{it}]",
-                expect_dtype=np.float64,
-            )
-        boundary_errors.append(bnd_err)
-        rho_out = renormalize(
-            np.clip(rho_out, 0.0, None), n_electrons, grid.dv
-        )
-        resid = grid.integrate(np.abs(rho_out - rho)) / max(
-            n_electrons, 1.0
-        )
-        residuals.append(resid)
-        history.append(components["total"])
-        if ins is not None:
-            ins.counter("scf.iterations", engine="ldc").inc()
-            ins.series("scf.residual", engine="ldc").append(resid)
-            ins.series("scf.energy", engine="ldc").append(
-                components["total"]
-            )
-            ins.series("scf.mu", engine="ldc").append(mu)
-            ins.series("ldc.boundary_error").append(bnd_err)
-            ins.tracer.record_complete(
-                "ldc.iteration", ins.tracer.now() - t_iter,
-                category="ldc", iteration=it, residual=resid,
-                boundary_error=bnd_err,
-            )
-            ins.log.debug(
-                "ldc iteration",
-                extra={"engine": "ldc", "iteration": it,
-                       "residual": resid,
-                       "energy": components["total"], "mu": mu,
-                       "boundary_error": bnd_err},
-            )
-        if hm is not None:
-            hm.observe(
-                "scf.residual", engine="ldc", iteration=it, residual=resid
-            )
-        converged = bool(resid < opts.tol)
-        if converged and not continues:
-            rho = rho_out
-            break
-        # On a trajectory the final pass, too, runs at the mixer's next
-        # quasi-Newton iterate, not at the raw output density: on a
-        # metal rho_out carries the residual's long-wavelength part
-        # amplified, and the ASPC windows would extrapolate it into
-        # the next step's starting point.
-        rho = renormalize(
-            np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons,
-            grid.dv,
-        )
-        if ins is not None and memory is not None and it == 1:
-            ins.series("ldc.mixer_carried_pairs").append(
-                memory.carried_pairs
-            )
-        if converged:
-            break
+        if iteration is not None:
+            boundary_errors.append(bnd_err)
+            if ins is not None:
+                ins.series("ldc.boundary_error").append(bnd_err)
+        return rho_out, components["total"], mu, {"boundary_error": bnd_err}
 
-    # Final consistent evaluation at the converged density.
-    mu, rho_final, components, bnd_err, _, eig_pass = _scf_pass(
-        grid, states, rho, v_loc_global, e_ewald, n_electrons,
-        xi, mg, vh_prev, opts, ins, san, pool,
+    fixed = scf_fixed_point(
+        density_map, config, grid, rho0, opts, "ldc", mixer=memory,
+        continues=continues, ins=ins, san=san,
     )
-    eig_total += eig_pass
     if memory is not None:
         # report the drops of this solve (and of the reset / cold domain
         # that preceded it) once, with the step they belong to
@@ -525,7 +426,6 @@ def _run_ldc(
                     "ldc.mixer_memory_dropped", reason=reason
                 ).inc(count)
         memory.dropped.clear()
-    rho_final = renormalize(np.clip(rho_final, 0.0, None), n_electrons, grid.dv)
 
     predictor_residual: float | None = None
     if workspace is not None:
@@ -537,29 +437,12 @@ def _run_ldc(
         if ins is not None and predictor_residual is not None:
             ins.series("ldc.predictor_residual").append(predictor_residual)
 
-    if hm is not None:
-        hm.observe(
-            "scf.density", engine="ldc",
-            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-        )
-        hm.observe(
-            "solver.convergence", solver="scf[ldc]", converged=converged,
-            iterations=it, final=True,
-            residual=residuals[-1] if residuals else None,
-        )
-
     result = LDCResult(
-        energy=components["total"],
+        **fixed._asdict(),
         components=components,
-        mu=mu,
-        density=rho_final,
         grid=grid,
         decomposition=decomp,
         states=states,
-        converged=converged,
-        iterations=it,
-        history=history,
-        density_residuals=residuals,
         boundary_errors=boundary_errors,
         eig_iterations=eig_total,
         predictor_residual=predictor_residual,

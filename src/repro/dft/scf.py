@@ -1,12 +1,18 @@
-"""The conventional O(N³) plane-wave SCF driver — the paper's baseline.
+"""The SCF fixed-point loop, and the conventional O(N³) plane-wave map.
 
-This is the "conventional plane-wave DFT code" of Sec. 5.5 used to verify
-LDC-DFT: one global plane-wave basis, all orbitals explicit, density mixed
-to self-consistency.  Its cost scales as O(N³) through orthonormalization
-and dense subspace operations, which is exactly the bottleneck LDC-DFT
-removes.
+:func:`scf_fixed_point` is the one place an SCF map is iterated: it admits
+the warm-start density, mixes, tests convergence, evaluates the final
+consistent pass and reports.  :func:`run_scf` and
+:func:`repro.core.ldc.run_ldc` each hand it a *density map* ``ρ_in → ρ_out``
+and package what comes back.
 
-Total free energy:
+:func:`run_scf` is the "conventional plane-wave DFT code" of Sec. 5.5 used
+to verify LDC-DFT: one global plane-wave basis, all orbitals explicit,
+O(N³) through orthonormalization and dense subspace operations — exactly
+the bottleneck LDC-DFT removes.  Its map is the one-domain, zero-buffer DC
+calculation written independently (``tests/test_ldc.py`` pins the two to
+1e-10), which is what makes it a reference.  Both maps report the total
+free energy through one expression, :func:`harris_foulkes_energy`:
 
     E = Σ_n f_n ε_n - ∫ρ(V_H + v_xc) dr + E_H[ρ] + E_xc[ρ] + E_Ewald - kT·S
 """
@@ -14,7 +20,7 @@ Total free energy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -36,12 +42,20 @@ from repro.dft.occupations import (
     smearing_entropy,
 )
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.xc import lda_xc
+from repro.dft.xc import lda_xc, xc_energy
 from repro.sanitize import ENV_SANITIZERS, Sanitizers
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
+    from repro.core.ldc import LDCOptions
     from repro.observability.instrumentation import Instrumentation
+
+#: One evaluation of an SCF map: ``(ρ_in, iteration — None for the final
+#: consistent pass)`` → (un-normalized ρ_out, Harris–Foulkes energy at ρ_in,
+#: μ, pass-specific telemetry attributes such as ``boundary_error``).
+DensityMap = Callable[
+    [np.ndarray, int | None], tuple[np.ndarray, float, float, dict[str, float]]
+]
 
 
 def check_solver_names(eigensolver: str, mixer: str) -> None:
@@ -84,10 +98,13 @@ class SCFOptions:
 
 @dataclass
 class SCFResult:
-    """Converged (or best-effort) SCF state."""
+    """Converged (or best-effort) SCF state; ``energy = band_energy −
+    double_count + hartree + xc + ewald + entropy_term``, all from the
+    final pass's one :func:`harris_foulkes_energy` call."""
 
     energy: float
     band_energy: float
+    double_count: float
     hartree: float
     xc: float
     ewald: float
@@ -101,6 +118,8 @@ class SCFResult:
     grid: RealSpaceGrid
     converged: bool
     iterations: int
+    #: Harris–Foulkes energy of every pass (second order in that pass's
+    #: residual, not variational: it may approach the limit from below)
     history: list[float] = field(default_factory=list)
     density_residuals: list[float] = field(default_factory=list)
     #: total eigensolver iterations summed over every solve of the run
@@ -179,6 +198,187 @@ def _solve(
     )
 
 
+def harris_foulkes_energy(
+    grid: RealSpaceGrid,
+    rho: np.ndarray,
+    vh: np.ndarray,
+    vxc: np.ndarray,
+    band_energy: float,
+    e_ewald: float,
+    entropy_term: float,
+) -> dict[str, float]:
+    """The total free energy of one SCF pass, everything at its *input*
+    density ``rho`` — the one ``vh``/``vxc``, and so the Hamiltonian behind
+    ``band_energy``, were built from.  That makes it the Harris–Foulkes
+    functional, second order in the pass's residual (the double counting
+    integrated over the *output* density instead is first order: 1.9e-4
+    against 1.6e-8 Ha at ``tol=1e-3`` on one H₂O, DESIGN.md §20).
+    ``band_energy`` arrives with any non-physical potential (LDC's
+    ``v_bc``) already removed; an external ``v_extra`` needs no term of
+    its own, its interaction energy is inside the band energy.  Returns
+    the total and every part.
+    """
+    double_count = grid.integrate(rho * (vh + vxc))
+    e_h = hartree_energy(grid, rho, vh)
+    e_xc = xc_energy(rho, grid.dv)
+    total = band_energy - double_count + e_h + e_xc + e_ewald + entropy_term
+    return {
+        "total": total,
+        "band": band_energy,
+        "double_count": double_count,
+        "hartree": e_h,
+        "xc": e_xc,
+        "ewald": e_ewald,
+        "entropy_term": entropy_term,
+    }
+
+
+class FixedPoint(NamedTuple):
+    """What :func:`scf_fixed_point` returns, named as the result classes
+    name it: the final consistent pass (density clipped and normalized)
+    and the loop's per-pass scalars."""
+
+    density: np.ndarray
+    energy: float
+    mu: float
+    converged: bool
+    iterations: int
+    history: list[float]
+    density_residuals: list[float]
+
+
+def scf_fixed_point(
+    density_map: DensityMap,
+    config: Configuration,
+    grid: RealSpaceGrid,
+    rho0: np.ndarray | None,
+    options: SCFOptions | LDCOptions,
+    engine: str,
+    mixer: PulayMixer | None = None,
+    continues: bool = False,
+    ins: Instrumentation | None = None,
+    san: Sanitizers | None = None,
+) -> FixedPoint:
+    """Iterate ``ρ_out = density_map(ρ_in)`` to self-consistency — the one
+    SCF loop; ``run_scf`` and ``run_ldc`` differ only in the map.
+
+    ``rho0`` is the warm-start density: ``None`` or a stale shape starts
+    cold from :func:`initial_density`, a non-finite one is a
+    :class:`~repro.dft.mixing.DensityError`.  Each pass clips and
+    normalizes the map's output, takes the residual ``∫|ρ_out − ρ_in|/N_e``
+    and stops below ``options.tol`` or mixes.  ``mixer`` is a caller-owned
+    mixer whose secant pairs outlive this solve (the LDC workspace's);
+    without one a fresh mixer of ``options.mixer`` is built.
+
+    The final consistent pass, whose density, energy and μ are returned,
+    runs at the converged ``ρ_out`` — or, when the solve ``continues`` a
+    trajectory (its state seeds the next MD step), at the mixer's next
+    iterate; when ``options.max_iter`` runs out, at the last mixed iterate
+    with ``converged=False``.
+
+    ``engine`` (``"pw"`` | ``"ldc"``) labels the telemetry — the ``scf.*``
+    instruments, a ``scf.iteration`` / ``ldc.iteration`` span per pass with
+    the map's attributes merged in, the health samples, the ``rho0`` /
+    ``rho_new`` sanitizer checkpoints; ``ins``/``san`` are the facades or
+    ``None``.
+    """
+    label = "scf" if engine == "pw" else engine
+    hm = None if ins is None else ins.health
+    n_electrons = config.n_electrons()
+    if rho0 is not None and rho0.shape != grid.shape:
+        rho0 = None  # stale-shaped warm start (grid changed) → cold start
+    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
+    if san is not None and san.numerics is not None:
+        # ahead of renormalize, which refuses a non-finite total by itself
+        san.numerics.check(
+            "rho0", rho, where=f"{label}.init", expect_dtype=np.float64
+        )
+    rho = renormalize(rho, n_electrons, grid.dv)
+    step = mixer if mixer is not None else (
+        PulayMixer if options.mixer == "pulay" else LinearMixer
+    )(alpha=options.mix_alpha)
+
+    history: list[float] = []
+    residuals: list[float] = []
+    converged = False
+    it = 0
+    for it in range(1, options.max_iter + 1):
+        if ins is not None:
+            t_iter = ins.tracer.now()
+        # unpacked, so no record keeps a pass's density alive past its use
+        rho_out, energy, mu, attrs = density_map(rho, it)
+        if san is not None and san.numerics is not None:
+            san.numerics.check(
+                "rho_new", rho_out, where=f"{label}.iteration[{it}]",
+                expect_dtype=np.float64,
+            )
+        rho_out = renormalize(
+            np.clip(rho_out, 0.0, None), n_electrons, grid.dv
+        )
+        resid = grid.integrate(np.abs(rho_out - rho)) / max(n_electrons, 1.0)
+        residuals.append(resid)
+        history.append(energy)
+        if ins is not None:
+            ins.counter("scf.iterations", engine=engine).inc()
+            ins.series("scf.residual", engine=engine).append(resid)
+            ins.series("scf.energy", engine=engine).append(energy)
+            ins.series("scf.mu", engine=engine).append(mu)
+            ins.tracer.record_complete(
+                f"{label}.iteration", ins.tracer.now() - t_iter,
+                category=label, iteration=it, residual=resid, energy=energy,
+                **attrs,
+            )
+            ins.log.debug(
+                f"{label} iteration",
+                extra={"engine": engine, "iteration": it, "residual": resid,
+                       "energy": energy, "mu": mu, **attrs},
+            )
+        if hm is not None:
+            hm.observe(
+                "scf.residual", engine=engine, iteration=it, residual=resid
+            )
+        converged = bool(resid < options.tol)
+        if converged and not continues:
+            rho = rho_out
+            break
+        # On a trajectory the final pass, too, runs at the mixer's next
+        # quasi-Newton iterate, not at the raw output density: on a
+        # metal rho_out carries the residual's long-wavelength part
+        # amplified, and the ASPC windows would extrapolate it into
+        # the next step's starting point.
+        rho = renormalize(
+            np.clip(step.mix(rho, rho_out), 0.0, None), n_electrons, grid.dv
+        )
+        if ins is not None and mixer is not None and it == 1:
+            ins.series(f"{engine}.mixer_carried_pairs").append(
+                mixer.carried_pairs
+            )
+        if converged:
+            break
+
+    rho_final, energy, mu, _ = density_map(rho, None)
+    rho_final = renormalize(
+        np.clip(rho_final, 0.0, None), n_electrons, grid.dv
+    )
+    if ins is not None:
+        ins.log.info(
+            f"{label} finished",
+            extra={"engine": engine, "converged": converged,
+                   "iterations": it, "energy": energy},
+        )
+    if hm is not None:
+        hm.observe(
+            "scf.density", engine=engine,
+            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
+        )
+        hm.observe(
+            "solver.convergence", solver=f"scf[{engine}]",
+            converged=converged, iterations=it, final=True,
+            residual=residuals[-1] if residuals else None,
+        )
+    return FixedPoint(rho_final, energy, mu, converged, it, history, residuals)
+
+
 def run_scf(
     config: Configuration,
     options: SCFOptions | None = None,
@@ -190,7 +390,12 @@ def run_scf(
     sanitize: "Sanitizers | None" = None,
     warm_cell: np.ndarray | None = None,
 ) -> SCFResult:
-    """Run the conventional SCF loop to self-consistency.
+    """Solve global Kohn–Sham DFT to self-consistency.
+
+    The loop is :func:`scf_fixed_point`; this function supplies the global
+    density map (build H[ρ], solve all bands on one basis, occupy, sum
+    |ψ|²) and packages the final pass, which runs at the converged output
+    density.  Every call builds a fresh mixer.
 
     Parameters
     ----------
@@ -199,8 +404,7 @@ def run_scf(
     options:
         :class:`SCFOptions`; defaults are sized for toy systems.
     v_extra:
-        Optional extra external potential on the grid (used by LDC domain
-        solves to inject the boundary potential; exposed here for tests).
+        Optional extra external potential on the grid (exposed for tests).
     rho0:
         Optional initial density (e.g. from the previous MD step).  A
         stale-shaped array (grid changed since it was produced) is ignored
@@ -223,11 +427,11 @@ def run_scf(
     warm_cell:
         The cell ``rho0``/``psi0`` were converged in.  When given and
         different from ``config.cell``, both warm starts are dropped
-        (deterministic cold start) — the same guard every engine used to
-        implement privately, hoisted here so *all* callers get it.  A
-        cell change usually also changes the grid/basis shape, but not
-        always (e.g. a pure rescale): matching shapes over a different
-        cell are exactly the stale warm start this catches.
+        (deterministic cold start), so every caller gets the guard and not
+        only the engines that keep a cell of their own.  A cell change
+        usually also changes the grid/basis shape, but not always (e.g. a
+        pure rescale): matching shapes over a different cell are exactly
+        the stale warm start this catches.
     """
     opts = options or SCFOptions()
     san = sanitize if sanitize is not None else ENV_SANITIZERS
@@ -239,33 +443,15 @@ def run_scf(
         psi0 = None  # orbitals live on the old cell's basis
     if instrumentation is None:
         return _run_scf(config, opts, v_extra, rho0, grid, None, psi0, san)
-    if instrumentation.recorder is not None:
-        instrumentation.recorder.record_invocation(
-            "scf.run", opts, natoms=len(config.symbols)
-        )
-    with instrumentation.span(
-        "scf.run", category="scf", natoms=len(config.symbols),
+    with instrumentation.invocation(
+        "scf.run", opts, category="scf", natoms=len(config.symbols),
         eigensolver=opts.eigensolver, mixer=opts.mixer,
     ) as span:
-        try:
-            result = _run_scf(
-                config, opts, v_extra, rho0, grid, instrumentation, psi0, san
-            )
-        except Exception as exc:
-            if instrumentation.recorder is not None:
-                instrumentation.recorder.record_failure(exc)
-            raise
+        result = _run_scf(
+            config, opts, v_extra, rho0, grid, instrumentation, psi0, san
+        )
         span.attrs.update(
             converged=result.converged, iterations=result.iterations
-        )
-        instrumentation.log.info(
-            "scf finished",
-            extra={
-                "engine": "pw",
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "energy": result.energy,
-            },
         )
     return result
 
@@ -280,8 +466,8 @@ def _run_scf(
     psi0: np.ndarray | None = None,
     san: "Sanitizers | None" = None,
 ) -> SCFResult:
-    """SCF implementation; ``ins``/``san`` are the facades or None."""
-    hm = None if ins is None else ins.health
+    """Set-up, the global density map, result packaging; ``ins``/``san``
+    are the facades or None."""
     if grid is None:
         grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut, opts.grid_factor)
     basis = PlaneWaveBasis(grid, opts.ecut)
@@ -294,46 +480,28 @@ def _run_scf(
     e_ewald = ewald_energy(
         config.wrapped_positions(), config.zvals, config.cell
     )
-
-    if rho0 is not None and rho0.shape != grid.shape:
-        rho0 = None  # stale-shaped warm start (grid changed) → cold start
-    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    if san is not None and san.numerics is not None:
-        # ahead of renormalize, which refuses a non-finite total by itself
-        san.numerics.check(
-            "rho0", rho, where="scf.init", expect_dtype=np.float64
-        )
-    rho = renormalize(rho, n_electrons, grid.dv)
     if psi0 is not None and psi0.shape == (basis.npw, nband):
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:
         psi = basis.random_orbitals(nband, seed=opts.seed)
-
-    mixer: PulayMixer | LinearMixer
-    if opts.mixer == "pulay":
-        mixer = PulayMixer(alpha=opts.mix_alpha)
-    else:
-        mixer = LinearMixer(alpha=opts.mix_alpha)
-
-    history: list[float] = []
-    residuals: list[float] = []
-    converged = False
-    energy = np.nan
-    mu = 0.0
-    occs = np.zeros(nband)
-    eigs = np.zeros(nband)
-    vh = np.zeros(grid.shape)
-    it = 0
+    # what the last pass left behind (the map hands the driver scalars)
+    eigs = occs = np.zeros(nband)
+    parts: dict[str, float] = {}
     eig_total = 0
 
-    for it in range(1, opts.max_iter + 1):
-        if ins is not None:
-            t_iter = ins.tracer.now()
-        ham, vh, vxc = build_hamiltonian(basis, config, rho, v_loc, nonlocal_, v_extra)
+    def density_map(
+        rho_in: np.ndarray, iteration: int | None
+    ) -> tuple[np.ndarray, float, float, dict[str, float]]:
+        nonlocal psi, eigs, occs, parts, eig_total
+        ham, vh, vxc = build_hamiltonian(
+            basis, config, rho_in, v_loc, nonlocal_, v_extra
+        )
         if ins is None:
             eig = _solve(ham, psi, opts)
         else:
-            with ins.span("scf.eigensolve", category="scf", iteration=it) as sp:
+            with ins.span(
+                "scf.eigensolve", category="scf", iteration=iteration
+            ) as sp:
                 eig = _solve(ham, psi, opts, ins)
                 # solve sizes feed the per-kernel FLOP attribution
                 # (repro.observability.costattr) at report time
@@ -343,129 +511,33 @@ def _run_scf(
                     fft_stages=basis.stage_lines,
                     nproj=len(nonlocal_.d), cg_iterations=eig.iterations,
                 )
-        psi = eig.orbitals
-        eigs = eig.eigenvalues
+        psi, eigs = eig.orbitals, eig.eigenvalues
         eig_total += int(eig.iterations)
         mu, occs = _occupy(eigs, n_electrons, opts)
-        rho_out = density_from_fields(eig.fields, occs)
-        rho_out = renormalize(rho_out, n_electrons, grid.dv)
         if san is not None and san.numerics is not None:
-            san.numerics.check(
-                "eigenvalues", eigs, where=f"scf.iteration[{it}]"
-            )
-            san.numerics.check(
-                "rho_new", rho_out, where=f"scf.iteration[{it}]",
-                expect_dtype=np.float64,
-            )
-
-        resid = grid.integrate(np.abs(rho_out - rho)) / max(n_electrons, 1.0)
-        residuals.append(resid)
-
-        energy = _total_energy(
-            grid, eigs, occs, rho_out, vh, vxc, e_ewald, mu, opts.kt
+            san.numerics.check("eigenvalues", eigs, where="scf.density_map")
+        parts = harris_foulkes_energy(
+            grid, rho_in, vh, vxc, float(np.sum(occs * eigs)), e_ewald,
+            -opts.kt * smearing_entropy(eigs, mu, opts.kt),
         )
-        history.append(energy)
+        # un-normalized: the driver's one clip + renormalize does it
+        return density_from_fields(eig.fields, occs), parts["total"], mu, {}
 
-        if ins is not None:
-            ins.counter("scf.iterations", engine="pw").inc()
-            ins.series("scf.residual", engine="pw").append(resid)
-            ins.series("scf.energy", engine="pw").append(energy)
-            ins.series("scf.mu", engine="pw").append(mu)
-            ins.tracer.record_complete(
-                "scf.iteration", ins.tracer.now() - t_iter, category="scf",
-                iteration=it, residual=resid, energy=energy,
-            )
-            ins.log.debug(
-                "scf iteration",
-                extra={"engine": "pw", "iteration": it,
-                       "residual": resid, "energy": energy, "mu": mu},
-            )
-        if hm is not None:
-            hm.observe(
-                "scf.residual", engine="pw", iteration=it, residual=resid
-            )
-
-        if resid < opts.tol:
-            rho = rho_out
-            converged = True
-            break
-        rho = renormalize(
-            np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons, grid.dv
-        )
-
-    # Energy evaluated self-consistently at the final density.
-    ham, vh, vxc = build_hamiltonian(basis, config, rho, v_loc, nonlocal_, v_extra)
-    eig = _solve(ham, psi, opts, ins)
-    psi = eig.orbitals
-    eigs = eig.eigenvalues
-    eig_total += int(eig.iterations)
-    mu, occs = _occupy(eigs, n_electrons, opts)
-    rho_final = renormalize(
-        density_from_fields(eig.fields, occs), n_electrons, grid.dv
+    fixed = scf_fixed_point(
+        density_map, config, grid, rho0, opts, "pw", ins=ins, san=san
     )
-    energy = _total_energy(
-        grid, eigs, occs, rho_final, vh, vxc, e_ewald, mu, opts.kt
-    )
-
-    if hm is not None:
-        hm.observe(
-            "scf.density", engine="pw",
-            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-        )
-        hm.observe(
-            "solver.convergence", solver="scf[pw]", converged=converged,
-            iterations=it, final=True,
-            residual=residuals[-1] if residuals else None,
-        )
-
-    e_h = hartree_energy(grid, rho_final, vh)
-    from repro.dft.xc import xc_energy
-
     return SCFResult(
-        energy=energy,
-        band_energy=float(np.sum(occs * eigs)),
-        hartree=e_h,
-        xc=xc_energy(rho_final, grid.dv),
+        **fixed._asdict(),
+        band_energy=parts["band"],
+        double_count=parts["double_count"],
+        hartree=parts["hartree"],
+        xc=parts["xc"],
         ewald=e_ewald,
-        entropy_term=-opts.kt * smearing_entropy(eigs, mu, opts.kt),
+        entropy_term=parts["entropy_term"],
         eigenvalues=eigs,
         occupations=occs,
-        mu=mu,
-        density=rho_final,
         orbitals=psi,
         basis=basis,
         grid=grid,
-        converged=converged,
-        iterations=it,
-        history=history,
-        density_residuals=residuals,
         eig_iterations=eig_total,
     )
-
-
-def _total_energy(
-    grid: RealSpaceGrid,
-    eigs: np.ndarray,
-    occs: np.ndarray,
-    rho: np.ndarray,
-    vh: np.ndarray,
-    vxc: np.ndarray,
-    e_ewald: float,
-    mu: float,
-    kt: float,
-) -> float:
-    """Harris-style total energy from band energies and double counting.
-
-    Note: ``vh``/``vxc`` correspond to the *input* density of the last solve;
-    at self-consistency input and output coincide and the expression is the
-    standard KS total energy.  An external ``v_extra`` needs no term of its
-    own: its interaction energy is already inside the band energy.
-    """
-    from repro.dft.xc import xc_energy
-
-    e_band = float(np.sum(occs * eigs))
-    double_count = grid.integrate(rho * (vh + vxc))
-    e_h = hartree_energy(grid, rho, vh)
-    e_xc = xc_energy(rho, grid.dv)
-    entropy = -kt * smearing_entropy(eigs, mu, kt)
-    return e_band - double_count + e_h + e_xc + e_ewald + entropy

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.constants import ATU_TO_FS
-from repro.md.extrapolate import DomainHistory, subspace_residual
+from repro.md.extrapolate import DomainHistory, extrapolate_fields, subspace_residual
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
 from repro.systems.configuration import Configuration
 
@@ -91,7 +91,78 @@ class QMDFrame:
         return self.potential_energy + self.kinetic_energy
 
 
-class LDCEngine:
+class _WarmStartEngine:
+    """What both force engines keep between ``forces()`` calls: the cell
+    their caches belong to, the window of converged densities the next
+    solve's ``rho0`` is predicted from, and the per-solve cost telemetry.
+    ``forces`` itself is defined on each engine."""
+
+    #: the ``engine=`` label of this engine's telemetry
+    label: str
+
+    def __init__(self, instrumentation, sanitize) -> None:
+        self.instrumentation = instrumentation
+        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
+        #: every solve (None defers to REPRO_SANITIZE)
+        self.sanitize = sanitize
+        self._cell = None
+        #: newest-first window of converged global densities: the last one
+        #: always, the ASPC depth K of them at K >= 2
+        self._rho_hist: list[np.ndarray] = []
+        #: the first (cold) step's eigensolver-iteration count — the
+        #: reference the per-step ``qmd.eig_iters_saved`` series is
+        #: measured against
+        self._cold_eig_iters: int | None = None
+
+    def _guard_cell(self, config: Configuration) -> None:
+        """A cell change between ``forces()`` calls drops every cache:
+        cold start, never a stale-shape crash."""
+        cell = np.asarray(config.cell, dtype=float).reshape(3)
+        if self._cell is not None and not np.array_equal(self._cell, cell):
+            self._drop_caches()
+        self._cell = cell.copy()
+
+    def _drop_caches(self) -> None:
+        self._rho_hist.clear()  # previous densities live on a stale grid
+
+    def _predict_rho(self, depth: int):
+        """The density seed for the next solve: nothing (cold), the last
+        converged density (depth 1, or a window still filling), or the
+        ASPC field extrapolation over the window (clipped nonnegative; the
+        SCF loop renormalizes the electron count)."""
+        window = self._rho_hist[:depth]
+        if len(window) < 2:
+            return window[0] if window else None
+        return extrapolate_fields(window, nonnegative=True)
+
+    def _push_rho(self, rho, depth: int) -> None:
+        if self._rho_hist and self._rho_hist[0].shape != rho.shape:
+            self._rho_hist.clear()  # grid changed (e.g. a cutoff change)
+        self._rho_hist.insert(0, rho)
+        del self._rho_hist[max(depth, 1):]
+
+    def _count_solve(self, ins, orbital_warm: bool) -> None:
+        """Count the solve about to run by warm-start tier: ``"orbital"``
+        (earlier steps' converged ψ, and so their ρ too), ``"density"``
+        (previous ρ only) or ``"cold"`` (random ψ, model density)."""
+        start = "orbital" if orbital_warm else "density" if self._rho_hist else "cold"
+        ins.counter("qmd.solves", engine=self.label, start=start).inc()
+
+    def _record_eig_cost(self, ins, result) -> None:
+        """Per-step eigensolver iterations, and how many the warm starts
+        saved against the cold first step."""
+        ins.series("qmd.eig_iterations", engine=self.label).append(
+            result.eig_iterations
+        )
+        if self._cold_eig_iters is None:
+            self._cold_eig_iters = int(result.eig_iterations)
+        else:
+            ins.series("qmd.eig_iters_saved", engine=self.label).append(
+                self._cold_eig_iters - int(result.eig_iterations)
+            )
+
+
+class LDCEngine(_WarmStartEngine):
     """Force engine backed by :func:`repro.core.ldc.run_ldc`.
 
     ``instrumentation`` (optional) is threaded into every ``run_ldc`` call;
@@ -107,10 +178,12 @@ class LDCEngine:
     prediction over each domain's history window
     (``LDCOptions.history_depth``; depth 1 = the previous step's converged
     ψ), and the density mixer keeps its secant pairs from one step's SCF
-    to the next (the workspace's SCF memory).  A cell change between
-    ``forces()`` calls resets the workspace — orbital windows and SCF
-    memory with it — and the cached density (cold start, never a
-    stale-shape crash).
+    to the next (the workspace's SCF memory).  The workspace owns the
+    per-domain (ψ, v_bc, ρ_α) windows and the mixer; the engine owns the
+    global-density window each solve's ``rho0`` is predicted from.  A cell
+    change between ``forces()`` calls resets the workspace — orbital
+    windows and SCF memory with it — and the density window (cold start,
+    never a stale-shape crash).
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
     accelerations on top: a history depth override
@@ -119,8 +192,10 @@ class LDCEngine:
     :class:`~repro.core.advisor.BufferController` that watches the live
     boundary-error telemetry each step and re-tunes ``options.buffer``
     (the workspace detects the option change and rebuilds; the global
-    density cache survives, so the restart is density-warm).
+    density window survives, so the restart is density-warm).
     """
+
+    label = "ldc"
 
     def __init__(
         self, options=None, instrumentation=None, use_workspace: bool = True,
@@ -129,6 +204,7 @@ class LDCEngine:
         from repro.core.ldc import LDCOptions
         from repro.core.workspace import LDCWorkspace
 
+        super().__init__(instrumentation, sanitize)
         self.options = options or LDCOptions()
         depth = _resolve_history_depth(qmd_options)
         if depth is not None and depth != self.options.history_depth:
@@ -142,22 +218,7 @@ class LDCEngine:
                 BufferController(ctl) if ctl is not None
                 else BufferController()
             )
-        self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
-        #: every solve (None defers to REPRO_SANITIZE)
-        self.sanitize = sanitize
         self.workspace = LDCWorkspace() if use_workspace else None
-        self._rho = None
-        #: newest-first window of converged global densities; at
-        #: ``history_depth >= 2`` each step's ``rho0`` is the ASPC
-        #: extrapolation over it (fewer density-mixing passes), at depth 1
-        #: it degrades to the last-state reuse ``self._rho`` already gives
-        self._rho_hist: list[np.ndarray] = []
-        self._cell = None
-        #: the first (cold) step's eigensolver-iteration count — the
-        #: reference the per-step ``qmd.eig_iters_saved`` series is
-        #: measured against
-        self._cold_eig_iters: int | None = None
 
     def forces(self, config: Configuration):
         from repro.core.ldc import run_ldc
@@ -165,68 +226,28 @@ class LDCEngine:
         self._guard_cell(config)
         ins = self.instrumentation
         if ins is not None:
-            if self.workspace is not None and self.workspace.has_orbitals:
-                start = "orbital"
-            elif self._rho is not None:
-                start = "density"
-            else:
-                start = "cold"
-            _record_warm_start(ins, "ldc", start)
+            self._count_solve(
+                ins, self.workspace is not None and self.workspace.has_orbitals
+            )
         result = run_ldc(
             config, self.options, compute_forces=True,
-            rho0=self._predict_rho(), instrumentation=ins,
-            workspace=self.workspace, sanitize=self.sanitize,
+            rho0=self._predict_rho(self.options.history_depth),
+            instrumentation=ins, workspace=self.workspace,
+            sanitize=self.sanitize,
         )
-        self._rho = result.density
-        self._push_rho(result.density)
+        self._push_rho(result.density, self.options.history_depth)
         if ins is not None:
             self._record_solver_cost(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
         return result.forces, result.energy, result.iterations
 
-    def _predict_rho(self):
-        """The global-density seed for the next solve.
-
-        Depth 1 (or a too-short window): the last converged density —
-        PR 4's warm start, bit-for-bit.  Depth ≥ 2: the ASPC field
-        extrapolation over the window (clipped nonnegative; the mixer
-        renormalizes the electron count).
-        """
-        depth = self.options.history_depth
-        if depth <= 1 or len(self._rho_hist) < 2:
-            return self._rho
-        from repro.md.extrapolate import extrapolate_fields
-
-        return extrapolate_fields(
-            self._rho_hist[:depth], nonnegative=True
-        )
-
-    def _push_rho(self, rho) -> None:
-        depth = self.options.history_depth
-        if depth <= 1:
-            self._rho_hist.clear()
-            return
-        if self._rho_hist and self._rho_hist[0].shape != rho.shape:
-            self._rho_hist.clear()  # grid changed (e.g. buffer re-tune)
-        self._rho_hist.insert(0, rho)
-        del self._rho_hist[depth:]
-
     def _record_solver_cost(self, ins, result) -> None:
         """Per-step predictor/cost series for the run ledger: eigensolver
-        iterations, iterations saved vs. the cold first step, and the
-        (b, l*) the step ran at."""
+        iterations and the (b, l*) the step ran at."""
         from repro.core.complexity import optimal_core_length
 
-        ins.series("qmd.eig_iterations", engine="ldc").append(
-            result.eig_iterations
-        )
-        if self._cold_eig_iters is None:
-            self._cold_eig_iters = int(result.eig_iterations)
-        else:
-            ins.series("qmd.eig_iters_saved", engine="ldc").append(
-                self._cold_eig_iters - int(result.eig_iterations)
-            )
+        self._record_eig_cost(ins, result)
         nu = (
             self.controller.options.nu
             if self.controller is not None
@@ -242,7 +263,7 @@ class LDCEngine:
 
         A changed decision re-binds ``self.options`` with the new buffer;
         the workspace notices the option-signature change on the next
-        ``prepare`` and rebuilds (the density cache stays valid — the
+        ``prepare`` and rebuilds (the density window stays valid — the
         global grid does not depend on the buffer)."""
         if not result.boundary_errors:
             return
@@ -265,30 +286,31 @@ class LDCEngine:
             )
         self.options = replace(self.options, buffer=decision.buffer)
 
-    def _guard_cell(self, config: Configuration) -> None:
-        cell = np.asarray(config.cell, dtype=float).reshape(3)
-        if self._cell is not None and not np.array_equal(self._cell, cell):
-            self._rho = None  # previous density lives on a stale grid
-            self._rho_hist.clear()
-            if self.workspace is not None:
-                # structures, orbital windows and the SCF memory all
-                # describe the old cell
-                self.workspace.reset()
-        self._cell = cell.copy()
+    def _drop_caches(self) -> None:
+        super()._drop_caches()
+        if self.workspace is not None:
+            # structures, orbital windows and the SCF memory all
+            # describe the old cell
+            self.workspace.reset()
 
 
-class SCFEngine:
+class SCFEngine(_WarmStartEngine):
     """Force engine backed by the conventional O(N³) SCF.
 
     Warm-starts each step from the previous step's density *and* converged
-    orbitals (``use_orbital_warm_start=False`` disables the latter); with
-    ``qmd_options.history_depth >= 2`` (or ``$REPRO_ASPC_DEPTH``) it keeps
-    a bounded :class:`~repro.md.extrapolate.DomainHistory` of converged
-    (ψ, ρ) and seeds each solve from the ASPC prediction instead.  A cell
-    change between ``forces()`` calls drops every cache, and the previous
-    cell is also handed to ``run_scf(warm_cell=)`` so the solver applies
-    the same deterministic fallback for any caller.
+    orbitals.  With ``qmd_options.history_depth >= 2`` (or
+    ``$REPRO_ASPC_DEPTH``) both come from ASPC predictions instead: ρ over
+    the density window every engine keeps, ψ over a bounded
+    :class:`~repro.md.extrapolate.DomainHistory` of converged blocks that
+    this engine owns.  ``use_orbital_warm_start=False`` keeps neither
+    window: every solve starts from random ψ and the last density.  Each
+    solve builds a fresh density mixer (no SCF memory across steps).  A
+    cell change between ``forces()`` calls drops every cache, and the
+    previous cell is also handed to ``run_scf(warm_cell=)`` so the solver
+    applies the same deterministic fallback for any caller.
     """
+
+    label = "pw"
 
     def __init__(
         self, options=None, instrumentation=None,
@@ -297,19 +319,16 @@ class SCFEngine:
     ) -> None:
         from repro.dft.scf import SCFOptions
 
+        super().__init__(instrumentation, sanitize)
         self.options = options or SCFOptions()
-        self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
-        #: every solve (None defers to REPRO_SANITIZE)
-        self.sanitize = sanitize
         self.use_orbital_warm_start = use_orbital_warm_start
-        self.history_depth = _resolve_history_depth(qmd_options) or 1
-        #: ASPC window of converged (ψ, ρ) — only consulted at depth >= 2
+        self.history_depth = (
+            _resolve_history_depth(qmd_options) or 1
+            if use_orbital_warm_start else 1
+        )
+        #: ASPC window of converged ψ — only consulted at depth >= 2
         self._history = DomainHistory(depth=self.history_depth)
-        self._rho = None
         self._psi = None
-        self._cell = None
-        self._cold_eig_iters: int | None = None
 
     def forces(self, config: Configuration):
         from repro.dft.forces import forces_from_scf
@@ -319,73 +338,36 @@ class SCFEngine:
         self._guard_cell(config)
         ins = self.instrumentation
         if ins is not None:
-            if self._psi is not None:
-                start = "orbital"
-            elif self._rho is not None:
-                start = "density"
-            else:
-                start = "cold"
-            _record_warm_start(ins, "pw", start)
-        psi0, rho0 = self._psi, self._rho
+            self._count_solve(ins, self._psi is not None)
+        psi0 = self._psi
         if self.history_depth > 1 and len(self._history):
-            predicted = self._history.predict(
-                self._history.key, depth=self.history_depth
-            )
-            if predicted is not None:
-                psi0 = predicted[0]
-                if predicted[2] is not None:
-                    rho0 = predicted[2]
+            psi0 = self._history.predict(self._history.key)[0]
         result = run_scf(
-            config, self.options, rho0=rho0, instrumentation=ins,
-            psi0=psi0, sanitize=self.sanitize, warm_cell=prev_cell,
+            config, self.options, rho0=self._predict_rho(self.history_depth),
+            instrumentation=ins, psi0=psi0, sanitize=self.sanitize,
+            warm_cell=prev_cell,
         )
-        self._rho = result.density
+        self._push_rho(result.density, self.history_depth)
+        psi = result.orbitals
         if self.use_orbital_warm_start:
-            self._psi = result.orbitals
-            if self.history_depth > 1:
-                if ins is not None and (
-                    self._history.last_prediction is not None
-                ):
-                    res = subspace_residual(
-                        self._history.last_prediction, result.orbitals
-                    )
-                    if np.isfinite(res):
-                        ins.series("scf.predictor_residual").append(res)
-                self._history.last_prediction = None
-                self._history.push(
-                    (result.orbitals.shape,), result.orbitals, None,
-                    result.density,
-                )
+            self._psi = psi
         if ins is not None:
-            ins.series("qmd.eig_iterations", engine="pw").append(
-                result.eig_iterations
-            )
-            if self._cold_eig_iters is None:
-                self._cold_eig_iters = int(result.eig_iterations)
-            else:
-                ins.series("qmd.eig_iters_saved", engine="pw").append(
-                    self._cold_eig_iters - int(result.eig_iterations)
-                )
+            self._record_eig_cost(ins, result)
+            if self._history.last_prediction is not None:
+                # settle the residual of the guess this step started from
+                res = subspace_residual(self._history.last_prediction, psi)
+                if np.isfinite(res):
+                    ins.series("scf.predictor_residual").append(res)
+        if self.history_depth > 1:
+            self._history.last_prediction = None
+            self._history.push((psi.shape,), psi, None, None)
         f = forces_from_scf(config, result)
         return f, result.energy, result.iterations
 
-    def _guard_cell(self, config: Configuration) -> None:
-        cell = np.asarray(config.cell, dtype=float).reshape(3)
-        if self._cell is not None and not np.array_equal(self._cell, cell):
-            self._rho = None  # previous density lives on a stale grid
-            self._psi = None  # previous orbitals live on a stale basis
-            self._history.clear()  # ASPC window spans the old cell
-        self._cell = cell.copy()
-
-
-def _record_warm_start(ins, engine: str, start: str) -> None:
-    """Count electronic solves by warm-start tier.
-
-    ``start`` is ``"cold"`` (random ψ, model density), ``"density"``
-    (previous step's ρ only), or ``"orbital"`` (previous step's converged
-    ψ — implies the density warm start too).
-    """
-    ins.counter("qmd.solves", engine=engine, start=start).inc()
+    def _drop_caches(self) -> None:
+        super()._drop_caches()
+        self._psi = None  # previous orbitals live on a stale basis
+        self._history.clear()  # ASPC window spans the old cell
 
 
 class QMDDriver:
@@ -426,21 +408,14 @@ class QMDDriver:
     def run(self, config: Configuration, nsteps: int) -> list[QMDFrame]:
         """Advance ``nsteps``; returns (and accumulates) the recorded frames."""
         ins = self.instrumentation
-        if ins is not None and ins.recorder is not None:
-            ins.recorder.record_invocation(
-                "qmd.run",
-                getattr(self.engine, "options", None),
-                engine=type(self.engine).__name__,
-                timestep=self.timestep,
-                nsteps=nsteps,
-                natoms=config.natoms,
-            )
-            try:
-                return self._run(config, nsteps, ins)
-            except Exception as exc:
-                ins.recorder.record_failure(exc)
-                raise
-        return self._run(config, nsteps, ins)
+        if ins is None:
+            return self._run(config, nsteps, None)
+        with ins.invocation(
+            "qmd.run", getattr(self.engine, "options", None),
+            engine=type(self.engine).__name__, timestep=self.timestep,
+            nsteps=nsteps, natoms=config.natoms,
+        ):
+            return self._run(config, nsteps, ins)
 
     def _run(self, config: Configuration, nsteps: int, ins) -> list[QMDFrame]:
         for step in range(nsteps):
@@ -506,7 +481,8 @@ class QMDDriver:
         return int(sum(f.scf_iterations for f in self.frames))
 
     def energy_drift(self) -> float:
-        """|E_total(last) - E_total(first)| per atom-step (NVE diagnostic)."""
+        """|E_total(last) - E_total(first)| per recorded frame, in Hartree
+        for the whole cell — not per atom (NVE diagnostic)."""
         if len(self.frames) < 2:
             return 0.0
         return abs(self.frames[-1].total_energy - self.frames[0].total_energy) / len(

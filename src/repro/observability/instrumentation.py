@@ -21,10 +21,11 @@ Typical use::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import pathlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.observability.logs import get_logger
 from repro.observability.metrics import (
@@ -34,7 +35,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     Series,
 )
-from repro.observability.tracer import SpanTracer
+from repro.observability.tracer import Span, SpanTracer
 from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
@@ -144,6 +145,29 @@ class Instrumentation:
 
     def span(self, name: str, category: str = "", **attrs: Any):
         return self.tracer.span(name, category=category, **attrs)
+
+    @contextlib.contextmanager
+    def invocation(
+        self, name: str, options: Any = None, category: str | None = None,
+        **attrs: Any,
+    ) -> Iterator[Span | None]:
+        """One driver entry (``scf.run``, ``ldc.run``, ``qmd.run``): noted
+        in the run ledger, wrapped in a span of that name (``category=None``:
+        no span, for a driver that opens one per step) and, if it raises,
+        recorded as a failure (black-box dump) on the way out."""
+        if self.recorder is not None:
+            self.recorder.record_invocation(name, options, **attrs)
+        scope = (
+            contextlib.nullcontext() if category is None
+            else self.span(name, category=category, **attrs)
+        )
+        with scope as span:
+            try:
+                yield span
+            except Exception as exc:
+                if self.recorder is not None:
+                    self.recorder.record_failure(exc)
+                raise
 
     # -- metrics shortcuts ---------------------------------------------------
 

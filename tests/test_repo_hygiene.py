@@ -111,6 +111,66 @@ def test_engine_has_no_thread_pool_and_no_batching_flag():
     assert not flagged, f"stack-width environment flag read in: {flagged}"
 
 
+# -- one SCF fixed-point loop ---------------------------------------------------
+
+
+def _trees(*packages):
+    """``(path relative to src/repro, AST)`` of every module under the
+    given packages (all of ``repro`` when none is named)."""
+    import ast
+
+    src = REPO / "src" / "repro"
+    for pkg in packages or (".",):
+        for path in sorted((src / pkg).rglob("*.py")):
+            yield str(path.relative_to(src)), ast.parse(path.read_text())
+
+
+def _method_calls(tree, *names):
+    import ast
+
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr in names
+    ]
+
+
+def test_one_scf_loop_one_mixing_site_one_energy_expression():
+    """``run_scf`` and ``run_ldc`` iterate through one loop: under the
+    engine packages there is one ``.mix(`` call and one
+    ``for … in range(1, … max_iter …)`` loop (the eigensolver's own
+    iteration aside), nothing outside ``repro.observability`` writes the
+    run ledger's invocation/failure records by hand, and the
+    output-density energy function is gone."""
+    import ast
+
+    ledger = [
+        rel for rel, tree in _trees()
+        if not rel.startswith("observability/")
+        and _method_calls(tree, "record_invocation", "record_failure")
+    ]
+    mixes, loops, named = [], [], []
+    for rel, tree in _trees("dft", "core", "md"):
+        mixes += [rel] * len(_method_calls(tree, "mix"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                named += [rel] * (node.name == "_total" + "_energy")
+            if not (isinstance(node, ast.For) and rel != "dft/eigensolver.py"):
+                continue
+            call = node.iter
+            if (
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "range"
+                and len(call.args) == 2
+                and getattr(call.args[0], "value", None) == 1
+                and "max_iter" in ast.unparse(call.args[1])
+            ):
+                loops.append(rel)
+    assert mixes == ["dft/scf.py"], mixes
+    assert loops == ["dft/scf.py"], loops
+    assert ledger == [] and named == [], (ledger, named)
+
+
 # -- the engine's import graph ------------------------------------------------
 
 #: What ``import repro.core.ldc`` may add to the resident set of a process

@@ -148,3 +148,144 @@ def test_water_molecule_scf():
     assert res.energy < 0
     # all 8 electrons accounted for
     assert res.grid.integrate(res.density) == pytest.approx(8.0, rel=1e-8)
+
+
+# -- one total-energy expression ------------------------------------------------
+
+
+def test_energy_is_second_order_in_the_scf_residual():
+    """The Harris–Foulkes form (everything at the pass's input density) is
+    second order in the residual: a ``tol=1e-3`` run already has the
+    ``tol=1e-10`` energy to 1e-6 Ha (measured 1.6e-8; integrating the double
+    counting over the output density gave 1.9e-4), and the parts
+    ``SCFResult`` reports are the parts of that one expression."""
+    from repro.systems import water_molecule
+
+    water = water_molecule(center=(6.0, 6.0, 6.0), cell=(12.0, 12.0, 12.0))
+    loose, tight = (
+        run_scf(water, SCFOptions(ecut=5.0, kt=0.01, tol=tol, max_iter=80))
+        for tol in (1e-3, 1e-10)
+    )
+    assert loose.converged and tight.converged
+    assert loose.iterations < tight.iterations
+    assert abs(loose.energy - tight.energy) < 1e-6
+    for res in (loose, tight):
+        parts = (res.band_energy - res.double_count + res.hartree + res.xc
+                 + res.ewald + res.entropy_term)
+        assert abs(parts - res.energy) <= 1e-12
+
+
+# -- the one SCF loop, on a map that is not DFT -----------------------------------
+
+
+class ContractionMap:
+    """``g(ρ) = ρ* + A (ρ − ρ*)`` on a 4³ grid, with the columns of ``A``
+    summing to zero so every output integrates to the electron count and the
+    loop's clip + renormalize leave it alone.  Records the inputs it sees."""
+
+    def __init__(self, radius=0.5, seed=3):
+        from repro.dft.grid import RealSpaceGrid
+
+        self.config = dimer("H", "H", 1.4, 4.0)
+        self.grid = RealSpaceGrid(self.config.cell, (4, 4, 4))
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(64, 64))
+        a -= a.mean(axis=0)
+        self.a = a * radius / np.abs(np.linalg.eigvals(a)).max()
+        fixed = 1.0 + 0.1 * rng.random(64)
+        self.fixed = (fixed * 2.0 / (fixed.sum() * self.grid.dv)).reshape(4, 4, 4)
+        self.inputs = []
+
+    def __call__(self, rho_in, iteration):
+        self.inputs.append((iteration, rho_in))
+        delta = (self.a @ (rho_in - self.fixed).ravel()).reshape(4, 4, 4)
+        rho_out = self.fixed + delta
+        return rho_out, float(np.abs(delta).sum()), 0.25, {"probe": 1.5}
+
+    def solve(self, tol=1e-9, max_iter=60, mixer="pulay", **kwargs):
+        from repro.dft.scf import scf_fixed_point
+
+        options = SCFOptions(
+            tol=tol, max_iter=max_iter, mixer=mixer, mix_alpha=0.5
+        )
+        return scf_fixed_point(
+            self, self.config, self.grid, None, options, "pw", **kwargs
+        )
+
+
+def test_fixed_point_loop_converges_on_a_linear_contraction():
+    toy = ContractionMap()
+    out = toy.solve()
+    assert out.converged and out.iterations < 60
+    assert np.abs(out.density - toy.fixed).max() < 1e-8
+    assert out.mu == 0.25 and 0.0 <= out.energy < out.history[0]
+    assert len(out.history) == len(out.density_residuals) == out.iterations
+    assert out.density_residuals[-1] < 1e-9 <= out.density_residuals[-2]
+    # one evaluation per pass, numbered from 1, then the final one
+    assert [it for it, _ in toy.inputs] == [*range(1, out.iterations + 1), None]
+
+
+@pytest.mark.parametrize("continues", [False, True])
+def test_final_pass_runs_at_the_output_or_at_the_mixer_iterate(continues):
+    """The solve of a single point finishes at the converged ρ_out; one
+    that continues a trajectory at the mixer's next iterate (a linear
+    mixer here, so the iterate can be written down)."""
+    toy = ContractionMap()
+    out = toy.solve(mixer="linear", tol=1e-4, continues=continues)
+    assert out.converged
+    (_, last_in), (final, final_in) = toy.inputs[-2:]
+    assert final is None
+    last_out = toy.fixed + (toy.a @ (last_in - toy.fixed).ravel()).reshape(4, 4, 4)
+    expected = last_in + 0.5 * (last_out - last_in) if continues else last_out
+    np.testing.assert_allclose(final_in, expected, rtol=0.0, atol=1e-14)
+
+
+def test_exhausted_budget_is_reported_not_hidden():
+    from repro.observability import Instrumentation
+    from repro.observability.health import STATUS_FAIL, HealthMonitor
+
+    toy = ContractionMap(radius=0.95)
+    ins = Instrumentation(health=HealthMonitor(keep_ok=True))
+    out = toy.solve(tol=1e-14, max_iter=3, ins=ins)
+    assert not out.converged and out.iterations == 3
+    assert np.isfinite(out.density).all() and np.isfinite(out.energy)
+    verdicts = [
+        r for r in ins.health.records if r.invariant == "solver_convergence"
+    ]
+    assert [r.status for r in verdicts] == [STATUS_FAIL]
+    assert verdicts[0].context["solver"] == "scf[pw]"
+    assert verdicts[0].context["iterations"] == 3
+    # the map's own attributes ride on the per-pass span
+    spans = [s for s in ins.tracer.spans() if s.name == "scf.iteration"]
+    assert len(spans) == 3 and all(s.attrs["probe"] == 1.5 for s in spans)
+
+
+def _solve_scf(cfg, **kwargs):
+    return run_scf(cfg, SCFOptions(ecut=4.0, tol=1e-4), **kwargs)
+
+
+def _solve_ldc(cfg, **kwargs):
+    from repro.core import LDCOptions, run_ldc
+
+    return run_ldc(
+        cfg, LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5, tol=1e-4),
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("solve", [_solve_scf, _solve_ldc], ids=["scf", "ldc"])
+def test_warm_start_admission_is_the_same_for_both_maps(solve):
+    """A stale-shaped ``rho0`` is a cold start (bit for bit), a non-finite
+    one a named error — decided once, in the loop both drivers share."""
+    from repro.dft.mixing import DensityError
+    from repro.sanitize import Sanitizers
+
+    cfg = dimer("H", "H", 1.5, 10.0)
+    cold = solve(cfg)
+    stale = solve(cfg, rho0=np.ones((3, 3, 3)))
+    assert stale.energy == cold.energy and stale.iterations == cold.iterations
+    broken = np.full(cold.grid.shape, 0.01)
+    broken[0, 0, 0] = np.nan
+    # an empty bundle: under REPRO_SANITIZE the rho0 tripwire fires first
+    with pytest.raises(DensityError, match="finite positive"):
+        solve(cfg, rho0=broken, sanitize=Sanitizers())

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.core.ldc as ldc_module
+import repro.dft.scf as scf_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.dft.mixing import DensityError, PulayMixer, renormalize
 from repro.md.qmd import LDCEngine, QMDOptions
@@ -317,7 +317,8 @@ def test_cold_workspace_and_no_workspace_runs_use_a_fresh_mixer(
     assert LDCEngine(use_workspace=False).workspace is None
     ins = Instrumentation()
     opts = LDCOptions(**H4_OPTS)
-    monkeypatch.setattr(ldc_module, "PulayMixer", ReferenceDIIS)
+    # the one loop builds the fresh mixer, so that is where it is swapped
+    monkeypatch.setattr(scf_module, "PulayMixer", ReferenceDIIS)
     old = run_ldc(h4_chain(), opts, instrumentation=ins)
     assert ins.metrics.get("ldc.mixer_carried_pairs") is None
     assert len(old.density_residuals) == len(cold.density_residuals)
