@@ -1,9 +1,9 @@
 """BENCH-SANITIZE-OVERHEAD — the runtime sanitizers' zero-overhead contract.
 
-The sanitize facade promises what the Instrumentation facade promises
-(DESIGN.md §13): disabled means *zero* sanitizer code on the hot path —
-every checkpoint sits behind an ``is not None`` guard on a local.  This
-bench pins the contract the same way ``comm_observatory_overhead`` does:
+The numerics checkpoints are calls on the drivers' one observability
+handle (DESIGN.md §13, §21): on the off observer they do nothing, so
+disabled means *zero* ``repro.sanitize`` code on the hot path.  This bench
+pins the contract the same way ``comm_observatory_overhead`` does:
 
 * ``sanitizer_calls_disabled`` — Python calls entering ``repro/sanitize``
   modules during a sanitizer-disabled LDC + SCF solve, counted with
@@ -23,11 +23,11 @@ import time
 from _harness import fmt_row, report
 from _schemas import SCHEMAS
 
-import repro.core.ldc as ldc_mod
-import repro.dft.scf as scf_mod
 from repro.core.ldc import LDCOptions, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
-from repro.sanitize import NumericsSanitizer, Sanitizers
+from repro.observability import Instrumentation
+from repro.observe import OFF
+from repro.sanitize import NumericsSanitizer
 from repro.systems import dimer
 
 LDC_OPTS = LDCOptions(ecut=4.0, tol=1e-4, max_iter=4, domains=(2, 1, 1))
@@ -36,13 +36,18 @@ SCF_OPTS = SCFOptions(ecut=4.0, tol=1e-4, max_iter=4)
 _NEEDLE = os.sep + "sanitize" + os.sep
 
 
-def solve_both(sanitize=None):
+def solve_both(instrumentation=OFF):
+    # OFF, not None: off whatever REPRO_SANITIZE the environment exported
     cfg = dimer("H", "H", 1.5, 12.0)
-    run_ldc(cfg, LDC_OPTS, sanitize=sanitize)
-    run_scf(cfg, SCF_OPTS, sanitize=sanitize)
+    run_ldc(cfg, LDC_OPTS, instrumentation=instrumentation)
+    run_scf(cfg, SCF_OPTS, instrumentation=instrumentation)
 
 
-def count_sanitize_calls(sanitize=None):
+def armed():
+    return Instrumentation(numerics=NumericsSanitizer())
+
+
+def count_sanitize_calls(instrumentation=OFF):
     counts = {"sanitize": 0}
 
     def hook(frame, event, arg):
@@ -51,31 +56,25 @@ def count_sanitize_calls(sanitize=None):
 
     sys.setprofile(hook)
     try:
-        solve_both(sanitize)
+        solve_both(instrumentation)
     finally:
         sys.setprofile(None)
     return counts["sanitize"]
 
 
 def test_sanitize_overhead():
-    # neutralise any REPRO_SANITIZE the environment exported — the drivers
-    # bound ENV_SANITIZERS by name at import, so patch their modules
-    saved = ldc_mod.ENV_SANITIZERS, scf_mod.ENV_SANITIZERS
-    ldc_mod.ENV_SANITIZERS = scf_mod.ENV_SANITIZERS = None
-    try:
-        calls_disabled = count_sanitize_calls()
-        enabled = Sanitizers(numerics=NumericsSanitizer())
-        calls_enabled = count_sanitize_calls(enabled)
+    calls_disabled = count_sanitize_calls()
+    enabled = armed()
+    calls_enabled = count_sanitize_calls(enabled)
 
-        # wall-clock without the profiling hook (ledger only)
-        t0 = time.perf_counter()
-        solve_both()
-        t_disabled = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        solve_both(Sanitizers(numerics=NumericsSanitizer()))
-        t_enabled = time.perf_counter() - t0
-    finally:
-        ldc_mod.ENV_SANITIZERS, scf_mod.ENV_SANITIZERS = saved
+    # wall-clock without the profiling hook (ledger only; the enabled run
+    # pays for the tracer and the metrics of its Instrumentation too)
+    t0 = time.perf_counter()
+    solve_both()
+    t_disabled = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    solve_both(armed())
+    t_enabled = time.perf_counter() - t0
 
     overhead_pct = (
         100.0 * (t_enabled / t_disabled - 1.0) if t_disabled > 0 else 0.0
@@ -106,13 +105,8 @@ def test_sanitize_overhead():
 
 
 def main():
-    saved = ldc_mod.ENV_SANITIZERS, scf_mod.ENV_SANITIZERS
-    ldc_mod.ENV_SANITIZERS = scf_mod.ENV_SANITIZERS = None
-    try:
-        off = count_sanitize_calls()
-        on = count_sanitize_calls(Sanitizers.all())
-    finally:
-        ldc_mod.ENV_SANITIZERS, scf_mod.ENV_SANITIZERS = saved
+    off = count_sanitize_calls()
+    on = count_sanitize_calls(armed())
     print(f"sanitize calls: disabled={off} enabled={on}")
 
 

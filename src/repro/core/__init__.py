@@ -22,7 +22,6 @@
 from repro.core.domains import Domain, DomainDecomposition
 from repro.core.ldc import LDCOptions, LDCResult, run_ldc
 from repro.core.workspace import LDCWorkspace
-from repro.core.parallel_ldc import ParallelLDCResult, run_parallel_ldc
 from repro.core.dcr import FrontierResult, density_of_states, recombine_frontier
 from repro.core.advisor import (
     BufferController,
@@ -66,3 +65,14 @@ __all__ = [
     "speedup_factor",
     "total_cost",
 ]
+
+
+def __getattr__(name):
+    # the virtual-machine driver pulls in ``repro.parallel`` and
+    # ``repro.perfmodel`` (14 modules): loaded on first use, so a QMD
+    # engine process that never simulates ranks never imports them
+    if name in ("ParallelLDCResult", "run_parallel_ldc"):
+        from repro.core import parallel_ldc
+
+        return getattr(parallel_ldc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

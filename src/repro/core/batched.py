@@ -48,10 +48,10 @@ from repro.dft.eigensolver import (
     solve_direct,
 )
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
+from repro.observe import Observer
 
 if TYPE_CHECKING:
     from repro.core.ldc import DomainState, LDCOptions
-    from repro.observability.instrumentation import Instrumentation
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def batched_domain_pass(
     v_ks_global: np.ndarray,
     xi: float | None,
     opts: LDCOptions,
-    ins: Instrumentation | None,
+    ins: Observer,
     pool: DomainScratch | None = None,
 ) -> list[tuple[EigenResult, float | None]]:
     """All active domain solves of one SCF pass, stack by stack.
@@ -276,11 +276,12 @@ def batched_domain_pass(
     ``eigenvalues`` / ``vbc`` / band data updated on each state.
 
     Stacks are whole shape classes when ``opts.batch_domains`` is set and
-    the all-band solver runs, single domains otherwise.  With ``ins``, each
-    stack is one ``ldc.domain_solve`` span (``domain`` is its first
-    member's index, ``n_domains`` its width, ``cg_iterations`` the sum over
-    its members — the sizes :mod:`repro.observability.costattr` turns into
-    FLOPs) and each domain one :func:`record_solve`.
+    the all-band solver runs, single domains otherwise.  On ``ins`` (the
+    observability handle), each stack is one ``ldc.domain_solve`` span
+    (``domain`` is its first member's index, ``n_domains`` its width,
+    ``cg_iterations`` the sum over its members — the sizes
+    :mod:`repro.observability.costattr` turns into FLOPs) and each domain
+    one :func:`record_solve`.
 
     ``pool`` holds the stacked buffers between passes (the workspace owns
     one across MD steps); passing ``None`` builds a throwaway pool.
@@ -309,30 +310,26 @@ def batched_domain_pass(
             )
             for j, state in enumerate(stack)
         ]
-        if ins is None:
+        basis = stack[0].basis
+        assert basis is not None
+        with ins.span(
+            "ldc.domain_solve", category="ldc",
+            domain=active[members[0]][0], n_domains=len(stack),
+            npw=key.npw, nband=key.nband, nproj=key.nproj,
+            grid_points=basis.grid.npoints,
+            fft_stages=basis.stage_lines,
+        ) as sp:
             results = _solve_stack(stack, key, v_eff, opts, pool)
-        else:
-            basis = stack[0].basis
-            assert basis is not None
-            with ins.span(
-                "ldc.domain_solve", category="ldc",
-                domain=active[members[0]][0], n_domains=len(stack),
-                npw=key.npw, nband=key.nband, nproj=key.nproj,
-                grid_points=basis.grid.npoints,
-                fft_stages=basis.stage_lines,
-            ) as sp:
-                results = _solve_stack(stack, key, v_eff, opts, pool)
-                sp.attrs.update(
-                    cg_iterations=sum(res.iterations for res in results)
-                )
+            sp.attrs.update(
+                cg_iterations=sum(res.iterations for res in results)
+            )
         for pos, state, res, restricted in zip(
             members, stack, results, rho_restricted
         ):
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
             err = _stage_band_data(state, res, restricted)
-            if ins is not None:
-                record_solve(ins, opts.eigensolver, key.npw, res)
+            record_solve(ins, opts.eigensolver, key.npw, res)
             outcomes[pos] = (res, err)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes  # type: ignore[return-value]

@@ -51,13 +51,12 @@ from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.dft.scf import check_solver_names, scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
-from repro.sanitize import ENV_SANITIZERS, Sanitizers
+from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
     from repro.core.workspace import LDCWorkspace
     from repro.dft.mixing import PulayMixer
-    from repro.observability.instrumentation import Instrumentation
 
 
 @dataclass
@@ -265,9 +264,8 @@ def run_ldc(
     compute_forces: bool = False,
     rho0: np.ndarray | None = None,
     grid: RealSpaceGrid | None = None,
-    instrumentation: Instrumentation | None = None,
+    instrumentation: Observer | None = None,
     workspace: LDCWorkspace | None = None,
-    sanitize: Sanitizers | None = None,
 ) -> LDCResult:
     """Solve LDC-DFT (or classic DC-DFT) to self-consistency.
 
@@ -277,17 +275,15 @@ def run_ldc(
     domain-solve seam :func:`repro.core.batched.batched_domain_pass`, then
     the global μ and the reassembled density) and packages the final pass.
 
-    ``instrumentation`` optionally accepts an
-    :class:`~repro.observability.Instrumentation`: records one
+    ``instrumentation`` is the observability handle (:mod:`repro.observe`).
+    An :class:`~repro.observability.Instrumentation` records one
     ``ldc.domain_solve`` span per stack, per-iteration
     residual/energy/μ/boundary-error series, and ``poisson.*`` telemetry
-    when the multigrid solver is selected.  The default ``None`` executes
-    no telemetry code.
-
-    ``sanitize`` optionally accepts a :class:`~repro.sanitize.Sanitizers`
-    bundle: its numerics tripwires fire at the density/potential/eigenvalue
-    checkpoints.  ``None`` (the default) defers to ``REPRO_SANITIZE`` and,
-    when that is unset too, executes zero sanitizer code on the hot path.
+    when the multigrid solver is selected; built with ``numerics=`` it also
+    fires the tripwires at the density/potential/eigenvalue checkpoints.
+    ``None`` (the default) is resolved here, once: the off observer, whose
+    calls do nothing, unless ``REPRO_SANITIZE`` arms the checkpoints;
+    :data:`~repro.observe.OFF` is off whatever the environment says.
 
     ``workspace`` optionally accepts a persistent
     :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
@@ -302,18 +298,12 @@ def run_ldc(
     converged output density.  Mutually exclusive with ``grid``.
     """
     opts = options or LDCOptions()
-    san = sanitize if sanitize is not None else ENV_SANITIZERS
-    if instrumentation is None:
-        return _run_ldc(config, opts, compute_forces, rho0, grid, None,
-                        workspace, san)
-    with instrumentation.invocation(
+    ins = observer(instrumentation)
+    with ins.invocation(
         "ldc.run", opts, category="ldc", natoms=len(config.symbols),
         mode=opts.mode, domains=str(opts.domains), buffer=opts.buffer,
     ) as span:
-        result = _run_ldc(
-            config, opts, compute_forces, rho0, grid, instrumentation,
-            workspace, san,
-        )
+        result = _run_ldc(config, opts, compute_forces, rho0, grid, ins, workspace)
         span.attrs.update(
             converged=result.converged, iterations=result.iterations,
             ndomains=result.n_domains,
@@ -327,45 +317,41 @@ def _run_ldc(
     compute_forces: bool,
     rho0: np.ndarray | None,
     grid: RealSpaceGrid | None,
-    ins: Instrumentation | None,
-    workspace: LDCWorkspace | None = None,
-    san: Sanitizers | None = None,
+    ins: Observer,
+    workspace: LDCWorkspace | None,
 ) -> LDCResult:
-    """Set-up, the global-local density map, result packaging;
-    ``ins``/``san`` are the facades or None."""
+    """Set-up, the global-local density map, result packaging — the body of
+    :func:`run_ldc`'s ``ldc.run`` invocation."""
     ewald_structure = None
-    if ins is not None:
-        t_setup = ins.tracer.now()
+    t_setup = ins.tracer.now()
     if workspace is not None:
         if grid is not None:
             raise ValueError("pass either grid= or workspace=, not both")
         grid, decomp, states = workspace.prepare(config, opts)
         ewald_structure = workspace.ewald_structure(config)
+        name = "ldc.workspace_prepare"
+        attrs = {"warm_domains": workspace.warm_domains,
+                 "cold_domains": workspace.cold_domains}
+        ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
     else:
         if grid is None:
             grid = make_global_grid(config, opts)
         decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
         pou = supports(decomp, opts.support)
         states = _prepare_states(config, decomp, pou, opts)
-    if ins is not None:
-        if workspace is not None:
-            name = "ldc.workspace_prepare"
-            attrs = {"warm_domains": workspace.warm_domains,
-                     "cold_domains": workspace.cold_domains}
-            ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
-        else:
-            name, attrs = "ldc.partition_of_unity", {"support": opts.support}
-        ins.tracer.record_complete(
-            name, ins.tracer.now() - t_setup, category="ldc",
-            ndomains=decomp.ndomains, **attrs,
-        )
-        ins.gauge("ldc.domains").set(decomp.ndomains)
-    if ins is not None and ins.health is not None:
-        ins.health.observe(
-            "ldc.partition",
-            max_residual=_partition_residual(grid, states),
-            ndomains=decomp.ndomains, support=opts.support,
-        )
+        name, attrs = "ldc.partition_of_unity", {"support": opts.support}
+    ins.tracer.record_complete(
+        name, ins.tracer.now() - t_setup, category="ldc",
+        ndomains=decomp.ndomains, **attrs,
+    )
+    ins.gauge("ldc.domains").set(decomp.ndomains)
+    # the residual exists only for the health monitor and costs a pass over
+    # the grid per domain: handed over unevaluated, for a listener to call
+    ins.observe(
+        "ldc.partition",
+        max_residual=lambda: _partition_residual(grid, states),
+        ndomains=decomp.ndomains, support=opts.support,
+    )
 
     n_electrons = config.n_electrons()
     v_loc_global = local_potential(grid, config)
@@ -375,7 +361,7 @@ def _run_ldc(
         compute_forces=compute_forces, structure=ewald_structure,
     )
     mg = (
-        MultigridPoisson(grid, instrumentation=ins, sanitize=san)
+        MultigridPoisson(grid, instrumentation=ins)
         if opts.poisson == "multigrid"
         else None
     )
@@ -404,27 +390,23 @@ def _run_ldc(
         # each pass's V_H is the next one's Poisson warm start
         mu, rho_out, components, bnd_err, vh_warm, eig_pass = _scf_pass(
             grid, states, rho_in, v_loc_global, e_ewald, n_electrons,
-            xi, mg, vh_warm, opts, ins, san, pool,
+            xi, mg, vh_warm, opts, ins, pool,
         )
         eig_total += eig_pass
         if iteration is not None:
             boundary_errors.append(bnd_err)
-            if ins is not None:
-                ins.series("ldc.boundary_error").append(bnd_err)
+            ins.series("ldc.boundary_error").append(bnd_err)
         return rho_out, components["total"], mu, {"boundary_error": bnd_err}
 
     fixed = scf_fixed_point(
         density_map, config, grid, rho0, opts, "ldc", mixer=memory,
-        continues=continues, ins=ins, san=san,
+        continues=continues, ins=ins,
     )
     if memory is not None:
         # report the drops of this solve (and of the reset / cold domain
         # that preceded it) once, with the step they belong to
-        if ins is not None:
-            for reason, count in memory.dropped.items():
-                ins.counter(
-                    "ldc.mixer_memory_dropped", reason=reason
-                ).inc(count)
+        for reason, count in memory.dropped.items():
+            ins.counter("ldc.mixer_memory_dropped", reason=reason).inc(count)
         memory.dropped.clear()
 
     predictor_residual: float | None = None
@@ -434,7 +416,7 @@ def _run_ldc(
         # guesses this step started from
         workspace.store(states, opts)
         predictor_residual = workspace.predictor_residual
-        if ins is not None and predictor_residual is not None:
+        if predictor_residual is not None:
             ins.series("ldc.predictor_residual").append(predictor_residual)
 
     result = LDCResult(
@@ -465,8 +447,7 @@ def _scf_pass(
     mg: MultigridPoisson | None,
     vh_warm: np.ndarray | None,
     opts: LDCOptions,
-    ins: Instrumentation | None = None,
-    san: Sanitizers | None = None,
+    ins: Observer,
     pool: DomainScratch | None = None,
 ) -> tuple[float, np.ndarray, dict[str, float], float, np.ndarray, int]:
     """One global-local pass: potentials → domain solves → μ → density.
@@ -475,8 +456,8 @@ def _scf_pass(
     through the domain-solve seam
     (:func:`repro.core.batched.batched_domain_pass`; ``pool`` is its stack
     buffer pool), and the outcomes are folded in domain-index order into
-    the global μ search and the density assembly.  With ``san`` set, the
-    numerics sanitizer checks the potential/eigenvalue checkpoints.
+    the global μ search and the density assembly; the potentials, the
+    eigenvalues and μ are numerics checkpoints of ``ins``.
 
     Returns (μ, assembled density, energy components, mean boundary-density
     error, Hartree potential field — the caller's Poisson warm start, and
@@ -489,9 +470,8 @@ def _scf_pass(
     _, vxc = lda_xc(rho)
     v_hxc_global = vh + vxc
     v_ks_global = v_loc_global + v_hxc_global
-    if san is not None and san.numerics is not None:
-        san.numerics.check("hartree_potential", vh, where="ldc.scf_pass")
-        san.numerics.check("v_ks_global", v_ks_global, where="ldc.scf_pass")
+    ins.check("hartree_potential", vh, where="ldc.scf_pass")
+    ins.check("v_ks_global", v_ks_global, where="ldc.scf_pass")
 
     all_eigs: list[np.ndarray] = []
     all_weights: list[np.ndarray] = []
@@ -510,18 +490,15 @@ def _scf_pass(
         if err is not None:
             bnd_err_total += err
             n_active += 1
-            if ins is not None:
-                ins.series("ldc.boundary_error", domain=idom).append(err)
+            ins.series("ldc.boundary_error", domain=idom).append(err)
 
     eigs_cat = np.concatenate(all_eigs)
     w_cat = np.concatenate(all_weights)
     mu = find_chemical_potential(eigs_cat, n_electrons, opts.kt, weights=w_cat)
-    if san is not None and san.numerics is not None:
-        san.numerics.check("eigenvalues", eigs_cat, where="ldc.scf_pass")
-        san.numerics.check("mu", mu, where="ldc.scf_pass")
+    ins.check("eigenvalues", eigs_cat, where="ldc.scf_pass")
+    ins.check("mu", mu, where="ldc.scf_pass")
 
-    if ins is not None:
-        t_asm = ins.tracer.now()
+    t_asm = ins.tracer.now()
     rho_new = np.zeros(grid.shape)
     rho_locals: list[np.ndarray] = []
     vbcs: list[np.ndarray] = []
@@ -545,11 +522,10 @@ def _scf_pass(
         if state.vbc is not None:
             vbcs.append(state.vbc)
         sup_list.append(state.support)
-    if ins is not None:
-        ins.tracer.record_complete(
-            "ldc.assemble_density", ins.tracer.now() - t_asm,
-            category="ldc", ndomains=len(rho_locals),
-        )
+    ins.tracer.record_complete(
+        "ldc.assemble_density", ins.tracer.now() - t_asm,
+        category="ldc", ndomains=len(rho_locals),
+    )
 
     band_e = dc_band_energy(
         [s.eigenvalues for s in states if s.nband],

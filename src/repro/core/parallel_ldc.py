@@ -61,7 +61,6 @@ def run_parallel_ldc(
     cg_per_scf: int = 3,
     instrumentation=None,
     schedule: Schedule | None = None,
-    sanitize=None,
 ) -> ParallelLDCResult:
     """Execute LDC-DFT and charge its phases to a virtual machine.
 
@@ -73,13 +72,14 @@ def run_parallel_ldc(
         accelerate the domain solves (with the intra-domain all-to-all and
         Cholesky costs of Sec. 3.3 growing accordingly).
     instrumentation:
-        Optional :class:`~repro.observability.Instrumentation`; the real
-        solve is instrumented as usual and the simulated-rank timeline is
-        attached to the same Chrome-trace export (under its own pid), so
-        measured spans and predicted rank activity render in one viewer.
+        Optional :class:`~repro.observability.Instrumentation`, forwarded
+        to :func:`run_ldc` as its observability handle (``None`` is resolved
+        there); the simulated-rank timeline is attached to the same
+        Chrome-trace export (under its own pid), so measured spans and
+        predicted rank activity render in one viewer.
         A :class:`~repro.observability.comms.CommProfiler` rides the
         tracker, decomposing every charge into compute / wait / transfer
-        per phase, and — with a health monitor on the facade — each
+        per phase, and — with a health monitor on the handle — each
         phase's measured time is graded against the balanced-cost model
         on the ``vm.phase`` channel (:class:`DivergenceInvariant`).
     schedule:
@@ -87,17 +87,11 @@ def run_parallel_ldc(
         :func:`~repro.parallel.scheduler.schedule_manual`).  ``None`` (the
         default) LPT-schedules by the actual domain atom counts.  Its
         ``ngroups`` must match ``min(total_ranks, ndomains)``.
-    sanitize:
-        Optional :class:`~repro.sanitize.Sanitizers` bundle forwarded to
-        the LDC solve (numerics checkpoints).  ``None`` defers to
-        ``REPRO_SANITIZE``.
     """
     if total_ranks < 1:
         raise ValueError("total_ranks must be >= 1")
     opts = options or LDCOptions()
-    result = run_ldc(
-        config, opts, instrumentation=instrumentation, sanitize=sanitize
-    )
+    result = run_ldc(config, opts, instrumentation=instrumentation)
 
     active = [s for s in result.states if s.nband > 0]
     ndomains = max(len(active), 1)
@@ -208,23 +202,21 @@ def run_parallel_ldc(
         instrumentation.gauge("vm.wait_fraction").set(profiler.wait_fraction())
         for phase, seconds in breakdown.items():
             instrumentation.gauge("vm.breakdown", phase=phase).set(seconds)
-        hm = instrumentation.health
-        if hm is not None:
-            # Grade each phase's measured laggard time against the balanced
-            # cost-model prediction (DivergenceInvariant on "vm.phase"):
-            # the laggard's active seconds in a phase vs the breakdown's
-            # every-group-equal estimate.  A skewed domain assignment shows
-            # up here as drift ≈ ngroups − 1.
-            for phase, agg in profiler.by_phase().items():
-                modeled = breakdown.get(phase, 0.0)
-                measured = float((agg["compute"] + agg["transfer"]).max())
-                hm.observe(
-                    "vm.phase",
-                    phase=phase,
-                    measured_seconds=measured,
-                    modeled_seconds=modeled,
-                    ranks=total_ranks,
-                )
+        # Grade each phase's measured laggard time against the balanced
+        # cost-model prediction (DivergenceInvariant on "vm.phase"): the
+        # laggard's active seconds in a phase vs the breakdown's
+        # every-group-equal estimate.  A skewed domain assignment shows up
+        # here as drift ≈ ngroups − 1.
+        for phase, agg in profiler.by_phase().items():
+            modeled = breakdown.get(phase, 0.0)
+            measured = float((agg["compute"] + agg["transfer"]).max())
+            instrumentation.observe(
+                "vm.phase",
+                phase=phase,
+                measured_seconds=measured,
+                modeled_seconds=modeled,
+                ranks=total_ranks,
+            )
         instrumentation.log.info(
             "virtual machine run",
             extra={

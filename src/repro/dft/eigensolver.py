@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
+from repro.observe import Observer
 from repro.util.linalg import cholesky_orthonormalize
 
 
@@ -50,8 +51,7 @@ class EigenResult:
 
 
 def solve_direct(
-    ham: Hamiltonian, nband: int, instrumentation=None,
-    want_fields: bool = False,
+    ham: Hamiltonian, nband: int, want_fields: bool = False
 ) -> EigenResult:
     """Dense-diagonalization reference solver."""
     if nband > ham.basis.npw:
@@ -61,7 +61,7 @@ def solve_direct(
     h = ham.dense()
     evals, evecs = np.linalg.eigh(h)
     orbitals = np.ascontiguousarray(evecs[:, :nband])
-    result = EigenResult(
+    return EigenResult(
         eigenvalues=evals[:nband].copy(),
         orbitals=orbitals,
         iterations=1,
@@ -69,18 +69,15 @@ def solve_direct(
         converged=True,
         fields=ham.basis.to_grid(orbitals) if want_fields else None,
     )
-    if instrumentation is not None:
-        record_solve(instrumentation, "direct", ham.basis.npw, result)
-    return result
 
 
-def record_solve(ins, solver: str, npw: int, result: EigenResult) -> None:
-    """Telemetry for one eigensolve (shared by all three solvers).
+def record_solve(ins: Observer, solver: str, npw: int, result: EigenResult) -> None:
+    """Telemetry for one eigensolve, whichever solver ran it.
 
-    Recorded once per solve — never inside the CG inner loop — so enabling
-    instrumentation does not perturb the BLAS2/BLAS3 hot paths it measures.
-    Public so the LDC domain-solve seam can record each domain of a stack
-    after the one call that solved them all.
+    The solvers never see the handle: their callers (``dft.scf._solve``
+    and the LDC domain-solve seam, once per domain of a stack) record each
+    result after the solve, so nothing is emitted from inside the
+    BLAS2/BLAS3 hot paths being measured.
     """
     ins.counter("eigensolver.solves", solver=solver).inc()
     ins.counter("eigensolver.iterations", solver=solver).inc(result.iterations)
@@ -113,15 +110,12 @@ def solve_all_band(
     psi0: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
-    instrumentation=None,
     want_fields: bool = False,
 ) -> EigenResult:
     """Locally optimal block preconditioned CG over all bands of one
     Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one."""
     psi0 = np.asarray(psi0, dtype=complex)[None]
     (result,) = _lockstep_lobpcg(ham.stack, psi0, max_iter, tol, want_fields)
-    if instrumentation is not None:
-        record_solve(instrumentation, "all_band", ham.basis.npw, result)
     return result
 
 
@@ -353,7 +347,6 @@ def solve_band_by_band(
     tol: float = 1e-8,
     cg_per_band: int = 5,
     outer_sweeps: int = 12,
-    instrumentation=None,
     want_fields: bool = False,
 ) -> EigenResult:
     """Sequential per-band preconditioned CG (the original BLAS2 scheme).
@@ -362,22 +355,6 @@ def solve_band_by_band(
     the bands below it, with ``cg_per_band`` CG steps per sweep and
     ``outer_sweeps`` sweeps with Rayleigh–Ritz rotations between them.
     """
-    result = _solve_band_by_band(
-        ham, psi0, tol, cg_per_band, outer_sweeps, want_fields
-    )
-    if instrumentation is not None:
-        record_solve(instrumentation, "band_by_band", ham.basis.npw, result)
-    return result
-
-
-def _solve_band_by_band(
-    ham: Hamiltonian,
-    psi0: np.ndarray,
-    tol: float,
-    cg_per_band: int,
-    outer_sweeps: int,
-    want_fields: bool = False,
-) -> EigenResult:
     x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
     nband = x.shape[1]
     resid_norm = np.inf

@@ -27,6 +27,7 @@ import numpy as np
 from repro.dft.basis import PlaneWaveBasis, density_from_fields
 from repro.dft.eigensolver import (
     EigenResult,
+    record_solve,
     solve_all_band,
     solve_band_by_band,
     solve_direct,
@@ -43,12 +44,11 @@ from repro.dft.occupations import (
 )
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.dft.xc import lda_xc, xc_energy
-from repro.sanitize import ENV_SANITIZERS, Sanitizers
+from repro.observe import OFF, Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
     from repro.core.ldc import LDCOptions
-    from repro.observability.instrumentation import Instrumentation
 
 #: One evaluation of an SCF map: ``(ρ_in, iteration — None for the final
 #: consistent pass)`` → (un-normalized ρ_out, Harris–Foulkes energy at ρ_in,
@@ -175,27 +175,21 @@ def _occupy(
 
 
 def _solve(
-    ham: Hamiltonian,
-    psi: np.ndarray,
-    opts: SCFOptions,
-    instrumentation: Instrumentation | None = None,
+    ham: Hamiltonian, psi: np.ndarray, opts: SCFOptions, ins: Observer
 ) -> EigenResult:
     # want_fields=True: the returned real-space fields feed the density
     # build directly, skipping a redundant to_grid of the converged block.
     if opts.eigensolver == "direct":
-        return solve_direct(
-            ham, psi.shape[1], instrumentation=instrumentation,
+        eig = solve_direct(ham, psi.shape[1], want_fields=True)
+    elif opts.eigensolver == "all_band":
+        eig = solve_all_band(
+            ham, psi, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
             want_fields=True,
         )
-    if opts.eigensolver == "all_band":
-        return solve_all_band(
-            ham, psi, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
-        )
-    return solve_band_by_band(
-        ham, psi, tol=opts.eig_tol, instrumentation=instrumentation,
-        want_fields=True,
-    )
+    else:
+        eig = solve_band_by_band(ham, psi, tol=opts.eig_tol, want_fields=True)
+    record_solve(ins, opts.eigensolver, ham.basis.npw, eig)
+    return eig
 
 
 def harris_foulkes_energy(
@@ -256,8 +250,7 @@ def scf_fixed_point(
     engine: str,
     mixer: PulayMixer | None = None,
     continues: bool = False,
-    ins: Instrumentation | None = None,
-    san: Sanitizers | None = None,
+    ins: Observer = OFF,
 ) -> FixedPoint:
     """Iterate ``ρ_out = density_map(ρ_in)`` to self-consistency — the one
     SCF loop; ``run_scf`` and ``run_ldc`` differ only in the map.
@@ -276,23 +269,20 @@ def scf_fixed_point(
     iterate; when ``options.max_iter`` runs out, at the last mixed iterate
     with ``converged=False``.
 
-    ``engine`` (``"pw"`` | ``"ldc"``) labels the telemetry — the ``scf.*``
-    instruments, a ``scf.iteration`` / ``ldc.iteration`` span per pass with
-    the map's attributes merged in, the health samples, the ``rho0`` /
-    ``rho_new`` sanitizer checkpoints; ``ins``/``san`` are the facades or
-    ``None``.
+    ``engine`` (``"pw"`` | ``"ldc"``) labels what the loop tells ``ins``,
+    the observability handle (the caller's, already resolved; the loop does
+    not read the environment) — the ``scf.*`` instruments, a
+    ``scf.iteration`` / ``ldc.iteration`` span per pass with the map's
+    attributes merged in, the health samples, the ``rho0`` / ``rho_new``
+    numerics checkpoints.
     """
     label = "scf" if engine == "pw" else engine
-    hm = None if ins is None else ins.health
     n_electrons = config.n_electrons()
     if rho0 is not None and rho0.shape != grid.shape:
         rho0 = None  # stale-shaped warm start (grid changed) → cold start
     rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    if san is not None and san.numerics is not None:
-        # ahead of renormalize, which refuses a non-finite total by itself
-        san.numerics.check(
-            "rho0", rho, where=f"{label}.init", expect_dtype=np.float64
-        )
+    # ahead of renormalize, which refuses a non-finite total by itself
+    ins.check("rho0", rho, where=f"{label}.init", expect_dtype=np.float64)
     rho = renormalize(rho, n_electrons, grid.dv)
     step = mixer if mixer is not None else (
         PulayMixer if options.mixer == "pulay" else LinearMixer
@@ -303,40 +293,34 @@ def scf_fixed_point(
     converged = False
     it = 0
     for it in range(1, options.max_iter + 1):
-        if ins is not None:
-            t_iter = ins.tracer.now()
+        t_iter = ins.tracer.now()
         # unpacked, so no record keeps a pass's density alive past its use
         rho_out, energy, mu, attrs = density_map(rho, it)
-        if san is not None and san.numerics is not None:
-            san.numerics.check(
-                "rho_new", rho_out, where=f"{label}.iteration[{it}]",
-                expect_dtype=np.float64,
-            )
+        ins.check(
+            "rho_new", rho_out, where=f"{label}.iteration[{it}]",
+            expect_dtype=np.float64,
+        )
         rho_out = renormalize(
             np.clip(rho_out, 0.0, None), n_electrons, grid.dv
         )
         resid = grid.integrate(np.abs(rho_out - rho)) / max(n_electrons, 1.0)
         residuals.append(resid)
         history.append(energy)
-        if ins is not None:
-            ins.counter("scf.iterations", engine=engine).inc()
-            ins.series("scf.residual", engine=engine).append(resid)
-            ins.series("scf.energy", engine=engine).append(energy)
-            ins.series("scf.mu", engine=engine).append(mu)
-            ins.tracer.record_complete(
-                f"{label}.iteration", ins.tracer.now() - t_iter,
-                category=label, iteration=it, residual=resid, energy=energy,
-                **attrs,
-            )
-            ins.log.debug(
-                f"{label} iteration",
-                extra={"engine": engine, "iteration": it, "residual": resid,
-                       "energy": energy, "mu": mu, **attrs},
-            )
-        if hm is not None:
-            hm.observe(
-                "scf.residual", engine=engine, iteration=it, residual=resid
-            )
+        ins.counter("scf.iterations", engine=engine).inc()
+        ins.series("scf.residual", engine=engine).append(resid)
+        ins.series("scf.energy", engine=engine).append(energy)
+        ins.series("scf.mu", engine=engine).append(mu)
+        ins.tracer.record_complete(
+            f"{label}.iteration", ins.tracer.now() - t_iter,
+            category=label, iteration=it, residual=resid, energy=energy,
+            **attrs,
+        )
+        ins.log.debug(
+            f"{label} iteration",
+            extra={"engine": engine, "iteration": it, "residual": resid,
+                   "energy": energy, "mu": mu, **attrs},
+        )
+        ins.observe("scf.residual", engine=engine, iteration=it, residual=resid)
         converged = bool(resid < options.tol)
         if converged and not continues:
             rho = rho_out
@@ -349,7 +333,7 @@ def scf_fixed_point(
         rho = renormalize(
             np.clip(step.mix(rho, rho_out), 0.0, None), n_electrons, grid.dv
         )
-        if ins is not None and mixer is not None and it == 1:
+        if mixer is not None and it == 1:
             ins.series(f"{engine}.mixer_carried_pairs").append(
                 mixer.carried_pairs
             )
@@ -360,22 +344,20 @@ def scf_fixed_point(
     rho_final = renormalize(
         np.clip(rho_final, 0.0, None), n_electrons, grid.dv
     )
-    if ins is not None:
-        ins.log.info(
-            f"{label} finished",
-            extra={"engine": engine, "converged": converged,
-                   "iterations": it, "energy": energy},
-        )
-    if hm is not None:
-        hm.observe(
-            "scf.density", engine=engine,
-            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-        )
-        hm.observe(
-            "solver.convergence", solver=f"scf[{engine}]",
-            converged=converged, iterations=it, final=True,
-            residual=residuals[-1] if residuals else None,
-        )
+    ins.log.info(
+        f"{label} finished",
+        extra={"engine": engine, "converged": converged,
+               "iterations": it, "energy": energy},
+    )
+    ins.observe(
+        "scf.density", engine=engine,
+        total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
+    )
+    ins.observe(
+        "solver.convergence", solver=f"scf[{engine}]",
+        converged=converged, iterations=it, final=True,
+        residual=residuals[-1] if residuals else None,
+    )
     return FixedPoint(rho_final, energy, mu, converged, it, history, residuals)
 
 
@@ -385,9 +367,8 @@ def run_scf(
     v_extra: np.ndarray | None = None,
     rho0: np.ndarray | None = None,
     grid: RealSpaceGrid | None = None,
-    instrumentation: Instrumentation | None = None,
+    instrumentation: Observer | None = None,
     psi0: np.ndarray | None = None,
-    sanitize: "Sanitizers | None" = None,
     warm_cell: np.ndarray | None = None,
 ) -> SCFResult:
     """Solve global Kohn–Sham DFT to self-consistency.
@@ -412,44 +393,39 @@ def run_scf(
     grid:
         Optional explicit grid (must match ``v_extra``/``rho0``).
     instrumentation:
-        Optional :class:`~repro.observability.Instrumentation`; records
-        ``scf.*`` spans and per-iteration residual/energy/μ series.  The
-        default ``None`` executes no telemetry code at all.
+        The observability handle (:mod:`repro.observe`).  An
+        :class:`~repro.observability.Instrumentation` records ``scf.*``
+        spans and per-iteration residual/energy/μ series, and — built with
+        ``numerics=`` — checks the density/eigenvalue checkpoints each
+        iteration.  ``None`` (the default) is resolved here, once: the off
+        observer, whose calls do nothing, unless ``REPRO_SANITIZE`` arms the
+        checkpoints; :data:`~repro.observe.OFF` is off whatever it says.
     psi0:
         Optional starting orbitals ``(npw, nband)`` — e.g. the previous MD
         step's converged block (the QMD orbital warm start).  Ignored when
         the shape does not match the basis/band count of this call.
-    sanitize:
-        Optional :class:`~repro.sanitize.Sanitizers` bundle; the numerics
-        slot checks density/eigenvalue checkpoints each iteration.  The
-        default ``None`` defers to ``REPRO_SANITIZE`` and, when unset,
-        executes zero sanitizer code.
     warm_cell:
         The cell ``rho0``/``psi0`` were converged in.  When given and
         different from ``config.cell``, both warm starts are dropped
-        (deterministic cold start), so every caller gets the guard and not
+        (deterministic cold start), so every caller gets the check and not
         only the engines that keep a cell of their own.  A cell change
         usually also changes the grid/basis shape, but not always (e.g. a
         pure rescale): matching shapes over a different cell are exactly
         the stale warm start this catches.
     """
     opts = options or SCFOptions()
-    san = sanitize if sanitize is not None else ENV_SANITIZERS
+    ins = observer(instrumentation)
     if warm_cell is not None and not np.array_equal(
         np.asarray(warm_cell, dtype=float).reshape(-1),
         np.asarray(config.cell, dtype=float).reshape(-1),
     ):
         rho0 = None  # density lives on the old cell's grid
         psi0 = None  # orbitals live on the old cell's basis
-    if instrumentation is None:
-        return _run_scf(config, opts, v_extra, rho0, grid, None, psi0, san)
-    with instrumentation.invocation(
+    with ins.invocation(
         "scf.run", opts, category="scf", natoms=len(config.symbols),
         eigensolver=opts.eigensolver, mixer=opts.mixer,
     ) as span:
-        result = _run_scf(
-            config, opts, v_extra, rho0, grid, instrumentation, psi0, san
-        )
+        result = _run_scf(config, opts, v_extra, rho0, grid, ins, psi0)
         span.attrs.update(
             converged=result.converged, iterations=result.iterations
         )
@@ -462,12 +438,11 @@ def _run_scf(
     v_extra: np.ndarray | None,
     rho0: np.ndarray | None,
     grid: RealSpaceGrid | None,
-    ins: Instrumentation | None,
-    psi0: np.ndarray | None = None,
-    san: "Sanitizers | None" = None,
+    ins: Observer,
+    psi0: np.ndarray | None,
 ) -> SCFResult:
-    """Set-up, the global density map, result packaging; ``ins``/``san``
-    are the facades or None."""
+    """Set-up, the global density map, result packaging — the body of
+    :func:`run_scf`'s ``scf.run`` invocation."""
     if grid is None:
         grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut, opts.grid_factor)
     basis = PlaneWaveBasis(grid, opts.ecut)
@@ -496,26 +471,19 @@ def _run_scf(
         ham, vh, vxc = build_hamiltonian(
             basis, config, rho_in, v_loc, nonlocal_, v_extra
         )
-        if ins is None:
-            eig = _solve(ham, psi, opts)
-        else:
-            with ins.span(
-                "scf.eigensolve", category="scf", iteration=iteration
-            ) as sp:
-                eig = _solve(ham, psi, opts, ins)
-                # solve sizes feed the per-kernel FLOP attribution
-                # (repro.observability.costattr) at report time
-                sp.attrs.update(
-                    npw=basis.npw, nband=nband,
-                    grid_points=int(np.prod(grid.shape)),
-                    fft_stages=basis.stage_lines,
-                    nproj=len(nonlocal_.d), cg_iterations=eig.iterations,
-                )
+        with ins.span("scf.eigensolve", category="scf", iteration=iteration) as sp:
+            eig = _solve(ham, psi, opts, ins)
+            # solve sizes feed the per-kernel FLOP attribution
+            # (repro.observability.costattr) at report time
+            sp.attrs.update(
+                npw=basis.npw, nband=nband, grid_points=grid.npoints,
+                fft_stages=basis.stage_lines,
+                nproj=len(nonlocal_.d), cg_iterations=eig.iterations,
+            )
         psi, eigs = eig.orbitals, eig.eigenvalues
         eig_total += int(eig.iterations)
         mu, occs = _occupy(eigs, n_electrons, opts)
-        if san is not None and san.numerics is not None:
-            san.numerics.check("eigenvalues", eigs, where="scf.density_map")
+        ins.check("eigenvalues", eigs, where="scf.density_map")
         parts = harris_foulkes_energy(
             grid, rho_in, vh, vxc, float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),
@@ -523,9 +491,7 @@ def _run_scf(
         # un-normalized: the driver's one clip + renormalize does it
         return density_from_fields(eig.fields, occs), parts["total"], mu, {}
 
-    fixed = scf_fixed_point(
-        density_map, config, grid, rho0, opts, "pw", ins=ins, san=san
-    )
+    fixed = scf_fixed_point(density_map, config, grid, rho0, opts, "pw", ins=ins)
     return SCFResult(
         **fixed._asdict(),
         band_energy=parts["band"],

@@ -28,6 +28,7 @@ import numpy as np
 from repro.constants import ATU_TO_FS
 from repro.md.extrapolate import DomainHistory, extrapolate_fields, subspace_residual
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
+from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
@@ -61,9 +62,12 @@ def _resolve_history_depth(qmd_options: QMDOptions | None) -> int | None:
     if qmd_options is not None and qmd_options.history_depth is not None:
         return int(qmd_options.history_depth)
     env = os.environ.get("REPRO_ASPC_DEPTH", "").strip()
-    if env:
-        return int(env)  # a malformed value should fail loudly
-    return None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"REPRO_ASPC_DEPTH must be an integer, got {env!r}") from None
 
 
 def _resolve_adaptive_buffer(qmd_options: QMDOptions | None) -> bool:
@@ -100,11 +104,10 @@ class _WarmStartEngine:
     #: the ``engine=`` label of this engine's telemetry
     label: str
 
-    def __init__(self, instrumentation, sanitize) -> None:
+    def __init__(self, instrumentation: Observer | None) -> None:
+        #: the observability handle as given: ``None`` lets a
+        #: :class:`QMDDriver` share its own; ``forces()`` resolves it
         self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
-        #: every solve (None defers to REPRO_SANITIZE)
-        self.sanitize = sanitize
         self._cell = None
         #: newest-first window of converged global densities: the last one
         #: always, the ASPC depth K of them at K >= 2
@@ -141,14 +144,14 @@ class _WarmStartEngine:
         self._rho_hist.insert(0, rho)
         del self._rho_hist[max(depth, 1):]
 
-    def _count_solve(self, ins, orbital_warm: bool) -> None:
+    def _count_solve(self, ins: Observer, orbital_warm: bool) -> None:
         """Count the solve about to run by warm-start tier: ``"orbital"``
         (earlier steps' converged ψ, and so their ρ too), ``"density"``
         (previous ρ only) or ``"cold"`` (random ψ, model density)."""
         start = "orbital" if orbital_warm else "density" if self._rho_hist else "cold"
         ins.counter("qmd.solves", engine=self.label, start=start).inc()
 
-    def _record_eig_cost(self, ins, result) -> None:
+    def _record_eig_cost(self, ins: Observer, result) -> None:
         """Per-step eigensolver iterations, and how many the warm starts
         saved against the cold first step."""
         ins.series("qmd.eig_iterations", engine=self.label).append(
@@ -165,11 +168,12 @@ class _WarmStartEngine:
 class LDCEngine(_WarmStartEngine):
     """Force engine backed by :func:`repro.core.ldc.run_ldc`.
 
-    ``instrumentation`` (optional) is threaded into every ``run_ldc`` call;
-    the engine also records warm-start telemetry — whether each solve was
-    seeded cold, from the previous step's density, or from the previous
-    step's converged orbitals, the QMD tricks the paper's time-to-solution
-    numbers depend on.
+    ``instrumentation`` is the observability handle every ``run_ldc`` call
+    reports to (``None`` is resolved by :func:`repro.observe.observer`); the
+    engine adds the warm-start telemetry — whether each solve was seeded
+    cold, from the previous step's density, or from the previous step's
+    converged orbitals, the QMD tricks the paper's time-to-solution numbers
+    depend on.
 
     ``use_workspace`` (default on) gives the engine a persistent
     :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
@@ -198,13 +202,13 @@ class LDCEngine(_WarmStartEngine):
     label = "ldc"
 
     def __init__(
-        self, options=None, instrumentation=None, use_workspace: bool = True,
-        sanitize=None, qmd_options: QMDOptions | None = None,
+        self, options=None, instrumentation: Observer | None = None,
+        use_workspace: bool = True, qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.core.ldc import LDCOptions
         from repro.core.workspace import LDCWorkspace
 
-        super().__init__(instrumentation, sanitize)
+        super().__init__(instrumentation)
         self.options = options or LDCOptions()
         depth = _resolve_history_depth(qmd_options)
         if depth is not None and depth != self.options.history_depth:
@@ -224,41 +228,39 @@ class LDCEngine(_WarmStartEngine):
         from repro.core.ldc import run_ldc
 
         self._guard_cell(config)
-        ins = self.instrumentation
-        if ins is not None:
-            self._count_solve(
-                ins, self.workspace is not None and self.workspace.has_orbitals
-            )
+        ins = observer(self.instrumentation)
+        self._count_solve(
+            ins, self.workspace is not None and self.workspace.has_orbitals
+        )
         result = run_ldc(
             config, self.options, compute_forces=True,
             rho0=self._predict_rho(self.options.history_depth),
             instrumentation=ins, workspace=self.workspace,
-            sanitize=self.sanitize,
         )
         self._push_rho(result.density, self.options.history_depth)
-        if ins is not None:
-            self._record_solver_cost(ins, result)
+        self._record_solver_cost(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
         return result.forces, result.energy, result.iterations
 
-    def _record_solver_cost(self, ins, result) -> None:
+    def _record_solver_cost(self, ins: Observer, result) -> None:
         """Per-step predictor/cost series for the run ledger: eigensolver
         iterations and the (b, l*) the step ran at."""
+        from repro.core.advisor import BufferControllerOptions
         from repro.core.complexity import optimal_core_length
 
         self._record_eig_cost(ins, result)
         nu = (
             self.controller.options.nu
             if self.controller is not None
-            else 2.0
+            else BufferControllerOptions.nu  # the dataclass default
         )
         ins.series("ldc.buffer_b").append(self.options.buffer)
         ins.series("ldc.core_l").append(
             optimal_core_length(self.options.buffer, nu)
         )
 
-    def _adapt_buffer(self, ins, result) -> None:
+    def _adapt_buffer(self, ins: Observer, result) -> None:
         """One Eq.-1 controller step on the live boundary-error telemetry.
 
         A changed decision re-binds ``self.options`` with the new buffer;
@@ -276,14 +278,13 @@ class LDCEngine(_WarmStartEngine):
         )
         if not decision.changed:
             return
-        if ins is not None:
-            ins.counter("ldc.buffer_adjustments").inc()
-            ins.log.info(
-                "adaptive buffer",
-                extra={"engine": "ldc", "reason": decision.reason,
-                       "buffer": decision.buffer,
-                       "core_length": decision.core_length},
-            )
+        ins.counter("ldc.buffer_adjustments").inc()
+        ins.log.info(
+            "adaptive buffer",
+            extra={"engine": "ldc", "reason": decision.reason,
+                   "buffer": decision.buffer,
+                   "core_length": decision.core_length},
+        )
         self.options = replace(self.options, buffer=decision.buffer)
 
     def _drop_caches(self) -> None:
@@ -308,18 +309,19 @@ class SCFEngine(_WarmStartEngine):
     cell change between ``forces()`` calls drops every cache, and the
     previous cell is also handed to ``run_scf(warm_cell=)`` so the solver
     applies the same deterministic fallback for any caller.
+    ``instrumentation`` is the observability handle, as in :class:`LDCEngine`.
     """
 
     label = "pw"
 
     def __init__(
-        self, options=None, instrumentation=None,
-        use_orbital_warm_start: bool = True, sanitize=None,
+        self, options=None, instrumentation: Observer | None = None,
+        use_orbital_warm_start: bool = True,
         qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.dft.scf import SCFOptions
 
-        super().__init__(instrumentation, sanitize)
+        super().__init__(instrumentation)
         self.options = options or SCFOptions()
         self.use_orbital_warm_start = use_orbital_warm_start
         self.history_depth = (
@@ -336,28 +338,25 @@ class SCFEngine(_WarmStartEngine):
 
         prev_cell = self._cell
         self._guard_cell(config)
-        ins = self.instrumentation
-        if ins is not None:
-            self._count_solve(ins, self._psi is not None)
+        ins = observer(self.instrumentation)
+        self._count_solve(ins, self._psi is not None)
         psi0 = self._psi
         if self.history_depth > 1 and len(self._history):
             psi0 = self._history.predict(self._history.key)[0]
         result = run_scf(
             config, self.options, rho0=self._predict_rho(self.history_depth),
-            instrumentation=ins, psi0=psi0, sanitize=self.sanitize,
-            warm_cell=prev_cell,
+            instrumentation=ins, psi0=psi0, warm_cell=prev_cell,
         )
         self._push_rho(result.density, self.history_depth)
         psi = result.orbitals
         if self.use_orbital_warm_start:
             self._psi = psi
-        if ins is not None:
-            self._record_eig_cost(ins, result)
-            if self._history.last_prediction is not None:
-                # settle the residual of the guess this step started from
-                res = subspace_residual(self._history.last_prediction, psi)
-                if np.isfinite(res):
-                    ins.series("scf.predictor_residual").append(res)
+        self._record_eig_cost(ins, result)
+        if self._history.last_prediction is not None:
+            # settle the residual of the guess this step started from
+            res = subspace_residual(self._history.last_prediction, psi)
+            if np.isfinite(res):
+                ins.series("scf.predictor_residual").append(res)
         if self.history_depth > 1:
             self._history.last_prediction = None
             self._history.push((psi.shape,), psi, None, None)
@@ -379,15 +378,15 @@ class QMDDriver:
         timestep: float,
         thermostat=None,
         record_positions: bool = False,
-        instrumentation=None,
+        instrumentation: Observer | None = None,
     ) -> None:
         self.engine = engine
         self.thermostat = thermostat
         self.record_positions = record_positions
-        #: optional Instrumentation facade; records a ``qmd.step`` span and
-        #: per-step SCF-iteration/temperature/energy series.  If the engine
-        #: has no instrumentation of its own, the driver's is shared so the
-        #: whole stack writes one timeline.
+        #: the observability handle as given (``run`` resolves ``None``):
+        #: a ``qmd.step`` span and per-step SCF-iteration/temperature/energy
+        #: series.  If the engine has no instrumentation of its own, the
+        #: driver's is shared so the whole stack writes one timeline.
         self.instrumentation = instrumentation
         if (
             instrumentation is not None
@@ -407,56 +406,49 @@ class QMDDriver:
 
     def run(self, config: Configuration, nsteps: int) -> list[QMDFrame]:
         """Advance ``nsteps``; returns (and accumulates) the recorded frames."""
-        ins = self.instrumentation
-        if ins is None:
-            return self._run(config, nsteps, None)
+        ins = observer(self.instrumentation)
         with ins.invocation(
             "qmd.run", getattr(self.engine, "options", None),
             engine=type(self.engine).__name__, timestep=self.timestep,
             nsteps=nsteps, natoms=config.natoms,
         ):
-            return self._run(config, nsteps, ins)
-
-    def _run(self, config: Configuration, nsteps: int, ins) -> list[QMDFrame]:
-        for step in range(nsteps):
-            self._scf_iters_last = 0
-            if ins is None:
-                self._advance(config)
-                self.frames.append(self._frame(config))
-                continue
-            # the per-step telemetry (series, health verdicts) fires while
-            # the qmd.step span is still open, so a health FAIL dumps with
-            # the failing step on the flight recorder's open-span stack
-            with ins.span(
-                "qmd.step", category="qmd", step=len(self.frames)
-            ) as span:
-                self._advance(config)
-                span.attrs["scf_iterations"] = self._scf_iters_last
-                frame = self._frame(config)
-                self.frames.append(frame)
-                ins.series("qmd.scf_iterations").append(frame.scf_iterations)
-                ins.series("qmd.temperature").append(frame.temperature)
-                ins.series("qmd.total_energy").append(frame.total_energy)
-                ins.counter("qmd.steps").inc()
-                ins.log.debug(
-                    "qmd step",
-                    extra={"step": frame.step,
-                           "scf_iterations": frame.scf_iterations,
-                           "temperature": frame.temperature,
-                           "total_energy": frame.total_energy},
-                )
-                if ins.health is not None:
-                    ins.health.observe(
-                        "qmd.step",
-                        step=frame.step,
-                        total_energy=frame.total_energy,
-                        elapsed_fs=frame.step * self.timestep * ATU_TO_FS,
-                        natoms=config.natoms,
-                        temperature=frame.temperature,
-                        nve=self.thermostat is None,
-                        target_kelvin=getattr(self.thermostat, "target", None),
-                    )
+            for _ in range(nsteps):
+                self._step(config, ins)
         return self.frames
+
+    def _step(self, config: Configuration, ins: Observer) -> None:
+        self._scf_iters_last = 0
+        # the per-step telemetry (series, health verdicts) fires while
+        # the qmd.step span is still open, so a health FAIL dumps with
+        # the failing step on the flight recorder's open-span stack
+        with ins.span("qmd.step", category="qmd", step=len(self.frames)) as span:
+            self.integrator.step(config)
+            if self.thermostat is not None:
+                self.thermostat.apply(config)
+            span.attrs["scf_iterations"] = self._scf_iters_last
+            frame = self._frame(config)
+            self.frames.append(frame)
+            ins.series("qmd.scf_iterations").append(frame.scf_iterations)
+            ins.series("qmd.temperature").append(frame.temperature)
+            ins.series("qmd.total_energy").append(frame.total_energy)
+            ins.counter("qmd.steps").inc()
+            ins.log.debug(
+                "qmd step",
+                extra={"step": frame.step,
+                       "scf_iterations": frame.scf_iterations,
+                       "temperature": frame.temperature,
+                       "total_energy": frame.total_energy},
+            )
+            ins.observe(
+                "qmd.step",
+                step=frame.step,
+                total_energy=frame.total_energy,
+                elapsed_fs=frame.step * self.timestep * ATU_TO_FS,
+                natoms=config.natoms,
+                temperature=frame.temperature,
+                nve=self.thermostat is None,
+                target_kelvin=getattr(self.thermostat, "target", None),
+            )
 
     def _frame(self, config: Configuration) -> QMDFrame:
         return QMDFrame(
@@ -469,11 +461,6 @@ class QMDDriver:
             if self.record_positions
             else None,
         )
-
-    def _advance(self, config: Configuration) -> None:
-        self.integrator.step(config)
-        if self.thermostat is not None:
-            self.thermostat.apply(config)
 
     def total_scf_iterations(self) -> int:
         """Total SCF iterations over the trajectory — the paper's 129,208 for

@@ -21,6 +21,7 @@ from repro.multigrid.stencils import (
     residual,
 )
 from repro.multigrid.transfer import full_weighting_restrict, trilinear_prolong
+from repro.observe import Observer, observer
 
 
 def fft_poisson(grid: RealSpaceGrid, rho: np.ndarray) -> np.ndarray:
@@ -53,6 +54,11 @@ class MultigridPoisson:
         Red-black Gauss–Seidel smoothing sweeps per level.
     min_size:
         Coarsest-level size per axis; solved directly by FFT.
+    instrumentation:
+        The observability handle every :meth:`solve` reports to
+        (``poisson.*`` telemetry, a ``solver.convergence`` health sample,
+        numerics checkpoints on source and solution); ``None`` is resolved
+        here (:mod:`repro.observe`).
     """
 
     def __init__(
@@ -61,19 +67,14 @@ class MultigridPoisson:
         pre_sweeps: int = 2,
         post_sweeps: int = 2,
         min_size: int = 4,
-        instrumentation=None,
-        sanitize=None,
+        instrumentation: Observer | None = None,
     ) -> None:
         self.grid = grid
         self.hierarchy = GridHierarchy(grid.lengths, grid.shape, min_size)
         self.pre_sweeps = pre_sweeps
         self.post_sweeps = post_sweeps
         self.last_stats: MGStats | None = None
-        #: optional Instrumentation facade; records ``poisson.*`` telemetry
-        self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle; the numerics
-        #: slot checks each solve's source and solution for NaN/Inf
-        self.sanitize = sanitize
+        self.instrumentation = observer(instrumentation)
 
     # -- public API -----------------------------------------------------------
 
@@ -90,11 +91,8 @@ class MultigridPoisson:
         cycle — the standard QMD trick for O(1) cycles per step.
         """
         ins = self.instrumentation
-        san = self.sanitize
-        if san is not None and san.numerics is not None:
-            san.numerics.check("rho", rho, where="poisson.solve")
-        if ins is not None:
-            t0 = ins.tracer.now()
+        ins.check("rho", rho, where="poisson.solve")
+        t0 = ins.tracer.now()
         rhs = -4.0 * np.pi * (rho - float(np.mean(rho)))
         u = np.zeros_like(rhs) if v0 is None else v0 - float(np.mean(v0))
         rhs_norm = float(np.linalg.norm(rhs)) or 1.0
@@ -111,31 +109,28 @@ class MultigridPoisson:
                 converged = True
                 break
         self.last_stats = MGStats(cycles, norms, converged)
-        if ins is not None:
-            ins.counter("poisson.vcycles").inc(cycles)
-            ins.counter("poisson.solves").inc()
-            ins.series("poisson.residual").extend(norms)
-            ins.gauge("poisson.warm_start").set(0.0 if v0 is None else 1.0)
-            ins.tracer.record_complete(
-                "poisson.solve", ins.tracer.now() - t0, category="poisson",
-                cycles=cycles, converged=converged,
-                warm_start=v0 is not None,
-                grid_points=int(np.prod(self.grid.shape)),
-                sweeps=self.pre_sweeps + self.post_sweeps,
-            )
-            ins.log.debug(
-                "multigrid solve",
-                extra={"cycles": cycles, "converged": converged,
-                       "final_residual": norms[-1] if norms else None},
-            )
-            if ins.health is not None:
-                ins.health.observe(
-                    "solver.convergence", solver="poisson.multigrid",
-                    converged=converged, iterations=cycles,
-                    residual=norms[-1] if norms else None,
-                )
-        if san is not None and san.numerics is not None:
-            san.numerics.check("v_hartree", u, where="poisson.solve")
+        ins.counter("poisson.vcycles").inc(cycles)
+        ins.counter("poisson.solves").inc()
+        ins.series("poisson.residual").extend(norms)
+        ins.gauge("poisson.warm_start").set(0.0 if v0 is None else 1.0)
+        ins.tracer.record_complete(
+            "poisson.solve", ins.tracer.now() - t0, category="poisson",
+            cycles=cycles, converged=converged,
+            warm_start=v0 is not None,
+            grid_points=self.grid.npoints,
+            sweeps=self.pre_sweeps + self.post_sweeps,
+        )
+        ins.log.debug(
+            "multigrid solve",
+            extra={"cycles": cycles, "converged": converged,
+                   "final_residual": norms[-1] if norms else None},
+        )
+        ins.observe(
+            "solver.convergence", solver="poisson.multigrid",
+            converged=converged, iterations=cycles,
+            residual=norms[-1] if norms else None,
+        )
+        ins.check("v_hartree", u, where="poisson.solve")
         return u
 
     # -- internals --------------------------------------------------------------

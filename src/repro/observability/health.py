@@ -24,8 +24,9 @@ Thresholds live in :class:`HealthThresholds` — one config object, not
 numeric literals sprinkled at call sites (enforced by analysis rule RP006).
 
 The monitor rides on the :class:`~repro.observability.Instrumentation`
-facade (``Instrumentation(health=monitor)``); the drivers' zero-overhead
-contract is preserved — with no facade, or a facade without a monitor, no
+handle (``Instrumentation(health=monitor)``); drivers publish through
+``ins.observe(channel, **sample)``, which reaches this module only when a
+monitor is attached — un-instrumented, or instrumented without one, no
 health code executes at all (pinned by ``tests/test_health.py``).
 """
 
@@ -661,22 +662,3 @@ class HealthMonitor:
 
 
 _DEFAULT_CLOCK = WallClock()
-
-
-def checked(monitor: HealthMonitor | None, channel: str) -> Callable[..., Any] | None:
-    """``monitor.observe`` bound to a channel, or ``None`` when disabled.
-
-    Lets drivers hoist the double guard out of hot loops::
-
-        publish = checked(ins.health if ins else None, "scf.residual")
-        ...
-        if publish is not None:
-            publish(engine="pw", iteration=it, residual=resid)
-    """
-    if monitor is None:
-        return None
-
-    def publish(**sample: Any) -> list[HealthRecord]:
-        return monitor.observe(channel, **sample)
-
-    return publish

@@ -1,14 +1,15 @@
-"""The ``Instrumentation`` facade the drivers accept.
+"""The ``Instrumentation`` handle the drivers accept.
 
 Bundles a :class:`~repro.observability.tracer.SpanTracer`, a
 :class:`~repro.observability.metrics.MetricsRegistry`, and a ``repro.*``
-logger behind one object, threaded as an *optional* parameter through the
-hot drivers (``run_scf``, ``run_ldc``, ``QMDDriver``, ...).
+logger behind one object: the *on* state of the engine's one observability
+handle, :class:`repro.observe.Observer` (``run_scf``, ``run_ldc``,
+``QMDDriver``, ... take it as ``instrumentation=``).
 
-The contract is: **``None`` means off, and off costs nothing.**  Drivers
-guard every telemetry statement with ``if instrumentation is not None``,
-so the default path executes zero observability code — a property enforced
-by a regression test (``tests/test_instrumentation_overhead.py``).
+The drivers call their handle unconditionally; ``instrumentation=None``
+gives them the off observer, whose verbs do nothing and which lives outside
+this package, so the default path enters no observability code — pinned by
+``tests/test_instrumentation_overhead.py``.
 
 Typical use::
 
@@ -36,6 +37,7 @@ from repro.observability.metrics import (
     Series,
 )
 from repro.observability.tracer import Span, SpanTracer
+from repro.observe import Observer, env_numerics
 from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
@@ -43,9 +45,10 @@ if TYPE_CHECKING:
     from repro.observability.health import HealthMonitor
     from repro.observability.runlog import RunRecorder
     from repro.observability.stream import TelemetryBus
+    from repro.sanitize.numerics import NumericsSanitizer
 
 
-class Instrumentation:
+class Instrumentation(Observer):
     """Tracer + metrics + logger bundle.
 
     Parameters
@@ -75,6 +78,11 @@ class Instrumentation:
         (one is auto-created if ``stream`` is ``None``), and drivers note
         their invocations/failures against it.  ``None`` (the default)
         executes zero runlog code.
+    numerics:
+        Optional :class:`~repro.sanitize.NumericsSanitizer`: arms the
+        drivers' NaN/Inf and dtype checkpoints (:meth:`check`).  ``None``
+        (the default) defers to ``REPRO_SANITIZE``
+        (:func:`repro.observe.env_numerics`).
     """
 
     def __init__(
@@ -86,7 +94,9 @@ class Instrumentation:
         health: "HealthMonitor | None" = None,
         stream: "TelemetryBus | None" = None,
         recorder: "RunRecorder | None" = None,
+        numerics: "NumericsSanitizer | None" = None,
     ) -> None:
+        super().__init__(numerics if numerics is not None else env_numerics())
         self.tracer = tracer or SpanTracer(clock=clock)
         self.metrics = metrics or MetricsRegistry()
         self.log = logger or get_logger()
@@ -168,6 +178,16 @@ class Instrumentation:
                 if self.recorder is not None:
                     self.recorder.record_failure(exc)
                 raise
+
+    def observe(self, channel: str, **sample: Any) -> None:
+        """One health sample.  A zero-argument callable in it is a value
+        that exists only for the monitor: evaluated here, and only when
+        one is attached."""
+        if self.health is not None:
+            self.health.observe(channel, **{
+                key: value() if callable(value) else value
+                for key, value in sample.items()
+            })
 
     # -- metrics shortcuts ---------------------------------------------------
 

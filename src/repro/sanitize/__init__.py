@@ -1,11 +1,10 @@
-"""Runtime sanitizers: deadlock and numerics tripwires.
+"""Runtime sanitizers: deadlock and numerics tripwires (DESIGN.md §13).
 
-Two sanitizers behind one facade (DESIGN.md §13), with the same
-zero-overhead contract as :class:`repro.observability.Instrumentation`:
-``None`` means *off*, and off costs nothing — drivers hold the handle in
-a local and guard every checkpoint with an ``is not None`` test, so the
-disabled hot path executes **zero** sanitizer code (the overhead
-benchmark pins ``sys.setprofile`` to prove it).
+Off by default, and an engine process that leaves them off never imports
+this package: the drivers' numerics checkpoints are calls on their one
+observability handle (``ins.check(...)``, :mod:`repro.observe`), which do
+nothing on the off observer (the overhead benchmark pins, with
+``sys.setprofile``, that no frame of ``repro/sanitize`` is entered).
 
 * :class:`~repro.sanitize.collective.CollectiveScheduleSanitizer` —
   collective-schedule verification on :class:`~repro.parallel.comm.
@@ -15,17 +14,21 @@ benchmark pins ``sys.setprofile`` to prove it).
 * :class:`~repro.sanitize.numerics.NumericsSanitizer` — NaN/Inf and
   silent-dtype-demotion tripwires at SCF/LDC/multigrid checkpoints.
 
-Enable in code (``Sanitizers.all()`` or a custom mix) or from the
-environment: ``REPRO_SANITIZE=1`` (everything) or a comma list like
-``REPRO_SANITIZE=collective,numerics``.  :data:`ENV_SANITIZERS` holds the
-environment-derived bundle (``None`` when the variable is unset/off) —
-drivers read it as a module attribute, not through a call, keeping the
-disabled path call-free.
+Arm the numerics tripwires in code with
+``instrumentation=Instrumentation(numerics=NumericsSanitizer())`` on any
+driver, or from the environment: ``REPRO_SANITIZE=1`` (everything) or a
+comma list like ``REPRO_SANITIZE=collective,numerics``.  The variable is
+read in one place, :func:`repro.observe.env_numerics`, once per process,
+when a driver is called with ``instrumentation=None`` or an
+``Instrumentation`` is built without ``numerics=``;
+``instrumentation=repro.observe.OFF`` is off whatever it says.  The
+collective sanitizer is attached to a communicator explicitly
+(``VirtualComm(sanitizer=...)``, :meth:`Sanitizers.wrap_comm`,
+:func:`run_spmd`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.sanitize.collective import (  # noqa: F401  (public surface)
@@ -44,11 +47,7 @@ _NAMES = ("collective", "numerics")
 
 @dataclass
 class Sanitizers:
-    """The bundle a driver threads through its call tree.
-
-    Any slot may be ``None`` — each checkpoint guards on its own slot, so
-    e.g. a numerics-only run pays nothing for the collective ledger.
-    """
+    """What a ``REPRO_SANITIZE`` spec selects; either slot may be ``None``."""
 
     collective: CollectiveScheduleSanitizer | None = None
     numerics: NumericsSanitizer | None = None
@@ -88,11 +87,3 @@ class Sanitizers:
         if self.collective is not None:
             comm.sanitizer = self.collective
         return comm
-
-
-#: Environment-derived bundle, built once at import: drivers resolve
-#: ``sanitize if sanitize is not None else ENV_SANITIZERS`` — an attribute
-#: read, never a call, so the disabled path stays call-free.
-ENV_SANITIZERS: Sanitizers | None = Sanitizers.from_spec(
-    os.environ.get("REPRO_SANITIZE", "")
-)

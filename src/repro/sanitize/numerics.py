@@ -8,9 +8,10 @@ complex wavefunction collapsing to float or ``float64`` state downcast to
 ``float32``) into an immediate :class:`NumericsError` naming the array
 and the checkpoint that caught it.
 
-Checks are explicit calls (``numerics.check("rho_new", rho)``) placed at
-the SCF/LDC/multigrid checkpoints by the drivers, guarded by the facade's
-``is-not-None`` test, so the disabled path executes zero sanitizer code.
+Checks are explicit calls placed at the SCF/LDC/multigrid checkpoints by
+the drivers (``ins.check("rho_new", rho)`` on their observability handle,
+which forwards here only when a sanitizer is armed), so the disabled path
+executes zero sanitizer code.
 """
 
 from __future__ import annotations

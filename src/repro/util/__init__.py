@@ -1,6 +1,6 @@
-"""Shared utilities: timers, RNG helpers, and linear-algebra wrappers."""
+"""Shared utilities: the wall clock and linear-algebra wrappers."""
 
-from repro.util.timer import Timer, WallClock
+from repro.util.timer import WallClock
 from repro.util.linalg import (
     apply_projectors_blas2,
     apply_projectors_blas3,
@@ -10,7 +10,6 @@ from repro.util.linalg import (
 )
 
 __all__ = [
-    "Timer",
     "WallClock",
     "apply_projectors_blas2",
     "apply_projectors_blas3",

@@ -1,18 +1,8 @@
-"""Lightweight hierarchical timers used by the SCF drivers and benchmarks.
-
-.. deprecated::
-    :class:`Timer` is kept as a thin adapter over
-    :class:`repro.observability.tracer.SpanTracer` so existing benchmarks
-    keep working unchanged.  New driver code should accept an
-    :class:`repro.observability.Instrumentation` facade instead — it
-    provides the same timing plus metrics, logging, and Chrome-trace
-    export.  The underlying tracer is exposed as :attr:`Timer.tracer`.
-"""
+"""The wall clock the tracer, the health monitor and the profilers read."""
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 
 class WallClock:
@@ -20,76 +10,3 @@ class WallClock:
 
     def now(self) -> float:
         return time.perf_counter()
-
-
-class Timer:
-    """Accumulates named wall-clock sections.
-
-    Usage::
-
-        t = Timer()
-        with t.section("scf"):
-            ...
-        t.total("scf")  # seconds
-
-    With ``hierarchical=True``, nested sections accumulate under their
-    ``parent/child`` path instead of the bare name::
-
-        t = Timer(hierarchical=True)
-        with t.section("scf"):
-            with t.section("eig"):
-                ...
-        t.names()  # ["scf", "scf/eig"]
-
-    Sections are recorded as spans on an internal
-    :class:`~repro.observability.tracer.SpanTracer` (see :attr:`tracer`),
-    so a Timer's measurements can also be exported as a Chrome trace.
-    """
-
-    def __init__(
-        self, clock: WallClock | None = None, hierarchical: bool = False
-    ) -> None:
-        from repro.observability.tracer import SpanTracer
-
-        self._clock = clock or WallClock()
-        self.hierarchical = hierarchical
-        #: the underlying span tracer (chrome-trace exportable)
-        self.tracer = SpanTracer(clock=self._clock)
-
-    @contextmanager
-    def section(self, name: str):
-        with self.tracer.span(name):
-            yield
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration."""
-        self.tracer.record_complete(name, seconds)
-
-    def _key(self, span) -> str:
-        return span.path if self.hierarchical else span.name
-
-    def total(self, name: str) -> float:
-        return sum(
-            s.duration for s in self.tracer.spans() if self._key(s) == name
-        )
-
-    def count(self, name: str) -> int:
-        return sum(1 for s in self.tracer.spans() if self._key(s) == name)
-
-    def names(self) -> list[str]:
-        return sorted({self._key(s) for s in self.tracer.spans()})
-
-    def report(self) -> str:
-        """Human-readable summary table sorted by descending time."""
-        totals: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for s in self.tracer.spans():
-            key = self._key(s)
-            totals[key] = totals.get(key, 0.0) + s.duration
-            counts[key] = counts.get(key, 0) + 1
-        rows = sorted(totals.items(), key=lambda kv: -kv[1])
-        width = max((len(k) for k in totals), default=4)
-        lines = [f"{'section':<{width}}  {'total[s]':>10}  {'calls':>6}"]
-        for name, tot in rows:
-            lines.append(f"{name:<{width}}  {tot:>10.4f}  {counts[name]:>6}")
-        return "\n".join(lines)

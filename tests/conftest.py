@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny systems and cached SCF results to keep tests fast."""
+"""Shared fixtures: tiny systems and cached SCF results to keep tests fast —
+and the tier-1 budget that holds every test to it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,47 @@ import pytest
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf
 from repro.systems import dimer, sic_crystal
+
+#: The tier-1 ceiling: wall-clock seconds any one test may take, set-up (the
+#: shared fixtures it is the first to build included) plus call.  The
+#: slowest test measures about 20 s on the 2-vCPU build host; a session
+#: with a test over the ceiling fails, naming it.
+TEST_BUDGET_S = 60.0
+
+_SPENT = pytest.StashKey[dict]()
+
+
+def pytest_configure(config):
+    config.stash[_SPENT] = {}
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = (yield).get_result()
+    if report.when in ("setup", "call"):
+        spent = item.config.stash[_SPENT]
+        spent[item.nodeid] = spent.get(item.nodeid, 0.0) + report.duration
+
+
+def _over_budget(config) -> list[tuple[str, float]]:
+    return sorted(
+        (nodeid, seconds) for nodeid, seconds in config.stash[_SPENT].items()
+        if seconds > TEST_BUDGET_S
+    )
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    for nodeid, seconds in _over_budget(config):
+        terminalreporter.write_line(
+            f"OVER BUDGET {nodeid}: {seconds:.1f} s of set-up + call, the "
+            f"tier-1 ceiling is {TEST_BUDGET_S:g} s per test",
+            red=True,
+        )
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if exitstatus == pytest.ExitCode.OK and _over_budget(session.config):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(scope="session")

@@ -199,3 +199,7 @@ def test_env_depth_resolution(monkeypatch):
     assert engine.options.history_depth == 3
     monkeypatch.delenv("REPRO_ASPC_DEPTH")
     assert _resolve_history_depth(None) is None
+    # a malformed value names the variable and what it held
+    monkeypatch.setenv("REPRO_ASPC_DEPTH", "three")
+    with pytest.raises(ValueError, match="REPRO_ASPC_DEPTH.*'three'"):
+        LDCEngine()

@@ -33,7 +33,6 @@ from repro.observability.health import (
     SCFResidualInvariant,
     SolverConvergenceInvariant,
     TemperatureWindowInvariant,
-    checked,
     default_invariants,
 )
 from repro.reactive.potential import ReactiveForceField
@@ -191,14 +190,6 @@ def test_monitor_reset_clears_invariant_state():
         "qmd.step", total_energy=5.0, elapsed_fs=0.0, natoms=1
     )[0]
     assert "pinned" in rec.message
-
-
-def test_checked_helper_binds_channel():
-    assert checked(None, "scf.residual") is None
-    mon = HealthMonitor(invariants=[PartitionOfUnityInvariant(THR)])
-    publish = checked(mon, "ldc.partition")
-    recs = publish(max_residual=1.0)
-    assert recs[0].status == STATUS_FAIL
 
 
 def test_chrome_events_and_to_dict():

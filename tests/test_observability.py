@@ -296,20 +296,3 @@ def test_report_cli_main(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"traceEvents": []}')
     assert report_main([str(empty)]) == 1
-
-
-def test_timer_is_tracer_adapter():
-    from repro.util.timer import Timer
-
-    clock = FakeClock()
-    t = Timer(clock, hierarchical=True)
-    with t.section("scf"):
-        clock.advance(1.0)
-        with t.section("eig"):
-            clock.advance(2.0)
-    assert t.names() == ["scf", "scf/eig"]
-    assert t.total("scf/eig") == 2.0
-    assert t.total("scf") == 3.0
-    # the underlying tracer exports the same sections as a Chrome trace
-    events = t.tracer.to_chrome_trace()["traceEvents"]
-    assert {e["name"] for e in events} == {"scf", "eig"}

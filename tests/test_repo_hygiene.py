@@ -171,12 +171,109 @@ def test_one_scf_loop_one_mixing_site_one_energy_expression():
     assert ledger == [] and named == [], (ledger, named)
 
 
+# -- one observability handle ---------------------------------------------------
+
+_ENGINE = ("dft", "core", "md", "multigrid")
+#: what an observability handle, or a part of one, has been called
+_HANDLE_NAMES = {
+    "ins", "obs", "observer", "instrumentation", "hm", "health", "numerics",
+    "san", "sanitize",
+}
+
+
+def _inside(tree, *path):
+    """Every node under the (class, function, ...) definition ``path``
+    names in ``tree`` — the whole tree for an empty path, nothing when
+    there is no such definition."""
+    import ast
+
+    scope = [tree]
+    for name in path:
+        scope = [
+            node for parent in scope for node in ast.iter_child_nodes(parent)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == name
+        ]
+    return [node for top in scope for node in ast.walk(top)]
+
+
+def test_engine_holds_one_observability_handle_that_is_never_none():
+    """Below the public entry points the handle is a required argument and
+    is called unconditionally: no ``sanitize``/``san`` parameter, no test
+    of a handle (or of a part of one) against ``None`` — the virtual
+    machine's post-run report and the driver's share-with-the-engine rule
+    aside — no import of the tooling packages at run time, and no mention
+    of the handle inside the kernels."""
+    import ast
+
+    params, guards, imports = [], [], []
+    for rel, tree in _trees(*_ENGINE):
+        exempt = set(map(id, _inside(tree, "QMDDriver", "__init__")))
+        typing_only = {
+            id(node) for branch in ast.walk(tree)
+            if isinstance(branch, ast.If)
+            and "TYPE_CHECKING" in ast.unparse(branch.test)
+            for node in ast.walk(branch)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.arg in ("sanitize", "san"):
+                params.append((rel, node.lineno))
+            if (
+                isinstance(node, ast.Compare)
+                and rel != "core/parallel_ldc.py" and id(node) not in exempt
+                and any(
+                    isinstance(c, ast.Constant) and c.value is None
+                    for c in node.comparators
+                )
+                and getattr(node.left, "id", getattr(node.left, "attr", None))
+                in _HANDLE_NAMES
+            ):
+                guards.append((rel, node.lineno))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = (
+                    [node.module or ""] if isinstance(node, ast.ImportFrom)
+                    else [alias.name for alias in node.names]
+                )
+                if id(node) not in typing_only and any(
+                    m.startswith(("repro.observability", "repro.sanitize"))
+                    for m in modules
+                ):
+                    imports.append((rel, ast.unparse(node)))
+    assert params == [] and guards == [], (params, guards)
+    assert imports == [(
+        "core/parallel_ldc.py",
+        "from repro.observability.comms import CommProfiler",
+    )], imports
+
+    kernels = dict(_trees("dft"))
+    mentions = []
+    for rel, path in (
+        ("dft/basis.py", ()), ("dft/hamiltonian.py", ()),
+        ("dft/eigensolver.py", ("_lockstep_lobpcg",)),
+    ):
+        nodes = _inside(kernels[rel], *path)
+        assert nodes, (rel, path)
+        for node in nodes:
+            for field in ("id", "arg", "attr", "module"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and (
+                    name in _HANDLE_NAMES | {"Observer", "OFF", "record_solve"}
+                    or name.startswith("repro.observe")
+                ):
+                    mentions.append((rel, node.lineno, name))
+    assert mentions == [], mentions
+
+
 # -- the engine's import graph ------------------------------------------------
 
 #: What ``import repro.core.ldc`` may add to the resident set of a process
-#: that has imported NumPy: measured 8.1 MB, +15 % head-room.  With SciPy's
-#: compiled stack behind it the same import added 37.5 MB.
-ENGINE_IMPORT_MB = 9.3
+#: that has imported NumPy: twice the measured 2.63 MB (3.45 MB while
+#: ``repro.core`` still loaded the virtual machine and the drivers
+#: ``repro.sanitize``; 37.5 MB with SciPy's compiled stack behind it).
+ENGINE_IMPORT_MB = 5.3
+
+#: packages an engine process has no business loading
+_TOOLING = ("observability", "sanitize", "parallel", "perfmodel", "analysis")
 
 _ENGINE_PROBE = '''
 import json, sys
@@ -200,6 +297,7 @@ import repro.md.qmd, repro.dft.scf
 import numpy as np
 from repro.core.ldc import LDCOptions, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
+from repro.md.qmd import LDCEngine, QMDDriver
 from repro.systems import dimer
 from repro.systems.configuration import Configuration
 
@@ -214,10 +312,19 @@ ldc = run_ldc(
     compute_forces=True,
 )
 scf = run_scf(dimer("H", "H", 1.5, 12.0), SCFOptions(ecut=4.0, tol=1e-3, max_iter=4))
+frames = QMDDriver(
+    LDCEngine(LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-3)),
+    timestep=4.0,
+).run(dimer("H", "H", 2.3, 12.0), 2)
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "repro": sorted(m for m in sys.modules if m.startswith("repro.")),
     "domains": len(ldc.states),
-    "finite": bool(np.isfinite(ldc.forces).all() and np.isfinite(scf.energy)),
+    "finite": bool(
+        np.isfinite(ldc.forces).all() and np.isfinite(scf.energy)
+        and all(np.isfinite(f.total_energy) for f in frames)
+    ),
+    "steps": len(frames),
     "import_mb": None if imported is None else imported - numpy_only,
 }))
 '''
@@ -225,14 +332,20 @@ print(json.dumps({
 
 def test_engine_process_loads_no_scipy_and_imports_small():
     """The QMD engine path — imports, a two-domain LDC solve with forces, a
-    global SCF — runs on NumPy alone, and importing it stays cheap: the next
-    eager import of a compiled stack fails here, not in a benchmark row."""
+    global SCF, two MD steps through ``QMDDriver(LDCEngine)`` — runs on
+    NumPy alone and is only the engine: no observability, sanitizer,
+    virtual-machine, cost-model or linter module is loaded.  Importing it
+    stays cheap: the next eager import of a compiled stack or of a tooling
+    package fails here, not in a benchmark row."""
     import json
     import os
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+    # without the REPRO_* switches of the surrounding CI job: REPRO_SANITIZE
+    # would (rightly) load repro.sanitize
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(REPO / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", _ENGINE_PROBE], env=env, capture_output=True,
@@ -240,7 +353,47 @@ def test_engine_process_loads_no_scipy_and_imports_small():
     )
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
-    assert probe["domains"] == 2 and probe["finite"]
+    assert probe["domains"] == 2 and probe["steps"] == 2 and probe["finite"]
     assert probe["scipy"] == []
+    assert [m for m in probe["repro"] if m.split(".")[1] in _TOOLING] == []
     if probe["import_mb"] is not None:  # no /proc: nothing to read it from
         assert probe["import_mb"] <= ENGINE_IMPORT_MB
+
+
+# -- the tier-1 budget ------------------------------------------------------------
+
+_BUDGET_PROBE = """
+import tests.conftest as tier1
+
+tier1.TEST_BUDGET_S = 0.05  # read by the hooks when they run
+from tests.conftest import (  # noqa: E402,F401
+    pytest_configure, pytest_runtest_makereport, pytest_sessionfinish,
+    pytest_terminal_summary,
+)
+"""
+
+
+def test_a_test_over_the_tier1_budget_fails_the_session_by_name(tmp_path):
+    """``tests/conftest.py`` holds every test to ``TEST_BUDGET_S`` of set-up
+    plus call: with the ceiling lowered to 50 ms, a session whose tests all
+    pass still fails, and says which one was slow."""
+    import os
+    import subprocess
+    import sys
+
+    (tmp_path / "conftest.py").write_text(_BUDGET_PROBE)
+    (tmp_path / "test_pace.py").write_text(
+        "import time\n\n"
+        "def test_quick():\n    pass\n\n"
+        "def test_slow():\n    time.sleep(0.2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), str(tmp_path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "2 passed" in done.stdout, done.stdout + done.stderr
+    assert done.returncode == 1
+    assert "OVER BUDGET test_pace.py::test_slow" in done.stdout
+    assert "test_quick" not in done.stdout

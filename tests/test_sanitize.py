@@ -1,6 +1,7 @@
 """The runtime sanitizer layer: SPMD emulation diagnostics, the
-VirtualComm schedule observer, the numerics tripwires in the real drivers,
-and the zero-overhead contract of the disabled path.
+VirtualComm schedule observer, the numerics tripwires in the real drivers
+(armed through ``Instrumentation(numerics=...)``), and the contract of the
+disabled path: no frame of ``repro/sanitize`` is entered.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import pytest
 
 from repro.core.ldc import LDCOptions, make_global_grid, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
+from repro.observability import Instrumentation
+from repro.observe import OFF
 from repro.parallel.comm import VirtualComm
 from repro.sanitize import (
     CollectiveMismatchError,
@@ -162,7 +165,7 @@ def test_parallel_ldc_run_passes_under_full_sanitizers():
     result = run_ldc(
         h2(),
         LDCOptions(ecut=4.0, tol=1e-3, max_iter=3, domains=(2, 1, 1)),
-        sanitize=san,
+        instrumentation=Instrumentation(numerics=san.numerics),
     )
     assert np.isfinite(result.energy)
     assert san.numerics.checks > 0
@@ -176,9 +179,9 @@ def test_nan_in_density_update_is_caught_in_run_ldc():
     grid = make_global_grid(cfg, LDC_OPTS)
     rho0 = np.full(grid.shape, 0.01)
     rho0[0, 0, 0] = np.nan
-    san = Sanitizers(numerics=NumericsSanitizer())
+    armed = Instrumentation(numerics=NumericsSanitizer())
     with pytest.raises(NumericsError) as exc:
-        run_ldc(cfg, LDC_OPTS, rho0=rho0, sanitize=san)
+        run_ldc(cfg, LDC_OPTS, rho0=rho0, instrumentation=armed)
     msg = str(exc.value)
     assert "'rho0'" in msg and "ldc.init" in msg
     assert "NaN/Inf" in msg
@@ -186,13 +189,13 @@ def test_nan_in_density_update_is_caught_in_run_ldc():
 
 def test_nan_in_density_update_is_caught_in_run_scf():
     cfg = h2()
-    san = Sanitizers(numerics=NumericsSanitizer())
-    ok = run_scf(cfg, SCF_OPTS, sanitize=san)  # clean run passes
-    assert ok.iterations > 0 and san.numerics.checks > 0
+    armed = Instrumentation(numerics=NumericsSanitizer())
+    ok = run_scf(cfg, SCF_OPTS, instrumentation=armed)  # clean run passes
+    assert ok.iterations > 0 and armed.numerics.checks > 0
     rho0 = np.full_like(ok.density, 0.01)
     rho0[0, 0, 0] = np.inf
     with pytest.raises(NumericsError):
-        run_scf(cfg, SCF_OPTS, rho0=rho0, sanitize=san)
+        run_scf(cfg, SCF_OPTS, rho0=rho0, instrumentation=armed)
 
 
 def test_numerics_collect_mode_records_instead_of_raising():
@@ -256,16 +259,18 @@ def _count_sanitize_calls(fn):
     return counts, result
 
 
-def test_disabled_path_executes_zero_sanitizer_code(monkeypatch):
-    # neutralise any REPRO_SANITIZE the surrounding CI job exported — the
-    # drivers bound ENV_SANITIZERS by name at import
-    monkeypatch.setattr("repro.core.ldc.ENV_SANITIZERS", None)
-    monkeypatch.setattr("repro.dft.scf.ENV_SANITIZERS", None)
+def test_disabled_path_executes_zero_sanitizer_code():
+    # OFF, not None: off whatever REPRO_SANITIZE the surrounding CI job
+    # exported
     cfg = h2()
-    counts, result = _count_sanitize_calls(lambda: run_ldc(cfg, LDC_OPTS))
+    counts, result = _count_sanitize_calls(
+        lambda: run_ldc(cfg, LDC_OPTS, instrumentation=OFF)
+    )
     assert counts["total"] > 0  # the profiler actually saw the run
     assert counts["sanitize"] == 0
-    counts, _ = _count_sanitize_calls(lambda: run_scf(cfg, SCF_OPTS))
+    counts, _ = _count_sanitize_calls(
+        lambda: run_scf(cfg, SCF_OPTS, instrumentation=OFF)
+    )
     assert counts["sanitize"] == 0
     assert result.iterations > 0
 
@@ -273,9 +278,9 @@ def test_disabled_path_executes_zero_sanitizer_code(monkeypatch):
 def test_enabled_path_does_enter_sanitizer_code():
     """Sanity check that the counter would catch regressions."""
     cfg = h2()
-    san = Sanitizers(numerics=NumericsSanitizer())
+    armed = Instrumentation(numerics=NumericsSanitizer())
     counts, _ = _count_sanitize_calls(
-        lambda: run_ldc(cfg, LDC_OPTS, sanitize=san)
+        lambda: run_ldc(cfg, LDC_OPTS, instrumentation=armed)
     )
     assert counts["sanitize"] > 0
-    assert san.numerics.checks > 0
+    assert armed.numerics.checks > 0

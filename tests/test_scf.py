@@ -278,7 +278,7 @@ def test_warm_start_admission_is_the_same_for_both_maps(solve):
     """A stale-shaped ``rho0`` is a cold start (bit for bit), a non-finite
     one a named error — decided once, in the loop both drivers share."""
     from repro.dft.mixing import DensityError
-    from repro.sanitize import Sanitizers
+    from repro.observe import OFF
 
     cfg = dimer("H", "H", 1.5, 10.0)
     cold = solve(cfg)
@@ -286,6 +286,6 @@ def test_warm_start_admission_is_the_same_for_both_maps(solve):
     assert stale.energy == cold.energy and stale.iterations == cold.iterations
     broken = np.full(cold.grid.shape, 0.01)
     broken[0, 0, 0] = np.nan
-    # an empty bundle: under REPRO_SANITIZE the rho0 tripwire fires first
+    # OFF, not None: under REPRO_SANITIZE the rho0 tripwire fires first
     with pytest.raises(DensityError, match="finite positive"):
-        solve(cfg, rho0=broken, sanitize=Sanitizers())
+        solve(cfg, rho0=broken, instrumentation=OFF)
