@@ -91,7 +91,7 @@ def _replay(frames, batched: bool):
             cfg, opts, workspace=ws, rho0=rho, instrumentation=ins,
         )
         assert r.converged
-        rho = r.density
+        rho = r.input_density
         eig = ins.metrics.get("eigensolver.iterations", solver="all_band")
         rows.append((int(eig.value), r.energy))
         spans.extend(

@@ -70,7 +70,7 @@ def _replay(frames, warm: bool):
         )
         assert r.converged
         if warm:
-            rho = r.density
+            rho = r.input_density
         eig = ins.metrics.get("eigensolver.iterations", solver="all_band")
         scf = ins.metrics.get("scf.iterations", engine="ldc")
         rows.append((int(eig.value), int(scf.value), r.energy))

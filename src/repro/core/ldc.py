@@ -170,12 +170,20 @@ class LDCResult:
     energy: float
     components: dict[str, float]
     mu: float
+    #: the final pass's assembled output (clipped, normalized): the density
+    #: of forces and charges
     density: np.ndarray
+    #: the density the final pass's potentials — and so every domain's ψ —
+    #: were solved at: the one to carry as the next solve's ``rho0``
+    input_density: np.ndarray
     grid: RealSpaceGrid
     decomposition: DomainDecomposition
     states: list[DomainState]
     converged: bool
     iterations: int
+    #: ∫|density − input_density|/N_e — the residual of the returned state
+    #: (``density_residuals[-1]`` is the pass before it)
+    final_residual: float
     history: list[float] = field(default_factory=list)
     density_residuals: list[float] = field(default_factory=list)
     boundary_errors: list[float] = field(default_factory=list)
@@ -274,6 +282,13 @@ def run_ldc(
     potentials solved globally, every domain with atoms through the
     domain-solve seam :func:`repro.core.batched.batched_domain_pass`, then
     the global μ and the reassembled density) and packages the final pass.
+
+    ``rho0`` is the warm-start density (a stale-shaped one is a cold
+    start).  Along a trajectory carry the previous result's
+    ``input_density`` — the density its domain ψ, the ones a ``workspace``
+    warm-starts from, were solved at — not its ``density``, the final
+    pass's raw output, whose error is the input's amplified by the SCF
+    response (DESIGN.md §17); :class:`~repro.md.qmd.LDCEngine` does.
 
     ``instrumentation`` is the observability handle (:mod:`repro.observe`).
     An :class:`~repro.observability.Instrumentation` records one

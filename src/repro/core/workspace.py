@@ -154,8 +154,10 @@ class LDCWorkspace:
     Usage::
 
         ws = LDCWorkspace()
-        for step in trajectory:
-            result = run_ldc(config, opts, workspace=ws, rho0=rho_prev)
+        rho = None
+        for config in trajectory:
+            result = run_ldc(config, opts, workspace=ws, rho0=rho)
+            rho = result.input_density  # what the stored ψ were solved at
 
     ``prepare`` detects cell / option changes and resets itself, so a single
     workspace can safely outlive a cell swap — it just pays one cold rebuild.

@@ -112,12 +112,20 @@ class SCFResult:
     eigenvalues: np.ndarray
     occupations: np.ndarray
     mu: float
+    #: the final pass's output Σ f|ψ|² (clipped, normalized): the density
+    #: of forces and charges
     density: np.ndarray
+    #: the density the final pass's Hamiltonian — and so ``orbitals`` — was
+    #: solved at: the one to carry as the next solve's ``rho0``
+    input_density: np.ndarray
     orbitals: np.ndarray
     basis: PlaneWaveBasis
     grid: RealSpaceGrid
     converged: bool
     iterations: int
+    #: ∫|density − input_density|/N_e — the residual of the returned state
+    #: (``density_residuals[-1]`` is the pass before it)
+    final_residual: float
     #: Harris–Foulkes energy of every pass (second order in that pass's
     #: residual, not variational: it may approach the limit from below)
     history: list[float] = field(default_factory=list)
@@ -229,16 +237,30 @@ def harris_foulkes_energy(
 
 class FixedPoint(NamedTuple):
     """What :func:`scf_fixed_point` returns, named as the result classes
-    name it: the final consistent pass (density clipped and normalized)
-    and the loop's per-pass scalars."""
+    name it: the final consistent pass and the loop's per-pass scalars.
+
+    The final pass is a pair of densities.  ``input_density`` is the one
+    its Hamiltonian was built from, and *the density to carry*: what a
+    trajectory's window stores and the next solve's ``rho0`` is predicted
+    from.  The returned orbitals are eigenvectors of H[``input_density``],
+    so the two are the consistent pair; and with J = ∂ρ_out/∂ρ_in the
+    output's error is J·e against the input's e, largest in the
+    long-wavelength components an ASPC window amplifies (DESIGN.md §17).
+    ``density`` is that pass's output (clipped, normalized): Σ f|ψ|², the
+    density of forces, charges and ``∫ρ = N_e`` checks.  They differ by
+    ``final_residual`` = ∫|ρ − ρ_in|/N_e, the residual of the state that
+    is returned (``density_residuals[-1]`` belongs to the pass before it).
+    """
 
     density: np.ndarray
+    input_density: np.ndarray
     energy: float
     mu: float
     converged: bool
     iterations: int
     history: list[float]
     density_residuals: list[float]
+    final_residual: float
 
 
 def scf_fixed_point(
@@ -267,7 +289,10 @@ def scf_fixed_point(
     runs at the converged ``ρ_out`` — or, when the solve ``continues`` a
     trajectory (its state seeds the next MD step), at the mixer's next
     iterate; when ``options.max_iter`` runs out, at the last mixed iterate
-    with ``converged=False``.
+    with ``converged=False``.  Whichever it was comes back as
+    ``input_density`` (the loop's own array, never a mixer buffer), and
+    that — not the pass's raw output ``density`` — is what a caller
+    carries to the next solve (:class:`FixedPoint` has the reasons).
 
     ``engine`` (``"pw"`` | ``"ldc"``) labels what the loop tells ``ins``,
     the observability handle (the caller's, already resolved; the loop does
@@ -288,6 +313,9 @@ def scf_fixed_point(
         PulayMixer if options.mixer == "pulay" else LinearMixer
     )(alpha=options.mix_alpha)
 
+    def residual(rho_out: np.ndarray, rho_in: np.ndarray) -> float:
+        return grid.integrate(np.abs(rho_out - rho_in)) / max(n_electrons, 1.0)
+
     history: list[float] = []
     residuals: list[float] = []
     converged = False
@@ -303,7 +331,7 @@ def scf_fixed_point(
         rho_out = renormalize(
             np.clip(rho_out, 0.0, None), n_electrons, grid.dv
         )
-        resid = grid.integrate(np.abs(rho_out - rho)) / max(n_electrons, 1.0)
+        resid = residual(rho_out, rho)
         residuals.append(resid)
         history.append(energy)
         ins.counter("scf.iterations", engine=engine).inc()
@@ -344,10 +372,14 @@ def scf_fixed_point(
     rho_final = renormalize(
         np.clip(rho_final, 0.0, None), n_electrons, grid.dv
     )
+    # "converged to tol" describes the pass before this one; the state that
+    # goes out has a residual of its own (recorded, nothing depends on it)
+    final_resid = residual(rho_final, rho)
+    ins.series("scf.final_residual", engine=engine).append(final_resid)
     ins.log.info(
         f"{label} finished",
-        extra={"engine": engine, "converged": converged,
-               "iterations": it, "energy": energy},
+        extra={"engine": engine, "converged": converged, "iterations": it,
+               "energy": energy, "final_residual": final_resid},
     )
     ins.observe(
         "scf.density", engine=engine,
@@ -357,8 +389,12 @@ def scf_fixed_point(
         "solver.convergence", solver=f"scf[{engine}]",
         converged=converged, iterations=it, final=True,
         residual=residuals[-1] if residuals else None,
+        final_residual=final_resid,
     )
-    return FixedPoint(rho_final, energy, mu, converged, it, history, residuals)
+    return FixedPoint(
+        rho_final, rho, energy, mu, converged, it, history, residuals,
+        final_resid,
+    )
 
 
 def run_scf(
@@ -387,7 +423,9 @@ def run_scf(
     v_extra:
         Optional extra external potential on the grid (exposed for tests).
     rho0:
-        Optional initial density (e.g. from the previous MD step).  A
+        Optional initial density.  From the previous MD step, carry its
+        ``SCFResult.input_density`` — the density its orbitals (``psi0``)
+        were solved at — not ``.density``, that pass's raw output.  A
         stale-shaped array (grid changed since it was produced) is ignored
         — cold start, not a crash.
     grid:

@@ -58,16 +58,24 @@ class QMDOptions:
 
 def _resolve_history_depth(qmd_options: QMDOptions | None) -> int | None:
     """Explicit ``QMDOptions.history_depth`` beats ``$REPRO_ASPC_DEPTH``;
-    ``None`` means "leave the engine options alone"."""
+    ``None`` means "leave the engine options alone".  Whichever source
+    speaks must hold an integer >= 1 — validated here, once, for both
+    engines, in an error that names the source and what it held."""
     if qmd_options is not None and qmd_options.history_depth is not None:
-        return int(qmd_options.history_depth)
-    env = os.environ.get("REPRO_ASPC_DEPTH", "").strip()
-    if not env:
-        return None
+        source, value = "QMDOptions.history_depth", qmd_options.history_depth
+    else:
+        source, value = "REPRO_ASPC_DEPTH", os.environ.get(
+            "REPRO_ASPC_DEPTH", ""
+        ).strip()
+        if not value:
+            return None
     try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"REPRO_ASPC_DEPTH must be an integer, got {env!r}") from None
+        depth = int(value)
+    except (TypeError, ValueError):
+        depth = 0  # not a number: rejected with the rest
+    if depth < 1 or (not isinstance(value, str) and depth != value):
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return depth
 
 
 def _resolve_adaptive_buffer(qmd_options: QMDOptions | None) -> bool:
@@ -97,9 +105,18 @@ class QMDFrame:
 
 class _WarmStartEngine:
     """What both force engines keep between ``forces()`` calls: the cell
-    their caches belong to, the window of converged densities the next
-    solve's ``rho0`` is predicted from, and the per-solve cost telemetry.
-    ``forces`` itself is defined on each engine."""
+    their caches belong to, the density window the next solve's ``rho0`` is
+    predicted from, and the per-solve cost telemetry.  ``forces`` itself is
+    defined on each engine.
+
+    One rule for what the window receives: ``result.input_density``, the
+    density the returned orbitals were solved at — the final pass's
+    *input*, on a continuing solve the mixer's last quasi-Newton iterate —
+    never the map's raw output ``result.density``.  (ρ_in, ψ) is the
+    mutually consistent pair, and the output's error is the input's
+    multiplied by the SCF response, largest in the long-wavelength
+    components the ASPC coefficients (up to 2.5) then amplify
+    (DESIGN.md §17, "What the windows store")."""
 
     #: the ``engine=`` label of this engine's telemetry
     label: str
@@ -109,8 +126,9 @@ class _WarmStartEngine:
         #: :class:`QMDDriver` share its own; ``forces()`` resolves it
         self.instrumentation = instrumentation
         self._cell = None
-        #: newest-first window of converged global densities: the last one
-        #: always, the ASPC depth K of them at K >= 2
+        #: newest-first window of the global densities the returned states
+        #: were solved at (``result.input_density``): the last one always,
+        #: the ASPC depth K of them at K >= 2
         self._rho_hist: list[np.ndarray] = []
         #: the first (cold) step's eigensolver-iteration count — the
         #: reference the per-step ``qmd.eig_iters_saved`` series is
@@ -130,15 +148,17 @@ class _WarmStartEngine:
 
     def _predict_rho(self, depth: int):
         """The density seed for the next solve: nothing (cold), the last
-        converged density (depth 1, or a window still filling), or the
-        ASPC field extrapolation over the window (clipped nonnegative; the
-        SCF loop renormalizes the electron count)."""
+        solve's input density itself (depth 1, or a window still filling;
+        the SCF loop copies it), or the ASPC field extrapolation over the
+        window (clipped nonnegative; the SCF loop renormalizes the
+        electron count)."""
         window = self._rho_hist[:depth]
         if len(window) < 2:
             return window[0] if window else None
         return extrapolate_fields(window, nonnegative=True)
 
     def _push_rho(self, rho, depth: int) -> None:
+        """Put a solve's ``input_density`` at the head of the window."""
         if self._rho_hist and self._rho_hist[0].shape != rho.shape:
             self._rho_hist.clear()  # grid changed (e.g. a cutoff change)
         self._rho_hist.insert(0, rho)
@@ -184,7 +204,10 @@ class LDCEngine(_WarmStartEngine):
     ψ), and the density mixer keeps its secant pairs from one step's SCF
     to the next (the workspace's SCF memory).  The workspace owns the
     per-domain (ψ, v_bc, ρ_α) windows and the mixer; the engine owns the
-    global-density window each solve's ``rho0`` is predicted from.  A cell
+    global-density window each solve's ``rho0`` is predicted from, and
+    pushes ``LDCResult.input_density`` onto it — the density the step's ψ
+    were solved at, not the final pass's output (the rule of
+    :class:`_WarmStartEngine`).  A cell
     change between ``forces()`` calls resets the workspace — orbital
     windows and SCF memory with it — and the density window (cold start,
     never a stale-shape crash).
@@ -237,7 +260,7 @@ class LDCEngine(_WarmStartEngine):
             rho0=self._predict_rho(self.options.history_depth),
             instrumentation=ins, workspace=self.workspace,
         )
-        self._push_rho(result.density, self.options.history_depth)
+        self._push_rho(result.input_density, self.options.history_depth)
         self._record_solver_cost(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
@@ -299,7 +322,11 @@ class SCFEngine(_WarmStartEngine):
     """Force engine backed by the conventional O(N³) SCF.
 
     Warm-starts each step from the previous step's density *and* converged
-    orbitals.  With ``qmd_options.history_depth >= 2`` (or
+    orbitals — the density being ``SCFResult.input_density``, the one those
+    orbitals were solved at (the rule of :class:`_WarmStartEngine`; a
+    single point's final pass runs at the converged output, so here it
+    differs from ``SCFResult.density`` only by that pass's own residual,
+    below ``tol``).  With ``qmd_options.history_depth >= 2`` (or
     ``$REPRO_ASPC_DEPTH``) both come from ASPC predictions instead: ρ over
     the density window every engine keeps, ψ over a bounded
     :class:`~repro.md.extrapolate.DomainHistory` of converged blocks that
@@ -324,9 +351,10 @@ class SCFEngine(_WarmStartEngine):
         super().__init__(instrumentation)
         self.options = options or SCFOptions()
         self.use_orbital_warm_start = use_orbital_warm_start
+        depth = _resolve_history_depth(qmd_options)
+        #: 1 unless a source asked for more and there are windows to fill
         self.history_depth = (
-            _resolve_history_depth(qmd_options) or 1
-            if use_orbital_warm_start else 1
+            depth if depth is not None and use_orbital_warm_start else 1
         )
         #: ASPC window of converged ψ — only consulted at depth >= 2
         self._history = DomainHistory(depth=self.history_depth)
@@ -347,7 +375,7 @@ class SCFEngine(_WarmStartEngine):
             config, self.options, rho0=self._predict_rho(self.history_depth),
             instrumentation=ins, psi0=psi0, warm_cell=prev_cell,
         )
-        self._push_rho(result.density, self.history_depth)
+        self._push_rho(result.input_density, self.history_depth)
         psi = result.orbitals
         if self.use_orbital_warm_start:
             self._psi = psi

@@ -370,17 +370,20 @@ class SolverConvergenceInvariant(Invariant):
 
     def update(self, sample: dict[str, Any]) -> HealthRecord | None:
         solver = str(sample.get("solver", "?"))
+        context = {"solver": solver, "iterations": sample.get("iterations")}
+        if "final_residual" in sample:
+            # an SCF's ``residual`` belongs to the pass that converged;
+            # this is the residual of the state it then returned
+            context["final_residual"] = sample["final_residual"]
         if sample["converged"]:
             return self._record(
-                STATUS_OK, 1.0, None, f"{solver} converged", solver=solver,
-                iterations=sample.get("iterations"),
+                STATUS_OK, 1.0, None, f"{solver} converged", **context
             )
         status = STATUS_FAIL if sample.get("final", False) else STATUS_WARN
         return self._record(
             status, 0.0, None,
             f"{solver} did not converge within its iteration budget",
-            solver=solver, iterations=sample.get("iterations"),
-            residual=sample.get("residual"),
+            residual=sample.get("residual"), **context,
         )
 
 

@@ -203,3 +203,31 @@ def test_env_depth_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_ASPC_DEPTH", "three")
     with pytest.raises(ValueError, match="REPRO_ASPC_DEPTH.*'three'"):
         LDCEngine()
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.5])
+@pytest.mark.parametrize("engine", ["LDCEngine", "SCFEngine"])
+def test_history_depth_is_validated_once_for_both_engines(
+    monkeypatch, engine, bad
+):
+    """A depth below 1 used to become depth 1 silently in ``SCFEngine`` and
+    an ``LDCOptions`` error naming neither source in ``LDCEngine``."""
+    import repro.md.qmd as qmd
+
+    build = getattr(qmd, engine)
+    monkeypatch.delenv("REPRO_ASPC_DEPTH", raising=False)
+    with pytest.raises(
+        ValueError, match=rf"QMDOptions\.history_depth.*>= 1.*{bad!r}"
+    ):
+        build(qmd_options=qmd.QMDOptions(history_depth=bad))
+    monkeypatch.setenv("REPRO_ASPC_DEPTH", str(bad))
+    with pytest.raises(
+        ValueError, match=rf"REPRO_ASPC_DEPTH.*>= 1.*'{bad}'"
+    ):
+        build()
+    # the explicit option still beats the variable, whatever that holds
+    built = build(qmd_options=qmd.QMDOptions(history_depth=2))
+    assert 2 == (
+        built.history_depth if engine == "SCFEngine"
+        else built.options.history_depth
+    )

@@ -260,6 +260,78 @@ def test_exhausted_budget_is_reported_not_hidden():
     assert len(spans) == 3 and all(s.attrs["probe"] == 1.5 for s in spans)
 
 
+@pytest.mark.parametrize(
+    "continues, budget, converged",
+    [
+        (False, dict(tol=1e-4), True),
+        (True, dict(tol=1e-4), True),
+        (True, dict(tol=1e-14, max_iter=3), False),
+    ],
+    ids=["single-point", "continues", "exhausted"],
+)
+def test_input_density_is_what_the_final_pass_received(
+    continues, budget, converged
+):
+    """All three exits of the loop hand back the array the final evaluation
+    was given — the converged ρ_out, the mixer's next iterate, the last
+    mixed iterate — and it is the loop's own: no mixer buffer shares it."""
+    from repro.dft.mixing import PulayMixer
+    from repro.dft.scf import scf_fixed_point
+
+    toy = ContractionMap(radius=0.5 if converged else 0.95)
+    mixer = PulayMixer(alpha=0.5)  # a caller-owned one, to look inside
+    out = scf_fixed_point(
+        toy, toy.config, toy.grid, None, SCFOptions(**budget), "pw",
+        mixer=mixer, continues=continues,
+    )
+    assert out.converged is converged and len(mixer._inputs) >= 2
+    final, final_in = toy.inputs[-1]
+    assert final is None and out.input_density is final_in
+    assert not any(
+        np.shares_memory(out.input_density, kept)
+        for kept in mixer._inputs + mixer._residuals
+    )
+    # density keeps its meaning: the final pass's output, N_e electrons
+    np.testing.assert_allclose(
+        out.density, toy(final_in, None)[0], rtol=0.0, atol=1e-14
+    )
+    assert toy.grid.integrate(out.density) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("continues", [False, True])
+def test_final_residual_is_that_of_the_returned_pass(continues, caplog):
+    """``density_residuals[-1]`` describes the pass that converged; the
+    final pass has a residual of its own, recorded wherever the loop
+    reports (series, health record, log) and steering nothing."""
+    import logging
+
+    from repro.observability import Instrumentation
+    from repro.observability.health import HealthMonitor
+
+    toy = ContractionMap()
+    ins = Instrumentation(health=HealthMonitor(keep_ok=True))
+    with caplog.at_level(logging.INFO, logger=ins.log.name):
+        out = toy.solve(mixer="linear", tol=1e-4, continues=continues, ins=ins)
+    expected = toy.grid.integrate(
+        np.abs(out.density - out.input_density)
+    ) / toy.config.n_electrons()
+    assert out.final_residual == expected
+    assert 0.0 < out.final_residual < out.density_residuals[-1] < 1e-4
+    assert ins.metrics.get("scf.final_residual", engine="pw").values == [expected]
+    (verdict,) = [
+        r for r in ins.health.records if r.invariant == "solver_convergence"
+    ]
+    assert verdict.context["final_residual"] == expected
+    (finished,) = [
+        r for r in caplog.records if r.getMessage() == "scf finished"
+    ]
+    assert finished.final_residual == expected
+    # the bare loop and the instrumented one are the same arithmetic
+    assert ContractionMap().solve(
+        mixer="linear", tol=1e-4, continues=continues
+    ).final_residual == expected
+
+
 def _solve_scf(cfg, **kwargs):
     return run_scf(cfg, SCFOptions(ecut=4.0, tol=1e-4), **kwargs)
 
@@ -289,3 +361,41 @@ def test_warm_start_admission_is_the_same_for_both_maps(solve):
     # OFF, not None: under REPRO_SANITIZE the rho0 tripwire fires first
     with pytest.raises(DensityError, match="finite positive"):
         solve(cfg, rho0=broken, instrumentation=OFF)
+
+
+@pytest.mark.parametrize("engine_name", ["scf", "ldc"])
+def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
+    """One rule for both engines: the density window's head is the very
+    array the returned state was solved at, not the final pass's output."""
+    import repro.core.ldc as ldc_module
+    import repro.dft.scf as scf_module
+    from repro.core import LDCOptions
+    from repro.md.qmd import LDCEngine, SCFEngine
+
+    if engine_name == "scf":
+        module, name = scf_module, "run_scf"
+        engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-4))
+    else:
+        module, name = ldc_module, "run_ldc"
+        engine = LDCEngine(
+            LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5, tol=1e-4)
+        )
+    results = []
+    solver = getattr(module, name)
+
+    def tapped(*args, **kwargs):
+        results.append(solver(*args, **kwargs))
+        return results[-1]
+
+    # the engines look the solver up at call time
+    monkeypatch.setattr(module, name, tapped)
+    for bond in (1.5, 1.52):
+        engine.forces(dimer("H", "H", bond, 10.0))
+        result = results[-1]
+        assert engine._rho_hist[0] is result.input_density
+        assert result.input_density is not result.density
+        assert result.final_residual == result.grid.integrate(
+            np.abs(result.density - result.input_density)
+        ) / 2.0
+    # the second solve started from the first one's input density
+    assert len(results) == 2 and len(engine._rho_hist) == 1
