@@ -20,6 +20,7 @@ Two entry points:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,8 @@ class BufferDecision:
     core_length: float
     #: whether the controller asks for a change
     changed: bool
-    #: "hold-band" | "hold-cooldown" | "hold-quantized" | "hold-no-data"
-    #: | "grow" | "shrink"
+    #: "hold-band" | "hold-cooldown" | "hold-quantized" | "hold-cell"
+    #: | "hold-no-data" | "grow" | "shrink"
     reason: str
 
 
@@ -174,8 +175,9 @@ class BufferController:
     loop from churning the structural caches: a hold band around ε, a
     cooldown after every change (the post-reset transient carries no
     steady-state information), and a no-op detector for proposals that
-    quantize to the same whole-grid-point buffer the decomposition already
-    realizes.
+    realize — rounded to whole grid points and clamped at the whole-cell
+    buffer, as :class:`~repro.core.domains.DomainDecomposition` does — to
+    the buffer the decomposition already has.
     """
 
     options: BufferControllerOptions = field(
@@ -185,6 +187,8 @@ class BufferController:
     decay_length: float = 0.0
     #: total adjustments requested (the ``ldc.buffer_adjustments`` counter)
     adjustments: int = 0
+    #: reason -> how often a proposal was held for it
+    holds: Counter = field(default_factory=Counter)
     _observations: list[tuple[float, float]] = field(default_factory=list)
     _cooldown: int = 0
 
@@ -209,19 +213,26 @@ class BufferController:
                 pass  # non-decaying/degenerate sample set: keep prior λ
 
     def propose(
-        self, current_buffer: float, spacings: np.ndarray | None = None
+        self,
+        current_buffer: float,
+        spacings: np.ndarray | None = None,
+        max_points: np.ndarray | None = None,
     ) -> BufferDecision:
         """The buffer for the next step given the latest observation.
 
-        ``spacings`` (per-axis grid spacings, Bohr) enables the
-        quantization no-op check: a proposal that realizes to the same
+        ``spacings`` (per-axis grid spacings, Bohr) enables the no-op
+        check on *realized* buffers: a proposal that rounds to the same
         whole-grid-point buffer on every axis as ``current_buffer`` is
-        held — the decomposition would not change, so the workspace reset
-        would buy nothing.
+        held (``"hold-quantized"``) — the decomposition would not change,
+        so the workspace reset would buy nothing.  ``max_points`` is the
+        decomposition's ceiling (``max_buffer_points``, where a domain
+        spans the cell): a proposal is cut back to it, and one that differs
+        from the current buffer only beyond it is held (``"hold-cell"``).
         """
         opts = self.options
 
         def hold(reason: str) -> BufferDecision:
+            self.holds[reason] += 1
             return BufferDecision(
                 buffer=float(current_buffer),
                 core_length=float(
@@ -254,10 +265,17 @@ class BufferController:
             return hold("hold-band")
         if spacings is not None:
             sp = np.asarray(spacings, dtype=float)
-            if np.array_equal(
-                np.rint(proposed / sp), np.rint(current_buffer / sp)
-            ):
+            points = np.rint(proposed / sp)
+            current = np.rint(current_buffer / sp)
+            if np.array_equal(points, current):
                 return hold("hold-quantized")
+            if max_points is not None:
+                proposed = min(proposed, float(np.max(max_points * sp)))
+                if np.array_equal(
+                    np.minimum(points, max_points),
+                    np.minimum(current, max_points),
+                ):
+                    return hold("hold-cell")
         self._cooldown = opts.cooldown_steps
         self.adjustments += 1
         return BufferDecision(

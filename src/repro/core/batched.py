@@ -63,7 +63,7 @@ class ShapeClassKey:
     accumulation, breaking bit-identity between stack widths.
     """
 
-    grid_shape: tuple[int, int, int]
+    grid_shape: tuple[int, ...]
     npw: int
     nband: int
     nproj: int
@@ -95,23 +95,18 @@ def _state_key(state: DomainState) -> ShapeClassKey:
 def group_shape_classes(states: list[DomainState]) -> list[ShapeClass]:
     """Group active domain states into shape classes (first-seen order).
 
-    Raises if two domains with equal keys have structurally different
-    plane-wave bases — that would make stacking silently wrong, and cannot
-    happen for a grid-aligned decomposition with one cutoff.
+    Raises if two domains with equal keys do not hold the same
+    :class:`PlaneWaveBasis` object — a stack transforms through one basis,
+    and :meth:`LDCWorkspace.build_states` hands every shape class its one.
     """
     classes: dict[ShapeClassKey, ShapeClass] = {}
     for pos, state in enumerate(states):
         key = _state_key(state)
-        cls = classes.get(key)
-        if cls is None:
-            classes[key] = ShapeClass(key=key, members=[pos])
-            continue
-        first = states[cls.members[0]]
-        assert first.basis is not None and state.basis is not None
-        if not first.basis.structurally_equal(state.basis):
+        cls = classes.setdefault(key, ShapeClass(key=key, members=[]))
+        if cls.members and states[cls.members[0]].basis is not state.basis:
             raise ValueError(
                 f"domains {cls.members[0]} and {pos} share shape-class key "
-                f"{key} but have structurally different plane-wave bases"
+                f"{key} but not one plane-wave basis"
             )
         cls.members.append(pos)
     return list(classes.values())
@@ -134,86 +129,39 @@ def _domain_effective_potential(
     (needed again for the boundary-error diagnostic).  ``state.vbc`` is
     updated in place as a side effect.
 
-    With ``state.scratch`` attached (workspace runs) every intermediate —
-    the gathered density, the v_bc target, the buffer window — lives in
-    the domain's reusable pool, so a steady-state pass allocates nothing
-    here; the arithmetic (and hence the result, bit for bit) is the same as
-    the allocating path.
+    Every intermediate — the gathered density, the v_bc target, the buffer
+    window — lives in the domain's reusable pool (``state.scratch``), so a
+    steady-state pass allocates nothing here.
     """
     dom = state.domain
     scratch = state.scratch
-    if scratch is not None:
-        shape = dom.grid.shape
-        flat = scratch.flat_indices(dom, rho.shape)
-        if state.v_ion_local is not None:
-            np.take(v_hxc_global.ravel(), flat, out=out)
-            out += state.v_ion_local
-        else:
-            np.take(v_ks_global.ravel(), flat, out=out)
-        rho_restricted = scratch.get("rho_restricted", shape)
-        np.take(rho.ravel(), flat, out=rho_restricted)
-        vbc_target = boundary_potential(
-            state.rho_local, rho_restricted, xi,
-            out=scratch.get("vbc_target", shape),
-        )
-        if opts.vbc_region == "buffer":
-            # act only near the artificial boundary, not inside the core
-            window = scratch.get("boundary_window", shape)
-            np.subtract(1.0, state.support, out=window)
-            vbc_target *= window
-        if state.vbc is None:
-            state.vbc = opts.vbc_damping * vbc_target  # owned, not scratch
-        else:
-            # same values as (1-d)·vbc + d·target, without the temporaries
-            state.vbc *= 1.0 - opts.vbc_damping
-            vbc_target *= opts.vbc_damping
-            state.vbc += vbc_target
-        out += state.vbc
-        return rho_restricted
+    shape = dom.grid.shape
+    flat = scratch.flat_indices(dom, rho.shape)
     if state.v_ion_local is not None:
-        v_dom = dom.extract(v_hxc_global) + state.v_ion_local
+        np.take(v_hxc_global.ravel(), flat, out=out)
+        out += state.v_ion_local
     else:
-        v_dom = dom.extract(v_ks_global)
-    rho_restricted = dom.extract(rho)
-    vbc_target = boundary_potential(state.rho_local, rho_restricted, xi)
+        np.take(v_ks_global.ravel(), flat, out=out)
+    rho_restricted = scratch.get("rho_restricted", shape)
+    np.take(rho.ravel(), flat, out=rho_restricted)
+    vbc_target = boundary_potential(
+        state.rho_local, rho_restricted, xi,
+        out=scratch.get("vbc_target", shape),
+    )
     if opts.vbc_region == "buffer":
         # act only near the artificial boundary, not inside the core
-        vbc_target = vbc_target * (1.0 - state.support)
+        window = scratch.get("boundary_window", shape)
+        np.subtract(1.0, state.support, out=window)
+        vbc_target *= window
     if state.vbc is None:
-        state.vbc = opts.vbc_damping * vbc_target
+        state.vbc = opts.vbc_damping * vbc_target  # owned, not scratch
     else:
-        state.vbc = (
-            1.0 - opts.vbc_damping
-        ) * state.vbc + opts.vbc_damping * vbc_target
-    np.add(v_dom, state.vbc, out=out)
+        # same values as (1-d)·vbc + d·target, without the temporaries
+        state.vbc *= 1.0 - opts.vbc_damping
+        vbc_target *= opts.vbc_damping
+        state.vbc += vbc_target
+    out += state.vbc
     return rho_restricted
-
-
-def _stage_band_data(
-    state: DomainState, res: EigenResult, rho_restricted: np.ndarray
-) -> float | None:
-    """Stage band densities/weights on the state after a domain solve and
-    return the boundary-density error (None on the first pass)."""
-    dom = state.domain
-    assert res.fields is not None
-    if state.scratch is not None:
-        densities = state.scratch.get(
-            "band_densities", (state.nband,) + dom.grid.shape
-        )
-        # |ψ|² without the two per-pass temporaries of np.abs(...)**2;
-        # ndarray ** 2 is np.power, so the values are identical
-        np.absolute(res.fields, out=densities)
-        np.power(densities, 2, out=densities)
-    else:
-        densities = np.abs(res.fields) ** 2  # per-band |ψ|²(r), reused fields
-    # band weights w_αn = ∫ p_α |ψ_n|² dr
-    w = np.einsum("nijk,ijk->n", densities, state.support) * dom.grid.dv
-    state.band_weights = w
-    state.band_densities = densities  # stashed for the density step
-    err: float | None = None
-    if state.rho_local is not None:
-        err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
-    return err
 
 
 def _solve_stack(
@@ -223,22 +171,31 @@ def _solve_stack(
     opts: LDCOptions,
     pool: DomainScratch,
 ) -> list[EigenResult]:
-    """Solve one stack's eigenproblems at the potentials ``v_eff``.
+    """Solve one stack's eigenproblems at the potentials ``v_eff``; every
+    domain's per-band |ψ|² lands in its own pooled ``band_densities``.
 
-    ``all_band`` stacks the starting blocks and projectors into ``pool``
-    and runs the lockstep LOBPCG; the reference solvers take their single
-    domain through a plain :class:`Hamiltonian`.
+    ``all_band`` stacks the starting blocks and projectors into ``pool``,
+    lends the solver the pool's field-capture block and runs the lockstep
+    LOBPCG; the reference solvers take their single domain through a plain
+    :class:`Hamiltonian`.
     """
     basis = states[0].basis
     assert basis is not None
+    densities = [
+        state.scratch.get("band_densities", (key.nband,) + key.grid_shape)
+        for state in states
+    ]
+    for state, out in zip(states, densities):
+        state.band_densities = out  # staged for the density step
     if opts.eigensolver != "all_band":
         (state,) = states  # reference solvers never stack
         ham = Hamiltonian(basis, v_eff[0], state.vnl)
         if opts.eigensolver == "direct":
-            return [solve_direct(ham, state.nband, want_fields=True)]
+            return [solve_direct(ham, state.nband, densities[0])]
+        assert state.psi is not None
         return [
             solve_band_by_band(
-                ham, state.psi, tol=opts.eig_tol, want_fields=True
+                ham, state.psi, tol=opts.eig_tol, band_densities=densities[0]
             )
         ]
     nd = len(states)
@@ -248,14 +205,18 @@ def _solve_stack(
         b = pool.get(("b", key), (nd, key.npw, key.nproj), complex)
         d = pool.get(("d", key), (nd, key.nproj), float)
     for j, state in enumerate(states):
-        assert state.vnl is not None
+        assert state.vnl is not None and state.psi is not None
         psi0[j] = state.psi
         if b is not None and d is not None:
             b[j] = state.vnl.b
             d[j] = state.vnl.d
     return solve_all_band_batched(
         BatchedHamiltonian(basis, v_eff, b, d), psi0,
-        max_iter=opts.eig_max_iter, tol=opts.eig_tol, want_fields=True,
+        max_iter=opts.eig_max_iter, tol=opts.eig_tol,
+        band_densities=densities,
+        capture=pool.get(
+            ("capture", key), (nd, key.nband) + key.grid_shape, complex
+        ),
     )
 
 
@@ -267,13 +228,14 @@ def batched_domain_pass(
     xi: float | None,
     opts: LDCOptions,
     ins: Observer,
-    pool: DomainScratch | None = None,
-) -> list[tuple[EigenResult, float | None]]:
+    pool: DomainScratch,
+) -> list[tuple[int, float | None]]:
     """All active domain solves of one SCF pass, stack by stack.
 
-    ``active`` lists ``(domain index, state)``; returns ``(EigenResult,
-    boundary_error)`` per entry, in input order, with ``psi`` /
-    ``eigenvalues`` / ``vbc`` / band data updated on each state.
+    ``active`` lists ``(domain index, state)``; returns ``(eigensolver
+    iterations, boundary_error)`` per entry, in input order, with ``psi``
+    / ``eigenvalues`` / ``vbc`` / band data updated on each state —
+    nothing of grid size outlives the pass outside the pools.
 
     Stacks are whole shape classes when ``opts.batch_domains`` is set and
     the all-band solver runs, single domains otherwise.  On ``ins`` (the
@@ -284,10 +246,8 @@ def batched_domain_pass(
     one :func:`record_solve`.
 
     ``pool`` holds the stacked buffers between passes (the workspace owns
-    one across MD steps); passing ``None`` builds a throwaway pool.
+    one across MD steps, a workspace-less run its own).
     """
-    if pool is None:
-        pool = DomainScratch()
     states = [state for _, state in active]
     if opts.batch_domains and opts.eigensolver == "all_band":
         stacks = group_shape_classes(states)
@@ -296,8 +256,7 @@ def batched_domain_pass(
             ShapeClass(_state_key(state), [pos])
             for pos, state in enumerate(states)
         ]
-    outcomes: list[tuple[EigenResult, float | None] | None]
-    outcomes = [None] * len(states)
+    outcomes: list[tuple[int, float | None]] = [(0, None)] * len(states)
     for cls in stacks:
         key, members = cls.key, cls.members
         stack = [states[pos] for pos in members]
@@ -326,10 +285,18 @@ def batched_domain_pass(
         for pos, state, res, restricted in zip(
             members, stack, results, rho_restricted
         ):
+            assert state.band_densities is not None
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
-            err = _stage_band_data(state, res, restricted)
+            # band weights w_αn = ∫ p_α |ψ_n|² dr
+            state.band_weights = state.domain.grid.dv * np.einsum(
+                "nijk,ijk->n", state.band_densities, state.support
+            )
+            err = None  # boundary-density error, from the second pass on
+            if state.rho_local is not None:
+                err = boundary_error_norm(
+                    state.rho_local, restricted, state.domain.grid.dv
+                )
             record_solve(ins, opts.eigensolver, key.npw, res)
-            outcomes[pos] = (res, err)
-    assert all(outcome is not None for outcome in outcomes)
-    return outcomes  # type: ignore[return-value]
+            outcomes[pos] = (int(res.iterations), err)
+    return outcomes

@@ -46,23 +46,19 @@ def boundary_potential(
         Safety bound (Hartree) on |v_bc|, guarding the first few unconverged
         iterations against overshooting.
     out:
-        Optional destination array, written in place and returned — lets the
-        LDC hot path reuse a per-domain scratch buffer instead of allocating
-        every SCF pass.  Same values either way.
+        Optional destination array, written in place and returned (the LDC
+        seam passes a pooled per-domain buffer); a fresh one otherwise.
     """
+    if out is None:
+        out = np.empty_like(rho_global_restricted)
     if xi is None or rho_domain_prev is None:
-        if out is not None:
-            out[...] = 0.0
-            return out
-        return np.zeros_like(rho_global_restricted)
+        out[...] = 0.0
+        return out
     if xi <= 0:
         raise ValueError("xi must be positive")
-    if out is not None:
-        np.subtract(rho_domain_prev, rho_global_restricted, out=out)
-        out /= xi
-        return np.clip(out, -clip, clip, out=out)
-    v = (rho_domain_prev - rho_global_restricted) / xi
-    return np.clip(v, -clip, clip)
+    np.subtract(rho_domain_prev, rho_global_restricted, out=out)
+    out /= xi
+    return np.clip(out, -clip, clip, out=out)
 
 
 def boundary_error_norm(

@@ -131,9 +131,11 @@ class DomainDecomposition:
         self.core_points = shape // counts
         spacing = grid.spacing
         nb = np.rint(buffer_thickness / spacing).astype(int)
-        # Clamp: extended region must fit within the periodic cell.
-        max_nb = (shape - self.core_points) // 2
-        self.buffer_points = np.minimum(nb, max_nb)
+        #: per-axis ceiling on the buffer (grid points): the extended
+        #: region must fit within the periodic cell, and at the ceiling the
+        #: domain spans it
+        self.max_buffer_points = (shape - self.core_points) // 2
+        self.buffer_points = np.minimum(nb, self.max_buffer_points)
         #: realized buffer thickness per axis (Bohr)
         self.buffer_actual = self.buffer_points * spacing
         self.domains: list[Domain] = []

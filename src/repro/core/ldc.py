@@ -41,7 +41,7 @@ from repro.core.energy import (
     dc_total_energy,
 )
 from repro.core.support import supports
-from repro.core.workspace import DomainScratch
+from repro.core.workspace import RESIDENT_PARTS, DomainScratch, LDCWorkspace
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
@@ -55,7 +55,6 @@ from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
-    from repro.core.workspace import LDCWorkspace
     from repro.dft.mixing import PulayMixer
 
 
@@ -155,12 +154,12 @@ class DomainState:
     occupations: np.ndarray | None = None
     rho_local: np.ndarray | None = None
     vbc: np.ndarray | None = None
-    #: per-band |ψ|² fields stashed between the solve and density steps of
-    #: one SCF pass (cleared after assembly to release the memory)
+    #: per-band |ψ|² between the solve and density steps of one SCF pass:
+    #: ``scratch``'s buffer as the eigensolver filled it (unset once stale)
     band_densities: np.ndarray | None = None
-    #: reusable per-domain work buffers (attached by ``LDCWorkspace``;
-    #: ``None`` → every pass allocates its intermediates)
-    scratch: DomainScratch | None = None
+    #: the domain's reusable work buffers: its own for one run, or the
+    #: ``LDCWorkspace``'s, which outlive the MD step
+    scratch: DomainScratch = field(default_factory=DomainScratch)
 
 
 @dataclass
@@ -218,37 +217,6 @@ def make_global_grid(
         step = int(np.lcm(int(nd), 2))
         shape.append(int(np.ceil(n / step)) * step)
     return RealSpaceGrid(config.cell, shape)
-
-
-def _prepare_states(
-    config: Configuration,
-    decomp: DomainDecomposition,
-    weights: list[np.ndarray],
-    options: LDCOptions,
-) -> list[DomainState]:
-    states: list[DomainState] = []
-    for dom, w in zip(decomp.domains, weights):
-        idx, local = decomp.atoms_in_domain(config, dom)
-        if len(idx) == 0:
-            states.append(
-                DomainState(dom, idx, local, None, None, w, nband=0)
-            )
-            continue
-        basis = PlaneWaveBasis(dom.grid, options.ecut)
-        vnl = NonlocalProjectors(basis, local)
-        ne_local = local.n_electrons()
-        nband = min(int(np.ceil(ne_local / 2.0)) + options.extra_bands, basis.npw)
-        psi = basis.random_orbitals(nband, seed=options.seed + 131 * len(states))
-        v_ion = (
-            local_potential(dom.grid, local) if options.vion == "domain" else None
-        )
-        states.append(
-            DomainState(
-                dom, idx, local, basis, vnl, w, nband=nband, psi=psi,
-                v_ion_local=v_ion,
-            )
-        )
-    return states
 
 
 def _partition_residual(
@@ -348,12 +316,17 @@ def _run_ldc(
         attrs = {"warm_domains": workspace.warm_domains,
                  "cold_domains": workspace.cold_domains}
         ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
+        resident = workspace.resident_bytes  # a walk over every pool: lazy
+        for part in RESIDENT_PARTS:
+            ins.gauge("ldc.workspace_bytes", part=part).set(
+                lambda part=part: resident()[part]
+            )
     else:
         if grid is None:
             grid = make_global_grid(config, opts)
         decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
         pou = supports(decomp, opts.support)
-        states = _prepare_states(config, decomp, pou, opts)
+        states = LDCWorkspace().build_states(config, decomp, pou, opts)
         name, attrs = "ldc.partition_of_unity", {"support": opts.support}
     ins.tracer.record_complete(
         name, ins.tracer.now() - t_setup, category="ldc",
@@ -463,7 +436,7 @@ def _scf_pass(
     vh_warm: np.ndarray | None,
     opts: LDCOptions,
     ins: Observer,
-    pool: DomainScratch | None = None,
+    pool: DomainScratch,
 ) -> tuple[float, np.ndarray, dict[str, float], float, np.ndarray, int]:
     """One global-local pass: potentials → domain solves → μ → density.
 
@@ -502,6 +475,9 @@ def _scf_pass(
         assert state.band_weights is not None
         all_eigs.append(state.eigenvalues)
         all_weights.append(state.band_weights)
+        # the solver's out-buffer, before anything is assembled from it
+        ins.check("band_densities", state.band_densities,
+                  where=f"ldc.domain[{idom}]", expect_dtype=np.float64)
         if err is not None:
             bnd_err_total += err
             n_active += 1
@@ -525,7 +501,7 @@ def _scf_pass(
         state.occupations = occs
         rho_a = np.einsum("n,nijk->ijk", occs, state.band_densities)
         state.rho_local = rho_a
-        state.band_densities = None  # release the per-band fields
+        state.band_densities = None  # consumed; the pool keeps the buffer
         ix, iy, iz = state.domain.grid_indices
         # Fancy-index += (not np.add.at): each per-axis wrapped index array
         # is duplicate-free — a domain's extent never exceeds the grid shape
@@ -552,5 +528,5 @@ def _scf_pass(
         grid, rho, vh, vxc, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt
     )
     mean_err = bnd_err_total / n_active if n_active else 0.0
-    eig_pass = sum(int(res.iterations) for res, _ in outcomes)
+    eig_pass = sum(iterations for iterations, _ in outcomes)
     return mu, rho_new, components, mean_err, vh, eig_pass

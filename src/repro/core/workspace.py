@@ -8,7 +8,7 @@ options is therefore invariant across steps:
 * the global real-space grid,
 * the domain decomposition (cores + buffers),
 * the partition-of-unity supports p_α(r),
-* each domain's plane-wave basis (cutoff sphere on the domain grid),
+* one plane-wave basis per shape class (cutoff sphere on the domain grid),
 * the Ewald image shifts and reciprocal vectors.
 
 ``run_ldc`` without a workspace rebuilds all of these every call.  An
@@ -73,11 +73,15 @@ class DomainScratch:
     benchmark pins with its tracemalloc check).  :attr:`allocations` counts
     every real allocation for exactly that assertion.
 
-    One instance serves one consumer: either one domain (attached to its
-    :class:`~repro.core.ldc.DomainState`) or the domain-solve seam's stack
-    pool.  Buffer contents are undefined between uses —
-    every consumer overwrites before reading (``np.take(..., out=)`` /
-    full-array ufunc ``out=`` writes), which is why ``np.empty`` suffices.
+    One instance serves one consumer.  A *domain's* pool (on its
+    :class:`~repro.core.ldc.DomainState`) holds what exists once per domain
+    — gather indices, restricted density, v_bc target and window, and the
+    real per-band |ψ|² the eigensolver writes for the density step.  The
+    seam's *stack pool* holds one stack's working set, reused by every
+    stack of a shape class in turn: stacked v_eff/ψ₀/projectors and the
+    solver's complex field-capture block.  Contents are undefined between
+    uses — every consumer overwrites before reading (``np.take(..., out=)``
+    / full-array ufunc ``out=`` writes), so ``np.empty`` suffices.
     """
 
     def __init__(self) -> None:
@@ -117,6 +121,17 @@ class DomainScratch:
         return self._flat
 
 
+def _nbytes(obj: object) -> int:
+    """Bytes of the arrays reachable from ``obj`` through lists, tuples,
+    dicts and instance attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if not isinstance(obj, (list, tuple, dict)):
+        obj = getattr(obj, "__dict__", {})
+    items = obj.values() if isinstance(obj, dict) else obj
+    return sum(_nbytes(item) for item in items)
+
+
 def _domain_key(
     atom_indices: np.ndarray, npw: int, nband: int
 ) -> tuple:
@@ -148,6 +163,10 @@ def _options_signature(options: LDCOptions) -> tuple:
     )
 
 
+#: the keys of :meth:`LDCWorkspace.resident_bytes`
+RESIDENT_PARTS = ("bases", "scratch", "stack_pool", "windows", "mixer")
+
+
 class LDCWorkspace:
     """Reusable LDC solver state for a trajectory in a fixed cell.
 
@@ -170,7 +189,8 @@ class LDCWorkspace:
         self.grid: RealSpaceGrid | None = None
         self.decomposition: DomainDecomposition | None = None
         self.pou: list[np.ndarray] | None = None
-        self._bases: dict[int, PlaneWaveBasis] = {}
+        #: one basis per shape class ``(grid shape, lengths, cutoff)``
+        self._bases: dict[tuple, PlaneWaveBasis] = {}
         #: bounded per-domain ASPC windows of converged (ψ, v_bc, ρ_α)
         #: snapshots (:class:`~repro.md.extrapolate.DomainHistory`), keyed
         #: by domain index; filled by :meth:`store`, consumed by
@@ -186,7 +206,7 @@ class LDCWorkspace:
         self._mixer: PulayMixer | None = None
         #: per-domain reusable work buffers (gathered potentials, v_bc
         #: targets, band densities), attached to each ``DomainState`` by
-        #: :meth:`prepare` so SCF passes stop re-allocating them
+        #: :meth:`prepare` so they survive from one MD step to the next
         self._scratch: dict[int, DomainScratch] = {}
         #: the domain-solve seam's stack pool (``repro.core.batched``
         #: stacks v_eff/ψ/projectors into it)
@@ -233,6 +253,17 @@ class LDCWorkspace:
         return self.batch_pool.allocations + sum(
             s.allocations for s in self._scratch.values()
         )
+
+    def resident_bytes(self) -> dict[str, int]:
+        """Bytes kept alive between MD steps, by part: ``bases`` and
+        ``stack_pool`` do not grow with the domain count at a fixed stack
+        width, ``scratch`` and ``windows`` are the per-domain O(N) state,
+        ``mixer`` the carried SCF memory."""
+        parts = (self._bases, self._scratch, self.batch_pool, self._history,
+                 self._mixer)
+        return {
+            name: _nbytes(part) for name, part in zip(RESIDENT_PARTS, parts)
+        }
 
     def _ensure_structures(
         self, config: Configuration, options: LDCOptions
@@ -291,82 +322,91 @@ class LDCWorkspace:
     def prepare(
         self, config: Configuration, options: LDCOptions
     ) -> tuple[RealSpaceGrid, DomainDecomposition, list[DomainState]]:
-        """Bin atoms into the cached decomposition and build per-step states.
-
-        Structural pieces (grid, decomposition, supports, bases) come from
-        the cache; atom-dependent pieces (nonlocal projectors, domain-local
-        ionic potentials) are rebuilt.  Each domain's ψ is seeded from the
-        ASPC prediction over its history window (depth 1 = the previous
-        step's converged orbitals verbatim) when its identity ``(npw,
-        nband, atoms)`` is unchanged, otherwise from the cold path's
-        deterministic random start.
-        """
-        from repro.core.ldc import DomainState
-
+        """Bin atoms into the cached decomposition and build per-step states
+        (:meth:`build_states`); the structural pieces — grid, decomposition,
+        supports — come from the cache."""
         self._ensure_structures(config, options)
         assert self.grid is not None
         assert self.decomposition is not None and self.pou is not None
-        decomp = self.decomposition
+        states = self.build_states(
+            config, self.decomposition, self.pou, options
+        )
+        self.steps += 1
+        return self.grid, self.decomposition, states
+
+    def build_states(
+        self,
+        config: Configuration,
+        decomp: DomainDecomposition,
+        weights: list[np.ndarray],
+        options: LDCOptions,
+    ) -> list[DomainState]:
+        """The per-domain solver states of one solve; ``run_ldc`` without a
+        workspace calls this on a throwaway one, whose empty caches make
+        every domain cold.
+
+        Basis and scratch pool come from the caches; the atom-dependent
+        pieces (nonlocal projectors, domain-local ionic potentials) are
+        rebuilt.  ψ, v_bc and ρ_α are the ASPC prediction over the
+        domain's history window (depth 1 = the previous step's converged
+        state verbatim; without v_bc and ρ_α the damped v_bc iteration
+        would re-converge from scratch) while its identity ``(npw, nband,
+        atoms)`` is unchanged, else ψ is a deterministic random start.
+        """
+        from repro.core.ldc import DomainState
+
         self.warm_domains = 0
         self.cold_domains = 0
         states: list[DomainState] = []
-        for idom, (dom, w) in enumerate(zip(decomp.domains, self.pou)):
+        for idom, (dom, w) in enumerate(zip(decomp.domains, weights)):
             idx, local = decomp.atoms_in_domain(config, dom)
             if len(idx) == 0:
                 states.append(
                     DomainState(dom, idx, local, None, None, w, nband=0)
                 )
                 continue
-            basis = self._bases.get(idom)
+            # one basis per shape class: nothing in it depends on where
+            # the grid sits, and all domains are solved on one thread
+            shape_class = (
+                dom.grid.shape, tuple(dom.grid.lengths.tolist()), options.ecut
+            )
+            basis = self._bases.get(shape_class)
             if basis is None:
                 basis = PlaneWaveBasis(dom.grid, options.ecut)
-                self._bases[idom] = basis
+                self._bases[shape_class] = basis
             vnl = NonlocalProjectors(basis, local)
             ne_local = local.n_electrons()
             nband = min(
                 int(np.ceil(ne_local / 2.0)) + options.extra_bands, basis.npw
             )
             hist = self._history.get(idom)
-            key = _domain_key(idx, basis.npw, nband)
-            predicted = (
-                hist.predict(key, depth=options.history_depth)
-                if hist is not None
-                else None
-            )
-            vbc = rho_local = None
-            if predicted is not None:
-                # warm: ASPC-predicted ψ (depth 1 = previous converged ψ
-                # verbatim), plus the settled boundary potential and local
-                # density — without them the damped v_bc iteration
-                # re-converges from scratch and the orbital warm start
-                # buys far less
-                psi, vbc, rho_local = predicted
-                self.warm_domains += 1
-            else:
-                # same deterministic seeding as the cold path in
-                # _prepare_states (seed offset is the domain index)
-                psi = basis.random_orbitals(
-                    nband, seed=options.seed + 131 * idom
+            predicted = None
+            if hist is not None:
+                predicted = hist.predict(
+                    _domain_key(idx, basis.npw, nband),
+                    depth=options.history_depth,
                 )
+            if predicted is None:
+                predicted = basis.random_orbitals(
+                    nband, seed=options.seed + 131 * idom
+                ), None, None
                 self.cold_domains += 1
+            else:
+                self.warm_domains += 1
+            psi, vbc, rho_local = predicted
             v_ion = (
                 local_potential(dom.grid, local)
                 if options.vion == "domain"
                 else None
             )
-            scratch = self._scratch.get(idom)
-            if scratch is None:
-                scratch = DomainScratch()
-                self._scratch[idom] = scratch
             states.append(
                 DomainState(
                     dom, idx, local, basis, vnl, w, nband=nband, psi=psi,
                     v_ion_local=v_ion, vbc=vbc, rho_local=rho_local,
-                    scratch=scratch,
+                    scratch=self._scratch.setdefault(idom, DomainScratch()),
                 )
             )
-        self.steps += 1
-        return self.grid, decomp, states
+        return states
 
     def store(
         self, states: list[DomainState], options: LDCOptions | None = None

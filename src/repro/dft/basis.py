@@ -44,13 +44,15 @@ class PlaneWaveBasis:
     x-planes — only the positions a stage scatters to are ever written, so
     the rest stays zero and never needs re-zeroing), their two *outputs*,
     a coefficient-row buffer, and the full-grid work block
-    :meth:`work_block` lends to ``H·ψ``.  There is one pool per
-    ``PlaneWaveBasis`` and it is never shared: an instance must not be used
-    by two threads at once.  The LDC driver gives every domain its own
-    basis and solves all of them on one thread; a stack of same-shape
-    domains transforms through its first member's basis.
-    What a transform *returns* is the caller's ``out=`` or, without one,
-    freshly allocated — never a pooled buffer.
+    :meth:`work_block` lends to ``H·ψ`` and to the eigensolvers' |ψ|²
+    rotation.  There is one pool per ``PlaneWaveBasis``, and an instance
+    must not be used by two threads at once.  Nothing in an instance
+    depends on *where* its grid sits, so the LDC driver builds one basis
+    per shape class — every domain with the same ``(grid shape, lengths,
+    cutoff)`` holds the same object, index maps and pool alike
+    (:meth:`repro.core.workspace.LDCWorkspace.build_states`) — and solves
+    all domains on one thread.  What a transform *returns* is the caller's ``out=`` or,
+    without one, freshly allocated — never a pooled buffer.
     """
 
     def __init__(self, grid: RealSpaceGrid, ecut: float) -> None:
@@ -112,17 +114,6 @@ class PlaneWaveBasis:
         # the pool is scratch (not worth copying, and a copy must not share
         # it): a copied or unpickled basis starts with its own
         return {**self.__dict__, "_pool": {}}
-
-    def structurally_equal(self, other: "PlaneWaveBasis") -> bool:
-        """Whether two bases describe the *same* plane-wave set (same grid
-        shape, cutoff, and G-sphere) — the precondition for stacking their
-        orbital blocks into one batched kernel (shape-class batching)."""
-        return (
-            self.grid.shape == other.grid.shape
-            and self.ecut == other.ecut
-            and self.npw == other.npw
-            and np.array_equal(self.indices, other.indices)
-        )
 
     # -- staged transforms, one block -----------------------------------------
 
@@ -314,11 +305,16 @@ def density_from_orbitals(
     """Electron density ``ρ(r) = Σ_n f_n |ψ_n(r)|²`` on the real grid.
 
     Normalization: ``∫ ρ dr = Σ_n f_n`` when the orbitals are orthonormal.
+    The drivers do not call this — their eigensolvers hand back per-band
+    |ψ_n|² formed inside the solve; it is the independent oracle.
     """
     occupations = np.asarray(occupations, dtype=float)
     if psi.shape[1] != occupations.size:
         raise ValueError("one occupation per band required")
-    return density_from_fields(basis.to_grid(psi), occupations)
+    rho = np.zeros(basis.grid.shape, dtype=float)
+    for f, field in zip(occupations, basis.to_grid(psi)):
+        rho += f * (field.real**2 + field.imag**2)
+    return rho
 
 
 def _result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,28 +327,3 @@ def _result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
             f"{out.dtype} {out.shape}"
         )
     return out
-
-
-def density_from_fields(
-    fields: np.ndarray, occupations: np.ndarray
-) -> np.ndarray:
-    """``ρ(r) = Σ_n f_n |ψ_n(r)|²`` from precomputed real-space fields.
-
-    The drivers obtain ``fields`` from :attr:`EigenResult.fields` (the
-    eigensolver's final ``H·ψ`` transform, reused) instead of re-running
-    :meth:`PlaneWaveBasis.to_grid` on the converged orbitals.
-    """
-    occupations = np.asarray(occupations, dtype=float)
-    if fields.shape[0] != occupations.size:
-        raise ValueError("one occupation per band required")
-    # f·(re² + im²) one band at a time: no (nband, *grid) temporaries
-    rho = np.zeros(fields.shape[1:], dtype=float)
-    re2 = np.empty_like(rho)
-    im2 = np.empty_like(rho)
-    for f, field in zip(occupations, fields):
-        np.multiply(field.real, field.real, out=re2)
-        np.multiply(field.imag, field.imag, out=im2)
-        re2 += im2
-        re2 *= f
-        rho += re2
-    return rho

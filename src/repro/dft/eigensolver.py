@@ -23,9 +23,11 @@ Both iterative solvers use the Teter–Payne–Allan preconditioner of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.observe import Observer
 from repro.util.linalg import cholesky_orthonormalize
@@ -35,11 +37,12 @@ from repro.util.linalg import cholesky_orthonormalize
 class EigenResult:
     """Solver output: eigenvalues, orbitals, and convergence diagnostics.
 
-    ``fields`` (present when a solver was called with ``want_fields=True``)
-    holds the real-space orbitals ``ψ_n(r)`` of the returned block, shape
-    ``(nband, *grid.shape)`` — reused from the solver's last ``H·ψ``
-    (a cheap subspace rotation of already-computed fields) where possible,
-    so downstream density assembly skips a redundant batched FFT.
+    Every solver also takes ``band_densities=``, a real ``(nband,
+    *grid.shape)`` buffer it fills with the per-band ``|ψ_n(r)|²`` of the
+    returned block — from the fields its last ``H·ψ`` already transformed
+    (a subspace rotation, a row block at a time) where it can, so density
+    assembly needs neither a second batched FFT nor a complex ``(nband,
+    *grid)`` array of its own.
     """
 
     eigenvalues: np.ndarray
@@ -47,11 +50,32 @@ class EigenResult:
     iterations: int
     residual_norm: float
     converged: bool
-    fields: np.ndarray | None = None
+
+
+def _abs2(fields: np.ndarray, out: np.ndarray) -> None:
+    """``out = |fields|²`` — the one |ψ|² formula, allocation-free (``ndarray
+    ** 2`` is ``np.power``, so the values equal ``np.abs(fields) ** 2``)."""
+    np.absolute(fields, out=out)
+    np.power(out, 2, out=out)
+
+
+def _rotated_abs2(
+    basis: PlaneWaveBasis, fields: np.ndarray, u: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[k] = |Σ_m u[m, k] · fields[m]|²``: the band densities of
+    ``x @ u`` from the fields of ``x`` (the transform is linear).  The
+    rotated fields exist a row block at a time, in the basis work block."""
+    flat = fields.reshape(fields.shape[0], -1)
+    step = basis.block_rows
+    for a in range(0, u.shape[1], step):
+        cols = u[:, a:a + step]
+        work = basis.work_block(cols.shape[1])
+        np.matmul(cols.T, flat, out=work.reshape(cols.shape[1], -1))
+        _abs2(work, out[a:a + step])
 
 
 def solve_direct(
-    ham: Hamiltonian, nband: int, want_fields: bool = False
+    ham: Hamiltonian, nband: int, band_densities: np.ndarray | None = None
 ) -> EigenResult:
     """Dense-diagonalization reference solver."""
     if nband > ham.basis.npw:
@@ -61,20 +85,21 @@ def solve_direct(
     h = ham.dense()
     evals, evecs = np.linalg.eigh(h)
     orbitals = np.ascontiguousarray(evecs[:, :nband])
+    if band_densities is not None:
+        _abs2(ham.basis.to_grid(orbitals), band_densities)
     return EigenResult(
         eigenvalues=evals[:nband].copy(),
         orbitals=orbitals,
         iterations=1,
         residual_norm=0.0,
         converged=True,
-        fields=ham.basis.to_grid(orbitals) if want_fields else None,
     )
 
 
 def record_solve(ins: Observer, solver: str, npw: int, result: EigenResult) -> None:
     """Telemetry for one eigensolve, whichever solver ran it.
 
-    The solvers never see the handle: their callers (``dft.scf._solve``
+    The solvers never see the handle: their callers (``run_scf``'s map
     and the LDC domain-solve seam, once per domain of a stack) record each
     result after the solve, so nothing is emitted from inside the
     BLAS2/BLAS3 hot paths being measured.
@@ -110,12 +135,17 @@ def solve_all_band(
     psi0: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
-    want_fields: bool = False,
+    band_densities: np.ndarray | None = None,
 ) -> EigenResult:
     """Locally optimal block preconditioned CG over all bands of one
-    Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one."""
+    Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one
+    (``band_densities`` is the one domain's ``(nband, *grid.shape)``
+    buffer; the field-capture block is allocated per solve)."""
     psi0 = np.asarray(psi0, dtype=complex)[None]
-    (result,) = _lockstep_lobpcg(ham.stack, psi0, max_iter, tol, want_fields)
+    (result,) = _lockstep_lobpcg(
+        ham.stack, psi0, max_iter, tol,
+        None if band_densities is None else [band_densities], None,
+    )
     return result
 
 
@@ -139,7 +169,8 @@ def solve_all_band_batched(
     psi0,
     max_iter: int = 60,
     tol: float = 1e-8,
-    want_fields: bool = False,
+    band_densities: Sequence[np.ndarray] | None = None,
+    capture: np.ndarray | None = None,
 ) -> list[EigenResult]:
     """Lockstep LOBPCG over a stack of same-shape domain KS problems.
 
@@ -147,6 +178,12 @@ def solve_all_band_batched(
     :class:`~repro.dft.hamiltonian.BatchedHamiltonian`); ``psi0`` is the
     ``(n_domains, npw, nband)`` stack of starting blocks.  Returns one
     :class:`EigenResult` per domain, in stack order.
+
+    ``band_densities`` holds one real ``(nband, *grid.shape)`` array per
+    domain, filled with its ``|ψ_n(r)|²`` when the domain retires;
+    ``capture`` is the complex ``(n_domains, nband, *grid.shape)`` scratch
+    for the fields of the last ``H·X`` (pooled by the caller, a warm solve
+    allocates nothing of grid size; else allocated per solve).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape[:2] != (bham.n_domains, bham.basis.npw):
@@ -154,7 +191,7 @@ def solve_all_band_batched(
             f"psi0 stack {psi0.shape} does not match {bham.n_domains} "
             f"domains over {bham.basis.npw} plane waves"
         )
-    return _lockstep_lobpcg(bham, psi0, max_iter, tol, want_fields)
+    return _lockstep_lobpcg(bham, psi0, max_iter, tol, band_densities, capture)
 
 
 def _lockstep_lobpcg(
@@ -162,7 +199,8 @@ def _lockstep_lobpcg(
     psi0: np.ndarray,
     max_iter: int,
     tol: float,
-    want_fields: bool,
+    band_densities: Sequence[np.ndarray] | None,
+    capture: np.ndarray | None,
 ) -> list[EigenResult]:
     """The one all-band LOBPCG body, behind both public entry points.
 
@@ -182,6 +220,12 @@ def _lockstep_lobpcg(
     as zeros and every batched kernel acts on stack slices independently,
     so a domain's iterates do not depend on the stack it is solved in, and
     each domain retires from the stack at its own convergence iteration.
+
+    With ``band_densities`` every apply of X transforms straight into the
+    leading slots of ``capture``.  It covers every slot whose fields are
+    current (all at the start; then the re-applied ones — the rest changed
+    X without a transform), so it may overwrite the previous capture, and
+    while some slot has no captured fields the last slot is free.
     """
     basis = bham.basis
     nd = bham.n_domains
@@ -190,30 +234,30 @@ def _lockstep_lobpcg(
 
     x = np.stack([cholesky_orthonormalize(psi0[i]) for i in range(nd)])
     active = list(range(nd))
-    cap: list | None = [] if want_fields else None
-    hx = bham.apply(x, fields_out=cap)
+    if band_densities is not None and capture is None:
+        capture = np.empty((nd, nband) + basis.grid.shape, dtype=complex)
+    hx = bham.apply(x, capture=capture)
     # Per-slot lists ride along with the active stack and are compacted
     # together with it whenever a domain retires.
-    fx: list = list(cap.pop()) if cap else [None] * nd
+    fx: list = [None] * nd if capture is None else list(capture[:nd])
     p: list = [None] * nd
     last_resid: list[float] = [float("inf")] * nd
     it = 0
 
     def retire(slot: int, resid: float) -> None:
-        """File ``slot``'s Ritz pairs as its domain's result.  Its fields
-        are a subspace rotation of the fields captured with the last apply
-        of X — ``to_grid(x @ u)[k] = Σ_m u[m, k] · fx[m]`` — or one
-        transform when X changed without a re-apply."""
+        """File ``slot``'s Ritz pairs as its domain's result.  Its band
+        densities come from the fields captured with the last apply of X,
+        rotated like X — or from one transform (into the free last slot of
+        ``capture``) when X changed without a re-apply."""
         xr = x_rot[slot].copy()
-        fields = None
-        if want_fields:
-            fields = (
-                np.tensordot(u[slot], fx[slot], axes=(0, 0))
-                if fx[slot] is not None
-                else basis.to_grid(xr)
-            )
+        if band_densities is not None and capture is not None:
+            out = band_densities[active[slot]]
+            if fx[slot] is not None:
+                _rotated_abs2(basis, fx[slot], u[slot], out)
+            else:
+                _abs2(basis.to_grid(xr, out=capture[-1]), out)
         results[active[slot]] = EigenResult(
-            eps[slot].copy(), xr, it, resid, resid < tol, fields=fields
+            eps[slot].copy(), xr, it, resid, resid < tol
         )
 
     for it in range(1, max_iter + 1):
@@ -315,16 +359,13 @@ def _lockstep_lobpcg(
                 hx_next.append(None)
         x = np.stack(x_next)
         if reapply:
-            cap = [] if want_fields else None
             h_re = bham.apply(
-                x[reapply],
-                fields_out=cap,
+                x[reapply], capture=capture,
                 domains=[active[s] for s in reapply],
             )
-            fre = cap.pop() if cap else None
             for j, slot in enumerate(reapply):
                 hx_next[slot] = h_re[j]
-                fx[slot] = fre[j] if fre is not None else None
+                fx[slot] = None if capture is None else capture[j]
         hx = np.stack(hx_next)
     # Final clean Rayleigh–Ritz for the domains that ran out of iterations.
     hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
@@ -347,7 +388,7 @@ def solve_band_by_band(
     tol: float = 1e-8,
     cg_per_band: int = 5,
     outer_sweeps: int = 12,
-    want_fields: bool = False,
+    band_densities: np.ndarray | None = None,
 ) -> EigenResult:
     """Sequential per-band preconditioned CG (the original BLAS2 scheme).
 
@@ -357,6 +398,9 @@ def solve_band_by_band(
     """
     x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
     nband = x.shape[1]
+    capture = None
+    if band_densities is not None:
+        capture = np.empty((1, nband) + ham.basis.grid.shape, dtype=complex)
     resid_norm = np.inf
     total_iter = 0
     for sweep in range(outer_sweeps):
@@ -406,9 +450,7 @@ def solve_band_by_band(
             x[:, n] = psi
         # Subspace rotation after each sweep.
         x = cholesky_orthonormalize(x)
-        cap: list[np.ndarray] | None = [] if want_fields else None
-        hx = ham.apply(x, fields_out=cap)
-        fx = cap.pop() if cap else None
+        hx = ham.stack.apply(x[None], capture=capture)[0]
         hsub = x.conj().T @ hx
         hsub = 0.5 * (hsub + hsub.conj().T)
         eps_all, u = np.linalg.eigh(hsub)
@@ -417,12 +459,11 @@ def solve_band_by_band(
         r = hx - x * eps_all[None, :]
         resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
         if resid_norm < tol:
-            fields = np.tensordot(u, fx, axes=(0, 0)) if want_fields else None
-            return EigenResult(eps_all.copy(), x, total_iter, resid_norm, True,
-                               fields=fields)
-    fields = np.tensordot(u, fx, axes=(0, 0)) if want_fields else None
+            break
+    if band_densities is not None and capture is not None:
+        _rotated_abs2(ham.basis, capture[0], u, band_densities)
     return EigenResult(eps_all.copy(), x, total_iter, resid_norm,
-                       resid_norm < tol, fields=fields)
+                       resid_norm < tol)
 
 
 def _project_out(vec: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dft.basis import PlaneWaveBasis
+from repro.dft.basis import PlaneWaveBasis, _result
 from repro.dft.pseudopotential import NonlocalProjectors
 
 
@@ -57,26 +57,12 @@ class Hamiltonian:
 
     # -- application ----------------------------------------------------------
 
-    def apply(
-        self, psi: np.ndarray, fields_out: list[np.ndarray] | None = None
-    ) -> np.ndarray:
+    def apply(self, psi: np.ndarray) -> np.ndarray:
         """H Ψ for a block of orbitals ``(npw, nband)`` (or a single vector):
-        :meth:`BatchedHamiltonian.apply` on a stack of one.
-
-        ``fields_out``, when given, receives the real-space orbital fields
-        ``ψ_n(r)`` (appended as one freshly allocated ``(nband,
-        *grid.shape)`` array, unscaled by the potential) — the transform is
-        computed here anyway, so callers that need ``|ψ|²`` afterwards can
-        reuse it instead of paying a second batched FFT.
-        """
+        :meth:`BatchedHamiltonian.apply` on a stack of one."""
         single = psi.ndim == 1
         block = psi[:, None] if single else psi
-        cap: list[np.ndarray] = []
-        out = self.stack.apply(
-            block[None], fields_out=None if fields_out is None else cap
-        )[0]
-        if fields_out is not None:
-            fields_out.append(cap[0][0])
+        out = self.stack.apply(block[None])[0]
         return out[:, 0] if single else out
 
     def expectation(self, psi: np.ndarray) -> np.ndarray:
@@ -126,14 +112,13 @@ class BatchedHamiltonian:
     """A stack of same-shape KS Hamiltonians applied as stacked kernels.
 
     Holds ``n_domains`` fixed-potential Hamiltonians that share the *same*
-    plane-wave basis structure (grid shape, cutoff, G-sphere — asserted by
-    ``PlaneWaveBasis.structurally_equal`` when an LDC stack is built) and
-    the same projector count, so their hot operations fuse into single
-    ``(n_domains, …)`` array calls: stacked FFT transforms, one batched
-    GEMM for the nonlocal projections, one batched GEMM per subspace
-    product.  This lifts the paper's Sec. 3.4 BLAS2→BLAS3 transformation
-    one level up the LDC hierarchy — from bands-within-a-domain to
-    domains-within-a-shape-class.
+    plane-wave basis (one object per shape class, checked when an LDC
+    stack is built) and the same projector count, so their hot operations
+    fuse into single ``(n_domains, …)`` array calls: stacked FFT
+    transforms, one batched GEMM for the nonlocal projections, one batched
+    GEMM per subspace product.  This lifts the paper's Sec. 3.4
+    BLAS2→BLAS3 transformation one level up the LDC hierarchy — from
+    bands-within-a-domain to domains-within-a-shape-class.
 
     Every kernel acts on the stack's slices independently — the transforms
     handle one band row at a time and batched GEMMs dispatch per slice —
@@ -178,7 +163,7 @@ class BatchedHamiltonian:
     def apply(
         self,
         psi: np.ndarray,
-        fields_out: list[np.ndarray] | None = None,
+        capture: np.ndarray | None = None,
         domains: list[int] | None = None,
     ) -> np.ndarray:
         """H Ψ for a stack of orbital blocks ``(len(domains), npw, nband)``.
@@ -192,10 +177,11 @@ class BatchedHamiltonian:
         coefficient-side ``(npw, nband)`` arrays only; the local and
         nonlocal terms accumulate onto the kinetic one in place.
 
-        ``fields_out``, when given, receives the real-space orbital fields
-        ``ψ_n(r)`` (appended as one freshly allocated ``(len(domains),
-        nband, *grid.shape)`` array, unscaled by the potential; each block
-        is transformed straight into its slice).
+        ``capture``, when given, is a C-contiguous complex ``(≥ len(domains),
+        nband, *grid.shape)`` array — the caller's, typically pooled — whose
+        leading slots receive the real-space orbital fields ``ψ_n(r)`` of
+        the stack, in stack order, unscaled by the potential; each block is
+        transformed straight into its rows, so capturing allocates nothing.
 
         ``domains`` selects a subset of the stack's Hamiltonians (stack
         indices, strictly increasing) — the lockstep eigensolver uses it to
@@ -212,11 +198,11 @@ class BatchedHamiltonian:
         rows = psi.transpose(0, 2, 1).reshape(nrows, npw)
         local = np.empty((nrows, npw), dtype=complex)
         captured = None
-        if fields_out is not None:
-            captured = np.empty((nrows,) + basis.grid.shape, dtype=complex)
-            fields_out.append(
-                captured.reshape((nd, nband) + basis.grid.shape)
-            )
+        if capture is not None:
+            captured = _result(capture[:nd], (nd, nband) + basis.grid.shape)
+            if not captured.flags.c_contiguous:  # reshape would copy
+                raise ValueError("capture must be C-contiguous")
+            captured = captured.reshape((nrows,) + basis.grid.shape)
         step = basis.block_rows
         for a in range(0, nrows, step):
             stop = min(a + step, nrows)

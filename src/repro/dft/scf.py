@@ -24,9 +24,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from repro.dft.basis import PlaneWaveBasis, density_from_fields
+from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import (
-    EigenResult,
     record_solve,
     solve_all_band,
     solve_band_by_band,
@@ -180,24 +179,6 @@ def _occupy(
 
     mu = find_mu(opts.smearing, eigs, n_electrons, opts.kt)
     return mu, occupations(opts.smearing, eigs, mu, opts.kt)
-
-
-def _solve(
-    ham: Hamiltonian, psi: np.ndarray, opts: SCFOptions, ins: Observer
-) -> EigenResult:
-    # want_fields=True: the returned real-space fields feed the density
-    # build directly, skipping a redundant to_grid of the converged block.
-    if opts.eigensolver == "direct":
-        eig = solve_direct(ham, psi.shape[1], want_fields=True)
-    elif opts.eigensolver == "all_band":
-        eig = solve_all_band(
-            ham, psi, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-            want_fields=True,
-        )
-    else:
-        eig = solve_band_by_band(ham, psi, tol=opts.eig_tol, want_fields=True)
-    record_solve(ins, opts.eigensolver, ham.basis.npw, eig)
-    return eig
 
 
 def harris_foulkes_energy(
@@ -497,8 +478,10 @@ def _run_scf(
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:
         psi = basis.random_orbitals(nband, seed=opts.seed)
+    # the solvers' output of grid size, one buffer for every pass of the run
+    band_densities = np.empty((nband,) + grid.shape, dtype=float)
     # what the last pass left behind (the map hands the driver scalars)
-    eigs = occs = np.zeros(nband)
+    eigs = occs = np.zeros(nband, dtype=float)
     parts: dict[str, float] = {}
     eig_total = 0
 
@@ -510,7 +493,19 @@ def _run_scf(
             basis, config, rho_in, v_loc, nonlocal_, v_extra
         )
         with ins.span("scf.eigensolve", category="scf", iteration=iteration) as sp:
-            eig = _solve(ham, psi, opts, ins)
+            # every solver leaves the block's per-band |ψ|² in
+            # band_densities: the density build needs no to_grid of its own
+            if opts.eigensolver == "direct":
+                eig = solve_direct(ham, nband, band_densities)
+            elif opts.eigensolver == "all_band":
+                eig = solve_all_band(
+                    ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities
+                )
+            else:
+                eig = solve_band_by_band(
+                    ham, psi, tol=opts.eig_tol, band_densities=band_densities
+                )
+            record_solve(ins, opts.eigensolver, basis.npw, eig)
             # solve sizes feed the per-kernel FLOP attribution
             # (repro.observability.costattr) at report time
             sp.attrs.update(
@@ -522,12 +517,15 @@ def _run_scf(
         eig_total += int(eig.iterations)
         mu, occs = _occupy(eigs, n_electrons, opts)
         ins.check("eigenvalues", eigs, where="scf.density_map")
+        ins.check("band_densities", band_densities,
+                  where="scf.density_map", expect_dtype=np.float64)
         parts = harris_foulkes_energy(
             grid, rho_in, vh, vxc, float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),
         )
         # un-normalized: the driver's one clip + renormalize does it
-        return density_from_fields(eig.fields, occs), parts["total"], mu, {}
+        rho_out = np.einsum("n,nijk->ijk", occs, band_densities)
+        return rho_out, parts["total"], mu, {}
 
     fixed = scf_fixed_point(density_map, config, grid, rho0, opts, "pw", ins=ins)
     return SCFResult(

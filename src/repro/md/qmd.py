@@ -297,9 +297,11 @@ class LDCEngine(_WarmStartEngine):
             self.options.buffer, result.boundary_errors[-1]
         )
         decision = self.controller.propose(
-            self.options.buffer, spacings=result.grid.spacing
+            self.options.buffer, spacings=result.grid.spacing,
+            max_points=result.decomposition.max_buffer_points,
         )
         if not decision.changed:
+            ins.counter("ldc.buffer_holds", reason=decision.reason).inc()
             return
         ins.counter("ldc.buffer_adjustments").inc()
         ins.log.info(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import threading
-from typing import Any
+from typing import Any, Callable
 
 
 def format_key(name: str, labels: dict[str, Any]) -> str:
@@ -77,8 +77,11 @@ class Gauge(_Instrument):
         super().__init__(name, labels)
         self.value: float | None = None
 
-    def set(self, value: float) -> None:
-        self.value = float(value)
+    def set(self, value: float | Callable[[], float]) -> None:
+        """``value``, or — the payload rule of DESIGN.md §21 — what a
+        zero-argument callable returns, evaluated only because a registry
+        is listening."""
+        self.value = float(value() if callable(value) else value)
         if self._notify is not None:
             self._notify(self, self.value)
 

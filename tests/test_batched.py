@@ -196,20 +196,53 @@ def test_solve_all_band_is_the_width_one_lockstep_solve():
     assert vnl.nproj > 0
     v = local_potential(grid, cfg)
     psi0 = basis.random_orbitals(6, seed=3)
+    densities = np.full((2, psi0.shape[1]) + grid.shape, np.nan)
     one = solve_all_band(
         Hamiltonian(basis, v, vnl), psi0, max_iter=40, tol=1e-8,
-        want_fields=True,
+        band_densities=densities[0],
     )
     (stacked,) = solve_all_band_batched(
         BatchedHamiltonian(basis, v[None], vnl.b[None], vnl.d[None]),
-        psi0[None], max_iter=40, tol=1e-8, want_fields=True,
+        psi0[None], max_iter=40, tol=1e-8, band_densities=densities[1:],
     )
     assert one.iterations == stacked.iterations
     assert one.converged == stacked.converged
     assert one.residual_norm == stacked.residual_norm
     assert np.array_equal(one.eigenvalues, stacked.eigenvalues)
     assert np.array_equal(one.orbitals, stacked.orbitals)
-    assert np.array_equal(one.fields, stacked.fields)
+    assert np.array_equal(densities[0], densities[1])
+
+
+@pytest.mark.parametrize("max_iter", [200, 3])
+def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
+    """Width 1 ≡ width 3, ``==``, on densities, eigenvalues and iteration
+    counts, with slots that retire at different iterations (each retirement
+    rotates or transforms through the shared capture block and the basis
+    work block while the others are still iterating) or all at once when
+    the iterations run out; and every density is |to_grid(orbitals)|²."""
+    basis, v_eff, psi = _well_problem()
+    nd, _, nband = psi.shape
+    shape = (nd, nband) + basis.grid.shape
+    wide = np.full(shape, np.nan)
+    results = solve_all_band_batched(
+        BatchedHamiltonian(basis, v_eff, None, None), psi,
+        max_iter=max_iter, tol=1e-9, band_densities=wide,
+        capture=np.empty(shape, dtype=complex),
+    )
+    assert len({res.iterations for res in results}) == (
+        3 if max_iter == 200 else 1
+    )
+    for d, res in enumerate(results):
+        narrow = np.full(shape[1:], np.nan)
+        one = solve_all_band(
+            Hamiltonian(basis, v_eff[d]), psi[d], max_iter=max_iter,
+            tol=1e-9, band_densities=narrow,
+        )
+        assert np.array_equal(wide[d], narrow)
+        assert np.array_equal(res.eigenvalues, one.eigenvalues)
+        assert res.iterations == one.iterations
+        expect = np.abs(basis.to_grid(res.orbitals)) ** 2
+        assert np.abs(wide[d] - expect).max() <= 1e-13
 
 
 LIAL_OPTS = dict(

@@ -93,6 +93,33 @@ def test_quantization_noop_holds():
     assert d2.changed
 
 
+def test_proposal_past_the_whole_cell_buffer_holds():
+    """The no-op check compares *realized* buffers — rounded to grid points
+    and clamped at the decomposition's ceiling.  On a 16 Bohr axis cut in
+    two (l = 8, ceiling (L − l)/2 = 4 Bohr) growth stops at the ceiling
+    and a proposal beyond it is held as ``hold-cell``; the uncut axis
+    (ceiling 0) never takes part."""
+    opts = BufferControllerOptions(
+        target_error=1e-9, decay_length=1.0, max_step=1.5, cooldown_steps=0,
+    )
+    spacings = np.array([0.5, 0.5, 0.5])
+    ceiling = np.array([8, 8, 0])
+    ctl = BufferController(opts)
+    ctl.observe(3.0, 1e-3)
+    d = ctl.propose(3.0, spacings=spacings, max_points=ceiling)
+    assert d.changed and d.reason == "grow" and d.buffer == 4.0  # not 4.5
+    ctl.observe(4.0, 1e-3)
+    d = ctl.propose(4.0, spacings=spacings, max_points=ceiling)
+    assert not d.changed and d.reason == "hold-cell" and d.buffer == 4.0
+    assert ctl.holds == {"hold-cell": 1} and ctl.adjustments == 1
+    # without the ceiling the same proposal walks on (the old behaviour)
+    assert ctl.propose(4.0, spacings=spacings).buffer == 5.5
+    # shrinking from the ceiling is a real change and is let through
+    ctl.observe(4.0, 1e-13)
+    d = ctl.propose(4.0, spacings=spacings, max_points=ceiling)
+    assert d.changed and d.reason == "shrink" and d.buffer < 4.0
+
+
 def test_buffer_clamped_to_range():
     ctl = BufferController(
         BufferControllerOptions(
@@ -174,6 +201,54 @@ def test_ldc_engine_adaptive_loop_end_to_end():
     assert ins.counter("ldc.buffer_adjustments").value >= 1
     # chosen-(b, l*) series recorded every step for the ledger
     assert len(ins.metrics.get("ldc.buffer_b").values) == 3
+
+
+def test_adaptive_walk_stops_at_the_whole_cell_buffer():
+    """The controller walk of EXP-INPUT-WINDOW (2 → 3 → 4 → 5 → 5.5 Bohr on
+    a cell whose domains span it at 4), replayed on an H₄ chain where the
+    ceiling is (L − l)/2 = 2.5 Bohr: with an unreachable target the engine
+    grows to the ceiling, then holds there — ``hold-cell``, no workspace
+    reset into identical whole-cell "domains" — however often it is asked."""
+    from repro.core import LDCOptions
+    from repro.md.qmd import LDCEngine, QMDOptions
+    from repro.observability import Instrumentation
+    from repro.systems.configuration import Configuration
+
+    positions = np.array(
+        [[2.0, 2.5, 2.5], [3.5, 2.5, 2.5], [6.0, 2.5, 2.5], [7.5, 2.5, 2.5]]
+    )
+    cell = np.array([10.0, 5.0, 5.0])
+    ins = Instrumentation()
+    engine = LDCEngine(
+        LDCOptions(
+            ecut=4.0, domains=(2, 1, 1), buffer=1.0, tol=1e-5, max_iter=30
+        ),
+        instrumentation=ins,
+        qmd_options=QMDOptions(
+            adaptive_buffer=True,
+            controller=BufferControllerOptions(
+                target_error=1e-12, decay_length=1.0, max_step=1.0,
+                cooldown_steps=0,
+            ),
+        ),
+    )
+    walk = []
+    for k in range(5):
+        engine.forces(
+            Configuration(["H"] * 4, positions + [[0.02 * k, 0, 0]] * 4, cell)
+        )
+        walk.append(engine.options.buffer)
+    assert walk == [2.0, 2.5, 2.5, 2.5, 2.5]
+    assert max(walk) <= (cell[0] - cell[0] / 2) / 2
+    assert engine.controller.adjustments == 2
+    assert engine.controller.holds["hold-cell"] == 3
+    assert ins.counter("ldc.buffer_holds", reason="hold-cell").value == 3
+    # the decomposition was rebuilt for the two changes, not for the holds,
+    # and the one shared basis with it: none of an earlier buffer survives
+    assert engine.workspace.steps == 3
+    (basis,) = engine.workspace._bases.values()
+    domain = engine.workspace.decomposition.domains[0]
+    assert basis.grid.shape == domain.grid.shape == engine.workspace.grid.shape
 
 
 def test_env_flag_enables_controller(monkeypatch):

@@ -95,6 +95,90 @@ def test_all_band_free_electron():
     np.testing.assert_allclose(res.eigenvalues, exact, atol=1e-7)
 
 
+# -- band densities formed inside the solve --------------------------------------
+
+
+def _count_to_grid(monkeypatch):
+    """Count the solver's own ``to_grid`` calls (``H·ψ`` transforms through
+    ``to_grid_batch``): one means the block was retired by a transform,
+    none that its densities are a rotation of captured fields."""
+    calls = []
+    original = PlaneWaveBasis.to_grid
+
+    def counted(self, coeffs, **kwargs):
+        calls.append(np.shape(coeffs))
+        return original(self, coeffs, **kwargs)
+
+    monkeypatch.setattr(PlaneWaveBasis, "to_grid", counted)
+    return calls
+
+
+def _assert_densities_match_orbitals(ham, res, out):
+    expect = np.abs(ham.basis.to_grid(res.orbitals)) ** 2
+    assert np.abs(out - expect).max() <= 1e-13
+    norms = out.sum(axis=(1, 2, 3)) * ham.basis.grid.dv
+    np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("branch", ["rotation", "transform"])
+def test_all_band_densities_match_orbitals_on_both_retire_branches(
+    problem, monkeypatch, branch
+):
+    """|ψ_n|² of the returned block, whichever way the block retired: by
+    rotating the fields captured with the last ``H·X`` (a start inside the
+    converged subspace, mixed by a unitary so the rotation is not the
+    identity) or — X having moved since — by one transform."""
+    ham, ref = problem
+    nband = 5
+    if branch == "rotation":
+        rng = np.random.default_rng(2)
+        mix, _ = np.linalg.qr(
+            rng.standard_normal((nband, nband))
+            + 1j * rng.standard_normal((nband, nband))
+        )
+        psi0 = ref.orbitals[:, :nband] @ mix
+    else:
+        psi0 = ham.basis.random_orbitals(nband, seed=11)
+    out = np.full((nband,) + ham.basis.grid.shape, np.nan)
+    calls = _count_to_grid(monkeypatch)
+    res = solve_all_band(ham, psi0, max_iter=200, tol=1e-9, band_densities=out)
+    monkeypatch.undo()
+    assert res.converged
+    assert len(calls) == (0 if branch == "rotation" else 1)
+    assert (res.iterations == 1) == (branch == "rotation")
+    _assert_densities_match_orbitals(ham, res, out)
+
+
+def test_all_band_densities_of_a_block_that_ran_out_of_iterations(problem):
+    ham, _ = problem
+    out = np.empty((3,) + ham.basis.grid.shape)
+    res = solve_all_band(
+        ham, ham.basis.random_orbitals(3, seed=1), max_iter=3, tol=1e-16,
+        band_densities=out,
+    )
+    assert not res.converged
+    _assert_densities_match_orbitals(ham, res, out)
+
+
+def test_reference_solver_densities_match_orbitals(problem, monkeypatch):
+    """``direct`` transforms its eigenvectors once; ``band_by_band``
+    rotates the fields of its last subspace apply.  No buffer, no work."""
+    ham, _ = problem
+    out = np.empty((4,) + ham.basis.grid.shape)
+    _assert_densities_match_orbitals(ham, solve_direct(ham, 4, out), out)
+    psi0 = ham.basis.random_orbitals(4, seed=7)
+    calls = _count_to_grid(monkeypatch)
+    res = solve_band_by_band(
+        ham, psi0, tol=1e-8, outer_sweeps=6, band_densities=out
+    )
+    solve_band_by_band(ham, psi0, outer_sweeps=1)
+    solve_all_band(ham, psi0, max_iter=2)
+    solve_direct(ham, 4)
+    assert not calls
+    monkeypatch.undo()
+    _assert_densities_match_orbitals(ham, res, out)
+
+
 def test_all_band_iterations_reported(problem):
     ham, _ = problem
     res = solve_all_band(ham, ham.basis.random_orbitals(3, seed=1), max_iter=5, tol=1e-16)

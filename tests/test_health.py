@@ -247,17 +247,17 @@ def test_broken_partition_of_unity_trips_check():
     from repro.core.ldc import (
         LDCOptions,
         _partition_residual,
-        _prepare_states,
         make_global_grid,
     )
     from repro.core.support import supports
+    from repro.core.workspace import LDCWorkspace
 
     cfg = dimer("H", "H", 1.4, 8.0)
     opts = LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5)
     grid = make_global_grid(cfg, opts)
     decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
     pou = supports(decomp, opts.support)
-    states = _prepare_states(cfg, decomp, pou, opts)
+    states = LDCWorkspace().build_states(cfg, decomp, pou, opts)
 
     mon = HealthMonitor(invariants=[PartitionOfUnityInvariant(THR)])
     intact = _partition_residual(grid, states)

@@ -116,11 +116,13 @@ def environment(monkeypatch):
 
 
 #: No-op handle calls one SCF pass (the final consistent pass counted as
-#: one) may make in the two-domain, stack-of-one run below: measured 53.6
-#: (482 over 9 passes) — 14 from the loop, 9 + 2 per domain from the
-#: global half of the pass, 13 per domain solve (its span and
-#: ``record_solve``), the rest per run.  The same run applies H 15.8 times
-#: per pass: one emission per ``H·ψ`` would read 69.
+#: one) may make in the two-domain, stack-of-one run below: measured 58.2
+#: (524 over 9 passes) — 14 from the loop, 9 + 3 per domain from the
+#: global half of the pass (its boundary-error sample, eigenvalue share and
+#: ``band_densities`` checkpoint), 13 per domain solve (its span and
+#: ``record_solve``), the rest per run (10 of them the five
+#: ``ldc.workspace_bytes`` gauges).  The same run applies H 15.8 times per
+#: pass: one emission per ``H·ψ`` would read 74.
 NULL_CALLS_PER_PASS = 60
 
 
