@@ -206,7 +206,8 @@ class BufferController:
         self._observations.append((float(buffer_), float(error)))
         buffers = np.array([b for b, _ in self._observations])
         errors = np.array([e for _, e in self._observations])
-        if len(np.unique(buffers[errors > 0])) >= 2:
+        # (a set, not np.unique: that imports numpy.ma into the process)
+        if len(set(buffers[errors > 0].tolist())) >= 2:
             try:
                 self.decay_length, _ = fit_decay_constant(buffers, errors)
             except ValueError:

@@ -42,6 +42,7 @@ from repro.core.boundary import boundary_error_norm, boundary_potential
 from repro.core.workspace import DomainScratch
 from repro.dft.eigensolver import (
     EigenResult,
+    lobpcg_work_shape,
     record_solve,
     solve_all_band_batched,
     solve_band_by_band,
@@ -120,6 +121,7 @@ def _domain_effective_potential(
     xi: float | None,
     opts: LDCOptions,
     out: np.ndarray,
+    pool: DomainScratch,
 ) -> np.ndarray:
     """Restrict the global fields to the domain and update its v_bc.
 
@@ -129,9 +131,11 @@ def _domain_effective_potential(
     (needed again for the boundary-error diagnostic).  ``state.vbc`` is
     updated in place as a side effect.
 
-    Every intermediate — the gathered density, the v_bc target, the buffer
-    window — lives in the domain's reusable pool (``state.scratch``), so a
-    steady-state pass allocates nothing here.
+    Every intermediate lives in a reusable pool, so a steady-state pass
+    allocates nothing here: the gathered density, read again after the
+    solve, in the domain's own (``state.scratch``); the v_bc target and the
+    buffer window, spent when this returns, in the seam's ``pool`` — one
+    of each, whatever the number of domains.
     """
     dom = state.domain
     scratch = state.scratch
@@ -146,11 +150,11 @@ def _domain_effective_potential(
     np.take(rho.ravel(), flat, out=rho_restricted)
     vbc_target = boundary_potential(
         state.rho_local, rho_restricted, xi,
-        out=scratch.get("vbc_target", shape),
+        out=pool.get("vbc_target", shape),
     )
     if opts.vbc_region == "buffer":
         # act only near the artificial boundary, not inside the core
-        window = scratch.get("boundary_window", shape)
+        window = pool.get("boundary_window", shape)
         np.subtract(1.0, state.support, out=window)
         vbc_target *= window
     if state.vbc is None:
@@ -174,10 +178,10 @@ def _solve_stack(
     """Solve one stack's eigenproblems at the potentials ``v_eff``; every
     domain's per-band |ψ|² lands in its own pooled ``band_densities``.
 
-    ``all_band`` stacks the starting blocks and projectors into ``pool``,
-    lends the solver the pool's field-capture block and runs the lockstep
-    LOBPCG; the reference solvers take their single domain through a plain
-    :class:`Hamiltonian`.
+    ``all_band`` stacks the projectors into ``pool``, lends the solver the
+    pool's field-capture block and iteration workspace and runs the
+    lockstep LOBPCG on the domains' own starting blocks; the reference
+    solvers take their single domain through a plain :class:`Hamiltonian`.
     """
     basis = states[0].basis
     assert basis is not None
@@ -199,14 +203,14 @@ def _solve_stack(
             )
         ]
     nd = len(states)
-    psi0 = pool.get(("psi0", key), (nd, key.npw, key.nband), complex)
+    psi0: list[np.ndarray] = []
     b = d = None
     if key.nproj:
-        b = pool.get(("b", key), (nd, key.npw, key.nproj), complex)
-        d = pool.get(("d", key), (nd, key.nproj), float)
+        b = pool.get("b", (nd, key.npw, key.nproj), complex)
+        d = pool.get("d", (nd, key.nproj), float)
     for j, state in enumerate(states):
         assert state.vnl is not None and state.psi is not None
-        psi0[j] = state.psi
+        psi0.append(state.psi)
         if b is not None and d is not None:
             b[j] = state.vnl.b
             d[j] = state.vnl.d
@@ -215,7 +219,10 @@ def _solve_stack(
         max_iter=opts.eig_max_iter, tol=opts.eig_tol,
         band_densities=densities,
         capture=pool.get(
-            ("capture", key), (nd, key.nband) + key.grid_shape, complex
+            "capture", (nd, key.nband) + key.grid_shape, complex
+        ),
+        work=pool.get(
+            "work", lobpcg_work_shape(nd, key.npw, key.nband), complex
         ),
     )
 
@@ -246,7 +253,9 @@ def batched_domain_pass(
     one :func:`record_solve`.
 
     ``pool`` holds the stacked buffers between passes (the workspace owns
-    one across MD steps, a workspace-less run its own).
+    one across MD steps, a workspace-less run its own): one arena per role,
+    every stack taking its views, so it is as large as the largest stack's
+    working set.
     """
     states = [state for _, state in active]
     if opts.batch_domains and opts.eigensolver == "all_band":
@@ -260,12 +269,11 @@ def batched_domain_pass(
     for cls in stacks:
         key, members = cls.key, cls.members
         stack = [states[pos] for pos in members]
-        v_eff = pool.get(
-            ("v_eff", key), (len(stack),) + key.grid_shape, float
-        )
+        v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
         rho_restricted = [
             _domain_effective_potential(
-                state, rho, v_hxc_global, v_ks_global, xi, opts, out=v_eff[j]
+                state, rho, v_hxc_global, v_ks_global, xi, opts,
+                out=v_eff[j], pool=pool,
             )
             for j, state in enumerate(stack)
         ]

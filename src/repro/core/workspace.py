@@ -46,7 +46,8 @@ trajectories get the reuse for free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+import math
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -67,43 +68,49 @@ if TYPE_CHECKING:
 class DomainScratch:
     """A named pool of reusable work arrays for one LDC hot-path consumer.
 
-    ``get(name, shape, dtype)`` returns the cached buffer when shape and
-    dtype still match, else (re)allocates — so a steady-state SCF pass
-    performs **zero** buffer allocations (the invariant the domain-batching
-    benchmark pins with its tracemalloc check).  :attr:`allocations` counts
-    every real allocation for exactly that assertion.
+    ``get(name, shape, dtype)`` returns a view of the arena named ``name``
+    — one flat buffer per name, grown to the largest request seen — so a
+    steady-state SCF pass performs **zero** buffer allocations (the
+    invariant the domain-batching benchmark pins with its tracemalloc
+    check).  :attr:`allocations` counts every real allocation for exactly
+    that assertion.
 
     One instance serves one consumer.  A *domain's* pool (on its
-    :class:`~repro.core.ldc.DomainState`) holds what exists once per domain
-    — gather indices, restricted density, v_bc target and window, and the
-    real per-band |ψ|² the eigensolver writes for the density step.  The
-    seam's *stack pool* holds one stack's working set, reused by every
-    stack of a shape class in turn: stacked v_eff/ψ₀/projectors and the
-    solver's complex field-capture block.  Contents are undefined between
-    uses — every consumer overwrites before reading (``np.take(..., out=)``
-    / full-array ufunc ``out=`` writes), so ``np.empty`` suffices.
+    :class:`~repro.core.ldc.DomainState`) holds what must exist once per
+    domain because it outlives the domain's solve — gather indices, the
+    restricted density, and the real per-band |ψ|² the eigensolver writes
+    for the density step.  The seam's *stack pool* holds one stack's
+    working set — stacked v_eff/projectors, the solver's complex
+    field-capture block and its iteration workspace, one domain's v_bc
+    target and buffer window — and because stacks are solved one after
+    another every shape class takes its views of the same arenas: the
+    pool is the largest stack's working set, not the sum over classes.
+    Contents are undefined between uses — every consumer overwrites before
+    reading (``np.take(..., out=)`` / full-array ufunc ``out=`` writes), so
+    ``np.empty`` suffices.
     """
 
     def __init__(self) -> None:
-        self._bufs: dict[Hashable, np.ndarray] = {}
+        self._bufs: dict[str, np.ndarray] = {}
         self._flat: np.ndarray | None = None
         #: number of buffer (re)allocations since construction
         self.allocations: int = 0
 
     def get(
         self,
-        name: Hashable,
+        name: str,
         shape: tuple[int, ...],
         dtype: type | np.dtype = float,
     ) -> np.ndarray:
-        """The pooled buffer named ``name`` with ``shape``/``dtype``."""
+        """A C-contiguous ``shape``/``dtype`` view of the arena ``name``."""
         shape = tuple(int(n) for n in shape)
+        size = math.prod(shape)
         buf = self._bufs.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
+            buf = np.empty(size, dtype=dtype)
             self._bufs[name] = buf
             self.allocations += 1
-        return buf
+        return buf[:size].reshape(shape)
 
     def flat_indices(self, domain: Domain, global_shape: tuple[int, ...]) -> np.ndarray:
         """Flat global-grid indices of the domain's extended region.
@@ -121,7 +128,7 @@ class DomainScratch:
         return self._flat
 
 
-def _nbytes(obj: object) -> int:
+def _nbytes(obj: Any) -> int:
     """Bytes of the arrays reachable from ``obj`` through lists, tuples,
     dicts and instance attributes."""
     if isinstance(obj, np.ndarray):
@@ -204,12 +211,13 @@ class LDCWorkspace:
         #: the trajectory's density mixer; its secant pairs are the SCF
         #: memory carried across MD steps (:meth:`scf_mixer`)
         self._mixer: PulayMixer | None = None
-        #: per-domain reusable work buffers (gathered potentials, v_bc
-        #: targets, band densities), attached to each ``DomainState`` by
+        #: per-domain reusable work buffers (gathered densities, band
+        #: densities), attached to each ``DomainState`` by
         #: :meth:`prepare` so they survive from one MD step to the next
         self._scratch: dict[int, DomainScratch] = {}
         #: the domain-solve seam's stack pool (``repro.core.batched``
-        #: stacks v_eff/ψ/projectors into it)
+        #: stacks v_eff/projectors into it and lends the solver its
+        #: capture block and iteration workspace from it)
         self.batch_pool: DomainScratch = DomainScratch()
         #: per-``prepare`` stats: domains seeded from cached orbitals vs
         #: random (fresh build, or band count changed after atom migration)

@@ -43,9 +43,10 @@ class PlaneWaveBasis:
     the zero-invariant *inputs* of the two pruned stages (z-columns,
     x-planes — only the positions a stage scatters to are ever written, so
     the rest stays zero and never needs re-zeroing), their two *outputs*,
-    a coefficient-row buffer, and the full-grid work block
-    :meth:`work_block` lends to ``H·ψ`` and to the eigensolvers' |ψ|²
-    rotation.  There is one pool per ``PlaneWaveBasis``, and an instance
+    a coefficient-row buffer, and what ``H·ψ`` borrows per row block —
+    the full-grid work block of :meth:`work_block` (also the eigensolvers'
+    |ψ|² rotation's) and the two coefficient blocks of :meth:`row_blocks`.
+    There is one pool per ``PlaneWaveBasis``, and an instance
     must not be used by two threads at once.  Nothing in an instance
     depends on *where* its grid sits, so the LDC driver builds one basis
     per shape class — every domain with the same ``(grid shape, lengths,
@@ -87,9 +88,16 @@ class PlaneWaveBasis:
         # Nyquist line need no special case).
         #: grid x index of every x-plane that holds a plane wave, and of
         #: every one that holds none
-        self._planes = np.unique(ix)
-        self._empty_planes = np.setdiff1d(np.arange(n0), self._planes)
-        columns, pw_column = np.unique(ix * n1 + iy, return_inverse=True)
+        # (boolean occupancy + flatnonzero, not np.unique / np.setdiff1d:
+        # those import numpy.ma into the process, +1.5 MB resident)
+        column_of_pw = ix * n1 + iy
+        occupied = np.zeros(n0 * n1, dtype=bool)
+        occupied[column_of_pw] = True
+        plane_occupied = occupied.reshape(n0, n1).any(axis=1)
+        self._planes = np.flatnonzero(plane_occupied)
+        self._empty_planes = np.flatnonzero(~plane_occupied)
+        columns = np.flatnonzero(occupied)
+        pw_column = np.searchsorted(columns, column_of_pw)
         #: per occupied (x, y) column: its flat (plane slot, y) position in
         #: the plane block
         self._column_slot = (
@@ -129,7 +137,7 @@ class PlaneWaveBasis:
                 "columns": (self._column_slot.size, n2),
                 "planes": (self._planes.size, n1, n2),
                 "grid": (n0, n1, n2),
-            }[name.removesuffix("_in")]
+            }[name.split("_", 1)[0]]
             buf = np.zeros((self.block_rows,) + shape, dtype=complex)
             self._pool[name] = buf
         return buf[:nrows]
@@ -139,6 +147,13 @@ class PlaneWaveBasis:
         the caller's ``V·ψ`` product: contents undefined, valid until the
         next call."""
         return self._buf("grid", nrows)
+
+    def row_blocks(self, nrows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two pooled ``(nrows ≤ block_rows, npw)`` complex coefficient
+        blocks for the caller's ``H·ψ`` loop — the rows it gathers for a
+        transform and the rows one comes back into: contents undefined,
+        valid until the next call."""
+        return self._buf("rows_gather", nrows), self._buf("rows_local", nrows)
 
     def _block_to_grid(self, rows: np.ndarray, out: np.ndarray) -> None:
         """``(nrows ≤ block_rows, npw)`` coefficient rows → ``out``

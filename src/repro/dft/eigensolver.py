@@ -130,77 +130,122 @@ def record_solve(ins: Observer, solver: str, npw: int, result: EigenResult) -> N
 # All-band solver (BLAS3 path): one lockstep LOBPCG over a stack of domains
 # ---------------------------------------------------------------------------
 
+def lobpcg_work_shape(n_domains: int, npw: int, nband: int) -> tuple[int, ...]:
+    """Shape of the complex workspace the all-band solver iterates in:
+    three stacks of ``(n_domains, 3·nband, npw)`` — the subspace
+    ``[X|W|P]``, its image ``[HX|HW|HP]``, and the iterate stack the
+    Rayleigh–Ritz results land in, one band per row so that every block
+    and every run of adjacent blocks is one contiguous piece of memory.
+    Nine blocks of ``(n_domains, npw, nband)``; a caller that lends one
+    (``work=``) can reuse it for every solve that fits."""
+    return (3, n_domains, 3 * nband, npw)
+
+
 def solve_all_band(
     ham: Hamiltonian,
     psi0: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
     band_densities: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+    capture: np.ndarray | None = None,
 ) -> EigenResult:
     """Locally optimal block preconditioned CG over all bands of one
     Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one
     (``band_densities`` is the one domain's ``(nband, *grid.shape)``
-    buffer; the field-capture block is allocated per solve)."""
-    psi0 = np.asarray(psi0, dtype=complex)[None]
+    buffer; ``work`` and ``capture`` as for
+    :func:`solve_all_band_batched` with ``n_domains = 1``)."""
     (result,) = _lockstep_lobpcg(
-        ham.stack, psi0, max_iter, tol,
-        None if band_densities is None else [band_densities], None,
+        ham.stack, [np.asarray(psi0, dtype=complex)], max_iter, tol,
+        None if band_densities is None else [band_densities], capture, work,
     )
     return result
 
 
-def _safe_orthonormalize(block: np.ndarray) -> np.ndarray:
-    """QR-orthonormalize a block, dropping numerically null columns."""
+def _column_norms(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(block, axis=0)`` of a complex ``(npw, n)`` block —
+    the same ``sqrt(Σ (conj(x)·x).real)`` — with the product formed in
+    ``scratch`` (complex, ≥ n columns) instead of two fresh arrays."""
+    prod = np.conjugate(block, out=scratch[:, : block.shape[1]])
+    np.multiply(prod, block, out=prod)
+    return np.sqrt(np.add.reduce(prod.real, axis=0))
+
+
+def _safe_orthonormalize(
+    block: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> int:
+    """QR-orthonormalize ``block`` (overwritten) into the leading columns
+    of ``out``, dropping numerically null columns; returns how many
+    columns that left.  ``scratch`` is for :func:`_column_norms`."""
     if block.shape[1] == 0:
-        return block
-    norms = np.linalg.norm(block, axis=0)
+        return 0
+    norms = _column_norms(block, scratch)
     keep = norms > 1e-12
-    block = block[:, keep] / norms[keep][None, :]
-    if block.shape[1] == 0:
-        return block
+    if not keep.all():
+        block, norms = block[:, keep], norms[keep]
+        if block.shape[1] == 0:
+            return 0
+    np.divide(block, norms[None, :], out=block)
     q, r = np.linalg.qr(block)
-    diag = np.abs(np.diag(r))
-    good = diag > 1e-10
-    return q[:, good]
+    good = np.abs(np.diag(r)) > 1e-10
+    if not good.all():
+        q = q[:, good]
+    out[:, : q.shape[1]] = q
+    return int(q.shape[1])
 
 
 def solve_all_band_batched(
     bham: BatchedHamiltonian,
-    psi0,
+    psi0: Sequence[np.ndarray] | np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
     band_densities: Sequence[np.ndarray] | None = None,
     capture: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> list[EigenResult]:
     """Lockstep LOBPCG over a stack of same-shape domain KS problems.
 
     ``bham`` holds the stack (see
-    :class:`~repro.dft.hamiltonian.BatchedHamiltonian`); ``psi0`` is the
-    ``(n_domains, npw, nband)`` stack of starting blocks.  Returns one
-    :class:`EigenResult` per domain, in stack order.
+    :class:`~repro.dft.hamiltonian.BatchedHamiltonian`); ``psi0`` holds
+    the ``n_domains`` starting blocks, ``(npw, nband)`` each — a stacked
+    array or the domains' own arrays in a list, they are only read.
+    Returns one :class:`EigenResult` per domain, in stack order.
 
     ``band_densities`` holds one real ``(nband, *grid.shape)`` array per
     domain, filled with its ``|ψ_n(r)|²`` when the domain retires;
     ``capture`` is the complex ``(n_domains, nband, *grid.shape)`` scratch
-    for the fields of the last ``H·X`` (pooled by the caller, a warm solve
-    allocates nothing of grid size; else allocated per solve).
+    for the fields of the last ``H·X`` and ``work`` the complex
+    :func:`lobpcg_work_shape` workspace the iteration runs in.  With both
+    lent by the caller (the LDC seam pools them, ``run_scf`` holds one of
+    each for a whole run) a solve allocates nothing of grid size and, per
+    iteration, nothing of the stack's block size; else they are allocated
+    per solve.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape[:2] != (bham.n_domains, bham.basis.npw):
+    psi0 = [np.asarray(block, dtype=complex) for block in psi0]
+    shapes = {block.shape for block in psi0}
+    if (
+        len(psi0) != bham.n_domains
+        or len(shapes) != 1
+        or len(psi0[0].shape) != 2
+        or psi0[0].shape[0] != bham.basis.npw
+    ):
         raise ValueError(
-            f"psi0 stack {psi0.shape} does not match {bham.n_domains} "
-            f"domains over {bham.basis.npw} plane waves"
+            f"psi0 blocks {sorted(shapes)} × {len(psi0)} do not match "
+            f"{bham.n_domains} domains over {bham.basis.npw} plane waves"
         )
-    return _lockstep_lobpcg(bham, psi0, max_iter, tol, band_densities, capture)
+    return _lockstep_lobpcg(
+        bham, psi0, max_iter, tol, band_densities, capture, work
+    )
 
 
 def _lockstep_lobpcg(
     bham: BatchedHamiltonian,
-    psi0: np.ndarray,
+    psi0: Sequence[np.ndarray],
     max_iter: int,
     tol: float,
     band_densities: Sequence[np.ndarray] | None,
     capture: np.ndarray | None,
+    work: np.ndarray | None,
 ) -> list[EigenResult]:
     """The one all-band LOBPCG body, behind both public entry points.
 
@@ -212,14 +257,27 @@ def _lockstep_lobpcg(
     All unconverged domains advance together so the heavy kernels run as
     single batched array calls: the Rayleigh–Ritz subspace products and the
     ``(n, nband, nband)`` ``eigh`` stack, the residual/TPA-preconditioner
-    updates, and every Hamiltonian application (stacked FFTs + one batched
-    nonlocal GEMM; the W and P blocks of an iteration share one padded
-    apply).  The small variable-shape steps — column-dropping
-    orthonormalization, the mixed-subspace ``t`` diagonalisation, the
-    re-apply decision — run per domain.  Zero-padded columns pass through H
-    as zeros and every batched kernel acts on stack slices independently,
-    so a domain's iterates do not depend on the stack it is solved in, and
-    each domain retires from the stack at its own convergence iteration.
+    updates, and every Hamiltonian application (stacked FFTs + the
+    nonlocal GEMMs; the W and P blocks of an iteration share one apply).
+    The small variable-shape steps — column-dropping orthonormalization,
+    the mixed-subspace ``t`` diagonalisation, the re-apply decision — run
+    per domain.  Zero columns pass through H as zeros, every batched
+    kernel acts on stack slices independently and every GEMM runs on a
+    slot's own columns, so a domain's iterates do not depend on the stack
+    it is solved in, and each domain retires from the stack at its own
+    convergence iteration.
+
+    Every block lives in ``work`` (:func:`lobpcg_work_shape`) as a column
+    range of one of three stacks, and every product, rotation, projection
+    and ``H·ψ`` writes through ``out=``: ``sub = [X|W|P]`` and ``hsub``,
+    its image under H, per slot the contiguous leading columns (P sits
+    right after the W columns that survived, so the mixed subspace is one
+    GEMM operand and ``H·[W|P]`` one apply over the stack's widest
+    ``[W|P]``, narrower slots zero-filled); ``iterate`` = X | the raw new
+    P | HX, what one iteration hands the next.  A rotation reads one stack
+    and writes another, whatever a step no longer needs is the next one's
+    scratch (the comments name it), and when a domain retires the slots
+    behind it move down one.
 
     With ``band_densities`` every apply of X transforms straight into the
     leading slots of ``capture``.  It covers every slot whose fields are
@@ -229,27 +287,51 @@ def _lockstep_lobpcg(
     """
     basis = bham.basis
     nd = bham.n_domains
-    nband = int(psi0.shape[2])
+    nb = int(psi0[0].shape[1])
     results: list[EigenResult | None] = [None] * nd
+    shape = lobpcg_work_shape(nd, basis.npw, nb)
+    if work is None:
+        work = np.empty(shape, dtype=complex)
+    elif work.shape != shape or work.dtype != complex:
+        raise ValueError(
+            f"work must be a complex array of shape {shape}, got "
+            f"{work.dtype} {work.shape}"
+        )
+    # the solver's (slot, plane wave, column) view of the band-major stacks
+    sub, hsub, iterate = work.transpose(0, 1, 3, 2)
+    x, p_raw, hx = (iterate[:, :, k * nb:(k + 1) * nb] for k in range(3))
+    # the [HW|HP] columns: two blocks of scratch until H·[W|P] lands there
+    spare = hsub[:, :, nb:]
 
-    x = np.stack([cholesky_orthonormalize(psi0[i]) for i in range(nd)])
+    for i in range(nd):
+        cholesky_orthonormalize(psi0[i], out=x[i], scratch=sub[i, :, :nb])
     active = list(range(nd))
     if band_densities is not None and capture is None:
-        capture = np.empty((nd, nband) + basis.grid.shape, dtype=complex)
-    hx = bham.apply(x, capture=capture)
+        capture = np.empty((nd, nb) + basis.grid.shape, dtype=complex)
+    bham.apply(x, capture=capture, out=hx, scratch=sub[:, :, :nb])
     # Per-slot lists ride along with the active stack and are compacted
     # together with it whenever a domain retires.
     fx: list = [None] * nd if capture is None else list(capture[:nd])
-    p: list = [None] * nd
     last_resid: list[float] = [float("inf")] * nd
     it = 0
+
+    def rayleigh_ritz(na: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rotate X, HX of the first ``na`` slots to their Ritz vectors,
+        into the leading block of ``sub``/``hsub``."""
+        x_conj = np.conjugate(x[:na], out=spare[:na, :, :nb])
+        h = np.matmul(x_conj.transpose(0, 2, 1), hx[:na])
+        h = 0.5 * (h + h.conj().transpose(0, 2, 1))
+        eps, u = np.linalg.eigh(h)
+        np.matmul(x[:na], u, out=sub[:na, :, :nb])
+        np.matmul(hx[:na], u, out=hsub[:na, :, :nb])
+        return eps, u
 
     def retire(slot: int, resid: float) -> None:
         """File ``slot``'s Ritz pairs as its domain's result.  Its band
         densities come from the fields captured with the last apply of X,
         rotated like X — or from one transform (into the free last slot of
         ``capture``) when X changed without a re-apply."""
-        xr = x_rot[slot].copy()
+        xr = sub[slot, :, :nb].copy()
         if band_densities is not None and capture is not None:
             out = band_densities[active[slot]]
             if fx[slot] is not None:
@@ -261,117 +343,111 @@ def _lockstep_lobpcg(
         )
 
     for it in range(1, max_iter + 1):
+        na = len(active)
         # Rayleigh–Ritz within each current block (batched).
-        hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
-        hsub = 0.5 * (hsub + hsub.conj().transpose(0, 2, 1))
-        eps, u = np.linalg.eigh(hsub)
-        x_rot = np.matmul(x, u)
-        hx_rot = np.matmul(hx, u)
-        r = hx_rot - x_rot * eps[:, None, :]
+        eps, u = rayleigh_ritz(na)
+        x_rot, hx_rot = sub[:na, :, :nb], hsub[:na, :, :nb]
+        w = sub[:na, :, nb:2 * nb]  # the residual, then W, in place
+        np.multiply(x_rot, eps[:, None, :], out=w)
+        np.subtract(hx_rot, w, out=w)
         # Convergence is judged per domain, on its own slice only, so the
         # decision (and the returned residual) is independent of the stack.
         keep: list[int] = []
-        for slot in range(len(active)):
-            resid = float(np.max(np.linalg.norm(r[slot], axis=0)))
+        for slot in range(na):
+            resid = float(np.max(_column_norms(w[slot], spare[slot])))
             last_resid[slot] = resid
             if resid < tol:
                 retire(slot, resid)
             else:
                 keep.append(slot)
-        if len(keep) != len(active):
+        if len(keep) != na:
             if not keep:
                 return results  # type: ignore[return-value]
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    work[:, dst] = work[:, src]
             active = [active[s] for s in keep]
             fx = [fx[s] for s in keep]
-            p = [p[s] for s in keep]
             last_resid = [last_resid[s] for s in keep]
-            x_rot = x_rot[keep]
-            hx_rot = hx_rot[keep]
-            r = r[keep]
-        x, hx = x_rot, hx_rot
+            na = len(keep)
+            x_rot, w = x_rot[:na], w[:na]
 
-        w = bham.precondition(r, x)
+        bham.precondition(w, x_rot, out=w, scratch=spare[:na])
         # Project W against X (batched) and orthonormalize per domain.
-        w = w - np.matmul(x, np.matmul(x.conj().transpose(0, 2, 1), w))
-        w_blocks: list = []
-        p_blocks: list = []
-        for slot in range(len(active)):
-            wi = _safe_orthonormalize(w[slot])
-            w_blocks.append(wi)
-            pk = None
-            pi = p[slot]
-            if pi is not None:
-                xi = x[slot]
-                p_proj = pi - xi @ (xi.conj().T @ pi) - wi @ (wi.conj().T @ pi)
-                norms = np.linalg.norm(p_proj, axis=0)
-                sel = norms > 1e-10
+        x_conj = np.conjugate(x_rot, out=spare[:na, :, :nb])
+        proj = np.matmul(x_rot, np.matmul(x_conj.transpose(0, 2, 1), w),
+                         out=spare[:na, :, nb:])
+        np.subtract(w, proj, out=w)
+        widths: list[int] = []  # of each slot's [X|W|P]
+        for slot in range(na):
+            basis_w = sub[slot, :, nb:]
+            nw = _safe_orthonormalize(w[slot], basis_w, spare[slot, :, nb:])
+            if it > 1:  # there is a previous search direction
+                xi, wi, pi = x_rot[slot], basis_w[:, :nw], p_raw[slot]
+                # (the old X is spent: its block holds the projected P)
+                p_proj, term = x[slot], spare[slot, :, nb:]
+                np.matmul(xi, x_conj[slot].T @ pi, out=term)
+                np.subtract(pi, term, out=p_proj)
+                wi_conj = np.conjugate(wi, out=x_conj[slot, :, :nw])
+                np.matmul(wi, wi_conj.T @ pi, out=term)
+                np.subtract(p_proj, term, out=p_proj)
+                sel = _column_norms(p_proj, term) > 1e-10
                 if np.any(sel):
-                    pk = _safe_orthonormalize(p_proj[:, sel])
-            p_blocks.append(pk)
-        # One padded batched apply covers every W and surviving P block:
-        # zero columns pass through H as zeros and each real column is
-        # transformed independently, so the slices match the serial narrow
-        # applies exactly.  The pad is sized to this iteration's widest
-        # blocks (not a fixed 2·nband) — on the first sweeps P is empty and
-        # the stacked FFT halves in width.
-        wmax = max(wi.shape[1] for wi in w_blocks)
-        pmax = max((pk.shape[1] for pk in p_blocks if pk is not None),
-                   default=0)
-        pad = np.zeros((len(active), basis.npw, wmax + pmax), dtype=complex)
-        for slot, (wi, pk) in enumerate(zip(w_blocks, p_blocks)):
-            pad[slot, :, : wi.shape[1]] = wi
-            if pk is not None:
-                pad[slot, :, wmax: wmax + pk.shape[1]] = pk
-        hpad = bham.apply(pad, domains=active)
+                    nw += _safe_orthonormalize(
+                        p_proj if sel.all() else p_proj[:, sel],
+                        basis_w[:, nw:], term,
+                    )
+            widths.append(nb + nw)
+        # One batched apply covers every W and surviving P block: each
+        # column is transformed independently and zero columns pass through
+        # H as zeros, so the slices match the serial narrow applies exactly.
+        # It is sized to this iteration's widest [W|P] (not a fixed
+        # 2·nband) — on the first sweeps P is empty and the stacked FFT
+        # halves in width.
+        widest = max(widths)
+        for slot, width in enumerate(widths):
+            sub[slot, :, width:widest] = 0.0
+        bham.apply(
+            sub[:na, :, nb:widest], domains=active,
+            out=hsub[:na, :, nb:widest], scratch=iterate[:na, :, : widest - nb],
+            widths=[width - nb for width in widths],
+        )
         reapply: list[int] = []
-        x_next: list = []
-        hx_next: list = []
-        for slot in range(len(active)):
-            xi = x[slot]
-            hxi = hx[slot]
-            wi = w_blocks[slot]
-            pk = p_blocks[slot]
-            blocks = [xi, wi]
-            hblocks = [hxi, hpad[slot, :, : wi.shape[1]]]
-            if pk is not None:
-                blocks.append(pk)
-                hblocks.append(hpad[slot, :, wmax: wmax + pk.shape[1]])
-            s = np.hstack(blocks)
-            hs = np.hstack(hblocks)
-            t = s.conj().T @ hs
+        for slot, width in enumerate(widths):
+            s, hs = sub[slot, :, :width], hsub[slot, :, :width]
+            # (the slot's iterate blocks are all spent by now)
+            s_conj = np.conjugate(s, out=iterate[slot, :, :width])
+            t = s_conj.T @ hs
             t = 0.5 * (t + t.conj().T)
             evals, evecs = np.linalg.eigh(t)
-            c = evecs[:, :nband]
-            x_new = s @ c
-            hx_new = hs @ c
+            c = evecs[:, :nb]
+            np.matmul(hs, c, out=hx[slot])
+            # hs is spent: the new X, before orthonormalization, takes
+            # its leading block
+            x_new = np.matmul(s, c, out=hs[:, :nb])
             # New implicit search direction: the part of x_new outside old X.
-            c_tail = c[nband:, :]
-            s_tail = s[:, nband:]
-            p[slot] = s_tail @ c_tail
-            xi_new = cholesky_orthonormalize(x_new)
-            x_next.append(xi_new)
+            np.matmul(s[:, nb:], c[nb:, :], out=p_raw[slot])
+            cholesky_orthonormalize(x_new, out=x[slot], scratch=s[:, :nb])
             # Re-apply H only if orthonormalization changed X materially.
-            if np.allclose(xi_new, x_new, atol=1e-12):
-                hx_next.append(hx_new)
+            if np.allclose(x[slot], x_new, atol=1e-12):
                 fx[slot] = None  # fields of the new X were never computed
             else:
                 reapply.append(slot)
-                hx_next.append(None)
-        x = np.stack(x_next)
         if reapply:
-            h_re = bham.apply(
-                x[reapply], capture=capture,
+            # through the leading slots of the (now spent) subspace stacks
+            n = len(reapply)
+            for j, slot in enumerate(reapply):
+                sub[j, :, :nb] = x[slot]
+            bham.apply(
+                sub[:n, :, :nb], capture=capture,
                 domains=[active[s] for s in reapply],
+                out=hsub[:n, :, :nb], scratch=sub[:n, :, nb:2 * nb],
             )
             for j, slot in enumerate(reapply):
-                hx_next[slot] = h_re[j]
+                hx[slot] = hsub[j, :, :nb]
                 fx[slot] = None if capture is None else capture[j]
-        hx = np.stack(hx_next)
     # Final clean Rayleigh–Ritz for the domains that ran out of iterations.
-    hsub = np.matmul(x.conj().transpose(0, 2, 1), hx)
-    hsub = 0.5 * (hsub + hsub.conj().transpose(0, 2, 1))
-    eps, u = np.linalg.eigh(hsub)
-    x_rot = np.matmul(x, u)
+    eps, u = rayleigh_ritz(len(active))
     for slot in range(len(active)):
         retire(slot, last_resid[slot])
     return results  # type: ignore[return-value]

@@ -13,6 +13,8 @@ are the stack-of-one case of those.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis, _result
@@ -20,9 +22,10 @@ from repro.dft.pseudopotential import NonlocalProjectors
 
 
 def _times_real(fields: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """``out = fields · v`` for complex fields and a real potential, one
-    real part at a time: the mixed-type complex multiply would stage ``v``
-    through a freshly allocated 128 KiB cast buffer on every call."""
+    """``out = fields · v`` for a complex array and a real one (``out`` may
+    be ``fields``), one real part at a time: the mixed-type complex
+    multiply would stage ``v`` through a freshly allocated 128 KiB cast
+    buffer on every call."""
     np.multiply(fields.real, v, out=out.real)
     np.multiply(fields.imag, v, out=out.imag)
 
@@ -43,16 +46,14 @@ class Hamiltonian:
         self.basis = basis
         self.v_eff = np.asarray(v_eff, dtype=float)
         self.vnl = vnl
-        nonlocal_ = vnl is not None and vnl.nproj > 0
+        b: np.ndarray | None = None
+        d: np.ndarray | None = None
+        if vnl is not None and vnl.nproj > 0:
+            b, d = vnl.b[None], vnl.d[None]
         #: this operator as a stack of one (views of ``v_eff`` and the
         #: projectors, no copies) — what ``apply``/``precondition`` and
         #: :func:`~repro.dft.eigensolver.solve_all_band` run on
-        self.stack = BatchedHamiltonian(
-            basis,
-            self.v_eff[None],
-            vnl.b[None] if nonlocal_ else None,
-            vnl.d[None] if nonlocal_ else None,
-        )
+        self.stack = BatchedHamiltonian(basis, self.v_eff[None], b, d)
         self.kinetic = self.stack.kinetic  # (npw,)
 
     # -- application ----------------------------------------------------------
@@ -141,7 +142,7 @@ class BatchedHamiltonian:
             )
         if (b is None) != (d is None):
             raise ValueError("projector stacks b and d must be given together")
-        if b is not None and (
+        if b is not None and d is not None and (
             b.shape[0] != nd
             or b.shape[1] != basis.npw
             or d.shape != b.shape[:1] + b.shape[2:]
@@ -159,23 +160,31 @@ class BatchedHamiltonian:
         self.d = None if d is None else np.asarray(d)
         self.nproj = 0 if self.b is None else int(self.b.shape[2])
         self.kinetic = 0.5 * basis.g2  # (npw,)
+        #: conj(b), formed once per stack instead of once per apply
+        self._b_conj = None if b is None else np.conj(b)
 
     def apply(
         self,
         psi: np.ndarray,
         capture: np.ndarray | None = None,
         domains: list[int] | None = None,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+        widths: Sequence[int] | None = None,
     ) -> np.ndarray:
         """H Ψ for a stack of orbital blocks ``(len(domains), npw, nband)``.
 
         The local term walks the domain×band rows of the stack in blocks of
-        ``basis.block_rows``: to grid, times ``v_eff``, back — so a block's
-        full-grid field is consumed while it is still cache-resident (a
-        block may straddle two domains; each row is multiplied by its own
-        domain's potential).  Every transform writes through ``out=`` into
-        pooled or caller-owned memory, so a warm apply allocates
-        coefficient-side ``(npw, nband)`` arrays only; the local and
-        nonlocal terms accumulate onto the kinetic one in place.
+        ``basis.block_rows``: to grid, times ``v_eff``, back into ``out``
+        — so a block's full-grid field is consumed while it is still
+        cache-resident (a block may straddle two domains; each row is
+        multiplied by its own domain's potential, and the block's rows go
+        through the basis' pooled row blocks).  Every transform writes
+        through ``out=``, and the kinetic and nonlocal terms are formed in
+        ``scratch`` and added: with ``out`` and ``scratch`` given
+        (complex, shaped like ``psi``, any strides — the lockstep
+        eigensolver passes column ranges of its workspace, for ``psi``
+        too) an apply allocates nothing of coefficient-block or grid size.
 
         ``capture``, when given, is a C-contiguous complex ``(≥ len(domains),
         nband, *grid.shape)`` array — the caller's, typically pooled — whose
@@ -187,62 +196,127 @@ class BatchedHamiltonian:
         indices, strictly increasing) — the lockstep eigensolver uses it to
         keep applying only the not-yet-converged domains as the others
         retire from the iteration.
+
+        ``widths[slot]``, when given, says that slot's columns from there
+        on are zero (a block narrower than the stack's widest): they come
+        out zero, and the nonlocal GEMMs run on the slot's own columns
+        only — a GEMM's rounding may depend on its column count, and a
+        domain's result must not depend on what it is stacked with.
         """
         basis = self.basis
-        if domains is not None and len(domains) == self.n_domains:
-            domains = None  # a strictly-increasing subset of full size is all
-        v_eff = self.v_eff if domains is None else self.v_eff[domains]
         nd, npw, nband = psi.shape
+        members = range(self.n_domains) if domains is None else domains
         nrows = nd * nband
-        out = self.kinetic[None, :, None] * psi
-        rows = psi.transpose(0, 2, 1).reshape(nrows, npw)
-        local = np.empty((nrows, npw), dtype=complex)
+        out = _result(out, psi.shape)
+        if scratch is None:
+            scratch = np.empty(psi.shape, dtype=complex)
         captured = None
         if capture is not None:
             captured = _result(capture[:nd], (nd, nband) + basis.grid.shape)
             if not captured.flags.c_contiguous:  # reshape would copy
                 raise ValueError("capture must be C-contiguous")
             captured = captured.reshape((nrows,) + basis.grid.shape)
+        # local term, straight into ``out``
         step = basis.block_rows
         for a in range(0, nrows, step):
             stop = min(a + step, nrows)
             product = basis.work_block(stop - a)
-            # the block as the public stacked transforms take it: one
-            # stack slot of (stop - a) "bands"
+            # (stack slot, its columns, their rows in this block)
+            pieces = []
+            for dom in range(a // nband, (stop - 1) // nband + 1):
+                lo = max(a, dom * nband)
+                hi = min(stop, (dom + 1) * nband)
+                pieces.append((
+                    dom,
+                    slice(lo - dom * nband, hi - dom * nband),
+                    slice(lo - a, hi - a),
+                ))
+            # The block as the public stacked transforms take it, one stack
+            # slot of (stop - a) "bands": the columns of ψ and of ``out``
+            # themselves when it lies in one slot, else (it straddles two)
+            # its rows gathered into, and scattered from, pooled blocks.
+            if len(pieces) == 1:
+                dom, cols, _ = pieces[0]
+                coeffs = psi[dom:dom + 1, :, cols]
+                local = out[dom:dom + 1, :, cols]
+            else:
+                rows, back = basis.row_blocks(stop - a)
+                for dom, cols, block in pieces:
+                    rows[block] = psi[dom, :, cols].T
+                coeffs, local = rows.T[None], back.T[None]
             fields = basis.to_grid_batch(
-                rows[a:stop].T[None],
+                coeffs,
                 out=(product if captured is None else captured[a:stop])[None],
             )[0]
-            for dom in range(a // nband, (stop - 1) // nband + 1):
-                lo = max(a, dom * nband) - a
-                hi = min(stop, (dom + 1) * nband) - a
-                _times_real(fields[lo:hi], v_eff[dom], product[lo:hi])
-            basis.from_grid_batch(
-                product[None], out=local[a:stop].T[None], overwrite_fields=True
-            )
-        out += local.reshape(nd, nband, npw).transpose(0, 2, 1)
-        if self.b is not None and self.nproj:
-            b = self.b if domains is None else self.b[domains]
-            d = self.d if domains is None else self.d[domains]
-            overlaps = np.matmul(b.conj().transpose(0, 2, 1), psi)
-            out += np.matmul(b, d[:, :, None] * overlaps)
+            for dom, cols, block in pieces:
+                _times_real(fields[block], self.v_eff[members[dom]],
+                            product[block])
+            basis.from_grid_batch(product[None], out=local, overwrite_fields=True)
+            if len(pieces) > 1:
+                for dom, cols, block in pieces:
+                    out[dom, :, cols] = local[0, :, block]
+        # + kinetic term (the same sum as kinetic + local, commuted)
+        _times_real(psi, self.kinetic[None, :, None], scratch)
+        out += scratch
+        if self.nproj:
+            assert self.b is not None and self.d is not None
+            assert self._b_conj is not None
+            for slot, dom in enumerate(members):
+                cols = slice(None if widths is None else widths[slot])
+                overlaps = self._b_conj[dom].T @ psi[slot, :, cols]
+                overlaps *= self.d[dom][:, None]
+                term = np.matmul(
+                    self.b[dom], overlaps, out=scratch[slot, :, cols]
+                )
+                out[slot, :, cols] += term
         return out
 
-    def precondition(self, resid: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    def precondition(
+        self,
+        resid: np.ndarray,
+        psi: np.ndarray,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Teter–Payne–Allan preconditioner applied band-wise to a
         ``(n_domains, npw, nband)`` residual stack.
 
         The TPA kernel damps high-kinetic-energy components relative to each
         band's own kinetic energy — the standard plane-wave CG preconditioner.
+
+        ``out`` (may be ``resid`` itself) receives the result; ``scratch``
+        is a complex ``(n_domains, npw, 2·nband)`` work array of any
+        strides — conj(ψ) first, then, in its real and imaginary parts,
+        the four real terms of the kernel.  Without them both are
+        allocated.
         """
+        nd, npw, nband = resid.shape
+        if scratch is None:
+            scratch = np.empty((nd, npw, 2 * nband), dtype=complex)
+        psi_conj = np.conjugate(psi, out=scratch[:, :, :nband])
         ekin = np.einsum(
-            "dgn,g,dgn->dn", psi.conj(), self.kinetic, psi
+            "dgn,g,dgn->dn", psi_conj, self.kinetic, psi
         ).real / np.maximum(
-            np.einsum("dgn,dgn->dn", psi.conj(), psi).real, 1e-30
+            np.einsum("dgn,dgn->dn", psi_conj, psi).real, 1e-30
         )
         ekin = np.maximum(ekin, 1e-6)
-        x = self.kinetic[None, :, None] / ekin[:, None, :]
-        x2 = x * x
-        x3 = x2 * x
-        num = 27.0 + 18.0 * x + 12.0 * x2 + 8.0 * x3
-        return (num / (num + 16.0 * x3 * x)) * resid
+        low, high = scratch[:, :, :nband], scratch[:, :, nband:]
+        x, t, x3, num = low.real, low.imag, high.real, high.imag
+        # num = 27 + 18x + 12x² + 8x³, den = num + 16x⁴, term by term in
+        # that order
+        np.divide(self.kinetic[None, :, None], ekin[:, None, :], out=x)
+        np.multiply(x, x, out=t)
+        np.multiply(t, x, out=x3)
+        np.multiply(x, 18.0, out=num)
+        num += 27.0
+        t *= 12.0
+        num += t
+        np.multiply(x3, 8.0, out=t)
+        num += t
+        x3 *= 16.0
+        x3 *= x
+        x3 += num
+        num /= x3
+        out = _result(out, resid.shape)
+        _times_real(resid, num, out)
+        return out

@@ -83,86 +83,103 @@ class PulayMixer:
             raise ValueError("history must be >= 2")
         self.alpha = alpha
         self.history = history
-        #: (ρ_in, R) of the current solve, oldest first
-        self._inputs: list[np.ndarray] = []
-        self._residuals: list[np.ndarray] = []
-        #: (Δρ, ΔR) pairs kept from earlier solves, oldest first
-        self._carried: list[tuple[np.ndarray, np.ndarray]] = []
+        #: the window's (Δρ, ΔR) pairs as they were formed, oldest first:
+        #: rows ``[:pairs]`` of two ``(history − 1, N)`` matrices (allocated
+        #: with the first pair), the first ``carried_pairs`` of them kept
+        #: from earlier solves
+        self._d_rho: np.ndarray | None = None
+        self._d_res: np.ndarray | None = None
+        self._npairs = 0
+        self._ncarried = 0
+        #: ρ_in (copied into a buffer of the mixer's own) and R of this
+        #: solve's last pass; ``_resid`` is None until there has been one
+        self._input: np.ndarray | None = None
+        self._resid: np.ndarray | None = None
         #: reason -> how often secant pairs were thrown away for it
         self.dropped: Counter[str] = Counter()
 
     @property
     def pairs(self) -> int:
         """Secant pairs in the window, carried and this solve's own."""
-        return len(self._carried) + max(len(self._inputs) - 1, 0)
+        return self._npairs
 
     @property
     def carried_pairs(self) -> int:
         """Secant pairs from earlier solves still in the window."""
-        return len(self._carried)
+        return self._ncarried
 
     def reset(self, reason: str = "reset") -> None:
         """Forget everything: the next ``mix`` is a plain linear step.
         Counted under ``reason`` when there were pairs to forget."""
         if self.pairs:
             self.dropped[reason] += 1
-        self._inputs.clear()
-        self._residuals.clear()
-        self._carried.clear()
+        self._d_rho = self._d_res = self._input = self._resid = None
+        self._npairs = self._ncarried = 0
 
     def begin_step(self) -> None:
         """Start the solve of a nearby map: keep the secant pairs, forget
         the iterates."""
-        self._carried = self._pairs()
-        self._inputs.clear()
-        self._residuals.clear()
+        self._ncarried = self._npairs
+        self._resid = None
 
-    def _pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The window's pairs, oldest first: carried ones, then this
-        solve's consecutive differences (``mix`` keeps their number at
-        ``history − 1`` or below)."""
-        return self._carried + [
-            (self._inputs[i + 1] - self._inputs[i],
-             self._residuals[i + 1] - self._residuals[i])
-            for i in range(len(self._inputs) - 1)
-        ]
+    def _discard(self, count: int) -> None:
+        """Drop the ``count`` oldest pairs; the others move up, a row at a
+        time (rows do not overlap, so nothing is staged in a copy)."""
+        self._npairs -= count
+        self._ncarried = max(self._ncarried - count, 0)
+        for rows in (self._d_rho, self._d_res):
+            assert rows is not None
+            for i in range(self._npairs):
+                rows[i] = rows[i + count]
 
     def _carried_misfit(self, resid: np.ndarray) -> str | None:
         """Why the carried pairs do not describe this solve, if they don't."""
-        if self._carried[0][1].shape != resid.shape:
+        assert self._d_res is not None
+        if self._d_res.shape[1] != resid.size:
             return "grid_shape"
         norm = np.linalg.norm(resid)
-        if not self._residuals:  # first pass: nothing mixed with them yet
-            learned = max(np.linalg.norm(d_r) for _, d_r in self._carried)
+        if self._resid is None:  # first pass: nothing mixed with them yet
+            learned = max(
+                np.linalg.norm(d_r) for d_r in self._d_res[: self._ncarried]
+            )
             if norm > self.CARRIED_RANGE * learned:
                 return "out_of_range"
-        elif norm > self.CARRIED_RISE * np.linalg.norm(self._residuals[-1]):
+        elif norm > self.CARRIED_RISE * np.linalg.norm(self._resid):
             return "residual_rose"
         return None
 
     def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
         resid = rho_out - rho_in
-        if self._carried:
+        if self._ncarried:
             misfit = self._carried_misfit(resid)
             if misfit is not None:
                 self.dropped[misfit] += 1
-                self._carried.clear()
-        self._inputs.append(rho_in.copy())
-        self._residuals.append(resid.copy())
-        if len(self._inputs) > self.history:
-            self._inputs.pop(0)
-            self._residuals.pop(0)
-        # carried pairs leave the window as this solve's own pairs fill it
-        del self._carried[: max(
-            0, len(self._carried) + len(self._inputs) - self.history
-        )]
+                self._discard(self._ncarried)
+        if self._input is None or self._input.size != resid.size:
+            self._input = np.empty(resid.size)
+        if self._resid is not None:
+            # this pass and the one before it make the window's newest
+            # pair; a full window loses its oldest (carried ones first)
+            if self._d_res is None or self._d_res.shape[1] != resid.size:
+                self._d_rho = np.empty((self.history - 1, resid.size))
+                self._d_res = np.empty((self.history - 1, resid.size))
+            assert self._d_rho is not None
+            if self._npairs == self.history - 1:
+                self._discard(1)
+            np.subtract(rho_in.ravel(), self._input,
+                        out=self._d_rho[self._npairs])
+            np.subtract(resid.ravel(), self._resid.ravel(),
+                        out=self._d_res[self._npairs])
+            self._npairs += 1
+        np.copyto(self._input, rho_in.ravel())
+        self._resid = resid
         rho_next = rho_in + self.alpha * resid
-        pairs = self._pairs()
-        if not pairs:
+        if not self._npairs:
             return rho_next
+        assert self._d_rho is not None and self._d_res is not None
 
         # Normal equations of min_γ |R_k − Σ γ_j ΔR_j|².
-        d_res = np.stack([d_r.ravel() for _, d_r in pairs])
+        d_res = self._d_res[: self._npairs]
         gram = d_res @ d_res.T
         if not (
             np.isfinite(gram).all()
@@ -173,8 +190,13 @@ class PulayMixer:
             self.reset("ill_conditioned")
             return rho_next
         gamma = np.linalg.solve(gram, d_res @ resid.ravel())
-        for g, (d_rho, d_r) in zip(gamma, pairs):
-            rho_next -= g * (d_rho + self.alpha * d_r)
+        # ρ_next −= γ_j (Δρ_j + α ΔR_j), through one scratch row
+        term = np.empty(resid.size)
+        for g, d_rho, d_r in zip(gamma, self._d_rho, d_res):
+            np.multiply(d_r, self.alpha, out=term)
+            np.add(d_rho, term, out=term)
+            term *= g
+            rho_next -= term.reshape(rho_next.shape)
         return rho_next
 
 

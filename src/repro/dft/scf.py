@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import (
+    lobpcg_work_shape,
     record_solve,
     solve_all_band,
     solve_band_by_band,
@@ -480,6 +481,11 @@ def _run_scf(
         psi = basis.random_orbitals(nband, seed=opts.seed)
     # the solvers' output of grid size, one buffer for every pass of the run
     band_densities = np.empty((nband,) + grid.shape, dtype=float)
+    # and what the all-band solver iterates in and captures fields into
+    work = capture = None
+    if opts.eigensolver == "all_band":
+        work = np.empty(lobpcg_work_shape(1, basis.npw, nband), dtype=complex)
+        capture = np.empty((1, nband) + grid.shape, dtype=complex)
     # what the last pass left behind (the map hands the driver scalars)
     eigs = occs = np.zeros(nband, dtype=float)
     parts: dict[str, float] = {}
@@ -499,7 +505,8 @@ def _run_scf(
                 eig = solve_direct(ham, nband, band_densities)
             elif opts.eigensolver == "all_band":
                 eig = solve_all_band(
-                    ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities
+                    ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities,
+                    work=work, capture=capture,
                 )
             else:
                 eig = solve_band_by_band(

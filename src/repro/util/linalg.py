@@ -82,21 +82,33 @@ def blocked_gram(psi: np.ndarray, block: int = 64, weights=None) -> np.ndarray:
     return s
 
 
-def cholesky_orthonormalize(psi: np.ndarray) -> np.ndarray:
+def cholesky_orthonormalize(
+    psi: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Orthonormalize columns of ``psi`` via Cholesky of the overlap matrix.
 
     This is the parallel-friendly scheme of Sec. 3.3: build ``S = Ψ^H Ψ``,
     factor ``S = L L^H``, and return ``Ψ L^{-H}``.  Falls back to Löwdin
     orthonormalization when ``S`` is numerically rank-deficient.
+
+    ``out`` (not ``psi``) receives the result and ``scratch`` holds
+    conj(Ψ), both complex and shaped like ``psi``: with them nothing of
+    ``psi``'s size is allocated.
     """
-    s = psi.conj().T @ psi
+    s = np.conjugate(psi, out=scratch).T @ psi
     try:
         l = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        return lowdin_orthonormalize(psi)
+        result = lowdin_orthonormalize(psi)
+        if out is None:
+            return result
+        out[...] = result
+        return out
     # Ψ_new = Ψ L^{-H}: the factor is only nband × nband, so invert it and
     # apply the inverse as one GEMM.
-    return psi @ np.linalg.inv(l).conj().T
+    return np.matmul(psi, np.linalg.inv(l).conj().T, out=out)
 
 
 def lowdin_orthonormalize(psi: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.batched import group_shape_classes
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import (
+    lobpcg_work_shape,
     solve_all_band,
     solve_all_band_batched,
     solve_direct,
@@ -243,6 +244,51 @@ def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
         assert res.iterations == one.iterations
         expect = np.abs(basis.to_grid(res.orbitals)) ** 2
         assert np.abs(wide[d] - expect).max() <= 1e-13
+
+
+def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
+    """A stack whose first slot converges well before the others — its
+    retirement moves the slots behind it down the lent workspace, then the
+    next one's does — with nonlocal projectors, a shared capture block and
+    one NaN-filled workspace: every domain's orbitals, eigenvalues,
+    residual and densities are ``==`` those of its own stack-of-one solve
+    in its own workspace."""
+    basis, _, _ = _well_problem()
+    rng = np.random.default_rng(9)
+    r2 = basis.grid.min_image_distance(np.array([3.0, 2.5, 2.5])) ** 2
+    v_eff = np.stack([-depth * np.exp(-r2 / 1.5) for depth in (6.0, 0.2, 1.5)])
+    nd, nband, nproj = 3, 5, 3
+    b = 0.1 * (rng.standard_normal((nd, basis.npw, nproj))
+               + 1j * rng.standard_normal((nd, basis.npw, nproj)))
+    d = rng.standard_normal((nd, nproj))
+    psi = np.stack([basis.random_orbitals(nband, seed=11 + i)
+                    for i in range(nd)])
+    shape = (nd, nband) + basis.grid.shape
+
+    def solve(lo, hi):
+        n = hi - lo
+        densities = np.full((n,) + shape[1:], np.nan)
+        results = solve_all_band_batched(
+            BatchedHamiltonian(basis, v_eff[lo:hi], b[lo:hi], d[lo:hi]),
+            list(psi[lo:hi]), max_iter=200, tol=1e-9,
+            band_densities=densities,
+            capture=np.empty((n,) + shape[1:], dtype=complex),
+            work=np.full(lobpcg_work_shape(n, basis.npw, nband), np.nan,
+                         dtype=complex),
+        )
+        return results, densities
+
+    stacked, wide = solve(0, nd)
+    counts = [res.iterations for res in stacked]
+    # the first slot is done three or more iterations before the others
+    assert counts[0] + 3 <= min(counts[1:]) and counts[1] != counts[2]
+    for slot, res in enumerate(stacked):
+        (one,), narrow = solve(slot, slot + 1)
+        assert res.converged and res.iterations == one.iterations
+        assert res.residual_norm == one.residual_norm
+        assert np.array_equal(res.eigenvalues, one.eigenvalues)
+        assert np.array_equal(res.orbitals, one.orbitals)
+        assert np.array_equal(wide[slot], narrow[0])
 
 
 LIAL_OPTS = dict(

@@ -1,16 +1,22 @@
 """Tests: iterative eigensolvers must agree with dense diagonalization."""
 
+import gc
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import (
+    lobpcg_work_shape,
     solve_all_band,
+    solve_all_band_batched,
     solve_band_by_band,
     solve_direct,
 )
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.hamiltonian import Hamiltonian
+from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.systems import dimer
 
@@ -185,3 +191,112 @@ def test_all_band_iterations_reported(problem):
     assert res.iterations == 5
     assert not res.converged
     assert res.residual_norm > 0
+
+
+# -- the iteration's memory: a lent workspace, nothing of block size allocated ----
+
+
+class _CountingStack(BatchedHamiltonian):
+    """Counts the solver's iterations: it preconditions once in each."""
+
+    preconditioned = 0
+
+    def precondition(self, *args, **kwargs):
+        self.preconditioned += 1
+        return super().precondition(*args, **kwargs)
+
+
+def _warm_stack_of_three(nband=10):
+    """Three wells of different depth with random projectors on a
+    630-plane-wave basis, started a loose solve away from convergence; one
+    ``(3, npw, nband)`` block is 0.3 MB — above the fixed 128 KiB cast
+    buffers NumPy's iterator may allocate, which are no block."""
+    grid = RealSpaceGrid([12.0, 12.0, 9.6], (20, 20, 16))
+    basis = PlaneWaveBasis(grid, ecut=4.5)
+    rng = np.random.default_rng(4)
+    r2 = grid.min_image_distance(np.array([6.0, 6.0, 4.8])) ** 2
+    v_eff = np.stack([-depth * np.exp(-r2 / 4.0) for depth in (0.3, 0.8, 2.0)])
+    b = 0.05 * (
+        rng.standard_normal((3, basis.npw, 3))
+        + 1j * rng.standard_normal((3, basis.npw, 3))
+    )
+    d = rng.standard_normal((3, 3))
+    cold = np.stack([basis.random_orbitals(nband, seed=i) for i in range(3)])
+    loose = solve_all_band_batched(
+        BatchedHamiltonian(basis, v_eff, b, d), cold, max_iter=200, tol=1e-3
+    )
+    warm = np.stack([res.orbitals for res in loose])
+    return basis, (v_eff, b, d), warm
+
+
+def test_warm_lockstep_iteration_allocates_nothing_of_block_size():
+    """With ``work`` and ``capture`` lent, no NumPy call of an iteration
+    allocates as much as one ``(n_domains, npw, nband)`` block — every
+    rotation, residual, projection and ``H·ψ`` writes into the workspace;
+    what an iteration still allocates is per-domain (QR, the ``allclose``
+    check, a retiring domain's result) — and workspace plus everything the
+    solve allocates stays under 14 blocks (26 before the workspace, with
+    ``hstack``/``np.stack``/the zero pad and fresh products).  The
+    workspace is handed over full of NaN: nothing is read before written."""
+    basis, stack, warm = _warm_stack_of_three()
+    nd, npw, nband = warm.shape
+    block = warm.nbytes
+    assert block > 2 * 128 * 1024
+    work = np.full(lobpcg_work_shape(nd, npw, nband), np.nan, dtype=complex)
+    capture = np.empty((nd, nband) + basis.grid.shape, dtype=complex)
+    densities = np.empty((nd, nband) + basis.grid.shape)
+    assert work.nbytes == 9 * block
+
+    def solve(bham):
+        return solve_all_band_batched(
+            bham, warm, max_iter=60, tol=1e-8, band_densities=densities,
+            capture=capture, work=work,
+        )
+
+    # (a) the largest allocation of any one C-level call, by iteration
+    bham = _CountingStack(basis, *stack)
+    largest: dict[int, int] = {}
+    entry = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            tracemalloc.reset_peak()
+            entry[0] = tracemalloc.get_traced_memory()[0]
+        elif event in ("c_return", "c_exception"):
+            grown = tracemalloc.get_traced_memory()[1] - entry[0]
+            it = bham.preconditioned
+            largest[it] = max(largest.get(it, 0), grown)
+
+    gc.collect()
+    tracemalloc.start()
+    sys.setprofile(profile)
+    try:
+        results = solve(bham)
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    assert all(res.converged for res in results)
+    assert min(res.iterations for res in results) >= 3
+    assert set(largest) == set(range(bham.preconditioned + 1))
+    # from the first preconditioning on (set-up is index 0)
+    assert max(v for it, v in largest.items() if it >= 1) < block
+
+    # (b) the solve's footprint: the workspace plus its allocation peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = solve(BatchedHamiltonian(basis, *stack))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert work.nbytes + peak <= 14 * block
+    # and a solve that allocates its own workspace gives the same bits
+    own = solve_all_band_batched(
+        BatchedHamiltonian(basis, *stack), warm, max_iter=60, tol=1e-8
+    )
+    for a, b, c in zip(results, again, own):
+        assert a.iterations == b.iterations == c.iterations
+        assert np.array_equal(a.orbitals, b.orbitals)
+        assert np.array_equal(a.orbitals, c.orbitals)
+        assert np.array_equal(a.eigenvalues, c.eigenvalues)

@@ -65,9 +65,11 @@ def test_pulay_solves_linear_problem_fast():
 
 def test_pulay_reset(rng):
     p = PulayMixer(alpha=0.3)
-    p.mix(rng.random((2, 2, 2)), rng.random((2, 2, 2)))
+    for _ in range(2):
+        p.mix(rng.random((2, 2, 2)), rng.random((2, 2, 2)))
+    assert p.pairs == 1
     p.reset()
-    assert len(p._inputs) == 0
+    assert p.pairs == 0 and p._resid is None
 
 
 def test_pulay_finite_output(rng):
@@ -81,7 +83,7 @@ def test_pulay_history_window(rng):
     p = PulayMixer(alpha=0.3, history=3)
     for _ in range(6):
         p.mix(rng.random((2, 2, 2)), rng.random((2, 2, 2)))
-    assert len(p._inputs) == 3
+    assert p.pairs == 2  # three iterates
 
 
 def test_renormalize():

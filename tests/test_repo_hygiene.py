@@ -297,7 +297,7 @@ import repro.md.qmd, repro.dft.scf
 import numpy as np
 from repro.core.ldc import LDCOptions, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
-from repro.md.qmd import LDCEngine, QMDDriver
+from repro.md.qmd import LDCEngine, QMDDriver, SCFEngine
 from repro.systems import dimer
 from repro.systems.configuration import Configuration
 
@@ -316,13 +316,18 @@ frames = QMDDriver(
     LDCEngine(LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-3)),
     timestep=4.0,
 ).run(dimer("H", "H", 2.3, 12.0), 2)
+pw_forces, _, _ = SCFEngine(SCFOptions(ecut=4.0, tol=1e-3, max_iter=4)).forces(
+    dimer("H", "H", 1.5, 12.0)
+)
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy_ma": "numpy.ma" in sys.modules,
     "repro": sorted(m for m in sys.modules if m.startswith("repro.")),
     "domains": len(ldc.states),
     "finite": bool(
         np.isfinite(ldc.forces).all() and np.isfinite(scf.energy)
         and all(np.isfinite(f.total_energy) for f in frames)
+        and np.isfinite(pw_forces).all()
     ),
     "steps": len(frames),
     "import_mb": None if imported is None else imported - numpy_only,
@@ -332,8 +337,10 @@ print(json.dumps({
 
 def test_engine_process_loads_no_scipy_and_imports_small():
     """The QMD engine path — imports, a two-domain LDC solve with forces, a
-    global SCF, two MD steps through ``QMDDriver(LDCEngine)`` — runs on
-    NumPy alone and is only the engine: no observability, sanitizer,
+    global SCF, two MD steps through ``QMDDriver(LDCEngine)``, one
+    ``SCFEngine.forces`` — runs on NumPy alone (and without ``numpy.ma``,
+    which ``np.unique``/``np.setdiff1d`` would pull in: +1.5 MB resident)
+    and is only the engine: no observability, sanitizer,
     virtual-machine, cost-model or linter module is loaded.  Importing it
     stays cheap: the next eager import of a compiled stack or of a tooling
     package fails here, not in a benchmark row."""
@@ -354,7 +361,7 @@ def test_engine_process_loads_no_scipy_and_imports_small():
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["domains"] == 2 and probe["steps"] == 2 and probe["finite"]
-    assert probe["scipy"] == []
+    assert probe["scipy"] == [] and not probe["numpy_ma"]
     assert [m for m in probe["repro"] if m.split(".")[1] in _TOOLING] == []
     if probe["import_mb"] is not None:  # no /proc: nothing to read it from
         assert probe["import_mb"] <= ENGINE_IMPORT_MB

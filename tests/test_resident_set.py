@@ -11,12 +11,15 @@ width (module-scoped, a few seconds):
   reset or a buffer change builds a new one rather than reusing a stale one;
 * what the workspace keeps alive (``LDCWorkspace.resident_bytes``) grows
   with the domain count only in the per-domain parts (``scratch``,
-  ``windows``), not in the pools (``bases``, ``stack_pool``);
+  ``windows``), not in the pools (``bases``, ``stack_pool``), and the
+  stack pool is the largest stack's working set whatever the number of
+  shape classes;
 * ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed.
 """
 
 import gc
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -35,12 +38,13 @@ LIAL = dict(
     history_depth=2,
 )
 MB = 1e6
-#: What a warm 2×2×1 step may allocate above its live set.  Measured 3.5 MB
-#: at stack width 1 and 4.8 MB at width 4 (the step's own state, the global
-#: fields of a pass and the lockstep solver's coefficient-side blocks, which
-#: scale with the width); 6.2 and 7.4 MB while every domain's solve returned
-#: a complex field array that lived until the pass ended.
-STEP_BUDGET_MB = {False: 4.0, True: 5.5}
+#: What a warm 2×2×1 step may allocate above its live set.  Measured 2.6 MB
+#: at either stack width (the step's own state and the global fields of a
+#: pass; the lockstep solver iterates in the pool's workspace); 3.5 and
+#: 4.8 MB while every iteration allocated its coefficient-side blocks,
+#: 6.2 and 7.4 MB while every domain's solve also returned a complex field
+#: array that lived until the pass ended.
+STEP_BUDGET_MB = {False: 3.1, True: 3.1}
 
 
 def frame(k: int, tiles: int = 1) -> Configuration:
@@ -146,8 +150,11 @@ def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     assert large["scratch"] == 2 * small["scratch"]
     assert large["windows"] == 2 * small["windows"]
     assert large["mixer"] <= 2.5 * small["mixer"]  # global-grid vectors
+    # what the pool holds once whatever the stack: a v_bc target and a
+    # buffer window of one domain
+    once = 2 * 8 * result.states[0].domain.grid.npoints
     if options.batch_domains:  # the stack is the shape class: 8 wide
-        assert large["stack_pool"] == 2 * small["stack_pool"]
+        assert large["stack_pool"] - once == 2 * (small["stack_pool"] - once)
     else:
         assert large["stack_pool"] == small["stack_pool"]
     # the parts: one transform pool + maps; band densities dominate scratch
@@ -155,6 +162,39 @@ def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     densities = state.nband * state.domain.grid.npoints * 8
     assert small["scratch"] >= len(result.states) * densities
     assert small["bases"] < 3 * MB
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["width1", "widthn"])
+def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(wide):
+    """The pool's arenas are sized by the largest stack and every shape
+    class takes views of them: the 4×2×1 cell with one Al less — three
+    shape classes, the same six-domain widest one — holds exactly the
+    bytes of the two-class cell, at both stack widths."""
+    options = LDCOptions(**dict(LIAL, max_iter=2), domains=(4, 2, 1),
+                         batch_domains=wide)
+    two = frame(0, tiles=2)
+    three = Configuration(
+        list(two.symbols[:-1]), two.positions[:-1], two.cell
+    )
+    pools = {}
+    for name, config in (("two", two), ("three", three)):
+        ws = LDCWorkspace()
+        result = run_ldc(config, options, workspace=ws)
+        classes = Counter(
+            (s.basis.npw, s.nband, s.vnl.nproj) for s in result.states
+        )
+        pools[name] = (classes, ws.resident_bytes()["stack_pool"], ws)
+    (two_classes, two_bytes, _), (three_classes, three_bytes, ws) = (
+        pools["two"], pools["three"]
+    )
+    assert len(two_classes) == 2 and len(three_classes) == 3
+    widest = max(two_classes, key=two_classes.get)
+    assert two_classes[widest] == three_classes[widest] == 6
+    assert three_bytes == two_bytes
+    # one arena per role, none per class
+    assert set(ws.batch_pool._bufs) == {
+        "v_eff", "b", "d", "capture", "work", "vbc_target", "boundary_window"
+    }
 
 
 def test_workspace_bytes_gauge_is_evaluated_only_when_observed(monkeypatch):

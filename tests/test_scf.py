@@ -284,12 +284,12 @@ def test_input_density_is_what_the_final_pass_received(
         toy, toy.config, toy.grid, None, SCFOptions(**budget), "pw",
         mixer=mixer, continues=continues,
     )
-    assert out.converged is converged and len(mixer._inputs) >= 2
+    assert out.converged is converged and mixer.pairs >= 1
     final, final_in = toy.inputs[-1]
     assert final is None and out.input_density is final_in
     assert not any(
         np.shares_memory(out.input_density, kept)
-        for kept in mixer._inputs + mixer._residuals
+        for kept in (mixer._input, mixer._resid, mixer._d_rho, mixer._d_res)
     )
     # density keeps its meaning: the final pass's output, N_e electrons
     np.testing.assert_allclose(

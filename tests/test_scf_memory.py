@@ -57,6 +57,53 @@ class ReferenceDIIS:
         return rho_next
 
 
+class PairListPulay:
+    """The difference form as it was written before the pairs were kept in
+    two matrices: every pair re-formed from the stored iterates and ``ΔR``
+    ``np.stack``-ed on each call.  Same arithmetic in the same order, so
+    the mixer must reproduce it ``==`` (no drop rules: the pins using it
+    stay inside the carried pairs' range)."""
+
+    def __init__(self, alpha: float = 0.3, history: int = 6) -> None:
+        self.alpha = alpha
+        self.history = history
+        self._inputs: list[np.ndarray] = []
+        self._residuals: list[np.ndarray] = []
+        self._carried: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _pairs(self):
+        return self._carried + [
+            (self._inputs[i + 1] - self._inputs[i],
+             self._residuals[i + 1] - self._residuals[i])
+            for i in range(len(self._inputs) - 1)
+        ]
+
+    def begin_step(self) -> None:
+        self._carried = self._pairs()
+        self._inputs.clear()
+        self._residuals.clear()
+
+    def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
+        resid = rho_out - rho_in
+        self._inputs.append(rho_in.copy())
+        self._residuals.append(resid.copy())
+        if len(self._inputs) > self.history:
+            self._inputs.pop(0)
+            self._residuals.pop(0)
+        del self._carried[: max(
+            0, len(self._carried) + len(self._inputs) - self.history
+        )]
+        rho_next = rho_in + self.alpha * resid
+        pairs = self._pairs()
+        if not pairs:
+            return rho_next
+        d_res = np.stack([d_r.ravel() for _, d_r in pairs])
+        gamma = np.linalg.solve(d_res @ d_res.T, d_res @ resid.ravel())
+        for g, (d_rho, d_r) in zip(gamma, pairs):
+            rho_next -= g * (d_rho + self.alpha * d_r)
+        return rho_next
+
+
 def linear_map(seed: int = 3, n: int = 24, radius: float = 0.45):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
@@ -89,13 +136,34 @@ def test_difference_form_reproduces_reference_diis(history):
         assert np.abs(x_new - x_ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("history", [3, 6])
+def test_stored_pairs_reproduce_the_pair_list_formula_bit_for_bit(history):
+    """Ten passes of a grid-shaped map with a ``begin_step`` (and a moved
+    offset) in the middle: the window fills, carried pairs leave it one by
+    one, and every iterate is ``==`` the list-based formula's."""
+    a, b = linear_map(n=27)
+    new, ref = PulayMixer(0.5, history), PairListPulay(0.5, history)
+    x_new = x_ref = np.zeros((3, 3, 3))
+    for k in range(10):
+        if k == 5:
+            new.begin_step()
+            ref.begin_step()
+            b = b + 1e-3 * np.arange(27.0)
+        x_new = new.mix(x_new, (a @ x_new.ravel() + b).reshape(3, 3, 3))
+        x_ref = ref.mix(x_ref, (a @ x_ref.ravel() + b).reshape(3, 3, 3))
+        assert np.array_equal(x_new, x_ref)
+        assert new.pairs == len(ref._pairs())
+        assert new.carried_pairs == len(ref._carried)
+    assert new.dropped == {}
+
+
 def test_begin_step_keeps_pairs_and_forgets_iterates(rng):
     m = PulayMixer(alpha=0.3, history=4)
     for _ in range(6):
         m.mix(rng.random((2, 2, 2)), rng.random((2, 2, 2)))
     assert (m.pairs, m.carried_pairs) == (3, 0)
     m.begin_step()
-    assert (m.pairs, m.carried_pairs, len(m._inputs)) == (3, 3, 0)
+    assert (m.pairs, m.carried_pairs, m._resid) == (3, 3, None)
     m.begin_step()  # nothing happened in between: idempotent
     assert m.carried_pairs == 3
     # this solve's own pairs push the carried ones out of the window
