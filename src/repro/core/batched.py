@@ -179,9 +179,9 @@ def _solve_stack(
     domain's per-band |ψ|² lands in its own pooled ``band_densities``.
 
     ``all_band`` stacks the projectors into ``pool``, lends the solver the
-    pool's field-capture block and iteration workspace and runs the
-    lockstep LOBPCG on the domains' own starting blocks; the reference
-    solvers take their single domain through a plain :class:`Hamiltonian`.
+    pool's iteration workspace and runs the lockstep LOBPCG on the domains'
+    own starting blocks; the reference solvers take their single domain
+    through a plain :class:`Hamiltonian`.
     """
     basis = states[0].basis
     assert basis is not None
@@ -218,9 +218,6 @@ def _solve_stack(
         BatchedHamiltonian(basis, v_eff, b, d), psi0,
         max_iter=opts.eig_max_iter, tol=opts.eig_tol,
         band_densities=densities,
-        capture=pool.get(
-            "capture", (nd, key.nband) + key.grid_shape, complex
-        ),
         work=pool.get(
             "work", lobpcg_work_shape(nd, key.npw, key.nband), complex
         ),

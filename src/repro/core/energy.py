@@ -52,6 +52,7 @@ def dc_total_energy(
     grid: RealSpaceGrid,
     rho: np.ndarray,
     vh: np.ndarray,
+    exc: np.ndarray,
     vxc: np.ndarray,
     band_energy: float,
     vbc_correction: float,
@@ -67,7 +68,7 @@ def dc_total_energy(
     and the partition-weighted entropy.  Returns every component."""
     entropy = smearing_entropy(all_eigs, mu, kt, weights=all_weights)
     parts = harris_foulkes_energy(
-        grid, rho, vh, vxc, band_energy - vbc_correction, e_ewald,
+        grid, rho, vh, exc, vxc, band_energy - vbc_correction, e_ewald,
         -kt * entropy,
     )
     return {**parts, "band": band_energy, "vbc_correction": vbc_correction}

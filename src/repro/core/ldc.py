@@ -455,7 +455,7 @@ def _scf_pass(
         vh = mg.solve(rho, v0=vh_warm, tol=1e-8)
     else:
         vh = hartree_potential(grid, rho)
-    _, vxc = lda_xc(rho)
+    exc, vxc = lda_xc(rho)
     v_hxc_global = vh + vxc
     v_ks_global = v_loc_global + v_hxc_global
     ins.check("hartree_potential", vh, where="ldc.scf_pass")
@@ -525,7 +525,8 @@ def _scf_pass(
     )
     vbc_corr = boundary_energy_correction(sup_list, vbcs, rho_locals, grid.dv)
     components = dc_total_energy(
-        grid, rho, vh, vxc, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt
+        grid, rho, vh, exc, vxc, band_e, vbc_corr, e_ewald, eigs_cat, w_cat,
+        mu, opts.kt,
     )
     mean_err = bnd_err_total / n_active if n_active else 0.0
     eig_pass = sum(iterations for iterations, _ in outcomes)

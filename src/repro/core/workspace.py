@@ -80,11 +80,11 @@ class DomainScratch:
     domain because it outlives the domain's solve — gather indices, the
     restricted density, and the real per-band |ψ|² the eigensolver writes
     for the density step.  The seam's *stack pool* holds one stack's
-    working set — stacked v_eff/projectors, the solver's complex
-    field-capture block and its iteration workspace, one domain's v_bc
-    target and buffer window — and because stacks are solved one after
-    another every shape class takes its views of the same arenas: the
-    pool is the largest stack's working set, not the sum over classes.
+    working set — stacked v_eff/projectors, the solver's iteration
+    workspace, one domain's v_bc target and buffer window — and because
+    stacks are solved one after another every shape class takes its views
+    of the same arenas: the pool is the largest stack's working set, not
+    the sum over classes.
     Contents are undefined between uses — every consumer overwrites before
     reading (``np.take(..., out=)`` / full-array ufunc ``out=`` writes), so
     ``np.empty`` suffices.
@@ -217,7 +217,7 @@ class LDCWorkspace:
         self._scratch: dict[int, DomainScratch] = {}
         #: the domain-solve seam's stack pool (``repro.core.batched``
         #: stacks v_eff/projectors into it and lends the solver its
-        #: capture block and iteration workspace from it)
+        #: iteration workspace from it)
         self.batch_pool: DomainScratch = DomainScratch()
         #: per-``prepare`` stats: domains seeded from cached orbitals vs
         #: random (fresh build, or band count changed after atom migration)

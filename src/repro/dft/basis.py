@@ -44,10 +44,10 @@ class PlaneWaveBasis:
     x-planes — only the positions a stage scatters to are ever written, so
     the rest stays zero and never needs re-zeroing), their two *outputs*,
     a coefficient-row buffer, and what ``H·ψ`` borrows per row block —
-    the full-grid work block of :meth:`work_block` (also the eigensolvers'
-    |ψ|² rotation's) and the two coefficient blocks of :meth:`row_blocks`.
-    There is one pool per ``PlaneWaveBasis``, and an instance
-    must not be used by two threads at once.  Nothing in an instance
+    the full-grid work block of :meth:`work_block` (also where the
+    eigensolvers' |ψ|² fields exist) and the two coefficient blocks of
+    :meth:`row_blocks`.  There is one pool per ``PlaneWaveBasis``, and an
+    instance must not be used by two threads at once.  Nothing in an instance
     depends on *where* its grid sits, so the LDC driver builds one basis
     per shape class — every domain with the same ``(grid shape, lengths,
     cutoff)`` holds the same object, index maps and pool alike
@@ -144,8 +144,9 @@ class PlaneWaveBasis:
 
     def work_block(self, nrows: int) -> np.ndarray:
         """A pooled ``(nrows ≤ block_rows, *grid.shape)`` complex block for
-        the caller's ``V·ψ`` product: contents undefined, valid until the
-        next call."""
+        the caller's fields of one row block (the ``V·ψ`` product, the
+        ψ(r) behind |ψ|²) — a valid ``out=`` of the transforms: contents
+        undefined, valid until the next call."""
         return self._buf("grid", nrows)
 
     def row_blocks(self, nrows: int) -> tuple[np.ndarray, np.ndarray]:

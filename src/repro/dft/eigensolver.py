@@ -39,10 +39,9 @@ class EigenResult:
 
     Every solver also takes ``band_densities=``, a real ``(nband,
     *grid.shape)`` buffer it fills with the per-band ``|ψ_n(r)|²`` of the
-    returned block — from the fields its last ``H·ψ`` already transformed
-    (a subspace rotation, a row block at a time) where it can, so density
-    assembly needs neither a second batched FFT nor a complex ``(nband,
-    *grid)`` array of its own.
+    returned block (:func:`_band_densities`: one transform of ``orbitals``,
+    a row block at a time through the basis' pooled work block), so density
+    assembly needs no complex ``(nband, *grid)`` array anywhere.
     """
 
     eigenvalues: np.ndarray
@@ -52,26 +51,19 @@ class EigenResult:
     converged: bool
 
 
-def _abs2(fields: np.ndarray, out: np.ndarray) -> None:
-    """``out = |fields|²`` — the one |ψ|² formula, allocation-free (``ndarray
-    ** 2`` is ``np.power``, so the values equal ``np.abs(fields) ** 2``)."""
-    np.absolute(fields, out=out)
-    np.power(out, 2, out=out)
-
-
-def _rotated_abs2(
-    basis: PlaneWaveBasis, fields: np.ndarray, u: np.ndarray, out: np.ndarray
+def _band_densities(
+    basis: PlaneWaveBasis, orbitals: np.ndarray, out: np.ndarray
 ) -> None:
-    """``out[k] = |Σ_m u[m, k] · fields[m]|²``: the band densities of
-    ``x @ u`` from the fields of ``x`` (the transform is linear).  The
-    rotated fields exist a row block at a time, in the basis work block."""
-    flat = fields.reshape(fields.shape[0], -1)
+    """``out[n] = |ψ_n(r)|²`` of an ``(npw, nband)`` block — how every
+    solver fills ``band_densities``.  The fields exist a row block at a
+    time, in the basis work block; ``ndarray ** 2`` is ``np.power``, so
+    the values equal ``np.abs(basis.to_grid(orbitals)) ** 2``."""
     step = basis.block_rows
-    for a in range(0, u.shape[1], step):
-        cols = u[:, a:a + step]
-        work = basis.work_block(cols.shape[1])
-        np.matmul(cols.T, flat, out=work.reshape(cols.shape[1], -1))
-        _abs2(work, out[a:a + step])
+    for a in range(0, orbitals.shape[1], step):
+        cols, dens = orbitals[:, a:a + step], out[a:a + step]
+        fields = basis.to_grid(cols, out=basis.work_block(cols.shape[1]))
+        np.absolute(fields, out=dens)
+        np.power(dens, 2, out=dens)
 
 
 def solve_direct(
@@ -86,7 +78,7 @@ def solve_direct(
     evals, evecs = np.linalg.eigh(h)
     orbitals = np.ascontiguousarray(evecs[:, :nband])
     if band_densities is not None:
-        _abs2(ham.basis.to_grid(orbitals), band_densities)
+        _band_densities(ham.basis, orbitals, band_densities)
     return EigenResult(
         eigenvalues=evals[:nband].copy(),
         orbitals=orbitals,
@@ -148,16 +140,15 @@ def solve_all_band(
     tol: float = 1e-8,
     band_densities: np.ndarray | None = None,
     work: np.ndarray | None = None,
-    capture: np.ndarray | None = None,
 ) -> EigenResult:
     """Locally optimal block preconditioned CG over all bands of one
     Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one
     (``band_densities`` is the one domain's ``(nband, *grid.shape)``
-    buffer; ``work`` and ``capture`` as for
-    :func:`solve_all_band_batched` with ``n_domains = 1``)."""
+    buffer; ``work`` as for :func:`solve_all_band_batched` with
+    ``n_domains = 1``)."""
     (result,) = _lockstep_lobpcg(
         ham.stack, [np.asarray(psi0, dtype=complex)], max_iter, tol,
-        None if band_densities is None else [band_densities], capture, work,
+        None if band_densities is None else [band_densities], work,
     )
     return result
 
@@ -200,7 +191,6 @@ def solve_all_band_batched(
     max_iter: int = 60,
     tol: float = 1e-8,
     band_densities: Sequence[np.ndarray] | None = None,
-    capture: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> list[EigenResult]:
     """Lockstep LOBPCG over a stack of same-shape domain KS problems.
@@ -212,14 +202,12 @@ def solve_all_band_batched(
     Returns one :class:`EigenResult` per domain, in stack order.
 
     ``band_densities`` holds one real ``(nband, *grid.shape)`` array per
-    domain, filled with its ``|ψ_n(r)|²`` when the domain retires;
-    ``capture`` is the complex ``(n_domains, nband, *grid.shape)`` scratch
-    for the fields of the last ``H·X`` and ``work`` the complex
-    :func:`lobpcg_work_shape` workspace the iteration runs in.  With both
-    lent by the caller (the LDC seam pools them, ``run_scf`` holds one of
-    each for a whole run) a solve allocates nothing of grid size and, per
-    iteration, nothing of the stack's block size; else they are allocated
-    per solve.
+    domain, filled with its ``|ψ_n(r)|²`` when the domain retires — a
+    solve allocates nothing of grid size.  ``work`` is the complex
+    :func:`lobpcg_work_shape` workspace the iteration runs in: lent by the
+    caller (the LDC seam pools one, ``run_scf`` holds one for a whole run)
+    an iteration allocates nothing of the stack's block size; else it is
+    allocated per solve.
     """
     psi0 = [np.asarray(block, dtype=complex) for block in psi0]
     shapes = {block.shape for block in psi0}
@@ -233,9 +221,7 @@ def solve_all_band_batched(
             f"psi0 blocks {sorted(shapes)} × {len(psi0)} do not match "
             f"{bham.n_domains} domains over {bham.basis.npw} plane waves"
         )
-    return _lockstep_lobpcg(
-        bham, psi0, max_iter, tol, band_densities, capture, work
-    )
+    return _lockstep_lobpcg(bham, psi0, max_iter, tol, band_densities, work)
 
 
 def _lockstep_lobpcg(
@@ -244,7 +230,6 @@ def _lockstep_lobpcg(
     max_iter: int,
     tol: float,
     band_densities: Sequence[np.ndarray] | None,
-    capture: np.ndarray | None,
     work: np.ndarray | None,
 ) -> list[EigenResult]:
     """The one all-band LOBPCG body, behind both public entry points.
@@ -278,12 +263,6 @@ def _lockstep_lobpcg(
     and writes another, whatever a step no longer needs is the next one's
     scratch (the comments name it), and when a domain retires the slots
     behind it move down one.
-
-    With ``band_densities`` every apply of X transforms straight into the
-    leading slots of ``capture``.  It covers every slot whose fields are
-    current (all at the start; then the re-applied ones — the rest changed
-    X without a transform), so it may overwrite the previous capture, and
-    while some slot has no captured fields the last slot is free.
     """
     basis = bham.basis
     nd = bham.n_domains
@@ -306,38 +285,29 @@ def _lockstep_lobpcg(
     for i in range(nd):
         cholesky_orthonormalize(psi0[i], out=x[i], scratch=sub[i, :, :nb])
     active = list(range(nd))
-    if band_densities is not None and capture is None:
-        capture = np.empty((nd, nb) + basis.grid.shape, dtype=complex)
-    bham.apply(x, capture=capture, out=hx, scratch=sub[:, :, :nb])
-    # Per-slot lists ride along with the active stack and are compacted
-    # together with it whenever a domain retires.
-    fx: list = [None] * nd if capture is None else list(capture[:nd])
+    bham.apply(x, out=hx, scratch=sub[:, :, :nb])
+    # rides along with the active stack, compacted whenever a domain retires
     last_resid: list[float] = [float("inf")] * nd
     it = 0
 
-    def rayleigh_ritz(na: int) -> tuple[np.ndarray, np.ndarray]:
+    def rayleigh_ritz(na: int) -> np.ndarray:
         """Rotate X, HX of the first ``na`` slots to their Ritz vectors,
-        into the leading block of ``sub``/``hsub``."""
+        into the leading block of ``sub``/``hsub``; returns the Ritz
+        values."""
         x_conj = np.conjugate(x[:na], out=spare[:na, :, :nb])
         h = np.matmul(x_conj.transpose(0, 2, 1), hx[:na])
         h = 0.5 * (h + h.conj().transpose(0, 2, 1))
         eps, u = np.linalg.eigh(h)
         np.matmul(x[:na], u, out=sub[:na, :, :nb])
         np.matmul(hx[:na], u, out=hsub[:na, :, :nb])
-        return eps, u
+        return eps
 
     def retire(slot: int, resid: float) -> None:
-        """File ``slot``'s Ritz pairs as its domain's result.  Its band
-        densities come from the fields captured with the last apply of X,
-        rotated like X — or from one transform (into the free last slot of
-        ``capture``) when X changed without a re-apply."""
+        """File ``slot``'s Ritz pairs, and the band densities of its Ritz
+        vectors, as its domain's result."""
         xr = sub[slot, :, :nb].copy()
-        if band_densities is not None and capture is not None:
-            out = band_densities[active[slot]]
-            if fx[slot] is not None:
-                _rotated_abs2(basis, fx[slot], u[slot], out)
-            else:
-                _abs2(basis.to_grid(xr, out=capture[-1]), out)
+        if band_densities is not None:
+            _band_densities(basis, xr, band_densities[active[slot]])
         results[active[slot]] = EigenResult(
             eps[slot].copy(), xr, it, resid, resid < tol
         )
@@ -345,7 +315,7 @@ def _lockstep_lobpcg(
     for it in range(1, max_iter + 1):
         na = len(active)
         # Rayleigh–Ritz within each current block (batched).
-        eps, u = rayleigh_ritz(na)
+        eps = rayleigh_ritz(na)
         x_rot, hx_rot = sub[:na, :, :nb], hsub[:na, :, :nb]
         w = sub[:na, :, nb:2 * nb]  # the residual, then W, in place
         np.multiply(x_rot, eps[:, None, :], out=w)
@@ -367,7 +337,6 @@ def _lockstep_lobpcg(
                 if dst != src:
                     work[:, dst] = work[:, src]
             active = [active[s] for s in keep]
-            fx = [fx[s] for s in keep]
             last_resid = [last_resid[s] for s in keep]
             na = len(keep)
             x_rot, w = x_rot[:na], w[:na]
@@ -429,9 +398,7 @@ def _lockstep_lobpcg(
             np.matmul(s[:, nb:], c[nb:, :], out=p_raw[slot])
             cholesky_orthonormalize(x_new, out=x[slot], scratch=s[:, :nb])
             # Re-apply H only if orthonormalization changed X materially.
-            if np.allclose(x[slot], x_new, atol=1e-12):
-                fx[slot] = None  # fields of the new X were never computed
-            else:
+            if not np.allclose(x[slot], x_new, atol=1e-12):
                 reapply.append(slot)
         if reapply:
             # through the leading slots of the (now spent) subspace stacks
@@ -439,15 +406,13 @@ def _lockstep_lobpcg(
             for j, slot in enumerate(reapply):
                 sub[j, :, :nb] = x[slot]
             bham.apply(
-                sub[:n, :, :nb], capture=capture,
-                domains=[active[s] for s in reapply],
+                sub[:n, :, :nb], domains=[active[s] for s in reapply],
                 out=hsub[:n, :, :nb], scratch=sub[:n, :, nb:2 * nb],
             )
             for j, slot in enumerate(reapply):
                 hx[slot] = hsub[j, :, :nb]
-                fx[slot] = None if capture is None else capture[j]
     # Final clean Rayleigh–Ritz for the domains that ran out of iterations.
-    eps, u = rayleigh_ritz(len(active))
+    eps = rayleigh_ritz(len(active))
     for slot in range(len(active)):
         retire(slot, last_resid[slot])
     return results  # type: ignore[return-value]
@@ -474,9 +439,6 @@ def solve_band_by_band(
     """
     x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
     nband = x.shape[1]
-    capture = None
-    if band_densities is not None:
-        capture = np.empty((1, nband) + ham.basis.grid.shape, dtype=complex)
     resid_norm = np.inf
     total_iter = 0
     for sweep in range(outer_sweeps):
@@ -526,7 +488,7 @@ def solve_band_by_band(
             x[:, n] = psi
         # Subspace rotation after each sweep.
         x = cholesky_orthonormalize(x)
-        hx = ham.stack.apply(x[None], capture=capture)[0]
+        hx = ham.apply(x)
         hsub = x.conj().T @ hx
         hsub = 0.5 * (hsub + hsub.conj().T)
         eps_all, u = np.linalg.eigh(hsub)
@@ -536,8 +498,8 @@ def solve_band_by_band(
         resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
         if resid_norm < tol:
             break
-    if band_densities is not None and capture is not None:
-        _rotated_abs2(ham.basis, capture[0], u, band_densities)
+    if band_densities is not None:
+        _band_densities(ham.basis, x, band_densities)
     return EigenResult(eps_all.copy(), x, total_iter, resid_norm,
                        resid_norm < tol)
 

@@ -122,6 +122,16 @@ class RealSpaceGrid:
             )
         return self._g_cache["g2"]
 
+    def coulomb_kernel(self) -> np.ndarray:
+        """``4π/|G|²`` (zero at ``G = 0``) on the half grid of
+        ``np.fft.rfftn``: the last axis keeps ``0 … n2 // 2`` only."""
+        if "coulomb" not in self._g_cache:
+            g2 = self.g2()[:, :, : self.shape[2] // 2 + 1]
+            kernel = np.zeros(g2.shape)
+            np.divide(4.0 * np.pi, g2, out=kernel, where=g2 > 0)
+            self._g_cache["coulomb"] = kernel
+        return self._g_cache["coulomb"]
+
     # -- transforms ----------------------------------------------------------
 
     def fft(self, field: np.ndarray) -> np.ndarray:

@@ -166,7 +166,6 @@ class BatchedHamiltonian:
     def apply(
         self,
         psi: np.ndarray,
-        capture: np.ndarray | None = None,
         domains: list[int] | None = None,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
@@ -186,12 +185,6 @@ class BatchedHamiltonian:
         eigensolver passes column ranges of its workspace, for ``psi``
         too) an apply allocates nothing of coefficient-block or grid size.
 
-        ``capture``, when given, is a C-contiguous complex ``(≥ len(domains),
-        nband, *grid.shape)`` array — the caller's, typically pooled — whose
-        leading slots receive the real-space orbital fields ``ψ_n(r)`` of
-        the stack, in stack order, unscaled by the potential; each block is
-        transformed straight into its rows, so capturing allocates nothing.
-
         ``domains`` selects a subset of the stack's Hamiltonians (stack
         indices, strictly increasing) — the lockstep eigensolver uses it to
         keep applying only the not-yet-converged domains as the others
@@ -210,12 +203,6 @@ class BatchedHamiltonian:
         out = _result(out, psi.shape)
         if scratch is None:
             scratch = np.empty(psi.shape, dtype=complex)
-        captured = None
-        if capture is not None:
-            captured = _result(capture[:nd], (nd, nband) + basis.grid.shape)
-            if not captured.flags.c_contiguous:  # reshape would copy
-                raise ValueError("capture must be C-contiguous")
-            captured = captured.reshape((nrows,) + basis.grid.shape)
         # local term, straight into ``out``
         step = basis.block_rows
         for a in range(0, nrows, step):
@@ -244,12 +231,9 @@ class BatchedHamiltonian:
                 for dom, cols, block in pieces:
                     rows[block] = psi[dom, :, cols].T
                 coeffs, local = rows.T[None], back.T[None]
-            fields = basis.to_grid_batch(
-                coeffs,
-                out=(product if captured is None else captured[a:stop])[None],
-            )[0]
+            basis.to_grid_batch(coeffs, out=product[None])
             for dom, cols, block in pieces:
-                _times_real(fields[block], self.v_eff[members[dom]],
+                _times_real(product[block], self.v_eff[members[dom]],
                             product[block])
             basis.from_grid_batch(product[None], out=local, overwrite_fields=True)
             if len(pieces) > 1:

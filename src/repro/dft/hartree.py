@@ -3,7 +3,7 @@
 Two interchangeable solvers exist in this package:
 
 * this module — the reciprocal-space solve ``V_H(G) = 4π ρ̃(G)/G²`` used by
-  the conventional O(N³) code path (one FFT pair, exact on the grid);
+  the conventional O(N³) code path (one real FFT pair, exact on the grid);
 * :mod:`repro.multigrid.poisson` — the real-space multigrid solve used by
   the globally-scalable half of the GSLF solver (Sec. 3.2).
 
@@ -21,13 +21,11 @@ from repro.dft.grid import RealSpaceGrid
 
 
 def hartree_potential(grid: RealSpaceGrid, rho: np.ndarray) -> np.ndarray:
-    """Solve ∇²V_H = -4πρ on the periodic grid; returns a real field."""
-    rho_g = grid.fft(rho)
-    g2 = grid.g2()
-    vg = np.zeros_like(rho_g)
-    nonzero = g2 > 0
-    vg[nonzero] = 4.0 * np.pi * rho_g[nonzero] / g2[nonzero]
-    return grid.ifft(vg).real
+    """Solve ∇²V_H = -4πρ on the periodic grid; returns a real field (an
+    array of its own, not a view into a transform's complex buffer)."""
+    vg = np.fft.rfftn(rho)
+    vg *= grid.coulomb_kernel()
+    return np.fft.irfftn(vg, s=grid.shape, axes=(0, 1, 2))
 
 
 def hartree_energy(grid: RealSpaceGrid, rho: np.ndarray, vh: np.ndarray | None = None) -> float:

@@ -43,7 +43,7 @@ from repro.dft.occupations import (
     smearing_entropy,
 )
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.xc import lda_xc, xc_energy
+from repro.dft.xc import lda_xc
 from repro.observe import OFF, Observer, observer
 from repro.systems.configuration import Configuration
 
@@ -158,15 +158,15 @@ def build_hamiltonian(
     v_loc: np.ndarray,
     vnl: NonlocalProjectors,
     v_extra: np.ndarray | None = None,
-) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
-    """Assemble H for a given density; returns (H, V_H, v_xc)."""
+) -> tuple[Hamiltonian, np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble H for a given density; returns (H, V_H, ε_xc, v_xc)."""
     grid = basis.grid
     vh = hartree_potential(grid, rho)
-    _, vxc = lda_xc(rho)
+    exc, vxc = lda_xc(rho)
     v_eff = v_loc + vh + vxc
     if v_extra is not None:
         v_eff = v_eff + v_extra
-    return Hamiltonian(basis, v_eff, vnl), vh, vxc
+    return Hamiltonian(basis, v_eff, vnl), vh, exc, vxc
 
 
 def _occupy(
@@ -186,13 +186,15 @@ def harris_foulkes_energy(
     grid: RealSpaceGrid,
     rho: np.ndarray,
     vh: np.ndarray,
+    exc: np.ndarray,
     vxc: np.ndarray,
     band_energy: float,
     e_ewald: float,
     entropy_term: float,
 ) -> dict[str, float]:
     """The total free energy of one SCF pass, everything at its *input*
-    density ``rho`` — the one ``vh``/``vxc``, and so the Hamiltonian behind
+    density ``rho`` — the one ``vh`` and ``exc``/``vxc`` (the pass's one
+    :func:`~repro.dft.xc.lda_xc` evaluation), and so the Hamiltonian behind
     ``band_energy``, were built from.  That makes it the Harris–Foulkes
     functional, second order in the pass's residual (the double counting
     integrated over the *output* density instead is first order: 1.9e-4
@@ -204,7 +206,7 @@ def harris_foulkes_energy(
     """
     double_count = grid.integrate(rho * (vh + vxc))
     e_h = hartree_energy(grid, rho, vh)
-    e_xc = xc_energy(rho, grid.dv)
+    e_xc = grid.integrate(rho * exc)
     total = band_energy - double_count + e_h + e_xc + e_ewald + entropy_term
     return {
         "total": total,
@@ -481,11 +483,10 @@ def _run_scf(
         psi = basis.random_orbitals(nband, seed=opts.seed)
     # the solvers' output of grid size, one buffer for every pass of the run
     band_densities = np.empty((nband,) + grid.shape, dtype=float)
-    # and what the all-band solver iterates in and captures fields into
-    work = capture = None
+    # and what the all-band solver iterates in
+    work = None
     if opts.eigensolver == "all_band":
         work = np.empty(lobpcg_work_shape(1, basis.npw, nband), dtype=complex)
-        capture = np.empty((1, nband) + grid.shape, dtype=complex)
     # what the last pass left behind (the map hands the driver scalars)
     eigs = occs = np.zeros(nband, dtype=float)
     parts: dict[str, float] = {}
@@ -495,7 +496,7 @@ def _run_scf(
         rho_in: np.ndarray, iteration: int | None
     ) -> tuple[np.ndarray, float, float, dict[str, float]]:
         nonlocal psi, eigs, occs, parts, eig_total
-        ham, vh, vxc = build_hamiltonian(
+        ham, vh, exc, vxc = build_hamiltonian(
             basis, config, rho_in, v_loc, nonlocal_, v_extra
         )
         with ins.span("scf.eigensolve", category="scf", iteration=iteration) as sp:
@@ -506,7 +507,7 @@ def _run_scf(
             elif opts.eigensolver == "all_band":
                 eig = solve_all_band(
                     ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities,
-                    work=work, capture=capture,
+                    work,
                 )
             else:
                 eig = solve_band_by_band(
@@ -527,7 +528,7 @@ def _run_scf(
         ins.check("band_densities", band_densities,
                   where="scf.density_map", expect_dtype=np.float64)
         parts = harris_foulkes_energy(
-            grid, rho_in, vh, vxc, float(np.sum(occs * eigs)), e_ewald,
+            grid, rho_in, vh, exc, vxc, float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),
         )
         # un-normalized: the driver's one clip + renormalize does it

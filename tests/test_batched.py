@@ -218,8 +218,8 @@ def test_solve_all_band_is_the_width_one_lockstep_solve():
 def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
     """Width 1 ≡ width 3, ``==``, on densities, eigenvalues and iteration
     counts, with slots that retire at different iterations (each retirement
-    rotates or transforms through the shared capture block and the basis
-    work block while the others are still iterating) or all at once when
+    transforms through the shared basis work block while the others are
+    still iterating) or all at once when
     the iterations run out; and every density is |to_grid(orbitals)|²."""
     basis, v_eff, psi = _well_problem()
     nd, _, nband = psi.shape
@@ -228,7 +228,6 @@ def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
     results = solve_all_band_batched(
         BatchedHamiltonian(basis, v_eff, None, None), psi,
         max_iter=max_iter, tol=1e-9, band_densities=wide,
-        capture=np.empty(shape, dtype=complex),
     )
     assert len({res.iterations for res in results}) == (
         3 if max_iter == 200 else 1
@@ -249,8 +248,8 @@ def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
 def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
     """A stack whose first slot converges well before the others — its
     retirement moves the slots behind it down the lent workspace, then the
-    next one's does — with nonlocal projectors, a shared capture block and
-    one NaN-filled workspace: every domain's orbitals, eigenvalues,
+    next one's does — with nonlocal projectors and one NaN-filled
+    workspace: every domain's orbitals, eigenvalues,
     residual and densities are ``==`` those of its own stack-of-one solve
     in its own workspace."""
     basis, _, _ = _well_problem()
@@ -272,7 +271,6 @@ def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
             BatchedHamiltonian(basis, v_eff[lo:hi], b[lo:hi], d[lo:hi]),
             list(psi[lo:hi]), max_iter=200, tol=1e-9,
             band_densities=densities,
-            capture=np.empty((n,) + shape[1:], dtype=complex),
             work=np.full(lobpcg_work_shape(n, basis.npw, nband), np.nan,
                          dtype=complex),
         )

@@ -57,15 +57,18 @@ def test_dc_total_energy_components():
     grid = RealSpaceGrid([4.0, 4.0, 4.0], [8, 8, 8])
     rho = np.full(grid.shape, 0.1)
     vh = np.zeros(grid.shape)
+    exc = np.full(grid.shape, -0.15)
     vxc = np.full(grid.shape, -0.2)
     comps = dc_total_energy(
-        grid, rho, vh, vxc,
+        grid, rho, vh, exc, vxc,
         band_energy=-3.0, vbc_correction=0.0, e_ewald=1.0,
         all_eigs=np.array([-1.5]), all_weights=np.array([1.0]),
         mu=0.0, kt=0.0,
     )
     # double counting = ∫ρ vxc = 0.1 · (-0.2) · 64 = -1.28
     assert comps["double_count"] == pytest.approx(-1.28)
+    # E_xc = ∫ρ ε_xc, from the pass's own ε_xc: 0.1 · (-0.15) · 64
+    assert comps["xc"] == pytest.approx(-0.96)
     assert comps["total"] == pytest.approx(
         -3.0 - (-1.28) + comps["hartree"] + comps["xc"] + 1.0
     )

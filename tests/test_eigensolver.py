@@ -105,54 +105,112 @@ def test_all_band_free_electron():
 
 
 def _count_to_grid(monkeypatch):
-    """Count the solver's own ``to_grid`` calls (``H·ψ`` transforms through
-    ``to_grid_batch``): one means the block was retired by a transform,
-    none that its densities are a rotation of captured fields."""
+    """Record the solvers' own ``to_grid`` calls (``H·ψ`` transforms through
+    ``to_grid_batch``): the shape of each block and whether it went into
+    the basis work block."""
     calls = []
     original = PlaneWaveBasis.to_grid
 
     def counted(self, coeffs, **kwargs):
-        calls.append(np.shape(coeffs))
+        out = kwargs.get("out")
+        pooled = out is not None and np.shares_memory(out, self.work_block(1))
+        calls.append((np.shape(coeffs), pooled))
         return original(self, coeffs, **kwargs)
 
     monkeypatch.setattr(PlaneWaveBasis, "to_grid", counted)
     return calls
 
 
+def _row_blocks(basis, nband):
+    """What one retirement transforms: the block's columns, a row block at
+    a time, each into the basis work block."""
+    step = basis.block_rows
+    return [
+        ((basis.npw, min(step, nband - a)), True) for a in range(0, nband, step)
+    ]
+
+
 def _assert_densities_match_orbitals(ham, res, out):
     expect = np.abs(ham.basis.to_grid(res.orbitals)) ** 2
-    assert np.abs(out - expect).max() <= 1e-13
+    assert np.abs(out - expect).max() <= 1e-14
     norms = out.sum(axis=(1, 2, 3)) * ham.basis.grid.dv
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("branch", ["rotation", "transform"])
-def test_all_band_densities_match_orbitals_on_both_retire_branches(
-    problem, monkeypatch, branch
+def _rotated_eigenvectors(ref, nband):
+    """A start inside the converged subspace, mixed by a unitary: the
+    solve retires it at its first residual check."""
+    rng = np.random.default_rng(2)
+    mix, _ = np.linalg.qr(
+        rng.standard_normal((nband, nband))
+        + 1j * rng.standard_normal((nband, nband))
+    )
+    return ref.orbitals[:, :nband] @ mix
+
+
+@pytest.mark.parametrize("retires", ["first_check", "later"])
+def test_all_band_densities_match_orbitals_whenever_the_block_retires(
+    problem, monkeypatch, retires
 ):
-    """|ψ_n|² of the returned block, whichever way the block retired: by
-    rotating the fields captured with the last ``H·X`` (a start inside the
-    converged subspace, mixed by a unitary so the rotation is not the
-    identity) or — X having moved since — by one transform."""
-    ham, ref = problem
+    """|ψ_n|² of the returned block is formed one way: the Ritz vectors
+    transformed a row block at a time into the basis work block when the
+    block retires — at its first residual check (no iteration ran) or
+    after X moved — and never from the fields of an ``H·X``."""
+    full, ref = problem
     nband = 5
-    if branch == "rotation":
-        rng = np.random.default_rng(2)
-        mix, _ = np.linalg.qr(
-            rng.standard_normal((nband, nband))
-            + 1j * rng.standard_normal((nband, nband))
-        )
-        psi0 = ref.orbitals[:, :nband] @ mix
+    basis = PlaneWaveBasis(full.basis.grid, full.basis.ecut)
+    basis.block_rows = 2  # three row blocks, the last one ragged
+    ham = Hamiltonian(basis, full.v_eff, full.vnl)
+    if retires == "first_check":
+        psi0 = _rotated_eigenvectors(ref, nband)
     else:
-        psi0 = ham.basis.random_orbitals(nband, seed=11)
-    out = np.full((nband,) + ham.basis.grid.shape, np.nan)
+        psi0 = basis.random_orbitals(nband, seed=11)
+    out = np.full((nband,) + basis.grid.shape, np.nan)
     calls = _count_to_grid(monkeypatch)
     res = solve_all_band(ham, psi0, max_iter=200, tol=1e-9, band_densities=out)
     monkeypatch.undo()
     assert res.converged
-    assert len(calls) == (0 if branch == "rotation" else 1)
-    assert (res.iterations == 1) == (branch == "rotation")
+    assert calls == _row_blocks(basis, nband) and len(calls) == 3
+    assert (res.iterations == 1) == (retires == "first_check")
     _assert_densities_match_orbitals(ham, res, out)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_all_band_densities_match_orbitals_at_either_stack_width(problem, width):
+    """One operator with nonlocal projectors, three starts: one retires at
+    the first residual check, one converges while the others iterate, one
+    runs out of ``max_iter`` — each domain's densities are those of the
+    orbitals it returned, solved alone or as one stack."""
+    ham, ref = problem
+    nband, max_iter = 5, 20
+    basis = ham.basis
+    loose = solve_all_band(
+        ham, basis.random_orbitals(nband, seed=3), max_iter=200, tol=1e-7
+    )
+    starts = [
+        _rotated_eigenvectors(ref, nband),
+        loose.orbitals,
+        basis.random_orbitals(nband, seed=11),
+    ]
+    out = np.full((3, nband) + basis.grid.shape, np.nan)
+    if width == 1:
+        results = [
+            solve_all_band(ham, psi0, max_iter, 1e-9, band_densities=out[i])
+            for i, psi0 in enumerate(starts)
+        ]
+    else:
+        stack = BatchedHamiltonian(
+            basis, np.stack(3 * [ham.v_eff]),
+            np.stack(3 * [ham.vnl.b]), np.stack(3 * [ham.vnl.d]),
+        )
+        results = solve_all_band_batched(
+            stack, starts, max_iter, 1e-9, band_densities=out
+        )
+    first, middle, last = (res.iterations for res in results)
+    assert first == 1 and 3 <= middle < max_iter == last
+    assert [res.converged for res in results] == [True, True, False]
+    for res, densities in zip(results, out):
+        _assert_densities_match_orbitals(ham, res, densities)
 
 
 def test_all_band_densities_of_a_block_that_ran_out_of_iterations(problem):
@@ -167,16 +225,23 @@ def test_all_band_densities_of_a_block_that_ran_out_of_iterations(problem):
 
 
 def test_reference_solver_densities_match_orbitals(problem, monkeypatch):
-    """``direct`` transforms its eigenvectors once; ``band_by_band``
-    rotates the fields of its last subspace apply.  No buffer, no work."""
+    """``direct`` and ``band_by_band`` fill ``band_densities`` the way the
+    all-band solver does — their returned block through the basis work
+    block — and no solver transforms anything it was not asked for."""
     ham, _ = problem
     out = np.empty((4,) + ham.basis.grid.shape)
-    _assert_densities_match_orbitals(ham, solve_direct(ham, 4, out), out)
     psi0 = ham.basis.random_orbitals(4, seed=7)
+    calls = _count_to_grid(monkeypatch)
+    direct = solve_direct(ham, 4, out)
+    assert calls == _row_blocks(ham.basis, 4)
+    monkeypatch.undo()
+    _assert_densities_match_orbitals(ham, direct, out)
     calls = _count_to_grid(monkeypatch)
     res = solve_band_by_band(
         ham, psi0, tol=1e-8, outer_sweeps=6, band_densities=out
     )
+    assert calls == _row_blocks(ham.basis, 4)
+    del calls[:]
     solve_band_by_band(ham, psi0, outer_sweeps=1)
     solve_all_band(ham, psi0, max_iter=2)
     solve_direct(ham, 4)
@@ -230,27 +295,26 @@ def _warm_stack_of_three(nband=10):
 
 
 def test_warm_lockstep_iteration_allocates_nothing_of_block_size():
-    """With ``work`` and ``capture`` lent, no NumPy call of an iteration
-    allocates as much as one ``(n_domains, npw, nband)`` block — every
-    rotation, residual, projection and ``H·ψ`` writes into the workspace;
-    what an iteration still allocates is per-domain (QR, the ``allclose``
-    check, a retiring domain's result) — and workspace plus everything the
-    solve allocates stays under 14 blocks (26 before the workspace, with
-    ``hstack``/``np.stack``/the zero pad and fresh products).  The
-    workspace is handed over full of NaN: nothing is read before written."""
+    """With ``work`` lent, no NumPy call of an iteration allocates as much
+    as one ``(n_domains, npw, nband)`` block — every rotation, residual,
+    projection and ``H·ψ`` writes into the workspace; what an iteration
+    still allocates is per-domain (QR, the ``allclose`` check, a retiring
+    domain's result) — and workspace plus everything the solve allocates
+    stays under 14 blocks (26 before the workspace, with ``hstack`` /
+    ``np.stack`` / the zero pad and fresh products).  The workspace is
+    handed over full of NaN: nothing is read before written."""
     basis, stack, warm = _warm_stack_of_three()
     nd, npw, nband = warm.shape
     block = warm.nbytes
     assert block > 2 * 128 * 1024
     work = np.full(lobpcg_work_shape(nd, npw, nband), np.nan, dtype=complex)
-    capture = np.empty((nd, nband) + basis.grid.shape, dtype=complex)
     densities = np.empty((nd, nband) + basis.grid.shape)
     assert work.nbytes == 9 * block
 
     def solve(bham):
         return solve_all_band_batched(
             bham, warm, max_iter=60, tol=1e-8, band_densities=densities,
-            capture=capture, work=work,
+            work=work,
         )
 
     # (a) the largest allocation of any one C-level call, by iteration

@@ -3,9 +3,9 @@
 The dense 3-D ``np.fft.ifftn/fftn`` on the zero-padded sphere — the
 transform the staged code replaced — is the oracle here: pruning skips
 lines that are identically zero, so the two must agree to rounding on any
-grid.  Also pinned: adjointness, the ``out=`` forms, that a warm apply —
-and a warm eigensolve with band densities — allocates nothing of grid
-size, and the ``capture=`` contract of ``H·ψ``.
+grid.  Also pinned: adjointness, the ``out=`` forms, and that a warm apply
+— and a warm eigensolve with band densities — allocates nothing of grid
+size.
 """
 
 import copy
@@ -191,22 +191,20 @@ def dense_local_apply(basis, v_eff, psi):
     return (
         0.5 * basis.g2[:, None] * psi
         + dense_from_grid(basis, fields * v_eff).T
-    ), fields
+    )
 
 
 def test_blocked_apply_matches_dense_oracle_serial_and_stacked():
     basis, v_eff, psi = lial_domain_problem()
     assert psi.shape[2] > basis.block_rows  # several blocks, ragged last
     assert psi.shape[2] % basis.block_rows  # blocks straddle domains
-    cap = np.empty(psi.shape[:1] + psi.shape[2:] + basis.grid.shape, complex)
     stacked = BatchedHamiltonian(basis, v_eff, None, None)
-    out = stacked.apply(psi, capture=cap)
+    out = stacked.apply(psi)
     for d in range(psi.shape[0]):
-        ref, ref_fields = dense_local_apply(basis, v_eff[d], psi[d])
+        ref = dense_local_apply(basis, v_eff[d], psi[d])
         serial = Hamiltonian(basis, v_eff[d]).apply(psi[d])
         assert rel_err(serial, ref) <= TOL
         assert rel_err(out[d], ref) <= TOL
-        assert rel_err(cap[d], ref_fields) <= TOL
     # a retired-domain subset uses the subset's potentials
     sub = stacked.apply(psi[[1, 3]], domains=[1, 3])
     assert rel_err(sub, out[[1, 3]]) <= TOL
@@ -223,9 +221,8 @@ def traced_peak(fn) -> int:
 
 def test_stacked_apply_peaks_below_one_full_copy():
     """A warm apply allocates no array of grid size at all, serial or
-    stacked, capturing or not: every stage writes through ``out=`` into
-    the pool or the caller's ``capture``, so the traced peak is the
-    coefficient-side results only — below *one row's* field, where the
+    stacked: every stage writes through ``out=`` into the pool, so the
+    traced peak is the coefficient-side results only — below *one row's* field, where the
     dense path held three full ``(rows × grid)`` copies and the staged one
     a block per stage."""
     basis, v_eff, psi = lial_domain_problem(nd=2, nband=3)
@@ -235,76 +232,39 @@ def test_stacked_apply_peaks_below_one_full_copy():
     one_field = basis.grid.npoints * 16
     ham = Hamiltonian(basis, v_eff[0])
     bham = BatchedHamiltonian(basis, v_eff, None, None)
-    cap = np.empty((nd, nband) + basis.grid.shape, dtype=complex)
-    for apply, arg, kwargs in (
-        (ham.apply, psi[0], {}), (bham.apply, psi, {}),
-        (ham.stack.apply, psi[:1], {"capture": cap}),
-        (bham.apply, psi, {"capture": cap}),
-    ):
+    for apply, arg in ((ham.apply, psi[0]), (bham.apply, psi)):
         apply(arg)  # warm: the pool is allocated once
-        peak = traced_peak(lambda: apply(arg, **kwargs))
+        peak = traced_peak(lambda: apply(arg))
         assert peak < one_field
         assert peak <= 4.5 * arg.size * 16  # a few (npw, nband) blocks
 
 
 def test_warm_solve_with_band_densities_allocates_nothing_of_grid_size():
-    """The lockstep solver forms |ψ|² inside the solve: fields are captured
-    into the caller's pooled block and rotated through the basis work
-    block.  With both buffers supplied a warm solve's traced peak is the
-    peak of the same solve without densities — its coefficient-side algebra
-    — to within less than one band's real field, where one rotated
-    ``(nband, *grid)`` complex copy per domain used to come back as
-    ``fields``; without a capture block the solve allocates exactly that
-    one block."""
+    """The lockstep solver forms |ψ|² inside the solve: a retiring domain's
+    Ritz vectors go through the basis work block a row block at a time,
+    straight into the caller's real ``band_densities``.  A warm solve's
+    traced peak is the peak of the same solve without densities — its
+    coefficient-side algebra — to within less than one band's real field,
+    where one rotated ``(nband, *grid)`` complex copy per domain used to
+    come back as ``fields``."""
     basis, v_eff, psi = lial_domain_problem(nd=2, nband=6)
     nd, npw, nband = psi.shape
+    assert nband > basis.block_rows  # several row blocks per retirement
     one_density = basis.grid.npoints * 8
     psi0 = np.stack([basis.random_orbitals(nband, seed=d) for d in range(nd)])
     bham = BatchedHamiltonian(basis, 0.2 * v_eff, None, None)
     densities = np.empty((nd, nband) + basis.grid.shape)
-    cap = np.empty(densities.shape, dtype=complex)
 
     def solve(**buffers):
         return solve_all_band_batched(
             bham, psi0, max_iter=6, tol=1e-12, **buffers
         )
 
-    pooled = dict(band_densities=densities, capture=cap)
-    results = solve(**pooled)  # warm: the pool is allocated once
+    results = solve(band_densities=densities)  # warm: the pool exists
     assert not any(res.converged for res in results)  # ran every sweep
     plain = traced_peak(solve)
-    assert abs(traced_peak(lambda: solve(**pooled)) - plain) < one_density
-    unpooled = traced_peak(lambda: solve(band_densities=densities))
-    assert abs(unpooled - plain - cap.nbytes) < one_density
-
-
-def test_captured_fields_never_alias_a_pool():
-    """``capture=`` is the caller's block: a stack of ``n`` fills its first
-    ``n`` slots (a retired-domain subset included) and leaves the rest
-    alone, the fields never alias a basis pool, and a block of the wrong
-    shape, dtype or layout is refused rather than silently copied."""
-    basis, v_eff, psi = lial_domain_problem(nd=3, nband=6)
-    bham = BatchedHamiltonian(basis, v_eff, None, None)
-    shape = (3, 6) + basis.grid.shape
-    cap = np.full(shape, np.nan + 0j)
-    bham.apply(psi[[0, 2]], capture=cap, domains=[0, 2])
-    for slot, d in enumerate((0, 2)):
-        assert rel_err(cap[slot], basis.to_grid(psi[d])) <= TOL
-    assert np.isnan(cap[2]).all()
-    assert not any(
-        np.shares_memory(cap, buf) for buf in basis._pool.values()
-    )
-    snapshot = cap[:2].copy()
-    bham.apply(psi[:, ::-1, :] * 1.7)  # a non-capturing apply leaves it be
-    assert np.array_equal(cap[:2], snapshot)
-    for bad in (
-        np.empty((2, 6) + basis.grid.shape, dtype=complex),  # too few slots
-        np.empty((3, 5) + basis.grid.shape, dtype=complex),  # wrong nband
-        np.empty(shape, dtype=float),
-        np.empty((6, 3) + basis.grid.shape, dtype=complex).swapaxes(0, 1),
-    ):
-        with pytest.raises(ValueError, match="complex array|C-contiguous"):
-            bham.apply(psi, capture=bad)
+    with_densities = traced_peak(lambda: solve(band_densities=densities))
+    assert abs(with_densities - plain) < one_density
 
 
 def test_copied_basis_gets_its_own_empty_pool():

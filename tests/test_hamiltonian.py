@@ -29,16 +29,14 @@ def test_apply_matches_dense(ham):
 def test_apply_delegation_matches_dense_for_vectors_and_blocks(ham):
     """``Hamiltonian.apply`` is the stack-of-one case of the stacked
     ``H·ψ``: 1-D and 2-D input and the preconditioner come back in the single
-    operator's own shapes, and capturing the fields changes no bit."""
+    operator's own shapes."""
     psi = ham.basis.random_orbitals(5, seed=4)  # two row blocks, one ragged
     h = ham.dense()
     scale = np.abs(h @ psi).max()
-    cap = np.empty((1, 5) + ham.basis.grid.shape, dtype=complex)
     block = ham.apply(psi)
     assert block.shape == psi.shape
     assert np.abs(block - h @ psi).max() <= 1e-12 * scale
-    assert np.array_equal(ham.stack.apply(psi[None], capture=cap)[0], block)
-    assert np.abs(cap[0] - ham.basis.to_grid(psi)).max() <= 1e-12
+    assert np.array_equal(ham.stack.apply(psi[None])[0], block)
     vec = ham.apply(psi[:, 2])
     assert vec.shape == (ham.basis.npw,)
     assert np.abs(vec - h @ psi[:, 2]).max() <= 1e-12 * scale

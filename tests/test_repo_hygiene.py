@@ -26,6 +26,20 @@ def test_documentation_present():
         assert len(text) > 1000, f"{name} looks empty"
 
 
+#: DESIGN.md only shrinks: a PR that rewrites a section replaces it, and
+#: lowers this to the new size (145 456 bytes at PR 22, 143 375 at PR 23;
+#: ROADMAP 7(e) wants ≤ 60 KB — this stops the growth first)
+DESIGN_MAX_BYTES = 143_400
+
+
+def test_design_document_does_not_grow():
+    size = (REPO / "DESIGN.md").stat().st_size
+    assert size <= DESIGN_MAX_BYTES, (
+        f"DESIGN.md is {size} bytes, over its {DESIGN_MAX_BYTES}-byte "
+        "ratchet: replace text, do not append"
+    )
+
+
 def test_design_covers_every_experiment():
     design = (REPO / "DESIGN.md").read_text()
     for exp in ("EXP-F5", "EXP-F6", "EXP-F7", "EXP-T1", "EXP-T2", "EXP-TTS",

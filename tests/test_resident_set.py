@@ -6,14 +6,14 @@ width (module-scoped, a few seconds):
 
 * what a warm step allocates *above* its live set (``tracemalloc`` peak of
   the step) stays under a stated budget — no complex field array per
-  domain any more, rotated or captured;
+  domain or per stack, anywhere;
 * same-shape domains hold one ``PlaneWaveBasis`` object, and a workspace
   reset or a buffer change builds a new one rather than reusing a stale one;
 * what the workspace keeps alive (``LDCWorkspace.resident_bytes``) grows
   with the domain count only in the per-domain parts (``scratch``,
   ``windows``), not in the pools (``bases``, ``stack_pool``), and the
   stack pool is the largest stack's working set whatever the number of
-  shape classes;
+  shape classes, with no arena of ``nband × grid`` complex size in it;
 * ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed.
 """
 
@@ -38,13 +38,14 @@ LIAL = dict(
     history_depth=2,
 )
 MB = 1e6
-#: What a warm 2×2×1 step may allocate above its live set.  Measured 2.6 MB
+#: What a warm 2×2×1 step may allocate above its live set.  Measured 2.2 MB
 #: at either stack width (the step's own state and the global fields of a
-#: pass; the lockstep solver iterates in the pool's workspace); 3.5 and
-#: 4.8 MB while every iteration allocated its coefficient-side blocks,
-#: 6.2 and 7.4 MB while every domain's solve also returned a complex field
-#: array that lived until the pass ended.
-STEP_BUDGET_MB = {False: 3.1, True: 3.1}
+#: pass and of the forces; the lockstep solver iterates in the pool's
+#: workspace); 2.6 while `hartree_potential` went through complex
+#: transforms, 3.5 and 4.8 MB while every iteration allocated its
+#: coefficient-side blocks, 6.2 and 7.4 MB while every domain's solve also
+#: returned a complex field array that lived until the pass ended.
+STEP_BUDGET_MB = {False: 2.6, True: 2.6}
 
 
 def frame(k: int, tiles: int = 1) -> Configuration:
@@ -193,8 +194,46 @@ def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(wide):
     assert three_bytes == two_bytes
     # one arena per role, none per class
     assert set(ws.batch_pool._bufs) == {
-        "v_eff", "b", "d", "capture", "work", "vbc_target", "boundary_window"
+        "v_eff", "b", "d", "work", "vbc_target", "boundary_window"
     }
+
+
+#: ``stack_pool`` bytes after six steps of the e2e drift (16³ Bohr cell,
+#: ASPC depth 3), by stack width: 0.98 and 2.50 MB measured — 2.5 and 7.05
+#: while the pool also held a complex ``(width, nband, *grid)`` field block.
+DRIFT_POOL_MB = {False: 1.1, True: 2.7}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["width1", "width3"])
+def test_stack_pool_holds_no_field_block(wide):
+    """|ψ|² is formed in the basis' row-block work buffer, so the seam
+    pools nothing of ``nband × grid`` complex size: its largest arena is
+    the solver's coefficient-side workspace, and every other one is
+    smaller than one domain's field block."""
+    options = LDCOptions(**dict(LIAL, history_depth=3), domains=(2, 2, 1),
+                         batch_domains=wide)
+    base = lial_nanoparticle(4, cell=[16.0, 16.0, 16.0])
+    direction = np.random.default_rng(7).standard_normal(base.positions.shape)
+    direction /= np.linalg.norm(direction)
+    ws = LDCWorkspace()
+    rho = None
+    for k in range(6):
+        config = base.copy()
+        config.positions = base.positions + 0.04 * k * direction
+        result = run_ldc(config, options, workspace=ws, rho0=rho)
+        rho = result.input_density
+    classes = Counter(
+        (s.basis.npw, s.nband, s.vnl.nproj) for s in result.states
+    )
+    assert max(classes.values()) == 3
+    field_block = min(
+        16 * s.nband * s.domain.grid.npoints for s in result.states
+    )
+    arenas = {name: buf.nbytes for name, buf in ws.batch_pool._bufs.items()}
+    assert max(arenas, key=arenas.get) == "work"
+    del arenas["work"]
+    assert max(arenas.values()) < field_block
+    assert ws.resident_bytes()["stack_pool"] / MB <= DRIFT_POOL_MB[wide]
 
 
 def test_workspace_bytes_gauge_is_evaluated_only_when_observed(monkeypatch):
