@@ -348,11 +348,12 @@ def _run_ldc(
         config.wrapped_positions(), config.zvals, config.cell,
         compute_forces=compute_forces, structure=ewald_structure,
     )
-    mg = (
-        MultigridPoisson(grid, instrumentation=ins)
-        if opts.poisson == "multigrid"
-        else None
-    )
+    mg: MultigridPoisson | None = None
+    if opts.poisson == "multigrid":
+        mg = (
+            workspace.poisson() if workspace is not None
+            else MultigridPoisson(grid)
+        )
     xi = opts.xi if opts.mode == "ldc" else None
     # The seam's stack pool: persistent across MD steps with a workspace,
     # per-run otherwise — either way no per-pass allocations.
@@ -452,7 +453,7 @@ def _scf_pass(
     the summed eigensolver iterations over every domain solve).
     """
     if mg is not None:
-        vh = mg.solve(rho, v0=vh_warm, tol=1e-8)
+        vh = mg.solve(rho, v0=vh_warm, tol=1e-8, instrumentation=ins)
     else:
         vh = hartree_potential(grid, rho)
     exc, vxc = lda_xc(rho)

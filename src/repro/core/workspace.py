@@ -9,7 +9,8 @@ options is therefore invariant across steps:
 * the domain decomposition (cores + buffers),
 * the partition-of-unity supports p_α(r),
 * one plane-wave basis per shape class (cutoff sphere on the domain grid),
-* the Ewald image shifts and reciprocal vectors.
+* the Ewald image shifts and reciprocal vectors,
+* the multigrid Poisson solver's level hierarchy and buffers.
 
 ``run_ldc`` without a workspace rebuilds all of these every call.  An
 :class:`LDCWorkspace` builds them once, re-bins the atoms each step, and
@@ -58,6 +59,7 @@ from repro.dft.ewald import EwaldStructure
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.mixing import PulayMixer
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
+from repro.multigrid.poisson import MultigridPoisson
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
@@ -171,7 +173,9 @@ def _options_signature(options: LDCOptions) -> tuple:
 
 
 #: the keys of :meth:`LDCWorkspace.resident_bytes`
-RESIDENT_PARTS = ("bases", "scratch", "stack_pool", "windows", "mixer")
+RESIDENT_PARTS = (
+    "bases", "scratch", "stack_pool", "windows", "mixer", "global",
+)
 
 
 class LDCWorkspace:
@@ -208,6 +212,8 @@ class LDCWorkspace:
         #: been stored) — the ``ldc.predictor_residual`` series
         self.predictor_residual: float | None = None
         self._ewald: EwaldStructure | None = None
+        #: the global grid's multigrid Poisson solver (:meth:`poisson`)
+        self._poisson: MultigridPoisson | None = None
         #: the trajectory's density mixer; its secant pairs are the SCF
         #: memory carried across MD steps (:meth:`scf_mixer`)
         self._mixer: PulayMixer | None = None
@@ -244,6 +250,7 @@ class LDCWorkspace:
         self._history.clear()
         self.predictor_residual = None
         self._ewald = None
+        self._poisson = None
         if self._mixer is not None:
             self._mixer.reset("reset")
         self._scratch.clear()
@@ -266,9 +273,11 @@ class LDCWorkspace:
         """Bytes kept alive between MD steps, by part: ``bases`` and
         ``stack_pool`` do not grow with the domain count at a fixed stack
         width, ``scratch`` and ``windows`` are the per-domain O(N) state,
-        ``mixer`` the carried SCF memory."""
+        ``mixer`` the carried SCF memory, ``global`` the geometry-only
+        tables of the global half (Ewald structure, multigrid levels)."""
+        levels = self._poisson.levels if self._poisson is not None else None
         parts = (self._bases, self._scratch, self.batch_pool, self._history,
-                 self._mixer)
+                 self._mixer, (self._ewald, levels))
         return {
             name: _nbytes(part) for name, part in zip(RESIDENT_PARTS, parts)
         }
@@ -303,6 +312,15 @@ class LDCWorkspace:
         ):
             self._ewald = EwaldStructure.build(config.cell, natoms)
         return self._ewald
+
+    def poisson(self) -> MultigridPoisson:
+        """The cached multigrid solver of the global grid (call after
+        :meth:`prepare`): hierarchy now, level buffers on its first solve,
+        both for every later pass and step of the trajectory."""
+        assert self.grid is not None
+        if self._poisson is None:
+            self._poisson = MultigridPoisson(self.grid)
+        return self._poisson
 
     # -- SCF quasi-Newton memory ---------------------------------------------
 

@@ -24,6 +24,13 @@ import numpy as np
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
+#: bytes the real-space sum may spend on one block of image shifts — a pair
+#: of atoms under one shift takes about 64 (its separation vector and its
+#: square, the distance, the cutoff mask, the force coefficient) — so the
+#: sum is vectorized over as many shifts as fit and nothing of size
+#: n_images × natoms² is ever built
+IMAGE_BLOCK_BYTES = 1 << 18
+
 
 def erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function of a real array, from the standard
@@ -169,47 +176,52 @@ def ewald(
     energy = 0.0
     forces = np.zeros((n, 3), dtype=float) if compute_forces else None
 
-    # ---- real-space sum (vectorized over pairs, looped over images) -------
+    # ---- real-space sum (vectorized over pairs and a block of images) -----
     shifts = (
         structure.shifts if structure is not None
         else _real_space_images(cell, rcut)
     )
     diff = positions[:, None, :] - positions[None, :, :]  # (n, n, 3)
     qq = charges[:, None] * charges[None, :]
-    for shift in shifts:
-        d = diff + shift
+    atoms = np.arange(n)
+    block = max(1, IMAGE_BLOCK_BYTES // max(64 * n * n, 1))
+    for start in range(0, len(shifts), block):
+        shift = shifts[start:start + block]
+        d = diff + shift[:, None, None, :]  # (block, n, n, 3)
         r2 = np.sum(d * d, axis=-1)
-        if not shift.any():
-            np.fill_diagonal(r2, np.inf)  # exclude self-interaction in home cell
+        # exclude self-interaction in the home cell
+        home = np.flatnonzero(~shift.any(axis=1))
+        r2[home[:, None], atoms, atoms] = np.inf
         mask = r2 <= rcut * rcut
         if not mask.any():
             continue
-        r = np.sqrt(r2[mask])
+        r2_in = r2[mask]
+        r = np.sqrt(r2_in)
         erfc_r = erfc(eta * r)
-        energy += 0.5 * float(np.sum(qq[mask] * (erfc_r / r)))
+        qq_in = np.broadcast_to(qq, r2.shape)[mask]
+        energy += 0.5 * float(np.sum(qq_in * (erfc_r / r)))
         if compute_forces:
             # dE/dr of ½ q q erfc(ηr)/r, force on atom I from pair (I,J)
-            coef = qq[mask] * (
-                erfc_r / r2[mask]
+            coef = np.zeros(r2.shape, dtype=float)
+            coef[mask] = qq_in * (
+                erfc_r / r2_in
                 + 2.0 * eta / np.sqrt(np.pi) * np.exp(-(eta * r) ** 2) / r
             ) / r
-            fvec = d[mask] * coef[:, None]
-            idx_i, idx_j = np.nonzero(mask)
-            np.add.at(forces, idx_i, fvec)
+            forces += np.einsum("bij,bijx->ix", coef, d)
 
     # ---- reciprocal-space sum ---------------------------------------------
     gs = structure.gs if structure is not None else _recip_vectors(cell, gcut)
     if len(gs):
         g2 = np.sum(gs * gs, axis=1)
-        phase = gs @ positions.T  # (ng, n)
-        sg = (charges[None, :] * np.exp(1j * phase)).sum(axis=1)  # (ng,)
+        phase = np.exp(1j * (gs @ positions.T))  # (ng, n)
+        sg = phase @ charges  # (ng,)
         weight = np.exp(-g2 / (4.0 * eta * eta)) / g2
         energy += (2.0 * np.pi / volume) * float(np.sum(weight * np.abs(sg) ** 2))
         if compute_forces:
             # F_I = +(4π/Ω) q_I Σ_G w(G) G Im[e^{iG·R_I} S*(G)]
-            imag_part = np.imag(np.exp(1j * phase) * np.conj(sg)[:, None])  # (ng, n)
-            fcontrib = (4.0 * np.pi / volume) * np.einsum(
-                "g,gx,gn->nx", weight, gs, imag_part
+            phase *= np.conj(sg)[:, None]
+            fcontrib = (4.0 * np.pi / volume) * (
+                phase.imag.T @ (weight[:, None] * gs)
             )
             forces += charges[:, None] * fcontrib
 

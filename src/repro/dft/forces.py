@@ -15,33 +15,64 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import get_species
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.pseudopotential import NonlocalProjectors, local_potential_ft
+from repro.dft.pseudopotential import (
+    NonlocalProjectors,
+    half_grid_phases,
+    local_potential_half,
+    species_atoms,
+)
 from repro.systems.configuration import Configuration
+
+
+def _half_grid_gradient(block: np.ndarray, g, p) -> np.ndarray:
+    """``Σ_G G · block(G) · Π p`` for one atom: the block contracted with
+    the last axis' phases (plain and ``g``-weighted, one GEMM), that with
+    the second axis', and three dot products with the first.  ``g`` and
+    ``p`` are per-axis components and this atom's phase vectors."""
+    (gx, gy, gz), (px, py, pz) = g, p
+    n0, n1, nk = len(px), len(py), len(pz)
+    over_z = block.reshape(n0 * n1, nk) @ np.stack((pz, gz * pz), axis=1)
+    plain, weighted = over_z.reshape(n0, n1, 2).transpose(2, 0, 1)
+    over_y = plain @ np.stack((py, gy * py), axis=1)
+    return np.array([
+        (gx * px) @ over_y[:, 0], px @ over_y[:, 1], px @ (weighted @ py),
+    ])
 
 
 def local_forces(
     grid: RealSpaceGrid, config: Configuration, rho: np.ndarray
 ) -> np.ndarray:
-    """Forces from the local pseudopotential, one row per atom."""
-    rho_g = grid.fft(rho).ravel()  # density convention: ρ̃(G)
-    gv = grid.g_vectors().reshape(-1, 3)
-    g2 = grid.g2().ravel()
+    """Forces from the local pseudopotential, one row per atom.
+
+    ``F_I = Re Σ_G iG ρ̃*(G) ṽ(G) e^{-iG·R_I}`` over the full grid, evaluated
+    on the ``rfftn`` half grid: the last axis carries the Hermitian weights
+    (½ on the ``k = 0`` and Nyquist planes, 1 between), and each atom
+    contracts its species' ``conj(ρ̃)·ṽ`` block with the per-axis phases of
+    :func:`~repro.dft.pseudopotential.half_grid_phases` and their mirror —
+    two passes over the block per atom, nothing of grid size per atom.
+    """
+    nk = grid.shape[2] // 2 + 1
+    weights = np.ones(nk, dtype=float)
+    weights[0] = 0.5
+    if grid.shape[2] % 2 == 0:
+        weights[-1] = 0.5
+    conj_rho = np.fft.rfftn(rho)
+    np.conjugate(conj_rho, out=conj_rho)
+    conj_rho *= weights / grid.npoints  # density convention, weighted
     forces = np.zeros((config.natoms, 3), dtype=float)
-    # Per-species radial factors are shared; loop over atoms for phases.
-    radial_cache: dict[str, np.ndarray] = {}
-    for i, symbol in enumerate(config.symbols):
-        sp = get_species(symbol)
-        if symbol not in radial_cache:
-            radial_cache[symbol] = local_potential_ft(g2, sp.zval, sp.rc_loc)
-        vg = radial_cache[symbol]
-        phase = np.exp(-1j * gv @ config.positions[i])
-        # F = Re Σ_G iG ρ̃*(G) ṽ(G) e^{-iG·R}
-        integrand = 1j * np.conj(rho_g) * vg * phase
-        forces[i] = np.real(gv.T @ integrand)
+    block = np.empty_like(conj_rho)
+    for symbol, idx in species_atoms(config):
+        np.multiply(conj_rho, local_potential_half(grid, symbol), out=block)
+        (g, p), (g_mirror, q) = half_grid_phases(grid, config.positions[idx])
+        for row, atom in enumerate(idx):
+            total = _half_grid_gradient(block, g, [pa[row] for pa in p])
+            total += _half_grid_gradient(
+                block, g_mirror, [qa[row] for qa in q]
+            )
+            forces[atom] = -total.imag  # Re(i·z)
     return forces
 
 

@@ -15,6 +15,8 @@ Conventions used across the whole package (orthorhombic cell, lengths
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 
@@ -122,15 +124,43 @@ class RealSpaceGrid:
             )
         return self._g_cache["g2"]
 
+    # -- the half grid of ``np.fft.rfftn`` -----------------------------------
+    # A real field's spectrum is Hermitian, so the global layers keep the
+    # last axis' ``0 … n2 // 2`` only: half the transform, half the tables.
+
+    def half_g_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`g_components` with the last axis cut to the half grid
+        (its Nyquist component, on an even axis, keeps FFT order's minus
+        sign)."""
+        gx, gy, gz = self.g_components()
+        return gx, gy, gz[: self.shape[2] // 2 + 1]
+
+    def g2_half(self) -> np.ndarray:
+        """``|G|²`` on the half grid (built per call: its users cache what
+        they derive from it)."""
+        gx, gy, gz = self.half_g_components()
+        return (
+            gx[:, None, None] ** 2
+            + gy[None, :, None] ** 2
+            + gz[None, None, :] ** 2
+        )
+
+    def table(self, key: str, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """A reciprocal-space table of this grid, built on first use and
+        kept with the grid; ``key`` names it and whatever else it depends
+        on (a species' parameters, say)."""
+        if key not in self._g_cache:
+            self._g_cache[key] = build()
+        return self._g_cache[key]
+
     def coulomb_kernel(self) -> np.ndarray:
-        """``4π/|G|²`` (zero at ``G = 0``) on the half grid of
-        ``np.fft.rfftn``: the last axis keeps ``0 … n2 // 2`` only."""
-        if "coulomb" not in self._g_cache:
-            g2 = self.g2()[:, :, : self.shape[2] // 2 + 1]
+        """``4π/|G|²`` (zero at ``G = 0``) on the half grid."""
+        def build() -> np.ndarray:
+            g2 = self.g2_half()
             kernel = np.zeros(g2.shape)
-            np.divide(4.0 * np.pi, g2, out=kernel, where=g2 > 0)
-            self._g_cache["coulomb"] = kernel
-        return self._g_cache["coulomb"]
+            return np.divide(4.0 * np.pi, g2, out=kernel, where=g2 > 0)
+
+        return self.table("coulomb", build)
 
     # -- transforms ----------------------------------------------------------
 
@@ -145,6 +175,11 @@ class RealSpaceGrid:
     def integrate(self, field: np.ndarray) -> float:
         """∫ field dr over the cell."""
         return float(np.sum(field) * self.dv)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """∫ a·b dr over the cell for two real fields, as one dot product
+        (no product array)."""
+        return float(np.dot(a.reshape(-1), b.reshape(-1)) * self.dv)
 
     # -- misc ----------------------------------------------------------------
 

@@ -32,4 +32,4 @@ def hartree_energy(grid: RealSpaceGrid, rho: np.ndarray, vh: np.ndarray | None =
     """E_H = (1/2) ∫ ρ V_H dr."""
     if vh is None:
         vh = hartree_potential(grid, rho)
-    return 0.5 * grid.integrate(rho * vh)
+    return 0.5 * grid.inner(rho, vh)

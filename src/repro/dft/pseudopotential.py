@@ -41,35 +41,108 @@ def local_potential_ft(g2: np.ndarray, zval: float, rc: float) -> np.ndarray:
     return out
 
 
+def species_atoms(config: Configuration) -> list[tuple[str, list[int]]]:
+    """``(symbol, atom indices)`` per species of ``config``."""
+    return [
+        (symbol, [i for i, s in enumerate(config.symbols) if s == symbol])
+        for symbol in config.species_set()
+    ]
+
+
+#: bytes one atom block's ``(atoms, n1, n2)`` phase-product table may take
+#: in :func:`_phase_sum` (the block rule that keeps a structure factor from
+#: building anything of size natoms × ngrid)
+PHASE_BLOCK_BYTES = 1 << 18
+
+
+def local_potential_half(grid: RealSpaceGrid, symbol: str) -> np.ndarray:
+    """ṽ_loc(G) of one species on the ``rfftn`` half grid of ``grid``
+    (``G = 0`` → α), built once per grid and species parameters and kept
+    with the grid's other reciprocal tables."""
+    sp = get_species(symbol)
+    return grid.table(
+        f"v_loc[{sp.zval!r},{sp.rc_loc!r}]",
+        lambda: local_potential_ft(grid.g2_half(), sp.zval, sp.rc_loc),
+    )
+
+
+def half_grid_phases(
+    grid: RealSpaceGrid, positions: np.ndarray
+) -> tuple[tuple[list, list], tuple[list, list]]:
+    """Per-axis factors of ``e^{-iG·R}`` on the half grid, and their mirror.
+
+    Returns ``(g, p), (g', q)``: per axis the ``G`` components and the
+    ``(natoms, n_axis)`` phases ``p = e^{-i g R}``, then the same for
+    ``G' = -G(-m)``, the negative of the vector at the mirrored index —
+    ``G`` itself except at the Nyquist index of an even axis, where FFT
+    order has one sign for both.  A real field pairs index ``m`` with
+    ``-m``, so what its spectrum contracts with is the average of the two
+    products: ``½(Π p + Π q)`` is the Hermitian part of the full grid's
+    ``e^{-iG·R}``, exactly, and equals ``Π p`` off the Nyquist planes.
+    """
+    g, p, g_mirror, q = [], [], [], []
+    for axis, ga in enumerate(grid.half_g_components()):
+        pa = np.exp(-1j * np.outer(positions[:, axis], ga))
+        gm, qa = ga, pa
+        n = grid.shape[axis]
+        if n % 2 == 0:
+            gm, qa = ga.copy(), pa.copy()
+            gm[n // 2] = -ga[n // 2]
+            qa[:, n // 2] = pa[:, n // 2].conj()
+        g.append(ga)
+        p.append(pa)
+        g_mirror.append(gm)
+        q.append(qa)
+    return (g, p), (g_mirror, q)
+
+
+def _phase_sum(px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """``Σ_a px[a,i] py[a,j] pz[a,k]``: per atom block one ``(atoms, n1·n2)``
+    table and one GEMM against the first axis' phases."""
+    shape = (px.shape[1], py.shape[1], pz.shape[1])
+    out = np.zeros((shape[0], shape[1] * shape[2]), dtype=complex)
+    block = max(1, PHASE_BLOCK_BYTES // (16 * shape[1] * shape[2]))
+    for start in range(0, len(px), block):
+        rows = slice(start, start + block)
+        yz = py[rows, :, None] * pz[rows, None, :]
+        out += px[rows].T @ yz.reshape(len(yz), -1)
+    return out.reshape(shape)
+
+
 def structure_factors(grid: RealSpaceGrid, config: Configuration) -> dict[str, np.ndarray]:
-    """Per-species structure factors S_s(G) = Σ_{I∈s} e^{-iG·R_I} on the grid.
+    """Per-species structure factors S_s(G) = Σ_{I∈s} e^{-iG·R_I} on the
+    full grid.
 
     ``e^{-iG·R}`` factorizes over the axes of the orthorhombic grid, so each
     atom costs ``n0 + n1 + n2`` exponentials instead of ``n0·n1·n2``, and
-    nothing of size ``ngrid × natoms`` is ever built (the dense evaluation
-    had to chunk atoms to bound that matrix).
+    nothing of size ``ngrid × natoms`` is ever built.
     """
-    out: dict[str, np.ndarray] = {}
-    for symbol in config.species_set():
-        idx = [i for i, s in enumerate(config.symbols) if s == symbol]
-        px, py, pz = (
+    return {
+        symbol: _phase_sum(*(
             np.exp(-1j * np.outer(config.positions[idx, axis], g))
             for axis, g in enumerate(grid.g_components())
-        )
-        out[symbol] = np.einsum("ai,aj,ak->ijk", px, py, pz)
-    return out
+        ))
+        for symbol, idx in species_atoms(config)
+    }
 
 
 def local_potential(grid: RealSpaceGrid, config: Configuration) -> np.ndarray:
-    """Total local pseudopotential V_loc(r) on the real grid."""
-    g2 = grid.g2()
-    vg = np.zeros(grid.shape, dtype=complex)
-    sfs = structure_factors(grid, config)
-    for symbol, sf in sfs.items():
-        sp = get_species(symbol)
-        vg += local_potential_ft(g2, sp.zval, sp.rc_loc) * sf
-    vg /= grid.volume
-    return grid.ifft(vg).real
+    """Total local pseudopotential V_loc(r) on the real grid.
+
+    Assembled on the half grid — ``Σ_s ṽ_s(G) · ½(Π p + Π q)`` over the
+    per-axis phases of :func:`half_grid_phases` — and brought back by one
+    real inverse transform: the real part of the full complex transform of
+    ``Σ_s ṽ_s S_s``, without the full grid or its discarded imaginary half.
+    """
+    vg = np.zeros(grid.shape[:2] + (grid.shape[2] // 2 + 1,), dtype=complex)
+    for symbol, idx in species_atoms(config):
+        (_, p), (_, q) = half_grid_phases(grid, config.positions[idx])
+        sf = _phase_sum(*(np.concatenate(pq) for pq in zip(p, q)))
+        sf *= local_potential_half(grid, symbol)
+        vg += sf
+    # ½ of the mirror average, 1/Ω of the potential, N of irfftn's 1/N
+    vg *= 0.5 * grid.npoints / grid.volume
+    return np.fft.irfftn(vg, s=grid.shape, axes=(0, 1, 2))
 
 
 class NonlocalProjectors:

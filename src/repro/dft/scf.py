@@ -204,9 +204,10 @@ def harris_foulkes_energy(
     its own, its interaction energy is inside the band energy.  Returns
     the total and every part.
     """
-    double_count = grid.integrate(rho * (vh + vxc))
+    # every integral a dot product with ρ: no product field, no V_H + v_xc
     e_h = hartree_energy(grid, rho, vh)
-    e_xc = grid.integrate(rho * exc)
+    double_count = 2.0 * e_h + grid.inner(rho, vxc)
+    e_xc = grid.inner(rho, exc)
     total = band_energy - double_count + e_h + e_xc + e_ewald + entropy_term
     return {
         "total": total,

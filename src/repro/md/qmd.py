@@ -97,6 +97,9 @@ class QMDFrame:
     temperature: float
     scf_iterations: int
     positions: np.ndarray | None = None
+    #: whether every SCF solve of the step met its tolerance (``None`` from
+    #: an engine that does not say)
+    converged: bool | None = None
 
     @property
     def total_energy(self) -> float:
@@ -134,6 +137,9 @@ class _WarmStartEngine:
         #: reference the per-step ``qmd.eig_iters_saved`` series is
         #: measured against
         self._cold_eig_iters: int | None = None
+        #: whether the last solve met its tolerance (``None`` before any):
+        #: the ``forces()`` tuple has no slot for it
+        self.last_converged: bool | None = None
 
     def _guard_cell(self, config: Configuration) -> None:
         """A cell change between ``forces()`` calls drops every cache:
@@ -170,6 +176,20 @@ class _WarmStartEngine:
         (previous ρ only) or ``"cold"`` (random ψ, model density)."""
         start = "orbital" if orbital_warm else "density" if self._rho_hist else "cold"
         ins.counter("qmd.solves", engine=self.label, start=start).inc()
+
+    def _record_convergence(self, ins: Observer, result) -> None:
+        """Keep ``result.converged`` where a driver can read it, and make
+        a solve that ran out of passes visible: a counter and one log
+        record.  The forces are returned all the same — what to do about
+        them is the caller's policy."""
+        self.last_converged = bool(result.converged)
+        if not self.last_converged:
+            ins.counter("qmd.unconverged_solves", engine=self.label).inc()
+            ins.log.warning(
+                "unconverged solve",
+                extra={"engine": self.label, "iterations": result.iterations,
+                       "final_residual": result.final_residual},
+            )
 
     def _record_eig_cost(self, ins: Observer, result) -> None:
         """Per-step eigensolver iterations, and how many the warm starts
@@ -261,6 +281,7 @@ class LDCEngine(_WarmStartEngine):
             instrumentation=ins, workspace=self.workspace,
         )
         self._push_rho(result.input_density, self.options.history_depth)
+        self._record_convergence(ins, result)
         self._record_solver_cost(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
@@ -378,6 +399,7 @@ class SCFEngine(_WarmStartEngine):
             instrumentation=ins, psi0=psi0, warm_cell=prev_cell,
         )
         self._push_rho(result.input_density, self.history_depth)
+        self._record_convergence(ins, result)
         psi = result.orbitals
         if self.use_orbital_warm_start:
             self._psi = psi
@@ -425,6 +447,7 @@ class QMDDriver:
         ):
             engine.instrumentation = instrumentation
         self._scf_iters_last = 0
+        self._converged_last: bool | None = None
         self.timestep = timestep
         self.integrator = VelocityVerlet(self._forces_wrapper, timestep)
         self.frames: list[QMDFrame] = []
@@ -432,6 +455,11 @@ class QMDDriver:
     def _forces_wrapper(self, config: Configuration):
         f, e, iters = self.engine.forces(config)
         self._scf_iters_last += iters
+        converged = getattr(self.engine, "last_converged", None)
+        if converged is not None:
+            self._converged_last = (
+                converged and self._converged_last is not False
+            )
         return f, e
 
     def run(self, config: Configuration, nsteps: int) -> list[QMDFrame]:
@@ -448,6 +476,7 @@ class QMDDriver:
 
     def _step(self, config: Configuration, ins: Observer) -> None:
         self._scf_iters_last = 0
+        self._converged_last = None
         # the per-step telemetry (series, health verdicts) fires while
         # the qmd.step span is still open, so a health FAIL dumps with
         # the failing step on the flight recorder's open-span stack
@@ -490,6 +519,7 @@ class QMDDriver:
             positions=config.positions.copy()
             if self.record_positions
             else None,
+            converged=self._converged_last,
         )
 
     def total_scf_iterations(self) -> int:

@@ -64,7 +64,7 @@ class _NullTracer:
 
 class _NullLog:
     __slots__ = ()
-    debug = info = _nothing
+    debug = info = warning = _nothing
 
 
 _NULL_INSTRUMENT = _NullInstrument()

@@ -94,6 +94,52 @@ def test_qmd_with_ldc_engine():
     assert np.isfinite(frames[-1].total_energy)
 
 
+def test_unconverged_solve_is_visible_from_engine_to_frame(caplog):
+    """A solve that runs out of passes still returns forces (no policy
+    here), but no longer silently: the engine keeps ``last_converged``,
+    the frame records it, a counter and one log record name the engine."""
+    import logging
+
+    from repro.core.ldc import LDCOptions
+    from repro.dft.scf import SCFOptions
+    from repro.observability import Instrumentation
+
+    for label, engine_of in (
+        ("pw", lambda max_iter, ins: SCFEngine(
+            SCFOptions(ecut=4.0, extra_bands=2, tol=1e-6, max_iter=max_iter),
+            instrumentation=ins)),
+        ("ldc", lambda max_iter, ins: LDCEngine(
+            LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6,
+                       max_iter=max_iter), instrumentation=ins)),
+    ):
+        ins = Instrumentation()
+        starved = engine_of(2, ins)
+        assert starved.last_converged is None
+        cfg = dimer("H", "H", 2.3, 12.0)
+        initialize_velocities(cfg, 50.0, seed=5)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            forces, _, passes = starved.forces(cfg)  # the tuple is unchanged
+        assert passes == 2 and np.isfinite(forces).all()
+        assert starved.last_converged is False
+        counter = ins.metrics.get("qmd.unconverged_solves", engine=label)
+        assert counter.value == 1
+        records = [r for r in caplog.records if r.msg == "unconverged solve"]
+        assert len(records) == 1 and records[0].engine == label
+        frame = QMDDriver(starved, timestep=10.0).run(cfg, 1)[-1]
+        assert frame.converged is False
+        assert counter.value == 3  # the step's two solves, counted each
+
+        fed = engine_of(40, ins)
+        frame = QMDDriver(fed, timestep=10.0).run(cfg, 1)[-1]
+        assert fed.last_converged is True and frame.converged is True
+        assert counter.value == 3
+    # an engine that does not say leaves the frame's field unset
+    frame = QMDDriver(ReactiveEngine(), timestep=2.0).run(
+        water_molecule(center=(10.0, 10.0, 10.0)), 1)[-1]
+    assert frame.converged is None
+
+
 def test_energy_drift_diagnostic():
     cfg = water_molecule(center=(10.0, 10.0, 10.0))
     initialize_velocities(cfg, 100.0, seed=7)

@@ -144,6 +144,43 @@ def test_workspace_resets_on_cell_change():
     assert ws.warm_domains == 0  # orbital cache was dropped with the cell
 
 
+def test_workspace_owns_the_multigrid_solver():
+    """One ``MultigridPoisson`` per cell — hierarchy and level buffers built
+    once, counted as ``global`` beside the Ewald structure, dropped by
+    ``reset()`` — and the same ``poisson.*`` telemetry as the per-call
+    solver of a workspace-less run, reported to each call's own handle."""
+    opts = LDCOptions(**dict(OPTS, max_iter=3), poisson="multigrid")
+    ws = LDCWorkspace()
+    first, second, fresh = Instrumentation(), Instrumentation(), Instrumentation()
+    run_ldc(h4_chain(), opts, workspace=ws, instrumentation=first)
+    solver = ws.poisson()
+    levels = [id(level) for level in solver.levels]
+    assert levels and solver.grid is ws.grid
+    with_solver = ws.resident_bytes()["global"]
+    run_ldc(h4_chain(0.05), opts, workspace=ws, instrumentation=second)
+    assert ws.poisson() is solver
+    assert [id(level) for level in solver.levels] == levels
+    assert ws.resident_bytes()["global"] == with_solver > 8 * ws.grid.npoints
+
+    run_ldc(h4_chain(0.05), opts, instrumentation=fresh)
+    names = sorted(k for k in fresh.metrics.keys() if k.startswith("poisson"))
+    assert names == sorted(
+        k for k in second.metrics.keys() if k.startswith("poisson")
+    ) == ["poisson.residual", "poisson.solves", "poisson.vcycles",
+          "poisson.warm_start"]
+    for ins in (first, second, fresh):
+        assert ins.metrics.get("poisson.solves").value == 4  # 3 passes + final
+        assert ins.tracer.count("poisson.solve") == 4
+
+    ws.reset()
+    assert ws._poisson is None and ws.resident_bytes()["global"] == 0
+    # the FFT path never builds one
+    fft = LDCWorkspace()
+    run_ldc(h4_chain(), LDCOptions(**dict(OPTS, max_iter=3)), workspace=fft)
+    assert fft._poisson is None
+    assert 0 < fft.resident_bytes()["global"] < 8 * fft.grid.npoints
+
+
 def test_run_ldc_rejects_grid_plus_workspace():
     cfg = h4_chain()
     ws = LDCWorkspace()
