@@ -25,7 +25,7 @@ Each :func:`report` call additionally lands a *run-ledger* entry: a
 ``telemetry/runs/<run_id>/`` directory (component ``bench:<name>``)
 holding copies of both artifacts plus a schema'd manifest with content
 hashes and the records' headline numbers flattened into manifest metrics —
-the input to ``python -m repro.observability.runlog diff/drift`` and
+the input to ``python -m repro.observability.runlog diff`` and
 ``regress --runs``.  Set ``REPRO_TELEMETRY_DIR`` to move the ledger root.
 """
 

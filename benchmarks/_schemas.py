@@ -402,7 +402,7 @@ SCHEMAS: dict[str, RecordSchema] = {
         "runlog_overhead",
         {
             # the facade contract, pinned as a count: a recorder-less QMD
-            # run must execute no runlog/flightrec/profiler code at all
+            # run must execute no runlog/flightrec code at all
             "runlog_calls_disabled": _EXACT,
             # ...while the enabled run really ledgers (1.0 = manifest
             # written, hashes verified, invocation recorded)

@@ -2,12 +2,12 @@
 
 The runlog subsystem rides the Instrumentation facade and inherits its
 promise (DESIGN.md §15): no recorder means *zero* ledger code on the hot
-path — every recorder/flight-recorder/profiler touch point sits behind an
+path — every recorder/flight-recorder touch point sits behind an
 ``is not None`` guard.  This bench pins the contract the way
 ``sanitize_overhead`` does:
 
-* ``runlog_calls_disabled`` — Python calls entering the runlog, flight
-  recorder, or profiler modules during a recorder-less (but otherwise
+* ``runlog_calls_disabled`` — Python calls entering the runlog or flight
+  recorder modules during a recorder-less (but otherwise
   fully instrumented) QMD run, counted with ``sys.setprofile`` and gated
   **exactly at zero**;
 * ``enabled_ledger_ok`` — 1.0 when the recorder-enabled twin of the same
@@ -40,7 +40,6 @@ from repro.systems import water_molecule
 _NEEDLES = (
     os.sep + "runlog.py",
     os.sep + "flightrec.py",
-    os.sep + "profiler.py",
 )
 
 NSTEPS = 40

@@ -7,19 +7,18 @@ trajectory (the acceptance flow of the telemetry + run-ledger PRs):
    ``RunRecorder`` — through the QMD driver, the LDC engine, the
    multigrid Poisson solver, and the eigensolvers;
 2. additionally execute the solve on the virtual Blue Gene/Q so the
-   simulated-rank timeline lands in the *same* Chrome trace (pid 2), and
-   sample the run with the profiler so statistical frames land on pid 4;
+   simulated-rank timeline lands in the *same* Chrome trace (pid 2);
 3. finish the run: ``telemetry/runs/<run_id>/`` now holds ``trace.json``,
-   ``metrics.{json,csv}``, ``profile.json``, and a schema'd
-   ``manifest.json`` whose content hashes verify.
+   ``metrics.{json,csv}``, and a schema'd ``manifest.json`` whose content
+   hashes verify.
 
 Open the run's ``trace.json`` in chrome://tracing or
-https://ui.perfetto.dev to see measured spans, predicted rank activity,
-and profiler samples side by side; then inspect the ledger::
+https://ui.perfetto.dev to see measured spans and predicted rank activity
+side by side; then inspect the ledger::
 
     python -m repro.observability.runlog list
     python -m repro.observability.runlog show <run_id>
-    python -m repro.observability.report <run_id> --profile
+    python -m repro.observability.report <run_id>
 
 Run:  PYTHONPATH=src python examples/telemetry_qmd.py
 """
@@ -42,7 +41,7 @@ def main() -> None:
         poisson="multigrid",
     )
 
-    recorder = RunRecorder(component="example:telemetry_qmd", profile=True)
+    recorder = RunRecorder(component="example:telemetry_qmd")
     ins = Instrumentation(recorder=recorder)
 
     # A short instrumented QMD trajectory (warm-started LDC solves).

@@ -11,7 +11,6 @@ import sys
 from typing import Sequence
 
 from repro.analysis.engine import (
-    AnalysisCache,
     all_checkers,
     run_paths_full,
     unsuppressed,
@@ -50,15 +49,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyse files with N worker threads (default: 1)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="per-file result cache keyed by content hash; invalidated "
-        "automatically when any analysis source changes",
-    )
-    parser.add_argument(
         "--unused-noqa", action="store_true",
         help="also report stale '# repro: noqa[...]' suppressions (they "
         "count toward the exit code)",
@@ -69,19 +59,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         for checker in all_checkers():
             print(f"{checker.rule}  {checker.name}: {checker.description}")
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
-    cache = AnalysisCache(args.cache) if args.cache else None
     run = run_paths_full(
         args.paths,
         select=args.select.split(",") if args.select else None,
         ignore=args.ignore.split(",") if args.ignore else None,
-        jobs=args.jobs,
-        cache=cache,
     )
-    if cache is not None:
-        cache.save()
     findings = run.findings
     if args.format == "json":
         print(render_json(findings))

@@ -19,9 +19,6 @@ RP005     collective-mismatch       rank-conditional collectives and
                                     SPMD deadlocks
 RP006     telemetry-hygiene         spans outside ``with``; instruments
                                     built off-registry
-RP007     thread-shared-state       thread-pool workers writing closed-over
-                                    or module-level state — data races under
-                                    a thread fan-out
 RP008     spmd-nondeterminism       accumulation over unordered sets;
                                     unseeded / module-global RNG — ranks
                                     silently diverge
@@ -35,6 +32,5 @@ from repro.analysis.checkers import (  # noqa: F401  (import = registration)
     mutation,
     state,
     telemetry,
-    threads,
     units,
 )

@@ -21,10 +21,6 @@ ProjectIndex` call graph, with alias-aware comm tracking (parameters,
   Only call-graph *roots* (functions no analysed function calls) are
   reported — a lone ``send`` helper is legitimate when its caller pairs it
   with a ``recv`` helper; the imbalance, if real, surfaces at the root.
-
-``CollectiveMismatchChecker(interprocedural=False)`` restores the PR 2
-per-function behaviour; the regression test encodes the cross-function
-fixture that mode provably misses.
 """
 
 from __future__ import annotations
@@ -50,11 +46,6 @@ class CollectiveMismatchChecker(ProjectChecker):
         "a call tree — an SPMD deadlock"
     )
 
-    def __init__(self, interprocedural: bool = True) -> None:
-        #: False restores the PR 2 per-function-body analysis (used by the
-        #: regression test proving what that mode misses)
-        self.interprocedural = interprocedural
-
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         for summary in index.summaries:
             yield from self._check_rank_sites(index, summary)
@@ -62,20 +53,16 @@ class CollectiveMismatchChecker(ProjectChecker):
 
     # -- rank-conditional collectives ---------------------------------------
 
+    @staticmethod
     def _branch_effects(
-        self,
         index: ProjectIndex,
         summary: FunctionSummary,
         direct: list[str],
         calls: list[str],
     ) -> tuple[set[str], dict[str, set[str]]]:
         """(reachable collectives, collective → contributing helpers)."""
-        ops = set(direct)
-        via: dict[str, set[str]] = {}
-        if self.interprocedural:
-            via = index.collectives_via_calls(summary, calls)
-            ops |= set(via)
-        return ops, via
+        via = index.collectives_via_calls(summary, calls)
+        return set(direct) | set(via), via
 
     def _check_rank_sites(
         self, index: ProjectIndex, summary: FunctionSummary
@@ -116,24 +103,18 @@ class CollectiveMismatchChecker(ProjectChecker):
     def _check_point_to_point(
         self, index: ProjectIndex, summary: FunctionSummary
     ) -> Iterator[Finding]:
-        if self.interprocedural:
-            sends, recvs = index.effective_p2p(summary)
-            if sends == recvs or (sends + recvs) == 0:
-                return
-            # Report at call-graph roots only: a lone-send helper is fine
-            # when a caller pairs it; the *root* shows the real imbalance.
-            if index.callers_of(summary) > 0:
-                return
-            scope = (
-                "over its call tree"
-                if (sends, recvs) != (summary.sends, summary.recvs)
-                else "on comm-like receivers"
-            )
-        else:
-            sends, recvs = summary.sends, summary.recvs
-            if sends == recvs or (sends + recvs) == 0:
-                return
-            scope = "on comm-like receivers"
+        sends, recvs = index.effective_p2p(summary)
+        if sends == recvs or (sends + recvs) == 0:
+            return
+        # Report at call-graph roots only: a lone-send helper is fine
+        # when a caller pairs it; the *root* shows the real imbalance.
+        if index.callers_of(summary) > 0:
+            return
+        scope = (
+            "over its call tree"
+            if (sends, recvs) != (summary.sends, summary.recvs)
+            else "on comm-like receivers"
+        )
         line = summary.p2p_line or summary.line
         col = summary.p2p_col if summary.p2p_line else summary.col
         yield self.finding(

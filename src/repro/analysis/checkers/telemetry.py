@@ -330,7 +330,7 @@ class TelemetryHygieneChecker(Checker):
 #: well-known artifact basenames the run ledger owns
 _ARTIFACT_NAMES = (
     "trace.json", "metrics.json", "metrics.csv", "health.json",
-    "comm.json", "manifest.json", "blackbox.jsonl", "profile.json",
+    "comm.json", "manifest.json", "blackbox.jsonl",
 )
 
 

@@ -25,22 +25,17 @@ Two scopes of checker exist since the interprocedural upgrade:
   spanning every analysed file, so rules like RP005 follow collectives
   across helper-function boundaries.
 
-``run_paths`` additionally supports an **incremental cache** (per-file
-findings + summaries keyed by content hash; the cheap project pass always
-re-runs from cached summaries) and a ``jobs=`` thread fan-out, so the CI
-analysis job stays fast as the tree and rule count grow.
+Files are analysed one after another on one thread, with no result cache
+(DESIGN.md §13 says why).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import pathlib
 import re
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -233,13 +228,12 @@ def _split_scopes(
 
 @dataclass
 class FileResult:
-    """Per-file analysis product: what the incremental cache stores."""
+    """Per-file analysis product: findings, summaries, suppression map."""
 
     path: str
     findings: list[Finding]
     summaries: list  # list[FunctionSummary]
     noqa: dict[int, set[str]]
-    from_cache: bool = False
 
 
 def _analyse_one(
@@ -311,147 +305,35 @@ def check_file(
     return findings
 
 
-# -- incremental cache ---------------------------------------------------------
-
-#: bump when the cache payload layout itself changes
-CACHE_LAYOUT = 1
-
-_suite_signature_cache: str | None = None
-
-
-def suite_signature() -> str:
-    """Hash of the analyser's own source: any change invalidates the cache.
-
-    Covers the engine, the project layer, and every checker module, so a
-    rule tweak can never serve stale findings from a content-hash hit.
-    """
-    global _suite_signature_cache
-    if _suite_signature_cache is None:
-        h = hashlib.sha256()
-        pkg = pathlib.Path(__file__).parent
-        for f in sorted(pkg.rglob("*.py")):
-            h.update(f.name.encode())
-            h.update(f.read_bytes())
-        _suite_signature_cache = h.hexdigest()[:16]
-    return _suite_signature_cache
-
-
-def _content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
-
-
-class AnalysisCache:
-    """Per-file result cache keyed by content hash + suite signature.
-
-    Stores file-scope findings, function summaries, and the suppression
-    map — everything :func:`run_paths` needs to skip the parse entirely on
-    a hit.  Project-scope findings are *never* cached (they depend on the
-    whole tree); they recompute cheaply from the cached summaries.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            try:
-                doc = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError):
-                doc = {}
-            if (
-                doc.get("layout") == CACHE_LAYOUT
-                and doc.get("suite") == suite_signature()
-            ):
-                self._entries = doc.get("files", {})
-
-    def get(self, path: str, content_hash: str) -> FileResult | None:
-        from repro.analysis.project import FunctionSummary
-
-        entry = self._entries.get(path)
-        if entry is None or entry.get("hash") != content_hash:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return FileResult(
-            path=path,
-            findings=[
-                Finding(**{**d, "suppressed": bool(d["suppressed"])})
-                for d in entry["findings"]
-            ],
-            summaries=[
-                FunctionSummary.from_dict(d) for d in entry["summaries"]
-            ],
-            noqa={
-                int(line): set(rules)
-                for line, rules in entry["noqa"].items()
-            },
-            from_cache=True,
-        )
-
-    def put(self, result: FileResult, content_hash: str) -> None:
-        self._entries[result.path] = {
-            "hash": content_hash,
-            "findings": [f.to_dict() for f in result.findings],
-            "summaries": [s.to_dict() for s in result.summaries],
-            "noqa": {
-                str(line): sorted(rules)
-                for line, rules in result.noqa.items()
-            },
-        }
-
-    def save(self) -> None:
-        payload = {
-            "layout": CACHE_LAYOUT,
-            "suite": suite_signature(),
-            "files": self._entries,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(self.path)
-
-
 @dataclass
 class RunResult:
     """Everything one :func:`run_paths` pass produced.
 
     ``findings`` is the combined, sorted stream (file + project scope);
-    ``noqa_by_file`` feeds the stale-suppression audit; ``cache_hits`` /
-    ``cache_misses`` report incremental-mode effectiveness.
+    ``noqa_by_file`` feeds the stale-suppression audit.
     """
 
     findings: list[Finding]
     noqa_by_file: dict[str, dict[int, set[str]]] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def run_paths(
     paths: Sequence[str | pathlib.Path],
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    jobs: int = 1,
-    cache: str | pathlib.Path | AnalysisCache | None = None,
 ) -> list[Finding]:
     """Analyse every python file under ``paths`` with the full suite.
 
     ``select``/``ignore`` filter by rule id; suppression comments are
     applied per line.  Returns *all* findings (suppressed ones flagged).
-    ``jobs`` fans the per-file parse+check work over a thread pool;
-    ``cache`` (a path or :class:`AnalysisCache`) enables incremental mode.
     """
-    return run_paths_full(
-        paths, select=select, ignore=ignore, jobs=jobs, cache=cache
-    ).findings
+    return run_paths_full(paths, select=select, ignore=ignore).findings
 
 
 def run_paths_full(
     paths: Sequence[str | pathlib.Path],
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    jobs: int = 1,
-    cache: str | pathlib.Path | AnalysisCache | None = None,
 ) -> RunResult:
     """Like :func:`run_paths` but returns the full :class:`RunResult`."""
     checkers = all_checkers()
@@ -462,34 +344,11 @@ def run_paths_full(
         dropped = {r.upper() for r in ignore}
         checkers = [c for c in checkers if c.rule not in dropped]
     file_checkers, project_checkers = _split_scopes(checkers)
-
-    if cache is not None and not isinstance(cache, AnalysisCache):
-        cache = AnalysisCache(cache)
-
-    def analyse(path: pathlib.Path) -> FileResult:
-        source = path.read_text()
-        if cache is not None:
-            digest = _content_hash(source)
-            hit = cache.get(str(path), digest)
-            if hit is not None:
-                return hit
-            result = _analyse_one(str(path), source, file_checkers, True)
-            cache.put(result, digest)
-            return result
-        # Summaries are only needed when a project checker will run.
-        return _analyse_one(
-            str(path), source, file_checkers, bool(project_checkers)
-        )
-
-    files = list(iter_python_files(paths))
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(analyse, files))
-    else:
-        results = [analyse(p) for p in files]
-    if cache is not None:
-        cache.save()
-
+    # Summaries are only needed when a project checker will run.
+    results = [
+        _analyse_one(str(p), None, file_checkers, bool(project_checkers))
+        for p in iter_python_files(paths)
+    ]
     findings: list[Finding] = []
     for r in results:
         findings.extend(r.findings)
@@ -498,8 +357,6 @@ def run_paths_full(
     return RunResult(
         findings=findings,
         noqa_by_file={r.path: r.noqa for r in results},
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
     )
 
 

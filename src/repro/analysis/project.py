@@ -11,8 +11,6 @@ whole-project view without giving up the cheap per-file walks:
   :class:`FunctionSummary` — the collectives it invokes *directly* on
   comm-like handles, its send/recv counts, the names it calls, and every
   rank-conditional site with the per-branch collective/call sets.
-  Summaries are plain data (JSON-serializable), so the incremental cache
-  stores them per file keyed by content hash.
 * :class:`ProjectIndex` links summaries into a call graph and answers the
   interprocedural questions — *"which collectives can this function reach,
   transitively?"* — via memoized fixed-point traversal with cycle guards.
@@ -63,23 +61,6 @@ class RankSite:
     false_direct: list[str] = field(default_factory=list)
     false_calls: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "line": self.line, "col": self.col,
-            "true_direct": self.true_direct, "true_calls": self.true_calls,
-            "false_direct": self.false_direct, "false_calls": self.false_calls,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankSite":
-        return cls(
-            line=d["line"], col=d["col"],
-            true_direct=list(d["true_direct"]),
-            true_calls=list(d["true_calls"]),
-            false_direct=list(d["false_direct"]),
-            false_calls=list(d["false_calls"]),
-        )
-
 
 @dataclass
 class FunctionSummary:
@@ -103,30 +84,6 @@ class FunctionSummary:
     #: a helper called twice contributes its sends/recvs twice)
     callees: list[str] = field(default_factory=list)
     rank_sites: list[RankSite] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path, "module": self.module,
-            "qualname": self.qualname, "name": self.name,
-            "line": self.line, "col": self.col,
-            "collectives": self.collectives,
-            "sends": self.sends, "recvs": self.recvs,
-            "p2p_line": self.p2p_line, "p2p_col": self.p2p_col,
-            "callees": self.callees,
-            "rank_sites": [s.to_dict() for s in self.rank_sites],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        return cls(
-            path=d["path"], module=d["module"], qualname=d["qualname"],
-            name=d["name"], line=d["line"], col=d["col"],
-            collectives=list(d["collectives"]),
-            sends=d["sends"], recvs=d["recvs"],
-            p2p_line=d["p2p_line"], p2p_col=d["p2p_col"],
-            callees=list(d["callees"]),
-            rank_sites=[RankSite.from_dict(s) for s in d["rank_sites"]],
-        )
 
 
 # -- comm-alias tracking -------------------------------------------------------
@@ -282,7 +239,7 @@ def module_name(path: str) -> str:
 
 
 def summarize_file(ctx: "FileContext") -> list[FunctionSummary]:
-    """Compress every function in ``ctx`` into summaries (cacheable)."""
+    """Compress every function in ``ctx`` into summaries."""
     mod = module_name(ctx.path)
     out: list[FunctionSummary] = []
     for qualname, fn in _function_qualnames(ctx.tree):

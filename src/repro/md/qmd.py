@@ -215,8 +215,8 @@ class LDCEngine(_WarmStartEngine):
     converged orbitals, the QMD tricks the paper's time-to-solution numbers
     depend on.
 
-    ``use_workspace`` (default on) gives the engine a persistent
-    :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
+    The engine owns a persistent :class:`~repro.core.workspace.LDCWorkspace`:
+    the grid, decomposition,
     partition of unity, per-domain bases, and Ewald structure are built once
     per cell, and each step's domain solves warm-start from the ASPC
     prediction over each domain's history window
@@ -246,7 +246,7 @@ class LDCEngine(_WarmStartEngine):
 
     def __init__(
         self, options=None, instrumentation: Observer | None = None,
-        use_workspace: bool = True, qmd_options: QMDOptions | None = None,
+        qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.core.ldc import LDCOptions
         from repro.core.workspace import LDCWorkspace
@@ -265,16 +265,14 @@ class LDCEngine(_WarmStartEngine):
                 BufferController(ctl) if ctl is not None
                 else BufferController()
             )
-        self.workspace = LDCWorkspace() if use_workspace else None
+        self.workspace = LDCWorkspace()
 
     def forces(self, config: Configuration):
         from repro.core.ldc import run_ldc
 
         self._guard_cell(config)
         ins = observer(self.instrumentation)
-        self._count_solve(
-            ins, self.workspace is not None and self.workspace.has_orbitals
-        )
+        self._count_solve(ins, self.workspace.has_orbitals)
         result = run_ldc(
             config, self.options, compute_forces=True,
             rho0=self._predict_rho(self.options.history_depth),
@@ -335,10 +333,9 @@ class LDCEngine(_WarmStartEngine):
 
     def _drop_caches(self) -> None:
         super()._drop_caches()
-        if self.workspace is not None:
-            # structures, orbital windows and the SCF memory all
-            # describe the old cell
-            self.workspace.reset()
+        # structures, orbital windows and the SCF memory all describe the
+        # old cell
+        self.workspace.reset()
 
 
 class SCFEngine(_WarmStartEngine):
@@ -353,10 +350,9 @@ class SCFEngine(_WarmStartEngine):
     ``$REPRO_ASPC_DEPTH``) both come from ASPC predictions instead: ρ over
     the density window every engine keeps, ψ over a bounded
     :class:`~repro.md.extrapolate.DomainHistory` of converged blocks that
-    this engine owns.  ``use_orbital_warm_start=False`` keeps neither
-    window: every solve starts from random ψ and the last density.  Each
-    solve builds a fresh density mixer (no SCF memory across steps).  A
-    cell change between ``forces()`` calls drops every cache, and the
+    this engine owns.  Each solve builds a fresh density mixer (no SCF
+    memory across steps).  A cell change between ``forces()`` calls drops
+    every cache, and the
     previous cell is also handed to ``run_scf(warm_cell=)`` so the solver
     applies the same deterministic fallback for any caller.
     ``instrumentation`` is the observability handle, as in :class:`LDCEngine`.
@@ -366,19 +362,15 @@ class SCFEngine(_WarmStartEngine):
 
     def __init__(
         self, options=None, instrumentation: Observer | None = None,
-        use_orbital_warm_start: bool = True,
         qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.dft.scf import SCFOptions
 
         super().__init__(instrumentation)
         self.options = options or SCFOptions()
-        self.use_orbital_warm_start = use_orbital_warm_start
         depth = _resolve_history_depth(qmd_options)
-        #: 1 unless a source asked for more and there are windows to fill
-        self.history_depth = (
-            depth if depth is not None and use_orbital_warm_start else 1
-        )
+        #: 1 unless a source asked for more
+        self.history_depth = depth if depth is not None else 1
         #: ASPC window of converged ψ — only consulted at depth >= 2
         self._history = DomainHistory(depth=self.history_depth)
         self._psi = None
@@ -400,9 +392,7 @@ class SCFEngine(_WarmStartEngine):
         )
         self._push_rho(result.input_density, self.history_depth)
         self._record_convergence(ins, result)
-        psi = result.orbitals
-        if self.use_orbital_warm_start:
-            self._psi = psi
+        psi = self._psi = result.orbitals
         self._record_eig_cost(ins, result)
         if self._history.last_prediction is not None:
             # settle the residual of the guess this step started from

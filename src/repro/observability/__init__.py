@@ -30,8 +30,8 @@ Two further layers close the loop from telemetry to *gates*:
 * :mod:`repro.observability.runlog` — the *run ledger*: per-run identity
   and manifests under ``telemetry/runs/<run_id>/``
   (``Instrumentation(recorder=RunRecorder(...))``), the failure-triggered
-  :class:`FlightRecorder` black box, the :class:`SamplingProfiler`, and
-  the cross-run diff/drift CLI (``python -m repro.observability.runlog``).
+  :class:`FlightRecorder` black box, and the cross-run diff CLI
+  (``python -m repro.observability.runlog``).
 
 The report CLI renders a paper-style per-phase breakdown from a trace
 (``--flops`` adds the roofline-style FLOP attribution of
@@ -63,7 +63,6 @@ from repro.observability.health import (
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.instrumentation import Instrumentation
 from repro.observability.logs import configure_logging, get_logger
-from repro.observability.profiler import SamplingProfiler, render_profile
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.stream import (
     JsonlSink,
@@ -88,7 +87,6 @@ __all__ = [
     "MetricsRegistry",
     "RecordSchema",
     "RunRecorder",
-    "SamplingProfiler",
     "Span",
     "SpanTracer",
     "TelemetryBus",
@@ -105,7 +103,6 @@ __all__ = [
     "read_jsonl",
     "render_breakdown",
     "render_critical_path",
-    "render_profile",
     "runs_root",
     "telemetry_root",
 ]

@@ -9,12 +9,10 @@ from a trace produced by :class:`~repro.observability.tracer.SpanTracer`,
 
 The positional argument also accepts a run directory or a (prefix of a)
 ledger run id — the trace is resolved through the run ledger
-(:mod:`repro.observability.runlog`), dropped-subscriber counts recorded in
-the manifest are surfaced as warnings, and ``--profile`` renders the
-sampling profiler's self-profile table from the run's ``profile.json``::
+(:mod:`repro.observability.runlog`), and dropped-subscriber counts
+recorded in the manifest are surfaced as warnings::
 
     python -m repro.observability.report 20260808-143022-qmd-1a2b3c
-    python -m repro.observability.report telemetry/runs/<run_id> --profile
 
 The percentage column is relative to the trace's wall-clock extent
 (max end − min start over the selected events), matching how the paper
@@ -272,11 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         help="walk the simulated-rank timelines and print the critical "
              "path (the dependency chain the run actually waits on)",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="render the sampling profiler's self-profile table from the "
-             "run's profile.json (requires a run directory or run id)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -286,27 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if run_dir is not None:
         _warn_dropped(run_dir)
-    if args.profile:
-        from repro.observability.profiler import render_profile
-
-        if run_dir is None:
-            print(
-                "error: --profile needs a run directory or run id "
-                "(profile.json lives next to the trace)",
-                file=sys.stderr,
-            )
-            return 2
-        profile_path = run_dir / "profile.json"
-        if not profile_path.is_file():
-            print(
-                f"error: {profile_path} not found; was the run recorded "
-                "with RunRecorder(profile=True)?",
-                file=sys.stderr,
-            )
-            return 2
-        with open(profile_path) as fh:
-            print(render_profile(json.load(fh), top=args.top))
-        return 0
     try:
         events = load_trace(trace_path)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

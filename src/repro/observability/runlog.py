@@ -1,4 +1,4 @@
-"""The run ledger: durable per-run identity, manifests, and cross-run drift.
+"""The run ledger: durable per-run identity, manifests, and cross-run diffs.
 
 Single-run telemetry (trace/metrics/health/comm artifacts) answers "what
 happened in *this* invocation"; the paper's scaling and time-to-solution
@@ -14,21 +14,15 @@ module adds the longitudinal layer:
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
   FlightRecorder` wired to the run's telemetry bus dumps ``blackbox.jsonl``
   on health FAILs, sanitizer errors, and unhandled driver exceptions.
-* **Sampling profiler** — ``RunRecorder(profile=True)`` attaches a
-  :class:`~repro.observability.profiler.SamplingProfiler`; its samples land
-  in ``profile.json`` and merge into the Chrome trace as pid 4.
-* **Cross-run analytics** — the CLI lists/inspects/verifies runs, diffs two
-  manifests metric-by-metric under
-  :class:`~repro.observability.regress.FieldSpec` tolerance bands, and runs
-  a direction-aware trend test over the last K runs of a component so drift
-  shows up *between* baseline updates::
+* **Cross-run diffs** — the CLI lists/inspects/verifies runs and diffs two
+  manifests metric-by-metric through the one comparison engine,
+  :func:`~repro.observability.regress.compare_payloads`::
 
       python -m repro.observability.runlog list
       python -m repro.observability.runlog show <run_id>
       python -m repro.observability.runlog verify <run_id>
       python -m repro.observability.runlog diff <run_a> <run_b>
       python -m repro.observability.runlog diff --last bench:qmd_warm_start
-      python -m repro.observability.runlog drift qmd.run --k 8
 
   Exit status: 0 = clean, 1 = drift/verification failure, 2 = usage/I-O
   error (the :mod:`~repro.observability.regress` convention).
@@ -67,7 +61,6 @@ if TYPE_CHECKING:
 #: manifest layout version — bumped when the manifest envelope changes
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-PROFILE_NAME = "profile.json"
 
 #: environment variable naming the telemetry root directory
 ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
@@ -264,8 +257,6 @@ class RunRecorder:
         run_id: str | None = None,
         flight: FlightRecorder | None = None,
         flight_capacity: int = 256,
-        profile: bool = False,
-        profile_interval: float = 0.002,
     ) -> None:
         self.component = component
         self.root = telemetry_root(root)
@@ -275,9 +266,6 @@ class RunRecorder:
         self.flight = flight or FlightRecorder(capacity=flight_capacity)
         if self.flight.dump_dir is None:
             self.flight.dump_dir = self.dir
-        self.profile = profile
-        self.profile_interval = profile_interval
-        self.profiler = None
         self.manifest: dict[str, Any] | None = None
         self._ins: "Instrumentation | None" = None
         self._t0 = time.time()
@@ -290,7 +278,7 @@ class RunRecorder:
     # -- facade wiring --------------------------------------------------------
 
     def attach(self, ins: "Instrumentation") -> None:
-        """Wire the flight recorder (and profiler) into a facade.
+        """Wire the flight recorder into a facade.
 
         Called by ``Instrumentation(recorder=...)``; the facade guarantees
         a telemetry bus exists by then.
@@ -299,15 +287,6 @@ class RunRecorder:
         self.flight.tracer = ins.tracer
         if ins.stream is not None:
             ins.stream.subscribe(self.flight)
-        if self.profile and self.profiler is None:
-            from repro.observability.profiler import SamplingProfiler
-
-            self.profiler = SamplingProfiler(
-                interval=self.profile_interval,
-                clock=ins.tracer._clock,
-                tracer=ins.tracer,
-            )
-            self.profiler.start()
 
     # -- in-flight records ----------------------------------------------------
 
@@ -359,12 +338,6 @@ class RunRecorder:
         if self.manifest is not None:
             return self.manifest
         ins = self._ins
-        if self.profiler is not None:
-            self.profiler.stop()
-            if ins is not None and self.profiler.samples:
-                ins.extra_chrome_events.extend(self.profiler.chrome_events())
-            with open(self.dir / PROFILE_NAME, "w") as fh:
-                json.dump(self.profiler.to_dict(), fh, indent=1)
         if ins is not None:
             ins.write_artifacts(self.dir)
             self.add_metrics(flatten_metrics(ins.metrics.snapshot()))
@@ -632,121 +605,63 @@ def diff_manifests(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = 0.0,
 ) -> list[dict[str, Any]]:
-    """Metric-by-metric diff of two manifests under FieldSpec bands.
+    """Metric-by-metric diff of two manifests under regress bands.
 
-    Returns one row per metric in either manifest: ``{metric, baseline,
-    fresh, verdict, message}`` with verdict ``ok`` / ``drift`` /
-    ``missing`` / ``new``.
+    Both manifests become metric-style payloads (one ``metric_value()`` row
+    per metric, keyed by ``metric``, each metric's band and
+    :func:`direction_for` direction in the schema's overrides) and go
+    through :func:`~repro.observability.regress.compare_payloads`, the one
+    comparison engine.  Returns one row per metric in either manifest:
+    ``{metric, baseline, fresh, verdict, message}`` with verdict ``ok`` /
+    ``drift`` / ``missing`` / ``new``.
     """
-    from repro.observability.regress import FieldSpec, _violates
+    from repro.observability.regress import (
+        RecordSchema,
+        compare_payloads,
+        metric_value,
+    )
 
-    rows: list[dict[str, Any]] = []
     a = base.get("metrics", {})
     b = fresh.get("metrics", {})
-    for metric in sorted(set(a) | set(b)):
-        if metric not in b:
-            rows.append(
-                {"metric": metric, "baseline": a[metric], "fresh": None,
-                 "verdict": "missing", "message": "absent in fresh run"}
-            )
-            continue
-        if metric not in a:
-            rows.append(
-                {"metric": metric, "baseline": None, "fresh": b[metric],
-                 "verdict": "new", "message": "absent in baseline run"}
-            )
-            continue
-        spec = FieldSpec(
-            name=metric,
-            direction=direction_for(metric),
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-        )
-        reason = _violates(spec, a[metric], b[metric])
+    metrics = sorted(set(a) | set(b))
+    band = {"rel_tol": rel_tol, "abs_tol": abs_tol}
+    schema = RecordSchema(
+        bench="manifest",
+        fields=metric_value(),
+        key=("metric",),
+        overrides={
+            m: {"value": {"direction": direction_for(m), **band}}
+            for m in metrics
+        },
+    ).to_dict()
+
+    def payload(values: dict[str, float]) -> dict[str, Any]:
+        records = [{"metric": m, "value": v} for m, v in values.items()]
+        return {"schema": schema, "records": records}
+
+    deltas = {d.key: d for d in compare_payloads(payload(a), payload(b))}
+    rows: list[dict[str, Any]] = []
+    for metric in metrics:
+        delta = deltas.get(metric)
         rows.append(
             {
                 "metric": metric,
-                "baseline": a[metric],
-                "fresh": b[metric],
-                "verdict": "ok" if reason is None else "drift",
-                "message": reason or "",
+                "baseline": a.get(metric),
+                "fresh": b.get(metric),
+                "verdict": "ok" if delta is None else _VERDICTS[delta.status],
+                "message": "" if delta is None
+                else _ABSENT.get(delta.status, delta.message),
             }
         )
     return rows
 
 
-# -- cross-run drift trend ---------------------------------------------------
-
-
-def kendall_tau(values: list[float]) -> float:
-    """Kendall's tau of a series against its own index ∈ [-1, 1].
-
-    +1 = strictly increasing, -1 = strictly decreasing, ~0 = no monotonic
-    trend.  Ties contribute zero.  Tiny and dependency-free — enough for a
-    direction-aware drift alarm over a handful of runs.
-    """
-    n = len(values)
-    if n < 2:
-        return 0.0
-    s = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = values[j] - values[i]
-            s += (d > 0) - (d < 0)
-    return s / (n * (n - 1) / 2)
-
-
-def drift_check(
-    manifests: list[dict[str, Any]],
-    tau_threshold: float = 0.6,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 0.0,
-    min_runs: int = 3,
-) -> list[dict[str, Any]]:
-    """Direction-aware trend test over a run series (oldest first).
-
-    A metric drifts when (a) its Kendall tau against run order is
-    monotonic beyond ``tau_threshold`` *toward its worse direction*, and
-    (b) the net first→last change exceeds the regress-style tolerance band
-    — so noise near zero never alarms.  ``direction="both"`` metrics alarm
-    on a strong monotonic trend either way.
-
-    Returns one row per drifting metric: ``{metric, direction, tau, first,
-    last, change}``.
-    """
-    series: dict[str, list[float]] = {}
-    for manifest in manifests:
-        for key, value in manifest.get("metrics", {}).items():
-            series.setdefault(key, []).append(float(value))
-    findings = []
-    for metric in sorted(series):
-        values = series[metric]
-        if len(values) < min_runs:
-            continue
-        tau = kendall_tau(values)
-        direction = direction_for(metric)
-        band = max(abs_tol, rel_tol * abs(values[0]))
-        change = values[-1] - values[0]
-        if abs(change) <= band:
-            continue
-        worsening = (
-            (direction == "lower" and tau >= tau_threshold and change > 0)
-            or (direction == "higher" and tau <= -tau_threshold and change < 0)
-            or (direction == "both" and abs(tau) >= tau_threshold)
-        )
-        if worsening:
-            findings.append(
-                {
-                    "metric": metric,
-                    "direction": direction,
-                    "tau": tau,
-                    "first": values[0],
-                    "last": values[-1],
-                    "change": change,
-                    "runs": len(values),
-                }
-            )
-    return findings
+#: regress delta status → ``runlog diff`` verdict
+_VERDICTS = {"regression": "drift", "missing_row": "missing", "new_row": "new"}
+_ABSENT = {
+    "missing_row": "absent in fresh run",
+    "new_row": "absent in baseline run",
+}
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -848,40 +763,10 @@ def _cmd_diff(args) -> int:
     return 1 if drifted else 0
 
 
-def _cmd_drift(args) -> int:
-    manifests = list_runs(args.root, component=args.component)
-    if args.k:
-        manifests = manifests[-args.k:]
-    if len(manifests) < args.min_runs:
-        print(
-            f"not enough ledger runs of {args.component!r} for a trend "
-            f"({len(manifests)} < {args.min_runs}); no verdict"
-        )
-        return 0
-    findings = drift_check(
-        manifests,
-        tau_threshold=args.tau,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        min_runs=args.min_runs,
-    )
-    for f in findings:
-        print(
-            f"DRIFT {f['metric']}: {f['first']:.6g} -> {f['last']:.6g} "
-            f"over {f['runs']} runs (tau {f['tau']:+.2f}, "
-            f"{f['direction']} is better)"
-        )
-    print(
-        f"drift: {len(manifests)} run(s) of {args.component!r} examined, "
-        f"{len(findings)} drifting metric(s)"
-    )
-    return 1 if findings else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observability.runlog",
-        description="Inspect, verify, diff, and trend the run ledger "
+        description="Inspect, verify, and diff the run ledger "
         "(telemetry/runs/).",
     )
     parser.add_argument(
@@ -920,17 +805,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diff.set_defaults(func=_cmd_diff)
 
-    p_drift = sub.add_parser(
-        "drift", help="direction-aware trend test over the last K runs"
-    )
-    p_drift.add_argument("component")
-    p_drift.add_argument("--k", type=int, default=8)
-    p_drift.add_argument("--tau", type=float, default=0.6)
-    p_drift.add_argument("--min-runs", type=int, default=3)
-    p_drift.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
-    p_drift.add_argument("--abs-tol", type=float, default=0.0)
-    p_drift.set_defaults(func=_cmd_drift)
-
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -945,16 +819,13 @@ __all__ = [
     "FlightRecorder",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
-    "PROFILE_NAME",
     "RunRecorder",
     "diff_manifests",
     "direction_for",
-    "drift_check",
     "flatten_metrics",
     "flatten_records",
     "find_run",
     "hash_file",
-    "kendall_tau",
     "ledger_bench_files",
     "list_runs",
     "load_manifest",

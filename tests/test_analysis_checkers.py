@@ -19,7 +19,7 @@ def rules_in(path) -> list[str]:
 
 
 @pytest.mark.parametrize("rule", ["RP001", "RP002", "RP003", "RP004",
-                                  "RP005", "RP006", "RP007", "RP008"])
+                                  "RP005", "RP006", "RP008"])
 def test_each_rule_detects_its_bad_fixture(rule):
     found = rules_in(FIXTURES / f"bad_{rule.lower()}.py")
     assert rule in found, f"{rule} missed its own fixture (found: {found})"

@@ -1,23 +1,15 @@
-"""Interprocedural RP005, the new RP007/RP008 rules, the incremental
-cache, the thread fan-out, and the stale-suppression audit.
+"""Interprocedural RP005, the RP008 rule, and the stale-suppression audit.
 
-The first test is the acceptance regression of the interprocedural
-upgrade: the per-function PR 2 analysis *provably misses* the
-cross-function rank-conditional fixture that the project-wide pass flags.
+The first test pins the interprocedural pass: a rank-conditional that
+reaches a collective only through helpers is flagged.
 """
 
 from __future__ import annotations
 
 import pathlib
-import shutil
 
-from repro.analysis import check_file, run_paths, unsuppressed
-from repro.analysis.engine import (
-    AnalysisCache,
-    run_paths_full,
-    unused_suppressions,
-)
-from repro.analysis.checkers.collectives import CollectiveMismatchChecker
+from repro.analysis import check_file, unsuppressed
+from repro.analysis.engine import run_paths_full, unused_suppressions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
 INTERPROC = FIXTURES / "bad_rp005_interproc.py"
@@ -30,16 +22,7 @@ def rp005_rank_findings(findings):
     ]
 
 
-# -- the acceptance regression: per-function misses, interprocedural hits ---
-
-
-def test_legacy_per_function_mode_misses_cross_function_collective():
-    """PR 2's per-function RP005 sees two plain helper calls inside the
-    rank-conditional and finds nothing — the deadlock is invisible."""
-    findings = check_file(
-        INTERPROC, checkers=[CollectiveMismatchChecker(interprocedural=False)]
-    )
-    assert not rp005_rank_findings(findings)
+# -- collectives reached through helpers ------------------------------------
 
 
 def test_interprocedural_mode_catches_cross_function_collective():
@@ -69,36 +52,7 @@ def test_interprocedural_p2p_reports_roots_only():
     assert all("'paired_exchange'" not in f.message for f in findings)
 
 
-def test_legacy_p2p_flags_lone_helpers_instead():
-    """Without the call graph the lone helper halves are the (noisy)
-    finding sites — the behaviour the roots-only upgrade replaces."""
-    findings = [
-        f for f in check_file(
-            INTERPROC,
-            checkers=[CollectiveMismatchChecker(interprocedural=False)],
-        )
-        if "point-to-point" in f.message
-    ]
-    named = {f.message.split("'")[1] for f in findings}
-    assert {"send_half", "recv_half"} <= named
-
-
-# -- RP007 / RP008 fixture coverage ----------------------------------------
-
-
-def test_rp007_flags_each_shared_write_kind():
-    findings = [
-        f for f in unsuppressed(check_file(FIXTURES / "bad_rp007.py"))
-        if f.rule == "RP007"
-    ]
-    # shared element write, shared name write, mutating method call
-    assert sorted(f.line for f in findings) == [15, 16, 17]
-    messages = " | ".join(f.message for f in findings)
-    assert "'process_domain'" in messages
-    assert "thread-pool fan-out" in messages
-    assert ".append()" in messages
-    # the clean worker and the sanctioned post-join fold stay silent
-    assert all("process_domain_clean" not in f.message for f in findings)
+# -- RP008 fixture coverage -------------------------------------------------
 
 
 def test_rp008_flags_each_nondeterminism_kind():
@@ -112,63 +66,6 @@ def test_rp008_flags_each_nondeterminism_kind():
     assert "default_rng" in messages
     assert "np.random.rand" in messages or "legacy" in messages
     assert "random.random" in messages
-
-
-# -- incremental cache ------------------------------------------------------
-
-
-def _populate(tmp_path: pathlib.Path) -> pathlib.Path:
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    for name in ("bad_rp005_interproc.py", "bad_rp008.py"):
-        shutil.copy(FIXTURES / name, tree / name)
-    return tree
-
-
-def test_cache_round_trip_preserves_findings(tmp_path):
-    tree = _populate(tmp_path)
-    cache_path = tmp_path / "cache.json"
-
-    cold = run_paths_full([tree], cache=cache_path)
-    assert cold.cache_misses == 2 and cold.cache_hits == 0
-
-    warm = run_paths_full([tree], cache=cache_path)
-    assert warm.cache_hits == 2 and warm.cache_misses == 0
-    # project-scope findings recompute from cached summaries byte-for-byte
-    assert [f.to_dict() for f in warm.findings] == [
-        f.to_dict() for f in cold.findings
-    ]
-    assert warm.findings  # the fixtures are not silently empty
-
-
-def test_cache_invalidates_on_content_change(tmp_path):
-    tree = _populate(tmp_path)
-    cache_path = tmp_path / "cache.json"
-    run_paths_full([tree], cache=cache_path)
-
-    target = tree / "bad_rp008.py"
-    target.write_text(target.read_text() + "\n# trailing comment\n")
-    run = run_paths_full([tree], cache=cache_path)
-    assert run.cache_misses == 1 and run.cache_hits == 1
-
-
-def test_cache_object_can_be_passed_directly(tmp_path):
-    tree = _populate(tmp_path)
-    cache = AnalysisCache(tmp_path / "cache.json")
-    run_paths_full([tree], cache=cache)
-    cache.save()
-    reloaded = AnalysisCache(tmp_path / "cache.json")
-    run = run_paths_full([tree], cache=reloaded)
-    assert run.cache_hits == 2
-
-
-# -- jobs fan-out parity ----------------------------------------------------
-
-
-def test_jobs_fanout_matches_serial_findings():
-    serial = run_paths([FIXTURES], jobs=1)
-    threaded = run_paths([FIXTURES], jobs=4)
-    assert [f.to_dict() for f in threaded] == [f.to_dict() for f in serial]
 
 
 # -- stale-suppression audit -------------------------------------------------

@@ -21,10 +21,9 @@ SRC = REPO / "src" / "repro"
 
 def test_all_rules_registered():
     rules = {c.rule for c in all_checkers()}
-    assert {
-        "RP001", "RP002", "RP003", "RP004",
-        "RP005", "RP006", "RP007", "RP008",
-    } <= rules
+    assert rules == {
+        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP008",
+    }
 
 
 def test_source_tree_is_clean():

@@ -323,7 +323,7 @@ def test_nve_drift_parity_extrapolated_vs_last_state():
 
 def test_ledger_manifest_carries_predictor_series():
     """The iterations-saved and chosen-(b, l*) series flatten into the run
-    manifest (`.last`/`.n` scalars) so `runlog drift` can diff them."""
+    manifest (`.last`/`.n` scalars) so `runlog diff` can compare them."""
     from repro.observability.runlog import flatten_metrics
 
     ins = Instrumentation()

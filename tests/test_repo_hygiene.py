@@ -26,10 +26,10 @@ def test_documentation_present():
         assert len(text) > 1000, f"{name} looks empty"
 
 
-#: DESIGN.md only shrinks: a PR that rewrites a section replaces it, and
-#: lowers this to the new size (145 456 bytes at PR 22, 143 375 at PR 23;
-#: ROADMAP 7(e) wants ≤ 60 KB — this stops the growth first)
-DESIGN_MAX_BYTES = 143_358
+#: DESIGN.md only shrinks: a change that rewrites a section replaces it,
+#: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
+#: the growth first)
+DESIGN_MAX_BYTES = 142_771
 
 
 def test_design_document_does_not_grow():
@@ -105,18 +105,18 @@ def test_every_source_module_has_docstring():
 
 
 def test_engine_has_no_thread_pool_and_no_batching_flag():
-    """The LDC domain solves run through one seam on one thread: no
-    ``concurrent.futures`` under the engine packages (the linter's own
-    ``--jobs`` pool in ``repro.analysis`` is not engine code), and no
-    environment switch for the stack width anywhere under ``src/``."""
+    """The LDC domain solves run through one seam on one thread, and so
+    does everything else: no executor-module import in any module under
+    ``src/`` (a future executor arrives with its own guard; the module name
+    is spelled in two halves so a repo-wide grep for it stays empty), and
+    no environment switch for the stack width anywhere under ``src/``."""
     src = REPO / "src" / "repro"
     pooled = [
         str(path.relative_to(REPO))
-        for pkg in ("core", "dft", "md", "multigrid")
-        for path in sorted((src / pkg).rglob("*.py"))
-        if "concurrent.futures" in path.read_text()
+        for path in sorted(src.rglob("*.py"))
+        if "concurrent" + ".futures" in path.read_text()
     ]
-    assert not pooled, f"thread/process pools in engine code: {pooled}"
+    assert not pooled, f"thread/process pools under src/: {pooled}"
     flagged = [
         str(path.relative_to(REPO))
         for path in sorted(src.rglob("*.py"))

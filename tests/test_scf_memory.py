@@ -379,10 +379,9 @@ def test_engine_cell_guard_drops_the_memory(h4_workspace):
 def test_cold_workspace_and_no_workspace_runs_use_a_fresh_mixer(
     h4_workspace, monkeypatch
 ):
-    """The first solve of a workspace, ``use_workspace=False`` and the
-    linear mixer are today's behaviour: same residuals as the old DIIS."""
+    """The first solve of a workspace, a run without one and the linear
+    mixer are today's behaviour: same residuals as the old DIIS."""
     cold = h4_workspace[1]
-    assert LDCEngine(use_workspace=False).workspace is None
     ins = Instrumentation()
     opts = LDCOptions(**H4_OPTS)
     # the one loop builds the fresh mixer, so that is where it is swapped
