@@ -1,8 +1,8 @@
 """BENCH-ANALYSIS — self-lint throughput of the repro.analysis framework.
 
-Times a full `python -m repro.analysis src/` pass (all seven RP checkers,
-including the interprocedural project pass, over the whole package) and
-reports per-file / per-KLOC throughput.  The self-lint
+Times a full `python -m repro.analysis src/` pass (all six file-scope RP
+checkers over the whole package) and reports per-file / per-KLOC
+throughput.  The self-lint
 is part of tier-1, so this pins how much wall-clock the gate costs.
 """
 
@@ -66,7 +66,7 @@ def test_self_lint_throughput(benchmark):
 
     # The gate must stay clean and cheap: tier-1 runs it on every push.
     assert not open_findings
-    assert nrules == 7
+    assert nrules == 6
     assert elapsed < 30.0
 
 

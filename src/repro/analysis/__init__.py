@@ -1,10 +1,10 @@
 """Physics-aware static analysis for the repro codebase (DESIGN.md §9).
 
-A small AST-visitor framework plus seven codebase-specific rules (RP001–
-RP006, RP008) covering the defect classes that silently corrupt large QMD
-runs: dtype upcasts in BLAS3 hot paths, undocumented in-place argument
-mutation, shared mutable state, hand-typed physical constants, SPMD
-collective mismatches, telemetry misuse, and SPMD nondeterminism.
+A small AST-visitor framework plus six codebase-specific, file-scope rules
+(RP001–RP004, RP006, RP008) covering the defect classes that silently
+corrupt large QMD runs: dtype upcasts in BLAS3 hot paths, undocumented
+in-place argument mutation, shared mutable state, hand-typed physical
+constants, telemetry misuse, and SPMD nondeterminism.
 
 Run it as ``python -m repro.analysis src/`` (CI does) or from code::
 

@@ -13,10 +13,6 @@ RP003     shared-mutable-state      mutable default args; lowercase
                                     module-level mutable literals
 RP004     raw-unit-literal          hand-typed copies of repro.constants
                                     values (any power of ten)
-RP005     collective-mismatch       rank-conditional collectives and
-                                    unmatched send/recv across helper
-                                    boundaries (interprocedural) —
-                                    SPMD deadlocks
 RP006     telemetry-hygiene         spans outside ``with``; instruments
                                     built off-registry
 RP008     spmd-nondeterminism       accumulation over unordered sets;
@@ -26,7 +22,6 @@ RP008     spmd-nondeterminism       accumulation over unordered sets;
 """
 
 from repro.analysis.checkers import (  # noqa: F401  (import = registration)
-    collectives,
     determinism,
     dtype,
     mutation,

@@ -51,10 +51,5 @@ def dotted_name(node: ast.expr) -> str:
     return ".".join(reversed(parts))
 
 
-def names_in(node: ast.AST) -> set[str]:
-    """All identifier names appearing anywhere under ``node``."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
 def docstring_of(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str:
     return ast.get_docstring(fn) or ""

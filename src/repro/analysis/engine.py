@@ -15,18 +15,8 @@ can audit them; only *unsuppressed* findings fail the run.
 Checkers register themselves with :func:`register`; the registry maps rule
 ids (``RP001``...) to checker classes, and :func:`run_paths` is the one
 entry point both the CLI (``python -m repro.analysis``) and the tier-1
-self-check test use.
-
-Two scopes of checker exist since the interprocedural upgrade:
-
-* ``scope = "file"`` (the default) — sees one :class:`FileContext`;
-* ``scope = "project"`` (:class:`ProjectChecker`) — runs once over a
-  :class:`~repro.analysis.project.ProjectIndex` of function summaries
-  spanning every analysed file, so rules like RP005 follow collectives
-  across helper-function boundaries.
-
-Files are analysed one after another on one thread, with no result cache
-(DESIGN.md §13 says why).
+self-check test use.  Every rule sees one file at a time; files are
+analysed one after another with no result cache (DESIGN.md §13 says why).
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 #: Matches the suppression comment — ``repro: noqa`` after a hash, with an
-#: optional ``[RP001,RP005]`` rule list (trailing text allowed as a
+#: optional ``[RP001,RP002]`` rule list (trailing text allowed as a
 #: human-readable justification).
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9,\s]+)\])?", re.IGNORECASE
@@ -135,9 +125,6 @@ class Checker:
     name: str = "unnamed"
     #: one-line description shown by ``--list-rules``
     description: str = ""
-    #: ``"file"`` (per-:class:`FileContext`) or ``"project"``
-    #: (once over the whole :class:`ProjectIndex`)
-    scope: str = "file"
     #: path substrings this checker skips (implementation modules whose
     #: internals are the thing the rule protects call-sites *from*)
     exempt_paths: tuple[str, ...] = ()
@@ -146,37 +133,7 @@ class Checker:
         norm = ctx.path.replace("\\", "/")
         return not any(part in norm for part in self.exempt_paths)
 
-    def applies_to_path(self, path: str) -> bool:
-        norm = path.replace("\\", "/")
-        return not any(part in norm for part in self.exempt_paths)
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-class ProjectChecker(Checker):
-    """A whole-project rule: sees the call-graph index, not one file.
-
-    Subclasses implement :meth:`check_project`; :meth:`finding` applies the
-    per-line suppression map the index carries for each file.
-    """
-
-    scope = "project"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
-        return iter(())
-
-    def finding(
-        self, index, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        rules = index.noqa.get(path, {}).get(line, set())
-        suppressed = "*" in rules or self.rule in rules
-        return Finding(
-            rule=self.rule, message=message, path=path,
-            line=line, col=col, suppressed=suppressed,
-        )
-
-    def check_project(self, index) -> Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -213,38 +170,10 @@ def iter_python_files(paths: Sequence[str | pathlib.Path]) -> Iterator[pathlib.P
             yield p
 
 
-def _split_scopes(
-    checkers: Iterable[Checker],
-) -> tuple[list[Checker], list[ProjectChecker]]:
-    file_scope: list[Checker] = []
-    project_scope: list[ProjectChecker] = []
-    for c in checkers:
-        if c.scope == "project":
-            project_scope.append(c)  # type: ignore[arg-type]
-        else:
-            file_scope.append(c)
-    return file_scope, project_scope
-
-
-@dataclass
-class FileResult:
-    """Per-file analysis product: findings, summaries, suppression map."""
-
-    path: str
-    findings: list[Finding]
-    summaries: list  # list[FunctionSummary]
-    noqa: dict[int, set[str]]
-
-
 def _analyse_one(
-    path: str,
-    source: str | None,
-    file_checkers: list[Checker],
-    need_summaries: bool,
-) -> FileResult:
-    """Parse + file-scope checks + (optionally) function summaries."""
-    from repro.analysis.project import summarize_file
-
+    path: str, source: str | None, checkers: list[Checker]
+) -> tuple[list[Finding], dict[int, set[str]]]:
+    """Parse + check one file: its findings and its suppression map."""
     if source is None:
         source = pathlib.Path(path).read_text()
     try:
@@ -257,32 +186,12 @@ def _analyse_one(
             line=exc.lineno or 1,
             col=exc.offset or 0,
         )
-        return FileResult(path, [finding], [], {})
+        return [finding], {}
     findings: list[Finding] = []
-    for checker in file_checkers:
+    for checker in checkers:
         if checker.applies_to(ctx):
             findings.extend(checker.check(ctx))
-    summaries = summarize_file(ctx) if need_summaries else []
-    return FileResult(path, findings, summaries, ctx.noqa)
-
-
-def _run_project_checkers(
-    project_checkers: list[ProjectChecker], results: list[FileResult]
-) -> list[Finding]:
-    from repro.analysis.project import build_index
-
-    if not project_checkers:
-        return []
-    index = build_index(
-        (r.path, r.summaries, r.noqa) for r in results
-    )
-    findings: list[Finding] = []
-    for checker in project_checkers:
-        findings.extend(
-            f for f in checker.check_project(index)
-            if checker.applies_to_path(f.path)
-        )
-    return findings
+    return findings, ctx.noqa
 
 
 def check_file(
@@ -290,17 +199,9 @@ def check_file(
     checkers: Iterable[Checker] | None = None,
     source: str | None = None,
 ) -> list[Finding]:
-    """Run checkers over one file; parse failures become RP000 findings.
-
-    Project-scope checkers see a single-file project — interprocedural
-    reasoning still applies *within* the file.
-    """
-    path = str(path)
+    """Run checkers over one file; parse failures become RP000 findings."""
     suite = list(checkers) if checkers is not None else all_checkers()
-    file_checkers, project_checkers = _split_scopes(suite)
-    result = _analyse_one(path, source, file_checkers, bool(project_checkers))
-    findings = list(result.findings)
-    findings.extend(_run_project_checkers(project_checkers, [result]))
+    findings, _ = _analyse_one(str(path), source, suite)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -309,8 +210,8 @@ def check_file(
 class RunResult:
     """Everything one :func:`run_paths` pass produced.
 
-    ``findings`` is the combined, sorted stream (file + project scope);
-    ``noqa_by_file`` feeds the stale-suppression audit.
+    ``findings`` is the sorted stream over every file; ``noqa_by_file``
+    feeds the stale-suppression audit.
     """
 
     findings: list[Finding]
@@ -343,21 +244,13 @@ def run_paths_full(
     if ignore:
         dropped = {r.upper() for r in ignore}
         checkers = [c for c in checkers if c.rule not in dropped]
-    file_checkers, project_checkers = _split_scopes(checkers)
-    # Summaries are only needed when a project checker will run.
-    results = [
-        _analyse_one(str(p), None, file_checkers, bool(project_checkers))
-        for p in iter_python_files(paths)
-    ]
-    findings: list[Finding] = []
-    for r in results:
-        findings.extend(r.findings)
-    findings.extend(_run_project_checkers(project_checkers, results))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return RunResult(
-        findings=findings,
-        noqa_by_file={r.path: r.noqa for r in results},
-    )
+    run = RunResult(findings=[])
+    for p in iter_python_files(paths):
+        findings, noqa = _analyse_one(str(p), None, checkers)
+        run.findings.extend(findings)
+        run.noqa_by_file[str(p)] = noqa
+    run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return run
 
 
 def unsuppressed(findings: Iterable[Finding]) -> list[Finding]:

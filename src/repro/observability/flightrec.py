@@ -22,13 +22,13 @@ A crash-time file may by construction end mid-record;
 The recorder is wired automatically by
 :class:`~repro.observability.runlog.RunRecorder`; it can also be used
 standalone (``bus.subscribe(flight)``) with an explicit ``dump_dir``.
+Single-threaded by contract: the recorder holds no lock.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import threading
 from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Any
 
@@ -56,7 +56,7 @@ class FlightRecorder:
         :meth:`dump` a no-op returning ``None``.
     tracer:
         Optional :class:`~repro.observability.tracer.SpanTracer` whose
-        open-span stacks are included in dumps.
+        open-span stack is included in dumps.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class FlightRecorder:
         self.metrics_keep = metrics_keep
         self.dump_dir = dump_dir
         self.tracer = tracer
-        self._lock = threading.Lock()
         self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._metrics: OrderedDict[str, dict[str, Any]] = OrderedDict()
         #: total events observed (>= len(ring) once the ring wraps)
@@ -85,21 +84,20 @@ class FlightRecorder:
     def __call__(self, event: dict[str, Any]) -> None:
         """Record one bus event; a FAIL health verdict triggers a dump."""
         topic = event.get("topic")
-        with self._lock:
-            self.seen += 1
-            self._events.append(event)
-            if topic == "metric":
-                data = event.get("data", {})
-                key = str(data.get("key"))
-                self._metrics[key] = {
-                    "key": key,
-                    "value": data.get("value"),
-                    "seq": event.get("seq"),
-                    "time": event.get("time"),
-                }
-                self._metrics.move_to_end(key)
-                while len(self._metrics) > self.metrics_keep:
-                    self._metrics.popitem(last=False)
+        self.seen += 1
+        self._events.append(event)
+        if topic == "metric":
+            data = event.get("data", {})
+            key = str(data.get("key"))
+            self._metrics[key] = {
+                "key": key,
+                "value": data.get("value"),
+                "seq": event.get("seq"),
+                "time": event.get("time"),
+            }
+            self._metrics.move_to_end(key)
+            while len(self._metrics) > self.metrics_keep:
+                self._metrics.popitem(last=False)
         if (
             topic == "health"
             and event.get("data", {}).get("status") == "fail"
@@ -111,18 +109,15 @@ class FlightRecorder:
     @property
     def overflowed(self) -> int:
         """Events evicted from the ring since creation."""
-        with self._lock:
-            return max(0, self.seen - len(self._events))
+        return max(0, self.seen - len(self._events))
 
     def events(self) -> list[dict[str, Any]]:
         """Ring contents, oldest first."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def recent_metrics(self) -> list[dict[str, Any]]:
         """Latest sample per metric key, least-recently-sampled first."""
-        with self._lock:
-            return list(self._metrics.values())
+        return list(self._metrics.values())
 
     # -- the post-mortem dump -------------------------------------------------
 
@@ -138,21 +133,17 @@ class FlightRecorder:
                 return None
             path = pathlib.Path(self.dump_dir) / BLACKBOX_NAME
         path = pathlib.Path(path)
-        with self._lock:
-            events = list(self._events)
-            metrics = list(self._metrics.values())
-            seen = self.seen
         records: list[dict[str, Any]] = [
             {
                 "record": "dump",
                 "reason": reason,
-                "seen": seen,
-                "retained": len(events),
-                "overflowed": max(0, seen - len(events)),
+                "seen": self.seen,
+                "retained": len(self._events),
+                "overflowed": self.overflowed,
                 "trigger": trigger,
             }
         ]
-        records.extend({"record": "event", **e} for e in events)
+        records.extend({"record": "event", **e} for e in self._events)
         if self.tracer is not None:
             for s in self.tracer.open_spans():
                 records.append(
@@ -162,11 +153,10 @@ class FlightRecorder:
                         "path": s.path,
                         "category": s.category,
                         "t_start": s.t_start,
-                        "thread_id": s.thread_id,
                         "attrs": s.attrs,
                     }
                 )
-        records.extend({"record": "metric", **m} for m in metrics)
+        records.extend({"record": "metric", **m} for m in self._metrics.values())
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a") as fh:
             for rec in records:

@@ -16,14 +16,13 @@ Four instrument kinds:
   multigrid V-cycle residual norms.
 
 ``snapshot()`` returns a plain dict; ``to_json``/``to_csv`` serialize it.
-The registry is thread-safe.
+Single-threaded by contract: the registry holds no lock.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import threading
 from typing import Any, Callable
 
 
@@ -155,7 +154,6 @@ class MetricsRegistry:
               "histogram": Histogram, "series": Series}
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
         #: sample listeners, called as ``listener(instrument, value)`` on
         #: every inc/set/observe/append — the telemetry-bus wire-up
@@ -163,10 +161,9 @@ class MetricsRegistry:
 
     def add_listener(self, listener) -> None:
         """Attach a per-sample listener to every current/future instrument."""
-        with self._lock:
-            self._listeners.append(listener)
-            for inst in self._instruments.values():
-                inst._notify = self._dispatch
+        self._listeners.append(listener)
+        for inst in self._instruments.values():
+            inst._notify = self._dispatch
 
     def _dispatch(self, instrument: _Instrument, value: float) -> None:
         for listener in self._listeners:
@@ -188,35 +185,30 @@ class MetricsRegistry:
 
     def _get(self, kind: str, name: str, labels: dict[str, Any]):
         key = format_key(name, labels)
-        with self._lock:
-            inst = self._instruments.get(key)
-            if inst is None:
-                inst = self._kinds[kind](name, labels)
-                if self._listeners:
-                    inst._notify = self._dispatch
-                self._instruments[key] = inst
-            elif inst.kind != kind:
-                raise TypeError(
-                    f"{key} already registered as {inst.kind}, not {kind}"
-                )
-            return inst
+        inst = self._instruments.get(key)
+        if inst is None:
+            inst = self._kinds[kind](name, labels)
+            if self._listeners:
+                inst._notify = self._dispatch
+            self._instruments[key] = inst
+        elif inst.kind != kind:
+            raise TypeError(
+                f"{key} already registered as {inst.kind}, not {kind}"
+            )
+        return inst
 
     # -- queries / export ----------------------------------------------------
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._instruments)
+        return sorted(self._instruments)
 
     def get(self, name: str, **labels: Any) -> _Instrument | None:
         """Look up an instrument without creating it."""
-        with self._lock:
-            return self._instruments.get(format_key(name, labels))
+        return self._instruments.get(format_key(name, labels))
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
-        with self._lock:
-            items = list(self._instruments.items())
         out: dict[str, dict[str, Any]] = {}
-        for key, inst in sorted(items):
+        for key, inst in sorted(self._instruments.items()):
             rec = inst.snapshot()
             rec["name"] = inst.name
             rec["labels"] = dict(inst.labels)

@@ -17,18 +17,17 @@ Events are plain dicts::
 * **subscribers** are callables receiving the event dict; a subscription
   can filter by exact topic or by a ``"prefix.*"`` glob;
 * **:class:`JsonlSink`** appends one JSON line per event to a file — the
-  durable form a service process can tail — and is safe under concurrent
-  publishing from several threads.
+  durable form a service process can tail.
 
 Subscriber errors are contained: a raising subscriber is dropped after its
 first failure (recorded on :attr:`TelemetryBus.dropped`), so telemetry can
-never take down the simulation it observes.
+never take down the simulation it observes.  Single-threaded by contract:
+neither the bus nor the sink holds a lock.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Callable, Iterable
 
 from repro.util.timer import WallClock
@@ -64,7 +63,6 @@ class TelemetryBus:
 
     def __init__(self, clock: WallClock | None = None) -> None:
         self._clock = clock or WallClock()
-        self._lock = threading.Lock()
         self._subs: list[Subscription] = []
         self._seq = 0
         self.published = 0
@@ -84,34 +82,30 @@ class TelemetryBus:
         sub = Subscription(
             callback, None if topics is None else tuple(topics)
         )
-        with self._lock:
-            self._subs.append(sub)
+        self._subs.append(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
         sub.active = False
-        with self._lock:
-            self._subs = [s for s in self._subs if s is not sub]
+        self._subs = [s for s in self._subs if s is not sub]
 
     def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subs)
+        return len(self._subs)
 
     # -- publishing ------------------------------------------------------------
 
     def publish(self, topic: str, **data: Any) -> dict[str, Any]:
         """Fan one event out to every matching subscriber."""
-        with self._lock:
-            self._seq += 1
-            event = {
-                "topic": topic,
-                "seq": self._seq,
-                "time": self._clock.now(),
-                "data": data,
-            }
-            subs = list(self._subs)
-            self.published += 1
-        for sub in subs:
+        self._seq += 1
+        event = {
+            "topic": topic,
+            "seq": self._seq,
+            "time": self._clock.now(),
+            "data": data,
+        }
+        self.published += 1
+        # a copy: a subscriber may (un)subscribe while the event fans out
+        for sub in list(self._subs):
             if not sub.active or not sub.matches(topic):
                 continue
             try:
@@ -123,9 +117,7 @@ class TelemetryBus:
 
     def close(self) -> None:
         """Close closable subscribers (e.g. :class:`JsonlSink`) and detach all."""
-        with self._lock:
-            subs = list(self._subs)
-            self._subs = []
+        subs, self._subs = self._subs, []
         for sub in subs:
             sub.active = False
             closer = getattr(sub.callback, "close", None)
@@ -134,35 +126,27 @@ class TelemetryBus:
 
 
 class JsonlSink:
-    """Append-only JSONL file subscriber (one event per line).
-
-    Thread-safe: concurrent publishers write whole lines under a lock, so
-    the file is always a valid JSONL stream.
-    """
+    """Append-only JSONL file subscriber (one event per line); events that
+    arrive after :meth:`close` are ignored."""
 
     def __init__(self, path) -> None:
         self.path = path
-        self._lock = threading.Lock()
         self._fh = open(path, "a")
         self.lines_written = 0
 
     def __call__(self, event: dict[str, Any]) -> None:
+        if self._fh.closed:
+            return
         line = json.dumps(event, sort_keys=True, default=_stringify)
-        with self._lock:
-            if self._fh.closed:
-                return
-            self._fh.write(line + "\n")
-            self.lines_written += 1
+        self._fh.write(line + "\n")
+        self.lines_written += 1
 
     def flush(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
+        if not self._fh.closed:
+            self._fh.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self._fh.close()
 
 
 def attach_jsonl(bus: TelemetryBus, path, topics=None) -> JsonlSink:

@@ -1,8 +1,8 @@
 """Structured span tracing.
 
 A *span* is a named wall-clock interval with attributes.  Spans nest: the
-tracer keeps a per-thread stack of open spans, so a span opened inside
-another records the enclosing span as its parent and its full ``/``-joined
+tracer keeps one stack of open spans, so a span opened inside another
+records the enclosing span as its parent and its full ``/``-joined
 path (``scf.run/scf.iteration/scf.eigensolve``).  Timestamps come from the
 injectable :class:`~repro.util.timer.WallClock`, so tests can drive a fake
 clock deterministically.
@@ -14,14 +14,13 @@ Export targets:
   object format (complete ``"X"`` events, microsecond units) that loads
   directly in ``chrome://tracing`` and Perfetto.
 
-The tracer is thread-safe: concurrent threads record into per-thread stacks
-and append finished spans under a lock.
+Single-threaded by contract: the engine runs on one thread, so the tracer
+holds no lock and no per-thread state.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -42,7 +41,6 @@ class Span:
     t_end: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
     path: str = ""
-    thread_id: int = 0
     category: str = ""
 
     @property
@@ -62,17 +60,12 @@ class SpanTracer:
 
     def __init__(self, clock: WallClock | None = None) -> None:
         self._clock = clock or WallClock()
-        self._lock = threading.Lock()
-        self._local = threading.local()
         self._finished: list[Span] = []
         #: callables receiving each span as it finishes (telemetry-bus
         #: wire-up); empty by default, so closing a span costs one truth test
         self._listeners: list = []
-        #: per-thread open-span stacks, keyed by thread id — the same list
-        #: objects the thread-locals hold, registered here so the flight
-        #: recorder and the sampling profiler can snapshot *other* threads'
-        #: open spans (reads are GIL-atomic list copies, never mutations)
-        self._open_stacks: dict[int, list[Span]] = {}
+        #: the open spans, outermost first
+        self._stack: list[Span] = []
 
     def add_listener(self, listener) -> None:
         """Register a callable invoked with every finished :class:`Span`."""
@@ -99,11 +92,9 @@ class SpanTracer:
             t_end=now,
             attrs=dict(attrs),
             path=self._path_for(name),
-            thread_id=threading.get_ident(),
             category=category,
         )
-        with self._lock:
-            self._finished.append(span)
+        self._finished.append(span)
         if self._listeners:
             for listener in self._listeners:
                 listener(span)
@@ -116,12 +107,10 @@ class SpanTracer:
     # -- queries ------------------------------------------------------------
 
     def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._finished)
+        return list(self._finished)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._finished)
+        return len(self._finished)
 
     def total(self, name: str) -> float:
         """Total inclusive seconds over spans whose name or path matches."""
@@ -136,16 +125,12 @@ class SpanTracer:
         return sorted({s.name for s in self.spans()})
 
     def open_spans(self) -> list[Span]:
-        """Snapshot of currently *open* spans across all threads.
+        """Snapshot of the currently *open* spans, outermost first.
 
         The crash-time context the flight recorder dumps: which phases were
-        in flight when the run died.  Thread ids may be recycled by the OS
-        after a thread exits; a dead thread's (empty) stack is harmless.
+        in flight when the run died.
         """
-        out: list[Span] = []
-        for stack in list(self._open_stacks.values()):
-            out.extend(stack[:])
-        return out
+        return list(self._stack)
 
     def spans_table(self) -> list[dict[str, Any]]:
         """Flat table: one dict per finished span, JSON-serializable."""
@@ -157,7 +142,6 @@ class SpanTracer:
                 "t_start": s.t_start,
                 "t_end": s.t_end,
                 "duration": s.duration,
-                "thread_id": s.thread_id,
                 "attrs": s.attrs,
             }
             for s in self.spans()
@@ -179,7 +163,7 @@ class SpanTracer:
                     "ts": s.t_start * 1e6,
                     "dur": s.duration * 1e6,
                     "pid": pid,
-                    "tid": s.thread_id % 2**31,
+                    "tid": 0,
                     "args": _json_safe(s.attrs),
                 }
             )
@@ -197,17 +181,9 @@ class SpanTracer:
 
     # -- internals -----------------------------------------------------------
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-            self._open_stacks[threading.get_ident()] = stack
-        return stack
-
     def _path_for(self, name: str) -> str:
-        stack = self._stack()
-        if stack:
-            return f"{stack[-1].path}/{name}"
+        if self._stack:
+            return f"{self._stack[-1].path}/{name}"
         return name
 
     def _enter(self, name: str, category: str, attrs: dict[str, Any]) -> Span:
@@ -216,21 +192,19 @@ class SpanTracer:
             t_start=self._clock.now(),
             attrs=dict(attrs),
             path=self._path_for(name),
-            thread_id=threading.get_ident(),
             category=category,
         )
-        self._stack().append(span)
+        self._stack.append(span)
         return span
 
     def _exit(self, span: Span) -> None:
         span.t_end = self._clock.now()
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:  # tolerate out-of-order exits
             stack.remove(span)
-        with self._lock:
-            self._finished.append(span)
+        self._finished.append(span)
         if self._listeners:
             for listener in self._listeners:
                 listener(span)

@@ -111,14 +111,13 @@ OFF = Observer()
 def env_numerics() -> NumericsSanitizer | None:
     """The numerics sanitizer ``REPRO_SANITIZE`` asks for, resolved once per
     process (changing the variable after the first solve has no effect); a
-    malformed spec is :meth:`repro.sanitize.Sanitizers.from_spec`'s error."""
+    malformed spec is :func:`repro.sanitize.from_spec`'s error."""
     spec = os.environ.get("REPRO_SANITIZE", "").strip()
     if not spec:
         return None
-    from repro.sanitize import Sanitizers  # only when the variable is set
+    from repro.sanitize import from_spec  # only when the variable is set
 
-    bundle = Sanitizers.from_spec(spec)
-    return None if bundle is None else bundle.numerics
+    return from_spec(spec)
 
 
 def observer(instrumentation: Observer | None) -> Observer:

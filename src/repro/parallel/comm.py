@@ -14,6 +14,7 @@ Sec. 3.3 (one dedicated communicator per DC domain).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -83,15 +84,12 @@ class VirtualComm:
         sub-communicator from :meth:`split` — charges is profiled with its
         wait/transfer decomposition.  ``None`` (the default) keeps the
         charge path observer-free.
-    sanitizer:
-        Optional collective-schedule sanitizer (in practice a
-        :class:`repro.sanitize.collective.CollectiveScheduleSanitizer`)
-        consulted *before* each collective executes: it validates roots
-        and payload congruence and keeps a schedule ledger, raising a
-        diagnosis instead of letting a malformed collective produce a
-        silently wrong answer.  Propagated to sub-communicators from
-        :meth:`split`.  ``None`` (the default) keeps every collective
-        sanitizer-free — not a single extra call.
+
+    Every collective validates its inputs before it moves data and raises
+    ``ValueError`` where real MPI would abort: one value per rank, a
+    ``root`` in ``[0, size)`` (Python indexing would make ``root=-1``
+    "work"), and, for ``reduce``/``allreduce``, ndarray payloads of one
+    shape (``np.add`` would broadcast them into a wrong answer).
     """
 
     def __init__(
@@ -102,7 +100,6 @@ class VirtualComm:
         world_ranks: Sequence[int] | None = None,
         name: str = "world",
         profiler=None,
-        sanitizer=None,
     ) -> None:
         if size < 1:
             raise ValueError("communicator size must be >= 1")
@@ -116,7 +113,6 @@ class VirtualComm:
             raise ValueError("world_ranks length must equal size")
         self.name = name
         self.profiler = profiler
-        self.sanitizer = sanitizer
         if profiler is not None and tracker is not None:
             tracker.profiler = profiler
 
@@ -127,6 +123,31 @@ class VirtualComm:
             raise ValueError(
                 f"{self.name}: expected one value per rank "
                 f"({self.size}), got {len(values)}"
+            )
+
+    def _validate_root(self, kind: str, root: int) -> None:
+        if not 0 <= root < self.size:
+            raise ValueError(
+                f"{self.name}: {kind} root={root} is outside [0, {self.size})"
+            )
+
+    def _validate_congruent(self, kind: str, values: Sequence[Any]) -> None:
+        """ndarray payloads of one shape; scalars only with scalars."""
+        if not any(isinstance(v, np.ndarray) for v in values):
+            return
+        sigs = [
+            v.shape if isinstance(v, np.ndarray) else type(v).__name__
+            for v in values
+        ]
+        common = Counter(sigs).most_common(1)[0][0]
+        odd = ", ".join(
+            f"rank {r} holds {sig}" for r, sig in enumerate(sigs)
+            if sig != common
+        )
+        if odd:
+            raise ValueError(
+                f"{self.name}: {kind} over incongruent payloads — most "
+                f"ranks hold {common} but {odd}"
             )
 
     def _charge(self, seconds: float, nbytes: float, label: str) -> None:
@@ -155,15 +176,12 @@ class VirtualComm:
     # -- collectives -----------------------------------------------------------
 
     def barrier(self) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "barrier", None, None)
         self._charge(self._collective_time(8.0), 0.0, "barrier")
 
     def bcast(self, values: Sequence[Any], root: int = 0) -> list[Any]:
         """Every rank receives the root's value."""
         self._validate(values)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "bcast", root, values)
+        self._validate_root("bcast", root)
         payload = values[root]
         nbytes = _nbytes(payload)
         t = (
@@ -182,8 +200,8 @@ class VirtualComm:
     ) -> list[Any]:
         """Root holds the reduction; other ranks hold ``None``."""
         self._validate(values)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "reduce", root, values)
+        self._validate_root("reduce", root)
+        self._validate_congruent("reduce", values)
         acc = values[0]
         for v in values[1:]:
             acc = op(acc, v)
@@ -196,8 +214,7 @@ class VirtualComm:
         self, values: Sequence[Any], op: Callable[[Any, Any], Any] = np.add
     ) -> list[Any]:
         self._validate(values)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "allreduce", None, values)
+        self._validate_congruent("allreduce", values)
         acc = values[0]
         for v in values[1:]:
             acc = op(acc, v)
@@ -207,8 +224,7 @@ class VirtualComm:
 
     def gather(self, values: Sequence[Any], root: int = 0) -> list[Any]:
         self._validate(values)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "gather", root, values)
+        self._validate_root("gather", root)
         nbytes = sum(_nbytes(v) for v in values)
         t = self._collective_time(nbytes / max(self.size, 1))
         self._charge(t, nbytes, "gather")
@@ -216,8 +232,6 @@ class VirtualComm:
 
     def allgather(self, values: Sequence[Any]) -> list[list[Any]]:
         self._validate(values)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "allgather", None, values)
         nbytes = sum(_nbytes(v) for v in values)
         self._charge(self._collective_time(nbytes), nbytes * self.size, "allgather")
         return [list(values) for _ in range(self.size)]
@@ -226,8 +240,7 @@ class VirtualComm:
         """Root's list of ``size`` chunks is distributed, one per rank."""
         if len(chunks) != self.size:
             raise ValueError("scatter needs one chunk per rank")
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "scatter", root, chunks)
+        self._validate_root("scatter", root)
         nbytes = sum(_nbytes(c) for c in chunks)
         t = self._collective_time(nbytes / max(self.size, 1))
         self._charge(t, nbytes, "scatter")
@@ -242,8 +255,6 @@ class VirtualComm:
         for row in matrix:
             if len(row) != self.size:
                 raise ValueError("alltoall needs a square value matrix")
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "alltoall", None, matrix)
         per_pair = _nbytes(matrix[0][0])
         t = (
             self.topology.alltoall_time(per_pair, self.size)
@@ -266,8 +277,6 @@ class VirtualComm:
         original rank order).
         """
         self._validate(colors)
-        if self.sanitizer is not None:
-            self.sanitizer.record(self, "split", None, colors)
         if keys is None:
             keys = list(range(self.size))
         groups: dict[int, list[int]] = {}
@@ -283,7 +292,6 @@ class VirtualComm:
                 world_ranks=[self.world_ranks[m] for m in members],
                 name=f"{self.name}/color{color}",
                 profiler=self.profiler,
-                sanitizer=self.sanitizer,
             )
         self._charge(0.0, 0.0, "comm_split")
         return [comms[colors[r]] for r in range(self.size)]

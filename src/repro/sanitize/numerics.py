@@ -20,10 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.sanitize.collective import SanitizerError
 
-
-class NumericsError(SanitizerError):
+class NumericsError(RuntimeError):
     """A checked array carried NaN/Inf or silently lost precision."""
 
 

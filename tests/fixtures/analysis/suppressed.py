@@ -10,6 +10,5 @@ def to_ev(e):
     return e * 27.211386245988  # repro: noqa[RP004] pinned for the doc example
 
 
-def mixed(comm, rank, x):
-    if rank == 0:  # repro: noqa this line is fully exempt
-        comm.bcast([x] * comm.size)
+def remember(x, seen=[]):  # repro: noqa the shared default is the point here
+    return seen + [x]

@@ -1,8 +1,4 @@
-"""Interprocedural RP005, the RP008 rule, and the stale-suppression audit.
-
-The first test pins the interprocedural pass: a rank-conditional that
-reaches a collective only through helpers is flagged.
-"""
+"""The RP008 rule and the stale-suppression audit."""
 
 from __future__ import annotations
 
@@ -12,44 +8,6 @@ from repro.analysis import check_file, unsuppressed
 from repro.analysis.engine import run_paths_full, unused_suppressions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
-INTERPROC = FIXTURES / "bad_rp005_interproc.py"
-
-
-def rp005_rank_findings(findings):
-    return [
-        f for f in unsuppressed(findings)
-        if f.rule == "RP005" and "rank-conditional" in f.message
-    ]
-
-
-# -- collectives reached through helpers ------------------------------------
-
-
-def test_interprocedural_mode_catches_cross_function_collective():
-    findings = rp005_rank_findings(check_file(INTERPROC))
-    # reduce_energy (one helper deep) and reduce_energy_deep (two deep)
-    assert sorted(f.line for f in findings) == [23, 37]
-    by_line = {f.line: f.message for f in findings}
-    assert "'reduce_energy'" in by_line[23]
-    assert "allreduce" in by_line[23]
-    assert "reached through helper(s) 'do_sum'" in by_line[23]
-    assert "'reduce_energy_deep'" in by_line[37]
-    assert "'deep_reduce'" in by_line[37]
-
-
-def test_interprocedural_p2p_reports_roots_only():
-    findings = [
-        f for f in unsuppressed(check_file(INTERPROC))
-        if f.rule == "RP005" and "point-to-point" in f.message
-    ]
-    # paired_exchange balances over its call tree; send_half/recv_half are
-    # non-roots; only unbalanced_root (2 sends vs 1 recv) is reported.
-    assert len(findings) == 1
-    msg = findings[0].message
-    assert "'unbalanced_root'" in msg
-    assert "2 send(s) vs 1 recv(s)" in msg
-    assert "over its call tree" in msg
-    assert all("'paired_exchange'" not in f.message for f in findings)
 
 
 # -- RP008 fixture coverage -------------------------------------------------

@@ -2,9 +2,9 @@
 
 This is the contract the CI ``analysis`` job enforces; keeping it in the
 test suite means a PR cannot reintroduce a dtype upcast, an undocumented
-argument mutation, shared mutable state, a hand-typed constant, an SPMD
-collective mismatch, or a leaked span without either fixing it or leaving
-an auditable ``# repro: noqa[RULE]`` justification.
+argument mutation, shared mutable state, a hand-typed constant, a leaked
+span or an unseeded RNG without either fixing it or leaving an auditable
+``# repro: noqa[RULE]`` justification.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ SRC = REPO / "src" / "repro"
 def test_all_rules_registered():
     rules = {c.rule for c in all_checkers()}
     assert rules == {
-        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP008",
+        "RP001", "RP002", "RP003", "RP004", "RP006", "RP008",
     }
 
 

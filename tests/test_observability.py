@@ -2,7 +2,6 @@
 
 import json
 import logging
-import threading
 
 import pytest
 
@@ -80,32 +79,6 @@ def test_record_complete_and_totals():
     assert tracer.total("io") == 3.0
     assert tracer.count("io") == 2
     assert tracer.names() == ["io"]
-
-
-def test_tracer_thread_safety_and_per_thread_stacks():
-    tracer = SpanTracer()
-    errors = []
-
-    def worker(tag):
-        try:
-            for _ in range(50):
-                with tracer.span(f"w{tag}"):
-                    with tracer.span("child"):
-                        pass
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(tracer) == 4 * 50 * 2
-    # children must be parented to their own thread's span
-    for s in tracer.spans():
-        if s.name == "child":
-            assert s.path.startswith("w") and s.path.endswith("/child")
 
 
 def test_chrome_trace_export_is_valid_and_microseconds():

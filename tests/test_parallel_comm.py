@@ -193,3 +193,26 @@ def test_reduce_none_entries_cost_nothing():
     reduced = comm.reduce([1.0, 2.0, 3.0, 4.0], root=2)
     assert reduced == [None, None, 10.0, None]
     assert _nbytes(reduced) == 8.0
+
+
+@pytest.mark.parametrize("kind", ["bcast", "reduce", "gather", "scatter",
+                                  "allreduce"])
+def test_collectives_reject_bad_roots_and_incongruent_payloads(kind):
+    """A negative root 'works' through Python indexing and ``np.add``
+    broadcasts mismatched shapes: both are a ValueError up front, on the
+    world communicator and on a sub-communicator from ``split``."""
+    world = VirtualComm(8)
+    comm = world.split([0] * 4 + [1] * 4)[0]
+    for c in (world, comm):
+        call = getattr(c, kind)
+        if kind != "allreduce":
+            for root in (-1, c.size):
+                with pytest.raises(ValueError, match=f"root={root}"):
+                    call([1.0] * c.size, root=root)
+        if kind in ("reduce", "allreduce"):
+            values = [np.zeros(4)] * (c.size - 2) + [np.zeros(4),
+                                                    np.zeros((2, 2))]
+            with pytest.raises(ValueError, match=rf"rank {c.size - 1} holds \(2, 2\)"):
+                call(values)
+            mixed = [1.0, np.float64(2.0), 3, 4.0] * (c.size // 4)
+            assert call(mixed)[0] == sum(mixed)

@@ -29,7 +29,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 142_771
+DESIGN_MAX_BYTES = 140_586
 
 
 def test_design_document_does_not_grow():
@@ -123,6 +123,26 @@ def test_engine_has_no_thread_pool_and_no_batching_flag():
         if "REPRO_BATCH_" + "DOMAINS" in path.read_text()
     ]
     assert not flagged, f"stack-width environment flag read in: {flagged}"
+
+
+def test_src_is_single_threaded_by_contract():
+    """No module under ``src/repro`` imports the stdlib thread module: the
+    tracer, registry, bus, sink and flight recorder hold no lock, and no
+    SPMD emulation runs a thread per rank (the module name is spelled in
+    two halves, as above; ``repro.perfmodel.threading`` is a model, not an
+    import of it)."""
+    import ast
+
+    banned = "thread" + "ing"
+    threaded = sorted({
+        rel for rel, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == banned for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == banned)
+    })
+    assert not threaded, f"thread imports under src/repro: {threaded}"
 
 
 # -- one SCF fixed-point loop ---------------------------------------------------

@@ -1,7 +1,6 @@
 """Telemetry bus: pub/sub semantics, JSONL sink, facade wiring."""
 
 import json
-import threading
 
 import pytest
 
@@ -106,33 +105,27 @@ def test_jsonl_sink_numpy_payloads_serialize(tmp_path):
     assert event["data"] == {"x": 2.5, "n": 3}
 
 
-def test_concurrent_publishing_keeps_jsonl_valid(tmp_path):
-    """Concurrent publishers on several threads: every line parses, nothing
-    is torn or lost, and sequence numbers are unique."""
-    path = tmp_path / "concurrent.jsonl"
+def test_span_paths_and_bus_seq_through_the_jsonl_sink(tmp_path):
+    """One thread, by contract: nested spans keep their ``/`` paths, the
+    open-span stack unwinds, and every event reaches the sink once, with
+    ``seq`` counting 1, 2, 3, ... in publish order."""
+    path = tmp_path / "sequential.jsonl"
     bus = TelemetryBus()
     attach_jsonl(bus, path)
-    nthreads, per_thread = 8, 50
-
-    def worker(tid):
-        for i in range(per_thread):
-            bus.publish("worker.sample", tid=tid, i=i)
-
-    threads = [
-        threading.Thread(target=worker, args=(t,)) for t in range(nthreads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    ins = Instrumentation(stream=bus)
+    for _ in range(3):
+        with ins.span("qmd.step"):
+            with ins.span("ldc.run"):
+                assert [s.path for s in ins.tracer.open_spans()] == [
+                    "qmd.step", "qmd.step/ldc.run",
+                ]
+                ins.counter("scf.iterations").inc()
+    assert ins.tracer.open_spans() == []
     bus.close()
     events = read_jsonl(path)
-    assert len(events) == nthreads * per_thread
-    seqs = {e["seq"] for e in events}
-    assert len(seqs) == nthreads * per_thread
-    # every (tid, i) pair arrived exactly once
-    pairs = {(e["data"]["tid"], e["data"]["i"]) for e in events}
-    assert len(pairs) == nthreads * per_thread
+    assert [e["seq"] for e in events] == list(range(1, 10))
+    spans = [e["data"]["path"] for e in events if e["topic"] == "span"]
+    assert spans == ["qmd.step/ldc.run", "qmd.step"] * 3
 
 
 def test_facade_publishes_spans_metrics_and_health():
