@@ -377,8 +377,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             "events_charged": _EXACT,
             # host wall-clock: ledgered for the record, never gated
             "t_unprofiled_s": _TIMING,
-            "t_profiled_s": _TIMING,
-            "overhead_pct": _TIMING,
         },
     ),
     "sanitize_overhead": _metric_schema(

@@ -5,7 +5,8 @@
 * sharp vs smooth partition of unity.
 
 The ξ sweep documents an honest finding of this reproduction: with the
-artifact-free restricted global potential (``vion="global"``), the domain
+artifact-free restricted global ionic potential (the only one the engine
+builds), the domain
 error is wave-function confinement, which a local boundary *potential*
 cannot remove — DC and LDC perform at parity here (EXPERIMENTS.md §EXP-F7).
 """

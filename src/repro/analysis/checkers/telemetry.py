@@ -28,17 +28,10 @@ are registered on a monitor with thresholds from a config object.
   ``*Options(...)`` constructions are the sanctioned home and are not
   flagged.
 * **Direct virtual-clock mutation.**  Writing ``tracker.clocks[...] = ...``
-  (or ``+=``) bypasses the charge methods, so the event log, the attached
-  :class:`~repro.observability.comms.CommProfiler`, and the accounting
-  identity (compute + wait + transfer == clocks) all silently diverge from
-  the clocks; advance time via ``charge_compute``/``charge_collective``/
-  ``charge_p2p``.
-* **Unprofiled virtual machine in an instrumented path.**  A function that
-  threads ``instrumentation`` and builds a ``CostTracker``/``VirtualComm``
-  without a ``profiler=`` (or a later ``.profiler`` attach /
-  ``attach_comm_profiler`` call) runs the simulated machine invisibly to
-  the communication observatory — ``--comm`` and the divergence invariant
-  see nothing.
+  (or ``+=``) bypasses the charge methods, so the event log — and every
+  profile built from it — and the accounting identity (compute + wait +
+  transfer == clocks) all silently diverge from the clocks; advance time
+  via ``charge_compute``/``charge_collective``/``charge_p2p``.
 * **Direct telemetry-artifact write.**  An ``open(..., "w")`` /
   ``json.dump`` / ``.write_text`` targeting a path under ``telemetry/``
   or a well-known artifact name (``trace.json``, ``manifest.json``,
@@ -74,10 +67,8 @@ class TelemetryHygieneChecker(Checker):
         "registered on a HealthMonitor, a health threshold hard-coded "
         "at an Invariant call site, a controller/predictor threshold "
         "hard-coded at a Controller/Predictor/Extrapolator call site, "
-        "a CostTracker clock mutated outside "
-        "the charge methods, a CostTracker/VirtualComm built without "
-        "a profiler in an instrumented code path, or a telemetry "
-        "artifact written directly instead of through the "
+        "a CostTracker clock mutated outside the charge methods, or a "
+        "telemetry artifact written directly instead of through the "
         "RunRecorder/sink layer"
     )
     exempt_paths = ("repro/observability/", "repro/parallel/")
@@ -88,7 +79,6 @@ class TelemetryHygieneChecker(Checker):
         controller_classes = self._controller_classes(ctx.tree)
         registered = self._registered_invariant_calls(ctx.tree)
         yield from self._check_clock_mutation(ctx)
-        yield from self._check_unprofiled_vm(ctx)
         yield from self._check_direct_telemetry_writes(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -176,64 +166,10 @@ class TelemetryHygieneChecker(Checker):
                 if _is_clocks_target(target):
                     yield ctx.finding(
                         target, self.rule,
-                        "virtual clocks mutated directly; the event log and "
-                        "any attached CommProfiler no longer account for "
-                        "this time — advance clocks via charge_compute/"
-                        "charge_collective/charge_p2p",
+                        "virtual clocks mutated directly; the event log no "
+                        "longer accounts for this time — advance clocks via "
+                        "charge_compute/charge_collective/charge_p2p",
                     )
-
-    def _check_unprofiled_vm(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag ``CostTracker``/``VirtualComm`` built without a profiler in
-        a function that threads ``instrumentation``."""
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._references_instrumentation(fn):
-                continue
-            attaches = self._has_profiler_attach(fn)
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                ctor = dotted_name(node.func)
-                if ctor not in ("CostTracker", "VirtualComm"):
-                    continue
-                if any(kw.arg == "profiler" for kw in node.keywords):
-                    continue
-                if attaches:
-                    continue
-                yield ctx.finding(
-                    node, self.rule,
-                    f"{ctor} built without a profiler in an instrumented "
-                    f"path; the communication observatory sees none of its "
-                    f"events — pass profiler=, assign .profiler, or call "
-                    f"attach_comm_profiler",
-                )
-
-    @staticmethod
-    def _references_instrumentation(fn: ast.AST) -> bool:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.arg) and node.arg == "instrumentation":
-                return True
-            if isinstance(node, ast.Name) and node.id == "instrumentation":
-                return True
-        return False
-
-    @staticmethod
-    def _has_profiler_attach(fn: ast.AST) -> bool:
-        """True when the function attaches a profiler some other way:
-        ``x.profiler = ...`` or an ``attach_comm_profiler(...)`` call."""
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Attribute) and t.attr == "profiler"
-                for t in node.targets
-            ):
-                return True
-            if isinstance(node, ast.Call) and (
-                call_method_name(node) == "attach_comm_profiler"
-                or dotted_name(node.func) == "attach_comm_profiler"
-            ):
-                return True
-        return False
 
     @staticmethod
     def _allowed_span_calls(tree: ast.Module) -> set[ast.Call]:

@@ -21,9 +21,8 @@ iteration instead of ``n`` small ones.
 whole shape classes, ``False`` makes every domain a stack of one.  The
 kernels are the same and act on each stack slice independently, so the two
 give bit-identical results (pinned by ``tests/test_batched.py``).  The
-reference eigensolvers (``direct``, ``band_by_band``) are per-domain by
-construction and always run as stacks of one on a plain
-:class:`~repro.dft.hamiltonian.Hamiltonian`.
+reference eigensolver (``direct``) is per-domain by construction and always
+runs as stacks of one on a plain :class:`~repro.dft.hamiltonian.Hamiltonian`.
 
 ASPC warm starts (``LDCOptions.history_depth``) need no special handling
 here: the pass seeds ``psi0[j]`` from each ``DomainState.psi``, which
@@ -45,7 +44,6 @@ from repro.dft.eigensolver import (
     lobpcg_work_shape,
     record_solve,
     solve_all_band_batched,
-    solve_band_by_band,
     solve_direct,
 )
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
@@ -116,7 +114,6 @@ def group_shape_classes(states: list[DomainState]) -> list[ShapeClass]:
 def _domain_effective_potential(
     state: DomainState,
     rho: np.ndarray,
-    v_hxc_global: np.ndarray,
     v_ks_global: np.ndarray,
     xi: float | None,
     opts: LDCOptions,
@@ -141,11 +138,7 @@ def _domain_effective_potential(
     scratch = state.scratch
     shape = dom.grid.shape
     flat = scratch.flat_indices(dom, rho.shape)
-    if state.v_ion_local is not None:
-        np.take(v_hxc_global.ravel(), flat, out=out)
-        out += state.v_ion_local
-    else:
-        np.take(v_ks_global.ravel(), flat, out=out)
+    np.take(v_ks_global.ravel(), flat, out=out)
     rho_restricted = scratch.get("rho_restricted", shape)
     np.take(rho.ravel(), flat, out=rho_restricted)
     vbc_target = boundary_potential(
@@ -180,8 +173,8 @@ def _solve_stack(
 
     ``all_band`` stacks the projectors into ``pool``, lends the solver the
     pool's iteration workspace and runs the lockstep LOBPCG on the domains'
-    own starting blocks; the reference solvers take their single domain
-    through a plain :class:`Hamiltonian`.
+    own starting blocks; the reference ``direct`` solver takes its single
+    domain through a plain :class:`Hamiltonian`.
     """
     basis = states[0].basis
     assert basis is not None
@@ -191,17 +184,10 @@ def _solve_stack(
     ]
     for state, out in zip(states, densities):
         state.band_densities = out  # staged for the density step
-    if opts.eigensolver != "all_band":
-        (state,) = states  # reference solvers never stack
+    if opts.eigensolver == "direct":
+        (state,) = states  # the reference solver never stacks
         ham = Hamiltonian(basis, v_eff[0], state.vnl)
-        if opts.eigensolver == "direct":
-            return [solve_direct(ham, state.nband, densities[0])]
-        assert state.psi is not None
-        return [
-            solve_band_by_band(
-                ham, state.psi, tol=opts.eig_tol, band_densities=densities[0]
-            )
-        ]
+        return [solve_direct(ham, state.nband, densities[0])]
     nd = len(states)
     psi0: list[np.ndarray] = []
     b = d = None
@@ -227,7 +213,6 @@ def _solve_stack(
 def batched_domain_pass(
     active: list[tuple[int, DomainState]],
     rho: np.ndarray,
-    v_hxc_global: np.ndarray,
     v_ks_global: np.ndarray,
     xi: float | None,
     opts: LDCOptions,
@@ -269,8 +254,7 @@ def batched_domain_pass(
         v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
         rho_restricted = [
             _domain_effective_potential(
-                state, rho, v_hxc_global, v_ks_global, xi, opts,
-                out=v_eff[j], pool=pool,
+                state, rho, v_ks_global, xi, opts, out=v_eff[j], pool=pool,
             )
             for j, state in enumerate(stack)
         ]

@@ -80,7 +80,7 @@ class LDCOptions:
     mix_alpha: float = 0.4
     extra_bands: int = 4
     #: domain eigensolver: "all_band" (the lockstep LOBPCG, production) or
-    #: the per-domain references "direct" | "band_by_band"
+    #: the per-domain reference "direct"
     eigensolver: str = "all_band"
     eig_tol: float = 1e-6
     eig_max_iter: int = 30
@@ -89,12 +89,6 @@ class LDCOptions:
     poisson: str = "fft"
     #: partition of unity: "sharp" | "smooth"
     support: str = "sharp"
-    #: ionic potential seen by a domain: "domain" (paper-faithful — built
-    #: from the domain's own atoms and their artificial periodic images,
-    #: the error source v_bc corrects) or "global" (the exact global local
-    #: pseudopotential restricted to the domain — a GSLF-enabled variant
-    #: whose only remaining buffer error is wave-function confinement)
-    vion: str = "global"
     #: where the boundary potential acts: "buffer" (outside the core — the
     #: artificial boundary's neighborhood) or "full" (whole domain)
     vbc_region: str = "buffer"
@@ -106,7 +100,7 @@ class LDCOptions:
     #: the domains sharing (grid shape, npw, nband, nproj) — as one stacked
     #: lockstep LOBPCG, ``False`` solves every domain as a stack of one
     #: through the same kernels.  The results are bit-identical; only the
-    #: kernel sizes differ.  The reference eigensolvers always run per
+    #: kernel sizes differ.  The reference eigensolver always runs per
     #: domain.
     batch_domains: bool = True
     #: ASPC history window per domain (workspace runs only): 1 keeps the
@@ -130,8 +124,6 @@ class LDCOptions:
             raise ValueError("poisson must be 'fft' or 'multigrid'")
         if self.vbc_region not in ("buffer", "full"):
             raise ValueError("vbc_region must be 'buffer' or 'full'")
-        if self.vion not in ("domain", "global"):
-            raise ValueError("vion must be 'domain' or 'global'")
         if not 0.0 < self.vbc_damping <= 1.0:
             raise ValueError("vbc_damping must be in (0, 1]")
 
@@ -147,7 +139,6 @@ class DomainState:
     vnl: NonlocalProjectors | None
     support: np.ndarray
     nband: int
-    v_ion_local: np.ndarray | None = None
     psi: np.ndarray | None = None
     eigenvalues: np.ndarray | None = None
     band_weights: np.ndarray | None = None
@@ -457,8 +448,9 @@ def _scf_pass(
     else:
         vh = hartree_potential(grid, rho)
     exc, vxc = lda_xc(rho)
-    v_hxc_global = vh + vxc
-    v_ks_global = v_loc_global + v_hxc_global
+    # grouped as v_loc + (V_H + v_xc): floating-point addition does not
+    # associate, and this order is the one every stored trajectory used
+    v_ks_global = v_loc_global + (vh + vxc)
     ins.check("hartree_potential", vh, where="ldc.scf_pass")
     ins.check("v_ks_global", v_ks_global, where="ldc.scf_pass")
 
@@ -469,7 +461,7 @@ def _scf_pass(
 
     active = [(idom, s) for idom, s in enumerate(states) if s.nband > 0]
     outcomes = batched_domain_pass(
-        active, rho, v_hxc_global, v_ks_global, xi, opts, ins, pool=pool
+        active, rho, v_ks_global, xi, opts, ins, pool=pool
     )
     for (idom, state), (_, err) in zip(active, outcomes):
         assert state.eigenvalues is not None

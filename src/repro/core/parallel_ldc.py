@@ -77,11 +77,12 @@ def run_parallel_ldc(
         there); the simulated-rank timeline is attached to the same
         Chrome-trace export (under its own pid), so measured spans and
         predicted rank activity render in one viewer.
-        A :class:`~repro.observability.comms.CommProfiler` rides the
-        tracker, decomposing every charge into compute / wait / transfer
-        per phase, and — with a health monitor on the handle — each
-        phase's measured time is graded against the balanced-cost model
-        on the ``vm.phase`` channel (:class:`DivergenceInvariant`).
+        The tracker's event log is profiled after the run
+        (:meth:`~repro.observability.Instrumentation.attach_cost_tracker`),
+        decomposing every charge into compute / wait / transfer per phase,
+        and — with a health monitor on the handle — each phase's measured
+        time is graded against the balanced-cost model on the
+        ``vm.phase`` channel (:class:`DivergenceInvariant`).
     schedule:
         Explicit domain → rank-group assignment (e.g. from
         :func:`~repro.parallel.scheduler.schedule_manual`).  ``None`` (the
@@ -106,12 +107,7 @@ def run_parallel_ldc(
             f"schedule has {schedule.ngroups} groups, run needs {ngroups}"
         )
 
-    profiler = None
-    if instrumentation is not None:
-        from repro.observability.comms import CommProfiler
-
-        profiler = CommProfiler(total_ranks)
-    tracker = CostTracker(total_ranks, profiler=profiler)
+    tracker = CostTracker(total_ranks)
     torus = TorusTopology(
         (max(total_ranks // machine.cores_per_node, 1),),
         machine.link_bandwidth,
@@ -189,8 +185,7 @@ def run_parallel_ldc(
         breakdown=breakdown,
     )
     if instrumentation is not None:
-        instrumentation.attach_cost_tracker(tracker)
-        instrumentation.attach_comm_profiler(profiler)
+        profiler = instrumentation.attach_cost_tracker(tracker)
         instrumentation.gauge("vm.predicted_seconds").set(
             parallel_result.predicted_seconds
         )

@@ -14,8 +14,7 @@ options is therefore invariant across steps:
 
 ``run_ldc`` without a workspace rebuilds all of these every call.  An
 :class:`LDCWorkspace` builds them once, re-bins the atoms each step, and
-rebuilds only the atom-dependent pieces — the nonlocal projectors and
-(in ``vion="domain"`` mode) the domain-local ionic potentials.
+rebuilds only the atom-dependent piece — the nonlocal projectors.
 
 On top of the structural reuse the workspace **warm-starts each domain's
 orbitals** from a bounded history of its converged states: each domain
@@ -58,7 +57,7 @@ from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import EwaldStructure
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.mixing import PulayMixer
-from repro.dft.pseudopotential import NonlocalProjectors, local_potential
+from repro.dft.pseudopotential import NonlocalProjectors
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems.configuration import Configuration
 
@@ -167,7 +166,6 @@ def _options_signature(options: LDCOptions) -> tuple:
         options.grid_factor,
         options.support,
         options.extra_bands,
-        options.vion,
         options.seed,
     )
 
@@ -372,12 +370,12 @@ class LDCWorkspace:
         every domain cold.
 
         Basis and scratch pool come from the caches; the atom-dependent
-        pieces (nonlocal projectors, domain-local ionic potentials) are
-        rebuilt.  ψ, v_bc and ρ_α are the ASPC prediction over the
-        domain's history window (depth 1 = the previous step's converged
-        state verbatim; without v_bc and ρ_α the damped v_bc iteration
-        would re-converge from scratch) while its identity ``(npw, nband,
-        atoms)`` is unchanged, else ψ is a deterministic random start.
+        nonlocal projectors are rebuilt.  ψ, v_bc and ρ_α are the ASPC
+        prediction over the domain's history window (depth 1 = the previous
+        step's converged state verbatim; without v_bc and ρ_α the damped
+        v_bc iteration would re-converge from scratch) while its identity
+        ``(npw, nband, atoms)`` is unchanged, else ψ is a deterministic
+        random start.
         """
         from repro.core.ldc import DomainState
 
@@ -420,15 +418,10 @@ class LDCWorkspace:
             else:
                 self.warm_domains += 1
             psi, vbc, rho_local = predicted
-            v_ion = (
-                local_potential(dom.grid, local)
-                if options.vion == "domain"
-                else None
-            )
             states.append(
                 DomainState(
                     dom, idx, local, basis, vnl, w, nband=nband, psi=psi,
-                    v_ion_local=v_ion, vbc=vbc, rho_local=rho_local,
+                    vbc=vbc, rho_local=rho_local,
                     scratch=self._scratch.setdefault(idom, DomainScratch()),
                 )
             )

@@ -29,7 +29,6 @@ from repro.dft.eigensolver import (
     lobpcg_work_shape,
     record_solve,
     solve_all_band,
-    solve_band_by_band,
     solve_direct,
 )
 from repro.dft.ewald import ewald_energy
@@ -62,7 +61,7 @@ def check_solver_names(eigensolver: str, mixer: str) -> None:
     """Reject an unknown eigensolver or mixer name when options are built —
     before any structure build, Ewald sum or Poisson solve is spent on a
     run that would fail at its first domain solve or density mix."""
-    if eigensolver not in ("direct", "all_band", "band_by_band"):
+    if eigensolver not in ("direct", "all_band"):
         raise ValueError(f"unknown eigensolver {eigensolver!r}")
     if mixer not in ("pulay", "linear"):
         raise ValueError(f"unknown mixer {mixer!r}")
@@ -82,14 +81,12 @@ class SCFOptions:
     max_iter: int = 60
     mixer: str = "pulay"  # "pulay" | "linear"
     mix_alpha: float = 0.4
-    #: eigensolver: "direct" | "all_band" | "band_by_band"
+    #: eigensolver: "all_band" (production) | "direct" (the reference)
     eigensolver: str = "all_band"
     eig_tol: float = 1e-7
     eig_max_iter: int = 40
     #: grid oversampling factor (2.0 = exact density grid)
     grid_factor: float = 2.0
-    #: occupation smearing scheme: "fermi" | "gaussian" | "methfessel-paxton"
-    smearing: str = "fermi"
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -167,19 +164,6 @@ def build_hamiltonian(
     if v_extra is not None:
         v_eff = v_eff + v_extra
     return Hamiltonian(basis, v_eff, vnl), vh, exc, vxc
-
-
-def _occupy(
-    eigs: np.ndarray, n_electrons: float, opts: SCFOptions
-) -> tuple[float, np.ndarray]:
-    """Chemical potential + occupations under the selected smearing."""
-    if opts.smearing == "fermi":
-        mu = find_chemical_potential(eigs, n_electrons, opts.kt)
-        return mu, fermi_occupations(eigs, mu, opts.kt)
-    from repro.dft.smearing import find_mu, occupations
-
-    mu = find_mu(opts.smearing, eigs, n_electrons, opts.kt)
-    return mu, occupations(opts.smearing, eigs, mu, opts.kt)
 
 
 def harris_foulkes_energy(
@@ -505,14 +489,10 @@ def _run_scf(
             # band_densities: the density build needs no to_grid of its own
             if opts.eigensolver == "direct":
                 eig = solve_direct(ham, nband, band_densities)
-            elif opts.eigensolver == "all_band":
+            else:
                 eig = solve_all_band(
                     ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities,
                     work,
-                )
-            else:
-                eig = solve_band_by_band(
-                    ham, psi, tol=opts.eig_tol, band_densities=band_densities
                 )
             record_solve(ins, opts.eigensolver, basis.npw, eig)
             # solve sizes feed the per-kernel FLOP attribution
@@ -524,7 +504,8 @@ def _run_scf(
             )
         psi, eigs = eig.orbitals, eig.eigenvalues
         eig_total += int(eig.iterations)
-        mu, occs = _occupy(eigs, n_electrons, opts)
+        mu = find_chemical_potential(eigs, n_electrons, opts.kt)
+        occs = fermi_occupations(eigs, mu, opts.kt)
         ins.check("eigenvalues", eigs, where="scf.density_map")
         ins.check("band_densities", band_densities,
                   where="scf.density_map", expect_dtype=np.float64)

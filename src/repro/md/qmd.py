@@ -19,7 +19,6 @@ reproduced on real runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -39,52 +38,35 @@ if TYPE_CHECKING:
 class QMDOptions:
     """MD-level solver-acceleration knobs, engine-agnostic.
 
-    Both engines accept one of these via ``qmd_options=``; every field
-    has an environment fallback so CI legs and production scripts can
-    flip the accelerations without touching code.
+    Both engines accept one of these via ``qmd_options=``, the one source
+    of these settings.
     """
 
-    #: ASPC history depth K: 1 = last-state warm start (the default),
-    #: K >= 2 = time-reversible K-point extrapolation of ψ/ρ
-    #: (:mod:`repro.md.extrapolate`).  ``None`` defers to
-    #: ``$REPRO_ASPC_DEPTH``, then to the engine's options.
+    #: ASPC history depth K: 1 = last-state warm start, K >= 2 =
+    #: time-reversible K-point extrapolation of ψ/ρ
+    #: (:mod:`repro.md.extrapolate`).  ``None`` keeps the engine's own
+    #: value (``LDCOptions.history_depth``; 1 for :class:`SCFEngine`).
     history_depth: int | None = None
     #: run the Eq.-1 :class:`~repro.core.advisor.BufferController` loop
-    #: (LDC engine only).  ``None`` defers to ``$REPRO_ADAPTIVE_BUFFER``.
-    adaptive_buffer: bool | None = None
+    #: (LDC engine only)
+    adaptive_buffer: bool = False
     #: thresholds for the controller; ``None`` = its defaults
     controller: BufferControllerOptions | None = None
 
-
-def _resolve_history_depth(qmd_options: QMDOptions | None) -> int | None:
-    """Explicit ``QMDOptions.history_depth`` beats ``$REPRO_ASPC_DEPTH``;
-    ``None`` means "leave the engine options alone".  Whichever source
-    speaks must hold an integer >= 1 — validated here, once, for both
-    engines, in an error that names the source and what it held."""
-    if qmd_options is not None and qmd_options.history_depth is not None:
-        source, value = "QMDOptions.history_depth", qmd_options.history_depth
-    else:
-        source, value = "REPRO_ASPC_DEPTH", os.environ.get(
-            "REPRO_ASPC_DEPTH", ""
-        ).strip()
-        if not value:
-            return None
-    try:
-        depth = int(value)
-    except (TypeError, ValueError):
-        depth = 0  # not a number: rejected with the rest
-    if depth < 1 or (not isinstance(value, str) and depth != value):
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    return depth
-
-
-def _resolve_adaptive_buffer(qmd_options: QMDOptions | None) -> bool:
-    """Explicit ``QMDOptions.adaptive_buffer`` beats the env flag."""
-    if qmd_options is not None and qmd_options.adaptive_buffer is not None:
-        return bool(qmd_options.adaptive_buffer)
-    return os.environ.get("REPRO_ADAPTIVE_BUFFER", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
+    def __post_init__(self) -> None:
+        # validated here, once, for both engines
+        depth = self.history_depth
+        if depth is None:
+            return
+        try:
+            valid = int(depth) == depth >= 1
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"QMDOptions.history_depth must be an integer >= 1, "
+                f"got {depth!r}"
+            )
 
 
 @dataclass
@@ -233,9 +215,8 @@ class LDCEngine(_WarmStartEngine):
     never a stale-shape crash).
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
-    accelerations on top: a history depth override
-    (``$REPRO_ASPC_DEPTH``) and the Eq.-1 adaptive-buffer loop
-    (``$REPRO_ADAPTIVE_BUFFER``) — a
+    accelerations on top: a history depth override and the Eq.-1
+    adaptive-buffer loop — a
     :class:`~repro.core.advisor.BufferController` that watches the live
     boundary-error telemetry each step and re-tunes ``options.buffer``
     (the workspace detects the option change and rebuilds; the global
@@ -253,16 +234,16 @@ class LDCEngine(_WarmStartEngine):
 
         super().__init__(instrumentation)
         self.options = options or LDCOptions()
-        depth = _resolve_history_depth(qmd_options)
+        qmd = qmd_options or QMDOptions()
+        depth = qmd.history_depth
         if depth is not None and depth != self.options.history_depth:
-            self.options = replace(self.options, history_depth=depth)
+            self.options = replace(self.options, history_depth=int(depth))
         self.controller: BufferController | None = None
-        if _resolve_adaptive_buffer(qmd_options):
+        if qmd.adaptive_buffer:
             from repro.core.advisor import BufferController
 
-            ctl = qmd_options.controller if qmd_options is not None else None
             self.controller = (
-                BufferController(ctl) if ctl is not None
+                BufferController(qmd.controller) if qmd.controller is not None
                 else BufferController()
             )
         self.workspace = LDCWorkspace()
@@ -346,11 +327,12 @@ class SCFEngine(_WarmStartEngine):
     orbitals were solved at (the rule of :class:`_WarmStartEngine`; a
     single point's final pass runs at the converged output, so here it
     differs from ``SCFResult.density`` only by that pass's own residual,
-    below ``tol``).  With ``qmd_options.history_depth >= 2`` (or
-    ``$REPRO_ASPC_DEPTH``) both come from ASPC predictions instead: ρ over
-    the density window every engine keeps, ψ over a bounded
+    below ``tol``).  Both come from the ASPC predictions of
+    ``qmd_options.history_depth`` (default 1): ρ over the density window
+    every engine keeps, ψ over a bounded
     :class:`~repro.md.extrapolate.DomainHistory` of converged blocks that
-    this engine owns.  Each solve builds a fresh density mixer (no SCF
+    this engine owns — at depth 1 a copy of the last block, the plain
+    last-state warm start.  Each solve builds a fresh density mixer (no SCF
     memory across steps).  A cell change between ``forces()`` calls drops
     every cache, and the
     previous cell is also handed to ``run_scf(warm_cell=)`` so the solver
@@ -368,12 +350,10 @@ class SCFEngine(_WarmStartEngine):
 
         super().__init__(instrumentation)
         self.options = options or SCFOptions()
-        depth = _resolve_history_depth(qmd_options)
-        #: 1 unless a source asked for more
-        self.history_depth = depth if depth is not None else 1
-        #: ASPC window of converged ψ — only consulted at depth >= 2
+        depth = (qmd_options or QMDOptions()).history_depth
+        self.history_depth = 1 if depth is None else int(depth)
+        #: ASPC window of converged ψ, the one place they are kept
         self._history = DomainHistory(depth=self.history_depth)
-        self._psi = None
 
     def forces(self, config: Configuration):
         from repro.dft.forces import forces_from_scf
@@ -382,33 +362,31 @@ class SCFEngine(_WarmStartEngine):
         prev_cell = self._cell
         self._guard_cell(config)
         ins = observer(self.instrumentation)
-        self._count_solve(ins, self._psi is not None)
-        psi0 = self._psi
-        if self.history_depth > 1 and len(self._history):
-            psi0 = self._history.predict(self._history.key)[0]
+        self._count_solve(ins, len(self._history) > 0)
+        predicted = self._history.predict(self._history.key)
         result = run_scf(
             config, self.options, rho0=self._predict_rho(self.history_depth),
-            instrumentation=ins, psi0=psi0, warm_cell=prev_cell,
+            instrumentation=ins,
+            psi0=predicted[0] if predicted is not None else None,
+            warm_cell=prev_cell,
         )
         self._push_rho(result.input_density, self.history_depth)
         self._record_convergence(ins, result)
-        psi = self._psi = result.orbitals
+        psi = result.orbitals
         self._record_eig_cost(ins, result)
         if self._history.last_prediction is not None:
             # settle the residual of the guess this step started from
             res = subspace_residual(self._history.last_prediction, psi)
             if np.isfinite(res):
                 ins.series("scf.predictor_residual").append(res)
-        if self.history_depth > 1:
             self._history.last_prediction = None
-            self._history.push((psi.shape,), psi, None, None)
+        self._history.push((psi.shape,), psi, None, None)
         f = forces_from_scf(config, result)
         return f, result.energy, result.iterations
 
     def _drop_caches(self) -> None:
         super()._drop_caches()
-        self._psi = None  # previous orbitals live on a stale basis
-        self._history.clear()  # ASPC window spans the old cell
+        self._history.clear()  # ψ live on the old cell's basis
 
 
 class QMDDriver:

@@ -42,10 +42,7 @@ The report CLI renders a paper-style per-phase breakdown from a trace
 """
 
 from repro.observability.comms import CommProfiler, profile_events
-from repro.observability.cost_trace import (
-    chrome_events_from_cost_tracker,
-    chrome_trace_from_cost_tracker,
-)
+from repro.observability.cost_trace import chrome_events_from_cost_tracker
 from repro.observability.critpath import (
     CriticalSegment,
     critical_path,
@@ -92,7 +89,6 @@ __all__ = [
     "TelemetryBus",
     "attach_jsonl",
     "chrome_events_from_cost_tracker",
-    "chrome_trace_from_cost_tracker",
     "configure_logging",
     "critical_path",
     "critical_path_from_tracker",

@@ -1,11 +1,11 @@
 """Per-rank communication profiling for the virtual parallel machine.
 
 The cost model (PRs before this one) predicted where parallel time *should*
-go; this module measures where it *does* go in an executed run.  A
-:class:`CommProfiler` attaches to a :class:`~repro.parallel.trace.CostTracker`
-(directly, or through ``VirtualComm(..., profiler=...)``) and observes every
-charge at charge time.  Using the tracker's align-to-laggard semantics, each
-synchronizing collective decomposes exactly into
+go; this module measures where it *does* go in an executed run.
+:func:`profile_events` folds a :class:`~repro.parallel.trace.CostTracker`'s
+event log into a :class:`CommProfiler` after the run.  Using the tracker's
+align-to-laggard semantics, each synchronizing collective decomposes
+exactly into
 
 * **wait** — the clock alignment each rank spends blocked until the laggard
   arrives (``sync − arrival``, from :attr:`TraceEvent.rank_arrivals`), and
@@ -28,8 +28,9 @@ instead of the closed-form model: per-phase parallel efficiency
 busy time), and the laggard rank everyone else waits for.
 
 The profiler is plain data + arithmetic: no clocks are read and nothing is
-imported from the engine, so it can equally be rebuilt *post hoc* from a
-recorded event log via :func:`profile_events`.
+imported from the engine, so the same log read back from an exported trace
+(:func:`repro.observability.critpath.events_from_chrome`) gives the same
+profile.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class PhaseCommStats:
 
 
 class CommProfiler:
-    """Live observer of :class:`CostTracker` charges.
+    """Communication accounting of a :class:`CostTracker` event log (built
+    by :func:`profile_events`).
 
     Parameters
     ----------
@@ -94,10 +96,8 @@ class CommProfiler:
         #: fine-grained accounting keyed by (phase, charge label)
         self.cells: dict[tuple[str, str], PhaseCommStats] = {}
 
-    # -- the tracker-facing entry point ---------------------------------------
-
     def record(self, event: "TraceEvent") -> None:
-        """Observe one charged event (called by the tracker at charge time)."""
+        """Account one charged event."""
         ranks = list(event.participants(self.nranks))
         if any(r >= self.nranks for r in ranks):
             raise ValueError(
@@ -261,7 +261,8 @@ class CommProfiler:
 def profile_events(
     events: Iterable["TraceEvent"], nranks: int
 ) -> CommProfiler:
-    """Rebuild a profiler post hoc from a recorded event log."""
+    """The profile of a recorded event log — the one way a
+    :class:`CommProfiler` is built."""
     profiler = CommProfiler(nranks)
     for event in events:
         profiler.record(event)

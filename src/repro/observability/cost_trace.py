@@ -18,9 +18,8 @@ repro.observability.report <trace> --comm`` / ``--critical-path``):
 * ``wait`` — for synchronizing events, this rank's clock-alignment seconds
   (sync point − arrival), the laggard-wait half of the decomposition.
 
-With ``include_waits=True`` the wait is additionally rendered as its own
-bar (``cat="wait"``, spanning arrival → sync) so Perfetto shows blocked
-time explicitly; the default keeps the legacy one-bar-per-event layout.
+A positive wait is also rendered as its own bar (``cat="wait"``, spanning
+arrival → sync) so Perfetto shows blocked time explicitly.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from typing import Any
 COST_TRACE_PID = 2
 
 
-def chrome_events_from_cost_tracker(
-    tracker, pid: int = COST_TRACE_PID, include_waits: bool = False
-) -> list[dict[str, Any]]:
-    """One ``"X"`` event per (event, participating rank), µs units."""
+def chrome_events_from_cost_tracker(tracker) -> list[dict[str, Any]]:
+    """One ``"X"`` event per (event, participating rank) plus one per
+    positive wait, µs units, under :data:`COST_TRACE_PID`."""
+    pid = COST_TRACE_PID
     events: list[dict[str, Any]] = []
     for seq, e in enumerate(tracker.events):
         ranks = e.participants(tracker.nranks)
@@ -64,7 +63,7 @@ def chrome_events_from_cost_tracker(
                     },
                 }
             )
-            if include_waits and wait > 0.0:
+            if wait > 0.0:
                 events.append(
                     {
                         "name": f"{e.label} (wait)",
@@ -104,13 +103,3 @@ def chrome_events_from_cost_tracker(
         )
     return meta + events
 
-
-def chrome_trace_from_cost_tracker(
-    tracker, pid: int = COST_TRACE_PID, include_waits: bool = False
-) -> dict[str, Any]:
-    return {
-        "traceEvents": chrome_events_from_cost_tracker(
-            tracker, pid=pid, include_waits=include_waits
-        ),
-        "displayTimeUnit": "ms",
-    }

@@ -162,9 +162,7 @@ def phase_summary(
     return out
 
 
-def measured_efficiency(
-    tracker: CostTracker, profiler=None
-) -> dict[str, float]:
+def measured_efficiency(tracker: CostTracker) -> dict[str, float]:
     """Whole-run measured scaling quantities from an executed tracker.
 
     ``efficiency`` is useful-compute rank-seconds over total rank-seconds

@@ -107,8 +107,8 @@ class Instrumentation(Observer):
         #: extra Chrome-trace events merged into exports (e.g. simulated-rank
         #: timelines attached via :meth:`attach_cost_tracker`)
         self.extra_chrome_events: list[dict[str, Any]] = []
-        #: comm profilers attached by drivers (`attach_comm_profiler`)
-        self.comm_profilers: list["CommProfiler"] = []
+        #: the ``comm.json`` payloads of the attached trackers' profiles
+        self._comm_summaries: list[dict[str, Any]] = []
         if stream is None and recorder is not None:
             # the flight recorder listens on the bus; a ledger-enabled run
             # without an explicit bus gets a private one
@@ -205,33 +205,28 @@ class Instrumentation(Observer):
 
     # -- virtual-machine timelines ------------------------------------------
 
-    def attach_cost_tracker(
-        self, tracker, pid: int | None = None, include_waits: bool = True
-    ) -> None:
-        """Merge a :class:`CostTracker`'s simulated-rank timeline into the
-        Chrome-trace export, alongside the real wall-clock spans."""
+    def attach_cost_tracker(self, tracker) -> "CommProfiler":
+        """Take a finished :class:`CostTracker`'s event log into the run.
+
+        Its simulated-rank timeline is merged into the Chrome-trace export,
+        alongside the real wall-clock spans; its
+        :func:`~repro.observability.comms.profile_events` summary lands in
+        ``comm.json`` and — when a telemetry bus is attached — is published
+        as a ``comm.summary`` event.  Returns the profile."""
+        from repro.observability.comms import profile_events
         from repro.observability.cost_trace import (
-            COST_TRACE_PID,
             chrome_events_from_cost_tracker,
         )
 
         self.extra_chrome_events.extend(
-            chrome_events_from_cost_tracker(
-                tracker,
-                pid=COST_TRACE_PID if pid is None else pid,
-                include_waits=include_waits,
-            )
+            chrome_events_from_cost_tracker(tracker)
         )
-
-    def attach_comm_profiler(self, profiler: "CommProfiler") -> None:
-        """Register a finished :class:`CommProfiler` for artifact export.
-
-        Its per-phase/per-kind summary lands in ``comm.json`` alongside the
-        trace, and — when a telemetry bus is attached — a ``comm.summary``
-        event is published immediately."""
-        self.comm_profilers.append(profiler)
+        profile = profile_events(tracker.events, tracker.nranks)
+        summary = profile.to_dict()
+        self._comm_summaries.append(summary)
         if self.stream is not None:
-            self.stream.publish("comm.summary", **profiler.to_dict())
+            self.stream.publish("comm.summary", **summary)
+        return profile
 
     # -- export --------------------------------------------------------------
 
@@ -266,9 +261,9 @@ class Instrumentation(Observer):
             paths["health"] = out / "health.json"
             with open(paths["health"], "w") as fh:
                 json.dump(self.health.to_dict(), fh, indent=1)
-        if self.comm_profilers:
+        if self._comm_summaries:
             paths["comm"] = out / "comm.json"
-            payload = [p.to_dict() for p in self.comm_profilers]
+            payload = self._comm_summaries
             with open(paths["comm"], "w") as fh:
                 json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=1)
         return paths

@@ -164,27 +164,6 @@ def render_breakdown(
     return "\n".join(lines)
 
 
-def comm_breakdown(
-    events: list[dict[str, Any]], pid: int | None = None
-):
-    """Rebuild a :class:`~repro.observability.comms.CommProfiler` from the
-    virtual-machine slices of a Chrome trace.
-
-    Returns ``None`` when the trace holds no VM events (e.g. a spans-only
-    trace recorded without an attached :class:`CostTracker`).
-    """
-    from repro.observability.comms import profile_events
-    from repro.observability.cost_trace import COST_TRACE_PID
-    from repro.observability.critpath import events_from_chrome
-
-    vm_events, nranks = events_from_chrome(
-        events, pid=COST_TRACE_PID if pid is None else pid
-    )
-    if not vm_events:
-        return None
-    return profile_events(vm_events, nranks)
-
-
 def render_comm(profiler) -> str:
     """The observatory table: per-phase decomposition + per-kind traffic."""
     by_phase = profiler.by_phase()

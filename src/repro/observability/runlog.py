@@ -65,8 +65,11 @@ MANIFEST_NAME = "manifest.json"
 #: environment variable naming the telemetry root directory
 ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
 
-#: environment flags recorded in every manifest (set or not)
+#: environment flags recorded in every manifest (set or not): every
+#: ``REPRO_*`` variable the package reads (pinned by the hygiene tests)
 TRACKED_ENV = (
+    "REPRO_LOG",
+    "REPRO_LOG_FORMAT",
     "REPRO_SANITIZE",
     ENV_TELEMETRY_DIR,
 )

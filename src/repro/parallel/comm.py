@@ -77,13 +77,6 @@ class VirtualComm:
     world_ranks:
         Global rank ids of this communicator's members (identity for the
         world communicator).
-    profiler:
-        Optional live observer with a ``record(event)`` method (in practice
-        a :class:`repro.observability.comms.CommProfiler`).  Attached to the
-        shared tracker, so every collective this communicator — or any
-        sub-communicator from :meth:`split` — charges is profiled with its
-        wait/transfer decomposition.  ``None`` (the default) keeps the
-        charge path observer-free.
 
     Every collective validates its inputs before it moves data and raises
     ``ValueError`` where real MPI would abort: one value per rank, a
@@ -99,7 +92,6 @@ class VirtualComm:
         topology: TorusTopology | None = None,
         world_ranks: Sequence[int] | None = None,
         name: str = "world",
-        profiler=None,
     ) -> None:
         if size < 1:
             raise ValueError("communicator size must be >= 1")
@@ -112,9 +104,6 @@ class VirtualComm:
         if len(self.world_ranks) != size:
             raise ValueError("world_ranks length must equal size")
         self.name = name
-        self.profiler = profiler
-        if profiler is not None and tracker is not None:
-            tracker.profiler = profiler
 
     # -- internals -----------------------------------------------------------
 
@@ -154,18 +143,6 @@ class VirtualComm:
         if self.tracker is not None:
             self.tracker.charge_collective(
                 self.world_ranks, seconds, nbytes, label
-            )
-        elif self.profiler is not None:
-            # No virtual clocks: record the call/byte accounting anyway so a
-            # profiler on an untimed communicator still sees traffic volumes
-            # (wait decomposition needs a tracker and stays zero here).
-            from repro.parallel.trace import TraceEvent
-
-            self.profiler.record(
-                TraceEvent(
-                    "collective", tuple(self.world_ranks), seconds, nbytes,
-                    label,
-                )
             )
 
     def _collective_time(self, nbytes: float) -> float:
@@ -291,7 +268,6 @@ class VirtualComm:
                 topology=self.topology,
                 world_ranks=[self.world_ranks[m] for m in members],
                 name=f"{self.name}/color{color}",
-                profiler=self.profiler,
             )
         self._charge(0.0, 0.0, "comm_split")
         return [comms[colors[r]] for r in range(self.size)]

@@ -90,13 +90,8 @@ def schedule_manual(group_of_domain, ngroups: int, costs=None) -> Schedule:
     return Schedule(groups, ngroups, loads)
 
 
-def schedule_domains(
-    atom_counts, ngroups: int, nu: float = 2.0, method: str = "lpt"
-) -> Schedule:
-    """Schedule domains by their atom counts."""
-    costs = [domain_cost_estimate(n, nu) for n in atom_counts]
-    if method == "lpt":
-        return schedule_lpt(costs, ngroups)
-    if method == "round_robin":
-        return schedule_round_robin(costs, ngroups)
-    raise ValueError(f"unknown scheduling method {method!r}")
+def schedule_domains(atom_counts, ngroups: int, nu: float = 2.0) -> Schedule:
+    """LPT-schedule domains by their atom counts."""
+    return schedule_lpt(
+        [domain_cost_estimate(n, nu) for n in atom_counts], ngroups
+    )

@@ -10,20 +10,14 @@ synchronous codes behave), then adds the collective's modeled time.
 the event log supports per-phase breakdowns like the paper's I/O accounting
 (Sec. 4.2).
 
-Two observability seams ride on the charge path, both free when unused:
-
-* **phases** — :meth:`CostTracker.phase` stamps subsequent events with an
-  algorithmic phase label (``"domain"``, ``"tree"``, ...), so downstream
-  analysis can aggregate the event log by the same names the span tracer
-  uses;
-* **profiler** — an object with a ``record(event)`` method (duck-typed so
-  this module never imports observability code; in practice a
-  :class:`repro.observability.comms.CommProfiler`) attached as
-  :attr:`CostTracker.profiler` sees every event at charge time.  Collective
-  and p2p events carry :attr:`TraceEvent.rank_arrivals` — each
-  participant's pre-synchronization clock — from which the profiler
-  decomposes the charge into *wait* (clock alignment to the laggard) and
-  *transfer* time.
+:attr:`CostTracker.events` is the one record of a run.
+:meth:`CostTracker.phase` stamps events with an algorithmic phase label
+(``"domain"``, ``"tree"``, ...), so analysis can aggregate the log by the
+names the span tracer uses.  Collective and p2p events carry
+:attr:`TraceEvent.rank_arrivals` — each participant's pre-synchronization
+clock — from which :func:`repro.observability.comms.profile_events`
+decomposes a charge into *wait* (clock alignment to the laggard) and
+*transfer* time after the run.  Nothing observes the charge path itself.
 """
 
 from __future__ import annotations
@@ -69,16 +63,12 @@ class TraceEvent:
 class CostTracker:
     """Virtual clocks for ``nranks`` simulated ranks."""
 
-    def __init__(self, nranks: int, profiler=None) -> None:
+    def __init__(self, nranks: int) -> None:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = nranks
         self.clocks = np.zeros(nranks)
         self.events: list[TraceEvent] = []
-        #: optional live observer with a ``record(event)`` method (e.g.
-        #: :class:`repro.observability.comms.CommProfiler`); ``None`` keeps
-        #: the charge path observer-free
-        self.profiler = profiler
         #: phase label stamped on events charged now (see :meth:`phase`)
         self.current_phase = ""
 
@@ -108,7 +98,7 @@ class CostTracker:
         starts = tuple(float(t) for t in np.atleast_1d(self.clocks[idx]))
         self.clocks[idx] += seconds
         ends = tuple(t + seconds for t in starts)
-        self._emit(
+        self.events.append(
             TraceEvent(
                 "compute", self._key(ranks), seconds, 0.0, label,
                 rank_starts=starts, rank_ends=ends,
@@ -125,7 +115,7 @@ class CostTracker:
         sync = max(arrivals) if arrivals else 0.0
         n = len(arrivals)
         self.clocks[idx] = sync + seconds
-        self._emit(
+        self.events.append(
             TraceEvent(
                 "collective", self._key(ranks), seconds, nbytes, label,
                 rank_starts=(sync,) * n, rank_ends=(sync + seconds,) * n,
@@ -142,7 +132,7 @@ class CostTracker:
         ready = max(arrivals)
         self.clocks[src] = ready + seconds
         self.clocks[dst] = ready + seconds
-        self._emit(
+        self.events.append(
             TraceEvent(
                 "p2p", (src, dst), seconds, nbytes, label,
                 rank_starts=(ready, ready), rank_ends=(ready + seconds,) * 2,
@@ -179,21 +169,7 @@ class CostTracker:
     def total_bytes(self) -> float:
         return float(sum(e.nbytes for e in self.events))
 
-    def chrome_trace(self, pid: int | None = None) -> dict:
-        """Event log as a Chrome ``trace_event`` JSON object (one lane per
-        simulated rank) — see :mod:`repro.observability.cost_trace`."""
-        from repro.observability.cost_trace import chrome_trace_from_cost_tracker
-
-        if pid is None:
-            return chrome_trace_from_cost_tracker(self)
-        return chrome_trace_from_cost_tracker(self, pid=pid)
-
     # -- helpers -------------------------------------------------------------------
-
-    def _emit(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        if self.profiler is not None:
-            self.profiler.record(event)
 
     def _as_index(self, ranks):
         if ranks is None:

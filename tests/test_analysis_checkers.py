@@ -151,50 +151,24 @@ def test_rp006_flags_direct_clock_mutation():
     assert all("charge_" in f.message for f in findings)
 
 
-def test_rp006_flags_unprofiled_vm_in_instrumented_path():
-    src = (
-        '"""vm"""\n'
-        "from repro.parallel.trace import CostTracker\n"
-        "\n"
-        "def run(instrumentation=None):\n"
-        "    tracker = CostTracker(8)\n"
-        "    return tracker\n"
-    )
-    findings = [
-        f for f in unsuppressed(check_file("vm.py", source=src))
-        if f.rule == "RP006"
-    ]
-    assert len(findings) == 1
-    assert "profiler" in findings[0].message
-
-
 def test_rp006_accepts_profiled_vm_constructions():
-    # profiler= kwarg, .profiler attach, and attach_comm_profiler all
-    # satisfy the rule; a function not threading instrumentation is out
-    # of scope entirely.
+    # A VM is profiled after the run from its event log
+    # (attach_cost_tracker), so building one in an instrumented path is
+    # never a finding — run_parallel_ldc's own shape included.
     src = (
         '"""vm"""\n'
         "from repro.parallel.comm import VirtualComm\n"
         "from repro.parallel.trace import CostTracker\n"
         "\n"
-        "def run_kwarg(instrumentation, profiler):\n"
-        "    return CostTracker(8, profiler=profiler)\n"
-        "\n"
-        "\n"
-        "def run_attach(instrumentation, profiler):\n"
+        "def run_attach(instrumentation=None):\n"
         "    tracker = CostTracker(8)\n"
-        "    tracker.profiler = profiler\n"
+        "    if instrumentation is not None:\n"
+        "        instrumentation.attach_cost_tracker(tracker)\n"
         "    return tracker\n"
         "\n"
         "\n"
-        "def run_facade(instrumentation, profiler):\n"
-        "    comm = VirtualComm(8)\n"
-        "    instrumentation.attach_comm_profiler(profiler)\n"
-        "    return comm\n"
-        "\n"
-        "\n"
-        "def plain_model_study():\n"
-        "    return CostTracker(4)\n"
+        "def run_comm(instrumentation):\n"
+        "    return VirtualComm(8, tracker=CostTracker(8))\n"
     )
     assert not [
         f for f in check_file("vm.py", source=src) if f.rule == "RP006"

@@ -151,9 +151,9 @@ def test_nondecaying_samples_keep_prior_lambda():
 
 
 def test_ldc_engine_adaptive_loop_end_to_end():
-    """REPRO_ADAPTIVE_BUFFER wiring: the engine observes each step's
-    boundary error, re-tunes options.buffer, and survives the workspace
-    rebuild the option change triggers."""
+    """``QMDOptions(adaptive_buffer=True)`` wiring: the engine observes each
+    step's boundary error, re-tunes options.buffer, and survives the
+    workspace rebuild the option change triggers."""
     from repro.core import LDCOptions
     from repro.md.qmd import LDCEngine, QMDOptions
     from repro.observability import Instrumentation
@@ -251,56 +251,19 @@ def test_adaptive_walk_stops_at_the_whole_cell_buffer():
     assert basis.grid.shape == domain.grid.shape == engine.workspace.grid.shape
 
 
-def test_env_flag_enables_controller(monkeypatch):
-    from repro.md.qmd import LDCEngine, QMDOptions, _resolve_adaptive_buffer
-
-    monkeypatch.setenv("REPRO_ADAPTIVE_BUFFER", "1")
-    assert _resolve_adaptive_buffer(None)
-    engine = LDCEngine()
-    assert engine.controller is not None
-    # explicit options beat the env flag
-    assert not _resolve_adaptive_buffer(QMDOptions(adaptive_buffer=False))
-    monkeypatch.setenv("REPRO_ADAPTIVE_BUFFER", "0")
-    assert not _resolve_adaptive_buffer(None)
-
-
-def test_env_depth_resolution(monkeypatch):
-    from repro.md.qmd import LDCEngine, QMDOptions, _resolve_history_depth
-
-    monkeypatch.setenv("REPRO_ASPC_DEPTH", "3")
-    assert _resolve_history_depth(None) == 3
-    assert _resolve_history_depth(QMDOptions(history_depth=2)) == 2
-    engine = LDCEngine()
-    assert engine.options.history_depth == 3
-    monkeypatch.delenv("REPRO_ASPC_DEPTH")
-    assert _resolve_history_depth(None) is None
-    # a malformed value names the variable and what it held
-    monkeypatch.setenv("REPRO_ASPC_DEPTH", "three")
-    with pytest.raises(ValueError, match="REPRO_ASPC_DEPTH.*'three'"):
-        LDCEngine()
-
-
-@pytest.mark.parametrize("bad", [0, -2, 2.5])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, 1.5, "three"])
 @pytest.mark.parametrize("engine", ["LDCEngine", "SCFEngine"])
-def test_history_depth_is_validated_once_for_both_engines(
-    monkeypatch, engine, bad
-):
+def test_history_depth_is_validated_once_for_both_engines(engine, bad):
     """A depth below 1 used to become depth 1 silently in ``SCFEngine`` and
-    an ``LDCOptions`` error naming neither source in ``LDCEngine``."""
+    an ``LDCOptions`` error naming neither source in ``LDCEngine``; now
+    ``QMDOptions`` itself refuses it, for both."""
     import repro.md.qmd as qmd
 
     build = getattr(qmd, engine)
-    monkeypatch.delenv("REPRO_ASPC_DEPTH", raising=False)
     with pytest.raises(
         ValueError, match=rf"QMDOptions\.history_depth.*>= 1.*{bad!r}"
     ):
         build(qmd_options=qmd.QMDOptions(history_depth=bad))
-    monkeypatch.setenv("REPRO_ASPC_DEPTH", str(bad))
-    with pytest.raises(
-        ValueError, match=rf"REPRO_ASPC_DEPTH.*>= 1.*'{bad}'"
-    ):
-        build()
-    # the explicit option still beats the variable, whatever that holds
     built = build(qmd_options=qmd.QMDOptions(history_depth=2))
     assert 2 == (
         built.history_depth if engine == "SCFEngine"

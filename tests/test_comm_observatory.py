@@ -2,7 +2,7 @@
 
 Covers the tentpole contract of the comm-profiling PR:
 
-* :class:`CommProfiler` decomposes every synchronizing charge into
+* :func:`profile_events` decomposes every synchronizing charge into
   *wait* (clock alignment to the laggard) vs *transfer* time, and its
   per-rank totals reconcile with ``CostTracker.elapsed()`` exactly;
 * the critical path walks the rank timelines and names the laggard;
@@ -14,6 +14,7 @@ Covers the tentpole contract of the comm-profiling PR:
   when not.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -22,7 +23,6 @@ import pytest
 from repro.core.ldc import LDCOptions
 from repro.core.parallel_ldc import run_parallel_ldc
 from repro.observability import (
-    CommProfiler,
     Instrumentation,
     critical_path,
     critical_path_from_tracker,
@@ -32,7 +32,6 @@ from repro.observability import (
 from repro.observability.cost_trace import chrome_events_from_cost_tracker
 from repro.observability.critpath import events_from_chrome, phase_summary
 from repro.observability.health import CollectingAlertSink, HealthMonitor
-from repro.parallel.comm import VirtualComm
 from repro.parallel.scheduler import schedule_manual
 from repro.parallel.trace import CostTracker
 from repro.systems import dimer
@@ -54,9 +53,7 @@ def _skewed_tracker():
 
 def test_profiler_decomposes_wait_vs_transfer():
     t = _skewed_tracker()
-    prof = t.profiler = CommProfiler(3)
-    for e in t.events:
-        prof.record(e)
+    prof = profile_events(t.events, 3)
     # waits: ranks align to the laggard (rank 1 at 3.0)
     assert prof.wait.tolist() == pytest.approx([2.0, 0.0, 1.0])
     assert prof.transfer.tolist() == pytest.approx([0.5] * 3)
@@ -68,21 +65,9 @@ def test_profiler_decomposes_wait_vs_transfer():
     assert prof.wait_fraction() == pytest.approx(3.0 / 10.5)
 
 
-def test_live_profiler_matches_post_hoc_reconstruction():
-    live = CommProfiler(3)
-    t = CostTracker(3, profiler=live)
-    with t.phase("solve"):
-        t.charge_compute([1], 3.0, label="domain")
-    t.charge_collective(None, 0.5, nbytes=64.0, label="g")
-    t.charge_p2p(0, 2, 0.25, nbytes=8.0, label="x")
-    post = profile_events(t.events, 3)
-    assert live.to_dict() == post.to_dict()
-
-
 def test_reconciliation_is_exact():
     """compute + wait + transfer per rank == the virtual clocks."""
-    prof = CommProfiler(3)
-    t = CostTracker(3, profiler=prof)
+    t = CostTracker(3)
     rng = np.random.default_rng(7)
     for i in range(20):
         r = int(rng.integers(0, 3))
@@ -91,6 +76,7 @@ def test_reconciliation_is_exact():
             t.charge_collective(None, 0.1, nbytes=64.0, label="g")
         if i % 5 == 0:
             t.charge_p2p(0, 2, 0.05, nbytes=8.0)
+    prof = profile_events(t.events, 3)
     np.testing.assert_allclose(prof.totals_per_rank(), t.clocks, rtol=1e-12)
     assert prof.reconcile(t) < 1e-12
 
@@ -127,7 +113,7 @@ def test_critical_path_hops_between_ranks():
 
 def test_chrome_round_trip_preserves_event_log():
     t = _skewed_tracker()
-    chrome = chrome_events_from_cost_tracker(t, include_waits=True)
+    chrome = chrome_events_from_cost_tracker(t)
     events, nranks = events_from_chrome(chrome)
     assert nranks == 3
     assert len(events) == len(t.events)
@@ -144,12 +130,11 @@ def test_chrome_round_trip_preserves_event_log():
         profile_events(t.events, 3).to_dict()
 
 
-def test_wait_bars_are_optional_and_marked():
+def test_wait_bars_are_marked():
     t = _skewed_tracker()
-    plain = chrome_events_from_cost_tracker(t)
-    with_waits = chrome_events_from_cost_tracker(t, include_waits=True)
-    assert not [e for e in plain if e.get("cat") == "wait"]
-    bars = [e for e in with_waits if e.get("cat") == "wait"]
+    bars = [
+        e for e in chrome_events_from_cost_tracker(t) if e.get("cat") == "wait"
+    ]
     # two ranks waited on the collective -> two wait bars
     assert len(bars) == 2
     assert all(e["name"].endswith("(wait)") for e in bars)
@@ -183,23 +168,11 @@ def test_report_comm_and_critical_path_views(tmp_path, capsys):
     assert "no virtual-machine events" in capsys.readouterr().err
 
 
-def test_virtualcomm_profiler_attaches_through_split():
-    prof = CommProfiler(4)
-    comm = VirtualComm(4, profiler=prof)
-    comm.allreduce([1.0, 2.0, 3.0, 4.0])
-    sub = comm.split([0, 0, 1, 1])
-    assert sub[0].profiler is prof
-    before = prof.calls_total
-    sub[0].barrier()
-    assert prof.calls_total > before
-    assert prof.bytes_total > 0
-
-
-def test_run_parallel_ldc_profiles_and_reconciles():
+def test_run_parallel_ldc_profiles_and_reconciles(tmp_path):
     cfg = dimer("H", "H", 1.5, 12.0)
     ins = Instrumentation()
     res = run_parallel_ldc(cfg, LDC_OPTS, total_ranks=8, instrumentation=ins)
-    (prof,) = ins.comm_profilers
+    prof = profile_events(res.tracker.events, res.total_ranks)
     # acceptance criterion: <1% reconciliation (identity makes it exact)
     assert prof.reconcile(res.tracker) < 1e-2
     assert prof.bytes_total > 0
@@ -209,8 +182,11 @@ def test_run_parallel_ldc_profiles_and_reconciles():
     assert segments[-1].t_end == pytest.approx(res.predicted_seconds)
     for agg in phase_summary(segments).values():
         assert 0 <= agg["laggard"] < res.total_ranks
-    # facade artifacts include the comm summary
-    assert ins.metrics.get("vm.parallel_efficiency").value > 0
+    # the gauges and the comm.json artifact come from the same profile
+    assert ins.metrics.get("vm.parallel_efficiency").value == \
+        prof.parallel_efficiency()
+    paths = ins.write_artifacts(tmp_path)
+    assert json.loads(paths["comm"].read_text()) == prof.to_dict()
 
 
 def test_divergence_green_on_stock_fail_on_skewed_schedule():
@@ -253,8 +229,7 @@ def test_schedule_injection_validates_group_count():
 
 def test_uninstrumented_parallel_ldc_never_enters_observability():
     """Zero-overhead contract extends to the virtual-machine driver: with
-    instrumentation=None, no profiler exists and no observability code runs
-    during the charge loop."""
+    instrumentation=None no observability code runs, the profile included."""
     cfg = dimer("H", "H", 1.5, 12.0)
     counts = {"observability": 0, "total": 0}
 
@@ -271,4 +246,4 @@ def test_uninstrumented_parallel_ldc_never_enters_observability():
         sys.setprofile(None)
     assert counts["total"] > 0
     assert counts["observability"] == 0
-    assert res.tracker.profiler is None
+    assert res.tracker.events  # the log is there for a later profile

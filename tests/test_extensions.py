@@ -1,5 +1,5 @@
-"""Tests for the extension modules: smearing schemes, FMG, halo exchange,
-the DC parameter advisor, and the campaign planner."""
+"""Tests for the extension modules: the μ search, FMG, halo exchange, the
+DC parameter advisor, and the campaign planner."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,7 @@ import pytest
 from repro.core.advisor import recommend_parameters
 from repro.core.domains import DomainDecomposition
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.smearing import (
-    find_mu,
-    gaussian_occupations,
-    methfessel_paxton_occupations,
-    occupations,
-)
+from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.multigrid.fmg import fmg_solve, fmg_then_polish
 from repro.multigrid.stencils import residual
 from repro.parallel.comm import VirtualComm
@@ -24,56 +19,30 @@ from repro.perfmodel.campaign import (
 )
 
 
-# ---- smearing ----------------------------------------------------------------
+# ---- the occupation rule ------------------------------------------------------
 
-def test_gaussian_occupations_limits():
-    eigs = np.array([-10.0, 0.0, 10.0])
-    f = gaussian_occupations(eigs, 0.0, 0.5)
-    assert f[0] == pytest.approx(2.0, abs=1e-10)
-    assert f[1] == pytest.approx(1.0, abs=1e-10)
-    assert f[2] == pytest.approx(0.0, abs=1e-10)
-
-
-def test_mp_occupations_bounded():
-    eigs = np.linspace(-2, 2, 41)
-    f = methfessel_paxton_occupations(eigs, 0.0, 0.2)
-    assert np.all(f >= 0.0) and np.all(f <= 2.0)
-
-
-def test_all_schemes_agree_far_from_mu():
-    eigs = np.array([-5.0, 5.0])
-    for scheme in ("fermi", "gaussian", "methfessel-paxton"):
-        f = occupations(scheme, eigs, 0.0, 0.1)
-        assert f[0] == pytest.approx(2.0, abs=1e-6)
-        assert f[1] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_unknown_scheme_raises():
-    with pytest.raises(ValueError):
-        occupations("bogus", np.array([0.0]), 0.0, 0.1)
-
-
-def test_zero_temperature_step_all_schemes():
-    eigs = np.array([-1.0, 1.0])
-    for scheme in ("fermi", "gaussian", "methfessel-paxton"):
-        np.testing.assert_array_equal(
-            occupations(scheme, eigs, 0.0, 0.0), [2.0, 0.0]
-        )
-
-
-@pytest.mark.parametrize("scheme", ["fermi", "gaussian", "methfessel-paxton"])
-def test_find_mu_conserves_electrons(scheme):
+def test_find_mu_conserves_electrons():
     rng = np.random.default_rng(0)
     eigs = np.sort(rng.normal(size=30))
     ne = 17.0
-    mu = find_mu(scheme, eigs, ne, 0.05)
-    total = float(occupations(scheme, eigs, mu, 0.05).sum())
+    mu = find_chemical_potential(eigs, ne, 0.05)
+    total = float(fermi_occupations(eigs, mu, 0.05).sum())
     assert total == pytest.approx(ne, abs=1e-9)
 
 
 def test_find_mu_capacity_check():
     with pytest.raises(ValueError):
-        find_mu("fermi", np.array([0.0]), 5.0, 0.01)
+        find_chemical_potential(np.array([0.0]), 5.0, 0.01)
+
+
+def test_scf_unknown_smearing_raises():
+    """Fermi–Dirac is the one occupation rule: ``SCFOptions`` has no
+    smearing selector to set, whatever the scheme named."""
+    from repro.dft.scf import SCFOptions
+
+    for scheme in ("fermi", "gaussian", "bogus"):
+        with pytest.raises(TypeError, match="smearing"):
+            SCFOptions(ecut=5.0, smearing=scheme)
 
 
 # ---- FMG -----------------------------------------------------------------------
@@ -201,25 +170,3 @@ def test_campaign_scales_with_scf_count():
     big = plan_campaign(PAPER_PRODUCTION)
     assert big.total_hours > 10 * small.total_hours
 
-
-# ---- smearing wired into the SCF driver -------------------------------------------
-
-@pytest.mark.parametrize("scheme", ["gaussian", "methfessel-paxton"])
-def test_scf_with_alternative_smearing(scheme):
-    from repro.dft.scf import SCFOptions, run_scf
-    from repro.systems import dimer
-
-    cfg = dimer("H", "H", 1.5, 12.0)
-    res = run_scf(cfg, SCFOptions(ecut=6.0, tol=1e-6, smearing=scheme))
-    ref = run_scf(cfg, SCFOptions(ecut=6.0, tol=1e-6, smearing="fermi"))
-    assert res.converged
-    # a gapped 2-electron system: scheme choice barely moves the energy
-    assert res.energy == pytest.approx(ref.energy, abs=1e-3)
-
-
-def test_scf_unknown_smearing_raises():
-    from repro.dft.scf import SCFOptions, run_scf
-    from repro.systems import dimer
-
-    with pytest.raises(ValueError):
-        run_scf(dimer("H", "H", 1.5, 12.0), SCFOptions(ecut=5.0, smearing="bogus"))

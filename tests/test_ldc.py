@@ -67,8 +67,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         LDCOptions(vbc_region="bogus")
     with pytest.raises(ValueError):
-        LDCOptions(vion="bogus")
-    with pytest.raises(ValueError):
         LDCOptions(vbc_damping=0.0)
 
 
@@ -83,7 +81,7 @@ def test_unknown_solver_and_mixer_names_fail_before_any_work():
             options(eigensolver="lobpcg")
         with pytest.raises(ValueError, match="unknown mixer 'anderson'"):
             options(mixer="anderson")
-        for name in ("direct", "all_band", "band_by_band"):
+        for name in ("direct", "all_band"):
             assert options(eigensolver=name).eigensolver == name
         for name in ("pulay", "linear"):
             assert options(mixer=name).mixer == name
@@ -229,7 +227,7 @@ def test_result_diagnostics(h2):
 
 
 def test_ldc_eigensolver_variants_agree(h2):
-    """direct / all_band / band_by_band domain solvers give the same SCF."""
+    """The direct and all_band domain solvers give the same SCF."""
     base = dict(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6)
     energies = {}
     for solver in ("direct", "all_band"):
@@ -239,16 +237,15 @@ def test_ldc_eigensolver_variants_agree(h2):
     assert energies["direct"] == pytest.approx(energies["all_band"], abs=1e-5)
 
 
-def test_ldc_band_by_band_path(h2):
-    r = run_ldc(
-        h2,
-        LDCOptions(
-            ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-4,
-            eigensolver="band_by_band", eig_tol=1e-6,
-        ),
-    )
-    assert r.converged
-    assert np.isfinite(r.energy)
+def test_ldc_band_by_band_path():
+    """There is no band-by-band engine path: the selector is refused when
+    the options are built.  ``solve_band_by_band`` stays a library
+    function (``tests/test_eigensolver.py``, the GSLF ablation bench)."""
+    from repro.dft.scf import SCFOptions
+
+    for options in (LDCOptions, SCFOptions):
+        with pytest.raises(ValueError, match="unknown eigensolver 'band_by_band'"):
+            options(eigensolver="band_by_band")
 
 
 def test_ldc_empty_domain_handled():

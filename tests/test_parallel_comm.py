@@ -126,6 +126,10 @@ def test_collectives_charge_tracker(traced_comm):
     assert tracker.elapsed() > 0
     labels = tracker.total_by_label()
     assert "allreduce" in labels
+    # a sub-communicator from split charges the same tracker, in world ranks
+    comm.split([r // 4 for r in range(8)])[4].barrier()
+    assert tracker.events[-1].label == "barrier"
+    assert tracker.events[-1].ranks == (4, 5, 6, 7)
 
 
 def test_bcast_synchronizes_clocks(traced_comm):

@@ -3,10 +3,13 @@
 import numpy as np
 
 from repro.md.integrator import initialize_velocities
-from repro.md.qmd import QMDDriver, SCFEngine, LDCEngine
+from repro.md.qmd import QMDDriver, QMDOptions, SCFEngine, LDCEngine
 from repro.md.thermostat import BerendsenThermostat
 from repro.reactive.potential import ReactiveForceField
 from repro.systems import dimer, water_molecule
+
+#: the MD accelerations on: an ASPC window of three and the buffer controller
+ADAPTIVE = QMDOptions(history_depth=3, adaptive_buffer=True)
 
 
 class ReactiveEngine:
@@ -68,30 +71,37 @@ def test_qmd_with_scf_engine():
     """A couple of real ab initio MD steps on the toy H₂ dimer."""
     from repro.dft.scf import SCFOptions
 
-    cfg = dimer("H", "H", 2.3, 12.0)
-    initialize_velocities(cfg, 50.0, seed=5)
-    engine = SCFEngine(SCFOptions(ecut=6.0, extra_bands=2, tol=1e-6))
-    driver = QMDDriver(engine, timestep=10.0)
-    frames = driver.run(cfg, 3)
-    assert len(frames) == 3
-    assert all(f.scf_iterations > 0 for f in frames)
-    # warm start: later steps converge in fewer SCF iterations
-    assert frames[-1].scf_iterations <= frames[0].scf_iterations
+    for qmd_options in (None, ADAPTIVE):
+        cfg = dimer("H", "H", 2.3, 12.0)
+        initialize_velocities(cfg, 50.0, seed=5)
+        engine = SCFEngine(
+            SCFOptions(ecut=6.0, extra_bands=2, tol=1e-6),
+            qmd_options=qmd_options,
+        )
+        driver = QMDDriver(engine, timestep=10.0)
+        frames = driver.run(cfg, 3)
+        assert len(frames) == 3
+        assert all(f.scf_iterations > 0 for f in frames)
+        # warm start: later steps converge in fewer SCF iterations
+        assert frames[-1].scf_iterations <= frames[0].scf_iterations
 
 
 def test_qmd_with_ldc_engine():
     """LDC-DFT-powered MD — the paper's production configuration."""
     from repro.core.ldc import LDCOptions
 
-    cfg = dimer("H", "H", 2.3, 12.0)
-    initialize_velocities(cfg, 50.0, seed=6)
-    engine = LDCEngine(
-        LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-5)
-    )
-    driver = QMDDriver(engine, timestep=10.0)
-    frames = driver.run(cfg, 2)
-    assert len(frames) == 2
-    assert np.isfinite(frames[-1].total_energy)
+    for qmd_options in (None, ADAPTIVE):
+        cfg = dimer("H", "H", 2.3, 12.0)
+        initialize_velocities(cfg, 50.0, seed=6)
+        engine = LDCEngine(
+            LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-5),
+            qmd_options=qmd_options,
+        )
+        driver = QMDDriver(engine, timestep=10.0)
+        frames = driver.run(cfg, 2)
+        assert len(frames) == 2
+        assert np.isfinite(frames[-1].total_energy)
+        assert (engine.controller is not None) == (qmd_options is ADAPTIVE)
 
 
 def test_unconverged_solve_is_visible_from_engine_to_frame(caplog):

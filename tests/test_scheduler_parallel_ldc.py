@@ -52,7 +52,7 @@ def test_scheduler_validation():
     with pytest.raises(ValueError):
         schedule_lpt([-1.0], 2)
     with pytest.raises(ValueError):
-        schedule_domains([1, 2], 2, method="bogus")
+        schedule_domains([1, 2], 0)
 
 
 def test_single_group_takes_all():

@@ -6,11 +6,13 @@ import pytest
 
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
-from repro.md.qmd import LDCEngine, SCFEngine
+from repro.md.qmd import LDCEngine, QMDOptions, SCFEngine
 from repro.observability import Instrumentation
 from repro.systems.configuration import Configuration
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
+#: the MD accelerations on: an ASPC window of three and the buffer controller
+ADAPTIVE = QMDOptions(history_depth=3, adaptive_buffer=True)
 
 
 def h4_chain(shift: float = 0.0) -> Configuration:
@@ -203,27 +205,55 @@ def test_stale_shaped_rho0_falls_back_to_cold_start():
 
 def test_ldc_engine_survives_cell_swap():
     """The engine guard: swapping cells between forces() calls cold-starts
-    instead of feeding a stale-shaped density/workspace into run_ldc."""
-    engine = LDCEngine(LDCOptions(**OPTS))
-    f1, e1, _ = engine.forces(h4_chain())
-    swapped = h4_chain()
-    swapped.cell = np.array([12.0, 6.0, 6.0])
-    swapped.positions += 0.5
-    f2, e2, _ = engine.forces(swapped)
-    assert np.isfinite(e1) and np.isfinite(e2)
-    assert np.all(np.isfinite(f2))
+    instead of feeding a stale-shaped density/workspace into run_ldc —
+    with and without the ASPC window and the buffer controller."""
+    for qmd_options in (None, ADAPTIVE):
+        engine = LDCEngine(LDCOptions(**OPTS), qmd_options=qmd_options)
+        f1, e1, _ = engine.forces(h4_chain())
+        swapped = h4_chain()
+        swapped.cell = np.array([12.0, 6.0, 6.0])
+        swapped.positions += 0.5
+        f2, e2, _ = engine.forces(swapped)
+        assert np.isfinite(e1) and np.isfinite(e2)
+        assert np.all(np.isfinite(f2))
+        assert len(engine._rho_hist) == 1  # the old cell's window is gone
 
 
 def test_scf_engine_survives_cell_swap_and_warm_starts():
-    engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6))
-    cfg = h4_chain()
-    _, e1, _ = engine.forces(cfg)
-    assert engine._psi is not None  # orbital cache primed
-    swapped = h4_chain()
-    swapped.cell = np.array([12.0, 6.0, 6.0])
-    swapped.positions += 0.5
-    _, e2, _ = engine.forces(swapped)
-    assert np.isfinite(e1) and np.isfinite(e2)
+    for qmd_options in (None, ADAPTIVE):
+        engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=qmd_options)
+        cfg = h4_chain()
+        _, e1, _ = engine.forces(cfg)
+        assert len(engine._history) == 1  # orbital cache primed
+        swapped = h4_chain()
+        swapped.cell = np.array([12.0, 6.0, 6.0])
+        swapped.positions += 0.5
+        _, e2, _ = engine.forces(swapped)
+        assert np.isfinite(e1) and np.isfinite(e2)
+        assert len(engine._history) == 1  # the old cell's ψ were dropped
+
+
+def test_depth_one_scf_engine_step_is_the_hand_warm_started_run_scf():
+    """The engine keeps ψ one way, in its ASPC window; at depth 1 the
+    window hands back a copy of the last block, so a second step is
+    ``run_scf`` warm-started from the first result by hand."""
+    from repro.dft.forces import forces_from_scf
+
+    opts = SCFOptions(ecut=4.0, tol=1e-6)
+    cfg1, cfg2 = h4_chain(), h4_chain(shift=0.1)
+    ins = Instrumentation()
+    engine = SCFEngine(opts, instrumentation=ins)
+    engine.forces(cfg1)
+    f2, e2, passes2 = engine.forces(cfg2)
+    r1 = run_scf(cfg1, opts)
+    r2 = run_scf(
+        cfg2, opts, rho0=r1.input_density, psi0=r1.orbitals,
+        warm_cell=cfg1.cell,
+    )
+    assert e2 == r2.energy and passes2 == r2.iterations
+    np.testing.assert_array_equal(f2, forces_from_scf(cfg2, r2))
+    # the copied block is a prediction like any other: its residual is kept
+    assert len(ins.metrics.get("scf.predictor_residual").values) == 1
 
 
 def test_run_scf_psi0_warm_start_cuts_iterations():
