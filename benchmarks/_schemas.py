@@ -349,36 +349,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             "t_batched_s": _TIMING,
         },
     ),
-    # -- communication observatory --------------------------------------------
-    "comm_observatory": RecordSchema(
-        bench="comm_observatory",
-        key=("cores",),
-        fields=[
-            FieldSpec("cores", kind="int", compare=False),
-            # measured (event-log) counterpart of the Fig. 5 efficiency:
-            # deterministic replay, gate on decrease like the model curve
-            FieldSpec("efficiency_measured", direction="higher",
-                      rel_tol=0.005, abs_tol=1e-3),
-            FieldSpec("wait_fraction", direction="both", rel_tol=0.01,
-                      abs_tol=1e-6),
-            FieldSpec("critical_comm_fraction", direction="both",
-                      rel_tol=0.01, abs_tol=1e-6),
-            # profiler totals must equal the virtual clocks (identity)
-            FieldSpec("reconcile_rel_err", direction="lower", rel_tol=0.0,
-                      abs_tol=1e-9),
-        ],
-    ),
-    "comm_observatory_overhead": _metric_schema(
-        "comm_observatory_overhead",
-        {
-            # the zero-overhead contract, pinned as a count: an unprofiled
-            # charge loop must execute no observability code at all
-            "observability_calls_unprofiled": _EXACT,
-            "events_charged": _EXACT,
-            # host wall-clock: ledgered for the record, never gated
-            "t_unprofiled_s": _TIMING,
-        },
-    ),
     "sanitize_overhead": _metric_schema(
         "sanitize_overhead",
         {

@@ -3,7 +3,7 @@
 The numerics checkpoints are calls on the drivers' one observability
 handle (DESIGN.md §13, §21): on the off observer they do nothing, so
 disabled means *zero* ``repro.sanitize`` code on the hot path.  This bench
-pins the contract the same way ``comm_observatory_overhead`` does:
+pins the contract as a count:
 
 * ``sanitizer_calls_disabled`` — Python calls entering ``repro/sanitize``
   modules during a sanitizer-disabled LDC + SCF solve, counted with

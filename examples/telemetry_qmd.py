@@ -6,8 +6,9 @@ trajectory (the acceptance flow of the telemetry + run-ledger PRs):
 1. thread one ``Instrumentation`` facade — with an attached
    ``RunRecorder`` — through the QMD driver, the LDC engine, the
    multigrid Poisson solver, and the eigensolvers;
-2. additionally execute the solve on the virtual Blue Gene/Q so the
-   simulated-rank timeline lands in the *same* Chrome trace (pid 2);
+2. additionally execute the solve on the virtual Blue Gene/Q and attach
+   its cost tracker, so the simulated-rank timeline lands in the *same*
+   Chrome trace (pid 2);
 3. finish the run: ``telemetry/runs/<run_id>/`` now holds ``trace.json``,
    ``metrics.{json,csv}``, and a schema'd ``manifest.json`` whose content
    hashes verify.
@@ -48,9 +49,10 @@ def main() -> None:
     driver = QMDDriver(LDCEngine(opts), timestep=5.0, instrumentation=ins)
     driver.run(config, nsteps=2)
 
-    # The same physics on the virtual machine: simulated-rank timeline
+    # The same physics on the virtual machine: its simulated-rank timeline
     # merges into the same trace under its own pid.
-    run_parallel_ldc(config, opts, total_ranks=8, instrumentation=ins)
+    vm = run_parallel_ldc(config, opts, total_ranks=8, instrumentation=ins)
+    ins.attach_cost_tracker(vm.tracker)
 
     manifest = recorder.finish()
     problems = verify_run(recorder.dir)

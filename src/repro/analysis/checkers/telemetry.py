@@ -28,14 +28,14 @@ are registered on a monitor with thresholds from a config object.
   ``*Options(...)`` constructions are the sanctioned home and are not
   flagged.
 * **Direct virtual-clock mutation.**  Writing ``tracker.clocks[...] = ...``
-  (or ``+=``) bypasses the charge methods, so the event log — and every
-  profile built from it — and the accounting identity (compute + wait +
-  transfer == clocks) all silently diverge from the clocks; advance time
-  via ``charge_compute``/``charge_collective``/``charge_p2p``.
+  (or ``+=``) bypasses the charge methods, so the event log — and the
+  rank lanes rendered from it — silently diverge from the clocks and from
+  ``elapsed()``; advance time via
+  ``charge_compute``/``charge_collective``/``charge_p2p``.
 * **Direct telemetry-artifact write.**  An ``open(..., "w")`` /
   ``json.dump`` / ``.write_text`` targeting a path under ``telemetry/``
   or a well-known artifact name (``trace.json``, ``manifest.json``,
-  ``blackbox.jsonl``, ...) outside the RunRecorder/sink layer produces
+  ``blackbox.jsonl``, ...) outside the RunRecorder layer produces
   files with no run identity, no manifest entry, and no content hash —
   the run ledger can neither verify nor diff them.  Write artifacts via
   ``Instrumentation.write_artifacts`` / ``RunRecorder.add_artifact`` and
@@ -69,7 +69,7 @@ class TelemetryHygieneChecker(Checker):
         "hard-coded at a Controller/Predictor/Extrapolator call site, "
         "a CostTracker clock mutated outside the charge methods, or a "
         "telemetry artifact written directly instead of through the "
-        "RunRecorder/sink layer"
+        "RunRecorder layer"
     )
     exempt_paths = ("repro/observability/", "repro/parallel/")
 
@@ -266,7 +266,7 @@ class TelemetryHygieneChecker(Checker):
 #: well-known artifact basenames the run ledger owns
 _ARTIFACT_NAMES = (
     "trace.json", "metrics.json", "metrics.csv", "health.json",
-    "comm.json", "manifest.json", "blackbox.jsonl",
+    "manifest.json", "blackbox.jsonl",
 )
 
 

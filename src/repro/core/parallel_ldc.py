@@ -11,9 +11,10 @@ of every SCF iteration is charged to per-rank virtual clocks —
 * buffer halo exchange → nearest-neighbor torus traffic;
 * intra-domain band↔space all-to-alls → butterfly cost within the group.
 
-The output carries both the physical result and the predicted wall-clock /
-imbalance — so the scaling predictions of Figs. 5-6 can be generated from a
-genuinely executed calculation rather than a standalone model.
+The output carries both the physical result and the predicted wall-clock,
+its per-phase breakdown (whose parts sum to it) and the load imbalance — so
+the scaling predictions of Figs. 5-6 can be generated from a genuinely
+executed calculation rather than a standalone model.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ldc import LDCOptions, LDCResult, run_ldc
+from repro.observe import observer
 from repro.parallel.machine import BLUE_GENE_Q, MachineSpec
 from repro.parallel.scheduler import Schedule, schedule_domains
 from repro.parallel.topology import TorusTopology, TreeTopology
@@ -33,7 +35,12 @@ from repro.systems.configuration import Configuration
 
 @dataclass
 class ParallelLDCResult:
-    """Physics result + virtual-machine execution record."""
+    """Physics result + virtual-machine execution record.
+
+    ``breakdown`` books each SCF pass's laggard group, so its parts sum to
+    ``predicted_seconds``; ``imbalance`` is (max − mean)/max of the
+    per-group domain seconds of a pass (0 = every group equally loaded).
+    """
 
     result: LDCResult
     tracker: CostTracker
@@ -41,10 +48,7 @@ class ParallelLDCResult:
     total_ranks: int
     predicted_seconds: float
     breakdown: dict[str, float]
-
-    @property
-    def imbalance(self) -> float:
-        return self.tracker.imbalance()
+    imbalance: float
 
     def atom_iterations_per_second(self, natoms: int) -> float:
         if self.predicted_seconds <= 0:
@@ -72,17 +76,13 @@ def run_parallel_ldc(
         accelerate the domain solves (with the intra-domain all-to-all and
         Cholesky costs of Sec. 3.3 growing accordingly).
     instrumentation:
-        Optional :class:`~repro.observability.Instrumentation`, forwarded
-        to :func:`run_ldc` as its observability handle (``None`` is resolved
-        there); the simulated-rank timeline is attached to the same
-        Chrome-trace export (under its own pid), so measured spans and
-        predicted rank activity render in one viewer.
-        The tracker's event log is profiled after the run
-        (:meth:`~repro.observability.Instrumentation.attach_cost_tracker`),
-        decomposing every charge into compute / wait / transfer per phase,
-        and — with a health monitor on the handle — each phase's measured
-        time is graded against the balanced-cost model on the
-        ``vm.phase`` channel (:class:`DivergenceInvariant`).
+        Optional :class:`~repro.observability.Instrumentation`, the run's
+        observability handle (``None``: the off handle), passed on to
+        :func:`run_ldc`; the prediction lands on it as the gauges
+        ``vm.predicted_seconds``, ``vm.imbalance``, ``vm.ranks`` and
+        ``vm.breakdown{phase}``.  For the simulated-rank lanes in the same
+        Chrome trace, call ``instrumentation.attach_cost_tracker(
+        result.tracker)`` afterwards.
     schedule:
         Explicit domain → rank-group assignment (e.g. from
         :func:`~repro.parallel.scheduler.schedule_manual`).  ``None`` (the
@@ -92,16 +92,15 @@ def run_parallel_ldc(
     if total_ranks < 1:
         raise ValueError("total_ranks must be >= 1")
     opts = options or LDCOptions()
-    result = run_ldc(config, opts, instrumentation=instrumentation)
+    ins = observer(instrumentation)
+    result = run_ldc(config, opts, instrumentation=ins)
 
     active = [s for s in result.states if s.nband > 0]
     ndomains = max(len(active), 1)
     ngroups = min(total_ranks, ndomains)
     ranks_per_group = max(1, total_ranks // ngroups)
     if schedule is None:
-        schedule = schedule_domains(
-            [len(s.atom_indices) for s in active], ngroups, nu=2.0
-        )
+        schedule = schedule_domains([len(s.atom_indices) for s in active], ngroups)
     elif schedule.ngroups != ngroups:
         raise ValueError(
             f"schedule has {schedule.ngroups} groups, run needs {ngroups}"
@@ -140,85 +139,66 @@ def run_parallel_ldc(
                  for s in active])
     ) if active else 0.0
 
+    # Per-group domain seconds of one SCF pass: every pass ends in a
+    # collective over all ranks, so the laggard group sets the pass time.
+    group_seconds = [
+        sum(domain_seconds[d] for d in schedule.domains_in_group(g))
+        for g in range(ngroups)
+    ]
+    laggard = max(group_seconds)
+    imbalance = (
+        (laggard - float(np.mean(group_seconds))) / laggard
+        if laggard > 0 else 0.0
+    )
+
     breakdown = {"domain": 0.0, "alltoall": 0.0, "tree": 0.0, "halo": 0.0}
     for _ in range(result.iterations):
         # local solves (embarrassingly parallel across groups)
         for g in range(ngroups):
-            secs = sum(
-                domain_seconds[d] for d in schedule.domains_in_group(g)
+            tracker.charge_compute(
+                group_ranks[g], group_seconds[g], label="domain"
             )
-            with tracker.phase("domain"):
-                tracker.charge_compute(group_ranks[g], secs, label="domain")
-            breakdown["domain"] += secs / ngroups
+            # every group's share of the laggard's time, as for alltoall
+            breakdown["domain"] += laggard / ngroups
             # intra-domain band<->space all-to-alls per CG iteration
             if ranks_per_group > 1:
                 slab = 16.0 * np.mean([s.basis.npw * s.nband for s in active])
                 t_a2a = 2 * cg_per_scf * torus.alltoall_time(
                     slab / max(ranks_per_group, 1) ** 2, ranks_per_group
                 )
-                with tracker.phase("alltoall"):
-                    tracker.charge_collective(
-                        group_ranks[g], t_a2a, slab, label="alltoall"
-                    )
+                tracker.charge_collective(
+                    group_ranks[g], t_a2a, slab, label="alltoall"
+                )
                 breakdown["alltoall"] += t_a2a / ngroups
         # halo exchange of buffer densities
         t_halo = torus.halo_exchange_time(halo_bytes)
-        with tracker.phase("halo"):
-            tracker.charge_collective(
-                range(total_ranks), t_halo, halo_bytes, "halo"
-            )
+        tracker.charge_collective(range(total_ranks), t_halo, halo_bytes, "halo")
         breakdown["halo"] += t_halo
         # global density reduction over the tree
         t_tree = tree.vcycle_time(rho_bytes / total_ranks, total_ranks)
-        with tracker.phase("tree"):
-            tracker.charge_collective(
-                range(total_ranks), t_tree, rho_bytes, "tree"
-            )
+        tracker.charge_collective(range(total_ranks), t_tree, rho_bytes, "tree")
         breakdown["tree"] += t_tree
 
-    parallel_result = ParallelLDCResult(
+    predicted = tracker.elapsed()
+    ins.gauge("vm.predicted_seconds").set(predicted)
+    ins.gauge("vm.imbalance").set(imbalance)
+    ins.gauge("vm.ranks").set(total_ranks)
+    for phase, seconds in breakdown.items():
+        ins.gauge("vm.breakdown", phase=phase).set(seconds)
+    ins.log.info(
+        "virtual machine run",
+        extra={
+            "ranks": total_ranks,
+            "predicted_seconds": predicted,
+            "imbalance": imbalance,
+        },
+    )
+    return ParallelLDCResult(
         result=result,
         tracker=tracker,
         schedule=schedule,
         total_ranks=total_ranks,
-        predicted_seconds=tracker.elapsed(),
+        predicted_seconds=predicted,
         breakdown=breakdown,
+        imbalance=imbalance,
     )
-    if instrumentation is not None:
-        profiler = instrumentation.attach_cost_tracker(tracker)
-        instrumentation.gauge("vm.predicted_seconds").set(
-            parallel_result.predicted_seconds
-        )
-        instrumentation.gauge("vm.imbalance").set(parallel_result.imbalance)
-        instrumentation.gauge("vm.ranks").set(total_ranks)
-        instrumentation.gauge("vm.parallel_efficiency").set(
-            profiler.parallel_efficiency()
-        )
-        instrumentation.gauge("vm.wait_fraction").set(profiler.wait_fraction())
-        for phase, seconds in breakdown.items():
-            instrumentation.gauge("vm.breakdown", phase=phase).set(seconds)
-        # Grade each phase's measured laggard time against the balanced
-        # cost-model prediction (DivergenceInvariant on "vm.phase"): the
-        # laggard's active seconds in a phase vs the breakdown's
-        # every-group-equal estimate.  A skewed domain assignment shows up
-        # here as drift ≈ ngroups − 1.
-        for phase, agg in profiler.by_phase().items():
-            modeled = breakdown.get(phase, 0.0)
-            measured = float((agg["compute"] + agg["transfer"]).max())
-            instrumentation.observe(
-                "vm.phase",
-                phase=phase,
-                measured_seconds=measured,
-                modeled_seconds=modeled,
-                ranks=total_ranks,
-            )
-        instrumentation.log.info(
-            "virtual machine run",
-            extra={
-                "ranks": total_ranks,
-                "predicted_seconds": parallel_result.predicted_seconds,
-                "imbalance": parallel_result.imbalance,
-                "parallel_efficiency": profiler.parallel_efficiency(),
-            },
-        )
-    return parallel_result

@@ -41,38 +41,20 @@ The report CLI renders a paper-style per-phase breakdown from a trace
     python -m repro.observability.report trace.json --flops
 """
 
-from repro.observability.comms import CommProfiler, profile_events
 from repro.observability.cost_trace import chrome_events_from_cost_tracker
-from repro.observability.critpath import (
-    CriticalSegment,
-    critical_path,
-    critical_path_from_tracker,
-    measured_efficiency,
-    render_critical_path,
-)
+from repro.observability.flightrec import FlightRecorder, read_jsonl
 from repro.observability.health import (
-    DivergenceInvariant,
     HealthError,
     HealthMonitor,
     HealthRecord,
     HealthThresholds,
 )
-from repro.observability.flightrec import FlightRecorder
 from repro.observability.instrumentation import Instrumentation
 from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.stream import (
-    JsonlSink,
-    TelemetryBus,
-    attach_jsonl,
-    read_jsonl,
-)
 from repro.observability.tracer import Span, SpanTracer
 
 __all__ = [
-    "CommProfiler",
-    "CriticalSegment",
-    "DivergenceInvariant",
     "FieldSpec",
     "FlightRecorder",
     "HealthError",
@@ -80,25 +62,17 @@ __all__ = [
     "HealthRecord",
     "HealthThresholds",
     "Instrumentation",
-    "JsonlSink",
     "MetricsRegistry",
     "RecordSchema",
     "RunRecorder",
     "Span",
     "SpanTracer",
-    "TelemetryBus",
-    "attach_jsonl",
     "chrome_events_from_cost_tracker",
     "configure_logging",
-    "critical_path",
-    "critical_path_from_tracker",
     "get_logger",
-    "measured_efficiency",
     "phase_breakdown",
-    "profile_events",
     "read_jsonl",
     "render_breakdown",
-    "render_critical_path",
     "runs_root",
     "telemetry_root",
 ]

@@ -6,20 +6,9 @@ virtual start/end times (:attr:`TraceEvent.rank_starts` /
 ``trace_event`` complete events — one timeline lane (``tid``) per simulated
 rank, under a dedicated ``pid`` — so predicted rank timelines and *real*
 wall-clock spans from the :class:`~repro.observability.tracer.SpanTracer`
-render side by side in one ``chrome://tracing`` / Perfetto view.
-
-Every slice is stamped with the args the communication observatory needs
-to rebuild the event log from the trace alone (``python -m
-repro.observability.report <trace> --comm`` / ``--critical-path``):
-
-* ``seq`` — the event's charge-order index (slices of one collective share
-  it, so per-event quantities like bytes are not multi-counted);
-* ``kind`` / ``phase`` — the charge kind and the algorithmic phase label;
-* ``wait`` — for synchronizing events, this rank's clock-alignment seconds
-  (sync point − arrival), the laggard-wait half of the decomposition.
-
-A positive wait is also rendered as its own bar (``cat="wait"``, spanning
-arrival → sync) so Perfetto shows blocked time explicitly.
+render side by side in one ``chrome://tracing`` / Perfetto view, and
+``python -m repro.observability.report <trace> --pid 2`` totals them per
+label.  A rank blocked on a collective shows as the gap before it.
 """
 
 from __future__ import annotations
@@ -31,11 +20,11 @@ COST_TRACE_PID = 2
 
 
 def chrome_events_from_cost_tracker(tracker) -> list[dict[str, Any]]:
-    """One ``"X"`` event per (event, participating rank) plus one per
-    positive wait, µs units, under :data:`COST_TRACE_PID`."""
+    """One ``"X"`` event per (event, participating rank), µs units, under
+    :data:`COST_TRACE_PID`."""
     pid = COST_TRACE_PID
     events: list[dict[str, Any]] = []
-    for seq, e in enumerate(tracker.events):
+    for e in tracker.events:
         ranks = e.participants(tracker.nranks)
         starts = e.rank_starts
         ends = e.rank_ends
@@ -43,8 +32,7 @@ def chrome_events_from_cost_tracker(tracker) -> list[dict[str, Any]]:
             # Legacy event without recorded times: place at t=0.
             starts = (0.0,) * len(ranks)
             ends = (e.seconds,) * len(ranks)
-        waits = e.waits() or (0.0,) * len(ranks)
-        for rank, t0, t1, wait in zip(ranks, starts, ends, waits):
+        for rank, t0, t1 in zip(ranks, starts, ends):
             events.append(
                 {
                     "name": e.label,
@@ -54,33 +42,9 @@ def chrome_events_from_cost_tracker(tracker) -> list[dict[str, Any]]:
                     "dur": (t1 - t0) * 1e6,
                     "pid": pid,
                     "tid": int(rank),
-                    "args": {
-                        "kind": e.kind,
-                        "nbytes": e.nbytes,
-                        "phase": e.phase,
-                        "seq": seq,
-                        "wait": wait,
-                    },
+                    "args": {"nbytes": e.nbytes},
                 }
             )
-            if wait > 0.0:
-                events.append(
-                    {
-                        "name": f"{e.label} (wait)",
-                        "cat": "wait",
-                        "ph": "X",
-                        "ts": (t0 - wait) * 1e6,
-                        "dur": wait * 1e6,
-                        "pid": pid,
-                        "tid": int(rank),
-                        "args": {
-                            "kind": "wait",
-                            "phase": e.phase,
-                            "seq": seq,
-                            "label": e.label,
-                        },
-                    }
-                )
     # Name the process and lanes so the viewer reads "virtual machine".
     meta: list[dict[str, Any]] = [
         {
@@ -102,4 +66,3 @@ def chrome_events_from_cost_tracker(tracker) -> list[dict[str, Any]]:
             }
         )
     return meta + events
-

@@ -1,13 +1,12 @@
 """The flight recorder: a bounded event ring dumped on failure.
 
-A :class:`FlightRecorder` subscribes to the
-:class:`~repro.observability.stream.TelemetryBus` and keeps the most recent
-telemetry in memory — a bounded ring of raw events plus the latest sample
-per metric key.  Nothing is written while a run is healthy.  When the run
-fails — a health invariant FAILs, a sanitizer trips, or a driver dies on an
-unhandled exception — the recorder dumps its ring, the currently *open*
-span stack, and the recent metric samples to ``blackbox.jsonl`` inside the
-run directory: the post-mortem artifact the elastic-execution work replays.
+A :class:`FlightRecorder` is fed by the run's tracer, metrics registry and
+health monitor listeners and keeps the most recent telemetry in memory — a
+bounded ring of raw events plus the latest sample per metric key.  Nothing
+is written while a run is healthy.  When the run fails — a health invariant
+FAILs, a sanitizer trips, or a driver dies on an unhandled exception — the
+recorder dumps its ring, the currently *open* span stack, and the recent
+metric samples to ``blackbox.jsonl`` inside the run directory.
 
 Dump format is JSONL, one record per line, discriminated by ``"record"``::
 
@@ -16,12 +15,15 @@ Dump format is JSONL, one record per line, discriminated by ``"record"``::
     {"record": "open_span", "path": "qmd.step/ldc.run", ...}
     {"record": "metric",    "key": "qmd.total_energy.last", "value": ...}
 
-A crash-time file may by construction end mid-record;
-:func:`~repro.observability.stream.read_jsonl` tolerates exactly that.
+A crash-time file may by construction end mid-record; :func:`read_jsonl`
+tolerates exactly that.  Telemetry never takes down the solve it watches:
+a dump that cannot be written is kept in :attr:`FlightRecorder.errors`
+(the run manifest lists it under ``failures``) instead of raising.
 
 The recorder is wired automatically by
-:class:`~repro.observability.runlog.RunRecorder`; it can also be used
-standalone (``bus.subscribe(flight)``) with an explicit ``dump_dir``.
+:class:`~repro.observability.runlog.RunRecorder`
+(:meth:`~repro.observability.runlog.RunRecorder.attach`); it can also be
+fed by hand (:meth:`FlightRecorder.record`) with an explicit ``dump_dir``.
 Single-threaded by contract: the recorder holds no lock.
 """
 
@@ -31,6 +33,8 @@ import json
 import pathlib
 from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Any
+
+from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
     from repro.observability.tracer import SpanTracer
@@ -56,7 +60,7 @@ class FlightRecorder:
         :meth:`dump` a no-op returning ``None``.
     tracer:
         Optional :class:`~repro.observability.tracer.SpanTracer` whose
-        open-span stack is included in dumps.
+        open-span stack is included in dumps and whose clock stamps events.
     """
 
     def __init__(
@@ -78,30 +82,31 @@ class FlightRecorder:
         self.seen = 0
         #: paths written by :meth:`dump`, in order
         self.dumps: list[pathlib.Path] = []
+        #: dumps that could not be written, as ``{"type", "message"}``
+        self.errors: list[dict[str, str]] = []
 
-    # -- bus subscriber -------------------------------------------------------
+    # -- feeding the ring -----------------------------------------------------
 
-    def __call__(self, event: dict[str, Any]) -> None:
-        """Record one bus event; a FAIL health verdict triggers a dump."""
-        topic = event.get("topic")
+    def record(self, topic: str, **data: Any) -> None:
+        """Append one event to the ring; a FAIL health verdict dumps."""
         self.seen += 1
+        clock = self.tracer if self.tracer is not None else _DEFAULT_CLOCK
+        event = {
+            "topic": topic, "seq": self.seen, "time": clock.now(), "data": data,
+        }
         self._events.append(event)
         if topic == "metric":
-            data = event.get("data", {})
             key = str(data.get("key"))
             self._metrics[key] = {
                 "key": key,
                 "value": data.get("value"),
-                "seq": event.get("seq"),
-                "time": event.get("time"),
+                "seq": event["seq"],
+                "time": event["time"],
             }
             self._metrics.move_to_end(key)
             while len(self._metrics) > self.metrics_keep:
                 self._metrics.popitem(last=False)
-        if (
-            topic == "health"
-            and event.get("data", {}).get("status") == "fail"
-        ):
+        if topic == "health" and data.get("status") == "fail":
             self.dump("health_fail", trigger=event)
 
     # -- queries --------------------------------------------------------------
@@ -126,7 +131,8 @@ class FlightRecorder:
 
         Multiple dumps append to the same file, each starting with its own
         ``"dump"`` header record, so a health FAIL followed by the raising
-        sink's exception leaves both contexts on disk in order.
+        sink's exception leaves both contexts on disk in order.  An
+        ``OSError`` while writing is kept in :attr:`errors`, not raised.
         """
         if path is None:
             if self.dump_dir is None:
@@ -157,9 +163,43 @@ class FlightRecorder:
                     }
                 )
         records.extend({"record": "metric", **m} for m in self._metrics.values())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "a") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
+        except OSError as exc:
+            self.errors.append({
+                "type": type(exc).__name__,
+                "message": f"{reason} dump to {path} failed: {exc}",
+            })
+            return None
         self.dumps.append(path)
         return path
+
+
+def read_jsonl(path, strict: bool = False) -> list[dict[str, Any]]:
+    """Load a JSONL file (``blackbox.jsonl``) back into dicts.
+
+    A crash-time file ends mid-record by construction, so by default a
+    malformed *final* line is dropped rather than raised on; corruption
+    anywhere earlier — and any malformed line under ``strict=True`` —
+    still raises :class:`json.JSONDecodeError`.
+    """
+    events = []
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh]
+    while lines and not lines[-1]:
+        lines.pop()
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        try:
+            events.append(json.loads(line))
+        except json.JSONDecodeError:
+            if strict or i != len(lines) - 1:
+                raise
+    return events
+
+
+_DEFAULT_CLOCK = WallClock()

@@ -125,12 +125,6 @@ class HealthThresholds:
     temperature_fail: float = 2.0
     #: steps to let the thermostat settle before the window is enforced
     temperature_settle_steps: int = 10
-    #: measured-vs-modeled phase-time drift |t_meas − t_model| / t_model.
-    #: The WARN band absorbs the LPT scheduler's residual imbalance on
-    #: unequal domains; FAIL marks a genuinely skewed assignment (e.g. a
-    #: whole group's work landing on one rank group).
-    model_divergence_warn: float = 0.5
-    model_divergence_fail: float = 1.0
 
 
 class Invariant:
@@ -387,41 +381,6 @@ class SolverConvergenceInvariant(Invariant):
         )
 
 
-class DivergenceInvariant(Invariant):
-    """Measured phase times must track the performance-model prediction.
-
-    Drivers executing on the virtual machine publish, per algorithmic
-    phase, the *measured* time (from the :class:`CommProfiler` / event-log
-    accounting) alongside the *modeled* time (the closed-form
-    :mod:`repro.perfmodel.scaling` / balanced-cost prediction).  A drift
-    outside the band flags exactly what the paper's Fig. 5/6 diagnostics
-    would: laggard-dominated phases, skewed domain assignments, or a cost
-    model that no longer describes the code.
-    """
-
-    name = "model_divergence"
-    channel = "vm.phase"
-
-    def __init__(self, thresholds: HealthThresholds | None = None) -> None:
-        self.thresholds = thresholds or HealthThresholds()
-
-    def update(self, sample: dict[str, Any]) -> HealthRecord | None:
-        modeled = float(sample["modeled_seconds"])
-        measured = float(sample["measured_seconds"])
-        phase = str(sample.get("phase", "?"))
-        if modeled <= 0.0:
-            return None
-        drift = abs(measured - modeled) / modeled
-        return self._banded(
-            drift,
-            self.thresholds.model_divergence_warn,
-            self.thresholds.model_divergence_fail,
-            f"measured-vs-modeled drift in phase {phase!r}",
-            phase=phase, measured_seconds=measured,
-            modeled_seconds=modeled, ranks=sample.get("ranks"),
-        )
-
-
 def default_invariants(
     thresholds: HealthThresholds | None = None,
 ) -> list[Invariant]:
@@ -434,7 +393,6 @@ def default_invariants(
         PartitionOfUnityInvariant(thr),
         SCFResidualInvariant(thr),
         SolverConvergenceInvariant(),
-        DivergenceInvariant(thr),
     ]
 
 
@@ -509,8 +467,8 @@ class HealthMonitor:
         self.sinks: list[AlertSink] = list(sinks)
         self.keep_ok = keep_ok
         self.clock = clock
-        #: callables receiving *every* record (OK included) — the telemetry
-        #: bus wire-up; empty by default so nothing runs when unused
+        #: callables receiving *every* record (OK included) — the flight
+        #: recorder's wire-up; empty by default so nothing runs when unused
         self.listeners: list[Callable[[HealthRecord], None]] = []
         self.records: list[HealthRecord] = []
         #: evaluation counts per (invariant, status)

@@ -41,10 +41,9 @@ from repro.observe import Observer, env_numerics
 from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
-    from repro.observability.comms import CommProfiler
     from repro.observability.health import HealthMonitor
     from repro.observability.runlog import RunRecorder
-    from repro.observability.stream import TelemetryBus
+    from repro.parallel.trace import CostTracker
     from repro.sanitize.numerics import NumericsSanitizer
 
 
@@ -65,19 +64,13 @@ class Instrumentation(Observer):
         set, drivers additionally publish physics-invariant samples to it
         and its records merge into the Chrome trace as instant events.
         ``None`` (the default) keeps every health check off the hot path.
-    stream:
-        Optional :class:`~repro.observability.stream.TelemetryBus`.  When
-        set, finished spans, metric samples, health verdicts, and
-        comm-profiler summaries are published to it live (topics ``span``,
-        ``metric``, ``health``, ``comm.summary``).  ``None`` (the default)
-        installs no listeners, so recording stays bus-free.
     recorder:
         Optional :class:`~repro.observability.runlog.RunRecorder`.  When
         set, the run gets a ledger entry (``telemetry/runs/<run_id>/`` with
-        a schema'd manifest), a flight recorder is subscribed to the bus
-        (one is auto-created if ``stream`` is ``None``), and drivers note
-        their invocations/failures against it.  ``None`` (the default)
-        executes zero runlog code.
+        a schema'd manifest), its flight recorder listens to the tracer,
+        the metrics and the health monitor, and drivers note their
+        invocations/failures against it.  ``None`` (the default) installs
+        no listener and executes zero runlog code.
     numerics:
         Optional :class:`~repro.sanitize.NumericsSanitizer`: arms the
         drivers' NaN/Inf and dtype checkpoints (:meth:`check`).  ``None``
@@ -92,7 +85,6 @@ class Instrumentation(Observer):
         logger: logging.Logger | None = None,
         clock: WallClock | None = None,
         health: "HealthMonitor | None" = None,
-        stream: "TelemetryBus | None" = None,
         recorder: "RunRecorder | None" = None,
         numerics: "NumericsSanitizer | None" = None,
     ) -> None:
@@ -107,49 +99,9 @@ class Instrumentation(Observer):
         #: extra Chrome-trace events merged into exports (e.g. simulated-rank
         #: timelines attached via :meth:`attach_cost_tracker`)
         self.extra_chrome_events: list[dict[str, Any]] = []
-        #: the ``comm.json`` payloads of the attached trackers' profiles
-        self._comm_summaries: list[dict[str, Any]] = []
-        if stream is None and recorder is not None:
-            # the flight recorder listens on the bus; a ledger-enabled run
-            # without an explicit bus gets a private one
-            from repro.observability.stream import TelemetryBus
-
-            stream = TelemetryBus(clock=self.tracer._clock)
-        self.stream = stream
-        if stream is not None:
-            self._wire_stream(stream)
         self.recorder = recorder
         if recorder is not None:
             recorder.attach(self)
-
-    def _wire_stream(self, bus: "TelemetryBus") -> None:
-        """Subscribe the bus to span/metric/health emission points."""
-        self.tracer.add_listener(
-            lambda span: bus.publish(
-                "span",
-                name=span.name,
-                path=span.path,
-                category=span.category,
-                duration=span.duration,
-                attrs=span.attrs,
-            )
-        )
-        self.metrics.add_listener(
-            lambda inst, value: bus.publish(
-                "metric", key=inst.key, kind=inst.kind, value=value
-            )
-        )
-        if self.health is not None:
-            self.health.add_listener(
-                lambda rec: bus.publish(
-                    "health",
-                    invariant=rec.invariant,
-                    status=rec.status,
-                    value=rec.value,
-                    message=rec.message,
-                    context=rec.context,
-                )
-            )
 
     # -- tracing -------------------------------------------------------------
 
@@ -205,15 +157,9 @@ class Instrumentation(Observer):
 
     # -- virtual-machine timelines ------------------------------------------
 
-    def attach_cost_tracker(self, tracker) -> "CommProfiler":
-        """Take a finished :class:`CostTracker`'s event log into the run.
-
-        Its simulated-rank timeline is merged into the Chrome-trace export,
-        alongside the real wall-clock spans; its
-        :func:`~repro.observability.comms.profile_events` summary lands in
-        ``comm.json`` and — when a telemetry bus is attached — is published
-        as a ``comm.summary`` event.  Returns the profile."""
-        from repro.observability.comms import profile_events
+    def attach_cost_tracker(self, tracker: "CostTracker") -> None:
+        """Merge a finished :class:`CostTracker`'s simulated-rank lanes into
+        the Chrome-trace export (pid 2), beside the real wall-clock spans."""
         from repro.observability.cost_trace import (
             chrome_events_from_cost_tracker,
         )
@@ -221,12 +167,6 @@ class Instrumentation(Observer):
         self.extra_chrome_events.extend(
             chrome_events_from_cost_tracker(tracker)
         )
-        profile = profile_events(tracker.events, tracker.nranks)
-        summary = profile.to_dict()
-        self._comm_summaries.append(summary)
-        if self.stream is not None:
-            self.stream.publish("comm.summary", **summary)
-        return profile
 
     # -- export --------------------------------------------------------------
 
@@ -261,9 +201,4 @@ class Instrumentation(Observer):
             paths["health"] = out / "health.json"
             with open(paths["health"], "w") as fh:
                 json.dump(self.health.to_dict(), fh, indent=1)
-        if self._comm_summaries:
-            paths["comm"] = out / "comm.json"
-            payload = self._comm_summaries
-            with open(paths["comm"], "w") as fh:
-                json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=1)
         return paths

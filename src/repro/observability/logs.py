@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Any
+from typing import IO, Any
 
 ROOT_LOGGER = "repro"
 
@@ -64,7 +64,7 @@ def get_logger(name: str = "") -> logging.Logger:
 def configure_logging(
     level: int | str | None = None,
     json_format: bool | None = None,
-    stream=None,
+    stream: IO[str] | None = None,
 ) -> logging.Logger:
     """Attach a stream handler to the ``repro`` root logger.
 

@@ -43,7 +43,7 @@ class _Instrument:
         self.name = name
         self.labels = dict(labels)
         #: set by the owning registry when sample listeners are attached
-        #: (telemetry-bus wire-up); ``None`` keeps sampling listener-free
+        #: (flight-recorder wire-up); ``None`` keeps sampling listener-free
         self._notify = None
 
     @property
@@ -156,7 +156,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         #: sample listeners, called as ``listener(instrument, value)`` on
-        #: every inc/set/observe/append — the telemetry-bus wire-up
+        #: every inc/set/observe/append — the flight recorder's wire-up
         self._listeners: list = []
 
     def add_listener(self, listener) -> None:

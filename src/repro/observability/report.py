@@ -6,11 +6,11 @@ from a trace produced by :class:`~repro.observability.tracer.SpanTracer`,
 
     python -m repro.observability.report trace.json
     python -m repro.observability.report trace.json --by cat --top 10
+    python -m repro.observability.report trace.json --pid 2
 
 The positional argument also accepts a run directory or a (prefix of a)
 ledger run id — the trace is resolved through the run ledger
-(:mod:`repro.observability.runlog`), and dropped-subscriber counts
-recorded in the manifest are surfaced as warnings::
+(:mod:`repro.observability.runlog`)::
 
     python -m repro.observability.report 20260808-143022-qmd-1a2b3c
 
@@ -23,16 +23,9 @@ per-phase time, estimated FLOPs (attributed from the solve sizes stamped
 on spans via :mod:`repro.observability.costattr`), achieved GFLOP/s, and —
 with ``--peak-gflops`` — the achieved fraction of peak.
 
-Two views read the *virtual machine* lanes of the trace (the simulated-rank
-slices exported under ``pid=2``, stamped with ``seq``/``kind``/``phase``/
-``wait`` args by :mod:`repro.observability.cost_trace`):
-
-* ``--comm`` — the communication observatory table: per algorithmic phase,
-  compute / transfer / wait rank-seconds, bytes moved, collective calls,
-  parallel efficiency, load imbalance, and the laggard rank (the Fig. 5/6
-  quantities, measured rather than modeled);
-* ``--critical-path`` — the longest dependency chain through the rank
-  timelines: which rank's which segment the run is actually waiting on.
+``--pid 2`` selects the *virtual machine* lanes (the simulated-rank slices
+of :mod:`repro.observability.cost_trace`): per label, the rank-seconds the
+cost model charged.
 """
 
 from __future__ import annotations
@@ -44,42 +37,20 @@ import sys
 from typing import Any
 
 
-def resolve_run(arg) -> tuple[pathlib.Path, pathlib.Path | None]:
-    """Resolve the CLI's positional argument to ``(trace_path, run_dir)``.
+def resolve_trace(arg) -> pathlib.Path:
+    """Resolve the CLI's positional argument to a trace path.
 
     Accepts a trace file, a run directory (containing ``trace.json``), or a
-    ledger run id / unique prefix; ``run_dir`` is ``None`` for a bare file.
+    ledger run id / unique prefix.
     """
     path = pathlib.Path(arg)
     if path.is_dir():
-        return path / "trace.json", path
+        return path / "trace.json"
     if path.exists():
-        return path, None
+        return path
     from repro.observability.runlog import find_run
 
-    run_dir = find_run(str(arg))  # raises FileNotFoundError with detail
-    return run_dir / "trace.json", run_dir
-
-
-def _warn_dropped(run_dir: pathlib.Path) -> None:
-    """Surface the manifest's dropped-subscriber records on stderr."""
-    from repro.observability.runlog import load_manifest
-
-    try:
-        manifest = load_manifest(run_dir)
-    except (OSError, json.JSONDecodeError):
-        return
-    dropped = manifest.get("telemetry", {}).get("dropped") or []
-    if dropped:
-        print(
-            f"warning: {len(dropped)} telemetry subscriber(s) were dropped "
-            "mid-run; events published after the drop are missing from "
-            "the artifacts:",
-            file=sys.stderr,
-        )
-        for entry in dropped:
-            sub, err = (list(entry) + ["", ""])[:2]
-            print(f"  {sub}: {err}", file=sys.stderr)
+    return find_run(str(arg)) / "trace.json"  # FileNotFoundError with detail
 
 
 def load_trace(path) -> list[dict[str, Any]]:
@@ -164,52 +135,6 @@ def render_breakdown(
     return "\n".join(lines)
 
 
-def render_comm(profiler) -> str:
-    """The observatory table: per-phase decomposition + per-kind traffic."""
-    by_phase = profiler.by_phase()
-    width = max([len(p or "(unphased)") for p in by_phase] + [5])
-    lines = [
-        f"{'phase':<{width}}  {'compute[s]':>11}  {'transfer[s]':>11}  "
-        f"{'wait[s]':>11}  {'bytes':>12}  {'calls':>6}  {'eff':>6}  "
-        f"{'imbal':>6}  {'laggard':>7}"
-    ]
-    lines.append("-" * len(lines[0]))
-    for phase, agg in sorted(
-        by_phase.items(), key=lambda kv: -kv[1]["compute_s"]
-    ):
-        lines.append(
-            f"{phase or '(unphased)':<{width}}  {agg['compute_s']:>11.6f}  "
-            f"{agg['transfer_s']:>11.6f}  {agg['wait_s']:>11.6f}  "
-            f"{agg['nbytes']:>12.0f}  {agg['calls']:>6d}  "
-            f"{agg['efficiency']:>6.3f}  {agg['imbalance']:>6.3f}  "
-            f"{agg['laggard']:>7d}"
-        )
-    by_kind = profiler.by_kind()
-    if by_kind:
-        lines.append("")
-        kwidth = max([len(k) for k in by_kind] + [10])
-        lines.append(
-            f"{'collective':<{kwidth}}  {'calls':>6}  {'bytes':>12}  "
-            f"{'transfer[s]':>11}  {'wait[s]':>11}"
-        )
-        lines.append("-" * len(lines[-1]))
-        for label, agg in sorted(
-            by_kind.items(), key=lambda kv: -kv[1]["transfer_s"]
-        ):
-            lines.append(
-                f"{label:<{kwidth}}  {agg['calls']:>6d}  {agg['nbytes']:>12.0f}  "
-                f"{agg['transfer_s']:>11.6f}  {agg['wait_s']:>11.6f}"
-            )
-    lines.append("")
-    lines.append(
-        f"ranks: {profiler.nranks}   "
-        f"parallel efficiency: {profiler.parallel_efficiency():.4f}   "
-        f"wait fraction: {profiler.wait_fraction():.4f}   "
-        f"total bytes: {profiler.bytes_total:.0f}"
-    )
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observability.report",
@@ -239,59 +164,18 @@ def main(argv: list[str] | None = None) -> int:
         "--peak-gflops", type=float, default=None,
         help="machine peak used for the %% of peak column in --flops mode",
     )
-    parser.add_argument(
-        "--comm", action="store_true",
-        help="communication observatory: per-phase compute/transfer/wait, "
-             "bytes, efficiency, imbalance, laggard (from the VM lanes)",
-    )
-    parser.add_argument(
-        "--critical-path", action="store_true",
-        help="walk the simulated-rank timelines and print the critical "
-             "path (the dependency chain the run actually waits on)",
-    )
     args = parser.parse_args(argv)
 
     try:
-        trace_path, run_dir = resolve_run(args.trace)
+        trace_path = resolve_trace(args.trace)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if run_dir is not None:
-        _warn_dropped(run_dir)
     try:
         events = load_trace(trace_path)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.comm or args.critical_path:
-        from repro.observability.cost_trace import COST_TRACE_PID
-        from repro.observability.critpath import (
-            critical_path,
-            events_from_chrome,
-            render_critical_path,
-        )
-
-        vm_events, nranks = events_from_chrome(
-            events, pid=COST_TRACE_PID if args.pid is None else args.pid
-        )
-        if not vm_events:
-            print(
-                "trace contains no virtual-machine events (pid "
-                f"{COST_TRACE_PID if args.pid is None else args.pid}); "
-                "was the run recorded with an attached CostTracker?",
-                file=sys.stderr,
-            )
-            return 1
-        if args.comm:
-            from repro.observability.comms import profile_events
-
-            print(render_comm(profile_events(vm_events, nranks)))
-            if args.critical_path:
-                print()
-        if args.critical_path:
-            segments = critical_path(vm_events, nranks)
-            print(render_critical_path(segments, top=args.top))
-        return 0
     if args.flops:
         from repro.observability.costattr import render_roofline, roofline_table
 

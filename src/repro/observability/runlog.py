@@ -1,6 +1,6 @@
 """The run ledger: durable per-run identity, manifests, and cross-run diffs.
 
-Single-run telemetry (trace/metrics/health/comm artifacts) answers "what
+Single-run telemetry (trace/metrics/health artifacts) answers "what
 happened in *this* invocation"; the paper's scaling and time-to-solution
 claims (Figs. 5/6, Sec. 5) are statements about *series* of runs.  This
 module adds the longitudinal layer:
@@ -12,8 +12,9 @@ module adds the longitudinal layer:
   and a content hash of every artifact (so a ledger entry is verifiable
   long after the run).
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
-  FlightRecorder` wired to the run's telemetry bus dumps ``blackbox.jsonl``
-  on health FAILs, sanitizer errors, and unhandled driver exceptions.
+  FlightRecorder` fed by the run's tracer, metrics and health listeners
+  dumps ``blackbox.jsonl`` on health FAILs, sanitizer errors, and
+  unhandled driver exceptions.
 * **Cross-run diffs** — the CLI lists/inspects/verifies runs and diffs two
   manifests metric-by-metric through the one comparison engine,
   :func:`~repro.observability.regress.compare_payloads`::
@@ -59,7 +60,8 @@ if TYPE_CHECKING:
     from repro.observability.regress import RecordSchema
 
 #: manifest layout version — bumped when the manifest envelope changes
-MANIFEST_VERSION = 1
+#: (2: no ``telemetry`` field)
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 #: environment variable naming the telemetry root directory
@@ -281,15 +283,38 @@ class RunRecorder:
     # -- facade wiring --------------------------------------------------------
 
     def attach(self, ins: "Instrumentation") -> None:
-        """Wire the flight recorder into a facade.
-
-        Called by ``Instrumentation(recorder=...)``; the facade guarantees
-        a telemetry bus exists by then.
-        """
+        """Feed the flight recorder from a facade: every finished span,
+        metric sample and health verdict (topics ``span``, ``metric``,
+        ``health``).  Called by ``Instrumentation(recorder=...)``."""
         self._ins = ins
-        self.flight.tracer = ins.tracer
-        if ins.stream is not None:
-            ins.stream.subscribe(self.flight)
+        flight = self.flight
+        flight.tracer = ins.tracer
+        ins.tracer.add_listener(
+            lambda span: flight.record(
+                "span",
+                name=span.name,
+                path=span.path,
+                category=span.category,
+                duration=span.duration,
+                attrs=span.attrs,
+            )
+        )
+        ins.metrics.add_listener(
+            lambda inst, value: flight.record(
+                "metric", key=inst.key, kind=inst.kind, value=value
+            )
+        )
+        if ins.health is not None:
+            ins.health.add_listener(
+                lambda rec: flight.record(
+                    "health",
+                    invariant=rec.invariant,
+                    status=rec.status,
+                    value=rec.value,
+                    message=rec.message,
+                    context=rec.context,
+                )
+            )
 
     # -- in-flight records ----------------------------------------------------
 
@@ -350,26 +375,22 @@ class RunRecorder:
                 "worst_status": ins.health.worst_status(),
                 "failures": len(ins.health.failures()),
             }
-        telemetry = {"published": 0, "dropped": []}
-        if ins is not None and ins.stream is not None:
-            telemetry = {
-                "published": ins.stream.published,
-                "dropped": [list(d) for d in ins.stream.dropped],
-            }
+        # a black box that could not be written is a failure of the run's
+        # record, never of the solve
+        failures = self._failures + self.flight.errors
         manifest: dict[str, Any] = {
             "manifest_version": MANIFEST_VERSION,
             "run_id": self.run_id,
             "component": self.component,
-            "status": _resolve_status(status, self._failures, health),
+            "status": _resolve_status(status, failures, health),
             "started": self._started,
             "finished": _utc_now(),
             "wall_seconds": time.time() - self._t0,
             "provenance": _provenance(),
             "env": {k: os.environ.get(k) for k in TRACKED_ENV},
             "invocations": self._invocations,
-            "failures": self._failures,
+            "failures": failures,
             "health": health,
-            "telemetry": telemetry,
             "metrics": dict(sorted(self._metrics.items())),
             "artifacts": {
                 p.name: {
@@ -453,7 +474,6 @@ def validate_manifest(manifest: Any) -> list[str]:
     need("env", dict)
     need("invocations", list)
     need("failures", list)
-    need("telemetry", dict)
 
     def check_metrics(metrics: dict) -> None:
         for key, value in metrics.items():
@@ -695,15 +715,6 @@ def _cmd_show(args) -> int:
     run_dir = find_run(args.run, root=args.root)
     manifest = load_manifest(run_dir)
     print(json.dumps(manifest, indent=1, sort_keys=True))
-    dropped = manifest.get("telemetry", {}).get("dropped") or []
-    if dropped:
-        print(
-            f"warning: {len(dropped)} telemetry subscriber(s) dropped "
-            "mid-run (events after the drop are missing):",
-            file=sys.stderr,
-        )
-        for sub, err in dropped:
-            print(f"  {sub}: {err}", file=sys.stderr)
     return 0
 
 

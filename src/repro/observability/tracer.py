@@ -61,8 +61,9 @@ class SpanTracer:
     def __init__(self, clock: WallClock | None = None) -> None:
         self._clock = clock or WallClock()
         self._finished: list[Span] = []
-        #: callables receiving each span as it finishes (telemetry-bus
-        #: wire-up); empty by default, so closing a span costs one truth test
+        #: callables receiving each span as it finishes (the flight
+        #: recorder's wire-up); empty by default, so closing a span costs one
+        #: truth test
         self._listeners: list = []
         #: the open spans, outermost first
         self._stack: list[Span] = []

@@ -7,22 +7,14 @@ their maximum (the laggard defines the cost — exactly how real bulk-
 synchronous codes behave), then adds the collective's modeled time.
 
 ``elapsed()`` (max over clocks) is the predicted wall-clock of the run, and
-the event log supports per-phase breakdowns like the paper's I/O accounting
-(Sec. 4.2).
-
-:attr:`CostTracker.events` is the one record of a run.
-:meth:`CostTracker.phase` stamps events with an algorithmic phase label
-(``"domain"``, ``"tree"``, ...), so analysis can aggregate the log by the
-names the span tracer uses.  Collective and p2p events carry
-:attr:`TraceEvent.rank_arrivals` — each participant's pre-synchronization
-clock — from which :func:`repro.observability.comms.profile_events`
-decomposes a charge into *wait* (clock alignment to the laggard) and
-*transfer* time after the run.  Nothing observes the charge path itself.
+the event log supports per-label breakdowns like the paper's I/O accounting
+(Sec. 4.2).  :attr:`CostTracker.events` is the one record of a run: each
+event keeps its participants' virtual start/end times, which is all the
+Chrome-trace rank lanes (:mod:`repro.observability.cost_trace`) need.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +32,10 @@ class TraceEvent:
     #: as a per-rank timeline (Chrome trace) without replaying the run
     rank_starts: tuple[float, ...] | None = None
     rank_ends: tuple[float, ...] | None = None
-    #: per-participant clock *before* synchronization (collective/p2p only):
-    #: ``start - arrival`` is the wait a rank spends blocked on the laggard
-    rank_arrivals: tuple[float, ...] | None = None
-    #: algorithmic phase active at charge time (see :meth:`CostTracker.phase`)
-    phase: str = ""
 
     def participants(self, nranks: int) -> tuple[int, ...]:
         """Concrete rank list (expands the ``None`` = all-ranks shorthand)."""
         return tuple(range(nranks)) if self.ranks is None else self.ranks
-
-    def waits(self) -> tuple[float, ...] | None:
-        """Per-participant wait seconds (sync point − arrival), when known."""
-        if self.rank_arrivals is None or self.rank_starts is None:
-            return None
-        return tuple(
-            max(s - a, 0.0)
-            for s, a in zip(self.rank_starts, self.rank_arrivals)
-        )
 
 
 class CostTracker:
@@ -69,24 +47,6 @@ class CostTracker:
         self.nranks = nranks
         self.clocks = np.zeros(nranks)
         self.events: list[TraceEvent] = []
-        #: phase label stamped on events charged now (see :meth:`phase`)
-        self.current_phase = ""
-
-    # -- phases ---------------------------------------------------------------
-
-    @contextlib.contextmanager
-    def phase(self, label: str):
-        """Stamp events charged inside the block with an algorithmic phase.
-
-        Phases nest by replacement (the innermost label wins), mirroring how
-        span labels name the enclosing algorithm section.
-        """
-        previous = self.current_phase
-        self.current_phase = label
-        try:
-            yield self
-        finally:
-            self.current_phase = previous
 
     # -- charging -----------------------------------------------------------
 
@@ -102,7 +62,6 @@ class CostTracker:
             TraceEvent(
                 "compute", self._key(ranks), seconds, 0.0, label,
                 rank_starts=starts, rank_ends=ends,
-                phase=self.current_phase,
             )
         )
 
@@ -119,7 +78,6 @@ class CostTracker:
             TraceEvent(
                 "collective", self._key(ranks), seconds, nbytes, label,
                 rank_starts=(sync,) * n, rank_ends=(sync + seconds,) * n,
-                rank_arrivals=arrivals, phase=self.current_phase,
             )
         )
 
@@ -128,15 +86,13 @@ class CostTracker:
         label: str = "p2p",
     ) -> None:
         """Point-to-point: receiver finishes at max(send-ready, recv-ready) + t."""
-        arrivals = (float(self.clocks[src]), float(self.clocks[dst]))
-        ready = max(arrivals)
+        ready = max(float(self.clocks[src]), float(self.clocks[dst]))
         self.clocks[src] = ready + seconds
         self.clocks[dst] = ready + seconds
         self.events.append(
             TraceEvent(
                 "p2p", (src, dst), seconds, nbytes, label,
                 rank_starts=(ready, ready), rank_ends=(ready + seconds,) * 2,
-                rank_arrivals=arrivals, phase=self.current_phase,
             )
         )
 
@@ -157,13 +113,6 @@ class CostTracker:
         out: dict[str, float] = {}
         for e in self.events:
             out[e.label] = out.get(e.label, 0.0) + e.seconds
-        return out
-
-    def total_by_phase(self) -> dict[str, float]:
-        """Charged seconds per stamped phase (unstamped events under ``""``)."""
-        out: dict[str, float] = {}
-        for e in self.events:
-            out[e.phase] = out.get(e.phase, 0.0) + e.seconds
         return out
 
     def total_bytes(self) -> float:

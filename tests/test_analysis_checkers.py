@@ -129,7 +129,7 @@ def test_rp006_telemetry_writes_exempt_inside_observability():
     )
     findings = [
         f for f in unsuppressed(check_file(
-            "src/repro/observability/stream.py", source=src
+            "src/repro/observability/flightrec.py", source=src
         ))
         if f.rule == "RP006"
     ]
@@ -152,18 +152,17 @@ def test_rp006_flags_direct_clock_mutation():
 
 
 def test_rp006_accepts_profiled_vm_constructions():
-    # A VM is profiled after the run from its event log
+    # A VM's lanes are merged after the run from its event log
     # (attach_cost_tracker), so building one in an instrumented path is
-    # never a finding — run_parallel_ldc's own shape included.
+    # never a finding.
     src = (
         '"""vm"""\n'
         "from repro.parallel.comm import VirtualComm\n"
         "from repro.parallel.trace import CostTracker\n"
         "\n"
-        "def run_attach(instrumentation=None):\n"
+        "def run_attach(ins):\n"
         "    tracker = CostTracker(8)\n"
-        "    if instrumentation is not None:\n"
-        "        instrumentation.attach_cost_tracker(tracker)\n"
+        "    ins.attach_cost_tracker(tracker)\n"
         "    return tracker\n"
         "\n"
         "\n"

@@ -117,6 +117,7 @@ def test_parallel_ldc_merges_vm_timeline(h2, tmp_path):
     assert ins.metrics.get("vm.predicted_seconds").value == pytest.approx(
         pres.predicted_seconds
     )
+    ins.attach_cost_tracker(pres.tracker)
     trace_path = tmp_path / "trace.json"
     ins.write_trace(trace_path)
     trace = json.loads(trace_path.read_text())

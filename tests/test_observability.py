@@ -166,6 +166,16 @@ def test_registry_get_does_not_create():
     assert reg.get("present").value == 1
 
 
+def test_metrics_listener_covers_existing_and_new_instruments():
+    got = []
+    ins = Instrumentation()
+    pre = ins.counter("made.before")          # exists before wiring
+    ins.metrics.add_listener(lambda inst, value: got.append((inst.key, value)))
+    pre.inc()
+    ins.gauge("made.after").set(2.0)          # created after wiring
+    assert got == [("made.before", 1.0), ("made.after", 2.0)]
+
+
 # ---------------------------------------------------------------------------
 # logging
 # ---------------------------------------------------------------------------

@@ -76,10 +76,7 @@ def test_chrome_trace_round_trip(tmp_path):
     path.write_text(json.dumps(trace))
     loaded = json.loads(path.read_text())
 
-    slices = [
-        e for e in loaded["traceEvents"]
-        if e["ph"] == "X" and e["cat"] != "wait"
-    ]
+    slices = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
     # one slice per (event, participant): 2 + 3 + 2
     assert len(slices) == 7
     assert all(e["pid"] == COST_TRACE_PID for e in slices)
@@ -91,10 +88,10 @@ def test_chrome_trace_round_trip(tmp_path):
     assert by_label["domain"] == pytest.approx(2 * 1.5)
     assert by_label["tree"] == pytest.approx(3 * 0.5)
     assert by_label["halo"] == pytest.approx(2 * 0.25)
-    # the report CLI's aggregation accepts the exported trace
+    # the report CLI's aggregation accepts the exported trace: one row per
+    # label (rank 2's idle time before the tree is a gap, not a row)
     breakdown = phase_breakdown(loaded["traceEvents"], pid=COST_TRACE_PID)
-    # rank 2 idled through the domain solve: its wait bar is a row too
-    assert set(breakdown) == {"domain", "tree", "tree (wait)", "halo"}
+    assert set(breakdown) == {"domain", "tree", "halo"}
     # wall extent of the trace equals the tracker's predicted elapsed time
     t1 = max(e["ts"] + e["dur"] for e in slices)
     t0 = min(e["ts"] for e in slices)
@@ -128,7 +125,6 @@ def test_empty_event_log_elapsed_and_imbalance_are_zero():
     assert t.elapsed() == 0.0
     assert t.imbalance() == 0.0
     assert t.total_by_label() == {}
-    assert t.total_by_phase() == {}
     assert t.total_bytes() == 0.0
 
 
@@ -140,8 +136,7 @@ def test_single_rank_tracker_edge_cases():
     assert t.elapsed() == pytest.approx(2.5)
     assert t.imbalance() == 0.0
     ev = t.events[-1]
-    assert ev.rank_arrivals == (2.0,)
-    assert ev.waits() == (0.0,)
+    assert ev.rank_starts == (2.0,) and ev.rank_ends == (2.5,)
 
 
 def test_all_ranks_none_shorthand_in_elapsed_and_imbalance():
@@ -156,39 +151,18 @@ def test_all_ranks_none_shorthand_in_elapsed_and_imbalance():
     assert ev.ranks is None and ev.rank_starts == (0.0,) * 3
 
 
-def test_phase_stamping_nests_by_replacement():
-    t = CostTracker(2)
-    t.charge_compute([0], 1.0, label="pre")
-    with t.phase("outer"):
-        t.charge_compute([0], 1.0, label="a")
-        with t.phase("inner"):
-            t.charge_collective(None, 0.5, label="b")
-        t.charge_compute([1], 1.0, label="c")
-    t.charge_compute([1], 1.0, label="post")
-    assert [e.phase for e in t.events] == ["", "outer", "inner", "outer", ""]
-    totals = t.total_by_phase()
-    assert totals["outer"] == pytest.approx(2.0)
-    assert totals["inner"] == pytest.approx(0.5)
-    assert totals[""] == pytest.approx(2.0)
-
-
-def test_phase_restored_when_charge_raises():
-    t = CostTracker(2)
-    with pytest.raises(ValueError):
-        with t.phase("broken"):
-            t.charge_compute([0], -1.0)
-    assert t.current_phase == ""
-
-
 def test_collective_arrivals_decompose_wait_and_transfer():
     t = CostTracker(3)
     t.charge_compute([0], 4.0)
     t.charge_compute([1], 1.0)
+    arrivals = t.clocks.copy()
     t.charge_collective(None, 0.5, nbytes=24.0, label="allreduce")
     ev = t.events[-1]
-    assert ev.rank_arrivals == (4.0, 1.0, 0.0)
-    # waits: laggard (rank 0) waits 0, the others align to its clock
-    assert ev.waits() == (0.0, 3.0, 4.0)
+    # every participant starts at the laggard's (rank 0's) clock; the others
+    # wait — the gap before the collective in their lanes
+    assert ev.rank_starts == (4.0,) * 3
+    waits = [start - arrival for start, arrival in zip(ev.rank_starts, arrivals)]
+    assert waits == [0.0, 3.0, 4.0]
     # accounting identity per rank: compute + wait + transfer == clock
-    for r, (arr, wait) in enumerate(zip(ev.rank_arrivals, ev.waits())):
-        assert arr + wait + ev.seconds == pytest.approx(float(t.clocks[r]))
+    for r, wait in enumerate(waits):
+        assert arrivals[r] + wait + ev.seconds == pytest.approx(float(t.clocks[r]))

@@ -29,7 +29,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 140_400
+DESIGN_MAX_BYTES = 139_516
 
 
 def test_design_document_does_not_grow():
@@ -37,6 +37,18 @@ def test_design_document_does_not_grow():
     assert size <= DESIGN_MAX_BYTES, (
         f"DESIGN.md is {size} bytes, over its {DESIGN_MAX_BYTES}-byte "
         "ratchet: replace text, do not append"
+    )
+
+
+#: EXPERIMENTS.md only shrinks too (ROADMAP 10(e) splits it per experiment)
+EXPERIMENTS_MAX_BYTES = 193_223
+
+
+def test_experiments_log_does_not_grow():
+    size = (REPO / "EXPERIMENTS.md").stat().st_size
+    assert size <= EXPERIMENTS_MAX_BYTES, (
+        f"EXPERIMENTS.md is {size} bytes, over its {EXPERIMENTS_MAX_BYTES}-"
+        "byte ratchet: replace text, do not append"
     )
 
 
@@ -312,10 +324,9 @@ def _inside(tree, *path):
 def test_engine_holds_one_observability_handle_that_is_never_none():
     """Below the public entry points the handle is a required argument and
     is called unconditionally: no ``sanitize``/``san`` parameter, no test
-    of a handle (or of a part of one) against ``None`` — the virtual
-    machine's post-run report and the driver's share-with-the-engine rule
-    aside — no import of the tooling packages at run time, and no mention
-    of the handle inside the kernels."""
+    of a handle (or of a part of one) against ``None`` — the driver's
+    share-with-the-engine rule aside — no import of the tooling packages at
+    run time, and no mention of the handle inside the kernels."""
     import ast
 
     params, guards, imports = [], [], []
@@ -331,8 +342,7 @@ def test_engine_holds_one_observability_handle_that_is_never_none():
             if isinstance(node, ast.arg) and node.arg in ("sanitize", "san"):
                 params.append((rel, node.lineno))
             if (
-                isinstance(node, ast.Compare)
-                and rel != "core/parallel_ldc.py" and id(node) not in exempt
+                isinstance(node, ast.Compare) and id(node) not in exempt
                 and any(
                     isinstance(c, ast.Constant) and c.value is None
                     for c in node.comparators
@@ -371,6 +381,35 @@ def test_engine_holds_one_observability_handle_that_is_never_none():
                 ):
                     mentions.append((rel, node.lineno, name))
     assert mentions == [], mentions
+
+
+# -- the virtual machine states its cost model once --------------------------
+
+#: the event-log observatory and the telemetry bus built for it
+_OBSERVATORY = {
+    "TelemetryBus", "CommProfiler", "critical_path", "DivergenceInvariant",
+}
+
+
+def test_no_observatory_name_under_src():
+    """The virtual machine's prediction is ``predicted_seconds`` and its
+    ``breakdown``; nothing replays the charges to "measure" them, and no
+    pub/sub bus carries telemetry: none of these names is defined, bound,
+    imported or read anywhere under ``src/repro``."""
+    import ast
+
+    found = sorted({
+        (rel, name)
+        for rel, tree in _trees()
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None), getattr(node, "asname", None),
+            getattr(node, "arg", None),
+        )
+        if name in _OBSERVATORY
+    })
+    assert found == [], found
 
 
 # -- the engine's import graph ------------------------------------------------

@@ -4,9 +4,11 @@ Covers:
 
 * manifest round-trip, schema validation, and content-hash verification
   (including tamper detection);
-* flight-recorder ring overflow/ordering and a ``blackbox.jsonl`` dump
-  triggered by a *real* energy-drift health FAIL through ``QMDDriver``;
-* unhandled driver exceptions landing in the black box exactly once;
+* flight-recorder ring overflow/ordering, its direct feed from the
+  tracer/metrics/health listeners, and a ``blackbox.jsonl`` dump triggered
+  by a *real* energy-drift health FAIL through ``QMDDriver``;
+* unhandled driver exceptions landing in the black box exactly once, and
+  an unwritable black box landing in the manifest instead of the solve;
 * the zero-overhead pin when no recorder is attached (``sys.setprofile``
   counting, the ``test_instrumentation_overhead.py`` technique);
 * the ``runlog`` CLI: list/show/verify/diff exit codes;
@@ -24,8 +26,9 @@ import pytest
 from repro.md.integrator import initialize_velocities
 from repro.md.qmd import QMDDriver
 from repro.observability import FlightRecorder, Instrumentation
-from repro.observability.flightrec import BLACKBOX_NAME
+from repro.observability.flightrec import BLACKBOX_NAME, read_jsonl
 from repro.observability.health import (
+    CollectingAlertSink,
     EnergyDriftInvariant,
     HealthMonitor,
     HealthThresholds,
@@ -43,7 +46,6 @@ from repro.observability.runlog import (
     validate_manifest,
     verify_run,
 )
-from repro.observability.stream import TelemetryBus, read_jsonl
 from repro.reactive.potential import ReactiveForceField
 from repro.systems import water_molecule
 
@@ -122,23 +124,25 @@ def test_manifest_roundtrip_and_hash_verification(tmp_path):
     assert set(manifest["artifacts"]) >= {
         "trace.json", "metrics.json", "metrics.csv"
     }
-    assert manifest["telemetry"]["published"] > 0
-    assert manifest["telemetry"]["dropped"] == []
+    assert manifest["manifest_version"] == 2 and "telemetry" not in manifest
     # disk round-trip is byte-identical semantics
     assert load_manifest(rec.dir) == manifest
     assert verify_run(rec.dir) == []
     # finish() is idempotent
     assert rec.finish() is manifest
     # one array library, one domain-solve seam: no backend field, no
-    # REPRO_BACKEND and no stack-width flag any more, and a ledger written
-    # while they existed still reads as valid (the retired name is spelled
-    # in two halves so a repo-wide grep for it stays empty)
+    # REPRO_BACKEND, no stack-width flag and no telemetry-bus field any more,
+    # and a ledger written while they existed still reads as valid (the
+    # retired name is spelled in two halves so a repo-wide grep for it stays
+    # empty)
     batch_flag = "REPRO_BATCH_" + "DOMAINS"
     assert "backend" not in manifest["provenance"]
     assert "REPRO_BACKEND" not in manifest["env"]
     assert batch_flag not in manifest["env"]
     old = {
         **manifest,
+        "manifest_version": 1,
+        "telemetry": {"published": 12, "dropped": []},
         "provenance": {**manifest["provenance"], "backend": "auto"},
         "env": {**manifest["env"], "REPRO_BACKEND": None, batch_flag: "1"},
     }
@@ -184,10 +188,8 @@ def test_health_fail_sets_manifest_status(tmp_path):
 
 def test_ring_overflow_keeps_newest_in_order():
     flight = FlightRecorder(capacity=8, metrics_keep=3)
-    bus = TelemetryBus()
-    bus.subscribe(flight)
     for i in range(20):
-        bus.publish("metric", key=f"k{i % 5}", value=float(i))
+        flight.record("metric", key=f"k{i % 5}", value=float(i))
     events = flight.events()
     assert len(events) == 8
     assert flight.seen == 20
@@ -198,6 +200,67 @@ def test_ring_overflow_keeps_newest_in_order():
     metrics = flight.recent_metrics()
     assert len(metrics) == 3
     assert metrics[-1]["key"] == "k4" and metrics[-1]["value"] == 19.0
+
+
+def test_flight_recorder_hears_spans_metrics_and_health(tmp_path):
+    """A recorder on the facade feeds its ring straight from the tracer,
+    metrics and health listeners: one event per span, per metric sample
+    (counter and series alike) and per health verdict."""
+    rec = RunRecorder(component="t", root=tmp_path)
+    hm = HealthMonitor(keep_ok=True, sinks=[CollectingAlertSink()])
+    ins = Instrumentation(health=hm, recorder=rec)
+    with ins.span("scf.run", category="scf"):
+        ins.counter("scf.iterations").inc()
+        ins.series("scf.residual", engine="pw").append(1e-3)
+    ins.observe("scf.density", total_charge=2.0, n_electrons=2.0)
+    events = rec.flight.events()
+    topics = [e["topic"] for e in events]
+    assert topics.count("metric") == 2
+    assert topics.count("span") == 1
+    assert topics.count("health") == 1
+    span_event = next(e for e in events if e["topic"] == "span")
+    assert span_event["data"]["name"] == "scf.run"
+    assert span_event["data"]["category"] == "scf"
+    metric_kinds = [e["data"]["kind"] for e in events if e["topic"] == "metric"]
+    assert metric_kinds == ["counter", "series"]
+    health_event = next(e for e in events if e["topic"] == "health")
+    assert health_event["data"]["invariant"] == "charge_conservation"
+    assert health_event["data"]["status"] == "ok"
+
+
+def test_span_paths_and_seq_through_the_flight_recorder(tmp_path):
+    """One thread, by contract: nested spans keep their ``/`` paths, the
+    open-span stack unwinds, and every event lands in the ring once, ``seq``
+    counting 1, 2, 3, ... in order."""
+    rec = RunRecorder(component="t", root=tmp_path)
+    ins = Instrumentation(health=HealthMonitor(keep_ok=True), recorder=rec)
+    for _ in range(3):
+        with ins.span("qmd.step"):
+            with ins.span("ldc.run"):
+                assert [s.path for s in ins.tracer.open_spans()] == [
+                    "qmd.step", "qmd.step/ldc.run",
+                ]
+                ins.counter("scf.iterations").inc()
+    assert ins.tracer.open_spans() == []
+    ins.observe("scf.density", total_charge=2.0, n_electrons=2.0)
+    events = rec.flight.events()
+    assert [e["seq"] for e in events] == list(range(1, 11))
+    spans = [e["data"]["path"] for e in events if e["topic"] == "span"]
+    assert spans == ["qmd.step/ldc.run", "qmd.step"] * 3
+    assert [e["data"]["value"] for e in events if e["topic"] == "metric"] \
+        == [1.0, 2.0, 3.0]
+    health = events[-1]
+    assert health["topic"] == "health"
+    assert health["data"]["invariant"] == "charge_conservation"
+    assert health["data"]["status"] == "ok"
+
+
+def test_facade_without_recorder_installs_no_listeners():
+    ins = Instrumentation(health=HealthMonitor())
+    assert ins.recorder is None
+    assert ins.tracer._listeners == []
+    assert ins.metrics._listeners == []
+    assert ins.health.listeners == []
 
 
 def test_flight_dump_on_real_health_fail_through_qmd(tmp_path):
@@ -242,12 +305,64 @@ def test_exception_dump_records_failure_once(tmp_path):
     assert headers[0]["reason"] == "exception"
 
 
+def test_unwritable_blackbox_is_a_manifest_failure_not_a_crash(tmp_path):
+    """Telemetry never takes down the solve: a black box that cannot be
+    written (its directory is a file) leaves the trajectory the run would
+    have had without a recorder, and the error is in the manifest."""
+    blocked = tmp_path / "not_a_dir"
+    blocked.write_text("")
+    flight = FlightRecorder(dump_dir=blocked / "sub")
+    rec = RunRecorder(component="qmd", root=tmp_path / "tel", flight=flight)
+    ins = Instrumentation(health=_drift_monitor(), recorder=rec)
+    frames = QMDDriver(
+        ReactiveEngine(), timestep=40.0, instrumentation=ins
+    ).run(_config(), 200)
+    bare = QMDDriver(ReactiveEngine(), timestep=40.0).run(_config(), 200)
+    assert [f.total_energy for f in frames] == [f.total_energy for f in bare]
+    manifest = rec.finish()
+    assert flight.dumps == [] and flight.errors
+    assert manifest["failures"] == flight.errors
+    assert manifest["failures"][0]["type"] in (
+        "FileExistsError", "NotADirectoryError"
+    )
+    assert "health_fail" in manifest["failures"][0]["message"]
+    assert manifest["status"] == "error"
+
+    # an unhandled exception still propagates as itself, its dump noted
+    flight = FlightRecorder(dump_dir=blocked / "sub")
+    rec = RunRecorder(component="qmd", root=tmp_path / "tel", flight=flight)
+    driver = QMDDriver(
+        ReactiveEngine(fail_at=3), timestep=4.0,
+        instrumentation=Instrumentation(recorder=rec),
+    )
+    with pytest.raises(RuntimeError, match="engine blew up"):
+        driver.run(_config(), 10)
+    failures = rec.finish()["failures"]
+    assert failures[0] == {"type": "RuntimeError", "message": "engine blew up"}
+    assert "exception" in failures[1]["message"]
+
+
+def test_read_jsonl_tolerates_truncated_final_line(tmp_path):
+    # a crash-time file (blackbox.jsonl) ends mid-record
+    path = tmp_path / "blackbox.jsonl"
+    path.write_text('{"topic": "span", "seq": 1}\n{"topic": "metric", "seq": 2}\n')
+    with open(path, "a") as fh:
+        fh.write('{"topic": "span", "seq": 3, "da')
+    events = read_jsonl(path)
+    assert [e["topic"] for e in events] == ["span", "metric"]
+    with pytest.raises(json.JSONDecodeError):
+        read_jsonl(path, strict=True)
+    # corruption that is NOT the final line still raises by default
+    bad = tmp_path / "corrupt.jsonl"
+    bad.write_text('{"a": 1}\n{oops\n{"b": 2}\n')
+    with pytest.raises(json.JSONDecodeError):
+        read_jsonl(bad)
+
+
 def test_blackbox_truncated_final_line_tolerated(tmp_path):
     flight = FlightRecorder(capacity=4, dump_dir=tmp_path)
-    bus = TelemetryBus()
-    bus.subscribe(flight)
     for i in range(3):
-        bus.publish("qmd.step", step=i)
+        flight.record("qmd.step", step=i)
     path = flight.dump("test")
     with open(path, "a") as fh:
         fh.write('{"record": "event", "truncat')  # crash mid-record
@@ -381,23 +496,20 @@ def test_cli_diff_exit_codes(monkeypatch, tmp_path, capsys):
     assert _cli(["diff", "--last", "nope"], monkeypatch, tmp_path) == 2
 
 
-def test_report_cli_resolves_run_and_warns_dropped(
-    monkeypatch, tmp_path, capsys
-):
+def test_report_cli_resolves_run(monkeypatch, tmp_path, capsys):
     from repro.observability import report
 
     rec = RunRecorder(component="r", root=tmp_path)
     ins = Instrumentation(recorder=rec)
     with ins.span("phase.a"):
         pass
-    # simulate a dropped subscriber surfacing in the manifest
-    ins.stream.dropped.append(("<sink>", "disk full"))
     rec.finish()
     monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
-    assert report.main([str(rec.dir)]) == 0
-    captured = capsys.readouterr()
-    assert "phase.a" in captured.out
-    assert "dropped" in captured.err and "disk full" in captured.err
+    # a run directory, a run id and a unique prefix of it all resolve
+    for arg in (str(rec.dir), rec.run_id, rec.run_id[:-3]):
+        assert report.main([arg]) == 0
+        captured = capsys.readouterr()
+        assert "phase.a" in captured.out and captured.err == ""
 
 
 # -- bench-harness integration ------------------------------------------------

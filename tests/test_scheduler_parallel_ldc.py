@@ -1,14 +1,18 @@
 """Tests for the domain scheduler and the simulated-parallel LDC executor."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import LDCOptions
 from repro.core.parallel_ldc import run_parallel_ldc
+from repro.observability import Instrumentation, phase_breakdown
 from repro.parallel.scheduler import (
     domain_cost_estimate,
     schedule_domains,
     schedule_lpt,
+    schedule_manual,
     schedule_round_robin,
 )
 from repro.systems import dimer
@@ -107,3 +111,101 @@ def test_parallel_validation():
 def test_imbalance_bounded(parallel_run):
     _, _, pr = parallel_run
     assert 0.0 <= pr.imbalance < 1.0
+
+
+# ---- what the virtual machine predicts -----------------------------------------
+
+LDC_OPTS = LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-5)
+
+#: (total ranks, group of each domain) per case: stock LPT at 2, 6 and 8
+#: ranks, and both H2 domains on group 0 of two (Schedule.imbalance 0.5)
+CASES = {2: (2, None), 6: (6, None), 8: (8, None), "skew": (8, [0, 0])}
+
+
+@pytest.fixture(scope="module")
+def vm_runs():
+    """One instrumented H2 run per case, made on first use."""
+    h2 = dimer("H", "H", 1.5, 12.0)
+    runs = {}
+
+    def run(case):
+        if case not in runs:
+            ranks, groups = CASES[case]
+            ins = Instrumentation()
+            res = run_parallel_ldc(
+                h2, LDC_OPTS, total_ranks=ranks, instrumentation=ins,
+                schedule=None if groups is None else schedule_manual(groups, 2),
+            )
+            runs[case] = res, ins
+        return runs[case]
+
+    return run
+
+
+def test_imbalance_is_the_schedule_skew(vm_runs):
+    """Every pass ends in a collective over all ranks, so the clocks are
+    aligned at the end: the imbalance is read off the per-group domain
+    seconds, and the gauge carries the same number."""
+    for case, expected in ((8, 0.0), ("skew", 0.5)):
+        res, ins = vm_runs(case)
+        assert res.imbalance == expected, case
+        assert ins.metrics.get("vm.imbalance").value == expected
+    assert res.schedule.imbalance == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_breakdown_sums_to_predicted_seconds(vm_runs, case):
+    res, ins = vm_runs(case)
+    assert sum(res.breakdown.values()) == pytest.approx(
+        res.predicted_seconds, rel=1e-12
+    )
+    assert ins.metrics.get("vm.predicted_seconds").value == res.predicted_seconds
+    assert ins.metrics.get("vm.ranks").value == res.total_ranks
+    for phase, seconds in res.breakdown.items():
+        assert ins.metrics.get("vm.breakdown", phase=phase).value == seconds
+
+
+def test_vm_lanes_feed_the_ordinary_report(vm_runs):
+    """The rank lanes are plain pid-2 slices: per label, the report's total
+    is the tracker's rank-seconds (event seconds × participants)."""
+    res, ins = vm_runs(8)
+    ins.attach_cost_tracker(res.tracker)
+    report = phase_breakdown(ins.to_chrome_trace()["traceEvents"], pid=2)
+    charged = {}
+    for e in res.tracker.events:
+        ranks = len(e.participants(res.total_ranks))
+        charged[e.label] = charged.get(e.label, 0.0) + e.seconds * ranks
+    assert set(report) == set(charged) == set(res.breakdown)
+    for label, seconds in charged.items():
+        assert report[label]["seconds"] == pytest.approx(seconds, rel=1e-12)
+
+
+def test_schedule_injection_validates_group_count():
+    cfg = dimer("H", "H", 1.5, 12.0)
+    with pytest.raises(ValueError, match="groups"):
+        run_parallel_ldc(
+            cfg, LDC_OPTS, total_ranks=8,
+            schedule=schedule_manual([0, 0, 1], 3),
+        )
+
+
+def test_uninstrumented_parallel_ldc_never_enters_observability():
+    """Zero-overhead contract extends to the virtual-machine driver: with
+    instrumentation=None no observability code runs."""
+    cfg = dimer("H", "H", 1.5, 12.0)
+    counts = {"observability": 0, "total": 0}
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            counts["total"] += 1
+            if "observability" in frame.f_code.co_filename:
+                counts["observability"] += 1
+
+    sys.setprofile(profiler)
+    try:
+        res = run_parallel_ldc(cfg, LDC_OPTS, total_ranks=8)
+    finally:
+        sys.setprofile(None)
+    assert counts["total"] > 0
+    assert counts["observability"] == 0
+    assert res.tracker.events  # the log is there for attach_cost_tracker
