@@ -168,8 +168,7 @@ def _solve_stack(
     opts: LDCOptions,
     pool: DomainScratch,
 ) -> list[EigenResult]:
-    """Solve one stack's eigenproblems at the potentials ``v_eff``; every
-    domain's per-band |ψ|² lands in its own pooled ``band_densities``.
+    """Solve one stack's eigenproblems at the potentials ``v_eff``.
 
     ``all_band`` stacks the projectors into ``pool``, lends the solver the
     pool's iteration workspace and runs the lockstep LOBPCG on the domains'
@@ -178,16 +177,10 @@ def _solve_stack(
     """
     basis = states[0].basis
     assert basis is not None
-    densities = [
-        state.scratch.get("band_densities", (key.nband,) + key.grid_shape)
-        for state in states
-    ]
-    for state, out in zip(states, densities):
-        state.band_densities = out  # staged for the density step
     if opts.eigensolver == "direct":
         (state,) = states  # the reference solver never stacks
         ham = Hamiltonian(basis, v_eff[0], state.vnl)
-        return [solve_direct(ham, state.nband, densities[0])]
+        return [solve_direct(ham, state.nband)]
     nd = len(states)
     psi0: list[np.ndarray] = []
     b = d = None
@@ -203,7 +196,6 @@ def _solve_stack(
     return solve_all_band_batched(
         BatchedHamiltonian(basis, v_eff, b, d), psi0,
         max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-        band_densities=densities,
         work=pool.get(
             "work", lobpcg_work_shape(nd, key.npw, key.nband), complex
         ),
@@ -268,6 +260,15 @@ def batched_domain_pass(
             fft_stages=basis.stage_lines,
         ) as sp:
             results = _solve_stack(stack, key, v_eff, opts, pool)
+            # per band, into each domain's pooled buffer: the DC weights
+            # need every |ψ_n|² before the global μ exists
+            for state, res in zip(stack, results):
+                state.band_densities = basis.densities(
+                    res.orbitals,
+                    state.scratch.get(
+                        "band_densities", (key.nband,) + key.grid_shape
+                    ),
+                )
             sp.attrs.update(
                 cg_iterations=sum(res.iterations for res in results)
             )

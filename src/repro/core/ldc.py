@@ -146,7 +146,7 @@ class DomainState:
     rho_local: np.ndarray | None = None
     vbc: np.ndarray | None = None
     #: per-band |ψ|² between the solve and density steps of one SCF pass:
-    #: ``scratch``'s buffer as the eigensolver filled it (unset once stale)
+    #: ``scratch``'s buffer as the seam filled it (unset once stale)
     band_densities: np.ndarray | None = None
     #: the domain's reusable work buffers: its own for one run, or the
     #: ``LDCWorkspace``'s, which outlive the MD step
@@ -468,7 +468,7 @@ def _scf_pass(
         assert state.band_weights is not None
         all_eigs.append(state.eigenvalues)
         all_weights.append(state.band_weights)
-        # the solver's out-buffer, before anything is assembled from it
+        # the seam's per-band buffer, before anything is assembled from it
         ins.check("band_densities", state.band_densities,
                   where=f"ldc.domain[{idom}]", expect_dtype=np.float64)
         if err is not None:

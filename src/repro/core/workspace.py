@@ -79,10 +79,10 @@ class DomainScratch:
     One instance serves one consumer.  A *domain's* pool (on its
     :class:`~repro.core.ldc.DomainState`) holds what must exist once per
     domain because it outlives the domain's solve — gather indices, the
-    restricted density, and the real per-band |ψ|² the eigensolver writes
-    for the density step.  The seam's *stack pool* holds one stack's
-    working set — stacked v_eff/projectors, the solver's iteration
-    workspace, one domain's v_bc target and buffer window — and because
+    restricted density, and the real per-band |ψ|² the seam forms from
+    the solved orbitals for the density step.  The seam's *stack pool*
+    holds one stack's working set — stacked v_eff/projectors, the solver's
+    iteration workspace, one domain's v_bc target and buffer window — and because
     stacks are solved one after another every shape class takes its views
     of the same arenas: the pool is the largest stack's working set, not
     the sum over classes.

@@ -17,9 +17,10 @@ drops, after each, the lines that cannot reach the sphere.  Skipping a zero
 line changes nothing, so the result equals the dense 3-D transform to
 rounding (DESIGN.md §18).  Rows are transformed in blocks of
 :attr:`PlaneWaveBasis.block_rows` so every stage's working set stays
-cache-sized, and every stage reads and writes pooled buffers through
-``np.fft.fft/ifft(axis=…, out=…)``: with ``out=`` a transform allocates
-nothing (DESIGN.md §19).
+cache-sized, and every stage reads and writes pooled buffers or the
+caller's block through ``np.fft.fft/ifft(axis=…, out=…)``: with ``out=`` a
+transform allocates nothing (DESIGN.md §19).  |ψ|² is formed here too, by
+:meth:`PlaneWaveBasis.densities`, for both density maps.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ class PlaneWaveBasis:
     The staged transforms work in a pool of :attr:`block_rows`-row buffers:
     the zero-invariant *inputs* of the two pruned stages (z-columns,
     x-planes — only the positions a stage scatters to are ever written, so
-    the rest stays zero and never needs re-zeroing), their two *outputs*,
-    a coefficient-row buffer, and what ``H·ψ`` borrows per row block —
+    the rest stays zero and never needs re-zeroing), the z stage's
+    *output* (the y stage writes into the caller's full-grid block), a
+    coefficient-row buffer, and what ``H·ψ`` borrows per row block —
     the full-grid work block of :meth:`work_block` (also where the
-    eigensolvers' |ψ|² fields exist) and the two coefficient blocks of
-    :meth:`row_blocks`.  There is one pool per ``PlaneWaveBasis``, and an
-    instance must not be used by two threads at once.  Nothing in an instance
+    fields behind :meth:`densities` exist) and the two coefficient blocks
+    of :meth:`row_blocks`.  There is one pool per ``PlaneWaveBasis``, and
+    an instance must not be used by two threads at once.  The G tables an
+    instance keeps are per plane wave only; nothing of full-grid size is
+    cached on its grid.  Nothing in an instance
     depends on *where* its grid sits, so the LDC driver builds one basis
     per shape class — every domain with the same ``(grid shape, lengths,
     cutoff)`` holds the same object, index maps and pool alike
@@ -61,10 +65,17 @@ class PlaneWaveBasis:
             raise ValueError("ecut must be positive")
         self.grid = grid
         self.ecut = float(ecut)
-        g2 = grid.g2()
-        mask = 0.5 * g2 <= self.ecut
+        # per axis, as ``grid.g2()`` / ``grid.g_vectors()`` sum and stack
+        # them (same bits), so no full-grid table is cached on the grid;
+        # the |G|² of the sphere mask is a transient
+        gx, gy, gz = grid.g_components()
+        mask = 0.5 * (
+            gx[:, None, None] ** 2 + gy[None, :, None] ** 2
+            + gz[None, None, :] ** 2
+        ) <= self.ecut
         #: flat indices into the FFT grid for each basis plane wave
         self.indices = np.flatnonzero(mask.ravel())
+        del mask
         #: number of plane waves
         self.npw = int(self.indices.size)
         if self.npw < 2:
@@ -72,12 +83,12 @@ class PlaneWaveBasis:
                 f"cutoff {ecut} yields only {self.npw} plane waves on grid "
                 f"{grid.shape}; increase ecut or grid"
             )
-        #: |G|² per basis function, shape (npw,)
-        self.g2 = g2.ravel()[self.indices]
-        #: G vectors per basis function, shape (npw, 3)
-        self.g_vectors = grid.g_vectors().reshape(-1, 3)[self.indices]
         n0, n1, n2 = grid.shape
         ix, iy, iz = np.unravel_index(self.indices, grid.shape)
+        #: |G|² per basis function, shape (npw,)
+        self.g2 = gx[ix] ** 2 + gy[iy] ** 2 + gz[iz] ** 2
+        #: G vectors per basis function, shape (npw, 3)
+        self.g_vectors = np.stack([gx[ix], gy[iy], gz[iz]], axis=-1)
         #: integer Miller indices per basis function, shape (npw, 3)
         mx, my, mz = grid.miller()
         self.miller = np.stack([mx[ix], my[iy], mz[iz]], axis=-1)
@@ -86,8 +97,7 @@ class PlaneWaveBasis:
         # Staged-transform maps, from the sorted *occupied* grid indices
         # (not a ±M range: grid_factor < 2, odd sizes and the even-size
         # Nyquist line need no special case).
-        #: grid x index of every x-plane that holds a plane wave, and of
-        #: every one that holds none
+        #: grid x index of every x-plane that holds a plane wave
         # (boolean occupancy + flatnonzero, not np.unique / np.setdiff1d:
         # those import numpy.ma into the process, +1.5 MB resident)
         column_of_pw = ix * n1 + iy
@@ -95,8 +105,18 @@ class PlaneWaveBasis:
         occupied[column_of_pw] = True
         plane_occupied = occupied.reshape(n0, n1).any(axis=1)
         self._planes = np.flatnonzero(plane_occupied)
-        self._empty_planes = np.flatnonzero(~plane_occupied)
+        #: ``(slot, start, stop)`` of each run of adjacent occupied x-planes
+        #: — one, or two in FFT order (m ≥ 0, then m < 0) — and ``(start,
+        #: stop)`` of each run of empty ones: the y pass reads and writes
+        #: the full grid's plane runs directly
+        self._plane_runs = _runs(self._planes)
+        self._empty_runs = [
+            (start, stop)
+            for _, start, stop in _runs(np.flatnonzero(~plane_occupied))
+        ]
         columns = np.flatnonzero(occupied)
+        #: flat (x, y) index of every occupied column in a full grid plane
+        self._columns = columns
         pw_column = np.searchsorted(columns, column_of_pw)
         #: per occupied (x, y) column: its flat (plane slot, y) position in
         #: the plane block
@@ -132,12 +152,13 @@ class PlaneWaveBasis:
         buf = self._pool.get(name)
         if buf is None:
             n0, n1, n2 = self.grid.shape
-            shape = {
+            shapes: dict[str, tuple[int, ...]] = {
                 "rows": (self.npw,),
-                "columns": (self._column_slot.size, n2),
+                "columns": (self._columns.size, n2),
                 "planes": (self._planes.size, n1, n2),
                 "grid": (n0, n1, n2),
-            }[name.split("_", 1)[0]]
+            }
+            shape = shapes[name.split("_", 1)[0]]
             buf = np.zeros((self.block_rows,) + shape, dtype=complex)
             self._pool[name] = buf
         return buf[:nrows]
@@ -160,9 +181,9 @@ class PlaneWaveBasis:
         """``(nrows ≤ block_rows, npw)`` coefficient rows → ``out``
         ``(nrows, *grid.shape)``: z on the occupied columns, y on the
         occupied planes, x on everything.  A pruned stage scatters the
-        previous one's pooled output into its zero-invariant input; the x
-        pass has no buffer of its own — the planes go straight into ``out``,
-        the empty x-planes are zeroed, and it runs in place."""
+        previous one's output into its zero-invariant input; the y pass
+        writes its occupied planes straight into ``out``'s plane runs, the
+        empty x-planes are zeroed, and the x pass runs in place."""
         nrows = rows.shape[0]
         n2 = self.grid.shape[2]
         scaled = self._buf("rows", nrows)
@@ -173,10 +194,11 @@ class PlaneWaveBasis:
         np.fft.ifft(columns_in, axis=2, out=columns)
         planes_in = self._buf("planes_in", nrows)
         planes_in.reshape(nrows, -1, n2)[:, self._column_slot] = columns
-        planes = self._buf("planes", nrows)
-        np.fft.ifft(planes_in, axis=2, out=planes)
-        out[:, self._planes] = planes
-        out[:, self._empty_planes] = 0.0
+        for slot, start, stop in self._plane_runs:
+            np.fft.ifft(planes_in[:, slot:slot + stop - start], axis=2,
+                        out=out[:, start:stop])
+        for start, stop in self._empty_runs:
+            out[:, start:stop] = 0.0
         np.fft.ifft(out, axis=1, out=out)
 
     def _block_from_grid(
@@ -185,16 +207,17 @@ class PlaneWaveBasis:
         """Adjoint of :meth:`_block_to_grid` into ``out`` ``(nrows, npw)``:
         after each stage keep only the lines that reach the sphere.  The x
         pass runs in place on ``fields`` when the caller gives them up, the
-        pruned passes in place on the pooled gathers."""
+        y pass in place on the spectrum's occupied plane runs, the z pass
+        in place on the pooled column gather."""
         nrows = fields.shape[0]
         n2 = self.grid.shape[2]
         spectra = np.fft.fft(fields, axis=1, out=fields if overwrite else None)
-        planes = self._buf("planes", nrows)
-        # mode="clip": the default "raise" buffers ``out`` in a fresh copy
-        np.take(spectra, self._planes, axis=1, out=planes, mode="clip")
-        np.fft.fft(planes, axis=2, out=planes)
+        for _, start, stop in self._plane_runs:
+            np.fft.fft(spectra[:, start:stop], axis=2,
+                       out=spectra[:, start:stop])
         columns = self._buf("columns", nrows)
-        np.take(planes.reshape(nrows, -1, n2), self._column_slot, axis=1,
+        # mode="clip": the default "raise" buffers ``out`` in a fresh copy
+        np.take(spectra.reshape(nrows, -1, n2), self._columns, axis=1,
                 out=columns, mode="clip")
         np.fft.fft(columns, axis=2, out=columns)
         coeffs = self._buf("rows", nrows)
@@ -299,6 +322,46 @@ class PlaneWaveBasis:
             self._rows_from_grid(fields[d], rows[d], overwrite)
         return rows.transpose(0, 2, 1)
 
+    # -- densities -----------------------------------------------------------
+
+    def densities(
+        self,
+        orbitals: np.ndarray,
+        out: np.ndarray,
+        occupations: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """|ψ_n(r)|² of an ``(npw, nband)`` block into the real ``out`` —
+        the one place the density maps form them (the eigensolvers return
+        orbitals only).
+
+        Without ``occupations``, ``out`` is ``(nband, *grid.shape)`` and
+        ``out[n] = |ψ_n|²`` (the LDC seam: the DC weights need every band
+        before μ exists).  With them, ``out`` is ``grid.shape`` and gets
+        ``Σ_n f_n |ψ_n|²`` added band by band, in the order
+        ``np.einsum("n,nijk->ijk")`` sums (``run_scf``'s map, which finds
+        μ first), with no per-band array.  The fields exist a row block at a time,
+        in the work block; ``|ψ|²`` is ``np.absolute`` → ``np.power(·,
+        2)``, the values of ``np.abs(self.to_grid(orbitals)) ** 2``.
+        """
+        step = self.block_rows
+        band: np.ndarray | None = None  # the occupied form's one |ψ_n|²
+        for a in range(0, orbitals.shape[1], step):
+            cols = orbitals[:, a:a + step]
+            fields = self.to_grid(cols, out=self.work_block(cols.shape[1]))
+            if occupations is None:
+                dens = out[a:a + step]
+                np.absolute(fields, out=dens)
+                np.power(dens, 2, out=dens)
+                continue
+            if band is None:
+                band = np.empty(self.grid.shape, dtype=float)
+            for n, field in enumerate(fields, start=a):
+                np.absolute(field, out=band)
+                np.power(band, 2, out=band)
+                band *= occupations[n]
+                out += band
+        return out
+
     # -- initial guesses -----------------------------------------------------
 
     def random_orbitals(self, nband: int, seed: int = 0) -> np.ndarray:
@@ -321,8 +384,8 @@ def density_from_orbitals(
     """Electron density ``ρ(r) = Σ_n f_n |ψ_n(r)|²`` on the real grid.
 
     Normalization: ``∫ ρ dr = Σ_n f_n`` when the orbitals are orthonormal.
-    The drivers do not call this — their eigensolvers hand back per-band
-    |ψ_n|² formed inside the solve; it is the independent oracle.
+    ``run_scf`` and ``run_ldc`` do not call this — they form densities
+    through :meth:`PlaneWaveBasis.densities`; it is the independent oracle.
     """
     occupations = np.asarray(occupations, dtype=float)
     if psi.shape[1] != occupations.size:
@@ -331,6 +394,18 @@ def density_from_orbitals(
     for f, field in zip(occupations, basis.to_grid(psi)):
         rho += f * (field.real**2 + field.imag**2)
     return rho
+
+
+def _runs(indices: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(position, start, stop)`` of every run of consecutive values in
+    sorted ``indices``: ``indices[position:position + stop - start]`` is
+    ``start … stop − 1``."""
+    bounds = [0, *(np.flatnonzero(np.diff(indices) != 1) + 1).tolist(),
+              int(indices.size)]
+    return [
+        (a, int(indices[a]), int(indices[b - 1]) + 1)
+        for a, b in zip(bounds[:-1], bounds[1:]) if b > a
+    ]
 
 
 def _result(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:

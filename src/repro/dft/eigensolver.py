@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.observe import Observer
 from repro.util.linalg import cholesky_orthonormalize
@@ -37,11 +36,10 @@ from repro.util.linalg import cholesky_orthonormalize
 class EigenResult:
     """Solver output: eigenvalues, orbitals, and convergence diagnostics.
 
-    Every solver also takes ``band_densities=``, a real ``(nband,
-    *grid.shape)`` buffer it fills with the per-band ``|ψ_n(r)|²`` of the
-    returned block (:func:`_band_densities`: one transform of ``orbitals``,
-    a row block at a time through the basis' pooled work block), so density
-    assembly needs no complex ``(nband, *grid)`` array anywhere.
+    The solvers return orbitals only, no field of grid size: a density map
+    forms |ψ|² from ``orbitals`` itself, through
+    :meth:`~repro.dft.basis.PlaneWaveBasis.densities` (per band for the LDC
+    weights, occupied-only for ``run_scf``).
     """
 
     eigenvalues: np.ndarray
@@ -51,24 +49,7 @@ class EigenResult:
     converged: bool
 
 
-def _band_densities(
-    basis: PlaneWaveBasis, orbitals: np.ndarray, out: np.ndarray
-) -> None:
-    """``out[n] = |ψ_n(r)|²`` of an ``(npw, nband)`` block — how every
-    solver fills ``band_densities``.  The fields exist a row block at a
-    time, in the basis work block; ``ndarray ** 2`` is ``np.power``, so
-    the values equal ``np.abs(basis.to_grid(orbitals)) ** 2``."""
-    step = basis.block_rows
-    for a in range(0, orbitals.shape[1], step):
-        cols, dens = orbitals[:, a:a + step], out[a:a + step]
-        fields = basis.to_grid(cols, out=basis.work_block(cols.shape[1]))
-        np.absolute(fields, out=dens)
-        np.power(dens, 2, out=dens)
-
-
-def solve_direct(
-    ham: Hamiltonian, nband: int, band_densities: np.ndarray | None = None
-) -> EigenResult:
+def solve_direct(ham: Hamiltonian, nband: int) -> EigenResult:
     """Dense-diagonalization reference solver."""
     if nband > ham.basis.npw:
         raise ValueError(
@@ -76,12 +57,9 @@ def solve_direct(
         )
     h = ham.dense()
     evals, evecs = np.linalg.eigh(h)
-    orbitals = np.ascontiguousarray(evecs[:, :nband])
-    if band_densities is not None:
-        _band_densities(ham.basis, orbitals, band_densities)
     return EigenResult(
         eigenvalues=evals[:nband].copy(),
-        orbitals=orbitals,
+        orbitals=np.ascontiguousarray(evecs[:, :nband]),
         iterations=1,
         residual_norm=0.0,
         converged=True,
@@ -138,17 +116,14 @@ def solve_all_band(
     psi0: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
-    band_densities: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> EigenResult:
     """Locally optimal block preconditioned CG over all bands of one
     Hamiltonian: the lockstep solver on ``ham.stack``, a stack of one
-    (``band_densities`` is the one domain's ``(nband, *grid.shape)``
-    buffer; ``work`` as for :func:`solve_all_band_batched` with
-    ``n_domains = 1``)."""
+    (``work`` as for :func:`solve_all_band_batched` with ``n_domains =
+    1``)."""
     (result,) = _lockstep_lobpcg(
-        ham.stack, [np.asarray(psi0, dtype=complex)], max_iter, tol,
-        None if band_densities is None else [band_densities], work,
+        ham.stack, [np.asarray(psi0, dtype=complex)], max_iter, tol, work,
     )
     return result
 
@@ -190,7 +165,6 @@ def solve_all_band_batched(
     psi0: Sequence[np.ndarray] | np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-8,
-    band_densities: Sequence[np.ndarray] | None = None,
     work: np.ndarray | None = None,
 ) -> list[EigenResult]:
     """Lockstep LOBPCG over a stack of same-shape domain KS problems.
@@ -201,9 +175,7 @@ def solve_all_band_batched(
     array or the domains' own arrays in a list, they are only read.
     Returns one :class:`EigenResult` per domain, in stack order.
 
-    ``band_densities`` holds one real ``(nband, *grid.shape)`` array per
-    domain, filled with its ``|ψ_n(r)|²`` when the domain retires — a
-    solve allocates nothing of grid size.  ``work`` is the complex
+    A solve allocates nothing of grid size.  ``work`` is the complex
     :func:`lobpcg_work_shape` workspace the iteration runs in: lent by the
     caller (the LDC seam pools one, ``run_scf`` holds one for a whole run)
     an iteration allocates nothing of the stack's block size; else it is
@@ -221,7 +193,7 @@ def solve_all_band_batched(
             f"psi0 blocks {sorted(shapes)} × {len(psi0)} do not match "
             f"{bham.n_domains} domains over {bham.basis.npw} plane waves"
         )
-    return _lockstep_lobpcg(bham, psi0, max_iter, tol, band_densities, work)
+    return _lockstep_lobpcg(bham, psi0, max_iter, tol, work)
 
 
 def _lockstep_lobpcg(
@@ -229,7 +201,6 @@ def _lockstep_lobpcg(
     psi0: Sequence[np.ndarray],
     max_iter: int,
     tol: float,
-    band_densities: Sequence[np.ndarray] | None,
     work: np.ndarray | None,
 ) -> list[EigenResult]:
     """The one all-band LOBPCG body, behind both public entry points.
@@ -303,13 +274,9 @@ def _lockstep_lobpcg(
         return eps
 
     def retire(slot: int, resid: float) -> None:
-        """File ``slot``'s Ritz pairs, and the band densities of its Ritz
-        vectors, as its domain's result."""
-        xr = sub[slot, :, :nb].copy()
-        if band_densities is not None:
-            _band_densities(basis, xr, band_densities[active[slot]])
+        """File ``slot``'s Ritz pairs as its domain's result."""
         results[active[slot]] = EigenResult(
-            eps[slot].copy(), xr, it, resid, resid < tol
+            eps[slot].copy(), sub[slot, :, :nb].copy(), it, resid, resid < tol
         )
 
     for it in range(1, max_iter + 1):
@@ -429,7 +396,6 @@ def solve_band_by_band(
     tol: float = 1e-8,
     cg_per_band: int = 5,
     outer_sweeps: int = 12,
-    band_densities: np.ndarray | None = None,
 ) -> EigenResult:
     """Sequential per-band preconditioned CG (the original BLAS2 scheme).
 
@@ -498,8 +464,6 @@ def solve_band_by_band(
         resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
         if resid_norm < tol:
             break
-    if band_densities is not None:
-        _band_densities(ham.basis, x, band_densities)
     return EigenResult(eps_all.copy(), x, total_iter, resid_norm,
                        resid_norm < tol)
 

@@ -15,15 +15,18 @@ Conventions used across the whole package (orthorhombic cell, lengths
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 
 class RealSpaceGrid:
     """A periodic orthorhombic real-space grid with FFT helpers."""
 
-    def __init__(self, lengths, shape) -> None:
+    def __init__(self, lengths: ArrayLike, shape: ArrayLike) -> None:
         self.lengths = np.asarray(lengths, dtype=float).reshape(3)
         self.shape = tuple(int(s) for s in np.asarray(shape).reshape(3))
         if np.any(self.lengths <= 0):
@@ -41,7 +44,9 @@ class RealSpaceGrid:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def for_cutoff(cls, lengths, ecut: float, factor: float = 2.0) -> "RealSpaceGrid":
+    def for_cutoff(
+        cls, lengths: ArrayLike, ecut: float, factor: float = 2.0
+    ) -> RealSpaceGrid:
         """Grid dense enough to represent plane waves up to ``ecut``.
 
         ``factor = 2`` gives the exact-density grid (covers ``2 G_max``);
@@ -50,7 +55,7 @@ class RealSpaceGrid:
         """
         lengths = np.asarray(lengths, dtype=float).reshape(3)
         gmax = np.sqrt(2.0 * ecut)
-        shape = []
+        shape: list[int] = []
         for length in lengths:
             # Cover |G| up to factor·G_max per axis: π n / L ≥ factor·G_max.
             n = max(4, int(np.ceil(factor * gmax * length / np.pi)) + 1)
@@ -61,10 +66,11 @@ class RealSpaceGrid:
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """1-D coordinate arrays per axis."""
-        return tuple(
+        x, y, z = (
             np.arange(n) * (length / n)
             for n, length in zip(self.shape, self.lengths)
         )
+        return x, y, z
 
     def points(self) -> np.ndarray:
         """``(*shape, 3)`` array of grid-point coordinates."""
@@ -75,7 +81,7 @@ class RealSpaceGrid:
         out[..., 2] = z[None, None, :]
         return out
 
-    def min_image_distance(self, center) -> np.ndarray:
+    def min_image_distance(self, center: ArrayLike) -> np.ndarray:
         """Minimum-image distance of every grid point from ``center``."""
         center = np.asarray(center, dtype=float).reshape(3)
         dist2 = np.zeros(self.shape, dtype=float)
@@ -91,19 +97,24 @@ class RealSpaceGrid:
 
     def miller(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer Miller indices per axis in FFT order."""
-        return tuple(
+        mx, my, mz = (
             np.fft.fftfreq(n, d=1.0 / n).astype(int) for n in self.shape
         )
+        return mx, my, mz
 
     def g_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """1-D arrays of G components (2π m / L) per axis in FFT order."""
-        return tuple(
+        """1-D arrays of G components (2π m / L) per axis in FFT order —
+        what the plane-wave basis builds its sphere and G tables from, so
+        that no full-grid table is cached for it."""
+        gx, gy, gz = (
             2.0 * np.pi * m / length
             for m, length in zip(self.miller(), self.lengths)
         )
+        return gx, gy, gz
 
     def g_vectors(self) -> np.ndarray:
-        """``(*shape, 3)`` array of G vectors."""
+        """``(*shape, 3)`` array of G vectors (cached; the dense oracle —
+        nothing in the engine calls it)."""
         if "gvec" not in self._g_cache:
             gx, gy, gz = self.g_components()
             out = np.empty(self.shape + (3,), dtype=float)
@@ -114,7 +125,8 @@ class RealSpaceGrid:
         return self._g_cache["gvec"]
 
     def g2(self) -> np.ndarray:
-        """``|G|²`` on the full FFT grid."""
+        """``|G|²`` on the full FFT grid (cached; the dense oracle, and
+        :func:`repro.multigrid.fft_poisson`'s spectral reference)."""
         if "g2" not in self._g_cache:
             gx, gy, gz = self.g_components()
             self._g_cache["g2"] = (

@@ -466,9 +466,7 @@ def _run_scf(
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:
         psi = basis.random_orbitals(nband, seed=opts.seed)
-    # the solvers' output of grid size, one buffer for every pass of the run
-    band_densities = np.empty((nband,) + grid.shape, dtype=float)
-    # and what the all-band solver iterates in
+    # what the all-band solver iterates in, one buffer for every pass
     work = None
     if opts.eigensolver == "all_band":
         work = np.empty(lobpcg_work_shape(1, basis.npw, nband), dtype=complex)
@@ -485,14 +483,11 @@ def _run_scf(
             basis, config, rho_in, v_loc, nonlocal_, v_extra
         )
         with ins.span("scf.eigensolve", category="scf", iteration=iteration) as sp:
-            # every solver leaves the block's per-band |ψ|² in
-            # band_densities: the density build needs no to_grid of its own
             if opts.eigensolver == "direct":
-                eig = solve_direct(ham, nband, band_densities)
+                eig = solve_direct(ham, nband)
             else:
                 eig = solve_all_band(
-                    ham, psi, opts.eig_max_iter, opts.eig_tol, band_densities,
-                    work,
+                    ham, psi, opts.eig_max_iter, opts.eig_tol, work=work
                 )
             record_solve(ins, opts.eigensolver, basis.npw, eig)
             # solve sizes feed the per-kernel FLOP attribution
@@ -507,14 +502,14 @@ def _run_scf(
         mu = find_chemical_potential(eigs, n_electrons, opts.kt)
         occs = fermi_occupations(eigs, mu, opts.kt)
         ins.check("eigenvalues", eigs, where="scf.density_map")
-        ins.check("band_densities", band_densities,
-                  where="scf.density_map", expect_dtype=np.float64)
         parts = harris_foulkes_energy(
             grid, rho_in, vh, exc, vxc, float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),
         )
-        # un-normalized: the driver's one clip + renormalize does it
-        rho_out = np.einsum("n,nijk->ijk", occs, band_densities)
+        # Σ_n f_n |ψ_n|², μ being known, accumulated band by band: no
+        # per-band array; un-normalized, the loop's one clip +
+        # renormalize does it
+        rho_out = basis.densities(psi, np.zeros(grid.shape, dtype=float), occs)
         return rho_out, parts["total"], mu, {}
 
     fixed = scf_fixed_point(density_map, config, grid, rho0, opts, "pw", ins=ins)

@@ -78,3 +78,23 @@ def test_miller_indices_consistent(basis):
 
 def test_gamma_point_included(basis):
     assert np.any(np.all(basis.miller == 0, axis=1))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (9, 12, 11)])
+def test_basis_caches_no_full_grid_g_table(shape):
+    """The sphere and the per-plane-wave G tables are built per axis: no
+    ``(N, 3)`` G-vector or ``(N,)`` |G|² table is left cached on the grid,
+    and the tables are the bits the dense oracles give."""
+    from repro.dft.grid import RealSpaceGrid
+
+    grid = RealSpaceGrid([8.0, 9.0, 7.5], shape)
+    basis = PlaneWaveBasis(grid, ecut=4.0)
+    assert not {"gvec", "g2"} & set(grid._g_cache)
+    g2 = grid.g2()
+    assert np.array_equal(
+        basis.indices, np.flatnonzero(0.5 * g2.ravel() <= basis.ecut)
+    )
+    assert np.array_equal(basis.g2, g2.ravel()[basis.indices])
+    assert np.array_equal(
+        basis.g_vectors, grid.g_vectors().reshape(-1, 3)[basis.indices]
+    )

@@ -197,46 +197,48 @@ def test_solve_all_band_is_the_width_one_lockstep_solve():
     assert vnl.nproj > 0
     v = local_potential(grid, cfg)
     psi0 = basis.random_orbitals(6, seed=3)
-    densities = np.full((2, psi0.shape[1]) + grid.shape, np.nan)
     one = solve_all_band(
-        Hamiltonian(basis, v, vnl), psi0, max_iter=40, tol=1e-8,
-        band_densities=densities[0],
+        Hamiltonian(basis, v, vnl), psi0, max_iter=40, tol=1e-8
     )
     (stacked,) = solve_all_band_batched(
         BatchedHamiltonian(basis, v[None], vnl.b[None], vnl.d[None]),
-        psi0[None], max_iter=40, tol=1e-8, band_densities=densities[1:],
+        psi0[None], max_iter=40, tol=1e-8,
     )
     assert one.iterations == stacked.iterations
     assert one.converged == stacked.converged
     assert one.residual_norm == stacked.residual_norm
     assert np.array_equal(one.eigenvalues, stacked.eigenvalues)
     assert np.array_equal(one.orbitals, stacked.orbitals)
-    assert np.array_equal(densities[0], densities[1])
 
 
 @pytest.mark.parametrize("max_iter", [200, 3])
 def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
-    """Width 1 ≡ width 3, ``==``, on densities, eigenvalues and iteration
-    counts, with slots that retire at different iterations (each retirement
-    transforms through the shared basis work block while the others are
-    still iterating) or all at once when
-    the iterations run out; and every density is |to_grid(orbitals)|²."""
+    """Width 1 ≡ width 3, ``==``, on the densities the caller forms from
+    the returned orbitals, eigenvalues and iteration counts, with slots
+    that retire at different iterations or all at once when the iterations
+    run out; and every density is |to_grid(orbitals)|²."""
     basis, v_eff, psi = _well_problem()
     nd, _, nband = psi.shape
     shape = (nd, nband) + basis.grid.shape
-    wide = np.full(shape, np.nan)
     results = solve_all_band_batched(
         BatchedHamiltonian(basis, v_eff, None, None), psi,
-        max_iter=max_iter, tol=1e-9, band_densities=wide,
+        max_iter=max_iter, tol=1e-9,
     )
+    # formed after the stack returns, each domain through the shared work
+    # block, as the LDC seam does
+    wide = np.full(shape, np.nan)
+    for d, res in enumerate(results):
+        basis.densities(res.orbitals, wide[d])
     assert len({res.iterations for res in results}) == (
         3 if max_iter == 200 else 1
     )
     for d, res in enumerate(results):
-        narrow = np.full(shape[1:], np.nan)
         one = solve_all_band(
             Hamiltonian(basis, v_eff[d]), psi[d], max_iter=max_iter,
-            tol=1e-9, band_densities=narrow,
+            tol=1e-9,
+        )
+        narrow = basis.densities(
+            one.orbitals, np.full(shape[1:], np.nan)
         )
         assert np.array_equal(wide[d], narrow)
         assert np.array_equal(res.eigenvalues, one.eigenvalues)
@@ -249,9 +251,9 @@ def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
     """A stack whose first slot converges well before the others — its
     retirement moves the slots behind it down the lent workspace, then the
     next one's does — with nonlocal projectors and one NaN-filled
-    workspace: every domain's orbitals, eigenvalues,
-    residual and densities are ``==`` those of its own stack-of-one solve
-    in its own workspace."""
+    workspace: every domain's orbitals, eigenvalues and
+    residual are ``==`` those of its own stack-of-one solve in its own
+    workspace."""
     basis, _, _ = _well_problem()
     rng = np.random.default_rng(9)
     r2 = basis.grid.min_image_distance(np.array([3.0, 2.5, 2.5])) ** 2
@@ -262,31 +264,26 @@ def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
     d = rng.standard_normal((nd, nproj))
     psi = np.stack([basis.random_orbitals(nband, seed=11 + i)
                     for i in range(nd)])
-    shape = (nd, nband) + basis.grid.shape
 
     def solve(lo, hi):
         n = hi - lo
-        densities = np.full((n,) + shape[1:], np.nan)
-        results = solve_all_band_batched(
+        return solve_all_band_batched(
             BatchedHamiltonian(basis, v_eff[lo:hi], b[lo:hi], d[lo:hi]),
             list(psi[lo:hi]), max_iter=200, tol=1e-9,
-            band_densities=densities,
             work=np.full(lobpcg_work_shape(n, basis.npw, nband), np.nan,
                          dtype=complex),
         )
-        return results, densities
 
-    stacked, wide = solve(0, nd)
+    stacked = solve(0, nd)
     counts = [res.iterations for res in stacked]
     # the first slot is done three or more iterations before the others
     assert counts[0] + 3 <= min(counts[1:]) and counts[1] != counts[2]
     for slot, res in enumerate(stacked):
-        (one,), narrow = solve(slot, slot + 1)
+        (one,) = solve(slot, slot + 1)
         assert res.converged and res.iterations == one.iterations
         assert res.residual_norm == one.residual_norm
         assert np.array_equal(res.eigenvalues, one.eigenvalues)
         assert np.array_equal(res.orbitals, one.orbitals)
-        assert np.array_equal(wide[slot], narrow[0])
 
 
 LIAL_OPTS = dict(

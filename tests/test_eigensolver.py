@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dft.basis import PlaneWaveBasis
+from repro.dft.basis import PlaneWaveBasis, density_from_orbitals
 from repro.dft.eigensolver import (
     lobpcg_work_shape,
     solve_all_band,
@@ -101,11 +101,11 @@ def test_all_band_free_electron():
     np.testing.assert_allclose(res.eigenvalues, exact, atol=1e-7)
 
 
-# -- band densities formed inside the solve --------------------------------------
+# -- densities formed by the caller, from the returned orbitals ------------------
 
 
 def _count_to_grid(monkeypatch):
-    """Record the solvers' own ``to_grid`` calls (``H·ψ`` transforms through
+    """Record every ``to_grid`` call (``H·ψ`` transforms through
     ``to_grid_batch``): the shape of each block and whether it went into
     the basis work block."""
     calls = []
@@ -122,19 +122,30 @@ def _count_to_grid(monkeypatch):
 
 
 def _row_blocks(basis, nband):
-    """What one retirement transforms: the block's columns, a row block at
-    a time, each into the basis work block."""
+    """What forming one block's densities transforms: its columns, a row
+    block at a time, each into the basis work block."""
     step = basis.block_rows
     return [
         ((basis.npw, min(step, nband - a)), True) for a in range(0, nband, step)
     ]
 
 
-def _assert_densities_match_orbitals(ham, res, out):
-    expect = np.abs(ham.basis.to_grid(res.orbitals)) ** 2
+def _assert_densities_match_orbitals(ham, res):
+    """The caller's two forms of |ψ|² of a result — per band, and
+    occupied-only — against the oracles: ``|to_grid|²`` and
+    :func:`density_from_orbitals`, both to 1e-14."""
+    basis = ham.basis
+    nband = res.orbitals.shape[1]
+    out = np.full((nband,) + basis.grid.shape, np.nan)
+    assert basis.densities(res.orbitals, out) is out
+    expect = np.abs(basis.to_grid(res.orbitals)) ** 2
     assert np.abs(out - expect).max() <= 1e-14
-    norms = out.sum(axis=(1, 2, 3)) * ham.basis.grid.dv
+    norms = out.sum(axis=(1, 2, 3)) * basis.grid.dv
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+    occupations = np.linspace(2.0, 0.0, nband)
+    rho = basis.densities(res.orbitals, np.zeros(basis.grid.shape), occupations)
+    oracle = density_from_orbitals(basis, res.orbitals, occupations)
+    assert np.abs(rho - oracle).max() <= 1e-14
 
 
 def _rotated_eigenvectors(ref, nband):
@@ -152,10 +163,11 @@ def _rotated_eigenvectors(ref, nband):
 def test_all_band_densities_match_orbitals_whenever_the_block_retires(
     problem, monkeypatch, retires
 ):
-    """|ψ_n|² of the returned block is formed one way: the Ritz vectors
-    transformed a row block at a time into the basis work block when the
-    block retires — at its first residual check (no iteration ran) or
-    after X moved — and never from the fields of an ``H·X``."""
+    """The solver returns orbitals and transforms nothing to the grid
+    itself — whether the block retires at its first residual check (no
+    iteration ran) or after X moved; |ψ_n|² is formed one way, by the
+    caller: the returned block a row block at a time into the basis work
+    block."""
     full, ref = problem
     nband = 5
     basis = PlaneWaveBasis(full.basis.grid, full.basis.ecut)
@@ -165,25 +177,31 @@ def test_all_band_densities_match_orbitals_whenever_the_block_retires(
         psi0 = _rotated_eigenvectors(ref, nband)
     else:
         psi0 = basis.random_orbitals(nband, seed=11)
-    out = np.full((nband,) + basis.grid.shape, np.nan)
     calls = _count_to_grid(monkeypatch)
-    res = solve_all_band(ham, psi0, max_iter=200, tol=1e-9, band_densities=out)
+    res = solve_all_band(ham, psi0, max_iter=200, tol=1e-9)
+    assert not calls
+    basis.densities(res.orbitals, np.empty((nband,) + basis.grid.shape))
+    assert calls == _row_blocks(basis, nband) and len(calls) == 3
+    del calls[:]
+    basis.densities(res.orbitals, np.zeros(basis.grid.shape), np.ones(nband))
+    assert calls == _row_blocks(basis, nband)
     monkeypatch.undo()
     assert res.converged
-    assert calls == _row_blocks(basis, nband) and len(calls) == 3
     assert (res.iterations == 1) == (retires == "first_check")
-    _assert_densities_match_orbitals(ham, res, out)
+    _assert_densities_match_orbitals(ham, res)
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_all_band_densities_match_orbitals_at_either_stack_width(problem, width):
     """One operator with nonlocal projectors, three starts: one retires at
     the first residual check, one converges while the others iterate, one
-    runs out of ``max_iter`` — each domain's densities are those of the
-    orbitals it returned, solved alone or as one stack."""
+    runs out of ``max_iter`` — the densities a caller forms from each
+    domain's orbitals, solved alone or as one stack, are those of the
+    oracles, per band and occupied."""
     ham, ref = problem
     nband, max_iter = 5, 20
     basis = ham.basis
+    assert ham.vnl.nproj > 0
     loose = solve_all_band(
         ham, basis.random_orbitals(nband, seed=3), max_iter=200, tol=1e-7
     )
@@ -192,62 +210,46 @@ def test_all_band_densities_match_orbitals_at_either_stack_width(problem, width)
         loose.orbitals,
         basis.random_orbitals(nband, seed=11),
     ]
-    out = np.full((3, nband) + basis.grid.shape, np.nan)
     if width == 1:
         results = [
-            solve_all_band(ham, psi0, max_iter, 1e-9, band_densities=out[i])
-            for i, psi0 in enumerate(starts)
+            solve_all_band(ham, psi0, max_iter, 1e-9) for psi0 in starts
         ]
     else:
         stack = BatchedHamiltonian(
             basis, np.stack(3 * [ham.v_eff]),
             np.stack(3 * [ham.vnl.b]), np.stack(3 * [ham.vnl.d]),
         )
-        results = solve_all_band_batched(
-            stack, starts, max_iter, 1e-9, band_densities=out
-        )
+        results = solve_all_band_batched(stack, starts, max_iter, 1e-9)
     first, middle, last = (res.iterations for res in results)
     assert first == 1 and 3 <= middle < max_iter == last
     assert [res.converged for res in results] == [True, True, False]
-    for res, densities in zip(results, out):
-        _assert_densities_match_orbitals(ham, res, densities)
+    for res in results:
+        _assert_densities_match_orbitals(ham, res)
 
 
 def test_all_band_densities_of_a_block_that_ran_out_of_iterations(problem):
     ham, _ = problem
-    out = np.empty((3,) + ham.basis.grid.shape)
     res = solve_all_band(
         ham, ham.basis.random_orbitals(3, seed=1), max_iter=3, tol=1e-16,
-        band_densities=out,
     )
     assert not res.converged
-    _assert_densities_match_orbitals(ham, res, out)
+    _assert_densities_match_orbitals(ham, res)
 
 
 def test_reference_solver_densities_match_orbitals(problem, monkeypatch):
-    """``direct`` and ``band_by_band`` fill ``band_densities`` the way the
-    all-band solver does — their returned block through the basis work
-    block — and no solver transforms anything it was not asked for."""
+    """``direct`` and ``band_by_band`` return orbitals only, like the
+    all-band solver: no solver transforms anything to the grid, and the
+    caller's densities of their blocks match the oracles."""
     ham, _ = problem
-    out = np.empty((4,) + ham.basis.grid.shape)
     psi0 = ham.basis.random_orbitals(4, seed=7)
     calls = _count_to_grid(monkeypatch)
-    direct = solve_direct(ham, 4, out)
-    assert calls == _row_blocks(ham.basis, 4)
-    monkeypatch.undo()
-    _assert_densities_match_orbitals(ham, direct, out)
-    calls = _count_to_grid(monkeypatch)
-    res = solve_band_by_band(
-        ham, psi0, tol=1e-8, outer_sweeps=6, band_densities=out
-    )
-    assert calls == _row_blocks(ham.basis, 4)
-    del calls[:]
-    solve_band_by_band(ham, psi0, outer_sweeps=1)
+    direct = solve_direct(ham, 4)
+    res = solve_band_by_band(ham, psi0, tol=1e-8, outer_sweeps=6)
     solve_all_band(ham, psi0, max_iter=2)
-    solve_direct(ham, 4)
     assert not calls
     monkeypatch.undo()
-    _assert_densities_match_orbitals(ham, res, out)
+    _assert_densities_match_orbitals(ham, direct)
+    _assert_densities_match_orbitals(ham, res)
 
 
 def test_all_band_iterations_reported(problem):
@@ -308,13 +310,11 @@ def test_warm_lockstep_iteration_allocates_nothing_of_block_size():
     block = warm.nbytes
     assert block > 2 * 128 * 1024
     work = np.full(lobpcg_work_shape(nd, npw, nband), np.nan, dtype=complex)
-    densities = np.empty((nd, nband) + basis.grid.shape)
     assert work.nbytes == 9 * block
 
     def solve(bham):
         return solve_all_band_batched(
-            bham, warm, max_iter=60, tol=1e-8, band_densities=densities,
-            work=work,
+            bham, warm, max_iter=60, tol=1e-8, work=work
         )
 
     # (a) the largest allocation of any one C-level call, by iteration

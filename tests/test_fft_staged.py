@@ -4,8 +4,8 @@ The dense 3-D ``np.fft.ifftn/fftn`` on the zero-padded sphere — the
 transform the staged code replaced — is the oracle here: pruning skips
 lines that are identically zero, so the two must agree to rounding on any
 grid.  Also pinned: adjointness, the ``out=`` forms, and that a warm apply
-— and a warm eigensolve with band densities — allocates nothing of grid
-size.
+— and a warm eigensolve followed by the caller's band densities —
+allocates nothing of grid size.
 """
 
 import copy
@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dft.basis import FIELD_BLOCK_BYTES, PlaneWaveBasis
 from repro.dft.eigensolver import solve_all_band_batched
@@ -62,6 +62,14 @@ def complex_normal(rng, shape):
 
 
 @settings(**COMMON)
+# every x-plane occupied (one plane run, no empty plane), on odd sizes and
+# on an even x axis with its Nyquist plane; and two runs on odd sizes
+@example(shape=(7, 9, 11), lengths=(9.0, 5.0, 5.0), grid_factor=1.0, nd=2,
+         nband=3, block_rows=3, seed=1)
+@example(shape=(8, 11, 9), lengths=(9.0, 5.0, 5.0), grid_factor=1.0, nd=1,
+         nband=5, block_rows=4, seed=2)
+@example(shape=(11, 7, 9), lengths=(9.0, 7.0, 9.0), grid_factor=2.0, nd=4,
+         nband=2, block_rows=3, seed=3)
 @given(
     shape=st.tuples(*[st.integers(5, 12)] * 3),
     lengths=st.tuples(*[st.floats(5.0, 9.0)] * 3),
@@ -78,6 +86,14 @@ def test_staged_transforms_match_dense_oracle(
     grid = basis.grid
     rng = np.random.default_rng(seed)
     nrows = nd * nband  # 1..40 rows: one block, several, a ragged last one
+    # the y pass's x-plane runs: one or two, covering exactly the occupied
+    # planes, the empty runs the rest
+    runs = basis._plane_runs
+    assert 1 <= len(runs) <= 2
+    occupied = np.concatenate([np.arange(a, b) for _, a, b in runs])
+    assert np.array_equal(occupied, basis._planes)
+    empty = [np.arange(a, b) for a, b in basis._empty_runs]
+    assert sorted(np.concatenate([occupied, *empty])) == list(range(shape[0]))
 
     coeffs = complex_normal(rng, (nrows, basis.npw))
     ref_fields = dense_to_grid(basis, coeffs)
@@ -159,10 +175,17 @@ def test_nyquist_and_odd_axes_are_really_covered():
     assert 4 in np.unravel_index(full.indices, full.grid.shape)[0]
     assert np.any(full.miller[:, 0] == -4)
     assert full.stage_lines[1][0] == 8 * 10  # no x-plane pruned
+    # one plane run, the whole x axis: the y pass writes all of ``out``
+    assert full._plane_runs == [(0, 0, 8)] and full._empty_runs == []
+    odd = make_basis((9.0, 5.0, 5.0), (7, 9, 11), 1.0)
+    assert odd._plane_runs == [(0, 0, 7)] and odd._empty_runs == []
 
     half = make_basis((8.0, 8.0, 8.0), (8, 9, 10), 2.0)
     (zl, _), (yl, _), (xl, _) = half.stage_lines
     assert zl < 8 * 9 / 4 and yl == 5 * 10 and xl == 9 * 10
+    # m = 0..2 and m = -2..-1: two runs around the empty middle
+    assert half._plane_runs == [(0, 0, 3), (3, 6, 8)]
+    assert half._empty_runs == [(3, 6)]
 
 
 def test_block_rows_follow_the_grid():
@@ -240,31 +263,40 @@ def test_stacked_apply_peaks_below_one_full_copy():
 
 
 def test_warm_solve_with_band_densities_allocates_nothing_of_grid_size():
-    """The lockstep solver forms |ψ|² inside the solve: a retiring domain's
-    Ritz vectors go through the basis work block a row block at a time,
-    straight into the caller's real ``band_densities``.  A warm solve's
-    traced peak is the peak of the same solve without densities — its
-    coefficient-side algebra — to within less than one band's real field,
-    where one rotated ``(nband, *grid)`` complex copy per domain used to
-    come back as ``fields``."""
+    """The solver returns orbitals; the caller forms |ψ|² from them through
+    the basis work block a row block at a time, straight into its real
+    per-band buffer (the LDC seam) or accumulated into one real field
+    (``run_scf``).  A warm solve plus per-band densities peaks where the
+    solve alone does — its coefficient-side algebra — to within less than
+    one band's real field, and the occupied form allocates one band's real
+    field (plus NumPy's fixed iterator buffers), not ``nband`` of them."""
     basis, v_eff, psi = lial_domain_problem(nd=2, nband=6)
     nd, npw, nband = psi.shape
-    assert nband > basis.block_rows  # several row blocks per retirement
+    assert nband > basis.block_rows  # several row blocks per domain
     one_density = basis.grid.npoints * 8
     psi0 = np.stack([basis.random_orbitals(nband, seed=d) for d in range(nd)])
     bham = BatchedHamiltonian(basis, 0.2 * v_eff, None, None)
     densities = np.empty((nd, nband) + basis.grid.shape)
+    rho = np.zeros(basis.grid.shape)
+    occupations = np.linspace(2.0, 0.0, nband)
 
-    def solve(**buffers):
-        return solve_all_band_batched(
-            bham, psi0, max_iter=6, tol=1e-12, **buffers
-        )
+    def solve():
+        return solve_all_band_batched(bham, psi0, max_iter=6, tol=1e-12)
 
-    results = solve(band_densities=densities)  # warm: the pool exists
+    def solve_and_form():
+        for out, res in zip(densities, solve()):
+            basis.densities(res.orbitals, out)
+
+    results = solve()  # warm: the pool exists
     assert not any(res.converged for res in results)  # ran every sweep
+    solve_and_form()
     plain = traced_peak(solve)
-    with_densities = traced_peak(lambda: solve(band_densities=densities))
+    with_densities = traced_peak(solve_and_form)
     assert abs(with_densities - plain) < one_density
+    occupied = traced_peak(
+        lambda: basis.densities(results[0].orbitals, rho, occupations)
+    )
+    assert one_density <= occupied < 2 * one_density
 
 
 def test_copied_basis_gets_its_own_empty_pool():

@@ -16,10 +16,13 @@ width (module-scoped, a few seconds):
   shape classes, with no arena of ``nband × grid`` complex size in it,
   and the global half's geometry-only tables (``global``) are a few KB of
   Ewald structure on the FFT path;
-* ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed.
+* ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed;
+* the global ``run_scf`` map holds no per-band ``(nband, *grid)`` array:
+  it finds μ first and accumulates Σ f|ψ|² band by band.
 """
 
 import gc
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -29,10 +32,12 @@ import pytest
 
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.workspace import RESIDENT_PARTS
+from repro.dft.scf import SCFOptions, run_scf
 from repro.observability import Instrumentation
 from repro.observe import OFF
 from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
+from repro.systems.water import water_molecule
 
 CELL = np.array([13.0, 13.0, 9.0])
 LIAL = dict(
@@ -255,3 +260,45 @@ def test_workspace_bytes_gauge_is_evaluated_only_when_observed(monkeypatch):
         lambda self: pytest.fail("telemetry-only value computed unobserved"),
     )
     trajectory(options, steps=1, ins=OFF)
+
+
+# -- the global map ------------------------------------------------------------
+
+#: One cold ``run_scf`` on H₂O in a 12 Bohr cell at the e2e water options
+#: (27³ grid, 8 bands, 11 passes): its allocation peak above entry, 1.1 ×
+#: the 6.77 MB measured — 9.03 while the map kept a ``(nband, *grid)``
+#: per-band density buffer (1.26 MB), the basis a spare y-stage buffer
+#: (0.46) and the grid its full G-vector and |G|² tables (0.47 + 0.16).
+SCF_CALL_BUDGET_MB = 7.45
+
+
+def test_global_map_holds_no_per_band_block():
+    """Between any two profiled events of the call (so: no NumPy call, no
+    stretch of Python between calls) nothing as large as one real
+    ``(nband, *grid)`` block is allocated — the largest allocation is the
+    LOBPCG workspace, 1.07 MB — and the call's peak stays in budget."""
+    config = water_molecule(cell=(12.0, 12.0, 12.0))
+    options = SCFOptions(ecut=5.0, tol=1e-6, kt=0.01)
+    largest, top, entry = [0], [0], [0]
+
+    def profile(frame, event, arg):
+        peak = tracemalloc.get_traced_memory()[1]
+        largest[0] = max(largest[0], peak - entry[0])
+        top[0] = max(top[0], peak)
+        tracemalloc.reset_peak()
+        entry[0] = tracemalloc.get_traced_memory()[0]
+
+    gc.collect()
+    tracemalloc.start()
+    base = entry[0] = tracemalloc.get_traced_memory()[0]
+    sys.setprofile(profile)
+    try:
+        result = run_scf(config, options)
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    assert result.converged
+    nband = result.orbitals.shape[1]
+    assert result.grid.shape == (27, 27, 27) and nband == 8
+    assert largest[0] < nband * result.grid.npoints * 8
+    assert (top[0] - base) / MB <= SCF_CALL_BUDGET_MB
