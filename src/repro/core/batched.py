@@ -24,7 +24,7 @@ give bit-identical results (pinned by ``tests/test_batched.py``).  The
 reference eigensolver (``direct``) is per-domain by construction and always
 runs as stacks of one on a plain :class:`~repro.dft.hamiltonian.Hamiltonian`.
 
-ASPC warm starts (``LDCOptions.history_depth``) need no special handling
+ASPC warm starts (``LDCWorkspace.history_depth``) need no special handling
 here: the pass seeds ``psi0[j]`` from each ``DomainState.psi``, which
 :meth:`repro.core.workspace.LDCWorkspace.prepare` has already filled with
 the extrapolated orbitals.
@@ -37,7 +37,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.boundary import boundary_error_norm, boundary_potential
+from repro.core.boundary import (
+    VBC_DAMPING,
+    boundary_error_norm,
+    boundary_potential,
+)
 from repro.core.workspace import DomainScratch
 from repro.dft.eigensolver import (
     EigenResult,
@@ -96,7 +100,7 @@ def group_shape_classes(states: list[DomainState]) -> list[ShapeClass]:
 
     Raises if two domains with equal keys do not hold the same
     :class:`PlaneWaveBasis` object — a stack transforms through one basis,
-    and :meth:`LDCWorkspace.build_states` hands every shape class its one.
+    and :meth:`LDCWorkspace.prepare` hands every shape class its one.
     """
     classes: dict[ShapeClassKey, ShapeClass] = {}
     for pos, state in enumerate(states):
@@ -151,11 +155,11 @@ def _domain_effective_potential(
         np.subtract(1.0, state.support, out=window)
         vbc_target *= window
     if state.vbc is None:
-        state.vbc = opts.vbc_damping * vbc_target  # owned, not scratch
+        state.vbc = VBC_DAMPING * vbc_target  # owned, not scratch
     else:
         # same values as (1-d)·vbc + d·target, without the temporaries
-        state.vbc *= 1.0 - opts.vbc_damping
-        vbc_target *= opts.vbc_damping
+        state.vbc *= 1.0 - VBC_DAMPING
+        vbc_target *= VBC_DAMPING
         state.vbc += vbc_target
     out += state.vbc
     return rho_restricted
@@ -226,8 +230,8 @@ def batched_domain_pass(
     :mod:`repro.observability.costattr` turns into FLOPs) and each domain
     one :func:`record_solve`.
 
-    ``pool`` holds the stacked buffers between passes (the workspace owns
-    one across MD steps, a workspace-less run its own): one arena per role,
+    ``pool`` holds the stacked buffers between passes (the workspace's,
+    which lives across MD steps): one arena per role,
     every stack taking its views, so it is as large as the largest stack's
     working set.
     """

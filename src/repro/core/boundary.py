@@ -22,6 +22,9 @@ import numpy as np
 
 #: The paper's fitted value of ξ (atomic units).
 PAPER_XI = 0.333
+#: Under-relaxation of v_bc across SCF passes:
+#: v_bc ← (1 − d)·v_bc + d·(ρ_α − ρ)/ξ.
+VBC_DAMPING = 0.5
 
 
 def boundary_potential(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dft.ewald import ewald
-from repro.dft.forces import local_forces
+from repro.dft.forces import local_forces, projector_forces
 from repro.systems.configuration import Configuration
 
 
@@ -41,35 +41,24 @@ def ldc_forces(
 
 
 def nonlocal_forces_dc(config: Configuration, result) -> np.ndarray:
-    """Nonlocal projector forces assembled from owning domains."""
+    """Nonlocal projector forces, each atom's from the domain owning its
+    core: :func:`~repro.dft.forces.projector_forces` on that domain's
+    orbitals and occupations, for the columns of the atoms it owns."""
     forces = np.zeros((config.natoms, 3), dtype=float)
     decomp = result.decomposition
     owners = [
         decomp.owner_domain(config.positions[i]) for i in range(config.natoms)
     ]
-    # Map domain list index -> state (states are stored in the same order).
-    for state in result.states:
+    # result.states is in decomposition.domains order: idom is what
+    # owner_domain returns
+    for idom, state in enumerate(result.states):
         if state.nband == 0 or state.vnl is None or state.vnl.nproj == 0:
             continue
-        dom_idx = _domain_list_index(decomp, state.domain.index)
-        b = state.vnl.b
-        gv = state.basis.g_vectors
-        overlaps = b.conj().T @ state.psi  # (nproj, nband)
-        occ = state.occupations
-        for col, local_atom in enumerate(state.vnl.atom_indices):
-            global_atom = int(state.atom_indices[local_atom])
-            if owners[global_atom] != dom_idx:
-                continue  # another domain owns this atom's core
-            d = state.vnl.d[col]
-            bcol = b[:, col]
-            grad = (1j * gv * bcol.conj()[:, None]).T @ state.psi  # (3, nband)
-            de = 2.0 * d * np.real(
-                np.sum(occ[None, :] * np.conj(overlaps[col])[None, :] * grad, axis=1)
-            )
-            forces[global_atom] -= de
+        atoms = [int(state.atom_indices[a]) for a in state.vnl.atom_indices]
+        owned = [col for col, atom in enumerate(atoms) if owners[atom] == idom]
+        de = projector_forces(
+            state.basis, state.vnl, state.psi, state.occupations, owned
+        )
+        for col, row in zip(owned, de):
+            forces[atoms[col]] -= row
     return forces
-
-
-def _domain_list_index(decomp, index3: tuple[int, int, int]) -> int:
-    nd = decomp.domain_counts
-    return index3[0] * nd[1] * nd[2] + index3[1] * nd[2] + index3[2]

@@ -28,7 +28,6 @@ nonlocal projectors use the atoms inside each domain (core + buffer).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from repro.core.energy import (
     dc_band_energy,
     dc_total_energy,
 )
-from repro.core.support import supports
 from repro.core.workspace import RESIDENT_PARTS, DomainScratch, LDCWorkspace
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
@@ -53,9 +51,6 @@ from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
-
-if TYPE_CHECKING:
-    from repro.dft.mixing import PulayMixer
 
 
 @dataclass
@@ -92,8 +87,6 @@ class LDCOptions:
     #: where the boundary potential acts: "buffer" (outside the core — the
     #: artificial boundary's neighborhood) or "full" (whole domain)
     vbc_region: str = "buffer"
-    #: under-relaxation of v_bc across SCF iterations (1.0 = no damping)
-    vbc_damping: float = 0.5
     seed: int = 7
     #: stack width of the all-band domain solves
     #: (:mod:`repro.core.batched`): ``True`` solves every shape class —
@@ -103,20 +96,8 @@ class LDCOptions:
     #: kernel sizes differ.  The reference eigensolver always runs per
     #: domain.
     batch_domains: bool = True
-    #: ASPC history window per domain (workspace runs only): 1 keeps the
-    #: plain last-state warm start, K >= 2 seeds each solve from the
-    #: time-reversible K-point extrapolation of the converged ψ/v_bc/ρ_α
-    #: (:mod:`repro.md.extrapolate`).  Not part of the structural cache
-    #: signature — changing it mid-trajectory trims/deepens the windows
-    #: without a cold restart.
-    history_depth: int = 1
 
     def __post_init__(self) -> None:
-        if (
-            int(self.history_depth) != self.history_depth
-            or self.history_depth < 1
-        ):
-            raise ValueError("history_depth must be an integer >= 1")
         check_solver_names(self.eigensolver, self.mixer)
         if self.mode not in ("ldc", "dc"):
             raise ValueError(f"mode must be 'ldc' or 'dc', got {self.mode!r}")
@@ -124,8 +105,6 @@ class LDCOptions:
             raise ValueError("poisson must be 'fft' or 'multigrid'")
         if self.vbc_region not in ("buffer", "full"):
             raise ValueError("vbc_region must be 'buffer' or 'full'")
-        if not 0.0 < self.vbc_damping <= 1.0:
-            raise ValueError("vbc_damping must be in (0, 1]")
 
 
 @dataclass
@@ -183,8 +162,7 @@ class LDCResult:
     #: per-step cost number the warm-start/extrapolation benches gate on
     eig_iterations: int = 0
     #: mean gauge-invariant residual of the step's ASPC ψ predictions
-    #: against the converged blocks (None without a workspace or on the
-    #: first, cold step)
+    #: against the converged blocks (None on a cold step)
     predictor_residual: float | None = None
 
     @property
@@ -259,17 +237,19 @@ def run_ldc(
     calls do nothing, unless ``REPRO_SANITIZE`` arms the checkpoints;
     :data:`~repro.observe.OFF` is off whatever the environment says.
 
-    ``workspace`` optionally accepts a persistent
-    :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
-    partition of unity, per-domain bases, and Ewald structure come from its
-    cache, domain ψ are warm-started from the previous call's converged
-    orbitals, and the converged states are stored back for the next call.
-    With the Pulay mixer the workspace's mixer is handed to the loop, so
-    the secant pairs of earlier calls seed this one's density mixing, and —
-    once every domain is warm — the final consistent pass runs at the
-    mixer's next iterate rather than at the raw output density; without a
-    workspace the loop builds a fresh mixer and the final pass runs at the
-    converged output density.  Mutually exclusive with ``grid``.
+    ``workspace`` is the :class:`~repro.core.workspace.LDCWorkspace` the
+    solve runs through: the grid, decomposition, partition of unity,
+    per-domain bases, Ewald structure and multigrid levels come from its
+    cache, domain ψ are warm-started from the ASPC prediction over its
+    windows, the Pulay mixer is its own — so the secant pairs of earlier
+    calls seed this one's density mixing, and once every domain is warm
+    the final consistent pass runs at the mixer's next iterate rather than
+    at the raw output density — and the converged states are stored back
+    for the next call.  Without one the call is a one-step trajectory
+    through a throwaway workspace: every domain cold, a fresh mixer, the
+    final pass at the converged output density.  ``grid`` replaces the
+    throwaway's global grid, so it and ``workspace`` are mutually
+    exclusive.
     """
     opts = options or LDCOptions()
     ins = observer(instrumentation)
@@ -296,33 +276,25 @@ def _run_ldc(
 ) -> LDCResult:
     """Set-up, the global-local density map, result packaging — the body of
     :func:`run_ldc`'s ``ldc.run`` invocation."""
-    ewald_structure = None
     t_setup = ins.tracer.now()
-    if workspace is not None:
+    if workspace is None:
+        workspace = LDCWorkspace()
         if grid is not None:
-            raise ValueError("pass either grid= or workspace=, not both")
-        grid, decomp, states = workspace.prepare(config, opts)
-        ewald_structure = workspace.ewald_structure(config)
-        name = "ldc.workspace_prepare"
-        attrs = {"warm_domains": workspace.warm_domains,
-                 "cold_domains": workspace.cold_domains}
-        ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
-        resident = workspace.resident_bytes  # a walk over every pool: lazy
-        for part in RESIDENT_PARTS:
-            ins.gauge("ldc.workspace_bytes", part=part).set(
-                lambda part=part: resident()[part]
-            )
-    else:
-        if grid is None:
-            grid = make_global_grid(config, opts)
-        decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
-        pou = supports(decomp, opts.support)
-        states = LDCWorkspace().build_states(config, decomp, pou, opts)
-        name, attrs = "ldc.partition_of_unity", {"support": opts.support}
+            workspace._ensure_structures(config, opts, grid)
+    elif grid is not None:
+        raise ValueError("pass either grid= or workspace=, not both")
+    grid, decomp, states = workspace.prepare(config, opts)
     ins.tracer.record_complete(
-        name, ins.tracer.now() - t_setup, category="ldc",
-        ndomains=decomp.ndomains, **attrs,
+        "ldc.workspace_prepare", ins.tracer.now() - t_setup, category="ldc",
+        ndomains=decomp.ndomains, warm_domains=workspace.warm_domains,
+        cold_domains=workspace.cold_domains,
     )
+    ins.gauge("ldc.warm_domains").set(workspace.warm_domains)
+    resident = workspace.resident_bytes  # a walk over every pool: lazy
+    for part in RESIDENT_PARTS:
+        ins.gauge("ldc.workspace_bytes", part=part).set(
+            lambda part=part: resident()[part]
+        )
     ins.gauge("ldc.domains").set(decomp.ndomains)
     # the residual exists only for the health monitor and costs a pass over
     # the grid per domain: handed over unevaluated, for a listener to call
@@ -337,26 +309,16 @@ def _run_ldc(
     # one Ewald evaluation per solve: the forces ride along for ldc_forces
     e_ewald, f_ewald = ewald(
         config.wrapped_positions(), config.zvals, config.cell,
-        compute_forces=compute_forces, structure=ewald_structure,
+        compute_forces=compute_forces,
+        structure=workspace.ewald_structure(config),
     )
-    mg: MultigridPoisson | None = None
-    if opts.poisson == "multigrid":
-        mg = (
-            workspace.poisson() if workspace is not None
-            else MultigridPoisson(grid)
-        )
+    mg = workspace.poisson() if opts.poisson == "multigrid" else None
     xi = opts.xi if opts.mode == "ldc" else None
-    # The seam's stack pool: persistent across MD steps with a workspace,
-    # per-run otherwise — either way no per-pass allocations.
-    pool = workspace.batch_pool if workspace is not None else DomainScratch()
     #: the workspace's mixer, whose secant pairs outlive this solve
-    memory: PulayMixer | None = None
+    memory = workspace.scf_mixer(opts) if opts.mixer == "pulay" else None
     #: whether the solve continues a trajectory (every domain warm): its
     #: converged state then feeds the next step's ASPC windows
-    continues = False
-    if workspace is not None and opts.mixer == "pulay":
-        memory = workspace.scf_mixer(opts)
-        continues = workspace.cold_domains == 0
+    continues = memory is not None and workspace.cold_domains == 0
     # what the last pass left behind (the map hands the loop scalars)
     vh_warm: np.ndarray | None = None
     components: dict[str, float] = {}
@@ -370,7 +332,7 @@ def _run_ldc(
         # each pass's V_H is the next one's Poisson warm start
         mu, rho_out, components, bnd_err, vh_warm, eig_pass = _scf_pass(
             grid, states, rho_in, v_loc_global, e_ewald, n_electrons,
-            xi, mg, vh_warm, opts, ins, pool,
+            xi, mg, vh_warm, opts, ins, workspace.batch_pool,
         )
         eig_total += eig_pass
         if iteration is not None:
@@ -389,15 +351,13 @@ def _run_ldc(
             ins.counter("ldc.mixer_memory_dropped", reason=reason).inc(count)
         memory.dropped.clear()
 
-    predictor_residual: float | None = None
-    if workspace is not None:
-        # push converged states onto the ASPC windows for the next step's
-        # warm start; store() also settles the predictor residual of the
-        # guesses this step started from
-        workspace.store(states, opts)
-        predictor_residual = workspace.predictor_residual
-        if predictor_residual is not None:
-            ins.series("ldc.predictor_residual").append(predictor_residual)
+    # push converged states onto the ASPC windows for the next step's
+    # warm start; store() also settles the predictor residual of the
+    # guesses this step started from
+    workspace.store(states)
+    predictor_residual = workspace.predictor_residual
+    if predictor_residual is not None:
+        ins.series("ldc.predictor_residual").append(predictor_residual)
 
     result = LDCResult(
         **fixed._asdict(),

@@ -12,20 +12,22 @@ options is therefore invariant across steps:
 * the Ewald image shifts and reciprocal vectors,
 * the multigrid Poisson solver's level hierarchy and buffers.
 
-``run_ldc`` without a workspace rebuilds all of these every call.  An
-:class:`LDCWorkspace` builds them once, re-bins the atoms each step, and
-rebuilds only the atom-dependent piece — the nonlocal projectors.
+An :class:`LDCWorkspace` builds them once, re-bins the atoms each step,
+and rebuilds only the atom-dependent piece — the nonlocal projectors.
+Every ``run_ldc`` goes through one: a single point without ``workspace=``
+is a one-step trajectory through a throwaway workspace, whose empty
+caches make every domain cold.
 
 On top of the structural reuse the workspace **warm-starts each domain's
 orbitals** from a bounded history of its converged states: each domain
 keeps a :class:`~repro.md.extrapolate.DomainHistory` window of (ψ, v_bc,
 ρ_α) snapshots, and ``prepare`` seeds the next solve from the ASPC
-prediction over the last ``LDCOptions.history_depth`` of them (depth 1
-degrades to verbatim last-state reuse — the PR 4 behaviour; restarting
-the damped v_bc iteration from zero would otherwise dominate the step-2
-SCF count).  A domain whose identity changed — atoms migrated across a
-boundary, the band count moved — invalidates its window and falls back to
-the same deterministic random start the cold path uses.  Orbital warm
+prediction over the last ``history_depth`` of them (depth 1 degrades to
+verbatim last-state reuse; restarting the damped v_bc iteration from
+zero would otherwise dominate the step-2 SCF count).  A domain whose
+identity changed — atoms migrated across a boundary, the band count
+moved — invalidates its window and falls back to the same deterministic
+random start the cold path uses.  Orbital warm
 starts are the dominant lever on MD throughput: the eigensolver starts
 inside (depth 1) or ahead of (depth ≥ 2, extrapolated) the previous
 step's converged subspace and typically needs a small fraction of the
@@ -37,7 +39,8 @@ The workspace also owns the trajectory's **SCF quasi-Newton memory**: one
 from one MD step's density mixing into the next (:meth:`LDCWorkspace.scf_mixer`),
 so a warm step does not relearn the SCF Jacobian from an undamped linear
 step.  The pairs are dropped whenever the orbital warm start is — a reset
-(cell, option-signature or grid change) or any domain going cold.
+(cell, option-signature or grid change) or any domain going cold; a cold
+solve's fresh mixer is the one a single point runs with.
 
 Thread it through :func:`repro.core.ldc.run_ldc` via ``workspace=``;
 :class:`repro.md.qmd.LDCEngine` creates one automatically so ``QMDDriver``
@@ -58,12 +61,12 @@ from repro.dft.ewald import EwaldStructure
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.mixing import PulayMixer
 from repro.dft.pseudopotential import NonlocalProjectors
+from repro.md.extrapolate import DomainHistory, check_depth
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
     from repro.core.ldc import DomainState, LDCOptions
-    from repro.md.extrapolate import DomainHistory
 
 
 class DomainScratch:
@@ -156,7 +159,7 @@ def _options_signature(options: LDCOptions) -> tuple:
     """The option fields the cached structures depend on.
 
     A change in any of these invalidates the grid/decomposition/bases (and
-    with them the orbital cache); other options (tolerances, mixing, damping)
+    with them the orbital cache); other options (tolerances, mixing)
     only steer the SCF loop and leave the cached geometry valid.
     """
     return (
@@ -181,7 +184,7 @@ class LDCWorkspace:
 
     Usage::
 
-        ws = LDCWorkspace()
+        ws = LDCWorkspace(history_depth=3)
         rho = None
         for config in trajectory:
             result = run_ldc(config, opts, workspace=ws, rho0=rho)
@@ -189,10 +192,18 @@ class LDCWorkspace:
 
     ``prepare`` detects cell / option changes and resets itself, so a single
     workspace can safely outlive a cell swap — it just pays one cold rebuild.
-    Not thread-safe: one workspace per trajectory.
+    ``history_depth`` is the ASPC depth of the domain windows: 1 keeps the
+    plain last-state warm start, K >= 2 seeds each solve from the
+    time-reversible K-point extrapolation of the converged ψ/v_bc/ρ_α
+    (:mod:`repro.md.extrapolate`).  It is not part of the structural
+    signature: changing it mid-trajectory trims or deepens the windows
+    without a cold restart.  One workspace per trajectory.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, history_depth: int = 1) -> None:
+        self.history_depth = check_depth(
+            history_depth, "LDCWorkspace.history_depth"
+        )
         self._cell: np.ndarray | None = None
         self._signature: tuple | None = None
         self.grid: RealSpaceGrid | None = None
@@ -281,8 +292,16 @@ class LDCWorkspace:
         }
 
     def _ensure_structures(
-        self, config: Configuration, options: LDCOptions
+        self,
+        config: Configuration,
+        options: LDCOptions,
+        grid: RealSpaceGrid | None = None,
     ) -> None:
+        """Build grid, decomposition and supports unless the cached ones
+        belong to this cell and option signature (then ``grid`` is
+        ignored); a rebuild starts from :meth:`reset`.  ``grid`` replaces
+        :func:`~repro.core.ldc.make_global_grid`'s — ``run_ldc(grid=)``
+        on its throwaway workspace."""
         from repro.core.ldc import make_global_grid
 
         cell = np.asarray(config.cell, dtype=float).reshape(3)
@@ -296,7 +315,9 @@ class LDCWorkspace:
         self.reset()
         self._cell = cell.copy()
         self._signature = sig
-        self.grid = make_global_grid(config, options)
+        self.grid = grid if grid is not None else make_global_grid(
+            config, options
+        )
         self.decomposition = DomainDecomposition(
             self.grid, options.domains, options.buffer
         )
@@ -329,7 +350,7 @@ class LDCWorkspace:
         learned are kept (:meth:`~repro.dft.mixing.PulayMixer.begin_step`)
         unless a domain went cold this step — then the electronic problem
         is not the one they describe and the mixer starts fresh, exactly
-        as ``run_ldc`` without a workspace does.
+        as a single point's does.
         """
         if self._mixer is None:
             self._mixer = PulayMixer()
@@ -346,43 +367,28 @@ class LDCWorkspace:
     def prepare(
         self, config: Configuration, options: LDCOptions
     ) -> tuple[RealSpaceGrid, DomainDecomposition, list[DomainState]]:
-        """Bin atoms into the cached decomposition and build per-step states
-        (:meth:`build_states`); the structural pieces — grid, decomposition,
-        supports — come from the cache."""
-        self._ensure_structures(config, options)
-        assert self.grid is not None
-        assert self.decomposition is not None and self.pou is not None
-        states = self.build_states(
-            config, self.decomposition, self.pou, options
-        )
-        self.steps += 1
-        return self.grid, self.decomposition, states
+        """Bin atoms into the cached decomposition and build the per-domain
+        solver states of one solve.
 
-    def build_states(
-        self,
-        config: Configuration,
-        decomp: DomainDecomposition,
-        weights: list[np.ndarray],
-        options: LDCOptions,
-    ) -> list[DomainState]:
-        """The per-domain solver states of one solve; ``run_ldc`` without a
-        workspace calls this on a throwaway one, whose empty caches make
-        every domain cold.
-
-        Basis and scratch pool come from the caches; the atom-dependent
-        nonlocal projectors are rebuilt.  ψ, v_bc and ρ_α are the ASPC
-        prediction over the domain's history window (depth 1 = the previous
-        step's converged state verbatim; without v_bc and ρ_α the damped
-        v_bc iteration would re-converge from scratch) while its identity
-        ``(npw, nband, atoms)`` is unchanged, else ψ is a deterministic
-        random start.
+        The structural pieces — grid, decomposition, supports, one basis
+        per shape class, each domain's scratch pool — come from the cache;
+        the atom-dependent nonlocal projectors are rebuilt.  ψ, v_bc and
+        ρ_α are the ASPC prediction over the domain's history window
+        (depth 1 = the previous step's converged state verbatim; without
+        v_bc and ρ_α the damped v_bc iteration would re-converge from
+        scratch) while its identity ``(npw, nband, atoms)`` is unchanged,
+        else ψ is a deterministic random start.
         """
         from repro.core.ldc import DomainState
 
+        self._ensure_structures(config, options)
+        decomp = self.decomposition
+        assert self.grid is not None
+        assert decomp is not None and self.pou is not None
         self.warm_domains = 0
         self.cold_domains = 0
         states: list[DomainState] = []
-        for idom, (dom, w) in enumerate(zip(decomp.domains, weights)):
+        for idom, (dom, w) in enumerate(zip(decomp.domains, self.pou)):
             idx, local = decomp.atoms_in_domain(config, dom)
             if len(idx) == 0:
                 states.append(
@@ -403,13 +409,9 @@ class LDCWorkspace:
             nband = min(
                 int(np.ceil(ne_local / 2.0)) + options.extra_bands, basis.npw
             )
-            hist = self._history.get(idom)
-            predicted = None
-            if hist is not None:
-                predicted = hist.predict(
-                    _domain_key(idx, basis.npw, nband),
-                    depth=options.history_depth,
-                )
+            predicted = self._window(idom).predict(
+                _domain_key(idx, basis.npw, nband)
+            )
             if predicted is None:
                 predicted = basis.random_orbitals(
                     nband, seed=options.seed + 131 * idom
@@ -425,43 +427,42 @@ class LDCWorkspace:
                     scratch=self._scratch.setdefault(idom, DomainScratch()),
                 )
             )
-        return states
+        self.steps += 1
+        return self.grid, decomp, states
 
-    def store(
-        self, states: list[DomainState], options: LDCOptions | None = None
-    ) -> None:
+    def _window(self, idom: int) -> DomainHistory:
+        """Domain ``idom``'s ASPC window at the current ``history_depth``
+        (made on first use; resized, not cleared, when the depth moved)."""
+        hist = self._history.get(idom)
+        if hist is None:
+            hist = self._history[idom] = DomainHistory(self.history_depth)
+        elif hist.depth != self.history_depth:
+            hist.resize(self.history_depth)
+        return hist
+
+    def store(self, states: list[DomainState]) -> None:
         """Push each domain's converged solver state (ψ, v_bc, ρ_α) onto
         its ASPC window for the next step's warm start.
 
-        Also settles :attr:`predictor_residual`: the mean gauge-invariant
-        distance between the ψ each window predicted for *this* step and
-        the block that actually converged — the per-step predictor-quality
-        number the run ledger tracks.
+        Also sets :attr:`predictor_residual`: the mean of the residuals
+        the windows settle — the gauge-invariant distance between the ψ
+        each predicted for *this* step and the block that converged, the
+        per-step predictor-quality number the run ledger tracks.
         """
-        from repro.md.extrapolate import DomainHistory, subspace_residual
-
-        depth = max(1, options.history_depth) if options is not None else 1
         residuals: list[float] = []
         live = set()
         for idom, state in enumerate(states):
             if not state.nband or state.psi is None or state.basis is None:
                 continue
             live.add(idom)
-            hist = self._history.get(idom)
-            if hist is None:
-                hist = DomainHistory(depth=depth)
-                self._history[idom] = hist
-            elif hist.depth != depth:
-                hist.resize(depth)
-            if hist.last_prediction is not None:
-                res = subspace_residual(hist.last_prediction, state.psi)
-                if np.isfinite(res):
-                    residuals.append(res)
-                hist.last_prediction = None
             key = _domain_key(
                 state.atom_indices, state.basis.npw, state.nband
             )
-            hist.push(key, state.psi, state.vbc, state.rho_local)
+            res = self._window(idom).push(
+                key, state.psi, state.vbc, state.rho_local
+            )
+            if res is not None:
+                residuals.append(res)
         for idom in list(self._history):
             if idom not in live:
                 del self._history[idom]

@@ -55,7 +55,7 @@ class PlaneWaveBasis:
     depends on *where* its grid sits, so the LDC driver builds one basis
     per shape class — every domain with the same ``(grid shape, lengths,
     cutoff)`` holds the same object, index maps and pool alike
-    (:meth:`repro.core.workspace.LDCWorkspace.build_states`) — and solves
+    (:meth:`repro.core.workspace.LDCWorkspace.prepare`) — and solves
     all domains on one thread.  What a transform *returns* is the caller's ``out=`` or,
     without one, freshly allocated — never a pooled buffer.
     """

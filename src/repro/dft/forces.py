@@ -13,6 +13,8 @@ Validated against central finite differences of the SCF total energy
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis
@@ -76,6 +78,32 @@ def local_forces(
     return forces
 
 
+def projector_forces(
+    basis: PlaneWaveBasis,
+    nonlocal_: NonlocalProjectors,
+    psi: np.ndarray,
+    occupations: np.ndarray,
+    columns: Sequence[int],
+) -> np.ndarray:
+    """``dE/dR`` of the atom of each listed projector column, one row per
+    column: ``E = Σ_n f_n D_p |o_pn|²`` with ``o_pn = ⟨β_p|ψ_n⟩``, so
+    ``dE/dR = 2 D_p Σ_n f_n Re[o*_pn ∂o_pn/∂R]``."""
+    b = nonlocal_.b  # (npw, nproj)
+    overlaps = b.conj().T @ psi  # (nproj, nband): <β_p|ψ_n>
+    # d<β|ψ>/dR = Σ_G iG b*_G e^{iG·R} ψ_G = iG-weighted version of overlap
+    gv = basis.g_vectors  # (npw, 3)
+    occ = np.asarray(occupations, dtype=float)
+    out = np.empty((len(columns), 3), dtype=float)
+    for row, col in enumerate(columns):
+        d = nonlocal_.d[col]
+        bcol = b[:, col]
+        grad = (1j * gv * bcol.conj()[:, None]).T @ psi  # (3, nband)
+        out[row] = 2.0 * d * np.real(
+            np.sum(occ[None, :] * np.conj(overlaps[col])[None, :] * grad, axis=1)
+        )
+    return out
+
+
 def nonlocal_forces(
     basis: PlaneWaveBasis,
     config: Configuration,
@@ -87,20 +115,11 @@ def nonlocal_forces(
     forces = np.zeros((config.natoms, 3), dtype=float)
     if nonlocal_.nproj == 0:
         return forces
-    b = nonlocal_.b  # (npw, nproj)
-    overlaps = b.conj().T @ psi  # (nproj, nband): <β_p|ψ_n>
-    # d<β|ψ>/dR = Σ_G iG b*_G e^{iG·R} ψ_G = iG-weighted version of overlap
-    gv = basis.g_vectors  # (npw, 3)
-    occ = np.asarray(occupations, dtype=float)
+    de = projector_forces(
+        basis, nonlocal_, psi, occupations, range(nonlocal_.nproj)
+    )
     for col, atom in enumerate(nonlocal_.atom_indices):
-        d = nonlocal_.d[col]
-        bcol = b[:, col]
-        grad = (1j * gv * bcol.conj()[:, None]).T @ psi  # (3, nband)
-        # E = Σ_n f D |o_n|²; dE/dR = 2 D Σ f Re[o* do/dR]
-        dE = 2.0 * d * np.real(
-            np.sum(occ[None, :] * np.conj(overlaps[col])[None, :] * grad, axis=1)
-        )
-        forces[atom] -= dE
+        forces[atom] -= de[col]
     return forces
 
 

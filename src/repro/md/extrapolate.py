@@ -1,8 +1,8 @@
 """Time-reversible ASPC extrapolation of orbitals and densities across
-MD steps.
+MD steps — the one predictor every carried state goes through.
 
-PR 4's warm start reuses only the *last* converged per-domain state; the
-MD literature (Kolafa's always-stable predictor-corrector, ASPC; cf. the
+The plain warm start reuses only the *last* converged state; the MD
+literature (Kolafa's always-stable predictor-corrector, ASPC; cf. the
 low-cost orbital-based linear-scaling AIMD line of work in PAPERS.md) does
 better: predict step ``t+1`` from a bounded history window
 
@@ -27,19 +27,20 @@ Orbitals need two extra ingredients the plain formula lacks:
   block only approximately orthonormal; a Löwdin (symmetric) step
   ``ψ (ψ†ψ)^{-1/2}`` restores it while moving each band the least.
 
-:class:`DomainHistory` packages the window for one LDC domain (or one
-global SCF trajectory): converged (ψ, v_bc, ρ) snapshots keyed by the
-domain's identity ``(npw, nband, atom indices)``.  Any key change — atom
-migration across domain boundaries, a band-count change, a basis rebuild —
-clears the window, so the caller falls back to the same deterministic cold
-start the fresh-build path uses.  A depth-1 window degrades exactly to the
-PR 4 last-state warm start (verbatim copies, no combination), which keeps
-the committed ``qmd_warm_start`` baseline bit-for-bit valid.
+:class:`DomainHistory` is the window, and the only caller of the two
+combinators: an LDC domain's (ψ, v_bc, ρ_α), a global SCF's (ψ, ρ_in),
+an LDC trajectory's global ρ_in alone (ψ = ``None``).  Its key is
+everything the snapshots depend on — ``(npw, nband, atom indices)`` for a
+domain, the cell and what shapes the grid for a global window — and any
+key change clears it, so the caller falls back to the deterministic cold
+start.  A depth-1 window degrades exactly to the last-state warm start
+(verbatim copies, no combination).
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import Any
 
 import numpy as np
 
@@ -144,28 +145,39 @@ def subspace_residual(psi_pred: np.ndarray, psi_conv: np.ndarray) -> float:
     return float(np.linalg.norm(psi_conv - aligned) / np.sqrt(nband))
 
 
-class DomainHistory:
-    """Bounded ASPC window of converged (ψ, v_bc, ρ) snapshots for one
-    domain (or one global SCF trajectory, with ``vbc=None``).
+def check_depth(depth: Any, name: str = "history depth") -> int:
+    """``depth`` as an ``int``, or a ``ValueError`` naming ``name`` unless
+    it is an integer >= 1 — the one validation of an ASPC depth."""
+    try:
+        valid = int(depth) == depth >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= 1, got {depth!r}")
+    return int(depth)
 
-    ``key`` identifies the electronic problem the snapshots solve —
-    ``(npw, nband, atom-index tuple)`` for an LDC domain.  Pushing or
-    predicting under a different key clears the window (atom migration,
-    band-count change, basis rebuild → deterministic cold fallback).
+
+class DomainHistory:
+    """Bounded ASPC window of converged (ψ, v_bc, ρ) snapshots of one
+    carried state: an LDC domain, a global SCF (``vbc=None``), or the
+    global density alone (``psi=None`` too: fields only).
+
+    ``key`` is everything the snapshots depend on — ``(npw, nband,
+    atom-index tuple)`` for an LDC domain, the cell and the grid-shaping
+    options for a global window.  Pushing under a different key clears
+    the window and predicting under one returns ``None`` (atom migration,
+    band-count change, cell swap → deterministic cold fallback).
     """
 
     def __init__(self, depth: int = 3) -> None:
-        if depth < 1:
-            raise ValueError("history depth must be >= 1")
-        self.depth = int(depth)
+        self.depth = check_depth(depth)
         self._key: tuple | None = None
         #: newest-first snapshots (ψ, v_bc, ρ)
         self._entries: list[
-            tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
+            tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]
         ] = []
-        #: the ψ block handed out by the last :meth:`predict` (residual
-        #: bookkeeping; compared against the next converged ψ by the
-        #: workspace's ``store``)
+        #: the ψ block handed out by the last :meth:`predict`, settled
+        #: against the next converged ψ by :meth:`push`
         self.last_prediction: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -186,57 +198,60 @@ class DomainHistory:
         Deepening keeps the existing snapshots (the window simply grows
         from here); shrinking drops the tail — either way no cold restart.
         """
-        if depth < 1:
-            raise ValueError("history depth must be >= 1")
-        self.depth = int(depth)
+        self.depth = check_depth(depth)
         del self._entries[self.depth:]
 
     def push(
         self,
         key: tuple,
-        psi: np.ndarray,
+        psi: np.ndarray | None,
         vbc: np.ndarray | None,
         rho: np.ndarray | None,
-    ) -> None:
+    ) -> float | None:
         """Prepend a converged snapshot, invalidating on a key change.
 
-        Snapshots are stored by reference: callers hand over ownership
-        (the LDC driver re-binds ``state.psi``/``state.rho_local`` to
-        fresh arrays each pass, and :meth:`predict` returns combinations
-        or copies, never aliases into the window)."""
+        Returns the gauge-invariant residual (:func:`subspace_residual`)
+        of the ψ the last :meth:`predict` handed out against this ``psi``
+        — the predictor-quality number — or ``None`` when there is no
+        finite one to settle.  Snapshots are stored by reference: callers
+        hand over ownership (the LDC driver re-binds
+        ``state.psi``/``state.rho_local`` to fresh arrays each pass, and
+        :meth:`predict` returns combinations or copies, never aliases into
+        the window)."""
+        residual: float | None = None
+        if self.last_prediction is not None and psi is not None:
+            res = subspace_residual(self.last_prediction, psi)
+            if np.isfinite(res):
+                residual = res
+        self.last_prediction = None
         if key != self._key:
             self.clear()
             self._key = key
         self._entries.insert(0, (psi, vbc, rho))
         del self._entries[self.depth:]
+        return residual
 
     def predict(
-        self, key: tuple, depth: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None:
-        """The ASPC prediction for the next step, or ``None`` (cold).
-
-        ``depth`` (≤ stored depth) restricts the window — the knob
-        ``LDCOptions.history_depth`` resolves to.  Returns fresh arrays:
-        the caller may mutate them freely (the LDC driver updates v_bc in
-        place every SCF iteration) without corrupting the window.
+        self, key: tuple
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None:
+        """The ASPC prediction over the window for the next step, or
+        ``None`` (cold).  Returns fresh arrays: the caller may mutate them
+        freely (the LDC driver updates v_bc in place every SCF iteration)
+        without corrupting the window.  ρ is clipped nonnegative (the SCF
+        loop renormalizes the electron count).
         """
         if key != self._key or not self._entries:
             return None
-        use = self._entries[: max(1, depth or self.depth)]
-        psi = extrapolate_orbitals([e[0] for e in use])
-        vbc_hist = [e[1] for e in use]
-        rho_hist = [e[2] for e in use]
-        vbc = (
-            extrapolate_fields([v for v in vbc_hist if v is not None])
-            if vbc_hist[0] is not None
-            else None
+        newest = self._entries[0]
+        psi_hist, vbc_hist, rho_hist = (
+            [f for f in column if f is not None]
+            for column in zip(*self._entries)
         )
+        psi = extrapolate_orbitals(psi_hist) if newest[0] is not None else None
+        vbc = extrapolate_fields(vbc_hist) if newest[1] is not None else None
         rho = (
-            extrapolate_fields(
-                [r for r in rho_hist if r is not None], nonnegative=True
-            )
-            if rho_hist[0] is not None
-            else None
+            extrapolate_fields(rho_hist, nonnegative=True)
+            if newest[2] is not None else None
         )
         self.last_prediction = psi
         return psi, vbc, rho

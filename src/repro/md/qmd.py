@@ -1,11 +1,14 @@
 """The QMD driver: MD with quantum-mechanical (or surrogate) forces.
 
 This is the production loop of Sec. 6: at every MD step the electronic
-structure is re-solved (warm-started from the previous step's density and
-converged orbitals — the LDC engine keeps a persistent
-:class:`~repro.core.workspace.LDCWorkspace` for the structural reuse) and
-Hellmann–Feynman forces drive velocity Verlet, with an optional thermostat.
-Engines are pluggable:
+structure is re-solved, warm-started from what the earlier steps carried,
+and Hellmann–Feynman forces drive velocity Verlet, with an optional
+thermostat.  Carried state has one mechanism: every ASPC window is a
+:class:`~repro.md.extrapolate.DomainHistory` keyed by what its snapshots
+depend on — each engine's global window (the density the returned state
+was solved at, and for :class:`SCFEngine` the orbitals), and the LDC
+engine's per-domain windows inside its
+:class:`~repro.core.workspace.LDCWorkspace`.  Engines are pluggable:
 
 * :class:`LDCEngine` — the O(N) LDC-DFT solver (the paper's engine);
 * :class:`SCFEngine` — the conventional O(N³) solver (the verification
@@ -20,18 +23,20 @@ reproduced on real runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.constants import ATU_TO_FS
-from repro.md.extrapolate import DomainHistory, extrapolate_fields, subspace_residual
+from repro.md.extrapolate import DomainHistory, check_depth
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
 from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
     from repro.core.advisor import BufferController, BufferControllerOptions
+    from repro.core.ldc import LDCResult
+    from repro.dft.scf import SCFResult
 
 
 @dataclass
@@ -42,11 +47,10 @@ class QMDOptions:
     of these settings.
     """
 
-    #: ASPC history depth K: 1 = last-state warm start, K >= 2 =
-    #: time-reversible K-point extrapolation of ψ/ρ
-    #: (:mod:`repro.md.extrapolate`).  ``None`` keeps the engine's own
-    #: value (``LDCOptions.history_depth``; 1 for :class:`SCFEngine`).
-    history_depth: int | None = None
+    #: ASPC history depth K of every window the engine keeps: 1 =
+    #: last-state warm start, K >= 2 = time-reversible K-point
+    #: extrapolation of ψ/ρ (:mod:`repro.md.extrapolate`)
+    history_depth: int = 1
     #: run the Eq.-1 :class:`~repro.core.advisor.BufferController` loop
     #: (LDC engine only)
     adaptive_buffer: bool = False
@@ -55,18 +59,7 @@ class QMDOptions:
 
     def __post_init__(self) -> None:
         # validated here, once, for both engines
-        depth = self.history_depth
-        if depth is None:
-            return
-        try:
-            valid = int(depth) == depth >= 1
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ValueError(
-                f"QMDOptions.history_depth must be an integer >= 1, "
-                f"got {depth!r}"
-            )
+        check_depth(self.history_depth, "QMDOptions.history_depth")
 
 
 @dataclass
@@ -88,33 +81,38 @@ class QMDFrame:
         return self.potential_energy + self.kinetic_energy
 
 
-class _WarmStartEngine:
-    """What both force engines keep between ``forces()`` calls: the cell
-    their caches belong to, the density window the next solve's ``rho0`` is
-    predicted from, and the per-solve cost telemetry.  ``forces`` itself is
-    defined on each engine.
+def _cell(config: Configuration) -> tuple[float, ...]:
+    """The cell as a hashable window-key part."""
+    return tuple(float(x) for x in np.asarray(config.cell).reshape(3))
 
-    One rule for what the window receives: ``result.input_density``, the
-    density the returned orbitals were solved at — the final pass's
-    *input*, on a continuing solve the mixer's last quasi-Newton iterate —
-    never the map's raw output ``result.density``.  (ρ_in, ψ) is the
-    mutually consistent pair, and the output's error is the input's
-    multiplied by the SCF response, largest in the long-wavelength
-    components the ASPC coefficients (up to 2.5) then amplify
-    (DESIGN.md §17, "What the windows store")."""
+
+class _WarmStartEngine:
+    """What both force engines keep between ``forces()`` calls: one ASPC
+    window of the global state their next solve starts from, and the
+    per-solve cost telemetry.  ``forces`` itself is defined on each engine.
+
+    The window is keyed by the cell and the options that shape the grid,
+    so a cell swap is a cold start, never a stale-shape crash.  One rule
+    for the density it receives: ``result.input_density``, the density the
+    returned orbitals were solved at — the final pass's *input*, on a
+    continuing solve the mixer's last quasi-Newton iterate — never the
+    map's raw output ``result.density``.  (ρ_in, ψ) is the mutually
+    consistent pair, and the output's error is the input's multiplied by
+    the SCF response, largest in the long-wavelength components the ASPC
+    coefficients (up to 2.5) then amplify (DESIGN.md §17, "What the
+    windows store")."""
 
     #: the ``engine=`` label of this engine's telemetry
     label: str
 
-    def __init__(self, instrumentation: Observer | None) -> None:
+    def __init__(
+        self, instrumentation: Observer | None, history_depth: int
+    ) -> None:
         #: the observability handle as given: ``None`` lets a
         #: :class:`QMDDriver` share its own; ``forces()`` resolves it
         self.instrumentation = instrumentation
-        self._cell = None
-        #: newest-first window of the global densities the returned states
-        #: were solved at (``result.input_density``): the last one always,
-        #: the ASPC depth K of them at K >= 2
-        self._rho_hist: list[np.ndarray] = []
+        #: the carried global state, newest first
+        self.window = DomainHistory(history_depth)
         #: the first (cold) step's eigensolver-iteration count — the
         #: reference the per-step ``qmd.eig_iters_saved`` series is
         #: measured against
@@ -123,43 +121,24 @@ class _WarmStartEngine:
         #: the ``forces()`` tuple has no slot for it
         self.last_converged: bool | None = None
 
-    def _guard_cell(self, config: Configuration) -> None:
-        """A cell change between ``forces()`` calls drops every cache:
-        cold start, never a stale-shape crash."""
-        cell = np.asarray(config.cell, dtype=float).reshape(3)
-        if self._cell is not None and not np.array_equal(self._cell, cell):
-            self._drop_caches()
-        self._cell = cell.copy()
-
-    def _drop_caches(self) -> None:
-        self._rho_hist.clear()  # previous densities live on a stale grid
-
-    def _predict_rho(self, depth: int):
-        """The density seed for the next solve: nothing (cold), the last
-        solve's input density itself (depth 1, or a window still filling;
-        the SCF loop copies it), or the ASPC field extrapolation over the
-        window (clipped nonnegative; the SCF loop renormalizes the
-        electron count)."""
-        window = self._rho_hist[:depth]
-        if len(window) < 2:
-            return window[0] if window else None
-        return extrapolate_fields(window, nonnegative=True)
-
-    def _push_rho(self, rho, depth: int) -> None:
-        """Put a solve's ``input_density`` at the head of the window."""
-        if self._rho_hist and self._rho_hist[0].shape != rho.shape:
-            self._rho_hist.clear()  # grid changed (e.g. a cutoff change)
-        self._rho_hist.insert(0, rho)
-        del self._rho_hist[max(depth, 1):]
-
-    def _count_solve(self, ins: Observer, orbital_warm: bool) -> None:
-        """Count the solve about to run by warm-start tier: ``"orbital"``
-        (earlier steps' converged ψ, and so their ρ too), ``"density"``
-        (previous ρ only) or ``"cold"`` (random ψ, model density)."""
-        start = "orbital" if orbital_warm else "density" if self._rho_hist else "cold"
+    def _count_solve(
+        self, ins: Observer, orbital_warm: bool, rho0: np.ndarray | None,
+        result: LDCResult | SCFResult,
+    ) -> None:
+        """Count the solve that ran by the warm-start tier it used:
+        ``"orbital"`` (earlier steps' converged ψ, and so their ρ too),
+        ``"density"`` (previous ρ only) or ``"cold"`` (random ψ, model
+        density)."""
+        density_warm = rho0 is not None and rho0.shape == result.grid.shape
+        start = (
+            "orbital" if orbital_warm else "density" if density_warm
+            else "cold"
+        )
         ins.counter("qmd.solves", engine=self.label, start=start).inc()
 
-    def _record_convergence(self, ins: Observer, result) -> None:
+    def _record_convergence(
+        self, ins: Observer, result: LDCResult | SCFResult
+    ) -> None:
         """Keep ``result.converged`` where a driver can read it, and make
         a solve that ran out of passes visible: a counter and one log
         record.  The forces are returned all the same — what to do about
@@ -173,7 +152,9 @@ class _WarmStartEngine:
                        "final_residual": result.final_residual},
             )
 
-    def _record_eig_cost(self, ins: Observer, result) -> None:
+    def _record_eig_cost(
+        self, ins: Observer, result: LDCResult | SCFResult
+    ) -> None:
         """Per-step eigensolver iterations, and how many the warm starts
         saved against the cold first step."""
         ins.series("qmd.eig_iterations", engine=self.label).append(
@@ -198,46 +179,38 @@ class LDCEngine(_WarmStartEngine):
     depend on.
 
     The engine owns a persistent :class:`~repro.core.workspace.LDCWorkspace`:
-    the grid, decomposition,
-    partition of unity, per-domain bases, and Ewald structure are built once
-    per cell, and each step's domain solves warm-start from the ASPC
-    prediction over each domain's history window
-    (``LDCOptions.history_depth``; depth 1 = the previous step's converged
-    ψ), and the density mixer keeps its secant pairs from one step's SCF
-    to the next (the workspace's SCF memory).  The workspace owns the
-    per-domain (ψ, v_bc, ρ_α) windows and the mixer; the engine owns the
-    global-density window each solve's ``rho0`` is predicted from, and
-    pushes ``LDCResult.input_density`` onto it — the density the step's ψ
-    were solved at, not the final pass's output (the rule of
-    :class:`_WarmStartEngine`).  A cell
-    change between ``forces()`` calls resets the workspace — orbital
-    windows and SCF memory with it — and the density window (cold start,
-    never a stale-shape crash).
+    the grid, decomposition, partition of unity, per-domain bases, and
+    Ewald structure are built once per cell, each step's domain solves
+    warm-start from the ASPC prediction over each domain's window (depth 1
+    = the previous step's converged ψ), and the density mixer keeps its
+    secant pairs from one step's SCF to the next.  The engine's own window
+    holds the global densities each solve's ``rho0`` is predicted from
+    (``LDCResult.input_density``, the rule of :class:`_WarmStartEngine`).
+    A cell change resets the workspace (its own cell check) and misses the
+    window's key: a cold start.
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
-    accelerations on top: a history depth override and the Eq.-1
+    accelerations on top: the ASPC depth of every window and the Eq.-1
     adaptive-buffer loop — a
     :class:`~repro.core.advisor.BufferController` that watches the live
     boundary-error telemetry each step and re-tunes ``options.buffer``
-    (the workspace detects the option change and rebuilds; the global
-    density window survives, so the restart is density-warm).
+    (the workspace detects the option change and rebuilds; the engine's
+    window survives — the global grid does not depend on the buffer — so
+    the restart is density-warm).
     """
 
     label = "ldc"
 
     def __init__(
-        self, options=None, instrumentation: Observer | None = None,
+        self, options: Any = None, instrumentation: Observer | None = None,
         qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.core.ldc import LDCOptions
         from repro.core.workspace import LDCWorkspace
 
-        super().__init__(instrumentation)
-        self.options = options or LDCOptions()
         qmd = qmd_options or QMDOptions()
-        depth = qmd.history_depth
-        if depth is not None and depth != self.options.history_depth:
-            self.options = replace(self.options, history_depth=int(depth))
+        super().__init__(instrumentation, qmd.history_depth)
+        self.options = options or LDCOptions()
         self.controller: BufferController | None = None
         if qmd.adaptive_buffer:
             from repro.core.advisor import BufferController
@@ -246,27 +219,28 @@ class LDCEngine(_WarmStartEngine):
                 BufferController(qmd.controller) if qmd.controller is not None
                 else BufferController()
             )
-        self.workspace = LDCWorkspace()
+        self.workspace = LDCWorkspace(history_depth=qmd.history_depth)
 
-    def forces(self, config: Configuration):
-        from repro.core.ldc import run_ldc
+    def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
+        from repro.core.ldc import make_global_grid, run_ldc
 
-        self._guard_cell(config)
         ins = observer(self.instrumentation)
-        self._count_solve(ins, self.workspace.has_orbitals)
+        key = (_cell(config), make_global_grid(config, self.options).shape)
+        _, _, rho0 = self.window.predict(key) or (None, None, None)
         result = run_ldc(
-            config, self.options, compute_forces=True,
-            rho0=self._predict_rho(self.options.history_depth),
+            config, self.options, compute_forces=True, rho0=rho0,
             instrumentation=ins, workspace=self.workspace,
         )
-        self._push_rho(result.input_density, self.options.history_depth)
+        self.window.push(key, None, None, result.input_density)
+        self._count_solve(ins, self.workspace.warm_domains > 0, rho0, result)
         self._record_convergence(ins, result)
         self._record_solver_cost(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
+        assert result.forces is not None
         return result.forces, result.energy, result.iterations
 
-    def _record_solver_cost(self, ins: Observer, result) -> None:
+    def _record_solver_cost(self, ins: Observer, result: LDCResult) -> None:
         """Per-step predictor/cost series for the run ledger: eigensolver
         iterations and the (b, l*) the step ran at."""
         from repro.core.advisor import BufferControllerOptions
@@ -283,12 +257,12 @@ class LDCEngine(_WarmStartEngine):
             optimal_core_length(self.options.buffer, nu)
         )
 
-    def _adapt_buffer(self, ins: Observer, result) -> None:
+    def _adapt_buffer(self, ins: Observer, result: LDCResult) -> None:
         """One Eq.-1 controller step on the live boundary-error telemetry.
 
         A changed decision re-binds ``self.options`` with the new buffer;
         the workspace notices the option-signature change on the next
-        ``prepare`` and rebuilds (the density window stays valid — the
+        ``prepare`` and rebuilds (the engine's window stays valid — the
         global grid does not depend on the buffer)."""
         if not result.boundary_errors:
             return
@@ -312,81 +286,57 @@ class LDCEngine(_WarmStartEngine):
         )
         self.options = replace(self.options, buffer=decision.buffer)
 
-    def _drop_caches(self) -> None:
-        super()._drop_caches()
-        # structures, orbital windows and the SCF memory all describe the
-        # old cell
-        self.workspace.reset()
-
 
 class SCFEngine(_WarmStartEngine):
     """Force engine backed by the conventional O(N³) SCF.
 
-    Warm-starts each step from the previous step's density *and* converged
-    orbitals — the density being ``SCFResult.input_density``, the one those
-    orbitals were solved at (the rule of :class:`_WarmStartEngine`; a
-    single point's final pass runs at the converged output, so here it
-    differs from ``SCFResult.density`` only by that pass's own residual,
-    below ``tol``).  Both come from the ASPC predictions of
-    ``qmd_options.history_depth`` (default 1): ρ over the density window
-    every engine keeps, ψ over a bounded
-    :class:`~repro.md.extrapolate.DomainHistory` of converged blocks that
-    this engine owns — at depth 1 a copy of the last block, the plain
-    last-state warm start.  Each solve builds a fresh density mixer (no SCF
-    memory across steps).  A cell change between ``forces()`` calls drops
-    every cache, and the
-    previous cell is also handed to ``run_scf(warm_cell=)`` so the solver
-    applies the same deterministic fallback for any caller.
-    ``instrumentation`` is the observability handle, as in :class:`LDCEngine`.
+    Warm-starts each step from the ASPC prediction over its window of
+    converged (ψ, ρ_in) pairs — ρ_in being ``SCFResult.input_density``,
+    the density those orbitals were solved at (the rule of
+    :class:`_WarmStartEngine`; a single point's final pass runs at the
+    converged output, so here it differs from ``SCFResult.density`` only
+    by that pass's own residual, below ``tol``).  At the default depth 1
+    the prediction is a copy of the last pair, the plain last-state warm
+    start.  Each solve builds a fresh density mixer (no SCF memory across
+    steps).  The window is keyed by the cell and the options that shape
+    the basis, so a cell change is a cold start.  ``instrumentation`` is
+    the observability handle, as in :class:`LDCEngine`.
     """
 
     label = "pw"
 
     def __init__(
-        self, options=None, instrumentation: Observer | None = None,
+        self, options: Any = None, instrumentation: Observer | None = None,
         qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.dft.scf import SCFOptions
 
-        super().__init__(instrumentation)
+        super().__init__(
+            instrumentation, (qmd_options or QMDOptions()).history_depth
+        )
         self.options = options or SCFOptions()
-        depth = (qmd_options or QMDOptions()).history_depth
-        self.history_depth = 1 if depth is None else int(depth)
-        #: ASPC window of converged ψ, the one place they are kept
-        self._history = DomainHistory(depth=self.history_depth)
 
-    def forces(self, config: Configuration):
+    def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
         from repro.dft.forces import forces_from_scf
         from repro.dft.scf import run_scf
 
-        prev_cell = self._cell
-        self._guard_cell(config)
         ins = observer(self.instrumentation)
-        self._count_solve(ins, len(self._history) > 0)
-        predicted = self._history.predict(self._history.key)
+        opts = self.options
+        key = (_cell(config), opts.ecut, opts.grid_factor, opts.extra_bands)
+        psi0, _, rho0 = self.window.predict(key) or (None, None, None)
         result = run_scf(
-            config, self.options, rho0=self._predict_rho(self.history_depth),
-            instrumentation=ins,
-            psi0=predicted[0] if predicted is not None else None,
-            warm_cell=prev_cell,
+            config, opts, rho0=rho0, instrumentation=ins, psi0=psi0,
         )
-        self._push_rho(result.input_density, self.history_depth)
-        self._record_convergence(ins, result)
         psi = result.orbitals
+        orbital_warm = psi0 is not None and psi0.shape == psi.shape
+        self._count_solve(ins, orbital_warm, rho0, result)
+        self._record_convergence(ins, result)
         self._record_eig_cost(ins, result)
-        if self._history.last_prediction is not None:
-            # settle the residual of the guess this step started from
-            res = subspace_residual(self._history.last_prediction, psi)
-            if np.isfinite(res):
-                ins.series("scf.predictor_residual").append(res)
-            self._history.last_prediction = None
-        self._history.push((psi.shape,), psi, None, None)
+        res = self.window.push(key, psi, None, result.input_density)
+        if res is not None:
+            ins.series("scf.predictor_residual").append(res)
         f = forces_from_scf(config, result)
         return f, result.energy, result.iterations
-
-    def _drop_caches(self) -> None:
-        super()._drop_caches()
-        self._history.clear()  # ψ live on the old cell's basis
 
 
 class QMDDriver:
@@ -394,9 +344,9 @@ class QMDDriver:
 
     def __init__(
         self,
-        engine,
+        engine: Any,
         timestep: float,
-        thermostat=None,
+        thermostat: Any = None,
         record_positions: bool = False,
         instrumentation: Observer | None = None,
     ) -> None:
@@ -420,7 +370,9 @@ class QMDDriver:
         self.integrator = VelocityVerlet(self._forces_wrapper, timestep)
         self.frames: list[QMDFrame] = []
 
-    def _forces_wrapper(self, config: Configuration):
+    def _forces_wrapper(
+        self, config: Configuration
+    ) -> tuple[np.ndarray, float]:
         f, e, iters = self.engine.forces(config)
         self._scf_iters_last += iters
         converged = getattr(self.engine, "last_converged", None)

@@ -265,7 +265,6 @@ def test_history_depth_is_validated_once_for_both_engines(engine, bad):
     ):
         build(qmd_options=qmd.QMDOptions(history_depth=bad))
     built = build(qmd_options=qmd.QMDOptions(history_depth=2))
-    assert 2 == (
-        built.history_depth if engine == "SCFEngine"
-        else built.options.history_depth
-    )
+    assert built.window.depth == 2
+    if engine == "LDCEngine":
+        assert built.workspace.history_depth == 2

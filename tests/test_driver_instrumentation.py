@@ -69,7 +69,8 @@ def test_ldc_records_domain_spans_and_boundary_metrics(h2):
     assert ins.tracer.count("ldc.domain_solve") > 0
     dom_spans = [s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"]
     assert {s.attrs["domain"] for s in dom_spans} <= {0, 1}
-    assert "ldc.partition_of_unity" in ins.tracer.names()
+    # a single point is a one-step trajectory: its set-up is a workspace's
+    assert "ldc.workspace_prepare" in ins.tracer.names()
     assert "ldc.assemble_density" in ins.tracer.names()
 
     resid = ins.metrics.get("scf.residual", engine="ldc")

@@ -199,6 +199,41 @@ def test_domain_history_predict_returns_fresh_arrays():
     assert np.abs(psi_2 - (psi_p - 1.0)).max() < 1e-12
 
 
+def test_fields_only_window_predicts_fields_and_settles_nothing():
+    """ψ = None is a fields-only window (an LDC trajectory's global
+    density): the prediction is the ASPC field extrapolation, clipped
+    nonnegative, and there is no ψ prediction for ``push`` to settle."""
+    hist = DomainHistory(depth=3)
+    key = ((10.0, 5.0, 5.0), (20, 10, 10))
+    rng = np.random.default_rng(6)
+    rhos = [rng.random((4, 4, 4)) for _ in range(3)]
+    for rho in rhos:
+        assert hist.push(key, None, None, rho) is None
+    psi, vbc, rho = hist.predict(key)
+    assert psi is None and vbc is None and hist.last_prediction is None
+    expected = np.clip(2.5 * rhos[2] - 2.0 * rhos[1] + 0.5 * rhos[0], 0, None)
+    np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-14)
+    assert hist.push(key, None, None, rhos[0]) is None
+    assert hist.predict(((11.0, 5.0, 5.0), (20, 10, 10))) is None
+
+
+def test_push_returns_the_residual_of_the_prediction_it_settles():
+    hist = DomainHistory(depth=2)
+    key = (12, 3, (0,))
+    first = random_orthonormal(12, 3, seed=30)
+    assert hist.push(key, first, None, None) is None  # nothing predicted
+    guess = hist.predict(key)[0]
+    converged = random_orthonormal(12, 3, seed=31)
+    res = hist.push(key, converged, None, None)
+    assert res == subspace_residual(guess, converged) > 0.1
+    assert hist.last_prediction is None
+    # settled once: the next push has nothing to settle
+    assert hist.push(key, converged, None, None) is None
+    # a block of another shape (a new key) is no comparison
+    hist.predict(key)
+    assert hist.push((12, 2, (0,)), converged[:, :2], None, None) is None
+
+
 def test_domain_history_resize_keeps_snapshots():
     hist = DomainHistory(depth=3)
     key = (12, 3, (0,))
@@ -218,9 +253,9 @@ def test_workspace_depth3_matches_depth1_physics():
     predictor changes the seed, never the fixed point)."""
     shifts = [0.0, 0.05, 0.10, 0.15]
     energies = {}
+    opts = LDCOptions(**OPTS)
     for depth in (1, 3):
-        ws = LDCWorkspace()
-        opts = LDCOptions(**OPTS, history_depth=depth)
+        ws = LDCWorkspace(history_depth=depth)
         rho = None
         es = []
         for s in shifts:
@@ -237,8 +272,8 @@ def test_workspace_migration_invalidates_history_at_depth3():
     """Atom migration under a deep window must cold-start the affected
     domains (stale extrapolation across a band-count change would feed the
     solver a wrong-shaped or wrong-problem seed)."""
-    ws = LDCWorkspace()
-    opts = LDCOptions(**OPTS, history_depth=3)
+    ws = LDCWorkspace(history_depth=3)
+    opts = LDCOptions(**OPTS)
     for s in (0.0, 0.05):
         run_ldc(h4_chain(shift=s), opts, workspace=ws)
     assert ws.warm_domains == 2
@@ -249,9 +284,23 @@ def test_workspace_migration_invalidates_history_at_depth3():
     assert migrated.energy == pytest.approx(fresh.energy, abs=1e-5)
 
 
+def test_workspace_depth_change_resizes_the_windows_warm():
+    """The depth is not part of the structural signature: changing it
+    mid-trajectory trims the windows, and every domain stays warm."""
+    ws = LDCWorkspace(history_depth=3)
+    opts = LDCOptions(**OPTS)
+    for s in (0.0, 0.05, 0.10):
+        run_ldc(h4_chain(shift=s), opts, workspace=ws)
+    assert [len(h) for h in ws._history.values()] == [3, 3]
+    ws.history_depth = 1
+    run_ldc(h4_chain(shift=0.15), opts, workspace=ws)
+    assert ws.warm_domains == 2 and ws.cold_domains == 0
+    assert [(h.depth, len(h)) for h in ws._history.values()] == [(1, 1)] * 2
+
+
 def test_predictor_residual_series_recorded():
-    ws = LDCWorkspace()
-    opts = LDCOptions(**OPTS, history_depth=3)
+    ws = LDCWorkspace(history_depth=3)
+    opts = LDCOptions(**OPTS)
     ins = Instrumentation()
     rho = None
     for s in (0.0, 0.05, 0.10):

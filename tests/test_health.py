@@ -243,21 +243,12 @@ def test_raise_on_fail_stops_the_broken_run():
 def test_broken_partition_of_unity_trips_check():
     """Corrupting one domain's support weights breaks Σp_α = 1 and the
     residual (computed by the real LDC helper) must FAIL the invariant."""
-    from repro.core.domains import DomainDecomposition
-    from repro.core.ldc import (
-        LDCOptions,
-        _partition_residual,
-        make_global_grid,
-    )
-    from repro.core.support import supports
+    from repro.core.ldc import LDCOptions, _partition_residual
     from repro.core.workspace import LDCWorkspace
 
     cfg = dimer("H", "H", 1.4, 8.0)
     opts = LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5)
-    grid = make_global_grid(cfg, opts)
-    decomp = DomainDecomposition(grid, opts.domains, opts.buffer)
-    pou = supports(decomp, opts.support)
-    states = LDCWorkspace().build_states(cfg, decomp, pou, opts)
+    grid, _, states = LDCWorkspace().prepare(cfg, opts)
 
     mon = HealthMonitor(invariants=[PartitionOfUnityInvariant(THR)])
     intact = _partition_residual(grid, states)

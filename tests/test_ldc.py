@@ -66,8 +66,6 @@ def test_options_validation():
         LDCOptions(poisson="bogus")
     with pytest.raises(ValueError):
         LDCOptions(vbc_region="bogus")
-    with pytest.raises(ValueError):
-        LDCOptions(vbc_damping=0.0)
 
 
 def test_unknown_solver_and_mixer_names_fail_before_any_work():

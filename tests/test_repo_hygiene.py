@@ -29,7 +29,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 139_488
+DESIGN_MAX_BYTES = 139_111
 
 
 def test_design_document_does_not_grow():
@@ -260,6 +260,24 @@ def test_eigensolvers_return_orbitals_only():
         }
     ]
     assert taking == [], taking
+
+
+def test_aspc_combinators_are_called_only_by_the_window():
+    """Carried state has one predictor: ``DomainHistory``.  No module but
+    ``md/extrapolate.py`` calls ``extrapolate_fields`` or
+    ``extrapolate_orbitals`` — a window of its own, kept beside the
+    ``DomainHistory`` ones, is what this rejects."""
+    import ast
+
+    names = {"extrapolate_fields", "extrapolate_orbitals"}
+    callers = sorted({
+        rel for rel, tree in _trees() if rel != "md/extrapolate.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in names
+             or getattr(node.func, "attr", None) in names)
+    })
+    assert callers == [], callers
 
 
 # -- the global half: slices, half grids, blocks ---------------------------------

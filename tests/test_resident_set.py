@@ -42,8 +42,9 @@ from repro.systems.water import water_molecule
 CELL = np.array([13.0, 13.0, 9.0])
 LIAL = dict(
     ecut=3.0, buffer=2.0, tol=1e-5, max_iter=40, kt=0.02, extra_bands=4,
-    history_depth=2,
 )
+#: ASPC depth of the LiAl trajectories' domain windows
+DEPTH = 2
 MB = 1e6
 #: What a warm 2×2×1 step may allocate above its live set: 1.15 × the 1.81
 #: and 1.88 MB measured at stack width 1 and 4 (the step's own state and
@@ -72,7 +73,7 @@ def frame(k: int, tiles: int = 1) -> Configuration:
 
 def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
     """``steps`` workspace steps; the last one's traced allocation peak."""
-    ws = LDCWorkspace()
+    ws = LDCWorkspace(history_depth=DEPTH)
     rho = None
     peak = 0
     for k in range(steps):
@@ -125,7 +126,7 @@ def test_reset_and_buffer_change_drop_the_shared_basis():
     for: ``reset()`` empties the cache, and a buffer change (what the
     adaptive controller does mid-run) rebuilds it on the new domain grid."""
     options = LDCOptions(**dict(LIAL, max_iter=2), domains=(2, 2, 1))
-    ws = LDCWorkspace()
+    ws = LDCWorkspace(history_depth=DEPTH)
     first = run_ldc(frame(0), options, workspace=ws).states[0].basis
     assert first.grid.shape == (20, 20, 16)
     wider = run_ldc(
@@ -189,7 +190,7 @@ def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(wide):
     )
     pools = {}
     for name, config in (("two", two), ("three", three)):
-        ws = LDCWorkspace()
+        ws = LDCWorkspace(history_depth=DEPTH)
         result = run_ldc(config, options, workspace=ws)
         classes = Counter(
             (s.basis.npw, s.nband, s.vnl.nproj) for s in result.states
@@ -220,12 +221,12 @@ def test_stack_pool_holds_no_field_block(wide):
     pools nothing of ``nband × grid`` complex size: its largest arena is
     the solver's coefficient-side workspace, and every other one is
     smaller than one domain's field block."""
-    options = LDCOptions(**dict(LIAL, history_depth=3), domains=(2, 2, 1),
+    options = LDCOptions(**LIAL, domains=(2, 2, 1),
                          batch_domains=wide)
     base = lial_nanoparticle(4, cell=[16.0, 16.0, 16.0])
     direction = np.random.default_rng(7).standard_normal(base.positions.shape)
     direction /= np.linalg.norm(direction)
-    ws = LDCWorkspace()
+    ws = LDCWorkspace(history_depth=3)
     rho = None
     for k in range(6):
         config = base.copy()

@@ -365,8 +365,8 @@ def test_warm_start_admission_is_the_same_for_both_maps(solve):
 
 @pytest.mark.parametrize("engine_name", ["scf", "ldc"])
 def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
-    """One rule for both engines: the density window's head is the very
-    array the returned state was solved at, not the final pass's output."""
+    """One rule for both engines: the next solve starts from the density
+    the returned state was solved at, not the final pass's output."""
     import repro.core.ldc as ldc_module
     import repro.dft.scf as scf_module
     from repro.core import LDCOptions
@@ -381,9 +381,11 @@ def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
             LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5, tol=1e-4)
         )
     results = []
+    seeds = []
     solver = getattr(module, name)
 
     def tapped(*args, **kwargs):
+        seeds.append(kwargs["rho0"])
         results.append(solver(*args, **kwargs))
         return results[-1]
 
@@ -392,10 +394,11 @@ def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
     for bond in (1.5, 1.52):
         engine.forces(dimer("H", "H", bond, 10.0))
         result = results[-1]
-        assert engine._rho_hist[0] is result.input_density
         assert result.input_density is not result.density
         assert result.final_residual == result.grid.integrate(
             np.abs(result.density - result.input_density)
         ) / 2.0
     # the second solve started from the first one's input density
-    assert len(results) == 2 and len(engine._rho_hist) == 1
+    assert len(results) == 2 and seeds[0] is None
+    np.testing.assert_array_equal(seeds[1], results[0].input_density)
+    assert not np.array_equal(seeds[1], results[0].density)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.dft.scf as scf_module
+import repro.core.workspace as workspace_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.dft.mixing import DensityError, PulayMixer, renormalize
 from repro.md.qmd import LDCEngine, QMDOptions
@@ -365,29 +365,46 @@ def test_workspace_reset_drops_the_memory(h4_workspace):
     assert ws._mixer.pairs == 0 and ws._mixer.dropped == {"reset": 1}
 
 
-def test_engine_cell_guard_drops_the_memory(h4_workspace):
-    engine = LDCEngine(LDCOptions(**H4_OPTS))
+def test_engine_cell_swap_drops_the_memory(h4_workspace):
+    """The workspace's own cell check resets it: the five pairs are
+    dropped once, as a reset, and the solve starts with none carried."""
+    ins = Instrumentation()
+    engine = LDCEngine(LDCOptions(**H4_OPTS), instrumentation=ins)
     engine.workspace = copy.deepcopy(h4_workspace[0])
-    engine._guard_cell(h4_chain())
-    assert engine.workspace._mixer.pairs == 5
     swapped = h4_chain()
     swapped.cell = np.array([12.0, 6.0, 6.0])
-    engine._guard_cell(swapped)
-    assert engine.workspace._mixer.pairs == 0
+    engine.forces(swapped)
+    dropped = ins.counter("ldc.mixer_memory_dropped", reason="reset")
+    assert dropped.value == 1
+    assert ins.metrics.get("ldc.mixer_carried_pairs").values == [0]
 
 
 def test_cold_workspace_and_no_workspace_runs_use_a_fresh_mixer(
     h4_workspace, monkeypatch
 ):
-    """The first solve of a workspace, a run without one and the linear
-    mixer are today's behaviour: same residuals as the old DIIS."""
+    """The first solve of a workspace — a single point's throwaway one
+    too — mixes like a fresh mixer: same residuals as the old DIIS."""
+
+    class FreshDIIS(ReferenceDIIS):
+        """The old DIIS behind the workspace mixer's interface; a cold
+        solve only ever resets it."""
+
+        carried_pairs = 0
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.dropped: dict[str, int] = {}
+
+        def reset(self, reason: str = "reset") -> None:
+            assert not self._inputs
+
     cold = h4_workspace[1]
     ins = Instrumentation()
     opts = LDCOptions(**H4_OPTS)
-    # the one loop builds the fresh mixer, so that is where it is swapped
-    monkeypatch.setattr(scf_module, "PulayMixer", ReferenceDIIS)
+    # every pulay solve takes its mixer from a workspace
+    monkeypatch.setattr(workspace_module, "PulayMixer", FreshDIIS)
     old = run_ldc(h4_chain(), opts, instrumentation=ins)
-    assert ins.metrics.get("ldc.mixer_carried_pairs") is None
+    assert ins.metrics.get("ldc.mixer_carried_pairs").values == [0]
     assert len(old.density_residuals) == len(cold.density_residuals)
     np.testing.assert_allclose(
         cold.density_residuals, old.density_residuals, rtol=1e-4

@@ -71,16 +71,33 @@ def test_batched_warm_pass_reuses_scratch_buffers():
 
 
 def test_workspace_first_call_matches_fresh_run():
-    """A cold workspace run is the same calculation as a fresh run (same
-    grids, same seeds, same Ewald)."""
-    cfg = h4_chain()
-    fresh = run_ldc(cfg, LDCOptions(**OPTS))
-    ws = LDCWorkspace()
-    cold = run_ldc(cfg, LDCOptions(**OPTS), workspace=ws)
-    assert abs(cold.energy - fresh.energy) <= 1e-12
-    assert np.abs(cold.density - fresh.density).max() <= 1e-12
-    assert ws.cold_domains == 2 and ws.warm_domains == 0
-    assert ws.has_orbitals
+    """A single point is a one-step trajectory through a throwaway
+    workspace: ``==`` the first call of a fresh ``LDCWorkspace`` — energy,
+    forces, both densities, pass and iteration counts — for either Poisson
+    solver at either stack width, its set-up recorded as
+    ``ldc.workspace_prepare``."""
+    cfg = h4_chain(0.1)
+    for poisson in ("fft", "multigrid"):
+        for batch in (False, True):
+            opts = LDCOptions(**OPTS, poisson=poisson, batch_domains=batch)
+            ins = Instrumentation()
+            fresh = run_ldc(cfg, opts, compute_forces=True,
+                            instrumentation=ins)
+            ws = LDCWorkspace()
+            cold = run_ldc(cfg, opts, compute_forces=True, workspace=ws)
+            assert cold.energy == fresh.energy
+            assert cold.iterations == fresh.iterations
+            assert cold.eig_iterations == fresh.eig_iterations
+            np.testing.assert_array_equal(cold.forces, fresh.forces)
+            np.testing.assert_array_equal(cold.density, fresh.density)
+            np.testing.assert_array_equal(
+                cold.input_density, fresh.input_density
+            )
+            assert ws.cold_domains == 2 and ws.warm_domains == 0
+            assert ws.has_orbitals
+            (prepare,) = [s for s in ins.tracer.spans()
+                          if s.name == "ldc.workspace_prepare"]
+            assert prepare.attrs["cold_domains"] == 2
 
 
 def test_workspace_orbital_warm_start_cuts_eigensolver_iterations():
@@ -203,34 +220,51 @@ def test_stale_shaped_rho0_falls_back_to_cold_start():
     assert s.converged
 
 
-def test_ldc_engine_survives_cell_swap():
-    """The engine guard: swapping cells between forces() calls cold-starts
-    instead of feeding a stale-shaped density/workspace into run_ldc —
-    with and without the ASPC window and the buffer controller."""
-    for qmd_options in (None, ADAPTIVE):
-        engine = LDCEngine(LDCOptions(**OPTS), qmd_options=qmd_options)
-        f1, e1, _ = engine.forces(h4_chain())
-        swapped = h4_chain()
-        swapped.cell = np.array([12.0, 6.0, 6.0])
-        swapped.positions += 0.5
-        f2, e2, _ = engine.forces(swapped)
-        assert np.isfinite(e1) and np.isfinite(e2)
-        assert np.all(np.isfinite(f2))
-        assert len(engine._rho_hist) == 1  # the old cell's window is gone
+def swapped_cell() -> Configuration:
+    config = h4_chain()
+    config.cell = np.array([12.0, 6.0, 6.0])
+    config.positions += 0.5
+    return config
 
 
-def test_scf_engine_survives_cell_swap_and_warm_starts():
-    for qmd_options in (None, ADAPTIVE):
-        engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=qmd_options)
-        cfg = h4_chain()
-        _, e1, _ = engine.forces(cfg)
-        assert len(engine._history) == 1  # orbital cache primed
-        swapped = h4_chain()
-        swapped.cell = np.array([12.0, 6.0, 6.0])
-        swapped.positions += 0.5
-        _, e2, _ = engine.forces(swapped)
-        assert np.isfinite(e1) and np.isfinite(e2)
-        assert len(engine._history) == 1  # the old cell's ψ were dropped
+def build_engine(kind, options, ins, qmd_options):
+    engine = LDCEngine if kind == "ldc" else SCFEngine
+    return engine(options, instrumentation=ins, qmd_options=qmd_options)
+
+
+@pytest.mark.parametrize("qmd_options", [None, ADAPTIVE],
+                         ids=["depth1", "adaptive"])
+@pytest.mark.parametrize("kind", ["ldc", "scf"])
+def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
+    """Swapping cells between forces() calls is a cold start — never a
+    stale-shaped density, orbital block or workspace fed to the solver:
+    the next solve is ``==`` a fresh engine's, and the tier counter,
+    read from what the solve used, says ``cold``."""
+    options = (
+        LDCOptions(**OPTS) if kind == "ldc" else SCFOptions(ecut=4.0, tol=1e-6)
+    )
+    ins = Instrumentation()
+    engine = build_engine(kind, options, ins, qmd_options)
+    engine.forces(h4_chain())
+    forces, energy, passes = engine.forces(swapped_cell())
+    # the buffer controller may have re-tuned the options after step one
+    fresh = build_engine(kind, engine.options, None, qmd_options)
+    forces0, energy0, passes0 = fresh.forces(swapped_cell())
+    assert energy == energy0 and passes == passes0
+    np.testing.assert_array_equal(forces, forces0)
+    label = engine.label
+    assert ins.counter("qmd.solves", engine=label, start="cold").value == 2
+    assert ins.metrics.get("qmd.solves", engine=label, start="orbital") is None
+    assert len(engine.window) == 1  # the old cell's snapshots are gone
+
+
+def test_scf_engine_warm_starts_from_its_window():
+    engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE)
+    ins = engine.instrumentation = Instrumentation()
+    for shift in (0.0, 0.05):
+        engine.forces(h4_chain(shift))
+    assert len(engine.window) == 2  # orbital and density window filling
+    assert ins.counter("qmd.solves", engine="pw", start="orbital").value == 1
 
 
 def test_depth_one_scf_engine_step_is_the_hand_warm_started_run_scf():
