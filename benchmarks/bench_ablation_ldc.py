@@ -8,7 +8,7 @@ The ξ sweep documents an honest finding of this reproduction: with the
 artifact-free restricted global ionic potential (the only one the engine
 builds), the domain
 error is wave-function confinement, which a local boundary *potential*
-cannot remove — DC and LDC perform at parity here (EXPERIMENTS.md §EXP-F7).
+cannot remove — DC and LDC perform at parity here (experiments/EXP-F7.md).
 """
 
 from _harness import fmt_row, report

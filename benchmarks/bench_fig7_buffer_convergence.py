@@ -9,7 +9,7 @@ Both the total-energy error and the density error ∫|Δρ|/N_e against the
 O(N³) reference are reported; the density error shows the clean exponential
 decay (quantum nearsightedness, Eq. 1) while the energy error reaches a
 per-domain basis-incommensurability noise floor (documented in
-EXPERIMENTS.md §EXP-F7).
+experiments/EXP-F7.md).
 """
 
 import numpy as np

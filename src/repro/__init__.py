@@ -6,14 +6,14 @@ Subpackages:
 * :mod:`repro.core` — LDC-DFT (the paper's contribution) + DCR extensions.
 * :mod:`repro.dft` — plane-wave Kohn–Sham substrate (O(N³) baseline).
 * :mod:`repro.multigrid` — real-space Poisson solver (GSLF global half).
-* :mod:`repro.parallel` — the virtual parallel machine (simulated MPI +
-  Blue Gene/Q cost models).
+* :mod:`repro.parallel` — the virtual parallel machine (Blue Gene/Q cost
+  models: clocks, topologies, the domain scheduler).
 * :mod:`repro.perfmodel` — FLOP/threading/scaling models for the paper's
   tables and figures.
 * :mod:`repro.md` — molecular dynamics and the QMD driver.
 * :mod:`repro.reactive` — the hydrogen-on-demand science surrogate.
 * :mod:`repro.compression` — space-filling-curve trajectory compression.
-* :mod:`repro.systems` — workload builders (SiC, CdSe, LiAl-water).
+* :mod:`repro.systems` — workload builders (CdSe, LiAl, water, toys).
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured record.

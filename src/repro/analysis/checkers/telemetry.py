@@ -31,7 +31,7 @@ are registered on a monitor with thresholds from a config object.
   (or ``+=``) bypasses the charge methods, so the event log — and the
   rank lanes rendered from it — silently diverge from the clocks and from
   ``elapsed()``; advance time via
-  ``charge_compute``/``charge_collective``/``charge_p2p``.
+  ``charge_compute``/``charge_collective``.
 * **Direct telemetry-artifact write.**  An ``open(..., "w")`` /
   ``json.dump`` / ``.write_text`` targeting a path under ``telemetry/``
   or a well-known artifact name (``trace.json``, ``manifest.json``,
@@ -168,7 +168,7 @@ class TelemetryHygieneChecker(Checker):
                         target, self.rule,
                         "virtual clocks mutated directly; the event log no "
                         "longer accounts for this time — advance clocks via "
-                        "charge_compute/charge_collective/charge_p2p",
+                        "charge_compute/charge_collective",
                     )
 
     @staticmethod

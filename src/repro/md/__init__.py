@@ -1,9 +1,8 @@
-"""Molecular dynamics substrate: integrators, thermostats, neighbor lists,
+"""Molecular dynamics substrate: the integrator, neighbor lists, ASPC windows,
 and the QMD driver that couples MD to a quantum (or surrogate) force engine.
 """
 
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
-from repro.md.thermostat import BerendsenThermostat, LangevinThermostat
 from repro.md.neighbors import NeighborList
 from repro.md.qmd import QMDDriver, QMDFrame, LDCEngine, QMDOptions, SCFEngine
 from repro.md.extrapolate import (
@@ -13,20 +12,11 @@ from repro.md.extrapolate import (
     extrapolate_orbitals,
     subspace_residual,
 )
-from repro.md.observables import (
-    coordination_number,
-    diffusion_constant,
-    mean_square_displacement,
-    radial_distribution,
-    velocity_autocorrelation,
-)
 
 __all__ = [
     "VelocityVerlet",
     "kinetic_energy",
     "temperature",
-    "BerendsenThermostat",
-    "LangevinThermostat",
     "NeighborList",
     "QMDDriver",
     "QMDFrame",
@@ -38,9 +28,4 @@ __all__ = [
     "extrapolate_fields",
     "extrapolate_orbitals",
     "subspace_residual",
-    "radial_distribution",
-    "mean_square_displacement",
-    "diffusion_constant",
-    "velocity_autocorrelation",
-    "coordination_number",
 ]

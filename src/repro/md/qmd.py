@@ -2,8 +2,8 @@
 
 This is the production loop of Sec. 6: at every MD step the electronic
 structure is re-solved, warm-started from what the earlier steps carried,
-and Hellmann–Feynman forces drive velocity Verlet, with an optional
-thermostat.  Carried state has one mechanism: every ASPC window is a
+and Hellmann–Feynman forces drive velocity Verlet (NVE).  Carried state
+has one mechanism: every ASPC window is a
 :class:`~repro.md.extrapolate.DomainHistory` keyed by what its snapshots
 depend on — each engine's global window (the density the returned state
 was solved at, and for :class:`SCFEngine` the orbitals), and the LDC
@@ -340,18 +340,16 @@ class SCFEngine(_WarmStartEngine):
 
 
 class QMDDriver:
-    """Couples an engine, the integrator, and an optional thermostat."""
+    """Couples an engine and the velocity-Verlet integrator (NVE)."""
 
     def __init__(
         self,
         engine: Any,
         timestep: float,
-        thermostat: Any = None,
         record_positions: bool = False,
         instrumentation: Observer | None = None,
     ) -> None:
         self.engine = engine
-        self.thermostat = thermostat
         self.record_positions = record_positions
         #: the observability handle as given (``run`` resolves ``None``):
         #: a ``qmd.step`` span and per-step SCF-iteration/temperature/energy
@@ -402,8 +400,6 @@ class QMDDriver:
         # the failing step on the flight recorder's open-span stack
         with ins.span("qmd.step", category="qmd", step=len(self.frames)) as span:
             self.integrator.step(config)
-            if self.thermostat is not None:
-                self.thermostat.apply(config)
             span.attrs["scf_iterations"] = self._scf_iters_last
             frame = self._frame(config)
             self.frames.append(frame)
@@ -425,8 +421,6 @@ class QMDDriver:
                 elapsed_fs=frame.step * self.timestep * ATU_TO_FS,
                 natoms=config.natoms,
                 temperature=frame.temperature,
-                nve=self.thermostat is None,
-                target_kelvin=getattr(self.thermostat, "target", None),
             )
 
     def _frame(self, config: Configuration) -> QMDFrame:

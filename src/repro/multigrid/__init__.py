@@ -13,7 +13,6 @@ from repro.multigrid.poisson import MultigridPoisson, fft_poisson
 from repro.multigrid.stencils import laplacian_periodic, laplacian_stencil_apply
 from repro.multigrid.transfer import full_weighting_restrict, trilinear_prolong
 from repro.multigrid.hierarchy import GridHierarchy
-from repro.multigrid.fmg import fmg_solve, fmg_then_polish
 
 __all__ = [
     "MultigridPoisson",
@@ -23,6 +22,4 @@ __all__ = [
     "full_weighting_restrict",
     "trilinear_prolong",
     "GridHierarchy",
-    "fmg_solve",
-    "fmg_then_polish",
 ]

@@ -22,8 +22,8 @@ key=value labels for series dimensions (``scf.iterations{engine=ldc}``).
 Two further layers close the loop from telemetry to *gates*:
 
 * :mod:`repro.observability.health` — online physics invariants (energy
-  drift, charge conservation, partition of unity, SCF stalls, thermostat
-  window) attached to the facade as ``Instrumentation(health=...)``;
+  drift, charge conservation, partition of unity, SCF stalls, solver
+  convergence) attached to the facade as ``Instrumentation(health=...)``;
 * :mod:`repro.observability.regress` — the schema'd BENCH ledger and the
   performance-regression CLI that diffs fresh results against committed
   baselines;

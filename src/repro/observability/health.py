@@ -120,11 +120,6 @@ class HealthThresholds:
     scf_stall_window: int = 8
     #: SCF divergence: residual grows past ``factor ×`` the best seen
     scf_divergence_factor: float = 10.0
-    #: thermostat window: fractional |T − T_target| / T_target
-    temperature_warn: float = 0.5
-    temperature_fail: float = 2.0
-    #: steps to let the thermostat settle before the window is enforced
-    temperature_settle_steps: int = 10
 
 
 class Invariant:
@@ -132,7 +127,7 @@ class Invariant:
 
     Subclasses set :attr:`name` and :attr:`channel` and implement
     :meth:`update`, returning a :class:`HealthRecord` (or ``None`` when the
-    sample does not apply — e.g. energy drift during a thermostatted run).
+    sample does not apply — e.g. a step that advanced no time).
     """
 
     name = "invariant"
@@ -176,9 +171,7 @@ class EnergyDriftInvariant(Invariant):
     """NVE total-energy drift per fs per atom (paper Sec. 5.5).
 
     The first sample on the channel pins the reference energy; every later
-    sample is graded on |E − E₀| / (Δt_fs · N_atoms).  Samples from
-    thermostatted (non-NVE) runs are ignored — energy is not conserved
-    there by construction.
+    sample is graded on |E − E₀| / (Δt_fs · N_atoms).
     """
 
     name = "energy_drift"
@@ -194,8 +187,6 @@ class EnergyDriftInvariant(Invariant):
         self._t0_fs = 0.0
 
     def update(self, sample: dict[str, Any]) -> HealthRecord | None:
-        if not sample.get("nve", True):
-            return None
         energy = sample["total_energy"]
         elapsed_fs = sample["elapsed_fs"]
         natoms = max(int(sample.get("natoms", 1)), 1)
@@ -216,36 +207,6 @@ class EnergyDriftInvariant(Invariant):
             self.thresholds.energy_drift_fail,
             "NVE total-energy drift [a.u./fs/atom]",
             step=sample.get("step"), elapsed_fs=elapsed_fs,
-        )
-
-
-class TemperatureWindowInvariant(Invariant):
-    """Thermostatted runs must hold T within a window of the target."""
-
-    name = "temperature_window"
-    channel = "qmd.step"
-
-    def __init__(self, thresholds: HealthThresholds | None = None) -> None:
-        self.thresholds = thresholds or HealthThresholds()
-        self._steps_seen = 0
-
-    def reset(self) -> None:
-        self._steps_seen = 0
-
-    def update(self, sample: dict[str, Any]) -> HealthRecord | None:
-        target = sample.get("target_kelvin")
-        if not target:
-            return None
-        self._steps_seen += 1
-        if self._steps_seen <= self.thresholds.temperature_settle_steps:
-            return None
-        deviation = abs(sample["temperature"] - target) / target
-        return self._banded(
-            deviation,
-            self.thresholds.temperature_warn,
-            self.thresholds.temperature_fail,
-            f"fractional deviation from thermostat target {target:g} K",
-            step=sample.get("step"), temperature=sample["temperature"],
         )
 
 
@@ -388,7 +349,6 @@ def default_invariants(
     thr = thresholds or HealthThresholds()
     return [
         EnergyDriftInvariant(thr),
-        TemperatureWindowInvariant(thr),
         ChargeConservationInvariant(thr),
         PartitionOfUnityInvariant(thr),
         SCFResidualInvariant(thr),

@@ -1,19 +1,14 @@
 """The virtual parallel machine — substitute for the 786,432-core Blue Gene/Q.
 
-Two halves, usable separately or together:
-
-* **Functional simulated MPI** (:mod:`repro.parallel.comm`): ranks,
-  communicators, ``split`` (the paper's ``MPI_COMM_SPLIT`` per domain),
-  collectives over per-rank NumPy values.  Executes the *real* data movement
-  of the BSD decomposition at small rank counts, so the parallel algorithms
-  can be tested for correctness against their serial counterparts.
-* **Analytic cost model** (:mod:`repro.parallel.machine`,
-  :mod:`repro.parallel.topology`, :mod:`repro.parallel.trace`): per-node
-  FLOP rates with SIMD/threading efficiency (Blue Gene/Q and Xeon E5-2665
-  presets), 5-D torus link model, tree/butterfly collective costs, and
-  per-rank virtual clocks.  Communication issued through a
-  :class:`~repro.parallel.comm.VirtualComm` is charged to the clocks, so a
-  run yields both the answer and the predicted wall-clock time.
+An analytic cost model: per-node FLOP rates with SIMD/threading efficiency
+(:mod:`repro.parallel.machine`; Blue Gene/Q and Xeon E5-2665 presets), 5-D
+torus links and tree/butterfly collective costs
+(:mod:`repro.parallel.topology`), per-rank virtual clocks charged by compute
+and collectives (:mod:`repro.parallel.trace`), the largest-first domain
+scheduler (:mod:`repro.parallel.scheduler`) and the collective-I/O model
+(:mod:`repro.parallel.collective_io`).  :func:`repro.core.parallel_ldc.run_parallel_ldc`
+charges a real LDC solve to these clocks, so a run yields both the answer
+and its predicted wall-clock time.
 
 Scaling to core counts we cannot instantiate (Figs. 5-6) is a deterministic
 evaluation of the same cost expressions — see
@@ -28,11 +23,8 @@ from repro.parallel.machine import (
 )
 from repro.parallel.topology import TorusTopology, TreeTopology
 from repro.parallel.trace import CostTracker
-from repro.parallel.comm import VirtualComm
-from repro.parallel.decomposition import BSDLayout
 from repro.parallel.collective_io import CollectiveIOModel
 from repro.parallel.scheduler import Schedule, schedule_domains
-from repro.parallel.halo import exchange_halos, halo_bytes_per_domain
 
 __all__ = [
     "MachineSpec",
@@ -42,11 +34,7 @@ __all__ = [
     "TorusTopology",
     "TreeTopology",
     "CostTracker",
-    "VirtualComm",
-    "BSDLayout",
     "CollectiveIOModel",
     "Schedule",
     "schedule_domains",
-    "exchange_halos",
-    "halo_bytes_per_domain",
 ]

@@ -81,21 +81,6 @@ class CostTracker:
             )
         )
 
-    def charge_p2p(
-        self, src: int, dst: int, seconds: float, nbytes: float = 0.0,
-        label: str = "p2p",
-    ) -> None:
-        """Point-to-point: receiver finishes at max(send-ready, recv-ready) + t."""
-        ready = max(float(self.clocks[src]), float(self.clocks[dst]))
-        self.clocks[src] = ready + seconds
-        self.clocks[dst] = ready + seconds
-        self.events.append(
-            TraceEvent(
-                "p2p", (src, dst), seconds, nbytes, label,
-                rank_starts=(ready, ready), rank_ends=(ready + seconds,) * 2,
-            )
-        )
-
     # -- queries ------------------------------------------------------------------
 
     def elapsed(self) -> float:

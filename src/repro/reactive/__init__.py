@@ -6,8 +6,6 @@ surrogate with the *same observables* (DESIGN.md §2):
 
 * :mod:`repro.reactive.potential` — a Morse/bond-order reactive force field
   for Li/Al/O/H (water stays bonded, Al-O/Li-O oxidize, H-H recombines).
-* :mod:`repro.reactive.bonds` — bond-graph analysis (networkx): H₂ / OH⁻ /
-  H₃O⁺ detection, dissolved-Li census — the paper's trajectory analytics.
 * :mod:`repro.reactive.sites` — surface-atom and Lewis acid-base pair
   census on nanoparticle geometries (the key nanostructural design).
 * :mod:`repro.reactive.kmc` — Gillespie kinetic Monte Carlo over surface
@@ -19,18 +17,12 @@ surrogate with the *same observables* (DESIGN.md §2):
 """
 
 from repro.reactive.potential import ReactiveForceField
-from repro.reactive.bonds import BondGraph, count_h2, molecule_census
 from repro.reactive.sites import surface_atoms, lewis_pairs, SiteCensus
 from repro.reactive.kmc import KMCOptions, KMCResult, run_kmc
 from repro.reactive.analysis import arrhenius_fit, ph_from_hydroxide, production_rate
-from repro.reactive.charges import ChargeResult, equilibrate_charges, superanion_metric
-from repro.reactive.events import EventDetector, EventLog, ReactionEvent
 
 __all__ = [
     "ReactiveForceField",
-    "BondGraph",
-    "count_h2",
-    "molecule_census",
     "surface_atoms",
     "lewis_pairs",
     "SiteCensus",
@@ -40,10 +32,4 @@ __all__ = [
     "arrhenius_fit",
     "ph_from_hydroxide",
     "production_rate",
-    "ChargeResult",
-    "equilibrate_charges",
-    "superanion_metric",
-    "EventDetector",
-    "EventLog",
-    "ReactionEvent",
 ]

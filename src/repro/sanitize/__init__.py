@@ -15,9 +15,6 @@ The variable is read in one place, :func:`repro.observe.env_numerics`,
 once per process, when a driver is called with ``instrumentation=None`` or
 an ``Instrumentation`` is built without ``numerics=``;
 ``instrumentation=repro.observe.OFF`` is off whatever it says.
-
-The collective checks live in :class:`~repro.parallel.comm.VirtualComm`
-itself (root range, payload congruence), unconditionally.
 """
 
 from __future__ import annotations

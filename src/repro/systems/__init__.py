@@ -1,20 +1,19 @@
 """Atomic structures and the workload builders used by the paper's benchmarks.
 
-The evaluation section exercises four families of systems:
-
-* **SiC crystals** — weak scaling (Fig. 5), FLOP/s measurements (Tables 1-2),
-  portability (Sec. 5.4).
 * **Amorphous CdSe** — buffer-thickness convergence (Fig. 7).
-* **LiAl nanoparticles immersed in water** — strong scaling (Fig. 6) and the
-  hydrogen-on-demand science application (Figs. 8-9).
-* **Water boxes** — the solvent substrate.
+* **LiAl nanoparticles** — the hydrogen-on-demand workload (Sec. 6) and
+  the QMD trajectory benchmark.
+* **Water** — the solvent substrate and the global-SCF NVE workload.
+* **Toys** — dimers, gases and simple cubic crystals.
+
+The paper's SiC workloads (Fig. 5, Tables 1-2) enter as cost models
+(:mod:`repro.perfmodel`), not as built atoms.
 """
 
 from repro.systems.configuration import Configuration
-from repro.systems.sic import sic_crystal, sic_for_cores
 from repro.systems.cdse import amorphous_cdse
 from repro.systems.water import water_box, water_molecule
-from repro.systems.lialloy import lial_nanoparticle, lial_in_water
+from repro.systems.lialloy import lial_nanoparticle
 from repro.systems.toys import (
     dimer,
     random_gas,
@@ -23,13 +22,10 @@ from repro.systems.toys import (
 
 __all__ = [
     "Configuration",
-    "sic_crystal",
-    "sic_for_cores",
     "amorphous_cdse",
     "water_box",
     "water_molecule",
     "lial_nanoparticle",
-    "lial_in_water",
     "dimer",
     "random_gas",
     "simple_cubic_crystal",

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.constants import ANGSTROM_TO_BOHR
 from repro.systems.configuration import Configuration
-from repro.systems.water import water_box
 
 #: B32 LiAl lattice constant, 6.37 Å, in Bohr.
 LIAL_LATTICE_CONSTANT = 6.37 * ANGSTROM_TO_BOHR
@@ -93,37 +92,3 @@ def particle_radius(particle: Configuration) -> float:
     """Radius of the particle: max distance of an atom from the centroid."""
     centroid = particle.positions.mean(axis=0)
     return float(np.max(np.linalg.norm(particle.positions - centroid, axis=1)))
-
-
-def lial_in_water(
-    n_pairs: int,
-    n_water: int | None = None,
-    seed: int = 0,
-    density_factor: float = 1.0,
-) -> Configuration:
-    """A Li_nAl_n particle immersed in water — the Sec. 6 production system.
-
-    Parameters
-    ----------
-    n_pairs:
-        LiAl pairs; the paper's systems use (n_pairs, n_water) =
-        (30, 182), (135, ~1522), (441, ~4910), (2136, 24539).
-    n_water:
-        Water molecule count.  Default: enough to fill the box at liquid
-        density outside the particle.
-    """
-    particle = lial_nanoparticle(n_pairs)
-    radius = particle_radius(particle)
-    cell = particle.cell
-    if n_water is None:
-        shell_volume = particle.volume - 4.0 / 3.0 * np.pi * (radius + 4.0) ** 3
-        n_water = max(1, int(4.95e-3 * density_factor * shell_volume))
-    water = water_box(
-        n_water,
-        density_factor=density_factor,
-        seed=seed,
-        exclusion_centers=cell / 2.0,
-        exclusion_radius=radius + 4.0,
-        cell=cell,
-    )
-    return particle.extend(water)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf
-from repro.systems import dimer, sic_crystal
+from repro.systems import dimer
+from tests.sic import sic_crystal
 
 #: The tier-1 ceiling: wall-clock seconds any one test may take, set-up (the
 #: shared fixtures it is the first to build included) plus call.  The

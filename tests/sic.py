@@ -1,9 +1,11 @@
-"""3C-SiC (zincblende) crystal builders.
+"""3C-SiC (zincblende) crystal builders, a test helper.
 
 SiC is the paper's weak-scaling and FLOP/s workload: "64P-atom SiC system on
 P cores" (Fig. 5), 512-atom SiC for Table 1, up to 50,331,648 atoms for the
-headline run.  The zincblende conventional cubic cell holds 8 atoms
-(4 Si + 4 C), so an ``nx × ny × nz`` supercell has ``8·nx·ny·nz`` atoms.
+headline run.  The benchmarks model those runs analytically
+(:mod:`repro.perfmodel`); only the tests build SiC atoms.  The zincblende
+conventional cubic cell holds 8 atoms (4 Si + 4 C), so an ``nx × ny × nz``
+supercell has ``8·nx·ny·nz`` atoms.
 """
 
 from __future__ import annotations

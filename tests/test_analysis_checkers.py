@@ -157,17 +157,12 @@ def test_rp006_accepts_profiled_vm_constructions():
     # never a finding.
     src = (
         '"""vm"""\n'
-        "from repro.parallel.comm import VirtualComm\n"
         "from repro.parallel.trace import CostTracker\n"
         "\n"
         "def run_attach(ins):\n"
         "    tracker = CostTracker(8)\n"
         "    ins.attach_cost_tracker(tracker)\n"
         "    return tracker\n"
-        "\n"
-        "\n"
-        "def run_comm(instrumentation):\n"
-        "    return VirtualComm(8, tracker=CostTracker(8))\n"
     )
     assert not [
         f for f in check_file("vm.py", source=src) if f.rule == "RP006"

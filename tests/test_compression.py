@@ -9,7 +9,8 @@ from repro.compression.codec import (
     quantization_error_bound,
 )
 from repro.compression.sfc import hilbert_index, morton_index, sfc_sort
-from repro.systems import lial_nanoparticle, sic_crystal
+from repro.systems import lial_nanoparticle
+from tests.sic import sic_crystal
 
 
 def _full_grid(bits):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.domains import DomainDecomposition
 from repro.dft.grid import RealSpaceGrid
-from repro.systems import sic_crystal
+from tests.sic import sic_crystal
 
 
 @pytest.fixture()

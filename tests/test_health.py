@@ -32,7 +32,6 @@ from repro.observability.health import (
     RaiseOnFailSink,
     SCFResidualInvariant,
     SolverConvergenceInvariant,
-    TemperatureWindowInvariant,
     default_invariants,
 )
 from repro.reactive.potential import ReactiveForceField
@@ -67,28 +66,6 @@ def test_energy_drift_pins_reference_then_grades():
     bad = inv.update({"total_energy": -0.8, "elapsed_fs": 1.0, "natoms": 2})
     assert bad.status == STATUS_FAIL
     assert bad.value == pytest.approx(0.1)
-
-
-def test_energy_drift_skips_thermostatted_samples():
-    inv = EnergyDriftInvariant(THR)
-    assert inv.update({"nve": False, "total_energy": 0.0,
-                       "elapsed_fs": 0.0}) is None
-
-
-def test_temperature_window_waits_for_settling():
-    inv = TemperatureWindowInvariant(THR)
-    sample = {"temperature": 1200.0, "target_kelvin": 300.0}
-    for _ in range(THR.temperature_settle_steps):
-        assert inv.update(dict(sample)) is None
-    rec = inv.update(dict(sample))  # |1200-300|/300 = 3 > fail 2.0
-    assert rec.status == STATUS_FAIL
-    inv.reset()
-    assert inv.update(dict(sample)) is None  # settle counter cleared
-
-
-def test_temperature_window_ignores_unthermostatted_runs():
-    inv = TemperatureWindowInvariant(THR)
-    assert inv.update({"temperature": 300.0, "target_kelvin": None}) is None
 
 
 def test_charge_conservation_grades_relative_error():

@@ -10,7 +10,8 @@ from repro.core.ldc import make_global_grid
 from repro.dft.forces import forces_from_scf
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf
-from repro.systems import dimer, sic_crystal, water_molecule
+from repro.systems import dimer, water_molecule
+from tests.sic import sic_crystal
 
 
 @pytest.fixture(scope="module")

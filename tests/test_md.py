@@ -1,4 +1,4 @@
-"""Tests for the MD substrate: integrator, thermostats, neighbor lists."""
+"""Tests for the MD substrate: integrator, neighbor lists."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.md.integrator import (
     temperature,
 )
 from repro.md.neighbors import NeighborList
-from repro.md.thermostat import BerendsenThermostat, LangevinThermostat
 from repro.systems import dimer, random_gas
 
 
@@ -102,40 +101,6 @@ def test_verlet_reversibility():
     for _ in range(100):
         vv.step(c)
     np.testing.assert_allclose(c.positions, start, atol=1e-8)
-
-
-# ---- thermostats ------------------------------------------------------------------
-
-def test_berendsen_drives_to_target():
-    c = random_gas(["Al"] * 30, 40.0, seed=6)
-    initialize_velocities(c, 100.0, seed=7)
-    thermo = BerendsenThermostat(500.0, tau=10.0, timestep=1.0)
-    for _ in range(200):
-        thermo.apply(c)
-    assert temperature(c) == pytest.approx(500.0, rel=0.01)
-
-
-def test_berendsen_validation():
-    with pytest.raises(ValueError):
-        BerendsenThermostat(300.0, tau=0.5, timestep=1.0)
-    with pytest.raises(ValueError):
-        BerendsenThermostat(-300.0, tau=10.0, timestep=1.0)
-
-
-def test_langevin_samples_canonical_temperature():
-    c = random_gas(["H"] * 50, 40.0, seed=8)
-    initialize_velocities(c, 300.0, seed=9)
-    thermo = LangevinThermostat(300.0, friction=0.05, timestep=1.0, seed=10)
-    temps = []
-    for _ in range(800):
-        thermo.apply(c)
-        temps.append(temperature(c))
-    assert np.mean(temps[100:]) == pytest.approx(300.0, rel=0.1)
-
-
-def test_langevin_validation():
-    with pytest.raises(ValueError):
-        LangevinThermostat(300.0, friction=-1.0, timestep=1.0)
 
 
 # ---- neighbor list ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for trajectory observables and reaction-event detection."""
+"""Tests for trajectory observables."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,15 @@ from repro.md.observables import (
     radial_distribution,
     velocity_autocorrelation,
 )
-from repro.reactive.events import EventDetector
-from repro.systems import Configuration, dimer, sic_crystal, water_molecule
+from repro.systems import Configuration
+from tests.sic import sic_crystal
 
 
 # ---- RDF ---------------------------------------------------------------------
 
 def test_rdf_crystal_first_peak():
     c = sic_crystal((3, 3, 3))
-    from repro.systems.sic import SIC_LATTICE_CONSTANT
+    from tests.sic import SIC_LATTICE_CONSTANT
 
     r, g = radial_distribution(c, "Si", "C", nbins=200)
     nn = SIC_LATTICE_CONSTANT * np.sqrt(3) / 4
@@ -121,59 +121,3 @@ def test_coordination_number_sic():
 def test_coordination_missing_species():
     c = sic_crystal((1, 1, 1))
     assert coordination_number(c, "Al", "O", 4.0) == 0.0
-
-
-# ---- reaction events ---------------------------------------------------------------
-
-def test_no_events_for_static_frames():
-    det = EventDetector()
-    w = water_molecule(center=(10, 10, 10))
-    det.update(w)
-    events = det.update(w)
-    assert events == []
-    assert det.log.count() == 0
-
-
-def test_bond_break_detected():
-    det = EventDetector()
-    w = water_molecule(center=(10, 10, 10))
-    det.update(w)
-    broken = w.copy()
-    broken.positions[1] += np.array([4.0, 0.0, 0.0])  # yank one H away
-    events = det.update(broken)
-    assert any(e.kind == "bond_broken" and set(e.species) == {"O", "H"} for e in events)
-    assert det.log.water_dissociations() == 1
-
-
-def test_h2_formation_detected():
-    det = EventDetector()
-    apart = Configuration(
-        ["H", "H"], [[4.0, 10.0, 10.0], [16.0, 10.0, 10.0]], [20.0, 20.0, 20.0]
-    )
-    det.update(apart)
-    together = dimer("H", "H", 1.4, 20.0)
-    det.update(together)
-    assert det.log.h2_formations() == 1
-
-
-def test_metal_oxidation_census():
-    det = EventDetector()
-    apart = Configuration(
-        ["Al", "O"], [[3.0, 10.0, 10.0], [17.0, 10.0, 10.0]], [20.0, 20.0, 20.0]
-    )
-    det.update(apart)
-    bonded = dimer("Al", "O", 3.2, 20.0)
-    det.update(bonded)
-    assert det.log.metal_oxidations() == 1
-
-
-def test_event_frames_recorded():
-    det = EventDetector()
-    w = water_molecule(center=(10, 10, 10))
-    det.update(w)
-    det.update(w)
-    broken = w.copy()
-    broken.positions[2] += np.array([5.0, 0.0, 0.0])
-    det.update(broken)
-    assert all(e.frame == 2 for e in det.log.events)
-    assert det.log.events[0].involves("O")

@@ -132,13 +132,6 @@ def test_tracker_imbalance():
     assert tr.imbalance() == pytest.approx(0.0)
 
 
-def test_tracker_p2p():
-    tr = CostTracker(3)
-    tr.charge_compute([0], 2.0)
-    tr.charge_p2p(0, 1, 0.5)
-    assert tr.clocks[1] == pytest.approx(2.5)  # waits for the sender
-
-
 def test_tracker_label_accounting():
     tr = CostTracker(2)
     tr.charge_compute([0], 1.0, label="fft")

@@ -40,7 +40,7 @@ def test_elapsed_after_interleaved_compute_and_collectives():
     t.charge_compute([0], 2.0)            # clocks: [2, 0]
     t.charge_collective([0, 1], 1.0)      # sync to 2, +1 -> [3, 3]
     t.charge_compute([1], 4.0)            # [3, 7]
-    t.charge_p2p(0, 1, 0.5)               # ready 7, +0.5 -> [7.5, 7.5]
+    t.charge_collective([0, 1], 0.5)      # sync to 7, +0.5 -> [7.5, 7.5]
     t.charge_compute(None, 1.0)           # [8.5, 8.5]
     assert t.elapsed() == pytest.approx(8.5)
     assert t.imbalance() == pytest.approx(0.0)
@@ -56,20 +56,20 @@ def test_rank_start_end_recording_per_kind():
     t = CostTracker(2)
     t.charge_compute([0, 1], 1.0, label="c")
     t.charge_compute([0], 2.0, label="extra")
-    t.charge_p2p(0, 1, 0.5, nbytes=8.0)
-    c, extra, p2p = t.events
+    t.charge_collective([0, 1], 0.5, nbytes=8.0)
+    c, extra, coll = t.events
     assert c.rank_starts == (0.0, 0.0) and c.rank_ends == (1.0, 1.0)
     assert extra.rank_starts == (1.0,) and extra.rank_ends == (3.0,)
-    # p2p waits for the sender (rank 0 busy until 3.0)
-    assert p2p.rank_starts == (3.0, 3.0)
-    assert p2p.rank_ends == (3.5, 3.5)
+    # the collective waits for the laggard (rank 0 busy until 3.0)
+    assert coll.rank_starts == (3.0, 3.0)
+    assert coll.rank_ends == (3.5, 3.5)
 
 
 def test_chrome_trace_round_trip(tmp_path):
     t = CostTracker(3)
     t.charge_compute([0, 1], 1.5, label="domain")
     t.charge_collective(None, 0.5, nbytes=100.0, label="tree")
-    t.charge_p2p(1, 2, 0.25, label="halo")
+    t.charge_collective([1, 2], 0.25, label="halo")
 
     trace = {"traceEvents": chrome_events_from_cost_tracker(t)}
     path = tmp_path / "vm_trace.json"

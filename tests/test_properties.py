@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and
 invariants: partition of unity, FFT round-trips, conservation laws, codec
-round-trips, occupation solver, complexity-model optima, and collectives.
+round-trips, occupation solver, complexity-model optima, and velocity
+initialisation.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.dft.basis import PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.xc import lda_xc
-from repro.parallel.comm import VirtualComm
 from repro.util.linalg import cholesky_orthonormalize
 
 # keep hypothesis fast and deterministic
@@ -152,35 +152,7 @@ def test_curves_injective_property(seed, bits):
         assert len(np.unique(idx)) == len(unique_pts)
 
 
-# ---- virtual MPI ----------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(
-    size=st.integers(1, 12),
-    seed=st.integers(0, 10_000),
-)
-def test_allreduce_matches_numpy(size, seed):
-    comm = VirtualComm(size)
-    rng = np.random.default_rng(seed)
-    vals = [rng.random(4) for _ in range(size)]
-    out = comm.allreduce(vals)
-    np.testing.assert_allclose(out[0], np.sum(vals, axis=0))
-
-
-@settings(**COMMON)
-@given(size=st.integers(2, 12), seed=st.integers(0, 1000))
-def test_split_partitions_ranks(size, seed):
-    rng = np.random.default_rng(seed)
-    colors = rng.integers(0, 3, size=size).tolist()
-    comm = VirtualComm(size)
-    subs = comm.split(colors)
-    # every rank appears in exactly one group, and groups are consistent
-    for r in range(size):
-        assert r in subs[r].world_ranks
-        assert subs[r].size == colors.count(colors[r])
-
-
-# ---- thermostats conserve shape -----------------------------------------------------
+# ---- velocity initialisation ---------------------------------------------------------
 
 @settings(**COMMON)
 @given(seed=st.integers(0, 1000), temp=st.floats(50.0, 2000.0))

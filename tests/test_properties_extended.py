@@ -1,18 +1,16 @@
 """Second battery of property-based tests: Ewald invariances, Morse
 consistency, scheduler bounds, I/O model monotonicity, torus geometry,
-occupation-derivative consistency, and XYZ round-trips."""
+and occupation-derivative consistency."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dft.ewald import ewald_energy
-from repro.md.trajectory import read_xyz_frame, write_xyz_frame
 from repro.parallel.collective_io import CollectiveIOModel
 from repro.parallel.scheduler import schedule_lpt
 from repro.parallel.topology import TorusTopology
 from repro.reactive.potential import MorseParams, _morse
-from repro.systems import Configuration
 
 COMMON = dict(max_examples=20, deadline=None)
 
@@ -161,18 +159,3 @@ def test_occupation_derivative_consistency(mu, kt, eig):
     ) / (2 * h)
     d = occupation_derivative(np.array([eig]), mu, kt)
     assert d[0] == pytest.approx(fd[0], abs=1e-4, rel=1e-3)
-
-
-# ---- trajectory -------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 30))
-def test_xyz_roundtrip_property(seed, n):
-    rng = np.random.default_rng(seed)
-    symbols = [rng.choice(["H", "O", "Li", "Al"]) for _ in range(n)]
-    cfg = Configuration(
-        symbols, rng.uniform(0, 12, size=(n, 3)), [12.0, 13.0, 14.0]
-    )
-    back = read_xyz_frame(write_xyz_frame(cfg))
-    assert back.symbols == cfg.symbols
-    np.testing.assert_allclose(back.positions, cfg.positions, atol=1e-9)

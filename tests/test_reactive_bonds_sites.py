@@ -1,82 +1,15 @@
-"""Tests for bond-graph analytics and surface-site census."""
+"""Tests for the surface-site census."""
 
-import numpy as np
 import pytest
 
-from repro.reactive.bonds import BondGraph, count_h2, molecule_census
 from repro.reactive.sites import (
     lewis_pairs,
     metal_coordination,
     site_census,
     surface_atoms,
 )
-from repro.systems import Configuration, dimer, lial_nanoparticle, water_box, water_molecule
-from repro.systems.lialloy import lial_in_water
-
-
-# ---- bond graph ----------------------------------------------------------------
-
-def test_h2_detected():
-    c = dimer("H", "H", 1.4, 20.0)
-    assert count_h2(c) == 1
-
-
-def test_separated_h_atoms_not_h2():
-    c = dimer("H", "H", 6.0, 20.0)
-    assert count_h2(c) == 0
-
-
-def test_water_molecule_census():
-    census = molecule_census(water_molecule(center=(10, 10, 10)))
-    assert census.water == 1
-    assert census.h2 == 0
-
-
-def test_water_box_all_intact():
-    box = water_box(12, seed=4)
-    census = molecule_census(box)
-    assert census.water == 12
-    assert census.hydroxide == 0
-
-
-def test_hydroxide_detected():
-    c = Configuration(["O", "H"], [[10, 10, 10], [10, 10, 11.8]], [20, 20, 20])
-    census = molecule_census(c)
-    assert census.hydroxide == 1
-
-
-def test_hydronium_detected():
-    o = np.array([10.0, 10.0, 10.0])
-    hs = o + 1.8 * np.array([[1, 0, 0], [-0.5, 0.87, 0], [-0.5, -0.87, 0]])
-    c = Configuration(["O", "H", "H", "H"], np.vstack([o, hs]), [20, 20, 20])
-    assert molecule_census(c).hydronium == 1
-
-
-def test_dissolved_li():
-    c = Configuration(["Li"], [[5, 5, 5]], [20, 20, 20])
-    assert molecule_census(c).dissolved_li == 1
-
-
-def test_bond_graph_across_periodic_boundary():
-    c = Configuration(["H", "H"], [[0.3, 5, 5], [19.8, 5, 5]], [20, 20, 20])
-    assert count_h2(c) == 1  # bonded through the boundary
-
-
-def test_formula_strings():
-    bg = BondGraph(water_molecule(center=(10, 10, 10)))
-    mols = bg.molecules()
-    assert len(mols) == 1
-    assert bg.formula(mols[0]) == "H2O"
-
-
-def test_mixed_census_counts_everything():
-    cell = [24.0, 24.0, 24.0]
-    w1 = water_molecule(center=(5.0, 5.0, 5.0), cell=cell)
-    w2 = water_molecule(center=(18.0, 18.0, 18.0), cell=cell)
-    h2 = Configuration(["H", "H"], [[12.0, 5.0, 18.0], [13.4, 5.0, 18.0]], cell)
-    census = molecule_census(w1.extend(w2).extend(h2))
-    assert census.water == 2
-    assert census.h2 == 1
+from repro.systems import lial_nanoparticle, water_box
+from repro.systems.lialloy import particle_radius
 
 
 # ---- sites ---------------------------------------------------------------------
@@ -123,8 +56,11 @@ def test_site_census_consistency(particle30):
 
 def test_census_ignores_water():
     """Water must not contribute to the metal surface census."""
-    solvated = lial_in_water(8, n_water=30, seed=1)
     bare = lial_nanoparticle(8)
+    solvated = bare.extend(water_box(
+        30, seed=1, exclusion_centers=bare.cell / 2.0,
+        exclusion_radius=particle_radius(bare) + 4.0, cell=bare.cell,
+    ))
     c1 = site_census(solvated)
     c2 = site_census(bare)
     assert c1.n_metal == c2.n_metal == 16

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import ANGSTROM_TO_BOHR, EV_TO_HARTREE
+from repro.constants import ANGSTROM_TO_BOHR, EV_TO_HARTREE, get_species
 from repro.md.integrator import VelocityVerlet, initialize_velocities
 from repro.reactive.potential import DEFAULT_PAIRS, MorseParams, ReactiveForceField, _morse
 from repro.systems import dimer, water_molecule
@@ -89,14 +89,13 @@ def test_al_o_stronger_than_li_li():
 
 
 def test_md_stability_water():
-    """A water molecule survives 200 Verlet steps at 300 K (no bond breaks)."""
-    from repro.reactive.bonds import molecule_census
-
+    """A water molecule survives 200 Verlet steps at 300 K (no bond breaks:
+    each O–H stays within 1.25× the covalent-radius sum)."""
     ff = ReactiveForceField()
     cfg = water_molecule(center=(10.0, 10.0, 10.0))
     initialize_velocities(cfg, 300.0, seed=1)
     vv = VelocityVerlet(ff.as_md_engine(), timestep=4.0)
     for _ in range(200):
         vv.step(cfg)
-    census = molecule_census(cfg)
-    assert census.water == 1
+    bond = 1.25 * (get_species("O").covalent_radius + get_species("H").covalent_radius)
+    assert cfg.distance(0, 1) <= bond and cfg.distance(0, 2) <= bond

@@ -101,8 +101,7 @@ def test_from_spec_all_and_subsets():
     with pytest.raises(ValueError):
         from_spec("numerics,typo")
     # the race sanitizer went with the thread fan-out it guarded, the
-    # collective one with the SPMD emulation (VirtualComm validates its
-    # own roots and payloads)
+    # collective one with the SPMD emulation
     for gone in ("race", "collective", "collective,numerics"):
         name = gone.split(",")[0]
         with pytest.raises(ValueError, match=f"unknown sanitizer.*{name}"):

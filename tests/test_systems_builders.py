@@ -1,15 +1,13 @@
-"""Tests for the workload builders (SiC, CdSe, LiAl-water, water box)."""
+"""Tests for the workload builders (CdSe, LiAl, water box) and the tests' SiC
+helper."""
 
 import numpy as np
 import pytest
 
 from repro.systems import (
     amorphous_cdse,
-    lial_in_water,
     lial_nanoparticle,
     random_gas,
-    sic_crystal,
-    sic_for_cores,
     simple_cubic_crystal,
     water_box,
     water_molecule,
@@ -17,6 +15,7 @@ from repro.systems import (
 from repro.systems.cdse import CDSE_FIG7_BOX
 from repro.systems.lialloy import particle_radius
 from repro.systems.water import OH_BOND
+from tests.sic import SIC_LATTICE_CONSTANT, sic_crystal, sic_for_cores
 
 
 # ---- SiC -------------------------------------------------------------------
@@ -37,8 +36,6 @@ def test_sic_nearest_neighbor_distance():
     d = c.distance_matrix()
     np.fill_diagonal(d, np.inf)
     # zincblende NN distance = a*sqrt(3)/4 ≈ 1.888 Å ≈ 3.57 Bohr
-    from repro.systems.sic import SIC_LATTICE_CONSTANT
-
     assert d.min() == pytest.approx(SIC_LATTICE_CONSTANT * np.sqrt(3) / 4, rel=1e-6)
 
 
@@ -151,24 +148,6 @@ def test_lial_nanoparticle_compact():
 def test_lial_particle_sizes_monotonic():
     radii = [particle_radius(lial_nanoparticle(n)) for n in (8, 30, 135)]
     assert radii[0] < radii[1] < radii[2]
-
-
-def test_lial_in_water_counts():
-    s = lial_in_water(8, n_water=20, seed=0)
-    assert s.counts() == {"Li": 8, "Al": 8, "O": 20, "H": 40}
-
-
-def test_lial_in_water_no_overlap():
-    s = lial_in_water(8, n_water=20, seed=0)
-    d = s.distance_matrix()
-    np.fill_diagonal(d, np.inf)
-    assert d.min() > 1.0  # nothing absurdly overlapping
-
-
-def test_paper_606_atom_system():
-    """Sec. 5.5: Li30Al30 + 182 H2O = 606 atoms."""
-    s = lial_in_water(30, n_water=182, seed=0)
-    assert len(s) == 606
 
 
 # ---- toys -------------------------------------------------------------------
