@@ -6,16 +6,13 @@ trajectory (the acceptance flow of the telemetry + run-ledger PRs):
 1. thread one ``Instrumentation`` facade — with an attached
    ``RunRecorder`` — through the QMD driver, the LDC engine, the
    multigrid Poisson solver, and the eigensolvers;
-2. additionally execute the solve on the virtual Blue Gene/Q and attach
-   its cost tracker, so the simulated-rank timeline lands in the *same*
-   Chrome trace (pid 2);
-3. finish the run: ``telemetry/runs/<run_id>/`` now holds ``trace.json``,
+2. finish the run: ``telemetry/runs/<run_id>/`` now holds ``trace.json``,
    ``metrics.{json,csv}``, and a schema'd ``manifest.json`` whose content
    hashes verify.
 
 Open the run's ``trace.json`` in chrome://tracing or
-https://ui.perfetto.dev to see measured spans and predicted rank activity
-side by side; then inspect the ledger::
+https://ui.perfetto.dev to see the measured spans; then inspect the
+ledger::
 
     python -m repro.observability.runlog list
     python -m repro.observability.runlog show <run_id>
@@ -25,7 +22,6 @@ Run:  PYTHONPATH=src python examples/telemetry_qmd.py
 """
 
 from repro.core.ldc import LDCOptions
-from repro.core.parallel_ldc import run_parallel_ldc
 from repro.md.integrator import initialize_velocities
 from repro.md.qmd import LDCEngine, QMDDriver
 from repro.observability import Instrumentation
@@ -49,11 +45,6 @@ def main() -> None:
     driver = QMDDriver(LDCEngine(opts), timestep=5.0, instrumentation=ins)
     driver.run(config, nsteps=2)
 
-    # The same physics on the virtual machine: its simulated-rank timeline
-    # merges into the same trace under its own pid.
-    vm = run_parallel_ldc(config, opts, total_ranks=8, instrumentation=ins)
-    ins.attach_cost_tracker(vm.tracker)
-
     manifest = recorder.finish()
     problems = verify_run(recorder.dir)
     print(f"run ledger entry: {recorder.dir}")
@@ -61,10 +52,8 @@ def main() -> None:
     print(f"hashes verify: {'yes' if not problems else problems}\n")
 
     events = ins.to_chrome_trace()["traceEvents"]
-    print("== measured spans (pid 1) ==")
-    print(render_breakdown(phase_breakdown(events, pid=1), top=8))
-    print("\n== simulated ranks (pid 2) ==")
-    print(render_breakdown(phase_breakdown(events, pid=2)))
+    print("== measured spans ==")
+    print(render_breakdown(phase_breakdown(events), top=8))
 
     resid = ins.metrics.get("scf.residual", engine="ldc")
     print(f"\nper-iteration SCF residuals ({len(resid.values)} iterations):")

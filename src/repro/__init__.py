@@ -7,7 +7,7 @@ Subpackages:
 * :mod:`repro.dft` — plane-wave Kohn–Sham substrate (O(N³) baseline).
 * :mod:`repro.multigrid` — real-space Poisson solver (GSLF global half).
 * :mod:`repro.parallel` — the virtual parallel machine (Blue Gene/Q cost
-  models: clocks, topologies, the domain scheduler).
+  models: node FLOP rates, torus/tree topologies, collective I/O).
 * :mod:`repro.perfmodel` — FLOP/threading/scaling models for the paper's
   tables and figures.
 * :mod:`repro.md` — molecular dynamics and the QMD driver.

@@ -27,11 +27,6 @@ are registered on a monitor with thresholds from a config object.
   object (e.g. :class:`~repro.core.advisor.BufferControllerOptions`) —
   ``*Options(...)`` constructions are the sanctioned home and are not
   flagged.
-* **Direct virtual-clock mutation.**  Writing ``tracker.clocks[...] = ...``
-  (or ``+=``) bypasses the charge methods, so the event log — and the
-  rank lanes rendered from it — silently diverge from the clocks and from
-  ``elapsed()``; advance time via
-  ``charge_compute``/``charge_collective``.
 * **Direct telemetry-artifact write.**  An ``open(..., "w")`` /
   ``json.dump`` / ``.write_text`` targeting a path under ``telemetry/``
   or a well-known artifact name (``trace.json``, ``manifest.json``,
@@ -41,9 +36,8 @@ are registered on a monitor with thresholds from a config object.
   ``Instrumentation.write_artifacts`` / ``RunRecorder.add_artifact`` and
   resolve locations through ``repro.observability.telemetry_root()``.
 
-The ``repro/observability`` package itself is exempt, as is
-``repro/parallel`` — they *implement* the contract this rule holds call
-sites to (the charge methods are where the clocks legitimately move).
+The ``repro/observability`` package itself is exempt — it *implements*
+the contract this rule holds call sites to.
 """
 
 from __future__ import annotations
@@ -67,18 +61,16 @@ class TelemetryHygieneChecker(Checker):
         "registered on a HealthMonitor, a health threshold hard-coded "
         "at an Invariant call site, a controller/predictor threshold "
         "hard-coded at a Controller/Predictor/Extrapolator call site, "
-        "a CostTracker clock mutated outside the charge methods, or a "
-        "telemetry artifact written directly instead of through the "
+        "or a telemetry artifact written directly instead of through the "
         "RunRecorder layer"
     )
-    exempt_paths = ("repro/observability/", "repro/parallel/")
+    exempt_paths = ("repro/observability/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         allowed_spans = self._allowed_span_calls(ctx.tree)
         invariant_classes = self._invariant_classes(ctx.tree)
         controller_classes = self._controller_classes(ctx.tree)
         registered = self._registered_invariant_calls(ctx.tree)
-        yield from self._check_clock_mutation(ctx)
         yield from self._check_direct_telemetry_writes(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -150,26 +142,6 @@ class TelemetryHygieneChecker(Checker):
                     f"RunRecorder.add_artifact and resolve the location "
                     f"through repro.observability.telemetry_root()",
                 )
-
-    # -- virtual-machine observability ---------------------------------------
-
-    def _check_clock_mutation(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag writes to ``<expr>.clocks`` / ``<expr>.clocks[...]``."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                if _is_clocks_target(target):
-                    yield ctx.finding(
-                        target, self.rule,
-                        "virtual clocks mutated directly; the event log no "
-                        "longer accounts for this time — advance clocks via "
-                        "charge_compute/charge_collective",
-                    )
 
     @staticmethod
     def _allowed_span_calls(tree: ast.Module) -> set[ast.Call]:
@@ -319,14 +291,6 @@ def _telemetry_write_target(node: ast.Call) -> str | None:
     ):
         return _is_telemetry_path_expr(node.func.value)
     return None
-
-
-def _is_clocks_target(node: ast.expr) -> bool:
-    """``<expr>.clocks`` or ``<expr>.clocks[...]`` as an assignment target
-    (``self.clocks = ...`` inside the tracker itself is path-exempt)."""
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    return isinstance(node, ast.Attribute) and node.attr == "clocks"
 
 
 def _is_numeric_literal(node: ast.expr) -> bool:

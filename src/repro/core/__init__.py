@@ -47,8 +47,6 @@ __all__ = [
     "LDCResult",
     "LDCWorkspace",
     "run_ldc",
-    "ParallelLDCResult",
-    "run_parallel_ldc",
     "FrontierResult",
     "recombine_frontier",
     "density_of_states",
@@ -66,13 +64,3 @@ __all__ = [
     "total_cost",
 ]
 
-
-def __getattr__(name):
-    # the virtual-machine driver pulls in ``repro.parallel`` and
-    # ``repro.perfmodel`` (14 modules): loaded on first use, so a QMD
-    # engine process that never simulates ranks never imports them
-    if name in ("ParallelLDCResult", "run_parallel_ldc"):
-        from repro.core import parallel_ldc
-
-        return getattr(parallel_ldc, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

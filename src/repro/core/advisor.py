@@ -9,8 +9,8 @@ of DC computational parameters".
 
 Two entry points:
 
-* :func:`recommend_parameters` / :func:`probe_and_recommend` — the static,
-  ahead-of-time workflow (probe runs → fit → one recommendation);
+* :func:`recommend_parameters` — the static, ahead-of-time workflow
+  (probe errors → fit → one recommendation);
 * :class:`BufferController` — the *runtime* closed loop: every MD step it
   observes the live boundary-density error the LDC driver already measures
   and nudges the buffer toward the Eq.-1 optimum for a target error band,
@@ -120,8 +120,6 @@ class BufferControllerOptions:
     #: initial nearsightedness decay length λ in Bohr (refit online from
     #: (b, error) observations once two distinct buffers have been seen)
     decay_length: float = 1.5
-    #: per-domain solver exponent ν of the cost model (l* = 2b/(ν-1))
-    nu: float = 2.0
     min_buffer: float = 0.5
     max_buffer: float = 6.0
     #: largest |Δb| per adjustment (Bohr) — keeps a mis-fit λ from
@@ -134,8 +132,8 @@ class BufferControllerOptions:
     def __post_init__(self) -> None:
         if self.target_error <= 0 or self.band < 1.0:
             raise ValueError("target_error must be > 0 and band >= 1")
-        if self.decay_length <= 0 or self.nu <= 1.0:
-            raise ValueError("decay_length must be > 0 and nu > 1")
+        if self.decay_length <= 0:
+            raise ValueError("decay_length must be > 0")
         if not 0 < self.min_buffer <= self.max_buffer:
             raise ValueError("need 0 < min_buffer <= max_buffer")
         if self.max_step <= 0 or self.cooldown_steps < 0:
@@ -236,9 +234,7 @@ class BufferController:
             self.holds[reason] += 1
             return BufferDecision(
                 buffer=float(current_buffer),
-                core_length=float(
-                    optimal_core_length(current_buffer, opts.nu)
-                ),
+                core_length=float(optimal_core_length(current_buffer)),
                 changed=False,
                 reason=reason,
             )
@@ -281,36 +277,8 @@ class BufferController:
         self.adjustments += 1
         return BufferDecision(
             buffer=proposed,
-            core_length=float(optimal_core_length(proposed, opts.nu)),
+            core_length=float(optimal_core_length(proposed)),
             changed=True,
             reason="grow" if proposed > current_buffer else "shrink",
         )
 
-
-def probe_and_recommend(
-    config,
-    reference_energy: float,
-    tolerance: float,
-    probe_buffers=(0.6, 1.2, 1.8),
-    ldc_options=None,
-    nu: float = 2.0,
-):
-    """Run cheap LDC probes at the given buffers and recommend parameters.
-
-    Returns ``(recommendation, probe_errors)``.  The probes reuse the given
-    base options with only the buffer changed.
-    """
-    from dataclasses import replace
-
-    from repro.core.ldc import LDCOptions, run_ldc
-
-    base = ldc_options or LDCOptions()
-    errors = []
-    for b in probe_buffers:
-        r = run_ldc(config, replace(base, buffer=float(b)))
-        errors.append(abs(r.energy - reference_energy) / len(config))
-    rec = recommend_parameters(
-        np.asarray(probe_buffers), np.asarray(errors), tolerance, nu,
-        number_density=len(config) / config.volume,
-    )
-    return rec, np.asarray(errors)

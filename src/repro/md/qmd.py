@@ -243,19 +243,11 @@ class LDCEngine(_WarmStartEngine):
     def _record_solver_cost(self, ins: Observer, result: LDCResult) -> None:
         """Per-step predictor/cost series for the run ledger: eigensolver
         iterations and the (b, l*) the step ran at."""
-        from repro.core.advisor import BufferControllerOptions
         from repro.core.complexity import optimal_core_length
 
         self._record_eig_cost(ins, result)
-        nu = (
-            self.controller.options.nu
-            if self.controller is not None
-            else BufferControllerOptions.nu  # the dataclass default
-        )
         ins.series("ldc.buffer_b").append(self.options.buffer)
-        ins.series("ldc.core_l").append(
-            optimal_core_length(self.options.buffer, nu)
-        )
+        ins.series("ldc.core_l").append(optimal_core_length(self.options.buffer))
 
     def _adapt_buffer(self, ins: Observer, result: LDCResult) -> None:
         """One Eq.-1 controller step on the live boundary-error telemetry.

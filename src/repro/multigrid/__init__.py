@@ -10,7 +10,7 @@ up — the property the paper's metascalability argument rests on.
 """
 
 from repro.multigrid.poisson import MultigridPoisson, fft_poisson
-from repro.multigrid.stencils import laplacian_periodic, laplacian_stencil_apply
+from repro.multigrid.stencils import laplacian_periodic
 from repro.multigrid.transfer import full_weighting_restrict, trilinear_prolong
 from repro.multigrid.hierarchy import GridHierarchy
 
@@ -18,7 +18,6 @@ __all__ = [
     "MultigridPoisson",
     "fft_poisson",
     "laplacian_periodic",
-    "laplacian_stencil_apply",
     "full_weighting_restrict",
     "trilinear_prolong",
     "GridHierarchy",

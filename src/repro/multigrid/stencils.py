@@ -137,11 +137,6 @@ def laplacian_periodic(field: np.ndarray, spacing) -> np.ndarray:
     return laplacian_into(field, squared_spacings(spacing)[0], out, t, w)
 
 
-def laplacian_stencil_apply(field: np.ndarray, spacing) -> np.ndarray:
-    """Alias kept for API symmetry with higher-order stencils."""
-    return laplacian_periodic(field, spacing)
-
-
 def laplacian_diagonal(spacing) -> float:
     """The diagonal coefficient of the 7-point Laplacian."""
     return float(-2.0 * np.sum(squared_spacings(spacing)[1]))

@@ -41,7 +41,6 @@ The report CLI renders a paper-style per-phase breakdown from a trace
     python -m repro.observability.report trace.json --flops
 """
 
-from repro.observability.cost_trace import chrome_events_from_cost_tracker
 from repro.observability.flightrec import FlightRecorder, read_jsonl
 from repro.observability.health import (
     HealthError,
@@ -67,7 +66,6 @@ __all__ = [
     "RunRecorder",
     "Span",
     "SpanTracer",
-    "chrome_events_from_cost_tracker",
     "configure_logging",
     "get_logger",
     "phase_breakdown",

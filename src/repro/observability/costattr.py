@@ -81,9 +81,6 @@ def _poisson_flops(args: dict[str, Any]) -> float | None:
 ESTIMATORS: dict[str, Callable[[dict[str, Any]], float | None]] = {
     "scf.eigensolve": _eigensolve_flops,
     "ldc.domain_solve": _domain_solve_flops,
-    # the stacked solves' span name before the one seam; kept so that old
-    # traces still attribute
-    "ldc.batched_solve": _domain_solve_flops,
     "poisson.solve": _poisson_flops,
 }
 

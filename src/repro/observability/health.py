@@ -15,10 +15,10 @@ analyses into *online* checks that run while a simulation is in flight:
   invariants on that channel, stores every non-OK (and optionally OK)
   record, forwards WARN/FAIL to the configured *alert sinks*, and can merge
   the resulting health timeline into the Chrome trace as instant events.
-* Alert sinks — :class:`LogAlertSink` (stdlib logging),
-  :class:`CollectingAlertSink` (in-memory list, for tests/dashboards) and
-  :class:`RaiseOnFailSink` (turn a FAIL into a :class:`HealthError`, the
-  "stop the production run before it wastes the allocation" mode).
+* Alert sinks — :class:`CollectingAlertSink` (in-memory list, for
+  tests/dashboards) and :class:`RaiseOnFailSink` (turn a FAIL into a
+  :class:`HealthError`, the "stop the production run before it wastes the
+  allocation" mode).
 
 Thresholds live in :class:`HealthThresholds` — one config object, not
 numeric literals sprinkled at call sites (enforced by analysis rule RP006).
@@ -32,7 +32,6 @@ health code executes at all (pinned by ``tests/test_health.py``).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol
 
@@ -45,8 +44,8 @@ STATUS_FAIL = "fail"
 
 _SEVERITY = {STATUS_OK: 0, STATUS_WARN: 1, STATUS_FAIL: 2}
 
-#: pid used for health instant events in merged Chrome traces (real spans
-#: are pid 1, simulated ranks pid 2)
+#: pid used for health instant events in merged Chrome traces (the spans
+#: are pid 1)
 HEALTH_TRACE_PID = 3
 
 
@@ -360,22 +359,6 @@ class AlertSink(Protocol):
     """Receives every WARN/FAIL record the monitor produces."""
 
     def emit(self, record: HealthRecord) -> None: ...
-
-
-class LogAlertSink:
-    """Forward WARN/FAIL records to a stdlib logger."""
-
-    def __init__(self, logger: logging.Logger | None = None) -> None:
-        from repro.observability.logs import get_logger
-
-        self.logger = logger or get_logger("health")
-
-    def emit(self, record: HealthRecord) -> None:
-        level = logging.ERROR if record.status == STATUS_FAIL else logging.WARNING
-        self.logger.log(level, record.format(), extra={
-            "invariant": record.invariant, "status": record.status,
-            "value": record.value,
-        })
 
 
 class CollectingAlertSink:

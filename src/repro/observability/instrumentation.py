@@ -43,7 +43,6 @@ from repro.util.timer import WallClock
 if TYPE_CHECKING:
     from repro.observability.health import HealthMonitor
     from repro.observability.runlog import RunRecorder
-    from repro.parallel.trace import CostTracker
     from repro.sanitize.numerics import NumericsSanitizer
 
 
@@ -96,9 +95,6 @@ class Instrumentation(Observer):
         if health is not None and health.clock is None:
             # share the tracer's clock so health instants align with spans
             health.clock = self.tracer._clock
-        #: extra Chrome-trace events merged into exports (e.g. simulated-rank
-        #: timelines attached via :meth:`attach_cost_tracker`)
-        self.extra_chrome_events: list[dict[str, Any]] = []
         self.recorder = recorder
         if recorder is not None:
             recorder.attach(self)
@@ -155,27 +151,12 @@ class Instrumentation(Observer):
     def series(self, name: str, **labels: Any) -> Series:
         return self.metrics.series(name, **labels)
 
-    # -- virtual-machine timelines ------------------------------------------
-
-    def attach_cost_tracker(self, tracker: "CostTracker") -> None:
-        """Merge a finished :class:`CostTracker`'s simulated-rank lanes into
-        the Chrome-trace export (pid 2), beside the real wall-clock spans."""
-        from repro.observability.cost_trace import (
-            chrome_events_from_cost_tracker,
-        )
-
-        self.extra_chrome_events.extend(
-            chrome_events_from_cost_tracker(tracker)
-        )
-
     # -- export --------------------------------------------------------------
 
     def to_chrome_trace(self) -> dict[str, Any]:
         trace = self.tracer.to_chrome_trace()
-        events = trace["traceEvents"] + self.extra_chrome_events
         if self.health is not None:
-            events = events + self.health.chrome_events()
-        trace["traceEvents"] = events
+            trace["traceEvents"] += self.health.chrome_events()
         return trace
 
     def write_trace(self, path) -> None:

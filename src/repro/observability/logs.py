@@ -2,8 +2,9 @@
 
 Silent by default: the root ``repro`` logger gets a ``NullHandler`` so
 importing the package never prints anything.  Call
-:func:`configure_logging` (or set the ``REPRO_LOG`` environment variable)
-to attach a real handler:
+:func:`configure_logging`, or set the ``REPRO_LOG`` environment variable
+(read once, by the process's first :func:`get_logger`), to attach a real
+handler to stderr:
 
 * ``REPRO_LOG=info`` — human-readable lines at INFO;
 * ``REPRO_LOG=debug`` + ``REPRO_LOG_FORMAT=json`` — one JSON object per
@@ -16,6 +17,7 @@ the stdlib logger ``repro.dft.scf``, so standard ``logging`` configuration
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -58,6 +60,7 @@ def _coerce(value: Any) -> Any:
 def get_logger(name: str = "") -> logging.Logger:
     """Logger in the ``repro.*`` namespace (``get_logger("dft.scf")``)."""
     _ensure_null_handler()
+    _configure_from_env()
     return logging.getLogger(f"{ROOT_LOGGER}.{name}" if name else ROOT_LOGGER)
 
 
@@ -97,12 +100,18 @@ def configure_logging(
     return root
 
 
-def logging_enabled_from_env() -> bool:
-    """True when the environment opts into logging output."""
-    return "REPRO_LOG" in os.environ
-
-
 def _ensure_null_handler() -> None:
     root = logging.getLogger(ROOT_LOGGER)
     if not any(isinstance(h, logging.NullHandler) for h in root.handlers):
         root.addHandler(logging.NullHandler())
+
+
+@functools.cache
+def _configure_from_env() -> None:
+    """Attach the ``REPRO_LOG`` handler, once per process, unless
+    :func:`configure_logging` already attached one."""
+    root = logging.getLogger(ROOT_LOGGER)
+    if "REPRO_LOG" in os.environ and not any(
+        getattr(h, "_repro_configured", False) for h in root.handlers
+    ):
+        configure_logging()

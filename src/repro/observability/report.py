@@ -1,12 +1,12 @@
 """Per-phase breakdown reports from Chrome-trace JSON.
 
 Renders the paper-style accounting table (phase | total | calls | mean | %)
-from a trace produced by :class:`~repro.observability.tracer.SpanTracer`,
-:meth:`Instrumentation.write_trace`, or the :class:`CostTracker` adapter::
+from a trace produced by :class:`~repro.observability.tracer.SpanTracer` or
+:meth:`Instrumentation.write_trace`::
 
     python -m repro.observability.report trace.json
     python -m repro.observability.report trace.json --by cat --top 10
-    python -m repro.observability.report trace.json --pid 2
+    python -m repro.observability.report trace.json --flops
 
 The positional argument also accepts a run directory or a (prefix of a)
 ledger run id — the trace is resolved through the run ledger
@@ -15,17 +15,13 @@ ledger run id — the trace is resolved through the run ledger
     python -m repro.observability.report 20260808-143022-qmd-1a2b3c
 
 The percentage column is relative to the trace's wall-clock extent
-(max end − min start over the selected events), matching how the paper
+(max end − min start over the spans), matching how the paper
 reports per-phase fractions of the run (Sec. 4.2).
 
 ``--flops`` switches to the roofline-style accounting of Tables 1-2:
 per-phase time, estimated FLOPs (attributed from the solve sizes stamped
 on spans via :mod:`repro.observability.costattr`), achieved GFLOP/s, and —
 with ``--peak-gflops`` — the achieved fraction of peak.
-
-``--pid 2`` selects the *virtual machine* lanes (the simulated-rank slices
-of :mod:`repro.observability.cost_trace`): per label, the rank-seconds the
-cost model charged.
 """
 
 from __future__ import annotations
@@ -64,31 +60,21 @@ def load_trace(path) -> list[dict[str, Any]]:
     return events
 
 
-def duration_events(
-    events: list[dict[str, Any]], pid: int | None = None
-) -> list[dict[str, Any]]:
-    """Complete (``"X"``) events, optionally filtered to one pid."""
-    out = []
-    for e in events:
-        if e.get("ph") != "X":
-            continue
-        if pid is not None and e.get("pid") != pid:
-            continue
-        out.append(e)
-    return out
+def duration_events(events: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The complete (``"X"``) events: every measured span."""
+    return [e for e in events if e.get("ph") == "X"]
 
 
 def phase_breakdown(
     events: list[dict[str, Any]],
     by: str = "name",
-    pid: int | None = None,
 ) -> dict[str, dict[str, float]]:
     """Aggregate ``"X"`` events by name (or category).
 
     Returns ``{phase: {"seconds", "calls", "mean", "percent"}}`` sorted by
     descending total, with percent relative to the wall-clock extent.
     """
-    evs = duration_events(events, pid=pid)
+    evs = duration_events(events)
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
     t0 = float("inf")
@@ -149,10 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         help="aggregate by span name (default) or category",
     )
     parser.add_argument(
-        "--pid", type=int, default=None,
-        help="restrict to one trace pid (1=real spans, 2=simulated ranks)",
-    )
-    parser.add_argument(
         "--top", type=int, default=None, help="show only the N largest phases"
     )
     parser.add_argument(
@@ -180,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.observability.costattr import render_roofline, roofline_table
 
         table = roofline_table(
-            duration_events(events, pid=args.pid),
+            duration_events(events),
             peak_gflops=args.peak_gflops,
         )
         if not table:
@@ -188,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(render_roofline(table, top=args.top))
         return 0
-    breakdown = phase_breakdown(events, by=args.by, pid=args.pid)
+    breakdown = phase_breakdown(events, by=args.by)
     if not breakdown:
         print("trace contains no duration events")
         return 1

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.util.timer import WallClock
 
-#: pid used for real (measured) spans in Chrome traces; simulated-rank
-#: timelines from the virtual machine use a different pid so both render
-#: side by side in one viewer (see repro.observability.cost_trace).
+#: pid of the measured spans in a Chrome trace (health instants use their own)
 TRACE_PID = 1
 
 
@@ -245,19 +243,3 @@ def _json_safe(obj: Any) -> Any:
         return obj.item()
     return str(obj)
 
-
-def iter_phase_totals(spans: list[Span]) -> Iterator[tuple[str, float, int]]:
-    """(root-phase, total seconds, count) aggregates over top-level spans.
-
-    Only spans that are roots of their own path are counted, so nested time
-    is not double-charged to the parent phase.
-    """
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for s in spans:
-        if "/" in s.path:
-            continue
-        totals[s.name] = totals.get(s.name, 0.0) + s.duration
-        counts[s.name] = counts.get(s.name, 0) + 1
-    for name in sorted(totals, key=lambda n: -totals[n]):
-        yield name, totals[name], counts[name]

@@ -3,15 +3,11 @@
 An analytic cost model: per-node FLOP rates with SIMD/threading efficiency
 (:mod:`repro.parallel.machine`; Blue Gene/Q and Xeon E5-2665 presets), 5-D
 torus links and tree/butterfly collective costs
-(:mod:`repro.parallel.topology`), per-rank virtual clocks charged by compute
-and collectives (:mod:`repro.parallel.trace`), the largest-first domain
-scheduler (:mod:`repro.parallel.scheduler`) and the collective-I/O model
-(:mod:`repro.parallel.collective_io`).  :func:`repro.core.parallel_ldc.run_parallel_ldc`
-charges a real LDC solve to these clocks, so a run yields both the answer
-and its predicted wall-clock time.
+(:mod:`repro.parallel.topology`) and the collective-I/O model
+(:mod:`repro.parallel.collective_io`).
 
 Scaling to core counts we cannot instantiate (Figs. 5-6) is a deterministic
-evaluation of the same cost expressions — see
+evaluation of these cost expressions — the one cost model,
 :mod:`repro.perfmodel.scaling`.
 """
 
@@ -22,9 +18,7 @@ from repro.parallel.machine import (
     MachineSpec,
 )
 from repro.parallel.topology import TorusTopology, TreeTopology
-from repro.parallel.trace import CostTracker
 from repro.parallel.collective_io import CollectiveIOModel
-from repro.parallel.scheduler import Schedule, schedule_domains
 
 __all__ = [
     "MachineSpec",
@@ -33,8 +27,5 @@ __all__ = [
     "XEON_E5_2665",
     "TorusTopology",
     "TreeTopology",
-    "CostTracker",
     "CollectiveIOModel",
-    "Schedule",
-    "schedule_domains",
 ]

@@ -136,39 +136,6 @@ def test_rp006_telemetry_writes_exempt_inside_observability():
     assert findings == []
 
 
-def test_rp006_flags_direct_clock_mutation():
-    src = (
-        '"""vm"""\n'
-        "def skew(tracker):\n"
-        "    tracker.clocks[0] = 10.0\n"
-        "    tracker.clocks += 1.0\n"
-    )
-    findings = [
-        f for f in unsuppressed(check_file("vm.py", source=src))
-        if f.rule == "RP006"
-    ]
-    assert len(findings) == 2
-    assert all("charge_" in f.message for f in findings)
-
-
-def test_rp006_accepts_profiled_vm_constructions():
-    # A VM's lanes are merged after the run from its event log
-    # (attach_cost_tracker), so building one in an instrumented path is
-    # never a finding.
-    src = (
-        '"""vm"""\n'
-        "from repro.parallel.trace import CostTracker\n"
-        "\n"
-        "def run_attach(ins):\n"
-        "    tracker = CostTracker(8)\n"
-        "    ins.attach_cost_tracker(tracker)\n"
-        "    return tracker\n"
-    )
-    assert not [
-        f for f in check_file("vm.py", source=src) if f.rule == "RP006"
-    ]
-
-
 def test_suppression_comments_silence_without_hiding():
     findings = check_file(FIXTURES / "suppressed.py")
     assert findings, "fixture should still produce (suppressed) findings"

@@ -384,8 +384,6 @@ def test_batched_span_flop_attribution():
         "ldc.domain_solve", dict(span.attrs, n_domains=1)
     )
     assert single is not None and single < flops < 2 * single
-    # traces written before the one seam named the stacked span differently
-    assert estimate_event_flops("ldc.batched_solve", span.attrs) == flops
     # the span names the staged transform's line counts; without them the
     # estimator falls back to crediting dense 3-D transforms
     dense = dict(span.attrs)

@@ -2,18 +2,14 @@
 SCF/LDC/multigrid/QMD drivers produces the promised telemetry, and the
 default (disabled) path leaves driver outputs bit-identical."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.ldc import LDCOptions, run_ldc
-from repro.core.parallel_ldc import run_parallel_ldc
 from repro.dft.scf import SCFOptions, run_scf
 from repro.md.integrator import initialize_velocities
 from repro.md.qmd import LDCEngine, QMDDriver
 from repro.observability import Instrumentation
-from repro.observability.report import phase_breakdown
 from repro.systems import dimer
 
 
@@ -109,22 +105,3 @@ def test_qmd_step_spans_and_warm_start_counters(h2):
     assert ldc_spans
     assert any(s.path.startswith("qmd.step/") for s in ldc_spans)
 
-
-def test_parallel_ldc_merges_vm_timeline(h2, tmp_path):
-    ins = Instrumentation()
-    pres = run_parallel_ldc(
-        h2, LDC_OPTS, total_ranks=4, instrumentation=ins
-    )
-    assert ins.metrics.get("vm.predicted_seconds").value == pytest.approx(
-        pres.predicted_seconds
-    )
-    ins.attach_cost_tracker(pres.tracker)
-    trace_path = tmp_path / "trace.json"
-    ins.write_trace(trace_path)
-    trace = json.loads(trace_path.read_text())
-    pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"}
-    assert pids == {1, 2}  # real spans and simulated ranks side by side
-    vm = phase_breakdown(trace["traceEvents"], pid=2)
-    assert "domain" in vm
-    real = phase_breakdown(trace["traceEvents"], pid=1)
-    assert "ldc.run" in real

@@ -231,6 +231,43 @@ def test_configure_logging_does_not_stack_handlers():
         root.setLevel(logging.WARNING)
 
 
+_LOG_PROBE = """
+from repro.observability import get_logger
+get_logger("probe").info("hello", extra={"k": 1})
+"""
+
+
+@pytest.mark.parametrize("env", [
+    {"REPRO_LOG": "info"},
+    {"REPRO_LOG": "info", "REPRO_LOG_FORMAT": "json"},
+    {},
+], ids=["text", "json", "unset"])
+def test_repro_log_alone_enables_logging(env):
+    """``REPRO_LOG`` set is all it takes: the process's first
+    ``get_logger()`` attaches the stderr handler, with no call to
+    ``configure_logging()``; unset, nothing is printed."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    done = subprocess.run(
+        [sys.executable, "-c", _LOG_PROBE], capture_output=True, text=True,
+        env={**base, **env, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    if not env:
+        assert done.stderr == ""
+    elif env.get("REPRO_LOG_FORMAT") == "json":
+        payload = json.loads(done.stderr.strip())
+        assert payload["msg"] == "hello" and payload["logger"] == "repro.probe"
+        assert payload["level"] == "INFO" and payload["k"] == 1
+    else:
+        assert "INFO repro.probe: hello" in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # facade + report
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Tests for torus/tree topology cost models and the cost tracker."""
+"""Tests for the torus/tree topology cost models."""
 
-import numpy as np
 import pytest
 
 from repro.parallel.topology import TorusTopology, TreeTopology, torus_for
-from repro.parallel.trace import CostTracker
 
 
 # ---- torus ---------------------------------------------------------------------
@@ -100,50 +98,3 @@ def test_tree_sweep_time_log_growth():
 def test_vcycle_twice_sweep():
     tr = TreeTopology()
     assert tr.vcycle_time(1e4, 64) == pytest.approx(2 * tr.sweep_time(1e4, 64))
-
-
-# ---- tracker -------------------------------------------------------------------
-
-def test_tracker_compute_charges_selected_ranks():
-    tr = CostTracker(4)
-    tr.charge_compute([1, 2], 3.0)
-    np.testing.assert_allclose(tr.clocks, [0.0, 3.0, 3.0, 0.0])
-
-
-def test_tracker_collective_synchronizes():
-    tr = CostTracker(4)
-    tr.charge_compute([0], 10.0)
-    tr.charge_collective(range(4), 1.0)
-    np.testing.assert_allclose(tr.clocks, 11.0)
-
-
-def test_tracker_elapsed_is_max():
-    tr = CostTracker(3)
-    tr.charge_compute([0], 2.0)
-    tr.charge_compute([1], 5.0)
-    assert tr.elapsed() == 5.0
-
-
-def test_tracker_imbalance():
-    tr = CostTracker(2)
-    tr.charge_compute([0], 4.0)
-    assert tr.imbalance() == pytest.approx(0.5)
-    tr.charge_compute([1], 4.0)
-    assert tr.imbalance() == pytest.approx(0.0)
-
-
-def test_tracker_label_accounting():
-    tr = CostTracker(2)
-    tr.charge_compute([0], 1.0, label="fft")
-    tr.charge_compute([1], 2.0, label="fft")
-    tr.charge_collective([0, 1], 0.5, 100.0, label="allreduce")
-    totals = tr.total_by_label()
-    assert totals["fft"] == pytest.approx(3.0)
-    assert totals["allreduce"] == pytest.approx(0.5)
-    assert tr.total_bytes() == pytest.approx(100.0)
-
-
-def test_tracker_negative_time_rejected():
-    tr = CostTracker(1)
-    with pytest.raises(ValueError):
-        tr.charge_compute([0], -1.0)

@@ -1,6 +1,6 @@
 """Second battery of property-based tests: Ewald invariances, Morse
-consistency, scheduler bounds, I/O model monotonicity, torus geometry,
-and occupation-derivative consistency."""
+consistency, I/O model monotonicity, torus geometry, and
+occupation-derivative consistency."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dft.ewald import ewald_energy
 from repro.parallel.collective_io import CollectiveIOModel
-from repro.parallel.scheduler import schedule_lpt
 from repro.parallel.topology import TorusTopology
 from repro.reactive.potential import MorseParams, _morse
 
@@ -72,41 +71,6 @@ def test_morse_minimum_at_r0(depth, stiff, r0):
     e_min, de = _morse(np.array([r0]), p)
     assert e_min[0] == pytest.approx(-depth)
     assert de[0] == pytest.approx(0.0, abs=1e-12)
-
-
-# ---- scheduler ------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(1, 40),
-    groups=st.integers(1, 8),
-)
-def test_lpt_makespan_bound(seed, n, groups):
-    """LPT satisfies the provable list-scheduling makespan guarantee.
-
-    Any least-loaded greedy placement (LPT included) has
-    makespan <= sum/m + (1 - 1/m) * max_cost.  The folklore "within 4/3 of
-    max(mean, max_cost)" is NOT a theorem — Graham's 4/3 factor is relative
-    to the true optimum, which can itself exceed that lower bound (e.g.
-    5 jobs on 3 machines where no partition reaches the mean).
-    """
-    rng = np.random.default_rng(seed)
-    costs = rng.uniform(0.1, 10.0, size=n)
-    s = schedule_lpt(costs, groups)
-    bound = costs.sum() / groups + (1.0 - 1.0 / groups) * costs.max()
-    assert s.loads.max() <= bound + 1e-9
-    # the makespan can never beat the trivial lower bound
-    assert s.loads.max() >= max(costs.sum() / groups, costs.max()) - 1e-9
-
-
-@settings(**COMMON)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), groups=st.integers(1, 6))
-def test_lpt_conserves_work(seed, n, groups):
-    rng = np.random.default_rng(seed)
-    costs = rng.uniform(0.0, 5.0, size=n)
-    s = schedule_lpt(costs, groups)
-    assert s.loads.sum() == pytest.approx(costs.sum())
 
 
 # ---- I/O model -------------------------------------------------------------------
