@@ -12,7 +12,6 @@ Subpackages:
   tables and figures.
 * :mod:`repro.md` — molecular dynamics and the QMD driver.
 * :mod:`repro.reactive` — the hydrogen-on-demand science surrogate.
-* :mod:`repro.compression` — space-filling-curve trajectory compression.
 * :mod:`repro.systems` — workload builders (CdSe, LiAl, water, toys).
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the

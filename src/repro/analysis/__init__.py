@@ -21,7 +21,6 @@ from repro.analysis.engine import (
     FileContext,
     Finding,
     all_checkers,
-    check_file,
     iter_python_files,
     register,
     run_paths,
@@ -35,7 +34,6 @@ __all__ = [
     "FileContext",
     "Finding",
     "all_checkers",
-    "check_file",
     "iter_python_files",
     "register",
     "render_json",

@@ -171,11 +171,11 @@ def iter_python_files(paths: Sequence[str | pathlib.Path]) -> Iterator[pathlib.P
 
 
 def _analyse_one(
-    path: str, source: str | None, checkers: list[Checker]
+    path: str, checkers: list[Checker]
 ) -> tuple[list[Finding], dict[int, set[str]]]:
-    """Parse + check one file: its findings and its suppression map."""
-    if source is None:
-        source = pathlib.Path(path).read_text()
+    """Parse + check one file: its findings and its suppression map; a
+    parse failure becomes an RP000 finding."""
+    source = pathlib.Path(path).read_text()
     try:
         ctx = FileContext.from_source(path, source)
     except SyntaxError as exc:
@@ -192,18 +192,6 @@ def _analyse_one(
         if checker.applies_to(ctx):
             findings.extend(checker.check(ctx))
     return findings, ctx.noqa
-
-
-def check_file(
-    path: str | pathlib.Path,
-    checkers: Iterable[Checker] | None = None,
-    source: str | None = None,
-) -> list[Finding]:
-    """Run checkers over one file; parse failures become RP000 findings."""
-    suite = list(checkers) if checkers is not None else all_checkers()
-    findings, _ = _analyse_one(str(path), source, suite)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
 
 
 @dataclass
@@ -246,7 +234,7 @@ def run_paths_full(
         checkers = [c for c in checkers if c.rule not in dropped]
     run = RunResult(findings=[])
     for p in iter_python_files(paths):
-        findings, noqa = _analyse_one(str(p), None, checkers)
+        findings, noqa = _analyse_one(str(p), checkers)
         run.findings.extend(findings)
         run.noqa_by_file[str(p)] = noqa
     run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -62,37 +62,6 @@ class Domain:
         ix, iy, iz = self.grid_indices
         return global_field[np.ix_(ix, iy, iz)]
 
-    def core_extract(self, global_field: np.ndarray) -> np.ndarray:
-        """Restrict a global field to this domain's *core* block only."""
-        sub = self.extract(global_field)
-        b = self.buffer_points
-        return sub[
-            b[0] : b[0] + self.core_points[0],
-            b[1] : b[1] + self.core_points[1],
-            b[2] : b[2] + self.core_points[2],
-        ]
-
-    def scatter_add_core(
-        self, global_field: np.ndarray, domain_field: np.ndarray
-    ) -> None:
-        """Add the core part of a domain field into ``global_field`` in place.
-
-        Because cores are non-overlapping and tile the grid, plain assignment
-        semantics hold (each global point receives exactly one contribution
-        when the sharp partition of unity is used).
-        """
-        b = self.buffer_points
-        core = domain_field[
-            b[0] : b[0] + self.core_points[0],
-            b[1] : b[1] + self.core_points[1],
-            b[2] : b[2] + self.core_points[2],
-        ]
-        ix, iy, iz = self.grid_indices
-        cx = ix[b[0] : b[0] + self.core_points[0]]
-        cy = iy[b[1] : b[1] + self.core_points[1]]
-        cz = iz[b[2] : b[2] + self.core_points[2]]
-        global_field[np.ix_(cx, cy, cz)] += core
-
 
 class DomainDecomposition:
     """Builds and owns all :class:`Domain` objects for a cell + grid.
@@ -181,18 +150,6 @@ class DomainDecomposition:
     @property
     def ndomains(self) -> int:
         return len(self.domains)
-
-    def core_lengths(self) -> np.ndarray:
-        """Core edge lengths l per axis (Bohr)."""
-        return self.core_points * self.grid.spacing
-
-    def assemble_from_cores(self, domain_fields: list[np.ndarray]) -> np.ndarray:
-        """Global field from per-domain fields using the sharp partition of
-        unity (each core point taken from its owning domain)."""
-        out = np.zeros(self.grid.shape)
-        for dom, field in zip(self.domains, domain_fields):
-            dom.scatter_add_core(out, field)
-        return out
 
     def atoms_in_domain(
         self, config: Configuration, domain: Domain

@@ -39,6 +39,7 @@ from repro.core.energy import (
     dc_band_energy,
     dc_total_energy,
 )
+from repro.core.support import partition_residual
 from repro.core.workspace import RESIDENT_PARTS, DomainScratch, LDCWorkspace
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
@@ -46,7 +47,7 @@ from repro.dft.grid import RealSpaceGrid
 from repro.dft.hartree import hartree_potential
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import check_solver_names, scf_fixed_point
+from repro.dft.scf import check_solver_options, scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observe import Observer, observer
@@ -98,7 +99,7 @@ class LDCOptions:
     batch_domains: bool = True
 
     def __post_init__(self) -> None:
-        check_solver_names(self.eigensolver, self.mixer)
+        check_solver_options(self.eigensolver, self.mixer, self.mix_alpha)
         if self.mode not in ("ldc", "dc"):
             raise ValueError(f"mode must be 'ldc' or 'dc', got {self.mode!r}")
         if self.poisson not in ("fft", "multigrid"):
@@ -169,11 +170,6 @@ class LDCResult:
     def n_domains(self) -> int:
         return self.decomposition.ndomains
 
-    def eigenvalue_array(self) -> np.ndarray:
-        return np.concatenate(
-            [s.eigenvalues for s in self.states if s.eigenvalues is not None]
-        )
-
 
 def make_global_grid(
     config: Configuration, options: LDCOptions
@@ -186,21 +182,6 @@ def make_global_grid(
         step = int(np.lcm(int(nd), 2))
         shape.append(int(np.ceil(n / step)) * step)
     return RealSpaceGrid(config.cell, shape)
-
-
-def _partition_residual(
-    grid: RealSpaceGrid, states: list[DomainState]
-) -> float:
-    """max_r |Σ_α p_α(r) − 1| — the identity Eq. (b)'s assembly relies on."""
-    total = np.zeros(grid.shape)
-    for state in states:
-        ix, iy, iz = state.domain.grid_indices
-        # Direct fancy-index += is valid (and much faster than the
-        # unbuffered np.add.at): each per-axis wrapped index array is
-        # duplicate-free because a domain's extent never exceeds the grid —
-        # DomainDecomposition clamps buffer_points to (shape - core) // 2.
-        total[np.ix_(ix, iy, iz)] += state.support
-    return float(np.abs(total - 1.0).max())
 
 
 def run_ldc(
@@ -300,7 +281,9 @@ def _run_ldc(
     # the grid per domain: handed over unevaluated, for a listener to call
     ins.observe(
         "ldc.partition",
-        max_residual=lambda: _partition_residual(grid, states),
+        max_residual=lambda: partition_residual(
+            decomp, [state.support for state in states]
+        ),
         ndomains=decomp.ndomains, support=opts.support,
     )
 

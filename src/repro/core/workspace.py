@@ -243,11 +243,6 @@ class LDCWorkspace:
 
     # -- cache lifecycle -----------------------------------------------------
 
-    @property
-    def has_orbitals(self) -> bool:
-        """Whether the next ``prepare`` can seed any domain from cached ψ."""
-        return any(len(h) for h in self._history.values())
-
     def reset(self) -> None:
         """Drop everything (structures, orbital cache, scratch pools)."""
         self._cell = None

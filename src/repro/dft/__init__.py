@@ -21,7 +21,7 @@ A self-contained, NumPy-vectorized plane-wave DFT engine:
 """
 
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.basis import PlaneWaveBasis, density_from_orbitals
+from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.scf import SCFOptions, SCFResult, run_scf
 from repro.dft.forces import hellmann_feynman_forces
@@ -29,7 +29,6 @@ from repro.dft.forces import hellmann_feynman_forces
 __all__ = [
     "RealSpaceGrid",
     "PlaneWaveBasis",
-    "density_from_orbitals",
     "Hamiltonian",
     "SCFOptions",
     "SCFResult",

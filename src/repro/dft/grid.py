@@ -195,9 +195,6 @@ class RealSpaceGrid:
 
     # -- misc ----------------------------------------------------------------
 
-    def compatible_with(self, other: "RealSpaceGrid") -> bool:
-        return self.shape == other.shape and np.allclose(self.lengths, other.lengths)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RealSpaceGrid(lengths={self.lengths.tolist()}, shape={self.shape})"
 

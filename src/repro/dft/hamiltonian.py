@@ -66,13 +66,6 @@ class Hamiltonian:
         out = self.stack.apply(block[None])[0]
         return out[:, 0] if single else out
 
-    def expectation(self, psi: np.ndarray) -> np.ndarray:
-        """Per-band Rayleigh quotients ⟨ψ_n|H|ψ_n⟩ / ⟨ψ_n|ψ_n⟩."""
-        hpsi = self.apply(psi)
-        num = np.real(np.einsum("gn,gn->n", psi.conj(), hpsi))
-        den = np.real(np.einsum("gn,gn->n", psi.conj(), psi))
-        return num / den
-
     # -- dense form -----------------------------------------------------------
 
     def dense(self) -> np.ndarray:

@@ -57,14 +57,18 @@ DensityMap = Callable[
 ]
 
 
-def check_solver_names(eigensolver: str, mixer: str) -> None:
-    """Reject an unknown eigensolver or mixer name when options are built —
-    before any structure build, Ewald sum or Poisson solve is spent on a
-    run that would fail at its first domain solve or density mix."""
+def check_solver_options(eigensolver: str, mixer: str, mix_alpha: float) -> None:
+    """Reject an unknown eigensolver or mixer name, or a mixing weight
+    outside (0, 1], when options are built — before any structure build,
+    Ewald sum or Poisson solve is spent on a run that would fail at its
+    first domain solve or stall on its density mix (α = 0 never moves the
+    input density, for either mixer)."""
     if eigensolver not in ("direct", "all_band"):
         raise ValueError(f"unknown eigensolver {eigensolver!r}")
     if mixer not in ("pulay", "linear"):
         raise ValueError(f"unknown mixer {mixer!r}")
+    if not 0.0 < mix_alpha <= 1.0:
+        raise ValueError(f"mix_alpha must be in (0, 1], got {mix_alpha!r}")
 
 
 @dataclass
@@ -90,7 +94,7 @@ class SCFOptions:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        check_solver_names(self.eigensolver, self.mixer)
+        check_solver_options(self.eigensolver, self.mixer, self.mix_alpha)
 
 
 @dataclass

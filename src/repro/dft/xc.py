@@ -105,15 +105,3 @@ def lda_xc(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eps_flat[block] += ec
         v_flat[block] += vc
     return eps, v
-
-
-def xc_energy(rho: np.ndarray, dv: float) -> float:
-    """E_xc = ∫ ρ ε_xc(ρ) dr with voxel volume ``dv``."""
-    eps, _ = lda_xc(rho)
-    return float(np.sum(rho * eps) * dv)
-
-
-def xc_potential(rho: np.ndarray) -> np.ndarray:
-    """v_xc(r) alone (convenience wrapper)."""
-    _, v = lda_xc(rho)
-    return v

@@ -44,6 +44,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.util.linalg import lowdin_orthonormalize
+
 
 def aspc_coefficients(k: int) -> np.ndarray:
     """Predictor coefficients ``B_1..B_k`` of the length-``k`` ASPC window.
@@ -64,19 +66,6 @@ def aspc_coefficients(k: int) -> np.ndarray:
         ],
         dtype=float,
     )
-
-
-def lowdin_orthonormalize(psi: np.ndarray) -> np.ndarray:
-    """Symmetric (Löwdin) orthonormalization ``ψ (ψ†ψ)^{-1/2}``.
-
-    The unique orthonormal block closest to ``psi`` in Frobenius norm —
-    the gauge-respecting way to repair a predicted block.
-    """
-    overlap = psi.conj().T @ psi
-    evals, evecs = np.linalg.eigh(overlap)
-    evals = np.clip(evals.real, 1e-14, None)
-    inv_sqrt = (evecs * (evals ** -0.5)) @ evecs.conj().T
-    return psi @ inv_sqrt
 
 
 def align_to_reference(psi: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -75,7 +75,3 @@ class VelocityVerlet:
 
     def total_energy(self, config: Configuration) -> float:
         return kinetic_energy(config) + self.potential_energy
-
-    def invalidate_cache(self) -> None:
-        """Call after externally modifying positions (forces recomputed)."""
-        self._cached_forces = None

@@ -427,17 +427,3 @@ class QMDDriver:
             else None,
             converged=self._converged_last,
         )
-
-    def total_scf_iterations(self) -> int:
-        """Total SCF iterations over the trajectory — the paper's 129,208 for
-        the 21,140-step production run."""
-        return int(sum(f.scf_iterations for f in self.frames))
-
-    def energy_drift(self) -> float:
-        """|E_total(last) - E_total(first)| per recorded frame, in Hartree
-        for the whole cell — not per atom (NVE diagnostic)."""
-        if len(self.frames) < 2:
-            return 0.0
-        return abs(self.frames[-1].total_energy - self.frames[0].total_energy) / len(
-            self.frames
-        )

@@ -2,23 +2,17 @@
 GSLF electronic-structure solver (Sec. 3.2).
 
 Solves ``∇²V_H = -4πρ`` on a periodic grid with a geometric multigrid
-V-cycle: red-black Gauss–Seidel (or damped-Jacobi) smoothing, full-weighting
-restriction, trilinear prolongation, and an FFT coarse solve.  The grid
-hierarchy is the locality-preserving octree of Fig. 1(a)/Fig. 3: each level
-halves the resolution, and communication volume shrinks geometrically going
-up — the property the paper's metascalability argument rests on.
+V-cycle: red-black Gauss–Seidel smoothing, full-weighting restriction,
+trilinear prolongation, and an FFT coarse solve.  The grid hierarchy is the
+locality-preserving octree of Fig. 1(a)/Fig. 3: each level halves the
+resolution, and communication volume shrinks geometrically going up — the
+property the paper's metascalability argument rests on.
 """
 
-from repro.multigrid.poisson import MultigridPoisson, fft_poisson
-from repro.multigrid.stencils import laplacian_periodic
-from repro.multigrid.transfer import full_weighting_restrict, trilinear_prolong
+from repro.multigrid.poisson import MultigridPoisson
 from repro.multigrid.hierarchy import GridHierarchy
 
 __all__ = [
     "MultigridPoisson",
-    "fft_poisson",
-    "laplacian_periodic",
-    "full_weighting_restrict",
-    "trilinear_prolong",
     "GridHierarchy",
 ]

@@ -1,10 +1,8 @@
 """The multigrid level hierarchy — the octree abstraction of Fig. 1(a).
 
-Each level halves the grid per axis.  The hierarchy also exposes the
-per-level data volumes, which the parallel cost model uses to charge the
-tree-topology communication of the inter-domain (global) solve: volume
-decays by 8× per level, so the total up-tree traffic is geometrically
-bounded — the paper's metascalability condition.
+Each level halves the grid per axis, so the per-level data volume decays
+by 8× per level and the total up-tree traffic is geometrically bounded —
+the paper's metascalability condition.
 """
 
 from __future__ import annotations
@@ -30,14 +28,3 @@ class GridHierarchy:
 
     def spacing(self, level: int) -> np.ndarray:
         return self.lengths / np.array(self.shapes[level], dtype=float)
-
-    def points(self, level: int) -> int:
-        return int(np.prod(self.shapes[level]))
-
-    def level_volumes(self) -> list[int]:
-        """Grid-point counts per level (finest first)."""
-        return [self.points(lv) for lv in range(self.nlevels)]
-
-    def total_work(self) -> int:
-        """Σ points over levels — bounded by 8/7 of the finest level."""
-        return sum(self.level_volumes())

@@ -25,16 +25,6 @@ from repro.multigrid.transfer import prolong_into, restrict_into
 from repro.observe import Observer, observer
 
 
-def fft_poisson(grid: RealSpaceGrid, rho: np.ndarray) -> np.ndarray:
-    """Spectral reference solution of ∇²V = -4πρ (zero-mean, exact)."""
-    rho_g = grid.fft(rho)
-    g2 = grid.g2()
-    vg = np.zeros_like(rho_g)
-    nz = g2 > 0
-    vg[nz] = 4.0 * np.pi * rho_g[nz] / g2[nz]
-    return grid.ifft(vg).real
-
-
 @dataclass
 class MGStats:
     """Convergence record of one solve."""
@@ -211,19 +201,3 @@ class MultigridPoisson:
         # the zero mode (and nothing else) stays at the zero u_hat was built with
         np.divide(rhs_hat, own.eig, out=own.u_hat, where=own.nonzero)
         return np.ascontiguousarray(np.fft.ifftn(own.u_hat).real)
-
-
-def hartree_potential_multigrid(
-    grid: RealSpaceGrid,
-    rho: np.ndarray,
-    v0: np.ndarray | None = None,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Drop-in multigrid replacement for
-    :func:`repro.dft.hartree.hartree_potential`.
-
-    Note: the spectral and finite-difference Laplacians differ at O(h²), so
-    this agrees with the FFT Hartree potential to discretization error, not
-    machine precision — exactly the trade the paper's GSLF design makes.
-    """
-    return MultigridPoisson(grid).solve(rho, v0=v0, tol=tol)

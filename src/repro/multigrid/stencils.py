@@ -10,7 +10,7 @@ stride-2 sub-lattices whose index parities sum to it, so a sweep writes
 through plain slices, never a boolean mask.  The ``*_into`` / in-place
 kernels allocate nothing — they are what
 :class:`~repro.multigrid.poisson.MultigridPoisson` runs on its per-level
-buffers; the allocating public helpers below call the same kernels.
+buffers.
 """
 
 from __future__ import annotations
@@ -128,53 +128,3 @@ def gauss_seidel_sweeps(
             for lattice in colour:
                 np.divide(t[lattice], diag, out=u[lattice])
     return u
-
-
-def laplacian_periodic(field: np.ndarray, spacing) -> np.ndarray:
-    """7-point periodic Laplacian of ``field`` with per-axis spacings."""
-    field = np.ascontiguousarray(field, dtype=float)
-    out, t, w = (np.empty(field.shape) for _ in range(3))
-    return laplacian_into(field, squared_spacings(spacing)[0], out, t, w)
-
-
-def laplacian_diagonal(spacing) -> float:
-    """The diagonal coefficient of the 7-point Laplacian."""
-    return float(-2.0 * np.sum(squared_spacings(spacing)[1]))
-
-
-def jacobi_smooth(
-    field: np.ndarray,
-    rhs: np.ndarray,
-    spacing,
-    sweeps: int = 2,
-    omega: float = 0.8,
-) -> np.ndarray:
-    """Damped-Jacobi smoothing for ``∇²u = rhs``."""
-    diag = laplacian_diagonal(spacing)
-    u = field
-    for _ in range(sweeps):
-        u = u + omega * residual(u, rhs, spacing) / diag
-    return u
-
-
-def redblack_gauss_seidel(
-    field: np.ndarray,
-    rhs: np.ndarray,
-    spacing,
-    sweeps: int = 2,
-) -> np.ndarray:
-    """Red-black Gauss–Seidel smoothing; returns the smoothed copy."""
-    u = np.array(field, dtype=float, order="C")
-    t, w = np.empty(u.shape), np.empty(u.shape)
-    return gauss_seidel_sweeps(
-        u, rhs, squared_spacings(spacing)[1], sweeps, t, w
-    )
-
-
-def residual(field: np.ndarray, rhs: np.ndarray, spacing) -> np.ndarray:
-    """r = rhs - ∇²u."""
-    field = np.ascontiguousarray(field, dtype=float)
-    out, t, w = (np.empty(field.shape) for _ in range(3))
-    return residual_into(
-        field, rhs, squared_spacings(spacing)[0], out, t, w
-    )

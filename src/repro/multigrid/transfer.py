@@ -5,8 +5,7 @@ Both are separable, one axis at a time, and touch only the points a later
 axis still needs: restriction decimates as it goes (the second axis sees
 half the field, the third a quarter), prolongation widens the coarse field
 one axis at a time (a quarter, half, then all of the fine field).  The
-``*_into`` kernels write into buffers the caller owns; the allocating
-public helpers call them.
+``*_into`` kernels write into buffers the caller owns.
 """
 
 from __future__ import annotations
@@ -87,26 +86,3 @@ def prolong_into(
     _prolong_axis(one, 1, two)
     _prolong_axis(two, 2, out)
     return out
-
-
-def full_weighting_restrict(fine: np.ndarray) -> np.ndarray:
-    """Restrict a fine field to the coarse grid (half the points per axis).
-
-    Full weighting: the coarse value is the 27-point average with trilinear
-    weights (separable [1/4, 1/2, 1/4] per axis).
-    """
-    fine = np.asarray(fine, dtype=float)
-    out = np.empty(tuple(n // 2 for n in fine.shape))
-    return restrict_into(fine, out, np.empty(fine.size))
-
-
-def trilinear_prolong(coarse: np.ndarray) -> np.ndarray:
-    """Prolongate a coarse field to the doubled grid by trilinear interpolation.
-
-    The adjoint (up to scaling) of :func:`full_weighting_restrict`.
-    """
-    coarse = np.asarray(coarse)
-    out = np.empty(tuple(2 * n for n in coarse.shape), dtype=coarse.dtype)
-    return prolong_into(
-        coarse, out, np.empty(6 * coarse.size, dtype=coarse.dtype)
-    )

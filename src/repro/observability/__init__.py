@@ -4,8 +4,8 @@ The subsystem has four layers, all usable independently but designed to be
 consumed together through the :class:`Instrumentation` facade:
 
 * :mod:`repro.observability.tracer` — nested wall-clock *spans* (a span is a
-  named, attributed interval), exportable as a flat table or as Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
+  named, attributed interval), exportable as Chrome ``trace_event`` JSON
+  for ``chrome://tracing`` / Perfetto;
 * :mod:`repro.observability.metrics` — a registry of labeled counters,
   gauges, histograms, and time-ordered series (e.g. the per-iteration SCF
   residual), with JSON/CSV snapshot export;

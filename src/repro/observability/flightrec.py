@@ -120,10 +120,6 @@ class FlightRecorder:
         """Ring contents, oldest first."""
         return list(self._events)
 
-    def recent_metrics(self) -> list[dict[str, Any]]:
-        """Latest sample per metric key, least-recently-sampled first."""
-        return list(self._metrics.values())
-
     # -- the post-mortem dump -------------------------------------------------
 
     def dump(self, reason: str, trigger=None, path=None) -> pathlib.Path | None:

@@ -498,9 +498,6 @@ class HealthMonitor:
     def failures(self) -> list[HealthRecord]:
         return [r for r in self.records if r.status == STATUS_FAIL]
 
-    def warnings(self) -> list[HealthRecord]:
-        return [r for r in self.records if r.status == STATUS_WARN]
-
     def summary(self) -> dict[str, dict[str, int]]:
         """``{invariant: {ok: n, warn: n, fail: n}}`` over all evaluations."""
         out: dict[str, dict[str, int]] = {}

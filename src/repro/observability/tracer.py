@@ -7,12 +7,9 @@ path (``scf.run/scf.iteration/scf.eigensolve``).  Timestamps come from the
 injectable :class:`~repro.util.timer.WallClock`, so tests can drive a fake
 clock deterministically.
 
-Export targets:
-
-* :meth:`SpanTracer.spans_table` — a flat list of dicts (one row per span);
-* :meth:`SpanTracer.to_chrome_trace` — the Chrome ``trace_event`` JSON
-  object format (complete ``"X"`` events, microsecond units) that loads
-  directly in ``chrome://tracing`` and Perfetto.
+Export target: :meth:`SpanTracer.to_chrome_trace` — the Chrome
+``trace_event`` JSON object format (complete ``"X"`` events, microsecond
+units) that loads directly in ``chrome://tracing`` and Perfetto.
 
 Single-threaded by contract: the engine runs on one thread, so the tracer
 holds no lock and no per-thread state.
@@ -131,21 +128,6 @@ class SpanTracer:
         """
         return list(self._stack)
 
-    def spans_table(self) -> list[dict[str, Any]]:
-        """Flat table: one dict per finished span, JSON-serializable."""
-        return [
-            {
-                "name": s.name,
-                "path": s.path,
-                "category": s.category,
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "duration": s.duration,
-                "attrs": s.attrs,
-            }
-            for s in self.spans()
-        ]
-
     # -- chrome trace export ------------------------------------------------
 
     def chrome_events(self, pid: int = TRACE_PID) -> list[dict[str, Any]]:
@@ -242,4 +224,3 @@ def _json_safe(obj: Any) -> Any:
     if hasattr(obj, "item"):  # numpy scalars
         return obj.item()
     return str(obj)
-

@@ -104,14 +104,6 @@ class MachineSpec:
             threads_per_core, locality
         )
 
-    def time_for_flops(
-        self, flops: float, cores: int, threads_per_core: int = None
-    ) -> float:
-        """Seconds to execute ``flops`` spread over ``cores`` cores."""
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        return flops / (cores * self.effective_core_flops(threads_per_core))
-
 
 #: IBM Blue Gene/Q node: PowerPC A2, 16 cores @ 1.6 GHz, QPX 4-wide FMA
 #: → 204.8 GFLOP/s peak per node; 10 torus links at 2 GB/s each (Sec. 4.1).
@@ -133,7 +125,6 @@ BLUE_GENE_Q = MachineSpec(
 #: Mira = 48 racks × 1,024 nodes of Blue Gene/Q (Sec. 4.1).
 MIRA = BLUE_GENE_Q
 MIRA_NODES_PER_RACK = 1024
-MIRA_RACKS = 48
 
 #: Dual Intel Xeon E5-2665 (Sandy Bridge-EP): 2 × 8 cores; with turbo the
 #: paper quotes 198 GFLOP/s per chip → 396 GFLOP/s per node (Sec. 5.4).
@@ -151,8 +142,3 @@ XEON_E5_2665 = MachineSpec(
     simd_efficiency=0.55,
     watts_per_node=230.0,
 )
-
-
-def mira_cores(racks: int = MIRA_RACKS) -> int:
-    """Core count of a Mira partition (48 racks = 786,432 cores)."""
-    return racks * MIRA_NODES_PER_RACK * BLUE_GENE_Q.cores_per_node

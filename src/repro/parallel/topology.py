@@ -17,60 +17,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TorusTopology:
-    """A d-dimensional torus with per-link bandwidth/latency.
+    """Per-link bandwidth/latency costs of torus collectives.
 
     Blue Gene/Q uses a 5-D torus (Sec. 4.1); Mira's full machine is
-    (16, 16, 16, 12, 2) across 96k nodes.
+    (16, 16, 16, 12, 2) across 96k nodes.  The primitives below depend on
+    the rank count and the link parameters, not on the torus shape.
     """
 
-    dims: tuple[int, ...]
     link_bandwidth: float = 2.0e9
     link_latency: float = 1.5e-6
 
-    @property
-    def nnodes(self) -> int:
-        return int(np.prod(self.dims))
-
-    # -- coordinates -----------------------------------------------------------
-
-    def coordinates(self, rank: int) -> tuple[int, ...]:
-        """Rank → torus coordinates (row-major)."""
-        if not 0 <= rank < self.nnodes:
-            raise ValueError(f"rank {rank} outside torus of {self.nnodes}")
-        coords = []
-        for d in reversed(self.dims):
-            coords.append(rank % d)
-            rank //= d
-        return tuple(reversed(coords))
-
-    def hops(self, a: int, b: int) -> int:
-        """Minimal wrap-around Manhattan distance between two ranks."""
-        ca, cb = self.coordinates(a), self.coordinates(b)
-        total = 0
-        for x, y, d in zip(ca, cb, self.dims):
-            delta = abs(x - y)
-            total += min(delta, d - delta)
-        return total
-
-    def max_hops(self) -> int:
-        """Network diameter."""
-        return int(sum(d // 2 for d in self.dims))
-
     # -- primitive costs ----------------------------------------------------------
-
-    def p2p_time(self, nbytes: float, hops: int = 1) -> float:
-        """Point-to-point message time (store-and-forward latency per hop,
-        single payload transfer)."""
-        if hops < 1:
-            hops = 1
-        return hops * self.link_latency + nbytes / self.link_bandwidth
-
-    def allreduce_time(self, nbytes: float, nranks: int) -> float:
-        """Tree allreduce: reduce + broadcast, log₂ depth."""
-        if nranks <= 1:
-            return 0.0
-        depth = int(np.ceil(np.log2(nranks)))
-        return 2.0 * depth * (self.link_latency + nbytes / self.link_bandwidth)
 
     def broadcast_time(self, nbytes: float, nranks: int) -> float:
         if nranks <= 1:
@@ -98,19 +55,6 @@ class TorusTopology:
         return concurrent * self.link_latency + (
             nfaces * nbytes_per_face / (2.0 * self.link_bandwidth)
         )
-
-
-def torus_for(nnodes: int) -> TorusTopology:
-    """A reasonable 5-D torus for the given node count (powers of 2 split)."""
-    dims = [1, 1, 1, 1, 2] if nnodes > 1 else [1, 1, 1, 1, 1]
-    axis = 0
-    remaining = nnodes // dims[-1] if nnodes > 1 else 1
-    while remaining > 1:
-        factor = 2 if remaining % 2 == 0 else remaining
-        dims[axis % 4] *= factor
-        remaining //= factor
-        axis += 1
-    return TorusTopology(tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -144,12 +88,3 @@ class TreeTopology:
     def vcycle_time(self, leaf_bytes: float, nleaves: int) -> float:
         """Down+up traversal (one multigrid V-cycle's communication)."""
         return 2.0 * self.sweep_time(leaf_bytes, nleaves)
-
-    def total_volume(self, leaf_bytes: float, nleaves: int) -> float:
-        """Total bytes moved in one sweep — bounded by leaf_bytes·b/(b-1)."""
-        d = self.depth(nleaves)
-        vol, total = leaf_bytes, 0.0
-        for _ in range(d):
-            total += vol
-            vol /= self.branching
-        return total

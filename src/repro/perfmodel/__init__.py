@@ -6,9 +6,8 @@
   (SIMD fraction × instruction issue × parallel dilution).
 * :mod:`repro.perfmodel.scaling` — weak- (Fig. 5) and strong- (Fig. 6)
   scaling wall-clock composition on the virtual Blue Gene/Q.
-* :mod:`repro.perfmodel.metrics` — time-to-solution metrics
-  (atom·iteration/s, parallel efficiency, %peak) and the prior-art
-  comparison of Sec. 2.
+* :mod:`repro.perfmodel.metrics` — the time-to-solution metric
+  (atom·iteration/s) and the prior-art comparison of Sec. 2.
 """
 
 from repro.perfmodel.flops import (
@@ -17,7 +16,6 @@ from repro.perfmodel.flops import (
     fft_flops,
     gemm_flops,
     multigrid_vcycle_flops,
-    qmd_step_flops,
     staged_fft_flops,
 )
 from repro.perfmodel.threading import flops_table, rack_table
@@ -26,9 +24,6 @@ from repro.perfmodel.campaign import CampaignSpec, PAPER_PRODUCTION, plan_campai
 from repro.perfmodel.metrics import (
     PRIOR_ART,
     atom_iterations_per_second,
-    parallel_efficiency_strong,
-    parallel_efficiency_weak,
-    percent_of_peak,
     speedup_over,
 )
 
@@ -39,15 +34,11 @@ __all__ = [
     "gemm_flops",
     "domain_scf_flops",
     "multigrid_vcycle_flops",
-    "qmd_step_flops",
     "flops_table",
     "rack_table",
     "WeakScalingModel",
     "StrongScalingModel",
     "atom_iterations_per_second",
-    "parallel_efficiency_weak",
-    "parallel_efficiency_strong",
-    "percent_of_peak",
     "speedup_over",
     "PRIOR_ART",
     "CampaignSpec",

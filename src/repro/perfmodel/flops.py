@@ -102,30 +102,6 @@ def multigrid_vcycle_flops(finest_points: int, sweeps: int = 4) -> float:
     return stencil_flops(finest_points) * sweeps * 8.0 / 7.0
 
 
-def qmd_step_flops(
-    ndomains: int,
-    npw: int,
-    nband: int,
-    grid_points: int,
-    nproj: int,
-    scf_iterations: int = 3,
-    cg_iterations: int = 3,
-    global_grid_points: int | None = None,
-) -> float:
-    """Total FLOPs of one QMD step of the full LDC-DFT system.
-
-    Matches the Fig. 5 benchmark protocol: ``scf_iterations`` SCF cycles,
-    each with ``cg_iterations`` CG refinements per wave function, plus one
-    global multigrid solve per SCF cycle.
-    """
-    per_domain = domain_scf_flops(
-        npw, nband, grid_points, nproj, cg_iterations
-    ).total
-    global_pts = global_grid_points or ndomains * grid_points
-    per_scf = ndomains * per_domain + multigrid_vcycle_flops(global_pts)
-    return scf_iterations * per_scf
-
-
 def sic_domain_parameters(
     atoms_per_domain: int = 64, ecut: float = 25.0, buffer_ratio: float = 0.5
 ) -> dict[str, float]:

@@ -49,27 +49,3 @@ def atom_iterations_per_second(natoms: int, iterations: float, seconds: float) -
 def speedup_over(metric: float, reference: PriorArt) -> float:
     """How many times faster than a prior-art reference."""
     return metric / reference.atom_iterations_per_second
-
-
-def percent_of_peak(achieved_flops: float, peak_flops: float) -> float:
-    if peak_flops <= 0:
-        raise ValueError("peak must be positive")
-    return 100.0 * achieved_flops / peak_flops
-
-
-def parallel_efficiency_weak(
-    time_base: float, time_scaled: float
-) -> float:
-    """Weak scaling: efficiency = T(P₀)/T(P) at constant work per core."""
-    if time_base <= 0 or time_scaled <= 0:
-        raise ValueError("times must be positive")
-    return time_base / time_scaled
-
-
-def parallel_efficiency_strong(
-    time_base: float, cores_base: int, time_scaled: float, cores_scaled: int
-) -> float:
-    """Strong scaling: efficiency = (T₀·P₀)/(T·P) at constant problem size."""
-    if min(time_base, time_scaled) <= 0 or min(cores_base, cores_scaled) <= 0:
-        raise ValueError("inputs must be positive")
-    return (time_base * cores_base) / (time_scaled * cores_scaled)

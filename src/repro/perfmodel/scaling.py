@@ -94,11 +94,8 @@ class WeakScalingModel:
         t_domain = (
             self.domain_time_calibration * self.scf_per_step * flops / core_rate
         )
-        nodes = max(1, cores // self.machine.cores_per_node)
         torus = TorusTopology(
-            (max(nodes, 1),),
-            self.machine.link_bandwidth,
-            self.machine.link_latency,
+            self.machine.link_bandwidth, self.machine.link_latency
         )
         t_halo = self.scf_per_step * torus.halo_exchange_time(self.halo_bytes)
         tree = TreeTopology(
@@ -184,9 +181,7 @@ class StrongScalingModel:
         t_domain = self.scf_per_step * flops / (core_rate * cores_per_domain)
 
         torus = TorusTopology(
-            (max(cores // self.machine.cores_per_node, 1),),
-            self.machine.link_bandwidth,
-            self.machine.link_latency,
+            self.machine.link_bandwidth, self.machine.link_latency
         )
         # band↔space all-to-alls within the domain group, per CG iteration
         slab_bytes = 16.0 * params["npw"] * params["nband"] / max(

@@ -12,14 +12,14 @@ surrogate with the *same observables* (DESIGN.md §2):
   sites with the paper's activation energies (water dissociation at a
   Li-Al pair: 0.068 eV; pure Al: ≈ 0.4 eV), Li dissolution → pH rise →
   oxide-passivation inhibition (the autocatalytic yield mechanism).
-* :mod:`repro.reactive.analysis` — Arrhenius fits, rates with error bars,
-  pH proxy.
+* :mod:`repro.reactive.analysis` — Arrhenius fits and rates with error
+  bars.
 """
 
 from repro.reactive.potential import ReactiveForceField
 from repro.reactive.sites import surface_atoms, lewis_pairs, SiteCensus
 from repro.reactive.kmc import KMCOptions, KMCResult, run_kmc
-from repro.reactive.analysis import arrhenius_fit, ph_from_hydroxide, production_rate
+from repro.reactive.analysis import arrhenius_fit, production_rate
 
 __all__ = [
     "ReactiveForceField",
@@ -30,6 +30,5 @@ __all__ = [
     "KMCResult",
     "run_kmc",
     "arrhenius_fit",
-    "ph_from_hydroxide",
     "production_rate",
 ]

@@ -1,4 +1,4 @@
-"""Kinetic analysis: Arrhenius fits, rates with error bars, and the pH proxy."""
+"""Kinetic analysis: Arrhenius fits and rates with error bars."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import AVOGADRO, BOHR_TO_METER, KB_EV
+from repro.constants import KB_EV
 
 
 @dataclass
@@ -74,19 +74,3 @@ def rate_with_error(results) -> tuple[float, float]:
         return 0.0, 0.0
     err = rates.std(ddof=1) / np.sqrt(rates.size) if rates.size > 1 else 0.0
     return float(rates.mean()), float(err)
-
-
-def ph_from_hydroxide(n_hydroxide: int, volume_bohr3: float) -> float:
-    """pH proxy from an explicit OH⁻ count in a given volume.
-
-    Converts to mol/L and uses pOH = -log₁₀[OH⁻]; returns 7 for zero count
-    (neutral water autoionization dominates).
-    """
-    if volume_bohr3 <= 0:
-        raise ValueError("volume must be positive")
-    if n_hydroxide <= 0:
-        return 7.0
-    liters = volume_bohr3 * BOHR_TO_METER**3 * 1e3
-    moles = n_hydroxide / AVOGADRO
-    conc = moles / liters
-    return float(14.0 + np.log10(conc)) if conc < 1.0 else 14.0

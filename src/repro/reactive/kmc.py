@@ -99,14 +99,6 @@ class KMCResult:
             return 0.0
         return self.total_h2 / self.final_time
 
-    def rate_per_pair(self) -> float:
-        """The paper's Fig. 9(a) normalization (per LiAl pair)."""
-        return self.production_rate() / max(self.n_pairs, 1)
-
-    def rate_per_surface_atom(self) -> float:
-        """The paper's Fig. 9(b) normalization (per surface atom)."""
-        return self.production_rate() / max(self.n_surface, 1)
-
 
 def _site_graph(census: SiteCensus, positions: np.ndarray, cell: np.ndarray,
                 cutoff: float = 7.0) -> list[list[int]]:

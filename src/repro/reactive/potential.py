@@ -180,15 +180,6 @@ class ReactiveForceField:
     def energy(self, config: Configuration) -> float:
         return self.energy_forces(config)[0]
 
-    def as_md_engine(self):
-        """Adapter with the integrator's ``(forces, energy)`` convention."""
-
-        def forces_fn(config: Configuration):
-            e, f = self.energy_forces(config)
-            return f, e
-
-        return forces_fn
-
 
 def _morse(r: np.ndarray, p: MorseParams) -> tuple[np.ndarray, np.ndarray]:
     """Morse energy and dE/dr."""

@@ -97,17 +97,6 @@ class Configuration:
         dr = np.asarray(dr, dtype=float)
         return dr - self.cell * np.round(dr / self.cell)
 
-    def distance(self, i: int, j: int) -> float:
-        """Minimum-image distance between atoms ``i`` and ``j``."""
-        dr = self.minimum_image(self.positions[j] - self.positions[i])
-        return float(np.linalg.norm(dr))
-
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs minimum-image distances; O(N²), for small systems only."""
-        diff = self.positions[None, :, :] - self.positions[:, None, :]
-        diff = diff - self.cell * np.round(diff / self.cell)
-        return np.linalg.norm(diff, axis=-1)
-
     # -- editing ------------------------------------------------------------
 
     def copy(self) -> "Configuration":
@@ -117,12 +106,6 @@ class Configuration:
             self.cell.copy(),
             None if self.velocities is None else self.velocities.copy(),
         )
-
-    def translated(self, shift: np.ndarray) -> "Configuration":
-        """A copy rigidly translated by ``shift`` (periodically wrapped)."""
-        out = self.copy()
-        out.positions = np.mod(out.positions + np.asarray(shift, float), out.cell)
-        return out
 
     def select(self, indices) -> "Configuration":
         """Sub-configuration with the given atom indices (velocities kept)."""

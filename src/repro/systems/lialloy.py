@@ -86,9 +86,3 @@ def lial_nanoparticle(
         cell = np.asarray(cell, dtype=float)
     center = cell / 2.0
     return Configuration(symbols, positions + center, cell)
-
-
-def particle_radius(particle: Configuration) -> float:
-    """Radius of the particle: max distance of an atom from the centroid."""
-    centroid = particle.positions.mean(axis=0)
-    return float(np.max(np.linalg.norm(particle.positions - centroid, axis=1)))

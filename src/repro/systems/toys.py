@@ -1,4 +1,4 @@
-"""Tiny synthetic systems used throughout the test-suite and examples."""
+"""The dimer: the smallest system the examples, benchmarks and tests build."""
 
 from __future__ import annotations
 
@@ -19,44 +19,3 @@ def dimer(
     return Configuration(
         [symbol_a, symbol_b], np.array([center - half, center + half]), cell
     )
-
-
-def simple_cubic_crystal(
-    symbol: str, repeats: tuple[int, int, int], lattice_constant: float
-) -> Configuration:
-    """Single-species simple-cubic crystal."""
-    nx, ny, nz = repeats
-    pts = np.array(
-        [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)],
-        dtype=float,
-    ) * lattice_constant
-    cell = np.array([nx, ny, nz], dtype=float) * lattice_constant
-    return Configuration([symbol] * len(pts), pts, cell)
-
-
-def random_gas(
-    symbols: list[str],
-    cell_edge: float,
-    min_separation: float = 2.5,
-    seed: int = 0,
-) -> Configuration:
-    """Random non-overlapping placement of the given atoms in a cubic box."""
-    rng = np.random.default_rng(seed)
-    cell = np.array([cell_edge] * 3)
-    positions: list[np.ndarray] = []
-    for _symbol in symbols:
-        for _attempt in range(2000):
-            trial = rng.uniform(0.0, cell_edge, size=3)
-            ok = True
-            for p in positions:
-                d = trial - p
-                d -= cell * np.round(d / cell)
-                if np.linalg.norm(d) < min_separation:
-                    ok = False
-                    break
-            if ok:
-                positions.append(trial)
-                break
-        else:
-            raise ValueError("could not place atoms without overlap")
-    return Configuration(list(symbols), np.array(positions), cell)

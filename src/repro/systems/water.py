@@ -1,4 +1,4 @@
-"""Water molecule and water-box builders (the solvent substrate of Sec. 6)."""
+"""The water molecule (the solvent substrate of Sec. 6)."""
 
 from __future__ import annotations
 
@@ -21,99 +21,3 @@ def water_molecule(center=(0.0, 0.0, 0.0), cell=(20.0, 20.0, 20.0)) -> Configura
     h1 = c + OH_BOND * np.array([np.sin(half), np.cos(half), 0.0])
     h2 = c + OH_BOND * np.array([-np.sin(half), np.cos(half), 0.0])
     return Configuration(["O", "H", "H"], np.array([c, h1, h2]), np.asarray(cell, float))
-
-
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix (QR of a Gaussian matrix, sign-fixed)."""
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def water_box(
-    n_molecules: int,
-    density_factor: float = 1.0,
-    seed: int = 0,
-    exclusion_centers: np.ndarray | None = None,
-    exclusion_radius: float = 0.0,
-    cell: np.ndarray | None = None,
-) -> Configuration:
-    """Fill a periodic box with randomly oriented water molecules on a jittered
-    lattice.
-
-    Parameters
-    ----------
-    n_molecules:
-        Number of H₂O molecules.
-    density_factor:
-        1.0 gives roughly liquid-water number density
-        (0.0334 molecules/Å³ ≈ 4.95e-3 molecules/Bohr³).
-    seed:
-        RNG seed.
-    exclusion_centers, exclusion_radius:
-        Optional spherical exclusion zones (e.g. around a nanoparticle):
-        lattice sites within ``exclusion_radius`` of any center are skipped.
-    cell:
-        Explicit box; if omitted, a cube sized from the density is used.
-    """
-    if n_molecules < 1:
-        raise ValueError("n_molecules must be >= 1")
-    rng = np.random.default_rng(seed)
-    number_density = 4.95e-3 * density_factor  # molecules per Bohr^3
-    if cell is None:
-        volume = n_molecules / number_density
-        edge = volume ** (1.0 / 3.0)
-        cell = np.array([edge, edge, edge])
-    else:
-        cell = np.asarray(cell, dtype=float)
-
-    # Jittered-lattice placement: enough sites for n_molecules + exclusions.
-    grid = 1
-    while True:
-        sites = _lattice_sites(grid, cell)
-        if exclusion_centers is not None and exclusion_radius > 0:
-            keep = np.ones(len(sites), dtype=bool)
-            for c in np.atleast_2d(exclusion_centers):
-                diff = sites - c
-                diff -= cell * np.round(diff / cell)
-                keep &= np.linalg.norm(diff, axis=1) > exclusion_radius
-            sites = sites[keep]
-        if len(sites) >= n_molecules:
-            break
-        grid += 1
-        if grid > 64:
-            raise ValueError("cannot place requested molecules in the box")
-
-    chosen = sites[rng.choice(len(sites), size=n_molecules, replace=False)]
-    spacing = np.min(cell) / grid
-    jitter = 0.1 * spacing
-
-    symbols: list[str] = []
-    positions: list[np.ndarray] = []
-    template = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            OH_BOND * np.array([np.sin(HOH_ANGLE / 2), np.cos(HOH_ANGLE / 2), 0.0]),
-            OH_BOND * np.array([-np.sin(HOH_ANGLE / 2), np.cos(HOH_ANGLE / 2), 0.0]),
-        ]
-    )
-    for site in chosen:
-        rot = _random_rotation(rng)
-        mol = template @ rot.T + site + rng.uniform(-jitter, jitter, size=3)
-        symbols.extend(["O", "H", "H"])
-        positions.append(mol)
-    config = Configuration(symbols, np.vstack(positions), cell)
-    config.wrap()
-    return config
-
-
-def _lattice_sites(grid: int, cell: np.ndarray) -> np.ndarray:
-    """Simple-cubic lattice of ``grid**3`` sites centered in their voxels."""
-    fracs = (np.arange(grid) + 0.5) / grid
-    pts = np.array(
-        [(x, y, z) for x in fracs for y in fracs for z in fracs], dtype=float
-    )
-    return pts * cell

@@ -1,10 +1,10 @@
-"""Shared utilities: the wall clock and linear-algebra wrappers."""
+"""Shared utilities: the wall clock, the BLAS2/BLAS3 projector paths and
+the one Cholesky and one Löwdin orthonormalization."""
 
 from repro.util.timer import WallClock
 from repro.util.linalg import (
     apply_projectors_blas2,
     apply_projectors_blas3,
-    blocked_gram,
     cholesky_orthonormalize,
     lowdin_orthonormalize,
 )
@@ -13,7 +13,6 @@ __all__ = [
     "WallClock",
     "apply_projectors_blas2",
     "apply_projectors_blas3",
-    "blocked_gram",
     "cholesky_orthonormalize",
     "lowdin_orthonormalize",
 ]

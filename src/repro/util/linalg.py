@@ -53,35 +53,6 @@ def apply_projectors_blas3(
     return projectors @ (coeffs @ overlaps)  # two more GEMMs
 
 
-def blocked_gram(psi: np.ndarray, block: int = 64, weights=None) -> np.ndarray:
-    """Overlap (Gram) matrix ``S = Ψ^H Ψ`` computed in column blocks.
-
-    Blocking mirrors the reciprocal-space decomposition used for the
-    distributed overlap-matrix construction in Sec. 3.3: each block of rows
-    of ``Ψ`` (a slab of reciprocal-space grid points) contributes a partial
-    sum, and the partial sums are reduced.
-
-    Parameters
-    ----------
-    psi:
-        ``(npw, nband)`` wave-function matrix.
-    block:
-        Row-block size (number of plane waves per slab).
-    weights:
-        Optional per-row real weights (e.g. a partition-of-unity restriction).
-    """
-    npw, nband = psi.shape
-    s = np.zeros((nband, nband), dtype=psi.dtype)
-    for start in range(0, npw, block):
-        slab = psi[start : start + block]
-        if weights is not None:
-            w = np.asarray(weights)[start : start + block]
-            s += slab.conj().T @ (w[:, None] * slab)
-        else:
-            s += slab.conj().T @ slab
-    return s
-
-
 def cholesky_orthonormalize(
     psi: np.ndarray,
     out: np.ndarray | None = None,
@@ -112,13 +83,15 @@ def cholesky_orthonormalize(
 
 
 def lowdin_orthonormalize(psi: np.ndarray) -> np.ndarray:
-    """Symmetric (Löwdin) orthonormalization ``Ψ S^{-1/2}``.
+    """Symmetric (Löwdin) orthonormalization ``ψ (ψ†ψ)^{-1/2}``.
 
-    More expensive than Cholesky but unconditionally stable; used as the
-    fallback and in tests as an independent reference.
+    The unique orthonormal block closest to ``psi`` in Frobenius norm:
+    more expensive than Cholesky but unconditionally stable, so it is
+    :func:`cholesky_orthonormalize`'s fallback and the gauge-respecting
+    repair of an ASPC-predicted block (:mod:`repro.md.extrapolate`).
     """
-    s = psi.conj().T @ psi
-    evals, evecs = np.linalg.eigh(s)
-    evals = np.clip(evals, 1e-14, None)
-    s_inv_half = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
-    return psi @ s_inv_half
+    overlap = psi.conj().T @ psi
+    evals, evecs = np.linalg.eigh(overlap)
+    evals = np.clip(evals.real, 1e-14, None)
+    inv_sqrt = (evecs * (evals ** -0.5)) @ evecs.conj().T
+    return psi @ inv_sqrt

@@ -1,0 +1,173 @@
+"""Fixture builders the tests share: random gases, simple-cubic crystals,
+water boxes, a nanoparticle's radius, and pair distances and rigid
+translations of a :class:`~repro.systems.Configuration`."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.systems.configuration import Configuration
+from repro.systems.water import HOH_ANGLE, OH_BOND
+
+
+def simple_cubic_crystal(
+    symbol: str, repeats: tuple[int, int, int], lattice_constant: float
+) -> Configuration:
+    """Single-species simple-cubic crystal."""
+    nx, ny, nz = repeats
+    pts = np.array(
+        [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)],
+        dtype=float,
+    ) * lattice_constant
+    cell = np.array([nx, ny, nz], dtype=float) * lattice_constant
+    return Configuration([symbol] * len(pts), pts, cell)
+
+
+def random_gas(
+    symbols: list[str],
+    cell_edge: float,
+    min_separation: float = 2.5,
+    seed: int = 0,
+) -> Configuration:
+    """Random non-overlapping placement of the given atoms in a cubic box."""
+    rng = np.random.default_rng(seed)
+    cell = np.array([cell_edge] * 3)
+    positions: list[np.ndarray] = []
+    for _symbol in symbols:
+        for _attempt in range(2000):
+            trial = rng.uniform(0.0, cell_edge, size=3)
+            ok = True
+            for p in positions:
+                d = trial - p
+                d -= cell * np.round(d / cell)
+                if np.linalg.norm(d) < min_separation:
+                    ok = False
+                    break
+            if ok:
+                positions.append(trial)
+                break
+        else:
+            raise ValueError("could not place atoms without overlap")
+    return Configuration(list(symbols), np.array(positions), cell)
+
+
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random rotation matrix (QR of a Gaussian matrix, sign-fixed)."""
+    m = rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(m)
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def water_box(
+    n_molecules: int,
+    density_factor: float = 1.0,
+    seed: int = 0,
+    exclusion_centers: np.ndarray | None = None,
+    exclusion_radius: float = 0.0,
+    cell: np.ndarray | None = None,
+) -> Configuration:
+    """Fill a periodic box with randomly oriented water molecules on a jittered
+    lattice.
+
+    Parameters
+    ----------
+    n_molecules:
+        Number of H₂O molecules.
+    density_factor:
+        1.0 gives roughly liquid-water number density
+        (0.0334 molecules/Å³ ≈ 4.95e-3 molecules/Bohr³).
+    seed:
+        RNG seed.
+    exclusion_centers, exclusion_radius:
+        Optional spherical exclusion zones (e.g. around a nanoparticle):
+        lattice sites within ``exclusion_radius`` of any center are skipped.
+    cell:
+        Explicit box; if omitted, a cube sized from the density is used.
+    """
+    if n_molecules < 1:
+        raise ValueError("n_molecules must be >= 1")
+    rng = np.random.default_rng(seed)
+    number_density = 4.95e-3 * density_factor  # molecules per Bohr^3
+    if cell is None:
+        volume = n_molecules / number_density
+        edge = volume ** (1.0 / 3.0)
+        cell = np.array([edge, edge, edge])
+    else:
+        cell = np.asarray(cell, dtype=float)
+
+    # Jittered-lattice placement: enough sites for n_molecules + exclusions.
+    grid = 1
+    while True:
+        sites = _lattice_sites(grid, cell)
+        if exclusion_centers is not None and exclusion_radius > 0:
+            keep = np.ones(len(sites), dtype=bool)
+            for c in np.atleast_2d(exclusion_centers):
+                diff = sites - c
+                diff -= cell * np.round(diff / cell)
+                keep &= np.linalg.norm(diff, axis=1) > exclusion_radius
+            sites = sites[keep]
+        if len(sites) >= n_molecules:
+            break
+        grid += 1
+        if grid > 64:
+            raise ValueError("cannot place requested molecules in the box")
+
+    chosen = sites[rng.choice(len(sites), size=n_molecules, replace=False)]
+    spacing = np.min(cell) / grid
+    jitter = 0.1 * spacing
+
+    symbols: list[str] = []
+    positions: list[np.ndarray] = []
+    template = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            OH_BOND * np.array([np.sin(HOH_ANGLE / 2), np.cos(HOH_ANGLE / 2), 0.0]),
+            OH_BOND * np.array([-np.sin(HOH_ANGLE / 2), np.cos(HOH_ANGLE / 2), 0.0]),
+        ]
+    )
+    for site in chosen:
+        rot = _random_rotation(rng)
+        mol = template @ rot.T + site + rng.uniform(-jitter, jitter, size=3)
+        symbols.extend(["O", "H", "H"])
+        positions.append(mol)
+    config = Configuration(symbols, np.vstack(positions), cell)
+    config.wrap()
+    return config
+
+
+def _lattice_sites(grid: int, cell: np.ndarray) -> np.ndarray:
+    """Simple-cubic lattice of ``grid**3`` sites centered in their voxels."""
+    fracs = (np.arange(grid) + 0.5) / grid
+    pts = np.array(
+        [(x, y, z) for x in fracs for y in fracs for z in fracs], dtype=float
+    )
+    return pts * cell
+
+
+def particle_radius(particle: Configuration) -> float:
+    """Radius of the particle: max distance of an atom from the centroid."""
+    centroid = particle.positions.mean(axis=0)
+    return float(np.max(np.linalg.norm(particle.positions - centroid, axis=1)))
+
+
+def distance(config: Configuration, i: int, j: int) -> float:
+    """Minimum-image distance between atoms ``i`` and ``j``."""
+    dr = config.minimum_image(config.positions[j] - config.positions[i])
+    return float(np.linalg.norm(dr))
+
+
+def distance_matrix(config: Configuration) -> np.ndarray:
+    """All-pairs minimum-image distances; O(N²), for small systems only."""
+    diff = config.positions[None, :, :] - config.positions[:, None, :]
+    diff = diff - config.cell * np.round(diff / config.cell)
+    return np.linalg.norm(diff, axis=-1)
+
+
+def translated(config: Configuration, shift) -> Configuration:
+    """A copy rigidly translated by ``shift`` (periodically wrapped)."""
+    out = config.copy()
+    out.positions = np.mod(out.positions + np.asarray(shift, float), out.cell)
+    return out

@@ -8,14 +8,22 @@ import pathlib
 
 import pytest
 
-from repro.analysis import check_file, run_paths, unsuppressed
+from repro.analysis import run_paths, unsuppressed
 from repro.analysis.engine import PARSE_ERROR_RULE, FileContext
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
 
 
 def rules_in(path) -> list[str]:
-    return [f.rule for f in unsuppressed(check_file(path))]
+    return [f.rule for f in unsuppressed(run_paths([path]))]
+
+
+def lint(tmp_path, source, name="inline.py"):
+    """Every finding of the full suite on ``source`` saved as ``name``."""
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return run_paths([path])
 
 
 @pytest.mark.parametrize("rule", ["RP001", "RP002", "RP003", "RP004",
@@ -26,20 +34,20 @@ def test_each_rule_detects_its_bad_fixture(rule):
 
 
 def test_rp001_flags_both_patterns():
-    findings = unsuppressed(check_file(FIXTURES / "bad_rp001.py"))
+    findings = unsuppressed(run_paths([FIXTURES / "bad_rp001.py"]))
     messages = " | ".join(f.message for f in findings)
     assert "without explicit dtype=" in messages
     assert "integer-dtype array" in messages
 
 
 def test_rp002_flags_augassign_and_subscript_store():
-    findings = unsuppressed(check_file(FIXTURES / "bad_rp002.py"))
+    findings = unsuppressed(run_paths([FIXTURES / "bad_rp002.py"]))
     assert len(findings) == 3  # rho /= ..., field[:w] = 0, field[-w:] = 0
     assert {f.rule for f in findings} == {"RP002"}
 
 
 def test_rp003_flags_default_and_module_state():
-    findings = unsuppressed(check_file(FIXTURES / "bad_rp003.py"))
+    findings = unsuppressed(run_paths([FIXTURES / "bad_rp003.py"]))
     messages = " | ".join(f.message for f in findings)
     assert "mutable default argument" in messages
     assert "module-level mutable state" in messages
@@ -47,7 +55,7 @@ def test_rp003_flags_default_and_module_state():
 
 
 def test_rp006_flags_span_and_offregistry_instrument():
-    findings = unsuppressed(check_file(FIXTURES / "bad_rp006.py"))
+    findings = unsuppressed(run_paths([FIXTURES / "bad_rp006.py"]))
     messages = " | ".join(f.message for f in findings)
     assert "outside a with-statement" in messages
     assert "constructed directly" in messages
@@ -55,7 +63,7 @@ def test_rp006_flags_span_and_offregistry_instrument():
 
 def test_rp006_flags_health_hygiene_violations():
     findings = [
-        f for f in unsuppressed(check_file(FIXTURES / "bad_rp006.py"))
+        f for f in unsuppressed(run_paths([FIXTURES / "bad_rp006.py"]))
         if f.rule == "RP006"
     ]
     messages = " | ".join(f.message for f in findings)
@@ -71,7 +79,7 @@ def test_rp006_flags_health_hygiene_violations():
 def test_rp006_flags_controller_threshold_literals():
     findings = [
         f for f in unsuppressed(
-            check_file(FIXTURES / "bad_rp006_controller.py")
+            run_paths([FIXTURES / "bad_rp006_controller.py"])
         )
         if f.rule == "RP006"
     ]
@@ -102,13 +110,13 @@ def test_rp006_accepts_registered_invariants(tmp_path):
         "def factory(thr):\n"
         "    return EnergyDriftInvariant(thr)\n"
     )
-    assert not [f for f in check_file(good) if f.rule == "RP006"]
+    assert not [f for f in run_paths([good]) if f.rule == "RP006"]
 
 
 def test_rp006_flags_direct_telemetry_writes():
     findings = [
         f for f in unsuppressed(
-            check_file(FIXTURES / "bad_rp006_telemetry.py")
+            run_paths([FIXTURES / "bad_rp006_telemetry.py"])
         )
         if f.rule == "RP006"
     ]
@@ -119,7 +127,7 @@ def test_rp006_flags_direct_telemetry_writes():
     assert all("RunRecorder" in f.message for f in findings)
 
 
-def test_rp006_telemetry_writes_exempt_inside_observability():
+def test_rp006_telemetry_writes_exempt_inside_observability(tmp_path):
     src = (
         '"""sink"""\n'
         "import json\n"
@@ -128,16 +136,16 @@ def test_rp006_telemetry_writes_exempt_inside_observability():
         "        json.dump(payload, fh)\n"
     )
     findings = [
-        f for f in unsuppressed(check_file(
-            "src/repro/observability/flightrec.py", source=src
-        ))
+        f for f in unsuppressed(
+            lint(tmp_path, src, "src/repro/observability/flightrec.py")
+        )
         if f.rule == "RP006"
     ]
     assert findings == []
 
 
 def test_suppression_comments_silence_without_hiding():
-    findings = check_file(FIXTURES / "suppressed.py")
+    findings = run_paths([FIXTURES / "suppressed.py"])
     assert findings, "fixture should still produce (suppressed) findings"
     assert not unsuppressed(findings)
     assert all(f.suppressed for f in findings)
@@ -145,14 +153,14 @@ def test_suppression_comments_silence_without_hiding():
     assert {f.rule for f in findings} == {"RP002", "RP003", "RP004"}
 
 
-def test_suppression_is_rule_scoped():
+def test_suppression_is_rule_scoped(tmp_path):
     src = (
         '"""f"""\n'
         "def f(rho, dv):\n"
         "    rho /= dv  # repro: noqa[RP004] wrong rule id\n"
         "    return rho\n"
     )
-    findings = check_file("inline.py", source=src)
+    findings = lint(tmp_path, src)
     assert [f.rule for f in unsuppressed(findings)] == ["RP002"]
 
 
@@ -166,30 +174,30 @@ def test_select_and_ignore_filter_rules():
 def test_parse_error_becomes_rp000_finding(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
-    findings = check_file(broken)
+    findings = run_paths([broken])
     assert [f.rule for f in findings] == [PARSE_ERROR_RULE]
 
 
-def test_scalar_annotated_augassign_is_not_mutation():
+def test_scalar_annotated_augassign_is_not_mutation(tmp_path):
     src = (
         '"""m"""\n'
         "def next_even(n: int) -> int:\n"
         "    n += n % 2\n"
         "    return n\n"
     )
-    assert not check_file("inline.py", source=src)
+    assert not lint(tmp_path, src)
 
 
-def test_out_parameter_contract_is_honoured():
+def test_out_parameter_contract_is_honoured(tmp_path):
     src = (
         '"""m"""\n'
         "def scale(out, factor):\n"
         "    out *= factor\n"
     )
-    assert not check_file("inline.py", source=src)
+    assert not lint(tmp_path, src)
 
 
-def test_rp002_flags_mutation_through_view_alias():
+def test_rp002_flags_mutation_through_view_alias(tmp_path):
     src = (
         '"""m"""\n'
         "def head_zero(block, n):\n"
@@ -198,13 +206,13 @@ def test_rp002_flags_mutation_through_view_alias():
         "    head[...] = 0.0\n"
         "    return block\n"
     )
-    findings = unsuppressed(check_file("inline.py", source=src))
+    findings = unsuppressed(lint(tmp_path, src))
     assert [f.rule for f in findings] == ["RP002"]
     assert "through view alias 'head'" in findings[0].message
     assert "'block'" in findings[0].message
 
 
-def test_rp002_view_alias_augassign_and_method():
+def test_rp002_view_alias_augassign_and_method(tmp_path):
     src = (
         '"""m"""\n'
         "def spectrum(coeffs, scale):\n"
@@ -214,12 +222,12 @@ def test_rp002_view_alias_augassign_and_method():
         "    flat.sort()\n"
         "    return coeffs\n"
     )
-    findings = unsuppressed(check_file("inline.py", source=src))
+    findings = unsuppressed(lint(tmp_path, src))
     assert [f.rule for f in findings] == ["RP002", "RP002"]
     assert all("view alias 'flat'" in f.message for f in findings)
 
 
-def test_rp002_rebound_alias_is_not_tracked():
+def test_rp002_rebound_alias_is_not_tracked(tmp_path):
     # `tail` is bound twice: the second binding detaches it from the view,
     # so mutating it afterwards is not a caller-visible write
     src = (
@@ -231,10 +239,10 @@ def test_rp002_rebound_alias_is_not_tracked():
         "    tail[...] = 0.0\n"
         "    return tail\n"
     )
-    assert not check_file("inline.py", source=src)
+    assert not lint(tmp_path, src)
 
 
-def test_rp002_accumulates_docstring_is_a_contract():
+def test_rp002_accumulates_docstring_is_a_contract(tmp_path):
     src = (
         '"""m"""\n'
         "def apply(out_like, psi):\n"
@@ -242,12 +250,12 @@ def test_rp002_accumulates_docstring_is_a_contract():
         "    psi += out_like\n"
         "    return psi\n"
     )
-    assert not check_file("inline.py", source=src)
+    assert not lint(tmp_path, src)
 
 
-def test_finding_anchor_carries_position():
+def test_finding_anchor_carries_position(tmp_path):
     ctx = FileContext.from_source("x.py", '"""d"""\nseen = []\n')
-    findings = check_file("x.py", source='"""d"""\nseen = []\n')
+    findings = lint(tmp_path, '"""d"""\nseen = []\n', "x.py")
     assert findings[0].line == 2
-    assert findings[0].path == "x.py"
+    assert findings[0].path == str(tmp_path / "x.py")
     assert ctx.noqa == {}

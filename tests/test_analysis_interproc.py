@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.analysis import check_file, unsuppressed
+from repro.analysis import run_paths, unsuppressed
 from repro.analysis.engine import run_paths_full, unused_suppressions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
@@ -15,7 +15,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
 
 def test_rp008_flags_each_nondeterminism_kind():
     findings = [
-        f for f in unsuppressed(check_file(FIXTURES / "bad_rp008.py"))
+        f for f in unsuppressed(run_paths([FIXTURES / "bad_rp008.py"]))
         if f.rule == "RP008"
     ]
     assert sorted(f.line for f in findings) == [11, 18, 31, 43, 48]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.systems import Configuration, dimer
+from tests.builders import distance, distance_matrix, translated
 
 
 def test_basic_construction():
@@ -40,12 +41,12 @@ def test_wrap():
 
 def test_minimum_image_distance():
     c = Configuration(["H", "H"], [[0.5, 0, 0], [9.5, 0, 0]], [10, 10, 10])
-    assert c.distance(0, 1) == pytest.approx(1.0)
+    assert distance(c, 0, 1) == pytest.approx(1.0)
 
 
 def test_distance_matrix_symmetric():
     c = dimer("H", "O", 2.0)
-    d = c.distance_matrix()
+    d = distance_matrix(c)
     assert d[0, 1] == pytest.approx(2.0)
     assert d[1, 0] == pytest.approx(2.0)
     assert d[0, 0] == pytest.approx(0.0)
@@ -53,8 +54,8 @@ def test_distance_matrix_symmetric():
 
 def test_translation_preserves_distances():
     c = dimer("H", "O", 2.0)
-    t = c.translated([3.7, -2.2, 15.9])
-    assert t.distance(0, 1) == pytest.approx(c.distance(0, 1))
+    t = translated(c, [3.7, -2.2, 15.9])
+    assert distance(t, 0, 1) == pytest.approx(distance(c, 0, 1))
 
 
 def test_select():

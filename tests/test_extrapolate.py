@@ -12,12 +12,12 @@ from repro.md.extrapolate import (
     aspc_coefficients,
     extrapolate_fields,
     extrapolate_orbitals,
-    lowdin_orthonormalize,
     subspace_residual,
 )
 from repro.md.qmd import LDCEngine, QMDOptions
 from repro.observability import Instrumentation
 from repro.systems.configuration import Configuration
+from repro.util.linalg import lowdin_orthonormalize
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
 

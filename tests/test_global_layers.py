@@ -28,17 +28,15 @@ from repro.dft.pseudopotential import (
     structure_factors,
 )
 from repro.dft.scf import harris_foulkes_energy, initial_density
-from repro.multigrid import (
-    MultigridPoisson,
-    full_weighting_restrict,
-    trilinear_prolong,
-)
-from repro.observe import OFF
+from repro.multigrid import MultigridPoisson
 from repro.multigrid.stencils import (
-    laplacian_periodic,
-    redblack_gauss_seidel,
-    residual,
+    gauss_seidel_sweeps,
+    laplacian_into,
+    residual_into,
+    squared_spacings,
 )
+from repro.multigrid.transfer import prolong_into, restrict_into
+from repro.observe import OFF
 from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
 
@@ -366,18 +364,29 @@ def test_slice_kernels_equal_their_roll_forms(shape, lengths):
     rng = np.random.default_rng(sum(shape))
     field, rhs = rng.standard_normal(shape), rng.standard_normal(shape)
     spacing = np.array(lengths) / np.array(shape)
+    h2, inv_h2 = squared_spacings(spacing)
+    out, t, w = (np.empty(shape) for _ in range(3))
     assert np.array_equal(
-        laplacian_periodic(field, spacing), roll_laplacian(field, spacing)
+        laplacian_into(field, h2, out, t, w), roll_laplacian(field, spacing)
     )
     assert np.array_equal(
-        residual(field, rhs, spacing), rhs - roll_laplacian(field, spacing)
+        residual_into(field, rhs, h2, out, t, w),
+        rhs - roll_laplacian(field, spacing),
     )
     assert np.array_equal(
-        redblack_gauss_seidel(field, rhs, spacing, 3),
+        gauss_seidel_sweeps(field.copy(), rhs, inv_h2, 3, t, w),
         roll_gauss_seidel(field, rhs, spacing, 3),
     )
-    assert np.array_equal(full_weighting_restrict(field), roll_restrict(field))
-    assert np.array_equal(trilinear_prolong(field), roll_prolong(field))
+    coarse = np.empty([n // 2 for n in shape])
+    assert np.array_equal(
+        restrict_into(field, coarse, np.empty(field.size)),
+        roll_restrict(field),
+    )
+    fine = np.empty([2 * n for n in shape])
+    assert np.array_equal(
+        prolong_into(field, fine, np.empty(6 * field.size)),
+        roll_prolong(field),
+    )
 
 
 def test_multigrid_solve_equals_the_roll_vcycle_on_the_cold_density(cold):

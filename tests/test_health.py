@@ -219,21 +219,22 @@ def test_raise_on_fail_stops_the_broken_run():
 
 def test_broken_partition_of_unity_trips_check():
     """Corrupting one domain's support weights breaks Σp_α = 1 and the
-    residual (computed by the real LDC helper) must FAIL the invariant."""
-    from repro.core.ldc import LDCOptions, _partition_residual
+    residual (computed by the helper LDC samples) must FAIL the invariant."""
+    from repro.core.ldc import LDCOptions
+    from repro.core.support import partition_residual
     from repro.core.workspace import LDCWorkspace
 
     cfg = dimer("H", "H", 1.4, 8.0)
     opts = LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5)
-    grid, _, states = LDCWorkspace().prepare(cfg, opts)
+    _, decomp, states = LDCWorkspace().prepare(cfg, opts)
 
     mon = HealthMonitor(invariants=[PartitionOfUnityInvariant(THR)])
-    intact = _partition_residual(grid, states)
+    intact = partition_residual(decomp, [s.support for s in states])
     mon.observe("ldc.partition", max_residual=intact)
     assert mon.all_green(), f"intact supports must pass (residual {intact})"
 
     states[0].support *= 0.5  # break the partition
-    broken = _partition_residual(grid, states)
+    broken = partition_residual(decomp, [s.support for s in states])
     mon.observe("ldc.partition", max_residual=broken)
     assert mon.worst_status() == STATUS_FAIL
 

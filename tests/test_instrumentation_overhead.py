@@ -147,7 +147,7 @@ def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels(
         filename = code.co_filename.replace("\\", "/")
         if "repro/observability/" in filename or "repro/sanitize/" in filename:
             seen["tooling"] += 1
-        elif code.co_name == "_partition_residual":
+        elif code.co_name == "partition_residual":
             seen["residual"] += 1
         elif code.co_name == "apply" and filename.endswith("dft/hamiltonian.py"):
             seen["applies"] += 1

@@ -6,7 +6,6 @@ import pytest
 from repro.constants import KB_EV
 from repro.reactive.analysis import (
     arrhenius_fit,
-    ph_from_hydroxide,
     production_rate,
     rate_with_error,
 )
@@ -142,17 +141,3 @@ def test_production_rate_slope():
 
 def test_production_rate_degenerate():
     assert production_rate(np.array([0.0]), np.array([0.0])) == (0.0, 0.0)
-
-
-def test_ph_neutral_for_zero_hydroxide():
-    assert ph_from_hydroxide(0, 1e6) == 7.0
-
-
-def test_ph_increases_with_hydroxide():
-    v = 1e7
-    assert ph_from_hydroxide(10, v) > ph_from_hydroxide(1, v) > 7.0
-
-
-def test_ph_validation():
-    with pytest.raises(ValueError):
-        ph_from_hydroxide(1, -1.0)

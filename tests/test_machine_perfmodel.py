@@ -7,8 +7,8 @@ from repro.dft.basis import PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.parallel.machine import (
     BLUE_GENE_Q,
+    MIRA_NODES_PER_RACK,
     XEON_E5_2665,
-    mira_cores,
 )
 from repro.perfmodel.flops import (
     cholesky_flops,
@@ -16,16 +16,12 @@ from repro.perfmodel.flops import (
     fft_flops,
     gemm_flops,
     multigrid_vcycle_flops,
-    qmd_step_flops,
     sic_domain_parameters,
     staged_fft_flops,
 )
 from repro.perfmodel.metrics import (
     PRIOR_ART,
     atom_iterations_per_second,
-    parallel_efficiency_strong,
-    parallel_efficiency_weak,
-    percent_of_peak,
     speedup_over,
 )
 from repro.perfmodel.threading import flops_table, rack_table
@@ -40,7 +36,7 @@ def test_bgq_node_peak():
 
 def test_mira_core_count():
     """48 racks × 1024 nodes × 16 cores = 786,432."""
-    assert mira_cores(48) == 786_432
+    assert 48 * MIRA_NODES_PER_RACK * BLUE_GENE_Q.cores_per_node == 786_432
 
 
 def test_mira_full_peak():
@@ -60,16 +56,6 @@ def test_effective_rate_increases_with_threads():
     r2 = BLUE_GENE_Q.effective_core_flops(2)
     r4 = BLUE_GENE_Q.effective_core_flops(4)
     assert r1 < r2 < r4 <= BLUE_GENE_Q.peak_core_flops
-
-
-def test_time_for_flops():
-    t = BLUE_GENE_Q.time_for_flops(1e12, cores=16, threads_per_core=4)
-    assert t == pytest.approx(1e12 / BLUE_GENE_Q.effective_node_flops(4))
-
-
-def test_time_for_flops_invalid_cores():
-    with pytest.raises(ValueError):
-        BLUE_GENE_Q.time_for_flops(1.0, 0)
 
 
 # ---- FLOP counts --------------------------------------------------------------
@@ -124,13 +110,6 @@ def test_domain_scf_flops_positive_components():
 def test_multigrid_work_bounded():
     w = multigrid_vcycle_flops(64**3)
     assert w < 2 * multigrid_vcycle_flops(64**3 // 2) * 1.2
-
-
-def test_qmd_step_scales_with_domains():
-    kw = dict(npw=1000, nband=50, grid_points=20**3, nproj=30)
-    f1 = qmd_step_flops(ndomains=10, **kw)
-    f2 = qmd_step_flops(ndomains=20, **kw)
-    assert f2 > 1.9 * f1
 
 
 def test_sic_domain_parameters_sane():
@@ -196,21 +175,3 @@ def test_speedups_over_prior_art():
     m = PRIOR_ART["this_paper"].atom_iterations_per_second
     assert speedup_over(m, PRIOR_ART["hasegawa2011"]) == pytest.approx(5800, rel=0.01)
     assert speedup_over(m, PRIOR_ART["oseikuffuor2014"]) == pytest.approx(62, rel=0.02)
-
-
-def test_percent_of_peak():
-    assert percent_of_peak(50.0, 100.0) == 50.0
-    with pytest.raises(ValueError):
-        percent_of_peak(1.0, 0.0)
-
-
-def test_weak_efficiency():
-    assert parallel_efficiency_weak(10.0, 10.0) == 1.0
-    assert parallel_efficiency_weak(10.0, 12.5) == pytest.approx(0.8)
-
-
-def test_strong_efficiency():
-    """16× cores at 12.85× speedup → 0.803 (the paper's Fig. 6)."""
-    t0, p0 = 100.0, 49_152
-    t1, p1 = 100.0 / 12.85, 786_432
-    assert parallel_efficiency_strong(t0, p0, t1, p1) == pytest.approx(0.803, abs=1e-3)

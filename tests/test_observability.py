@@ -94,17 +94,6 @@ def test_chrome_trace_export_is_valid_and_microseconds():
     assert event["args"] == {"n": 3}
 
 
-def test_spans_table_flat_export():
-    clock = FakeClock()
-    tracer = SpanTracer(clock)
-    with tracer.span("a"):
-        clock.advance(1.0)
-    (row,) = tracer.spans_table()
-    assert row["name"] == "a"
-    assert row["duration"] == 1.0
-    json.dumps(tracer.spans_table())
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

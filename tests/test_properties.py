@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and
-invariants: partition of unity, FFT round-trips, conservation laws, codec
-round-trips, occupation solver, complexity-model optima, and velocity
+invariants: partition of unity, FFT round-trips, conservation laws,
+occupation solver, complexity-model optima, and velocity
 initialisation.
 """
 
@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import compress_frame, decompress_frame
-from repro.compression.sfc import hilbert_index, morton_index
 from repro.core.complexity import optimal_core_length, total_cost
 from repro.core.domains import DomainDecomposition
-from repro.core.support import supports, verify_partition_of_unity
+from repro.core.support import partition_residual, supports
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
@@ -35,20 +33,7 @@ def test_partition_of_unity_always_holds(nd, buffer_, kind):
     grid = RealSpaceGrid([8.0, 8.0, 8.0], [16, 16, 16])
     decomp = DomainDecomposition(grid, nd, buffer_)
     w = supports(decomp, kind)
-    assert verify_partition_of_unity(decomp, w)
-
-
-@settings(**COMMON)
-@given(
-    buffer_=st.floats(0.0, 10.0),
-    seed=st.integers(0, 10_000),
-)
-def test_extract_assemble_identity(buffer_, seed):
-    grid = RealSpaceGrid([8.0, 8.0, 8.0], [16, 16, 16])
-    decomp = DomainDecomposition(grid, (2, 2, 1), buffer_)
-    field = np.random.default_rng(seed).random(grid.shape)
-    parts = [d.extract(field) for d in decomp.domains]
-    np.testing.assert_allclose(decomp.assemble_from_cores(parts), field, atol=1e-14)
+    assert partition_residual(decomp, w) <= 1e-12
 
 
 # ---- grids and bases ---------------------------------------------------------
@@ -124,41 +109,13 @@ def test_lstar_is_global_minimum(b, nu, scale):
     assert total_cost(l_star / (1 + 0.3 * scale), 100.0, b, nu) >= t_star
 
 
-# ---- compression -----------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), bits=st.integers(6, 16))
-def test_codec_roundtrip_property(seed, n, bits):
-    rng = np.random.default_rng(seed)
-    cell = np.array([15.0, 20.0, 25.0])
-    pos = rng.uniform(0, 1, size=(n, 3)) * cell
-    frame = compress_frame(pos, cell, bits=bits)
-    rec = decompress_frame(frame)
-    bound = cell / (1 << (bits + 1))
-    err = np.abs(rec - pos)
-    err = np.minimum(err, cell - err)
-    assert np.all(err <= bound + 1e-9)
-
-
-@settings(**COMMON)
-@given(seed=st.integers(0, 10_000), bits=st.integers(2, 6))
-def test_curves_injective_property(seed, bits):
-    rng = np.random.default_rng(seed)
-    n = 1 << bits
-    pts = rng.integers(0, n, size=(50, 3))
-    unique_pts = np.unique(pts, axis=0)
-    for fn in (morton_index, hilbert_index):
-        idx = fn(unique_pts, bits)
-        assert len(np.unique(idx)) == len(unique_pts)
-
-
 # ---- velocity initialisation ---------------------------------------------------------
 
 @settings(**COMMON)
 @given(seed=st.integers(0, 1000), temp=st.floats(50.0, 2000.0))
 def test_velocity_init_temperature_property(seed, temp):
     from repro.md.integrator import initialize_velocities, temperature
-    from repro.systems import random_gas
+    from tests.builders import random_gas
 
     c = random_gas(["Al"] * 10, 25.0, seed=seed % 7)
     initialize_velocities(c, temp, seed=seed)

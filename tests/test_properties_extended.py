@@ -1,6 +1,6 @@
 """Second battery of property-based tests: Ewald invariances, Morse
-consistency, I/O model monotonicity, torus geometry, and
-occupation-derivative consistency."""
+consistency, I/O model monotonicity and occupation-derivative
+consistency."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dft.ewald import ewald_energy
 from repro.parallel.collective_io import CollectiveIOModel
-from repro.parallel.topology import TorusTopology
 from repro.reactive.potential import MorseParams, _morse
 
 COMMON = dict(max_examples=20, deadline=None)
@@ -85,24 +84,6 @@ def test_io_time_monotone_in_bytes(factor, group):
     t1 = model.io_time(1e10, 100_000, group)
     t2 = model.io_time(1e10 * factor, 100_000, group)
     assert t2 > t1
-
-
-# ---- torus ------------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(
-    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 4)),
-    seed=st.integers(0, 1000),
-)
-def test_torus_hops_metric(dims, seed):
-    """Hops form a metric: symmetric, zero iff equal, triangle inequality."""
-    t = TorusTopology(dims)
-    rng = np.random.default_rng(seed)
-    a, b, c = rng.integers(0, t.nnodes, size=3)
-    assert t.hops(a, b) == t.hops(b, a)
-    assert t.hops(a, a) == 0
-    assert t.hops(a, c) <= t.hops(a, b) + t.hops(b, c)
-    assert t.hops(a, b) <= t.max_hops()
 
 
 # ---- occupations -------------------------------------------------------------------

@@ -8,8 +8,8 @@ from repro.reactive.sites import (
     site_census,
     surface_atoms,
 )
-from repro.systems import lial_nanoparticle, water_box
-from repro.systems.lialloy import particle_radius
+from repro.systems import lial_nanoparticle
+from tests.builders import particle_radius, water_box
 
 
 # ---- sites ---------------------------------------------------------------------

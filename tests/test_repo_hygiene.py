@@ -54,7 +54,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 137_517
+DESIGN_MAX_BYTES = 137_476
 
 
 def test_design_document_does_not_grow():
@@ -119,7 +119,6 @@ def test_experiments_records_every_artifact():
 
 
 def test_public_api_importable():
-    import repro.compression
     import repro.core
     import repro.dft
     import repro.md
@@ -134,7 +133,7 @@ def test_public_api_importable():
     for pkg in (
         repro.core, repro.dft, repro.md, repro.multigrid, repro.parallel,
         repro.perfmodel, repro.reactive, repro.systems, repro.util,
-        repro.compression, repro.observability,
+        repro.observability,
     ):
         assert hasattr(pkg, "__all__") or pkg.__doc__
 
@@ -146,8 +145,7 @@ def test_all_public_symbols_resolve():
     for mod_name in (
         "repro.core", "repro.dft", "repro.md", "repro.multigrid",
         "repro.parallel", "repro.perfmodel", "repro.reactive",
-        "repro.systems", "repro.util", "repro.compression",
-        "repro.observability",
+        "repro.systems", "repro.util", "repro.observability",
     ):
         mod = importlib.import_module(mod_name)
         for symbol in getattr(mod, "__all__", []):
@@ -313,7 +311,7 @@ def test_global_layers_keep_no_dense_form():
     no ``np.indices``, no boolean-mask update), the Ewald sum accumulates
     without ``np.add.at``, and nothing under ``repro.dft`` transforms a
     full complex grid for a real field (``grid.fft`` / ``grid.ifft`` are
-    the test oracles' and ``fft_poisson``'s)."""
+    the test oracles')."""
     import ast
 
     dense = [
@@ -590,16 +588,8 @@ def _reached_modules():
 
 
 #: the modules no benchmark or CI step reaches: ROADMAP item 7 decides
-#: whether the DCR frontier earns a bench or goes; the trajectory codec and
-#: the MD observables still stand with their tests, and ROADMAP item 10
-#: deletes them in a change of their own
-_UNREACHED = {
-    "repro.core.dcr",
-    "repro.compression",
-    "repro.compression.codec",
-    "repro.compression.sfc",
-    "repro.md.observables",
-}
+#: whether the DCR frontier earns a bench or goes
+_UNREACHED = {"repro.core.dcr"}
 
 
 def test_every_source_module_is_reached():
@@ -611,41 +601,119 @@ def test_every_source_module_is_reached():
     assert modules - reached == _UNREACHED, sorted(modules - reached)
 
 
-def test_every_public_name_is_referenced():
-    """Every public top-level function and class under ``src/repro`` is
-    used somewhere: as a name, an attribute or a ``from … import`` in
-    ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or CI's inline
-    scripts.  A package ``__init__`` re-exporting it does not count; a
-    decorated definition (a checker's ``@register``) is its own use."""
+#: public names whose only reader is a test, kept on purpose; the pin fails
+#: when one of them is deleted or gains a reader outside the tests
+_TEST_ONLY = {
+    "density_from_orbitals":
+        "test_eigensolver's oracle for PlaneWaveBasis.densities",
+    "structure_factors":
+        "test_global_layers' oracle for the half-grid local potential",
+    "read_jsonl": "the reader for the flight recorder's black-box format",
+    "CollectingAlertSink":
+        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
+    "RaiseOnFailSink":
+        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
+    "add_sink":
+        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
+}
+
+
+def _public_definitions():
+    """``(name, path relative to the repo)`` of every public top-level
+    function and class under ``src/repro`` and every public method of a
+    public class.  Exempt: a ``@register``ed checker, a dunder, and a
+    method that overrides a base class's or implements a ``Protocol``'s."""
+    import ast
+    import importlib
+
+    src = REPO / "src"
+    modules = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules.append((name, path, ast.parse(path.read_text())))
+    protocol = {
+        method.name
+        for _, _, tree in modules
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Protocol" for base in node.bases)
+        for method in node.body if isinstance(method, ast.FunctionDef)
+    }
+
+    def registered(node):
+        return any(getattr(d, "id", None) == "register"
+                   for d in node.decorator_list)
+
+    for module, path, tree in modules:
+        rel = str(path.relative_to(REPO))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                node.name.startswith("_") or registered(node)
+            ):
+                continue
+            yield node.name, rel
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = vars(importlib.import_module(module))[node.name].__mro__[1:]
+            yield from (
+                (method.name, rel)
+                for method in node.body
+                if isinstance(method, ast.FunctionDef)
+                and not method.name.startswith("_")
+                and method.name not in protocol
+                and not any(method.name in vars(base) for base in bases)
+            )
+
+
+def _readers_outside_tests():
+    """Every name used as a name, an attribute or a ``from … import`` in
+    ``src/``, ``benchmarks/``, ``examples/`` or CI's inline scripts, plus
+    the qualified names ``benchmarks/e2e/tracing.py`` wraps by string.  A
+    package ``__init__`` re-exporting a name does not read it."""
     import ast
 
     _, scripts = _ci_roots()
-    sources = [
-        (path, path.read_text())
-        for top in ("src", "tests", "benchmarks", "examples")
+    texts = [
+        path.read_text()
+        for top in ("src", "benchmarks", "examples")
         for path in sorted((REPO / top).rglob("*.py"))
-    ] + [(None, text) for text in scripts]
-    defined, used = [], set()
-    for path, text in sources:
-        tree = ast.parse(text)
-        if path is not None and (REPO / "src" / "repro") in path.parents:
-            defined += [
-                (node.name, str(path.relative_to(REPO)))
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_") and not node.decorator_list
-            ]
-        if path is not None and path.name == "__init__.py":
-            continue
-        for node in ast.walk(tree):
+        if path.name != "__init__.py"
+    ] + scripts
+    used = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    unused = sorted((name, rel) for name, rel in defined if name not in used)
+    tracing = ast.parse((REPO / "benchmarks/e2e/tracing.py").read_text())
+    used.update(
+        part
+        for node in ast.walk(tracing)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_t"
+        for part in node.args[1].value.split(".")
+    )
+    return used
+
+
+def test_every_public_name_is_referenced():
+    """Every public function, class and method under ``src/repro`` has a
+    reader outside the tests (:func:`_readers_outside_tests`): code only a
+    test calls is deleted or moves to ``tests/``.  The exceptions are
+    ``_TEST_ONLY``, each with its reason, and an entry there must still be
+    defined and still be read by tests alone."""
+    defined = sorted(set(_public_definitions()))
+    used = _readers_outside_tests()
+    unused = [(name, rel) for name, rel in defined
+              if name not in used and name not in _TEST_ONLY]
     assert unused == [], unused
+    names = {name for name, _ in defined}
+    stale = sorted(name for name in _TEST_ONLY
+                   if name in used or name not in names)
+    assert stale == [], stale
 
 
 def test_the_package_runs_on_numpy_alone():

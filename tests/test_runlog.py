@@ -186,7 +186,7 @@ def test_health_fail_sets_manifest_status(tmp_path):
 # -- flight recorder ----------------------------------------------------------
 
 
-def test_ring_overflow_keeps_newest_in_order():
+def test_ring_overflow_keeps_newest_in_order(tmp_path):
     flight = FlightRecorder(capacity=8, metrics_keep=3)
     for i in range(20):
         flight.record("metric", key=f"k{i % 5}", value=float(i))
@@ -197,7 +197,8 @@ def test_ring_overflow_keeps_newest_in_order():
     seqs = [e["seq"] for e in events]
     assert seqs == sorted(seqs) and seqs[-1] == 20 and seqs[0] == 13
     # metrics keep one latest sample per key, LRU-bounded
-    metrics = flight.recent_metrics()
+    path = flight.dump("test", path=tmp_path / "blackbox.jsonl")
+    metrics = [r for r in read_jsonl(path) if r["record"] == "metric"]
     assert len(metrics) == 3
     assert metrics[-1]["key"] == "k4" and metrics[-1]["value"] == 19.0
 

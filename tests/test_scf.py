@@ -5,6 +5,7 @@ import pytest
 
 from repro.dft.scf import SCFOptions, initial_density, run_scf
 from repro.systems import dimer
+from tests.builders import translated
 
 
 def test_h2_converges(h2_scf):
@@ -73,7 +74,7 @@ def test_scf_translation_invariance(h2_config):
     """Total energy must be invariant under rigid translation."""
     opts = SCFOptions(ecut=6.0, extra_bands=2, tol=1e-7)
     e0 = run_scf(h2_config, opts).energy
-    shifted = h2_config.translated([1.234, -0.77, 2.5])
+    shifted = translated(h2_config, [1.234, -0.77, 2.5])
     e1 = run_scf(shifted, opts).energy
     assert e1 == pytest.approx(e0, abs=2e-4)
 
@@ -108,6 +109,19 @@ def test_scf_invalid_mixer(h2_config):
 def test_scf_invalid_eigensolver(h2_config):
     with pytest.raises(ValueError):
         run_scf(h2_config, SCFOptions(eigensolver="nope"))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+@pytest.mark.parametrize("options", ["scf", "ldc"])
+def test_mixing_weight_outside_the_unit_interval_is_rejected(options, alpha):
+    """α = 0 never moves the input density (the Pulay loop stalls at its
+    first residual and returns unconverged), a negative α wanders: both
+    options classes refuse α ∉ (0, 1] when built, whichever mixer."""
+    from repro.core.ldc import LDCOptions
+
+    cls = {"scf": SCFOptions, "ldc": LDCOptions}[options]
+    with pytest.raises(ValueError, match="mix_alpha"):
+        cls(mix_alpha=alpha)
 
 
 def test_scf_with_external_potential(h2_config):

@@ -6,10 +6,10 @@ import pytest
 from repro.core.boundary import boundary_error_norm, boundary_potential
 from repro.core.domains import DomainDecomposition
 from repro.core.support import (
+    partition_residual,
     sharp_support,
     smooth_supports,
     supports,
-    verify_partition_of_unity,
 )
 from repro.dft.grid import RealSpaceGrid
 
@@ -22,12 +22,12 @@ def decomp():
 
 def test_sharp_partition_of_unity(decomp):
     w = supports(decomp, "sharp")
-    assert verify_partition_of_unity(decomp, w)
+    assert partition_residual(decomp, w) <= 1e-12
 
 
 def test_smooth_partition_of_unity(decomp):
     w = supports(decomp, "smooth")
-    assert verify_partition_of_unity(decomp, w)
+    assert partition_residual(decomp, w) <= 1e-12
 
 
 def test_unknown_support_kind(decomp):

@@ -1,20 +1,20 @@
-"""Tests for the workload builders (CdSe, LiAl, water box) and the tests' SiC
-helper."""
+"""Tests for the workload builders (CdSe, LiAl, water) and the tests' SiC
+and fixture builders."""
 
 import numpy as np
 import pytest
 
-from repro.systems import (
-    amorphous_cdse,
-    lial_nanoparticle,
+from repro.systems import amorphous_cdse, lial_nanoparticle, water_molecule
+from repro.systems.cdse import CDSE_FIG7_BOX
+from repro.systems.water import OH_BOND
+from tests.builders import (
+    distance,
+    distance_matrix,
+    particle_radius,
     random_gas,
     simple_cubic_crystal,
     water_box,
-    water_molecule,
 )
-from repro.systems.cdse import CDSE_FIG7_BOX
-from repro.systems.lialloy import particle_radius
-from repro.systems.water import OH_BOND
 from tests.sic import SIC_LATTICE_CONSTANT, sic_crystal, sic_for_cores
 
 
@@ -33,7 +33,7 @@ def test_sic_supercell_count():
 
 def test_sic_nearest_neighbor_distance():
     c = sic_crystal((2, 2, 2))
-    d = c.distance_matrix()
+    d = distance_matrix(c)
     np.fill_diagonal(d, np.inf)
     # zincblende NN distance = a*sqrt(3)/4 ≈ 1.888 Å ≈ 3.57 Bohr
     assert d.min() == pytest.approx(SIC_LATTICE_CONSTANT * np.sqrt(3) / 4, rel=1e-6)
@@ -67,7 +67,7 @@ def test_cdse_512_atom_fig7_system():
 
 def test_cdse_min_separation_enforced():
     c = amorphous_cdse((2, 2, 2), displacement=0.4, min_separation=3.0, seed=3)
-    d = c.distance_matrix()
+    d = distance_matrix(c)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 3.0 - 1e-9
 
@@ -89,8 +89,8 @@ def test_cdse_zero_displacement_is_crystal():
 def test_water_molecule_geometry():
     w = water_molecule()
     assert w.symbols == ["O", "H", "H"]
-    assert w.distance(0, 1) == pytest.approx(OH_BOND)
-    assert w.distance(0, 2) == pytest.approx(OH_BOND)
+    assert distance(w, 0, 1) == pytest.approx(OH_BOND)
+    assert distance(w, 0, 2) == pytest.approx(OH_BOND)
 
 
 def test_water_box_counts():
@@ -103,8 +103,8 @@ def test_water_box_molecules_intact():
     w = water_box(8, seed=2)
     for m in range(8):
         o, h1, h2 = 3 * m, 3 * m + 1, 3 * m + 2
-        assert w.distance(o, h1) == pytest.approx(OH_BOND, rel=1e-6)
-        assert w.distance(o, h2) == pytest.approx(OH_BOND, rel=1e-6)
+        assert distance(w, o, h1) == pytest.approx(OH_BOND, rel=1e-6)
+        assert distance(w, o, h2) == pytest.approx(OH_BOND, rel=1e-6)
 
 
 def test_water_box_respects_exclusion():
@@ -160,6 +160,6 @@ def test_simple_cubic():
 
 def test_random_gas_min_separation():
     g = random_gas(["H"] * 12, 14.0, min_separation=2.5, seed=1)
-    d = g.distance_matrix()
+    d = distance_matrix(g)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 2.5

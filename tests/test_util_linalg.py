@@ -7,7 +7,6 @@ import scipy.linalg
 from repro.util.linalg import (
     apply_projectors_blas2,
     apply_projectors_blas3,
-    blocked_gram,
     cholesky_orthonormalize,
     lowdin_orthonormalize,
 )
@@ -46,20 +45,6 @@ def test_blas3_hermitian_operator(projector_problem):
     b, d, psi = projector_problem
     op = b @ d @ b.conj().T
     np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
-
-
-def test_blocked_gram_matches_direct(rng):
-    psi = _random_complex(rng, 101, 6)
-    s_direct = psi.conj().T @ psi
-    for block in (1, 7, 64, 200):
-        np.testing.assert_allclose(blocked_gram(psi, block), s_direct, atol=1e-10)
-
-
-def test_blocked_gram_with_weights(rng):
-    psi = _random_complex(rng, 50, 4)
-    w = rng.random(50)
-    expected = psi.conj().T @ (w[:, None] * psi)
-    np.testing.assert_allclose(blocked_gram(psi, 16, weights=w), expected, atol=1e-10)
 
 
 def test_cholesky_orthonormalize(rng):

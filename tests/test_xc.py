@@ -8,8 +8,6 @@ from repro.dft.xc import (
     lda_correlation,
     lda_exchange,
     lda_xc,
-    xc_energy,
-    xc_potential,
 )
 
 
@@ -66,19 +64,6 @@ def test_potential_from_energy_derivative():
         f_m = (rho0 - h) * e_m[0]
         _, v = lda_xc(np.array([rho0]))
         assert v[0] == pytest.approx((f_p - f_m) / (2 * h), rel=1e-5)
-
-
-def test_xc_energy_homogeneous():
-    rho = np.full((4, 4, 4), 0.5)
-    dv = 0.1
-    eps, _ = lda_xc(np.array([0.5]))
-    assert xc_energy(rho, dv) == pytest.approx(64 * 0.1 * 0.5 * eps[0])
-
-
-def test_xc_potential_wrapper():
-    rho = np.random.default_rng(0).random((3, 3, 3)) + 0.01
-    _, v = lda_xc(rho)
-    np.testing.assert_allclose(xc_potential(rho), v)
 
 
 def test_monotonic_exchange():
