@@ -19,14 +19,9 @@ input to the regression gate::
     python -m repro.observability.regress --baselines benchmarks/baselines
 
 ``meta`` records provenance (git SHA, timestamp, python/numpy versions) so
-a ledger entry can always be traced back to the code that produced it.
-
-Each :func:`report` call additionally lands a *run-ledger* entry: a
-``telemetry/runs/<run_id>/`` directory (component ``bench:<name>``)
-holding copies of both artifacts plus a schema'd manifest with content
-hashes and the records' headline numbers flattened into manifest metrics —
-the input to ``python -m repro.observability.runlog diff`` and
-``regress --runs``.  Set ``REPRO_TELEMETRY_DIR`` to move the ledger root.
+a bench record can always be traced back to the code that produced it.
+These two files are the whole record of a bench run: nothing is written
+under ``telemetry/``.
 """
 
 from __future__ import annotations
@@ -34,40 +29,24 @@ from __future__ import annotations
 import datetime
 import json
 import pathlib
-import platform
-import subprocess
 
 from repro.observability.regress import SCHEMA_VERSION, RecordSchema
+from repro.observability.runlog import provenance
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 _META: dict | None = None
 
 
-def _git_sha() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).parent,
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
-
-
 def run_meta() -> dict:
-    """Provenance block shared by every payload of one suite run."""
+    """Provenance block shared by every payload of one suite run: the run
+    manifest's ``provenance`` plus a timestamp."""
     global _META
     if _META is None:
-        import numpy
-
         _META = {
-            "git_sha": _git_sha(),
+            **provenance(),
             "timestamp": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(timespec="seconds"),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
         }
     return _META
 
@@ -82,7 +61,7 @@ def report(
     """Print a result block and persist it under benchmarks/results/.
 
     Writes both ``<name>.txt`` (the human-readable block, unchanged) and
-    ``BENCH_<name>.json`` (the machine-readable ledger entry).  When a
+    ``BENCH_<name>.json`` (the machine-readable record).  When a
     ``schema`` is given the records are validated against it — a violation
     raises, failing the benchmark — and the schema rides along in the
     payload for ``repro.observability.regress``.
@@ -108,27 +87,9 @@ def report(
         "lines": list(lines),
         "records": records or [],
     }
-    txt_path = RESULTS_DIR / f"{name}.txt"
-    json_path = RESULTS_DIR / f"BENCH_{name}.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
-    _ledger_entry(name, txt_path, json_path, records or [], schema)
-
-
-def _ledger_entry(
-    name: str,
-    txt_path: pathlib.Path,
-    json_path: pathlib.Path,
-    records: list[dict],
-    schema: RecordSchema | None,
-) -> None:
-    """Land this report as a run-ledger entry under telemetry/runs/."""
-    from repro.observability.runlog import RunRecorder, flatten_records
-
-    rec = RunRecorder(component=f"bench:{name}")
-    rec.add_artifact(txt_path)
-    rec.add_artifact(json_path)
-    rec.add_metrics(flatten_records(records, schema))
-    rec.finish()
+    (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+        json.dumps(payload, indent=1) + "\n"
+    )
 
 
 def fmt_row(*cols, widths=None) -> str:

@@ -32,9 +32,9 @@ are registered on a monitor with thresholds from a config object.
   or a well-known artifact name (``trace.json``, ``manifest.json``,
   ``blackbox.jsonl``, ...) outside the RunRecorder layer produces
   files with no run identity, no manifest entry, and no content hash —
-  the run ledger can neither verify nor diff them.  Write artifacts via
-  ``Instrumentation.write_artifacts`` / ``RunRecorder.add_artifact`` and
-  resolve locations through ``repro.observability.telemetry_root()``.
+  ``runlog verify`` cannot check them.  Write artifacts via
+  ``Instrumentation.write_artifacts`` and resolve locations through
+  ``repro.observability.telemetry_root()``.
 
 The ``repro/observability`` package itself is exempt — it *implements*
 the contract this rule holds call sites to.
@@ -138,9 +138,9 @@ class TelemetryHygieneChecker(Checker):
                     node, self.rule,
                     f"telemetry artifact {target!r} written directly; the "
                     f"file gets no run identity, manifest entry, or content "
-                    f"hash — write it via Instrumentation.write_artifacts/"
-                    f"RunRecorder.add_artifact and resolve the location "
-                    f"through repro.observability.telemetry_root()",
+                    f"hash — write it via Instrumentation.write_artifacts "
+                    f"and resolve the location through "
+                    f"repro.observability.telemetry_root()",
                 )
 
     @staticmethod

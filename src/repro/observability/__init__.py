@@ -24,14 +24,15 @@ Two further layers close the loop from telemetry to *gates*:
 * :mod:`repro.observability.health` — online physics invariants (energy
   drift, charge conservation, partition of unity, SCF stalls, solver
   convergence) attached to the facade as ``Instrumentation(health=...)``;
-* :mod:`repro.observability.regress` — the schema'd BENCH ledger and the
-  performance-regression CLI that diffs fresh results against committed
+* :mod:`repro.observability.regress` — the schemas of the bench records
+  (``benchmarks/results/BENCH_<name>.json``) and the one comparison engine:
+  the regression CLI that judges fresh records against committed
   baselines;
-* :mod:`repro.observability.runlog` — the *run ledger*: per-run identity
-  and manifests under ``telemetry/runs/<run_id>/``
+* :mod:`repro.observability.runlog` — run directories: per-run identity
+  and a content-hashed manifest under ``telemetry/runs/<run_id>/``
   (``Instrumentation(recorder=RunRecorder(...))``), the failure-triggered
-  :class:`FlightRecorder` black box, and the cross-run diff CLI
-  (``python -m repro.observability.runlog``).
+  :class:`FlightRecorder` black box, and a ``list``/``show``/``verify``
+  CLI (``python -m repro.observability.runlog``).
 
 The report CLI renders a paper-style per-phase breakdown from a trace
 (``--flops`` adds the roofline-style FLOP attribution of

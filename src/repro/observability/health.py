@@ -393,9 +393,10 @@ class HealthMonitor:
     keep_ok:
         Store OK records too (full audit trail); default keeps only WARN/FAIL
         plus per-invariant counters, bounding memory on long trajectories.
-    clock:
-        Injectable clock for record timestamps; shared with the owning
-        :class:`~repro.observability.Instrumentation`'s tracer when attached.
+
+    Record timestamps come from :attr:`clock`, which the owning
+    :class:`~repro.observability.Instrumentation` sets to its tracer's
+    clock; a monitor used on its own reads the wall clock.
     """
 
     def __init__(
@@ -404,12 +405,11 @@ class HealthMonitor:
         thresholds: HealthThresholds | None = None,
         sinks: Iterable[AlertSink] = (),
         keep_ok: bool = False,
-        clock: WallClock | None = None,
     ) -> None:
         self.thresholds = thresholds or HealthThresholds()
         self.sinks: list[AlertSink] = list(sinks)
         self.keep_ok = keep_ok
-        self.clock = clock
+        self.clock: WallClock | None = None
         #: callables receiving *every* record (OK included) — the flight
         #: recorder's wire-up; empty by default so nothing runs when unused
         self.listeners: list[Callable[[HealthRecord], None]] = []

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import pathlib
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -49,15 +48,13 @@ if TYPE_CHECKING:
 class Instrumentation(Observer):
     """Tracer + metrics + logger bundle.
 
+    Each handle builds its own :class:`SpanTracer` and
+    :class:`MetricsRegistry` and logs through the ``repro`` root logger.
+
     Parameters
     ----------
-    tracer, metrics:
-        Pre-built components to share between instrumentations (e.g. one
-        registry across several engines); fresh ones are created by default.
-    logger:
-        A stdlib logger; defaults to the ``repro`` namespace root.
     clock:
-        Injectable clock used for a default-constructed tracer.
+        Injectable clock of the tracer (and of an attached health monitor).
     health:
         Optional :class:`~repro.observability.health.HealthMonitor`; when
         set, drivers additionally publish physics-invariant samples to it
@@ -65,8 +62,8 @@ class Instrumentation(Observer):
         ``None`` (the default) keeps every health check off the hot path.
     recorder:
         Optional :class:`~repro.observability.runlog.RunRecorder`.  When
-        set, the run gets a ledger entry (``telemetry/runs/<run_id>/`` with
-        a schema'd manifest), its flight recorder listens to the tracer,
+        set, the run gets a run directory (``telemetry/runs/<run_id>/``
+        with a schema'd manifest), its flight recorder listens to the tracer,
         the metrics and the health monitor, and drivers note their
         invocations/failures against it.  ``None`` (the default) installs
         no listener and executes zero runlog code.
@@ -79,18 +76,15 @@ class Instrumentation(Observer):
 
     def __init__(
         self,
-        tracer: SpanTracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        logger: logging.Logger | None = None,
         clock: WallClock | None = None,
         health: "HealthMonitor | None" = None,
         recorder: "RunRecorder | None" = None,
         numerics: "NumericsSanitizer | None" = None,
     ) -> None:
         super().__init__(numerics if numerics is not None else env_numerics())
-        self.tracer = tracer or SpanTracer(clock=clock)
-        self.metrics = metrics or MetricsRegistry()
-        self.log = logger or get_logger()
+        self.tracer = SpanTracer(clock=clock)
+        self.metrics = MetricsRegistry()
+        self.log = get_logger()
         self.health = health
         if health is not None and health.clock is None:
             # share the tracer's clock so health instants align with spans
@@ -110,7 +104,7 @@ class Instrumentation(Observer):
         **attrs: Any,
     ) -> Iterator[Span | None]:
         """One driver entry (``scf.run``, ``ldc.run``, ``qmd.run``): noted
-        in the run ledger, wrapped in a span of that name (``category=None``:
+        in the run manifest, wrapped in a span of that name (``category=None``:
         no span, for a driver that opens one per step) and, if it raises,
         recorded as a failure (black-box dump) on the way out."""
         if self.recorder is not None:

@@ -10,6 +10,10 @@ handler to stderr:
 * ``REPRO_LOG=debug`` + ``REPRO_LOG_FORMAT=json`` — one JSON object per
   line (machine-parseable, includes any ``extra={...}`` fields).
 
+``REPRO_LOG`` takes a stdlib level name (``debug``, ``info``, ``warning``,
+``error``, ``critical``; any case) and ``REPRO_LOG_FORMAT`` ``json`` or
+``text``; any other value raises ``ValueError`` naming the variable.
+
 Drivers log through :func:`get_logger`, e.g. ``get_logger("dft.scf")`` →
 the stdlib logger ``repro.dft.scf``, so standard ``logging`` configuration
 (filters, per-module levels) applies unchanged.
@@ -24,6 +28,15 @@ import os
 from typing import IO, Any
 
 ROOT_LOGGER = "repro"
+
+_LEVELS = {
+    "debug": logging.DEBUG,
+    "info": logging.INFO,
+    "warning": logging.WARNING,
+    "error": logging.ERROR,
+    "critical": logging.CRITICAL,
+}
+_FORMATS = {"json": True, "text": False}
 
 #: logging.LogRecord attributes that are not user-supplied extras
 _RESERVED = frozenset(
@@ -74,14 +87,19 @@ def configure_logging(
     Arguments override the environment (``REPRO_LOG`` for the level,
     ``REPRO_LOG_FORMAT=json|text``).  With no argument and no environment,
     the level defaults to WARNING.  Calling again replaces the previously
-    configured handler rather than stacking duplicates.
+    configured handler rather than stacking duplicates.  A level or format
+    name outside the allowed ones raises ``ValueError``.
     """
     if level is None:
-        level = os.environ.get("REPRO_LOG", "WARNING")
-    if isinstance(level, str):
-        level = getattr(logging, level.upper(), logging.WARNING)
+        level = _choice("REPRO_LOG", os.environ.get("REPRO_LOG", "warning"),
+                        _LEVELS)
+    elif isinstance(level, str):
+        level = _choice("level", level, _LEVELS)
     if json_format is None:
-        json_format = os.environ.get("REPRO_LOG_FORMAT", "text").lower() == "json"
+        json_format = _choice(
+            "REPRO_LOG_FORMAT", os.environ.get("REPRO_LOG_FORMAT", "text"),
+            _FORMATS,
+        )
 
     root = logging.getLogger(ROOT_LOGGER)
     root.setLevel(level)
@@ -98,6 +116,15 @@ def configure_logging(
         )
     root.addHandler(handler)
     return root
+
+
+def _choice(name: str, value: str, allowed: dict[str, Any]) -> Any:
+    try:
+        return allowed[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"{name}={value!r}: expected one of {', '.join(allowed)}"
+        ) from None
 
 
 def _ensure_null_handler() -> None:

@@ -337,12 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory with fresh BENCH_*.json payloads",
     )
     parser.add_argument(
-        "--runs", action="store_true",
-        help="resolve fresh payloads through the run ledger "
-        "(newest BENCH_*.json per bench under telemetry/runs/) instead "
-        "of --results",
-    )
-    parser.add_argument(
         "--baselines", default="benchmarks/baselines",
         help="directory with committed baseline payloads",
     )
@@ -361,25 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     baselines_dir = pathlib.Path(args.baselines)
-    if args.runs:
-        from repro.observability.runlog import ledger_bench_files, runs_root
-
-        fresh_files = ledger_bench_files()
-        if not fresh_files:
-            print(
-                f"error: no ledger bench runs under {runs_root()}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        results_dir = pathlib.Path(args.results)
-        if not results_dir.is_dir():
-            print(
-                f"error: results dir not found: {results_dir}",
-                file=sys.stderr,
-            )
-            return 2
-        fresh_files = _bench_files(results_dir)
+    results_dir = pathlib.Path(args.results)
+    if not results_dir.is_dir():
+        print(f"error: results dir not found: {results_dir}", file=sys.stderr)
+        return 2
+    fresh_files = _bench_files(results_dir)
     if args.bench:
         missing = sorted(set(args.bench) - set(fresh_files))
         if missing and not args.update:

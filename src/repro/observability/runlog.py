@@ -1,32 +1,31 @@
-"""The run ledger: durable per-run identity, manifests, and cross-run diffs.
+"""Run directories: durable per-run identity, manifest, and content hashes.
 
 Single-run telemetry (trace/metrics/health artifacts) answers "what
-happened in *this* invocation"; the paper's scaling and time-to-solution
-claims (Figs. 5/6, Sec. 5) are statements about *series* of runs.  This
-module adds the longitudinal layer:
+happened in *this* invocation"; this module makes that answer durable:
 
-* **Run ledger** — :class:`RunRecorder` gives every driver/bench invocation
-  a run id and a directory ``<telemetry>/runs/<run_id>/`` holding the
-  telemetry artifacts plus a schema'd ``manifest.json``: git SHA, options
-  hashes, environment flags, wall-clock, headline metrics,
-  and a content hash of every artifact (so a ledger entry is verifiable
-  long after the run).
+* **Run directory** — :class:`RunRecorder` gives an instrumented driver
+  invocation a run id and a directory ``<telemetry>/runs/<run_id>/``
+  holding the telemetry artifacts plus a schema'd ``manifest.json``:
+  provenance (git SHA, python/numpy), tracked environment flags,
+  invocations with options hashes, failures, health outcome, wall-clock,
+  and a content hash of every artifact (so a run is verifiable long after
+  it ended).  The metrics snapshot is the hashed ``metrics.json`` beside it.
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
   FlightRecorder` fed by the run's tracer, metrics and health listeners
   dumps ``blackbox.jsonl`` on health FAILs, sanitizer errors, and
   unhandled driver exceptions.
-* **Cross-run diffs** — the CLI lists/inspects/verifies runs and diffs two
-  manifests metric-by-metric through the one comparison engine,
-  :func:`~repro.observability.regress.compare_payloads`::
+* **CLI** — lists, prints and re-hashes runs::
 
       python -m repro.observability.runlog list
       python -m repro.observability.runlog show <run_id>
       python -m repro.observability.runlog verify <run_id>
-      python -m repro.observability.runlog diff <run_a> <run_b>
-      python -m repro.observability.runlog diff --last bench:qmd_warm_start
 
-  Exit status: 0 = clean, 1 = drift/verification failure, 2 = usage/I-O
-  error (the :mod:`~repro.observability.regress` convention).
+  Exit status: 0 = clean, 1 = verification failure, 2 = usage/I-O error
+  (the :mod:`~repro.observability.regress` convention).
+
+Bench results are not run directories: a bench's record is its
+``benchmarks/results/BENCH_<name>.json``, judged by
+:mod:`~repro.observability.regress` under the schema embedded in it.
 
 All telemetry writers resolve their output location through
 :func:`telemetry_root` (the ``REPRO_TELEMETRY_DIR`` environment variable,
@@ -47,7 +46,6 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 import subprocess
 import sys
 import time
@@ -57,11 +55,11 @@ from repro.observability.flightrec import BLACKBOX_NAME, FlightRecorder
 
 if TYPE_CHECKING:
     from repro.observability.instrumentation import Instrumentation
-    from repro.observability.regress import RecordSchema
 
 #: manifest layout version — bumped when the manifest envelope changes
-#: (2: no ``telemetry`` field)
-MANIFEST_VERSION = 2
+#: (2: no ``telemetry`` field; 3: no ``metrics`` field).  Older manifests
+#: still validate: a field a version dropped is ignored.
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
 #: environment variable naming the telemetry root directory
@@ -95,7 +93,7 @@ def telemetry_root(root=None) -> pathlib.Path:
 
 
 def runs_root(root=None) -> pathlib.Path:
-    """``<telemetry root>/runs`` — the ledger directory."""
+    """``<telemetry root>/runs`` — where run directories live."""
     return telemetry_root(root) / "runs"
 
 
@@ -148,65 +146,6 @@ def _canonical_options(options: Any) -> Any:
     return repr(options)
 
 
-# -- metric flattening -------------------------------------------------------
-
-
-def flatten_metrics(snapshot: dict[str, dict[str, Any]]) -> dict[str, float]:
-    """Scalar view of a :meth:`MetricsRegistry.snapshot`.
-
-    Counters/gauges keep their value; histograms contribute ``.mean`` and
-    ``.count``; series contribute ``.last`` and ``.n`` — the headline
-    numbers two manifests can be diffed on.
-    """
-    out: dict[str, float] = {}
-    for key, rec in snapshot.items():
-        kind = rec.get("kind")
-        if kind in ("counter", "gauge"):
-            if rec.get("value") is not None:
-                out[key] = float(rec["value"])
-        elif kind == "histogram":
-            if rec.get("mean") is not None:
-                out[f"{key}.mean"] = float(rec["mean"])
-            out[f"{key}.count"] = float(rec.get("count", 0))
-        elif kind == "series":
-            values = rec.get("values") or []
-            if values:
-                out[f"{key}.last"] = float(values[-1])
-            out[f"{key}.n"] = float(len(values))
-    return out
-
-
-def flatten_records(
-    records: list[dict[str, Any]], schema: "RecordSchema | None" = None
-) -> dict[str, float]:
-    """Scalar view of a bench's ``records=`` rows for the manifest.
-
-    Metric-style rows (``{"metric": m, "value": v}``) map directly; keyed
-    tabular rows prefix each numeric field with the schema row key; unkeyed
-    rows fall back to a positional prefix.
-    """
-    out: dict[str, float] = {}
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            continue
-        if set(rec) >= {"metric", "value"} and isinstance(
-            rec.get("value"), (int, float)
-        ):
-            out[str(rec["metric"])] = float(rec["value"])
-            continue
-        if schema is not None and schema.key:
-            prefix = schema.row_key(rec)
-        else:
-            prefix = f"row{i}"
-        for name, value in rec.items():
-            if schema is not None and name in schema.key:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            out[f"{prefix}.{name}"] = float(value)
-    return out
-
-
 # -- provenance --------------------------------------------------------------
 
 
@@ -224,7 +163,9 @@ def _git_sha() -> str | None:
     return out.stdout.strip() or None if out.returncode == 0 else None
 
 
-def _provenance() -> dict[str, Any]:
+def provenance() -> dict[str, Any]:
+    """Git SHA and python/numpy versions: what produced a run or a bench
+    record."""
     import platform
 
     import numpy
@@ -240,32 +181,27 @@ def _provenance() -> dict[str, Any]:
 
 
 class RunRecorder:
-    """Gives one driver/bench invocation a durable ledger entry.
+    """Gives one instrumented driver invocation a durable run directory.
 
-    Typical use through the facade::
+    Used through the facade::
 
         rec = RunRecorder(component="qmd")
         ins = Instrumentation(health=monitor, recorder=rec)
         QMDDriver(LDCEngine(opts), timestep=5.0, instrumentation=ins).run(
             config, nsteps)
         rec.finish()        # artifacts + manifest under telemetry/runs/<id>/
-
-    Standalone (no facade — e.g. the bench harness) works too: artifacts
-    are registered with :meth:`add_artifact` and headline numbers with
-    :meth:`add_metrics`; :meth:`finish` still writes a verified manifest.
     """
 
     def __init__(
         self,
         component: str = "run",
         root=None,
-        run_id: str | None = None,
         flight: FlightRecorder | None = None,
         flight_capacity: int = 256,
     ) -> None:
         self.component = component
         self.root = telemetry_root(root)
-        self.run_id = run_id or new_run_id(component)
+        self.run_id = new_run_id(component)
         self.dir = self.root / "runs" / self.run_id
         self.dir.mkdir(parents=True, exist_ok=True)
         self.flight = flight or FlightRecorder(capacity=flight_capacity)
@@ -278,7 +214,6 @@ class RunRecorder:
         self._invocations: list[dict[str, Any]] = []
         self._failures: list[dict[str, Any]] = []
         self._last_exc: BaseException | None = None
-        self._metrics: dict[str, float] = {}
 
     # -- facade wiring --------------------------------------------------------
 
@@ -344,21 +279,6 @@ class RunRecorder:
         self._failures.append(entry)
         self.flight.dump("exception", trigger=entry)
 
-    def add_metrics(self, metrics: dict[str, float]) -> None:
-        """Merge explicit headline metrics into the manifest."""
-        for key, value in metrics.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self._metrics[str(key)] = float(value)
-
-    def add_artifact(self, path, name: str | None = None) -> pathlib.Path:
-        """Copy an externally produced file into the run directory."""
-        src = pathlib.Path(path)
-        dest = self.dir / (name or src.name)
-        if src.resolve() != dest.resolve():
-            shutil.copy2(src, dest)
-        return dest
-
     # -- finalization ---------------------------------------------------------
 
     def finish(self, status: str | None = None) -> dict[str, Any]:
@@ -368,7 +288,6 @@ class RunRecorder:
         ins = self._ins
         if ins is not None:
             ins.write_artifacts(self.dir)
-            self.add_metrics(flatten_metrics(ins.metrics.snapshot()))
         health = None
         if ins is not None and ins.health is not None:
             health = {
@@ -386,12 +305,11 @@ class RunRecorder:
             "started": self._started,
             "finished": _utc_now(),
             "wall_seconds": time.time() - self._t0,
-            "provenance": _provenance(),
+            "provenance": provenance(),
             "env": {k: os.environ.get(k) for k in TRACKED_ENV},
             "invocations": self._invocations,
             "failures": failures,
             "health": health,
-            "metrics": dict(sorted(self._metrics.items())),
             "artifacts": {
                 p.name: {
                     "path": p.name,
@@ -475,13 +393,6 @@ def validate_manifest(manifest: Any) -> list[str]:
     need("invocations", list)
     need("failures", list)
 
-    def check_metrics(metrics: dict) -> None:
-        for key, value in metrics.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                errors.append(f"metric {key!r}: value is not numeric")
-
-    need("metrics", dict, check_metrics)
-
     def check_artifacts(artifacts: dict) -> None:
         for name, entry in artifacts.items():
             if not isinstance(entry, dict):
@@ -533,13 +444,13 @@ def verify_run(run_dir) -> list[str]:
     return problems
 
 
-# -- ledger queries ----------------------------------------------------------
+# -- run queries -------------------------------------------------------------
 
 
 def list_runs(
     root=None, component: str | None = None
 ) -> list[dict[str, Any]]:
-    """Manifests of every ledger run, oldest first (unreadable runs skipped)."""
+    """Manifests of every run, oldest first (unreadable runs skipped)."""
     base = runs_root(root)
     if not base.is_dir():
         return []
@@ -580,123 +491,14 @@ def find_run(run_id: str, root=None) -> pathlib.Path:
     raise FileNotFoundError(f"no run {run_id!r} under {base}")
 
 
-def ledger_bench_files(root=None) -> dict[str, pathlib.Path]:
-    """Newest ``BENCH_<name>.json`` per bench across the ledger.
-
-    The regress CLI's ``--runs`` resolution: fresh payloads come from run
-    directories instead of the flat results dir.
-    """
-    out: dict[str, pathlib.Path] = {}
-    for manifest in list_runs(root):  # oldest first → later wins
-        run_dir = runs_root(root) / str(manifest.get("run_id"))
-        for name in manifest.get("artifacts", {}):
-            if name.startswith("BENCH_") and name.endswith(".json"):
-                out[name[len("BENCH_"):-len(".json")]] = run_dir / name
-    return out
-
-
-# -- cross-run diff ----------------------------------------------------------
-
-#: default tolerance band for manifest metric diffs (regress-style)
-DEFAULT_REL_TOL = 0.05
-
-_LOWER_MARKERS = (
-    "time", "second", "wall", "iter", "error", "drift", "resid",
-    "overhead", "dropped", "stall",
-)
-_HIGHER_MARKERS = ("gflops", "efficiency", "speedup", "throughput", "rate")
-
-
-def direction_for(metric: str) -> str:
-    """Regression direction inferred from the metric name.
-
-    Times/iterations/errors gate on increase (``"lower"`` is better),
-    throughput-style metrics on decrease, everything else both ways — the
-    same semantics as :class:`~repro.observability.regress.FieldSpec`.
-    """
-    name = metric.lower()
-    if any(marker in name for marker in _HIGHER_MARKERS):
-        return "higher"
-    if any(marker in name for marker in _LOWER_MARKERS):
-        return "lower"
-    return "both"
-
-
-def diff_manifests(
-    base: dict[str, Any],
-    fresh: dict[str, Any],
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 0.0,
-) -> list[dict[str, Any]]:
-    """Metric-by-metric diff of two manifests under regress bands.
-
-    Both manifests become metric-style payloads (one ``metric_value()`` row
-    per metric, keyed by ``metric``, each metric's band and
-    :func:`direction_for` direction in the schema's overrides) and go
-    through :func:`~repro.observability.regress.compare_payloads`, the one
-    comparison engine.  Returns one row per metric in either manifest:
-    ``{metric, baseline, fresh, verdict, message}`` with verdict ``ok`` /
-    ``drift`` / ``missing`` / ``new``.
-    """
-    from repro.observability.regress import (
-        RecordSchema,
-        compare_payloads,
-        metric_value,
-    )
-
-    a = base.get("metrics", {})
-    b = fresh.get("metrics", {})
-    metrics = sorted(set(a) | set(b))
-    band = {"rel_tol": rel_tol, "abs_tol": abs_tol}
-    schema = RecordSchema(
-        bench="manifest",
-        fields=metric_value(),
-        key=("metric",),
-        overrides={
-            m: {"value": {"direction": direction_for(m), **band}}
-            for m in metrics
-        },
-    ).to_dict()
-
-    def payload(values: dict[str, float]) -> dict[str, Any]:
-        records = [{"metric": m, "value": v} for m, v in values.items()]
-        return {"schema": schema, "records": records}
-
-    deltas = {d.key: d for d in compare_payloads(payload(a), payload(b))}
-    rows: list[dict[str, Any]] = []
-    for metric in metrics:
-        delta = deltas.get(metric)
-        rows.append(
-            {
-                "metric": metric,
-                "baseline": a.get(metric),
-                "fresh": b.get(metric),
-                "verdict": "ok" if delta is None else _VERDICTS[delta.status],
-                "message": "" if delta is None
-                else _ABSENT.get(delta.status, delta.message),
-            }
-        )
-    return rows
-
-
-#: regress delta status → ``runlog diff`` verdict
-_VERDICTS = {"regression": "drift", "missing_row": "missing", "new_row": "new"}
-_ABSENT = {
-    "missing_row": "absent in fresh run",
-    "new_row": "absent in baseline run",
-}
-
-
 # -- CLI ---------------------------------------------------------------------
 
 
 def _render_run_line(manifest: dict[str, Any]) -> str:
-    metrics = manifest.get("metrics", {})
     return (
         f"{manifest.get('run_id'):<44}  {manifest.get('status'):<5}  "
         f"{manifest.get('component'):<28}  "
-        f"{manifest.get('wall_seconds', 0.0):>8.2f}s  "
-        f"{len(metrics):>3} metric(s)"
+        f"{manifest.get('wall_seconds', 0.0):>8.2f}s"
     )
 
 
@@ -733,54 +535,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _resolve_diff_pair(args) -> tuple[dict[str, Any], dict[str, Any]]:
-    if args.last is not None:
-        manifests = list_runs(args.root, component=args.last)
-        if len(manifests) < 2:
-            raise FileNotFoundError(
-                f"need at least 2 ledger runs of component {args.last!r} "
-                f"to diff (found {len(manifests)})"
-            )
-        return manifests[-2], manifests[-1]
-    if not (args.run_a and args.run_b):
-        raise FileNotFoundError(
-            "diff needs two run ids (or --last COMPONENT)"
-        )
-    return (
-        load_manifest(find_run(args.run_a, root=args.root)),
-        load_manifest(find_run(args.run_b, root=args.root)),
-    )
-
-
-def _cmd_diff(args) -> int:
-    base, fresh = _resolve_diff_pair(args)
-    rows = diff_manifests(
-        base, fresh, rel_tol=args.rel_tol, abs_tol=args.abs_tol
-    )
-    drifted = 0
-    for row in rows:
-        if row["verdict"] == "ok" and not args.verbose:
-            continue
-        mark = {"ok": "ok   ", "drift": "DRIFT", "missing": "MISS ",
-                "new": "NEW  "}[row["verdict"]]
-        detail = f" ({row['message']})" if row["message"] else ""
-        print(
-            f"{mark} {row['metric']}: {row['baseline']!r} -> "
-            f"{row['fresh']!r}{detail}"
-        )
-        if row["verdict"] == "drift":
-            drifted += 1
-    print(
-        f"diff {base.get('run_id')} -> {fresh.get('run_id')}: "
-        f"{len(rows)} metric(s), {drifted} outside band"
-    )
-    return 1 if drifted else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observability.runlog",
-        description="Inspect, verify, and diff the run ledger "
+        description="List, show and verify run directories "
         "(telemetry/runs/).",
     )
     parser.add_argument(
@@ -789,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list ledger runs")
+    p_list = sub.add_parser("list", help="list run directories")
     p_list.add_argument("--component", default=None)
     p_list.set_defaults(func=_cmd_list)
 
@@ -802,22 +560,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument("run")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_diff = sub.add_parser(
-        "diff", help="metric-by-metric diff of two runs under tolerance bands"
-    )
-    p_diff.add_argument("run_a", nargs="?")
-    p_diff.add_argument("run_b", nargs="?")
-    p_diff.add_argument(
-        "--last", metavar="COMPONENT", default=None,
-        help="diff the two most recent runs of COMPONENT",
-    )
-    p_diff.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
-    p_diff.add_argument("--abs-tol", type=float, default=0.0)
-    p_diff.add_argument(
-        "--verbose", action="store_true", help="also print in-band metrics"
-    )
-    p_diff.set_defaults(func=_cmd_diff)
 
     args = parser.parse_args(argv)
     try:
@@ -834,17 +576,13 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunRecorder",
-    "diff_manifests",
-    "direction_for",
-    "flatten_metrics",
-    "flatten_records",
     "find_run",
     "hash_file",
-    "ledger_bench_files",
     "list_runs",
     "load_manifest",
     "new_run_id",
     "options_hash",
+    "provenance",
     "runs_root",
     "telemetry_root",
     "validate_manifest",

@@ -124,7 +124,7 @@ def test_rp006_flags_direct_telemetry_writes():
     # open at the bottom of the fixture must not be flagged
     assert len(findings) == 3
     assert all("written directly" in f.message for f in findings)
-    assert all("RunRecorder" in f.message for f in findings)
+    assert all("Instrumentation.write_artifacts" in f.message for f in findings)
 
 
 def test_rp006_telemetry_writes_exempt_inside_observability(tmp_path):

@@ -371,10 +371,8 @@ def test_nve_drift_parity_extrapolated_vs_last_state():
 
 
 def test_ledger_manifest_carries_predictor_series():
-    """The iterations-saved and chosen-(b, l*) series flatten into the run
-    manifest (`.last`/`.n` scalars) so `runlog diff` can compare them."""
-    from repro.observability.runlog import flatten_metrics
-
+    """The iterations-saved and chosen-(b, l*) series land in the metrics
+    snapshot, which a run directory keeps as its hashed ``metrics.json``."""
     ins = Instrumentation()
     engine = LDCEngine(
         LDCOptions(**OPTS),
@@ -383,13 +381,10 @@ def test_ledger_manifest_carries_predictor_series():
     )
     for s in (0.0, 0.05, 0.10):
         engine.forces(h4_chain(shift=s))
-    flat = flatten_metrics(ins.metrics.snapshot())
-    keys = set(flat)
-    assert any(k.startswith("qmd.eig_iterations") and k.endswith(".last")
-               for k in keys)
-    assert any(k.startswith("qmd.eig_iters_saved") and k.endswith(".last")
-               for k in keys)
-    assert any(k.startswith("ldc.buffer_b") and k.endswith(".last")
-               for k in keys)
-    assert any(k.startswith("ldc.core_l") and k.endswith(".last")
-               for k in keys)
+    snapshot = ins.metrics.snapshot()
+    for name in ("qmd.eig_iterations", "qmd.eig_iters_saved",
+                 "ldc.buffer_b", "ldc.core_l"):
+        assert any(
+            key.startswith(name) and rec["kind"] == "series" and rec["values"]
+            for key, rec in snapshot.items()
+        ), name

@@ -226,15 +226,28 @@ get_logger("probe").info("hello", extra={"k": 1})
 """
 
 
+_BAD_LOG_ENV = {
+    "bad-level": ({"REPRO_LOG": "verbose"}, "REPRO_LOG"),
+    # a logging module constant, not a level name
+    "level-constant": ({"REPRO_LOG": "basic_format"}, "REPRO_LOG"),
+    "bad-format": (
+        {"REPRO_LOG": "info", "REPRO_LOG_FORMAT": "jsno"}, "REPRO_LOG_FORMAT"
+    ),
+}
+
+
 @pytest.mark.parametrize("env", [
     {"REPRO_LOG": "info"},
     {"REPRO_LOG": "info", "REPRO_LOG_FORMAT": "json"},
     {},
-], ids=["text", "json", "unset"])
+    *(env for env, _ in _BAD_LOG_ENV.values()),
+], ids=["text", "json", "unset", *_BAD_LOG_ENV])
 def test_repro_log_alone_enables_logging(env):
     """``REPRO_LOG`` set is all it takes: the process's first
     ``get_logger()`` attaches the stderr handler, with no call to
-    ``configure_logging()``; unset, nothing is printed."""
+    ``configure_logging()``; unset, nothing is printed.  A value outside
+    the level names or ``json``/``text`` is an error naming its variable,
+    never a silent fallback."""
     import os
     import pathlib
     import subprocess
@@ -246,6 +259,11 @@ def test_repro_log_alone_enables_logging(env):
         [sys.executable, "-c", _LOG_PROBE], capture_output=True, text=True,
         env={**base, **env, "PYTHONPATH": str(src)}, timeout=120,
     )
+    bad = [name for value, name in _BAD_LOG_ENV.values() if value == env]
+    if bad:
+        assert done.returncode != 0
+        assert f"ValueError: {bad[0]}=" in done.stderr, done.stderr
+        return
     assert done.returncode == 0, done.stderr
     if not env:
         assert done.stderr == ""

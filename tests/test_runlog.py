@@ -1,4 +1,4 @@
-"""Run-ledger subsystem: manifests, flight recorder, diff CLI.
+"""Run directories: manifests, flight recorder, the runlog CLI.
 
 Covers:
 
@@ -11,8 +11,7 @@ Covers:
   an unwritable black box landing in the manifest instead of the solve;
 * the zero-overhead pin when no recorder is attached (``sys.setprofile``
   counting, the ``test_instrumentation_overhead.py`` technique);
-* the ``runlog`` CLI: list/show/verify/diff exit codes;
-* the bench harness's ledger entries and ``regress --runs`` resolution.
+* the ``runlog`` CLI: list/show/verify exit codes.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ from repro.observability.health import (
 )
 from repro.observability.runlog import (
     RunRecorder,
-    diff_manifests,
-    direction_for,
-    flatten_records,
-    list_runs,
     load_manifest,
     new_run_id,
     options_hash,
@@ -120,21 +115,24 @@ def test_manifest_roundtrip_and_hash_verification(tmp_path):
     assert manifest["component"] == "qmd"
     assert manifest["invocations"][0]["component"] == "qmd.run"
     assert manifest["invocations"][0]["nsteps"] == 5
-    assert manifest["metrics"]["qmd.steps"] == 5.0
     assert set(manifest["artifacts"]) >= {
         "trace.json", "metrics.json", "metrics.csv"
     }
-    assert manifest["manifest_version"] == 2 and "telemetry" not in manifest
+    # the metrics snapshot lives once, in the hashed metrics.json
+    metrics = json.loads((rec.dir / "metrics.json").read_text())
+    assert metrics["qmd.steps"]["value"] == 5.0
+    assert manifest["manifest_version"] == 3
+    assert "telemetry" not in manifest and "metrics" not in manifest
     # disk round-trip is byte-identical semantics
     assert load_manifest(rec.dir) == manifest
     assert verify_run(rec.dir) == []
     # finish() is idempotent
     assert rec.finish() is manifest
     # one array library, one domain-solve seam: no backend field, no
-    # REPRO_BACKEND, no stack-width flag and no telemetry-bus field any more,
-    # and a ledger written while they existed still reads as valid (the
-    # retired name is spelled in two halves so a repo-wide grep for it stays
-    # empty)
+    # REPRO_BACKEND, no stack-width flag, no telemetry-bus field and no
+    # flattened metrics any more, and a manifest written while they existed
+    # still reads as valid (the retired name is spelled in two halves so a
+    # repo-wide grep for it stays empty)
     batch_flag = "REPRO_BATCH_" + "DOMAINS"
     assert "backend" not in manifest["provenance"]
     assert "REPRO_BACKEND" not in manifest["env"]
@@ -147,6 +145,8 @@ def test_manifest_roundtrip_and_hash_verification(tmp_path):
         "env": {**manifest["env"], "REPRO_BACKEND": None, batch_flag: "1"},
     }
     assert validate_manifest(old) == []
+    v2 = {**manifest, "manifest_version": 2, "metrics": {"qmd.steps": 5.0}}
+    assert validate_manifest(v2) == []
 
 
 def test_verify_detects_tampering(tmp_path):
@@ -402,56 +402,7 @@ def test_recorder_code_never_runs_without_a_recorder():
     assert counts["n"] == 0
 
 
-# -- cross-run diffs ----------------------------------------------------------
-
-
-def test_direction_heuristics():
-    assert direction_for("qmd.wall_seconds") == "lower"
-    assert direction_for("solve.gflops") == "higher"
-    assert direction_for("qmd.total_energy.last") == "both"
-
-
-def _mini_manifest(run_id, metrics):
-    return {"run_id": run_id, "metrics": metrics, "started": run_id}
-
-
-def test_diff_manifests_band_verdicts():
-    rows = diff_manifests(
-        _mini_manifest("a", {"t_s": 1.0, "gone": 2.0, "steady": 5.0}),
-        _mini_manifest("b", {"t_s": 1.2, "new": 1.0, "steady": 5.01}),
-        rel_tol=0.05,
-    )
-    verdicts = {r["metric"]: r["verdict"] for r in rows}
-    assert verdicts == {
-        "t_s": "drift", "gone": "missing", "new": "new", "steady": "ok"
-    }
-    # a "lower" metric that improves far beyond its band is not drift
-    assert direction_for("iter_count") == "lower"
-    (row,) = diff_manifests(
-        _mini_manifest("a", {"iter_count": 10.0}),
-        _mini_manifest("b", {"iter_count": 6.0}),
-        rel_tol=0.05,
-    )
-    assert row["verdict"] == "ok" and row["message"] == ""
-
-
 # -- the CLI ------------------------------------------------------------------
-
-
-_RUN_COUNTER = {"n": 0}
-
-
-def _make_run(tmp_path, component, metrics):
-    # explicit run ids: stamps have 1s resolution, so same-second runs
-    # would otherwise sort by random entropy; the ledger tie-breaks on
-    # run_id, which we make strictly increasing here
-    _RUN_COUNTER["n"] += 1
-    rec = RunRecorder(
-        component=component, root=tmp_path,
-        run_id=f"20260101-0000{_RUN_COUNTER['n']:02d}-test",
-    )
-    rec.add_metrics(metrics)
-    return rec.finish()
 
 
 def _cli(argv, monkeypatch, tmp_path):
@@ -462,7 +413,7 @@ def _cli(argv, monkeypatch, tmp_path):
 
 
 def test_cli_list_show_verify(monkeypatch, tmp_path, capsys):
-    manifest = _make_run(tmp_path, "qmd", {"t_s": 1.0})
+    manifest = RunRecorder(component="qmd", root=tmp_path).finish()
     assert _cli(["list"], monkeypatch, tmp_path) == 0
     out = capsys.readouterr().out
     assert manifest["run_id"] in out and "1 run(s)" in out
@@ -472,29 +423,6 @@ def test_cli_list_show_verify(monkeypatch, tmp_path, capsys):
     prefix = manifest["run_id"][:-3]
     assert _cli(["verify", prefix], monkeypatch, tmp_path) == 0
     assert _cli(["verify", "no-such-run"], monkeypatch, tmp_path) == 2
-
-
-def test_cli_diff_exit_codes(monkeypatch, tmp_path, capsys):
-    a = _make_run(tmp_path, "bench:x", {"t_seconds": 1.0, "steady": 3.0})
-    b = _make_run(tmp_path, "bench:x", {"t_seconds": 2.0, "steady": 3.0})
-    # explicit ids, drift present -> 1
-    code = _cli(
-        ["diff", a["run_id"], b["run_id"]], monkeypatch, tmp_path
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "DRIFT t_seconds" in out and "1 outside band" in out
-    # --last resolves the two newest runs of the component
-    assert _cli(["diff", "--last", "bench:x"], monkeypatch, tmp_path) == 1
-    capsys.readouterr()
-    # wide bands -> everything ok -> 0
-    code = _cli(
-        ["diff", "--last", "bench:x", "--rel-tol", "2.0"],
-        monkeypatch, tmp_path,
-    )
-    assert code == 0
-    # not enough runs of an unknown component -> usage error
-    assert _cli(["diff", "--last", "nope"], monkeypatch, tmp_path) == 2
 
 
 def test_report_cli_resolves_run(monkeypatch, tmp_path, capsys):
@@ -511,52 +439,3 @@ def test_report_cli_resolves_run(monkeypatch, tmp_path, capsys):
         assert report.main([arg]) == 0
         captured = capsys.readouterr()
         assert "phase.a" in captured.out and captured.err == ""
-
-
-# -- bench-harness integration ------------------------------------------------
-
-
-def test_harness_report_lands_ledger_entry(monkeypatch, tmp_path):
-    sys.path.insert(0, str(
-        __import__("pathlib").Path(__file__).parent.parent / "benchmarks"
-    ))
-    try:
-        import _harness
-    finally:
-        sys.path.pop(0)
-    monkeypatch.setattr(_harness, "RESULTS_DIR", tmp_path / "results")
-    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "tel"))
-    _harness.report(
-        "ledger_probe", "probe", ["line"],
-        records=[{"metric": "alpha", "value": 2.5}],
-    )
-    runs = list_runs(tmp_path / "tel", component="bench:ledger_probe")
-    assert len(runs) == 1
-    manifest = runs[0]
-    assert manifest["metrics"]["alpha"] == 2.5
-    assert set(manifest["artifacts"]) == {
-        "ledger_probe.txt", "BENCH_ledger_probe.json"
-    }
-    run_dir = tmp_path / "tel" / "runs" / manifest["run_id"]
-    assert verify_run(run_dir) == []
-
-    # regress --runs resolves the ledger copy of the payload
-    from repro.observability.runlog import ledger_bench_files
-
-    files = ledger_bench_files(tmp_path / "tel")
-    assert list(files) == ["ledger_probe"]
-    assert files["ledger_probe"].is_file()
-
-
-def test_flatten_records_metric_and_tabular():
-    assert flatten_records([{"metric": "a", "value": 1.5}]) == {"a": 1.5}
-    from repro.observability.regress import FieldSpec, RecordSchema
-
-    schema = RecordSchema(
-        bench="t", key=("cores",),
-        fields=[FieldSpec("cores", kind="int"), FieldSpec("eff")],
-    )
-    out = flatten_records(
-        [{"cores": 8, "eff": 0.9}, {"cores": 16, "eff": 0.8}], schema
-    )
-    assert out == {"8.eff": 0.9, "16.eff": 0.8}
