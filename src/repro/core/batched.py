@@ -123,28 +123,30 @@ def _domain_effective_potential(
     opts: LDCOptions,
     out: np.ndarray,
     pool: DomainScratch,
-) -> np.ndarray:
+) -> float | None:
     """Restrict the global fields to the domain and update its v_bc.
 
     Writes the effective potential the domain eigenproblem sees (including
     the damped boundary potential) into ``out`` — the domain's slice of the
-    stacked potential block — and returns the restricted global density
-    (needed again for the boundary-error diagnostic).  ``state.vbc`` is
-    updated in place as a side effect.
+    stacked potential block — and returns the boundary-density error
+    ∫|ρ_α − ρ| of the pass's input (``None`` before the domain has a ρ_α):
+    the solve changes neither side.  ``state.vbc`` is updated in place as
+    a side effect.
 
-    Every intermediate lives in a reusable pool, so a steady-state pass
-    allocates nothing here: the gathered density, read again after the
-    solve, in the domain's own (``state.scratch``); the v_bc target and the
-    buffer window, spent when this returns, in the seam's ``pool`` — one
-    of each, whatever the number of domains.
+    Every intermediate lives in the seam's ``pool`` and is spent when this
+    returns — the gathered density, the v_bc target, the buffer window:
+    one of each, whatever the number of domains, and a steady-state pass
+    allocates nothing here.
     """
     dom = state.domain
-    scratch = state.scratch
     shape = dom.grid.shape
-    flat = scratch.flat_indices(dom, rho.shape)
+    flat = state.scratch.flat_indices(dom, rho.shape)
     np.take(v_ks_global.ravel(), flat, out=out)
-    rho_restricted = scratch.get("rho_restricted", shape)
+    rho_restricted = pool.get("rho_restricted", shape)
     np.take(rho.ravel(), flat, out=rho_restricted)
+    err = None  # boundary-density error, from the second pass on
+    if state.rho_local is not None:
+        err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
     vbc_target = boundary_potential(
         state.rho_local, rho_restricted, xi,
         out=pool.get("vbc_target", shape),
@@ -162,7 +164,7 @@ def _domain_effective_potential(
         vbc_target *= VBC_DAMPING
         state.vbc += vbc_target
     out += state.vbc
-    return rho_restricted
+    return err
 
 
 def _solve_stack(
@@ -248,7 +250,7 @@ def batched_domain_pass(
         key, members = cls.key, cls.members
         stack = [states[pos] for pos in members]
         v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
-        rho_restricted = [
+        errors = [
             _domain_effective_potential(
                 state, rho, v_ks_global, xi, opts, out=v_eff[j], pool=pool,
             )
@@ -276,9 +278,7 @@ def batched_domain_pass(
             sp.attrs.update(
                 cg_iterations=sum(res.iterations for res in results)
             )
-        for pos, state, res, restricted in zip(
-            members, stack, results, rho_restricted
-        ):
+        for pos, state, res, err in zip(members, stack, results, errors):
             assert state.band_densities is not None
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
@@ -286,11 +286,6 @@ def batched_domain_pass(
             state.band_weights = state.domain.grid.dv * np.einsum(
                 "nijk,ijk->n", state.band_densities, state.support
             )
-            err = None  # boundary-density error, from the second pass on
-            if state.rho_local is not None:
-                err = boundary_error_norm(
-                    state.rho_local, restricted, state.domain.grid.dv
-                )
             record_solve(ins, opts.eigensolver, key.npw, res)
             outcomes[pos] = (int(res.iterations), err)
     return outcomes

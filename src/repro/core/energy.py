@@ -44,7 +44,9 @@ def boundary_energy_correction(
     """Σ_α ∫ p_α v_bc ρ_α dr — subtracted from the band energy."""
     total = 0.0
     for p, vbc, rho in zip(supports, vbcs, rho_locals):
-        total += float(np.sum(p * vbc * rho) * dv)
+        integrand = p * vbc
+        integrand *= rho  # (p·v_bc)·ρ in one temporary
+        total += float(np.sum(integrand) * dv)
     return total
 
 

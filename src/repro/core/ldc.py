@@ -406,6 +406,7 @@ def _scf_pass(
     outcomes = batched_domain_pass(
         active, rho, v_ks_global, xi, opts, ins, pool=pool
     )
+    del v_ks_global  # restricted into every domain: not held to the peak
     for (idom, state), (_, err) in zip(active, outcomes):
         assert state.eigenvalues is not None
         assert state.band_weights is not None

@@ -16,6 +16,8 @@ the domain (zero at its outermost buffer shell), as the paper requires.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.core.domains import Domain, DomainDecomposition
@@ -78,12 +80,34 @@ def smooth_supports(decomp: DomainDecomposition) -> list[np.ndarray]:
 
 
 def supports(decomp: DomainDecomposition, kind: str = "sharp") -> list[np.ndarray]:
-    """Partition-of-unity weights for every domain (``kind``: sharp|smooth)."""
+    """Partition-of-unity weights for every domain (``kind``: sharp|smooth).
+
+    Domains whose weights are equal share one read-only array — on a
+    uniform decomposition every sharp support is the same core indicator
+    — so the weights cost one array per distinct profile, not one per
+    domain, and a write through any holder raises.
+    """
+    weights: Iterable[np.ndarray]
     if kind == "sharp":
-        return [sharp_support(d) for d in decomp.domains]
-    if kind == "smooth":
-        return smooth_supports(decomp)
-    raise ValueError(f"unknown support kind {kind!r}")
+        weights = (sharp_support(d) for d in decomp.domains)
+    elif kind == "smooth":
+        weights = smooth_supports(decomp)
+    else:
+        raise ValueError(f"unknown support kind {kind!r}")
+    distinct: list[np.ndarray] = []
+    out: list[np.ndarray] = []
+    for w in weights:
+        held = next(
+            (d for d in distinct
+             if d.shape == w.shape and np.array_equal(d, w)),
+            None,
+        )
+        if held is None:
+            w.flags.writeable = False
+            distinct.append(w)
+            held = w
+        out.append(held)
+    return out
 
 
 def partition_residual(

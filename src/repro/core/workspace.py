@@ -7,7 +7,7 @@ options is therefore invariant across steps:
 
 * the global real-space grid,
 * the domain decomposition (cores + buffers),
-* the partition-of-unity supports p_α(r),
+* the partition-of-unity supports p_α(r), one per distinct profile,
 * one plane-wave basis per shape class (cutoff sphere on the domain grid),
 * the Ewald image shifts and reciprocal vectors,
 * the multigrid Poisson solver's level hierarchy and buffers.
@@ -81,11 +81,11 @@ class DomainScratch:
 
     One instance serves one consumer.  A *domain's* pool (on its
     :class:`~repro.core.ldc.DomainState`) holds what must exist once per
-    domain because it outlives the domain's solve — gather indices, the
-    restricted density, and the real per-band |ψ|² the seam forms from
-    the solved orbitals for the density step.  The seam's *stack pool*
-    holds one stack's working set — stacked v_eff/projectors, the solver's
-    iteration workspace, one domain's v_bc target and buffer window — and because
+    domain because it outlives the domain's solve — gather indices and
+    the real per-band |ψ|² the seam forms from the solved orbitals for
+    the density step.  The seam's *stack pool* holds one stack's working
+    set — stacked v_eff/projectors, the solver's iteration workspace, one
+    domain's restricted density, v_bc target and buffer window — and because
     stacks are solved one after another every shape class takes its views
     of the same arenas: the pool is the largest stack's working set, not
     the sum over classes.
@@ -132,15 +132,19 @@ class DomainScratch:
         return self._flat
 
 
-def _nbytes(obj: Any) -> int:
+def _nbytes(obj: Any, seen: set[int]) -> int:
     """Bytes of the arrays reachable from ``obj`` through lists, tuples,
-    dicts and instance attributes."""
+    dicts and instance attributes, but not of those in ``seen``: an array
+    counts once however many holders reach it (its id joins ``seen``)."""
     if isinstance(obj, np.ndarray):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
         return obj.nbytes
     if not isinstance(obj, (list, tuple, dict)):
         obj = getattr(obj, "__dict__", {})
     items = obj.values() if isinstance(obj, dict) else obj
-    return sum(_nbytes(item) for item in items)
+    return sum(_nbytes(item, seen) for item in items)
 
 
 def _domain_key(
@@ -208,6 +212,7 @@ class LDCWorkspace:
         self._signature: tuple | None = None
         self.grid: RealSpaceGrid | None = None
         self.decomposition: DomainDecomposition | None = None
+        #: partition weights by domain; equal ones are one read-only array
         self.pou: list[np.ndarray] | None = None
         #: one basis per shape class ``(grid shape, lengths, cutoff)``
         self._bases: dict[tuple, PlaneWaveBasis] = {}
@@ -226,7 +231,7 @@ class LDCWorkspace:
         #: the trajectory's density mixer; its secant pairs are the SCF
         #: memory carried across MD steps (:meth:`scf_mixer`)
         self._mixer: PulayMixer | None = None
-        #: per-domain reusable work buffers (gathered densities, band
+        #: per-domain reusable work buffers (gather indices, band
         #: densities), attached to each ``DomainState`` by
         #: :meth:`prepare` so they survive from one MD step to the next
         self._scratch: dict[int, DomainScratch] = {}
@@ -274,16 +279,21 @@ class LDCWorkspace:
         )
 
     def resident_bytes(self) -> dict[str, int]:
-        """Bytes kept alive between MD steps, by part: ``bases`` and
-        ``stack_pool`` do not grow with the domain count at a fixed stack
-        width, ``scratch`` and ``windows`` are the per-domain O(N) state,
-        ``mixer`` the carried SCF memory, ``global`` the geometry-only
-        tables of the global half (Ewald structure, multigrid levels)."""
+        """Bytes kept alive between MD steps, by part: ``bases`` (one
+        plane-wave basis per domain shape, one partition weight per
+        distinct profile) and ``stack_pool`` do not grow with the domain count at a
+        fixed stack width, ``scratch`` and ``windows`` are the per-domain
+        O(N) state, ``mixer`` the carried SCF memory, ``global`` the
+        geometry-only tables of the global half (Ewald structure,
+        multigrid levels).  An array counts once, in the first part that
+        reaches it."""
         levels = self._poisson.levels if self._poisson is not None else None
-        parts = (self._bases, self._scratch, self.batch_pool, self._history,
-                 self._mixer, (self._ewald, levels))
+        parts = ((self._bases, self.pou), self._scratch, self.batch_pool,
+                 self._history, self._mixer, (self._ewald, levels))
+        seen: set[int] = set()
         return {
-            name: _nbytes(part) for name, part in zip(RESIDENT_PARTS, parts)
+            name: _nbytes(part, seen)
+            for name, part in zip(RESIDENT_PARTS, parts)
         }
 
     def _ensure_structures(

@@ -156,6 +156,11 @@ class DomainHistory:
     options for a global window.  Pushing under a different key clears
     the window and predicting under one returns ``None`` (atom migration,
     band-count change, cell swap → deterministic cold fallback).
+
+    A depth-K window holds K snapshots after :meth:`push` and K − 1
+    between :meth:`predict` and the next push: the snapshot only that
+    prediction read goes with it, so no carried array exists K + 1 times
+    during a solve.
     """
 
     def __init__(self, depth: int = 3) -> None:
@@ -228,6 +233,12 @@ class DomainHistory:
         freely (the LDC driver updates v_bc in place every SCF iteration)
         without corrupting the window.  ρ is clipped nonnegative (the SCF
         loop renormalizes the electron count).
+
+        A full window releases its oldest snapshot here, not at the next
+        :meth:`push`, which would trim it: until then the window holds
+        ``depth − 1`` snapshots and the caller's live state is the
+        ``depth``-th.  A solve that raises in between leaves the window
+        one snapshot shorter.
         """
         if key != self._key or not self._entries:
             return None
@@ -242,5 +253,6 @@ class DomainHistory:
             extrapolate_fields(rho_hist, nonnegative=True)
             if newest[2] is not None else None
         )
+        del self._entries[self.depth - 1:]
         self.last_prediction = psi
         return psi, vbc, rho

@@ -245,6 +245,27 @@ def test_domain_history_resize_keeps_snapshots():
     assert len(hist) == 2
 
 
+def test_predict_releases_the_snapshot_no_later_prediction_reads():
+    """A full window drops its oldest snapshot when it predicts, so it
+    holds depth − 1 until the push; a miss drops nothing, and the push
+    leaves exactly what the trim at push time used to."""
+    hist = DomainHistory(depth=3)
+    key = (12, 3, (0,))
+    blocks = [random_orthonormal(12, 3, seed=s) for s in range(3)]
+    for b in blocks:
+        hist.push(key, b, None, None)
+    assert hist.predict((12, 3, (1,))) is None and len(hist) == 3
+    hist.predict(key)
+    assert [id(e[0]) for e in hist._entries] == [id(blocks[2]), id(blocks[1])]
+    hist.push(key, blocks[0], None, None)
+    assert [id(e[0]) for e in hist._entries] == [
+        id(blocks[0]), id(blocks[2]), id(blocks[1])
+    ]
+    short = DomainHistory(depth=1)
+    short.push(key, blocks[0], None, None)
+    assert short.predict(key) is not None and len(short) == 0
+
+
 # -- workspace integration ----------------------------------------------------
 
 

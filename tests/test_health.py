@@ -233,7 +233,9 @@ def test_broken_partition_of_unity_trips_check():
     mon.observe("ldc.partition", max_residual=intact)
     assert mon.all_green(), f"intact supports must pass (residual {intact})"
 
-    states[0].support *= 0.5  # break the partition
+    # break the partition in one domain: a corrupted copy, since equal
+    # supports are one shared read-only array
+    states[0].support = states[0].support * 0.5
     broken = partition_residual(decomp, [s.support for s in states])
     mon.observe("ldc.partition", max_residual=broken)
     assert mon.worst_status() == STATUS_FAIL

@@ -7,8 +7,12 @@ width (module-scoped, a few seconds):
 * what a warm step allocates *above* its live set (``tracemalloc`` peak of
   the step) stays under a stated budget — no complex field array per
   domain or per stack, anywhere;
-* same-shape domains hold one ``PlaneWaveBasis`` object, and a workspace
-  reset or a buffer change builds a new one rather than reusing a stale one;
+* same-shape domains hold one ``PlaneWaveBasis`` object and one
+  read-only support, and a workspace reset or a buffer change builds a
+  new basis rather than reusing a stale one;
+* an ASPC window releases the snapshot its prediction read, so no
+  carried array exists ``depth + 1`` times during a solve, and the
+  restricted density lives once, in the stack pool;
 * what the workspace keeps alive (``LDCWorkspace.resident_bytes``) grows
   with the domain count only in the per-domain parts (``scratch``,
   ``windows``), not in the pools (``bases``, ``stack_pool``), and the
@@ -21,6 +25,7 @@ width (module-scoped, a few seconds):
   it finds μ first and accumulates Σ f|ψ|² band by band.
 """
 
+import copy
 import gc
 import sys
 import tracemalloc
@@ -30,6 +35,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.workspace import RESIDENT_PARTS
 from repro.dft.scf import SCFOptions, run_scf
@@ -145,9 +151,9 @@ def test_reset_and_buffer_change_drop_the_shared_basis():
 def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     """Twice the domains at the same domain shape — the 4×2×1 cell that
     tiles the 2×2×1 one, the same atoms in every domain column — doubles
-    the per-domain state (``scratch``: band densities, restricted fields,
-    gather indices; ``windows``: the ASPC snapshots) and leaves the pools
-    alone: one basis, and at stack width 1 one stack's working set."""
+    the per-domain state (``scratch``: band densities and gather indices;
+    ``windows``: the ASPC snapshots) and leaves the pools alone: one basis
+    and one support, and at stack width 1 one stack's working set."""
     options, ws, result, _ = warm
     small = ws.resident_bytes()
     assert tuple(small) == RESIDENT_PARTS and all(small.values())
@@ -160,9 +166,9 @@ def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     assert large["scratch"] == 2 * small["scratch"]
     assert large["windows"] == 2 * small["windows"]
     assert large["mixer"] <= 2.5 * small["mixer"]  # global-grid vectors
-    # what the pool holds once whatever the stack: a v_bc target and a
-    # buffer window of one domain
-    once = 2 * 8 * result.states[0].domain.grid.npoints
+    # what the pool holds once whatever the stack: a restricted density,
+    # a v_bc target and a buffer window of one domain
+    once = 3 * 8 * result.states[0].domain.grid.npoints
     if options.batch_domains:  # the stack is the shape class: 8 wide
         assert large["stack_pool"] - once == 2 * (small["stack_pool"] - once)
     else:
@@ -174,6 +180,56 @@ def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     assert small["bases"] < 3 * MB
     # Ewald image shifts and G vectors; no multigrid levels on the FFT path
     assert small["global"] < 0.05 * MB
+
+
+def test_windows_hold_depth_minus_one_snapshots_during_a_solve(
+    warm, monkeypatch
+):
+    """The prediction releases the snapshot only it read: while a warm
+    step's domains are solved each window holds ``DEPTH − 1`` snapshots
+    (the live state is the ``DEPTH``-th), and ``DEPTH`` again once
+    ``store`` has pushed the converged state."""
+    options, ws, result, _ = warm
+    ws = copy.deepcopy(ws)
+    during = []
+    seam = ldc_module.batched_domain_pass
+
+    def spy(*args, **kwargs):
+        during.append([len(h) for h in ws._history.values()])
+        return seam(*args, **kwargs)
+
+    monkeypatch.setattr(ldc_module, "batched_domain_pass", spy)
+    run_ldc(frame(3), options, workspace=ws, rho0=result.input_density)
+    ndomains = len(result.states)
+    assert ws.warm_domains == ndomains
+    assert len(during) >= 2
+    assert all(lengths == [DEPTH - 1] * ndomains for lengths in during)
+    assert [len(h) for h in ws._history.values()] == [DEPTH] * ndomains
+
+
+def test_same_shape_domains_share_one_read_only_support(warm):
+    """Equal partition weights are one array, counted once in ``bases``;
+    writing through any domain's handle raises."""
+    options, ws, result, _ = warm
+    support = result.states[0].support
+    assert all(state.support is support for state in result.states)
+    assert all(w is support for w in ws.pou)
+    with pytest.raises(ValueError, match="read-only"):
+        result.states[-1].support *= 2.0
+    bare = copy.copy(ws)
+    bare.pou = None
+    counted = ws.resident_bytes()["bases"] - bare.resident_bytes()["bases"]
+    assert counted == support.nbytes
+
+
+def test_no_domain_scratch_holds_a_restricted_density(warm):
+    """The restricted density is spent before the solve (the boundary
+    error is taken where it is gathered): one arena in the stack pool,
+    none per domain, where only the band densities outlive a solve."""
+    options, ws, result, _ = warm
+    per_domain = {name for s in ws._scratch.values() for name in s._bufs}
+    assert per_domain == {"band_densities"}
+    assert "rho_restricted" in ws.batch_pool._bufs
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["width1", "widthn"])
@@ -205,7 +261,8 @@ def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(wide):
     assert three_bytes == two_bytes
     # one arena per role, none per class
     assert set(ws.batch_pool._bufs) == {
-        "v_eff", "b", "d", "work", "vbc_target", "boundary_window"
+        "v_eff", "b", "d", "work", "rho_restricted", "vbc_target",
+        "boundary_window",
     }
 
 
