@@ -385,21 +385,4 @@ SCHEMAS: dict[str, RecordSchema] = {
             "overhead_pct": _TIMING,
         },
     ),
-    # -- self-lint throughput -------------------------------------------------
-    "analysis": RecordSchema(
-        bench="analysis",
-        key=(),
-        fields=[
-            # the package grows; sizes are ledgered, not gated
-            FieldSpec("files", kind="int", compare=False),
-            FieldSpec("lines", kind="int", compare=False),
-            FieldSpec("rules", kind="int", direction="higher", rel_tol=0.0,
-                      abs_tol=0.0),
-            FieldSpec("seconds", **_TIMING),
-            FieldSpec("ms_per_file", **_TIMING),
-            FieldSpec("kloc_per_s", **_TIMING),
-            FieldSpec("unsuppressed_findings", kind="int",
-                      direction="lower", rel_tol=0.0, abs_tol=0.0),
-        ],
-    ),
 }

@@ -34,7 +34,6 @@ from repro.md.integrator import initialize_velocities
 from repro.md.qmd import QMDDriver
 from repro.observability import Instrumentation
 from repro.observability.runlog import RunRecorder, verify_run
-from repro.reactive.potential import ReactiveForceField
 from repro.systems import water_molecule
 
 _NEEDLES = (
@@ -45,15 +44,22 @@ _NEEDLES = (
 NSTEPS = 40
 
 
-class ReactiveEngine:
-    """Cheap surrogate force engine (one 'SCF iteration' per step)."""
+class SpringEngine:
+    """Toy force engine: every atom on a harmonic spring to where it
+    started, one 'SCF iteration' per call.  The bench measures the ledger
+    around the driver, so the engine only has to be cheap and smooth."""
+
+    STIFFNESS = 0.5  # Hartree / Bohr²
 
     def __init__(self) -> None:
-        self.ff = ReactiveForceField()
+        self.anchor = None
 
     def forces(self, config):
-        e, f = self.ff.energy_forces(config)
-        return f, e, 1
+        if self.anchor is None:
+            self.anchor = config.positions.copy()
+        offset = config.positions - self.anchor
+        energy = 0.5 * self.STIFFNESS * float(np.sum(offset**2))
+        return -self.STIFFNESS * offset, energy, 1
 
 
 def _config():
@@ -64,7 +70,7 @@ def _config():
 
 def run_qmd(instrumentation):
     driver = QMDDriver(
-        ReactiveEngine(), timestep=4.0, instrumentation=instrumentation
+        SpringEngine(), timestep=4.0, instrumentation=instrumentation
     )
     driver.run(_config(), NSTEPS)
     return driver

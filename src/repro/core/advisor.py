@@ -109,8 +109,8 @@ class BufferControllerOptions:
     """Knobs for the runtime :class:`BufferController`.
 
     The thresholds of the adaptive-buffer loop live here (one config
-    object, same convention as ``HealthThresholds`` — RP006 flags numeric
-    literals at controller call sites).
+    object, same convention as ``HealthThresholds``; a numeric literal at a
+    controller call site fails ``tests/test_repo_hygiene.py``).
     """
 
     #: target per-domain boundary-density error ε (Eq. 1's tolerance)

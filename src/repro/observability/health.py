@@ -21,7 +21,7 @@ analyses into *online* checks that run while a simulation is in flight:
   allocation" mode).
 
 Thresholds live in :class:`HealthThresholds` — one config object, not
-numeric literals sprinkled at call sites (enforced by analysis rule RP006).
+numeric literals sprinkled at call sites.
 
 The monitor rides on the :class:`~repro.observability.Instrumentation`
 handle (``Instrumentation(health=monitor)``); drivers publish through

@@ -107,16 +107,6 @@ class Configuration:
             None if self.velocities is None else self.velocities.copy(),
         )
 
-    def select(self, indices) -> "Configuration":
-        """Sub-configuration with the given atom indices (velocities kept)."""
-        indices = np.asarray(indices, dtype=int)
-        return Configuration(
-            [self.symbols[i] for i in indices],
-            self.positions[indices],
-            self.cell.copy(),
-            None if self.velocities is None else self.velocities[indices],
-        )
-
     def extend(self, other: "Configuration") -> "Configuration":
         """Concatenate two configurations sharing the same cell."""
         if not np.allclose(self.cell, other.cell):

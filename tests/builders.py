@@ -171,3 +171,14 @@ def translated(config: Configuration, shift) -> Configuration:
     out = config.copy()
     out.positions = np.mod(out.positions + np.asarray(shift, float), out.cell)
     return out
+
+
+def select(config: Configuration, indices) -> Configuration:
+    """Sub-configuration with the given atom indices (velocities kept)."""
+    indices = np.asarray(indices, dtype=int)
+    return Configuration(
+        [config.symbols[i] for i in indices],
+        config.positions[indices],
+        config.cell.copy(),
+        None if config.velocities is None else config.velocities[indices],
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.systems import Configuration, dimer
-from tests.builders import distance, distance_matrix, translated
+from tests.builders import distance, distance_matrix, select, translated
 
 
 def test_basic_construction():
@@ -60,7 +60,7 @@ def test_translation_preserves_distances():
 
 def test_select():
     c = Configuration(["H", "O", "Li"], np.arange(9.0).reshape(3, 3), [20, 20, 20])
-    s = c.select([2, 0])
+    s = select(c, [2, 0])
     assert s.symbols == ["Li", "H"]
     np.testing.assert_allclose(s.positions[0], c.positions[2])
 
