@@ -3,9 +3,10 @@
 Sweeps the localization parameter b on a 16-atom amorphous CdSe system (the
 paper's Fig.-7 material, downscaled), comparing classic DC-DFT and LDC-DFT
 against the O(N³) reference; fits the exponential decay constant λ of Eq. 1
-on the density error; and evaluates the complexity model's speedup
-implications.  Finishes with the automatic parameter advisor (Sec. 3.1's
-"optimization of DC computational parameters").
+on the density error and, from it, the buffer that meets a target error and
+the optimal core length l* = 2b/(ν − 1) (Sec. 3.1's "optimization of DC
+computational parameters"); and evaluates the complexity model's speedup
+implications.
 
 Run:  python examples/buffer_convergence.py   (takes a few minutes)
 """
@@ -13,10 +14,10 @@ Run:  python examples/buffer_convergence.py   (takes a few minutes)
 import numpy as np
 
 from repro.core import LDCOptions, run_ldc
-from repro.core.advisor import recommend_parameters
 from repro.core.complexity import (
     crossover_natoms,
     fit_decay_constant,
+    optimal_core_length,
     speedup_factor,
 )
 from repro.dft.scf import SCFOptions, run_scf
@@ -53,16 +54,13 @@ for mode in ("dc", "ldc"):
         print(f"{mode:>4} {b:>9.1f} {e_err:>10.2e} {rho_err:>9.4f} {r.iterations:>6}")
 
 # -- Eq. 1: fit the decay constant on the (clean) density error -----------------
+target = 5e-3  # ∫|Δρ|/N
 for mode in ("dc", "ldc"):
     lam, amp = fit_decay_constant(np.array(buffers), np.array(rho_errors[mode]))
-    print(f"\n{mode.upper()}: density error ≈ {amp:.3f} · exp(-b/{lam:.2f} Bohr)")
-
-# -- the automatic parameter advisor ----------------------------------------------
-rec = recommend_parameters(
-    np.array(buffers), np.array(rho_errors["dc"]), tolerance=5e-3,
-    number_density=len(system) / system.volume,
-)
-print(f"\nadvisor (target ∫|Δρ|/N ≤ 5e-3): {rec.summary()}")
+    b_target = lam * np.log(amp / target) if amp > target else 0.0
+    print(f"\n{mode.upper()}: density error ≈ {amp:.3f} · exp(-b/{lam:.2f} Bohr); "
+          f"∫|Δρ|/N ≤ {target:g} at b = {b_target:.2f} Bohr, "
+          f"l* = {optimal_core_length(b_target):.2f} Bohr (ν = 2)")
 
 # -- what the paper's buffer numbers imply (Sec. 5.2) --------------------------------
 print("\ncomplexity-model implications at the paper's CdSe buffers:")

@@ -6,21 +6,15 @@ Reproduces the science-application pipeline at laptop scale:
 2. run the kinetic Monte Carlo reaction engine at 300/600/1500 K;
 3. fit the Arrhenius law (Fig. 9(a): E_a ≈ 0.068 eV);
 4. compare against a pure-Al particle (orders of magnitude slower);
-5. show the Li-dissolution → pH-rise → oxide-inhibition yield mechanism;
-6. run a short NVE water trajectory under the physics health monitors and
-   show every invariant reporting green.
+5. show the Li-dissolution → pH-rise → oxide-inhibition yield mechanism.
 
 Run:  python examples/hydrogen_on_demand.py
 """
 
-from repro.md.integrator import initialize_velocities
-from repro.md.qmd import QMDDriver
-from repro.observability import HealthMonitor, Instrumentation
 from repro.reactive.analysis import arrhenius_fit, rate_with_error
 from repro.reactive.kmc import KMCOptions, run_kmc
-from repro.reactive.potential import ReactiveForceField
 from repro.reactive.sites import site_census
-from repro.systems import lial_nanoparticle, water_molecule
+from repro.systems import lial_nanoparticle
 
 PAIRS = 30  # the paper's smallest particle: Li30Al30
 
@@ -70,27 +64,3 @@ print(f"  Li dissolved       : {long_run.dissolved_li} "
       f"(pH {long_run.ph_history[0]:.2f} → {long_run.ph_history[-1]:.2f})")
 print(f"  passivated sites   : {long_run.passivated_sites} / {long_run.n_sites}")
 print(f"  event counts       : {long_run.events}")
-
-
-# -- health monitors on a nominal trajectory --------------------------------
-class _ReactiveEngine:
-    """QMD engine interface over the reactive force field."""
-
-    def __init__(self):
-        self.ff = ReactiveForceField()
-
-    def forces(self, config):
-        e, f = self.ff.energy_forces(config)
-        return f, e, 1
-
-
-print("\nhealth monitors on a nominal NVE water trajectory (60 steps):")
-water = water_molecule(center=(10.0, 10.0, 10.0))
-initialize_velocities(water, 200.0, seed=1)
-monitor = HealthMonitor()
-driver = QMDDriver(_ReactiveEngine(), timestep=4.0,
-                   instrumentation=Instrumentation(health=monitor))
-driver.run(water, 60)
-print(monitor.render_summary())
-status = "all invariants green" if monitor.all_green() else "NOT GREEN"
-print(f"  -> {status}")

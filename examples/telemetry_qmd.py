@@ -11,12 +11,10 @@ trajectory (the acceptance flow of the telemetry + run-ledger PRs):
    hashes verify.
 
 Open the run's ``trace.json`` in chrome://tracing or
-https://ui.perfetto.dev to see the measured spans; then inspect the
-ledger::
+https://ui.perfetto.dev to see the measured spans, or print the
+per-phase table of the run directory::
 
-    python -m repro.observability.runlog list
-    python -m repro.observability.runlog show <run_id>
-    python -m repro.observability.report <run_id>
+    python -m repro.observability.report telemetry/runs/<run_id>
 
 Run:  PYTHONPATH=src python examples/telemetry_qmd.py
 """
@@ -51,7 +49,7 @@ def main() -> None:
     print(f"artifacts: {', '.join(sorted(manifest['artifacts']))}")
     print(f"hashes verify: {'yes' if not problems else problems}\n")
 
-    events = ins.to_chrome_trace()["traceEvents"]
+    events = ins.tracer.to_chrome_trace()["traceEvents"]
     print("== measured spans ==")
     print(render_breakdown(phase_breakdown(events), top=8))
 

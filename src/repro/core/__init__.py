@@ -22,16 +22,12 @@
 from repro.core.domains import Domain, DomainDecomposition
 from repro.core.ldc import LDCOptions, LDCResult, run_ldc
 from repro.core.workspace import LDCWorkspace
-from repro.core.dcr import FrontierResult, density_of_states, recombine_frontier
 from repro.core.advisor import (
     BufferController,
     BufferControllerOptions,
     BufferDecision,
-    ParameterRecommendation,
-    recommend_parameters,
 )
 from repro.core.complexity import (
-    buffer_for_tolerance,
     crossover_length,
     crossover_natoms,
     fit_decay_constant,
@@ -47,15 +43,9 @@ __all__ = [
     "LDCResult",
     "LDCWorkspace",
     "run_ldc",
-    "FrontierResult",
-    "recombine_frontier",
-    "density_of_states",
     "BufferController",
     "BufferControllerOptions",
     "BufferDecision",
-    "ParameterRecommendation",
-    "recommend_parameters",
-    "buffer_for_tolerance",
     "crossover_length",
     "crossover_natoms",
     "fit_decay_constant",

@@ -1,21 +1,12 @@
 """Automatic optimization of the DC computational parameters (Sec. 3.1).
 
 The "lean" in LDC-DFT begins with choosing the domain geometry from the
-cost/error model: probe the error decay at a few cheap buffer values, fit
-the nearsightedness decay length λ (Eq. 1), and return the buffer that
-meets a requested tolerance together with the optimal core size l* and the
-predicted cost/speedup — the workflow the paper describes as "optimization
-of DC computational parameters".
-
-Two entry points:
-
-* :func:`recommend_parameters` — the static, ahead-of-time workflow
-  (probe errors → fit → one recommendation);
-* :class:`BufferController` — the *runtime* closed loop: every MD step it
-  observes the live boundary-density error the LDC driver already measures
-  and nudges the buffer toward the Eq.-1 optimum for a target error band,
-  with hysteresis (hold band, cooldown, grid-quantization no-op detection)
-  so the structural caches are not churned by sub-grid-point adjustments.
+cost/error model of Eq. 1.  :class:`BufferController` is that choice made
+at run time: every MD step it observes the live boundary-density error the
+LDC driver already measures and nudges the buffer toward the Eq.-1 optimum
+for a target error band, with hysteresis (hold band, cooldown,
+grid-quantization no-op detection) so the structural caches are not
+churned by sub-grid-point adjustments.
 """
 
 from __future__ import annotations
@@ -25,83 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.complexity import (
-    buffer_for_tolerance,
-    crossover_natoms,
-    fit_decay_constant,
-    optimal_core_length,
-    total_cost,
-)
-
-
-@dataclass
-class ParameterRecommendation:
-    """Output of the advisor."""
-
-    decay_length: float
-    error_amplitude: float
-    recommended_buffer: float
-    optimal_core_length: float
-    predicted_error: float
-    cost_relative_to_largest_probe: float
-    crossover_atoms: float | None = None
-
-    def summary(self) -> str:
-        return (
-            f"λ = {self.decay_length:.2f} Bohr, recommend b = "
-            f"{self.recommended_buffer:.2f} Bohr with l* = "
-            f"{self.optimal_core_length:.2f} Bohr "
-            f"(predicted error {self.predicted_error:.2e}/atom)"
-        )
-
-
-def recommend_parameters(
-    probe_buffers: np.ndarray,
-    probe_errors: np.ndarray,
-    tolerance: float,
-    nu: float = 2.0,
-    number_density: float | None = None,
-) -> ParameterRecommendation:
-    """Fit Eq. 1 to probe data and recommend (b, l*) for a tolerance.
-
-    Parameters
-    ----------
-    probe_buffers, probe_errors:
-        Buffer thicknesses (Bohr) and the measured per-atom errors at them
-        (from cheap probe runs against a reference or self-referenced to
-        the largest probe).
-    tolerance:
-        Target per-atom error (the paper's Fig.-7 criterion, e.g. 1e-3).
-    nu:
-        Per-domain solver exponent (2 for the practical regime, 3
-        asymptotic).
-    number_density:
-        Optional atoms/Bohr³ to also report the O(N)↔O(N³) crossover.
-    """
-    probe_buffers = np.asarray(probe_buffers, dtype=float)
-    probe_errors = np.asarray(probe_errors, dtype=float)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    lam, amp = fit_decay_constant(probe_buffers, probe_errors)
-    b = buffer_for_tolerance(lam, amp, tolerance)
-    b = max(b, float(probe_buffers.min()))
-    l_star = optimal_core_length(b, nu)
-    predicted = amp * np.exp(-b / lam)
-    # cost relative to running at the largest probed buffer (same L)
-    ref_b = float(probe_buffers.max())
-    cost_rel = total_cost(optimal_core_length(ref_b, nu), 100.0, ref_b, nu)
-    cost_here = total_cost(l_star, 100.0, b, nu)
-    return ParameterRecommendation(
-        decay_length=lam,
-        error_amplitude=amp,
-        recommended_buffer=float(b),
-        optimal_core_length=float(l_star),
-        predicted_error=float(predicted),
-        cost_relative_to_largest_probe=float(cost_here / cost_rel),
-        crossover_atoms=(
-            crossover_natoms(b, number_density, nu) if number_density else None
-        ),
-    )
+from repro.core.complexity import fit_decay_constant, optimal_core_length
 
 
 @dataclass
@@ -109,8 +24,8 @@ class BufferControllerOptions:
     """Knobs for the runtime :class:`BufferController`.
 
     The thresholds of the adaptive-buffer loop live here (one config
-    object, same convention as ``HealthThresholds``; a numeric literal at a
-    controller call site fails ``tests/test_repo_hygiene.py``).
+    object; a numeric literal at a controller call site fails
+    ``tests/test_repo_hygiene.py``).
     """
 
     #: target per-domain boundary-density error ε (Eq. 1's tolerance)

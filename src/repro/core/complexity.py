@@ -6,7 +6,7 @@ thickness b, and a per-domain solver of complexity (domain size)^ν in volume:
 
     T(l) = (L/l)³ (l + 2b)^{3ν}                      (total cost)
     l*   = argmin_l T(l) = 2b/(ν - 1)                (optimal core size)
-    b    = λ ln( max|Δρ| / (ε ⟨ρ⟩) )                 (buffer for tolerance, Eq. 1)
+    err(b) ≈ A e^{-b/λ}                              (error decay, Eq. 1)
 
 and the LDC↔DC speedup at equal accuracy follows from the buffer reduction:
 
@@ -32,19 +32,6 @@ def optimal_core_length(buffer_: float, nu: float = 2.0) -> float:
     if nu <= 1.0:
         raise ValueError("nu must exceed 1 for a finite optimum")
     return 2.0 * buffer_ / (nu - 1.0)
-
-
-def buffer_for_tolerance(
-    decay_length: float,
-    max_delta_rho: float,
-    epsilon: float,
-    mean_rho: float = 1.0,
-) -> float:
-    """Eq. 1: b = λ ln(max|Δρ| / (ε ⟨ρ⟩))."""
-    if decay_length <= 0 or epsilon <= 0 or max_delta_rho <= 0 or mean_rho <= 0:
-        raise ValueError("all arguments must be positive")
-    arg = max_delta_rho / (epsilon * mean_rho)
-    return decay_length * np.log(arg) if arg > 1.0 else 0.0
 
 
 def speedup_factor(

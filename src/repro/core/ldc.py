@@ -39,7 +39,6 @@ from repro.core.energy import (
     dc_band_energy,
     dc_total_energy,
 )
-from repro.core.support import partition_residual
 from repro.core.workspace import RESIDENT_PARTS, DomainScratch, LDCWorkspace
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
@@ -80,7 +79,6 @@ class LDCOptions:
     eigensolver: str = "all_band"
     eig_tol: float = 1e-6
     eig_max_iter: int = 30
-    grid_factor: float = 2.0
     #: global Poisson solver: "fft" | "multigrid" (the GSLF choice)
     poisson: str = "fft"
     #: partition of unity: "sharp" | "smooth"
@@ -176,7 +174,7 @@ def make_global_grid(
 ) -> RealSpaceGrid:
     """Global grid for the cutoff, rounded up so the domain counts divide it
     (and kept even for the multigrid hierarchy)."""
-    base = RealSpaceGrid.for_cutoff(config.cell, options.ecut, options.grid_factor)
+    base = RealSpaceGrid.for_cutoff(config.cell, options.ecut)
     shape = []
     for n, nd in zip(base.shape, options.domains):
         step = int(np.lcm(int(nd), 2))
@@ -277,15 +275,6 @@ def _run_ldc(
             lambda part=part: resident()[part]
         )
     ins.gauge("ldc.domains").set(decomp.ndomains)
-    # the residual exists only for the health monitor and costs a pass over
-    # the grid per domain: handed over unevaluated, for a listener to call
-    ins.observe(
-        "ldc.partition",
-        max_residual=lambda: partition_residual(
-            decomp, [state.support for state in states]
-        ),
-        ndomains=decomp.ndomains, support=opts.support,
-    )
 
     n_electrons = config.n_electrons()
     v_loc_global = local_potential(grid, config)

@@ -108,19 +108,3 @@ def supports(decomp: DomainDecomposition, kind: str = "sharp") -> list[np.ndarra
             held = w
         out.append(held)
     return out
-
-
-def partition_residual(
-    decomp: DomainDecomposition, weights: list[np.ndarray]
-) -> float:
-    """max_r |Σ_α p_α(r) − 1| on the global grid — the identity the
-    density assembly ρ = Σ_α p_α ρ_α relies on."""
-    total = np.zeros(decomp.grid.shape)
-    for dom, w in zip(decomp.domains, weights):
-        ix, iy, iz = dom.grid_indices
-        # Direct fancy-index += is valid (and much faster than the
-        # unbuffered np.add.at): each per-axis wrapped index array is
-        # duplicate-free because a domain's extent never exceeds the grid —
-        # DomainDecomposition clamps buffer_points to (shape - core) // 2.
-        total[np.ix_(ix, iy, iz)] += w
-    return float(np.abs(total - 1.0).max())

@@ -170,7 +170,6 @@ def _options_signature(options: LDCOptions) -> tuple:
         options.ecut,
         tuple(options.domains),
         options.buffer,
-        options.grid_factor,
         options.support,
         options.extra_bands,
         options.seed,

@@ -95,7 +95,7 @@ class PlaneWaveBasis:
         self._norm_to_grid = grid.npoints / np.sqrt(grid.volume)
         self._norm_from_grid = np.sqrt(grid.volume) / grid.npoints
         # Staged-transform maps, from the sorted *occupied* grid indices
-        # (not a ±M range: grid_factor < 2, odd sizes and the even-size
+        # (not a ±M range: a grid factor < 2, odd sizes and the even-size
         # Nyquist line need no special case).
         #: grid x index of every x-plane that holds a plane wave
         # (boolean occupancy + flatnonzero, not np.unique / np.setdiff1d:

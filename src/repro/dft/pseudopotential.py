@@ -195,15 +195,6 @@ class NonlocalProjectors:
         overlaps = self.b.conj().T @ psi
         return self.b @ (self.d[:, None] * overlaps)
 
-    def energy(self, psi: np.ndarray, occupations: np.ndarray) -> float:
-        """E_nl = Σ_n f_n Σ_p D_p |<β_p|ψ_n>|²."""
-        if self.nproj == 0:
-            return 0.0
-        overlaps = self.b.conj().T @ psi  # (nproj, nband)
-        return float(
-            np.sum(np.asarray(occupations) * (self.d[:, None] * np.abs(overlaps) ** 2))
-        )
-
     def dense(self) -> np.ndarray:
         """The dense npw×npw nonlocal matrix (for the direct eigensolver)."""
         if self.nproj == 0:

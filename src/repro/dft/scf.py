@@ -89,8 +89,6 @@ class SCFOptions:
     eigensolver: str = "all_band"
     eig_tol: float = 1e-7
     eig_max_iter: int = 40
-    #: grid oversampling factor (2.0 = exact density grid)
-    grid_factor: float = 2.0
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -271,8 +269,7 @@ def scf_fixed_point(
     the observability handle (the caller's, already resolved; the loop does
     not read the environment) — the ``scf.*`` instruments, a
     ``scf.iteration`` / ``ldc.iteration`` span per pass with the map's
-    attributes merged in, the health samples, the ``rho0`` / ``rho_new``
-    numerics checkpoints.
+    attributes merged in, the ``rho0`` / ``rho_new`` numerics checkpoints.
     """
     label = "scf" if engine == "pw" else engine
     n_electrons = config.n_electrons()
@@ -321,7 +318,6 @@ def scf_fixed_point(
             extra={"engine": engine, "iteration": it, "residual": resid,
                    "energy": energy, "mu": mu, **attrs},
         )
-        ins.observe("scf.residual", engine=engine, iteration=it, residual=resid)
         converged = bool(resid < options.tol)
         if converged and not continues:
             rho = rho_out
@@ -353,16 +349,6 @@ def scf_fixed_point(
         f"{label} finished",
         extra={"engine": engine, "converged": converged, "iterations": it,
                "energy": energy, "final_residual": final_resid},
-    )
-    ins.observe(
-        "scf.density", engine=engine,
-        total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-    )
-    ins.observe(
-        "solver.convergence", solver=f"scf[{engine}]",
-        converged=converged, iterations=it, final=True,
-        residual=residuals[-1] if residuals else None,
-        final_residual=final_resid,
     )
     return FixedPoint(
         rho_final, rho, energy, mu, converged, it, history, residuals,
@@ -455,7 +441,7 @@ def _run_scf(
     """Set-up, the global density map, result packaging — the body of
     :func:`run_scf`'s ``scf.run`` invocation."""
     if grid is None:
-        grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut, opts.grid_factor)
+        grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut)
     basis = PlaneWaveBasis(grid, opts.ecut)
     n_electrons = config.n_electrons()
     nband = int(np.ceil(n_electrons / 2.0)) + opts.extra_bands

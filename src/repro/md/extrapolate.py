@@ -177,10 +177,6 @@ class DomainHistory:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def key(self) -> tuple | None:
-        return self._key
-
     def clear(self) -> None:
         self._key = None
         self._entries = []

@@ -72,6 +72,3 @@ class VelocityVerlet:
         f1, self.potential_energy = self.forces_fn(config)
         config.velocities = config.velocities + 0.5 * self.dt * f1 / m
         self._cached_forces = f1
-
-    def total_energy(self, config: Configuration) -> float:
-        return kinetic_energy(config) + self.potential_energy

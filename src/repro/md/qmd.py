@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.constants import ATU_TO_FS
 from repro.md.extrapolate import DomainHistory, check_depth
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
 from repro.observe import Observer, observer
@@ -314,7 +313,7 @@ class SCFEngine(_WarmStartEngine):
 
         ins = observer(self.instrumentation)
         opts = self.options
-        key = (_cell(config), opts.ecut, opts.grid_factor, opts.extra_bands)
+        key = (_cell(config), opts.ecut, opts.extra_bands)
         psi0, _, rho0 = self.window.predict(key) or (None, None, None)
         result = run_scf(
             config, opts, rho0=rho0, instrumentation=ins, psi0=psi0,
@@ -387,9 +386,9 @@ class QMDDriver:
     def _step(self, config: Configuration, ins: Observer) -> None:
         self._scf_iters_last = 0
         self._converged_last = None
-        # the per-step telemetry (series, health verdicts) fires while
-        # the qmd.step span is still open, so a health FAIL dumps with
-        # the failing step on the flight recorder's open-span stack
+        # the per-step telemetry fires while the qmd.step span is still
+        # open, so a failure dumps with the step on the flight recorder's
+        # open-span stack
         with ins.span("qmd.step", category="qmd", step=len(self.frames)) as span:
             self.integrator.step(config)
             span.attrs["scf_iterations"] = self._scf_iters_last
@@ -405,14 +404,6 @@ class QMDDriver:
                        "scf_iterations": frame.scf_iterations,
                        "temperature": frame.temperature,
                        "total_energy": frame.total_energy},
-            )
-            ins.observe(
-                "qmd.step",
-                step=frame.step,
-                total_energy=frame.total_energy,
-                elapsed_fs=frame.step * self.timestep * ATU_TO_FS,
-                natoms=config.natoms,
-                temperature=frame.temperature,
             )
 
     def _frame(self, config: Configuration) -> QMDFrame:

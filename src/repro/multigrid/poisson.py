@@ -111,9 +111,8 @@ class MultigridPoisson:
         ``v0`` (e.g. the previous SCF iteration's potential) warm-starts the
         cycle — the standard QMD trick for O(1) cycles per step.
         ``instrumentation`` is the observability handle this solve reports
-        to (``poisson.*`` telemetry, a ``solver.convergence`` health sample,
-        numerics checkpoints on source and solution); ``None`` is resolved
-        here (:mod:`repro.observe`).
+        to (``poisson.*`` telemetry, numerics checkpoints on source and
+        solution); ``None`` is resolved here (:mod:`repro.observe`).
         """
         ins = observer(instrumentation)
         ins.check("rho", rho, where="poisson.solve")
@@ -138,7 +137,9 @@ class MultigridPoisson:
         self.last_stats = MGStats(cycles, norms, converged)
         ins.counter("poisson.vcycles").inc(cycles)
         ins.counter("poisson.solves").inc()
-        ins.series("poisson.residual").extend(norms)
+        series = ins.series("poisson.residual")
+        for rel in norms:
+            series.append(rel)
         ins.gauge("poisson.warm_start").set(0.0 if v0 is None else 1.0)
         ins.tracer.record_complete(
             "poisson.solve", ins.tracer.now() - t0, category="poisson",
@@ -151,11 +152,6 @@ class MultigridPoisson:
             "multigrid solve",
             extra={"cycles": cycles, "converged": converged,
                    "final_residual": norms[-1] if norms else None},
-        )
-        ins.observe(
-            "solver.convergence", solver="poisson.multigrid",
-            converged=converged, iterations=cycles,
-            residual=norms[-1] if norms else None,
         )
         ins.check("v_hartree", u, where="poisson.solve")
         return u

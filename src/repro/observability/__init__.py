@@ -19,11 +19,8 @@ Span/metric naming convention: dotted ``subsystem.thing`` names
 (``scf.residual``, ``ldc.domain_solve``, ``poisson.vcycles``), with
 key=value labels for series dimensions (``scf.iterations{engine=ldc}``).
 
-Two further layers close the loop from telemetry to *gates*:
+Two further layers make the telemetry durable and comparable:
 
-* :mod:`repro.observability.health` — online physics invariants (energy
-  drift, charge conservation, partition of unity, SCF stalls, solver
-  convergence) attached to the facade as ``Instrumentation(health=...)``;
 * :mod:`repro.observability.regress` — the schemas of the bench records
   (``benchmarks/results/BENCH_<name>.json``) and the one comparison engine:
   the regression CLI that judges fresh records against committed
@@ -31,8 +28,8 @@ Two further layers close the loop from telemetry to *gates*:
 * :mod:`repro.observability.runlog` — run directories: per-run identity
   and a content-hashed manifest under ``telemetry/runs/<run_id>/``
   (``Instrumentation(recorder=RunRecorder(...))``), the failure-triggered
-  :class:`FlightRecorder` black box, and a ``list``/``show``/``verify``
-  CLI (``python -m repro.observability.runlog``).
+  :class:`FlightRecorder` black box, and :func:`~repro.observability.
+  runlog.verify_run`, which re-hashes a run's artifacts.
 
 The report CLI renders a paper-style per-phase breakdown from a trace
 (``--flops`` adds the roofline-style FLOP attribution of
@@ -43,12 +40,6 @@ The report CLI renders a paper-style per-phase breakdown from a trace
 """
 
 from repro.observability.flightrec import FlightRecorder, read_jsonl
-from repro.observability.health import (
-    HealthError,
-    HealthMonitor,
-    HealthRecord,
-    HealthThresholds,
-)
 from repro.observability.instrumentation import Instrumentation
 from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import MetricsRegistry
@@ -57,10 +48,6 @@ from repro.observability.tracer import Span, SpanTracer
 __all__ = [
     "FieldSpec",
     "FlightRecorder",
-    "HealthError",
-    "HealthMonitor",
-    "HealthRecord",
-    "HealthThresholds",
     "Instrumentation",
     "MetricsRegistry",
     "RecordSchema",
@@ -72,7 +59,6 @@ __all__ = [
     "phase_breakdown",
     "read_jsonl",
     "render_breakdown",
-    "runs_root",
     "telemetry_root",
 ]
 
@@ -90,7 +76,7 @@ def __getattr__(name):
         from repro.observability import regress
 
         return getattr(regress, name)
-    if name in ("RunRecorder", "runs_root", "telemetry_root"):
+    if name in ("RunRecorder", "telemetry_root"):
         from repro.observability import runlog
 
         return getattr(runlog, name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.perfmodel.flops import domain_scf_flops, multigrid_vcycle_flops
+from repro.perfmodel.flops import domain_scf_flops
 
 
 def _eigensolve_flops(args: dict[str, Any]) -> float | None:
@@ -66,22 +66,12 @@ def _domain_solve_flops(args: dict[str, Any]) -> float | None:
     return counts_total + (n_domains - 1) * ortho
 
 
-def _poisson_flops(args: dict[str, Any]) -> float | None:
-    grid_points = args.get("grid_points")
-    if not grid_points:
-        return None
-    cycles = max(int(args.get("cycles") or 1), 1)
-    sweeps = int(args.get("sweeps") or 4)
-    return cycles * multigrid_vcycle_flops(int(grid_points), sweeps=sweeps)
-
-
 #: span name → FLOP estimator over the span's attribute dict.  Returning
 #: ``None`` means "sizes missing, cannot attribute" (the span predates the
 #: attribution contract or was recorded by other tooling).
 ESTIMATORS: dict[str, Callable[[dict[str, Any]], float | None]] = {
     "scf.eigensolve": _eigensolve_flops,
     "ldc.domain_solve": _domain_solve_flops,
-    "poisson.solve": _poisson_flops,
 }
 
 

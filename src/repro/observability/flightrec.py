@@ -1,16 +1,16 @@
 """The flight recorder: a bounded event ring dumped on failure.
 
-A :class:`FlightRecorder` is fed by the run's tracer, metrics registry and
-health monitor listeners and keeps the most recent telemetry in memory — a
-bounded ring of raw events plus the latest sample per metric key.  Nothing
-is written while a run is healthy.  When the run fails — a health invariant
-FAILs, a sanitizer trips, or a driver dies on an unhandled exception — the
-recorder dumps its ring, the currently *open* span stack, and the recent
-metric samples to ``blackbox.jsonl`` inside the run directory.
+A :class:`FlightRecorder` is fed by the run's tracer and metrics registry
+listeners and keeps the most recent telemetry in memory — a bounded ring of
+raw events plus the latest sample per metric key.  Nothing is written while
+a run is healthy.  When the run fails — a sanitizer trips, or a driver dies
+on an unhandled exception — the recorder dumps its ring, the currently
+*open* span stack, and the recent metric samples to ``blackbox.jsonl``
+inside the run directory.
 
 Dump format is JSONL, one record per line, discriminated by ``"record"``::
 
-    {"record": "dump",      "reason": "health_fail", "seen": 412, ...}
+    {"record": "dump",      "reason": "exception", "seen": 412, ...}
     {"record": "event",     "topic": "span", "seq": 405, ...}
     {"record": "open_span", "path": "qmd.step/ldc.run", ...}
     {"record": "metric",    "key": "qmd.total_energy.last", "value": ...}
@@ -88,7 +88,7 @@ class FlightRecorder:
     # -- feeding the ring -----------------------------------------------------
 
     def record(self, topic: str, **data: Any) -> None:
-        """Append one event to the ring; a FAIL health verdict dumps."""
+        """Append one event to the ring."""
         self.seen += 1
         clock = self.tracer if self.tracer is not None else _DEFAULT_CLOCK
         event = {
@@ -106,8 +106,6 @@ class FlightRecorder:
             self._metrics.move_to_end(key)
             while len(self._metrics) > self.metrics_keep:
                 self._metrics.popitem(last=False)
-        if topic == "health" and data.get("status") == "fail":
-            self.dump("health_fail", trigger=event)
 
     # -- queries --------------------------------------------------------------
 
@@ -116,19 +114,15 @@ class FlightRecorder:
         """Events evicted from the ring since creation."""
         return max(0, self.seen - len(self._events))
 
-    def events(self) -> list[dict[str, Any]]:
-        """Ring contents, oldest first."""
-        return list(self._events)
-
     # -- the post-mortem dump -------------------------------------------------
 
     def dump(self, reason: str, trigger=None, path=None) -> pathlib.Path | None:
         """Write the black box; returns the path (``None`` if undumpable).
 
         Multiple dumps append to the same file, each starting with its own
-        ``"dump"`` header record, so a health FAIL followed by the raising
-        sink's exception leaves both contexts on disk in order.  An
-        ``OSError`` while writing is kept in :attr:`errors`, not raised.
+        ``"dump"`` header record, so successive failures leave their
+        contexts on disk in order.  An ``OSError`` while writing is kept in
+        :attr:`errors`, not raised.
         """
         if path is None:
             if self.dump_dir is None:

@@ -40,7 +40,6 @@ from repro.observe import Observer, env_numerics
 from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
-    from repro.observability.health import HealthMonitor
     from repro.observability.runlog import RunRecorder
     from repro.sanitize.numerics import NumericsSanitizer
 
@@ -54,17 +53,12 @@ class Instrumentation(Observer):
     Parameters
     ----------
     clock:
-        Injectable clock of the tracer (and of an attached health monitor).
-    health:
-        Optional :class:`~repro.observability.health.HealthMonitor`; when
-        set, drivers additionally publish physics-invariant samples to it
-        and its records merge into the Chrome trace as instant events.
-        ``None`` (the default) keeps every health check off the hot path.
+        Injectable clock of the tracer.
     recorder:
         Optional :class:`~repro.observability.runlog.RunRecorder`.  When
         set, the run gets a run directory (``telemetry/runs/<run_id>/``
-        with a schema'd manifest), its flight recorder listens to the tracer,
-        the metrics and the health monitor, and drivers note their
+        with a schema'd manifest), its flight recorder listens to the tracer
+        and the metrics, and drivers note their
         invocations/failures against it.  ``None`` (the default) installs
         no listener and executes zero runlog code.
     numerics:
@@ -77,7 +71,6 @@ class Instrumentation(Observer):
     def __init__(
         self,
         clock: WallClock | None = None,
-        health: "HealthMonitor | None" = None,
         recorder: "RunRecorder | None" = None,
         numerics: "NumericsSanitizer | None" = None,
     ) -> None:
@@ -85,10 +78,6 @@ class Instrumentation(Observer):
         self.tracer = SpanTracer(clock=clock)
         self.metrics = MetricsRegistry()
         self.log = get_logger()
-        self.health = health
-        if health is not None and health.clock is None:
-            # share the tracer's clock so health instants align with spans
-            health.clock = self.tracer._clock
         self.recorder = recorder
         if recorder is not None:
             recorder.attach(self)
@@ -121,16 +110,6 @@ class Instrumentation(Observer):
                     self.recorder.record_failure(exc)
                 raise
 
-    def observe(self, channel: str, **sample: Any) -> None:
-        """One health sample.  A zero-argument callable in it is a value
-        that exists only for the monitor: evaluated here, and only when
-        one is attached."""
-        if self.health is not None:
-            self.health.observe(channel, **{
-                key: value() if callable(value) else value
-                for key, value in sample.items()
-            })
-
     # -- metrics shortcuts ---------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -147,20 +126,13 @@ class Instrumentation(Observer):
 
     # -- export --------------------------------------------------------------
 
-    def to_chrome_trace(self) -> dict[str, Any]:
-        trace = self.tracer.to_chrome_trace()
-        if self.health is not None:
-            trace["traceEvents"] += self.health.chrome_events()
-        return trace
-
     def write_trace(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(), fh, indent=1)
+            json.dump(self.tracer.to_chrome_trace(), fh, indent=1)
 
     def write_artifacts(self, outdir) -> dict[str, pathlib.Path]:
-        """Write ``trace.json``, ``metrics.json``, ``metrics.csv`` (and
-        ``health.json`` when a monitor is attached); returns the artifact
-        paths keyed by name."""
+        """Write ``trace.json``, ``metrics.json`` and ``metrics.csv``;
+        returns the artifact paths keyed by name."""
         out = pathlib.Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -172,8 +144,4 @@ class Instrumentation(Observer):
         self.metrics.write_snapshot(
             json_path=paths["metrics_json"], csv_path=paths["metrics_csv"]
         )
-        if self.health is not None:
-            paths["health"] = out / "health.json"
-            with open(paths["health"], "w") as fh:
-                json.dump(self.health.to_dict(), fh, indent=1)
         return paths

@@ -136,10 +136,6 @@ class Series(_Instrument):
         if self._notify is not None:
             self._notify(self, self.values[-1])
 
-    def extend(self, values) -> None:
-        for v in values:
-            self.append(v)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -198,9 +194,6 @@ class MetricsRegistry:
         return inst
 
     # -- queries / export ----------------------------------------------------
-
-    def keys(self) -> list[str]:
-        return sorted(self._instruments)
 
     def get(self, name: str, **labels: Any) -> _Instrument | None:
         """Look up an instrument without creating it."""

@@ -8,11 +8,8 @@ from a trace produced by :class:`~repro.observability.tracer.SpanTracer` or
     python -m repro.observability.report trace.json --by cat --top 10
     python -m repro.observability.report trace.json --flops
 
-The positional argument also accepts a run directory or a (prefix of a)
-ledger run id — the trace is resolved through the run ledger
-(:mod:`repro.observability.runlog`)::
-
-    python -m repro.observability.report 20260808-143022-qmd-1a2b3c
+The positional argument also accepts a run directory
+(``telemetry/runs/<run_id>/``, :mod:`repro.observability.runlog`).
 
 The percentage column is relative to the trace's wall-clock extent
 (max end − min start over the spans), matching how the paper
@@ -34,19 +31,10 @@ from typing import Any
 
 
 def resolve_trace(arg) -> pathlib.Path:
-    """Resolve the CLI's positional argument to a trace path.
-
-    Accepts a trace file, a run directory (containing ``trace.json``), or a
-    ledger run id / unique prefix.
-    """
+    """Resolve the CLI's positional argument to a trace path: a trace file,
+    or a run directory (containing ``trace.json``)."""
     path = pathlib.Path(arg)
-    if path.is_dir():
-        return path / "trace.json"
-    if path.exists():
-        return path
-    from repro.observability.runlog import find_run
-
-    return find_run(str(arg)) / "trace.json"  # FileNotFoundError with detail
+    return path / "trace.json" if path.is_dir() else path
 
 
 def load_trace(path) -> list[dict[str, Any]]:
@@ -128,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "trace",
-        help="a trace .json file, a run directory, or a ledger run id",
+        help="a trace .json file or a run directory",
     )
     parser.add_argument(
         "--by", choices=("name", "cat"), default="name",
@@ -149,12 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        trace_path = resolve_trace(args.trace)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        events = load_trace(trace_path)
+        events = load_trace(resolve_trace(args.trace))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

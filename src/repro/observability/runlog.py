@@ -1,27 +1,20 @@
 """Run directories: durable per-run identity, manifest, and content hashes.
 
-Single-run telemetry (trace/metrics/health artifacts) answers "what
+Single-run telemetry (trace/metrics artifacts) answers "what
 happened in *this* invocation"; this module makes that answer durable:
 
 * **Run directory** — :class:`RunRecorder` gives an instrumented driver
   invocation a run id and a directory ``<telemetry>/runs/<run_id>/``
   holding the telemetry artifacts plus a schema'd ``manifest.json``:
   provenance (git SHA, python/numpy), tracked environment flags,
-  invocations with options hashes, failures, health outcome, wall-clock,
+  invocations with options hashes, failures, wall-clock,
   and a content hash of every artifact (so a run is verifiable long after
   it ended).  The metrics snapshot is the hashed ``metrics.json`` beside it.
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
-  FlightRecorder` fed by the run's tracer, metrics and health listeners
-  dumps ``blackbox.jsonl`` on health FAILs, sanitizer errors, and
-  unhandled driver exceptions.
-* **CLI** — lists, prints and re-hashes runs::
-
-      python -m repro.observability.runlog list
-      python -m repro.observability.runlog show <run_id>
-      python -m repro.observability.runlog verify <run_id>
-
-  Exit status: 0 = clean, 1 = verification failure, 2 = usage/I-O error
-  (the :mod:`~repro.observability.regress` convention).
+  FlightRecorder` fed by the run's tracer and metrics listeners dumps
+  ``blackbox.jsonl`` on sanitizer errors and unhandled driver exceptions.
+* **Verification** — :func:`verify_run` re-hashes a run's artifacts
+  against its manifest.
 
 Bench results are not run directories: a bench's record is its
 ``benchmarks/results/BENCH_<name>.json``, judged by
@@ -39,7 +32,6 @@ code (pinned by ``benchmarks/bench_runlog_overhead.py``).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import datetime
 import hashlib
@@ -47,7 +39,6 @@ import json
 import os
 import pathlib
 import subprocess
-import sys
 import time
 from typing import TYPE_CHECKING, Any
 
@@ -57,9 +48,10 @@ if TYPE_CHECKING:
     from repro.observability.instrumentation import Instrumentation
 
 #: manifest layout version — bumped when the manifest envelope changes
-#: (2: no ``telemetry`` field; 3: no ``metrics`` field).  Older manifests
-#: still validate: a field a version dropped is ignored.
-MANIFEST_VERSION = 3
+#: (2: no ``telemetry`` field; 3: no ``metrics`` field; 4: no ``health``
+#: field).  Older manifests still validate: a field a version dropped is
+#: ignored.
+MANIFEST_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 
 #: environment variable naming the telemetry root directory
@@ -90,11 +82,6 @@ def telemetry_root(root=None) -> pathlib.Path:
         return pathlib.Path(root)
     env = os.environ.get(ENV_TELEMETRY_DIR, "").strip()
     return pathlib.Path(env or "telemetry")
-
-
-def runs_root(root=None) -> pathlib.Path:
-    """``<telemetry root>/runs`` — where run directories live."""
-    return telemetry_root(root) / "runs"
 
 
 def new_run_id(component: str = "run") -> str:
@@ -186,7 +173,7 @@ class RunRecorder:
     Used through the facade::
 
         rec = RunRecorder(component="qmd")
-        ins = Instrumentation(health=monitor, recorder=rec)
+        ins = Instrumentation(recorder=rec)
         QMDDriver(LDCEngine(opts), timestep=5.0, instrumentation=ins).run(
             config, nsteps)
         rec.finish()        # artifacts + manifest under telemetry/runs/<id>/
@@ -218,9 +205,9 @@ class RunRecorder:
     # -- facade wiring --------------------------------------------------------
 
     def attach(self, ins: "Instrumentation") -> None:
-        """Feed the flight recorder from a facade: every finished span,
-        metric sample and health verdict (topics ``span``, ``metric``,
-        ``health``).  Called by ``Instrumentation(recorder=...)``."""
+        """Feed the flight recorder from a facade: every finished span and
+        metric sample (topics ``span``, ``metric``).  Called by
+        ``Instrumentation(recorder=...)``."""
         self._ins = ins
         flight = self.flight
         flight.tracer = ins.tracer
@@ -239,17 +226,6 @@ class RunRecorder:
                 "metric", key=inst.key, kind=inst.kind, value=value
             )
         )
-        if ins.health is not None:
-            ins.health.add_listener(
-                lambda rec: flight.record(
-                    "health",
-                    invariant=rec.invariant,
-                    status=rec.status,
-                    value=rec.value,
-                    message=rec.message,
-                    context=rec.context,
-                )
-            )
 
     # -- in-flight records ----------------------------------------------------
 
@@ -288,12 +264,6 @@ class RunRecorder:
         ins = self._ins
         if ins is not None:
             ins.write_artifacts(self.dir)
-        health = None
-        if ins is not None and ins.health is not None:
-            health = {
-                "worst_status": ins.health.worst_status(),
-                "failures": len(ins.health.failures()),
-            }
         # a black box that could not be written is a failure of the run's
         # record, never of the solve
         failures = self._failures + self.flight.errors
@@ -301,7 +271,7 @@ class RunRecorder:
             "manifest_version": MANIFEST_VERSION,
             "run_id": self.run_id,
             "component": self.component,
-            "status": _resolve_status(status, failures, health),
+            "status": _resolve_status(status, failures),
             "started": self._started,
             "finished": _utc_now(),
             "wall_seconds": time.time() - self._t0,
@@ -309,7 +279,6 @@ class RunRecorder:
             "env": {k: os.environ.get(k) for k in TRACKED_ENV},
             "invocations": self._invocations,
             "failures": failures,
-            "health": health,
             "artifacts": {
                 p.name: {
                     "path": p.name,
@@ -342,17 +311,12 @@ def _utc_now() -> str:
 def _resolve_status(
     explicit: str | None,
     failures: list[dict[str, Any]],
-    health: dict[str, Any] | None,
 ) -> str:
     if explicit is not None:
         if explicit not in _STATUSES:
             raise ValueError(f"unknown run status {explicit!r}")
         return explicit
-    if failures:
-        return "error"
-    if health is not None and health.get("worst_status") == "fail":
-        return "fail"
-    return "ok"
+    return "error" if failures else "ok"
 
 
 # -- manifest schema ---------------------------------------------------------
@@ -444,131 +408,6 @@ def verify_run(run_dir) -> list[str]:
     return problems
 
 
-# -- run queries -------------------------------------------------------------
-
-
-def list_runs(
-    root=None, component: str | None = None
-) -> list[dict[str, Any]]:
-    """Manifests of every run, oldest first (unreadable runs skipped)."""
-    base = runs_root(root)
-    if not base.is_dir():
-        return []
-    out = []
-    for run_dir in sorted(base.iterdir()):
-        manifest_path = run_dir / MANIFEST_NAME
-        if not manifest_path.is_file():
-            continue
-        try:
-            manifest = load_manifest(run_dir)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if component is not None and manifest.get("component") != component:
-            continue
-        out.append(manifest)
-    out.sort(key=lambda m: (str(m.get("started", "")), str(m.get("run_id"))))
-    return out
-
-
-def find_run(run_id: str, root=None) -> pathlib.Path:
-    """Resolve a run id (or unique prefix) to its directory."""
-    base = runs_root(root)
-    exact = base / run_id
-    if (exact / MANIFEST_NAME).is_file():
-        return exact
-    if base.is_dir():
-        matches = [
-            p for p in sorted(base.iterdir())
-            if p.name.startswith(run_id) and (p / MANIFEST_NAME).is_file()
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        if len(matches) > 1:
-            raise FileNotFoundError(
-                f"run id {run_id!r} is ambiguous: "
-                + ", ".join(p.name for p in matches)
-            )
-    raise FileNotFoundError(f"no run {run_id!r} under {base}")
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-def _render_run_line(manifest: dict[str, Any]) -> str:
-    return (
-        f"{manifest.get('run_id'):<44}  {manifest.get('status'):<5}  "
-        f"{manifest.get('component'):<28}  "
-        f"{manifest.get('wall_seconds', 0.0):>8.2f}s"
-    )
-
-
-def _cmd_list(args) -> int:
-    manifests = list_runs(args.root, component=args.component)
-    if not manifests:
-        print(f"no runs under {runs_root(args.root)}")
-        return 0
-    for manifest in manifests:
-        print(_render_run_line(manifest))
-    print(f"{len(manifests)} run(s)")
-    return 0
-
-
-def _cmd_show(args) -> int:
-    run_dir = find_run(args.run, root=args.root)
-    manifest = load_manifest(run_dir)
-    print(json.dumps(manifest, indent=1, sort_keys=True))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    run_dir = find_run(args.run, root=args.root)
-    problems = verify_run(run_dir)
-    if problems:
-        for problem in problems:
-            print(f"FAIL {problem}")
-        return 1
-    manifest = load_manifest(run_dir)
-    print(
-        f"ok: {len(manifest.get('artifacts', {}))} artifact hash(es) verify "
-        f"for {manifest.get('run_id')}"
-    )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability.runlog",
-        description="List, show and verify run directories "
-        "(telemetry/runs/).",
-    )
-    parser.add_argument(
-        "--root", default=None,
-        help="telemetry root (default: $REPRO_TELEMETRY_DIR or telemetry/)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list run directories")
-    p_list.add_argument("--component", default=None)
-    p_list.set_defaults(func=_cmd_list)
-
-    p_show = sub.add_parser("show", help="print one run's manifest")
-    p_show.add_argument("run")
-    p_show.set_defaults(func=_cmd_show)
-
-    p_verify = sub.add_parser(
-        "verify", help="re-hash a run's artifacts against its manifest"
-    )
-    p_verify.add_argument("run")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 # re-exported for API symmetry with the other observability modules
 __all__ = [
     "BLACKBOX_NAME",
@@ -576,19 +415,12 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunRecorder",
-    "find_run",
     "hash_file",
-    "list_runs",
     "load_manifest",
     "new_run_id",
     "options_hash",
     "provenance",
-    "runs_root",
     "telemetry_root",
     "validate_manifest",
     "verify_run",
 ]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,13 +17,12 @@ holds no lock and no per-thread state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.util.timer import WallClock
 
-#: pid of the measured spans in a Chrome trace (health instants use their own)
+#: pid of the measured spans in a Chrome trace
 TRACE_PID = 1
 
 
@@ -43,11 +42,6 @@ class Span:
         if self.t_end is None:
             return 0.0
         return self.t_end - self.t_start
-
-    @property
-    def root(self) -> str:
-        """Top-level segment of the path (the coarse phase name)."""
-        return self.path.split("/", 1)[0] if self.path else self.name
 
 
 class SpanTracer:
@@ -108,18 +102,6 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self._finished)
 
-    def total(self, name: str) -> float:
-        """Total inclusive seconds over spans whose name or path matches."""
-        return sum(
-            s.duration for s in self.spans() if name in (s.name, s.path)
-        )
-
-    def count(self, name: str) -> int:
-        return sum(1 for s in self.spans() if name in (s.name, s.path))
-
-    def names(self) -> list[str]:
-        return sorted({s.name for s in self.spans()})
-
     def open_spans(self) -> list[Span]:
         """Snapshot of the currently *open* spans, outermost first.
 
@@ -139,7 +121,8 @@ class SpanTracer:
             events.append(
                 {
                     "name": s.name,
-                    "cat": s.category or s.root,
+                    # no category: the top-level phase of its path
+                    "cat": s.category or s.path.split("/", 1)[0],
                     "ph": "X",
                     "ts": s.t_start * 1e6,
                     "dur": s.duration * 1e6,
@@ -155,10 +138,6 @@ class SpanTracer:
             "traceEvents": self.chrome_events(pid=pid),
             "displayTimeUnit": "ms",
         }
-
-    def write_chrome_trace(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(), fh, indent=1)
 
     # -- internals -----------------------------------------------------------
 

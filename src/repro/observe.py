@@ -30,7 +30,7 @@ class _NullInstrument:
     """Every counter, gauge, histogram and series of an off handle."""
 
     __slots__ = ()
-    inc = set = observe = append = extend = _nothing
+    inc = set = observe = append = _nothing
 
 
 class _NullAttrs:
@@ -93,9 +93,6 @@ class Observer:
         return _NULL_INSTRUMENT
 
     gauge = histogram = series = counter
-
-    def observe(self, channel: str, **sample: Any) -> None:
-        """One sample for the health monitor's ``channel``; nobody listens."""
 
     def check(self, name: str, value: Any, where: str = "", expect_dtype: Any = None) -> None:
         """A numerics checkpoint: NaN/Inf and dtype-demotion tripwire."""

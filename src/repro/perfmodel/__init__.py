@@ -15,7 +15,6 @@ from repro.perfmodel.flops import (
     domain_scf_flops,
     fft_flops,
     gemm_flops,
-    multigrid_vcycle_flops,
     staged_fft_flops,
 )
 from repro.perfmodel.threading import flops_table, rack_table
@@ -33,7 +32,6 @@ __all__ = [
     "staged_fft_flops",
     "gemm_flops",
     "domain_scf_flops",
-    "multigrid_vcycle_flops",
     "flops_table",
     "rack_table",
     "WeakScalingModel",

@@ -56,10 +56,6 @@ class CampaignPlan:
     sessions_12h: float
     io_seconds_per_session: float
 
-    @property
-    def atom_iterations_per_second(self) -> float:
-        return self.spec.natoms / self.seconds_per_scf
-
 
 def plan_campaign(
     spec: CampaignSpec,

@@ -42,11 +42,6 @@ def cholesky_flops(n: int, complex_: bool = True) -> float:
     return (4.0 if complex_ else 1.0) * n**3 / 3.0
 
 
-def stencil_flops(npoints: int, points_per_stencil: int = 7) -> float:
-    """One smoothing sweep of a finite-difference stencil."""
-    return 2.0 * points_per_stencil * npoints
-
-
 @dataclass
 class FlopCounts:
     """Breakdown of one domain SCF iteration's FLOPs."""
@@ -95,11 +90,6 @@ def domain_scf_flops(
         subspace=cg_iterations * per_iter_sub,
         orthonormalization=ortho,
     )
-
-
-def multigrid_vcycle_flops(finest_points: int, sweeps: int = 4) -> float:
-    """One V-cycle over the octree hierarchy: geometric series ≤ 8/7 finest."""
-    return stencil_flops(finest_points) * sweeps * 8.0 / 7.0
 
 
 def sic_domain_parameters(

@@ -4,8 +4,6 @@ The paper's production QMD (16,661 atoms × 21,140 steps of ab initio
 dynamics) is far beyond a NumPy prototype, so this package substitutes a
 surrogate with the *same observables* (DESIGN.md §2):
 
-* :mod:`repro.reactive.potential` — a Morse/bond-order reactive force field
-  for Li/Al/O/H (water stays bonded, Al-O/Li-O oxidize, H-H recombines).
 * :mod:`repro.reactive.sites` — surface-atom and Lewis acid-base pair
   census on nanoparticle geometries (the key nanostructural design).
 * :mod:`repro.reactive.kmc` — Gillespie kinetic Monte Carlo over surface
@@ -16,13 +14,11 @@ surrogate with the *same observables* (DESIGN.md §2):
   bars.
 """
 
-from repro.reactive.potential import ReactiveForceField
 from repro.reactive.sites import surface_atoms, lewis_pairs, SiteCensus
 from repro.reactive.kmc import KMCOptions, KMCResult, run_kmc
-from repro.reactive.analysis import arrhenius_fit, production_rate
+from repro.reactive.analysis import arrhenius_fit
 
 __all__ = [
-    "ReactiveForceField",
     "surface_atoms",
     "lewis_pairs",
     "SiteCensus",
@@ -30,5 +26,4 @@ __all__ = [
     "KMCResult",
     "run_kmc",
     "arrhenius_fit",
-    "production_rate",
 ]

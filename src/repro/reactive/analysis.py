@@ -45,28 +45,6 @@ def arrhenius_fit(temperatures, rates) -> ArrheniusFit:
     )
 
 
-def production_rate(times: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of the H₂ count vs time, with its standard error.
-
-    More robust than total/time when there is an induction transient.
-    """
-    times = np.asarray(times, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if times.size < 2 or times[-1] <= times[0]:
-        return 0.0, 0.0
-    a = np.vstack([times, np.ones_like(times)]).T
-    coef, res, *_ = np.linalg.lstsq(a, counts, rcond=None)
-    slope = float(coef[0])
-    n = times.size
-    if n > 2 and res.size:
-        sigma2 = float(res[0]) / (n - 2)
-        sxx = float(np.sum((times - times.mean()) ** 2))
-        err = np.sqrt(sigma2 / sxx) if sxx > 0 else 0.0
-    else:
-        err = 0.0
-    return slope, err
-
-
 def rate_with_error(results) -> tuple[float, float]:
     """Mean ± standard error of production rates over replica KMC runs."""
     rates = np.array([r.production_rate() for r in results], dtype=float)

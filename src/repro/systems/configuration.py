@@ -61,10 +61,6 @@ class Configuration:
         return len(self.symbols)
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.cell))
-
-    @property
     def masses(self) -> np.ndarray:
         """Atomic masses in electron-mass units (a.u. of mass for dynamics)."""
         amu_to_me = 1822.888486209
@@ -92,11 +88,6 @@ class Configuration:
         """Fold positions into the primary cell in place."""
         self.positions = self.wrapped_positions()
 
-    def minimum_image(self, dr: np.ndarray) -> np.ndarray:
-        """Apply the minimum-image convention to displacement vectors."""
-        dr = np.asarray(dr, dtype=float)
-        return dr - self.cell * np.round(dr / self.cell)
-
     # -- editing ------------------------------------------------------------
 
     def copy(self) -> "Configuration":
@@ -106,26 +97,3 @@ class Configuration:
             self.cell.copy(),
             None if self.velocities is None else self.velocities.copy(),
         )
-
-    def extend(self, other: "Configuration") -> "Configuration":
-        """Concatenate two configurations sharing the same cell."""
-        if not np.allclose(self.cell, other.cell):
-            raise ValueError("cannot extend configurations with different cells")
-        vel = None
-        if self.velocities is not None or other.velocities is not None:
-            a = self.velocities if self.velocities is not None else np.zeros_like(self.positions)
-            b = other.velocities if other.velocities is not None else np.zeros_like(other.positions)
-            vel = np.vstack([a, b])
-        return Configuration(
-            self.symbols + other.symbols,
-            np.vstack([self.positions, other.positions]),
-            self.cell.copy(),
-            vel,
-        )
-
-    def counts(self) -> dict[str, int]:
-        """Per-species atom counts."""
-        out: dict[str, int] = {}
-        for s in self.symbols:
-            out[s] = out.get(s, 0) + 1
-        return out

@@ -1,4 +1,4 @@
-"""The wall clock the tracer, the health monitor and the flight recorder read."""
+"""The wall clock the tracer and the flight recorder read."""
 
 from __future__ import annotations
 

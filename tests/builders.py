@@ -1,11 +1,15 @@
 """Fixture builders the tests share: random gases, simple-cubic crystals,
-water boxes, a nanoparticle's radius, and pair distances and rigid
-translations of a :class:`~repro.systems.Configuration`."""
+water boxes, a nanoparticle's radius, minimum-image pair distances,
+species counts, concatenations and rigid translations of a
+:class:`~repro.systems.Configuration`, the partition-of-unity residual of
+a set of domain supports, span counts of a tracer, and a toy force engine
+for the MD driver."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.domains import DomainDecomposition
 from repro.systems.configuration import Configuration
 from repro.systems.water import HOH_ANGLE, OH_BOND
 
@@ -153,10 +157,51 @@ def particle_radius(particle: Configuration) -> float:
     return float(np.max(np.linalg.norm(particle.positions - centroid, axis=1)))
 
 
+def minimum_image(config: Configuration, dr: np.ndarray) -> np.ndarray:
+    """Displacement vectors folded by the minimum-image convention."""
+    dr = np.asarray(dr, dtype=float)
+    return dr - config.cell * np.round(dr / config.cell)
+
+
 def distance(config: Configuration, i: int, j: int) -> float:
     """Minimum-image distance between atoms ``i`` and ``j``."""
-    dr = config.minimum_image(config.positions[j] - config.positions[i])
+    dr = minimum_image(config, config.positions[j] - config.positions[i])
     return float(np.linalg.norm(dr))
+
+
+def species_counts(config: Configuration) -> dict[str, int]:
+    """Per-species atom counts."""
+    out: dict[str, int] = {}
+    for s in config.symbols:
+        out[s] = out.get(s, 0) + 1
+    return out
+
+
+def combined(a: Configuration, b: Configuration) -> Configuration:
+    """The atoms of two configurations sharing one cell, ``a``'s first."""
+    if not np.allclose(a.cell, b.cell):
+        raise ValueError("cannot combine configurations with different cells")
+    vel = None
+    if a.velocities is not None or b.velocities is not None:
+        vel = np.vstack([
+            c.velocities if c.velocities is not None
+            else np.zeros_like(c.positions)
+            for c in (a, b)
+        ])
+    return Configuration(
+        a.symbols + b.symbols, np.vstack([a.positions, b.positions]),
+        a.cell.copy(), vel,
+    )
+
+
+def span_count(tracer, name: str) -> int:
+    """Finished spans whose name or ``/``-joined path is ``name``."""
+    return sum(1 for s in tracer.spans() if name in (s.name, s.path))
+
+
+def span_names(tracer) -> list[str]:
+    """The distinct names of the finished spans, sorted."""
+    return sorted({s.name for s in tracer.spans()})
 
 
 def distance_matrix(config: Configuration) -> np.ndarray:
@@ -182,3 +227,49 @@ def select(config: Configuration, indices) -> Configuration:
         config.cell.copy(),
         None if config.velocities is None else config.velocities[indices],
     )
+
+
+def partition_residual(
+    decomp: DomainDecomposition, weights: list[np.ndarray]
+) -> float:
+    """max_r |Σ_α p_α(r) − 1| on the global grid — the identity the
+    density assembly ρ = Σ_α p_α ρ_α relies on."""
+    total = np.zeros(decomp.grid.shape)
+    for dom, w in zip(decomp.domains, weights):
+        ix, iy, iz = dom.grid_indices
+        # Direct fancy-index += is valid (and much faster than the
+        # unbuffered np.add.at): each per-axis wrapped index array is
+        # duplicate-free because a domain's extent never exceeds the grid —
+        # DomainDecomposition clamps buffer_points to (shape - core) // 2.
+        total[np.ix_(ix, iy, iz)] += w
+    return float(np.abs(total - 1.0).max())
+
+
+class PairSpringEngine:
+    """Toy force engine with the QMD engine interface: a harmonic spring
+    between every pair of atoms, at rest at the distances of the first
+    configuration it sees; one 'SCF iteration' per call.  Translation and
+    rotation invariant, so NVE conserves energy and momentum.
+    ``fail_at=n`` makes the n-th call raise."""
+
+    STIFFNESS = 0.5  # Hartree / Bohr², an O–H stretch's order
+
+    def __init__(self, fail_at: int | None = None) -> None:
+        self.rest: np.ndarray | None = None
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
+        self.calls += 1
+        if self.fail_at is not None and self.calls >= self.fail_at:
+            raise RuntimeError("engine blew up")
+        d = config.positions[:, None, :] - config.positions[None, :, :]
+        r = np.linalg.norm(d, axis=-1)
+        if self.rest is None:
+            self.rest = r.copy()
+        stretch = r - self.rest
+        energy = 0.25 * self.STIFFNESS * float(np.sum(stretch**2))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pull = np.where(r > 0.0, self.STIFFNESS * stretch / r, 0.0)
+        forces = -np.sum(pull[:, :, None] * d, axis=1)
+        return forces, energy, 1

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.complexity import (
-    buffer_for_tolerance,
     crossover_length,
     crossover_natoms,
     fit_decay_constant,
@@ -46,21 +45,6 @@ def test_total_cost_formula():
 def test_total_cost_invalid():
     with pytest.raises(ValueError):
         total_cost(0.0, 10.0, 1.0)
-
-
-def test_buffer_for_tolerance_eq1():
-    """Eq. 1: b = λ ln(max|Δρ|/(ε ⟨ρ⟩))."""
-    b = buffer_for_tolerance(2.0, max_delta_rho=0.1, epsilon=1e-3, mean_rho=1.0)
-    assert b == pytest.approx(2.0 * np.log(100.0))
-
-
-def test_buffer_zero_when_already_converged():
-    assert buffer_for_tolerance(2.0, 1e-5, 1e-3, 1.0) == 0.0
-
-
-def test_buffer_invalid():
-    with pytest.raises(ValueError):
-        buffer_for_tolerance(-1.0, 0.1, 1e-3)
 
 
 def test_paper_speedup_factors():

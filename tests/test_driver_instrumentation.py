@@ -11,6 +11,7 @@ from repro.md.integrator import initialize_velocities
 from repro.md.qmd import LDCEngine, QMDDriver
 from repro.observability import Instrumentation
 from repro.systems import dimer
+from tests.builders import span_count, span_names
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +37,11 @@ def test_scf_records_iteration_series_and_spans(h2):
     iters = ins.metrics.get("scf.iterations", engine="pw")
     assert iters.value == result.iterations
 
-    names = ins.tracer.names()
+    names = span_names(ins.tracer)
     assert "scf.run" in names
     assert "scf.iteration" in names
     assert "scf.eigensolve" in names
-    assert ins.tracer.count("scf.run/scf.iteration") == result.iterations
+    assert span_count(ins.tracer, "scf.run/scf.iteration") == result.iterations
     # eigensolver telemetry flows through the same registry
     solves = ins.metrics.get("eigensolver.solves", solver="all_band")
     assert solves.value >= result.iterations
@@ -62,18 +63,18 @@ def test_ldc_records_domain_spans_and_boundary_metrics(h2):
     ins = Instrumentation()
     result = run_ldc(h2, opts, instrumentation=ins)
 
-    assert ins.tracer.count("ldc.domain_solve") > 0
+    assert span_count(ins.tracer, "ldc.domain_solve") > 0
     dom_spans = [s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"]
     assert {s.attrs["domain"] for s in dom_spans} <= {0, 1}
     # a single point is a one-step trajectory: its set-up is a workspace's
-    assert "ldc.workspace_prepare" in ins.tracer.names()
-    assert "ldc.assemble_density" in ins.tracer.names()
+    assert "ldc.workspace_prepare" in span_names(ins.tracer)
+    assert "ldc.assemble_density" in span_names(ins.tracer)
 
     resid = ins.metrics.get("scf.residual", engine="ldc")
     assert resid.values == pytest.approx(result.density_residuals)
     # per-domain buffer-error series exist once rho_local is warm
     per_domain = [
-        k for k in ins.metrics.keys()
+        k for k in ins.metrics.snapshot()
         if k.startswith("ldc.boundary_error{domain=")
     ]
     assert per_domain
@@ -89,7 +90,7 @@ def test_qmd_step_spans_and_warm_start_counters(h2):
     driver = QMDDriver(LDCEngine(LDC_OPTS), timestep=5.0, instrumentation=ins)
     frames = driver.run(cfg, 2)
 
-    assert ins.tracer.count("qmd.step") == 2
+    assert span_count(ins.tracer, "qmd.step") == 2
     scf_iters = ins.metrics.get("qmd.scf_iterations")
     assert scf_iters.values == [float(f.scf_iterations) for f in frames]
     # 3 solves total (initial force eval + 2 steps): the first is cold, the

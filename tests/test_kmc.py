@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import KB_EV
-from repro.reactive.analysis import (
-    arrhenius_fit,
-    production_rate,
-    rate_with_error,
-)
+from repro.reactive.analysis import arrhenius_fit, rate_with_error
 from repro.reactive.kmc import KMCOptions, run_kmc
 from repro.systems import lial_nanoparticle
 
@@ -129,15 +125,3 @@ def test_arrhenius_fit_validation():
         arrhenius_fit([300.0], [1.0])
     with pytest.raises(ValueError):
         arrhenius_fit([300.0, 600.0], [1.0, -1.0])
-
-
-def test_production_rate_slope():
-    t = np.linspace(0, 10, 50)
-    counts = 3.0 * t + 1.0
-    slope, err = production_rate(t, counts)
-    assert slope == pytest.approx(3.0, rel=1e-9)
-    assert err == pytest.approx(0.0, abs=1e-9)
-
-
-def test_production_rate_degenerate():
-    assert production_rate(np.array([0.0]), np.array([0.0])) == (0.0, 0.0)

@@ -15,7 +15,6 @@ from repro.perfmodel.flops import (
     domain_scf_flops,
     fft_flops,
     gemm_flops,
-    multigrid_vcycle_flops,
     sic_domain_parameters,
     staged_fft_flops,
 )
@@ -105,11 +104,6 @@ def test_domain_scf_flops_positive_components():
     assert fc.total == pytest.approx(
         fc.fft + fc.nonlocal_gemm + fc.subspace + fc.orthonormalization
     )
-
-
-def test_multigrid_work_bounded():
-    w = multigrid_vcycle_flops(64**3)
-    assert w < 2 * multigrid_vcycle_flops(64**3 // 2) * 1.2
 
 
 def test_sic_domain_parameters_sane():

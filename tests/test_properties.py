@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.complexity import optimal_core_length, total_cost
 from repro.core.domains import DomainDecomposition
-from repro.core.support import partition_residual, supports
+from repro.core.support import supports
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.xc import lda_xc
 from repro.util.linalg import cholesky_orthonormalize
+from tests.builders import partition_residual
 
 # keep hypothesis fast and deterministic
 COMMON = dict(max_examples=25, deadline=None)

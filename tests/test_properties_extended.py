@@ -1,6 +1,5 @@
-"""Second battery of property-based tests: Ewald invariances, Morse
-consistency, I/O model monotonicity and occupation-derivative
-consistency."""
+"""Second battery of property-based tests: Ewald invariances, I/O model
+monotonicity and occupation-derivative consistency."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dft.ewald import ewald_energy
 from repro.parallel.collective_io import CollectiveIOModel
-from repro.reactive.potential import MorseParams, _morse
 
 COMMON = dict(max_examples=20, deadline=None)
 
@@ -43,33 +41,6 @@ def test_ewald_exact_scaling_law(seed, scale):
     big = ewald_energy(pos, q, np.array([10.0] * 3))
     small = ewald_energy(pos / scale, q, np.array([10.0 / scale] * 3))
     assert small == pytest.approx(scale * big, rel=1e-7, abs=1e-9)
-
-
-# ---- Morse --------------------------------------------------------------------
-
-@settings(**COMMON)
-@given(
-    depth=st.floats(0.01, 1.0),
-    stiff=st.floats(0.5, 4.0),
-    r0=st.floats(1.0, 4.0),
-    r=st.floats(0.5, 8.0),
-)
-def test_morse_derivative_consistency(depth, stiff, r0, r):
-    p = MorseParams(depth, stiff, r0)
-    h = 1e-6
-    e_p, _ = _morse(np.array([r + h]), p)
-    e_m, _ = _morse(np.array([r - h]), p)
-    _, de = _morse(np.array([r]), p)
-    assert de[0] == pytest.approx((e_p[0] - e_m[0]) / (2 * h), abs=1e-4, rel=1e-4)
-
-
-@settings(**COMMON)
-@given(depth=st.floats(0.01, 1.0), stiff=st.floats(0.5, 4.0), r0=st.floats(1.0, 4.0))
-def test_morse_minimum_at_r0(depth, stiff, r0):
-    p = MorseParams(depth, stiff, r0)
-    e_min, de = _morse(np.array([r0]), p)
-    assert e_min[0] == pytest.approx(-depth)
-    assert de[0] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---- I/O model -------------------------------------------------------------------

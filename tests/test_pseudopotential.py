@@ -111,7 +111,6 @@ def test_hydrogen_has_no_projector(grid):
     assert nl.nproj == 0
     psi = basis.random_orbitals(2)
     np.testing.assert_array_equal(nl.apply(psi), 0.0)
-    assert nl.energy(psi, np.array([2.0, 2.0])) == 0.0
 
 
 def test_apply_matches_dense(grid):
@@ -121,28 +120,6 @@ def test_apply_matches_dense(grid):
     assert nl.nproj == 2
     psi = basis.random_orbitals(3, seed=2)
     np.testing.assert_allclose(nl.apply(psi), nl.dense() @ psi, atol=1e-10)
-
-
-def test_energy_matches_expectation(grid):
-    cfg = dimer("Al", "Al", 4.0, 12.0)
-    basis = PlaneWaveBasis(grid, ecut=6.0)
-    nl = NonlocalProjectors(basis, cfg)
-    psi = basis.random_orbitals(2, seed=5)
-    occ = np.array([2.0, 1.0])
-    expect = sum(
-        occ[n] * np.real(np.vdot(psi[:, n], nl.apply(psi[:, n : n + 1])[:, 0]))
-        for n in range(2)
-    )
-    assert nl.energy(psi, occ) == pytest.approx(expect, rel=1e-10)
-
-
-def test_nonlocal_energy_positive_for_positive_d(grid):
-    """D > 0 projectors give nonnegative nonlocal energy."""
-    cfg = dimer("Al", "Al", 4.0, 12.0)
-    basis = PlaneWaveBasis(grid, ecut=6.0)
-    nl = NonlocalProjectors(basis, cfg)
-    psi = basis.random_orbitals(3, seed=8)
-    assert nl.energy(psi, np.array([2.0, 2.0, 2.0])) >= 0.0
 
 
 def test_projector_translation_phase(grid):

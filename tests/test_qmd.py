@@ -4,28 +4,17 @@ import numpy as np
 
 from repro.md.integrator import initialize_velocities
 from repro.md.qmd import QMDDriver, QMDOptions, SCFEngine, LDCEngine
-from repro.reactive.potential import ReactiveForceField
 from repro.systems import dimer, water_molecule
+from tests.builders import PairSpringEngine
 
 #: the MD accelerations on: an ASPC window of three and the buffer controller
 ADAPTIVE = QMDOptions(history_depth=3, adaptive_buffer=True)
 
 
-class ReactiveEngine:
-    """Surrogate engine with the QMD engine interface."""
-
-    def __init__(self):
-        self.ff = ReactiveForceField()
-
-    def forces(self, config):
-        e, f = self.ff.energy_forces(config)
-        return f, e, 1
-
-
 def test_qmd_runs_and_records():
     cfg = water_molecule(center=(10.0, 10.0, 10.0))
     initialize_velocities(cfg, 300.0, seed=0)
-    driver = QMDDriver(ReactiveEngine(), timestep=4.0)
+    driver = QMDDriver(PairSpringEngine(), timestep=4.0)
     frames = driver.run(cfg, 20)
     assert len(frames) == 20
     assert all(np.isfinite(f.potential_energy) for f in frames)
@@ -36,7 +25,7 @@ def test_qmd_runs_and_records():
 def test_qmd_energy_conservation_surrogate():
     cfg = water_molecule(center=(10.0, 10.0, 10.0))
     initialize_velocities(cfg, 200.0, seed=1)
-    driver = QMDDriver(ReactiveEngine(), timestep=2.0)
+    driver = QMDDriver(PairSpringEngine(), timestep=2.0)
     frames = driver.run(cfg, 200)
     e = np.array([f.total_energy for f in frames])
     assert np.abs(e - e[0]).max() < 1e-3 * abs(e[0])
@@ -45,7 +34,7 @@ def test_qmd_energy_conservation_surrogate():
 def test_qmd_records_positions_optionally():
     cfg = water_molecule(center=(10.0, 10.0, 10.0))
     initialize_velocities(cfg, 100.0, seed=4)
-    driver = QMDDriver(ReactiveEngine(), timestep=2.0, record_positions=True)
+    driver = QMDDriver(PairSpringEngine(), timestep=2.0, record_positions=True)
     frames = driver.run(cfg, 3)
     assert frames[0].positions is not None
     assert frames[0].positions.shape == (3, 3)
@@ -129,6 +118,6 @@ def test_unconverged_solve_is_visible_from_engine_to_frame(caplog):
         assert fed.last_converged is True and frame.converged is True
         assert counter.value == 3
     # an engine that does not say leaves the frame's field unset
-    frame = QMDDriver(ReactiveEngine(), timestep=2.0).run(
+    frame = QMDDriver(PairSpringEngine(), timestep=2.0).run(
         water_molecule(center=(10.0, 10.0, 10.0)), 1)[-1]
     assert frame.converged is None

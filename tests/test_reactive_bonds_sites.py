@@ -9,7 +9,7 @@ from repro.reactive.sites import (
     surface_atoms,
 )
 from repro.systems import lial_nanoparticle
-from tests.builders import particle_radius, water_box
+from tests.builders import combined, particle_radius, water_box
 
 
 # ---- sites ---------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_site_census_consistency(particle30):
 def test_census_ignores_water():
     """Water must not contribute to the metal surface census."""
     bare = lial_nanoparticle(8)
-    solvated = bare.extend(water_box(
+    solvated = combined(bare, water_box(
         30, seed=1, exclusion_centers=bare.cell / 2.0,
         exclusion_radius=particle_radius(bare) + 4.0, cell=bare.cell,
     ))

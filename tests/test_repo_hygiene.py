@@ -54,7 +54,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 136_412
+DESIGN_MAX_BYTES = 134_943
 
 
 def test_design_document_does_not_grow():
@@ -587,19 +587,13 @@ def _reached_modules():
     return set(trees), reached
 
 
-#: the modules no benchmark or CI step reaches: ROADMAP item 7 decides
-#: whether the DCR frontier earns a bench or goes, item 12 whether the
-#: reactive force field (read by an example only) does
-_UNREACHED = {"repro.core.dcr", "repro.reactive.potential"}
-
-
 def test_every_source_module_is_reached():
     """Every module under ``src/repro`` has a reader outside the tests: a
     benchmark or a CI step imports it, directly or through what it
     imports.  A module only its own tests (or an example CI never runs)
     reach is deleted, not kept."""
     modules, reached = _reached_modules()
-    assert modules - reached == _UNREACHED, sorted(modules - reached)
+    assert modules == reached, sorted(modules - reached)
 
 
 #: public names whose only reader is a test, kept on purpose; the pin fails
@@ -610,12 +604,6 @@ _TEST_ONLY = {
     "structure_factors":
         "test_global_layers' oracle for the half-grid local potential",
     "read_jsonl": "the reader for the flight recorder's black-box format",
-    "CollectingAlertSink":
-        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
-    "RaiseOnFailSink":
-        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
-    "add_sink":
-        "health alert sink; ROADMAP item 5 decides whether a FAIL raises",
 }
 
 
@@ -664,15 +652,17 @@ def _public_definitions():
 
 def _readers_outside_tests():
     """Every name used as a name, an attribute or a ``from … import`` in
-    ``src/``, ``benchmarks/``, ``examples/`` or CI's inline scripts, plus
-    the qualified names ``benchmarks/e2e/tracing.py`` wraps by string.  A
-    package ``__init__`` re-exporting a name does not read it."""
+    ``src/``, ``benchmarks/`` or CI's inline scripts, plus the qualified
+    names ``benchmarks/e2e/tracing.py`` wraps by string.  A package
+    ``__init__`` re-exporting a name does not read it, and neither does an
+    example: CI compiles ``examples/`` but runs none, the same roots
+    :func:`_reached_modules` follows."""
     import ast
 
     _, scripts = _ci_roots()
     texts = [
         path.read_text()
-        for top in ("src", "benchmarks", "examples")
+        for top in ("src", "benchmarks")
         for path in sorted((REPO / top).rglob("*.py"))
         if path.name != "__init__.py"
     ] + scripts

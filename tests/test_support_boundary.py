@@ -6,12 +6,12 @@ import pytest
 from repro.core.boundary import boundary_error_norm, boundary_potential
 from repro.core.domains import DomainDecomposition
 from repro.core.support import (
-    partition_residual,
     sharp_support,
     smooth_supports,
     supports,
 )
 from repro.dft.grid import RealSpaceGrid
+from tests.builders import partition_residual
 
 
 @pytest.fixture()
