@@ -257,17 +257,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             FieldSpec("converged", kind="int", **_EXACT),
         ],
     ),
-    "ablation_mixers": RecordSchema(
-        bench="ablation_mixers",
-        key=("mixer",),
-        fields=[
-            FieldSpec("mixer", kind="str", compare=False),
-            FieldSpec("iterations", kind="int", direction="lower",
-                      rel_tol=0.0, abs_tol=1.0),
-            FieldSpec("energy_ha", direction="both", rel_tol=0.0,
-                      abs_tol=1e-6),
-        ],
-    ),
     "ablation_support": RecordSchema(
         bench="ablation_support",
         key=("support",),

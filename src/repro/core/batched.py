@@ -120,7 +120,6 @@ def _domain_effective_potential(
     rho: np.ndarray,
     v_ks_global: np.ndarray,
     xi: float | None,
-    opts: LDCOptions,
     out: np.ndarray,
     pool: DomainScratch,
 ) -> float | None:
@@ -151,11 +150,10 @@ def _domain_effective_potential(
         state.rho_local, rho_restricted, xi,
         out=pool.get("vbc_target", shape),
     )
-    if opts.vbc_region == "buffer":
-        # act only near the artificial boundary, not inside the core
-        window = pool.get("boundary_window", shape)
-        np.subtract(1.0, state.support, out=window)
-        vbc_target *= window
+    # act only near the artificial boundary, not inside the core
+    window = pool.get("boundary_window", shape)
+    np.subtract(1.0, state.support, out=window)
+    vbc_target *= window
     if state.vbc is None:
         state.vbc = VBC_DAMPING * vbc_target  # owned, not scratch
     else:
@@ -252,7 +250,7 @@ def batched_domain_pass(
         v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
         errors = [
             _domain_effective_potential(
-                state, rho, v_ks_global, xi, opts, out=v_eff[j], pool=pool,
+                state, rho, v_ks_global, xi, out=v_eff[j], pool=pool,
             )
             for j, state in enumerate(stack)
         ]

@@ -46,7 +46,7 @@ from repro.dft.grid import RealSpaceGrid
 from repro.dft.hartree import hartree_potential
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import check_solver_options, scf_fixed_point
+from repro.dft.scf import check_options, scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observe import Observer, observer
@@ -55,7 +55,11 @@ from repro.systems.configuration import Configuration
 
 @dataclass
 class LDCOptions:
-    """Knobs for the LDC/DC SCF driver."""
+    """Knobs for the LDC/DC SCF driver.  As in
+    :class:`~repro.dft.scf.SCFOptions`, the density mixer is the
+    :class:`~repro.dft.mixing.PulayMixer` at α = 0.4 and cold domain
+    orbitals come from :data:`~repro.dft.scf.ORBITAL_SEED`; the boundary
+    potential acts outside each domain's core only."""
 
     ecut: float = 5.0
     #: number of DC cores per axis
@@ -70,9 +74,6 @@ class LDCOptions:
     #: SCF convergence threshold on ∫|Δρ|/N_e
     tol: float = 1e-5
     max_iter: int = 40
-    #: density mixer: "pulay" | "linear"
-    mixer: str = "pulay"
-    mix_alpha: float = 0.4
     extra_bands: int = 4
     #: domain eigensolver: "all_band" (the lockstep LOBPCG, production) or
     #: the per-domain reference "direct"
@@ -83,10 +84,6 @@ class LDCOptions:
     poisson: str = "fft"
     #: partition of unity: "sharp" | "smooth"
     support: str = "sharp"
-    #: where the boundary potential acts: "buffer" (outside the core — the
-    #: artificial boundary's neighborhood) or "full" (whole domain)
-    vbc_region: str = "buffer"
-    seed: int = 7
     #: stack width of the all-band domain solves
     #: (:mod:`repro.core.batched`): ``True`` solves every shape class —
     #: the domains sharing (grid shape, npw, nband, nproj) — as one stacked
@@ -97,13 +94,13 @@ class LDCOptions:
     batch_domains: bool = True
 
     def __post_init__(self) -> None:
-        check_solver_options(self.eigensolver, self.mixer, self.mix_alpha)
+        check_options(self)
         if self.mode not in ("ldc", "dc"):
             raise ValueError(f"mode must be 'ldc' or 'dc', got {self.mode!r}")
         if self.poisson not in ("fft", "multigrid"):
             raise ValueError("poisson must be 'fft' or 'multigrid'")
-        if self.vbc_region not in ("buffer", "full"):
-            raise ValueError("vbc_region must be 'buffer' or 'full'")
+        if min(self.domains) < 1:
+            raise ValueError(f"domains must be >= 1 per axis, got {self.domains!r}")
 
 
 @dataclass
@@ -287,10 +284,10 @@ def _run_ldc(
     mg = workspace.poisson() if opts.poisson == "multigrid" else None
     xi = opts.xi if opts.mode == "ldc" else None
     #: the workspace's mixer, whose secant pairs outlive this solve
-    memory = workspace.scf_mixer(opts) if opts.mixer == "pulay" else None
+    memory = workspace.scf_mixer()
     #: whether the solve continues a trajectory (every domain warm): its
     #: converged state then feeds the next step's ASPC windows
-    continues = memory is not None and workspace.cold_domains == 0
+    continues = workspace.cold_domains == 0
     # what the last pass left behind (the map hands the loop scalars)
     vh_warm: np.ndarray | None = None
     components: dict[str, float] = {}
@@ -316,12 +313,11 @@ def _run_ldc(
         density_map, config, grid, rho0, opts, "ldc", mixer=memory,
         continues=continues, ins=ins,
     )
-    if memory is not None:
-        # report the drops of this solve (and of the reset / cold domain
-        # that preceded it) once, with the step they belong to
-        for reason, count in memory.dropped.items():
-            ins.counter("ldc.mixer_memory_dropped", reason=reason).inc(count)
-        memory.dropped.clear()
+    # report the drops of this solve (and of the reset / cold domain that
+    # preceded it) once, with the step they belong to
+    for reason, count in memory.dropped.items():
+        ins.counter("ldc.mixer_memory_dropped", reason=reason).inc(count)
+    memory.dropped.clear()
 
     # push converged states onto the ASPC windows for the next step's
     # warm start; store() also settles the predictor residual of the

@@ -61,6 +61,7 @@ from repro.dft.ewald import EwaldStructure
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.mixing import PulayMixer
 from repro.dft.pseudopotential import NonlocalProjectors
+from repro.dft.scf import ORBITAL_SEED
 from repro.md.extrapolate import DomainHistory, check_depth
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems.configuration import Configuration
@@ -163,8 +164,8 @@ def _options_signature(options: LDCOptions) -> tuple:
     """The option fields the cached structures depend on.
 
     A change in any of these invalidates the grid/decomposition/bases (and
-    with them the orbital cache); other options (tolerances, mixing)
-    only steer the SCF loop and leave the cached geometry valid.
+    with them the orbital cache); other options (tolerances, ξ, the
+    solvers) only steer the SCF loop and leave the cached geometry valid.
     """
     return (
         options.ecut,
@@ -172,7 +173,6 @@ def _options_signature(options: LDCOptions) -> tuple:
         options.buffer,
         options.support,
         options.extra_bands,
-        options.seed,
     )
 
 
@@ -347,7 +347,7 @@ class LDCWorkspace:
 
     # -- SCF quasi-Newton memory ---------------------------------------------
 
-    def scf_mixer(self, options: LDCOptions) -> PulayMixer:
+    def scf_mixer(self) -> PulayMixer:
         """The trajectory's Pulay mixer, positioned at the start of a solve.
 
         Call after :meth:`prepare`.  The secant pairs the previous solves
@@ -358,8 +358,6 @@ class LDCWorkspace:
         """
         if self._mixer is None:
             self._mixer = PulayMixer()
-        # the pairs hold no α, so a changed mix_alpha keeps them
-        self._mixer.alpha = options.mix_alpha
         if self.cold_domains:
             self._mixer.reset("cold_domain")
         else:
@@ -418,7 +416,7 @@ class LDCWorkspace:
             )
             if predicted is None:
                 predicted = basis.random_orbitals(
-                    nband, seed=options.seed + 131 * idom
+                    nband, seed=ORBITAL_SEED + 131 * idom
                 ), None, None
                 self.cold_domains += 1
             else:

@@ -1,15 +1,12 @@
 """Density mixing for the self-consistent field iteration.
 
-Two schemes, sharing one interface (``mix(rho_in, rho_out) -> rho_next``):
+One scheme, :class:`PulayMixer` (``mix(rho_in, rho_out) -> rho_next``):
+Pulay/DIIS extrapolation over a history of residuals, whose first step —
+and its fallback when the model is lost — is the linear damping step
+ρ_in + α(ρ_out − ρ_in).  Its secant model of the SCF Jacobian can outlive
+one solve (:meth:`PulayMixer.begin_step`).
 
-* :class:`LinearMixer` — simple damping, unconditionally convergent for
-  small enough mixing parameter.
-* :class:`PulayMixer` — Pulay/DIIS extrapolation over a history of residuals;
-  the production choice (much faster near self-consistency).  Its secant
-  model of the SCF Jacobian can outlive one solve
-  (:meth:`PulayMixer.begin_step`).
-
-Both preserve the total electron number exactly (the residual integrates to
+It preserves the total electron number exactly (the residual integrates to
 zero up to solver error, and we renormalize defensively).
 """
 
@@ -22,21 +19,6 @@ import numpy as np
 
 class DensityError(ValueError):
     """A density whose integral is not a finite positive number."""
-
-
-class LinearMixer:
-    """ρ_next = ρ_in + α (ρ_out - ρ_in)."""
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-
-    def reset(self) -> None:  # interface parity with PulayMixer
-        pass
-
-    def mix(self, rho_in: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
-        return rho_in + self.alpha * (rho_out - rho_in)
 
 
 class PulayMixer:
@@ -78,7 +60,7 @@ class PulayMixer:
     #: non-monotonicity DIIS always shows keeps the pairs.
     CARRIED_RISE = 2.0
 
-    def __init__(self, alpha: float = 0.3, history: int = 6) -> None:
+    def __init__(self, alpha: float = 0.4, history: int = 6) -> None:
         if history < 2:
             raise ValueError("history must be >= 2")
         self.alpha = alpha

@@ -35,7 +35,7 @@ from repro.dft.ewald import ewald_energy
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_energy, hartree_potential
-from repro.dft.mixing import LinearMixer, PulayMixer, renormalize
+from repro.dft.mixing import PulayMixer, renormalize
 from repro.dft.occupations import (
     fermi_occupations,
     find_chemical_potential,
@@ -57,23 +57,40 @@ DensityMap = Callable[
 ]
 
 
-def check_solver_options(eigensolver: str, mixer: str, mix_alpha: float) -> None:
-    """Reject an unknown eigensolver or mixer name, or a mixing weight
-    outside (0, 1], when options are built — before any structure build,
-    Ewald sum or Poisson solve is spent on a run that would fail at its
-    first domain solve or stall on its density mix (α = 0 never moves the
-    input density, for either mixer)."""
-    if eigensolver not in ("direct", "all_band"):
-        raise ValueError(f"unknown eigensolver {eigensolver!r}")
-    if mixer not in ("pulay", "linear"):
-        raise ValueError(f"unknown mixer {mixer!r}")
-    if not 0.0 < mix_alpha <= 1.0:
-        raise ValueError(f"mix_alpha must be in (0, 1], got {mix_alpha!r}")
+#: Seed of the random starting orbitals of a cold solve: ``run_scf``'s
+#: block, and LDC domain ``i``'s at ``ORBITAL_SEED + 131·i`` (domain 0 of a
+#: one-domain LDC solve starts where ``run_scf`` does)
+ORBITAL_SEED = 7
+
+
+def check_options(options: SCFOptions | LDCOptions) -> None:
+    """Reject, when the options are built, a value either SCF driver would
+    fail on or silently mis-run with — before any structure build, Ewald
+    sum or Poisson solve is spent on it.  The error names the field.
+
+    An unknown eigensolver fails at the first domain solve; a negative
+    ``kt`` inverts the Fermi function and still converges (``kt = 0`` is
+    valid: the step function of ``_zero_temperature_mu``); a negative
+    ``extra_bands`` fails deep in the solve on an empty band block; and
+    ``max_iter = 0`` returns a result no pass produced."""
+    if options.eigensolver not in ("direct", "all_band"):
+        raise ValueError(f"unknown eigensolver {options.eigensolver!r}")
+    for name, ok, bound in (
+        ("kt", options.kt >= 0.0, ">= 0"),
+        ("extra_bands", options.extra_bands >= 0, ">= 0"),
+        ("max_iter", options.max_iter >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ValueError(
+                f"{name} must be {bound}, got {getattr(options, name)!r}"
+            )
 
 
 @dataclass
 class SCFOptions:
-    """Knobs for the SCF loop."""
+    """Knobs for the SCF loop.  The density mixer is the
+    :class:`~repro.dft.mixing.PulayMixer` at its default α = 0.4, and a
+    cold solve starts from the orbitals of :data:`ORBITAL_SEED`."""
 
     ecut: float = 6.0
     #: extra empty bands beyond ⌈N_e/2⌉
@@ -83,16 +100,13 @@ class SCFOptions:
     #: density-convergence threshold on ∫|Δρ| dr / N_e
     tol: float = 1e-6
     max_iter: int = 60
-    mixer: str = "pulay"  # "pulay" | "linear"
-    mix_alpha: float = 0.4
     #: eigensolver: "all_band" (production) | "direct" (the reference)
     eigensolver: str = "all_band"
     eig_tol: float = 1e-7
     eig_max_iter: int = 40
-    seed: int = 7
 
     def __post_init__(self) -> None:
-        check_solver_options(self.eigensolver, self.mixer, self.mix_alpha)
+        check_options(self)
 
 
 @dataclass
@@ -156,16 +170,12 @@ def build_hamiltonian(
     rho: np.ndarray,
     v_loc: np.ndarray,
     vnl: NonlocalProjectors,
-    v_extra: np.ndarray | None = None,
 ) -> tuple[Hamiltonian, np.ndarray, np.ndarray, np.ndarray]:
     """Assemble H for a given density; returns (H, V_H, ε_xc, v_xc)."""
     grid = basis.grid
     vh = hartree_potential(grid, rho)
     exc, vxc = lda_xc(rho)
-    v_eff = v_loc + vh + vxc
-    if v_extra is not None:
-        v_eff = v_eff + v_extra
-    return Hamiltonian(basis, v_eff, vnl), vh, exc, vxc
+    return Hamiltonian(basis, v_loc + vh + vxc, vnl), vh, exc, vxc
 
 
 def harris_foulkes_energy(
@@ -186,9 +196,7 @@ def harris_foulkes_energy(
     integrated over the *output* density instead is first order: 1.9e-4
     against 1.6e-8 Ha at ``tol=1e-3`` on one H₂O, DESIGN.md §20).
     ``band_energy`` arrives with any non-physical potential (LDC's
-    ``v_bc``) already removed; an external ``v_extra`` needs no term of
-    its own, its interaction energy is inside the band energy.  Returns
-    the total and every part.
+    ``v_bc``) already removed.  Returns the total and every part.
     """
     # every integral a dot product with ρ: no product field, no V_H + v_xc
     e_h = hartree_energy(grid, rho, vh)
@@ -254,7 +262,7 @@ def scf_fixed_point(
     normalizes the map's output, takes the residual ``∫|ρ_out − ρ_in|/N_e``
     and stops below ``options.tol`` or mixes.  ``mixer`` is a caller-owned
     mixer whose secant pairs outlive this solve (the LDC workspace's);
-    without one a fresh mixer of ``options.mixer`` is built.
+    without one a fresh :class:`~repro.dft.mixing.PulayMixer` is built.
 
     The final consistent pass, whose density, energy and μ are returned,
     runs at the converged ``ρ_out`` — or, when the solve ``continues`` a
@@ -279,9 +287,7 @@ def scf_fixed_point(
     # ahead of renormalize, which refuses a non-finite total by itself
     ins.check("rho0", rho, where=f"{label}.init", expect_dtype=np.float64)
     rho = renormalize(rho, n_electrons, grid.dv)
-    step = mixer if mixer is not None else (
-        PulayMixer if options.mixer == "pulay" else LinearMixer
-    )(alpha=options.mix_alpha)
+    step = mixer if mixer is not None else PulayMixer()
 
     def residual(rho_out: np.ndarray, rho_in: np.ndarray) -> float:
         return grid.integrate(np.abs(rho_out - rho_in)) / max(n_electrons, 1.0)
@@ -359,12 +365,10 @@ def scf_fixed_point(
 def run_scf(
     config: Configuration,
     options: SCFOptions | None = None,
-    v_extra: np.ndarray | None = None,
     rho0: np.ndarray | None = None,
     grid: RealSpaceGrid | None = None,
     instrumentation: Observer | None = None,
     psi0: np.ndarray | None = None,
-    warm_cell: np.ndarray | None = None,
 ) -> SCFResult:
     """Solve global Kohn–Sham DFT to self-consistency.
 
@@ -379,8 +383,6 @@ def run_scf(
         The atomic configuration (periodic cell).
     options:
         :class:`SCFOptions`; defaults are sized for toy systems.
-    v_extra:
-        Optional extra external potential on the grid (exposed for tests).
     rho0:
         Optional initial density.  From the previous MD step, carry its
         ``SCFResult.input_density`` — the density its orbitals (``psi0``)
@@ -388,7 +390,7 @@ def run_scf(
         stale-shaped array (grid changed since it was produced) is ignored
         — cold start, not a crash.
     grid:
-        Optional explicit grid (must match ``v_extra``/``rho0``).
+        Optional explicit grid (must match ``rho0``).
     instrumentation:
         The observability handle (:mod:`repro.observe`).  An
         :class:`~repro.observability.Instrumentation` records ``scf.*``
@@ -400,29 +402,18 @@ def run_scf(
     psi0:
         Optional starting orbitals ``(npw, nband)`` — e.g. the previous MD
         step's converged block (the QMD orbital warm start).  Ignored when
-        the shape does not match the basis/band count of this call.
-    warm_cell:
-        The cell ``rho0``/``psi0`` were converged in.  When given and
-        different from ``config.cell``, both warm starts are dropped
-        (deterministic cold start), so every caller gets the check and not
-        only the engines that keep a cell of their own.  A cell change
-        usually also changes the grid/basis shape, but not always (e.g. a
-        pure rescale): matching shapes over a different cell are exactly
-        the stale warm start this catches.
+        the shape does not match the basis/band count of this call.  Both
+        warm starts are the caller's to keep consistent with ``config``:
+        :class:`~repro.md.qmd.SCFEngine` keys its window by the cell, so a
+        cell change there is a cold start.
     """
     opts = options or SCFOptions()
     ins = observer(instrumentation)
-    if warm_cell is not None and not np.array_equal(
-        np.asarray(warm_cell, dtype=float).reshape(-1),
-        np.asarray(config.cell, dtype=float).reshape(-1),
-    ):
-        rho0 = None  # density lives on the old cell's grid
-        psi0 = None  # orbitals live on the old cell's basis
     with ins.invocation(
         "scf.run", opts, category="scf", natoms=len(config.symbols),
-        eigensolver=opts.eigensolver, mixer=opts.mixer,
+        eigensolver=opts.eigensolver,
     ) as span:
-        result = _run_scf(config, opts, v_extra, rho0, grid, ins, psi0)
+        result = _run_scf(config, opts, rho0, grid, ins, psi0)
         span.attrs.update(
             converged=result.converged, iterations=result.iterations
         )
@@ -432,7 +423,6 @@ def run_scf(
 def _run_scf(
     config: Configuration,
     opts: SCFOptions,
-    v_extra: np.ndarray | None,
     rho0: np.ndarray | None,
     grid: RealSpaceGrid | None,
     ins: Observer,
@@ -455,7 +445,7 @@ def _run_scf(
     if psi0 is not None and psi0.shape == (basis.npw, nband):
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:
-        psi = basis.random_orbitals(nband, seed=opts.seed)
+        psi = basis.random_orbitals(nband, seed=ORBITAL_SEED)
     # what the all-band solver iterates in, one buffer for every pass
     work = None
     if opts.eigensolver == "all_band":
@@ -470,7 +460,7 @@ def _run_scf(
     ) -> tuple[np.ndarray, float, float, dict[str, float]]:
         nonlocal psi, eigs, occs, parts, eig_total
         ham, vh, exc, vxc = build_hamiltonian(
-            basis, config, rho_in, v_loc, nonlocal_, v_extra
+            basis, config, rho_in, v_loc, nonlocal_
         )
         with ins.span("scf.eigensolve", category="scf", iteration=iteration) as sp:
             if opts.eigensolver == "direct":

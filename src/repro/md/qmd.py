@@ -70,7 +70,6 @@ class QMDFrame:
     kinetic_energy: float
     temperature: float
     scf_iterations: int
-    positions: np.ndarray | None = None
     #: whether every SCF solve of the step met its tolerance (``None`` from
     #: an engine that does not say)
     converged: bool | None = None
@@ -337,11 +336,9 @@ class QMDDriver:
         self,
         engine: Any,
         timestep: float,
-        record_positions: bool = False,
         instrumentation: Observer | None = None,
     ) -> None:
         self.engine = engine
-        self.record_positions = record_positions
         #: the observability handle as given (``run`` resolves ``None``):
         #: a ``qmd.step`` span and per-step SCF-iteration/temperature/energy
         #: series.  If the engine has no instrumentation of its own, the
@@ -413,8 +410,5 @@ class QMDDriver:
             kinetic_energy=kinetic_energy(config),
             temperature=temperature(config),
             scf_iterations=self._scf_iters_last,
-            positions=config.positions.copy()
-            if self.record_positions
-            else None,
             converged=self._converged_last,
         )

@@ -40,41 +40,52 @@ PRISTINE = 0
 H_ADSORBED = 1
 PASSIVATED = 2
 
+# The rate table (eV, s⁻¹): one chemistry, not a choice per run
+#: water-dissociation barrier at a LiAl Lewis pair (the paper's value)
+EA_DISSOCIATION = 0.068
+#: dissociation barrier on a pure-Al site (ref. 47 baseline)
+EA_DISSOCIATION_PURE_AL = 0.40
+#: H* + H* recombination barrier
+EA_RECOMBINATION = 0.02
+#: Li dissolution barrier
+EA_DISSOLUTION = 0.25
+#: oxide passivation barrier at neutral pH
+EA_PASSIVATION = 0.35
+#: attempt-frequency scale of the dissolution channel (slow vs ν)
+DISSOLUTION_SCALE = 0.05
+#: attempt-frequency scale of the passivation channel
+PASSIVATION_SCALE = 0.02
+#: attempt frequency (calibrated so k(300 K) ≈ 1.04·10⁹ s⁻¹ per pair)
+ATTEMPT_FREQUENCY = 1.45e10
+#: pH suppression of passivation: rate × exp(-κ (pH - 7))
+PH_SUPPRESSION = 1.2
+#: autocatalytic enhancement per oxidized neighbor site
+AUTOCATALYSIS = 0.35
+#: pH rise per dissolved Li (effective, volume-lumped)
+PH_PER_LI = 0.1
+#: a run stops after this many events if ``max_time`` has not come first
+MAX_EVENTS = 200_000
+
 
 @dataclass
 class KMCOptions:
-    """Rate parameters (eV, s⁻¹) and run controls."""
+    """Run controls; the rates are the module's constants."""
 
+    #: kelvin, > 0
     temperature: float = 300.0
-    #: water-dissociation barrier at a LiAl Lewis pair (the paper's value)
-    ea_dissociation: float = 0.068
-    #: dissociation barrier on a pure-Al site (ref. 47 baseline)
-    ea_dissociation_pure_al: float = 0.40
-    #: H* + H* recombination barrier
-    ea_recombination: float = 0.02
-    #: Li dissolution barrier
-    ea_dissolution: float = 0.25
-    #: oxide passivation barrier at neutral pH
-    ea_passivation: float = 0.35
-    #: attempt-frequency scale of the dissolution channel (slow vs ν)
-    dissolution_scale: float = 0.05
-    #: attempt-frequency scale of the passivation channel
-    passivation_scale: float = 0.02
-    #: attempt frequency (calibrated so k(300 K) ≈ 1.04·10⁹ s⁻¹ per pair)
-    attempt_frequency: float = 1.45e10
-    #: pH suppression of passivation: rate × exp(-κ (pH - 7))
-    ph_suppression: float = 1.2
-    #: autocatalytic enhancement per oxidized neighbor site
-    autocatalysis: float = 0.35
-    #: pH rise per dissolved Li (effective, volume-lumped)
-    ph_per_li: float = 0.1
-    #: stop after this simulated time (s)
+    #: stop after this simulated time (s), > 0
     max_time: float = 1e-6
-    #: or after this many events
-    max_events: int = 200_000
     #: treat the particle as pure Al (no Li): the baseline chemistry
     pure_al: bool = False
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # a non-positive temperature divides by zero or runs with rates
+        # above the attempt frequency; a non-positive time ends at once
+        for name in ("temperature", "max_time"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass
@@ -135,14 +146,14 @@ def run_kmc(
         # pure Al: every adjacent surface Al-Al bond is a (slow) site
         sites = max(census.n_surface, 1)
         neighbors = [[(i + 1) % sites, (i - 1) % sites] for i in range(sites)]
-        ea_diss = opts.ea_dissociation_pure_al
+        ea_diss = EA_DISSOCIATION_PURE_AL
         n_li_surface = 0
     else:
         sites = census.n_pairs
         neighbors = _site_graph(
             census, particle.wrapped_positions(), particle.cell
         )
-        ea_diss = opts.ea_dissociation
+        ea_diss = EA_DISSOCIATION
         n_li_surface = sum(
             1 for i in census.surface_indices if particle.symbols[i] == "Li"
         )
@@ -154,11 +165,11 @@ def run_kmc(
         )
 
     kt = KB_EV * opts.temperature
-    nu = opts.attempt_frequency
+    nu = ATTEMPT_FREQUENCY
     k_diss0 = nu * np.exp(-ea_diss / kt)
-    k_rec = nu * np.exp(-opts.ea_recombination / kt)
-    k_li = nu * np.exp(-opts.ea_dissolution / kt) * opts.dissolution_scale
-    k_pass0 = nu * np.exp(-opts.ea_passivation / kt) * opts.passivation_scale
+    k_rec = nu * np.exp(-EA_RECOMBINATION / kt)
+    k_li = nu * np.exp(-EA_DISSOLUTION / kt) * DISSOLUTION_SCALE
+    k_pass0 = nu * np.exp(-EA_PASSIVATION / kt) * PASSIVATION_SCALE
 
     state = np.full(sites, PRISTINE, dtype=int)
     oxidized = np.zeros(sites, dtype=bool)  # carries a bridging O (Li-O-Al)
@@ -173,13 +184,13 @@ def run_kmc(
     event_counts = {"dissociation": 0, "recombination": 0,
                     "dissolution": 0, "passivation": 0}
 
-    for _ in range(opts.max_events):
+    for _ in range(MAX_EVENTS):
         # --- build the rate table --------------------------------------
         rates = []
         actions = []
         active = state != PASSIVATED
         for i in np.flatnonzero(active & (state == PRISTINE)):
-            boost = 1.0 + opts.autocatalysis * sum(
+            boost = 1.0 + AUTOCATALYSIS * sum(
                 1 for j in neighbors[i] if oxidized[j]
             )
             rates.append(k_diss0 * boost)
@@ -195,7 +206,7 @@ def run_kmc(
             actions.append(("dissolution", -1))
         n_pristine = int(np.sum(state == PRISTINE))
         if n_pristine:
-            k_pass = k_pass0 * np.exp(-opts.ph_suppression * max(ph - 7.0, 0.0))
+            k_pass = k_pass0 * np.exp(-PH_SUPPRESSION * max(ph - 7.0, 0.0))
             rates.append(k_pass * n_pristine)
             actions.append(("passivation", -1))
 
@@ -223,7 +234,7 @@ def run_kmc(
         elif kind == "dissolution":
             dissolved += 1
             remaining_li -= 1
-            ph += opts.ph_per_li
+            ph += PH_PER_LI
         elif kind == "passivation":
             pristine = np.flatnonzero(state == PRISTINE)
             state[pristine[int(rng.integers(len(pristine)))]] = PASSIVATED

@@ -1,6 +1,6 @@
 """Tests for ASPC orbital/density extrapolation (repro.md.extrapolate) and
-its integration: workspace history windows, the run_scf warm_cell guard,
-NVE energy-drift parity, and the run-ledger series."""
+its integration: workspace history windows, NVE energy-drift parity, and
+the run-ledger series."""
 
 import numpy as np
 import pytest
@@ -335,32 +335,6 @@ def test_predictor_residual_series_recorded():
     assert len(series.values) == 2  # steps 2 and 3 had predictions to score
     assert all(np.isfinite(v) and v >= 0 for v in series.values)
     assert r.predictor_residual == pytest.approx(series.values[-1])
-
-
-# -- run_scf warm_cell guard (hoisted fallback) -------------------------------
-
-
-def test_run_scf_warm_cell_mismatch_falls_back_cold():
-    from repro.dft.scf import SCFOptions, run_scf
-
-    cfg = h4_chain()
-    opts = SCFOptions(ecut=4.0, tol=1e-6)
-    r1 = run_scf(cfg, opts)
-    # same-cell warm pass accepts the seeds…
-    warm = run_scf(
-        cfg, opts, rho0=r1.density, psi0=r1.orbitals,
-        warm_cell=cfg.cell,
-    )
-    assert warm.converged and warm.energy == pytest.approx(r1.energy, abs=1e-7)
-    # …a mismatched previous cell silently drops them (deterministic cold
-    # start, identical to passing no seeds at all)
-    cold = run_scf(
-        cfg, opts, rho0=r1.density, psi0=r1.orbitals,
-        warm_cell=np.array([11.0, 5.0, 5.0]),
-    )
-    assert cold.converged
-    assert cold.energy == pytest.approx(r1.energy, abs=1e-7)
-    assert cold.iterations == r1.iterations
 
 
 # -- MD-level behaviour -------------------------------------------------------

@@ -102,8 +102,11 @@ def test_empty_particle_is_safe():
     assert res.total_h2 == 0
 
 
-def test_event_budget_respected(particle):
-    res = _run(particle, max_events=50, max_time=1.0)
+def test_event_budget_respected(particle, monkeypatch):
+    from repro.reactive import kmc
+
+    monkeypatch.setattr(kmc, "MAX_EVENTS", 50)
+    res = _run(particle, max_time=1.0)
     total_events = sum(res.events.values())
     assert total_events <= 50
 

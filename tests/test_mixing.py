@@ -1,39 +1,18 @@
-"""Tests for density mixing (linear and Pulay/DIIS)."""
+"""Tests for density mixing (Pulay/DIIS)."""
 
 import numpy as np
 import pytest
 
-from repro.dft.mixing import LinearMixer, PulayMixer, renormalize
-
-
-def test_linear_mixing_formula(rng):
-    rho_in = rng.random((4, 4, 4))
-    rho_out = rng.random((4, 4, 4))
-    m = LinearMixer(alpha=0.25)
-    np.testing.assert_allclose(
-        m.mix(rho_in, rho_out), rho_in + 0.25 * (rho_out - rho_in)
-    )
-
-
-def test_linear_alpha_validation():
-    with pytest.raises(ValueError):
-        LinearMixer(alpha=0.0)
-    with pytest.raises(ValueError):
-        LinearMixer(alpha=1.5)
-
-
-def test_linear_fixed_point(rng):
-    rho = rng.random((3, 3, 3))
-    m = LinearMixer(0.5)
-    np.testing.assert_allclose(m.mix(rho, rho), rho)
+from repro.dft.mixing import PulayMixer, renormalize
 
 
 def test_pulay_first_step_is_linear(rng):
     rho_in = rng.random((4, 4, 4))
     rho_out = rng.random((4, 4, 4))
     p = PulayMixer(alpha=0.3)
-    l = LinearMixer(alpha=0.3)
-    np.testing.assert_allclose(p.mix(rho_in, rho_out), l.mix(rho_in, rho_out))
+    np.testing.assert_allclose(
+        p.mix(rho_in, rho_out), rho_in + 0.3 * (rho_out - rho_in)
+    )
 
 
 def test_pulay_history_validation():
@@ -51,15 +30,15 @@ def test_pulay_solves_linear_problem_fast():
     b = rng.normal(size=n)
     fixed = np.linalg.solve(np.eye(n) - a, b)
 
-    def sweep(mixer, iters):
+    def sweep(mix, iters):
         x = np.zeros(n)
         for _ in range(iters):
             out = a @ x + b
-            x = mixer.mix(x, out)
+            x = mix(x, out)
         return np.linalg.norm(x - fixed)
 
-    err_pulay = sweep(PulayMixer(alpha=0.5, history=8), 12)
-    err_linear = sweep(LinearMixer(alpha=0.5), 12)
+    err_pulay = sweep(PulayMixer(alpha=0.5, history=8).mix, 12)
+    err_linear = sweep(lambda x, out: x + 0.5 * (out - x), 12)
     assert err_pulay < err_linear * 0.1
 
 

@@ -31,15 +31,6 @@ def test_qmd_energy_conservation_surrogate():
     assert np.abs(e - e[0]).max() < 1e-3 * abs(e[0])
 
 
-def test_qmd_records_positions_optionally():
-    cfg = water_molecule(center=(10.0, 10.0, 10.0))
-    initialize_velocities(cfg, 100.0, seed=4)
-    driver = QMDDriver(PairSpringEngine(), timestep=2.0, record_positions=True)
-    frames = driver.run(cfg, 3)
-    assert frames[0].positions is not None
-    assert frames[0].positions.shape == (3, 3)
-
-
 def test_qmd_with_scf_engine():
     """A couple of real ab initio MD steps on the toy H₂ dimer."""
     from repro.dft.scf import SCFOptions

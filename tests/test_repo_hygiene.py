@@ -54,7 +54,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 134_943
+DESIGN_MAX_BYTES = 134_802
 
 
 def test_design_document_does_not_grow():
@@ -699,6 +699,116 @@ def test_every_public_name_is_referenced():
     names = {name for name, _ in defined}
     stale = sorted(name for name in _TEST_ONLY
                    if name in used or name not in names)
+    assert stale == [], stale
+
+
+#: option fields no caller outside the tests sets, kept on purpose; the pin
+#: fails when one of them is deleted or gains a setter
+_KEPT_FIELDS = {
+    **dict.fromkeys(
+        ("LDCOptions.eigensolver", "SCFOptions.eigensolver"),
+        "the per-band reference the all-band solver is tested against",
+    ),
+    **dict.fromkeys(
+        ("LDCOptions.eig_tol", "LDCOptions.eig_max_iter",
+         "SCFOptions.eig_max_iter"),
+        "the parity tests set both drivers equal; one default waits for "
+        "ROADMAP 3(i), since it moves e2e frames",
+    ),
+    "QMDOptions.controller":
+        "ROADMAP 13 re-plumbs the controller per domain",
+    **{
+        f"BufferControllerOptions.{name}":
+            "ROADMAP 13 re-plumbs the controller per domain"
+        for name in ("target_error", "band", "decay_length", "min_buffer",
+                     "max_buffer", "max_step", "cooldown_steps")
+    },
+    "KMCOptions.pure_al": "the Al-Al arm of ROADMAP 12",
+}
+
+
+def _option_setters(classes):
+    """``{"Class.field": files}`` of every option field set by keyword —
+    a call of the class, or ``replace(options, field=…)`` on it — in
+    ``src/``, ``benchmarks/`` or CI's inline scripts.  ``**name`` is
+    resolved when the module binds ``name`` to a ``dict(…)`` call or a
+    literal; positional arguments count in field order.  A ``replace``
+    call sets the fields of every class that has all its keywords."""
+    import ast
+
+    _, scripts = _ci_roots()
+    sources = [
+        (str(path.relative_to(REPO)), path.read_text())
+        for top in ("src", "benchmarks")
+        for path in sorted((REPO / top).rglob("*.py"))
+    ] + [("ci.yml", script) for script in scripts]
+    setters = {}
+    for rel, text in sources:
+        tree = ast.parse(text)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(
+                node.targets[0], ast.Name
+            ):
+                value = node.value
+                if isinstance(value, ast.Dict):
+                    bound[node.targets[0].id] = [
+                        key.value for key in value.keys
+                        if isinstance(key, ast.Constant)
+                    ]
+                elif getattr(getattr(value, "func", None), "id", None) == "dict":
+                    bound[node.targets[0].id] = [
+                        kw.arg for kw in value.keywords if kw.arg
+                    ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = [
+                name for kw in node.keywords
+                for name in ([kw.arg] if kw.arg else bound.get(
+                    getattr(kw.value, "id", None), []))
+            ]
+            if called in classes:
+                owners = [called]
+                keywords += classes[called][: len(node.args)]
+            elif called == "replace":
+                owners = [cls for cls, fields in classes.items()
+                          if keywords and set(keywords) <= set(fields)]
+            else:
+                continue
+            for cls in owners:
+                for name in keywords:
+                    setters.setdefault(f"{cls}.{name}", set()).add(rel)
+    return setters
+
+
+def test_every_option_field_is_set_outside_the_tests():
+    """Every field of the five option classes has a setter outside the
+    tests (:func:`_option_setters`): a field only a test sets is a
+    constant, and the code only its other values reached is deleted.  The
+    exceptions are ``_KEPT_FIELDS``, each with its reason, and an entry
+    there must still be a field that nothing outside the tests sets."""
+    import dataclasses
+
+    from repro.core.advisor import BufferControllerOptions
+    from repro.core.ldc import LDCOptions
+    from repro.dft.scf import SCFOptions
+    from repro.md.qmd import QMDOptions
+    from repro.reactive.kmc import KMCOptions
+
+    classes = {
+        cls.__name__: [field.name for field in dataclasses.fields(cls)]
+        for cls in (LDCOptions, SCFOptions, QMDOptions, KMCOptions,
+                    BufferControllerOptions)
+    }
+    fields = {f"{cls}.{name}" for cls, names in classes.items()
+              for name in names}
+    setters = _option_setters(classes)
+    unset = sorted(fields - setters.keys() - _KEPT_FIELDS.keys())
+    assert unset == [], unset
+    stale = sorted(name for name in _KEPT_FIELDS
+                   if name in setters or name not in fields)
     assert stale == [], stale
 
 

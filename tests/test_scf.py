@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.ldc import LDCOptions
 from repro.dft.scf import SCFOptions, initial_density, run_scf
+from repro.reactive.kmc import KMCOptions
 from repro.systems import dimer
 from tests.builders import translated
 
@@ -90,56 +92,39 @@ def test_scf_binding_curve_has_minimum():
     assert energies[2.5] < energies[5.0]
 
 
-def test_scf_mixer_choice(h2_config):
-    opts_l = SCFOptions(ecut=6.0, tol=1e-6, mixer="linear", mix_alpha=0.3, max_iter=80)
-    opts_p = SCFOptions(ecut=6.0, tol=1e-6, mixer="pulay")
-    res_l = run_scf(h2_config, opts_l)
-    res_p = run_scf(h2_config, opts_p)
-    assert res_l.converged and res_p.converged
-    assert res_l.energy == pytest.approx(res_p.energy, abs=1e-5)
-    # Pulay should not be slower
-    assert res_p.iterations <= res_l.iterations
-
-
-def test_scf_invalid_mixer(h2_config):
-    with pytest.raises(ValueError):
-        run_scf(h2_config, SCFOptions(mixer="nope"))
-
-
 def test_scf_invalid_eigensolver(h2_config):
     with pytest.raises(ValueError):
         run_scf(h2_config, SCFOptions(eigensolver="nope"))
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-@pytest.mark.parametrize("options", ["scf", "ldc"])
-def test_mixing_weight_outside_the_unit_interval_is_rejected(options, alpha):
-    """α = 0 never moves the input density (the Pulay loop stalls at its
-    first residual and returns unconverged), a negative α wanders: both
-    options classes refuse α ∉ (0, 1] when built, whichever mixer."""
-    from repro.core.ldc import LDCOptions
-
-    cls = {"scf": SCFOptions, "ldc": LDCOptions}[options]
-    with pytest.raises(ValueError, match="mix_alpha"):
-        cls(mix_alpha=alpha)
-
-
-def test_scf_with_external_potential(h2_config):
-    """A constant v_extra rigidly shifts eigenvalues but not the total energy
-    structure (band energy shift is compensated by electron count × shift)."""
-    from repro.dft.grid import RealSpaceGrid
-
-    opts = SCFOptions(ecut=6.0, extra_bands=2, tol=1e-7)
-    grid = RealSpaceGrid.for_cutoff(h2_config.cell, opts.ecut)
-    base = run_scf(h2_config, opts, grid=grid)
-    shift = 0.3
-    shifted = run_scf(
-        h2_config, opts, v_extra=np.full(grid.shape, shift), grid=grid
-    )
-    np.testing.assert_allclose(
-        shifted.eigenvalues, base.eigenvalues + shift, atol=1e-5
-    )
-    assert shifted.mu == pytest.approx(base.mu + shift, abs=1e-5)
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SCFOptions(kt=-0.01), "kt"),
+        (lambda: SCFOptions(extra_bands=-1), "extra_bands"),
+        (lambda: SCFOptions(max_iter=0), "max_iter"),
+        (lambda: LDCOptions(kt=-0.01), "kt"),
+        (lambda: LDCOptions(domains=(0, 1, 1)), "domains"),
+        (lambda: KMCOptions(temperature=-300.0), "temperature"),
+        (lambda: KMCOptions(temperature=0.0), "temperature"),
+        (lambda: KMCOptions(max_time=-1.0), "max_time"),
+    ],
+    ids=[
+        "scf-kt", "scf-extra_bands", "scf-max_iter", "ldc-kt", "ldc-domains",
+        "kmc-negative-temperature", "kmc-zero-temperature", "kmc-max_time",
+    ],
+)
+def test_out_of_range_option_is_named_when_built(build, field):
+    """Each of these once ran: a negative ``kt`` converged, ``max_iter=0``
+    returned a result no pass produced, a negative temperature ran with
+    rates above the attempt frequency, ``max_time=-1`` ended at t = −1 —
+    or failed deep inside with an error that named no option (a zero-size
+    reduction, a ZeroDivisionError).  Now building the options raises,
+    naming the field; ``kt = 0`` stays valid (the step-function
+    occupations)."""
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        build()
+    assert SCFOptions(kt=0.0).kt == LDCOptions(kt=0.0).kt == 0.0
 
 
 def test_scf_warm_start_density(h2_config, h2_scf):
@@ -216,15 +201,28 @@ class ContractionMap:
         rho_out = self.fixed + delta
         return rho_out, float(np.abs(delta).sum()), 0.25, {"probe": 1.5}
 
-    def solve(self, tol=1e-9, max_iter=60, mixer="pulay", **kwargs):
+    def solve(self, tol=1e-9, max_iter=60, linear=False, **kwargs):
+        """The loop on this map; ``linear`` hands it a :class:`LinearStep`
+        instead of its own Pulay mixer."""
         from repro.dft.scf import scf_fixed_point
 
-        options = SCFOptions(
-            tol=tol, max_iter=max_iter, mixer=mixer, mix_alpha=0.5
-        )
+        if linear:
+            kwargs["mixer"] = LinearStep()
+        options = SCFOptions(tol=tol, max_iter=max_iter)
         return scf_fixed_point(
             self, self.config, self.grid, None, options, "pw", **kwargs
         )
+
+
+class LinearStep:
+    """ρ_in + α(ρ_out − ρ_in) behind the caller-owned mixer interface —
+    a mixer whose next iterate a test can write down."""
+
+    alpha = 0.5
+    carried_pairs = 0
+
+    def mix(self, rho_in, rho_out):
+        return rho_in + self.alpha * (rho_out - rho_in)
 
 
 def test_fixed_point_loop_converges_on_a_linear_contraction():
@@ -243,9 +241,9 @@ def test_fixed_point_loop_converges_on_a_linear_contraction():
 def test_final_pass_runs_at_the_output_or_at_the_mixer_iterate(continues):
     """The solve of a single point finishes at the converged ρ_out; one
     that continues a trajectory at the mixer's next iterate (a linear
-    mixer here, so the iterate can be written down)."""
+    step here, so the iterate can be written down)."""
     toy = ContractionMap()
-    out = toy.solve(mixer="linear", tol=1e-4, continues=continues)
+    out = toy.solve(linear=True, tol=1e-4, continues=continues)
     assert out.converged
     (_, last_in), (final, final_in) = toy.inputs[-2:]
     assert final is None
@@ -325,7 +323,7 @@ def test_final_residual_is_that_of_the_returned_pass(continues, caplog):
     toy = ContractionMap()
     ins = Instrumentation()
     with caplog.at_level(logging.INFO, logger=ins.log.name):
-        out = toy.solve(mixer="linear", tol=1e-4, continues=continues, ins=ins)
+        out = toy.solve(linear=True, tol=1e-4, continues=continues, ins=ins)
     expected = toy.grid.integrate(
         np.abs(out.density - out.input_density)
     ) / toy.config.n_electrons()
@@ -338,7 +336,7 @@ def test_final_residual_is_that_of_the_returned_pass(continues, caplog):
     assert finished.final_residual == expected
     # the bare loop and the instrumented one are the same arithmetic
     assert ContractionMap().solve(
-        mixer="linear", tol=1e-4, continues=continues
+        linear=True, tol=1e-4, continues=continues
     ).final_residual == expected
 
 
@@ -347,7 +345,7 @@ def _solve_scf(cfg, **kwargs):
 
 
 def _solve_ldc(cfg, **kwargs):
-    from repro.core import LDCOptions, run_ldc
+    from repro.core import run_ldc
 
     return run_ldc(
         cfg, LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5, tol=1e-4),
@@ -379,7 +377,6 @@ def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
     the returned state was solved at, not the final pass's output."""
     import repro.core.ldc as ldc_module
     import repro.dft.scf as scf_module
-    from repro.core import LDCOptions
     from repro.md.qmd import LDCEngine, SCFEngine
 
     if engine_name == "scf":

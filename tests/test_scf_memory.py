@@ -328,15 +328,14 @@ def h4_workspace():
 
 def next_mixer(ws, config, options):
     ws.prepare(config, options)
-    return ws.scf_mixer(options)
+    return ws.scf_mixer()
 
 
 def test_next_step_carries_the_pairs(h4_workspace):
     ws = copy.deepcopy(h4_workspace[0])
-    opts = LDCOptions(**H4_OPTS, mix_alpha=0.25)  # α is not in the pairs
-    mixer = next_mixer(ws, h4_chain(0.01), opts)
+    mixer = next_mixer(ws, h4_chain(0.01), LDCOptions(**H4_OPTS))
     assert mixer.carried_pairs == 5 and mixer.dropped == {}
-    assert mixer.alpha == 0.25
+    assert mixer.alpha == 0.4
 
 
 def test_cold_domain_after_migration_drops_the_memory(h4_workspace):
@@ -392,7 +391,7 @@ def test_cold_workspace_and_no_workspace_runs_use_a_fresh_mixer(
         carried_pairs = 0
 
         def __init__(self) -> None:
-            super().__init__()
+            super().__init__(alpha=0.4)  # the drivers' α
             self.dropped: dict[str, int] = {}
 
         def reset(self, reason: str = "reset") -> None:
@@ -410,13 +409,6 @@ def test_cold_workspace_and_no_workspace_runs_use_a_fresh_mixer(
         cold.density_residuals, old.density_residuals, rtol=1e-4
     )
     assert abs(cold.energy - old.energy) <= 1e-9
-
-
-def test_linear_mixer_runs_carry_no_memory():
-    ws = LDCWorkspace()
-    opts = LDCOptions(**{**H4_OPTS, "tol": 1e-2}, mixer="linear")
-    run_ldc(h4_chain(), opts, workspace=ws)
-    assert ws._mixer is None
 
 
 # -- the LiAl drift ----------------------------------------------------------

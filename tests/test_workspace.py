@@ -281,10 +281,7 @@ def test_depth_one_scf_engine_step_is_the_hand_warm_started_run_scf():
     engine.forces(cfg1)
     f2, e2, passes2 = engine.forces(cfg2)
     r1 = run_scf(cfg1, opts)
-    r2 = run_scf(
-        cfg2, opts, rho0=r1.input_density, psi0=r1.orbitals,
-        warm_cell=cfg1.cell,
-    )
+    r2 = run_scf(cfg2, opts, rho0=r1.input_density, psi0=r1.orbitals)
     assert e2 == r2.energy and passes2 == r2.iterations
     np.testing.assert_array_equal(f2, forces_from_scf(cfg2, r2))
     # the copied block is a prediction like any other: its residual is kept
