@@ -338,23 +338,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             "t_batched_s": _TIMING,
         },
     ),
-    "sanitize_overhead": _metric_schema(
-        "sanitize_overhead",
-        {
-            # the facade contract, pinned as a count: a sanitizer-disabled
-            # LDC/SCF run must execute no repro.sanitize code at all
-            "sanitizer_calls_disabled": _EXACT,
-            # ...while the enabled run really does check (1.0 = active)
-            "enabled_path_active": _EXACT,
-            # checkpoints only ever get added; a drop means one was lost
-            "numerics_checks": {"direction": "higher", "rel_tol": 0.0,
-                                "abs_tol": 0.0},
-            # host wall-clock: ledgered for the record, never gated
-            "t_disabled_s": _TIMING,
-            "t_enabled_s": _TIMING,
-            "overhead_pct": _TIMING,
-        },
-    ),
     "runlog_overhead": _metric_schema(
         "runlog_overhead",
         {

@@ -3,8 +3,7 @@
 The runlog subsystem rides the Instrumentation facade and inherits its
 promise (DESIGN.md §15): no recorder means *zero* ledger code on the hot
 path — every recorder/flight-recorder touch point sits behind an
-``is not None`` guard.  This bench pins the contract the way
-``sanitize_overhead`` does:
+``is not None`` guard.  This bench pins the contract:
 
 * ``runlog_calls_disabled`` — Python calls entering the runlog or flight
   recorder modules during a recorder-less (but otherwise

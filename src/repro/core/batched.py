@@ -284,6 +284,6 @@ def batched_domain_pass(
             state.band_weights = state.domain.grid.dv * np.einsum(
                 "nijk,ijk->n", state.band_densities, state.support
             )
-            record_solve(ins, opts.eigensolver, key.npw, res)
+            record_solve(ins, opts.eigensolver, res)
             outcomes[pos] = (int(res.iterations), err)
     return outcomes

@@ -207,11 +207,10 @@ def run_ldc(
     An :class:`~repro.observability.Instrumentation` records one
     ``ldc.domain_solve`` span per stack, per-iteration
     residual/energy/μ/boundary-error series, and ``poisson.*`` telemetry
-    when the multigrid solver is selected; built with ``numerics=`` it also
-    fires the tripwires at the density/potential/eigenvalue checkpoints.
-    ``None`` (the default) is resolved here, once: the off observer, whose
-    calls do nothing, unless ``REPRO_SANITIZE`` arms the checkpoints;
-    :data:`~repro.observe.OFF` is off whatever the environment says.
+    when the multigrid solver is selected.  ``None`` (the default) is
+    resolved here, once, to the off observer, whose calls do nothing.  A
+    non-finite potential is named where a domain stack's Hamiltonian is
+    built (:class:`~repro.dft.hamiltonian.NonFiniteFieldError`).
 
     ``workspace`` is the :class:`~repro.core.workspace.LDCWorkspace` the
     solve runs through: the grid, decomposition, partition of unity,
@@ -236,7 +235,7 @@ def run_ldc(
         result = _run_ldc(config, opts, compute_forces, rho0, grid, ins, workspace)
         span.attrs.update(
             converged=result.converged, iterations=result.iterations,
-            ndomains=result.n_domains,
+            ndomains=result.n_domains, energy=result.energy,
         )
     return result
 
@@ -364,8 +363,7 @@ def _scf_pass(
     through the domain-solve seam
     (:func:`repro.core.batched.batched_domain_pass`; ``pool`` is its stack
     buffer pool), and the outcomes are folded in domain-index order into
-    the global μ search and the density assembly; the potentials, the
-    eigenvalues and μ are numerics checkpoints of ``ins``.
+    the global μ search and the density assembly.
 
     Returns (μ, assembled density, energy components, mean boundary-density
     error, Hartree potential field — the caller's Poisson warm start, and
@@ -379,8 +377,6 @@ def _scf_pass(
     # grouped as v_loc + (V_H + v_xc): floating-point addition does not
     # associate, and this order is the one every stored trajectory used
     v_ks_global = v_loc_global + (vh + vxc)
-    ins.check("hartree_potential", vh, where="ldc.scf_pass")
-    ins.check("v_ks_global", v_ks_global, where="ldc.scf_pass")
 
     all_eigs: list[np.ndarray] = []
     all_weights: list[np.ndarray] = []
@@ -397,9 +393,6 @@ def _scf_pass(
         assert state.band_weights is not None
         all_eigs.append(state.eigenvalues)
         all_weights.append(state.band_weights)
-        # the seam's per-band buffer, before anything is assembled from it
-        ins.check("band_densities", state.band_densities,
-                  where=f"ldc.domain[{idom}]", expect_dtype=np.float64)
         if err is not None:
             bnd_err_total += err
             n_active += 1
@@ -408,8 +401,6 @@ def _scf_pass(
     eigs_cat = np.concatenate(all_eigs)
     w_cat = np.concatenate(all_weights)
     mu = find_chemical_potential(eigs_cat, n_electrons, opts.kt, weights=w_cat)
-    ins.check("eigenvalues", eigs_cat, where="ldc.scf_pass")
-    ins.check("mu", mu, where="ldc.scf_pass")
 
     t_asm = ins.tracer.now()
     rho_new = np.zeros(grid.shape)

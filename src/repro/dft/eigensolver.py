@@ -66,7 +66,7 @@ def solve_direct(ham: Hamiltonian, nband: int) -> EigenResult:
     )
 
 
-def record_solve(ins: Observer, solver: str, npw: int, result: EigenResult) -> None:
+def record_solve(ins: Observer, solver: str, result: EigenResult) -> None:
     """Telemetry for one eigensolve, whichever solver ran it.
 
     The solvers never see the handle: their callers (``run_scf``'s map
@@ -84,16 +84,6 @@ def record_solve(ins: Observer, solver: str, npw: int, result: EigenResult) -> N
     )
     if not result.converged:
         ins.counter("eigensolver.unconverged", solver=solver).inc()
-    ins.log.debug(
-        "eigensolve done",
-        extra={
-            "solver": solver,
-            "npw": npw,
-            "nband": result.orbitals.shape[1],
-            "iterations": result.iterations,
-            "residual": result.residual_norm,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

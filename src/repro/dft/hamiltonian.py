@@ -8,7 +8,8 @@ The local parts are collapsed into one real-space effective potential
 :class:`BatchedHamiltonian` holds a stack of same-shape Hamiltonians and
 owns the one row-blocked ``H·ψ`` loop and the one preconditioner formula;
 :class:`Hamiltonian` is a single operator whose ``apply``/``precondition``
-are the stack-of-one case of those.
+are the stack-of-one case of those.  Building a stack rejects a non-finite
+field (:class:`NonFiniteFieldError`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,26 @@ import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis, _result
 from repro.dft.pseudopotential import NonlocalProjectors
+
+
+class NonFiniteFieldError(ValueError):
+    """A Hamiltonian field (``v_eff``, or a projector stack ``b`` / ``d``)
+    holding NaN or Inf: raised when the stack is built, before any solve."""
+
+
+def _check_finite(name: str, field: np.ndarray) -> None:
+    """Raise :class:`NonFiniteFieldError` naming ``field``'s first stack
+    slot with a non-finite entry."""
+    finite = np.isfinite(field)
+    if finite.all():
+        return
+    bad = np.count_nonzero(~finite.reshape(len(field), -1), axis=1)
+    for slot, count in enumerate(bad.tolist()):
+        if count:
+            raise NonFiniteFieldError(
+                f"{name} of stack slot {slot}: {count} of "
+                f"{field[slot].size} entries are NaN/Inf"
+            )
 
 
 def _times_real(fields: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -118,6 +139,12 @@ class BatchedHamiltonian:
     handle one band row at a time and batched GEMMs dispatch per slice —
     so a domain's result does not depend on what else is stacked with it:
     a stack of one and a stack of ``n`` give the same bits per domain.
+
+    Every eigensolve of both drivers builds one (a :class:`Hamiltonian`
+    builds its stack of one), so this is where a non-finite potential is
+    named: a NaN or Inf in ``v_eff``, ``b`` or ``d`` is a
+    :class:`NonFiniteFieldError` naming the field, the count and the stack
+    slot, before any solve runs.
     """
 
     def __init__(
@@ -144,6 +171,9 @@ class BatchedHamiltonian:
                 f"projector stacks b {b.shape} / d {d.shape} do not match "
                 f"{nd} domains over {basis.npw} plane waves"
             )
+        for name, field in (("v_eff", v_eff), ("b", b), ("d", d)):
+            if field is not None:
+                _check_finite(name, field)
         self.basis = basis
         self.n_domains = nd
         #: (nd, *grid.shape) stacked effective potentials

@@ -275,17 +275,16 @@ def scf_fixed_point(
 
     ``engine`` (``"pw"`` | ``"ldc"``) labels what the loop tells ``ins``,
     the observability handle (the caller's, already resolved; the loop does
-    not read the environment) — the ``scf.*`` instruments, a
+    not read the environment) — the ``scf.*`` instruments and a
     ``scf.iteration`` / ``ldc.iteration`` span per pass with the map's
-    attributes merged in, the ``rho0`` / ``rho_new`` numerics checkpoints.
+    attributes merged in.  A non-finite potential is named where the map
+    builds its Hamiltonian (:class:`~repro.dft.hamiltonian.NonFiniteFieldError`).
     """
     label = "scf" if engine == "pw" else engine
     n_electrons = config.n_electrons()
     if rho0 is not None and rho0.shape != grid.shape:
         rho0 = None  # stale-shaped warm start (grid changed) → cold start
     rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    # ahead of renormalize, which refuses a non-finite total by itself
-    ins.check("rho0", rho, where=f"{label}.init", expect_dtype=np.float64)
     rho = renormalize(rho, n_electrons, grid.dv)
     step = mixer if mixer is not None else PulayMixer()
 
@@ -300,10 +299,6 @@ def scf_fixed_point(
         t_iter = ins.tracer.now()
         # unpacked, so no record keeps a pass's density alive past its use
         rho_out, energy, mu, attrs = density_map(rho, it)
-        ins.check(
-            "rho_new", rho_out, where=f"{label}.iteration[{it}]",
-            expect_dtype=np.float64,
-        )
         rho_out = renormalize(
             np.clip(rho_out, 0.0, None), n_electrons, grid.dv
         )
@@ -318,11 +313,6 @@ def scf_fixed_point(
             f"{label}.iteration", ins.tracer.now() - t_iter,
             category=label, iteration=it, residual=resid, energy=energy,
             **attrs,
-        )
-        ins.log.debug(
-            f"{label} iteration",
-            extra={"engine": engine, "iteration": it, "residual": resid,
-                   "energy": energy, "mu": mu, **attrs},
         )
         converged = bool(resid < options.tol)
         if converged and not continues:
@@ -351,11 +341,6 @@ def scf_fixed_point(
     # goes out has a residual of its own (recorded, nothing depends on it)
     final_resid = residual(rho_final, rho)
     ins.series("scf.final_residual", engine=engine).append(final_resid)
-    ins.log.info(
-        f"{label} finished",
-        extra={"engine": engine, "converged": converged, "iterations": it,
-               "energy": energy, "final_residual": final_resid},
-    )
     return FixedPoint(
         rho_final, rho, energy, mu, converged, it, history, residuals,
         final_resid,
@@ -394,11 +379,9 @@ def run_scf(
     instrumentation:
         The observability handle (:mod:`repro.observe`).  An
         :class:`~repro.observability.Instrumentation` records ``scf.*``
-        spans and per-iteration residual/energy/μ series, and — built with
-        ``numerics=`` — checks the density/eigenvalue checkpoints each
-        iteration.  ``None`` (the default) is resolved here, once: the off
-        observer, whose calls do nothing, unless ``REPRO_SANITIZE`` arms the
-        checkpoints; :data:`~repro.observe.OFF` is off whatever it says.
+        spans and per-iteration residual/energy/μ series.  ``None`` (the
+        default) is resolved here, once, to the off observer, whose calls
+        do nothing.
     psi0:
         Optional starting orbitals ``(npw, nband)`` — e.g. the previous MD
         step's converged block (the QMD orbital warm start).  Ignored when
@@ -415,7 +398,8 @@ def run_scf(
     ) as span:
         result = _run_scf(config, opts, rho0, grid, ins, psi0)
         span.attrs.update(
-            converged=result.converged, iterations=result.iterations
+            converged=result.converged, iterations=result.iterations,
+            energy=result.energy,
         )
     return result
 
@@ -469,7 +453,7 @@ def _run_scf(
                 eig = solve_all_band(
                     ham, psi, opts.eig_max_iter, opts.eig_tol, work=work
                 )
-            record_solve(ins, opts.eigensolver, basis.npw, eig)
+            record_solve(ins, opts.eigensolver, eig)
             # solve sizes feed the per-kernel FLOP attribution
             # (repro.observability.costattr) at report time
             sp.attrs.update(
@@ -481,7 +465,6 @@ def _run_scf(
         eig_total += int(eig.iterations)
         mu = find_chemical_potential(eigs, n_electrons, opts.kt)
         occs = fermi_occupations(eigs, mu, opts.kt)
-        ins.check("eigenvalues", eigs, where="scf.density_map")
         parts = harris_foulkes_energy(
             grid, rho_in, vh, exc, vxc, float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),

@@ -138,17 +138,12 @@ class _WarmStartEngine:
         self, ins: Observer, result: LDCResult | SCFResult
     ) -> None:
         """Keep ``result.converged`` where a driver can read it, and make
-        a solve that ran out of passes visible: a counter and one log
-        record.  The forces are returned all the same — what to do about
-        them is the caller's policy."""
+        a solve that ran out of passes visible: a counter.  The forces are
+        returned all the same — what to do about them is the caller's
+        policy."""
         self.last_converged = bool(result.converged)
         if not self.last_converged:
             ins.counter("qmd.unconverged_solves", engine=self.label).inc()
-            ins.log.warning(
-                "unconverged solve",
-                extra={"engine": self.label, "iterations": result.iterations,
-                       "final_residual": result.final_residual},
-            )
 
     def _record_eig_cost(
         self, ins: Observer, result: LDCResult | SCFResult
@@ -268,12 +263,6 @@ class LDCEngine(_WarmStartEngine):
             ins.counter("ldc.buffer_holds", reason=decision.reason).inc()
             return
         ins.counter("ldc.buffer_adjustments").inc()
-        ins.log.info(
-            "adaptive buffer",
-            extra={"engine": "ldc", "reason": decision.reason,
-                   "buffer": decision.buffer,
-                   "core_length": decision.core_length},
-        )
         self.options = replace(self.options, buffer=decision.buffer)
 
 
@@ -395,13 +384,6 @@ class QMDDriver:
             ins.series("qmd.temperature").append(frame.temperature)
             ins.series("qmd.total_energy").append(frame.total_energy)
             ins.counter("qmd.steps").inc()
-            ins.log.debug(
-                "qmd step",
-                extra={"step": frame.step,
-                       "scf_iterations": frame.scf_iterations,
-                       "temperature": frame.temperature,
-                       "total_energy": frame.total_energy},
-            )
 
     def _frame(self, config: Configuration) -> QMDFrame:
         return QMDFrame(

@@ -111,11 +111,10 @@ class MultigridPoisson:
         ``v0`` (e.g. the previous SCF iteration's potential) warm-starts the
         cycle — the standard QMD trick for O(1) cycles per step.
         ``instrumentation`` is the observability handle this solve reports
-        to (``poisson.*`` telemetry, numerics checkpoints on source and
-        solution); ``None`` is resolved here (:mod:`repro.observe`).
+        to (``poisson.*`` telemetry); ``None`` is resolved here
+        (:mod:`repro.observe`).
         """
         ins = observer(instrumentation)
-        ins.check("rho", rho, where="poisson.solve")
         t0 = ins.tracer.now()
         fine = self._level(0)
         rhs = np.subtract(rho, float(np.mean(rho)), out=fine.rhs)
@@ -148,12 +147,6 @@ class MultigridPoisson:
             grid_points=self.grid.npoints,
             sweeps=self.pre_sweeps + self.post_sweeps,
         )
-        ins.log.debug(
-            "multigrid solve",
-            extra={"cycles": cycles, "converged": converged,
-                   "final_residual": norms[-1] if norms else None},
-        )
-        ins.check("v_hartree", u, where="poisson.solve")
         return u
 
     # -- internals --------------------------------------------------------------

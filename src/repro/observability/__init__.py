@@ -1,6 +1,6 @@
-"""Unified telemetry: structured tracing, metrics, and logging.
+"""Unified telemetry: structured tracing and metrics.
 
-The subsystem has four layers, all usable independently but designed to be
+The subsystem has three layers, all usable independently but designed to be
 consumed together through the :class:`Instrumentation` facade:
 
 * :mod:`repro.observability.tracer` — nested wall-clock *spans* (a span is a
@@ -9,8 +9,6 @@ consumed together through the :class:`Instrumentation` facade:
 * :mod:`repro.observability.metrics` — a registry of labeled counters,
   gauges, histograms, and time-ordered series (e.g. the per-iteration SCF
   residual), with JSON/CSV snapshot export;
-* :mod:`repro.observability.logs` — stdlib ``logging`` under the ``repro.*``
-  namespace with an optional JSON formatter, silent by default;
 * :mod:`repro.observability.instrumentation` — the facade the drivers accept
   as an optional parameter.  Passing ``None`` (the default) keeps every hot
   loop entirely instrumentation-free.
@@ -41,7 +39,6 @@ The report CLI renders a paper-style per-phase breakdown from a trace
 
 from repro.observability.flightrec import FlightRecorder, read_jsonl
 from repro.observability.instrumentation import Instrumentation
-from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Span, SpanTracer
 
@@ -54,8 +51,6 @@ __all__ = [
     "RunRecorder",
     "Span",
     "SpanTracer",
-    "configure_logging",
-    "get_logger",
     "phase_breakdown",
     "read_jsonl",
     "render_breakdown",

@@ -3,10 +3,10 @@
 A :class:`FlightRecorder` is fed by the run's tracer and metrics registry
 listeners and keeps the most recent telemetry in memory — a bounded ring of
 raw events plus the latest sample per metric key.  Nothing is written while
-a run is healthy.  When the run fails — a sanitizer trips, or a driver dies
-on an unhandled exception — the recorder dumps its ring, the currently
-*open* span stack, and the recent metric samples to ``blackbox.jsonl``
-inside the run directory.
+a run is healthy.  When the run fails — a driver dies on an unhandled
+exception, a non-finite potential's named error among them — the recorder
+dumps its ring, the currently *open* span stack, and the recent metric
+samples to ``blackbox.jsonl`` inside the run directory.
 
 Dump format is JSONL, one record per line, discriminated by ``"record"``::
 

@@ -1,10 +1,10 @@
 """The ``Instrumentation`` handle the drivers accept.
 
-Bundles a :class:`~repro.observability.tracer.SpanTracer`, a
-:class:`~repro.observability.metrics.MetricsRegistry`, and a ``repro.*``
-logger behind one object: the *on* state of the engine's one observability
-handle, :class:`repro.observe.Observer` (``run_scf``, ``run_ldc``,
-``QMDDriver``, ... take it as ``instrumentation=``).
+Bundles a :class:`~repro.observability.tracer.SpanTracer` and a
+:class:`~repro.observability.metrics.MetricsRegistry` behind one object:
+the *on* state of the engine's one observability handle,
+:class:`repro.observe.Observer` (``run_scf``, ``run_ldc``, ``QMDDriver``,
+... take it as ``instrumentation=``).
 
 The drivers call their handle unconditionally; ``instrumentation=None``
 gives them the off observer, whose verbs do nothing and which lives outside
@@ -27,7 +27,6 @@ import json
 import pathlib
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.observability.logs import get_logger
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -36,19 +35,18 @@ from repro.observability.metrics import (
     Series,
 )
 from repro.observability.tracer import Span, SpanTracer
-from repro.observe import Observer, env_numerics
+from repro.observe import Observer
 from repro.util.timer import WallClock
 
 if TYPE_CHECKING:
     from repro.observability.runlog import RunRecorder
-    from repro.sanitize.numerics import NumericsSanitizer
 
 
 class Instrumentation(Observer):
-    """Tracer + metrics + logger bundle.
+    """Tracer + metrics bundle.
 
     Each handle builds its own :class:`SpanTracer` and
-    :class:`MetricsRegistry` and logs through the ``repro`` root logger.
+    :class:`MetricsRegistry`.
 
     Parameters
     ----------
@@ -61,23 +59,15 @@ class Instrumentation(Observer):
         and the metrics, and drivers note their
         invocations/failures against it.  ``None`` (the default) installs
         no listener and executes zero runlog code.
-    numerics:
-        Optional :class:`~repro.sanitize.NumericsSanitizer`: arms the
-        drivers' NaN/Inf and dtype checkpoints (:meth:`check`).  ``None``
-        (the default) defers to ``REPRO_SANITIZE``
-        (:func:`repro.observe.env_numerics`).
     """
 
     def __init__(
         self,
         clock: WallClock | None = None,
         recorder: "RunRecorder | None" = None,
-        numerics: "NumericsSanitizer | None" = None,
     ) -> None:
-        super().__init__(numerics if numerics is not None else env_numerics())
         self.tracer = SpanTracer(clock=clock)
         self.metrics = MetricsRegistry()
-        self.log = get_logger()
         self.recorder = recorder
         if recorder is not None:
             recorder.attach(self)

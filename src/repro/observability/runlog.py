@@ -12,7 +12,8 @@ happened in *this* invocation"; this module makes that answer durable:
   it ended).  The metrics snapshot is the hashed ``metrics.json`` beside it.
 * **Flight recorder** — a :class:`~repro.observability.flightrec.
   FlightRecorder` fed by the run's tracer and metrics listeners dumps
-  ``blackbox.jsonl`` on sanitizer errors and unhandled driver exceptions.
+  ``blackbox.jsonl`` when a driver dies on an unhandled exception (a named
+  :class:`~repro.dft.hamiltonian.NonFiniteFieldError` included).
 * **Verification** — :func:`verify_run` re-hashes a run's artifacts
   against its manifest.
 
@@ -59,12 +60,7 @@ ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
 
 #: environment flags recorded in every manifest (set or not): every
 #: ``REPRO_*`` variable the package reads (pinned by the hygiene tests)
-TRACKED_ENV = (
-    "REPRO_LOG",
-    "REPRO_LOG_FORMAT",
-    "REPRO_SANITIZE",
-    ENV_TELEMETRY_DIR,
-)
+TRACKED_ENV = (ENV_TELEMETRY_DIR,)
 
 _STATUSES = ("running", "ok", "fail", "error")
 

@@ -5,21 +5,16 @@ unconditionally.  :class:`Observer` is what the calls land on when nobody
 listens — a Null Object that keeps nothing — and the base class of
 :class:`repro.observability.Instrumentation`, which answers the same verbs.
 :func:`observer` turns a public entry point's ``instrumentation=None`` into
-a handle; :func:`env_numerics` is the one place ``REPRO_SANITIZE`` is read.
+a handle.
 
-Standard library only and no module-level ``repro`` import: an engine
-process loads neither ``repro.observability`` nor ``repro.sanitize``.  A
-telemetry-only value that is not cheap goes over as a zero-argument callable.
+Standard library only and no ``repro`` import: an engine process does not
+load ``repro.observability``.  A telemetry-only value that is not cheap
+goes over as a zero-argument callable.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from typing import TYPE_CHECKING, Any, ContextManager
-
-if TYPE_CHECKING:
-    from repro.sanitize.numerics import NumericsSanitizer
+from typing import Any, ContextManager
 
 
 def _nothing(*args: Any, **kwargs: Any) -> None:
@@ -62,24 +57,14 @@ class _NullTracer:
         return 0.0
 
 
-class _NullLog:
-    __slots__ = ()
-    debug = info = warning = _nothing
-
-
 _NULL_INSTRUMENT = _NullInstrument()
 _NULL_SPAN = _NullSpan()
 
 
 class Observer:
-    """The handle, off.  ``numerics`` arms the one verb that can be on by
-    itself: the sanitizer checkpoints (what ``REPRO_SANITIZE`` asks for)."""
+    """The handle, off."""
 
     tracer: Any = _NullTracer()
-    log: Any = _NullLog()
-
-    def __init__(self, numerics: NumericsSanitizer | None = None) -> None:
-        self.numerics = numerics
 
     def span(self, name: str, category: str = "", **attrs: Any) -> ContextManager[Any]:
         return _NULL_SPAN
@@ -94,33 +79,12 @@ class Observer:
 
     gauge = histogram = series = counter
 
-    def check(self, name: str, value: Any, where: str = "", expect_dtype: Any = None) -> None:
-        """A numerics checkpoint: NaN/Inf and dtype-demotion tripwire."""
-        if self.numerics is not None:
-            self.numerics.check(name, value, where, expect_dtype)
-
 
 #: the handle of a run nobody observes
 OFF = Observer()
 
 
-@functools.cache
-def env_numerics() -> NumericsSanitizer | None:
-    """The numerics sanitizer ``REPRO_SANITIZE`` asks for, resolved once per
-    process (changing the variable after the first solve has no effect); a
-    malformed spec is :func:`repro.sanitize.from_spec`'s error."""
-    spec = os.environ.get("REPRO_SANITIZE", "").strip()
-    if not spec:
-        return None
-    from repro.sanitize import from_spec  # only when the variable is set
-
-    return from_spec(spec)
-
-
 def observer(instrumentation: Observer | None) -> Observer:
     """The handle a public entry point works with: the caller's, or — for
-    ``None`` — :data:`OFF`, unless the environment arms the checkpoints."""
-    if instrumentation is not None:
-        return instrumentation
-    numerics = env_numerics()
-    return OFF if numerics is None else Observer(numerics)
+    ``None`` — :data:`OFF`."""
+    return OFF if instrumentation is None else instrumentation

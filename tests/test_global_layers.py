@@ -419,7 +419,6 @@ def test_second_multigrid_solve_allocates_only_its_result(cold, points):
     rho = np.random.default_rng(points).random(grid.shape)
     solver = MultigridPoisson(grid)
     assert not solver.levels
-    # OFF: an armed numerics checkpoint allocates its own finite-mask
     first = traced_peak(
         lambda: solver.solve(rho, max_cycles=2, instrumentation=OFF)
     )

@@ -4,22 +4,17 @@ The drivers call one observability handle unconditionally (DESIGN.md §21);
 ``instrumentation=None`` (the default) gives them the off observer of
 ``repro/observe.py``, whose verbs do nothing.  Pinned here with
 ``sys.setprofile``: an un-instrumented run enters no function defined in
-``repro/observability`` or ``repro/sanitize``, never computes a
-telemetry-only value, makes no handle call from inside a kernel, and makes
-a bounded number of no-op calls per SCF pass.  The second half pins how
-``None`` / ``OFF`` / ``Instrumentation(numerics=)`` / ``REPRO_SANITIZE``
-resolve.
+``repro/observability``, never computes a telemetry-only value, makes no
+handle call from inside a kernel, and makes a bounded number of no-op calls
+per SCF pass.  The last test pins how ``None`` / ``OFF`` resolve.
 """
 
 import sys
 
-import pytest
-
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.dft.scf import SCFOptions, run_scf
 from repro.observability import Instrumentation
-from repro.observe import OFF, env_numerics, observer
-from repro.sanitize import NumericsSanitizer
+from repro.observe import OFF, observer
 from repro.systems import dimer
 
 OPTS = SCFOptions(ecut=4.0, tol=1e-3, max_iter=4)
@@ -97,38 +92,18 @@ def test_disabled_timer_import_not_triggered_in_hot_loop():
 # -- what off executes --------------------------------------------------------
 
 
-@pytest.fixture()
-def environment(monkeypatch):
-    """Call it with a spec to put ``REPRO_SANITIZE`` there (``None``:
-    unset) and forget the process's one resolution of it; starts unset,
-    forgets again on the way out."""
-
-    def set_spec(spec):
-        if spec is None:
-            monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SANITIZE", spec)
-        env_numerics.cache_clear()
-
-    set_spec(None)
-    yield set_spec
-    env_numerics.cache_clear()
-
-
 #: No-op handle calls one SCF pass (the final consistent pass counted as
-#: one) may make in the two-domain, stack-of-one run below: measured 57.2
-#: (515 over 9 passes) — 13 from the loop, 9 + 3 per domain from the
-#: global half of the pass (its boundary-error sample, eigenvalue share and
-#: ``band_densities`` checkpoint), 13 per domain solve (its span and
-#: ``record_solve``), the rest per run (10 of them the five
-#: ``ldc.workspace_bytes`` gauges).  The same run applies H 15.8 times per
-#: pass: one emission per ``H·ψ`` would read 74.
-NULL_CALLS_PER_PASS = 60
+#: one) may make in the two-domain, stack-of-one run below: measured 47.1
+#: (424 over 9 passes) — 11 from the loop, 5 + 2 per domain from the
+#: global half of the pass (its boundary-error sample and eigenvalue
+#: share), 12 per domain solve (its span and ``record_solve``), the rest
+#: per run (10 of them the five ``ldc.workspace_bytes`` gauges).  The same
+#: run applies H 15.8 times per pass: one emission per ``H·ψ`` would read
+#: 63.
+NULL_CALLS_PER_PASS = 50
 
 
-def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels(
-    environment,
-):
+def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels():
     cfg = dimer("H", "H", 1.5, 12.0)
     opts = LDCOptions(
         ecut=4.0, domains=(2, 1, 1), tol=1e-3, max_iter=6,
@@ -144,7 +119,7 @@ def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels(
         seen["total"] += 1
         code = frame.f_code
         filename = code.co_filename.replace("\\", "/")
-        if "repro/observability/" in filename or "repro/sanitize/" in filename:
+        if "repro/observability/" in filename:
             seen["tooling"] += 1
         elif code.co_name == "apply" and filename.endswith("dft/hamiltonian.py"):
             seen["applies"] += 1
@@ -172,43 +147,16 @@ def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels(
     assert seen["null"] + seen["applies"] > NULL_CALLS_PER_PASS * passes
 
 
-# -- None / OFF / Instrumentation(numerics=) / REPRO_SANITIZE ------------------
+# -- None / OFF -----------------------------------------------------------------
 
 
-def test_handle_resolution(environment):
-    cfg = dimer("H", "H", 1.5, 12.0)
-    assert observer(None) is OFF and OFF.numerics is None
+def test_handle_resolution():
+    """``None`` is the off observer, a handle is itself; there is nothing
+    to arm and no environment to read."""
+    assert observer(None) is OFF
     ins = Instrumentation()
-    assert observer(ins) is ins and ins.numerics is None
-
-    environment("numerics")
-    armed = env_numerics()
-    assert isinstance(armed, NumericsSanitizer)
-    run_scf(cfg, OPTS)  # None: the environment arms the checkpoints
-    fired = armed.checks
-    assert fired > 0
-    run_scf(cfg, OPTS, instrumentation=OFF)  # OFF is off whatever it says
-    assert armed.checks == fired
-    # an Instrumentation without numerics= defers to the environment ...
-    assert Instrumentation().numerics is armed
-    # ... and one with numerics= does not
-    own = NumericsSanitizer()
-    run_scf(cfg, OPTS, instrumentation=Instrumentation(numerics=own))
-    assert own.checks > 0 and armed.checks == fired
-
-
-def test_environment_is_resolved_once_and_a_malformed_spec_is_an_error(
-    environment, monkeypatch
-):
-    cfg = dimer("H", "H", 1.5, 12.0)
-    environment("numerics")
-    armed = observer(None).numerics
-    assert armed is not None
-    # read once per process: a later change of the variable has no effect
-    monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert observer(None).numerics is armed
-    environment("collective,typo")
-    with pytest.raises(ValueError, match="unknown sanitizer.*typo"):
-        run_scf(cfg, OPTS)
-    with pytest.raises(ValueError, match="unknown sanitizer.*typo"):
-        run_ldc(cfg, LDCOptions(ecut=4.0, domains=(1, 1, 1), max_iter=2))
+    assert observer(ins) is ins
+    for handle in (OFF, ins):
+        assert not any(
+            hasattr(handle, verb) for verb in ("check", "log", "numerics")
+        )

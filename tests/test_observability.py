@@ -1,4 +1,4 @@
-"""Unit tests for the observability subsystem (tracer/metrics/logs/facade)."""
+"""Unit tests for the observability subsystem (tracer/metrics/facade)."""
 
 import json
 import logging
@@ -9,12 +9,9 @@ from repro.observability import (
     Instrumentation,
     MetricsRegistry,
     SpanTracer,
-    configure_logging,
-    get_logger,
     phase_breakdown,
     render_breakdown,
 )
-from repro.observability.logs import JSONFormatter
 from repro.observability.report import load_trace, main as report_main
 from repro.util.timer import WallClock
 
@@ -167,113 +164,25 @@ def test_metrics_listener_covers_existing_and_new_instruments():
 
 
 # ---------------------------------------------------------------------------
-# logging
+# no log channel
 # ---------------------------------------------------------------------------
 
-def test_logger_silent_by_default(capsys):
-    get_logger("dft.scf").warning("should not print")
-    assert capsys.readouterr().err == ""
+def test_logger_silent_by_default(capsys, caplog):
+    """The package writes no log records: what a run reports is in its
+    spans and instruments (experiments/EXP-CHANNEL-CENSUS.md), and an
+    instrumented solve leaves stderr and the ``repro`` logger empty."""
+    from repro.dft.scf import SCFOptions, run_scf
+    from repro.systems import dimer
 
-
-def test_json_formatter_includes_extras():
-    record = logging.LogRecord(
-        "repro.test", logging.INFO, __file__, 1, "msg %d", (3,), None
-    )
-    record.residual = 1e-4
-    payload = json.loads(JSONFormatter().format(record))
-    assert payload["msg"] == "msg 3"
-    assert payload["level"] == "INFO"
-    assert payload["residual"] == 1e-4
-
-
-def test_configure_logging_writes_json(capsys):
-    import io
-
-    buf = io.StringIO()
-    root = configure_logging(level="DEBUG", json_format=True, stream=buf)
-    try:
-        get_logger("unit").debug("hello", extra={"k": 1})
-        line = buf.getvalue().strip()
-        payload = json.loads(line)
-        assert payload["msg"] == "hello"
-        assert payload["logger"] == "repro.unit"
-        assert payload["k"] == 1
-    finally:
-        for h in list(root.handlers):
-            if getattr(h, "_repro_configured", False):
-                root.removeHandler(h)
-        root.setLevel(logging.WARNING)
-
-
-def test_configure_logging_does_not_stack_handlers():
-    import io
-
-    root = configure_logging(level="INFO", stream=io.StringIO())
-    configure_logging(level="INFO", stream=io.StringIO())
-    configured = [
-        h for h in root.handlers if getattr(h, "_repro_configured", False)
-    ]
-    try:
-        assert len(configured) == 1
-    finally:
-        for h in configured:
-            root.removeHandler(h)
-        root.setLevel(logging.WARNING)
-
-
-_LOG_PROBE = """
-from repro.observability import get_logger
-get_logger("probe").info("hello", extra={"k": 1})
-"""
-
-
-_BAD_LOG_ENV = {
-    "bad-level": ({"REPRO_LOG": "verbose"}, "REPRO_LOG"),
-    # a logging module constant, not a level name
-    "level-constant": ({"REPRO_LOG": "basic_format"}, "REPRO_LOG"),
-    "bad-format": (
-        {"REPRO_LOG": "info", "REPRO_LOG_FORMAT": "jsno"}, "REPRO_LOG_FORMAT"
-    ),
-}
-
-
-@pytest.mark.parametrize("env", [
-    {"REPRO_LOG": "info"},
-    {"REPRO_LOG": "info", "REPRO_LOG_FORMAT": "json"},
-    {},
-    *(env for env, _ in _BAD_LOG_ENV.values()),
-], ids=["text", "json", "unset", *_BAD_LOG_ENV])
-def test_repro_log_alone_enables_logging(env):
-    """``REPRO_LOG`` set is all it takes: the process's first
-    ``get_logger()`` attaches the stderr handler, with no call to
-    ``configure_logging()``; unset, nothing is printed.  A value outside
-    the level names or ``json``/``text`` is an error naming its variable,
-    never a silent fallback."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    base = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    done = subprocess.run(
-        [sys.executable, "-c", _LOG_PROBE], capture_output=True, text=True,
-        env={**base, **env, "PYTHONPATH": str(src)}, timeout=120,
-    )
-    bad = [name for value, name in _BAD_LOG_ENV.values() if value == env]
-    if bad:
-        assert done.returncode != 0
-        assert f"ValueError: {bad[0]}=" in done.stderr, done.stderr
-        return
-    assert done.returncode == 0, done.stderr
-    if not env:
-        assert done.stderr == ""
-    elif env.get("REPRO_LOG_FORMAT") == "json":
-        payload = json.loads(done.stderr.strip())
-        assert payload["msg"] == "hello" and payload["logger"] == "repro.probe"
-        assert payload["level"] == "INFO" and payload["k"] == 1
-    else:
-        assert "INFO repro.probe: hello" in done.stderr
+    ins = Instrumentation()
+    with caplog.at_level(logging.DEBUG):
+        run_scf(dimer("H", "H", 1.5, 12.0),
+                SCFOptions(ecut=4.0, tol=1e-3, max_iter=2),
+                instrumentation=ins)
+    assert caplog.records == [] and capsys.readouterr().err == ""
+    assert logging.getLogger("repro").handlers == []
+    assert not hasattr(ins, "log")
+    assert ins.metrics.get("scf.residual", engine="pw").values
 
 
 # ---------------------------------------------------------------------------

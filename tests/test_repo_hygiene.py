@@ -54,7 +54,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 134_802
+DESIGN_MAX_BYTES = 133_973
 
 
 def test_design_document_does_not_grow():
@@ -68,7 +68,7 @@ def test_design_document_does_not_grow():
 #: EXPERIMENTS.md is an index, one line per experiment; each record is its
 #: own file under ``experiments/``.  A new record raises this by its one
 #: index line and nothing more
-EXPERIMENTS_MAX_BYTES = 4_747
+EXPERIMENTS_MAX_BYTES = 4_931
 
 
 def test_experiments_log_does_not_grow():
@@ -365,7 +365,8 @@ def test_the_engine_reads_no_environment():
 
 def test_every_environment_variable_read_is_in_the_manifest():
     """A run manifest names every ``REPRO_*`` variable the package reacts
-    to: each such name spelled under ``src/repro`` is in ``TRACKED_ENV``."""
+    to, and nothing else: the ``REPRO_*`` names spelled under
+    ``src/repro`` are exactly ``TRACKED_ENV`` (a stale entry fails too)."""
     import ast
     import re
 
@@ -378,7 +379,7 @@ def test_every_environment_variable_read_is_in_the_manifest():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
     }
-    assert names and names <= set(TRACKED_ENV), sorted(names - set(TRACKED_ENV))
+    assert names == set(TRACKED_ENV), (sorted(names), TRACKED_ENV)
 
 
 # -- one observability handle ---------------------------------------------------
@@ -675,14 +676,45 @@ def _readers_outside_tests():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    tracing = ast.parse((REPO / "benchmarks/e2e/tracing.py").read_text())
     used.update(
-        part
-        for node in ast.walk(tracing)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_t"
-        for part in node.args[1].value.split(".")
+        part for _, qualname in _tracing_targets()
+        for part in qualname.split(".")
     )
     return used
+
+
+def _tracing_targets():
+    """``(module, qualname)`` of every ``_t(...)`` entry of
+    ``benchmarks/e2e/tracing.py``'s ``TARGETS``, read by AST: the module
+    is relative to ``repro``, the qualname a function or ``Class.method``."""
+    import ast
+
+    tracing = ast.parse((REPO / "benchmarks/e2e/tracing.py").read_text())
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tracing)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_t"
+    ]
+
+
+def test_every_traced_target_resolves_to_a_callable():
+    """The e2e tracer wraps each ``TARGETS`` entry by name, the way its
+    ``install`` looks it up: a module attribute, or a method defined on the
+    class itself.  A rename under ``src/repro`` fails here, not only in a
+    ``--trace 1`` run."""
+    import importlib
+
+    targets = _tracing_targets()
+    assert len(targets) > 20
+    unresolved = []
+    for module, qualname in targets:
+        owner_name, _, attr = qualname.rpartition(".")
+        mod = importlib.import_module(f"repro.{module}")
+        owner = getattr(mod, owner_name, None) if owner_name else mod
+        found = vars(owner).get(attr) if owner is not None else None
+        if not callable(found):
+            unresolved.append(f"repro.{module}:{qualname}")
+    assert unresolved == [], unresolved
 
 
 def test_every_public_name_is_referenced():
@@ -1017,7 +1049,7 @@ def test_source_tree_is_clean():
 ENGINE_IMPORT_MB = 5.3
 
 #: packages an engine process has no business loading
-_TOOLING = ("observability", "sanitize", "parallel", "perfmodel")
+_TOOLING = ("observability", "parallel", "perfmodel")
 
 _ENGINE_PROBE = '''
 import json, sys
@@ -1084,8 +1116,8 @@ def test_engine_process_loads_no_scipy_and_imports_small():
     global SCF, two MD steps through ``QMDDriver(LDCEngine)``, one
     ``SCFEngine.forces`` — runs on NumPy alone (and without ``numpy.ma``,
     which ``np.unique``/``np.setdiff1d`` would pull in: +1.5 MB resident)
-    and is only the engine: no observability, sanitizer,
-    virtual-machine or cost-model module is loaded.  Importing it
+    and is only the engine: no observability, virtual-machine or
+    cost-model module is loaded.  Importing it
     stays cheap: the next eager import of a compiled stack or of a tooling
     package fails here, not in a benchmark row."""
     import json
@@ -1093,8 +1125,7 @@ def test_engine_process_loads_no_scipy_and_imports_small():
     import subprocess
     import sys
 
-    # without the REPRO_* switches of the surrounding CI job: REPRO_SANITIZE
-    # would (rightly) load repro.sanitize
+    # without whatever REPRO_* variable the surrounding job exported
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(PYTHONPATH=str(REPO / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
