@@ -16,9 +16,9 @@ Gated claims: both widths solve the same physics (per-step energies match
 to ≤ 1e-10 Ha — by construction exactly, the stacked kernels act on their
 slices independently), run the *identical* eigensolver iterations (each
 domain retires from its stack at its own iteration), and perform **zero**
-scratch-pool array allocations once warm — asserted both via the workspace
-allocation counter and a tracemalloc trace of the pool's ``np.empty`` call
-sites.  Per-stack FLOPs come from the ``ldc.domain_solve`` span
+stack-pool arena allocations once warm, at both widths — asserted both via
+the workspace allocation counter and a tracemalloc trace of the pool's
+``np.empty`` call site.  Per-stack FLOPs come from the ``ldc.domain_solve`` span
 attribution (``repro.observability.costattr``).  CPU seconds and their
 ratio (``speedup``) are ledgered only: with one solver at two kernel sizes
 there is no path-vs-path claim left to gate.
@@ -106,9 +106,10 @@ def _pool_empty_linenos() -> list[int]:
     return [start + i for i, line in enumerate(src) if "np.empty" in line]
 
 
-def _warm_pass_pool_allocations(frames, ws: LDCWorkspace) -> int:
-    """tracemalloc blocks allocated by the pool during one warm re-solve."""
-    opts = LDCOptions(**_OPTS, batch_domains=True)
+def _warm_pass_pool_allocations(frames, ws: LDCWorkspace, batched: bool) -> int:
+    """tracemalloc blocks allocated by the pool during one warm re-solve
+    at the stack width ``ws`` was warmed at."""
+    opts = LDCOptions(**_OPTS, batch_domains=batched)
     pool_lines = _pool_empty_linenos()
     wsfile = workspace_mod.__file__
     tracemalloc.start()
@@ -143,7 +144,7 @@ def test_domain_batching_throughput(benchmark):
         )
         return per_domain, batch
 
-    (pd_rows, t_pd, _, _), (b_rows, t_b, ws, spans) = benchmark.pedantic(
+    (pd_rows, t_pd, pd_ws, _), (b_rows, t_b, ws, spans) = benchmark.pedantic(
         replay_both, rounds=1, iterations=1
     )
 
@@ -163,10 +164,13 @@ def test_domain_batching_throughput(benchmark):
     total_gflop = sum(f for _, f in by_class.values()) / 1e9
 
     # scratch reuse: once shapes are warm, re-solving must not grow the
-    # pool (counter) nor allocate in the pool at all (tracemalloc)
-    allocs_before = ws.scratch_allocations()
-    pool_allocs = _warm_pass_pool_allocations(frames, ws)
-    alloc_delta = ws.scratch_allocations() - allocs_before
+    # pool (counter) nor allocate in the pool at all (tracemalloc), at
+    # either width — the solve phase and the densities phase alike
+    pool_allocs = alloc_delta = 0
+    for arm_ws, batched in ((pd_ws, False), (ws, True)):
+        allocs_before = arm_ws.scratch_allocations()
+        pool_allocs += _warm_pass_pool_allocations(frames, arm_ws, batched)
+        alloc_delta += arm_ws.scratch_allocations() - allocs_before
 
     lines = [fmt_row("step", "w1 eig", "wn eig", "energy dev",
                      widths=[4, 9, 9, 12])]

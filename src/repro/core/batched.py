@@ -3,10 +3,11 @@
 Every SCF pass solves its domains through one function,
 :func:`batched_domain_pass`.  It cuts the active domains into **stacks**,
 and per stack restricts the global potentials and updates ``v_bc`` domain
-by domain, solves the stack with the one lockstep all-band LOBPCG over one
-:class:`~repro.dft.hamiltonian.BatchedHamiltonian`, and stages each
-domain's band densities and weights for the global μ search and density
-assembly.
+by domain and solves the stack with the one lockstep all-band LOBPCG over
+one :class:`~repro.dft.hamiltonian.BatchedHamiltonian`; once every stack
+is solved it stages each domain's band densities and weights for the
+global μ search and density assembly, in the bytes the solves are done
+with (:class:`~repro.core.workspace.DomainScratch`).
 
 The paper's Sec. 3.4 BLAS2→BLAS3 transformation batches *bands within one
 domain* into matrix-matrix kernels.  A stack lifts the same idea one level
@@ -50,7 +51,11 @@ from repro.dft.eigensolver import (
     solve_all_band_batched,
     solve_direct,
 )
-from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
+from repro.dft.hamiltonian import (
+    BatchedHamiltonian,
+    Hamiltonian,
+    NonFiniteFieldError,
+)
 from repro.observe import Observer
 
 if TYPE_CHECKING:
@@ -115,6 +120,22 @@ def group_shape_classes(states: list[DomainState]) -> list[ShapeClass]:
     return list(classes.values())
 
 
+def _gather_indices(
+    grid_indices: tuple[np.ndarray, np.ndarray, np.ndarray],
+    global_shape: tuple[int, ...],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Flat global-grid indices of a domain's extended region, into
+    ``out``: field restriction is then ``np.take(field.ravel(), out,
+    out=buf)``, the gather of ``Domain.extract`` without its allocation."""
+    ix, iy, iz = grid_indices
+    np.multiply(ix[:, None, None], int(global_shape[1]), out=out)
+    out += iy[None, :, None]
+    out *= int(global_shape[2])
+    out += iz[None, None, :]
+    return out
+
+
 def _domain_effective_potential(
     state: DomainState,
     rho: np.ndarray,
@@ -132,14 +153,17 @@ def _domain_effective_potential(
     the solve changes neither side.  ``state.vbc`` is updated in place as
     a side effect.
 
-    Every intermediate lives in the seam's ``pool`` and is spent when this
-    returns — the gathered density, the v_bc target, the buffer window:
-    one of each, whatever the number of domains, and a steady-state pass
-    allocates nothing here.
+    Every intermediate lives in the stack's solve phase of the seam's
+    ``pool`` and is spent when this returns — the gather indices, the
+    gathered density, the v_bc target, the buffer window: one of each,
+    whatever the number of domains, and a steady-state pass allocates
+    nothing here.
     """
     dom = state.domain
     shape = dom.grid.shape
-    flat = state.scratch.flat_indices(dom, rho.shape)
+    flat = _gather_indices(
+        dom.grid_indices, rho.shape, pool.get("flat_indices", shape, np.intp)
+    )
     np.take(v_ks_global.ravel(), flat, out=out)
     rho_restricted = pool.get("rho_restricted", shape)
     np.take(rho.ravel(), flat, out=rho_restricted)
@@ -215,12 +239,13 @@ def batched_domain_pass(
     ins: Observer,
     pool: DomainScratch,
 ) -> list[tuple[int, float | None]]:
-    """All active domain solves of one SCF pass, stack by stack.
+    """All active domain solves of one SCF pass, stack by stack, then
+    every domain's band densities.
 
     ``active`` lists ``(domain index, state)``; returns ``(eigensolver
     iterations, boundary_error)`` per entry, in input order, with ``psi``
     / ``eigenvalues`` / ``vbc`` / band data updated on each state —
-    nothing of grid size outlives the pass outside the pools.
+    nothing of grid size outlives the pass outside the pool.
 
     Stacks are whole shape classes when ``opts.batch_domains`` is set and
     the all-band solver runs, single domains otherwise.  On ``ins`` (the
@@ -230,10 +255,14 @@ def batched_domain_pass(
     :mod:`repro.observability.costattr` turns into FLOPs) and each domain
     one :func:`record_solve`.
 
-    ``pool`` holds the stacked buffers between passes (the workspace's,
-    which lives across MD steps): one arena per role,
-    every stack taking its views, so it is as large as the largest stack's
-    working set.
+    ``pool`` is the stack pool (the workspace's, which lives across MD
+    steps), in two phases: each stack restricts and solves in the *solve*
+    phase, and once every stack is done the *densities* phase lays every
+    domain's per-band |ψ_n|² over the same bytes — the DC weights need
+    every band before the global μ exists, and ``_scf_pass`` consumes the
+    blocks before the next pass's first stack writes over them.  A domain
+    whose band weights come out NaN or Inf raises
+    :class:`~repro.dft.hamiltonian.NonFiniteFieldError` naming it.
     """
     states = [state for _, state in active]
     if opts.batch_domains and opts.eigensolver == "all_band":
@@ -247,6 +276,7 @@ def batched_domain_pass(
     for cls in stacks:
         key, members = cls.key, cls.members
         stack = [states[pos] for pos in members]
+        pool.begin()  # this stack's solve phase
         v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
         errors = [
             _domain_effective_potential(
@@ -264,26 +294,30 @@ def batched_domain_pass(
             fft_stages=basis.stage_lines,
         ) as sp:
             results = _solve_stack(stack, key, v_eff, opts, pool)
-            # per band, into each domain's pooled buffer: the DC weights
-            # need every |ψ_n|² before the global μ exists
-            for state, res in zip(stack, results):
-                state.band_densities = basis.densities(
-                    res.orbitals,
-                    state.scratch.get(
-                        "band_densities", (key.nband,) + key.grid_shape
-                    ),
-                )
             sp.attrs.update(
                 cg_iterations=sum(res.iterations for res in results)
             )
         for pos, state, res, err in zip(members, stack, results, errors):
-            assert state.band_densities is not None
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
-            # band weights w_αn = ∫ p_α |ψ_n|² dr
-            state.band_weights = state.domain.grid.dv * np.einsum(
-                "nijk,ijk->n", state.band_densities, state.support
-            )
             record_solve(ins, opts.eigensolver, res)
             outcomes[pos] = (int(res.iterations), err)
+    pool.begin()  # the densities phase: held until the global μ
+    blocks = pool.views([
+        (("band_densities", idom), (state.nband,) + state.domain.grid.shape)
+        for idom, state in active
+    ])
+    for (idom, state), block in zip(active, blocks):
+        assert state.basis is not None and state.psi is not None
+        state.band_densities = state.basis.densities(state.psi, block)
+        # band weights w_αn = ∫ p_α |ψ_n|² dr
+        state.band_weights = state.domain.grid.dv * np.einsum(
+            "nijk,ijk->n", state.band_densities, state.support
+        )
+        bad = np.count_nonzero(~np.isfinite(state.band_weights))
+        if bad:
+            raise NonFiniteFieldError(
+                f"band densities of domain {idom}: {bad} of {state.nband} "
+                "band weights are NaN/Inf"
+            )
     return outcomes

@@ -121,11 +121,8 @@ class DomainState:
     rho_local: np.ndarray | None = None
     vbc: np.ndarray | None = None
     #: per-band |ψ|² between the solve and density steps of one SCF pass:
-    #: ``scratch``'s buffer as the seam filled it (unset once stale)
+    #: a view of the stack pool's densities phase (unset once consumed)
     band_densities: np.ndarray | None = None
-    #: the domain's reusable work buffers: its own for one run, or the
-    #: ``LDCWorkspace``'s, which outlive the MD step
-    scratch: DomainScratch = field(default_factory=DomainScratch)
 
 
 @dataclass
@@ -414,7 +411,7 @@ def _scf_pass(
         state.occupations = occs
         rho_a = np.einsum("n,nijk->ijk", occs, state.band_densities)
         state.rho_local = rho_a
-        state.band_densities = None  # consumed; the pool keeps the buffer
+        state.band_densities = None  # consumed; the next solve reuses it
         ix, iy, iz = state.domain.grid_indices
         # Fancy-index += (not np.add.at): each per-axis wrapped index array
         # is duplicate-free — a domain's extent never exceeds the grid shape

@@ -50,11 +50,12 @@ trajectories get the reuse for free.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.domains import Domain, DomainDecomposition
+from repro.core.domains import DomainDecomposition
 from repro.core.support import supports
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import EwaldStructure
@@ -70,67 +71,96 @@ if TYPE_CHECKING:
     from repro.core.ldc import DomainState, LDCOptions
 
 
+#: byte alignment of every view the stack pool lays into its arena
+ALIGN = 64
+
+
 class DomainScratch:
-    """A named pool of reusable work arrays for one LDC hot-path consumer.
+    """The domain-solve seam's stack pool: one byte arena, laid out anew by
+    each phase of an SCF pass.
 
-    ``get(name, shape, dtype)`` returns a view of the arena named ``name``
-    — one flat buffer per name, grown to the largest request seen — so a
-    steady-state SCF pass performs **zero** buffer allocations (the
-    invariant the domain-batching benchmark pins with its tracemalloc
-    check).  :attr:`allocations` counts every real allocation for exactly
-    that assertion.
+    :meth:`begin` starts a phase; ``get(name, shape, dtype)`` then returns
+    a view named ``name`` — the same span of the arena for every request of
+    the name until the next :meth:`begin`, the next free
+    :data:`ALIGN`-aligned bytes for a new name.  Each phase lays its views
+    from offset 0 over what the previous one held, so the arena is the
+    largest phase seen, not the sum of them.  An SCF pass has two
+    (:func:`repro.core.batched.batched_domain_pass`):
 
-    One instance serves one consumer.  A *domain's* pool (on its
-    :class:`~repro.core.ldc.DomainState`) holds what must exist once per
-    domain because it outlives the domain's solve — gather indices and
-    the real per-band |ψ|² the seam forms from the solved orbitals for
-    the density step.  The seam's *stack pool* holds one stack's working
-    set — stacked v_eff/projectors, the solver's iteration workspace, one
-    domain's restricted density, v_bc target and buffer window — and because
-    stacks are solved one after another every shape class takes its views
-    of the same arenas: the pool is the largest stack's working set, not
-    the sum over classes.
-    Contents are undefined between uses — every consumer overwrites before
-    reading (``np.take(..., out=)`` / full-array ufunc ``out=`` writes), so
-    ``np.empty`` suffices.
+    * **solve**, once per stack — the stacked v_eff / projectors, the
+      solver's iteration workspace, and one domain's gather indices,
+      restricted density, v_bc target and buffer window;
+    * **densities**, once per pass — every active domain's real per-band
+      |ψ_n|², formed after the last stack is solved and held until the
+      global μ is known and the density assembled.
+
+    Stacks are solved one after another, so the solve phase is the largest
+    stack's working set whatever the number of shape classes.  The arena
+    grows to the largest phase; a steady-state pass performs **zero**
+    allocations (the invariant the domain-batching benchmark pins with its
+    tracemalloc check), and :attr:`allocations` counts every real one for
+    exactly that assertion.  Contents are undefined between requests —
+    every consumer overwrites before reading (``np.take(..., out=)`` /
+    full-array ufunc ``out=`` writes), so ``np.empty`` suffices.
     """
 
     def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-        self._flat: np.ndarray | None = None
-        #: number of buffer (re)allocations since construction
+        self._arena: np.ndarray | None = None
+        #: ``name -> (start, stop)`` byte offsets of the current phase
+        self._spans: dict[Hashable, tuple[int, int]] = {}
+        self._end = 0
+        #: number of arena (re)allocations since construction
         self.allocations: int = 0
+
+    def begin(self) -> None:
+        """Start a phase: every view handed out so far is spent."""
+        self._spans.clear()
+        self._end = 0
+
+    def _lay(self, name: Hashable, nbytes: int) -> int:
+        """The start offset of ``name``'s span in the current phase, laid
+        after the phase's last span if it has none as large."""
+        span = self._spans.get(name)
+        if span is None or span[1] - span[0] < nbytes:
+            start = -(-self._end // ALIGN) * ALIGN
+            span = self._spans[name] = (start, start + nbytes)
+            self._end = span[1]
+        return span[0]
 
     def get(
         self,
-        name: str,
+        name: Hashable,
         shape: tuple[int, ...],
         dtype: type | np.dtype = float,
     ) -> np.ndarray:
-        """A C-contiguous ``shape``/``dtype`` view of the arena ``name``."""
+        """A C-contiguous ``shape``/``dtype`` view named ``name`` in the
+        current phase."""
         shape = tuple(int(n) for n in shape)
-        size = math.prod(shape)
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = np.empty(size, dtype=dtype)
-            self._bufs[name] = buf
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self._lay(name, nbytes)
+        if self._arena is None or self._arena.size < self._end:
+            # views handed out before keep the old arena alive until they
+            # are spent; a warm pass never gets here
+            self._arena = np.empty(self._end, dtype=np.uint8)
             self.allocations += 1
-        return buf[:size].reshape(shape)
+        return self._arena[start:start + nbytes].view(dtype).reshape(shape)
 
-    def flat_indices(self, domain: Domain, global_shape: tuple[int, ...]) -> np.ndarray:
-        """Flat global-grid indices of the domain's extended region.
-
-        Cached on first use (the decomposition is MD-step-invariant); lets
-        field restriction run as ``np.take(field.ravel(), flat, out=buf)``
-        — the gather of ``Domain.extract`` without its per-call allocation.
-        """
-        if self._flat is None:
-            ix, iy, iz = domain.grid_indices
-            ny, nz = int(global_shape[1]), int(global_shape[2])
-            self._flat = (
-                ix[:, None, None] * ny + iy[None, :, None]
-            ) * nz + iz[None, None, :]
-        return self._flat
+    def views(
+        self,
+        requests: list[tuple[Hashable, tuple[int, ...]]],
+        dtype: type | np.dtype = float,
+    ) -> list[np.ndarray]:
+        """:meth:`get` for every ``(name, shape)`` of ``requests``, laid
+        out before the first view is taken: a phase that outgrows the
+        arena grows it once, and no view holds a smaller arena alive beside
+        the new one (grown block by block, the densities phase cost the
+        cold multigrid e2e workload's throwaway workspaces 0.7 MB of
+        ``peak_rss_mb``)."""
+        itemsize = np.dtype(dtype).itemsize
+        for name, shape in requests:
+            self._lay(name, math.prod(shape) * itemsize)
+        return [self.get(name, shape, dtype) for name, shape in requests]
 
 
 def _nbytes(obj: Any, seen: set[int]) -> int:
@@ -178,7 +208,7 @@ def _options_signature(options: LDCOptions) -> tuple:
 
 #: the keys of :meth:`LDCWorkspace.resident_bytes`
 RESIDENT_PARTS = (
-    "bases", "scratch", "stack_pool", "windows", "mixer", "global",
+    "bases", "stack_pool", "windows", "mixer", "global",
 )
 
 
@@ -230,13 +260,8 @@ class LDCWorkspace:
         #: the trajectory's density mixer; its secant pairs are the SCF
         #: memory carried across MD steps (:meth:`scf_mixer`)
         self._mixer: PulayMixer | None = None
-        #: per-domain reusable work buffers (gather indices, band
-        #: densities), attached to each ``DomainState`` by
-        #: :meth:`prepare` so they survive from one MD step to the next
-        self._scratch: dict[int, DomainScratch] = {}
-        #: the domain-solve seam's stack pool (``repro.core.batched``
-        #: stacks v_eff/projectors into it and lends the solver its
-        #: iteration workspace from it)
+        #: the domain-solve seam's stack pool (``repro.core.batched``):
+        #: each stack's solve set, then every domain's band densities
         self.batch_pool: DomainScratch = DomainScratch()
         #: per-``prepare`` stats: domains seeded from cached orbitals vs
         #: random (fresh build, or band count changed after atom migration)
@@ -248,7 +273,7 @@ class LDCWorkspace:
     # -- cache lifecycle -----------------------------------------------------
 
     def reset(self) -> None:
-        """Drop everything (structures, orbital cache, scratch pools)."""
+        """Drop everything (structures, orbital cache, stack pool)."""
         self._cell = None
         self._signature = None
         self.grid = None
@@ -261,33 +286,31 @@ class LDCWorkspace:
         self._poisson = None
         if self._mixer is not None:
             self._mixer.reset("reset")
-        self._scratch.clear()
         self.batch_pool = DomainScratch()
         self.warm_domains = 0
         self.cold_domains = 0
         self.steps = 0
 
     def scratch_allocations(self) -> int:
-        """Total buffer allocations across every scratch pool.
+        """Arena allocations of the stack pool.
 
         Flat across warm SCF passes — the domain-batching benchmark asserts
         the delta over a warm trajectory step is zero.
         """
-        return self.batch_pool.allocations + sum(
-            s.allocations for s in self._scratch.values()
-        )
+        return self.batch_pool.allocations
 
     def resident_bytes(self) -> dict[str, int]:
         """Bytes kept alive between MD steps, by part: ``bases`` (one
         plane-wave basis per domain shape, one partition weight per
-        distinct profile) and ``stack_pool`` do not grow with the domain count at a
-        fixed stack width, ``scratch`` and ``windows`` are the per-domain
-        O(N) state, ``mixer`` the carried SCF memory, ``global`` the
+        distinct profile) does not grow with the domain count,
+        ``stack_pool`` is the larger of the widest stack's solve set and
+        every domain's band densities, ``windows`` the per-domain ASPC
+        state, ``mixer`` the carried SCF memory, ``global`` the
         geometry-only tables of the global half (Ewald structure,
         multigrid levels).  An array counts once, in the first part that
         reaches it."""
         levels = self._poisson.levels if self._poisson is not None else None
-        parts = ((self._bases, self.pou), self._scratch, self.batch_pool,
+        parts = ((self._bases, self.pou), self.batch_pool,
                  self._history, self._mixer, (self._ewald, levels))
         seen: set[int] = set()
         return {
@@ -373,7 +396,7 @@ class LDCWorkspace:
         solver states of one solve.
 
         The structural pieces — grid, decomposition, supports, one basis
-        per shape class, each domain's scratch pool — come from the cache;
+        per shape class — come from the cache;
         the atom-dependent nonlocal projectors are rebuilt.  ψ, v_bc and
         ρ_α are the ASPC prediction over the domain's history window
         (depth 1 = the previous step's converged state verbatim; without
@@ -426,7 +449,6 @@ class LDCWorkspace:
                 DomainState(
                     dom, idx, local, basis, vnl, w, nband=nband, psi=psi,
                     vbc=vbc, rho_local=rho_local,
-                    scratch=self._scratch.setdefault(idom, DomainScratch()),
                 )
             )
         self.steps += 1

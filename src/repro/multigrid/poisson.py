@@ -10,11 +10,13 @@ else in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dft.grid import RealSpaceGrid
+from repro.dft.hamiltonian import NonFiniteFieldError
 from repro.multigrid.hierarchy import GridHierarchy
 from repro.multigrid.stencils import (
     gauss_seidel_sweeps,
@@ -109,15 +111,24 @@ class MultigridPoisson:
         """Solve ∇²V = -4πρ to relative residual ``tol``.
 
         ``v0`` (e.g. the previous SCF iteration's potential) warm-starts the
-        cycle — the standard QMD trick for O(1) cycles per step.
+        cycle — the standard QMD trick for O(1) cycles per step.  A
+        source holding NaN or Inf is refused before the first cycle
+        (:class:`~repro.dft.hamiltonian.NonFiniteFieldError`).
         ``instrumentation`` is the observability handle this solve reports
         to (``poisson.*`` telemetry); ``None`` is resolved here
         (:mod:`repro.observe`).
         """
         ins = observer(instrumentation)
         t0 = ins.tracer.now()
+        mean = float(np.mean(rho))
+        if not math.isfinite(mean):
+            bad = np.count_nonzero(~np.isfinite(rho))
+            if bad:
+                raise NonFiniteFieldError(
+                    f"source: {bad} of {rho.size} entries are NaN/Inf"
+                )
         fine = self._level(0)
-        rhs = np.subtract(rho, float(np.mean(rho)), out=fine.rhs)
+        rhs = np.subtract(rho, mean, out=fine.rhs)
         rhs *= -4.0 * np.pi
         u = np.zeros_like(rhs) if v0 is None else v0 - float(np.mean(v0))
         rhs_norm = float(np.linalg.norm(rhs)) or 1.0

@@ -93,13 +93,13 @@ def test_disabled_timer_import_not_triggered_in_hot_loop():
 
 
 #: No-op handle calls one SCF pass (the final consistent pass counted as
-#: one) may make in the two-domain, stack-of-one run below: measured 47.1
-#: (424 over 9 passes) — 11 from the loop, 5 + 2 per domain from the
+#: one) may make in the two-domain, stack-of-one run below: measured 46.7
+#: (420 over 9 passes) — 11 from the loop, 5 + 2 per domain from the
 #: global half of the pass (its boundary-error sample and eigenvalue
 #: share), 12 per domain solve (its span and ``record_solve``), the rest
-#: per run (10 of them the five ``ldc.workspace_bytes`` gauges).  The same
+#: per run (8 of them the four ``ldc.workspace_bytes`` gauges).  The same
 #: run applies H 15.8 times per pass: one emission per ``H·ψ`` would read
-#: 63.
+#: 62.4.
 NULL_CALLS_PER_PASS = 50
 
 

@@ -9,10 +9,16 @@ into the output of each producer of a potential — the FFT Hartree solve,
 the multigrid Hartree solve, LDA exchange-correlation, the local
 pseudopotential — and every driver, Poisson solver and eigensolver must
 end in that error before any ``eigh`` runs.  A non-finite density (a NaN
-atom position, a NaN ``rho0``) stays the density's own error.
+atom position, a NaN ``rho0``) stays the density's own error.  Two more
+places name what they are handed: the LDC seam a domain whose band
+densities come out non-finite, before the global μ search, and
+:meth:`MultigridPoisson.solve` a non-finite source, before its first
+V-cycle.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from repro.core.ldc import LDCOptions, make_global_grid, run_ldc
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import BatchedHamiltonian, NonFiniteFieldError
 from repro.dft.mixing import DensityError
+from repro.dft.occupations import find_chemical_potential
 from repro.dft.scf import SCFOptions, run_scf
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
@@ -153,3 +160,62 @@ def test_the_error_names_the_field_the_count_and_the_slot(h2, name, bad):
         f"{name} of stack slot 2: 2 of {size} entries are NaN/Inf"
     )
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["width1", "widthn"])
+def test_a_nan_band_density_is_named_by_its_domain(h2, monkeypatch, wide):
+    """A NaN in one domain's per-band |ψ|² ends in the error naming that
+    domain and the count of its non-finite band weights, not in the μ
+    search, at either stack width."""
+    densities = PlaneWaveBasis.densities
+    calls, mu_searches = [], []
+
+    def poisoned(self, orbitals, out, occupations=None):
+        result = densities(self, orbitals, out, occupations)
+        if len(calls) == 1:  # the second domain of the first pass
+            result[0, 0, 0, 0] = np.nan
+        calls.append(1)
+        return result
+
+    def mu_search(*args, **kwargs):
+        mu_searches.append(1)
+        return find_chemical_potential(*args, **kwargs)
+
+    monkeypatch.setattr(PlaneWaveBasis, "densities", poisoned)
+    monkeypatch.setattr(ldc, "find_chemical_potential", mu_search)
+    config, _ = h2
+    options = replace(_ldc_options("fft", "all_band"), batch_domains=wide)
+    with pytest.raises(
+        NonFiniteFieldError,
+        match=r"^band densities of domain 1: 1 of \d+ band weights are NaN/Inf$",
+    ):
+        run_ldc(config.copy(), options)
+    assert len(calls) == 2 and mu_searches == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_source_is_refused_before_the_first_cycle(
+    h2, monkeypatch, bad
+):
+    """A direct call with a non-finite source names it and the count; no
+    V-cycle runs, and a finite source still solves."""
+    _, grid = h2
+    poisson = MultigridPoisson(grid)
+    cycles = []
+    vcycle = MultigridPoisson._vcycle
+
+    def counted(self, *args):
+        cycles.append(1)
+        return vcycle(self, *args)
+
+    monkeypatch.setattr(MultigridPoisson, "_vcycle", counted)
+    rho = np.full(grid.shape, 0.01)
+    rho[1, 2, 3] = rho[0, 0, 0] = bad
+    with pytest.raises(NonFiniteFieldError) as caught:
+        poisson.solve(rho)
+    assert str(caught.value) == (
+        f"source: 2 of {grid.npoints} entries are NaN/Inf"
+    )
+    assert cycles == []
+    rho[1, 2, 3] = rho[0, 0, 0] = 0.01
+    assert np.isfinite(poisson.solve(rho)).all() and cycles

@@ -11,22 +11,28 @@ width (module-scoped, a few seconds):
   read-only support, and a workspace reset or a buffer change builds a
   new basis rather than reusing a stale one;
 * an ASPC window releases the snapshot its prediction read, so no
-  carried array exists ``depth + 1`` times during a solve, and the
-  restricted density lives once, in the stack pool;
+  carried array exists ``depth + 1`` times during a solve, and no domain
+  holds a pool: the restricted density lives once, in the stack pool;
+* the stack pool is one arena in two phases per SCF pass — each stack's
+  solve set, then every domain's band densities laid over the same
+  bytes — so it is the larger of the largest stack's solve set and the
+  densities, whatever the number of shape classes, with no view of
+  ``nband × grid`` complex size in it;
 * what the workspace keeps alive (``LDCWorkspace.resident_bytes``) grows
-  with the domain count only in the per-domain parts (``scratch``,
-  ``windows``), not in the pools (``bases``, ``stack_pool``), and the
-  stack pool is the largest stack's working set whatever the number of
-  shape classes, with no arena of ``nband × grid`` complex size in it,
-  and the global half's geometry-only tables (``global``) are a few KB of
-  Ewald structure on the FFT path;
+  with the domain count only in the per-domain parts (``windows``, the
+  pool's densities phase), not in ``bases``; it is below the two-pool
+  layout's total at both stack widths, and the global half's
+  geometry-only tables (``global``) are a few KB of Ewald structure on
+  the FFT path;
 * ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed;
 * the global ``run_scf`` map holds no per-band ``(nband, *grid)`` array:
   it finds μ first and accumulates Σ f|ψ|² band by band.
 """
 
 import copy
+import dataclasses
 import gc
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -35,9 +41,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.core.batched as batched_module
 import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
-from repro.core.workspace import RESIDENT_PARTS
+from repro.core.batched import group_shape_classes
+from repro.core.ldc import DomainState
+from repro.core.workspace import ALIGN, RESIDENT_PARTS, DomainScratch
+from repro.dft.eigensolver import lobpcg_work_shape
 from repro.dft.scf import SCFOptions, run_scf
 from repro.observability import Instrumentation
 from repro.observe import OFF
@@ -98,6 +108,81 @@ def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
     return ws, result, peak
 
 
+#: names of one stack's solve-phase views: the stacked potential and
+#: projectors, the solver's workspace, one domain's restriction buffers
+SOLVE_SET = {
+    "v_eff", "b", "d", "work", "flat_indices", "rho_restricted",
+    "vbc_target", "boundary_window",
+}
+#: ``resident_bytes()`` summed over the parts after the warm fixture's
+#: three steps while band densities sat in a ``DomainScratch`` per domain
+#: beside the stack pool (width 1: scratch 1.59 MB + stack pool 0.47 MB;
+#: width 4: 1.59 + 1.12)
+TWO_POOL_RESIDENT_BYTES = {False: 5_891_976, True: 6_614_584}
+
+
+def stacks(result, options: LDCOptions) -> list[list[DomainState]]:
+    """The stacks ``batched_domain_pass`` solves the result's domains in."""
+    active = [s for s in result.states if s.nband]
+    if not options.batch_domains:
+        return [[s] for s in active]
+    return [[active[p] for p in cls.members]
+            for cls in group_shape_classes(active)]
+
+
+def solve_set_bytes(stack: list[DomainState]) -> int:
+    """What one stack's solve phase requests: the ``(n, *grid)`` v_eff,
+    one domain's gather indices, restricted density, v_bc target and
+    buffer window, the projector stacks and the LOBPCG workspace."""
+    first, n = stack[0], len(stack)
+    npoints, npw, nproj = (
+        first.domain.grid.npoints, first.basis.npw, first.vnl.nproj
+    )
+    work = 16 * math.prod(lobpcg_work_shape(n, npw, first.nband))
+    projectors = n * nproj * (16 * npw + 8)
+    return 8 * n * npoints + 4 * 8 * npoints + projectors + work
+
+
+def densities_bytes(result) -> int:
+    """Σ_α nband_α · npoints_α · 8: every domain's real per-band |ψ|²."""
+    return sum(8 * s.nband * s.domain.grid.npoints for s in result.states)
+
+
+def assert_arena(pool_bytes: int, result, options: LDCOptions) -> None:
+    """The arena is, up to one alignment pad per view, the larger of the
+    largest stack's solve set and the band densities."""
+    solve = max(solve_set_bytes(stack) for stack in stacks(result, options))
+    dens = densities_bytes(result)
+    nactive = sum(1 for s in result.states if s.nband)
+    low = max(solve, dens)
+    high = max(solve + ALIGN * len(SOLVE_SET), dens + ALIGN * nactive)
+    assert low <= pool_bytes < high
+
+
+@pytest.fixture()
+def phases(monkeypatch):
+    """Every stack-pool phase ended during the test, in order, as
+    ``(name -> bytes, high-water byte offset)``; :func:`ended` adds the
+    phase still open."""
+    seen: list[tuple[dict, int]] = []
+    begin = DomainScratch.begin
+
+    def spy(self):
+        if self._spans:
+            seen.append(ended(self))
+        begin(self)
+
+    monkeypatch.setattr(DomainScratch, "begin", spy)
+    return seen
+
+
+def ended(pool: DomainScratch) -> tuple[dict, int]:
+    return (
+        {name: stop - start for name, (start, stop) in pool._spans.items()},
+        pool._end,
+    )
+
+
 @pytest.fixture(scope="module", params=[False, True], ids=["width1", "width4"])
 def warm(request):
     options = LDCOptions(**LIAL, domains=(2, 2, 1),
@@ -151,32 +236,29 @@ def test_reset_and_buffer_change_drop_the_shared_basis():
 def test_resident_bytes_grow_with_domains_only_in_the_per_domain_parts(warm):
     """Twice the domains at the same domain shape — the 4×2×1 cell that
     tiles the 2×2×1 one, the same atoms in every domain column — doubles
-    the per-domain state (``scratch``: band densities and gather indices;
-    ``windows``: the ASPC snapshots) and leaves the pools alone: one basis
-    and one support, and at stack width 1 one stack's working set."""
+    the per-domain state (``windows``: the ASPC snapshots; the stack
+    pool's densities phase, which outgrows the widest stack's solve set
+    at both sizes) and leaves ``bases`` alone: one basis and one
+    support."""
     options, ws, result, _ = warm
     small = ws.resident_bytes()
     assert tuple(small) == RESIDENT_PARTS and all(small.values())
+    assert sum(small.values()) < TWO_POOL_RESIDENT_BYTES[
+        options.batch_domains
+    ]
     big_ws, big, _ = trajectory(replace(options, domains=(4, 2, 1)), tiles=2)
     assert [s.domain.grid.shape for s in big.states] == (
         2 * [s.domain.grid.shape for s in result.states]
     )
     large = big_ws.resident_bytes()
     assert large["bases"] == small["bases"]
-    assert large["scratch"] == 2 * small["scratch"]
     assert large["windows"] == 2 * small["windows"]
     assert large["mixer"] <= 2.5 * small["mixer"]  # global-grid vectors
-    # what the pool holds once whatever the stack: a restricted density,
-    # a v_bc target and a buffer window of one domain
-    once = 3 * 8 * result.states[0].domain.grid.npoints
-    if options.batch_domains:  # the stack is the shape class: 8 wide
-        assert large["stack_pool"] - once == 2 * (small["stack_pool"] - once)
-    else:
-        assert large["stack_pool"] == small["stack_pool"]
-    # the parts: one transform pool + maps; band densities dominate scratch
-    state = result.states[0]
-    densities = state.nband * state.domain.grid.npoints * 8
-    assert small["scratch"] >= len(result.states) * densities
+    for held, res in ((small, result), (large, big)):
+        assert_arena(held["stack_pool"], res, options)
+        widest = max(solve_set_bytes(st) for st in stacks(res, options))
+        assert densities_bytes(res) > widest
+    assert large["stack_pool"] == 2 * small["stack_pool"]
     assert small["bases"] < 3 * MB
     # Ewald image shifts and G vectors; no multigrid levels on the FFT path
     assert small["global"] < 0.05 * MB
@@ -223,61 +305,130 @@ def test_same_shape_domains_share_one_read_only_support(warm):
 
 
 def test_no_domain_scratch_holds_a_restricted_density(warm):
-    """The restricted density is spent before the solve (the boundary
-    error is taken where it is gathered): one arena in the stack pool,
-    none per domain, where only the band densities outlive a solve."""
+    """No domain holds a pool: the restricted density, like every other
+    intermediate of a domain's restriction, is a solve-phase view of the
+    stack pool, and the band densities are gone once consumed.  The pool
+    is the workspace's only one."""
     options, ws, result, _ = warm
-    per_domain = {name for s in ws._scratch.values() for name in s._bufs}
-    assert per_domain == {"band_densities"}
-    assert "rho_restricted" in ws.batch_pool._bufs
+    assert "scratch" not in {f.name for f in dataclasses.fields(DomainState)}
+    for state in result.states:
+        assert not any(
+            isinstance(value, DomainScratch) for value in vars(state).values()
+        )
+        assert state.band_densities is None
+    pools = [v for v in vars(ws).values() if isinstance(v, DomainScratch)]
+    assert pools == [ws.batch_pool]
+    assert ws.scratch_allocations() == ws.batch_pool.allocations > 0
+
+
+def test_band_densities_are_laid_over_the_solve_phase(warm, monkeypatch):
+    """Between the seam and the density assembly every domain's band
+    densities are views of the pool's one arena, disjoint from each other
+    and over the bytes the solves used: every stack's ``work`` shares
+    memory with a live block."""
+    options, ws, result, _ = warm
+    ws = copy.deepcopy(ws)
+    works: list[np.ndarray] = []
+    live: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
+    solve, seam = batched_module.solve_all_band_batched, (
+        ldc_module.batched_domain_pass
+    )
+
+    def solve_spy(*args, work, **kwargs):
+        works.append(work)
+        return solve(*args, work=work, **kwargs)
+
+    def seam_spy(active, *args, **kwargs):
+        works.clear()
+        outcomes = seam(active, *args, **kwargs)
+        live.append(([s.band_densities for _, s in active], list(works)))
+        return outcomes
+
+    monkeypatch.setattr(batched_module, "solve_all_band_batched", solve_spy)
+    monkeypatch.setattr(ldc_module, "batched_domain_pass", seam_spy)
+    allocations = ws.scratch_allocations()
+    run_ldc(frame(3), options, workspace=ws, rho0=result.input_density)
+    assert ws.scratch_allocations() == allocations
+    arena = ws.batch_pool._arena
+    assert len(live) >= 2
+    for blocks, solved in live:
+        assert len(blocks) == len(result.states) and solved
+        assert all(np.shares_memory(block, arena) for block in blocks)
+        for i, block in enumerate(blocks):
+            assert not any(np.shares_memory(block, other)
+                           for other in blocks[i + 1:])
+        for work in solved:
+            assert np.shares_memory(work, arena)
+            assert any(np.shares_memory(block, work) for block in blocks)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["width1", "widthn"])
-def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(wide):
-    """The pool's arenas are sized by the largest stack and every shape
-    class takes views of them: the 4×2×1 cell with one Al less — three
-    shape classes, the same six-domain widest one — holds exactly the
-    bytes of the two-class cell, at both stack widths."""
+def test_stack_pool_is_the_largest_stack_not_the_sum_over_shape_classes(
+    wide, phases
+):
+    """Every stack's solve phase is laid from offset 0 over the same
+    arena: the 4×2×1 cell with one Al less — three shape classes, the
+    same six-domain widest one — has exactly the two-class cell's largest
+    solve phase, at both stack widths.  Each phase holds its own views
+    only (one per role in a solve phase, one block per domain in the
+    densities phase), and the arena is its largest phase, byte for
+    byte."""
     options = LDCOptions(**dict(LIAL, max_iter=2), domains=(4, 2, 1),
                          batch_domains=wide)
     two = frame(0, tiles=2)
     three = Configuration(
         list(two.symbols[:-1]), two.positions[:-1], two.cell
     )
-    pools = {}
+    largest_solve = {}
     for name, config in (("two", two), ("three", three)):
+        phases.clear()
         ws = LDCWorkspace(history_depth=DEPTH)
         result = run_ldc(config, options, workspace=ws)
+        seen = phases + [ended(ws.batch_pool)]
         classes = Counter(
             (s.basis.npw, s.nband, s.vnl.nproj) for s in result.states
         )
-        pools[name] = (classes, ws.resident_bytes()["stack_pool"], ws)
-    (two_classes, two_bytes, _), (three_classes, three_bytes, ws) = (
-        pools["two"], pools["three"]
+        expected = [solve_set_bytes(st) for st in stacks(result, options)]
+        expected.append(densities_bytes(result))
+        # the loop's passes and the final consistent one
+        assert len(seen) == (result.iterations + 1) * len(expected)
+        for k, (views, end) in enumerate(seen):
+            if k % len(expected) < len(expected) - 1:
+                assert set(views) == SOLVE_SET
+            else:
+                assert set(views) == {
+                    ("band_densities", i) for i in range(len(result.states))
+                }
+            assert 0 <= end - expected[k % len(expected)] < ALIGN * len(views)
+        assert ws.batch_pool._arena.nbytes == max(end for _, end in seen)
+        assert_arena(ws.resident_bytes()["stack_pool"], result, options)
+        largest_solve[name] = (
+            classes, max(end for views, end in seen if "work" in views)
+        )
+    (two_classes, two_bytes), (three_classes, three_bytes) = (
+        largest_solve["two"], largest_solve["three"]
     )
     assert len(two_classes) == 2 and len(three_classes) == 3
     widest = max(two_classes, key=two_classes.get)
     assert two_classes[widest] == three_classes[widest] == 6
     assert three_bytes == two_bytes
-    # one arena per role, none per class
-    assert set(ws.batch_pool._bufs) == {
-        "v_eff", "b", "d", "work", "rho_restricted", "vbc_target",
-        "boundary_window",
-    }
 
 
 #: ``stack_pool`` bytes after six steps of the e2e drift (16³ Bohr cell,
-#: ASPC depth 3), by stack width: 0.98 and 2.50 MB measured — 2.5 and 7.05
-#: while the pool also held a complex ``(width, nband, *grid)`` field block.
-DRIFT_POOL_MB = {False: 1.1, True: 2.7}
+#: ASPC depth 3), by stack width: 2.93 MB measured at both, the densities
+#: phase — 0.98 and 2.50 while the band densities sat in a per-domain
+#: pool beside it (3.36 more), 2.5 and 7.05 while the pool also held a
+#: complex ``(width, nband, *grid)`` field block.
+DRIFT_POOL_MB = {False: 3.2, True: 3.2}
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["width1", "width3"])
-def test_stack_pool_holds_no_field_block(wide):
+def test_stack_pool_holds_no_field_block(wide, phases):
     """|ψ|² is formed in the basis' row-block work buffer, so the seam
-    pools nothing of ``nband × grid`` complex size: its largest arena is
-    the solver's coefficient-side workspace, and every other one is
-    smaller than one domain's field block."""
+    pools nothing of ``nband × grid`` complex size: the largest view of
+    every solve phase is the solver's coefficient-side workspace, and
+    every other view of either phase — a band-density block included —
+    is smaller than one domain's field block."""
     options = LDCOptions(**LIAL, domains=(2, 2, 1),
                          batch_domains=wide)
     base = lial_nanoparticle(4, cell=[16.0, 16.0, 16.0])
@@ -297,10 +448,15 @@ def test_stack_pool_holds_no_field_block(wide):
     field_block = min(
         16 * s.nband * s.domain.grid.npoints for s in result.states
     )
-    arenas = {name: buf.nbytes for name, buf in ws.batch_pool._bufs.items()}
-    assert max(arenas, key=arenas.get) == "work"
-    del arenas["work"]
-    assert max(arenas.values()) < field_block
+    seen = phases + [ended(ws.batch_pool)]
+    assert any("work" not in views for views, _ in seen)
+    for views, _ in seen:
+        views = dict(views)
+        if "work" in views:
+            assert max(views, key=views.get) == "work"
+            del views["work"]
+        assert max(views.values()) < field_block
+    assert_arena(ws.resident_bytes()["stack_pool"], result, options)
     assert ws.resident_bytes()["stack_pool"] / MB <= DRIFT_POOL_MB[wide]
 
 

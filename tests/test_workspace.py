@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
+from repro.core.workspace import ALIGN, DomainScratch
 from repro.dft.scf import SCFOptions, run_scf
 from repro.md.qmd import LDCEngine, QMDOptions, SCFEngine
 from repro.observability import Instrumentation
@@ -69,6 +70,34 @@ def test_batched_warm_pass_reuses_scratch_buffers():
     assert after_cold > 0
     run_ldc(h4_chain(), opts, workspace=ws, rho0=r1.density)
     assert ws.scratch_allocations() == after_cold
+
+
+def test_stack_pool_phases_share_one_arena():
+    """Within a phase a name keeps its span and a new name takes the next
+    aligned bytes; ``begin`` lays the next phase from offset 0 over the
+    same arena; ``views`` lays a whole phase out before the first view,
+    so outgrowing the arena costs one allocation, not one per view."""
+    pool = DomainScratch()
+    a = pool.get("a", (3,))
+    assert pool.get("a", (3,)).ctypes.data == a.ctypes.data
+    b = pool.get("b", (2, 2), complex)  # outgrows the arena: a new one
+    assert b.ctypes.data - pool._arena.ctypes.data == ALIGN
+    assert not np.shares_memory(a, pool._arena)
+    assert pool.allocations == 2
+    pool.begin()
+    blocks = pool.views([(k, (k + 1, 40)) for k in range(3)])
+    assert pool.allocations == 3
+    assert [blk.shape for blk in blocks] == [(1, 40), (2, 40), (3, 40)]
+    assert blocks[0].ctypes.data == pool._arena.ctypes.data
+    for first, second in zip(blocks, blocks[1:]):
+        assert second.ctypes.data == first.ctypes.data + first.nbytes
+        assert first.nbytes % ALIGN == 0
+        assert not np.shares_memory(first, second)
+    assert pool._arena.nbytes == sum(blk.nbytes for blk in blocks)
+    pool.begin()
+    again = pool.views([(k, (k + 1, 40)) for k in range(3)])
+    assert pool.allocations == 3
+    assert all(np.shares_memory(x, y) for x, y in zip(again, blocks))
 
 
 def test_workspace_first_call_matches_fresh_run():
