@@ -151,7 +151,8 @@ def _domain_effective_potential(
     stacked potential block — and returns the boundary-density error
     ∫|ρ_α − ρ| of the pass's input (``None`` before the domain has a ρ_α):
     the solve changes neither side.  ``state.vbc`` is updated in place as
-    a side effect.
+    a side effect; with ``xi`` ``None`` (``mode="dc"``) there is no
+    boundary potential, and ``state.vbc`` stays ``None``.
 
     Every intermediate lives in the stack's solve phase of the seam's
     ``pool`` and is spent when this returns — the gather indices, the
@@ -170,6 +171,8 @@ def _domain_effective_potential(
     err = None  # boundary-density error, from the second pass on
     if state.rho_local is not None:
         err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
+    if xi is None:
+        return err
     vbc_target = boundary_potential(
         state.rho_local, rho_restricted, xi,
         out=pool.get("vbc_target", shape),

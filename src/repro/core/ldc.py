@@ -16,8 +16,11 @@ One SCF iteration:
    of unity (Eq. c in Fig. 2); the global density is reassembled as
    ρ(r) = Σ_α p_α(r) ρ_α(r) (Eq. b) and mixed.
 
-``mode="dc"`` disables the boundary potential, recovering the original
-divide-and-conquer algorithm — the comparison baseline of Fig. 7.
+``mode="dc"`` disables the boundary potential (no domain holds one),
+recovering the original divide-and-conquer algorithm — the comparison
+baseline of Fig. 7.  Its one-domain, zero-buffer case is global Kohn–Sham
+DFT, the conventional code of Sec. 5.5: :func:`repro.dft.scf.run_scf` is
+this driver on that layout.
 
 Design choice (documented in DESIGN.md): the *local pseudopotential* field is
 built once globally and restricted to domains, so the buffer controls purely
@@ -27,6 +30,7 @@ nonlocal projectors use the atoms inside each domain (core + buffer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +50,7 @@ from repro.dft.grid import RealSpaceGrid
 from repro.dft.hartree import hartree_potential
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import check_options, scf_fixed_point
+from repro.dft.scf import scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observe import Observer, observer
@@ -55,11 +59,11 @@ from repro.systems.configuration import Configuration
 
 @dataclass
 class LDCOptions:
-    """Knobs for the LDC/DC SCF driver.  As in
-    :class:`~repro.dft.scf.SCFOptions`, the density mixer is the
-    :class:`~repro.dft.mixing.PulayMixer` at α = 0.4 and cold domain
-    orbitals come from :data:`~repro.dft.scf.ORBITAL_SEED`; the boundary
-    potential acts outside each domain's core only."""
+    """Knobs for the LDC/DC SCF driver; :func:`~repro.dft.scf.SCFOptions`
+    builds the whole-cell layout at the global solve's defaults.  The
+    density mixer is the :class:`~repro.dft.mixing.PulayMixer` at α = 0.4,
+    cold domain orbitals come from :data:`~repro.dft.scf.ORBITAL_SEED`, and
+    the boundary potential acts outside each domain's core only."""
 
     ecut: float = 5.0
     #: number of DC cores per axis
@@ -94,7 +98,24 @@ class LDCOptions:
     batch_domains: bool = True
 
     def __post_init__(self) -> None:
-        check_options(self)
+        """Reject, when the options are built, a value the driver would
+        fail on or silently mis-run with — before any structure build,
+        Ewald sum or Poisson solve is spent on it; the error names the
+        field.  A negative ``kt`` inverts the Fermi function and still
+        converges (``kt = 0`` is valid: the step-function occupations), a
+        negative ``extra_bands`` fails deep in the solve on an empty band
+        block, and ``max_iter = 0`` returns a result no pass produced."""
+        if self.eigensolver not in ("direct", "all_band"):
+            raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
+        for name, ok, bound in (
+            ("kt", self.kt >= 0.0, ">= 0"),
+            ("extra_bands", self.extra_bands >= 0, ">= 0"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {bound}, got {getattr(self, name)!r}"
+                )
         if self.mode not in ("ldc", "dc"):
             raise ValueError(f"mode must be 'ldc' or 'dc', got {self.mode!r}")
         if self.poisson not in ("fft", "multigrid"):
@@ -166,9 +187,13 @@ class LDCResult:
 def make_global_grid(
     config: Configuration, options: LDCOptions
 ) -> RealSpaceGrid:
-    """Global grid for the cutoff, rounded up so the domain counts divide it
-    (and kept even for the multigrid hierarchy)."""
+    """Global grid for the cutoff.  The whole cell on the FFT Poisson
+    solver (one domain) takes it as it is; any other layout rounds every
+    axis up so the domain counts divide it, and keeps it even for the
+    multigrid hierarchy."""
     base = RealSpaceGrid.for_cutoff(config.cell, options.ecut)
+    if math.prod(options.domains) == 1 and options.poisson == "fft":
+        return base
     shape = []
     for n, nd in zip(base.shape, options.domains):
         step = int(np.lcm(int(nd), 2))
@@ -306,7 +331,7 @@ def _run_ldc(
         return rho_out, components["total"], mu, {"boundary_error": bnd_err}
 
     fixed = scf_fixed_point(
-        density_map, config, grid, rho0, opts, "ldc", mixer=memory,
+        density_map, config, grid, rho0, opts, mixer=memory,
         continues=continues, ins=ins,
     )
     # report the drops of this solve (and of the reset / cold domain that

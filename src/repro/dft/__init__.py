@@ -15,15 +15,16 @@ A self-contained, NumPy-vectorized plane-wave DFT engine:
 * :mod:`repro.dft.mixing` — linear and Pulay density mixing.
 * :mod:`repro.dft.eigensolver` — direct, band-by-band CG (BLAS2 path) and
   all-band/block CG (BLAS3 path) eigensolvers.
-* :mod:`repro.dft.scf` — the conventional O(N³) SCF driver (the paper's
-  verification baseline, Sec. 5.5).
+* :mod:`repro.dft.scf` — the one SCF fixed-point loop, and the whole-cell
+  solve: the conventional O(N³) code (the paper's verification baseline,
+  Sec. 5.5) as the one-domain case of LDC.
 * :mod:`repro.dft.forces` — Hellmann–Feynman forces.
 """
 
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import Hamiltonian
-from repro.dft.scf import SCFOptions, SCFResult, run_scf
+from repro.dft.scf import SCFOptions, run_scf
 from repro.dft.forces import hellmann_feynman_forces
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "PlaneWaveBasis",
     "Hamiltonian",
     "SCFOptions",
-    "SCFResult",
     "run_scf",
     "hellmann_feynman_forces",
 ]

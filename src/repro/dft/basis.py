@@ -338,10 +338,11 @@ class PlaneWaveBasis:
         ``out[n] = |ψ_n|²`` (the LDC seam: the DC weights need every band
         before μ exists).  With them, ``out`` is ``grid.shape`` and gets
         ``Σ_n f_n |ψ_n|²`` added band by band, in the order
-        ``np.einsum("n,nijk->ijk")`` sums (``run_scf``'s map, which finds
-        μ first), with no per-band array.  The fields exist a row block at a time,
-        in the work block; ``|ψ|²`` is ``np.absolute`` → ``np.power(·,
-        2)``, the values of ``np.abs(self.to_grid(orbitals)) ** 2``.
+        ``np.einsum("n,nijk->ijk")`` sums (the global map of
+        ``tests/oracles/``, which finds μ first), with no per-band array.
+        The fields exist a row block at a time, in the work block;
+        ``|ψ|²`` is ``np.absolute`` → ``np.power(·, 2)``, the values of
+        ``np.abs(self.to_grid(orbitals)) ** 2``.
         """
         step = self.block_rows
         band: np.ndarray | None = None  # the occupied form's one |ψ_n|²
@@ -384,7 +385,7 @@ def density_from_orbitals(
     """Electron density ``ρ(r) = Σ_n f_n |ψ_n(r)|²`` on the real grid.
 
     Normalization: ``∫ ρ dr = Σ_n f_n`` when the orbitals are orthonormal.
-    ``run_scf`` and ``run_ldc`` do not call this — they form densities
+    ``run_ldc`` does not call this — it forms densities
     through :meth:`PlaneWaveBasis.densities`; it is the independent oracle.
     """
     occupations = np.asarray(occupations, dtype=float)

@@ -39,7 +39,7 @@ class EigenResult:
     The solvers return orbitals only, no field of grid size: a density map
     forms |ψ|² from ``orbitals`` itself, through
     :meth:`~repro.dft.basis.PlaneWaveBasis.densities` (per band for the LDC
-    weights, occupied-only for ``run_scf``).
+    weights).
     """
 
     eigenvalues: np.ndarray
@@ -69,8 +69,8 @@ def solve_direct(ham: Hamiltonian, nband: int) -> EigenResult:
 def record_solve(ins: Observer, solver: str, result: EigenResult) -> None:
     """Telemetry for one eigensolve, whichever solver ran it.
 
-    The solvers never see the handle: their callers (``run_scf``'s map
-    and the LDC domain-solve seam, once per domain of a stack) record each
+    The solvers never see the handle: their caller (the LDC domain-solve
+    seam, once per domain of a stack) records each
     result after the solve, so nothing is emitted from inside the
     BLAS2/BLAS3 hot paths being measured.
     """
@@ -167,7 +167,7 @@ def solve_all_band_batched(
 
     A solve allocates nothing of grid size.  ``work`` is the complex
     :func:`lobpcg_work_shape` workspace the iteration runs in: lent by the
-    caller (the LDC seam pools one, ``run_scf`` holds one for a whole run)
+    caller (the LDC seam pools one)
     an iteration allocates nothing of the stack's block size; else it is
     allocated per solve.
     """

@@ -230,9 +230,3 @@ def ewald(
     energy -= np.pi / (2.0 * volume * eta * eta) * qtot * qtot
 
     return energy, forces
-
-
-def ewald_energy(positions, charges, cell, **kwargs) -> float:
-    """Energy-only convenience wrapper."""
-    e, _ = ewald(positions, charges, cell, compute_forces=False, **kwargs)
-    return e

@@ -143,13 +143,10 @@ def hellmann_feynman_forces(
 
 
 def forces_from_scf(config: Configuration, scf_result) -> np.ndarray:
-    """Convenience: forces straight from an :class:`~repro.dft.scf.SCFResult`."""
-    nonlocal_ = NonlocalProjectors(scf_result.basis, config)
+    """Forces of a whole-cell solve (:func:`~repro.dft.scf.run_scf`'s
+    :class:`~repro.core.ldc.LDCResult`), from its one domain's orbitals
+    and occupations and its density."""
+    (state,) = scf_result.states
     return hellmann_feynman_forces(
-        config,
-        scf_result.basis,
-        scf_result.density,
-        scf_result.orbitals,
-        scf_result.occupations,
-        nonlocal_,
+        config, state.basis, scf_result.density, state.psi, state.occupations
     )

@@ -140,7 +140,7 @@ class BatchedHamiltonian:
     so a domain's result does not depend on what else is stacked with it:
     a stack of one and a stack of ``n`` give the same bits per domain.
 
-    Every eigensolve of both drivers builds one (a :class:`Hamiltonian`
+    Every eigensolve of the driver builds one (a :class:`Hamiltonian`
     builds its stack of one), so this is where a non-finite potential is
     named: a NaN or Inf in ``v_eff``, ``b`` or ``d`` is a
     :class:`NonFiniteFieldError` naming the field, the count and the stack

@@ -148,12 +148,12 @@ def check_depth(depth: Any, name: str = "history depth") -> int:
 
 class DomainHistory:
     """Bounded ASPC window of converged (ψ, v_bc, ρ) snapshots of one
-    carried state: an LDC domain, a global SCF (``vbc=None``), or the
+    carried state: an LDC domain (``vbc=None`` in ``mode="dc"``), or the
     global density alone (``psi=None`` too: fields only).
 
     ``key`` is everything the snapshots depend on — ``(npw, nband,
-    atom-index tuple)`` for an LDC domain, the cell and the grid-shaping
-    options for a global window.  Pushing under a different key clears
+    atom-index tuple)`` for an LDC domain, the cell and the global grid
+    shape for the engine's global window.  Pushing under a different key clears
     the window and predicting under one returns ``None`` (atom migration,
     band-count change, cell swap → deterministic cold fallback).
 

@@ -5,15 +5,15 @@ structure is re-solved, warm-started from what the earlier steps carried,
 and Hellmann–Feynman forces drive velocity Verlet (NVE).  Carried state
 has one mechanism: every ASPC window is a
 :class:`~repro.md.extrapolate.DomainHistory` keyed by what its snapshots
-depend on — each engine's global window (the density the returned state
-was solved at, and for :class:`SCFEngine` the orbitals), and the LDC
-engine's per-domain windows inside its
-:class:`~repro.core.workspace.LDCWorkspace`.  Engines are pluggable:
+depend on — the engine's global window (the density the returned state
+was solved at) and the per-domain windows inside its
+:class:`~repro.core.workspace.LDCWorkspace`.  There is one quantum engine,
+and any object with ``forces(config) -> (forces, energy, scf_iterations)``
+plugs in:
 
 * :class:`LDCEngine` — the O(N) LDC-DFT solver (the paper's engine);
-* :class:`SCFEngine` — the conventional O(N³) solver (the verification
-  baseline of Sec. 5.5);
-* any object with ``forces(config) -> (forces, energy, scf_iterations)``.
+* :class:`SCFEngine` — the same engine on the whole-cell layout, the
+  conventional O(N³) solver (the verification baseline of Sec. 5.5).
 
 The driver records the per-step SCF iteration counts, so the paper's
 time-to-solution accounting (atoms × SCF iterations / second) can be
@@ -22,6 +22,7 @@ reproduced on real runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -35,14 +36,13 @@ from repro.systems.configuration import Configuration
 if TYPE_CHECKING:
     from repro.core.advisor import BufferController, BufferControllerOptions
     from repro.core.ldc import LDCResult
-    from repro.dft.scf import SCFResult
 
 
 @dataclass
 class QMDOptions:
-    """MD-level solver-acceleration knobs, engine-agnostic.
+    """MD-level solver-acceleration knobs.
 
-    Both engines accept one of these via ``qmd_options=``, the one source
+    The engine accepts one of these via ``qmd_options=``, the one source
     of these settings.
     """
 
@@ -51,13 +51,13 @@ class QMDOptions:
     #: extrapolation of ψ/ρ (:mod:`repro.md.extrapolate`)
     history_depth: int = 1
     #: run the Eq.-1 :class:`~repro.core.advisor.BufferController` loop
-    #: (LDC engine only)
+    #: (on a layout of more than one domain: the whole cell has no buffer)
     adaptive_buffer: bool = False
     #: thresholds for the controller; ``None`` = its defaults
     controller: BufferControllerOptions | None = None
 
     def __post_init__(self) -> None:
-        # validated here, once, for both engines
+        # validated here, once
         check_depth(self.history_depth, "QMDOptions.history_depth")
 
 
@@ -84,92 +84,15 @@ def _cell(config: Configuration) -> tuple[float, ...]:
     return tuple(float(x) for x in np.asarray(config.cell).reshape(3))
 
 
-class _WarmStartEngine:
-    """What both force engines keep between ``forces()`` calls: one ASPC
-    window of the global state their next solve starts from, and the
-    per-solve cost telemetry.  ``forces`` itself is defined on each engine.
-
-    The window is keyed by the cell and the options that shape the grid,
-    so a cell swap is a cold start, never a stale-shape crash.  One rule
-    for the density it receives: ``result.input_density``, the density the
-    returned orbitals were solved at — the final pass's *input*, on a
-    continuing solve the mixer's last quasi-Newton iterate — never the
-    map's raw output ``result.density``.  (ρ_in, ψ) is the mutually
-    consistent pair, and the output's error is the input's multiplied by
-    the SCF response, largest in the long-wavelength components the ASPC
-    coefficients (up to 2.5) then amplify (DESIGN.md §17, "What the
-    windows store")."""
-
-    #: the ``engine=`` label of this engine's telemetry
-    label: str
-
-    def __init__(
-        self, instrumentation: Observer | None, history_depth: int
-    ) -> None:
-        #: the observability handle as given: ``None`` lets a
-        #: :class:`QMDDriver` share its own; ``forces()`` resolves it
-        self.instrumentation = instrumentation
-        #: the carried global state, newest first
-        self.window = DomainHistory(history_depth)
-        #: the first (cold) step's eigensolver-iteration count — the
-        #: reference the per-step ``qmd.eig_iters_saved`` series is
-        #: measured against
-        self._cold_eig_iters: int | None = None
-        #: whether the last solve met its tolerance (``None`` before any):
-        #: the ``forces()`` tuple has no slot for it
-        self.last_converged: bool | None = None
-
-    def _count_solve(
-        self, ins: Observer, orbital_warm: bool, rho0: np.ndarray | None,
-        result: LDCResult | SCFResult,
-    ) -> None:
-        """Count the solve that ran by the warm-start tier it used:
-        ``"orbital"`` (earlier steps' converged ψ, and so their ρ too),
-        ``"density"`` (previous ρ only) or ``"cold"`` (random ψ, model
-        density)."""
-        density_warm = rho0 is not None and rho0.shape == result.grid.shape
-        start = (
-            "orbital" if orbital_warm else "density" if density_warm
-            else "cold"
-        )
-        ins.counter("qmd.solves", engine=self.label, start=start).inc()
-
-    def _record_convergence(
-        self, ins: Observer, result: LDCResult | SCFResult
-    ) -> None:
-        """Keep ``result.converged`` where a driver can read it, and make
-        a solve that ran out of passes visible: a counter.  The forces are
-        returned all the same — what to do about them is the caller's
-        policy."""
-        self.last_converged = bool(result.converged)
-        if not self.last_converged:
-            ins.counter("qmd.unconverged_solves", engine=self.label).inc()
-
-    def _record_eig_cost(
-        self, ins: Observer, result: LDCResult | SCFResult
-    ) -> None:
-        """Per-step eigensolver iterations, and how many the warm starts
-        saved against the cold first step."""
-        ins.series("qmd.eig_iterations", engine=self.label).append(
-            result.eig_iterations
-        )
-        if self._cold_eig_iters is None:
-            self._cold_eig_iters = int(result.eig_iterations)
-        else:
-            ins.series("qmd.eig_iters_saved", engine=self.label).append(
-                self._cold_eig_iters - int(result.eig_iterations)
-            )
-
-
-class LDCEngine(_WarmStartEngine):
+class LDCEngine:
     """Force engine backed by :func:`repro.core.ldc.run_ldc`.
 
     ``instrumentation`` is the observability handle every ``run_ldc`` call
-    reports to (``None`` is resolved by :func:`repro.observe.observer`); the
-    engine adds the warm-start telemetry — whether each solve was seeded
-    cold, from the previous step's density, or from the previous step's
-    converged orbitals, the QMD tricks the paper's time-to-solution numbers
-    depend on.
+    reports to (``None`` lets a :class:`QMDDriver` share its own;
+    ``forces()`` resolves it); the engine adds the warm-start telemetry —
+    whether each solve was seeded cold, from the previous step's density,
+    or from the previous step's converged orbitals, the QMD tricks the
+    paper's time-to-solution numbers depend on.
 
     The engine owns a persistent :class:`~repro.core.workspace.LDCWorkspace`:
     the grid, decomposition, partition of unity, per-domain bases, and
@@ -177,10 +100,14 @@ class LDCEngine(_WarmStartEngine):
     warm-start from the ASPC prediction over each domain's window (depth 1
     = the previous step's converged ψ), and the density mixer keeps its
     secant pairs from one step's SCF to the next.  The engine's own window
-    holds the global densities each solve's ``rho0`` is predicted from
-    (``LDCResult.input_density``, the rule of :class:`_WarmStartEngine`).
-    A cell change resets the workspace (its own cell check) and misses the
-    window's key: a cold start.
+    holds the global densities each solve's ``rho0`` is predicted from:
+    ``LDCResult.input_density``, the density the returned orbitals were
+    solved at — never the final pass's raw output ``density``, whose error
+    is the input's multiplied by the SCF response, largest in the
+    long-wavelength components the ASPC coefficients (up to 2.5) then
+    amplify (DESIGN.md §17, "What the windows store").  The window is keyed
+    by the cell and the global grid shape: a cell change resets the
+    workspace (its own cell check) and misses the key, a cold start.
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
     accelerations on top: the ASPC depth of every window and the Eq.-1
@@ -189,10 +116,9 @@ class LDCEngine(_WarmStartEngine):
     boundary-error telemetry each step and re-tunes ``options.buffer``
     (the workspace detects the option change and rebuilds; the engine's
     window survives — the global grid does not depend on the buffer — so
-    the restart is density-warm).
+    the restart is density-warm).  A one-domain layout has no buffer to
+    tune and runs without a controller.
     """
-
-    label = "ldc"
 
     def __init__(
         self, options: Any = None, instrumentation: Observer | None = None,
@@ -202,17 +128,26 @@ class LDCEngine(_WarmStartEngine):
         from repro.core.workspace import LDCWorkspace
 
         qmd = qmd_options or QMDOptions()
-        super().__init__(instrumentation, qmd.history_depth)
         self.options = options or LDCOptions()
+        self.instrumentation = instrumentation
+        #: the carried global densities, newest first
+        self.window = DomainHistory(qmd.history_depth)
+        self.workspace = LDCWorkspace(history_depth=qmd.history_depth)
+        #: the first (cold) step's eigensolver-iteration count — the
+        #: reference the per-step ``qmd.eig_iters_saved`` series is
+        #: measured against
+        self._cold_eig_iters: int | None = None
+        #: whether the last solve met its tolerance (``None`` before any):
+        #: the ``forces()`` tuple has no slot for it
+        self.last_converged: bool | None = None
         self.controller: BufferController | None = None
-        if qmd.adaptive_buffer:
+        if qmd.adaptive_buffer and math.prod(self.options.domains) > 1:
             from repro.core.advisor import BufferController
 
             self.controller = (
                 BufferController(qmd.controller) if qmd.controller is not None
                 else BufferController()
             )
-        self.workspace = LDCWorkspace(history_depth=qmd.history_depth)
 
     def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
         from repro.core.ldc import make_global_grid, run_ldc
@@ -225,20 +160,42 @@ class LDCEngine(_WarmStartEngine):
             instrumentation=ins, workspace=self.workspace,
         )
         self.window.push(key, None, None, result.input_density)
-        self._count_solve(ins, self.workspace.warm_domains > 0, rho0, result)
-        self._record_convergence(ins, result)
-        self._record_solver_cost(ins, result)
+        self._record_solve(ins, rho0, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
         assert result.forces is not None
         return result.forces, result.energy, result.iterations
 
-    def _record_solver_cost(self, ins: Observer, result: LDCResult) -> None:
-        """Per-step predictor/cost series for the run ledger: eigensolver
-        iterations and the (b, l*) the step ran at."""
+    def _record_solve(
+        self, ins: Observer, rho0: np.ndarray | None, result: LDCResult
+    ) -> None:
+        """The solve's telemetry: its warm-start tier — ``"orbital"``
+        (earlier steps' converged ψ, and so their ρ too), ``"density"``
+        (previous ρ only) or ``"cold"`` (random ψ, model density); whether
+        it converged (a solve that ran out of passes still returns its
+        forces — what to do about them is the caller's policy — but is
+        counted); its eigensolver iterations, and how many the warm starts
+        saved against the cold first step; the (b, l*) it ran at."""
         from repro.core.complexity import optimal_core_length
 
-        self._record_eig_cost(ins, result)
+        density_warm = rho0 is not None and rho0.shape == result.grid.shape
+        start = (
+            "orbital" if self.workspace.warm_domains > 0
+            else "density" if density_warm else "cold"
+        )
+        ins.counter("qmd.solves", engine="ldc", start=start).inc()
+        self.last_converged = bool(result.converged)
+        if not self.last_converged:
+            ins.counter("qmd.unconverged_solves", engine="ldc").inc()
+        ins.series("qmd.eig_iterations", engine="ldc").append(
+            result.eig_iterations
+        )
+        if self._cold_eig_iters is None:
+            self._cold_eig_iters = int(result.eig_iterations)
+        else:
+            ins.series("qmd.eig_iters_saved", engine="ldc").append(
+                self._cold_eig_iters - int(result.eig_iterations)
+            )
         ins.series("ldc.buffer_b").append(self.options.buffer)
         ins.series("ldc.core_l").append(optimal_core_length(self.options.buffer))
 
@@ -266,56 +223,26 @@ class LDCEngine(_WarmStartEngine):
         self.options = replace(self.options, buffer=decision.buffer)
 
 
-class SCFEngine(_WarmStartEngine):
-    """Force engine backed by the conventional O(N³) SCF.
-
-    Warm-starts each step from the ASPC prediction over its window of
-    converged (ψ, ρ_in) pairs — ρ_in being ``SCFResult.input_density``,
-    the density those orbitals were solved at (the rule of
-    :class:`_WarmStartEngine`; a single point's final pass runs at the
-    converged output, so here it differs from ``SCFResult.density`` only
-    by that pass's own residual, below ``tol``).  At the default depth 1
-    the prediction is a copy of the last pair, the plain last-state warm
-    start.  Each solve builds a fresh density mixer (no SCF memory across
-    steps).  The window is keyed by the cell and the options that shape
-    the basis, so a cell change is a cold start.  ``instrumentation`` is
-    the observability handle, as in :class:`LDCEngine`.
-    """
-
-    label = "pw"
+class SCFEngine(LDCEngine):
+    """Force engine of the conventional O(N³) solve (the verification
+    baseline of Sec. 5.5): an :class:`LDCEngine` on the whole-cell layout
+    (:func:`~repro.dft.scf.SCFOptions`; options of another layout are moved
+    onto it), so the workspace's ASPC windows, carried mixer and final-pass
+    rule serve it as they serve every LDC trajectory."""
 
     def __init__(
         self, options: Any = None, instrumentation: Observer | None = None,
         qmd_options: QMDOptions | None = None,
     ) -> None:
-        from repro.dft.scf import SCFOptions
+        from repro.dft.scf import WHOLE_CELL, SCFOptions
 
         super().__init__(
-            instrumentation, (qmd_options or QMDOptions()).history_depth
+            SCFOptions() if options is None else replace(options, **WHOLE_CELL),
+            instrumentation, qmd_options,
         )
-        self.options = options or SCFOptions()
 
-    def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
-        from repro.dft.forces import forces_from_scf
-        from repro.dft.scf import run_scf
-
-        ins = observer(self.instrumentation)
-        opts = self.options
-        key = (_cell(config), opts.ecut, opts.extra_bands)
-        psi0, _, rho0 = self.window.predict(key) or (None, None, None)
-        result = run_scf(
-            config, opts, rho0=rho0, instrumentation=ins, psi0=psi0,
-        )
-        psi = result.orbitals
-        orbital_warm = psi0 is not None and psi0.shape == psi.shape
-        self._count_solve(ins, orbital_warm, rho0, result)
-        self._record_convergence(ins, result)
-        self._record_eig_cost(ins, result)
-        res = self.window.push(key, psi, None, result.input_density)
-        if res is not None:
-            ins.series("scf.predictor_residual").append(res)
-        f = forces_from_scf(config, result)
-        return f, result.energy, result.iterations
+    #: its own entry, so a trace tells the two engines apart
+    forces = LDCEngine.forces
 
 
 class QMDDriver:

@@ -15,7 +15,7 @@ consumed together through the :class:`Instrumentation` facade:
 
 Span/metric naming convention: dotted ``subsystem.thing`` names
 (``scf.residual``, ``ldc.domain_solve``, ``poisson.vcycles``), with
-key=value labels for series dimensions (``scf.iterations{engine=ldc}``).
+key=value labels for series dimensions (``eigensolver.solves{solver=direct}``).
 
 Two further layers make the telemetry durable and comparable:
 

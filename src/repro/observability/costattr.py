@@ -1,6 +1,6 @@
 """Per-kernel FLOP cost attribution for tracer spans.
 
-The drivers stamp their solve spans with the *sizes* of the work they did
+The drivers stamp their spans with the *sizes* of the work they did
 (``npw``, ``nband``, ``grid_points``, ``fft_stages``, ``nproj``,
 ``cg_iterations`` for eigensolves — ``fft_stages`` being the basis's staged
 transform line counts, so pruned FFT lines are not credited; a span
@@ -27,22 +27,6 @@ from typing import Any, Callable
 from repro.perfmodel.flops import domain_scf_flops
 
 
-def _eigensolve_flops(args: dict[str, Any]) -> float | None:
-    npw = args.get("npw")
-    nband = args.get("nband")
-    grid_points = args.get("grid_points")
-    if not npw or not nband or not grid_points:
-        return None
-    return domain_scf_flops(
-        npw=int(npw),
-        nband=int(nband),
-        grid_points=int(grid_points),
-        nproj=int(args.get("nproj") or 0),
-        cg_iterations=max(int(args.get("cg_iterations") or 1), 1),
-        fft_stages=args.get("fft_stages"),
-    ).total
-
-
 def _domain_solve_flops(args: dict[str, Any]) -> float | None:
     """One stack of LDC domain solves (``ldc.domain_solve``).
 
@@ -52,25 +36,28 @@ def _domain_solve_flops(args: dict[str, Any]) -> float | None:
     per-solve orthonormalization setup must be repeated ``n_domains``
     times.  A span without ``n_domains`` is one domain.
     """
-    counts_total = _eigensolve_flops(args)
-    if counts_total is None:
+    npw = args.get("npw")
+    nband = args.get("nband")
+    grid_points = args.get("grid_points")
+    if not npw or not nband or not grid_points:
         return None
-    n_domains = max(int(args.get("n_domains") or 1), 1)
-    ortho = domain_scf_flops(
-        npw=int(args["npw"]),
-        nband=int(args["nband"]),
-        grid_points=int(args["grid_points"]),
+    sizes = dict(
+        npw=int(npw), nband=int(nband), grid_points=int(grid_points),
         nproj=int(args.get("nproj") or 0),
-        cg_iterations=1,
-    ).orthonormalization
-    return counts_total + (n_domains - 1) * ortho
+    )
+    stack = domain_scf_flops(
+        **sizes, cg_iterations=max(int(args.get("cg_iterations") or 1), 1),
+        fft_stages=args.get("fft_stages"),
+    ).total
+    n_domains = max(int(args.get("n_domains") or 1), 1)
+    ortho = domain_scf_flops(**sizes, cg_iterations=1).orthonormalization
+    return stack + (n_domains - 1) * ortho
 
 
 #: span name → FLOP estimator over the span's attribute dict.  Returning
 #: ``None`` means "sizes missing, cannot attribute" (the span predates the
 #: attribution contract or was recorded by other tooling).
 ESTIMATORS: dict[str, Callable[[dict[str, Any]], float | None]] = {
-    "scf.eigensolve": _eigensolve_flops,
     "ldc.domain_solve": _domain_solve_flops,
 }
 

@@ -3,8 +3,8 @@
 Bundles a :class:`~repro.observability.tracer.SpanTracer` and a
 :class:`~repro.observability.metrics.MetricsRegistry` behind one object:
 the *on* state of the engine's one observability handle,
-:class:`repro.observe.Observer` (``run_scf``, ``run_ldc``, ``QMDDriver``,
-... take it as ``instrumentation=``).
+:class:`repro.observe.Observer` (``run_ldc``, ``QMDDriver``, ... take it
+as ``instrumentation=``).
 
 The drivers call their handle unconditionally; ``instrumentation=None``
 gives them the off observer, whose verbs do nothing and which lives outside
@@ -82,7 +82,7 @@ class Instrumentation(Observer):
         self, name: str, options: Any = None, category: str | None = None,
         **attrs: Any,
     ) -> Iterator[Span | None]:
-        """One driver entry (``scf.run``, ``ldc.run``, ``qmd.run``): noted
+        """One driver entry (``ldc.run``, ``qmd.run``): noted
         in the run manifest, wrapped in a span of that name (``category=None``:
         no span, for a driver that opens one per step) and, if it raises,
         recorded as a failure (black-box dump) on the way out."""

@@ -1,9 +1,9 @@
 """Metrics registry: labeled counters, gauges, histograms, and series.
 
 Instruments are identified by ``name`` plus a frozen label set, so
-``registry.counter("scf.iterations", engine="ldc")`` and the same name with
-``engine="pw"`` are independent time series — rendered in snapshots as
-``scf.iterations{engine=ldc}``.
+``registry.counter("eigensolver.solves", solver="all_band")`` and the same
+name with ``solver="direct"`` are independent time series — rendered in
+snapshots as ``eigensolver.solves{solver=all_band}``.
 
 Four instrument kinds:
 

@@ -3,7 +3,7 @@
 A *span* is a named wall-clock interval with attributes.  Spans nest: the
 tracer keeps one stack of open spans, so a span opened inside another
 records the enclosing span as its parent and its full ``/``-joined
-path (``scf.run/scf.iteration/scf.eigensolve``).  Timestamps come from the
+path (``ldc.run/ldc.iteration``).  Timestamps come from the
 injectable :class:`~repro.util.timer.WallClock`, so tests can drive a fake
 clock deterministically.
 

@@ -2,14 +2,15 @@
 water boxes, a nanoparticle's radius, minimum-image pair distances,
 species counts, concatenations and rigid translations of a
 :class:`~repro.systems.Configuration`, the partition-of-unity residual of
-a set of domain supports, span counts of a tracer, and a toy force engine
-for the MD driver."""
+a set of domain supports, span counts of a tracer, the Ewald energy alone,
+and a toy force engine for the MD driver."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.domains import DomainDecomposition
+from repro.dft.ewald import ewald
 from repro.systems.configuration import Configuration
 from repro.systems.water import HOH_ANGLE, OH_BOND
 
@@ -192,6 +193,11 @@ def combined(a: Configuration, b: Configuration) -> Configuration:
         a.symbols + b.symbols, np.vstack([a.positions, b.positions]),
         a.cell.copy(), vel,
     )
+
+
+def ewald_energy(positions, charges, cell, **kwargs) -> float:
+    """The Ewald energy without its forces."""
+    return ewald(positions, charges, cell, compute_forces=False, **kwargs)[0]
 
 
 def span_count(tracer, name: str) -> int:

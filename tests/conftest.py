@@ -3,8 +3,18 @@ and the tier-1 budget that holds every test to it."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+
+#: BLAS and OpenMP pools to one thread, set before NumPy is first imported
+#: (a pool's size is read when the library loads), as
+#: ``benchmarks/e2e/run.py`` does for its workers: the default pool of one
+#: thread per core, beside one other CPU-bound process on a 2-core host,
+#: took three tests from under 60 s to 150–260 s
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update({name: "1" for name in THREAD_VARS})
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf

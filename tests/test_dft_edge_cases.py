@@ -34,7 +34,7 @@ def test_single_atom_scf():
     assert res.converged
     assert res.grid.integrate(res.density) == pytest.approx(1.0, rel=1e-9)
     # odd electron count: half-filled HOMO
-    assert res.occupations[0] == pytest.approx(1.0, abs=0.05)
+    assert res.states[0].occupations[0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_heavy_species_scf():
@@ -96,9 +96,9 @@ def test_scf_zero_temperature():
     cfg = dimer("H", "H", 1.5, 12.0)
     res = run_scf(cfg, SCFOptions(ecut=5.0, kt=0.0, tol=1e-5))
     assert res.converged
-    assert res.entropy_term == 0.0
+    assert res.components["entropy_term"] == 0.0
     np.testing.assert_allclose(
-        np.sort(res.occupations)[::-1][:1], [2.0]
+        np.sort(res.states[0].occupations)[::-1][:1], [2.0]
     )
 
 

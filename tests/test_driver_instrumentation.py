@@ -29,19 +29,23 @@ def test_scf_records_iteration_series_and_spans(h2):
     ins = Instrumentation()
     result = run_scf(h2, SCF_OPTS, instrumentation=ins)
 
-    resid = ins.metrics.get("scf.residual", engine="pw")
+    resid = ins.metrics.get("scf.residual", engine="ldc")
     assert resid is not None
     assert resid.values == pytest.approx(result.density_residuals)
-    energy = ins.metrics.get("scf.energy", engine="pw")
+    energy = ins.metrics.get("scf.energy", engine="ldc")
     assert energy.values == pytest.approx(result.history)
-    iters = ins.metrics.get("scf.iterations", engine="pw")
+    iters = ins.metrics.get("scf.iterations", engine="ldc")
     assert iters.value == result.iterations
 
+    # the whole-cell solve is the LDC driver's: one stack of one domain
+    # per pass, the final consistent pass included
     names = span_names(ins.tracer)
-    assert "scf.run" in names
-    assert "scf.iteration" in names
-    assert "scf.eigensolve" in names
-    assert span_count(ins.tracer, "scf.run/scf.iteration") == result.iterations
+    assert "scf.run" not in names
+    assert "ldc.run" in names and "ldc.iteration" in names
+    assert span_count(ins.tracer, "ldc.run/ldc.iteration") == result.iterations
+    assert span_count(ins.tracer, "ldc.run/ldc.domain_solve") == (
+        result.iterations + 1
+    )
     # eigensolver telemetry flows through the same registry
     solves = ins.metrics.get("eigensolver.solves", solver="all_band")
     assert solves.value >= result.iterations

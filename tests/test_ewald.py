@@ -6,9 +6,10 @@ import pytest
 import scipy.special
 
 from repro.dft import ewald as ewald_module
-from repro.dft.ewald import erfc, ewald, ewald_energy
+from repro.dft.ewald import erfc, ewald
 from repro.systems.lialloy import lial_nanoparticle
 from repro.systems.water import water_molecule
+from tests.builders import ewald_energy
 
 
 def _nacl(a=1.0):

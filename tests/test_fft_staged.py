@@ -266,7 +266,7 @@ def test_warm_solve_with_band_densities_allocates_nothing_of_grid_size():
     """The solver returns orbitals; the caller forms |ψ|² from them through
     the basis work block a row block at a time, straight into its real
     per-band buffer (the LDC seam) or accumulated into one real field
-    (``run_scf``).  A warm solve plus per-band densities peaks where the
+    (the global map of ``tests/oracles/``).  A warm solve plus per-band densities peaks where the
     solve alone does — its coefficient-side algebra — to within less than
     one band's real field, and the occupied form allocates one band's real
     field (plus NumPy's fixed iterator buffers), not ``nband`` of them."""

@@ -77,9 +77,10 @@ def test_local_forces_zero_for_uniform_density(h2_config):
 
 
 def test_nonlocal_forces_no_projectors(h2_config, h2_scf):
-    nl = NonlocalProjectors(h2_scf.basis, h2_config)
+    (state,) = h2_scf.states
+    nl = NonlocalProjectors(state.basis, h2_config)
     f = nonlocal_forces(
-        h2_scf.basis, h2_config, nl, h2_scf.orbitals, h2_scf.occupations
+        state.basis, h2_config, nl, state.psi, state.occupations
     )
     np.testing.assert_array_equal(f, 0.0)  # H has no nonlocal channel
 

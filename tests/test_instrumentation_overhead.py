@@ -73,7 +73,7 @@ def test_enabled_path_does_enter_observability_code():
         lambda: run_scf(cfg, OPTS, instrumentation=ins)
     )
     assert counts["observability"] > 0
-    assert len(ins.metrics.get("scf.residual", engine="pw").values) > 0
+    assert len(ins.metrics.get("scf.residual", engine="ldc").values) > 0
 
 
 def test_disabled_timer_import_not_triggered_in_hot_loop():

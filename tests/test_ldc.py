@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import LDCOptions, run_ldc
+from repro.core.forces import ldc_forces
 from repro.core.ldc import make_global_grid
 from repro.dft.forces import forces_from_scf
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf
 from repro.systems import dimer, water_molecule
+from tests.oracles.global_scf import global_scf
 from tests.sic import sic_crystal
 
 
@@ -89,25 +91,50 @@ def test_make_global_grid_divisible(h2):
     assert all(n % 2 == 0 for n in grid.shape)
 
 
+def test_whole_cell_fft_grid_is_the_cutoffs(h2):
+    """The whole cell on the FFT solver keeps the cutoff's grid — 27³ on
+    the ``water_scf_nve`` cell, not the 28³ the rounding would give, +11 %
+    of every FFT.  A multi-domain layout still rounds (LiAl 2×2×1: 27³ →
+    28³) and a multigrid layout stays even, one domain or several."""
+    from repro.systems.lialloy import lial_nanoparticle
+
+    water = water_molecule(cell=(12.0, 12.0, 12.0))
+    lial = lial_nanoparticle(4, cell=[16.0, 16.0, 16.0])
+    assert RealSpaceGrid.for_cutoff(lial.cell, 3.0).shape == (27, 27, 27)
+    assert make_global_grid(water, SCFOptions(ecut=5.0)).shape == (27, 27, 27)
+    assert make_global_grid(
+        lial, LDCOptions(ecut=3.0, domains=(2, 2, 1))
+    ).shape == (28, 28, 28)
+    for cfg, domains in ((water, (1, 1, 1)), (lial, (2, 2, 1)), (h2, (1, 2, 1))):
+        grid = make_global_grid(
+            cfg, LDCOptions(ecut=5.0, domains=domains, poisson="multigrid")
+        )
+        assert all(n % 2 == 0 for n in grid.shape), (domains, grid.shape)
+
+
 def test_single_domain_equals_conventional(h2):
     """Global KS-DFT *is* the one-domain, zero-buffer ``mode="dc"`` case:
-    on one grid with matched options the two maps, written independently,
-    agree pass by pass to roundoff — the loop, the mixer and the energy
-    expression are literally shared, so anything above 1e-10 is a defect in
-    one of the maps."""
+    ``run_scf`` (that LDC layout) and the global map of
+    ``tests/oracles/``, written independently, agree pass by pass to
+    roundoff — the loop, the mixer and the energy expression are literally
+    shared, so anything above 1e-10 is a defect in one of the maps.  The
+    third case is the ``water_scf_nve`` cell at its options, on the grid
+    ``run_scf`` picks itself: the cutoff's 27³, which the oracle picks
+    too."""
     water = water_molecule(center=(5.0, 5.0, 5.0), cell=(10.0, 10.0, 10.0))
-    for cfg, ecut in ((h2, 6.0), (water, 4.0)):
-        grid = RealSpaceGrid.for_cutoff(cfg.cell, ecut, 2.0)
-        shared = dict(
-            ecut=ecut, kt=0.01, tol=1e-7, max_iter=60, extra_bands=4,
-            eig_tol=1e-7, eig_max_iter=40,
-        )
-        s = run_scf(cfg, SCFOptions(**shared), grid=grid)
-        r = run_ldc(
-            cfg,
-            LDCOptions(**shared, domains=(1, 1, 1), buffer=0.0, mode="dc"),
-            grid=grid, compute_forces=True,
-        )
+    nve = water_molecule(center=(6.0, 6.0, 6.0), cell=(12.0, 12.0, 12.0))
+    for cfg, shared, grid in (
+        (h2, dict(ecut=6.0, tol=1e-7), RealSpaceGrid.for_cutoff(h2.cell, 6.0, 2.0)),
+        (water, dict(ecut=4.0, tol=1e-7),
+         RealSpaceGrid.for_cutoff(water.cell, 4.0, 2.0)),
+        (nve, dict(ecut=5.0, tol=1e-6), None),
+    ):
+        options = SCFOptions(**shared, kt=0.01, extra_bands=4)
+        s = global_scf(cfg, options, grid=grid)
+        r = run_scf(cfg, options, grid=grid)
+        forces = ldc_forces(cfg, r)
+        if grid is None:
+            assert r.grid.shape == s.grid.shape == (27, 27, 27)
         assert s.converged and r.converged
         assert r.iterations == s.iterations
         assert r.eig_iterations == s.eig_iterations
@@ -118,7 +145,8 @@ def test_single_domain_equals_conventional(h2):
             (r.density_residuals, s.density_residuals),
             (r.density, s.density),
             (r.states[0].eigenvalues, s.eigenvalues),
-            (r.forces, forces_from_scf(cfg, s)),
+            (forces, s.forces(cfg)),
+            (forces_from_scf(cfg, r), s.forces(cfg)),
         ):
             np.testing.assert_allclose(ldc, scf, rtol=0.0, atol=1e-10)
 

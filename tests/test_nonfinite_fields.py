@@ -1,8 +1,9 @@
 """A non-finite potential is named where the Hamiltonian is built.
 
-Every eigensolve of ``run_scf`` and ``run_ldc``, with either eigensolver,
-builds a :class:`~repro.dft.hamiltonian.BatchedHamiltonian` (a
-``Hamiltonian`` builds its stack of one), and that constructor rejects a
+Every eigensolve of ``run_ldc`` (and of ``run_scf``, its whole-cell
+case), with either eigensolver, builds a
+:class:`~repro.dft.hamiltonian.BatchedHamiltonian` (a ``Hamiltonian``
+builds its stack of one), and that constructor rejects a
 NaN or Inf in ``v_eff``, ``b`` or ``d`` with a
 :class:`~repro.dft.hamiltonian.NonFiniteFieldError`.  Here a NaN is seeded
 into the output of each producer of a potential — the FFT Hartree solve,
@@ -24,7 +25,6 @@ import numpy as np
 import pytest
 
 import repro.core.ldc as ldc
-import repro.dft.scf as scf
 from repro.core.ldc import LDCOptions, make_global_grid, run_ldc
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import BatchedHamiltonian, NonFiniteFieldError
@@ -35,13 +35,14 @@ from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
 
 EIGENSOLVERS = ("direct", "all_band")
-#: (driver, Poisson solver): run_scf has the FFT Hartree solve only
+#: (driver, Poisson solver): run_scf, the whole cell, has the FFT Hartree
+#: solve only
 DRIVERS = (("scf", "fft"), ("ldc", "fft"), ("ldc", "multigrid"))
 #: producer -> (where it is bound, the attribute, which output is a potential)
 PRODUCERS = {
-    "hartree_potential": ((scf, ldc), "hartree_potential", None),
-    "lda_xc": ((scf, ldc), "lda_xc", 1),
-    "local_potential": ((scf, ldc), "local_potential", None),
+    "hartree_potential": ((ldc,), "hartree_potential", None),
+    "lda_xc": ((ldc,), "lda_xc", 1),
+    "local_potential": ((ldc,), "local_potential", None),
     "MultigridPoisson.solve": ((MultigridPoisson,), "solve", None),
 }
 CASES = [

@@ -97,9 +97,9 @@ def test_chrome_trace_export_is_valid_and_microseconds():
 
 def test_counter_gauge_histogram_series():
     reg = MetricsRegistry()
-    reg.counter("scf.iterations", engine="ldc").inc()
-    reg.counter("scf.iterations", engine="ldc").inc(2)
-    reg.counter("scf.iterations", engine="pw").inc()
+    reg.counter("eigensolver.solves", solver="all_band").inc()
+    reg.counter("eigensolver.solves", solver="all_band").inc(2)
+    reg.counter("eigensolver.solves", solver="direct").inc()
     reg.gauge("mu").set(0.25)
     h = reg.histogram("resid")
     for v in (1.0, 3.0, 2.0):
@@ -109,8 +109,8 @@ def test_counter_gauge_histogram_series():
     s.append(1e-3)
 
     snap = reg.snapshot()
-    assert snap["scf.iterations{engine=ldc}"]["value"] == 3
-    assert snap["scf.iterations{engine=pw}"]["value"] == 1
+    assert snap["eigensolver.solves{solver=all_band}"]["value"] == 3
+    assert snap["eigensolver.solves{solver=direct}"]["value"] == 1
     assert snap["mu"]["value"] == 0.25
     assert snap["resid"]["count"] == 3
     assert snap["resid"]["min"] == 1.0
@@ -182,7 +182,7 @@ def test_logger_silent_by_default(capsys, caplog):
     assert caplog.records == [] and capsys.readouterr().err == ""
     assert logging.getLogger("repro").handlers == []
     assert not hasattr(ins, "log")
-    assert ins.metrics.get("scf.residual", engine="pw").values
+    assert ins.metrics.get("scf.residual", engine="ldc").values
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +192,14 @@ def test_logger_silent_by_default(capsys, caplog):
 def test_instrumentation_artifacts_roundtrip(tmp_path):
     clock = FakeClock()
     ins = Instrumentation(clock=clock)
-    with ins.span("scf.run"):
+    with ins.span("ldc.run"):
         clock.advance(2.0)
-    ins.series("scf.residual", engine="pw").append(1e-5)
+    ins.series("scf.residual", engine="ldc").append(1e-5)
     paths = ins.write_artifacts(tmp_path)
     trace = load_trace(paths["trace"])
-    assert any(e["name"] == "scf.run" for e in trace)
+    assert any(e["name"] == "ldc.run" for e in trace)
     metrics = json.loads(paths["metrics_json"].read_text())
-    assert metrics["scf.residual{engine=pw}"]["values"] == [1e-5]
+    assert metrics["scf.residual{engine=ldc}"]["values"] == [1e-5]
     assert "scf.residual" in paths["metrics_csv"].read_text()
 
 

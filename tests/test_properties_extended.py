@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dft.ewald import ewald_energy
 from repro.parallel.collective_io import CollectiveIOModel
+from tests.builders import ewald_energy
 
 COMMON = dict(max_examples=20, deadline=None)
 

@@ -54,7 +54,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 133_908
+DESIGN_MAX_BYTES = 133_531
 
 
 def test_design_document_does_not_grow():
@@ -737,16 +737,8 @@ def test_every_public_name_is_referenced():
 #: option fields no caller outside the tests sets, kept on purpose; the pin
 #: fails when one of them is deleted or gains a setter
 _KEPT_FIELDS = {
-    **dict.fromkeys(
-        ("LDCOptions.eigensolver", "SCFOptions.eigensolver"),
+    "LDCOptions.eigensolver":
         "the per-band reference the all-band solver is tested against",
-    ),
-    **dict.fromkeys(
-        ("LDCOptions.eig_tol", "LDCOptions.eig_max_iter",
-         "SCFOptions.eig_max_iter"),
-        "the parity tests set both drivers equal; one default waits for "
-        "ROADMAP 3(i), since it moves e2e frames",
-    ),
     "QMDOptions.controller":
         "ROADMAP 13 re-plumbs the controller per domain",
     **{
@@ -759,13 +751,19 @@ _KEPT_FIELDS = {
 }
 
 
+#: functions that build an option class: their keywords are its fields
+_OPTION_BUILDERS = {"SCFOptions": "LDCOptions"}
+
+
 def _option_setters(classes):
     """``{"Class.field": files}`` of every option field set by keyword —
     a call of the class, or ``replace(options, field=…)`` on it — in
     ``src/``, ``benchmarks/`` or CI's inline scripts.  ``**name`` is
     resolved when the module binds ``name`` to a ``dict(…)`` call or a
     literal; positional arguments count in field order.  A ``replace``
-    call sets the fields of every class that has all its keywords."""
+    call sets the fields of every class that has all its keywords, and a
+    call of a builder in ``_OPTION_BUILDERS`` those of the class it
+    builds."""
     import ast
 
     _, scripts = _ci_roots()
@@ -779,23 +777,26 @@ def _option_setters(classes):
         tree = ast.parse(text)
         bound = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.targets[0], ast.Name
-            ):
+            target = (
+                node.targets[0] if isinstance(node, ast.Assign)
+                else node.target if isinstance(node, ast.AnnAssign) else None
+            )
+            if isinstance(target, ast.Name):
                 value = node.value
                 if isinstance(value, ast.Dict):
-                    bound[node.targets[0].id] = [
+                    bound[target.id] = [
                         key.value for key in value.keys
                         if isinstance(key, ast.Constant)
                     ]
                 elif getattr(getattr(value, "func", None), "id", None) == "dict":
-                    bound[node.targets[0].id] = [
+                    bound[target.id] = [
                         kw.arg for kw in value.keywords if kw.arg
                     ]
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            called = _OPTION_BUILDERS.get(called, called)
             keywords = [
                 name for kw in node.keywords
                 for name in ([kw.arg] if kw.arg else bound.get(
@@ -816,7 +817,7 @@ def _option_setters(classes):
 
 
 def test_every_option_field_is_set_outside_the_tests():
-    """Every field of the five option classes has a setter outside the
+    """Every field of the four option classes has a setter outside the
     tests (:func:`_option_setters`): a field only a test sets is a
     constant, and the code only its other values reached is deleted.  The
     exceptions are ``_KEPT_FIELDS``, each with its reason, and an entry
@@ -825,13 +826,12 @@ def test_every_option_field_is_set_outside_the_tests():
 
     from repro.core.advisor import BufferControllerOptions
     from repro.core.ldc import LDCOptions
-    from repro.dft.scf import SCFOptions
     from repro.md.qmd import QMDOptions
     from repro.reactive.kmc import KMCOptions
 
     classes = {
         cls.__name__: [field.name for field in dataclasses.fields(cls)]
-        for cls in (LDCOptions, SCFOptions, QMDOptions, KMCOptions,
+        for cls in (LDCOptions, QMDOptions, KMCOptions,
                     BufferControllerOptions)
     }
     fields = {f"{cls}.{name}" for cls, names in classes.items()

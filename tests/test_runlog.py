@@ -179,15 +179,15 @@ def test_flight_recorder_hears_spans_and_metrics(tmp_path):
     and series alike), and nothing else."""
     rec = RunRecorder(component="t", root=tmp_path)
     ins = Instrumentation(recorder=rec)
-    with ins.span("scf.run", category="scf"):
+    with ins.span("ldc.run", category="ldc"):
         ins.counter("scf.iterations").inc()
-        ins.series("scf.residual", engine="pw").append(1e-3)
+        ins.series("scf.residual", engine="ldc").append(1e-3)
     events = _ring(rec.flight, tmp_path)
     topics = [e["topic"] for e in events]
     assert topics == ["metric", "metric", "span"]
     span_event = next(e for e in events if e["topic"] == "span")
-    assert span_event["data"]["name"] == "scf.run"
-    assert span_event["data"]["category"] == "scf"
+    assert span_event["data"]["name"] == "ldc.run"
+    assert span_event["data"]["category"] == "ldc"
     metric_kinds = [e["data"]["kind"] for e in events if e["topic"] == "metric"]
     assert metric_kinds == ["counter", "series"]
 

@@ -1,4 +1,4 @@
-"""Tests for the conventional O(N³) SCF driver."""
+"""Tests for the whole-cell SCF solve and the one SCF fixed-point loop."""
 
 import numpy as np
 import pytest
@@ -29,16 +29,18 @@ def test_h2_density_nonnegative(h2_scf):
 
 def test_h2_occupations(h2_scf):
     # 2 electrons, tiny smearing: first band ~2, rest ~0
-    assert h2_scf.occupations[0] == pytest.approx(2.0, abs=1e-3)
-    assert h2_scf.occupations[-1] < 1e-3
+    (state,) = h2_scf.states
+    assert state.occupations[0] == pytest.approx(2.0, abs=1e-3)
+    assert state.occupations[-1] < 1e-3
 
 
 def test_h2_homo_below_mu(h2_scf):
-    assert h2_scf.eigenvalues[0] < h2_scf.mu
+    assert h2_scf.states[0].eigenvalues[0] < h2_scf.mu
 
 
 def test_h2_orbitals_orthonormal(h2_scf):
-    s = h2_scf.orbitals.conj().T @ h2_scf.orbitals
+    psi = h2_scf.states[0].psi
+    s = psi.conj().T @ psi
     np.testing.assert_allclose(s, np.eye(s.shape[0]), atol=1e-7)
 
 
@@ -156,8 +158,8 @@ def test_energy_is_second_order_in_the_scf_residual():
     """The Harris–Foulkes form (everything at the pass's input density) is
     second order in the residual: a ``tol=1e-3`` run already has the
     ``tol=1e-10`` energy to 1e-6 Ha (measured 1.6e-8; integrating the double
-    counting over the output density gave 1.9e-4), and the parts
-    ``SCFResult`` reports are the parts of that one expression."""
+    counting over the output density gave 1.9e-4), and the components
+    the result reports are the parts of that one expression."""
     from repro.systems import water_molecule
 
     water = water_molecule(center=(6.0, 6.0, 6.0), cell=(12.0, 12.0, 12.0))
@@ -169,8 +171,10 @@ def test_energy_is_second_order_in_the_scf_residual():
     assert loose.iterations < tight.iterations
     assert abs(loose.energy - tight.energy) < 1e-6
     for res in (loose, tight):
-        parts = (res.band_energy - res.double_count + res.hartree + res.xc
-                 + res.ewald + res.entropy_term)
+        c = res.components
+        assert c["vbc_correction"] == 0.0  # mode="dc": no boundary potential
+        parts = (c["band"] - c["double_count"] + c["hartree"] + c["xc"]
+                 + c["ewald"] + c["entropy_term"])
         assert abs(parts - res.energy) <= 1e-12
 
 
@@ -210,7 +214,7 @@ class ContractionMap:
             kwargs["mixer"] = LinearStep()
         options = SCFOptions(tol=tol, max_iter=max_iter)
         return scf_fixed_point(
-            self, self.config, self.grid, None, options, "pw", **kwargs
+            self, self.config, self.grid, None, options, **kwargs
         )
 
 
@@ -260,13 +264,13 @@ def test_exhausted_budget_is_reported_not_hidden():
     out = toy.solve(tol=1e-14, max_iter=3, ins=ins)
     assert not out.converged and out.iterations == 3
     assert np.isfinite(out.density).all() and np.isfinite(out.energy)
-    # every pass counted under its engine, and the final pass's residual
-    # — above tol — recorded
-    assert ins.metrics.get("scf.iterations", engine="pw").value == 3
-    (final,) = ins.metrics.get("scf.final_residual", engine="pw").values
+    # every pass counted, and the final pass's residual — above tol —
+    # recorded
+    assert ins.metrics.get("scf.iterations", engine="ldc").value == 3
+    (final,) = ins.metrics.get("scf.final_residual", engine="ldc").values
     assert final == out.final_residual > 1e-14
     # the map's own attributes ride on the per-pass span
-    spans = [s for s in ins.tracer.spans() if s.name == "scf.iteration"]
+    spans = [s for s in ins.tracer.spans() if s.name == "ldc.iteration"]
     assert len(spans) == 3 and all(s.attrs["probe"] == 1.5 for s in spans)
 
 
@@ -291,7 +295,7 @@ def test_input_density_is_what_the_final_pass_received(
     toy = ContractionMap(radius=0.5 if converged else 0.95)
     mixer = PulayMixer(alpha=0.5)  # a caller-owned one, to look inside
     out = scf_fixed_point(
-        toy, toy.config, toy.grid, None, SCFOptions(**budget), "pw",
+        toy, toy.config, toy.grid, None, SCFOptions(**budget),
         mixer=mixer, continues=continues,
     )
     assert out.converged is converged and mixer.pairs >= 1
@@ -323,7 +327,7 @@ def test_final_residual_is_that_of_the_returned_pass(continues):
     ) / toy.config.n_electrons()
     assert out.final_residual == expected
     assert 0.0 < out.final_residual < out.density_residuals[-1] < 1e-4
-    assert ins.metrics.get("scf.final_residual", engine="pw").values == [expected]
+    assert ins.metrics.get("scf.final_residual", engine="ldc").values == [expected]
     # the bare loop and the instrumented one are the same arithmetic
     assert ContractionMap().solve(
         linear=True, tol=1e-4, continues=continues
@@ -361,17 +365,15 @@ def test_warm_start_admission_is_the_same_for_both_maps(solve):
 
 @pytest.mark.parametrize("engine_name", ["scf", "ldc"])
 def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
-    """One rule for both engines: the next solve starts from the density
+    """One rule for both layouts: the next solve starts from the density
     the returned state was solved at, not the final pass's output."""
     import repro.core.ldc as ldc_module
-    import repro.dft.scf as scf_module
     from repro.md.qmd import LDCEngine, SCFEngine
 
+    module, name = ldc_module, "run_ldc"
     if engine_name == "scf":
-        module, name = scf_module, "run_scf"
         engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-4))
     else:
-        module, name = ldc_module, "run_ldc"
         engine = LDCEngine(
             LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=1.5, tol=1e-4)
         )

@@ -282,9 +282,8 @@ def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
     forces0, energy0, passes0 = fresh.forces(swapped_cell())
     assert energy == energy0 and passes == passes0
     np.testing.assert_array_equal(forces, forces0)
-    label = engine.label
-    assert ins.counter("qmd.solves", engine=label, start="cold").value == 2
-    assert ins.metrics.get("qmd.solves", engine=label, start="orbital") is None
+    assert ins.counter("qmd.solves", engine="ldc", start="cold").value == 2
+    assert ins.metrics.get("qmd.solves", engine="ldc", start="orbital") is None
     assert len(engine.window) == 1  # the old cell's snapshots are gone
 
 
@@ -293,53 +292,45 @@ def test_scf_engine_warm_starts_from_its_window():
     ins = engine.instrumentation = Instrumentation()
     for shift in (0.0, 0.05):
         engine.forces(h4_chain(shift))
-    assert len(engine.window) == 2  # orbital and density window filling
-    assert ins.counter("qmd.solves", engine="pw", start="orbital").value == 1
+    assert len(engine.window) == 2  # the density window filling
+    assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 1
 
 
-def test_depth_one_scf_engine_step_is_the_hand_warm_started_run_scf():
-    """The engine keeps ψ one way, in its ASPC window; at depth 1 the
-    window hands back a copy of the last block, so a second step is
-    ``run_scf`` warm-started from the first result by hand."""
-    from repro.dft.forces import forces_from_scf
-
-    opts = SCFOptions(ecut=4.0, tol=1e-6)
-    cfg1, cfg2 = h4_chain(), h4_chain(shift=0.1)
-    ins = Instrumentation()
-    engine = SCFEngine(opts, instrumentation=ins)
-    engine.forces(cfg1)
-    f2, e2, passes2 = engine.forces(cfg2)
-    r1 = run_scf(cfg1, opts)
-    r2 = run_scf(cfg2, opts, rho0=r1.input_density, psi0=r1.orbitals)
-    assert e2 == r2.energy and passes2 == r2.iterations
-    np.testing.assert_array_equal(f2, forces_from_scf(cfg2, r2))
-    # the copied block is a prediction like any other: its residual is kept
-    assert len(ins.metrics.get("scf.predictor_residual").values) == 1
+def test_adaptive_buffer_leaves_the_whole_cell_alone():
+    """The whole cell has no buffer to tune: ``adaptive_buffer=True`` on
+    the one-domain layout runs no controller, so ``options.buffer`` stays
+    0 and the workspace is built once — every later step is warm."""
+    for engine in (
+        SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE),
+        LDCEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE),
+    ):
+        ins = engine.instrumentation = Instrumentation()
+        assert engine.controller is None
+        for step, shift in enumerate((0.0, 0.05, 0.1, 0.15)):
+            engine.forces(h4_chain(shift))
+            assert engine.options.buffer == 0.0
+            assert engine.workspace.steps == step + 1  # never reset
+        assert ins.metrics.get("ldc.buffer_adjustments") is None
+        assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 3
 
 
-def test_run_scf_psi0_warm_start_cuts_iterations():
-    cfg = h4_chain()
-    opts = SCFOptions(ecut=4.0, tol=1e-6)
-    ins_cold = Instrumentation()
-    r1 = run_scf(cfg, opts, instrumentation=ins_cold)
-    ins_warm = Instrumentation()
-    r2 = run_scf(
-        cfg, opts, rho0=r1.density, psi0=r1.orbitals,
-        instrumentation=ins_warm,
-    )
-    assert r1.converged and r2.converged
-    assert r2.energy == pytest.approx(r1.energy, abs=1e-7)
-    cold = ins_cold.metrics.get(
-        "eigensolver.iterations", solver="all_band"
-    ).value
-    warm = ins_warm.metrics.get(
-        "eigensolver.iterations", solver="all_band"
-    ).value
-    assert warm < cold
-
-
-def test_run_scf_ignores_mismatched_psi0():
-    cfg = h4_chain()
-    bad_psi = np.ones((7, 3), dtype=complex)
-    r = run_scf(cfg, SCFOptions(ecut=4.0, tol=1e-6), psi0=bad_psi)
-    assert r.converged
+@pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
+def test_dc_mode_holds_no_boundary_potential(batch):
+    """v_bc is identically zero in ``mode="dc"``, so no domain holds one
+    and no window snapshot carries one, at either stack width; in
+    ``mode="ldc"`` every active domain and snapshot does."""
+    for mode in ("dc", "ldc"):
+        ws = LDCWorkspace(history_depth=2)
+        opts = LDCOptions(**OPTS, mode=mode, batch_domains=batch)
+        for shift in (0.0, 0.05):
+            result = run_ldc(h4_chain(shift), opts, workspace=ws)
+        assert result.converged and ws.warm_domains == 2
+        held = [state.vbc for state in result.states if state.nband]
+        snapshots = [vbc for hist in ws._history.values()
+                     for _, vbc, _ in hist._entries]
+        assert len(held) == 2 and len(snapshots) == 4
+        if mode == "dc":
+            assert all(v is None for v in held + snapshots)
+            assert result.components["vbc_correction"] == 0.0
+        else:
+            assert all(v is not None for v in held + snapshots)
