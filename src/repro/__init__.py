@@ -3,7 +3,8 @@ Simulations of Hydrogen-on-Demand" (Nomura et al., SC14).
 
 Subpackages:
 
-* :mod:`repro.core` — LDC-DFT (the paper's contribution) + DCR extensions.
+* :mod:`repro.core` — LDC-DFT (the paper's contribution), whose one-domain
+  case is the global solve.
 * :mod:`repro.dft` — plane-wave Kohn–Sham substrate (O(N³) baseline).
 * :mod:`repro.multigrid` — real-space Poisson solver (GSLF global half).
 * :mod:`repro.parallel` — the virtual parallel machine (Blue Gene/Q cost

@@ -7,7 +7,9 @@ by domain and solves the stack with the one lockstep all-band LOBPCG over
 one :class:`~repro.dft.hamiltonian.BatchedHamiltonian`; once every stack
 is solved it stages each domain's band densities and weights for the
 global μ search and density assembly, in the bytes the solves are done
-with (:class:`~repro.core.workspace.DomainScratch`).
+with (:class:`~repro.core.workspace.DomainScratch`).  The whole cell (one
+domain, weight identically 1) is solved at the global v_KS itself, with
+band weights 1 and no staged densities.
 
 The paper's Sec. 3.4 BLAS2→BLAS3 transformation batches *bands within one
 domain* into matrix-matrix kernels.  A stack lifts the same idea one level
@@ -136,6 +138,18 @@ def _gather_indices(
     return out
 
 
+def _boundary_error(
+    state: DomainState, rho_restricted: np.ndarray
+) -> float | None:
+    """∫|ρ_α − ρ| of the pass's input on the domain (``None`` before the
+    domain has a ρ_α): the solve changes neither side."""
+    if state.rho_local is None:
+        return None
+    return boundary_error_norm(
+        state.rho_local, rho_restricted, state.domain.grid.dv
+    )
+
+
 def _domain_effective_potential(
     state: DomainState,
     rho: np.ndarray,
@@ -149,8 +163,7 @@ def _domain_effective_potential(
     Writes the effective potential the domain eigenproblem sees (including
     the damped boundary potential) into ``out`` — the domain's slice of the
     stacked potential block — and returns the boundary-density error
-    ∫|ρ_α − ρ| of the pass's input (``None`` before the domain has a ρ_α):
-    the solve changes neither side.  ``state.vbc`` is updated in place as
+    (:func:`_boundary_error`).  ``state.vbc`` is updated in place as
     a side effect; with ``xi`` ``None`` (``mode="dc"``) there is no
     boundary potential, and ``state.vbc`` stays ``None``.
 
@@ -168,9 +181,7 @@ def _domain_effective_potential(
     np.take(v_ks_global.ravel(), flat, out=out)
     rho_restricted = pool.get("rho_restricted", shape)
     np.take(rho.ravel(), flat, out=rho_restricted)
-    err = None  # boundary-density error, from the second pass on
-    if state.rho_local is not None:
-        err = boundary_error_norm(state.rho_local, rho_restricted, dom.grid.dv)
+    err = _boundary_error(state, rho_restricted)
     if xi is None:
         return err
     vbc_target = boundary_potential(
@@ -263,8 +274,10 @@ def batched_domain_pass(
     phase, and once every stack is done the *densities* phase lays every
     domain's per-band |ψ_n|² over the same bytes — the DC weights need
     every band before the global μ exists, and ``_scf_pass`` consumes the
-    blocks before the next pass's first stack writes over them.  A domain
-    whose band weights come out NaN or Inf raises
+    blocks before the next pass's first stack writes over them.  The
+    whole cell stages no block: its weights are 1, and ``_scf_pass`` forms
+    its ρ_α after μ in one pooled |ψ_n|² buffer of the same phase.  A
+    domain whose band weights come out NaN or Inf raises
     :class:`~repro.dft.hamiltonian.NonFiniteFieldError` naming it.
     """
     states = [state for _, state in active]
@@ -280,13 +293,19 @@ def batched_domain_pass(
         key, members = cls.key, cls.members
         stack = [states[pos] for pos in members]
         pool.begin()  # this stack's solve phase
-        v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
-        errors = [
-            _domain_effective_potential(
-                state, rho, v_ks_global, xi, out=v_eff[j], pool=pool,
-            )
-            for j, state in enumerate(stack)
-        ]
+        if stack[0].whole_cell:
+            # the global grid is the domain's: no gather, and no v_bc,
+            # whose window 1 − p is 0 everywhere
+            v_eff = v_ks_global[None]
+            errors = [_boundary_error(stack[0], rho)]
+        else:
+            v_eff = pool.get("v_eff", (len(stack),) + key.grid_shape, float)
+            errors = [
+                _domain_effective_potential(
+                    state, rho, v_ks_global, xi, out=v_eff[j], pool=pool,
+                )
+                for j, state in enumerate(stack)
+            ]
         basis = stack[0].basis
         assert basis is not None
         with ins.span(
@@ -306,11 +325,15 @@ def batched_domain_pass(
             record_solve(ins, opts.eigensolver, res)
             outcomes[pos] = (int(res.iterations), err)
     pool.begin()  # the densities phase: held until the global μ
+    parted = [(idom, state) for idom, state in active if not state.whole_cell]
     blocks = pool.views([
         (("band_densities", idom), (state.nband,) + state.domain.grid.shape)
-        for idom, state in active
+        for idom, state in parted
     ])
-    for (idom, state), block in zip(active, blocks):
+    for _, state in active:
+        if state.whole_cell:
+            state.band_weights = np.ones(state.nband)  # ∫ 1·|ψ_n|² = 1
+    for (idom, state), block in zip(parted, blocks):
         assert state.basis is not None and state.psi is not None
         state.band_densities = state.basis.densities(state.psi, block)
         # band weights w_αn = ∫ p_α |ψ_n|² dr

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dft.grid import RealSpaceGrid
 from repro.dft.occupations import smearing_entropy
-from repro.dft.scf import harris_foulkes_energy
+from repro.dft.scf import PotentialTerms, harris_foulkes_energy
 
 
 def dc_band_energy(
@@ -51,11 +50,7 @@ def boundary_energy_correction(
 
 
 def dc_total_energy(
-    grid: RealSpaceGrid,
-    rho: np.ndarray,
-    vh: np.ndarray,
-    exc: np.ndarray,
-    vxc: np.ndarray,
+    terms: PotentialTerms,
     band_energy: float,
     vbc_correction: float,
     e_ewald: float,
@@ -65,12 +60,12 @@ def dc_total_energy(
     kt: float,
 ) -> dict[str, float]:
     """The LDC inputs of the one total-energy expression
-    (:func:`repro.dft.scf.harris_foulkes_energy`, everything at the pass's
-    input density ``rho``): the band energy less the ``v_bc`` correction,
-    and the partition-weighted entropy.  Returns every component."""
+    (:func:`repro.dft.scf.harris_foulkes_energy`, ``terms`` taken at the
+    pass's input density when its potentials were built): the band energy
+    less the ``v_bc`` correction, and the partition-weighted entropy.
+    Returns every component."""
     entropy = smearing_entropy(all_eigs, mu, kt, weights=all_weights)
     parts = harris_foulkes_energy(
-        grid, rho, vh, exc, vxc, band_energy - vbc_correction, e_ewald,
-        -kt * entropy,
+        terms, band_energy - vbc_correction, e_ewald, -kt * entropy
     )
     return {**parts, "band": band_energy, "vbc_correction": vbc_correction}

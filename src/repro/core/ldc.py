@@ -50,7 +50,7 @@ from repro.dft.grid import RealSpaceGrid
 from repro.dft.hartree import hartree_potential
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import scf_fixed_point
+from repro.dft.scf import potential_terms, scf_fixed_point
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observe import Observer, observer
@@ -142,8 +142,14 @@ class DomainState:
     rho_local: np.ndarray | None = None
     vbc: np.ndarray | None = None
     #: per-band |ψ|² between the solve and density steps of one SCF pass:
-    #: a view of the stack pool's densities phase (unset once consumed)
+    #: a view of the stack pool's densities phase (unset once consumed;
+    #: never set on the whole cell)
     band_densities: np.ndarray | None = None
+    #: the domain is the whole cell — partition weight identically 1, the
+    #: global grid (:attr:`~repro.core.workspace.LDCWorkspace.whole_cell`):
+    #: no restriction, no v_bc, band weights 1, and ρ_α = Σ f|ψ|² formed
+    #: after μ with no per-band block
+    whole_cell: bool = False
 
 
 @dataclass
@@ -309,8 +315,9 @@ def _run_ldc(
     #: whether the solve continues a trajectory (every domain warm): its
     #: converged state then feeds the next step's ASPC windows
     continues = workspace.cold_domains == 0
-    # what the last pass left behind (the map hands the loop scalars)
-    vh_warm: np.ndarray | None = None
+    # what the last pass left behind (the map hands the loop scalars); the
+    # multigrid solve's warm start, its V_H, is popped by the next pass
+    vh_warm: list[np.ndarray] = []
     components: dict[str, float] = {}
     boundary_errors: list[float] = []
     eig_total = 0
@@ -318,9 +325,8 @@ def _run_ldc(
     def density_map(
         rho_in: np.ndarray, iteration: int | None
     ) -> tuple[np.ndarray, float, float, dict[str, float]]:
-        nonlocal vh_warm, components, eig_total
-        # each pass's V_H is the next one's Poisson warm start
-        mu, rho_out, components, bnd_err, vh_warm, eig_pass = _scf_pass(
+        nonlocal components, eig_total
+        mu, rho_out, components, bnd_err, eig_pass = _scf_pass(
             grid, states, rho_in, v_loc_global, e_ewald, n_electrons,
             xi, mg, vh_warm, opts, ins, workspace.batch_pool,
         )
@@ -374,31 +380,44 @@ def _scf_pass(
     n_electrons: float,
     xi: float | None,
     mg: MultigridPoisson | None,
-    vh_warm: np.ndarray | None,
+    vh_warm: list[np.ndarray],
     opts: LDCOptions,
     ins: Observer,
     pool: DomainScratch,
-) -> tuple[float, np.ndarray, dict[str, float], float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, dict[str, float], float, int]:
     """One global-local pass: potentials → domain solves → μ → density.
 
-    The global potentials are solved once, every domain with atoms goes
+    The global potentials are solved once and reduced at once to the
+    energy's scalars (:func:`~repro.dft.scf.potential_terms`), so of the
+    global fields only v_KS — and on the multigrid path V_H, the next
+    pass's warm start, which replaces the last one in ``vh_warm`` — is
+    alive while the domains are solved.  Every domain with atoms goes
     through the domain-solve seam
     (:func:`repro.core.batched.batched_domain_pass`; ``pool`` is its stack
     buffer pool), and the outcomes are folded in domain-index order into
-    the global μ search and the density assembly.
+    the global μ search and the density assembly; the whole cell forms its
+    ρ_α = ρ after μ, band by band, in one pooled |ψ_n|² buffer.
 
     Returns (μ, assembled density, energy components, mean boundary-density
-    error, Hartree potential field — the caller's Poisson warm start, and
-    the summed eigensolver iterations over every domain solve).
+    error, and the summed eigensolver iterations over every domain solve).
     """
     if mg is not None:
-        vh = mg.solve(rho, v0=vh_warm, tol=1e-8, instrumentation=ins)
+        vh = mg.solve(
+            rho, v0=vh_warm.pop() if vh_warm else None, tol=1e-8,
+            instrumentation=ins,
+        )
+        vh_warm.append(vh)
     else:
         vh = hartree_potential(grid, rho)
     exc, vxc = lda_xc(rho)
-    # grouped as v_loc + (V_H + v_xc): floating-point addition does not
-    # associate, and this order is the one every stored trajectory used
-    v_ks_global = v_loc_global + (vh + vxc)
+    terms = potential_terms(grid, rho, vh, exc, vxc)
+    del exc  # reduced to ``terms``, like V_H and v_xc: not held any longer
+    # grouped as v_loc + (V_H + v_xc) — floating-point addition does not
+    # associate, and this order is the one every stored trajectory used —
+    # in one array of its own (addition commutes exactly)
+    v_ks_global = np.add(vh, vxc)
+    v_ks_global += v_loc_global
+    del vh, vxc
 
     all_eigs: list[np.ndarray] = []
     all_weights: list[np.ndarray] = []
@@ -429,21 +448,29 @@ def _scf_pass(
     rho_locals: list[np.ndarray] = []
     vbcs: list[np.ndarray] = []
     sup_list: list[np.ndarray] = []
-    for state in states:
-        if state.nband == 0 or state.band_densities is None:
-            continue
+    for idom, state in active:
+        assert state.eigenvalues is not None and state.psi is not None
         occs = fermi_occupations(state.eigenvalues, mu, opts.kt)
         state.occupations = occs
-        rho_a = np.einsum("n,nijk->ijk", occs, state.band_densities)
+        if state.whole_cell:
+            assert state.basis is not None
+            # p ≡ 1: ρ_α is the assembled density, summed into it
+            rho_a = state.basis.densities(
+                state.psi, rho_new, occupations=occs,
+                band=pool.get(("band_density", idom), grid.shape),
+            )
+        else:
+            assert state.band_densities is not None
+            rho_a = np.einsum("n,nijk->ijk", occs, state.band_densities)
+            state.band_densities = None  # consumed; the next solve reuses it
+            ix, iy, iz = state.domain.grid_indices
+            # Fancy-index += (not np.add.at): each per-axis wrapped index
+            # array is duplicate-free — a domain's extent never exceeds the
+            # grid shape (DomainDecomposition clamps buffer_points to
+            # (shape - core) // 2) — so the buffered read-modify-write is
+            # exact and skips np.add.at's slow unbuffered element-wise path.
+            rho_new[np.ix_(ix, iy, iz)] += state.support * rho_a
         state.rho_local = rho_a
-        state.band_densities = None  # consumed; the next solve reuses it
-        ix, iy, iz = state.domain.grid_indices
-        # Fancy-index += (not np.add.at): each per-axis wrapped index array
-        # is duplicate-free — a domain's extent never exceeds the grid shape
-        # (DomainDecomposition clamps buffer_points to (shape - core) // 2) —
-        # so the buffered read-modify-write is exact and skips np.add.at's
-        # slow unbuffered element-wise path.
-        rho_new[np.ix_(ix, iy, iz)] += state.support * rho_a
         rho_locals.append(rho_a)
         if state.vbc is not None:
             vbcs.append(state.vbc)
@@ -460,9 +487,8 @@ def _scf_pass(
     )
     vbc_corr = boundary_energy_correction(sup_list, vbcs, rho_locals, grid.dv)
     components = dc_total_energy(
-        grid, rho, vh, exc, vxc, band_e, vbc_corr, e_ewald, eigs_cat, w_cat,
-        mu, opts.kt,
+        terms, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt,
     )
     mean_err = bnd_err_total / n_active if n_active else 0.0
     eig_pass = sum(iterations for iterations, _ in outcomes)
-    return mu, rho_new, components, mean_err, vh, eig_pass
+    return mu, rho_new, components, mean_err, eig_pass

@@ -24,7 +24,9 @@ keeps a :class:`~repro.md.extrapolate.DomainHistory` window of (ψ, v_bc,
 ρ_α) snapshots, and ``prepare`` seeds the next solve from the ASPC
 prediction over the last ``history_depth`` of them (depth 1 degrades to
 verbatim last-state reuse; restarting the damped v_bc iteration from
-zero would otherwise dominate the step-2 SCF count).  A domain whose
+zero would otherwise dominate the step-2 SCF count).  ρ_α is carried only
+beside a v_bc — the v_bc target is its one warm-start reader — so a
+``mode="dc"`` window holds ψ alone.  A domain whose
 identity changed — atoms migrated across a boundary, the band count
 moved — invalidates its window and falls back to the same deterministic
 random start the cold path uses.  Orbital warm
@@ -92,7 +94,9 @@ class DomainScratch:
       restricted density, v_bc target and buffer window;
     * **densities**, once per pass — every active domain's real per-band
       |ψ_n|², formed after the last stack is solved and held until the
-      global μ is known and the density assembled.
+      global μ is known and the density assembled; the whole cell, whose
+      band weights are 1, holds one |ψ_n|² buffer instead, for its
+      density after μ.
 
     Stacks are solved one after another, so the solve phase is the largest
     stack's working set whatever the number of shape classes.  The arena
@@ -243,6 +247,9 @@ class LDCWorkspace:
         self.decomposition: DomainDecomposition | None = None
         #: partition weights by domain; equal ones are one read-only array
         self.pou: list[np.ndarray] | None = None
+        #: whether the one domain is the whole cell (weight identically 1,
+        #: the global grid): flagged with the supports, read by the seam
+        self.whole_cell: bool = False
         #: one basis per shape class ``(grid shape, lengths, cutoff)``
         self._bases: dict[tuple, PlaneWaveBasis] = {}
         #: bounded per-domain ASPC windows of converged (ψ, v_bc, ρ_α)
@@ -279,6 +286,7 @@ class LDCWorkspace:
         self.grid = None
         self.decomposition = None
         self.pou = None
+        self.whole_cell = False
         self._bases.clear()
         self._history.clear()
         self.predictor_residual = None
@@ -304,7 +312,8 @@ class LDCWorkspace:
         plane-wave basis per domain shape, one partition weight per
         distinct profile) does not grow with the domain count,
         ``stack_pool`` is the larger of the widest stack's solve set and
-        every domain's band densities, ``windows`` the per-domain ASPC
+        every domain's band densities (the whole cell: its solve set),
+        ``windows`` the per-domain ASPC
         state, ``mixer`` the carried SCF memory, ``global`` the
         geometry-only tables of the global half (Ewald structure,
         multigrid levels).  An array counts once, in the first part that
@@ -349,6 +358,8 @@ class LDCWorkspace:
             self.grid, options.domains, options.buffer
         )
         self.pou = supports(self.decomposition, options.support)
+        # one domain: Σ_α p_α = 1 makes its weight 1 on the whole grid
+        self.whole_cell = self.decomposition.ndomains == 1
 
     def ewald_structure(self, config: Configuration) -> EwaldStructure:
         """The cached Ewald geometry for this cell (built on first use)."""
@@ -448,7 +459,7 @@ class LDCWorkspace:
             states.append(
                 DomainState(
                     dom, idx, local, basis, vnl, w, nband=nband, psi=psi,
-                    vbc=vbc, rho_local=rho_local,
+                    vbc=vbc, rho_local=rho_local, whole_cell=self.whole_cell,
                 )
             )
         self.steps += 1
@@ -466,7 +477,9 @@ class LDCWorkspace:
 
     def store(self, states: list[DomainState]) -> None:
         """Push each domain's converged solver state (ψ, v_bc, ρ_α) onto
-        its ASPC window for the next step's warm start.
+        its ASPC window for the next step's warm start; ρ_α only together
+        with a v_bc, whose target is the one warm-start reader of it (a
+        ``mode="dc"`` window holds ``(ψ, None, None)``).
 
         Also sets :attr:`predictor_residual`: the mean of the residuals
         the windows settle — the gauge-invariant distance between the ψ
@@ -482,9 +495,8 @@ class LDCWorkspace:
             key = _domain_key(
                 state.atom_indices, state.basis.npw, state.nband
             )
-            res = self._window(idom).push(
-                key, state.psi, state.vbc, state.rho_local
-            )
+            rho_local = state.rho_local if state.vbc is not None else None
+            res = self._window(idom).push(key, state.psi, state.vbc, rho_local)
             if res is not None:
                 residuals.append(res)
         for idom in list(self._history):

@@ -20,7 +20,8 @@ rounding (DESIGN.md §18).  Rows are transformed in blocks of
 cache-sized, and every stage reads and writes pooled buffers or the
 caller's block through ``np.fft.fft/ifft(axis=…, out=…)``: with ``out=`` a
 transform allocates nothing (DESIGN.md §19).  |ψ|² is formed here too, by
-:meth:`PlaneWaveBasis.densities`, for both density maps.
+:meth:`PlaneWaveBasis.densities`: per band for the LDC seam, occupied for
+the whole cell.
 """
 
 from __future__ import annotations
@@ -329,23 +330,26 @@ class PlaneWaveBasis:
         orbitals: np.ndarray,
         out: np.ndarray,
         occupations: np.ndarray | None = None,
+        band: np.ndarray | None = None,
     ) -> np.ndarray:
         """|ψ_n(r)|² of an ``(npw, nband)`` block into the real ``out`` —
-        the one place the density maps form them (the eigensolvers return
-        orbitals only).
+        the one place |ψ|² is formed (the eigensolvers return orbitals
+        only).
 
         Without ``occupations``, ``out`` is ``(nband, *grid.shape)`` and
-        ``out[n] = |ψ_n|²`` (the LDC seam: the DC weights need every band
-        before μ exists).  With them, ``out`` is ``grid.shape`` and gets
-        ``Σ_n f_n |ψ_n|²`` added band by band, in the order
-        ``np.einsum("n,nijk->ijk")`` sums (the global map of
-        ``tests/oracles/``, which finds μ first), with no per-band array.
+        ``out[n] = |ψ_n|²`` (the LDC seam, for a domain of several: its
+        band weights need every band before μ exists).  With them, ``out``
+        is ``grid.shape`` and gets ``Σ_n f_n |ψ_n|²`` added band by band,
+        in the order ``np.einsum("n,nijk->ijk")`` sums, with no per-band
+        block: the LDC driver's whole cell, whose band weights are 1 and
+        so known before μ, and the global map of ``tests/oracles/``.
+        ``band`` is that form's one grid-shaped |ψ_n|² buffer (the LDC
+        driver lends a stack-pool view), allocated when not given.
         The fields exist a row block at a time, in the work block;
         ``|ψ|²`` is ``np.absolute`` → ``np.power(·, 2)``, the values of
         ``np.abs(self.to_grid(orbitals)) ** 2``.
         """
         step = self.block_rows
-        band: np.ndarray | None = None  # the occupied form's one |ψ_n|²
         for a in range(0, orbitals.shape[1], step):
             cols = orbitals[:, a:a + step]
             fields = self.to_grid(cols, out=self.work_block(cols.shape[1]))
@@ -385,8 +389,9 @@ def density_from_orbitals(
     """Electron density ``ρ(r) = Σ_n f_n |ψ_n(r)|²`` on the real grid.
 
     Normalization: ``∫ ρ dr = Σ_n f_n`` when the orbitals are orthonormal.
-    ``run_ldc`` does not call this — it forms densities
-    through :meth:`PlaneWaveBasis.densities`; it is the independent oracle.
+    Nothing under ``src`` calls this — ``run_ldc`` and ``run_scf`` form
+    densities through :meth:`PlaneWaveBasis.densities`; it is the tests'
+    independent oracle for that method (a dense transform, ``re² + im²``).
     """
     occupations = np.asarray(occupations, dtype=float)
     if psi.shape[1] != occupations.size:

@@ -106,37 +106,61 @@ def initial_density(grid: RealSpaceGrid, config: Configuration) -> np.ndarray:
     return renormalize(rho, config.n_electrons(), grid.dv)
 
 
-def harris_foulkes_energy(
+class PotentialTerms(NamedTuple):
+    """The integrals of one pass's global fields against its input density
+    ρ: what the energy expression needs of V_H, ε_xc and v_xc, so a pass
+    can drop the fields before its domain solves."""
+
+    #: E_H = ½⟨ρ, V_H⟩
+    hartree: float
+    #: ⟨ρ, v_xc⟩
+    rho_vxc: float
+    #: E_xc = ⟨ρ, ε_xc⟩
+    xc: float
+
+
+def potential_terms(
     grid: RealSpaceGrid,
     rho: np.ndarray,
     vh: np.ndarray,
     exc: np.ndarray,
     vxc: np.ndarray,
+) -> PotentialTerms:
+    """Reduce a pass's ``vh`` and ``exc``/``vxc`` (its one
+    :func:`~repro.dft.xc.lda_xc` evaluation) at its input density ``rho``
+    to the scalars of :func:`harris_foulkes_energy`: every integral a dot
+    product with ρ, no product field."""
+    return PotentialTerms(
+        hartree_energy(grid, rho, vh), grid.inner(rho, vxc),
+        grid.inner(rho, exc),
+    )
+
+
+def harris_foulkes_energy(
+    terms: PotentialTerms,
     band_energy: float,
     e_ewald: float,
     entropy_term: float,
 ) -> dict[str, float]:
     """The total free energy of one SCF pass, everything at its *input*
-    density ``rho`` — the one ``vh`` and ``exc``/``vxc`` (the pass's one
-    :func:`~repro.dft.xc.lda_xc` evaluation), and so the Hamiltonian behind
-    ``band_energy``, were built from.  That makes it the Harris–Foulkes
-    functional, second order in the pass's residual (the double counting
-    integrated over the *output* density instead is first order: 1.9e-4
-    against 1.6e-8 Ha at ``tol=1e-3`` on one H₂O, DESIGN.md §20).
-    ``band_energy`` arrives with any non-physical potential (LDC's
-    ``v_bc``) already removed.  Returns the total and every part.
+    density — the one the potentials behind ``terms`` (:func:`potential_terms`),
+    and so the Hamiltonian behind ``band_energy``, were built from.  That
+    makes it the Harris–Foulkes functional, second order in the pass's
+    residual (the double counting integrated over the *output* density
+    instead is first order: 1.9e-4 against 1.6e-8 Ha at ``tol=1e-3`` on
+    one H₂O, DESIGN.md §20).  ``band_energy`` arrives with any
+    non-physical potential (LDC's ``v_bc``) already removed.  Returns the
+    total and every part.
     """
-    # every integral a dot product with ρ: no product field, no V_H + v_xc
-    e_h = hartree_energy(grid, rho, vh)
-    double_count = 2.0 * e_h + grid.inner(rho, vxc)
-    e_xc = grid.inner(rho, exc)
-    total = band_energy - double_count + e_h + e_xc + e_ewald + entropy_term
+    e_h = terms.hartree
+    double_count = 2.0 * e_h + terms.rho_vxc
+    total = band_energy - double_count + e_h + terms.xc + e_ewald + entropy_term
     return {
         "total": total,
         "band": band_energy,
         "double_count": double_count,
         "hartree": e_h,
-        "xc": e_xc,
+        "xc": terms.xc,
         "ewald": e_ewald,
         "entropy_term": entropy_term,
     }
@@ -253,6 +277,7 @@ def scf_fixed_point(
         rho = renormalize(
             np.clip(step.mix(rho, rho_out), 0.0, None), n_electrons, grid.dv
         )
+        del rho_out  # mixed in: not alive through the next map call
         if mixer is not None and it == 1:
             ins.series("ldc.mixer_carried_pairs").append(
                 mixer.carried_pairs

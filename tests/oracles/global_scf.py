@@ -29,7 +29,12 @@ from repro.dft.occupations import (
     smearing_entropy,
 )
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import ORBITAL_SEED, harris_foulkes_energy, scf_fixed_point
+from repro.dft.scf import (
+    ORBITAL_SEED,
+    harris_foulkes_energy,
+    potential_terms,
+    scf_fixed_point,
+)
 from repro.dft.xc import lda_xc
 from repro.systems.configuration import Configuration
 
@@ -117,7 +122,8 @@ def global_scf(
         mu = find_chemical_potential(eigs, n_electrons, opts.kt)
         occs = fermi_occupations(eigs, mu, opts.kt)
         parts = harris_foulkes_energy(
-            grid, rho_in, vh, exc, vxc, float(np.sum(occs * eigs)), e_ewald,
+            potential_terms(grid, rho_in, vh, exc, vxc),
+            float(np.sum(occs * eigs)), e_ewald,
             -opts.kt * smearing_entropy(eigs, mu, opts.kt),
         )
         # Σ_n f_n |ψ_n|², μ being known, accumulated band by band;

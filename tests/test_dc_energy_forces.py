@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, run_ldc
 from repro.core.energy import (
     boundary_energy_correction,
@@ -11,6 +12,7 @@ from repro.core.energy import (
 )
 from repro.core.forces import ldc_forces, nonlocal_forces_dc
 from repro.dft.grid import RealSpaceGrid
+from repro.dft.scf import SCFOptions, harris_foulkes_energy, potential_terms
 from repro.systems import dimer
 
 
@@ -60,7 +62,7 @@ def test_dc_total_energy_components():
     exc = np.full(grid.shape, -0.15)
     vxc = np.full(grid.shape, -0.2)
     comps = dc_total_energy(
-        grid, rho, vh, exc, vxc,
+        potential_terms(grid, rho, vh, exc, vxc),
         band_energy=-3.0, vbc_correction=0.0, e_ewald=1.0,
         all_eigs=np.array([-1.5]), all_weights=np.array([1.0]),
         mu=0.0, kt=0.0,
@@ -73,6 +75,48 @@ def test_dc_total_energy_components():
         -3.0 - (-1.28) + comps["hartree"] + comps["xc"] + 1.0
     )
     assert comps["entropy_term"] == 0.0
+
+
+@pytest.mark.parametrize("layout", ["ldc", "whole_cell"])
+def test_pass_components_are_harris_foulkes_of_the_pass_fields(
+    layout, monkeypatch
+):
+    """A pass reduces its fields to scalars before the domain solves and
+    drops them; the components it reports are still ``==``
+    ``harris_foulkes_energy`` applied to those very arrays — the V_H,
+    ε_xc and v_xc of the pass's input density, which the spies keep."""
+    last = {}  # the latest pass's fields
+    xc, hartree = ldc_module.lda_xc, ldc_module.hartree_potential
+
+    def xc_spy(rho):
+        last["rho"] = rho
+        last["exc"], last["vxc"] = xc(rho)
+        return last["exc"], last["vxc"]
+
+    def hartree_spy(grid, rho):
+        last["vh"] = hartree(grid, rho)
+        return last["vh"]
+
+    monkeypatch.setattr(ldc_module, "lda_xc", xc_spy)
+    monkeypatch.setattr(ldc_module, "hartree_potential", hartree_spy)
+    cfg = dimer("H", "H", 1.5, 10.0)
+    opts = LDCOptions(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-4)
+    if layout == "whole_cell":
+        opts = SCFOptions(ecut=4.0, tol=1e-4)
+    result = run_ldc(cfg, opts)
+    comps = result.components
+    assert np.array_equal(last["rho"], result.input_density)
+    parts = harris_foulkes_energy(
+        potential_terms(
+            result.grid, last["rho"], last["vh"], last["exc"], last["vxc"]
+        ),
+        comps["band"] - comps["vbc_correction"], comps["ewald"],
+        comps["entropy_term"],
+    )
+    assert {**parts, "band": comps["band"]} == {
+        k: v for k, v in comps.items() if k != "vbc_correction"
+    }
+    assert comps["total"] == result.energy
 
 
 # ---- DC forces -------------------------------------------------------------------

@@ -132,8 +132,9 @@ def _row_blocks(basis, nband):
 
 def _assert_densities_match_orbitals(ham, res):
     """The caller's two forms of |ψ|² of a result — per band, and
-    occupied-only — against the oracles: ``|to_grid|²`` and
-    :func:`density_from_orbitals`, both to 1e-14."""
+    occupied-only (through a |ψ_n|² buffer of its own or a lent one) —
+    against the oracles: ``|to_grid|²`` and :func:`density_from_orbitals`,
+    both to 1e-14."""
     basis = ham.basis
     nband = res.orbitals.shape[1]
     out = np.full((nband,) + basis.grid.shape, np.nan)
@@ -146,6 +147,12 @@ def _assert_densities_match_orbitals(ham, res):
     rho = basis.densities(res.orbitals, np.zeros(basis.grid.shape), occupations)
     oracle = density_from_orbitals(basis, res.orbitals, occupations)
     assert np.abs(rho - oracle).max() <= 1e-14
+    # the lent |ψ_n|² buffer (the whole cell's stack-pool view) is the same sum
+    band = np.full(basis.grid.shape, np.nan)
+    lent = basis.densities(
+        res.orbitals, np.zeros(basis.grid.shape), occupations, band=band
+    )
+    assert np.array_equal(lent, rho) and np.isfinite(band).all()
 
 
 def _rotated_eigenvectors(ref, nband):

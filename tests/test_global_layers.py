@@ -27,7 +27,7 @@ from repro.dft.pseudopotential import (
     local_potential_ft,
     structure_factors,
 )
-from repro.dft.scf import harris_foulkes_energy, initial_density
+from repro.dft.scf import harris_foulkes_energy, initial_density, potential_terms
 from repro.multigrid import MultigridPoisson
 from repro.multigrid.stencils import (
     gauss_seidel_sweeps,
@@ -455,7 +455,9 @@ def test_energy_expression_is_the_integrals_it_names(cold):
     grid, _, rho = cold
     rng = np.random.default_rng(11)
     vh, exc, vxc = (rng.standard_normal(grid.shape) for _ in range(3))
-    parts = harris_foulkes_energy(grid, rho, vh, exc, vxc, -3.0, 0.5, -0.01)
+    parts = harris_foulkes_energy(
+        potential_terms(grid, rho, vh, exc, vxc), -3.0, 0.5, -0.01
+    )
     assert parts["hartree"] == pytest.approx(
         0.5 * grid.integrate(rho * vh), rel=1e-13)
     assert parts["double_count"] == pytest.approx(
@@ -479,5 +481,5 @@ def test_global_layers_allocate_within_their_budgets(cold):
     rng = np.random.default_rng(0)
     fields = [rng.standard_normal(grid.shape) for _ in range(3)]
     assert traced_peak(
-        lambda: harris_foulkes_energy(grid, rho, *fields, 0.0, 0.0, 0.0)
+        lambda: potential_terms(grid, rho, *fields)
     ) <= 0.1 * array

@@ -4,6 +4,7 @@ and the stale-shape warm-start guards on both MD engines."""
 import numpy as np
 import pytest
 
+import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.workspace import ALIGN, DomainScratch
 from repro.dft.scf import SCFOptions, run_scf
@@ -312,6 +313,67 @@ def test_adaptive_buffer_leaves_the_whole_cell_alone():
             assert engine.workspace.steps == step + 1  # never reset
         assert ins.metrics.get("ldc.buffer_adjustments") is None
         assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 3
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
+def test_domain_density_is_carried_only_beside_a_boundary_potential(batch):
+    """The v_bc target is the one warm-start reader of ρ_α, so a window
+    snapshot holds ρ_α only beside a v_bc: none in ``mode="dc"``, every
+    one in ``mode="ldc"``, at either stack width.  A warm dc solve so
+    reports its first per-domain boundary error from pass 2, as a cold one
+    does; a warm ldc solve reports one from its first pass."""
+    for mode in ("dc", "ldc"):
+        ws = LDCWorkspace(history_depth=2)
+        opts = LDCOptions(**OPTS, mode=mode, batch_domains=batch)
+        reported = []
+        for shift in (0.0, 0.05):
+            ins = Instrumentation()
+            result = run_ldc(h4_chain(shift), opts, workspace=ws,
+                             instrumentation=ins)
+            passes = result.iterations + 1  # the final consistent pass too
+            reported.append([
+                passes - len(ins.series("ldc.boundary_error", domain=d).values)
+                for d in (0, 1)
+            ])
+        assert result.converged and ws.warm_domains == 2
+        snapshots = [rho for hist in ws._history.values()
+                     for _, _, rho in hist._entries]
+        assert len(snapshots) == 4
+        cold_gap, warm_gap = reported
+        assert cold_gap == [1, 1]
+        if mode == "dc":
+            assert all(rho is None for rho in snapshots)
+            assert warm_gap == [1, 1]
+        else:
+            assert all(rho is not None for rho in snapshots)
+            assert warm_gap == [0, 0]
+
+
+def test_buffer_controller_reads_the_last_loop_pass_error(monkeypatch):
+    """``LDCEngine._adapt_buffer`` hands the controller
+    ``boundary_errors[-1]`` of each solve — the last loop pass's mean
+    error — in ``mode="dc"`` too, where a warm solve has no ρ_α before
+    its second pass."""
+    engine = LDCEngine(LDCOptions(**OPTS, mode="dc"), qmd_options=ADAPTIVE)
+    assert engine.controller is not None
+    results, observed = [], []
+    solve, observe = ldc_module.run_ldc, engine.controller.observe
+
+    def solve_spy(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    def observe_spy(buffer, error):
+        observed.append(error)
+        return observe(buffer, error)
+
+    monkeypatch.setattr(ldc_module, "run_ldc", solve_spy)
+    monkeypatch.setattr(engine.controller, "observe", observe_spy)
+    for shift in (0.0, 0.05, 0.1):
+        engine.forces(h4_chain(shift))
+    assert engine.workspace.warm_domains == 2
+    assert observed == [r.boundary_errors[-1] for r in results]
+    assert all(len(r.boundary_errors) == r.iterations for r in results)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
