@@ -7,13 +7,16 @@ schema violation fails the bench) and embeds the schema in the
 can gate fresh results against ``benchmarks/baselines/`` without importing
 any benchmark code.
 
-Two shapes are used:
+Three shapes are used:
 
-* **tabular** — keyed rows mirroring the paper table/figure (e.g. Table 1
-  keyed by ``(nodes, threads_per_core)``);
+* **tabular** — keyed rows mirroring a paper figure (Fig. 7 keyed by
+  ``(mode, buffer)``);
 * **metric** — ``{"metric": name, "value": x}`` rows for benches whose
   output is a handful of headline scalars, with per-metric tolerance bands
-  via :attr:`RecordSchema.overrides`.
+  via :attr:`RecordSchema.overrides`;
+* **claims** — the one record of every modelled paper number
+  (``bench_claims.py``), keyed by ``(artifact, metric)`` with a band per
+  row.
 
 Band policy: deterministic model/physics outputs get tight bands (drift
 either way is a real change); error norms and iteration counts gate only
@@ -42,53 +45,115 @@ _MODEL = {"direction": "both", "rel_tol": 0.01}  # deterministic perf model
 _TIMING = {"compare": False}  # host wall-clock: ledger only
 
 
+# -- the claims record (bench_claims.py) ------------------------------------
+#: the curve points the claims record evaluates, one row per point
+WEAK_CORES = (16, 64, 256, 1024, 4096, 16_384, 65_536, 262_144, 786_432)
+STRONG_CORES = (49_152, 98_304, 196_608, 393_216, 786_432)
+ARRHENIUS_T = (300.0, 600.0, 1500.0)
+PARTICLE_PAIRS = (30, 135, 441)
+RACKS = (1, 2, 48)
+
+_HIGHER = {"direction": "higher", "rel_tol": 0.01}
+_KMC = {"direction": "both", "rel_tol": 0.1}
+
+
+def _points(stems: dict[str, dict], points: list[str]) -> dict[str, dict]:
+    """``metric@point`` bands: every stem at every point."""
+    return {f"{m}@{p}": band for p in points for m, band in stems.items()}
+
+
+#: artifact -> metric -> band of ``value``
+_CLAIM_BANDS: dict[str, dict[str, dict]] = {
+    "fig5_weak_scaling": _points(
+        {"natoms": _EXACT, "wall_clock_s": _MODEL,
+         "efficiency": {"direction": "higher", "rel_tol": 0.005,
+                        "abs_tol": 1e-3}},
+        [f"cores={p}" for p in WEAK_CORES],
+    ),
+    "fig6_strong_scaling": _points(
+        {"wall_clock_s": _MODEL, "speedup": _HIGHER, "efficiency": _HIGHER},
+        [f"cores={p}" for p in STRONG_CORES],
+    ),
+    "fig9a_arrhenius": {
+        **_points({"rate_per_pair": _KMC},
+                  [f"T={t:.0f}K" for t in ARRHENIUS_T]),
+        "activation_mev": {"direction": "both", "abs_tol": 5.0,
+                           "rel_tol": 0.0},
+        "r_squared": {"direction": "higher", "abs_tol": 0.02, "rel_tol": 0.0},
+        "k300_per_pair": {"direction": "both", "rel_tol": 0.2},
+    },
+    "fig9b_size_scaling": {
+        **_points({"n_surface": _EXACT, "rate": _KMC,
+                   "rate_per_surface": _KMC, "stderr_per_surface": _TIMING},
+                  [f"pairs={n}" for n in PARTICLE_PAIRS]),
+        "rate_per_surface_spread": _KMC,
+    },
+    "sec42_collective_io": {
+        "optimal_group_size": _EXACT,
+        "write_time_s": _MODEL,
+        "read_time_s": _MODEL,
+        "write_percent_of_run": {"direction": "lower", "rel_tol": 0.0,
+                                 "abs_tol": 0.01},
+    },
+    "sec52_crossover": {
+        **_points({"speedup_nu2": {"direction": "both", "rel_tol": 0.001},
+                   "speedup_nu3": {"direction": "both", "rel_tol": 0.001}},
+                  ["1e-02", "5e-03", "1e-03"]),
+        "crossover_atoms": _MODEL,
+        "crossover_strict_atoms": _MODEL,
+    },
+    "sec52_time_to_solution": {
+        "paper_headline_atom_iter_per_s": _EXACT,
+        "model_projection_atom_iter_per_s": _MODEL,
+        "prototype_atom_iter_per_s": _TIMING,
+        "prototype_scf_iterations": {"direction": "lower", "rel_tol": 0.0,
+                                     "abs_tol": 2.0},
+        "speedup_vs_hasegawa2011": _MODEL,
+        "speedup_vs_oseikuffuor2014": _MODEL,
+    },
+    "sec54_portability": {
+        "model_gflops": _MODEL,
+        "model_percent_peak": {"direction": "both", "rel_tol": 0.0,
+                               "abs_tol": 0.5},
+        "host_dgemm_gflops": _TIMING,
+    },
+    "sec6_production": {
+        "atoms": _EXACT, "qmd_steps": _EXACT, "scf_iterations": _EXACT,
+        "scf_per_step": {"direction": "both", "rel_tol": 0.0,
+                         "abs_tol": 0.01},
+        "simulated_ps": _EXACT, "seconds_per_scf": _MODEL,
+        "campaign_hours": _MODEL, "sessions_12h": _MODEL,
+        "io_seconds_per_session": _MODEL,
+    },
+    "table1_threading": _points(
+        {"gflops": _MODEL, "percent_peak": _MODEL},
+        [f"nodes={n},threads={t}" for n in (4, 8, 16) for t in (1, 2, 4)],
+    ),
+    "table2_rack_flops": _points(
+        {"cores": _EXACT, "tflops": _MODEL, "percent_peak": _MODEL},
+        [f"racks={r}" for r in RACKS],
+    ),
+}
+
+
 SCHEMAS: dict[str, RecordSchema] = {
-    # -- paper tables (deterministic machine models) ------------------------
-    "table1_threading": RecordSchema(
-        bench="table1_threading",
-        key=("nodes", "threads_per_core"),
+    # -- every modelled paper number, labelled with its source ------------------
+    "claims": RecordSchema(
+        bench="claims",
+        key=("artifact", "metric"),
         fields=[
-            FieldSpec("nodes", kind="int", compare=False),
-            FieldSpec("threads_per_core", kind="int", compare=False),
-            FieldSpec("model_gflops", **_MODEL),
-            FieldSpec("model_percent_peak", **_MODEL),
-            FieldSpec("paper_gflops", **_EXACT),
-            FieldSpec("paper_percent_peak", **_EXACT),
+            FieldSpec("artifact", kind="str", compare=False),
+            FieldSpec("metric", kind="str", compare=False),
+            FieldSpec("value", **_MODEL),
+            FieldSpec("paper", **_EXACT),
+            FieldSpec("label", kind="str"),
+            FieldSpec("constants", kind="str"),
         ],
-    ),
-    "table2_rack_flops": RecordSchema(
-        bench="table2_rack_flops",
-        key=("racks",),
-        fields=[
-            FieldSpec("racks", kind="int", compare=False),
-            FieldSpec("cores", kind="int", **_EXACT),
-            FieldSpec("model_tflops", **_MODEL),
-            FieldSpec("model_percent_peak", **_MODEL),
-            FieldSpec("paper_tflops", **_EXACT),
-            FieldSpec("paper_percent_peak", **_EXACT),
-        ],
-    ),
-    # -- scaling figures ----------------------------------------------------
-    "fig5_weak_scaling": RecordSchema(
-        bench="fig5_weak_scaling",
-        key=("cores",),
-        fields=[
-            FieldSpec("cores", kind="int", compare=False),
-            FieldSpec("natoms", kind="int", **_EXACT),
-            FieldSpec("wall_clock_s", **_MODEL),
-            FieldSpec("efficiency", direction="higher", rel_tol=0.005,
-                      abs_tol=1e-3),
-        ],
-    ),
-    "fig6_strong_scaling": RecordSchema(
-        bench="fig6_strong_scaling",
-        key=("cores",),
-        fields=[
-            FieldSpec("cores", kind="int", compare=False),
-            FieldSpec("wall_clock_s", **_MODEL),
-            FieldSpec("speedup", direction="higher", rel_tol=0.01),
-            FieldSpec("efficiency", direction="higher", rel_tol=0.01),
-        ],
+        overrides={
+            f"{artifact}|{metric}": {"value": band}
+            for artifact, bands in _CLAIM_BANDS.items()
+            for metric, band in bands.items()
+        },
     ),
     # -- LDC physics sweeps (deterministic solves) --------------------------
     "fig7_buffer_convergence": RecordSchema(
@@ -105,31 +170,6 @@ SCHEMAS: dict[str, RecordSchema] = {
                       abs_tol=1e-8),
         ],
     ),
-    # -- reactive kinetics (seeded KMC, deterministic) ----------------------
-    "fig9a_arrhenius": _metric_schema(
-        "fig9a_arrhenius",
-        {
-            "rate_per_pair_300K": {"direction": "both", "rel_tol": 0.1},
-            "rate_per_pair_600K": {"direction": "both", "rel_tol": 0.1},
-            "rate_per_pair_1500K": {"direction": "both", "rel_tol": 0.1},
-            "activation_mev": {"direction": "both", "abs_tol": 5.0,
-                               "rel_tol": 0.0},
-            "r_squared": {"direction": "higher", "abs_tol": 0.02,
-                          "rel_tol": 0.0},
-            "k300_per_pair": {"direction": "both", "rel_tol": 0.2},
-        },
-    ),
-    "fig9b_size_scaling": RecordSchema(
-        bench="fig9b_size_scaling",
-        key=("pairs",),
-        fields=[
-            FieldSpec("pairs", kind="int", compare=False),
-            FieldSpec("n_surface", kind="int", **_EXACT),
-            FieldSpec("rate", direction="both", rel_tol=0.1),
-            FieldSpec("rate_per_surface", direction="both", rel_tol=0.1),
-            FieldSpec("stderr_per_surface", compare=False),
-        ],
-    ),
     # -- kernel/transformation benches --------------------------------------
     "sec34_blas3": _metric_schema(
         "sec34_blas3",
@@ -143,52 +183,7 @@ SCHEMAS: dict[str, RecordSchema] = {
                                     "abs_tol": 1e-9},
         },
     ),
-    "sec42_collective_io": _metric_schema(
-        "sec42_collective_io",
-        {
-            "optimal_group_size": _EXACT,
-            "write_time_s": _MODEL,
-            "read_time_s": _MODEL,
-            "write_percent_of_run": {"direction": "lower", "rel_tol": 0.0,
-                                     "abs_tol": 0.01},
-        },
-    ),
-    # -- Sec. 5.2 analytics --------------------------------------------------
-    "sec52_crossover": _metric_schema(
-        "sec52_crossover",
-        {
-            "speedup_nu2@1e-02": {"direction": "both", "rel_tol": 0.001},
-            "speedup_nu3@1e-02": {"direction": "both", "rel_tol": 0.001},
-            "speedup_nu2@5e-03": {"direction": "both", "rel_tol": 0.001},
-            "speedup_nu3@5e-03": {"direction": "both", "rel_tol": 0.001},
-            "speedup_nu2@1e-03": {"direction": "both", "rel_tol": 0.001},
-            "speedup_nu3@1e-03": {"direction": "both", "rel_tol": 0.001},
-            "crossover_atoms": {"direction": "both", "rel_tol": 0.01},
-            "crossover_strict_atoms": {"direction": "both", "rel_tol": 0.01},
-        },
-    ),
-    "sec52_time_to_solution": _metric_schema(
-        "sec52_time_to_solution",
-        {
-            "paper_headline_atom_iter_per_s": _EXACT,
-            "model_projection_atom_iter_per_s": _MODEL,
-            "prototype_atom_iter_per_s": _TIMING,
-            "prototype_scf_iterations": {"direction": "lower",
-                                         "rel_tol": 0.0, "abs_tol": 2.0},
-            "speedup_vs_hasegawa2011": _MODEL,
-            "speedup_vs_oseikuffuor2014": _MODEL,
-        },
-    ),
-    "sec54_portability": _metric_schema(
-        "sec54_portability",
-        {
-            "model_gflops": _MODEL,
-            "model_percent_peak": {"direction": "both", "rel_tol": 0.0,
-                                   "abs_tol": 0.5},
-            "host_dgemm_gflops": _TIMING,
-        },
-    ),
-    # -- verification & production accounting --------------------------------
+    # -- verification -----------------------------------------------------------
     "sec55_verification": _metric_schema(
         "sec55_verification",
         {
@@ -203,21 +198,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             "max_force_diff": {"direction": "lower", "rel_tol": 0.25,
                                "abs_tol": 1e-4},
             "kmc_h2_count": _EXACT,
-        },
-    ),
-    "sec6_production": _metric_schema(
-        "sec6_production",
-        {
-            "atoms": _EXACT,
-            "qmd_steps": _EXACT,
-            "scf_iterations": _EXACT,
-            "scf_per_step": {"direction": "both", "rel_tol": 0.0,
-                             "abs_tol": 0.01},
-            "simulated_ps": _EXACT,
-            "seconds_per_scf": _MODEL,
-            "campaign_hours": _MODEL,
-            "sessions_12h": _MODEL,
-            "io_seconds_per_session": _MODEL,
         },
     ),
     # -- ablations ------------------------------------------------------------

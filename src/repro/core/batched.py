@@ -23,9 +23,7 @@ iteration instead of ``n`` small ones.
 ``LDCOptions.batch_domains`` only chooses the stack width: ``True`` stacks
 whole shape classes, ``False`` makes every domain a stack of one.  The
 kernels are the same and act on each stack slice independently, so the two
-give bit-identical results (pinned by ``tests/test_batched.py``).  The
-reference eigensolver (``direct``) is per-domain by construction and always
-runs as stacks of one on a plain :class:`~repro.dft.hamiltonian.Hamiltonian`.
+give bit-identical results (pinned by ``tests/test_batched.py``).
 
 ASPC warm starts (``LDCWorkspace.history_depth``) need no special handling
 here: the pass seeds ``psi0[j]`` from each ``DomainState.psi``, which
@@ -51,11 +49,9 @@ from repro.dft.eigensolver import (
     lobpcg_work_shape,
     record_solve,
     solve_all_band_batched,
-    solve_direct,
 )
 from repro.dft.hamiltonian import (
     BatchedHamiltonian,
-    Hamiltonian,
     NonFiniteFieldError,
 )
 from repro.observe import Observer
@@ -210,19 +206,12 @@ def _solve_stack(
     opts: LDCOptions,
     pool: DomainScratch,
 ) -> list[EigenResult]:
-    """Solve one stack's eigenproblems at the potentials ``v_eff``.
-
-    ``all_band`` stacks the projectors into ``pool``, lends the solver the
-    pool's iteration workspace and runs the lockstep LOBPCG on the domains'
-    own starting blocks; the reference ``direct`` solver takes its single
-    domain through a plain :class:`Hamiltonian`.
-    """
+    """Solve one stack's eigenproblems at the potentials ``v_eff``: stack
+    the projectors into ``pool``, lend the solver the pool's iteration
+    workspace and run the lockstep LOBPCG on the domains' own starting
+    blocks."""
     basis = states[0].basis
     assert basis is not None
-    if opts.eigensolver == "direct":
-        (state,) = states  # the reference solver never stacks
-        ham = Hamiltonian(basis, v_eff[0], state.vnl)
-        return [solve_direct(ham, state.nband)]
     nd = len(states)
     psi0: list[np.ndarray] = []
     b = d = None
@@ -261,9 +250,9 @@ def batched_domain_pass(
     / ``eigenvalues`` / ``vbc`` / band data updated on each state —
     nothing of grid size outlives the pass outside the pool.
 
-    Stacks are whole shape classes when ``opts.batch_domains`` is set and
-    the all-band solver runs, single domains otherwise.  On ``ins`` (the
-    observability handle), each stack is one ``ldc.domain_solve`` span
+    Stacks are whole shape classes when ``opts.batch_domains`` is set,
+    single domains otherwise.  On ``ins`` (the observability handle),
+    each stack is one ``ldc.domain_solve`` span
     (``domain`` is its first member's index, ``n_domains`` its width,
     ``cg_iterations`` the sum over its members — the sizes
     :mod:`repro.observability.costattr` turns into FLOPs) and each domain
@@ -281,7 +270,7 @@ def batched_domain_pass(
     :class:`~repro.dft.hamiltonian.NonFiniteFieldError` naming it.
     """
     states = [state for _, state in active]
-    if opts.batch_domains and opts.eigensolver == "all_band":
+    if opts.batch_domains:
         stacks = group_shape_classes(states)
     else:
         stacks = [
@@ -322,7 +311,7 @@ def batched_domain_pass(
         for pos, state, res, err in zip(members, stack, results, errors):
             state.psi = res.orbitals
             state.eigenvalues = res.eigenvalues
-            record_solve(ins, opts.eigensolver, res)
+            record_solve(ins, "all_band", res)
             outcomes[pos] = (int(res.iterations), err)
     pool.begin()  # the densities phase: held until the global μ
     parted = [(idom, state) for idom, state in active if not state.whole_cell]

@@ -79,9 +79,6 @@ class LDCOptions:
     tol: float = 1e-5
     max_iter: int = 40
     extra_bands: int = 4
-    #: domain eigensolver: "all_band" (the lockstep LOBPCG, production) or
-    #: the per-domain reference "direct"
-    eigensolver: str = "all_band"
     eig_tol: float = 1e-6
     eig_max_iter: int = 30
     #: global Poisson solver: "fft" | "multigrid" (the GSLF choice)
@@ -93,8 +90,7 @@ class LDCOptions:
     #: the domains sharing (grid shape, npw, nband, nproj) — as one stacked
     #: lockstep LOBPCG, ``False`` solves every domain as a stack of one
     #: through the same kernels.  The results are bit-identical; only the
-    #: kernel sizes differ.  The reference eigensolver always runs per
-    #: domain.
+    #: kernel sizes differ.
     batch_domains: bool = True
 
     def __post_init__(self) -> None:
@@ -105,8 +101,6 @@ class LDCOptions:
         converges (``kt = 0`` is valid: the step-function occupations), a
         negative ``extra_bands`` fails deep in the solve on an empty band
         block, and ``max_iter = 0`` returns a result no pass produced."""
-        if self.eigensolver not in ("direct", "all_band"):
-            raise ValueError(f"unknown eigensolver {self.eigensolver!r}")
         for name, ok, bound in (
             ("kt", self.kt >= 0.0, ">= 0"),
             ("extra_bands", self.extra_bands >= 0, ">= 0"),
@@ -175,6 +169,9 @@ class LDCResult:
     final_residual: float
     history: list[float] = field(default_factory=list)
     density_residuals: list[float] = field(default_factory=list)
+    #: mean boundary-density error of each loop pass that measured one: a
+    #: pass where no domain has a ρ_α yet (the first of a cold or of a
+    #: ``mode="dc"`` solve) reports none
     boundary_errors: list[float] = field(default_factory=list)
     forces: np.ndarray | None = None
     #: total eigensolver (LOBPCG/CG) iterations summed over every domain
@@ -331,6 +328,8 @@ def _run_ldc(
             xi, mg, vh_warm, opts, ins, workspace.batch_pool,
         )
         eig_total += eig_pass
+        if bnd_err is None:  # no domain had a ρ_α to measure against
+            return rho_out, components["total"], mu, {}
         if iteration is not None:
             boundary_errors.append(bnd_err)
             ins.series("ldc.boundary_error").append(bnd_err)
@@ -384,7 +383,7 @@ def _scf_pass(
     opts: LDCOptions,
     ins: Observer,
     pool: DomainScratch,
-) -> tuple[float, np.ndarray, dict[str, float], float, int]:
+) -> tuple[float, np.ndarray, dict[str, float], float | None, int]:
     """One global-local pass: potentials → domain solves → μ → density.
 
     The global potentials are solved once and reduced at once to the
@@ -399,7 +398,8 @@ def _scf_pass(
     ρ_α = ρ after μ, band by band, in one pooled |ψ_n|² buffer.
 
     Returns (μ, assembled density, energy components, mean boundary-density
-    error, and the summed eigensolver iterations over every domain solve).
+    error — ``None`` when no domain had a ρ_α to measure it against — and
+    the summed eigensolver iterations over every domain solve).
     """
     if mg is not None:
         vh = mg.solve(
@@ -489,6 +489,6 @@ def _scf_pass(
     components = dc_total_energy(
         terms, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt,
     )
-    mean_err = bnd_err_total / n_active if n_active else 0.0
+    mean_err = bnd_err_total / n_active if n_active else None
     eig_pass = sum(iterations for iterations, _ in outcomes)
     return mu, rho_new, components, mean_err, eig_pass

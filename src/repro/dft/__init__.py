@@ -18,14 +18,13 @@ A self-contained, NumPy-vectorized plane-wave DFT engine:
 * :mod:`repro.dft.scf` — the one SCF fixed-point loop, and the whole-cell
   solve: the conventional O(N³) code (the paper's verification baseline,
   Sec. 5.5) as the one-domain case of LDC.
-* :mod:`repro.dft.forces` — Hellmann–Feynman forces.
+* :mod:`repro.dft.forces` — local and projector force kernels.
 """
 
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.scf import SCFOptions, run_scf
-from repro.dft.forces import hellmann_feynman_forces
 
 __all__ = [
     "RealSpaceGrid",
@@ -33,5 +32,4 @@ __all__ = [
     "Hamiltonian",
     "SCFOptions",
     "run_scf",
-    "hellmann_feynman_forces",
 ]

@@ -1,14 +1,15 @@
-"""Hellmann–Feynman forces for the plane-wave engine.
-
-Three contributions:
+"""Force kernels of the plane-wave engine.
 
 * **Local**:  F_I = Σ_G i G ρ̃*(G) ṽ_I(G) e^{-iG·R_I}   (real part),
-  from E_loc = Ω Σ_G ρ̃*(G) Ṽ_loc(G).
-* **Nonlocal**: derivative of the Kleinman–Bylander projector overlaps.
-* **Ewald**: ion-ion forces from :mod:`repro.dft.ewald`.
+  from E_loc = Ω Σ_G ρ̃*(G) Ṽ_loc(G) — :func:`local_forces`.
+* **Nonlocal**: derivative of the Kleinman–Bylander projector overlaps —
+  :func:`projector_forces`, per projector column.
 
-Validated against central finite differences of the SCF total energy
-(the Hellmann–Feynman theorem holds at self-consistency).
+There is one force assembly, :func:`repro.core.forces.ldc_forces` (local +
+nonlocal of each atom's owner domain + Ewald); a whole-cell solve is its
+one-domain case, :func:`forces_from_scf`.  Validated against central
+finite differences of the SCF total energy (the Hellmann–Feynman theorem
+holds at self-consistency).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.ewald import ewald
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.pseudopotential import (
     NonlocalProjectors,
@@ -104,49 +104,10 @@ def projector_forces(
     return out
 
 
-def nonlocal_forces(
-    basis: PlaneWaveBasis,
-    config: Configuration,
-    nonlocal_: NonlocalProjectors,
-    psi: np.ndarray,
-    occupations: np.ndarray,
-) -> np.ndarray:
-    """Forces from the Kleinman–Bylander projectors."""
-    forces = np.zeros((config.natoms, 3), dtype=float)
-    if nonlocal_.nproj == 0:
-        return forces
-    de = projector_forces(
-        basis, nonlocal_, psi, occupations, range(nonlocal_.nproj)
-    )
-    for col, atom in enumerate(nonlocal_.atom_indices):
-        forces[atom] -= de[col]
-    return forces
-
-
-def hellmann_feynman_forces(
-    config: Configuration,
-    basis: PlaneWaveBasis,
-    rho: np.ndarray,
-    psi: np.ndarray,
-    occupations: np.ndarray,
-    nonlocal_: NonlocalProjectors | None = None,
-) -> np.ndarray:
-    """Total HF forces: local + nonlocal + Ewald.  Shape ``(natom, 3)``."""
-    grid = basis.grid
-    f = local_forces(grid, config, rho)
-    if nonlocal_ is None:
-        nonlocal_ = NonlocalProjectors(basis, config)
-    f += nonlocal_forces(basis, config, nonlocal_, psi, occupations)
-    _, f_ewald = ewald(config.wrapped_positions(), config.zvals, config.cell)
-    f += f_ewald
-    return f
-
-
 def forces_from_scf(config: Configuration, scf_result) -> np.ndarray:
     """Forces of a whole-cell solve (:func:`~repro.dft.scf.run_scf`'s
-    :class:`~repro.core.ldc.LDCResult`), from its one domain's orbitals
-    and occupations and its density."""
-    (state,) = scf_result.states
-    return hellmann_feynman_forces(
-        config, state.basis, scf_result.density, state.psi, state.occupations
-    )
+    :class:`~repro.core.ldc.LDCResult`): the LDC assembly on its one
+    domain."""
+    from repro.core.forces import ldc_forces  # core.forces imports this module
+
+    return ldc_forces(config, scf_result)

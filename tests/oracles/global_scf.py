@@ -6,7 +6,10 @@ basis over the whole cell, H[ρ_in] built from the global fields, all
 bands solved on it, occupied, and Σ f|ψ|² accumulated band by band —
 through the same loop, ``scf_fixed_point``, so a disagreement beyond
 roundoff is a defect in one of the two maps
-(``tests/test_ldc.py::test_single_domain_equals_conventional``).
+(``tests/test_ldc.py::test_single_domain_equals_conventional``).  Its
+forces are the Hellmann–Feynman sum written out term by term
+(:func:`hellmann_feynman_forces`), the reference of the engine's one
+assembly, ``repro.core.forces.ldc_forces``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.core.ldc import LDCOptions
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import lobpcg_work_shape, solve_all_band, solve_direct
 from repro.dft.ewald import ewald
-from repro.dft.forces import hellmann_feynman_forces
+from repro.dft.forces import local_forces, projector_forces
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_potential
@@ -37,6 +40,54 @@ from repro.dft.scf import (
 )
 from repro.dft.xc import lda_xc
 from repro.systems.configuration import Configuration
+
+
+def dense_stack_solve(states, key, v_eff, opts, pool):
+    """A stand-in for the LDC seam's ``repro.core.batched._solve_stack``:
+    each slot of the stack solved densely, ``solve_direct`` on its own
+    plain :class:`Hamiltonian` at its ``v_eff`` — the reference the
+    lockstep LOBPCG is checked against on a whole SCF run."""
+    return [
+        solve_direct(Hamiltonian(state.basis, v_eff[j], state.vnl), state.nband)
+        for j, state in enumerate(states)
+    ]
+
+
+def nonlocal_forces(
+    basis: PlaneWaveBasis,
+    config: Configuration,
+    nonlocal_: NonlocalProjectors,
+    psi: np.ndarray,
+    occupations: np.ndarray,
+) -> np.ndarray:
+    """Forces from the Kleinman–Bylander projectors, every column."""
+    forces = np.zeros((config.natoms, 3), dtype=float)
+    if nonlocal_.nproj == 0:
+        return forces
+    de = projector_forces(
+        basis, nonlocal_, psi, occupations, range(nonlocal_.nproj)
+    )
+    for col, atom in enumerate(nonlocal_.atom_indices):
+        forces[atom] -= de[col]
+    return forces
+
+
+def hellmann_feynman_forces(
+    config: Configuration,
+    basis: PlaneWaveBasis,
+    rho: np.ndarray,
+    psi: np.ndarray,
+    occupations: np.ndarray,
+    nonlocal_: NonlocalProjectors | None = None,
+) -> np.ndarray:
+    """Total HF forces: local + nonlocal + Ewald.  Shape ``(natom, 3)``."""
+    f = local_forces(basis.grid, config, rho)
+    if nonlocal_ is None:
+        nonlocal_ = NonlocalProjectors(basis, config)
+    f += nonlocal_forces(basis, config, nonlocal_, psi, occupations)
+    _, f_ewald = ewald(config.wrapped_positions(), config.zvals, config.cell)
+    f += f_ewald
+    return f
 
 
 @dataclass
@@ -79,10 +130,14 @@ def global_scf(
     opts: LDCOptions,
     grid: RealSpaceGrid | None = None,
     rho0: np.ndarray | None = None,
+    solver: str = "all_band",
 ) -> GlobalResult:
     """Solve global KS-DFT with the independent map; ``opts`` supplies the
-    cutoff, bands, smearing, tolerances and eigensolver (its layout fields
-    are not read)."""
+    cutoff, bands, smearing and tolerances (its layout fields are not
+    read), ``solver`` the eigensolver: ``"all_band"`` (the engine's
+    LOBPCG) or the dense reference ``"direct"``."""
+    if solver not in ("all_band", "direct"):
+        raise ValueError(f"unknown eigensolver {solver!r}")
     if grid is None:
         grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut)
     basis = PlaneWaveBasis(grid, opts.ecut)
@@ -99,7 +154,7 @@ def global_scf(
     psi = basis.random_orbitals(nband, seed=ORBITAL_SEED)
     # what the all-band solver iterates in, one buffer for every pass
     work = None
-    if opts.eigensolver == "all_band":
+    if solver == "all_band":
         work = np.empty(lobpcg_work_shape(1, basis.npw, nband), dtype=complex)
     # what the last pass left behind (the map hands the loop scalars)
     eigs = occs = np.zeros(nband, dtype=float)
@@ -111,7 +166,7 @@ def global_scf(
         vh = hartree_potential(grid, rho_in)
         exc, vxc = lda_xc(rho_in)
         ham = Hamiltonian(basis, v_loc + vh + vxc, nonlocal_)
-        if opts.eigensolver == "direct":
+        if solver == "direct":
             eig = solve_direct(ham, nband)
         else:
             eig = solve_all_band(

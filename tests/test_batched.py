@@ -71,14 +71,14 @@ def test_scipy_fft_namespace_matches_numpy_transforms():
 # -- option plumbing ----------------------------------------------------------
 
 
-def test_batch_domains_with_reference_solver_runs_per_domain():
-    """``batch_domains`` only sets the all-band stack width; the reference
-    solvers run per domain whatever it says (no option conflict to raise)."""
-    opts = dict(OPTS, eigensolver="direct", max_iter=4)
+def test_batch_domains_false_solves_every_domain_as_a_stack_of_one():
+    """``batch_domains`` only sets the stack width: off, every domain is
+    its own ``ldc.domain_solve`` stack, and the run is the stacked one."""
+    opts = dict(OPTS, max_iter=4)
     ins = Instrumentation()
-    wide = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=True),
-                   instrumentation=ins)
-    one = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=False))
+    one = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=False),
+                  instrumentation=ins)
+    wide = run_ldc(h4_chain(), LDCOptions(**opts, batch_domains=True))
     assert wide.energy == one.energy
     spans = [s for s in ins.tracer.spans() if s.name == "ldc.domain_solve"]
     assert spans and all(s.attrs["n_domains"] == 1 for s in spans)

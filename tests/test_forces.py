@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dft.forces import forces_from_scf, local_forces, nonlocal_forces
+from repro.dft.forces import forces_from_scf, local_forces
 from repro.dft.pseudopotential import NonlocalProjectors
 from repro.dft.scf import SCFOptions, run_scf
-from repro.systems import dimer
+from repro.systems import dimer, water_molecule
+from tests.oracles.global_scf import hellmann_feynman_forces, nonlocal_forces
 
 
 def test_h2_forces_antisymmetric(h2_config, h2_scf):
@@ -89,3 +90,20 @@ def test_total_force_zero(h2_config, h2_scf):
     """Momentum conservation: Σ_I F_I = 0."""
     f = forces_from_scf(h2_config, h2_scf)
     np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("system", ["h2", "water"])
+def test_the_one_assembly_equals_the_hellmann_feynman_sum(system):
+    """``forces_from_scf`` is the LDC assembly on the one whole-cell
+    domain; written out term by term (local + every projector + Ewald) on
+    the same state it is the same number."""
+    if system == "h2":
+        config = dimer("H", "H", 1.4, 12.0)
+    else:
+        config = water_molecule(center=(6.0, 6.0, 6.0), cell=(12.0, 12.0, 12.0))
+    res = run_scf(config, SCFOptions(ecut=5.0, tol=1e-6))
+    (state,) = res.states
+    reference = hellmann_feynman_forces(
+        config, state.basis, res.density, state.psi, state.occupations
+    )
+    assert np.abs(forces_from_scf(config, res) - reference).max() <= 1e-12

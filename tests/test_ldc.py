@@ -12,7 +12,7 @@ from repro.dft.forces import forces_from_scf
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, run_scf
 from repro.systems import dimer, water_molecule
-from tests.oracles.global_scf import global_scf
+from tests.oracles.global_scf import dense_stack_solve, global_scf
 from tests.sic import sic_crystal
 
 
@@ -70,19 +70,17 @@ def test_options_validation():
 
 
 def test_unknown_solver_and_mixer_names_fail_before_any_work():
-    """A typo in ``eigensolver`` is a named error when the options are
-    built — not after the structure build, Ewald and the first Poisson
-    solve of the run that would have used them.  There is one mixer, so
-    naming one is an error too."""
+    """There is one eigensolver and one mixer, so naming either is an
+    error when the options are built — not after the structure build,
+    Ewald and the first Poisson solve of the run that would have used
+    them."""
     from repro.dft.scf import SCFOptions
 
     for options in (LDCOptions, SCFOptions):
-        with pytest.raises(ValueError, match="unknown eigensolver 'lobpcg'"):
-            options(eigensolver="lobpcg")
+        with pytest.raises(TypeError, match="eigensolver"):
+            options(eigensolver="direct")
         with pytest.raises(TypeError, match="mixer"):
             options(mixer="pulay")
-        for name in ("direct", "all_band"):
-            assert options(eigensolver=name).eigensolver == name
 
 
 def test_make_global_grid_divisible(h2):
@@ -250,25 +248,45 @@ def test_result_diagnostics(h2):
     assert "band" in r.components and "hartree" in r.components
 
 
-def test_ldc_eigensolver_variants_agree(h2):
-    """The direct and all_band domain solvers give the same SCF."""
+def test_a_cold_solve_reports_no_unmeasured_boundary_error(h2):
+    """The first pass of a cold solve has no ρ_α to measure the boundary
+    density against: it reports no error, not an error of 0.0."""
+    from repro.observability import Instrumentation
+
+    ins = Instrumentation()
+    r = run_ldc(h2, LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0,
+                               tol=1e-5), instrumentation=ins)
+    assert r.converged and r.iterations >= 2
+    assert len(r.boundary_errors) == r.iterations - 1
+    assert 0.0 not in r.boundary_errors
+    assert 0.0 not in ins.series("ldc.boundary_error").values
+
+
+def test_ldc_eigensolver_variants_agree(h2, monkeypatch):
+    """The lockstep all-band solver and a dense per-slot solve
+    (``solve_direct``, substituted at the seam) give the same SCF."""
+    import repro.core.batched as seam
+
     base = dict(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6)
     energies = {}
-    for solver in ("direct", "all_band"):
-        r = run_ldc(h2, LDCOptions(eigensolver=solver, **base))
+    for solver in ("all_band", "direct"):
+        if solver == "direct":
+            monkeypatch.setattr(seam, "_solve_stack", dense_stack_solve)
+        r = run_ldc(h2, LDCOptions(**base))
         assert r.converged
         energies[solver] = r.energy
     assert energies["direct"] == pytest.approx(energies["all_band"], abs=1e-5)
 
 
 def test_ldc_band_by_band_path():
-    """There is no band-by-band engine path: the selector is refused when
-    the options are built.  ``solve_band_by_band`` stays a library
-    function (``tests/test_eigensolver.py``, the GSLF ablation bench)."""
+    """There is no eigensolver selector, so no band-by-band engine path:
+    naming one is refused when the options are built.
+    ``solve_band_by_band`` stays a library function
+    (``tests/test_eigensolver.py``, the GSLF ablation bench)."""
     from repro.dft.scf import SCFOptions
 
     for options in (LDCOptions, SCFOptions):
-        with pytest.raises(ValueError, match="unknown eigensolver 'band_by_band'"):
+        with pytest.raises(TypeError, match="eigensolver"):
             options(eigensolver="band_by_band")
 
 

@@ -1,15 +1,14 @@
 """A non-finite potential is named where the Hamiltonian is built.
 
 Every eigensolve of ``run_ldc`` (and of ``run_scf``, its whole-cell
-case), with either eigensolver, builds a
-:class:`~repro.dft.hamiltonian.BatchedHamiltonian` (a ``Hamiltonian``
-builds its stack of one), and that constructor rejects a
+case) builds a :class:`~repro.dft.hamiltonian.BatchedHamiltonian` (a
+``Hamiltonian`` builds its stack of one), and that constructor rejects a
 NaN or Inf in ``v_eff``, ``b`` or ``d`` with a
 :class:`~repro.dft.hamiltonian.NonFiniteFieldError`.  Here a NaN is seeded
 into the output of each producer of a potential — the FFT Hartree solve,
 the multigrid Hartree solve, LDA exchange-correlation, the local
-pseudopotential — and every driver, Poisson solver and eigensolver must
-end in that error before any ``eigh`` runs.  A non-finite density (a NaN
+pseudopotential — and every driver and Poisson solver must end in that
+error before any ``eigh`` runs.  A non-finite density (a NaN
 atom position, a NaN ``rho0``) stays the density's own error.  Two more
 places name what they are handed: the LDC seam a domain whose band
 densities come out non-finite, before the global μ search, and
@@ -34,7 +33,6 @@ from repro.dft.scf import SCFOptions, run_scf
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
 
-EIGENSOLVERS = ("direct", "all_band")
 #: (driver, Poisson solver): run_scf, the whole cell, has the FFT Hartree
 #: solve only
 DRIVERS = (("scf", "fft"), ("ldc", "fft"), ("ldc", "multigrid"))
@@ -45,12 +43,12 @@ PRODUCERS = {
     "local_potential": ((ldc,), "local_potential", None),
     "MultigridPoisson.solve": ((MultigridPoisson,), "solve", None),
 }
+#: every case ends its id in the one eigensolver's name, ``all_band``
 CASES = [
-    pytest.param(producer, driver, poisson, eigensolver,
-                 id=f"{producer}-{driver}-{poisson}-{eigensolver}")
+    pytest.param(producer, driver, poisson,
+                 id=f"{producer}-{driver}-{poisson}-all_band")
     for producer in PRODUCERS
     for driver, poisson in DRIVERS
-    for eigensolver in EIGENSOLVERS
     # each Hartree solver runs on its own Poisson path only
     if not (producer == "hartree_potential" and poisson == "multigrid")
     and not (producer == "MultigridPoisson.solve" and poisson == "fft")
@@ -61,23 +59,21 @@ CASES = [
 def h2():
     """The configuration (copied per use) and the LDC global grid."""
     config = dimer("H", "H", 1.5, 12.0)
-    return config, make_global_grid(config, _ldc_options("fft", "all_band"))
+    return config, make_global_grid(config, _ldc_options("fft"))
 
 
-def _ldc_options(poisson, eigensolver):
+def _ldc_options(poisson):
     return LDCOptions(
-        ecut=4.0, tol=1e-3, max_iter=3, domains=(2, 1, 1),
-        poisson=poisson, eigensolver=eigensolver,
+        ecut=4.0, tol=1e-3, max_iter=3, domains=(2, 1, 1), poisson=poisson,
     )
 
 
-def _solve(config, driver, poisson, eigensolver, **kwargs):
+def _solve(config, driver, poisson, **kwargs):
     if driver == "scf":
         return run_scf(
-            config, SCFOptions(ecut=4.0, tol=1e-3, max_iter=3,
-                               eigensolver=eigensolver), **kwargs,
+            config, SCFOptions(ecut=4.0, tol=1e-3, max_iter=3), **kwargs,
         )
-    return run_ldc(config, _ldc_options(poisson, eigensolver), **kwargs)
+    return run_ldc(config, _ldc_options(poisson), **kwargs)
 
 
 @pytest.fixture()
@@ -94,9 +90,9 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("producer, driver, poisson, eigensolver", CASES)
+@pytest.mark.parametrize("producer, driver, poisson", CASES)
 def test_a_nan_potential_is_named_before_any_eigensolve(
-    h2, eigh_calls, monkeypatch, producer, driver, poisson, eigensolver
+    h2, eigh_calls, monkeypatch, producer, driver, poisson
 ):
     owners, attr, index = PRODUCERS[producer]
     seeded = []
@@ -116,7 +112,7 @@ def test_a_nan_potential_is_named_before_any_eigensolve(
     with pytest.raises(
         NonFiniteFieldError, match=r"^v_eff of stack slot 0: 1 of \d+ entries are NaN/Inf$"
     ):
-        _solve(config.copy(), driver, poisson, eigensolver)
+        _solve(config.copy(), driver, poisson)
     assert seeded and eigh_calls == []
 
 
@@ -135,7 +131,7 @@ def test_a_nan_density_stays_a_density_error(
         rho0[0, 0, 0] = np.nan
         kwargs["rho0"] = rho0
     with pytest.raises(DensityError, match="finite positive"):
-        _solve(config, driver, poisson, "all_band", **kwargs)
+        _solve(config, driver, poisson, **kwargs)
     assert eigh_calls == []
 
 
@@ -185,7 +181,7 @@ def test_a_nan_band_density_is_named_by_its_domain(h2, monkeypatch, wide):
     monkeypatch.setattr(PlaneWaveBasis, "densities", poisoned)
     monkeypatch.setattr(ldc, "find_chemical_potential", mu_search)
     config, _ = h2
-    options = replace(_ldc_options("fft", "all_band"), batch_domains=wide)
+    options = replace(_ldc_options("fft"), batch_domains=wide)
     with pytest.raises(
         NonFiniteFieldError,
         match=r"^band densities of domain 1: 1 of \d+ band weights are NaN/Inf$",

@@ -40,7 +40,10 @@ def test_all_examples_compile():
 
 def test_all_benchmarks_compile():
     benches = sorted((REPO / "benchmarks").glob("bench_*.py"))
-    assert len(benches) >= 12  # at least one per paper table/figure
+    # the modelled tables and figures share bench_claims.py; Fig. 7,
+    # Secs. 3.4 and 5.5 and the engine's levers have a bench each
+    assert len(benches) >= 10
+    assert REPO / "benchmarks" / "bench_claims.py" in benches
     for path in benches:
         compile(path.read_text(), str(path), "exec")
 
@@ -54,7 +57,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 133_479
+DESIGN_MAX_BYTES = 133_449
 
 
 def test_design_document_does_not_grow():
@@ -737,8 +740,6 @@ def test_every_public_name_is_referenced():
 #: option fields no caller outside the tests sets, kept on purpose; the pin
 #: fails when one of them is deleted or gains a setter
 _KEPT_FIELDS = {
-    "LDCOptions.eigensolver":
-        "the per-band reference the all-band solver is tested against",
     "QMDOptions.controller":
         "ROADMAP 13 re-plumbs the controller per domain",
     **{

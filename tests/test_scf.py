@@ -8,6 +8,7 @@ from repro.dft.scf import SCFOptions, initial_density, run_scf
 from repro.reactive.kmc import KMCOptions
 from repro.systems import dimer
 from tests.builders import translated
+from tests.oracles.global_scf import global_scf
 
 
 def test_h2_converges(h2_scf):
@@ -66,12 +67,11 @@ def test_initial_density_normalized():
 
 
 def test_scf_eigensolver_consistency(h2_config):
-    """Direct and all-band eigensolvers must give the same SCF energy."""
-    e = {}
-    for solver in ("direct", "all_band"):
-        opts = SCFOptions(ecut=6.0, extra_bands=2, tol=1e-7, eigensolver=solver)
-        e[solver] = run_scf(h2_config, opts).energy
-    assert e["direct"] == pytest.approx(e["all_band"], abs=1e-5)
+    """The engine's all-band solve and the independent global map with the
+    dense reference eigensolver give the same SCF energy."""
+    opts = SCFOptions(ecut=6.0, extra_bands=2, tol=1e-7)
+    direct = global_scf(h2_config, opts, solver="direct")
+    assert direct.energy == pytest.approx(run_scf(h2_config, opts).energy, abs=1e-5)
 
 
 def test_scf_translation_invariance(h2_config):
@@ -95,7 +95,9 @@ def test_scf_binding_curve_has_minimum():
 
 
 def test_scf_invalid_eigensolver(h2_config):
-    with pytest.raises(ValueError):
+    """There is one eigensolver and no selector: naming one is refused
+    when the options are built."""
+    with pytest.raises(TypeError, match="eigensolver"):
         run_scf(h2_config, SCFOptions(eigensolver="nope"))
 
 

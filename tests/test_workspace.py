@@ -353,7 +353,7 @@ def test_buffer_controller_reads_the_last_loop_pass_error(monkeypatch):
     """``LDCEngine._adapt_buffer`` hands the controller
     ``boundary_errors[-1]`` of each solve — the last loop pass's mean
     error — in ``mode="dc"`` too, where a warm solve has no ρ_α before
-    its second pass."""
+    its second pass: that first pass reports no error at all."""
     engine = LDCEngine(LDCOptions(**OPTS, mode="dc"), qmd_options=ADAPTIVE)
     assert engine.controller is not None
     results, observed = [], []
@@ -373,7 +373,7 @@ def test_buffer_controller_reads_the_last_loop_pass_error(monkeypatch):
         engine.forces(h4_chain(shift))
     assert engine.workspace.warm_domains == 2
     assert observed == [r.boundary_errors[-1] for r in results]
-    assert all(len(r.boundary_errors) == r.iterations for r in results)
+    assert all(len(r.boundary_errors) == r.iterations - 1 for r in results)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
