@@ -97,7 +97,6 @@ XEON = (f"XEON_E5_2665 simd_efficiency={XEON_E5_2665.simd_efficiency}, "
 BARRIER = f"EA_DISSOCIATION={kmc.EA_DISSOCIATION} eV"
 ATTEMPT = f"ATTEMPT_FREQUENCY={kmc.ATTEMPT_FREQUENCY:.3g}/s"
 IO_MODEL = "CollectiveIOModel defaults (set to keep I/O under 1 % of a run)"
-BACK_SOLVED = "b_dc=4.73*1.13, b_ldc=4.20 (back-solved from the ratios)"
 
 
 def claim(artifact, metric, value, paper, label, *constants) -> dict:
@@ -273,8 +272,11 @@ def sec42_collective_io():
 
 
 #: (tolerance, b_dc, b_ldc, paper speedup at nu = 2, at nu = 3): the
-#: buffers of the paper's Fig. 7 discussion; at 1e-3 back-solved from the
-#: paper's ratios
+#: buffers of the paper's Fig. 7 discussion at 1e-2 and 5e-3; at 1e-3
+#: assumed, not back-solved.  Only the 5e-3 worked example lands on the
+#: paper: ``speedup_factor`` gives 4.31 / 8.94 at 1e-2 and 1.93 / 2.68 at
+#: 1e-3 for the paper's 2.59 / 4.18 and 1.42 / 1.69, so every row is the
+#: model's prediction at its buffers, none a fit
 TOLERANCE_TABLE = (
     (1e-2, 5.40, 3.00, 2.59, 4.18),
     (5e-3, 4.72, 3.57, 2.03, 2.89),
@@ -288,12 +290,11 @@ def sec52_crossover():
     length, density = 11.416, 512 / 45.664**3
     rows, speedups = [], {}
     for tol, b_dc, b_ldc, *papers in TOLERANCE_TABLE:
-        fitted = (BACK_SOLVED,) if tol == 1e-3 else ()
         for nu, paper in zip((2, 3), papers):
             speedups[tol, nu] = speedup_factor(length, b_dc, b_ldc, float(nu))
             rows.append((
                 f"speedup_nu{nu}@{tol:.0e}", speedups[tol, nu], paper,
-                FITTED if fitted else PREDICTED, f"nu={nu} (assumed)", *fitted,
+                PREDICTED, f"nu={nu} (assumed)",
             ))
     crossover = crossover_natoms(3.57, density, 2.0)
     strict = crossover_natoms(3.57 * 1.5, density, 2.0)

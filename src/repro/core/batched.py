@@ -16,9 +16,10 @@ domain* into matrix-matrix kernels.  A stack lifts the same idea one level
 up the LDC hierarchy: domains whose eigenproblems have the same shape —
 identical ``(grid shape, plane-wave count, band count, projector count)``,
 a **shape class** — run as one ``(n_domains, …)`` problem (cf. DGDFT's
-grouped subproblems, arXiv:2003.00407): one stacked FFT, one batched
-nonlocal GEMM and one ``(n, nband, nband)`` stacked ``eigh`` per inner
-iteration instead of ``n`` small ones.
+grouped subproblems, arXiv:2003.00407): one stacked FFT and one
+``(n, nband, nband)`` stacked ``eigh`` per inner iteration instead of
+``n`` small ones.  The nonlocal term stays per domain: each slot applies
+its own :class:`~repro.dft.pseudopotential.NonlocalProjectors`.
 
 ``LDCOptions.batch_domains`` only chooses the stack width: ``True`` stacks
 whole shape classes, ``False`` makes every domain a stack of one.  The
@@ -54,6 +55,7 @@ from repro.dft.hamiltonian import (
     BatchedHamiltonian,
     NonFiniteFieldError,
 )
+from repro.dft.pseudopotential import NonlocalProjectors
 from repro.observe import Observer
 
 if TYPE_CHECKING:
@@ -206,29 +208,24 @@ def _solve_stack(
     opts: LDCOptions,
     pool: DomainScratch,
 ) -> list[EigenResult]:
-    """Solve one stack's eigenproblems at the potentials ``v_eff``: stack
-    the projectors into ``pool``, lend the solver the pool's iteration
+    """Solve one stack's eigenproblems at the potentials ``v_eff`` over the
+    domains' own projectors: lend the solver the pool's iteration
     workspace and run the lockstep LOBPCG on the domains' own starting
     blocks."""
     basis = states[0].basis
     assert basis is not None
-    nd = len(states)
+    projectors: list[NonlocalProjectors] = []
     psi0: list[np.ndarray] = []
-    b = d = None
-    if key.nproj:
-        b = pool.get("b", (nd, key.npw, key.nproj), complex)
-        d = pool.get("d", (nd, key.nproj), float)
-    for j, state in enumerate(states):
+    for state in states:
         assert state.vnl is not None and state.psi is not None
+        projectors.append(state.vnl)
         psi0.append(state.psi)
-        if b is not None and d is not None:
-            b[j] = state.vnl.b
-            d[j] = state.vnl.d
     return solve_all_band_batched(
-        BatchedHamiltonian(basis, v_eff, b, d), psi0,
+        BatchedHamiltonian(basis, v_eff, projectors), psi0,
         max_iter=opts.eig_max_iter, tol=opts.eig_tol,
         work=pool.get(
-            "work", lobpcg_work_shape(nd, key.npw, key.nband), complex
+            "work", lobpcg_work_shape(len(states), key.npw, key.nband),
+            complex,
         ),
     )
 

@@ -89,7 +89,7 @@ class DomainScratch:
     largest phase seen, not the sum of them.  An SCF pass has two
     (:func:`repro.core.batched.batched_domain_pass`):
 
-    * **solve**, once per stack — the stacked v_eff / projectors, the
+    * **solve**, once per stack — the stacked v_eff, the
       solver's iteration workspace, and one domain's gather indices,
       restricted density, v_bc target and buffer window;
     * **densities**, once per pass — every active domain's real per-band

@@ -88,16 +88,14 @@ def projector_forces(
     """``dE/dR`` of the atom of each listed projector column, one row per
     column: ``E = Σ_n f_n D_p |o_pn|²`` with ``o_pn = ⟨β_p|ψ_n⟩``, so
     ``dE/dR = 2 D_p Σ_n f_n Re[o*_pn ∂o_pn/∂R]``."""
-    b = nonlocal_.b  # (npw, nproj)
-    overlaps = b.conj().T @ psi  # (nproj, nband): <β_p|ψ_n>
+    overlaps = nonlocal_.overlaps(psi)  # (nproj, nband): <β_p|ψ_n>
     # d<β|ψ>/dR = Σ_G iG b*_G e^{iG·R} ψ_G = iG-weighted version of overlap
     gv = basis.g_vectors  # (npw, 3)
     occ = np.asarray(occupations, dtype=float)
     out = np.empty((len(columns), 3), dtype=float)
     for row, col in enumerate(columns):
         d = nonlocal_.d[col]
-        bcol = b[:, col]
-        grad = (1j * gv * bcol.conj()[:, None]).T @ psi  # (3, nband)
+        grad = (1j * gv * nonlocal_.b_conj[:, col, None]).T @ psi  # (3, nband)
         out[row] = 2.0 * d * np.real(
             np.sum(occ[None, :] * np.conj(overlaps[col])[None, :] * grad, axis=1)
         )

@@ -4,7 +4,8 @@ application and a dense matrix form for the direct reference eigensolver.
     H = -½∇² + V_loc + V_H + V_xc [+ v_bc]  + v_nl
 
 The local parts are collapsed into one real-space effective potential
-``v_eff(r)``; the nonlocal part is the packed projector form of Sec. 3.4.
+``v_eff(r)``; the nonlocal part is each slot's
+:class:`~repro.dft.pseudopotential.NonlocalProjectors` (Sec. 3.4, Eq. 5).
 :class:`BatchedHamiltonian` holds a stack of same-shape Hamiltonians and
 owns the one row-blocked ``H·ψ`` loop and the one preconditioner formula;
 :class:`Hamiltonian` is a single operator whose ``apply``/``precondition``
@@ -14,7 +15,7 @@ field (:class:`NonFiniteFieldError`).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,22 +24,19 @@ from repro.dft.pseudopotential import NonlocalProjectors
 
 
 class NonFiniteFieldError(ValueError):
-    """A Hamiltonian field (``v_eff``, or a projector stack ``b`` / ``d``)
+    """A Hamiltonian field (``v_eff``, or a slot's projectors ``b`` / ``d``)
     holding NaN or Inf: raised when the stack is built, before any solve."""
 
 
-def _check_finite(name: str, field: np.ndarray) -> None:
-    """Raise :class:`NonFiniteFieldError` naming ``field``'s first stack
-    slot with a non-finite entry."""
-    finite = np.isfinite(field)
-    if finite.all():
-        return
-    bad = np.count_nonzero(~finite.reshape(len(field), -1), axis=1)
-    for slot, count in enumerate(bad.tolist()):
+def _check_finite(name: str, fields: Iterable[np.ndarray]) -> None:
+    """Raise :class:`NonFiniteFieldError` naming the first stack slot whose
+    ``name`` field has a non-finite entry."""
+    for slot, field in enumerate(fields):
+        count = field.size - np.count_nonzero(np.isfinite(field))
         if count:
             raise NonFiniteFieldError(
                 f"{name} of stack slot {slot}: {count} of "
-                f"{field[slot].size} entries are NaN/Inf"
+                f"{field.size} entries are NaN/Inf"
             )
 
 
@@ -67,14 +65,13 @@ class Hamiltonian:
         self.basis = basis
         self.v_eff = np.asarray(v_eff, dtype=float)
         self.vnl = vnl
-        b: np.ndarray | None = None
-        d: np.ndarray | None = None
-        if vnl is not None and vnl.nproj > 0:
-            b, d = vnl.b[None], vnl.d[None]
-        #: this operator as a stack of one (views of ``v_eff`` and the
-        #: projectors, no copies) — what ``apply``/``precondition`` and
-        #: :func:`~repro.dft.eigensolver.solve_all_band` run on
-        self.stack = BatchedHamiltonian(basis, self.v_eff[None], b, d)
+        #: this operator as a stack of one (a view of ``v_eff`` and the
+        #: projectors themselves, no copies) — what ``apply``/
+        #: ``precondition`` and :func:`~repro.dft.eigensolver.solve_all_band`
+        #: run on
+        self.stack = BatchedHamiltonian(
+            basis, self.v_eff[None], None if vnl is None else [vnl]
+        )
         self.kinetic = self.stack.kinetic  # (npw,)
 
     # -- application ----------------------------------------------------------
@@ -130,10 +127,11 @@ class BatchedHamiltonian:
     plane-wave basis (one object per shape class, checked when an LDC
     stack is built) and the same projector count, so their hot operations
     fuse into single ``(n_domains, …)`` array calls: stacked FFT
-    transforms, one batched GEMM for the nonlocal projections, one batched
-    GEMM per subspace product.  This lifts the paper's Sec. 3.4
-    BLAS2→BLAS3 transformation one level up the LDC hierarchy — from
-    bands-within-a-domain to domains-within-a-shape-class.
+    transforms and one batched GEMM per subspace product (the nonlocal
+    term is each slot's own :class:`NonlocalProjectors`, the one Eq. 5
+    product).  This lifts the paper's Sec. 3.4 BLAS2→BLAS3 transformation
+    one level up the LDC hierarchy — from bands-within-a-domain to
+    domains-within-a-shape-class.
 
     Every kernel acts on the stack's slices independently — the transforms
     handle one band row at a time and batched GEMMs dispatch per slice —
@@ -142,17 +140,16 @@ class BatchedHamiltonian:
 
     Every eigensolve of the driver builds one (a :class:`Hamiltonian`
     builds its stack of one), so this is where a non-finite potential is
-    named: a NaN or Inf in ``v_eff``, ``b`` or ``d`` is a
-    :class:`NonFiniteFieldError` naming the field, the count and the stack
-    slot, before any solve runs.
+    named: a NaN or Inf in ``v_eff`` or in a slot's projectors ``b`` or
+    ``d`` is a :class:`NonFiniteFieldError` naming the field, the count
+    and the stack slot, before any solve runs.
     """
 
     def __init__(
         self,
         basis: PlaneWaveBasis,
         v_eff: np.ndarray,
-        b: np.ndarray | None,
-        d: np.ndarray | None,
+        projectors: Sequence[NonlocalProjectors] | None = None,
     ) -> None:
         nd = int(v_eff.shape[0])
         if v_eff.shape[1:] != basis.grid.shape:
@@ -160,31 +157,27 @@ class BatchedHamiltonian:
                 f"v_eff stack shape {v_eff.shape[1:]} != grid shape "
                 f"{basis.grid.shape}"
             )
-        if (b is None) != (d is None):
-            raise ValueError("projector stacks b and d must be given together")
-        if b is not None and d is not None and (
-            b.shape[0] != nd
-            or b.shape[1] != basis.npw
-            or d.shape != b.shape[:1] + b.shape[2:]
+        shapes = {vnl.b.shape for vnl in projectors or ()}
+        if projectors is not None and (
+            len(projectors) != nd or len(shapes) != 1
+            or next(iter(shapes))[0] != basis.npw
         ):
             raise ValueError(
-                f"projector stacks b {b.shape} / d {d.shape} do not match "
-                f"{nd} domains over {basis.npw} plane waves"
+                f"projectors of shapes {sorted(shapes)} × {len(projectors)} "
+                f"do not match {nd} domains over {basis.npw} plane waves"
             )
-        for name, field in (("v_eff", v_eff), ("b", b), ("d", d)):
-            if field is not None:
-                _check_finite(name, field)
+        _check_finite("v_eff", v_eff)
+        if projectors is not None:
+            _check_finite("b", [vnl.b for vnl in projectors])
+            _check_finite("d", [vnl.d for vnl in projectors])
         self.basis = basis
         self.n_domains = nd
         #: (nd, *grid.shape) stacked effective potentials
         self.v_eff = np.asarray(v_eff)
-        #: (nd, npw, nproj) stacked projectors / (nd, nproj) couplings
-        self.b = None if b is None else np.asarray(b)
-        self.d = None if d is None else np.asarray(d)
-        self.nproj = 0 if self.b is None else int(self.b.shape[2])
+        #: each stack slot's nonlocal operator (``None``: no projectors)
+        self.projectors = projectors
+        self.nproj = 0 if projectors is None else projectors[0].nproj
         self.kinetic = 0.5 * basis.g2  # (npw,)
-        #: conj(b), formed once per stack instead of once per apply
-        self._b_conj = None if b is None else np.conj(b)
 
     def apply(
         self,
@@ -265,17 +258,14 @@ class BatchedHamiltonian:
         # + kinetic term (the same sum as kinetic + local, commuted)
         _times_real(psi, self.kinetic[None, :, None], scratch)
         out += scratch
+        # + nonlocal term, each slot through its own operator
         if self.nproj:
-            assert self.b is not None and self.d is not None
-            assert self._b_conj is not None
+            assert self.projectors is not None
             for slot, dom in enumerate(members):
                 cols = slice(None if widths is None else widths[slot])
-                overlaps = self._b_conj[dom].T @ psi[slot, :, cols]
-                overlaps *= self.d[dom][:, None]
-                term = np.matmul(
-                    self.b[dom], overlaps, out=scratch[slot, :, cols]
+                out[slot, :, cols] += self.projectors[dom].apply(
+                    psi[slot, :, cols], out=scratch[slot, :, cols]
                 )
-                out[slot, :, cols] += term
         return out
 
     def precondition(

@@ -146,12 +146,15 @@ def local_potential(grid: RealSpaceGrid, config: Configuration) -> np.ndarray:
 
 
 class NonlocalProjectors:
-    """Packed Kleinman–Bylander projectors for a configuration.
+    """Packed Kleinman–Bylander projectors for a configuration: the one
+    owner of the Sec. 3.4 products (:meth:`overlaps`, :meth:`apply`).
 
     Attributes
     ----------
     b:
         ``(npw, nproj)`` projector matrix B̃ (one column per projecting atom).
+    b_conj:
+        conj(B̃), formed once here instead of once per product.
     d:
         ``(nproj,)`` diagonal coefficients D_I (Hartree).
     atom_indices:
@@ -159,7 +162,6 @@ class NonlocalProjectors:
     """
 
     def __init__(self, basis: PlaneWaveBasis, config: Configuration) -> None:
-        self.basis = basis
         cols: list[np.ndarray] = []
         coeffs: list[float] = []
         atom_indices: list[int] = []
@@ -182,22 +184,26 @@ class NonlocalProjectors:
         else:
             self.b = np.zeros((basis.npw, 0), dtype=complex)
             self.d = np.zeros(0, dtype=float)
+        self.b_conj = np.conj(self.b)
         self.atom_indices = atom_indices
 
     @property
     def nproj(self) -> int:
         return self.b.shape[1]
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """v_nl Ψ via the BLAS3 packed form (Eq. 5)."""
-        if self.nproj == 0:
-            return np.zeros_like(psi)
-        overlaps = self.b.conj().T @ psi
-        return self.b @ (self.d[:, None] * overlaps)
+    def overlaps(self, psi: np.ndarray) -> np.ndarray:
+        """``(nproj, nband)`` ⟨β_p|ψ_n⟩ = conj(B̃)ᵀ Ψ: one GEMM."""
+        return self.b_conj.T @ psi
+
+    def apply(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """v_nl Ψ = B̃ D B̃^H Ψ for a block ``(npw, nband)``, the packed
+        BLAS3 form (Eq. 5): two GEMMs around the diagonal scaling, the
+        second into ``out`` when given (complex, shaped like ``psi``, any
+        strides)."""
+        overlaps = self.overlaps(psi)
+        overlaps *= self.d[:, None]
+        return np.matmul(self.b, overlaps, out=out)
 
     def dense(self) -> np.ndarray:
         """The dense npw×npw nonlocal matrix (for the direct eigensolver)."""
-        if self.nproj == 0:
-            n = self.basis.npw
-            return np.zeros((n, n), dtype=complex)
-        return (self.b * self.d[None, :]) @ self.b.conj().T
+        return (self.b * self.d[None, :]) @ self.b_conj.T

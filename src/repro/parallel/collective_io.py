@@ -11,8 +11,13 @@ opposing costs set an optimal group size (the paper finds 192):
   contention on the finite I/O servers grow with the group count.
 
 For a typical 12-hour production run on the full machine the paper reports
-read 9.1 s and write 99 s — 0.02% and 0.23% of the execution time; the
-defaults below are calibrated to land in that regime (see EXPERIMENTS.md).
+read 9.1 s and write 99 s — 0.02% and 0.23% of the execution time.  The
+defaults below reproduce the claim, not the numbers: on the paper's 0.5 TB
+snapshot over 786,432 ranks the model's optimum is an interior group size
+(512, not 192), reading is faster than writing (0.62 s and 1.44 s), and
+I/O stays under 1 % of a 12-hour run.  The claims record's
+``sec42_collective_io`` rows carry both sets of numbers
+(experiments/EXP-IO.md).
 """
 
 from __future__ import annotations

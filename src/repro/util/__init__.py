@@ -1,10 +1,9 @@
-"""Shared utilities: the wall clock, the BLAS2/BLAS3 projector paths and
+"""Shared utilities: the wall clock, the BLAS2 projector reference and
 the one Cholesky and one Löwdin orthonormalization."""
 
 from repro.util.timer import WallClock
 from repro.util.linalg import (
     apply_projectors_blas2,
-    apply_projectors_blas3,
     cholesky_orthonormalize,
     lowdin_orthonormalize,
 )
@@ -12,7 +11,6 @@ from repro.util.linalg import (
 __all__ = [
     "WallClock",
     "apply_projectors_blas2",
-    "apply_projectors_blas3",
     "cholesky_orthonormalize",
     "lowdin_orthonormalize",
 ]

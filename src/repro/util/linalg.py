@@ -1,4 +1,5 @@
-"""Linear-algebra helpers mirroring the paper's BLAS2 → BLAS3 transformation.
+"""Linear-algebra helpers: orthonormalization and the BLAS2 reference of
+the paper's BLAS2 → BLAS3 transformation.
 
 Section 3.4 of the paper rewrites the nonlocal pseudopotential application
 
@@ -9,8 +10,9 @@ matrix-matrix products (DGEMM / BLAS3):
 
     v_nl Ψ = Σ_{ij} B̃(i) D̃(i,j) B̃(j)^H Ψ                          (Eq. 5)
 
-Both code paths are implemented here so the transformation itself can be
-tested for exact agreement and benchmarked (EXP-BLAS).
+The band-by-band Eq. 4 is here, as the reference the transformation is
+tested and benchmarked against (EXP-BLAS); Eq. 5 is the operator every
+``H·ψ`` runs, :meth:`repro.dft.pseudopotential.NonlocalProjectors.apply`.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ def apply_projectors_blas2(
         overlaps = projectors.conj().T @ psi[:, n]
         out[:, n] = projectors @ (coeffs @ overlaps)
     return out
-
-
-def apply_projectors_blas3(
-    projectors: np.ndarray, coeffs: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
-    """Apply ``v_nl`` to all bands at once (the paper's BLAS3 formulation)."""
-    overlaps = projectors.conj().T @ psi  # (nproj, nband) — one GEMM
-    return projectors @ (coeffs @ overlaps)  # two more GEMMs
 
 
 def cholesky_orthonormalize(

@@ -3,7 +3,8 @@ water boxes, a nanoparticle's radius, minimum-image pair distances,
 species counts, concatenations and rigid translations of a
 :class:`~repro.systems.Configuration`, the partition-of-unity residual of
 a set of domain supports, span counts of a tracer, the Ewald energy alone,
-and a toy force engine for the MD driver."""
+nonlocal operators over given projector arrays, and a toy force engine for
+the MD driver."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from repro.core.domains import DomainDecomposition
 from repro.dft.ewald import ewald
+from repro.dft.pseudopotential import NonlocalProjectors
 from repro.systems.configuration import Configuration
 from repro.systems.water import HOH_ANGLE, OH_BOND
 
@@ -249,6 +251,23 @@ def partition_residual(
         # DomainDecomposition clamps buffer_points to (shape - core) // 2.
         total[np.ix_(ix, iy, iz)] += w
     return float(np.abs(total - 1.0).max())
+
+
+class ArrayProjectors(NonlocalProjectors):
+    """A :class:`NonlocalProjectors` over given B̃ columns ``b``
+    ``(npw, nproj)`` and D couplings ``d`` ``(nproj,)`` instead of a
+    configuration's atoms."""
+
+    def __init__(self, b: np.ndarray, d: np.ndarray) -> None:
+        self.b, self.d, self.b_conj = b, d, np.conj(b)
+        self.atom_indices = list(range(d.size))
+
+
+def projector_stack(b: np.ndarray, d: np.ndarray) -> list[NonlocalProjectors]:
+    """One :class:`ArrayProjectors` per stack slot of ``(nd, npw, nproj)``
+    projectors ``b`` and ``(nd, nproj)`` couplings ``d``: what a
+    :class:`~repro.dft.hamiltonian.BatchedHamiltonian` takes."""
+    return [ArrayProjectors(bj, dj) for bj, dj in zip(b, d)]
 
 
 class PairSpringEngine:

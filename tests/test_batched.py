@@ -1,7 +1,8 @@
 """Tests for the domain-solve seam: shape-class grouping, the lockstep
 solver against the dense oracle, bit-identity between stack widths,
-telemetry/FLOP attribution of ``ldc.domain_solve`` spans, and the
-``batch_domains`` option plumbing."""
+telemetry/FLOP attribution of ``ldc.domain_solve`` spans, the
+``batch_domains`` option plumbing, and the one nonlocal operator every
+slot's ``H·ψ`` calls."""
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.observability import Instrumentation
 from repro.observability.costattr import estimate_event_flops
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
+from repro.dft.scf import SCFOptions, run_scf
 from repro.systems import dimer
 from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
-from tests.builders import span_count
+from repro.systems.water import water_molecule
+from tests.builders import projector_stack, span_count
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
 
@@ -128,7 +131,7 @@ def _toy_problem(nd: int, nband: int = 3, nproj: int = 2, seed: int = 5):
 
 def test_batched_apply_matches_per_domain_apply():
     basis, v_eff, b, d, psi = _toy_problem(nd=3)
-    bham = BatchedHamiltonian(basis, v_eff, b, d)
+    bham = BatchedHamiltonian(basis, v_eff, projector_stack(b, d))
     out = bham.apply(psi)
     for i in range(3):
         # the serial Hamiltonian applies the nonlocal term through
@@ -159,7 +162,7 @@ def test_lockstep_solver_matches_direct_eigenvalues(width):
     nband = psi.shape[2]
     results = []
     for lo in range(0, 3, width):
-        bham = BatchedHamiltonian(basis, v_eff[lo:lo + width], None, None)
+        bham = BatchedHamiltonian(basis, v_eff[lo:lo + width])
         results += solve_all_band_batched(
             bham, psi[lo:lo + width], max_iter=200, tol=1e-9
         )
@@ -172,7 +175,7 @@ def test_lockstep_solver_matches_direct_eigenvalues(width):
 
 def test_lockstep_solver_reports_a_slot_that_ran_out_of_iterations():
     basis, v_eff, psi = _well_problem()
-    bham = BatchedHamiltonian(basis, v_eff, None, None)
+    bham = BatchedHamiltonian(basis, v_eff)
     full = solve_all_band_batched(bham, psi, max_iter=200, tol=1e-9)
     cap = sorted(res.iterations for res in full)[1]
     capped = solve_all_band_batched(bham, psi, max_iter=cap, tol=1e-9)
@@ -202,7 +205,7 @@ def test_solve_all_band_is_the_width_one_lockstep_solve():
         Hamiltonian(basis, v, vnl), psi0, max_iter=40, tol=1e-8
     )
     (stacked,) = solve_all_band_batched(
-        BatchedHamiltonian(basis, v[None], vnl.b[None], vnl.d[None]),
+        BatchedHamiltonian(basis, v[None], [vnl]),
         psi0[None], max_iter=40, tol=1e-8,
     )
     assert one.iterations == stacked.iterations
@@ -222,7 +225,7 @@ def test_band_densities_do_not_depend_on_the_stack_width(max_iter):
     nd, _, nband = psi.shape
     shape = (nd, nband) + basis.grid.shape
     results = solve_all_band_batched(
-        BatchedHamiltonian(basis, v_eff, None, None), psi,
+        BatchedHamiltonian(basis, v_eff), psi,
         max_iter=max_iter, tol=1e-9,
     )
     # formed after the stack returns, each domain through the shared work
@@ -269,7 +272,9 @@ def test_retiring_domains_keep_the_bits_of_their_stack_of_one_solves():
     def solve(lo, hi):
         n = hi - lo
         return solve_all_band_batched(
-            BatchedHamiltonian(basis, v_eff[lo:hi], b[lo:hi], d[lo:hi]),
+            BatchedHamiltonian(
+                basis, v_eff[lo:hi], projector_stack(b[lo:hi], d[lo:hi])
+            ),
             list(psi[lo:hi]), max_iter=200, tol=1e-9,
             work=np.full(lobpcg_work_shape(n, basis.npw, nband), np.nan,
                          dtype=complex),
@@ -390,3 +395,35 @@ def test_batched_span_flop_attribution():
     dense = dict(span.attrs)
     assert len(dense.pop("fft_stages")) == 3
     assert estimate_event_flops("ldc.domain_solve", dense) > flops
+
+
+def test_every_slot_h_psi_runs_the_nonlocal_operator(monkeypatch):
+    """Eq. 5 has one kernel: each ``H·ψ`` of a stack slot with projectors
+    calls ``NonlocalProjectors.apply`` once, with ψ positional — counted
+    through the class attribute, as a tracer patches it — in a 2×1×1 LDC
+    solve and in a whole-cell solve of H₂O."""
+    calls, slots = [], []
+    apply, stack_apply = NonlocalProjectors.apply, BatchedHamiltonian.apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return apply(*args, **kwargs)
+
+    def counted_stack(self, psi, *args, **kwargs):
+        if self.nproj:
+            slots.append(len(psi))
+        return stack_apply(self, psi, *args, **kwargs)
+
+    monkeypatch.setattr(NonlocalProjectors, "apply", counted)
+    monkeypatch.setattr(BatchedHamiltonian, "apply", counted_stack)
+    water = water_molecule(cell=(10.0, 10.0, 10.0))
+    for solve in (
+        lambda: run_ldc(water, LDCOptions(ecut=4.0, domains=(2, 1, 1),
+                                          buffer=2.0, tol=1e-3, max_iter=3)),
+        lambda: run_scf(water, SCFOptions(ecut=4.0, tol=1e-3, max_iter=3)),
+    ):
+        calls.clear()
+        slots.clear()
+        solve()
+        assert sum(slots) > 0
+        assert len(calls) == sum(slots)

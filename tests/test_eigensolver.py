@@ -19,6 +19,7 @@ from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.systems import dimer
+from tests.builders import projector_stack
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +224,7 @@ def test_all_band_densities_match_orbitals_at_either_stack_width(problem, width)
         ]
     else:
         stack = BatchedHamiltonian(
-            basis, np.stack(3 * [ham.v_eff]),
-            np.stack(3 * [ham.vnl.b]), np.stack(3 * [ham.vnl.d]),
+            basis, np.stack(3 * [ham.v_eff]), 3 * [ham.vnl],
         )
         results = solve_all_band_batched(stack, starts, max_iter, 1e-9)
     first, middle, last = (res.iterations for res in results)
@@ -296,11 +296,13 @@ def _warm_stack_of_three(nband=10):
     )
     d = rng.standard_normal((3, 3))
     cold = np.stack([basis.random_orbitals(nband, seed=i) for i in range(3)])
+    projectors = projector_stack(b, d)
     loose = solve_all_band_batched(
-        BatchedHamiltonian(basis, v_eff, b, d), cold, max_iter=200, tol=1e-3
+        BatchedHamiltonian(basis, v_eff, projectors), cold, max_iter=200,
+        tol=1e-3,
     )
     warm = np.stack([res.orbitals for res in loose])
-    return basis, (v_eff, b, d), warm
+    return basis, (v_eff, projectors), warm
 
 
 def test_warm_lockstep_iteration_allocates_nothing_of_block_size():

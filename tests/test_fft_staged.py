@@ -221,7 +221,7 @@ def test_blocked_apply_matches_dense_oracle_serial_and_stacked():
     basis, v_eff, psi = lial_domain_problem()
     assert psi.shape[2] > basis.block_rows  # several blocks, ragged last
     assert psi.shape[2] % basis.block_rows  # blocks straddle domains
-    stacked = BatchedHamiltonian(basis, v_eff, None, None)
+    stacked = BatchedHamiltonian(basis, v_eff)
     out = stacked.apply(psi)
     for d in range(psi.shape[0]):
         ref = dense_local_apply(basis, v_eff[d], psi[d])
@@ -254,7 +254,7 @@ def test_stacked_apply_peaks_below_one_full_copy():
     assert nband % basis.block_rows  # the first straddles both domains
     one_field = basis.grid.npoints * 16
     ham = Hamiltonian(basis, v_eff[0])
-    bham = BatchedHamiltonian(basis, v_eff, None, None)
+    bham = BatchedHamiltonian(basis, v_eff)
     for apply, arg in ((ham.apply, psi[0]), (bham.apply, psi)):
         apply(arg)  # warm: the pool is allocated once
         peak = traced_peak(lambda: apply(arg))
@@ -275,7 +275,7 @@ def test_warm_solve_with_band_densities_allocates_nothing_of_grid_size():
     assert nband > basis.block_rows  # several row blocks per domain
     one_density = basis.grid.npoints * 8
     psi0 = np.stack([basis.random_orbitals(nband, seed=d) for d in range(nd)])
-    bham = BatchedHamiltonian(basis, 0.2 * v_eff, None, None)
+    bham = BatchedHamiltonian(basis, 0.2 * v_eff)
     densities = np.empty((nd, nband) + basis.grid.shape)
     rho = np.zeros(basis.grid.shape)
     occupations = np.linspace(2.0, 0.0, nband)

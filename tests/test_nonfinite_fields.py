@@ -32,6 +32,7 @@ from repro.dft.occupations import find_chemical_potential
 from repro.dft.scf import SCFOptions, run_scf
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
+from tests.builders import projector_stack
 
 #: (driver, Poisson solver): run_scf, the whole cell, has the FFT Hartree
 #: solve only
@@ -148,10 +149,16 @@ def test_the_error_names_the_field_the_count_and_the_slot(h2, name, bad):
         "b": rng.random((3, basis.npw, 2)) + 1j * rng.random((3, basis.npw, 2)),
         "d": rng.random((3, 2)),
     }
-    BatchedHamiltonian(basis, fields["v_eff"], fields["b"], fields["d"])
+
+    def stack():
+        return BatchedHamiltonian(
+            basis, fields["v_eff"], projector_stack(fields["b"], fields["d"])
+        )
+
+    stack()
     fields[name].reshape(3, -1)[2, :2] = bad
     with pytest.raises(NonFiniteFieldError) as caught:
-        BatchedHamiltonian(basis, fields["v_eff"], fields["b"], fields["d"])
+        stack()
     size = fields[name][2].size
     assert str(caught.value) == (
         f"{name} of stack slot 2: 2 of {size} entries are NaN/Inf"

@@ -55,9 +55,9 @@ def test_documentation_present():
 
 
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
-#: and lowers this to the new size (ROADMAP 7(e) wants ≤ 60 KB — this stops
+#: and lowers this to the new size (ROADMAP 11(d) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 133_449
+DESIGN_MAX_BYTES = 133_413
 
 
 def test_design_document_does_not_grow():

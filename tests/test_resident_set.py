@@ -117,11 +117,12 @@ def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
     return ws, result, peak
 
 
-#: names of one stack's solve-phase views: the stacked potential and
-#: projectors, the solver's workspace, one domain's restriction buffers
+#: names of one stack's solve-phase views: the stacked potential, the
+#: solver's workspace, one domain's restriction buffers (the projectors
+#: are the domains' own operators, not pool views)
 SOLVE_SET = {
-    "v_eff", "b", "d", "work", "flat_indices", "rho_restricted",
-    "vbc_target", "boundary_window",
+    "v_eff", "work", "flat_indices", "rho_restricted", "vbc_target",
+    "boundary_window",
 }
 #: ``resident_bytes()`` summed over the parts after the warm fixture's
 #: three steps while band densities sat in a ``DomainScratch`` per domain
@@ -142,14 +143,11 @@ def stacks(result, options: LDCOptions) -> list[list[DomainState]]:
 def solve_set_bytes(stack: list[DomainState]) -> int:
     """What one stack's solve phase requests: the ``(n, *grid)`` v_eff,
     one domain's gather indices, restricted density, v_bc target and
-    buffer window, the projector stacks and the LOBPCG workspace."""
+    buffer window and the LOBPCG workspace."""
     first, n = stack[0], len(stack)
-    npoints, npw, nproj = (
-        first.domain.grid.npoints, first.basis.npw, first.vnl.nproj
-    )
+    npoints, npw = first.domain.grid.npoints, first.basis.npw
     work = 16 * math.prod(lobpcg_work_shape(n, npw, first.nband))
-    projectors = n * nproj * (16 * npw + 8)
-    return 8 * n * npoints + 4 * 8 * npoints + projectors + work
+    return 8 * n * npoints + 4 * 8 * npoints + work
 
 
 def densities_bytes(result) -> int:
@@ -568,10 +566,10 @@ def test_whole_cell_solve_stays_in_budget(phases):
     events of the call (so: no NumPy call, no stretch of Python between
     calls) nothing as large as a real ``(nband, *grid)`` block is
     allocated, nor anything larger than the stack pool's arena; the arena
-    is the solve set alone — the LOBPCG workspace and the projector
-    stacks, no ``v_eff`` (the solve reads v_KS itself) and no restriction
-    buffers — and the densities phase is one grid-shaped |ψ_n|² buffer.
-    The call's peak stays in budget."""
+    is the solve set alone — the LOBPCG workspace, no ``v_eff`` (the
+    solve reads v_KS itself) and no restriction buffers — and the
+    densities phase is one grid-shaped |ψ_n|² buffer.  The call's peak
+    stays in budget."""
     config = water_molecule(cell=(12.0, 12.0, 12.0))
     options = SCFOptions(ecut=5.0, tol=1e-6, kt=0.01)
     largest, top, entry = [0], [0], [0]
@@ -602,15 +600,14 @@ def test_whole_cell_solve_stays_in_budget(phases):
     workspace = LDCWorkspace()
     run_ldc(config, options, workspace=workspace)
     arena = workspace.batch_pool._arena
-    solve_set = (
-        16 * math.prod(lobpcg_work_shape(1, state.basis.npw, state.nband))
-        + state.vnl.nproj * (16 * state.basis.npw + 8)
+    solve_set = 16 * math.prod(
+        lobpcg_work_shape(1, state.basis.npw, state.nband)
     )
     assert solve_set <= arena.nbytes < solve_set + 3 * ALIGN
     # each pass: its one stack's solve phase, then its densities phase
     solves, densities = phases[0::2], phases[1::2] + [ended(workspace.batch_pool)]
     assert len(solves) == len(densities) == result.iterations + 1
-    assert all(set(views) == {"work", "b", "d"} for views, _ in solves)
+    assert all(set(views) == {"work"} for views, _ in solves)
     assert all(
         views == {("band_density", 0): 8 * result.grid.npoints}
         for views, _ in densities
