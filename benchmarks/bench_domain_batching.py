@@ -81,17 +81,13 @@ def _replay(frames, batched: bool):
     seconds, the workspace, and the arm's domain-solve spans."""
     opts = LDCOptions(**_OPTS, batch_domains=batched)
     ws = LDCWorkspace()
-    rho = None
     rows = []
     spans = []
     t0 = time.process_time()
     for cfg in frames:
         ins = Instrumentation()
-        r = run_ldc(
-            cfg, opts, workspace=ws, rho0=rho, instrumentation=ins,
-        )
+        r = run_ldc(cfg, opts, workspace=ws, instrumentation=ins)
         assert r.converged
-        rho = r.input_density
         eig = ins.metrics.get("eigensolver.iterations", solver="all_band")
         rows.append((int(eig.value), r.energy))
         spans.extend(

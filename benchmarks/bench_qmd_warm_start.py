@@ -9,9 +9,9 @@ trajectory twice:
 * **cold** — every step is an independent ``run_ldc`` (fresh grids, random
   orbital starts, superposition density), the pre-workspace behaviour;
 * **warm** — one :class:`LDCWorkspace` carries the step-invariant
-  structures and each domain's converged (ψ, v_bc, ρ_α) across steps, with
-  ``rho0`` chaining the global density — exactly what ``LDCEngine`` does
-  inside ``QMDDriver``.
+  structures, each domain's converged (ψ, v_bc, ρ_α) and the global
+  density across steps — exactly what ``LDCEngine`` does inside
+  ``QMDDriver``.
 
 Gated claim: the warm start cuts total eigensolver iterations over the
 post-first steps by ≥ 30% while solving the same physics (per-step energies
@@ -59,18 +59,14 @@ def _replay(frames, warm: bool):
     """Run the trajectory; returns per-step (eig_iters, scf_iters, energy)
     plus the wall time and the workspace (None for the cold arm)."""
     ws = LDCWorkspace() if warm else None
-    rho = None
     rows = []
     t0 = time.perf_counter()
     for cfg in frames:
         ins = Instrumentation()
         r = run_ldc(
-            cfg, LDCOptions(**_OPTS), workspace=ws,
-            rho0=rho if warm else None, instrumentation=ins,
+            cfg, LDCOptions(**_OPTS), workspace=ws, instrumentation=ins,
         )
         assert r.converged
-        if warm:
-            rho = r.input_density
         eig = ins.metrics.get("eigensolver.iterations", solver="all_band")
         scf = ins.metrics.get("scf.iterations", engine="ldc")
         rows.append((int(eig.value), int(scf.value), r.energy))

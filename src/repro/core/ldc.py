@@ -157,7 +157,7 @@ class LDCResult:
     #: of forces and charges
     density: np.ndarray
     #: the density the final pass's potentials — and so every domain's ψ —
-    #: were solved at: the one to carry as the next solve's ``rho0``
+    #: were solved at: the one the workspace's density window carries
     input_density: np.ndarray
     grid: RealSpaceGrid
     decomposition: DomainDecomposition
@@ -208,7 +208,6 @@ def run_ldc(
     config: Configuration,
     options: LDCOptions | None = None,
     compute_forces: bool = False,
-    rho0: np.ndarray | None = None,
     grid: RealSpaceGrid | None = None,
     instrumentation: Observer | None = None,
     workspace: LDCWorkspace | None = None,
@@ -220,13 +219,6 @@ def run_ldc(
     potentials solved globally, every domain with atoms through the
     domain-solve seam :func:`repro.core.batched.batched_domain_pass`, then
     the global μ and the reassembled density) and packages the final pass.
-
-    ``rho0`` is the warm-start density (a stale-shaped one is a cold
-    start).  Along a trajectory carry the previous result's
-    ``input_density`` — the density its domain ψ, the ones a ``workspace``
-    warm-starts from, were solved at — not its ``density``, the final
-    pass's raw output, whose error is the input's amplified by the SCF
-    response (DESIGN.md §17); :class:`~repro.md.qmd.LDCEngine` does.
 
     ``instrumentation`` is the observability handle (:mod:`repro.observe`).
     An :class:`~repro.observability.Instrumentation` records one
@@ -240,14 +232,15 @@ def run_ldc(
     ``workspace`` is the :class:`~repro.core.workspace.LDCWorkspace` the
     solve runs through: the grid, decomposition, partition of unity,
     per-domain bases, Ewald structure and multigrid levels come from its
-    cache, domain ψ are warm-started from the ASPC prediction over its
-    windows, the Pulay mixer is its own — so the secant pairs of earlier
+    cache, domain ψ and the starting density are the ASPC predictions over
+    its windows, the Pulay mixer is its own — so the secant pairs of earlier
     calls seed this one's density mixing, and once every domain is warm
     the final consistent pass runs at the mixer's next iterate rather than
     at the raw output density — and the converged states are stored back
     for the next call.  Without one the call is a one-step trajectory
     through a throwaway workspace: every domain cold, a fresh mixer, the
-    final pass at the converged output density.  ``grid`` replaces the
+    final pass at the converged output density, the loop's
+    ``initial_density`` as the start.  ``grid`` replaces the
     throwaway's global grid, so it and ``workspace`` are mutually
     exclusive.
     """
@@ -257,7 +250,7 @@ def run_ldc(
         "ldc.run", opts, category="ldc", natoms=len(config.symbols),
         mode=opts.mode, domains=str(opts.domains), buffer=opts.buffer,
     ) as span:
-        result = _run_ldc(config, opts, compute_forces, rho0, grid, ins, workspace)
+        result = _run_ldc(config, opts, compute_forces, grid, ins, workspace)
         span.attrs.update(
             converged=result.converged, iterations=result.iterations,
             ndomains=result.n_domains, energy=result.energy,
@@ -269,7 +262,6 @@ def _run_ldc(
     config: Configuration,
     opts: LDCOptions,
     compute_forces: bool,
-    rho0: np.ndarray | None,
     grid: RealSpaceGrid | None,
     ins: Observer,
     workspace: LDCWorkspace | None,
@@ -283,7 +275,7 @@ def _run_ldc(
             workspace._ensure_structures(config, opts, grid)
     elif grid is not None:
         raise ValueError("pass either grid= or workspace=, not both")
-    grid, decomp, states = workspace.prepare(config, opts)
+    grid, decomp, states, rho0 = workspace.prepare(config, opts)
     ins.tracer.record_complete(
         "ldc.workspace_prepare", ins.tracer.now() - t_setup, category="ldc",
         ndomains=decomp.ndomains, warm_domains=workspace.warm_domains,
@@ -335,8 +327,12 @@ def _run_ldc(
             ins.series("ldc.boundary_error").append(bnd_err)
         return rho_out, components["total"], mu, {"boundary_error": bnd_err}
 
+    # the predicted ρ₀ rides to the loop in a one-slot list, so no name
+    # here keeps it alive once the loop has admitted it
+    start = [rho0]
+    del rho0
     fixed = scf_fixed_point(
-        density_map, config, grid, rho0, opts, mixer=memory,
+        density_map, config, grid, start.pop(), opts, mixer=memory,
         continues=continues, ins=ins,
     )
     # report the drops of this solve (and of the reset / cold domain that
@@ -345,10 +341,10 @@ def _run_ldc(
         ins.counter("ldc.mixer_memory_dropped", reason=reason).inc(count)
     memory.dropped.clear()
 
-    # push converged states onto the ASPC windows for the next step's
-    # warm start; store() also settles the predictor residual of the
-    # guesses this step started from
-    workspace.store(states)
+    # push converged states and the density they were solved at onto the
+    # ASPC windows for the next step's warm start; store() also settles
+    # the predictor residual of the guesses this step started from
+    workspace.store(states, fixed.input_density)
     predictor_residual = workspace.predictor_residual
     if predictor_residual is not None:
         ins.series("ldc.predictor_residual").append(predictor_residual)

@@ -36,6 +36,11 @@ step's converged subspace and typically needs a small fraction of the
 cold iteration count (cf. DGDFT, arXiv:2003.00407; Scheiber et al.,
 arXiv:1803.04536; Kolafa's ASPC).
 
+One more window holds the **global density** each solve's ψ were solved
+at (``LDCResult.input_density``), keyed by the cell and the global grid
+shape: its prediction is the next solve's starting density ρ₀, and a
+reset that keeps both — a buffer change — restarts density-warm.
+
 The workspace also owns the trajectory's **SCF quasi-Newton memory**: one
 :class:`~repro.dft.mixing.PulayMixer` whose (Δρ, ΔR) secant pairs carry
 from one MD step's density mixing into the next (:meth:`LDCWorkspace.scf_mixer`),
@@ -44,7 +49,8 @@ step.  The pairs are dropped whenever the orbital warm start is — a reset
 (cell, option-signature or grid change) or any domain going cold; a cold
 solve's fresh mixer is the one a single point runs with.
 
-Thread it through :func:`repro.core.ldc.run_ldc` via ``workspace=``;
+A workspace is so the whole carried state of a trajectory.  Thread it
+through :func:`repro.core.ldc.run_ldc` via ``workspace=``;
 :class:`repro.md.qmd.LDCEngine` creates one automatically so ``QMDDriver``
 trajectories get the reuse for free.
 """
@@ -222,19 +228,16 @@ class LDCWorkspace:
     Usage::
 
         ws = LDCWorkspace(history_depth=3)
-        rho = None
         for config in trajectory:
-            result = run_ldc(config, opts, workspace=ws, rho0=rho)
-            rho = result.input_density  # what the stored ψ were solved at
+            result = run_ldc(config, opts, workspace=ws)
 
     ``prepare`` detects cell / option changes and resets itself, so a single
     workspace can safely outlive a cell swap — it just pays one cold rebuild.
-    ``history_depth`` is the ASPC depth of the domain windows: 1 keeps the
-    plain last-state warm start, K >= 2 seeds each solve from the
-    time-reversible K-point extrapolation of the converged ψ/v_bc/ρ_α
-    (:mod:`repro.md.extrapolate`).  It is not part of the structural
-    signature: changing it mid-trajectory trims or deepens the windows
-    without a cold restart.  One workspace per trajectory.
+    ``history_depth`` is the ASPC depth of every window it keeps, fixed
+    when it is built: 1 keeps the plain last-state warm start, K >= 2
+    seeds each solve from the time-reversible K-point extrapolation of the
+    converged ψ/v_bc/ρ_α and of the global density
+    (:mod:`repro.md.extrapolate`).  One workspace per trajectory.
     """
 
     def __init__(self, history_depth: int = 1) -> None:
@@ -257,6 +260,12 @@ class LDCWorkspace:
         #: by domain index; filled by :meth:`store`, consumed by
         #: :meth:`prepare`
         self._history: dict[int, DomainHistory] = {}
+        #: the ASPC window of the global densities the ψ were solved at,
+        #: under ``_density_key`` (cell, global grid shape); kept by reset
+        self._density = DomainHistory(self.history_depth)
+        self._density_key: tuple | None = None
+        #: whether the last :meth:`prepare` predicted the starting density
+        self.warm_density: bool = False
         #: mean gauge-invariant residual of the last step's ψ predictions
         #: against the converged blocks (None until a predicted step has
         #: been stored) — the ``ldc.predictor_residual`` series
@@ -280,7 +289,9 @@ class LDCWorkspace:
     # -- cache lifecycle -----------------------------------------------------
 
     def reset(self) -> None:
-        """Drop everything (structures, orbital cache, stack pool)."""
+        """Drop everything (structures, orbital cache, stack pool) but the
+        density window, whose key — the cell and the global grid shape —
+        decides on its own whether the next solve may start from it."""
         self._cell = None
         self._signature = None
         self.grid = None
@@ -313,14 +324,15 @@ class LDCWorkspace:
         distinct profile) does not grow with the domain count,
         ``stack_pool`` is the larger of the widest stack's solve set and
         every domain's band densities (the whole cell: its solve set),
-        ``windows`` the per-domain ASPC
-        state, ``mixer`` the carried SCF memory, ``global`` the
-        geometry-only tables of the global half (Ewald structure,
+        ``windows`` the ASPC
+        state (every domain's, the density's), ``mixer`` the carried SCF
+        memory, ``global`` the geometry-only tables of the global half (Ewald structure,
         multigrid levels).  An array counts once, in the first part that
         reaches it."""
         levels = self._poisson.levels if self._poisson is not None else None
         parts = ((self._bases, self.pou), self.batch_pool,
-                 self._history, self._mixer, (self._ewald, levels))
+                 (self._history, self._density), self._mixer,
+                 (self._ewald, levels))
         seen: set[int] = set()
         return {
             name: _nbytes(part, seen)
@@ -358,6 +370,7 @@ class LDCWorkspace:
             self.grid, options.domains, options.buffer
         )
         self.pou = supports(self.decomposition, options.support)
+        self._density_key = (tuple(self._cell.tolist()), self.grid.shape)
         # one domain: Σ_α p_α = 1 makes its weight 1 on the whole grid
         self.whole_cell = self.decomposition.ndomains == 1
 
@@ -402,9 +415,12 @@ class LDCWorkspace:
 
     def prepare(
         self, config: Configuration, options: LDCOptions
-    ) -> tuple[RealSpaceGrid, DomainDecomposition, list[DomainState]]:
+    ) -> tuple[
+        RealSpaceGrid, DomainDecomposition, list[DomainState],
+        np.ndarray | None,
+    ]:
         """Bin atoms into the cached decomposition and build the per-domain
-        solver states of one solve.
+        solver states of one solve, and predict its starting density.
 
         The structural pieces — grid, decomposition, supports, one basis
         per shape class — come from the cache;
@@ -413,7 +429,9 @@ class LDCWorkspace:
         (depth 1 = the previous step's converged state verbatim; without
         v_bc and ρ_α the damped v_bc iteration would re-converge from
         scratch) while its identity ``(npw, nband, atoms)`` is unchanged,
-        else ψ is a deterministic random start.
+        else ψ is a deterministic random start.  ρ₀ is the prediction
+        over the density window, or ``None`` (``initial_density``): hand it
+        to the loop without keeping a reference.
         """
         from repro.core.ldc import DomainState
 
@@ -445,9 +463,10 @@ class LDCWorkspace:
             nband = min(
                 int(np.ceil(ne_local / 2.0)) + options.extra_bands, basis.npw
             )
-            predicted = self._window(idom).predict(
-                _domain_key(idx, basis.npw, nband)
+            window = self._history.setdefault(
+                idom, DomainHistory(self.history_depth)
             )
+            predicted = window.predict(_domain_key(idx, basis.npw, nband))
             if predicted is None:
                 predicted = basis.random_orbitals(
                     nband, seed=ORBITAL_SEED + 131 * idom
@@ -462,24 +481,22 @@ class LDCWorkspace:
                     vbc=vbc, rho_local=rho_local, whole_cell=self.whole_cell,
                 )
             )
+        predicted = self._density.predict(self._density_key)
+        self.warm_density = predicted is not None
         self.steps += 1
-        return self.grid, decomp, states
+        rho0 = None if predicted is None else predicted[2]
+        return self.grid, decomp, states, rho0
 
-    def _window(self, idom: int) -> DomainHistory:
-        """Domain ``idom``'s ASPC window at the current ``history_depth``
-        (made on first use; resized, not cleared, when the depth moved)."""
-        hist = self._history.get(idom)
-        if hist is None:
-            hist = self._history[idom] = DomainHistory(self.history_depth)
-        elif hist.depth != self.history_depth:
-            hist.resize(self.history_depth)
-        return hist
-
-    def store(self, states: list[DomainState]) -> None:
+    def store(
+        self, states: list[DomainState], input_density: np.ndarray
+    ) -> None:
         """Push each domain's converged solver state (ψ, v_bc, ρ_α) onto
         its ASPC window for the next step's warm start; ρ_α only together
         with a v_bc, whose target is the one warm-start reader of it (a
-        ``mode="dc"`` window holds ``(ψ, None, None)``).
+        ``mode="dc"`` window holds ``(ψ, None, None)``) — and
+        ``input_density``, the density they were solved at, onto the
+        density window: never the raw output, whose error the SCF
+        response amplifies (DESIGN.md §17).
 
         Also sets :attr:`predictor_residual`: the mean of the residuals
         the windows settle — the gauge-invariant distance between the ψ
@@ -496,7 +513,7 @@ class LDCWorkspace:
                 state.atom_indices, state.basis.npw, state.nband
             )
             rho_local = state.rho_local if state.vbc is not None else None
-            res = self._window(idom).push(key, state.psi, state.vbc, rho_local)
+            res = self._history[idom].push(key, state.psi, state.vbc, rho_local)
             if res is not None:
                 residuals.append(res)
         for idom in list(self._history):
@@ -505,3 +522,4 @@ class LDCWorkspace:
         self.predictor_residual = (
             float(np.mean(residuals)) if residuals else None
         )
+        self._density.push(self._density_key, None, None, input_density)

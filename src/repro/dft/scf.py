@@ -70,7 +70,6 @@ def SCFOptions(**fields: Any) -> LDCOptions:
 def run_scf(
     config: Configuration,
     options: LDCOptions | None = None,
-    rho0: np.ndarray | None = None,
     grid: RealSpaceGrid | None = None,
     instrumentation: Observer | None = None,
 ) -> LDCResult:
@@ -78,17 +77,15 @@ def run_scf(
     :func:`~repro.core.ldc.run_ldc` on :data:`WHOLE_CELL`.
 
     ``options`` default to :func:`SCFOptions`; options of another layout
-    are moved onto the whole cell.  ``rho0``, ``grid`` and
-    ``instrumentation`` are ``run_ldc``'s.  The result's one domain state
+    are moved onto the whole cell.  ``grid`` and ``instrumentation`` are
+    ``run_ldc``'s.  The result's one domain state
     holds the orbitals, eigenvalues and occupations;
     :func:`~repro.dft.forces.forces_from_scf` reads them.
     """
     from repro.core.ldc import run_ldc
 
     opts = SCFOptions() if options is None else replace(options, **WHOLE_CELL)
-    return run_ldc(
-        config, opts, rho0=rho0, grid=grid, instrumentation=instrumentation
-    )
+    return run_ldc(config, opts, grid=grid, instrumentation=instrumentation)
 
 
 def initial_density(grid: RealSpaceGrid, config: Configuration) -> np.ndarray:
@@ -173,8 +170,8 @@ class FixedPoint(NamedTuple):
 
     The final pass is a pair of densities.  ``input_density`` is the one
     its Hamiltonian was built from, and *the density to carry*: what a
-    trajectory's window stores and the next solve's ``rho0`` is predicted
-    from.  The returned orbitals are eigenvectors of H[``input_density``],
+    trajectory's window stores and the next solve's starting density is
+    predicted from.  The returned orbitals are eigenvectors of H[``input_density``],
     so the two are the consistent pair; and with J = ∂ρ_out/∂ρ_in the
     output's error is J·e against the input's e, largest in the
     long-wavelength components an ASPC window amplifies (DESIGN.md §17).
@@ -211,7 +208,10 @@ def scf_fixed_point(
 
     ``rho0`` is the warm-start density: ``None`` or a stale shape starts
     cold from :func:`initial_density`, a non-finite one is a
-    :class:`~repro.dft.mixing.DensityError`.  Each pass clips and
+    :class:`~repro.dft.mixing.DensityError`.  The loop starts from a
+    normalized copy and drops ``rho0`` at once, so a caller that keeps no
+    reference of its own (the LDC workspace's prediction) frees it before
+    the first pass.  Each pass clips and
     normalizes the map's output, takes the residual ``∫|ρ_out − ρ_in|/N_e``
     and stops below ``options.tol`` or mixes.  ``mixer`` is a caller-owned
     mixer whose secant pairs outlive this solve (the LDC workspace's);
@@ -235,8 +235,9 @@ def scf_fixed_point(
     n_electrons = config.n_electrons()
     if rho0 is not None and rho0.shape != grid.shape:
         rho0 = None  # stale-shaped warm start (grid changed) → cold start
-    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
+    rho = initial_density(grid, config) if rho0 is None else rho0
     rho = renormalize(rho, n_electrons, grid.dv)
+    del rho0  # admitted: ``rho`` is a copy
     step = mixer if mixer is not None else PulayMixer()
 
     def residual(rho_out: np.ndarray, rho_in: np.ndarray) -> float:

@@ -28,8 +28,8 @@ Orbitals need two extra ingredients the plain formula lacks:
   ``ψ (ψ†ψ)^{-1/2}`` restores it while moving each band the least.
 
 :class:`DomainHistory` is the window, and the only caller of the two
-combinators: an LDC domain's (ψ, v_bc, ρ_α), a global SCF's (ψ, ρ_in),
-an LDC trajectory's global ρ_in alone (ψ = ``None``).  Its key is
+combinators: an LDC domain's (ψ, v_bc, ρ_α) and an LDC trajectory's
+global ρ_in alone (ψ = ``None``).  Its key is
 everything the snapshots depend on — ``(npw, nband, atom indices)`` for a
 domain, the cell and what shapes the grid for a global window — and any
 key change clears it, so the caller falls back to the deterministic cold
@@ -153,9 +153,10 @@ class DomainHistory:
 
     ``key`` is everything the snapshots depend on — ``(npw, nband,
     atom-index tuple)`` for an LDC domain, the cell and the global grid
-    shape for the engine's global window.  Pushing under a different key clears
-    the window and predicting under one returns ``None`` (atom migration,
-    band-count change, cell swap → deterministic cold fallback).
+    shape for the workspace's density window.  Pushing under a different
+    key clears the window and predicting under one returns ``None`` (atom
+    migration, band-count change, cell swap → deterministic cold
+    fallback).  The depth is fixed when the window is built.
 
     A depth-K window holds K snapshots after :meth:`push` and K − 1
     between :meth:`predict` and the next push: the snapshot only that
@@ -181,15 +182,6 @@ class DomainHistory:
         self._key = None
         self._entries = []
         self.last_prediction = None
-
-    def resize(self, depth: int) -> None:
-        """Change the window depth in place, trimming oldest-first.
-
-        Deepening keeps the existing snapshots (the window simply grows
-        from here); shrinking drops the tail — either way no cold restart.
-        """
-        self.depth = check_depth(depth)
-        del self._entries[self.depth:]
 
     def push(
         self,

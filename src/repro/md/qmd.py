@@ -3,10 +3,10 @@
 This is the production loop of Sec. 6: at every MD step the electronic
 structure is re-solved, warm-started from what the earlier steps carried,
 and Hellmann–Feynman forces drive velocity Verlet (NVE).  Carried state
-has one mechanism: every ASPC window is a
+has one mechanism and one owner: every ASPC window is a
 :class:`~repro.md.extrapolate.DomainHistory` keyed by what its snapshots
-depend on — the engine's global window (the density the returned state
-was solved at) and the per-domain windows inside its
+depend on, and all of them — the per-domain windows and the global one of
+the density the returned state was solved at — live in the engine's
 :class:`~repro.core.workspace.LDCWorkspace`.  There is one quantum engine,
 and any object with ``forces(config) -> (forces, energy, scf_iterations)``
 plugs in:
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.md.extrapolate import DomainHistory, check_depth
+from repro.md.extrapolate import check_depth
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
 from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
@@ -46,7 +46,7 @@ class QMDOptions:
     of these settings.
     """
 
-    #: ASPC history depth K of every window the engine keeps: 1 =
+    #: ASPC history depth K of every window the workspace keeps: 1 =
     #: last-state warm start, K >= 2 = time-reversible K-point
     #: extrapolation of ψ/ρ (:mod:`repro.md.extrapolate`)
     history_depth: int = 1
@@ -79,11 +79,6 @@ class QMDFrame:
         return self.potential_energy + self.kinetic_energy
 
 
-def _cell(config: Configuration) -> tuple[float, ...]:
-    """The cell as a hashable window-key part."""
-    return tuple(float(x) for x in np.asarray(config.cell).reshape(3))
-
-
 class LDCEngine:
     """Force engine backed by :func:`repro.core.ldc.run_ldc`.
 
@@ -98,23 +93,18 @@ class LDCEngine:
     the grid, decomposition, partition of unity, per-domain bases, and
     Ewald structure are built once per cell, each step's domain solves
     warm-start from the ASPC prediction over each domain's window (depth 1
-    = the previous step's converged ψ), and the density mixer keeps its
-    secant pairs from one step's SCF to the next.  The engine's own window
-    holds the global densities each solve's ``rho0`` is predicted from:
-    ``LDCResult.input_density``, the density the returned orbitals were
-    solved at — never the final pass's raw output ``density``, whose error
-    is the input's multiplied by the SCF response, largest in the
-    long-wavelength components the ASPC coefficients (up to 2.5) then
-    amplify (DESIGN.md §17, "What the windows store").  The window is keyed
-    by the cell and the global grid shape: a cell change resets the
-    workspace (its own cell check) and misses the key, a cold start.
+    = the previous step's converged ψ), each solve's starting density from
+    the prediction over the workspace's density window, and the density
+    mixer keeps its secant pairs from one step's SCF to the next.  A cell
+    change resets the workspace and misses the density window's key, a
+    cold start.
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
     accelerations on top: the ASPC depth of every window and the Eq.-1
     adaptive-buffer loop — a
     :class:`~repro.core.advisor.BufferController` that watches the live
     boundary-error telemetry each step and re-tunes ``options.buffer``
-    (the workspace detects the option change and rebuilds; the engine's
+    (the workspace detects the option change and rebuilds; its density
     window survives — the global grid does not depend on the buffer — so
     the restart is density-warm).  A one-domain layout has no buffer to
     tune and runs without a controller.
@@ -130,8 +120,6 @@ class LDCEngine:
         qmd = qmd_options or QMDOptions()
         self.options = options or LDCOptions()
         self.instrumentation = instrumentation
-        #: the carried global densities, newest first
-        self.window = DomainHistory(qmd.history_depth)
         self.workspace = LDCWorkspace(history_depth=qmd.history_depth)
         #: the first (cold) step's eigensolver-iteration count — the
         #: reference the per-step ``qmd.eig_iters_saved`` series is
@@ -150,25 +138,20 @@ class LDCEngine:
             )
 
     def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
-        from repro.core.ldc import make_global_grid, run_ldc
+        from repro.core.ldc import run_ldc
 
         ins = observer(self.instrumentation)
-        key = (_cell(config), make_global_grid(config, self.options).shape)
-        _, _, rho0 = self.window.predict(key) or (None, None, None)
         result = run_ldc(
-            config, self.options, compute_forces=True, rho0=rho0,
+            config, self.options, compute_forces=True,
             instrumentation=ins, workspace=self.workspace,
         )
-        self.window.push(key, None, None, result.input_density)
-        self._record_solve(ins, rho0, result)
+        self._record_solve(ins, result)
         if self.controller is not None:
             self._adapt_buffer(ins, result)
         assert result.forces is not None
         return result.forces, result.energy, result.iterations
 
-    def _record_solve(
-        self, ins: Observer, rho0: np.ndarray | None, result: LDCResult
-    ) -> None:
+    def _record_solve(self, ins: Observer, result: LDCResult) -> None:
         """The solve's telemetry: its warm-start tier — ``"orbital"``
         (earlier steps' converged ψ, and so their ρ too), ``"density"``
         (previous ρ only) or ``"cold"`` (random ψ, model density); whether
@@ -178,10 +161,9 @@ class LDCEngine:
         saved against the cold first step; the (b, l*) it ran at."""
         from repro.core.complexity import optimal_core_length
 
-        density_warm = rho0 is not None and rho0.shape == result.grid.shape
         start = (
             "orbital" if self.workspace.warm_domains > 0
-            else "density" if density_warm else "cold"
+            else "density" if self.workspace.warm_density else "cold"
         )
         ins.counter("qmd.solves", engine="ldc", start=start).inc()
         self.last_converged = bool(result.converged)
@@ -204,7 +186,7 @@ class LDCEngine:
 
         A changed decision re-binds ``self.options`` with the new buffer;
         the workspace notices the option-signature change on the next
-        ``prepare`` and rebuilds (the engine's window stays valid — the
+        ``prepare`` and rebuilds (its density window stays valid — the
         global grid does not depend on the buffer)."""
         if not result.boundary_errors:
             return

@@ -37,12 +37,14 @@ def apply_projectors_blas2(
 
     Returns
     -------
-    ``(npw, nband)`` array ``v_nl Ψ`` computed with per-band matvecs.
+    ``(npw, nband)`` array ``v_nl Ψ`` computed with per-band matvecs
+    (``B†`` is formed once, so the loop times the matvecs alone).
     """
     npw, nband = psi.shape
     out = np.zeros_like(psi)
+    adjoint = projectors.conj().T
     for n in range(nband):  # deliberate per-band loop: the BLAS2 path
-        overlaps = projectors.conj().T @ psi[:, n]
+        overlaps = adjoint @ psi[:, n]
         out[:, n] = projectors @ (coeffs @ overlaps)
     return out
 

@@ -3,8 +3,8 @@ water boxes, a nanoparticle's radius, minimum-image pair distances,
 species counts, concatenations and rigid translations of a
 :class:`~repro.systems.Configuration`, the partition-of-unity residual of
 a set of domain supports, span counts of a tracer, the Ewald energy alone,
-nonlocal operators over given projector arrays, and a toy force engine for
-the MD driver."""
+nonlocal operators over given projector arrays, a fixed starting density
+for the SCF loop, and a toy force engine for the MD driver."""
 
 from __future__ import annotations
 
@@ -268,6 +268,21 @@ def projector_stack(b: np.ndarray, d: np.ndarray) -> list[NonlocalProjectors]:
     projectors ``b`` and ``(nd, nproj)`` couplings ``d``: what a
     :class:`~repro.dft.hamiltonian.BatchedHamiltonian` takes."""
     return [ArrayProjectors(bj, dj) for bj, dj in zip(b, d)]
+
+
+def start_density(monkeypatch, rho0) -> None:
+    """Make every ``run_ldc`` (and so ``run_scf``) loop start from ``rho0``
+    in place of its workspace's prediction: the loop's admission sees it
+    as it would a carried density."""
+    import repro.core.ldc as ldc_module
+    import repro.dft.scf as scf_module
+
+    def seeded(density_map, config, grid, _, *args, **kwargs):
+        return scf_module.scf_fixed_point(
+            density_map, config, grid, rho0, *args, **kwargs
+        )
+
+    monkeypatch.setattr(ldc_module, "scf_fixed_point", seeded)
 
 
 class PairSpringEngine:

@@ -265,6 +265,4 @@ def test_history_depth_is_validated_once_for_both_engines(engine, bad):
     ):
         build(qmd_options=qmd.QMDOptions(history_depth=bad))
     built = build(qmd_options=qmd.QMDOptions(history_depth=2))
-    assert built.window.depth == 2
-    if engine == "LDCEngine":
-        assert built.workspace.history_depth == 2
+    assert built.workspace.history_depth == built.workspace._density.depth == 2

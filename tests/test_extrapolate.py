@@ -234,18 +234,6 @@ def test_push_returns_the_residual_of_the_prediction_it_settles():
     assert hist.push((12, 2, (0,)), converged[:, :2], None, None) is None
 
 
-def test_domain_history_resize_keeps_snapshots():
-    hist = DomainHistory(depth=3)
-    key = (12, 3, (0,))
-    for s in range(3):
-        hist.push(key, random_orthonormal(12, 3, seed=s), None, None)
-    hist.resize(2)
-    assert len(hist) == 2  # trimmed, not cleared
-    hist.resize(4)
-    assert len(hist) == 2
-    assert hist.predict(key) is not None  # the key survived: a hit
-
-
 def test_predict_releases_the_snapshot_no_later_prediction_reads():
     """A full window drops its oldest snapshot when it predicts, so it
     holds depth − 1 until the push; a miss drops nothing, and the push
@@ -278,12 +266,10 @@ def test_workspace_depth3_matches_depth1_physics():
     opts = LDCOptions(**OPTS)
     for depth in (1, 3):
         ws = LDCWorkspace(history_depth=depth)
-        rho = None
         es = []
         for s in shifts:
-            r = run_ldc(h4_chain(shift=s), opts, workspace=ws, rho0=rho)
+            r = run_ldc(h4_chain(shift=s), opts, workspace=ws)
             assert r.converged
-            rho = r.density
             es.append(r.energy)
         energies[depth] = es
     for e1, e3 in zip(energies[1], energies[3]):
@@ -306,31 +292,12 @@ def test_workspace_migration_invalidates_history_at_depth3():
     assert migrated.energy == pytest.approx(fresh.energy, abs=1e-5)
 
 
-def test_workspace_depth_change_resizes_the_windows_warm():
-    """The depth is not part of the structural signature: changing it
-    mid-trajectory trims the windows, and every domain stays warm."""
-    ws = LDCWorkspace(history_depth=3)
-    opts = LDCOptions(**OPTS)
-    for s in (0.0, 0.05, 0.10):
-        run_ldc(h4_chain(shift=s), opts, workspace=ws)
-    assert [len(h) for h in ws._history.values()] == [3, 3]
-    ws.history_depth = 1
-    run_ldc(h4_chain(shift=0.15), opts, workspace=ws)
-    assert ws.warm_domains == 2 and ws.cold_domains == 0
-    assert [(h.depth, len(h)) for h in ws._history.values()] == [(1, 1)] * 2
-
-
 def test_predictor_residual_series_recorded():
     ws = LDCWorkspace(history_depth=3)
     opts = LDCOptions(**OPTS)
     ins = Instrumentation()
-    rho = None
     for s in (0.0, 0.05, 0.10):
-        r = run_ldc(
-            h4_chain(shift=s), opts, workspace=ws, rho0=rho,
-            instrumentation=ins,
-        )
-        rho = r.density
+        r = run_ldc(h4_chain(shift=s), opts, workspace=ws, instrumentation=ins)
     series = ins.metrics.get("ldc.predictor_residual")
     assert len(series.values) == 2  # steps 2 and 3 had predictions to score
     assert all(np.isfinite(v) and v >= 0 for v in series.values)

@@ -1,0 +1,59 @@
+"""The force error split term by term on small cells (ROADMAP item 1's
+harness, :mod:`tests.oracles.force_split`): one module-scoped fixture
+solves every case at both tolerances (≈ 40 s in all), the tests read it.
+
+This module is a measurement: the Ewald row holds the finite difference's
+own error, the whole-cell residual is asserted in the band measured at
+``tol=1e-8``, and every LDC residual under today's value as an upper band
+(experiments/EXP-FORCE-SPLIT.md has the table) so a regression shows and a
+force fix shows as a band to tighten.
+"""
+
+import pytest
+
+from tests.oracles.force_split import CASES, force_split
+
+TOLS = (1e-5, 1e-8)
+
+#: |r| = |F·ê + ΔE/2h| of the probe, upper bands: the whole cell's is twice
+#: the 1.8e-7 measured at ``tol=1e-8`` (the Ewald row's 1.9e-7 is the same
+#: h² error); the LDC ones 1.1 × today's value, alike at both tolerances
+TOTAL_BANDS = {
+    "whole_cell": 4e-7,
+    "2x1x1_core": 1.0e-2,
+    "2x1x1_buffer": 2.1e-2,
+    "2x1x1_face": 2.5e-2,
+    "2x2x1_core": 8.3e-3,
+    "2x2x1_buffer": 2.0e-2,
+    "2x2x1_face": 1.8e-2,
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(case, tol) for case in CASES for tol in TOLS],
+    ids=[f"{case.name}-{tol:.0e}" for case in CASES for tol in TOLS],
+)
+def split(request):
+    case, tol = request.param
+    return case, force_split(case, tol)
+
+
+def test_ewald_row_is_the_finite_differences_own_error(split):
+    """The Ewald force is the exact derivative of the Ewald energy: what
+    its row shows (≤ 2.1e-7) is the central difference's h² term."""
+    _, rows = split
+    assert abs(rows["ewald"]) <= 1e-6
+
+
+def test_force_residual_stays_in_its_band(split):
+    case, rows = split
+    assert abs(rows["total"]) <= TOTAL_BANDS[case.name]
+
+
+def test_boundary_correction_is_flat_on_the_sharp_partition(split):
+    """Σ_α ∫p_α v_bc ρ_α is identically 0 with the sharp partition: v_bc
+    acts outside each core, where p_α is 0 — so the term moves no energy
+    and needs no force."""
+    _, rows = split
+    assert rows["vbc_correction"] == 0.0

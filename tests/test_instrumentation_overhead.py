@@ -55,8 +55,8 @@ def test_workspace_ldc_noop_path_never_enters_observability_code():
     ws = LDCWorkspace()
 
     def two_steps():
-        first = run_ldc(cfg, opts, workspace=ws)
-        return run_ldc(cfg, opts, workspace=ws, rho0=first.density)
+        run_ldc(cfg, opts, workspace=ws)
+        return run_ldc(cfg, opts, workspace=ws)
 
     counts, result = _count_observability_calls(two_steps)
     assert counts["total"] > 0 and counts["observability"] == 0
@@ -135,7 +135,7 @@ def test_off_path_is_a_bounded_number_of_null_calls_outside_the_kernels():
     sys.setprofile(profiler)
     try:
         first = run_ldc(cfg, opts, workspace=ws)
-        second = run_ldc(cfg, opts, workspace=ws, rho0=first.density)
+        second = run_ldc(cfg, opts, workspace=ws)
     finally:
         sys.setprofile(None)
     passes = first.iterations + second.iterations + 2  # + the final passes

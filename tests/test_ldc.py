@@ -5,7 +5,7 @@ buffer limit)."""
 import numpy as np
 import pytest
 
-from repro.core import LDCOptions, run_ldc
+from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.forces import ldc_forces
 from repro.core.ldc import make_global_grid
 from repro.dft.forces import forces_from_scf
@@ -223,9 +223,13 @@ def test_forces_computed(h2):
 
 
 def test_warm_start_density(h2):
+    """The workspace carries the density the first solve's ψ were solved
+    at, and the second solve starts from it."""
     opts = LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-5)
-    r1 = run_ldc(h2, opts)
-    r2 = run_ldc(h2, opts, rho0=r1.density)
+    ws = LDCWorkspace()
+    r1 = run_ldc(h2, opts, workspace=ws)
+    r2 = run_ldc(h2, opts, workspace=ws)
+    assert ws.warm_density
     assert r2.iterations <= r1.iterations
     assert r2.energy == pytest.approx(r1.energy, abs=1e-5)
 

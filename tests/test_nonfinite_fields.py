@@ -9,7 +9,7 @@ into the output of each producer of a potential — the FFT Hartree solve,
 the multigrid Hartree solve, LDA exchange-correlation, the local
 pseudopotential — and every driver and Poisson solver must end in that
 error before any ``eigh`` runs.  A non-finite density (a NaN
-atom position, a NaN ``rho0``) stays the density's own error.  Two more
+atom position, a NaN starting density) stays the density's own error.  Two more
 places name what they are handed: the LDC seam a domain whose band
 densities come out non-finite, before the global μ search, and
 :meth:`MultigridPoisson.solve` a non-finite source, before its first
@@ -32,7 +32,7 @@ from repro.dft.occupations import find_chemical_potential
 from repro.dft.scf import SCFOptions, run_scf
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
-from tests.builders import projector_stack
+from tests.builders import projector_stack, start_density
 
 #: (driver, Poisson solver): run_scf, the whole cell, has the FFT Hartree
 #: solve only
@@ -120,19 +120,18 @@ def test_a_nan_potential_is_named_before_any_eigensolve(
 @pytest.mark.parametrize("driver, poisson", DRIVERS[:2], ids=["scf", "ldc"])
 @pytest.mark.parametrize("fault", ["position", "rho0"])
 def test_a_nan_density_stays_a_density_error(
-    h2, eigh_calls, driver, poisson, fault
+    h2, eigh_calls, driver, poisson, fault, monkeypatch
 ):
     config, grid = h2
     config = config.copy()
-    kwargs = {}
     if fault == "position":
         config.positions[0, 0] = np.nan
     else:
         rho0 = np.full(grid.shape, 0.01)
         rho0[0, 0, 0] = np.nan
-        kwargs["rho0"] = rho0
+        start_density(monkeypatch, rho0)
     with pytest.raises(DensityError, match="finite positive"):
-        _solve(config, driver, poisson, **kwargs)
+        _solve(config, driver, poisson)
     assert eigh_calls == []
 
 

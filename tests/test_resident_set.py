@@ -27,7 +27,7 @@ width (module-scoped, a few seconds):
 * ``ldc.workspace_bytes{part=}`` reports it, evaluated only when observed;
 * a domain solve starts with only what the solves read alive: no ε_xc /
   v_xc, no FFT V_H (on multigrid the one V_H that warm-starts the next
-  pass) and no density of the pass before;
+  pass), no density of the pass before and no predicted starting density;
 * the whole-cell solve (``run_scf``) stages no per-band block: its stack
   pool's arena is the solve set alone, nothing larger is allocated, and
   its peak stays in budget.
@@ -40,6 +40,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -57,12 +58,16 @@ from repro.dft.eigensolver import lobpcg_work_shape
 from repro.dft.hartree import hartree_potential
 from repro.dft.scf import SCFOptions, run_scf
 from repro.dft.xc import lda_xc
+from repro.md.extrapolate import DomainHistory
+from repro.md.qmd import LDCEngine, QMDOptions, SCFEngine
 from repro.multigrid.poisson import MultigridPoisson
 from repro.observability import Instrumentation
 from repro.observe import OFF
 from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
 from repro.systems.water import water_molecule
+from tests.test_workspace import OPTS as H4_OPTS
+from tests.test_workspace import h4_chain
 
 CELL = np.array([13.0, 13.0, 9.0])
 LIAL = dict(
@@ -99,7 +104,6 @@ def frame(k: int, tiles: int = 1) -> Configuration:
 def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
     """``steps`` workspace steps; the last one's traced allocation peak."""
     ws = LDCWorkspace(history_depth=DEPTH)
-    rho = None
     peak = 0
     for k in range(steps):
         if k == steps - 1:
@@ -107,13 +111,12 @@ def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
             tracemalloc.start()
         try:
             result = run_ldc(frame(k, tiles), options, workspace=ws,
-                             rho0=rho, instrumentation=ins)
+                             instrumentation=ins)
             if k == steps - 1:
                 peak = tracemalloc.get_traced_memory()[1]
         finally:
             if k == steps - 1:
                 tracemalloc.stop()
-        rho = result.input_density
     return ws, result, peak
 
 
@@ -234,7 +237,12 @@ def test_reset_and_buffer_change_drop_the_shared_basis():
     assert wider.grid.shape == (24, 24, 16) and wider.npw > first.npw
     assert ws.cold_domains == 4  # the rebuild restarted every domain
     ws.reset()
-    assert not ws._bases and sum(ws.resident_bytes().values()) == 0
+    # the density window alone survives: its key (cell, global grid)
+    # decides whether the next solve starts from it
+    held = ws.resident_bytes()
+    densities = sum(rho.nbytes for *_, rho in ws._density._entries)
+    assert len(ws._density) == DEPTH and held.pop("windows") == densities
+    assert not ws._bases and sum(held.values()) == 0
     again = run_ldc(frame(1), options, workspace=ws).states[0].basis
     assert again is not first
     assert np.array_equal(again.indices, first.indices)
@@ -288,7 +296,7 @@ def test_windows_hold_depth_minus_one_snapshots_during_a_solve(
         return seam(*args, **kwargs)
 
     monkeypatch.setattr(ldc_module, "batched_domain_pass", spy)
-    run_ldc(frame(3), options, workspace=ws, rho0=result.input_density)
+    run_ldc(frame(3), options, workspace=ws)
     ndomains = len(result.states)
     assert ws.warm_domains == ndomains
     assert len(during) >= 2
@@ -354,7 +362,7 @@ def test_band_densities_are_laid_over_the_solve_phase(warm, monkeypatch):
     monkeypatch.setattr(batched_module, "solve_all_band_batched", solve_spy)
     monkeypatch.setattr(ldc_module, "batched_domain_pass", seam_spy)
     allocations = ws.scratch_allocations()
-    run_ldc(frame(3), options, workspace=ws, rho0=result.input_density)
+    run_ldc(frame(3), options, workspace=ws)
     assert ws.scratch_allocations() == allocations
     arena = ws.batch_pool._arena
     assert len(live) >= 2
@@ -442,12 +450,10 @@ def test_stack_pool_holds_no_field_block(wide, phases):
     direction = np.random.default_rng(7).standard_normal(base.positions.shape)
     direction /= np.linalg.norm(direction)
     ws = LDCWorkspace(history_depth=3)
-    rho = None
     for k in range(6):
         config = base.copy()
         config.positions = base.positions + 0.04 * k * direction
-        result = run_ldc(config, options, workspace=ws, rho0=rho)
-        rho = result.input_density
+        result = run_ldc(config, options, workspace=ws)
     classes = Counter(
         (s.basis.npw, s.nband, s.vnl.nproj) for s in result.states
     )
@@ -514,9 +520,8 @@ def test_domain_solves_start_with_only_what_they_read(warm, poisson, monkeypatch
     options, ws, result, _ = warm
     options = replace(options, poisson=poisson)
     ws = copy.deepcopy(ws)
-    rho = result.input_density
     if poisson == "multigrid":  # the level buffers are built on a first solve
-        rho = run_ldc(frame(3), options, workspace=ws, rho0=rho).input_density
+        run_ldc(frame(3), options, workspace=ws)
     snapshots = []
     solve = batched_module.solve_all_band_batched
 
@@ -528,7 +533,7 @@ def test_domain_solves_start_with_only_what_they_read(warm, poisson, monkeypatch
     gc.collect()
     tracemalloc.start(40)
     try:
-        run_ldc(frame(4), options, workspace=ws, rho0=rho)
+        run_ldc(frame(4), options, workspace=ws)
     finally:
         tracemalloc.stop()
     forbidden = [
@@ -547,6 +552,39 @@ def test_domain_solves_start_with_only_what_they_read(warm, poisson, monkeypatch
             assert not [t for t in alive if allocated_under(t, where)]
         vh = [t for t in alive if allocated_under(t, mg_solve)]
         assert len(vh) == (poisson == "multigrid")
+
+
+@pytest.mark.parametrize("kind", ["ldc", "scf"])
+def test_no_predicted_density_lives_through_the_solves(kind, monkeypatch):
+    """The density window's prediction goes to the SCF loop, which starts
+    from a normalized copy of it, and nothing else keeps it: by the first
+    domain pass of every warm engine step — at ASPC depth 1 and 2 — the
+    predicted array is gone, on an LDC layout and on the whole cell."""
+    engine = (
+        LDCEngine(LDCOptions(**H4_OPTS), qmd_options=QMDOptions(2))
+        if kind == "ldc"
+        else SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=QMDOptions(2))
+    )
+    predicted, alive = [], []
+    predict, seam = DomainHistory.predict, ldc_module.batched_domain_pass
+
+    def predict_spy(self, key):
+        out = predict(self, key)
+        if out is not None and out[0] is None:  # fields only: the density
+            predicted.append(weakref.ref(out[2]))
+        return out
+
+    def seam_spy(*args, **kwargs):
+        if len(alive) < len(predicted):  # a step's first pass
+            alive.append(predicted[-1]() is not None)
+        return seam(*args, **kwargs)
+
+    monkeypatch.setattr(DomainHistory, "predict", predict_spy)
+    monkeypatch.setattr(ldc_module, "batched_domain_pass", seam_spy)
+    for shift in (0.0, 0.05, 0.1):
+        engine.forces(h4_chain(shift))
+    assert len(predicted) == 2 and alive == [False, False]
+    assert engine.workspace.warm_domains and engine.workspace.warm_density
 
 
 # -- the whole-cell solve -------------------------------------------------------

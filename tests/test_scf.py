@@ -7,7 +7,7 @@ from repro.core.ldc import LDCOptions
 from repro.dft.scf import SCFOptions, initial_density, run_scf
 from repro.reactive.kmc import KMCOptions
 from repro.systems import dimer
-from tests.builders import translated
+from tests.builders import start_density, translated
 from tests.oracles.global_scf import global_scf
 
 
@@ -131,10 +131,11 @@ def test_out_of_range_option_is_named_when_built(build, field):
     assert SCFOptions(kt=0.0).kt == LDCOptions(kt=0.0).kt == 0.0
 
 
-def test_scf_warm_start_density(h2_config, h2_scf):
+def test_scf_warm_start_density(h2_config, h2_scf, monkeypatch):
     """Warm-starting from the converged density converges immediately."""
     opts = SCFOptions(ecut=8.0, extra_bands=3, tol=1e-8, eig_tol=1e-9)
-    res = run_scf(h2_config, opts, rho0=h2_scf.density)
+    start_density(monkeypatch, h2_scf.input_density)
+    res = run_scf(h2_config, opts)
     assert res.converged
     assert res.iterations <= 3
     assert res.energy == pytest.approx(h2_scf.energy, abs=1e-6)
@@ -350,25 +351,29 @@ def _solve_ldc(cfg, **kwargs):
 
 
 @pytest.mark.parametrize("solve", [_solve_scf, _solve_ldc], ids=["scf", "ldc"])
-def test_warm_start_admission_is_the_same_for_both_maps(solve):
-    """A stale-shaped ``rho0`` is a cold start (bit for bit), a non-finite
-    one a named error — decided once, in the loop both drivers share."""
+def test_warm_start_admission_is_the_same_for_both_maps(solve, monkeypatch):
+    """A stale-shaped starting density is a cold start (bit for bit), a
+    non-finite one a named error — decided once, in ``scf_fixed_point``,
+    the loop both drivers share."""
     from repro.dft.mixing import DensityError
 
     cfg = dimer("H", "H", 1.5, 10.0)
     cold = solve(cfg)
-    stale = solve(cfg, rho0=np.ones((3, 3, 3)))
+    start_density(monkeypatch, np.ones((3, 3, 3)))
+    stale = solve(cfg)
     assert stale.energy == cold.energy and stale.iterations == cold.iterations
     broken = np.full(cold.grid.shape, 0.01)
     broken[0, 0, 0] = np.nan
+    start_density(monkeypatch, broken)
     with pytest.raises(DensityError, match="finite positive"):
-        solve(cfg, rho0=broken)
+        solve(cfg)
 
 
 @pytest.mark.parametrize("engine_name", ["scf", "ldc"])
 def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
-    """One rule for both layouts: the next solve starts from the density
-    the returned state was solved at, not the final pass's output."""
+    """One rule for both layouts: the workspace's density window starts
+    the next solve from the density the returned state was solved at, not
+    the final pass's output."""
     import repro.core.ldc as ldc_module
     from repro.md.qmd import LDCEngine, SCFEngine
 
@@ -381,15 +386,19 @@ def test_engine_window_receives_the_input_density(engine_name, monkeypatch):
         )
     results = []
     seeds = []
-    solver = getattr(module, name)
+    solver, loop = getattr(module, name), module.scf_fixed_point
 
     def tapped(*args, **kwargs):
-        seeds.append(kwargs["rho0"])
         results.append(solver(*args, **kwargs))
         return results[-1]
 
-    # the engines look the solver up at call time
+    def seeded(density_map, config, grid, rho0, *args, **kwargs):
+        seeds.append(rho0)
+        return loop(density_map, config, grid, rho0, *args, **kwargs)
+
+    # the engines look the solver up at call time, run_ldc the loop
     monkeypatch.setattr(module, name, tapped)
+    monkeypatch.setattr(module, "scf_fixed_point", seeded)
     for bond in (1.5, 1.52):
         engine.forces(dimer("H", "H", bond, 10.0))
         result = results[-1]

@@ -556,8 +556,7 @@ def test_memory_drops_are_counted_by_reason(h4_workspace):
     ws = copy.deepcopy(h4_workspace[0])
     ins = Instrumentation()
     opts = LDCOptions(**{**H4_OPTS, "tol": 1e-3})
-    run_ldc(h4_chain(0.02), opts, workspace=ws, instrumentation=ins,
-            rho0=h4_workspace[1].density)
+    run_ldc(h4_chain(0.02), opts, workspace=ws, instrumentation=ins)
     assert ins.metrics.get("ldc.mixer_carried_pairs").values == [0]
     assert ins.metrics.get(
         "ldc.mixer_memory_dropped", reason="out_of_range"

@@ -1,13 +1,15 @@
 """Tests for the QMD hot path: LDCWorkspace reuse, orbital warm starts,
 and the stale-shape warm-start guards on both MD engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.workspace import ALIGN, DomainScratch
-from repro.dft.scf import SCFOptions, run_scf
+from repro.dft.scf import SCFOptions
 from repro.md.qmd import LDCEngine, QMDOptions, SCFEngine
 from repro.observability import Instrumentation
 from repro.systems.configuration import Configuration
@@ -66,10 +68,10 @@ def test_batched_warm_pass_reuses_scratch_buffers():
     on unchanged shapes."""
     opts = LDCOptions(**OPTS, batch_domains=True)
     ws = LDCWorkspace()
-    r1 = run_ldc(h4_chain(), opts, workspace=ws)
+    run_ldc(h4_chain(), opts, workspace=ws)
     after_cold = ws.scratch_allocations()
     assert after_cold > 0
-    run_ldc(h4_chain(), opts, workspace=ws, rho0=r1.density)
+    run_ldc(h4_chain(), opts, workspace=ws)
     assert ws.scratch_allocations() == after_cold
 
 
@@ -143,8 +145,7 @@ def test_workspace_orbital_warm_start_cuts_eigensolver_iterations():
     )
     ins_warm = Instrumentation()
     r2 = run_ldc(
-        cfg, LDCOptions(**OPTS), workspace=ws, rho0=r1.density,
-        instrumentation=ins_warm,
+        cfg, LDCOptions(**OPTS), workspace=ws, instrumentation=ins_warm,
     )
     assert r1.converged and r2.converged
     assert ws.warm_domains == 2 and ws.cold_domains == 0
@@ -242,13 +243,36 @@ def test_run_ldc_rejects_grid_plus_workspace():
 
 
 def test_stale_shaped_rho0_falls_back_to_cold_start():
-    """A rho0 from a different grid must be ignored, not crash the solve."""
+    """A density window filled on another global grid — the same cell at
+    another cutoff — misses its key: the solve starts at
+    ``initial_density``, ``==`` a fresh workspace's, on an LDC layout and
+    on the whole cell."""
     cfg = h4_chain()
-    stale = np.ones((4, 4, 4))
-    r = run_ldc(cfg, LDCOptions(**OPTS), rho0=stale)
-    assert r.converged
-    s = run_scf(cfg, SCFOptions(ecut=4.0, tol=1e-6), rho0=stale)
-    assert s.converged
+    for opts in (LDCOptions(**OPTS), SCFOptions(ecut=4.0, tol=1e-6)):
+        ws = LDCWorkspace()
+        first = run_ldc(cfg, replace(opts, ecut=3.0), workspace=ws)
+        again = run_ldc(cfg, opts, workspace=ws)
+        assert first.grid.shape != again.grid.shape
+        assert not ws.warm_density and again.converged
+        assert len(ws._density) == 1  # the other grid's snapshot is gone
+        fresh = run_ldc(cfg, opts, workspace=LDCWorkspace())
+        assert again.energy == fresh.energy
+        assert again.iterations == fresh.iterations
+
+
+def test_buffer_change_restarts_density_warm():
+    """A buffer change rebuilds the domains (every one cold) but not the
+    global grid, so the density window keeps its key: the next solve
+    starts from the carried density, and ``reset()`` alone drops none of
+    it."""
+    cfg = h4_chain()
+    ws = LDCWorkspace()
+    first = run_ldc(cfg, LDCOptions(**OPTS), workspace=ws)
+    wider = run_ldc(cfg, LDCOptions(**dict(OPTS, buffer=2.5)), workspace=ws)
+    assert wider.grid.shape == first.grid.shape
+    assert ws.cold_domains == 2 and ws.warm_density
+    ws.reset()
+    assert len(ws._density) == 1
 
 
 def swapped_cell() -> Configuration:
@@ -285,7 +309,7 @@ def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
     np.testing.assert_array_equal(forces, forces0)
     assert ins.counter("qmd.solves", engine="ldc", start="cold").value == 2
     assert ins.metrics.get("qmd.solves", engine="ldc", start="orbital") is None
-    assert len(engine.window) == 1  # the old cell's snapshots are gone
+    assert len(engine.workspace._density) == 1  # the old cell's are gone
 
 
 def test_scf_engine_warm_starts_from_its_window():
@@ -293,7 +317,8 @@ def test_scf_engine_warm_starts_from_its_window():
     ins = engine.instrumentation = Instrumentation()
     for shift in (0.0, 0.05):
         engine.forces(h4_chain(shift))
-    assert len(engine.window) == 2  # the density window filling
+    assert len(engine.workspace._density) == 2  # the density window filling
+    assert engine.workspace.warm_density
     assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 1
 
 
