@@ -237,17 +237,6 @@ SCHEMAS: dict[str, RecordSchema] = {
             FieldSpec("converged", kind="int", **_EXACT),
         ],
     ),
-    "ablation_support": RecordSchema(
-        bench="ablation_support",
-        key=("support",),
-        fields=[
-            FieldSpec("support", kind="str", compare=False),
-            FieldSpec("energy_ha", direction="both", rel_tol=0.0,
-                      abs_tol=1e-5),
-            FieldSpec("iterations", kind="int", direction="lower",
-                      rel_tol=0.0, abs_tol=2.0),
-        ],
-    ),
     # -- QMD hot path: workspace + orbital warm starts ------------------------
     "qmd_warm_start": _metric_schema(
         "qmd_warm_start",

@@ -1,9 +1,7 @@
-"""EXP-ABL-LDC — ablations of the LDC design choices.
+"""EXP-ABL-LDC — ablation of the boundary potential ξ (Eq. 2): DC
+against LDC at two ξ.
 
-* the boundary potential ξ (Eq. 2): DC against LDC at two ξ;
-* sharp vs smooth partition of unity.
-
-The ξ sweep documents an honest finding of this reproduction: with the
+The sweep documents an honest finding of this reproduction: with the
 artifact-free restricted global ionic potential (the only one the engine
 builds), the domain
 error is wave-function confinement, which a local boundary *potential*
@@ -14,7 +12,6 @@ from _harness import fmt_row, report
 from _schemas import SCHEMAS
 
 from repro.core import LDCOptions, run_ldc
-from repro.systems import dimer
 
 
 def test_xi_sweep(benchmark, cdse16_amorphous, cdse16_reference):
@@ -57,29 +54,3 @@ def test_xi_sweep(benchmark, cdse16_amorphous, cdse16_reference):
     # buffer; the ordering between them is inside the basis-noise floor
     assert max(errs) < 5e-3
 
-
-def test_support_ablation(benchmark):
-    h2 = dimer("H", "H", 1.5, 12.0)
-
-    def run_both():
-        base = dict(ecut=5.0, domains=(2, 1, 1), buffer=2.0, tol=1e-5)
-        return (
-            run_ldc(h2, LDCOptions(support="sharp", **base)),
-            run_ldc(h2, LDCOptions(support="smooth", **base)),
-        )
-
-    r_sharp, r_smooth = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    lines = [
-        fmt_row("support", "energy", "iters", widths=[8, 14, 6]),
-        fmt_row("sharp", r_sharp.energy, r_sharp.iterations, widths=[8, 14, 6]),
-        fmt_row("smooth", r_smooth.energy, r_smooth.iterations, widths=[8, 14, 6]),
-    ]
-    records = [
-        {"support": "sharp", "energy_ha": float(r_sharp.energy),
-         "iterations": int(r_sharp.iterations)},
-        {"support": "smooth", "energy_ha": float(r_smooth.energy),
-         "iterations": int(r_smooth.iterations)},
-    ]
-    report("ablation_support", "Ablation — partition of unity", lines,
-           records=records, schema=SCHEMAS["ablation_support"])
-    assert abs(r_sharp.energy - r_smooth.energy) < 5e-3

@@ -127,7 +127,7 @@ def _gather_indices(
 ) -> np.ndarray:
     """Flat global-grid indices of a domain's extended region, into
     ``out``: field restriction is then ``np.take(field.ravel(), out,
-    out=buf)``, the gather of ``Domain.extract`` without its allocation."""
+    out=buf)``, a wrapped-block gather without an allocation."""
     ix, iy, iz = grid_indices
     np.multiply(ix[:, None, None], int(global_shape[1]), out=out)
     out += iy[None, :, None]
@@ -167,7 +167,7 @@ def _domain_effective_potential(
 
     Every intermediate lives in the stack's solve phase of the seam's
     ``pool`` and is spent when this returns — the gather indices, the
-    gathered density, the v_bc target, the buffer window: one of each,
+    gathered density, the v_bc target: one of each,
     whatever the number of domains, and a steady-state pass allocates
     nothing here.
     """
@@ -186,10 +186,9 @@ def _domain_effective_potential(
         state.rho_local, rho_restricted, xi,
         out=pool.get("vbc_target", shape),
     )
-    # act only near the artificial boundary, not inside the core
-    window = pool.get("boundary_window", shape)
-    np.subtract(1.0, state.support, out=window)
-    vbc_target *= window
+    # act only near the artificial boundary, not inside the core: the
+    # product by 0.0 (not a fill) keeps a NaN target NaN
+    vbc_target[dom.core_slices] *= 0.0
     if state.vbc is None:
         state.vbc = VBC_DAMPING * vbc_target  # owned, not scratch
     else:
@@ -281,7 +280,7 @@ def batched_domain_pass(
         pool.begin()  # this stack's solve phase
         if stack[0].whole_cell:
             # the global grid is the domain's: no gather, and no v_bc,
-            # whose window 1 − p is 0 everywhere
+            # which acts outside the core — and the core is everything
             v_eff = v_ks_global[None]
             errors = [_boundary_error(stack[0], rho)]
         else:
@@ -321,6 +320,7 @@ def batched_domain_pass(
             state.band_weights = np.ones(state.nband)  # ∫ 1·|ψ_n|² = 1
     for (idom, state), block in zip(parted, blocks):
         assert state.basis is not None and state.psi is not None
+        assert state.support is not None
         state.band_densities = state.basis.densities(state.psi, block)
         # band weights w_αn = ∫ p_α |ψ_n|² dr
         state.band_weights = state.domain.grid.dv * np.einsum(

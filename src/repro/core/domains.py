@@ -7,8 +7,9 @@ point in a buffer belongs to several domains, but to exactly one core.
 
 The decomposition is grid-aligned: the global real-space grid shape must be
 divisible by the domain counts, so every domain maps to a contiguous
-(wrapped) block of global grid points and field restriction / assembly are
-pure index operations (``np.take`` with wrapped indices).
+(wrapped) block of global grid points: field restriction is an index
+operation (``np.take`` with wrapped indices), and assembly a copy of each
+core box, which never wraps.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class Domain:
     grid:
         A :class:`RealSpaceGrid` for the extended region (its own small
         periodic cell — this *is* the artificial boundary condition).
-    core_mask:
-        Boolean array on the domain grid: True on core points.
     origin:
         Cartesian position (global frame) of the domain grid's first point.
     """
@@ -50,17 +49,28 @@ class Domain:
     buffer_points: np.ndarray
     grid_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
     grid: RealSpaceGrid
-    core_mask: np.ndarray
     origin: np.ndarray
 
     @property
     def extent_points(self) -> np.ndarray:
         return self.core_points + 2 * self.buffer_points
 
-    def extract(self, global_field: np.ndarray) -> np.ndarray:
-        """Restrict a global grid field to this domain's extended region."""
-        ix, iy, iz = self.grid_indices
-        return global_field[np.ix_(ix, iy, iz)]
+    @property
+    def core_slices(self) -> tuple[slice, ...]:
+        """The core box on the domain grid: where p_α is 1."""
+        return tuple(
+            slice(int(b), int(b + c))
+            for b, c in zip(self.buffer_points, self.core_points)
+        )
+
+    @property
+    def global_core_slices(self) -> tuple[slice, ...]:
+        """The core box on the global grid; cores tile it without
+        wrapping."""
+        return tuple(
+            slice(int(s), int(s + c))
+            for s, c in zip(self.core_start, self.core_points)
+        )
 
 
 class DomainDecomposition:
@@ -127,12 +137,6 @@ class DomainDecomposition:
         extent_pts = self.core_points + 2 * nb
         lengths = extent_pts * self.grid.spacing
         dgrid = RealSpaceGrid(lengths, extent_pts)
-        mask = np.zeros(tuple(extent_pts), dtype=bool)
-        mask[
-            nb[0] : nb[0] + self.core_points[0],
-            nb[1] : nb[1] + self.core_points[1],
-            nb[2] : nb[2] + self.core_points[2],
-        ] = True
         origin = (start - nb) * self.grid.spacing
         return Domain(
             index=index,
@@ -141,7 +145,6 @@ class DomainDecomposition:
             buffer_points=nb.copy(),
             grid_indices=idx,
             grid=dgrid,
-            core_mask=mask,
             origin=origin,
         )
 

@@ -6,10 +6,10 @@ Global physical properties are linear combinations of domain properties
 
     E_band = Σ_α Σ_n f_n ε_n^α w_αn,     w_αn = ∫ p_α |ψ_n^α|² dr,
 
-from which the boundary-potential contribution Σ_α ∫ p_α v_bc ρ_α is removed
-(v_bc is a numerical device, not physics).  Double counting is subtracted
-with the *global* density and potentials, and the ionic Ewald energy and the
-smearing entropy are added:
+with nothing removed for the boundary potential: v_bc acts outside each
+core, where the sharp p_α is 0, so Σ_α ∫ p_α v_bc ρ_α vanishes identically.
+Double counting is subtracted with the *global* density and potentials, and
+the ionic Ewald energy and the smearing entropy are added:
 
     E = E_band - ∫ρ(V_H + v_xc) + E_H[ρ] + E_xc[ρ] + E_Ewald - k_B T S.
 """
@@ -34,25 +34,9 @@ def dc_band_energy(
     return total
 
 
-def boundary_energy_correction(
-    supports: list[np.ndarray],
-    vbcs: list[np.ndarray],
-    rho_locals: list[np.ndarray],
-    dv: float,
-) -> float:
-    """Σ_α ∫ p_α v_bc ρ_α dr — subtracted from the band energy."""
-    total = 0.0
-    for p, vbc, rho in zip(supports, vbcs, rho_locals):
-        integrand = p * vbc
-        integrand *= rho  # (p·v_bc)·ρ in one temporary
-        total += float(np.sum(integrand) * dv)
-    return total
-
-
 def dc_total_energy(
     terms: PotentialTerms,
     band_energy: float,
-    vbc_correction: float,
     e_ewald: float,
     all_eigs: np.ndarray,
     all_weights: np.ndarray,
@@ -62,10 +46,6 @@ def dc_total_energy(
     """The LDC inputs of the one total-energy expression
     (:func:`repro.dft.scf.harris_foulkes_energy`, ``terms`` taken at the
     pass's input density when its potentials were built): the band energy
-    less the ``v_bc`` correction, and the partition-weighted entropy.
-    Returns every component."""
+    and the partition-weighted entropy.  Returns every component."""
     entropy = smearing_entropy(all_eigs, mu, kt, weights=all_weights)
-    parts = harris_foulkes_energy(
-        terms, band_energy - vbc_correction, e_ewald, -kt * entropy
-    )
-    return {**parts, "band": band_energy, "vbc_correction": vbc_correction}
+    return harris_foulkes_energy(terms, band_energy, e_ewald, -kt * entropy)

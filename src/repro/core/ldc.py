@@ -38,11 +38,7 @@ import numpy as np
 from repro.core.batched import batched_domain_pass
 from repro.core.boundary import PAPER_XI
 from repro.core.domains import Domain, DomainDecomposition
-from repro.core.energy import (
-    boundary_energy_correction,
-    dc_band_energy,
-    dc_total_energy,
-)
+from repro.core.energy import dc_band_energy, dc_total_energy
 from repro.core.workspace import RESIDENT_PARTS, DomainScratch, LDCWorkspace
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.ewald import ewald
@@ -83,8 +79,6 @@ class LDCOptions:
     eig_max_iter: int = 30
     #: global Poisson solver: "fft" | "multigrid" (the GSLF choice)
     poisson: str = "fft"
-    #: partition of unity: "sharp" | "smooth"
-    support: str = "sharp"
     #: stack width of the all-band domain solves
     #: (:mod:`repro.core.batched`): ``True`` solves every shape class —
     #: the domains sharing (grid shape, npw, nband, nproj) — as one stacked
@@ -127,7 +121,10 @@ class DomainState:
     local_config: Configuration
     basis: PlaneWaveBasis | None
     vnl: NonlocalProjectors | None
-    support: np.ndarray
+    #: the partition weight p_α, the core indicator on the domain grid
+    #: (one read-only array all domains hold); ``None`` on the whole
+    #: cell, whose weight is 1 everywhere and read nowhere
+    support: np.ndarray | None
     nband: int
     psi: np.ndarray | None = None
     eigenvalues: np.ndarray | None = None
@@ -441,9 +438,6 @@ def _scf_pass(
 
     t_asm = ins.tracer.now()
     rho_new = np.zeros(grid.shape)
-    rho_locals: list[np.ndarray] = []
-    vbcs: list[np.ndarray] = []
-    sup_list: list[np.ndarray] = []
     for idom, state in active:
         assert state.eigenvalues is not None and state.psi is not None
         occs = fermi_occupations(state.eigenvalues, mu, opts.kt)
@@ -459,21 +453,14 @@ def _scf_pass(
             assert state.band_densities is not None
             rho_a = np.einsum("n,nijk->ijk", occs, state.band_densities)
             state.band_densities = None  # consumed; the next solve reuses it
-            ix, iy, iz = state.domain.grid_indices
-            # Fancy-index += (not np.add.at): each per-axis wrapped index
-            # array is duplicate-free — a domain's extent never exceeds the
-            # grid shape (DomainDecomposition clamps buffer_points to
-            # (shape - core) // 2) — so the buffered read-modify-write is
-            # exact and skips np.add.at's slow unbuffered element-wise path.
-            rho_new[np.ix_(ix, iy, iz)] += state.support * rho_a
+            # p_α is the core box and the cores tile the grid: each
+            # ρ_α's core block is its whole share of ρ = Σ_α p_α ρ_α
+            dom = state.domain
+            rho_new[dom.global_core_slices] = rho_a[dom.core_slices]
         state.rho_local = rho_a
-        rho_locals.append(rho_a)
-        if state.vbc is not None:
-            vbcs.append(state.vbc)
-        sup_list.append(state.support)
     ins.tracer.record_complete(
         "ldc.assemble_density", ins.tracer.now() - t_asm,
-        category="ldc", ndomains=len(rho_locals),
+        category="ldc", ndomains=len(active),
     )
 
     band_e = dc_band_energy(
@@ -481,9 +468,8 @@ def _scf_pass(
         [s.occupations for s in states if s.nband],
         [s.band_weights for s in states if s.nband],
     )
-    vbc_corr = boundary_energy_correction(sup_list, vbcs, rho_locals, grid.dv)
     components = dc_total_energy(
-        terms, band_e, vbc_corr, e_ewald, eigs_cat, w_cat, mu, opts.kt,
+        terms, band_e, e_ewald, eigs_cat, w_cat, mu, opts.kt,
     )
     mean_err = bnd_err_total / n_active if n_active else None
     eig_pass = sum(iterations for iterations, _ in outcomes)

@@ -7,7 +7,8 @@ options is therefore invariant across steps:
 
 * the global real-space grid,
 * the domain decomposition (cores + buffers),
-* the partition-of-unity supports p_α(r), one per distinct profile,
+* the partition of unity p_α(r): one core indicator every domain holds
+  (none on the whole cell),
 * one plane-wave basis per shape class (cutoff sphere on the domain grid),
 * the Ewald image shifts and reciprocal vectors,
 * the multigrid Poisson solver's level hierarchy and buffers.
@@ -97,7 +98,7 @@ class DomainScratch:
 
     * **solve**, once per stack — the stacked v_eff, the
       solver's iteration workspace, and one domain's gather indices,
-      restricted density, v_bc target and buffer window;
+      restricted density and v_bc target;
     * **densities**, once per pass — every active domain's real per-band
       |ψ_n|², formed after the last stack is solved and held until the
       global μ is known and the density assembled; the whole cell, whose
@@ -211,7 +212,6 @@ def _options_signature(options: LDCOptions) -> tuple:
         options.ecut,
         tuple(options.domains),
         options.buffer,
-        options.support,
         options.extra_bands,
     )
 
@@ -248,7 +248,8 @@ class LDCWorkspace:
         self._signature: tuple | None = None
         self.grid: RealSpaceGrid | None = None
         self.decomposition: DomainDecomposition | None = None
-        #: partition weights by domain; equal ones are one read-only array
+        #: partition weights by domain, one read-only array; the whole
+        #: cell holds none
         self.pou: list[np.ndarray] | None = None
         #: whether the one domain is the whole cell (weight identically 1,
         #: the global grid): flagged with the supports, read by the seam
@@ -320,8 +321,8 @@ class LDCWorkspace:
 
     def resident_bytes(self) -> dict[str, int]:
         """Bytes kept alive between MD steps, by part: ``bases`` (one
-        plane-wave basis per domain shape, one partition weight per
-        distinct profile) does not grow with the domain count,
+        plane-wave basis per domain shape, the one core indicator)
+        does not grow with the domain count,
         ``stack_pool`` is the larger of the widest stack's solve set and
         every domain's band densities (the whole cell: its solve set),
         ``windows`` the ASPC
@@ -369,10 +370,11 @@ class LDCWorkspace:
         self.decomposition = DomainDecomposition(
             self.grid, options.domains, options.buffer
         )
-        self.pou = supports(self.decomposition, options.support)
         self._density_key = (tuple(self._cell.tolist()), self.grid.shape)
-        # one domain: Σ_α p_α = 1 makes its weight 1 on the whole grid
+        # one domain: Σ_α p_α = 1 makes its weight 1 on the whole grid,
+        # which nothing reads, so the whole cell holds none
         self.whole_cell = self.decomposition.ndomains == 1
+        self.pou = [] if self.whole_cell else supports(self.decomposition)
 
     def ewald_structure(self, config: Configuration) -> EwaldStructure:
         """The cached Ewald geometry for this cell (built on first use)."""
@@ -442,7 +444,8 @@ class LDCWorkspace:
         self.warm_domains = 0
         self.cold_domains = 0
         states: list[DomainState] = []
-        for idom, (dom, w) in enumerate(zip(decomp.domains, self.pou)):
+        for idom, dom in enumerate(decomp.domains):
+            w = None if self.whole_cell else self.pou[idom]
             idx, local = decomp.atoms_in_domain(config, dom)
             if len(idx) == 0:
                 states.append(

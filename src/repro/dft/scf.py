@@ -145,9 +145,9 @@ def harris_foulkes_energy(
     makes it the Harris–Foulkes functional, second order in the pass's
     residual (the double counting integrated over the *output* density
     instead is first order: 1.9e-4 against 1.6e-8 Ha at ``tol=1e-3`` on
-    one H₂O, DESIGN.md §20).  ``band_energy`` arrives with any
-    non-physical potential (LDC's ``v_bc``) already removed.  Returns the
-    total and every part.
+    one H₂O, DESIGN.md §20).  LDC's ``v_bc`` leaves nothing to remove
+    from ``band_energy``: it acts outside each core, where the partition
+    weight is 0.  Returns the total and every part.
     """
     e_h = terms.hartree
     double_count = 2.0 * e_h + terms.rho_vxc

@@ -11,9 +11,8 @@ is the exact derivative of the energy it is compared with:
 * ``total`` — the reported force against the reported energy;
 * ``ewald`` — the Ewald force against the Ewald energy (exact: what is
   left is the finite difference's own error);
-* ``vbc_correction`` and ``entropy_term`` — the derivative of the two
-  energy terms no force term is the derivative of (the boundary
-  potential's correction and −kT·S), ``ΔE/2h`` alone.
+* ``entropy_term`` — the derivative of the energy term no force term is
+  the derivative of (−kT·S), ``ΔE/2h`` alone.
 
 The cases are the whole cell and the 2×1×1 and 2×2×1 layouts with the
 probe in a core (in no other domain), in a buffer (a core of one domain,
@@ -99,6 +98,5 @@ def force_split(case: Case, tol: float) -> dict[str, float]:
     return {
         "total": centre.forces[0, 0] + (plus.energy - minus.energy) / (2 * H),
         "ewald": f_ewald[0, 0] + slope("ewald"),
-        "vbc_correction": slope("vbc_correction"),
         "entropy_term": slope("entropy_term"),
     }

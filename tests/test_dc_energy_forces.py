@@ -5,11 +5,7 @@ import pytest
 
 import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, run_ldc
-from repro.core.energy import (
-    boundary_energy_correction,
-    dc_band_energy,
-    dc_total_energy,
-)
+from repro.core.energy import dc_band_energy, dc_total_energy
 from repro.core.forces import ldc_forces, nonlocal_forces_dc
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.scf import SCFOptions, harris_foulkes_energy, potential_terms
@@ -38,23 +34,6 @@ def test_dc_band_energy_multiple_domains_additive():
     assert dc_band_energy(eigs, occs, w) == pytest.approx(-6.0)
 
 
-def test_boundary_energy_correction():
-    p = [np.ones((2, 2, 2))]
-    vbc = [np.full((2, 2, 2), 0.5)]
-    rho = [np.full((2, 2, 2), 2.0)]
-    assert boundary_energy_correction(p, vbc, rho, dv=0.25) == pytest.approx(
-        8 * 0.5 * 2.0 * 0.25
-    )
-
-
-def test_boundary_correction_zero_outside_support():
-    """Sharp support × buffer-only v_bc → exactly zero correction."""
-    p = [np.zeros((2, 2, 2))]
-    vbc = [np.ones((2, 2, 2))]
-    rho = [np.ones((2, 2, 2))]
-    assert boundary_energy_correction(p, vbc, rho, 1.0) == 0.0
-
-
 def test_dc_total_energy_components():
     grid = RealSpaceGrid([4.0, 4.0, 4.0], [8, 8, 8])
     rho = np.full(grid.shape, 0.1)
@@ -63,7 +42,7 @@ def test_dc_total_energy_components():
     vxc = np.full(grid.shape, -0.2)
     comps = dc_total_energy(
         potential_terms(grid, rho, vh, exc, vxc),
-        band_energy=-3.0, vbc_correction=0.0, e_ewald=1.0,
+        band_energy=-3.0, e_ewald=1.0,
         all_eigs=np.array([-1.5]), all_weights=np.array([1.0]),
         mu=0.0, kt=0.0,
     )
@@ -110,12 +89,9 @@ def test_pass_components_are_harris_foulkes_of_the_pass_fields(
         potential_terms(
             result.grid, last["rho"], last["vh"], last["exc"], last["vxc"]
         ),
-        comps["band"] - comps["vbc_correction"], comps["ewald"],
-        comps["entropy_term"],
+        comps["band"], comps["ewald"], comps["entropy_term"],
     )
-    assert {**parts, "band": comps["band"]} == {
-        k: v for k, v in comps.items() if k != "vbc_correction"
-    }
+    assert parts == comps
     assert comps["total"] == result.energy
 
 

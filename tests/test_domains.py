@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.domains import DomainDecomposition
+from repro.core.support import sharp_support
 from repro.dft.grid import RealSpaceGrid
 from tests.sic import sic_crystal
 
@@ -54,17 +55,26 @@ def test_cores_tile_grid(decomp, grid):
     count = np.zeros(grid.shape)
     for dom in decomp.domains:
         ix, iy, iz = dom.grid_indices
-        count[np.ix_(ix, iy, iz)] += dom.core_mask
+        count[np.ix_(ix, iy, iz)] += sharp_support(dom)
     np.testing.assert_allclose(count, 1.0)
 
 
-def test_extract_restores_global_values(decomp, grid, rng):
-    field = rng.random(grid.shape)
-    dom = decomp.domains[3]
-    sub = dom.extract(field)
-    assert sub.shape == tuple(dom.extent_points)
-    ix, iy, iz = dom.grid_indices
-    np.testing.assert_array_equal(sub, field[np.ix_(ix, iy, iz)])
+def test_core_slices_are_the_core_box(decomp, grid):
+    """The local core slices are the block inside the buffer, and the
+    global ones the same points of the global grid, tiling it unwrapped."""
+    flat = np.arange(grid.npoints).reshape(grid.shape)
+    count = np.zeros(grid.shape)
+    for dom in decomp.domains:
+        assert dom.core_slices == tuple(
+            slice(b, b + c) for b, c in zip(dom.buffer_points, dom.core_points)
+        )
+        ix, iy, iz = dom.grid_indices
+        np.testing.assert_array_equal(
+            flat[np.ix_(ix, iy, iz)][dom.core_slices],
+            flat[dom.global_core_slices],
+        )
+        count[dom.global_core_slices] += 1.0
+    np.testing.assert_array_equal(count, 1.0)
 
 
 def test_domain_grid_geometry(decomp, grid):
@@ -77,7 +87,7 @@ def test_domain_grid_geometry(decomp, grid):
 
 def test_core_mask_size(decomp):
     for dom in decomp.domains:
-        assert dom.core_mask.sum() == np.prod(dom.core_points)
+        assert sharp_support(dom).sum() == np.prod(dom.core_points)
 
 
 def test_atoms_in_domain_partition(grid):

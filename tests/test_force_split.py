@@ -50,10 +50,3 @@ def test_force_residual_stays_in_its_band(split):
     case, rows = split
     assert abs(rows["total"]) <= TOTAL_BANDS[case.name]
 
-
-def test_boundary_correction_is_flat_on_the_sharp_partition(split):
-    """Σ_α ∫p_α v_bc ρ_α is identically 0 with the sharp partition: v_bc
-    acts outside each core, where p_α is 0 — so the term moves no energy
-    and needs no force."""
-    _, rows = split
-    assert rows["vbc_correction"] == 0.0

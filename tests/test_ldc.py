@@ -189,15 +189,6 @@ def test_multigrid_poisson_path_matches_fft(h2):
     assert r_mg.converged
 
 
-def test_smooth_support_path(h2):
-    r = run_ldc(
-        h2,
-        LDCOptions(ecut=5.0, domains=(2, 1, 1), buffer=2.0, support="smooth", tol=1e-4),
-    )
-    assert r.converged
-    assert r.grid.integrate(r.density) == pytest.approx(2.0, rel=1e-9)
-
-
 def test_energy_error_decays_with_buffer(
     sic16_disordered, sic16_reference, sic16_full_buffer
 ):

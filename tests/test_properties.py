@@ -28,12 +28,11 @@ COMMON = dict(max_examples=25, deadline=None)
 @given(
     nd=st.tuples(st.sampled_from([1, 2, 4]), st.integers(1, 2), st.integers(1, 2)),
     buffer_=st.floats(0.0, 5.0),
-    kind=st.sampled_from(["sharp", "smooth"]),
 )
-def test_partition_of_unity_always_holds(nd, buffer_, kind):
+def test_partition_of_unity_always_holds(nd, buffer_):
     grid = RealSpaceGrid([8.0, 8.0, 8.0], [16, 16, 16])
     decomp = DomainDecomposition(grid, nd, buffer_)
-    w = supports(decomp, kind)
+    w = supports(decomp)
     assert partition_residual(decomp, w) <= 1e-12
 
 

@@ -125,7 +125,6 @@ def trajectory(options: LDCOptions, tiles: int = 1, steps: int = 3, ins=None):
 #: are the domains' own operators, not pool views)
 SOLVE_SET = {
     "v_eff", "work", "flat_indices", "rho_restricted", "vbc_target",
-    "boundary_window",
 }
 #: ``resident_bytes()`` summed over the parts after the warm fixture's
 #: three steps while band densities sat in a ``DomainScratch`` per domain
@@ -145,12 +144,12 @@ def stacks(result, options: LDCOptions) -> list[list[DomainState]]:
 
 def solve_set_bytes(stack: list[DomainState]) -> int:
     """What one stack's solve phase requests: the ``(n, *grid)`` v_eff,
-    one domain's gather indices, restricted density, v_bc target and
-    buffer window and the LOBPCG workspace."""
+    one domain's gather indices, restricted density and v_bc target, and
+    the LOBPCG workspace."""
     first, n = stack[0], len(stack)
     npoints, npw = first.domain.grid.npoints, first.basis.npw
     work = 16 * math.prod(lobpcg_work_shape(n, npw, first.nband))
-    return 8 * n * npoints + 4 * 8 * npoints + work
+    return 8 * n * npoints + 3 * 8 * npoints + work
 
 
 def densities_bytes(result) -> int:
@@ -634,6 +633,7 @@ def test_whole_cell_solve_stays_in_budget(phases):
     assert state.whole_cell and np.array_equal(
         state.band_weights, np.ones(state.nband)
     )
+    assert state.support is None  # weight 1 everywhere: nothing holds it
     phases.clear()
     workspace = LDCWorkspace()
     run_ldc(config, options, workspace=workspace)

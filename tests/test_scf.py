@@ -175,7 +175,10 @@ def test_energy_is_second_order_in_the_scf_residual():
     assert abs(loose.energy - tight.energy) < 1e-6
     for res in (loose, tight):
         c = res.components
-        assert c["vbc_correction"] == 0.0  # mode="dc": no boundary potential
+        assert set(c) == {
+            "total", "band", "double_count", "hartree", "xc", "ewald",
+            "entropy_term",
+        }
         parts = (c["band"] - c["double_count"] + c["hartree"] + c["xc"]
                  + c["ewald"] + c["entropy_term"])
         assert abs(parts - res.energy) <= 1e-12

@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.boundary import boundary_error_norm, boundary_potential
 from repro.core.domains import DomainDecomposition
-from repro.core.support import (
-    sharp_support,
-    smooth_supports,
-    supports,
-)
+from repro.core.support import sharp_support, supports
 from repro.dft.grid import RealSpaceGrid
 from tests.builders import partition_residual
 
@@ -21,52 +17,17 @@ def decomp():
 
 
 def test_sharp_partition_of_unity(decomp):
-    w = supports(decomp, "sharp")
+    w = supports(decomp)
     assert partition_residual(decomp, w) <= 1e-12
-
-
-def test_smooth_partition_of_unity(decomp):
-    w = supports(decomp, "smooth")
-    assert partition_residual(decomp, w) <= 1e-12
-
-
-def test_unknown_support_kind(decomp):
-    with pytest.raises(ValueError):
-        supports(decomp, "nope")
 
 
 def test_sharp_support_is_core_indicator(decomp):
     for dom in decomp.domains:
         w = sharp_support(dom)
-        np.testing.assert_array_equal(w.astype(bool), dom.core_mask)
-
-
-def test_smooth_support_compact(decomp):
-    """Smooth supports vanish at the outermost buffer shell."""
-    for w in smooth_supports(decomp):
-        assert w[0, :, :].max() < 0.5  # outer shell heavily down-weighted
-        assert w.min() >= 0.0
-        assert w.max() <= 1.0
-
-
-def test_smooth_support_full_in_core_interior(decomp):
-    w = smooth_supports(decomp)
-    for dom, wd in zip(decomp.domains, w):
-        b = dom.buffer_points
-        # deep interior of the core has weight 1 (no overlap there)
-        interior = wd[
-            b[0] + 2 : b[0] + dom.core_points[0] - 2,
-            b[1] + 2 : b[1] + dom.core_points[1] - 2,
-            b[2] + 2 : b[2] + dom.core_points[2] - 2,
-        ]
-        np.testing.assert_allclose(interior, 1.0, atol=1e-12)
-
-
-def test_zero_buffer_smooth_equals_sharp():
-    grid = RealSpaceGrid([8.0, 8.0, 8.0], [16, 16, 16])
-    d = DomainDecomposition(grid, (2, 2, 2), 0.0)
-    for ws, wsh in zip(smooth_supports(d), [sharp_support(x) for x in d.domains]):
-        np.testing.assert_allclose(ws, wsh)
+        b, c = dom.buffer_points, dom.core_points
+        core = w[b[0]:b[0] + c[0], b[1]:b[1] + c[1], b[2]:b[2] + c[2]]
+        np.testing.assert_array_equal(core, 1.0)
+        assert w.sum() == core.size
 
 
 # ---- boundary potential --------------------------------------------------------
