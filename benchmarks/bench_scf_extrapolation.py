@@ -82,7 +82,7 @@ def _replay(frames, depth: int, **extra_opts):
     engine = LDCEngine(
         LDCOptions(**_OPTS, **extra_opts),
         instrumentation=ins,
-        qmd_options=QMDOptions(history_depth=depth, adaptive_buffer=False),
+        qmd_options=QMDOptions(history_depth=depth),
     )
     rows = []
     t0 = time.perf_counter()

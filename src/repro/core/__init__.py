@@ -22,11 +22,6 @@
 from repro.core.domains import Domain, DomainDecomposition
 from repro.core.ldc import LDCOptions, LDCResult, run_ldc
 from repro.core.workspace import LDCWorkspace
-from repro.core.advisor import (
-    BufferController,
-    BufferControllerOptions,
-    BufferDecision,
-)
 from repro.core.complexity import (
     crossover_length,
     crossover_natoms,
@@ -43,9 +38,6 @@ __all__ = [
     "LDCResult",
     "LDCWorkspace",
     "run_ldc",
-    "BufferController",
-    "BufferControllerOptions",
-    "BufferDecision",
     "crossover_length",
     "crossover_natoms",
     "fit_decay_constant",

@@ -166,10 +166,6 @@ class LDCResult:
     final_residual: float
     history: list[float] = field(default_factory=list)
     density_residuals: list[float] = field(default_factory=list)
-    #: mean boundary-density error of each loop pass that measured one: a
-    #: pass where no domain has a ρ_α yet (the first of a cold or of a
-    #: ``mode="dc"`` solve) reports none
-    boundary_errors: list[float] = field(default_factory=list)
     forces: np.ndarray | None = None
     #: total eigensolver (LOBPCG/CG) iterations summed over every domain
     #: solve of every SCF pass, including the final consistent pass — the
@@ -305,7 +301,6 @@ def _run_ldc(
     # multigrid solve's warm start, its V_H, is popped by the next pass
     vh_warm: list[np.ndarray] = []
     components: dict[str, float] = {}
-    boundary_errors: list[float] = []
     eig_total = 0
 
     def density_map(
@@ -320,7 +315,6 @@ def _run_ldc(
         if bnd_err is None:  # no domain had a ρ_α to measure against
             return rho_out, components["total"], mu, {}
         if iteration is not None:
-            boundary_errors.append(bnd_err)
             ins.series("ldc.boundary_error").append(bnd_err)
         return rho_out, components["total"], mu, {"boundary_error": bnd_err}
 
@@ -352,7 +346,6 @@ def _run_ldc(
         grid=grid,
         decomposition=decomp,
         states=states,
-        boundary_errors=boundary_errors,
         eig_iterations=eig_total,
         predictor_residual=predictor_residual,
     )

@@ -38,9 +38,9 @@ cold iteration count (cf. DGDFT, arXiv:2003.00407; Scheiber et al.,
 arXiv:1803.04536; Kolafa's ASPC).
 
 One more window holds the **global density** each solve's ψ were solved
-at (``LDCResult.input_density``), keyed by the cell and the global grid
-shape: its prediction is the next solve's starting density ρ₀, and a
-reset that keeps both — a buffer change — restarts density-warm.
+at (``LDCResult.input_density``): its prediction is the next solve's
+starting density ρ₀.  A reset drops it with everything else, so a reset
+is a cold start.
 
 The workspace also owns the trajectory's **SCF quasi-Newton memory**: one
 :class:`~repro.dft.mixing.PulayMixer` whose (Δρ, ΔR) secant pairs carry
@@ -205,16 +205,23 @@ def _options_signature(options: LDCOptions) -> tuple:
     """The option fields the cached structures depend on.
 
     A change in any of these invalidates the grid/decomposition/bases (and
-    with them the orbital cache); other options (tolerances, ξ, the
-    solvers) only steer the SCF loop and leave the cached geometry valid.
+    with them every window); ``poisson`` is among them because the whole
+    cell's global grid depends on it (:func:`~repro.core.ldc.make_global_grid`).
+    Other options (tolerances, ξ, the eigensolver) only steer the SCF loop
+    and leave the cached geometry valid.
     """
     return (
         options.ecut,
         tuple(options.domains),
         options.buffer,
         options.extra_bands,
+        options.poisson,
     )
 
+
+#: the density window's key: its snapshots depend on the cell and the
+#: global grid, and :meth:`LDCWorkspace.reset` clears it when either changes
+_DENSITY_KEY = ()
 
 #: the keys of :meth:`LDCWorkspace.resident_bytes`
 RESIDENT_PARTS = (
@@ -261,10 +268,9 @@ class LDCWorkspace:
         #: by domain index; filled by :meth:`store`, consumed by
         #: :meth:`prepare`
         self._history: dict[int, DomainHistory] = {}
-        #: the ASPC window of the global densities the ψ were solved at,
-        #: under ``_density_key`` (cell, global grid shape); kept by reset
+        #: the ASPC window of the global densities the ψ were solved at;
+        #: one key, since the cell and the grid change only at a reset
         self._density = DomainHistory(self.history_depth)
-        self._density_key: tuple | None = None
         #: whether the last :meth:`prepare` predicted the starting density
         self.warm_density: bool = False
         #: mean gauge-invariant residual of the last step's ψ predictions
@@ -290,9 +296,8 @@ class LDCWorkspace:
     # -- cache lifecycle -----------------------------------------------------
 
     def reset(self) -> None:
-        """Drop everything (structures, orbital cache, stack pool) but the
-        density window, whose key — the cell and the global grid shape —
-        decides on its own whether the next solve may start from it."""
+        """Drop everything (structures, every window, stack pool): the
+        next solve is a cold start."""
         self._cell = None
         self._signature = None
         self.grid = None
@@ -301,6 +306,7 @@ class LDCWorkspace:
         self.whole_cell = False
         self._bases.clear()
         self._history.clear()
+        self._density.clear()
         self.predictor_residual = None
         self._ewald = None
         self._poisson = None
@@ -370,7 +376,6 @@ class LDCWorkspace:
         self.decomposition = DomainDecomposition(
             self.grid, options.domains, options.buffer
         )
-        self._density_key = (tuple(self._cell.tolist()), self.grid.shape)
         # one domain: Σ_α p_α = 1 makes its weight 1 on the whole grid,
         # which nothing reads, so the whole cell holds none
         self.whole_cell = self.decomposition.ndomains == 1
@@ -484,7 +489,7 @@ class LDCWorkspace:
                     vbc=vbc, rho_local=rho_local, whole_cell=self.whole_cell,
                 )
             )
-        predicted = self._density.predict(self._density_key)
+        predicted = self._density.predict(_DENSITY_KEY)
         self.warm_density = predicted is not None
         self.steps += 1
         rho0 = None if predicted is None else predicted[2]
@@ -525,4 +530,4 @@ class LDCWorkspace:
         self.predictor_residual = (
             float(np.mean(residuals)) if residuals else None
         )
-        self._density.push(self._density_key, None, None, input_density)
+        self._density.push(_DENSITY_KEY, None, None, input_density)

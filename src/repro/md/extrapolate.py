@@ -152,10 +152,10 @@ class DomainHistory:
     global density alone (``psi=None`` too: fields only).
 
     ``key`` is everything the snapshots depend on — ``(npw, nband,
-    atom-index tuple)`` for an LDC domain, the cell and the global grid
-    shape for the workspace's density window.  Pushing under a different
-    key clears the window and predicting under one returns ``None`` (atom
-    migration, band-count change, cell swap → deterministic cold
+    atom-index tuple)`` for an LDC domain; the workspace's density window
+    uses one key and is cleared by the workspace's reset.  Pushing under a
+    different key clears the window and predicting under one returns
+    ``None`` (atom migration, band-count change → deterministic cold
     fallback).  The depth is fixed when the window is built.
 
     A depth-K window holds K snapshots after :meth:`push` and K − 1

@@ -22,7 +22,6 @@ reproduced on real runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +33,6 @@ from repro.observe import Observer, observer
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
-    from repro.core.advisor import BufferController, BufferControllerOptions
     from repro.core.ldc import LDCResult
 
 
@@ -50,15 +48,22 @@ class QMDOptions:
     #: last-state warm start, K >= 2 = time-reversible K-point
     #: extrapolation of ψ/ρ (:mod:`repro.md.extrapolate`)
     history_depth: int = 1
-    #: run the Eq.-1 :class:`~repro.core.advisor.BufferController` loop
-    #: (on a layout of more than one domain: the whole cell has no buffer)
+    #: ``False`` only: the buffer is chosen once, when the decomposition
+    #: is built, and no loop re-tunes it during a trajectory (ROADMAP 20).
+    #: Kept solely for the frozen ``benchmarks/e2e/workloads.py`` that
+    #: passes ``adaptive_buffer=False``; ROADMAP 3(i-b) deletes that
+    #: keyword and then this field.
     adaptive_buffer: bool = False
-    #: thresholds for the controller; ``None`` = its defaults
-    controller: BufferControllerOptions | None = None
 
     def __post_init__(self) -> None:
         # validated here, once
         check_depth(self.history_depth, "QMDOptions.history_depth")
+        if self.adaptive_buffer is not False:
+            raise ValueError(
+                "adaptive_buffer must be False: there is no runtime buffer "
+                "controller (ROADMAP 20); the buffer is LDCOptions.buffer, "
+                "fixed when the decomposition is built"
+            )
 
 
 @dataclass
@@ -96,18 +101,10 @@ class LDCEngine:
     = the previous step's converged ψ), each solve's starting density from
     the prediction over the workspace's density window, and the density
     mixer keeps its secant pairs from one step's SCF to the next.  A cell
-    change resets the workspace and misses the density window's key, a
-    cold start.
+    or option change resets the workspace, a cold start.
 
-    ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
-    accelerations on top: the ASPC depth of every window and the Eq.-1
-    adaptive-buffer loop — a
-    :class:`~repro.core.advisor.BufferController` that watches the live
-    boundary-error telemetry each step and re-tunes ``options.buffer``
-    (the workspace detects the option change and rebuilds; its density
-    window survives — the global grid does not depend on the buffer — so
-    the restart is density-warm).  A one-domain layout has no buffer to
-    tune and runs without a controller.
+    ``qmd_options`` (:class:`QMDOptions`) sets the ASPC depth of every
+    window.  The buffer is ``options.buffer`` for the whole trajectory.
     """
 
     def __init__(
@@ -128,14 +125,6 @@ class LDCEngine:
         #: whether the last solve met its tolerance (``None`` before any):
         #: the ``forces()`` tuple has no slot for it
         self.last_converged: bool | None = None
-        self.controller: BufferController | None = None
-        if qmd.adaptive_buffer and math.prod(self.options.domains) > 1:
-            from repro.core.advisor import BufferController
-
-            self.controller = (
-                BufferController(qmd.controller) if qmd.controller is not None
-                else BufferController()
-            )
 
     def forces(self, config: Configuration) -> tuple[np.ndarray, float, int]:
         from repro.core.ldc import run_ldc
@@ -146,8 +135,6 @@ class LDCEngine:
             instrumentation=ins, workspace=self.workspace,
         )
         self._record_solve(ins, result)
-        if self.controller is not None:
-            self._adapt_buffer(ins, result)
         assert result.forces is not None
         return result.forces, result.energy, result.iterations
 
@@ -180,29 +167,6 @@ class LDCEngine:
             )
         ins.series("ldc.buffer_b").append(self.options.buffer)
         ins.series("ldc.core_l").append(optimal_core_length(self.options.buffer))
-
-    def _adapt_buffer(self, ins: Observer, result: LDCResult) -> None:
-        """One Eq.-1 controller step on the live boundary-error telemetry.
-
-        A changed decision re-binds ``self.options`` with the new buffer;
-        the workspace notices the option-signature change on the next
-        ``prepare`` and rebuilds (its density window stays valid — the
-        global grid does not depend on the buffer)."""
-        if not result.boundary_errors:
-            return
-        assert self.controller is not None
-        self.controller.observe(
-            self.options.buffer, result.boundary_errors[-1]
-        )
-        decision = self.controller.propose(
-            self.options.buffer, spacings=result.grid.spacing,
-            max_points=result.decomposition.max_buffer_points,
-        )
-        if not decision.changed:
-            ins.counter("ldc.buffer_holds", reason=decision.reason).inc()
-            return
-        ins.counter("ldc.buffer_adjustments").inc()
-        self.options = replace(self.options, buffer=decision.buffer)
 
 
 class SCFEngine(LDCEngine):

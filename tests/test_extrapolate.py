@@ -318,13 +318,8 @@ def test_nve_drift_parity_extrapolated_vs_last_state():
     for depth in (1, 3):
         cfg = h4_chain()
         initialize_velocities(cfg, 50.0, seed=8)
-        # adaptive_buffer pinned off: a mid-trajectory buffer re-tune
-        # would (legitimately) break the depth-1 vs depth-3 comparison
         engine = LDCEngine(
-            LDCOptions(**OPTS),
-            qmd_options=QMDOptions(
-                history_depth=depth, adaptive_buffer=False
-            ),
+            LDCOptions(**OPTS), qmd_options=QMDOptions(history_depth=depth)
         )
         driver = QMDDriver(engine, timestep=5.0)
         frames = driver.run(cfg, 4)
@@ -340,7 +335,7 @@ def test_ledger_manifest_carries_predictor_series():
     engine = LDCEngine(
         LDCOptions(**OPTS),
         instrumentation=ins,
-        qmd_options=QMDOptions(history_depth=3, adaptive_buffer=False),
+        qmd_options=QMDOptions(history_depth=3),
     )
     for s in (0.0, 0.05, 0.10):
         engine.forces(h4_chain(shift=s))

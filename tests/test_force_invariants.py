@@ -173,7 +173,7 @@ def reversal(offset):
     start, velocity = lial.positions.copy(), lial.velocities.copy()
     engine = LDCEngine(
         LDCOptions(**LDC_SHARED, domains=(2, 2, 1), buffer=2.0),
-        qmd_options=QMDOptions(history_depth=3, adaptive_buffer=False),
+        qmd_options=QMDOptions(history_depth=3),
     )
     driver = QMDDriver(engine, timestep=20.0)
     driver.run(lial, 3)

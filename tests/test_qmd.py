@@ -1,14 +1,15 @@
 """Tests for the QMD driver (MD + pluggable quantum/surrogate engines)."""
 
 import numpy as np
+import pytest
 
 from repro.md.integrator import initialize_velocities
 from repro.md.qmd import QMDDriver, QMDOptions, SCFEngine, LDCEngine
 from repro.systems import dimer, water_molecule
 from tests.builders import PairSpringEngine
 
-#: the MD accelerations on: an ASPC window of three and the buffer controller
-ADAPTIVE = QMDOptions(history_depth=3, adaptive_buffer=True)
+#: the MD acceleration on: an ASPC window of three
+DEPTH3 = QMDOptions(history_depth=3)
 
 
 def test_qmd_runs_and_records():
@@ -35,7 +36,7 @@ def test_qmd_with_scf_engine():
     """A couple of real ab initio MD steps on the toy H₂ dimer."""
     from repro.dft.scf import SCFOptions
 
-    for qmd_options in (None, ADAPTIVE):
+    for qmd_options in (None, DEPTH3):
         cfg = dimer("H", "H", 2.3, 12.0)
         initialize_velocities(cfg, 50.0, seed=5)
         engine = SCFEngine(
@@ -54,7 +55,7 @@ def test_qmd_with_ldc_engine():
     """LDC-DFT-powered MD — the paper's production configuration."""
     from repro.core.ldc import LDCOptions
 
-    for qmd_options in (None, ADAPTIVE):
+    for qmd_options in (None, DEPTH3):
         cfg = dimer("H", "H", 2.3, 12.0)
         initialize_velocities(cfg, 50.0, seed=6)
         engine = LDCEngine(
@@ -65,7 +66,23 @@ def test_qmd_with_ldc_engine():
         frames = driver.run(cfg, 2)
         assert len(frames) == 2
         assert np.isfinite(frames[-1].total_energy)
-        assert (engine.controller is not None) == (qmd_options is ADAPTIVE)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.5, 1.5, "three"])
+@pytest.mark.parametrize("engine", ["LDCEngine", "SCFEngine"])
+def test_history_depth_is_validated_once_for_both_engines(engine, bad):
+    """A depth below 1 used to become depth 1 silently in ``SCFEngine`` and
+    an ``LDCOptions`` error naming neither source in ``LDCEngine``; now
+    ``QMDOptions`` itself refuses it, for both."""
+    import repro.md.qmd as qmd
+
+    build = getattr(qmd, engine)
+    with pytest.raises(
+        ValueError, match=rf"QMDOptions\.history_depth.*>= 1.*{bad!r}"
+    ):
+        build(qmd_options=qmd.QMDOptions(history_depth=bad))
+    built = build(qmd_options=qmd.QMDOptions(history_depth=2))
+    assert built.workspace.history_depth == built.workspace._density.depth == 2
 
 
 def test_unconverged_solve_is_visible_from_engine_to_frame():

@@ -57,7 +57,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 11(d) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 132_468
+DESIGN_MAX_BYTES = 131_221
 
 
 def test_design_document_does_not_grow():
@@ -740,14 +740,6 @@ def test_every_public_name_is_referenced():
 #: option fields no caller outside the tests sets, kept on purpose; the pin
 #: fails when one of them is deleted or gains a setter
 _KEPT_FIELDS = {
-    "QMDOptions.controller":
-        "ROADMAP 13 re-plumbs the controller per domain",
-    **{
-        f"BufferControllerOptions.{name}":
-            "ROADMAP 13 re-plumbs the controller per domain"
-        for name in ("target_error", "band", "decay_length", "min_buffer",
-                     "max_buffer", "max_step", "cooldown_steps")
-    },
     "KMCOptions.pure_al": "the Al-Al arm of ROADMAP 12",
 }
 
@@ -818,22 +810,20 @@ def _option_setters(classes):
 
 
 def test_every_option_field_is_set_outside_the_tests():
-    """Every field of the four option classes has a setter outside the
+    """Every field of the three option classes has a setter outside the
     tests (:func:`_option_setters`): a field only a test sets is a
     constant, and the code only its other values reached is deleted.  The
     exceptions are ``_KEPT_FIELDS``, each with its reason, and an entry
     there must still be a field that nothing outside the tests sets."""
     import dataclasses
 
-    from repro.core.advisor import BufferControllerOptions
     from repro.core.ldc import LDCOptions
     from repro.md.qmd import QMDOptions
     from repro.reactive.kmc import KMCOptions
 
     classes = {
         cls.__name__: [field.name for field in dataclasses.fields(cls)]
-        for cls in (LDCOptions, QMDOptions, KMCOptions,
-                    BufferControllerOptions)
+        for cls in (LDCOptions, QMDOptions, KMCOptions)
     }
     fields = {f"{cls}.{name}" for cls, names in classes.items()
               for name in names}

@@ -223,8 +223,8 @@ def test_same_shape_domains_share_one_basis(warm):
 
 def test_reset_and_buffer_change_drop_the_shared_basis():
     """A stale basis must never outlive the decomposition it was built
-    for: ``reset()`` empties the cache, and a buffer change (what the
-    adaptive controller does mid-run) rebuilds it on the new domain grid."""
+    for: a buffer change rebuilds it on the new domain grid, and
+    ``reset()`` is a cold start that leaves nothing resident."""
     options = LDCOptions(**dict(LIAL, max_iter=2), domains=(2, 2, 1))
     ws = LDCWorkspace(history_depth=DEPTH)
     first = run_ldc(frame(0), options, workspace=ws).states[0].basis
@@ -236,12 +236,8 @@ def test_reset_and_buffer_change_drop_the_shared_basis():
     assert wider.grid.shape == (24, 24, 16) and wider.npw > first.npw
     assert ws.cold_domains == 4  # the rebuild restarted every domain
     ws.reset()
-    # the density window alone survives: its key (cell, global grid)
-    # decides whether the next solve starts from it
-    held = ws.resident_bytes()
-    densities = sum(rho.nbytes for *_, rho in ws._density._entries)
-    assert len(ws._density) == DEPTH and held.pop("windows") == densities
-    assert not ws._bases and sum(held.values()) == 0
+    assert not ws._bases and len(ws._density) == 0
+    assert sum(ws.resident_bytes().values()) == 0
     again = run_ldc(frame(1), options, workspace=ws).states[0].basis
     assert again is not first
     assert np.array_equal(again.indices, first.indices)

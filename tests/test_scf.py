@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ldc import LDCOptions
 from repro.dft.scf import SCFOptions, initial_density, run_scf
+from repro.md.qmd import QMDOptions
 from repro.reactive.kmc import KMCOptions
 from repro.systems import dimer
 from tests.builders import start_density, translated
@@ -112,10 +113,12 @@ def test_scf_invalid_eigensolver(h2_config):
         (lambda: KMCOptions(temperature=-300.0), "temperature"),
         (lambda: KMCOptions(temperature=0.0), "temperature"),
         (lambda: KMCOptions(max_time=-1.0), "max_time"),
+        (lambda: QMDOptions(adaptive_buffer=True), "adaptive_buffer"),
     ],
     ids=[
         "scf-kt", "scf-extra_bands", "scf-max_iter", "ldc-kt", "ldc-domains",
         "kmc-negative-temperature", "kmc-zero-temperature", "kmc-max_time",
+        "qmd-adaptive_buffer",
     ],
 )
 def test_out_of_range_option_is_named_when_built(build, field):
@@ -123,8 +126,9 @@ def test_out_of_range_option_is_named_when_built(build, field):
     returned a result no pass produced, a negative temperature ran with
     rates above the attempt frequency, ``max_time=-1`` ended at t = −1 —
     or failed deep inside with an error that named no option (a zero-size
-    reduction, a ZeroDivisionError).  Now building the options raises,
-    naming the field; ``kt = 0`` stays valid (the step-function
+    reduction, a ZeroDivisionError); ``adaptive_buffer=True`` ran a
+    runtime buffer loop that no longer exists.  Now building the options
+    raises, naming the field; ``kt = 0`` stays valid (the step-function
     occupations)."""
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         build()

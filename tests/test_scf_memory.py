@@ -349,8 +349,9 @@ def test_cold_domain_after_migration_drops_the_memory(h4_workspace):
     "change", [dict(buffer=2.5), dict(ecut=5.0)], ids=["buffer", "grid"]
 )
 def test_option_signature_change_drops_the_memory(h4_workspace, change):
-    """What ``BufferController`` does when it re-tunes ``options.buffer``
-    (the grid stays), and a cutoff change (the grid shape moves too)."""
+    """A buffer change (the grid stays) and a cutoff change (the grid
+    shape moves too) both reset the workspace, a cold start: the carried
+    pairs go with it."""
     ws = copy.deepcopy(h4_workspace[0])
     shape = ws.grid.shape
     mixer = next_mixer(ws, h4_chain(), LDCOptions(**{**H4_OPTS, **change}))
@@ -440,7 +441,7 @@ def lial_drift():
     frames = lial_frames()
     engine = LDCEngine(
         LDCOptions(**LIAL_OPTS, batch_domains=False),
-        qmd_options=QMDOptions(history_depth=3, adaptive_buffer=False),
+        qmd_options=QMDOptions(history_depth=3),
     )
     for cfg in frames[:2]:
         engine.forces(cfg)

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.core.ldc as ldc_module
 from repro.core import LDCOptions, LDCWorkspace, run_ldc
 from repro.core.workspace import ALIGN, DomainScratch
 from repro.dft.scf import SCFOptions
@@ -16,8 +15,8 @@ from repro.systems.configuration import Configuration
 from tests.builders import span_count
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
-#: the MD accelerations on: an ASPC window of three and the buffer controller
-ADAPTIVE = QMDOptions(history_depth=3, adaptive_buffer=True)
+#: the MD acceleration on: an ASPC window of three
+DEPTH3 = QMDOptions(history_depth=3)
 
 
 def h4_chain(shift: float = 0.0) -> Configuration:
@@ -244,9 +243,9 @@ def test_run_ldc_rejects_grid_plus_workspace():
 
 def test_stale_shaped_rho0_falls_back_to_cold_start():
     """A density window filled on another global grid — the same cell at
-    another cutoff — misses its key: the solve starts at
-    ``initial_density``, ``==`` a fresh workspace's, on an LDC layout and
-    on the whole cell."""
+    another cutoff — is dropped by the reset the cutoff change causes: the
+    solve starts at ``initial_density``, ``==`` a fresh workspace's, on an
+    LDC layout and on the whole cell."""
     cfg = h4_chain()
     for opts in (LDCOptions(**OPTS), SCFOptions(ecut=4.0, tol=1e-6)):
         ws = LDCWorkspace()
@@ -260,19 +259,40 @@ def test_stale_shaped_rho0_falls_back_to_cold_start():
         assert again.iterations == fresh.iterations
 
 
-def test_buffer_change_restarts_density_warm():
-    """A buffer change rebuilds the domains (every one cold) but not the
-    global grid, so the density window keeps its key: the next solve
-    starts from the carried density, and ``reset()`` alone drops none of
-    it."""
+def test_poisson_switch_rebuilds_the_whole_cell_grid():
+    """The whole cell's global grid depends on the Poisson solver: FFT
+    keeps ``for_cutoff``'s odd axes, multigrid rounds them even for its
+    hierarchy.  A workspace reused across the switch rebuilds, so its
+    multigrid solve is ``==`` a fresh workspace's."""
     cfg = h4_chain()
+    fft = SCFOptions(ecut=3.0, tol=1e-6)
+    multigrid = replace(fft, poisson="multigrid")
+    ws = LDCWorkspace()
+    assert run_ldc(cfg, fft, workspace=ws).grid.shape == (18, 9, 9)
+    reused = run_ldc(cfg, multigrid, workspace=ws)
+    fresh = run_ldc(cfg, multigrid, workspace=LDCWorkspace())
+    assert reused.grid.shape == fresh.grid.shape == (18, 10, 10)
+    assert reused.energy == fresh.energy
+    assert reused.iterations == fresh.iterations
+
+
+def test_buffer_change_is_a_cold_start():
+    """A buffer change keeps the global grid but resets the workspace, and
+    a reset is a cold start: every domain and the density window are
+    dropped, so the next solve is ``==`` a fresh workspace's."""
+    cfg = h4_chain()
+    wider_opts = LDCOptions(**dict(OPTS, buffer=2.5))
     ws = LDCWorkspace()
     first = run_ldc(cfg, LDCOptions(**OPTS), workspace=ws)
-    wider = run_ldc(cfg, LDCOptions(**dict(OPTS, buffer=2.5)), workspace=ws)
+    wider = run_ldc(cfg, wider_opts, workspace=ws)
     assert wider.grid.shape == first.grid.shape
-    assert ws.cold_domains == 2 and ws.warm_density
+    assert ws.cold_domains == 2 and not ws.warm_density
+    fresh = run_ldc(cfg, wider_opts, workspace=LDCWorkspace())
+    assert wider.energy == fresh.energy
+    assert wider.iterations == fresh.iterations
+    np.testing.assert_array_equal(wider.density, fresh.density)
     ws.reset()
-    assert len(ws._density) == 1
+    assert len(ws._density) == 0
 
 
 def swapped_cell() -> Configuration:
@@ -287,8 +307,8 @@ def build_engine(kind, options, ins, qmd_options):
     return engine(options, instrumentation=ins, qmd_options=qmd_options)
 
 
-@pytest.mark.parametrize("qmd_options", [None, ADAPTIVE],
-                         ids=["depth1", "adaptive"])
+@pytest.mark.parametrize("qmd_options", [None, DEPTH3],
+                         ids=["depth1", "depth3"])
 @pytest.mark.parametrize("kind", ["ldc", "scf"])
 def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
     """Swapping cells between forces() calls is a cold start — never a
@@ -302,8 +322,7 @@ def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
     engine = build_engine(kind, options, ins, qmd_options)
     engine.forces(h4_chain())
     forces, energy, passes = engine.forces(swapped_cell())
-    # the buffer controller may have re-tuned the options after step one
-    fresh = build_engine(kind, engine.options, None, qmd_options)
+    fresh = build_engine(kind, options, None, qmd_options)
     forces0, energy0, passes0 = fresh.forces(swapped_cell())
     assert energy == energy0 and passes == passes0
     np.testing.assert_array_equal(forces, forces0)
@@ -313,31 +332,13 @@ def test_engine_after_cell_swap_solves_like_a_fresh_engine(kind, qmd_options):
 
 
 def test_scf_engine_warm_starts_from_its_window():
-    engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE)
+    engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=DEPTH3)
     ins = engine.instrumentation = Instrumentation()
     for shift in (0.0, 0.05):
         engine.forces(h4_chain(shift))
     assert len(engine.workspace._density) == 2  # the density window filling
     assert engine.workspace.warm_density
     assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 1
-
-
-def test_adaptive_buffer_leaves_the_whole_cell_alone():
-    """The whole cell has no buffer to tune: ``adaptive_buffer=True`` on
-    the one-domain layout runs no controller, so ``options.buffer`` stays
-    0 and the workspace is built once — every later step is warm."""
-    for engine in (
-        SCFEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE),
-        LDCEngine(SCFOptions(ecut=4.0, tol=1e-6), qmd_options=ADAPTIVE),
-    ):
-        ins = engine.instrumentation = Instrumentation()
-        assert engine.controller is None
-        for step, shift in enumerate((0.0, 0.05, 0.1, 0.15)):
-            engine.forces(h4_chain(shift))
-            assert engine.options.buffer == 0.0
-            assert engine.workspace.steps == step + 1  # never reset
-        assert ins.metrics.get("ldc.buffer_adjustments") is None
-        assert ins.counter("qmd.solves", engine="ldc", start="orbital").value == 3
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
@@ -372,33 +373,6 @@ def test_domain_density_is_carried_only_beside_a_boundary_potential(batch):
         else:
             assert all(rho is not None for rho in snapshots)
             assert warm_gap == [0, 0]
-
-
-def test_buffer_controller_reads_the_last_loop_pass_error(monkeypatch):
-    """``LDCEngine._adapt_buffer`` hands the controller
-    ``boundary_errors[-1]`` of each solve — the last loop pass's mean
-    error — in ``mode="dc"`` too, where a warm solve has no ρ_α before
-    its second pass: that first pass reports no error at all."""
-    engine = LDCEngine(LDCOptions(**OPTS, mode="dc"), qmd_options=ADAPTIVE)
-    assert engine.controller is not None
-    results, observed = [], []
-    solve, observe = ldc_module.run_ldc, engine.controller.observe
-
-    def solve_spy(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
-
-    def observe_spy(buffer, error):
-        observed.append(error)
-        return observe(buffer, error)
-
-    monkeypatch.setattr(ldc_module, "run_ldc", solve_spy)
-    monkeypatch.setattr(engine.controller, "observe", observe_spy)
-    for shift in (0.0, 0.05, 0.1):
-        engine.forces(h4_chain(shift))
-    assert engine.workspace.warm_domains == 2
-    assert observed == [r.boundary_errors[-1] for r in results]
-    assert all(len(r.boundary_errors) == r.iterations - 1 for r in results)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["width1", "widthn"])
