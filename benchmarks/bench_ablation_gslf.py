@@ -2,7 +2,9 @@
 
 * global Poisson: FFT vs real-space multigrid (accuracy + cycles);
 * multigrid warm-starting (the QMD O(1)-cycles trick);
-* eigensolver: dense-direct vs all-band (BLAS3) vs band-by-band (BLAS2).
+* eigensolver: dense-direct vs all-band (BLAS3) vs band-by-band (BLAS2);
+  all-band is the engine's solver, the other two are references from
+  ``tests/oracles/reference.py``.
 """
 
 import time
@@ -12,13 +14,14 @@ from _harness import fmt_row, report
 from _schemas import SCHEMAS
 
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.eigensolver import solve_all_band, solve_band_by_band, solve_direct
+from repro.dft.eigensolver import solve_all_band
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.multigrid.poisson import MultigridPoisson
 from repro.systems import dimer
+from tests.oracles.reference import solve_band_by_band, solve_direct
 
 
 def test_poisson_solvers(benchmark):

@@ -3,8 +3,9 @@
 Paper: rewriting the nonlocal-projector application (Eq. 4 → Eq. 5) and the
 band-by-band CG into all-band matrix-matrix form "drastically increases the
 floating-point performance".  The bench times the band-by-band Eq. 4
-reference against the operator every ``H·ψ`` runs,
-:meth:`~repro.dft.pseudopotential.NonlocalProjectors.apply` (Eq. 5), on
+reference of ``tests/oracles/reference.py`` against the operator every
+``H·ψ`` runs, :meth:`~repro.dft.pseudopotential.NonlocalProjectors.apply`
+(Eq. 5), on
 the projectors of 96 Al atoms over ~4.1k plane waves and 128 bands
 (identical results are asserted in the unit tests; here we time them).
 """
@@ -19,7 +20,7 @@ from repro.dft.basis import PlaneWaveBasis
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.pseudopotential import NonlocalProjectors
 from repro.systems.configuration import Configuration
-from repro.util.linalg import apply_projectors_blas2
+from tests.oracles.reference import apply_projectors_blas2
 
 #: a 4×4×6 simple-cubic Al crystal (96 projectors) at lattice constant 4
 #: Bohr; ``ECUT`` gives 4,131 plane waves on ``GRID``

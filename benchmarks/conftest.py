@@ -5,7 +5,11 @@ import pathlib
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# the benches' own helpers (``_harness``, ``_schemas``), and the repo root
+# for the references under ``tests/oracles/`` — under bare ``pytest`` as
+# well as ``python -m pytest``
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent)]
 
 
 @pytest.fixture(scope="session")

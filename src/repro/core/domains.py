@@ -85,7 +85,7 @@ class DomainDecomposition:
         Number of cores per axis ``(nd0, nd1, nd2)``.
     buffer_thickness:
         Requested buffer ``b`` in Bohr; realized as the nearest whole number
-        of grid points per axis (see :attr:`buffer_actual`).  The buffer is
+        of grid points per axis (:attr:`buffer_points`).  The buffer is
         clamped so the domain extent never exceeds the cell.
     """
 
@@ -115,8 +115,6 @@ class DomainDecomposition:
         # domain spans it
         max_buffer_points = (shape - self.core_points) // 2
         self.buffer_points = np.minimum(nb, max_buffer_points)
-        #: realized buffer thickness per axis (Bohr)
-        self.buffer_actual = self.buffer_points * spacing
         self.domains: list[Domain] = []
         for ix in range(counts[0]):
             for iy in range(counts[1]):

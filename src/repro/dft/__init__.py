@@ -9,12 +9,11 @@ A self-contained, NumPy-vectorized plane-wave DFT engine:
 * :mod:`repro.dft.ewald` — ion-ion Ewald sums (energy and forces).
 * :mod:`repro.dft.pseudopotential` — Gaussian-screened local potentials and
   Kleinman–Bylander separable nonlocal projectors.
-* :mod:`repro.dft.hamiltonian` — BLAS3 all-band Hamiltonian application and
-  dense matrix construction.
+* :mod:`repro.dft.hamiltonian` — BLAS3 all-band Hamiltonian application.
 * :mod:`repro.dft.occupations` — Fermi–Dirac occupations, Newton–Raphson μ.
 * :mod:`repro.dft.mixing` — linear and Pulay density mixing.
-* :mod:`repro.dft.eigensolver` — direct, band-by-band CG (BLAS2 path) and
-  all-band/block CG (BLAS3 path) eigensolvers.
+* :mod:`repro.dft.eigensolver` — the all-band/block CG (BLAS3 path)
+  eigensolver.
 * :mod:`repro.dft.scf` — the one SCF fixed-point loop, and the whole-cell
   solve: the conventional O(N³) code (the paper's verification baseline,
   Sec. 5.5) as the one-domain case of LDC.

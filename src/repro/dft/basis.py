@@ -66,9 +66,8 @@ class PlaneWaveBasis:
             raise ValueError("ecut must be positive")
         self.grid = grid
         self.ecut = float(ecut)
-        # per axis, as ``grid.g2()`` / ``grid.g_vectors()`` sum and stack
-        # them (same bits), so no full-grid table is cached on the grid;
-        # the |G|² of the sphere mask is a transient
+        # per axis, so no full-grid table is cached on the grid; the |G|²
+        # of the sphere mask is a transient
         gx, gy, gz = grid.g_components()
         mask = 0.5 * (
             gx[:, None, None] ** 2 + gy[None, :, None] ** 2
@@ -90,9 +89,6 @@ class PlaneWaveBasis:
         self.g2 = gx[ix] ** 2 + gy[iy] ** 2 + gz[iz] ** 2
         #: G vectors per basis function, shape (npw, 3)
         self.g_vectors = np.stack([gx[ix], gy[iy], gz[iz]], axis=-1)
-        #: integer Miller indices per basis function, shape (npw, 3)
-        mx, my, mz = grid.miller()
-        self.miller = np.stack([mx[ix], my[iy], mz[iz]], axis=-1)
         self._norm_to_grid = grid.npoints / np.sqrt(grid.volume)
         self._norm_from_grid = np.sqrt(grid.volume) / grid.npoints
         # Staged-transform maps, from the sorted *occupied* grid indices
@@ -381,25 +377,6 @@ class PlaneWaveBasis:
         raw *= damp[:, None]
         q, _ = np.linalg.qr(raw)
         return q[:, :nband]
-
-
-def density_from_orbitals(
-    basis: PlaneWaveBasis, psi: np.ndarray, occupations: np.ndarray
-) -> np.ndarray:
-    """Electron density ``ρ(r) = Σ_n f_n |ψ_n(r)|²`` on the real grid.
-
-    Normalization: ``∫ ρ dr = Σ_n f_n`` when the orbitals are orthonormal.
-    Nothing under ``src`` calls this — ``run_ldc`` and ``run_scf`` form
-    densities through :meth:`PlaneWaveBasis.densities`; it is the tests'
-    independent oracle for that method (a dense transform, ``re² + im²``).
-    """
-    occupations = np.asarray(occupations, dtype=float)
-    if psi.shape[1] != occupations.size:
-        raise ValueError("one occupation per band required")
-    rho = np.zeros(basis.grid.shape, dtype=float)
-    for f, field in zip(occupations, basis.to_grid(psi)):
-        rho += f * (field.real**2 + field.imag**2)
-    return rho
 
 
 def _runs(indices: np.ndarray) -> list[tuple[int, int, int]]:

@@ -1,23 +1,18 @@
-"""Iterative eigensolvers for the domain Kohn–Sham problems.
+"""The eigensolver for the domain Kohn–Sham problems.
 
-Three interchangeable solvers, all returning eigenvalues ascending with
-column-orthonormal orbitals:
-
-* :func:`solve_direct` — dense diagonalization of the full plane-wave
-  Hamiltonian.  Exact reference; viable for the small domain bases this
-  package uses in tests.
-* :func:`solve_band_by_band` — the *original* (pre-optimization) scheme the
-  paper describes in Sec. 3.4: bands optimized one at a time by
-  preconditioned conjugate gradients (matrix-vector / BLAS2 structure).
-* :func:`solve_all_band_batched` — the paper's production scheme: all bands
-  advanced together (locally optimal block preconditioned CG), so every
-  inner operation is a matrix-matrix product (BLAS3 structure), over a
-  whole stack of same-shape domain problems in lockstep.
-  :func:`solve_all_band` is its stack-of-one form for a single
-  :class:`~repro.dft.hamiltonian.Hamiltonian`.
-
-Both iterative solvers use the Teter–Payne–Allan preconditioner of
+One solver, returning eigenvalues ascending with column-orthonormal
+orbitals: :func:`solve_all_band_batched`, the paper's production scheme of
+Sec. 3.4 — all bands advanced together (locally optimal block
+preconditioned CG), so every inner operation is a matrix-matrix product
+(BLAS3 structure), over a whole stack of same-shape domain problems in
+lockstep, with the Teter–Payne–Allan preconditioner of
 :class:`~repro.dft.hamiltonian.BatchedHamiltonian`.
+:func:`solve_all_band` is its stack-of-one form for a single
+:class:`~repro.dft.hamiltonian.Hamiltonian`.
+
+The references it is checked and benchmarked against — dense
+diagonalization and the paper's original band-by-band (BLAS2) CG — are
+test oracles (``tests/oracles/reference.py``), not engine paths.
 """
 
 from __future__ import annotations
@@ -49,30 +44,13 @@ class EigenResult:
     converged: bool
 
 
-def solve_direct(ham: Hamiltonian, nband: int) -> EigenResult:
-    """Dense-diagonalization reference solver."""
-    if nband > ham.basis.npw:
-        raise ValueError(
-            f"requested {nband} bands from a {ham.basis.npw}-plane-wave basis"
-        )
-    h = ham.dense()
-    evals, evecs = np.linalg.eigh(h)
-    return EigenResult(
-        eigenvalues=evals[:nband].copy(),
-        orbitals=np.ascontiguousarray(evecs[:, :nband]),
-        iterations=1,
-        residual_norm=0.0,
-        converged=True,
-    )
-
-
 def record_solve(ins: Observer, solver: str, result: EigenResult) -> None:
-    """Telemetry for one eigensolve, whichever solver ran it.
+    """Telemetry for one eigensolve.
 
-    The solvers never see the handle: their caller (the LDC domain-solve
+    The solver never sees the handle: its caller (the LDC domain-solve
     seam, once per domain of a stack) records each
     result after the solve, so nothing is emitted from inside the
-    BLAS2/BLAS3 hot paths being measured.
+    BLAS3 hot path being measured.
     """
     ins.counter("eigensolver.solves", solver=solver).inc()
     ins.counter("eigensolver.iterations", solver=solver).inc(result.iterations)
@@ -373,93 +351,3 @@ def _lockstep_lobpcg(
     for slot in range(len(active)):
         retire(slot, last_resid[slot])
     return results  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Band-by-band solver (BLAS2 path)
-# ---------------------------------------------------------------------------
-
-def solve_band_by_band(
-    ham: Hamiltonian,
-    psi0: np.ndarray,
-    max_iter: int = 80,
-    tol: float = 1e-8,
-    cg_per_band: int = 5,
-    outer_sweeps: int = 12,
-) -> EigenResult:
-    """Sequential per-band preconditioned CG (the original BLAS2 scheme).
-
-    Bands are optimized in ascending order, each constrained orthogonal to
-    the bands below it, with ``cg_per_band`` CG steps per sweep and
-    ``outer_sweeps`` sweeps with Rayleigh–Ritz rotations between them.
-    """
-    x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
-    nband = x.shape[1]
-    resid_norm = np.inf
-    total_iter = 0
-    for sweep in range(outer_sweeps):
-        for n in range(nband):
-            psi = x[:, n].copy()
-            lower = x[:, :n]
-            d_prev = None
-            g_dot_prev = None
-            for _ in range(cg_per_band):
-                total_iter += 1
-                psi = _project_out(psi, lower)
-                psi /= np.linalg.norm(psi)
-                hpsi = ham.apply(psi)
-                eps = float(np.real(np.vdot(psi, hpsi)))
-                r = hpsi - eps * psi
-                r = _project_out(r, lower)
-                r -= psi * np.vdot(psi, r)
-                if np.linalg.norm(r) < tol:
-                    break
-                pr = ham.precondition(r, psi)
-                pr = _project_out(pr, lower)
-                pr -= psi * np.vdot(psi, pr)
-                g_dot = float(np.real(np.vdot(pr, r)))
-                if d_prev is None or g_dot_prev in (None, 0.0):
-                    d = -pr
-                else:
-                    beta = g_dot / g_dot_prev
-                    d = -pr + beta * d_prev
-                d = _project_out(d, lower)
-                d -= psi * np.vdot(psi, d)
-                dnorm = np.linalg.norm(d)
-                if dnorm < 1e-14:
-                    break
-                d /= dnorm
-                # Exact 2×2 Rayleigh–Ritz on span{psi, d}.
-                hd = ham.apply(d)
-                a = eps
-                b = float(np.real(np.vdot(d, hd)))
-                cmix = complex(np.vdot(psi, hd))
-                hmat = np.array([[a, cmix], [np.conj(cmix), b]])
-                w2, v2 = np.linalg.eigh(hmat)
-                coeff = v2[:, 0]
-                psi = coeff[0] * psi + coeff[1] * d
-                psi /= np.linalg.norm(psi)
-                d_prev = d
-                g_dot_prev = g_dot
-            x[:, n] = psi
-        # Subspace rotation after each sweep.
-        x = cholesky_orthonormalize(x)
-        hx = ham.apply(x)
-        hsub = x.conj().T @ hx
-        hsub = 0.5 * (hsub + hsub.conj().T)
-        eps_all, u = np.linalg.eigh(hsub)
-        x = x @ u
-        hx = hx @ u
-        r = hx - x * eps_all[None, :]
-        resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
-        if resid_norm < tol:
-            break
-    return EigenResult(eps_all.copy(), x, total_iter, resid_norm,
-                       resid_norm < tol)
-
-
-def _project_out(vec: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Remove the components of ``vec`` along the columns of ``block``."""
-    if block.shape[1] == 0:
-        return vec
-    return vec - block @ (block.conj().T @ vec)

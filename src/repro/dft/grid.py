@@ -24,7 +24,8 @@ if TYPE_CHECKING:
 
 
 class RealSpaceGrid:
-    """A periodic orthorhombic real-space grid with FFT helpers."""
+    """A periodic orthorhombic real-space grid and its reciprocal-space
+    tables."""
 
     def __init__(self, lengths: ArrayLike, shape: ArrayLike) -> None:
         self.lengths = np.asarray(lengths, dtype=float).reshape(3)
@@ -112,30 +113,6 @@ class RealSpaceGrid:
         )
         return gx, gy, gz
 
-    def g_vectors(self) -> np.ndarray:
-        """``(*shape, 3)`` array of G vectors (cached; the dense oracle —
-        nothing in the engine calls it)."""
-        if "gvec" not in self._g_cache:
-            gx, gy, gz = self.g_components()
-            out = np.empty(self.shape + (3,), dtype=float)
-            out[..., 0] = gx[:, None, None]
-            out[..., 1] = gy[None, :, None]
-            out[..., 2] = gz[None, None, :]
-            self._g_cache["gvec"] = out
-        return self._g_cache["gvec"]
-
-    def g2(self) -> np.ndarray:
-        """``|G|²`` on the full FFT grid (cached; the dense oracle, and
-        :func:`repro.multigrid.fft_poisson`'s spectral reference)."""
-        if "g2" not in self._g_cache:
-            gx, gy, gz = self.g_components()
-            self._g_cache["g2"] = (
-                gx[:, None, None] ** 2
-                + gy[None, :, None] ** 2
-                + gz[None, None, :] ** 2
-            )
-        return self._g_cache["g2"]
-
     # -- the half grid of ``np.fft.rfftn`` -----------------------------------
     # A real field's spectrum is Hermitian, so the global layers keep the
     # last axis' ``0 … n2 // 2`` only: half the transform, half the tables.
@@ -174,15 +151,7 @@ class RealSpaceGrid:
 
         return self.table("coulomb", build)
 
-    # -- transforms ----------------------------------------------------------
-
-    def fft(self, field: np.ndarray) -> np.ndarray:
-        """Real field → Fourier coefficients in the density convention."""
-        return np.fft.fftn(field) / self.npoints
-
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fourier coefficients (density convention) → real-space field."""
-        return np.fft.ifftn(coeffs * self.npoints)
+    # -- integrals -----------------------------------------------------------
 
     def integrate(self, field: np.ndarray) -> float:
         """∫ field dr over the cell."""

@@ -1,5 +1,5 @@
 """The Kohn–Sham Hamiltonian: stacked (all-band, all-domain BLAS3)
-application and a dense matrix form for the direct reference eigensolver.
+application and preconditioning.
 
     H = -½∇² + V_loc + V_H + V_xc [+ v_bc]  + v_nl
 
@@ -83,30 +83,6 @@ class Hamiltonian:
         block = psi[:, None] if single else psi
         out = self.stack.apply(block[None])[0]
         return out[:, 0] if single else out
-
-    # -- dense form -----------------------------------------------------------
-
-    def dense(self) -> np.ndarray:
-        """The full npw×npw Hermitian matrix (reference solver; small bases)."""
-        basis = self.basis
-        grid = basis.grid
-        npw = basis.npw
-        # Local part: V(G_i - G_j) from the FFT of v_eff, indexed by the
-        # wrapped Miller-index differences.
-        vg = grid.fft(self.v_eff.astype(complex))
-        shape = np.array(grid.shape)
-        diff = basis.miller[:, None, :] - basis.miller[None, :, :]  # (npw,npw,3)
-        diff = np.mod(diff, shape[None, None, :])
-        flat = (
-            diff[..., 0] * (shape[1] * shape[2])
-            + diff[..., 1] * shape[2]
-            + diff[..., 2]
-        )
-        h = vg.ravel()[flat]
-        h[np.arange(npw), np.arange(npw)] += self.kinetic
-        if self.vnl is not None and self.vnl.nproj:
-            h = h + self.vnl.dense()
-        return h
 
     # -- preconditioning -------------------------------------------------------
 

@@ -109,23 +109,6 @@ def _phase_sum(px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def structure_factors(grid: RealSpaceGrid, config: Configuration) -> dict[str, np.ndarray]:
-    """Per-species structure factors S_s(G) = Σ_{I∈s} e^{-iG·R_I} on the
-    full grid.
-
-    ``e^{-iG·R}`` factorizes over the axes of the orthorhombic grid, so each
-    atom costs ``n0 + n1 + n2`` exponentials instead of ``n0·n1·n2``, and
-    nothing of size ``ngrid × natoms`` is ever built.
-    """
-    return {
-        symbol: _phase_sum(*(
-            np.exp(-1j * np.outer(config.positions[idx, axis], g))
-            for axis, g in enumerate(grid.g_components())
-        ))
-        for symbol, idx in species_atoms(config)
-    }
-
-
 def local_potential(grid: RealSpaceGrid, config: Configuration) -> np.ndarray:
     """Total local pseudopotential V_loc(r) on the real grid.
 
@@ -203,7 +186,3 @@ class NonlocalProjectors:
         overlaps = self.overlaps(psi)
         overlaps *= self.d[:, None]
         return np.matmul(self.b, overlaps, out=out)
-
-    def dense(self) -> np.ndarray:
-        """The dense npw×npw nonlocal matrix (for the direct eigensolver)."""
-        return (self.b * self.d[None, :]) @ self.b_conj.T

@@ -145,9 +145,7 @@ class LDCEngine:
         it converged (a solve that ran out of passes still returns its
         forces — what to do about them is the caller's policy — but is
         counted); its eigensolver iterations, and how many the warm starts
-        saved against the cold first step; the (b, l*) it ran at."""
-        from repro.core.complexity import optimal_core_length
-
+        saved against the cold first step."""
         start = (
             "orbital" if self.workspace.warm_domains > 0
             else "density" if self.workspace.warm_density else "cold"
@@ -165,8 +163,6 @@ class LDCEngine:
             ins.series("qmd.eig_iters_saved", engine="ldc").append(
                 self._cold_eig_iters - int(result.eig_iterations)
             )
-        ins.series("ldc.buffer_b").append(self.options.buffer)
-        ins.series("ldc.core_l").append(optimal_core_length(self.options.buffer))
 
 
 class SCFEngine(LDCEngine):

@@ -1,52 +1,9 @@
-"""Linear-algebra helpers: orthonormalization and the BLAS2 reference of
-the paper's BLAS2 → BLAS3 transformation.
-
-Section 3.4 of the paper rewrites the nonlocal pseudopotential application
-
-    v_nl |ψ_n> = Σ_{ij} Σ_I |β_{i,I}> D_{ij,I} <β_{j,I}|ψ_n>      (Eq. 4)
-
-from per-band matrix-vector products (DGEMV / BLAS2) into packed
-matrix-matrix products (DGEMM / BLAS3):
-
-    v_nl Ψ = Σ_{ij} B̃(i) D̃(i,j) B̃(j)^H Ψ                          (Eq. 5)
-
-The band-by-band Eq. 4 is here, as the reference the transformation is
-tested and benchmarked against (EXP-BLAS); Eq. 5 is the operator every
-``H·ψ`` runs, :meth:`repro.dft.pseudopotential.NonlocalProjectors.apply`.
-"""
+"""Linear-algebra helpers: the one Cholesky orthonormalization of the
+paper's Sec. 3.3 and its Löwdin fallback."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def apply_projectors_blas2(
-    projectors: np.ndarray, coeffs: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
-    """Apply ``v_nl`` band by band (the original BLAS2 formulation).
-
-    Parameters
-    ----------
-    projectors:
-        ``(npw, nproj)`` complex projector matrix ``B``.
-    coeffs:
-        ``(nproj, nproj)`` coefficient matrix ``D`` (block-diagonal per atom
-        in the physical problem; any Hermitian matrix is accepted).
-    psi:
-        ``(npw, nband)`` wave-function matrix ``Ψ``.
-
-    Returns
-    -------
-    ``(npw, nband)`` array ``v_nl Ψ`` computed with per-band matvecs
-    (``B†`` is formed once, so the loop times the matvecs alone).
-    """
-    npw, nband = psi.shape
-    out = np.zeros_like(psi)
-    adjoint = projectors.conj().T
-    for n in range(nband):  # deliberate per-band loop: the BLAS2 path
-        overlaps = adjoint @ psi[:, n]
-        out[:, n] = projectors @ (coeffs @ overlaps)
-    return out
 
 
 def cholesky_orthonormalize(

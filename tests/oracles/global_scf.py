@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.ldc import LDCOptions
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.eigensolver import lobpcg_work_shape, solve_all_band, solve_direct
+from repro.dft.eigensolver import lobpcg_work_shape, solve_all_band
 from repro.dft.ewald import ewald
 from repro.dft.forces import local_forces, projector_forces
 from repro.dft.grid import RealSpaceGrid
@@ -40,6 +40,7 @@ from repro.dft.scf import (
 )
 from repro.dft.xc import lda_xc
 from repro.systems.configuration import Configuration
+from tests.oracles.reference import solve_direct
 
 
 def dense_stack_solve(states, key, v_eff, opts, pool):

@@ -14,7 +14,6 @@ from repro.dft.eigensolver import (
     lobpcg_work_shape,
     solve_all_band,
     solve_all_band_batched,
-    solve_direct,
 )
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
@@ -27,6 +26,7 @@ from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
 from repro.systems.water import water_molecule
 from tests.builders import projector_stack, span_count
+from tests.oracles.reference import solve_direct
 
 OPTS = dict(ecut=4.0, domains=(2, 1, 1), buffer=2.0, tol=1e-6, max_iter=30)
 

@@ -11,6 +11,7 @@ from repro.dft.occupations import find_chemical_potential, fermi_occupations
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.dft.scf import SCFOptions, run_scf
 from repro.systems import Configuration, dimer
+from tests.oracles.reference import hamiltonian_dense
 
 
 def test_charged_cell_forbidden_by_occupation_capacity():
@@ -80,7 +81,7 @@ def test_hamiltonian_with_many_projectors():
     nl = NonlocalProjectors(basis, cfg)
     assert nl.nproj == 6
     ham = Hamiltonian(basis, local_potential(grid, cfg), nl)
-    h = ham.dense()
+    h = hamiltonian_dense(ham)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-10)
 
 

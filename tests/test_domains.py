@@ -41,7 +41,7 @@ def test_invalid_buffer(grid):
 def test_buffer_realized_in_grid_points(decomp, grid):
     # spacing 0.5; buffer 1.5 Bohr = 3 points
     np.testing.assert_array_equal(decomp.buffer_points, [3, 3, 3])
-    np.testing.assert_allclose(decomp.buffer_actual, 1.5)
+    np.testing.assert_allclose(decomp.buffer_points * grid.spacing, 1.5)
 
 
 def test_buffer_clamped(grid):

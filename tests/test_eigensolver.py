@@ -7,19 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dft.basis import PlaneWaveBasis, density_from_orbitals
+from repro.dft.basis import PlaneWaveBasis
 from repro.dft.eigensolver import (
     lobpcg_work_shape,
     solve_all_band,
     solve_all_band_batched,
-    solve_band_by_band,
-    solve_direct,
 )
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
 from repro.systems import dimer
 from tests.builders import projector_stack
+from tests.oracles.reference import (
+    density_from_orbitals,
+    solve_band_by_band,
+    solve_direct,
+)
 
 
 @pytest.fixture(scope="module")

@@ -329,8 +329,8 @@ def test_nve_drift_parity_extrapolated_vs_last_state():
 
 
 def test_ledger_manifest_carries_predictor_series():
-    """The iterations-saved and chosen-(b, l*) series land in the metrics
-    snapshot, which a run directory keeps as its hashed ``metrics.json``."""
+    """The eigensolver-iterations and iterations-saved series land in the
+    metrics snapshot, which a run directory keeps as its hashed ``metrics.json``."""
     ins = Instrumentation()
     engine = LDCEngine(
         LDCOptions(**OPTS),
@@ -340,8 +340,7 @@ def test_ledger_manifest_carries_predictor_series():
     for s in (0.0, 0.05, 0.10):
         engine.forces(h4_chain(shift=s))
     snapshot = ins.metrics.snapshot()
-    for name in ("qmd.eig_iterations", "qmd.eig_iters_saved",
-                 "ldc.buffer_b", "ldc.core_l"):
+    for name in ("qmd.eig_iterations", "qmd.eig_iters_saved"):
         assert any(
             key.startswith(name) and rec["kind"] == "series" and rec["values"]
             for key, rec in snapshot.items()

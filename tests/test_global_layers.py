@@ -22,11 +22,7 @@ from repro.dft import pseudopotential, xc
 from repro.dft.ewald import EwaldStructure, ewald
 from repro.dft.forces import local_forces
 from repro.dft.grid import RealSpaceGrid
-from repro.dft.pseudopotential import (
-    local_potential,
-    local_potential_ft,
-    structure_factors,
-)
+from repro.dft.pseudopotential import local_potential, local_potential_ft
 from repro.dft.scf import harris_foulkes_energy, initial_density, potential_terms
 from repro.multigrid import MultigridPoisson
 from repro.multigrid.stencils import (
@@ -39,6 +35,13 @@ from repro.multigrid.transfer import prolong_into, restrict_into
 from repro.observe import OFF
 from repro.systems.configuration import Configuration
 from repro.systems.lialloy import lial_nanoparticle
+from tests.oracles.reference import (
+    grid_fft,
+    grid_g2,
+    grid_g_vectors,
+    grid_ifft,
+    structure_factors,
+)
 
 MB = 1e6
 #: odd, even and mixed non-cubic grids; the even axes carry Nyquist planes
@@ -96,18 +99,18 @@ def local_potential_dense(grid, config):
     vg = np.zeros(grid.shape, dtype=complex)
     for symbol, sf in structure_factors(grid, config).items():
         sp = get_species(symbol)
-        vg += local_potential_ft(grid.g2(), sp.zval, sp.rc_loc) * sf
-    return grid.ifft(vg / grid.volume).real
+        vg += local_potential_ft(grid_g2(grid), sp.zval, sp.rc_loc) * sf
+    return grid_ifft(grid, vg / grid.volume).real
 
 
 def local_forces_dense(grid, config, rho):
     """Re Σ_G iG ρ̃*(G) ṽ(G) e^{-iG·R} with a dense phase per atom."""
-    rho_g = grid.fft(rho).ravel()
-    gv = grid.g_vectors().reshape(-1, 3)
+    rho_g = grid_fft(grid, rho).ravel()
+    gv = grid_g_vectors(grid).reshape(-1, 3)
     forces = np.zeros((config.natoms, 3))
     for i, symbol in enumerate(config.symbols):
         sp = get_species(symbol)
-        vg = local_potential_ft(grid.g2().ravel(), sp.zval, sp.rc_loc)
+        vg = local_potential_ft(grid_g2(grid).ravel(), sp.zval, sp.rc_loc)
         phase = np.exp(-1j * gv @ config.positions[i])
         forces[i] = np.real(gv.T @ (1j * np.conj(rho_g) * vg * phase))
     return forces
@@ -158,7 +161,7 @@ def test_species_table_is_cached_on_the_grid(scene):
         first, local_potential_ft(grid.g2_half(), sp.zval, sp.rc_loc)
     )
     assert np.array_equal(
-        grid.g2_half(), grid.g2()[:, :, : grid.shape[2] // 2 + 1]
+        grid.g2_half(), grid_g2(grid)[:, :, : grid.shape[2] // 2 + 1]
     )
 
 

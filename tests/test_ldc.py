@@ -276,7 +276,7 @@ def test_ldc_eigensolver_variants_agree(h2, monkeypatch):
 def test_ldc_band_by_band_path():
     """There is no eigensolver selector, so no band-by-band engine path:
     naming one is refused when the options are built.
-    ``solve_band_by_band`` stays a library function
+    ``solve_band_by_band`` is a reference in ``tests/oracles/reference.py``
     (``tests/test_eigensolver.py``, the GSLF ablation bench)."""
     from repro.dft.scf import SCFOptions
 

@@ -57,7 +57,7 @@ def test_documentation_present():
 #: DESIGN.md only shrinks: a change that rewrites a section replaces it,
 #: and lowers this to the new size (ROADMAP 11(d) wants ≤ 60 KB — this stops
 #: the growth first)
-DESIGN_MAX_BYTES = 131_221
+DESIGN_MAX_BYTES = 131_135
 
 
 def test_design_document_does_not_grow():
@@ -313,8 +313,8 @@ def test_global_layers_keep_no_dense_form():
     """The multigrid package shifts and colours by slices (no ``np.roll``,
     no ``np.indices``, no boolean-mask update), the Ewald sum accumulates
     without ``np.add.at``, and nothing under ``repro.dft`` transforms a
-    full complex grid for a real field (``grid.fft`` / ``grid.ifft`` are
-    the test oracles')."""
+    full complex grid for a real field (the full-grid transforms are test
+    oracles, ``tests/oracles/reference.py``)."""
     import ast
 
     dense = [
@@ -339,8 +339,6 @@ def test_global_layers_keep_no_dense_form():
         if ast.unparse(call.func) in (
             "grid.fft", "grid.ifft", "np.fft.fftn", "np.fft.ifftn"
         )
-        # the two definitions, and Hamiltonian.dense(), a reference solver
-        and rel not in ("dft/grid.py", "dft/hamiltonian.py")
     ]
     assert dense == [] and masked == [], (dense, masked)
     assert scattered == [] and complex_grid == [], (scattered, complex_grid)
@@ -603,10 +601,6 @@ def test_every_source_module_is_reached():
 #: public names whose only reader is a test, kept on purpose; the pin fails
 #: when one of them is deleted or gains a reader outside the tests
 _TEST_ONLY = {
-    "density_from_orbitals":
-        "test_eigensolver's oracle for PlaneWaveBasis.densities",
-    "structure_factors":
-        "test_global_layers' oracle for the half-grid local potential",
     "read_jsonl": "the reader for the flight recorder's black-box format",
 }
 
@@ -735,6 +729,59 @@ def test_every_public_name_is_referenced():
     stale = sorted(name for name in _TEST_ONLY
                    if name in used or name not in names)
     assert stale == [], stale
+
+
+#: ``(module, owner, name)`` of each reference that lives in
+#: ``tests/oracles/reference.py`` and nowhere under ``repro`` (owner
+#: ``None``: a module attribute; ``"PlaneWaveBasis"``: checked on an
+#: instance, the Miller table having been an instance attribute)
+_ORACLE_ONLY = [
+    ("repro.dft.eigensolver", None, "solve_direct"),
+    ("repro.dft.eigensolver", None, "solve_band_by_band"),
+    ("repro.dft.eigensolver", None, "_project_out"),
+    ("repro.dft.hamiltonian", "Hamiltonian", "dense"),
+    ("repro.dft.pseudopotential", "NonlocalProjectors", "dense"),
+    ("repro.dft.pseudopotential", None, "structure_factors"),
+    ("repro.dft.basis", None, "density_from_orbitals"),
+    ("repro.dft.basis", "PlaneWaveBasis", "miller"),
+    ("repro.dft.grid", "RealSpaceGrid", "fft"),
+    ("repro.dft.grid", "RealSpaceGrid", "ifft"),
+    ("repro.dft.grid", "RealSpaceGrid", "g_vectors"),
+    ("repro.dft.grid", "RealSpaceGrid", "g2"),
+    ("repro.util.linalg", None, "apply_projectors_blas2"),
+    ("repro.util", None, "apply_projectors_blas2"),
+]
+
+
+def test_references_live_in_the_oracles_only():
+    """``src`` holds what production runs: the dense, band-by-band and
+    BLAS2 references resolve under no ``repro`` module or class, and no
+    module under ``src/repro`` imports ``tests``."""
+    import ast
+    import importlib
+
+    from repro.dft.basis import PlaneWaveBasis
+    from repro.dft.grid import RealSpaceGrid
+
+    basis = PlaneWaveBasis(RealSpaceGrid([6.0, 6.0, 6.0], [8, 8, 8]), 2.0)
+    found = []
+    for module, owner, name in _ORACLE_ONLY:
+        mod = importlib.import_module(module)
+        target = (
+            mod if owner is None
+            else basis if owner == "PlaneWaveBasis" else getattr(mod, owner)
+        )
+        if hasattr(target, name):
+            found.append(f"{module}:{owner or ''}.{name}")
+    assert found == [], found
+    importers = [
+        rel for rel, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "tests" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "tests"
+    ]
+    assert importers == [], importers
 
 
 #: option fields no caller outside the tests sets, kept on purpose; the pin

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.util.linalg import (
-    apply_projectors_blas2,
-    cholesky_orthonormalize,
-    lowdin_orthonormalize,
-)
+from repro.util.linalg import cholesky_orthonormalize, lowdin_orthonormalize
 from tests.builders import ArrayProjectors
+from tests.oracles.reference import apply_projectors_blas2, projectors_dense
 
 
 def _random_complex(rng, *shape):
@@ -45,7 +42,7 @@ def test_blas3_linear_in_psi(projector_problem):
 def test_blas3_hermitian_operator(projector_problem):
     """B D B^H with real diagonal D is a Hermitian operator."""
     b, d, psi = projector_problem
-    op = ArrayProjectors(b, d).dense()
+    op = projectors_dense(ArrayProjectors(b, d))
     np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
 
 
